@@ -108,9 +108,8 @@ def quel_report(rounds, chords=40, notes_per_chord=10):
         workloads[name] = _time_workload(lambda s=source: session.execute(s), rounds)
 
     # Repeated-statement scenario: the same source text executed over and
-    # over, the compile-and-cache layer's home turf.  The compiled session
-    # parses and compiles once (statement + plan caches), the ablated
-    # session re-parses and walks the AST per row on every execution.
+    # over, the compile-and-cache layer's home turf -- parsed and compiled
+    # once (statement + plan caches), then only planned and run.
     repeated = (
         "retrieve (a = n.pitch * 2 + 1, b = n.n - 3, c = n.label) "
         "where n.n = %d and n.pitch > 0" % target
@@ -119,13 +118,6 @@ def quel_report(rounds, chords=40, notes_per_chord=10):
     session.execute(repeated)
     workloads["repeated_statement"] = _time_workload(
         lambda: session.execute(repeated), rounds
-    )
-    interpreted = QuelSession(schema, use_compiled=False)
-    interpreted.execute("range of n is NOTE")
-    interpreted.execute(repeated)  # same warm-up, fairness
-    interpreted.execute(repeated)
-    workloads["repeated_statement_interpreted"] = _time_workload(
-        lambda: interpreted.execute(repeated), rounds
     )
     return {
         "benchmark": "quel",
@@ -164,16 +156,18 @@ def _index_stats(index):
 def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
     """The catalog-search suite: trigram-indexed text queries vs scans.
 
-    Loads the deterministic library corpus (``repro.fixtures.corpus``),
-    builds a trigram index over the title column, and times the same
-    ``matches``/``similar_to`` statements through the index and through
-    an ablated no-index session.  The report carries the p50 speedup
-    and the rows-visited count from ``explain analyze`` so the "index
-    prunes the heap" claim is checkable from the JSON alone.
+    Loads the deterministic library corpus (``repro.fixtures.corpus``)
+    and times the same ``matches``/``similar_to`` statements twice:
+    before the trigram index over the title column exists (the planner
+    can only scan and apply the predicate to every row) and after.  The
+    report carries the p50 speedup and the rows-visited count from
+    ``explain analyze`` so the "index prunes the heap" claim is
+    checkable from the JSON alone.
 
-    The top-k workloads time the streaming ``limit N`` ranked path
-    against the same statement on a ``use_topk=False`` session (the
-    materialize-then-sort path it replaced); *scale_rows* additionally
+    The top-k workloads time the streaming ``limit N`` ranked statement
+    against the same statement without its limit (every gate candidate
+    is fetched, scored and sorted -- the cost the operator avoids);
+    *scale_rows* additionally
     loads a second catalog of that size and re-times the limit-bearing
     statements there, so the report can show that first-N retrieval
     cost stays flat as the corpus grows ~8x.  Both claims are hard
@@ -185,13 +179,8 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
 
     schema = Schema("bench-text")
     entity = load_catalog(schema, row_count, seed=seed)
-    schema.database.create_text_index(entity.table.name, "title")
     session = QuelSession(schema)
     session.execute("range of t is TRACK")
-    scan_session = QuelSession(schema, use_indexes=False)
-    scan_session.execute("range of t is TRACK")
-    sort_session = QuelSession(schema, use_topk=False)
-    sort_session.execute("range of t is TRACK")
 
     match = 'retrieve (t.title) where matches(t.title, "prelude no. 7")'
     similar = (
@@ -205,29 +194,34 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
     )
     # The top-k showcase: a broad gate (every "prelude" row is a
     # candidate) ranked by similarity, keeping only the 10 best.  The
-    # streaming operator prunes via the score bound; the use_topk=False
-    # session scores and sorts every candidate -- PR 9's path.
+    # streaming operator prunes via the score bound; without the limit
+    # every candidate is scored and sorted.
     topk = (
         'retrieve (t.title, score = similarity(t.title, "prelude no. 7")) '
         'where matches(t.title, "prelude") '
         'sort by similarity(t.title, "prelude no. 7") descending limit 10'
     )
+    topk_full = topk.rsplit(" limit ", 1)[0]
     topk_search = match + " limit 100"
     # Scans walk the whole heap per round; fewer rounds keep the suite
     # affordable without touching the p50's meaning.
     scan_rounds = max(2, rounds // 6)
+    # No text index yet: these two can only scan.
     workloads = {
+        "catalog_search_scan": _time_workload(
+            lambda: session.execute(match), scan_rounds
+        ),
+        "catalog_similar_scan": _time_workload(
+            lambda: session.execute(similar), scan_rounds
+        ),
+    }
+    schema.database.create_text_index(entity.table.name, "title")
+    workloads.update({
         "catalog_search": _time_workload(
             lambda: session.execute(match), rounds
         ),
-        "catalog_search_scan": _time_workload(
-            lambda: scan_session.execute(match), scan_rounds
-        ),
         "catalog_similar": _time_workload(
             lambda: session.execute(similar), rounds
-        ),
-        "catalog_similar_scan": _time_workload(
-            lambda: scan_session.execute(similar), scan_rounds
         ),
         "catalog_ranked": _time_workload(
             lambda: session.execute(ranked), rounds
@@ -236,12 +230,12 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
             lambda: session.execute(topk), rounds
         ),
         "catalog_ranked_topk_full": _time_workload(
-            lambda: sort_session.execute(topk), scan_rounds
+            lambda: session.execute(topk_full), scan_rounds
         ),
         "catalog_topk_search": _time_workload(
             lambda: session.execute(topk_search), rounds
         ),
-    }
+    })
 
     index = entity.table.text_index_for("title")
     dataset = {"rows": row_count, "seed": seed}

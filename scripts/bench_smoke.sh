@@ -1,21 +1,20 @@
 #!/bin/sh
-# Fast benchmark smoke target: assert ordering mutations stay O(1) in
-# row writes (no per-sibling renumbering on front insert), that the
-# order-key encoding keeps its >=10x lead over dense renumbering, that
-# no-sink tracing overhead stays under its 3% budget, that the
-# bench report harness still produces valid BENCH_*.json shapes, and
-# that a fresh run shows no >25% median regression against the
-# committed BENCH_quel.json / BENCH_storage.json baselines (which
-# cover the group-commit write path: bulk_ingest and concurrent_insert
-# ride the same gate, as does the MVCC mixed_readers_writers mix; the
-# BENCH_net.json baseline gates the client-swarm serving latency; the
-# BENCH_text.json baseline gates trigram-indexed catalog search), then
-# the fast snapshot-isolation battery (scripts/mvcc_smoke.sh), the
-# network fault sweep (scripts/net_smoke.sh), and the text-index
-# battery (scripts/text_smoke.sh).
+# Fast benchmark smoke target; a few seconds, suitable for CI.  The full
+# timing benches live in benchmarks/ (pytest-benchmark, run separately).
 #
-# Runs in a few seconds; suitable for CI.  The full timing benches live
-# in benchmarks/ and are run separately with pytest-benchmark.
+#   step                                   guards
+#   -------------------------------------  ----------------------------------------
+#   pytest benchmarks -m ordering_smoke    ordering edits stay O(1) in row writes;
+#                                          order keys keep >=10x over renumbering
+#   pytest test_bench_obs -m obs_smoke     no-sink tracing overhead stays under 3%
+#   pytest test_bench_compare              the --compare gate and the hard gates
+#   bench_report.py --check                every BENCH_*.json suite still has a
+#                                          valid shape
+#   bench_report.py --compare BENCH_*      no p50 more than 25% over the committed
+#                                          quel / storage / text / net baselines
+#   mvcc_smoke.sh                          snapshot isolation (fast matrix)
+#   net_smoke.sh                           wire-fault sweep (fast matrix)
+#   text_smoke.sh                          text index == rebuild-from-rows
 set -eu
 cd "$(dirname "$0")/.."
 PYTHONPATH=src python -m pytest benchmarks -q -k ordering -m ordering_smoke "$@"

@@ -1,8 +1,8 @@
 """Compilation of QUEL statements to Python closures.
 
-The interpreter in :mod:`repro.quel.executor` re-walks the qualification
-AST for every candidate binding.  This module lowers a statement once
-into a :class:`CompiledStatement`: every expression and conjunct becomes
+Walking the qualification AST for every candidate binding is what makes
+a query slow, so this module lowers a statement once into a
+:class:`CompiledStatement`: every expression and conjunct becomes
 a closure of signature ``fn(rt, bindings)`` (*rt* is the executing
 :class:`~repro.quel.executor.QuelSession`), constant subexpressions are
 folded at compile time, equality restrictions and order-operator
@@ -199,9 +199,8 @@ class PushdownOption:
 
 
 class CompiledAggregate:
-    """An aggregate retrieve target.  *arg_fn* is None when the call has
-    the wrong arity; the executor then raises only if a row exists,
-    matching the interpreter's lazy arity check."""
+    """An aggregate retrieve target: *arg_fn* evaluates the call's one
+    argument per binding."""
 
     __slots__ = ("name", "function_name", "arg_fn")
 
@@ -247,7 +246,8 @@ class CompiledStatement:
 
 
 def _apply_binary(op, left, right):
-    """The interpreter's arithmetic semantics, applied to two values."""
+    """QUEL arithmetic over two values: nulls propagate, exact integer
+    division stays integral."""
     if left is None or right is None:
         return None
     if op == "+":
@@ -324,8 +324,8 @@ class Compiler:
         right_fn, right_const, right_value = self._expression(node.right)
         if left_const and right_const:
             # Constant folding.  A folding error (division by zero) must
-            # surface at evaluation time, not compile time, so explain
-            # and empty joins keep the interpreter's behavior.
+            # surface at evaluation time, not compile time: explain and
+            # empty joins never evaluate the expression, so never raise.
             try:
                 value = _apply_binary(op, left_value, right_value)
             except QueryError as error:
@@ -571,8 +571,8 @@ class Compiler:
     def _resolved_order_name(self, clause_name, child_types, parent_type=None):
         """The unique ordering name a clause resolves to at compile time,
         or None when pushdown must be skipped (unknown explicit name, or
-        zero/ambiguous implicit candidates -- the per-row fallback then
-        reproduces the interpreter's error or empty-result behavior)."""
+        zero/ambiguous implicit candidates -- the per-row check then
+        raises the resolution error, or an empty join never asks)."""
         orderings = self.session.schema.orderings
         if clause_name is not None:
             return clause_name if clause_name in orderings else None
@@ -677,11 +677,16 @@ def compile_statement(statement, session):
             if isinstance(expression, ast.FunctionCall) and (
                 session.functions.is_aggregate(expression.name)
             ):
-                arg_fn = None
-                if len(expression.arguments) == 1:
-                    arg_fn = compiler.expression(expression.arguments[0])
+                if len(expression.arguments) != 1:
+                    raise QueryError(
+                        "aggregate %s takes exactly one argument"
+                        % expression.name
+                    )
                 aggregates.append(
-                    CompiledAggregate(target.name, expression.name, arg_fn)
+                    CompiledAggregate(
+                        target.name, expression.name,
+                        compiler.expression(expression.arguments[0]),
+                    )
                 )
             else:
                 targets.append((target.name, compiler.expression(expression)))

@@ -1,28 +1,33 @@
 """QUEL execution against a schema.
 
 A :class:`QuelSession` holds range-variable declarations and executes
-statements.  Retrieves run a backtracking join over the referenced
-range variables; the entity operators ``is``, ``before``, ``after`` and
-``under`` evaluate per the section 5.6 semantics.
+statements.  Each statement is compiled once (:mod:`repro.quel.compile`)
+and runs one pipeline: planning picks a candidate source per range
+variable, a backtracking join binds the candidates and checks the
+qualification's conjuncts, and the statement's tail projects, sorts,
+limits, aggregates or mutates.  The entity operators ``is``,
+``before``, ``after`` and ``under`` evaluate per the section 5.6
+semantics.
 
 Statements run under table locks: every range variable's table is
 read-locked (shared) and a mutation's target table write-locked
 (exclusive) before rows are touched, so concurrent writers cannot
 produce torn reads.  Inside a transaction the locks join the
-transaction (strict 2PL); outside one they are statement-scoped — an
+transaction (strict 2PL); outside one they are statement-scoped -- an
 ephemeral lock owner is allocated and released when the statement ends,
 on success *and* on error.
 
 Execution is also bounded: a thread-local :class:`ExecutionLimits`
 (installed by the session layer, or directly via
 :meth:`QuelSession.set_limits`) threads a deadline and row budget into
-the binding-generation loop, which raises ``QueryTimeoutError`` /
+the join loop, which raises ``QueryTimeoutError`` /
 ``ResourceLimitError`` instead of looping unboundedly.
 """
 
 import threading
 import time
 from bisect import bisect_left
+from itertools import islice
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
 from repro.core.entity import SURROGATE_COLUMN, EntityInstance
@@ -30,23 +35,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, span, tracing_active
 from repro.quel import ast
 from repro.quel.cache import StatementCache, plan_cache_for
-from repro.quel.compile import (
-    CompiledAggregate,
-    compile_statement,
-    statement_fingerprint,
-)
+from repro.quel.compile import compile_statement, statement_fingerprint
 from repro.quel.functions import FunctionRegistry, scalar_similarity
 from repro.quel.parser import parse_quel
 from repro.quel import planner
 from repro.text import SimilarityScorer, contains_match, is_similar
-
-#: Statement types the compiler can lower (everything that joins).
-_COMPILABLE = (
-    ast.RetrieveStatement,
-    ast.AppendStatement,
-    ast.ReplaceStatement,
-    ast.DeleteStatement,
-)
 
 
 class ExecutionLimits:
@@ -140,219 +133,126 @@ def _text_rowids(table, text_restrictions):
 
 
 class _EntityRange:
+    """A range variable over an entity type: candidates are instances,
+    scanned in surrogate order."""
+
     kind = "entity"
+    scan_order = SURROGATE_COLUMN
 
     def __init__(self, entity_type):
         self.entity_type = entity_type
+        self.type_name = entity_type.name
+        self.table = entity_type.table
 
-    @property
-    def type_name(self):
-        return self.entity_type.name
-
-    @property
-    def table_name(self):
-        return self.entity_type.table.name
-
-    def candidates(self, restrictions, snapshot=False, text_restrictions=()):
-        """Instances satisfying *restrictions*, plus the access path used.
-
-        Every equality restriction on a real column is answered from an
-        index -- built on first use if absent -- and the rowid sets are
-        intersected before any row is materialized.  Text gates in
-        *text_restrictions* prune through the trigram index when one
-        exists ("index text" access); the exact predicate re-verifies
-        every survivor in the join, so candidates are a sound superset.
-        Restrictions on unknown attributes are filtered in place rather
-        than triggering a full unfiltered scan.  Returns ``(instances,
-        access)`` with *access* one of "index", "index text",
-        "filtered scan", "scan", or "snapshot scan".
-
-        With *snapshot* the statement runs lock-free against a pinned
-        MVCC snapshot: indexes mirror the live table and are unsafe to
-        read (let alone build adaptively) without a lock, so every
-        restriction -- equality and text alike -- is applied residually
-        over the visible rows.
-        """
-        table = self.entity_type.table
-        if snapshot:
-            rows = list(table)
-            for attribute, value in restrictions:
-                if table.schema.has_column(attribute):
-                    rows = [r for r in rows if r[attribute] == value]
-            for attribute, operator, query, threshold in text_restrictions:
-                if table.schema.has_column(attribute):
-                    rows = [
-                        r for r in rows
-                        if _text_truth(r[attribute], operator, query, threshold)
-                    ]
-            rows.sort(key=lambda r: r[SURROGATE_COLUMN])
-            instances = [
-                EntityInstance(self.entity_type, row[SURROGATE_COLUMN], row.rowid)
-                for row in rows
-            ]
-            residual = [
-                (a, v) for a, v in restrictions
-                if not table.schema.has_column(a)
-            ]
-            if residual:
-                instances = [
-                    i for i in instances
-                    if all(i.get(a) == v for a, v in residual)
-                ]
-            return instances, "snapshot scan"
-        indexed = []
-        residual = []
-        for attribute, value in restrictions:
-            if table.schema.has_column(attribute):
-                indexed.append((attribute, value))
-            else:
-                residual.append((attribute, value))
-        rowids, text_pruned = _text_rowids(table, text_restrictions)
-        access = "index text" if text_pruned else "index"
-        if not indexed and rowids is None:
-            instances = self.entity_type.instances()
-            if residual:
-                instances = [
-                    i
-                    for i in instances
-                    if all(i.get(a) == v for a, v in residual)
-                ]
-                return instances, "filtered scan"
-            return instances, "scan"
-        if rowids is not None and not rowids:
-            return [], access
-        for attribute, value in indexed:
-            index = table.any_index_for(attribute)
-            if index is None:
-                # Adaptive access path: build the missing index once so
-                # this and every later query answers from it.
-                index = table.create_index(attribute)
-            matched = set(index.lookup(value))
-            rowids = matched if rowids is None else rowids & matched
-            if not rowids:
-                return [], access
-        out = []
-        # One batched pass: no per-rowid table.get round trips.
-        for row in table.get_many(sorted(rowids)):
-            instance = EntityInstance(
-                self.entity_type, row[SURROGATE_COLUMN], row.rowid
-            )
-            if all(instance.get(a) == v for a, v in residual):
-                out.append(instance)
-        return out, access
+    def wrap(self, row):
+        return EntityInstance(self.entity_type, row[SURROGATE_COLUMN], row.rowid)
 
 
 class _RelationshipRange:
+    """A range variable over a relationship: candidates are its rows,
+    scanned in table order."""
+
     kind = "relationship"
+    scan_order = None
 
     def __init__(self, relationship):
         self.relationship = relationship
+        self.type_name = relationship.name
+        self.table = relationship.table
 
-    @property
-    def type_name(self):
-        return self.relationship.name
+    def wrap(self, row):
+        return row
 
-    @property
-    def table_name(self):
-        return self.relationship.table.name
 
-    def candidates(self, restrictions, snapshot=False, text_restrictions=()):
-        """Rows satisfying *restrictions*, plus the access path used.
+def _candidates(declared, restrictions, text_restrictions, snapshot):
+    """Candidates of range *declared* satisfying *restrictions*, plus
+    the access path used.
 
-        Role columns are indexed at definition time; like
-        :class:`_EntityRange`, a restriction on any other real column
-        builds the missing index on first use, so it never silently
-        degrades to a filtered scan.  Text gates prune through the
-        trigram index when one exists.  Rowid sets are intersected
-        before any row is materialized.  With *snapshot* (lock-free
-        MVCC read) indexes are bypassed entirely; see
-        :meth:`_EntityRange.candidates`.
-        """
-        table = self.relationship.table
-        if snapshot:
-            rows = [
-                row for row in table
-                if all(row.get(a) == v for a, v in restrictions)
-                and all(
-                    _text_truth(row.get(a), op, q, t)
-                    for a, op, q, t in text_restrictions
-                )
-            ]
-            return rows, "snapshot scan"
-        indexed = []
-        residual = []
-        for attribute, value in restrictions:
-            if table.schema.has_column(attribute):
-                indexed.append((attribute, value))
-            else:
-                residual.append((attribute, value))
-        rowids, text_pruned = _text_rowids(table, text_restrictions)
-        access = "index text" if text_pruned else "index"
-        if not indexed and rowids is None:
-            rows = list(table)
-            if residual:
-                rows = [
-                    row
-                    for row in rows
-                    if all(row.get(a) == v for a, v in residual)
-                ]
-                return rows, "filtered scan"
-            return rows, "scan"
-        if rowids is not None and not rowids:
-            return [], access
+    Every equality restriction on a real column is answered from an
+    index -- built on first use if absent, so it never silently degrades
+    to a filtered scan (relationship role columns are indexed at
+    definition time) -- and the rowid sets are intersected before any
+    row is materialized.  Text gates in *text_restrictions* prune
+    through the trigram index when one exists ("index text" access); the
+    exact predicate re-verifies every survivor in the join, so
+    candidates are a sound superset.  Restrictions on unknown attributes
+    are filtered in place rather than triggering a full unfiltered scan.
+    Returns ``(candidates, access)`` with *access* one of "index",
+    "index text", "filtered scan", "scan", or "snapshot scan".
+
+    With *snapshot* the statement runs lock-free against a pinned MVCC
+    snapshot: indexes mirror the live table and are unsafe to read (let
+    alone build adaptively) without a lock, so every restriction --
+    equality and text alike -- is applied residually over the visible
+    rows.
+    """
+    table = declared.table
+    has_column = table.schema.has_column
+    indexed = [(a, v) for a, v in restrictions if has_column(a)]
+    residual = [(a, v) for a, v in restrictions if not has_column(a)]
+
+    def wrapped(rows):
+        out = [declared.wrap(row) for row in rows]
+        if residual:
+            out = [c for c in out if all(c.get(a) == v for a, v in residual)]
+        return out
+
+    if snapshot:
+        rows = list(table)
         for attribute, value in indexed:
-            index = table.any_index_for(attribute)
-            if index is None:
-                index = table.create_index(attribute)
-            matched = set(index.lookup(value))
-            rowids = matched if rowids is None else rowids & matched
-            if not rowids:
-                return [], access
-        rows = []
-        for row in table.get_many(sorted(rowids)):
-            if all(row.get(a) == v for a, v in residual):
-                rows.append(row)
-        return rows, access
+            rows = [r for r in rows if r[attribute] == value]
+        for attribute, operator, query, threshold in text_restrictions:
+            if has_column(attribute):
+                rows = [
+                    r for r in rows
+                    if _text_truth(r[attribute], operator, query, threshold)
+                ]
+        if declared.scan_order is not None:
+            rows.sort(key=lambda r: r[declared.scan_order])
+        return wrapped(rows), "snapshot scan"
+    rowids, text_pruned = _text_rowids(table, text_restrictions)
+    access = "index text" if text_pruned else "index"
+    if not indexed and rowids is None:
+        if declared.scan_order is None:
+            rows = list(table)
+        else:
+            rows = table.sorted_by(declared.scan_order)
+        return wrapped(rows), "filtered scan" if residual else "scan"
+    if rowids is not None and not rowids:
+        return [], access
+    for attribute, value in indexed:
+        index = table.any_index_for(attribute)
+        if index is None:
+            # Adaptive access path: build the missing index once so
+            # this and every later query answers from it.
+            index = table.create_index(attribute)
+        matched = set(index.lookup(value))
+        rowids = matched if rowids is None else rowids & matched
+        if not rowids:
+            return [], access
+    # One batched pass: no per-rowid table.get round trips.
+    return wrapped(table.get_many(sorted(rowids))), access
 
 
 class QuelSession:
     """Stateful QUEL session over one schema.
 
-    Ablation switches (each independently benchmarkable):
-
-    *use_indexes* -- with it off, every range variable's candidate set
-    is a full heap scan, reproducing the section 5.2 baseline of an
-    unindexed relation.
-
-    *use_compiled* -- with it off, every statement re-parses its source
-    and re-walks the qualification AST per candidate binding (the
-    interpreter).  On (the default), sources are parsed once per session
-    (statement cache) and statements are lowered once to Python closures
-    and cached per database, keyed on structural fingerprint and
-    invalidated by the schema epoch (plan cache).
-
-    *use_order_pushdown* -- with it off, ``before``/``after``/``under``
-    conjuncts are checked pairwise inside the join even on the compiled
-    path; on, a conjunct with one side bound enumerates the other side
-    by (parent, order_key) index range scan ("order range" in explain).
-
-    *use_topk* -- with it off, a ranked ``limit N`` text retrieve runs
-    through the generic bounded-selection path (every gate candidate is
-    fetched and scored); on, the streaming top-k operator ("index text
-    topk" in explain) visits candidates best-score-bound-first and
-    stops fetching once the Nth score is unbeatable.
+    Every statement runs one pipeline.  Source text is parsed once per
+    session (statement cache); each statement is lowered once to Python
+    closures and cached per database, keyed on structural fingerprint
+    and invalidated by the schema epoch (plan cache).  Planning picks a
+    candidate source per range variable from what it observes -- a
+    pinned snapshot, which restrictions an index can answer, the
+    statement's ``limit``/sort shape (see :meth:`_prepare_compiled`) --
+    and a single join loop binds candidates, runs the conjunct checks
+    and feeds the statement's tail.
     """
 
-    def __init__(self, schema, use_indexes=True, use_compiled=True,
-                 use_order_pushdown=True, use_topk=True):
+    def __init__(self, schema):
         self.schema = schema
         self.ranges = {}
         self.functions = FunctionRegistry()
         self._last_plan = None
-        self.use_indexes = use_indexes
-        self.use_compiled = use_compiled
-        self.use_order_pushdown = use_order_pushdown
-        self.use_topk = use_topk
         self._limits_local = threading.local()
         # Statement-level metrics ("quel.*") land in the database's
         # registry; increments are per statement, never per row.
@@ -423,25 +323,18 @@ class QuelSession:
         """Execute a QUEL program; returns the last statement's result.
 
         Retrieves return a list of result dicts; mutations return the
-        affected-instance count; range statements return None.  On the
-        compiled path a source text is parsed at most once per session;
-        repeats hit the statement cache and skip the parser.
+        affected-instance count; range statements return None.  A
+        source text is parsed at most once per session; repeats hit the
+        statement cache and skip the parser.
         """
-        entry = None
-        if self.use_compiled:
-            entry = self._statement_cache.lookup(source)
+        entry = self._statement_cache.lookup(source)
         if entry is None:
             with span("quel.parse"):
                 statements = parse_quel(source)
-            if self.use_compiled:
-                entry = self._statement_cache.store(source, statements)
+            entry = self._statement_cache.store(source, statements)
         result = None
-        if entry is not None:
-            for statement, slot in zip(entry.statements, entry.slots):
-                result = self.execute_statement(statement, _slot=slot)
-        else:
-            for statement in statements:
-                result = self.execute_statement(statement)
+        for statement, slot in zip(entry.statements, entry.slots):
+            result = self.execute_statement(statement, _slot=slot)
         return result
 
     def execute_statement(self, statement, _slot=None):
@@ -473,30 +366,24 @@ class QuelSession:
     def _dispatch(self, statement, slot=None):
         compiled = self._compiled_for(statement, slot)
         if isinstance(statement, ast.RetrieveStatement):
-            return self._with_statement_locks(
-                self._retrieve, statement, compiled=compiled
-            )
+            return self._with_statement_locks(self._retrieve, compiled)
         if isinstance(statement, ast.AppendStatement):
             return self._with_statement_locks(
-                self._append, statement,
+                self._append, compiled,
                 write_target=lambda: self.schema.entity_type(
                     statement.entity_type
                 ).table.name,
-                compiled=compiled,
             )
-        if isinstance(statement, ast.ReplaceStatement):
-            return self._with_statement_locks(
-                self._replace, statement,
-                write_target=lambda: self._variable_table(statement.variable),
-                compiled=compiled,
-            )
-        if isinstance(statement, ast.DeleteStatement):
-            return self._with_statement_locks(
-                self._delete, statement,
-                write_target=lambda: self._variable_table(statement.variable),
-                compiled=compiled,
-            )
-        raise QueryError("unsupported statement %r" % (statement,))
+        # Replace or delete: _compiled_for rejected every other kind.
+        method = (
+            self._replace
+            if isinstance(statement, ast.ReplaceStatement)
+            else self._delete
+        )
+        return self._with_statement_locks(
+            method, compiled,
+            write_target=lambda: self._range_for(statement.variable).table.name,
+        )
 
     # -- the compile-and-cache layer ---------------------------------------------
 
@@ -510,16 +397,15 @@ class QuelSession:
         return tuple(parts)
 
     def _compiled_for(self, statement, slot=None):
-        """The compiled form of *statement*, or None (interpreter path).
+        """The compiled form of *statement*.
 
         Consults the session-local :class:`~repro.quel.cache.PlanSlot`
         first (valid while schema epoch, function registry, and range
         declarations are unchanged), then the per-database plan cache
         keyed on (fingerprint, binding shape, registry); compiles and
-        stores on miss.
+        stores on miss.  A statement kind that cannot be compiled
+        raises ``QueryError`` from the fingerprint.
         """
-        if not self.use_compiled or not isinstance(statement, _COMPILABLE):
-            return None
         epoch = self.schema.database.schema_epoch
         functions_version = self.functions.version
         if (
@@ -583,49 +469,32 @@ class QuelSession:
             return [{"plan": "range declaration (no plan)"}]
         if statement.analyze:
             return self._explain_analyze(inner)
-        compiled = (
-            self._compiled_for(inner) if isinstance(inner, _COMPILABLE) else None
-        )
         return self._with_statement_locks(
-            self._plan_only, inner, compiled=compiled
+            self._plan_only, self._compiled_for(inner)
         )
 
     def _plan_parts(self, statement):
         """The (used variables, qualification) a statement would join over."""
+        variables_in = planner.variables_in
+        used = variables_in(statement.where)
         if isinstance(statement, ast.RetrieveStatement):
-            used = self._used_variables(statement.targets, statement.where)
-            if statement.sort_by is not None:
-                used = sorted(
-                    set(used) | planner.variables_in(statement.sort_by)
-                )
-            return used, statement.where
-        if isinstance(statement, ast.AppendStatement):
-            used = set()
+            for target in statement.targets:
+                used |= variables_in(target)
+            used |= variables_in(statement.sort_by)
+        elif isinstance(statement, ast.DeleteStatement):
+            used.add(statement.variable)
+        else:
+            if isinstance(statement, ast.ReplaceStatement):
+                used.add(statement.variable)
             for _, expression in statement.assignments:
-                used |= planner.variables_in(expression)
-            used |= planner.variables_in(statement.where)
-            return sorted(used), statement.where
-        if isinstance(statement, ast.ReplaceStatement):
-            used = {statement.variable}
-            used |= planner.variables_in(statement.where)
-            for _, expression in statement.assignments:
-                used |= planner.variables_in(expression)
-            return sorted(used), statement.where
-        if isinstance(statement, ast.DeleteStatement):
-            used = {statement.variable}
-            used |= planner.variables_in(statement.where)
-            return sorted(used), statement.where
-        raise QueryError("cannot explain %r" % (statement,))
+                used |= variables_in(expression)
+        return sorted(used), statement.where
 
-    def _plan_only(self, statement, compiled=None):
-        if compiled is not None:
-            # gate=False: explain never evaluates even the constant
-            # conjuncts, matching the interpreter's plan-only path.
-            self._prepare_compiled(compiled, gate=False)
-            return self._last_plan.rows()
-        used, where = self._plan_parts(statement)
-        _, _, _, plan = self._build_plan(used, where)
-        return plan.rows()
+    def _plan_only(self, compiled):
+        # gate=False: explain plans without evaluating anything, not
+        # even the constant conjuncts.
+        self._prepare_compiled(compiled, gate=False)
+        return self._last_plan.rows()
 
     def _explain_analyze(self, inner):
         """Execute *inner* fully, then report plan + actual counts/time.
@@ -655,13 +524,8 @@ class QuelSession:
         rows.append({"plan": "time: %.3f ms" % (elapsed * 1000.0)})
         return rows
 
-    def _variable_table(self, variable):
-        return self._range_for(variable).table_name
-
-    def _with_statement_locks(self, method, statement, write_target=None,
-                              compiled=None):
-        """Run *method(statement, compiled)* under statement-scoped lock
-        ownership.
+    def _with_statement_locks(self, method, compiled, write_target=None):
+        """Run *method(compiled)* under statement-scoped lock ownership.
 
         Pre-acquires the exclusive lock on a mutation's target table;
         range-variable tables are share-locked as the binding generator
@@ -685,7 +549,7 @@ class QuelSession:
                 limits = self.limits
                 if limits is not None:
                     limits.check_deadline()
-                return method(statement, compiled)
+                return method(compiled)
             finally:
                 if pin:
                     transactions.unpin_snapshot()
@@ -696,7 +560,7 @@ class QuelSession:
                 limits.check_deadline()
             if write_target is not None:
                 database.write_table(write_target())
-            return method(statement, compiled)
+            return method(compiled)
         finally:
             if ephemeral:
                 transactions.end_statement(owner)
@@ -720,14 +584,20 @@ class QuelSession:
 
     # -- range variables ----------------------------------------------------------
 
-    def _declare_range(self, statement):
-        name = statement.entity_type
+    def _range_over(self, name):
+        """A range over the entity type or relationship *name*, or None."""
         if self.schema.has_entity_type(name):
-            target = _EntityRange(self.schema.entity_type(name))
-        elif name in self.schema.relationships:
-            target = _RelationshipRange(self.schema.relationship(name))
-        else:
-            raise QueryError("range over unknown type %r" % name)
+            return _EntityRange(self.schema.entity_type(name))
+        if name in self.schema.relationships:
+            return _RelationshipRange(self.schema.relationship(name))
+        return None
+
+    def _declare_range(self, statement):
+        target = self._range_over(statement.entity_type)
+        if target is None:
+            raise QueryError(
+                "range over unknown type %r" % statement.entity_type
+            )
         for variable in statement.variables:
             self.ranges[variable] = target
         self._ranges_version += 1
@@ -739,113 +609,12 @@ class QuelSession:
             return declared
         # Footnote 6: a range variable with the same name as its entity
         # type (or relationship) is implicitly declared.
-        if self.schema.has_entity_type(variable):
-            target = _EntityRange(self.schema.entity_type(variable))
-            self.ranges[variable] = target
-            self._ranges_version += 1
-            return target
-        if variable in self.schema.relationships:
-            target = _RelationshipRange(self.schema.relationship(variable))
-            self.ranges[variable] = target
-            self._ranges_version += 1
-            return target
-        raise QueryError("undeclared range variable %r" % variable)
-
-    # -- expression evaluation ------------------------------------------------------
-
-    def _evaluate(self, node, bindings):
-        if isinstance(node, ast.Literal):
-            return node.value
-        if isinstance(node, ast.AttributeRef):
-            bound = bindings.get(node.variable)
-            if bound is None:
-                raise QueryError("unbound range variable %r" % node.variable)
-            if isinstance(bound, EntityInstance):
-                return bound[node.attribute]
-            return bound[node.attribute]  # relationship Row
-        if isinstance(node, ast.VariableRef):
-            bound = bindings.get(node.variable)
-            if bound is None:
-                raise QueryError("unbound range variable %r" % node.variable)
-            if isinstance(bound, EntityInstance):
-                return bound.surrogate
-            raise QueryError(
-                "relationship variable %r used as a value" % node.variable
-            )
-        if isinstance(node, ast.BinaryOp):
-            left = self._evaluate(node.left, bindings)
-            right = self._evaluate(node.right, bindings)
-            if left is None or right is None:
-                return None
-            if node.operator == "+":
-                return left + right
-            if node.operator == "-":
-                return left - right
-            if node.operator == "*":
-                return left * right
-            if node.operator == "/":
-                if right == 0:
-                    raise QueryError("division by zero")
-                if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-                    return left // right
-                return left / right
-            if node.operator == "%":
-                if right == 0:
-                    raise QueryError("modulo by zero")
-                return left % right
-            raise QueryError("unknown operator %r" % node.operator)
-        if isinstance(node, ast.FunctionCall):
-            if node.name == "ordinal":
-                return self._ordinal(node, bindings)
-            function = self.functions.scalar(node.name)
-            arguments = [self._evaluate(a, bindings) for a in node.arguments]
-            return function(*arguments)
-        raise QueryError("cannot evaluate %r" % (node,))
-
-    def _ordinal(self, node, bindings):
-        """``ordinal(var [, "order_name"])``: the 1-based position of an
-        entity under its parent in a hierarchical ordering (None when it
-        is not a member) -- the query-language face of "the third note
-        in chord x" (section 5.4)."""
-        if not 1 <= len(node.arguments) <= 2:
-            raise QueryError("ordinal() takes a range variable and an "
-                             "optional ordering name")
-        instance = self._entity_operand(node.arguments[0], bindings)
-        if instance is None:
-            return None
-        if len(node.arguments) == 2:
-            name_node = node.arguments[1]
-            if not isinstance(name_node, ast.Literal) or not isinstance(
-                name_node.value, str
-            ):
-                raise QueryError("ordinal()'s second argument is an "
-                                 "ordering name string")
-            ordering = self.schema.ordering(name_node.value)
-        else:
-            ordering = self._resolve_ordering(None, [instance])
-        return ordering.position_of(instance)
-
-    # -- entity operand handling ------------------------------------------------------
-
-    def _entity_operand(self, node, bindings):
-        """Resolve an entity operand to an EntityInstance."""
-        if isinstance(node, ast.VariableRef):
-            bound = bindings.get(node.variable)
-            if isinstance(bound, EntityInstance):
-                return bound
-            raise QueryError(
-                "%r is not an entity range variable" % node.variable
-            )
-        if isinstance(node, ast.AttributeRef):
-            value = self._evaluate(node, bindings)
-            if value is None:
-                return None
-            if isinstance(value, int):
-                return self.schema.instance(value)
-            raise QueryError(
-                "%s.%s is not an entity reference" % (node.variable, node.attribute)
-            )
-        raise QueryError("bad entity operand %r" % (node,))
+        target = self._range_over(variable)
+        if target is None:
+            raise QueryError("undeclared range variable %r" % variable)
+        self.ranges[variable] = target
+        self._ranges_version += 1
+        return target
 
     def _resolve_ordering(self, clause_name, instances, parent=None):
         """Find the ordering for before/after/under given the operands."""
@@ -873,197 +642,7 @@ class QuelSession:
             % ", ".join(sorted(o.name for o in candidates))
         )
 
-    # -- qualification evaluation ----------------------------------------------------
-
-    def _truth(self, node, bindings):
-        if isinstance(node, ast.And):
-            return self._truth(node.left, bindings) and self._truth(node.right, bindings)
-        if isinstance(node, ast.Or):
-            return self._truth(node.left, bindings) or self._truth(node.right, bindings)
-        if isinstance(node, ast.Not):
-            return not self._truth(node.operand, bindings)
-        if isinstance(node, ast.Comparison):
-            left = self._evaluate(node.left, bindings)
-            right = self._evaluate(node.right, bindings)
-            if left is None or right is None:
-                return False
-            operator = node.operator
-            if operator == "=":
-                return left == right
-            if operator == "!=":
-                return left != right
-            if operator == "<":
-                return left < right
-            if operator == "<=":
-                return left <= right
-            if operator == ">":
-                return left > right
-            if operator == ">=":
-                return left >= right
-            raise QueryError("unknown comparison %r" % operator)
-        if isinstance(node, ast.IsClause):
-            left = self._entity_operand(node.left, bindings)
-            right = self._entity_operand(node.right, bindings)
-            if left is None or right is None:
-                return False
-            return left.surrogate == right.surrogate
-        if isinstance(node, ast.OrderClause):
-            left = self._entity_operand(node.left, bindings)
-            right = self._entity_operand(node.right, bindings)
-            if left is None or right is None:
-                return False
-            ordering = self._resolve_ordering(node.order_name, [left, right])
-            if node.operator == "before":
-                return ordering.before(left, right)
-            return ordering.after(left, right)
-        if isinstance(node, ast.UnderClause):
-            child = self._entity_operand(node.child, bindings)
-            parent = self._entity_operand(node.parent, bindings)
-            if child is None or parent is None:
-                return False
-            ordering = self._resolve_ordering(
-                node.order_name, [child], parent=parent
-            )
-            return ordering.under(child, parent)
-        if isinstance(node, ast.MatchClause):
-            bound = bindings.get(node.variable)
-            if bound is None:
-                raise QueryError("unbound range variable %r" % node.variable)
-            return _text_truth(
-                bound[node.attribute], node.operator, node.query, node.threshold
-            )
-        raise QueryError("cannot evaluate qualification %r" % (node,))
-
-    # -- the backtracking join ---------------------------------------------------------
-
-    def _build_plan(self, used_variables, qualification):
-        """Generate candidates and a binding order for the join.
-
-        Acquires shared locks on every referenced table, answers
-        indexed equality restrictions from indexes, and records the
-        resulting :class:`~repro.quel.planner.QueryPlan` as the
-        session's last plan.  Returns ``(conjuncts, candidates, order,
-        plan)``.
-        """
-        plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
-        try:
-            conjuncts = planner.split_conjuncts(qualification)
-            candidates = {}
-            accesses = {}
-            database = self.schema.database
-            read_tables = database.read_table
-            snapshot = database.transactions.current_snapshot() is not None
-            for variable in used_variables:
-                range_decl = self._range_for(variable)
-                # Shared lock before the scan: concurrent writers cannot
-                # produce torn reads of this table mid-statement.  (A
-                # pinned snapshot makes this a no-op: version chains,
-                # not locks, keep the read consistent.)
-                read_tables(range_decl.table_name)
-                restrictions = []
-                text_restrictions = []
-                if self.use_indexes:
-                    for conjunct in conjuncts:
-                        restriction = planner.equality_restriction(
-                            conjunct, variable
-                        )
-                        if restriction is not None:
-                            restrictions.append(restriction)
-                        text = planner.text_restriction(conjunct, variable)
-                        if text is not None:
-                            text_restrictions.append(text)
-                candidates[variable], accesses[variable] = range_decl.candidates(
-                    restrictions,
-                    snapshot=snapshot,
-                    text_restrictions=text_restrictions,
-                )
-                if accesses[variable] == "index text":
-                    self._text_searches.inc()
-                    self._text_candidates.inc(len(candidates[variable]))
-            counts = {v: len(c) for v, c in candidates.items()}
-            order = planner.order_variables(used_variables, counts, conjuncts)
-            plan = planner.build_plan(order, counts, accesses)
-            self._last_plan = plan
-            if plan_span is not NOOP_SPAN:
-                plan_span.record("label", plan.label)
-                plan_span.record("candidates", sum(counts.values()))
-                plan_span.record(
-                    "index_hits",
-                    sum(1 for a in accesses.values() if a == "index"),
-                )
-        finally:
-            if plan_span is not NOOP_SPAN:
-                plan_span.finish()
-        return conjuncts, candidates, order, plan
-
-    def _bindings_for(self, used_variables, qualification):
-        """Yield binding dicts satisfying *qualification*."""
-        limits = self.limits
-        if limits is not None:
-            limits.check_deadline()
-        conjuncts, candidates, order, _ = self._build_plan(
-            used_variables, qualification
-        )
-
-        # Constant conjuncts (no range variables) gate the whole query.
-        for conjunct in conjuncts:
-            if not planner.variables_in(conjunct) and not self._truth(conjunct, {}):
-                return
-
-        # Assign each conjunct to the earliest prefix that binds it fully.
-        remaining = list(conjuncts)
-
-        def join(index, bindings):
-            if index == len(order):
-                yield dict(bindings)
-                return
-            variable = order[index]
-            bound_now = set(order[: index + 1])
-            checks = [
-                conjunct
-                for conjunct in remaining
-                if variable in planner.variables_in(conjunct)
-                and planner.variables_in(conjunct) <= bound_now
-            ]
-            for candidate in candidates[variable]:
-                if limits is not None:
-                    limits.tick()
-                bindings[variable] = candidate
-                if all(self._truth(check, bindings) for check in checks):
-                    yield from join(index + 1, bindings)
-            bindings.pop(variable, None)
-
-        if not order:
-            # No range variables at all (constant query).
-            if qualification is None or self._truth(qualification, {}):
-                yield {}
-            return
-        # The scan span brackets the whole join loop; a try/finally
-        # closes it even when the caller abandons the generator early.
-        visits_before = limits.visits if limits is not None else 0
-        scan_span = (
-            span("quel.scan", variables=len(order))
-            if tracing_active()
-            else NOOP_SPAN
-        )
-        rows_out = 0
-        try:
-            # Conjuncts whose variables are not a subset of any prefix
-            # can't exist (every variable is in `order`), so the above
-            # covers all.
-            for bindings in join(0, {}):
-                rows_out += 1
-                yield bindings
-        finally:
-            if scan_span is not NOOP_SPAN:
-                if limits is not None:
-                    scan_span.record(
-                        "rows_visited", limits.visits - visits_before
-                    )
-                scan_span.record("rows_out", rows_out)
-                scan_span.finish()
-
-    # -- the compiled join --------------------------------------------------------------
+    # -- planning: one candidate source per range variable ------------------------------
 
     def _choose_pushdowns(self, compiled):
         """Pick at most one pushdown option per order conjunct.
@@ -1097,73 +676,169 @@ class QuelSession:
                 consumed.add(index)
         return dynamic, consumed
 
-    def _prepare_compiled(self, compiled, gate=True):
-        """Lock tables, materialize candidates, and order the join.
+    def _limit_text_source(self, compiled, declared):
+        """The early-exit source for a ``limit N`` text retrieve, or None.
 
-        Mirrors :meth:`_build_plan` for the compiled path, plus order-
-        operator pushdown: an enumerated variable gets no static
-        candidate list -- its candidates come from an index range scan
-        once its driver is bound ("order range" access).  Returns
-        ``(order, candidates, dynamic, checks_by_level)``, or None when
-        a constant conjunct gates the whole query out (*gate*; explain
-        passes False so nothing is evaluated).
+        Both forms serve a non-unique, non-aggregate ``limit N``
+        retrieve over one entity variable with at least one pushable
+        text gate and no equality restriction (equality would change
+        the candidate set); neither materializes the full gate
+        candidate set, which grows with the table.
+
+        *Unsorted* -- "index text stream": the rarest ``matches`` gate's
+        posting intersection is consumed lazily, so the galloping merge
+        only advances far enough for the join to verify N rows.  Work is
+        proportional to the limit, not the catalog, which keeps
+        first-page search flat from 120k to 1M rows.  Row order matches
+        "index text" exactly: both visit candidates in ascending rowid
+        order.
+
+        *Sorted by* ``similarity(v.attr, "literal")`` *descending* --
+        "index text topk": only this sort key has a posting-count upper
+        bound (:meth:`SimilarityScorer.bound_with`), which is what lets
+        :meth:`_text_topk` stop fetching rows early.
+
+        Returns ``(access, count, candidates, ranked)``: *candidates* is
+        the lazy instance stream (empty for top-k), *ranked* the
+        ``(rowids, scorer, index)`` the top-k operator ranks (None for
+        the stream).
+        """
+        statement = compiled.statement
+        variable = compiled.used[0]
+        text_restrictions = compiled.text_restrictions.get(variable)
+        if (
+            compiled.kind != "RetrieveStatement"
+            or statement.limit is None
+            or statement.unique
+            or compiled.aggregates
+            or declared.kind != "entity"
+            or compiled.restrictions.get(variable)
+            or not text_restrictions
+        ):
+            return None
+        table = declared.table
+        if statement.sort_by is None:
+            best = None
+            for attribute, operator, query, _threshold in text_restrictions:
+                index = table.text_index_for(attribute)
+                if operator != "matches" or index is None:
+                    continue
+                estimate = index.estimate_matching(query)
+                if estimate is not None and (
+                    best is None or estimate < best[0]
+                ):
+                    best = (estimate, index, query)
+            if best is None:
+                return None
+            estimate, index, query = best
+            stream = index.iter_matching(query)
+            if stream is None:
+                return None
+            self._text_searches.inc()
+            candidates = self._stream_candidates(
+                declared, stream, max(statement.limit, 64)
+            )
+            return "index text stream", estimate, candidates, None
+        spec = _similarity_sort_key(statement.sort_by)
+        if not statement.descending or spec is None or spec[0] != variable:
+            return None
+        # The score bound replicates the *builtin* similarity();
+        # sessions that rebound the name keep the generic sources.
+        if self.functions.scalar("similarity") is not scalar_similarity:
+            return None
+        index = table.text_index_for(spec[1])
+        scorer = SimilarityScorer(spec[2])
+        if index is None or not scorer.grams:
+            return None  # sub-trigram query: no overlap bound exists
+        rowids, _ = _text_rowids(table, text_restrictions)
+        if rowids is None:
+            return None
+        self._text_searches.inc()
+        self._text_candidates.inc(len(rowids))
+        return "index text topk", len(rowids), (), (rowids, scorer, index)
+
+    def _stream_candidates(self, declared, rowids, chunk):
+        """Instances for the lazy *rowids* stream, fetched *chunk* at a
+        time; abandoning the generator abandons the posting merge."""
+        table = declared.table
+        while True:
+            batch = list(islice(rowids, chunk))
+            if not batch:
+                return
+            self._text_candidates.inc(len(batch))
+            for row in table.get_many(batch):
+                yield declared.wrap(row)
+
+    def _prepare_compiled(self, compiled, gate=True):
+        """Lock tables, pick every variable's candidate source, and
+        order the join.
+
+        What selects a source is observable, never configured:
+
+        * a pinned snapshot (lock-free MVCC read) takes no locks and
+          reads no index -- every variable is a "snapshot scan" and
+          order conjuncts are checked per row;
+        * an order conjunct (``before``/``after``/``under``) with one
+          side bound enumerates the other side by (parent, order_key)
+          index range scan once its driver is bound ("order range"), so
+          that variable gets no static candidate list;
+        * a ``limit N`` text retrieve over one variable streams its
+          candidates (:meth:`_limit_text_source`);
+        * everything else materializes candidates from the restrictions
+          an index can answer (:func:`_candidates`).
+
+        Returns ``(order, candidates, dynamic, checks_by_level,
+        ranked)``, or None when a constant conjunct gates the whole
+        query out (*gate*; explain passes False so nothing is
+        evaluated).
         """
         plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
         try:
             ranges = {}
             database = self.schema.database
             read_table = database.read_table
-            # Snapshot mode (lock-free MVCC read): no locks are taken,
-            # indexes are bypassed, and order-operator pushdown -- which
-            # range-scans the live (parent, order_key) index -- is
-            # disabled in favor of per-row order checks.
             snapshot = database.transactions.current_snapshot() is not None
             for variable in compiled.used:
                 ranges[variable] = self._range_for(variable)
-                read_table(ranges[variable].table_name)
+                # Shared lock before any read: concurrent writers cannot
+                # produce torn reads of this table mid-statement.  (A
+                # pinned snapshot makes this a no-op: version chains,
+                # not locks, keep the read consistent.)
+                read_table(ranges[variable].table.name)
             dynamic = {}
             consumed = set()
-            if (
-                not snapshot
-                and self.use_indexes
-                and self.use_order_pushdown
-                and compiled.pushdown_options
-            ):
+            if not snapshot and compiled.pushdown_options:
                 dynamic, consumed = self._choose_pushdowns(compiled)
-
-            def static_candidates(variable):
-                restrictions = (
-                    list(compiled.restrictions.get(variable, ()))
-                    if self.use_indexes
-                    else []
-                )
-                text_restrictions = (
-                    compiled.text_restrictions.get(variable, ())
-                    if self.use_indexes
-                    else ()
-                )
-                instances, access = ranges[variable].candidates(
-                    restrictions,
-                    snapshot=snapshot,
-                    text_restrictions=text_restrictions,
-                )
-                if access == "index text":
-                    self._text_searches.inc()
-                    self._text_candidates.inc(len(instances))
-                return instances, access
 
             candidates = {}
             accesses = {}
             counts = {}
-            static_vars = []
-            for variable in compiled.used:
-                if variable in dynamic:
-                    continue
-                static_vars.append(variable)
-                candidates[variable], accesses[variable] = static_candidates(
-                    variable
+            ranked = None
+
+            def bind_static(variable):
+                candidates[variable], accesses[variable] = _candidates(
+                    ranges[variable],
+                    compiled.restrictions.get(variable, ()),
+                    compiled.text_restrictions.get(variable, ()),
+                    snapshot,
                 )
                 counts[variable] = len(candidates[variable])
+                if accesses[variable] == "index text":
+                    self._text_searches.inc()
+                    self._text_candidates.inc(counts[variable])
+
+            static_vars = [v for v in compiled.used if v not in dynamic]
+            early_exit = None
+            if not snapshot and len(compiled.used) == 1:
+                (only,) = compiled.used
+                early_exit = self._limit_text_source(compiled, ranges[only])
+            if early_exit is None:
+                for variable in static_vars:
+                    bind_static(variable)
+            else:
+                accesses[only], counts[only], candidates[only], ranked = (
+                    early_exit
+                )
             nodes = [conjunct.node for conjunct in compiled.conjuncts]
             order = planner.order_variables(static_vars, counts, nodes)
             placed = set(order)
@@ -1179,16 +854,10 @@ class QuelSession:
                     # before a): demote the rest to static candidates
                     # and let the per-row checks decide.
                     for variable in sorted(pending):
-                        option = pending[variable]
-                        consumed.discard(option.conjunct_index)
+                        consumed.discard(pending[variable].conjunct_index)
                         del dynamic[variable]
-                        candidates[variable], accesses[variable] = (
-                            static_candidates(variable)
-                        )
-                        counts[variable] = len(candidates[variable])
+                        bind_static(variable)
                         order.append(variable)
-                        placed.add(variable)
-                    pending.clear()
                     break
                 option = pending.pop(advanced)
                 ordering = self.schema.ordering(option.order_name)
@@ -1217,14 +886,11 @@ class QuelSession:
         # Conjuncts answered structurally are skipped in the join:
         # consumed order conjuncts hold by enumeration; a static
         # variable's equality restrictions already filtered its
-        # candidates (only with use_indexes on -- ablation re-checks).
+        # candidates.
         skip = set(consumed)
-        if self.use_indexes:
-            for variable in order:
-                if variable not in dynamic:
-                    skip.update(
-                        compiled.restriction_conjuncts.get(variable, ())
-                    )
+        for variable in order:
+            if variable not in dynamic:
+                skip.update(compiled.restriction_conjuncts.get(variable, ()))
         checks_by_level = []
         bound = set()
         for variable in order:
@@ -1238,7 +904,7 @@ class QuelSession:
                     and conjunct.variables <= bound
                 ]
             )
-        return order, candidates, dynamic, checks_by_level
+        return order, candidates, dynamic, checks_by_level, ranked
 
     def _order_range_candidates(self, option, bindings):
         """Candidates for an enumerated variable, given its bound driver.
@@ -1271,20 +937,12 @@ class QuelSession:
                 out.append(EntityInstance(entity_type, row["child"], rowids[0]))
         return out
 
-    def _compiled_bindings(self, compiled):
-        """Yield binding dicts for a compiled statement (the compiled
-        counterpart of :meth:`_bindings_for`)."""
-        limits = self.limits
-        if limits is not None:
-            limits.check_deadline()
-        prepared = self._prepare_compiled(compiled)
-        if prepared is None:
-            return
-        order, candidates, dynamic, checks_by_level = prepared
-        if not order:
-            # No range variables; the constant gate already passed.
-            yield {}
-            return
+    # -- the join ---------------------------------------------------------------------------
+
+    def _join(self, order, candidates, dynamic, checks_by_level, limits):
+        """The one join loop: bind each variable of *order* to its
+        candidates in turn, run the conjunct checks that variable
+        completes, and yield a copy of every full binding."""
         total = len(order)
 
         def join(level, bindings):
@@ -1311,15 +969,95 @@ class QuelSession:
                     yield from join(level + 1, bindings)
             bindings.pop(variable, None)
 
+        return join(0, {})
+
+    def _text_topk(self, compiled, variable, ranked, checks_by_level, limits):
+        """Yield the bindings of a ranked retrieve's N best rows, best
+        first -- all the statement's sort-and-limit tail will keep.
+
+        Instead of materializing every candidate and sorting,
+        candidates are ranked by their score's *upper bound*, computed
+        from posting data alone (exact trigram overlap with the query +
+        stored row gram count; no row is fetched), and fetched
+        best-bound-first in fixed-size chunks; the scan stops once the
+        Nth-best exact score already beats the next chunk's bound.
+        Low-scoring candidates are never fetched via ``get_many`` at
+        all, which is where the 1M-row win comes from.  Each chunk goes
+        through :meth:`_join`, so visits are counted and conjuncts
+        verified exactly as for any other source.
+
+        Tie-breaking matches the materialize-then-stable-sort path
+        exactly: equal scores order by rowid, which is the order the
+        "index text" source visits candidates in.
+        """
+        rowids, scorer, index = ranked
+        if not rowids:
+            return
+        limit = compiled.statement.limit
+        score = compiled.sort_fn
+        declared = self._range_for(variable)
+        table = declared.table
+        overlaps = index.overlap_counts(scorer.grams, rowids)
+        bounds = sorted(
+            (-scorer.bound_with(overlap, index.row_gram_count(rowid)), rowid)
+            for rowid, overlap in overlaps.items()
+        )
+        # keys hold (-score, rowid): ascending order == score
+        # descending, rowid ascending -- the stable-sort tie order.
+        keys = []
+        kept = []
+        chunk = max(limit, 64)
+        for start in range(0, len(bounds), chunk):
+            if len(keys) >= limit and -bounds[start][0] < -keys[-1][0]:
+                break  # no remaining candidate can beat the Nth score
+            batch = sorted(rowid for _, rowid in bounds[start:start + chunk])
+            pool = [declared.wrap(row) for row in table.get_many(batch)]
+            for bindings in self._join(
+                [variable], {variable: pool}, {}, checks_by_level, limits
+            ):
+                entry = (-score(self, bindings), bindings[variable].rowid)
+                if len(keys) >= limit and entry >= keys[-1]:
+                    continue
+                at = bisect_left(keys, entry)
+                keys.insert(at, entry)
+                kept.insert(at, bindings)
+                if len(keys) > limit:
+                    keys.pop()
+                    kept.pop()
+        yield from kept
+
+    def _compiled_bindings(self, compiled):
+        """Yield the binding dicts a compiled statement's tail consumes."""
+        limits = self.limits
+        if limits is not None:
+            limits.check_deadline()
+        prepared = self._prepare_compiled(compiled)
+        if prepared is None:
+            return
+        order, candidates, dynamic, checks_by_level, ranked = prepared
+        if not order:
+            # No range variables; the constant gate already passed.
+            yield {}
+            return
+        if ranked is None:
+            source = self._join(
+                order, candidates, dynamic, checks_by_level, limits
+            )
+        else:
+            source = self._text_topk(
+                compiled, order[0], ranked, checks_by_level, limits
+            )
+        # The scan span brackets the whole join; a try/finally closes
+        # it even when the caller abandons the generator early.
         visits_before = limits.visits if limits is not None else 0
         scan_span = (
-            span("quel.scan", variables=total)
+            span("quel.scan", variables=len(order))
             if tracing_active()
             else NOOP_SPAN
         )
         rows_out = 0
         try:
-            for bindings in join(0, {}):
+            for bindings in source:
                 rows_out += 1
                 yield bindings
         finally:
@@ -1331,71 +1069,14 @@ class QuelSession:
                 scan_span.record("rows_out", rows_out)
                 scan_span.finish()
 
-    def _evaluator(self, expression):
-        """An interpreter closure with the compiled calling convention,
-        so both paths share one statement loop."""
-        return lambda rt, bindings: rt._evaluate(expression, bindings)
-
     # -- statements -------------------------------------------------------------------
 
-    def _used_variables(self, targets, where, extra=None):
-        used = set()
-        for target in targets:
-            used |= planner.variables_in(target)
-        used |= planner.variables_in(where)
-        if extra:
-            used |= set(extra)
-        return sorted(used)
-
-    def _retrieve(self, statement, compiled=None):
-        if compiled is not None:
-            plain = compiled.targets
-            aggregates = compiled.aggregates
-            sort_fn = compiled.sort_fn
-        else:
-            used = self._used_variables(statement.targets, statement.where)
-            if statement.sort_by is not None:
-                used = sorted(
-                    set(used) | planner.variables_in(statement.sort_by)
-                )
-            plain = []
-            aggregates = []
-            for target in statement.targets:
-                call = target.expression
-                if isinstance(call, ast.FunctionCall) and (
-                    self.functions.is_aggregate(call.name)
-                ):
-                    arg_fn = (
-                        self._evaluator(call.arguments[0])
-                        if len(call.arguments) == 1
-                        else None
-                    )
-                    aggregates.append(
-                        CompiledAggregate(target.name, call.name, arg_fn)
-                    )
-                else:
-                    plain.append((target.name, self._evaluator(call)))
-            sort_fn = (
-                self._evaluator(statement.sort_by)
-                if statement.sort_by is not None
-                else None
-            )
-
+    def _retrieve(self, compiled):
+        statement = compiled.statement
+        plain = compiled.targets
+        aggregates = compiled.aggregates
+        sort_fn = compiled.sort_fn
         limit = statement.limit
-        if limit is not None and not aggregates and not statement.unique:
-            streamed = None
-            if statement.sort_by is None:
-                streamed = self._text_stream(statement, compiled, plain, limit)
-            elif statement.descending:
-                streamed = self._text_topk(statement, compiled, plain, limit)
-            if streamed is not None:
-                self._rows_returned.inc(len(streamed))
-                return streamed
-
-        if compiled is not None:
-            bindings_iter = self._compiled_bindings(compiled)
-        else:
-            bindings_iter = self._bindings_for(used, statement.where)
 
         # Bounded execution under `limit`: an unsorted retrieve stops
         # consuming bindings as soon as enough rows exist (the join
@@ -1418,7 +1099,7 @@ class QuelSession:
                 stop_after = limit
 
         rows = []
-        for bindings in bindings_iter:
+        for bindings in self._compiled_bindings(compiled):
             record = {}
             for name, fn in plain:
                 record[name] = fn(self, bindings)
@@ -1428,11 +1109,6 @@ class QuelSession:
                 continue
             aggregate_inputs = {}
             for aggregate in aggregates:
-                if aggregate.arg_fn is None:
-                    raise QueryError(
-                        "aggregate %s takes exactly one argument"
-                        % aggregate.function_name
-                    )
                 aggregate_inputs[aggregate.name] = aggregate.arg_fn(
                     self, bindings
                 )
@@ -1471,275 +1147,6 @@ class QuelSession:
         self._rows_returned.inc(len(out))
         return out
 
-    # -- streaming top-k text retrieval ---------------------------------------------
-
-    def _topk_spec(self, statement):
-        """Match a sort key of ``similarity(v.attr, "literal")``.
-
-        Returns ``(variable, attribute, query)`` when the shape fits,
-        else None.  Only this shape has a posting-count upper bound
-        (:meth:`SimilarityScorer.bound`), which is what lets the top-k
-        path stop fetching rows early.
-        """
-        sort_by = statement.sort_by
-        if not (
-            isinstance(sort_by, ast.FunctionCall)
-            and sort_by.name == "similarity"
-            and len(sort_by.arguments) == 2
-        ):
-            return None
-        target, literal = sort_by.arguments
-        if not (
-            isinstance(target, ast.AttributeRef)
-            and isinstance(literal, ast.Literal)
-            and isinstance(literal.value, str)
-        ):
-            return None
-        return target.variable, target.attribute, literal.value
-
-    def _text_range_setup(self, statement, compiled):
-        """Shared analysis for the streaming text paths.
-
-        Both streaming operators only handle the single-entity-variable
-        shape with at least one pushable text gate and no equality
-        restriction (equality would change the candidate set).  Returns
-        ``(variable, declared, text_restrictions, checks, gates)`` where
-        *checks* are the row-level conjunct truth tests and *gates* the
-        variable-free ones; None when the shape does not fit.
-        """
-        if compiled is not None:
-            used = list(compiled.used)
-        else:
-            used, _ = self._plan_parts(statement)
-        if len(used) != 1:
-            return None
-        variable = used[0]
-        declared = self._range_for(variable)
-        if declared.kind != "entity":
-            return None
-        if compiled is not None:
-            if compiled.restrictions.get(variable):
-                return None
-            text_restrictions = compiled.text_restrictions.get(variable, ())
-            checks = [c.truth for c in compiled.conjuncts if c.variables]
-            gates = [c.truth for c in compiled.conjuncts if not c.variables]
-        else:
-            conjuncts = planner.split_conjuncts(statement.where)
-            text_restrictions = []
-            checks = []
-            gates = []
-            for conjunct in conjuncts:
-                if planner.equality_restriction(conjunct, variable) is not None:
-                    return None
-                text = planner.text_restriction(conjunct, variable)
-                if text is not None:
-                    text_restrictions.append(text)
-                truth = (
-                    lambda rt, bindings, node=conjunct:
-                    rt._truth(node, bindings)
-                )
-                if planner.variables_in(conjunct):
-                    checks.append(truth)
-                else:
-                    gates.append(truth)
-        if not text_restrictions:
-            return None
-        return variable, declared, text_restrictions, checks, gates
-
-    def _text_stream(self, statement, compiled, plain, limit):
-        """Lazy first-N for unsorted ``limit N`` text retrieves, or None.
-
-        Applies to ``retrieve (...) where matches(v.attr, "q") ... limit
-        N`` with no sort: instead of materializing the full gate
-        candidate set (which grows with the table) the rarest ``matches``
-        gate's posting intersection is consumed *lazily* — the galloping
-        merge only advances far enough to produce N verified rows.  The
-        work done is proportional to the limit, not the catalog, which
-        is what keeps first-page search flat from 120k to 1M rows.
-
-        Row order matches the generic index-text path exactly: both
-        visit candidates in ascending rowid order.
-        """
-        if not self.use_indexes or not self.use_topk:
-            return None
-        database = self.schema.database
-        if database.transactions.current_snapshot() is not None:
-            return None
-        setup = self._text_range_setup(statement, compiled)
-        if setup is None:
-            return None
-        variable, declared, text_restrictions, checks, gates = setup
-        table = declared.entity_type.table
-        best = None
-        for attribute, operator, query, _threshold in text_restrictions:
-            if operator != "matches":
-                continue
-            index = table.text_index_for(attribute)
-            if index is None:
-                continue
-            estimate = index.estimate_matching(query)
-            if estimate is None:
-                continue
-            if best is None or estimate < best[0]:
-                best = (estimate, index, query)
-        if best is None:
-            return None
-        estimate, index, query = best
-        stream = index.iter_matching(query)
-        if stream is None:
-            return None
-        database.read_table(table.name)
-        self._last_plan = planner.build_plan(
-            [variable], {variable: estimate}, {variable: "index text stream"}
-        )
-        self._text_searches.inc()
-        limits = self.limits
-        entity_type = declared.entity_type
-        for gate in gates:
-            if not gate(self, {}):
-                return []
-        out = []
-        batch = []
-        chunk = max(limit, 64)
-
-        def drain(batch):
-            self._text_candidates.inc(len(batch))
-            for row in table.get_many(batch):
-                if limits is not None:
-                    limits.tick()
-                instance = EntityInstance(
-                    entity_type, row[SURROGATE_COLUMN], row.rowid
-                )
-                bindings = {variable: instance}
-                passed = True
-                for check in checks:
-                    if not check(self, bindings):
-                        passed = False
-                        break
-                if not passed:
-                    continue
-                record = {}
-                for name, fn in plain:
-                    record[name] = fn(self, bindings)
-                out.append(record)
-                if len(out) >= limit:
-                    return True
-            return False
-
-        for rowid in stream:
-            batch.append(rowid)
-            if len(batch) >= chunk:
-                if drain(batch):
-                    return out
-                batch = []
-        if batch:
-            drain(batch)
-        return out
-
-    def _text_topk(self, statement, compiled, plain, limit):
-        """Streaming top-k for ranked text retrieves, or None.
-
-        Applies to ``retrieve (...) where <text gates on v> sort by
-        similarity(v.attr, "q") descending limit N`` over a single
-        entity variable.  Instead of materializing every candidate and
-        sorting, candidates are bucketed by their *exact* trigram
-        overlap with the query (posting-list counts -- no row is
-        fetched), buckets are drained best-bound-first, and the scan
-        stops once the Nth-best score already beats the next bucket's
-        upper bound.  Low-scoring candidates are never fetched via
-        ``get_many`` at all, which is where the 1M-row win comes from.
-
-        Tie-breaking matches the materialize-then-stable-sort path
-        exactly: equal scores order by rowid, which is the order the
-        generic path visits index candidates in.
-        """
-        spec = self._topk_spec(statement)
-        if spec is None or not self.use_indexes or not self.use_topk:
-            return None
-        variable, attribute, query = spec
-        database = self.schema.database
-        if database.transactions.current_snapshot() is not None:
-            return None
-        # The fold below replicates the *builtin* similarity();
-        # sessions that rebound the name keep the generic path.
-        if self.functions.scalar("similarity") is not scalar_similarity:
-            return None
-        setup = self._text_range_setup(statement, compiled)
-        if setup is None or setup[0] != variable:
-            return None
-        _, declared, text_restrictions, checks, gates = setup
-        table = declared.entity_type.table
-        scorer_index = table.text_index_for(attribute)
-        if scorer_index is None:
-            return None
-        scorer = SimilarityScorer(query)
-        if not scorer.grams:
-            return None  # sub-trigram query: no overlap bound exists
-        database.read_table(table.name)
-        rowids, _ = _text_rowids(table, text_restrictions)
-        if rowids is None:
-            return None
-        self._last_plan = planner.build_plan(
-            [variable], {variable: len(rowids)}, {variable: "index text topk"}
-        )
-        self._text_searches.inc()
-        self._text_candidates.inc(len(rowids))
-        for gate in gates:
-            if not gate(self, {}):
-                return []
-        if not rowids:
-            return []
-        limits = self.limits
-        entity_type = declared.entity_type
-        # Score each candidate's upper bound from posting data alone
-        # (gram overlap + stored row gram count; no row is fetched) and
-        # visit candidates best-bound-first in fixed-size chunks.
-        overlaps = scorer_index.overlap_counts(scorer.grams, rowids)
-        ranked = sorted(
-            (-scorer.bound_with(overlap, scorer_index.row_gram_count(rowid)),
-             rowid)
-            for rowid, overlap in overlaps.items()
-        )
-        # keys hold (-score, rowid): ascending order == score
-        # descending, rowid ascending -- the stable-sort tie order.
-        keys = []
-        kept = []
-        chunk = max(limit, 64)
-        for start in range(0, len(ranked), chunk):
-            if len(keys) >= limit and -ranked[start][0] < -keys[-1][0]:
-                break  # no remaining candidate can beat the Nth score
-            batch = sorted(rowid for _, rowid in ranked[start:start + chunk])
-            for row in table.get_many(batch):
-                if limits is not None:
-                    limits.tick()
-                instance = EntityInstance(
-                    entity_type, row[SURROGATE_COLUMN], row.rowid
-                )
-                bindings = {variable: instance}
-                passed = True
-                for check in checks:
-                    if not check(self, bindings):
-                        passed = False
-                        break
-                if not passed:
-                    continue
-                entry = (-scorer(row.get(attribute)), row.rowid)
-                if len(keys) >= limit and entry >= keys[-1]:
-                    continue
-                at = bisect_left(keys, entry)
-                keys.insert(at, entry)
-                kept.insert(at, bindings)
-                if len(keys) > limit:
-                    keys.pop()
-                    kept.pop()
-        out = []
-        for bindings in kept:
-            record = {}
-            for name, fn in plain:
-                record[name] = fn(self, bindings)
-            out.append(record)
-        return out
-
     def _aggregate_rows(self, rows, has_plain, aggregates):
         """Aggregate semantics: no plain targets => one global row;
         otherwise group by the plain-target values."""
@@ -1769,66 +1176,40 @@ class QuelSession:
             out.append(result)
         return out
 
-    def _assignment_fns(self, statement, compiled):
-        if compiled is not None:
-            return compiled.assignments
-        return [
-            (name, self._evaluator(expression))
-            for name, expression in statement.assignments
-        ]
-
-    def _append(self, statement, compiled=None):
-        entity_type = self.schema.entity_type(statement.entity_type)
-        assignments = self._assignment_fns(statement, compiled)
-        if compiled is not None:
-            bindings_iter = self._compiled_bindings(compiled)
-        else:
-            used = set()
-            for _, expression in statement.assignments:
-                used |= planner.variables_in(expression)
-            used |= planner.variables_in(statement.where)
-            bindings_iter = self._bindings_for(sorted(used), statement.where)
+    def _append(self, compiled):
+        entity_type = self.schema.entity_type(compiled.statement.entity_type)
         count = 0
-        for bindings in bindings_iter:
-            values = {name: fn(self, bindings) for name, fn in assignments}
+        for bindings in self._compiled_bindings(compiled):
+            values = {
+                name: fn(self, bindings) for name, fn in compiled.assignments
+            }
             entity_type.create(**values)
             count += 1
         return count
 
-    def _matching_instances(self, variable, where, extra_targets=(),
-                            compiled=None):
-        """Distinct instances of *variable* satisfying *where*."""
-        if compiled is not None:
-            bindings_iter = self._compiled_bindings(compiled)
-        else:
-            used = {variable}
-            used |= planner.variables_in(where)
-            for expression in extra_targets:
-                used |= planner.variables_in(expression)
-            bindings_iter = self._bindings_for(sorted(used), where)
+    def _matching_instances(self, compiled):
+        """Distinct instances of the statement's target variable that
+        satisfy its qualification, each with its first full binding."""
+        variable = compiled.statement.variable
         seen = {}
-        for bindings in bindings_iter:
+        for bindings in self._compiled_bindings(compiled):
             bound = bindings[variable]
             if not isinstance(bound, EntityInstance):
                 raise QueryError("%r is not an entity range variable" % variable)
-            seen.setdefault(bound.surrogate, (bound, dict(bindings)))
+            seen.setdefault(bound.surrogate, (bound, bindings))
         return list(seen.values())
 
-    def _replace(self, statement, compiled=None):
-        expressions = [e for _, e in statement.assignments]
-        assignments = self._assignment_fns(statement, compiled)
-        matches = self._matching_instances(
-            statement.variable, statement.where, expressions, compiled=compiled
-        )
+    def _replace(self, compiled):
+        matches = self._matching_instances(compiled)
         for instance, bindings in matches:
-            updates = {name: fn(self, bindings) for name, fn in assignments}
+            updates = {
+                name: fn(self, bindings) for name, fn in compiled.assignments
+            }
             instance.set(**updates)
         return len(matches)
 
-    def _delete(self, statement, compiled=None):
-        matches = self._matching_instances(
-            statement.variable, statement.where, compiled=compiled
-        )
+    def _delete(self, compiled):
+        matches = self._matching_instances(compiled)
         for instance, _ in matches:
             # Remove from orderings/relationships first so the delete is legal.
             for ordering in self.schema.orderings.values():
@@ -1842,6 +1223,25 @@ class QuelSession:
                         relationship.unrelate(**{role: instance})
             instance.delete()
         return len(matches)
+
+
+def _similarity_sort_key(sort_by):
+    """Match a sort key of ``similarity(v.attr, "literal")``: returns
+    ``(variable, attribute, query)``, or None for any other shape."""
+    if not (
+        isinstance(sort_by, ast.FunctionCall)
+        and sort_by.name == "similarity"
+        and len(sort_by.arguments) == 2
+    ):
+        return None
+    target, literal = sort_by.arguments
+    if not (
+        isinstance(target, ast.AttributeRef)
+        and isinstance(literal, ast.Literal)
+        and isinstance(literal.value, str)
+    ):
+        return None
+    return target.variable, target.attribute, literal.value
 
 
 def _sortable(value):

@@ -208,8 +208,3 @@ def build_plan(binding_order, candidate_counts, accesses):
             access = "index" if variable in accesses else "scan"
         steps.append(PlanStep(variable, access, candidate_counts.get(variable, 0)))
     return QueryPlan(steps)
-
-
-def explain(statement, binding_order, candidate_counts, accesses):
-    """A human-readable plan summary (used by tests and the MDM shell)."""
-    return build_plan(binding_order, candidate_counts, accesses).render()

@@ -11,6 +11,7 @@ from repro.core.schema import Schema
 from repro.mdm.manager import MusicDataManager
 from repro.obs.trace import Tracer, install_tracer, open_span_count, uninstall_tracer
 from repro.quel.executor import QuelSession
+from repro.quel.parser import parse_quel
 
 
 @pytest.fixture
@@ -99,7 +100,8 @@ class TestQuelSpans:
 
     def test_abandoned_generator_does_not_leak(self, tracer, session):
         # Internal generator use: grab one binding and walk away.
-        generator = session._bindings_for(["n"], None)
+        (statement,) = parse_quel("retrieve (n.n)")
+        generator = session._compiled_bindings(session._compiled_for(statement))
         next(generator)
         generator.close()
         assert open_span_count() == 0

@@ -1,14 +1,16 @@
 """Differential property tests for the QUEL executor.
 
 Queries over randomly generated NOTE tables are evaluated three ways --
-with index pushdown, with it ablated (full scans), and by a brute-force
-Python oracle -- and must agree exactly.
+by the engine (index pushdown), by the scan-everything reference
+interpreter, and by a brute-force Python oracle -- and must agree
+exactly.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
+from tests.quel.reference import reference_execute
 
 rows_strategy = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=0, max_size=25
@@ -33,8 +35,8 @@ def test_selection_differential(rows, point, bound):
         "retrieve (n.a, n.b) where n.a = %d and n.b < %d sort by n.b"
         % (point, bound)
     )
-    with_index = QuelSession(schema, use_indexes=True).execute(query)
-    without_index = QuelSession(schema, use_indexes=False).execute(query)
+    with_index = QuelSession(schema).execute(query)
+    without_index = reference_execute(schema, query)
     oracle = sorted(
         ({"n.a": a, "n.b": b} for a, b in rows if a == point and b < bound),
         key=lambda r: r["n.b"],

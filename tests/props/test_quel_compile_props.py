@@ -1,13 +1,13 @@
 """Property battery: compiled plans agree with the AST interpreter.
 
 Random retrieve statements (restrictions, arithmetic, joins, order
-operators, sort, unique) run through three sessions over the same
-schema -- the default compiled pipeline, an interpreter-only session
-(``use_compiled=False``), and a compiled session with order-operator
-pushdown disabled (``use_order_pushdown=False``).  All three must
-produce the same multiset of rows, and when the statement sorts, each
-must emit the sort column in non-decreasing order.  Failures report the
-seed and the generated source so a reproducer is one paste away.
+operators, sort, unique) run through the engine -- compiled closures,
+index lookups, order-range pushdown -- and through the reference
+interpreter in ``tests/quel/reference.py``, which scans every range
+variable and walks the AST per binding.  Both must produce the same
+multiset of rows, and when the statement sorts, each must emit the sort
+column in non-decreasing order.  Failures report the seed and the
+generated source so a reproducer is one paste away.
 """
 
 import random
@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
+from tests.quel.reference import reference_execute
 
 pytestmark = pytest.mark.props
 
@@ -111,19 +112,14 @@ def _sort_column(rows, column):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_compiled_matches_interpreter(seed):
     schema, rng = _populated(seed)
-    sessions = {
-        "compiled": QuelSession(schema),
-        "interpreted": QuelSession(schema, use_compiled=False),
-        "no_pushdown": QuelSession(schema, use_order_pushdown=False),
-    }
-    for session in sessions.values():
-        session.execute("range of n, m is NOTE")
-        session.execute("range of c is CHORD")
+    ranges = "range of n, m is NOTE\nrange of c is CHORD\n"
+    session = QuelSession(schema)
+    session.execute(ranges)
     for _ in range(QUERIES_PER_SEED):
         source, sorted_by = _random_retrieve(rng)
         results = {
-            name: session.execute(source)
-            for name, session in sessions.items()
+            "compiled": session.execute(source),
+            "interpreted": reference_execute(schema, ranges + source),
         }
         reference = _canonical(results["interpreted"])
         for name, rows in results.items():

@@ -13,8 +13,7 @@ reference: score every live row that passes the gate with the same
 ``similarity`` scalar, sort by ``(-score, rowid)`` (the engine's
 deterministic tie order: stable sort descending == rowid ascending
 within a score), truncate to the limit.  The two must agree exactly,
-scores included.  A ``use_topk=False`` session triangulates the
-bounded-sort fallback against both.
+scores included.
 
 It also pins the bound soundness the early exit relies on:
 ``SimilarityScorer.bound_with(overlap, |R|)`` must dominate the true
@@ -80,7 +79,7 @@ def _statement(query, gate, limit):
 
 
 class _State:
-    """A live TRACK table plus three QUEL sessions over it."""
+    """A live TRACK table plus a QUEL session over it."""
 
     def __init__(self):
         self.schema = Schema("topk-props")
@@ -91,8 +90,6 @@ class _State:
         self.schema.database.create_text_index(self.table.name, "title")
         self.topk = QuelSession(self.schema)
         self.topk.execute("range of t is TRACK")
-        self.full = QuelSession(self.schema, use_topk=False)
-        self.full.execute("range of t is TRACK")
         self.counter = 0
         for title in TITLES[:4]:  # non-trivial starting population
             self._insert(title)
@@ -130,11 +127,6 @@ class _State:
             assert got == expected, (
                 "top-k diverged for %r:\n  got      %r\n  expected %r"
                 % (source, got, expected)
-            )
-            ablated = self.full.execute(source)
-            assert ablated == expected, (
-                "bounded-sort fallback diverged for %r:\n  got      %r\n"
-                "  expected %r" % (source, ablated, expected)
             )
         self._check_bound_soundness(rows)
 

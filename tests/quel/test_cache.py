@@ -60,18 +60,6 @@ class TestStatementCache:
         other.execute(QUERY)
         assert metrics.value("quel.cache.statement_misses") == misses + 1
 
-    def test_interpreter_ablation_bypasses_the_caches(self, mdm):
-        metrics = mdm.database.metrics
-        ablated = QuelSession(mdm.schema, use_compiled=False)
-        ablated.execute("range of n is NOTE")
-        hits = metrics.value("quel.cache.statement_hits")
-        misses = metrics.value("quel.cache.statement_misses")
-        rows = [ablated.execute(QUERY) for _ in range(3)]
-        assert all(r == rows[0] for r in rows)
-        assert metrics.value("quel.cache.statement_hits") == hits
-        assert metrics.value("quel.cache.statement_misses") == misses
-        assert ablated.last_cache_info is None
-
 
 class TestPlanCacheInvalidation:
     def test_repeated_statement_settles_to_hits(self, mdm):

@@ -193,6 +193,16 @@ class TestAggregates:
         )
         assert rows == [{"total": 0}]
 
+    def test_wrong_arity_is_rejected_even_when_no_row_arrives(self, session):
+        # The arity is a property of the statement, not of the data: it
+        # must not depend on whether the qualification lets a row through.
+        for where in ("", " where n.pitch > 1000"):
+            with pytest.raises(QueryError, match="exactly one argument"):
+                session.execute(
+                    "range of n is NOTE\n"
+                    "retrieve (c = count(n.name, n.name))" + where
+                )
+
     def test_any(self, session):
         rows = session.execute(
             "range of n is NOTE\nretrieve (found = any(n.name)) where n.pitch = 61"

@@ -1,5 +1,5 @@
 """Executor edge cases: relationship variables, null handling,
-per-binding appends, ablation flag equivalence."""
+per-binding appends, index/scan equivalence."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.core.schema import Schema
 from repro.ddl.compiler import execute_ddl
 from repro.errors import QueryError
 from repro.quel.executor import QuelSession
+from tests.quel.reference import reference_execute
 
 
 @pytest.fixture
@@ -94,19 +95,18 @@ class TestAppendPerBinding:
 
 
 class TestAblationFlag:
-    def test_results_identical(self, music):
-        query = (
-            "range of w is WORK\nretrieve (w.title) where w.year = 1700"
-        )
-        fast = QuelSession(music, use_indexes=True).execute(query)
-        slow = QuelSession(music, use_indexes=False).execute(query)
-        assert fast == slow == [{"w.title": "Early"}]
+    """The section 5.2 index-vs-scan ablation, chosen by statement shape
+    (there is no switch): both must return what the reference does."""
 
-    def test_plan_reflects_flag(self, music):
-        query = "range of w is WORK\nretrieve (w.title) where w.year = 1700"
-        fast = QuelSession(music, use_indexes=True)
-        fast.execute(query)
-        assert "index" in fast.last_plan
-        slow = QuelSession(music, use_indexes=False)
-        slow.execute(query)
-        assert "index" not in slow.last_plan
+    def test_results_identical(self, music):
+        # The index answers the sargable form; adding 0 makes the same
+        # predicate non-sargable, so the planner can only scan.
+        indexed = "range of w is WORK\nretrieve (w.title) where w.year = 1700"
+        scanned = indexed.replace("w.year =", "w.year + 0 =")
+        fast = QuelSession(music)
+        slow = QuelSession(music)
+        assert fast.execute(indexed) == slow.execute(scanned)
+        assert fast.last_plan_object.label == "index"
+        assert slow.last_plan_object.label == "scan"
+        assert fast.execute(indexed) == reference_execute(music, indexed)
+        assert fast.execute(indexed) == [{"w.title": "Early"}]

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ParseError, QueryError
 from repro.mdm.manager import MusicDataManager
 from repro.mdm.shell import MdmShell
-from repro.quel.executor import QuelSession
+from tests.quel.reference import reference_execute
 
 TITLES = [
     "Prélude in C Major",          # 1
@@ -79,6 +79,31 @@ class TestMatches:
         assert "rows visited: 2" in rendered
 
 
+class TestExplainNamesTheSourceThatRuns:
+    """``explain`` plans with the same function execution does, so its
+    plan line is ``explain analyze``'s first line for every text source."""
+
+    @pytest.mark.parametrize("label, statement", [
+        ("index text", 'retrieve (t.title) where matches(t.title, "prelude")'),
+        (
+            "index text stream",
+            'retrieve (t.title) where matches(t.title, "prelude") limit 5',
+        ),
+        (
+            "index text topk",
+            'retrieve (t.title) where matches(t.title, "prelude") '
+            'sort by similarity(t.title, "prelude in c") descending limit 3',
+        ),
+    ])
+    def test_explain_matches_explain_analyze(self, mdm, label, statement):
+        (planned,) = mdm.execute("explain " + statement)
+        analyzed = mdm.execute("explain analyze " + statement)
+        assert planned == analyzed[0]
+        assert planned["plan"].startswith("bind t via %s (" % label)
+        mdm.execute(statement)
+        assert mdm.session.last_plan_object.label == label
+
+
 class TestSimilarTo:
     def test_similarity_gate(self, mdm):
         out = mdm.execute(
@@ -109,21 +134,24 @@ class TestSimilarTo:
 
 
 class TestConsistency:
+    @staticmethod
+    def _reference(mdm, source):
+        """The AST-interpreting, scan-everything oracle's answer."""
+        return reference_execute(mdm.schema, "range of t is TRACK\n" + source)
+
     def test_interpreter_and_compiled_agree(self, mdm):
         source = 'retrieve (t.title) where matches(t.title, "prelude")'
-        compiled = titles(mdm.execute(source))
-        interpreted = QuelSession(mdm.schema, use_compiled=False)
-        interpreted.execute("range of t is TRACK")
-        assert titles(interpreted.execute(source)) == compiled
-        assert interpreted.last_plan_object.label == "index text"
+        compiled = mdm.execute(source)
+        assert mdm.session.last_plan_object.label == "index text"
+        assert compiled == self._reference(mdm, source)
+        assert len(compiled) == 2
 
     def test_ablated_session_scans_but_agrees(self, mdm):
         source = 'retrieve (t.title) where similar_to(t.title, "nocturne op 9", 0.4)'
-        indexed = titles(mdm.execute(source))
-        ablated = QuelSession(mdm.schema, use_indexes=False)
-        ablated.execute("range of t is TRACK")
-        assert titles(ablated.execute(source)) == indexed
-        assert ablated.last_plan_object.label == "scan"
+        indexed = mdm.execute(source)
+        assert mdm.session.last_plan_object.label == "index text"
+        assert indexed == self._reference(mdm, source)
+        assert indexed
 
     def test_snapshot_read_evaluates_residually(self, mdm):
         db = mdm.database

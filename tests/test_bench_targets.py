@@ -1,0 +1,65 @@
+"""Tier-1 guard for the benchmark's patch points.
+
+``bench/trace.py`` takes its spans from outside by replacing the public
+callables named in ``TARGETS``; ``bench/test_smoke.py`` is not part of
+tier-1, so without this a ``src/`` refactor could rename one of them and
+nothing would fail until a traced benchmark run crashed (a missing
+attribute) or silently reported zeros (a call that moved to another
+module's globals).
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.core.schema import Schema
+from repro.quel import executor
+
+TRACE_PY = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
+
+
+@pytest.fixture(scope="module")
+def targets():
+    spec = importlib.util.spec_from_file_location("bench_trace", TRACE_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_target_resolves(targets):
+    assert targets
+    for module_name, owner_name, attribute, _span in targets:
+        module = importlib.import_module(module_name)
+        owner = module if owner_name is None else getattr(module, owner_name)
+        assert callable(getattr(owner, attribute)), (
+            "bench/trace.py wraps %s.%s.%s, which no longer exists"
+            % (module_name, owner_name, attribute)
+        )
+
+
+def test_execute_reaches_parse_and_compile_through_executor_globals(
+    targets, monkeypatch
+):
+    wrapped = {(m, o, a) for m, o, a, _ in targets}
+    calls = {"parse_quel": 0, "compile_statement": 0}
+    for name in calls:
+        assert ("repro.quel.executor", None, name) in wrapped
+        original = getattr(executor, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(executor, name, counting)
+
+    schema = Schema("bench-targets")
+    schema.define_entity("NOTE", [("n", "integer")])
+    schema.entity_type("NOTE").create(n=1)
+    session = executor.QuelSession(schema)
+    # A statement text (and shape) no session or plan cache has seen.
+    assert session.execute("retrieve (NOTE.n) where NOTE.n + 41 = 42") == [
+        {"NOTE.n": 1}
+    ]
+    assert calls == {"parse_quel": 1, "compile_statement": 1}
