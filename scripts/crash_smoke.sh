@@ -3,16 +3,21 @@
 # the simulated machine at every durability barrier (fsync), then
 # verify recovery against the oracle (tests/crash/oracle.py).
 #
-# Default: the fast matrix (8 seeds, >=200 crash schedules, plus the
-# WAL-checksum and fault-layer unit tests) -- a few seconds, always on
-# in the main test run too.  Pass --full for the extended matrix
-# (16 extra seeds and per-write crash granularity).
+# Default: the fast matrix (8 seeds, >=200 crash schedules, the
+# WAL-checksum and fault-layer unit tests, and tests/crash/test_redo.py:
+# recovery == replica == live, the check that the log's two consumers
+# have not drifted) -- a few seconds, always on in the main test run
+# too -- then the size axis: one crash_slow schedule whose table image
+# is ten pager caches (~20 s).  Pass --full for the whole extended
+# matrix (16 extra seeds and per-write crash granularity).
 set -eu
 cd "$(dirname "$0")/.."
 
-MARKER="crash and not crash_slow"
 if [ "${1:-}" = "--full" ]; then
-    MARKER="crash"
     shift
+    PYTHONPATH=src python -m pytest tests/crash -q -m crash "$@"
+    exit 0
 fi
-PYTHONPATH=src python -m pytest tests/crash -q -m "$MARKER" "$@"
+PYTHONPATH=src python -m pytest tests/crash -q -m "crash and not crash_slow" "$@"
+PYTHONPATH=src python -m pytest -q -m crash_slow "$@" \
+    tests/crash/test_text_index_crash.py::test_crash_at_every_syncpoint_with_image_ten_times_the_cache

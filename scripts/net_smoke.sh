@@ -5,8 +5,11 @@
 # plus compound disconnect+torn+stall+partition schedules, each checked
 # against the exactly-once oracle (acked writes committed exactly once,
 # nothing committed twice, in-doubt writes resolved by ledger dedup).
+# Plus tests/crash/test_redo.py (also run by crash_smoke.sh): a
+# replica's tables == the primary's == what the primary recovers.
 #
 # Runs in well under a minute; wired into scripts/bench_smoke.sh.
 set -eu
 cd "$(dirname "$0")/.."
-PYTHONPATH=src python -m pytest tests/net -q -m "net or net_slow" "$@"
+PYTHONPATH=src python -m pytest tests/net tests/crash/test_redo.py -q \
+    -m "net or net_slow" "$@"

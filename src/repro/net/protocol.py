@@ -22,7 +22,8 @@ import json
 import struct
 import zlib
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RecoveryError
+from repro.storage.row import decode_row_run, encode_row_run
 
 #: Bumped on any incompatible frame-layout change.
 PROTOCOL_VERSION = 1
@@ -50,7 +51,7 @@ ERROR = 0x13       # {seq, code, message, retryable}
 # Replication (replica <-> primary).
 REPL_HELLO = 0x21  # {proto, replica, last_lsn}
 REPL_SEED = 0x22   # {lsn, schema, tables: [{name, columns}]}  (rows follow)
-REPL_ROWS = 0x23   # binary: <name_len:H><name><count:I><row bytes...>
+REPL_ROWS = 0x23   # binary: <name_len:H><count:I><name><row bytes...>
 REPL_SEED_END = 0x24  # {lsn}
 REPL_FRAME = 0x25  # binary: <lsn:Q><raw WAL frame>
 REPL_ACK = 0x26    # {lsn}
@@ -166,12 +167,11 @@ def pack_repl_rows(table_name, rows, column_order):
     """``REPL_ROWS`` body: one table's serialized rows (seed transfer)."""
     name_bytes = table_name.encode("utf-8")
     chunks = [_REPL_ROWS_HEAD.pack(len(name_bytes), len(rows)), name_bytes]
-    for row in rows:
-        chunks.append(row.serialize(column_order))
+    chunks.extend(encode_row_run(rows, column_order, counted=False))
     return encode_frame(REPL_ROWS, b"".join(chunks))
 
 
-def unpack_repl_rows(body, column_orders, row_type):
+def unpack_repl_rows(body, column_orders):
     """Split a ``REPL_ROWS`` body into ``(table_name, [Row, ...])``.
 
     *column_orders* maps table name -> column order (the receiver's
@@ -186,8 +186,8 @@ def unpack_repl_rows(body, column_orders, row_type):
     order = column_orders.get(table_name)
     if order is None:
         raise ProtocolError("REPL_ROWS for unknown table %r" % table_name)
-    rows = []
-    for _ in range(count):
-        row, offset = row_type.deserialize(body, order, offset)
-        rows.append(row)
+    try:
+        rows = decode_row_run(body, order, offset, count)
+    except RecoveryError as error:
+        raise ProtocolError("REPL_ROWS for %r: %s" % (table_name, error))
     return table_name, rows

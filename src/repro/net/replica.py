@@ -3,17 +3,18 @@
 A :class:`ReplicaServer` owns a private in-memory database rebuilt from
 the primary's seed (schema manifest + serialized rows) and kept current
 by applying shipped WAL frames.  Every frame is CRC-verified with the
-same :func:`repro.storage.wal.decode_frame` discipline recovery uses; a
-frame that fails its checksum — or that references a table the replica
+same frame parser recovery uses (:func:`repro.storage.wal.decode_frame`);
+a frame that fails its checksum — or that references a table the replica
 does not know, e.g. after un-shipped DDL — makes the replica *degrade*:
 it reports ``REPL_ERROR`` to the primary, refuses reads, and waits to
 be quarantined and re-seeded from a fresh snapshot.
 
-Apply is MVCC-correct under concurrent readers: a transaction's changes
-are buffered until its COMMIT record arrives and then installed through
-:meth:`Table.apply_replicated`, stamped at the commit LSN, with the
-replica's visible LSN advancing only once the whole commit is in.  A
-reader pinned mid-apply keeps seeing the previous consistent state.
+What a verified record does is not decided here: each one goes to the
+same :class:`repro.storage.wal.RedoApplier` crash recovery drives, set
+to install at the commit LSN rather than LSN 0, so apply is MVCC-correct
+under concurrent readers.  The replica's visible LSN advances only once
+a whole commit is in; a reader pinned mid-apply keeps seeing the
+previous consistent state.
 
 The replica serves ``read_only`` retrieves on its own listener.  A
 request carrying ``min_lsn`` (the client's read-your-writes horizon)
@@ -24,7 +25,6 @@ client fails over to the primary instead of reading stale data.
 
 import random
 import socket
-import struct
 import threading
 import time
 
@@ -43,13 +43,13 @@ from repro.net.transport import Transport
 from repro.quel.executor import QuelSession
 from repro.storage import wal as wal_module
 from repro.storage.database import Database
-from repro.storage.row import Row
 
 
 class _ReplicaState:
     """One seeded generation of the replica's database."""
 
-    def __init__(self, manifest, tables, text_indexes=None):
+    def __init__(self, seed_lsn, manifest, tables, text_indexes=None):
+        self.seed_lsn = seed_lsn
         self.database = Database(None)
         self.schema = Schema("replica", database=self.database)
         for entity in manifest.get("entities", ()):
@@ -84,6 +84,9 @@ class _ReplicaState:
             for column in columns:
                 self.database.table(name).create_text_index(column)
         self.column_orders = self.database.column_orders()
+        self.redo = wal_module.RedoApplier(
+            self.database, stamp_commits=True, applied_lsn=seed_lsn
+        )
 
 
 class ReplicaServer:
@@ -118,8 +121,6 @@ class ReplicaServer:
         self.applied_lsn = 0
         self._serving = False
         self.last_error = None
-        self._pending = {}  # txn_id -> buffered change records
-        self._pending_first = {}  # txn_id -> LSN of its first buffered frame
         from repro.obs.metrics import MetricsRegistry
 
         registry = metrics if metrics is not None else MetricsRegistry()
@@ -241,19 +242,18 @@ class ReplicaServer:
         an in-flight transaction's changes can sit below another
         transaction's already-applied COMMIT LSN.  Everything between
         resumes from the wire; records already applied are recognized
-        by LSN and skipped (see ``_apply_record``).
+        by LSN and skipped (see ``RedoApplier.apply``).
         """
         with self._applied_cond:
             resume = self.applied_lsn
-            for first in self._pending_first.values():
-                resume = min(resume, first - 1)
-            self._pending = {}
-            self._pending_first = {}
+            if self._state is not None:
+                oldest = self._state.redo.discard_buffered()
+                if oldest is not None:
+                    resume = min(resume, oldest - 1)
             return resume
 
     def _feed_from(self, transport):
         pending_state = None
-        pending_seed_lsn = None
         while not self._stopped:
             try:
                 kind, body = transport.recv(timeout=0.5)
@@ -262,25 +262,27 @@ class ReplicaServer:
             if kind == protocol.REPL_SEED:
                 message = protocol.unpack_json(kind, body)
                 pending_state = _ReplicaState(
-                    message["schema"], message["tables"],
-                    message.get("text_indexes"),
+                    int(message["lsn"]), message["schema"],
+                    message["tables"], message.get("text_indexes"),
                 )
-                pending_seed_lsn = int(message["lsn"])
             elif kind == protocol.REPL_ROWS:
                 if pending_state is None:
                     raise ProtocolError("REPL_ROWS outside a seed")
                 name, rows = protocol.unpack_repl_rows(
-                    body, pending_state.column_orders, Row
+                    body, pending_state.column_orders
                 )
                 table = pending_state.database.table(name)
                 for row in rows:
-                    table.load_row(row)
+                    table.install_committed(0, row.rowid, row)
             elif kind == protocol.REPL_SEED_END:
                 message = protocol.unpack_json(kind, body)
-                if pending_state is None or int(message["lsn"]) != pending_seed_lsn:
+                if pending_state is None \
+                        or int(message["lsn"]) != pending_state.seed_lsn:
                     raise ProtocolError("REPL_SEED_END without matching seed")
-                self._install_state(pending_state, pending_seed_lsn)
-                transport.send(protocol.REPL_ACK, {"lsn": pending_seed_lsn})
+                self._install_state(pending_state)
+                transport.send(
+                    protocol.REPL_ACK, {"lsn": pending_state.seed_lsn}
+                )
                 pending_state = None
                 self._m_seeds.inc()
             elif kind == protocol.REPL_FRAME:
@@ -315,7 +317,7 @@ class ReplicaServer:
         if not self._serving:
             return  # degraded: drop frames until the next seed
         try:
-            advanced = self._apply_record(*decoded)
+            advanced = self._state.redo.apply(*decoded)
         except (MDMError, KeyError, ValueError) as error:
             self._degrade("cannot apply shipped record: %s" % error)
             transport.send(protocol.REPL_ERROR, {
@@ -325,97 +327,9 @@ class ReplicaServer:
             return
         self._m_frames.inc()
         if advanced:
+            self._advance(decoded[0])
+            self._m_commits.inc()
             transport.send(protocol.REPL_ACK, {"lsn": lsn})
-
-    def _apply_record(self, lsn, txn_id, kind, table, row_bytes, old_bytes):
-        """Apply one decoded WAL record; True when visibility advanced."""
-        state = self._state
-        w = wal_module
-        if kind == w.BEGIN:
-            if txn_id not in self._pending:
-                self._pending[txn_id] = []
-                self._pending_first[txn_id] = lsn
-            return False
-        if kind in (w.INSERT, w.UPDATE, w.DELETE):
-            self._pending.setdefault(txn_id, []).append(
-                (kind, table, row_bytes, old_bytes)
-            )
-            self._pending_first.setdefault(txn_id, lsn)
-            return False
-        if kind == w.ABORT:
-            self._drop_pending(txn_id)
-            return False
-        # Everything below advances visibility.  A record at or below
-        # the applied horizon was installed already: the feed resumed
-        # from below the oldest in-flight change frame (reconnect), or
-        # the seed streamed from the primary's replication horizon —
-        # either way already-applied commits re-ship interleaved with
-        # the in-flight changes we actually need.  Drop its buffer
-        # instead of applying twice.
-        if lsn <= self.applied_lsn:
-            self._drop_pending(txn_id)
-            return False
-        if kind == w.CHECKPOINT:
-            self._advance(lsn)
-            return True
-        if kind == w.COMMIT:
-            changes = self._pending.pop(txn_id, ())
-            self._pending_first.pop(txn_id, None)
-            for change in changes:
-                self._apply_change(state, lsn, *change)
-            self._advance(lsn)
-            self._m_commits.inc()
-            return True
-        if kind == w.BATCH_INSERT:
-            order = state.column_orders[table]
-            (count,) = struct.unpack_from("<I", row_bytes, 0)
-            offset = 4
-            target = state.database.table(table)
-            for _ in range(count):
-                row, offset = Row.deserialize(row_bytes, order, offset)
-                target.apply_replicated(lsn, "insert", row, None)
-            self._advance(lsn)
-            self._m_commits.inc()
-            return True
-        if kind in (w.TEXT_INDEX_CREATE, w.TEXT_INDEX_DROP):
-            # Self-committing DDL; the target rides in the table field
-            # as "table\x1fcolumn".  Applying keeps the replica's text
-            # indexes maintained by the row changes that follow.
-            name, _, column = table.partition(w.TEXT_TARGET_SEP)
-            target = state.database.table(name)
-            if kind == w.TEXT_INDEX_CREATE:
-                target.create_text_index(column)
-            else:
-                target.drop_text_index(column)
-            self._advance(lsn)
-            self._m_commits.inc()
-            return True
-        if kind in w.SELF_COMMITTING:
-            base = w.BASE_KIND[kind]
-            self._apply_change(state, lsn, base, table, row_bytes, old_bytes)
-            self._advance(lsn)
-            self._m_commits.inc()
-            return True
-        raise ValueError("unknown WAL record kind %d" % kind)
-
-    def _drop_pending(self, txn_id):
-        self._pending.pop(txn_id, None)
-        self._pending_first.pop(txn_id, None)
-
-    def _apply_change(self, state, lsn, kind, table_name, row_bytes, old_bytes):
-        order = state.column_orders[table_name]
-        table = state.database.table(table_name)
-        row = old_row = None
-        if row_bytes:
-            row, _ = Row.deserialize(row_bytes, order)
-        if old_bytes:
-            old_row, _ = Row.deserialize(old_bytes, order)
-        names = {
-            wal_module.INSERT: "insert",
-            wal_module.UPDATE: "update",
-            wal_module.DELETE: "delete",
-        }
-        table.apply_replicated(lsn, names[kind], row, old_row)
 
     def _advance(self, lsn):
         with self._applied_cond:
@@ -424,23 +338,21 @@ class ReplicaServer:
             self.applied_lsn = lsn
             self._applied_cond.notify_all()
 
-    def _install_state(self, state, seed_lsn):
-        state.database.transactions._visible_lsn = seed_lsn
+    def _install_state(self, state):
+        state.database.transactions._visible_lsn = state.seed_lsn
         with self._applied_cond:
             self._state = state
-            self.applied_lsn = seed_lsn
+            self.applied_lsn = state.seed_lsn
             self._serving = True
             self.last_error = None
-            self._pending = {}
-            self._pending_first = {}
             self._applied_cond.notify_all()
 
     def _degrade(self, reason):
         with self._applied_cond:
             self._serving = False
             self.last_error = reason
-            self._pending = {}
-            self._pending_first = {}
+            if self._state is not None:
+                self._state.redo.discard_buffered()
             self._applied_cond.notify_all()
 
     # -- the retrieve listener (replica <- clients) ------------------------------

@@ -16,7 +16,6 @@ go through write-to-temp + fsync + ``os.replace`` for the same reason.
 import json
 import logging
 import os
-import struct
 
 from repro.errors import (
     ReadOnlyError,
@@ -30,7 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal as wal_module
 from repro.storage.faults import fsync_file
 from repro.storage.pager import Pager
-from repro.storage.row import Row
+from repro.storage.row import decode_row_run, encode_row_run
 from repro.storage.table import Column, Table, TableSchema
 from repro.storage.transaction import TransactionManager
 from repro.storage.values import Domain
@@ -417,11 +416,9 @@ class Database:
         roots = {}
         with Pager(data_path, opener=self._opener, metrics=self.metrics) as pager:
             for name, table in sorted(self._tables.items()):
-                order = table.schema.column_names()
-                chunks = [struct.pack("<I", len(table))]
-                for row in table:
-                    chunks.append(row.serialize(order))
-                roots[name] = pager.write_stream(b"".join(chunks))
+                roots[name] = pager.write_stream(
+                    encode_row_run(table, table.schema.column_names())
+                )
             pager.flush()
         # Commit point: after this rename, recovery reads the new image.
         self._write_json_atomic(_ROOTMAP_FILE, {"file": data_name, "roots": roots})
@@ -431,18 +428,21 @@ class Database:
         self._log.truncate()
         if self.transactions.current() is None:
             self._log.append(0, wal_module.CHECKPOINT, flush=True)
-        # Reclaim version chains: every version superseded below the
-        # horizon (bounded by the oldest pinned snapshot) is unreachable
-        # by any current or future reader.
+        self.prune_versions()
+        self._checkpoints.inc()
+
+    def prune_versions(self):
+        """Reclaim version chains: every version superseded below the
+        horizon (bounded by the oldest pinned snapshot) is unreachable
+        by any current or future reader."""
         horizon = self.transactions.prune_horizon()
         for table in self._tables.values():
             table.prune_versions(horizon)
-        self._checkpoints.inc()
 
     def _recover(self):
         self._recovering = True
         try:
-            return self._recover_inner()
+            self._recover_inner()
         finally:
             self._recovering = False
 
@@ -455,10 +455,10 @@ class Database:
                 if not self.has_table(name):
                     self.create_table(name, [(c, d) for c, d in columns])
             # Register text indexes EMPTY before any rows load: the
-            # image loader and WAL replay then maintain their postings
-            # incrementally through load_row/remove_row, exactly the
-            # path the crash battery cross-checks against a
-            # rebuild-from-rows oracle.
+            # image loader and redo then maintain their postings row by
+            # row through Table.install_committed, exactly the path the
+            # crash battery cross-checks against a rebuild-from-rows
+            # oracle.
             if os.path.exists(os.path.join(self.path, _TEXT_INDEX_FILE)):
                 for name, columns in sorted(
                     self._read_json(_TEXT_INDEX_FILE).items()
@@ -477,43 +477,15 @@ class Database:
                     ) as pager:
                         for name, head in roots.items():
                             self._load_table_image(pager, name, head)
-        # REDO-replay the log over the checkpoint image.
-        replayed = wal_module.replay(
-            self._log, self.column_orders(), self._apply_logged_change
-        )
-        return replayed
+        # REDO the log over the checkpoint image.
+        wal_module.replay(self._log, self)
 
     def _load_table_image(self, pager, name, head_page_no):
         table = self.table(name)
-        payload = pager.read_stream(head_page_no)
-        (count,) = struct.unpack_from("<I", payload, 0)
-        offset = 4
-        order = table.schema.column_names()
-        for _ in range(count):
-            row, offset = Row.deserialize(payload, order, offset)
-            table.load_row(row)
-
-    def _apply_logged_change(self, kind, table_name, row, old_row):
-        if kind in (wal_module.TEXT_INDEX_CREATE, wal_module.TEXT_INDEX_DROP):
-            # ``table_name`` packs "table\x1fcolumn"; both directions
-            # are idempotent (create returns an existing index, drop of
-            # a missing one is a no-op), so sidecar state and log
-            # replay can overlap freely.
-            name, _, column = table_name.partition(wal_module.TEXT_TARGET_SEP)
-            if self.has_table(name):
-                if kind == wal_module.TEXT_INDEX_CREATE:
-                    self._tables[name].create_text_index(column)
-                else:
-                    self._tables[name].drop_text_index(column)
-            return
-        table = self.table(table_name)
-        if kind == wal_module.INSERT:
-            table.load_row(row)
-        elif kind == wal_module.UPDATE:
-            table.remove_row(row.rowid)
-            table.load_row(row)
-        elif kind == wal_module.DELETE:
-            table.remove_row(old_row.rowid)
+        for row in decode_row_run(
+            pager.read_stream(head_page_no), table.schema.column_names()
+        ):
+            table.install_committed(0, row.rowid, row)
 
     def close(self):
         if self._log is not None:

@@ -224,18 +224,40 @@ class Pager:
     def write_stream(self, payload):
         """Store *payload* across a chain of pages; returns the head page no.
 
-        Each page holds ``<next:I><length:I><bytes>``.
+        *payload* is a byte string or an iterable of byte strings taken
+        as their concatenation, so a caller can stream an image it never
+        holds whole.  Each page holds ``<next:I><length:I><bytes>``.
+
+        The chain is written page by page -- allocate, fill, link from
+        the previous page -- so only the two newest pages need to be in
+        the cache: a page allocated long before it is filled would be
+        evicted still blank, and the later fill would land on a ``Page``
+        object the pager no longer knows.
         """
+        if isinstance(payload, (bytes, bytearray)):
+            payload = (payload,)
         chunk_size = PAGE_SIZE - 8
-        chunks = [payload[i:i + chunk_size] for i in range(0, len(payload), chunk_size)]
-        if not chunks:
-            chunks = [b""]
-        pages = [self.allocate() for _ in chunks]
-        for position, (page, chunk) in enumerate(zip(pages, chunks)):
-            next_no = pages[position + 1].page_no if position + 1 < len(pages) else 0
-            header = struct.pack("<II", next_no, len(chunk))
-            page.write(0, header + chunk)
-        return pages[0].page_no
+        head = tail = 0
+        buffered = bytearray()
+
+        def append_page(chunk):
+            nonlocal head, tail
+            page = self.allocate()
+            page.write(0, struct.pack("<II", 0, len(chunk)) + chunk)
+            if tail:
+                self.get(tail).write(0, struct.pack("<I", page.page_no))
+            else:
+                head = page.page_no
+            tail = page.page_no
+
+        for piece in payload:
+            buffered += piece
+            while len(buffered) >= chunk_size:
+                append_page(bytes(buffered[:chunk_size]))
+                del buffered[:chunk_size]
+        if buffered or not head:
+            append_page(bytes(buffered))
+        return head
 
     def read_stream(self, head_page_no):
         """Read back a byte string stored by :meth:`write_stream`."""

@@ -2,12 +2,15 @@
 
 Rows are immutable mappings from column name to value.  The binary form
 is used by the pager (fixed-size pages) and by the write-ahead log.
+A *row run* -- a count followed by that many serialized rows -- is the
+one body format shared by checkpoint table images, ``BATCH_INSERT`` log
+records and ``REPL_ROWS`` seed frames.
 """
 
 import struct
 from fractions import Fraction
 
-from repro.errors import StorageError
+from repro.errors import RecoveryError, StorageError
 
 # Serialization tags, one byte each.
 _TAG_NULL = 0
@@ -138,3 +141,45 @@ class Row:
             value, offset = _unpack_value(buf, offset)
             values[column] = value
         return cls(rowid, values), offset
+
+
+_RUN_COUNT = struct.Struct("<I")
+
+
+def encode_row_run(rows, column_order, counted=True):
+    """Yield the run of *rows* (anything sized) piece by piece:
+    ``<count:I>``, then each row's serialization.  *counted* False
+    leaves the prefix out, for a carrier (``REPL_ROWS``) whose own
+    header holds the count."""
+    if counted:
+        yield _RUN_COUNT.pack(len(rows))
+    for row in rows:
+        yield row.serialize(column_order)
+
+
+def decode_row_run(buf, column_order, offset=0, count=None):
+    """Decode the row run at *offset* of *buf* into a list of Rows.
+
+    *count* None reads the ``<count:I>`` prefix.  Every carrier of a
+    run is input from outside the process (a file a crash may have
+    cut, a peer's frame), so a run that ends before its count is met
+    or holds a malformed row raises :class:`RecoveryError` here --
+    never the ``struct.error`` of whichever field ran off the end.
+    """
+    try:
+        if count is None:
+            (count,) = _RUN_COUNT.unpack_from(buf, offset)
+            offset += _RUN_COUNT.size
+        rows = []
+        for _ in range(count):
+            row, offset = Row.deserialize(buf, column_order, offset)
+            rows.append(row)
+    except (struct.error, ValueError, ZeroDivisionError, StorageError) as error:
+        raise RecoveryError("malformed row run: %s" % error)
+    # A string field slices without complaint past the end of the
+    # buffer; only the running offset shows the run was cut there.
+    if offset > len(buf):
+        raise RecoveryError(
+            "row run truncated: needs %d bytes, has %d" % (offset, len(buf))
+        )
+    return rows

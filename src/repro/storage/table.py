@@ -14,8 +14,9 @@ half-open commit-LSN interval ``[begin_lsn, end_lsn)``:
 
 * ``begin_lsn is None`` -- created by a transaction that has not
   committed yet; invisible to every snapshot;
-* ``begin_lsn == 0`` -- loaded by recovery or a checkpoint image;
-  visible to all snapshots (its creator committed before the crash);
+* ``begin_lsn == 0`` -- installed from a checkpoint image, a replica
+  seed or crash recovery's redo; visible to all snapshots (its creator
+  committed before the image, seed or crash);
 * ``end_lsn is None`` -- still current (no committed delete/update
   supersedes it).
 
@@ -284,6 +285,25 @@ class Table:
             return tuple(row[c] for c in column)
         return row[column]
 
+    def _reindex(self, old, new):
+        """Index upkeep for one row image change: *old* -> *new*.
+
+        Either side may be None (insert, delete).  A key that did not
+        change is left alone, so its posting is neither duplicated nor
+        dropped and a trigram index's entry tally cannot drift.
+        """
+        for (column, _), index in self._indexes.items():
+            if old is None:
+                index.insert(self._index_value(column, new), new.rowid)
+            elif new is None:
+                index.delete(self._index_value(column, old), old.rowid)
+            else:
+                old_value = self._index_value(column, old)
+                new_value = self._index_value(column, new)
+                if old_value != new_value:
+                    index.delete(old_value, old.rowid)
+                    index.insert(new_value, new.rowid)
+
     def create_index(self, column, ordered=False):
         """Create (or return) an index over *column*.
 
@@ -337,9 +357,9 @@ class Table:
         return dict(self._indexes)
 
     # Text (trigram) indexes share the generic ``_indexes`` map under
-    # the kind tag ``"text"``, so every mutation, undo, replication,
-    # and recovery path above maintains them exactly like the equality
-    # indexes — inside the same transaction as the row effect.  The
+    # the kind tag ``"text"``, so ``_reindex`` maintains them for every
+    # mutation, undo and redo path exactly like the equality indexes —
+    # inside the same transaction as the row effect.  The
     # equality probes (``index_for`` / ``any_index_for``) only look at
     # the True/False kinds and never see them.
 
@@ -408,8 +428,7 @@ class Table:
         row = Row(rowid, coerced)
         self._rows[rowid] = row
         self._chain_append(rowid, RowVersion(row))
-        for (column, _), index in self._indexes.items():
-            index.insert(self._index_value(column, row), rowid)
+        self._reindex(None, row)
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc()
@@ -470,12 +489,7 @@ class Table:
         # stamps it; snapshot readers keep seeing it meanwhile.
         self._chain_append(rowid, RowVersion(new))
         self._prune_rowid(rowid)
-        for (column, _), index in self._indexes.items():
-            old_value = self._index_value(column, old)
-            new_value = self._index_value(column, new)
-            if old_value != new_value:
-                index.delete(old_value, rowid)
-                index.insert(new_value, rowid)
+        self._reindex(old, new)
         self.version += 1
         if self._updates is not None:
             self._updates.inc()
@@ -492,8 +506,7 @@ class Table:
         # No chain change: the victim version stays open until the
         # commit stamps its end_lsn, so pinned snapshots still see it.
         self._prune_rowid(rowid)
-        for (column, _), index in self._indexes.items():
-            index.delete(self._index_value(column, old), rowid)
+        self._reindex(old, None)
         self.version += 1
         if self._deletes is not None:
             self._deletes.inc()
@@ -566,8 +579,7 @@ class Table:
         rowid = row.rowid
         if self._rows.get(rowid) is row:
             del self._rows[rowid]
-            for (column, _), index in self._indexes.items():
-                index.delete(self._index_value(column, row), rowid)
+            self._reindex(row, None)
         self._chain_drop(rowid, row)
         self.version += 1
 
@@ -575,12 +587,7 @@ class Table:
         """Roll back an uncommitted update *old_row* -> *new_row*."""
         rowid = new_row.rowid
         self._rows[rowid] = old_row
-        for (column, _), index in self._indexes.items():
-            new_value = self._index_value(column, new_row)
-            old_value = self._index_value(column, old_row)
-            if new_value != old_value:
-                index.delete(new_value, rowid)
-                index.insert(old_value, rowid)
+        self._reindex(new_row, old_row)
         self._chain_drop(rowid, new_row)
         version = self._chain_version_of(old_row)
         if version is not None:
@@ -591,8 +598,7 @@ class Table:
         """Roll back an uncommitted delete of *old_row*."""
         rowid = old_row.rowid
         self._rows[rowid] = old_row
-        for (column, _), index in self._indexes.items():
-            index.insert(self._index_value(column, old_row), rowid)
+        self._reindex(None, old_row)
         version = self._chain_version_of(old_row)
         if version is not None:
             version.end_lsn = None
@@ -646,8 +652,11 @@ class Table:
         ``>= horizon``.
         """
         total = 0
-        for rowid in list(self._chains):
-            total += self._prune_chain(rowid, horizon)
+        for rowid, chain in list(self._chains.items()):
+            # A lone open version is the steady state of nearly every
+            # rowid; skip it without taking the chain mutex.
+            if len(chain) > 1 or chain[0].end_lsn is not None:
+                total += self._prune_chain(rowid, horizon)
         return total
 
     def scan(self, predicate=None):
@@ -719,96 +728,43 @@ class Table:
             reverse=descending,
         )
 
-    # -- replication apply (WAL shipping) -----------------------------------
+    # -- committed-change install (image load, replica seed, redo) -----------
 
-    def apply_replicated(self, lsn, kind, row, old_row):
-        """Install one shipped committed change, stamped at commit *lsn*.
+    def install_committed(self, lsn, rowid, row):
+        """Make *row* the current image of *rowid* as of commit *lsn*.
 
-        The replica-side analogue of the recovery loader, but
-        MVCC-correct under concurrent snapshot readers: the change's
-        versions carry the primary's commit LSN instead of collapsing
-        to the always-visible recovery LSN 0, so a reader pinned at an
-        older applied LSN keeps seeing the pre-change image while the
-        apply lands.  *kind* is ``"insert"``, ``"update"``, or
-        ``"delete"``; no journal, guard, or lock is involved — the
-        caller (the replication applier) is the only writer.
+        *row* None deletes the rowid; a rowid already present is
+        overwritten (redo of an update, or image load and log replay
+        overlapping after a crash between the image commit and the log
+        truncation), so the call is idempotent.  The one entry point for
+        changes that are committed before they reach this table: a
+        checkpoint image row, a replica seed row, a redone log record.
+        No journal, guard or lock is involved -- the caller (recovery,
+        or a replica's single applier thread) is the only writer.
+
+        The superseded version ends at *lsn* and the new one begins
+        there, so a reader pinned below *lsn* keeps its image while the
+        change lands; then the rowid's chain is pruned to the horizon,
+        as ``update``/``delete`` do.  Recovery and loads pass LSN 0 (the
+        horizon is never below it), which leaves exactly one version,
+        visible to every snapshot.
         """
-        if kind == "insert":
-            rowid = row.rowid
+        old = self._rows.get(rowid)
+        if row is None:
+            if old is None:
+                return
+            del self._rows[rowid]
+        else:
             self._rows[rowid] = row
-            self._chain_append(rowid, RowVersion(row, lsn, None))
             self._next_rowid = itertools.count(
                 max(rowid + 1, next(self._next_rowid))
             )
-            for (column, _), index in self._indexes.items():
-                index.insert(self._index_value(column, row), rowid)
-        elif kind == "update":
-            rowid = row.rowid
-            old = self._rows.get(rowid)
-            self._rows[rowid] = row
-            if old is not None:
-                version = self._chain_version_of(old)
-                if version is not None and version.end_lsn is None:
-                    version.end_lsn = lsn
-                for (column, _), index in self._indexes.items():
-                    old_value = self._index_value(column, old)
-                    new_value = self._index_value(column, row)
-                    if old_value != new_value:
-                        index.delete(old_value, rowid)
-                        index.insert(new_value, rowid)
-            else:
-                for (column, _), index in self._indexes.items():
-                    index.insert(self._index_value(column, row), rowid)
+        self._reindex(old, row)
+        if row is not None:
             self._chain_append(rowid, RowVersion(row, lsn, None))
-        elif kind == "delete":
-            rowid = old_row.rowid
-            old = self._rows.pop(rowid, None)
-            if old is not None:
-                for (column, _), index in self._indexes.items():
-                    index.delete(self._index_value(column, old), rowid)
-            version = self._chain_version_of(old if old is not None else old_row)
-            if version is not None and version.end_lsn is None:
+        if old is not None:
+            version = self._chain_version_of(old)
+            if version is not None:
                 version.end_lsn = lsn
-        else:
-            raise StorageError("unknown replicated change kind %r" % (kind,))
+            self._prune_rowid(rowid)
         self.version += 1
-
-    # -- bulk (re)load, used by recovery and the pager ----------------------
-
-    def load_row(self, row):
-        """Install *row* verbatim without journalling (recovery path).
-
-        Recovery and checkpoint images only carry committed rows, so the
-        chain collapses to one version born at LSN 0 -- visible to every
-        snapshot.
-        """
-        old = self._rows.get(row.rowid)
-        if old is not None:
-            # A crash between the checkpoint image write and the WAL
-            # truncation makes image load and log replay overlap on the
-            # same rowid; unindex the stale copy first so maintenance
-            # never double-counts (the trigram index's entry tally
-            # would drift, and a changed value would leave a stale
-            # equality posting).
-            for (column, _), index in self._indexes.items():
-                index.delete(self._index_value(column, old), row.rowid)
-        self._rows[row.rowid] = row
-        with self._chains_mutex:
-            self._chains[row.rowid] = (RowVersion(row, 0, None),)
-        self._next_rowid = itertools.count(
-            max(row.rowid + 1, next(self._next_rowid))
-        )
-        for (column, _), index in self._indexes.items():
-            index.insert(self._index_value(column, row), row.rowid)
-        self.version += 1
-
-    def remove_row(self, rowid):
-        """Remove *rowid* without journalling (recovery path)."""
-        old = self._rows.pop(rowid, None)
-        with self._chains_mutex:
-            self._chains.pop(rowid, None)
-        if old is not None:
-            for (column, _), index in self._indexes.items():
-                index.delete(self._index_value(column, old), rowid)
-            self.version += 1
-        return old

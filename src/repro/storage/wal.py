@@ -1,9 +1,13 @@
-"""Write-ahead logging and REDO recovery.
+"""Write-ahead logging and REDO.
 
 Every committed mutation is appended to the log before the transaction
-acknowledges commit; recovery replays the log, applying only the changes
-of transactions whose COMMIT record made it to stable storage.  This is
-the "recovery" service section 2 requires of the MDM.
+acknowledges commit; redo applies only the changes of transactions whose
+commit point made it to stable storage.  This is the "recovery" service
+section 2 requires of the MDM.  What a record does to a table is decided
+in one place, :class:`RedoApplier`, which crash recovery
+(:func:`replay`) feeds from the log file and a WAL-shipping replica
+feeds from shipped frames -- a replica's state is by construction what
+the primary itself would recover.
 
 On-disk framing is ``<length:I><crc32:I><payload>`` per record, where
 the CRC covers the payload.  The tail scan stops at the first frame
@@ -25,7 +29,7 @@ import zlib
 from repro.errors import RecoveryError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.faults import fsync_file
-from repro.storage.row import Row
+from repro.storage.row import decode_row_run, encode_row_run
 
 logger = logging.getLogger(__name__)
 
@@ -80,14 +84,6 @@ SELF_COMMITTING = frozenset(
     (AC_INSERT, AC_UPDATE, AC_DELETE, BATCH_INSERT,
      TEXT_INDEX_CREATE, TEXT_INDEX_DROP)
 )
-
-#: The plain change kind a self-committing record replays as.
-BASE_KIND = {
-    AC_INSERT: INSERT,
-    AC_UPDATE: UPDATE,
-    AC_DELETE: DELETE,
-    BATCH_INSERT: INSERT,
-}
 
 #: Frame header: payload length, CRC32 of the payload.
 _FRAME = struct.Struct("<II")
@@ -283,12 +279,8 @@ class WriteAheadLog:
         The whole batch lands in a single checksummed frame, so crash
         recovery replays it all-or-nothing; returns its LogRecord.
         """
-        order = column_orders[table]
         table_bytes = table.encode("utf-8")
-        chunks = [struct.pack("<I", len(rows))]
-        for row in rows:
-            chunks.append(row.serialize(order))
-        row_bytes = b"".join(chunks)
+        row_bytes = b"".join(encode_row_run(rows, column_orders[table]))
         with self._mutex:
             record = LogRecord(self._next_lsn, txn_id, BATCH_INSERT, table)
             self._next_lsn += 1
@@ -485,16 +477,12 @@ class WriteAheadLog:
                 data = handle.read()
         frames = []
         offset = 0
-        while offset + _FRAME.size <= len(data):
-            length, _ = _FRAME.unpack_from(data, offset)
-            end = offset + _FRAME.size + length
-            if end > len(data):
-                break  # torn tail: necessarily past flushed_lsn
-            payload = data[offset + _FRAME.size:end]
+        while offset < len(data):
             try:
-                lsn = _BODY.unpack_from(payload, 0)[0]
-            except struct.error:
-                break
+                record, end = _parse_frame(data, offset)
+            except RecoveryError:
+                break  # torn tail: necessarily past flushed_lsn
+            lsn = record[0]
             if lsn > flushed:
                 break
             if lsn >= from_lsn:
@@ -521,77 +509,12 @@ class WriteAheadLog:
         entries = []
         offset = 0
         while offset < len(data):
-            if offset + _FRAME.size > len(data):
-                return entries, offset, "torn frame header at offset %d" % offset
-            length, crc = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            if start + length > len(data):
-                return entries, offset, "torn record at offset %d" % offset
-            payload = data[start:start + length]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return entries, offset, "checksum mismatch at offset %d" % offset
             try:
-                lsn, txn_id, kind, table_len, row_len, old_len = _BODY.unpack_from(
-                    payload, 0
-                )
-            except struct.error:
-                return entries, offset, "short record body at offset %d" % offset
-            cursor = _BODY.size
-            if cursor + table_len + row_len + old_len != length:
-                return entries, offset, "inconsistent lengths at offset %d" % offset
-            table = payload[cursor:cursor + table_len].decode("utf-8")
-            cursor += table_len
-            row_bytes = payload[cursor:cursor + row_len]
-            cursor += row_len
-            old_bytes = payload[cursor:cursor + old_len]
-            entries.append((lsn, txn_id, kind, table, row_bytes, old_bytes))
-            offset = start + length
+                record, offset = _parse_frame(data, offset)
+            except RecoveryError as error:
+                return entries, offset, str(error)
+            entries.append(record)
         return entries, offset, None
-
-    def _iter_raw(self):
-        """Yield (lsn, txn, kind, table, row_bytes, old_bytes) tuples.
-
-        Stops silently at the first bad record: recovery replays the
-        valid prefix rather than refusing to start.
-        """
-        entries, _, corruption = self._scan()
-        if corruption is not None:
-            logger.warning("WAL %s: %s; replaying valid prefix only",
-                           self.path, corruption)
-        for entry in entries:
-            yield entry
-
-    def records(self, column_orders):
-        """Yield fully decoded LogRecords.
-
-        A BATCH_INSERT frame expands into one LogRecord per row (all
-        sharing the frame's LSN and txn id), so replay sees plain
-        row-level changes; the frame's single CRC still makes the
-        batch all-or-nothing on disk.
-        """
-        for lsn, txn_id, kind, table, row_bytes, old_bytes in self._iter_raw():
-            if kind == BATCH_INSERT:
-                order = column_orders.get(table)
-                if order is None:
-                    raise RecoveryError("log references unknown table %r" % table)
-                (count,) = struct.unpack_from("<I", row_bytes, 0)
-                offset = 4
-                for _ in range(count):
-                    row, offset = Row.deserialize(row_bytes, order, offset)
-                    yield LogRecord(lsn, txn_id, kind, table or None, row, None)
-                continue
-            row = old_row = None
-            if row_bytes:
-                order = column_orders.get(table)
-                if order is None:
-                    raise RecoveryError("log references unknown table %r" % table)
-                row, _ = Row.deserialize(row_bytes, order)
-            if old_bytes:
-                order = column_orders.get(table)
-                if order is None:
-                    raise RecoveryError("log references unknown table %r" % table)
-                old_row, _ = Row.deserialize(old_bytes, order)
-            yield LogRecord(lsn, txn_id, kind, table or None, row, old_row)
 
     # -- truncation (checkpoints) ---------------------------------------------
 
@@ -677,62 +600,165 @@ class WriteAheadLog:
             self._flush_cond.notify_all()
 
 
+def _parse_frame(data, offset):
+    """Parse the ``<length><crc><payload>`` frame at ``data[offset:]``.
+
+    The one frame parser: the open-time scan, the shipper and the
+    replica all go through it, so they cannot disagree on which bytes
+    are a valid record.  Returns ``(record, end)`` -- *record* the
+    ``(lsn, txn_id, kind, table, row_bytes, old_bytes)`` fields (*table*
+    ``""`` when the record names none), *end* the offset just past the
+    frame.  Raises :class:`RecoveryError` naming the defect.
+    """
+    start = offset + _FRAME.size
+    if start > len(data):
+        raise RecoveryError("torn frame header at offset %d" % offset)
+    length, crc = _FRAME.unpack_from(data, offset)
+    end = start + length
+    if end > len(data):
+        raise RecoveryError("torn record at offset %d" % offset)
+    payload = data[start:end]
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise RecoveryError("checksum mismatch at offset %d" % offset)
+    if length < _BODY.size:
+        raise RecoveryError("short record body at offset %d" % offset)
+    lsn, txn_id, kind, table_len, row_len, old_len = _BODY.unpack_from(payload, 0)
+    cursor = _BODY.size
+    if cursor + table_len + row_len + old_len != length:
+        raise RecoveryError("inconsistent lengths at offset %d" % offset)
+    try:
+        table = payload[cursor:cursor + table_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise RecoveryError("undecodable table name at offset %d" % offset)
+    cursor += table_len
+    row_bytes = payload[cursor:cursor + row_len]
+    old_bytes = payload[cursor + row_len:]
+    return (lsn, txn_id, kind, table, row_bytes, old_bytes), end
+
+
 def decode_frame(frame):
     """Parse one raw on-disk frame into its record fields.
 
-    Verifies the frame's CRC and length bookkeeping — the integrity
-    check a WAL-shipping replica runs on every received record — and
+    Verifies the frame's CRC and length bookkeeping -- the integrity
+    check a WAL-shipping replica runs on every received record -- and
     returns ``(lsn, txn_id, kind, table, row_bytes, old_bytes)``.
     Raises :class:`RecoveryError` on any corruption.
     """
-    if len(frame) < _FRAME.size:
-        raise RecoveryError("frame shorter than its header")
-    length, crc = _FRAME.unpack_from(frame, 0)
-    payload = frame[_FRAME.size:]
-    if len(payload) != length:
+    record, end = _parse_frame(frame, 0)
+    if end != len(frame):
         raise RecoveryError(
-            "frame length %d does not match payload %d" % (length, len(payload))
+            "frame of %d bytes carries %d more" % (end, len(frame) - end)
         )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise RecoveryError("frame checksum mismatch")
-    try:
-        lsn, txn_id, kind, table_len, row_len, old_len = _BODY.unpack_from(
-            payload, 0
-        )
-    except struct.error:
-        raise RecoveryError("short record body")
-    cursor = _BODY.size
-    if cursor + table_len + row_len + old_len != length:
-        raise RecoveryError("inconsistent record lengths")
-    table = payload[cursor:cursor + table_len].decode("utf-8")
-    cursor += table_len
-    row_bytes = payload[cursor:cursor + row_len]
-    old_bytes = payload[cursor + row_len:cursor + row_len + old_len]
-    return lsn, txn_id, kind, table or None, row_bytes, old_bytes
+    return record
 
 
-def replay(log, column_orders, apply_change):
-    """REDO-replay *log*: apply changes of committed transactions only.
+class RedoApplier:
+    """The one interpreter of log records: what each kind does to a table.
 
-    *apply_change(kind, table, row, old_row)* installs one change;
-    *kind* is always a plain change kind (self-committing records are
-    normalized through :data:`BASE_KIND`).  Returns the set of
-    committed transaction ids that were replayed.
+    Fed records in log order through :meth:`apply`.  Change frames of an
+    explicit transaction are buffered until its COMMIT and dropped at
+    its ABORT; a commit point -- COMMIT, a self-committing kind, text-
+    index DDL, CHECKPOINT -- installs at once.  *stamp_commits* picks
+    the LSN installed versions carry: False (crash recovery) installs at
+    LSN 0, visible to every snapshot; True (a replica serving pinned
+    readers while it applies) installs at the commit point's own LSN.
+
+    ``applied_lsn`` is the newest commit point installed.  A commit
+    point at or below it is skipped: a replica's feed re-ships applied
+    commits interleaved with in-flight change frames it still needs
+    (resume below the oldest buffered frame; seed from the replication
+    horizon), and each must install exactly once.
     """
-    committed = set()
-    records = list(log.records(column_orders))
-    for record in records:
-        if record.kind == COMMIT or record.kind in SELF_COMMITTING:
-            committed.add(record.txn_id)
-    replayed = set()
-    for record in records:
-        kind = BASE_KIND.get(record.kind, record.kind)
-        if kind in (TEXT_INDEX_CREATE, TEXT_INDEX_DROP):
-            # Text-index DDL: self-committing, idempotent; replayed in
-            # log order so later row changes maintain the right indexes.
-            apply_change(kind, record.table, None, None)
-            replayed.add(record.txn_id)
-        elif kind in (INSERT, UPDATE, DELETE) and record.txn_id in committed:
-            apply_change(kind, record.table, record.row, record.old_row)
-            replayed.add(record.txn_id)
-    return replayed
+
+    def __init__(self, database, stamp_commits, applied_lsn=0):
+        self._database = database
+        self._stamp_commits = stamp_commits
+        self.applied_lsn = applied_lsn
+        # txn_id -> (LSN of its first buffered frame, [change, ...])
+        self._buffered = {}
+
+    def apply(self, lsn, txn_id, kind, table, row_bytes, old_bytes):
+        """Apply one record; True when it installed a commit point
+        (visibility advanced to *lsn*)."""
+        if kind == BEGIN:
+            # A fresh buffer, not the frames a crashed process left
+            # under the same id: transaction ids restart with the
+            # process, the log does not.
+            self._buffered[txn_id] = (lsn, [])
+            return False
+        if kind in (INSERT, UPDATE, DELETE):
+            self._buffered.setdefault(txn_id, (lsn, []))[1].append(
+                (kind, table, row_bytes, old_bytes)
+            )
+            return False
+        if kind == ABORT:
+            self._buffered.pop(txn_id, None)
+            return False
+        changes = self._buffered.pop(txn_id, (lsn, ()))[1]
+        if lsn <= self.applied_lsn:
+            return False
+        if kind == COMMIT:
+            for change in changes:
+                self._install(lsn, *change)
+        elif kind == CHECKPOINT:
+            # The primary pruned its version chains here; so do we.
+            self._database.prune_versions()
+        elif kind in (TEXT_INDEX_CREATE, TEXT_INDEX_DROP):
+            # The target rides in the table field as "table\x1fcolumn".
+            # Both directions are idempotent (create returns an existing
+            # index, drop of a missing one is a no-op), so the sidecar
+            # or seed catalog and the log can overlap freely; a table
+            # since dropped from the catalog has no index to maintain.
+            name, _, column = table.partition(TEXT_TARGET_SEP)
+            if self._database.has_table(name):
+                target = self._database.table(name)
+                if kind == TEXT_INDEX_CREATE:
+                    target.create_text_index(column)
+                else:
+                    target.drop_text_index(column)
+        elif kind in SELF_COMMITTING:
+            self._install(lsn, kind, table, row_bytes, old_bytes)
+        else:
+            raise RecoveryError("unknown log record kind %d" % kind)
+        self.applied_lsn = lsn
+        return True
+
+    def _install(self, commit_lsn, kind, table_name, row_bytes, old_bytes):
+        if not self._database.has_table(table_name):
+            raise RecoveryError("log references unknown table %r" % table_name)
+        table = self._database.table(table_name)
+        order = table.schema.column_names()
+        lsn = commit_lsn if self._stamp_commits else 0
+        if kind == BATCH_INSERT:
+            for row in decode_row_run(row_bytes, order):
+                table.install_committed(lsn, row.rowid, row)
+        elif kind in (DELETE, AC_DELETE):
+            (old_row,) = decode_row_run(old_bytes, order, count=1)
+            table.install_committed(lsn, old_row.rowid, None)
+        else:
+            (row,) = decode_row_run(row_bytes, order, count=1)
+            table.install_committed(lsn, row.rowid, row)
+
+    def discard_buffered(self):
+        """Forget every uncommitted transaction's frames; returns the
+        LSN of the oldest one forgotten (None when nothing was)."""
+        oldest = min(
+            (first for first, _ in self._buffered.values()), default=None
+        )
+        self._buffered = {}
+        return oldest
+
+
+def replay(log, database):
+    """Crash recovery's REDO: apply *log*'s valid prefix to *database*.
+
+    Only committed work lands (see :class:`RedoApplier`); a record past
+    the first torn or corrupt frame does not exist.
+    """
+    entries, _, corruption = log._scan()
+    if corruption is not None:
+        logger.warning("WAL %s: %s; replaying valid prefix only",
+                       log.path, corruption)
+    redo = RedoApplier(database, stamp_commits=False)
+    for entry in entries:
+        redo.apply(*entry)

@@ -3,15 +3,15 @@
 Mirrors the maintenance surface of ``storage.index.HashIndex`` —
 ``insert(value, rowid)`` / ``insert_many(pairs)`` / ``delete(value,
 rowid)`` — so ``Table`` can register it in the same ``_indexes`` map
-and every mutation, undo, replication, and recovery path maintains it
-for free, inside the same transaction as the row effect.
+and every mutation, undo and redo path maintains it for free, inside
+the same transaction as the row effect.
 
 The index stores *normalized* trigrams only; nothing here persists.
 Durability comes from the owning table's WAL: recovery re-registers an
-empty ``TrigramIndex`` before the checkpoint image loads, then
-``load_row``/``remove_row`` replay rebuilds the postings incrementally
-— exactly the path the crash battery cross-checks against a
-rebuild-from-rows oracle.
+empty ``TrigramIndex`` before the checkpoint image loads, then image
+load and redo rebuild the postings row by row through
+``Table.install_committed`` — exactly the path the crash battery
+cross-checks against a rebuild-from-rows oracle.
 
 Storage layout (the million-track change): each gram's posting is a
 sorted ``array('I')`` of rowids — 4 bytes per entry against the ~32+

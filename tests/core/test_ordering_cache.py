@@ -49,7 +49,7 @@ class TestPositionCache:
         assert ordering.position_of(late) == 1
 
     def test_transaction_abort_invalidates(self, populated):
-        """Undo goes through Table.load_row/remove_row, not Ordering."""
+        """Undo goes through Table.undo_update/undo_delete, not Ordering."""
         schema, ordering, chord, notes = populated
         assert ordering.position_of(notes[0]) == 1
         txn = schema.database.begin()

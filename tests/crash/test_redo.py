@@ -1,0 +1,271 @@
+"""One redo path, two consumers: recovery and replicas must agree.
+
+``repro.storage.wal.RedoApplier`` is the only code that decides what a
+log record does to a table.  Crash recovery feeds it the log file, a
+WAL-shipping replica feeds it shipped frames.  Two checks live here:
+
+* a seeded differential test -- a random program on a durable primary
+  with a replica attached; the live tables, the tables after reopening
+  the directory and the replica's tables at its applied LSN must be the
+  same rowid for rowid, and each one's trigram postings must equal the
+  crash battery's rebuild-from-rows oracle;
+* malformed redo input -- a cut table image, a ``BATCH_INSERT`` body
+  shorter than its count, a ``REPL_ROWS`` body that runs out of bytes --
+  raises a typed ``repro.errors`` exception from every carrier, never a
+  bare ``struct.error``.
+
+Marked both ``crash`` and ``net``: ``scripts/crash_smoke.sh`` and
+``scripts/net_smoke.sh`` each run the differential test, so either
+smoke catches the two consumers drifting apart.
+"""
+
+import os
+import random
+import struct
+import zlib
+
+import pytest
+
+from repro.errors import ProtocolError, RecoveryError
+from repro.mdm.manager import MusicDataManager
+from repro.net import MdmServer, ReplicaServer, protocol
+from repro.storage import wal as wal_module
+from repro.storage.database import Database
+from repro.storage.pager import PAGE_SIZE
+from repro.storage.row import Row
+from repro.text.index import TrigramIndex
+
+from tests.net.conftest import wait_applied, wait_serving
+
+pytestmark = [pytest.mark.crash, pytest.mark.net]
+
+TITLES = [
+    "Prélude in C Major",
+    "prelude, op. 28 no. 4",
+    "Étude aux chemins de fer",
+    "Nocturne Op. 9 No. 2",
+    "Grosse Fuge -- Straße",
+    "",
+    "ab",
+]
+
+
+def table_state(database):
+    """Every table's rows by rowid, and its text postings beside the
+    postings an index rebuilt from those rows would hold."""
+    rows, postings = {}, {}
+    for name in database.table_names():
+        table = database.table(name)
+        rows[name] = {row.rowid: row.as_dict() for row in table}
+        for column in table.text_index_columns():
+            oracle = TrigramIndex()
+            for row in table:
+                oracle.insert(row[column], row.rowid)
+            index = table.text_index_for(column)
+            assert index._postings == oracle._postings, (
+                "%s.%s postings diverge from rebuild-from-rows" % (name, column)
+            )
+            postings[name, column] = len(index)
+    return rows, postings
+
+
+class Program:
+    """A seeded edit program over two text-indexed raw tables; the
+    index on ``t`` is dropped and re-created along the way."""
+
+    def __init__(self, database, seed):
+        self.rng = random.Random(seed)
+        self.db = database
+        self.serial = 0
+
+    def _values(self):
+        self.serial += 1
+        return {"title": self.rng.choice(TITLES), "v": self.serial}
+
+    def _edit(self):
+        table = self.db.table(self.rng.choice(["t", "u"]))
+        rowids = sorted(table.rowids())
+        roll = self.rng.random()
+        if not rowids or roll < 0.4:
+            table.insert(self._values())
+        elif roll < 0.8:
+            table.update(
+                self.rng.choice(rowids), {"title": self.rng.choice(TITLES)}
+            )
+        else:
+            table.delete(self.rng.choice(rowids))
+
+    def step(self):
+        roll = self.rng.random()
+        if roll < 0.45:
+            txn = self.db.begin()
+            for _ in range(self.rng.randint(1, 4)):
+                self._edit()
+            if self.rng.random() < 0.2:
+                txn.abort()
+            else:
+                txn.commit()
+        elif roll < 0.75:
+            self._edit()  # auto-commit
+        elif roll < 0.9:
+            self.db.bulk_ingest(
+                "t", [self._values() for _ in range(self.rng.randint(2, 12))],
+                batch_rows=5,
+            )
+        elif self.db.table("t").text_index_for("title") is None:
+            self.db.create_text_index("t", "title")
+        else:
+            self.db.drop_text_index("t", "title")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recovery_equals_replica_equals_live(tmp_path, seed):
+    path = str(tmp_path / "db")
+    mdm = MusicDataManager(path, with_cmn=False)
+    database = mdm.database
+    for name in ("t", "u"):
+        database.create_table(name, [("title", "string"), ("v", "integer")])
+    database.create_text_index("t", "title")
+    database.create_text_index("u", "title")
+    # A lag budget no burst of this program can exceed: every change
+    # must reach the replica as a shipped frame, never as a re-seed.
+    server = MdmServer(mdm, lag_budget=10 ** 6)
+    server.start()
+    replica = ReplicaServer(server.address, name="diff-%d" % seed)
+    replica.start()
+    try:
+        assert wait_serving(replica)
+        program = Program(database, seed)
+
+        def caught_up():
+            # An ABORT is no commit point; end on one the replica can
+            # be seen to reach.
+            program._edit()
+            return wait_applied(replica, database._log.flushed_lsn)
+
+        for step in range(60):
+            if step == 30:
+                # The replica must hold everything the checkpoint is
+                # about to truncate, or it is (rightly) re-seeded.
+                assert caught_up()
+                database.checkpoint()
+            program.step()
+        assert caught_up()
+        assert replica.metrics.value("repl.seeds_received") == 1
+        live = table_state(database)
+        assert table_state(replica._state.database) == live
+    finally:
+        replica.stop()
+        server.stop()
+        mdm.close()
+    reopened = Database(path)
+    try:
+        assert table_state(reopened) == live
+    finally:
+        reopened.close()
+
+
+# -- malformed redo input ------------------------------------------------------
+
+
+def _wal_frame(lsn, kind, table, row_bytes):
+    """A well-framed (CRC-valid) log record with an arbitrary body."""
+    name = table.encode("utf-8")
+    payload = wal_module._BODY.pack(
+        lsn, 1, kind, len(name), len(row_bytes), 0
+    ) + name + row_bytes
+    return wal_module._FRAME.pack(
+        len(payload), zlib.crc32(payload) & 0xFFFFFFFF
+    ) + payload
+
+
+def _short_batch_frame(lsn=1):
+    """A BATCH_INSERT that promises three rows and carries one."""
+    return _wal_frame(
+        lsn, wal_module.BATCH_INSERT, "t",
+        struct.pack("<I", 3) + Row(1, {"v": 1}).serialize(["v"]),
+    )
+
+
+def _open_cut_image(tmp_path, length):
+    """Open a checkpointed database whose table image claims *length*
+    bytes."""
+    path = str(tmp_path / "db")
+    db = Database(path)
+    db.create_table("t", [("v", "integer")])
+    db.bulk_ingest("t", [{"v": i} for i in range(20)])
+    db.checkpoint()
+    db.close()
+    (image,) = [n for n in os.listdir(path) if n.startswith("data.")]
+    with open(os.path.join(path, image), "r+b") as handle:
+        handle.seek(PAGE_SIZE)  # page 1 heads the only chain
+        handle.write(struct.pack("<II", 0, length))
+    Database(path)
+
+
+def _open_short_batch(tmp_path):
+    path = str(tmp_path / "db")
+    db = Database(path)
+    db.create_table("t", [("v", "integer")])
+    db.close()
+    with open(os.path.join(path, "wal.log"), "ab") as handle:
+        handle.write(_short_batch_frame())
+    Database(path)
+
+
+def _unpack_short_repl_rows(tmp_path):
+    frame = protocol.pack_repl_rows(
+        "t", [Row(1, {"v": 1}), Row(2, {"v": 2})], ["v"]
+    )
+    body = frame[protocol.FRAME_HEADER.size + 1:-3]
+    protocol.unpack_repl_rows(body, {"t": ["v"]})
+
+
+@pytest.mark.parametrize("carrier, error", [
+    (lambda tmp_path: _open_cut_image(tmp_path, 0), RecoveryError),
+    (lambda tmp_path: _open_cut_image(tmp_path, 9), RecoveryError),
+    (_open_short_batch, RecoveryError),
+    (_unpack_short_repl_rows, ProtocolError),
+], ids=["empty-image", "truncated-image", "short-batch", "short-repl-rows"])
+def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
+    with pytest.raises(error):
+        carrier(tmp_path)
+
+
+def test_short_shipped_batch_degrades_the_replica():
+    """The same short BATCH_INSERT, shipped: the replica refuses it with
+    REPL_ERROR and stops serving (it used to kill the feed thread)."""
+    import socket
+
+    from repro.net.transport import Transport
+
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    replica = ReplicaServer(listener.getsockname(), name="short")
+    replica.start()
+    try:
+        sock, _ = listener.accept()
+        primary = Transport(sock)
+        kind, _ = primary.recv(timeout=5.0)
+        assert kind == protocol.REPL_HELLO
+        primary.send(protocol.REPL_SEED, {
+            "lsn": 10,
+            "schema": {"entities": [], "relationships": [], "orderings": []},
+            "tables": [{"name": "t", "columns": [["v", "integer"]]}],
+        })
+        primary.send(protocol.REPL_SEED_END, {"lsn": 10})
+        kind, _ = primary.recv(timeout=5.0)
+        assert kind == protocol.REPL_ACK
+        primary.send_raw(protocol.pack_repl_frame(11, _short_batch_frame(11)))
+        kind, body = primary.recv(timeout=5.0)
+        assert kind == protocol.REPL_ERROR
+        assert protocol.unpack_json(kind, body)["code"] == "RecoveryError"
+        status = replica.status()
+        assert status["serving"] is False
+        assert status["applied_lsn"] == 10
+        primary.close()
+    finally:
+        replica.stop()
+        listener.close()

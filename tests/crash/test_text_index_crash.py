@@ -20,12 +20,14 @@ lens:
   match the rebuild oracle.
 """
 
+import os
 import random
 
 import pytest
 
 from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.pager import PAGE_SIZE
 from repro.text import contains_match
 from repro.text.index import TrigramIndex
 
@@ -46,11 +48,19 @@ TITLES = [
 QUERIES = ["prelude", "étude", "no. 2", "zzzqqq"]
 
 
-def prepare(db_dir):
-    """DDL-only setup with real files, so schedules cover data ops."""
+def prepare(db_dir, filler_rows=0):
+    """Setup with real files, so schedules cover data ops: the DDL,
+    plus *filler_rows* rows made wide by an unindexed column, for the
+    size axis (a table image many times the pager cache)."""
     db = Database(str(db_dir))
-    db.create_table("t", [("title", "string"), ("v", "integer")])
+    db.create_table(
+        "t", [("title", "string"), ("v", "integer"), ("pad", "string")]
+    )
     db.create_text_index("t", "title")
+    db.bulk_ingest("t", [
+        {"title": "filler %d" % i, "v": -i, "pad": "%d" % i * 80}
+        for i in range(filler_rows)
+    ])
     db.close()
 
 
@@ -76,7 +86,10 @@ class TextCrashWorkload:
         self.ddl_barriers = []
 
     def _state(self):
-        return {row.rowid: (row["title"], row["v"]) for row in self.table}
+        return {
+            row.rowid: (row["title"], row["v"], row["pad"])
+            for row in self.table
+        }
 
     def acceptable_states(self):
         states = [self.last_committed]
@@ -144,10 +157,17 @@ def verify_recovery(db_dir, acceptable, index_required=True):
     db = Database(str(db_dir))
     try:
         table = db.table("t")
-        state = {row.rowid: (row["title"], row["v"]) for row in table}
+        state = {
+            row.rowid: (row["title"], row["v"], row["pad"]) for row in table
+        }
         assert any(state == expected for expected in acceptable), (
-            "recovered %r matches none of %d acceptable states"
-            % (state, len(acceptable))
+            "recovered %d rows match none of %d acceptable states; differing "
+            "rowids vs the last: %s" % (
+                len(state), len(acceptable), sorted(
+                    rowid for rowid in set(state) | set(acceptable[-1])
+                    if state.get(rowid) != acceptable[-1].get(rowid)
+                )[:8],
+            )
         )
         index = table.text_index_for("title")
         if index_required:
@@ -166,7 +186,7 @@ def verify_recovery(db_dir, acceptable, index_required=True):
         # And queries through it are exact after post-verification.
         for query in QUERIES:
             true = {
-                rowid for rowid, (title, _) in state.items()
+                rowid for rowid, (title, _, _) in state.items()
                 if contains_match(title, query)
             }
             candidates = index.candidates_matching(query)
@@ -185,13 +205,14 @@ def verify_recovery(db_dir, acceptable, index_required=True):
         db.close()
 
 
-def probe(tmp_path, seed, name="probe", ddl_toggles=False):
+def probe(tmp_path, seed, name="probe", ddl_toggles=False, filler_rows=0,
+          steps=30):
     """Run the workload to completion; returns it (with barrier lists)."""
     probe_dir = tmp_path / ("%s-%d" % (name, seed))
-    prepare(probe_dir)
+    prepare(probe_dir, filler_rows)
     plan = FaultPlan(seed=seed)
     workload = TextCrashWorkload(
-        probe_dir, seed, plan, ddl_toggles=ddl_toggles
+        probe_dir, seed, plan, steps=steps, ddl_toggles=ddl_toggles
     )
     workload.run()
     workload.close()
@@ -199,14 +220,15 @@ def probe(tmp_path, seed, name="probe", ddl_toggles=False):
     return workload
 
 
-def crash_once(tmp_path, seed, sync_index, torn="random", ddl_toggles=False):
+def crash_once(tmp_path, seed, sync_index, torn="random", ddl_toggles=False,
+               filler_rows=0, steps=30):
     crash_dir = tmp_path / ("crash-%d-%d" % (seed, sync_index))
-    prepare(crash_dir)
+    prepare(crash_dir, filler_rows)
     plan = FaultPlan(
         seed=seed * 1009 + sync_index, crash_at_sync=sync_index, torn=torn
     )
     workload = TextCrashWorkload(
-        crash_dir, seed, plan, ddl_toggles=ddl_toggles
+        crash_dir, seed, plan, steps=steps, ddl_toggles=ddl_toggles
     )
     with pytest.raises(SimulatedCrash):
         workload.run()
@@ -256,3 +278,23 @@ def test_extended_seed_matrix(tmp_path, seed):
     total = probe(tmp_path, seed).total_syncs
     for sync_index in range(1, total + 1):
         crash_once(tmp_path, seed, sync_index)
+
+
+@pytest.mark.crash
+@pytest.mark.crash_slow
+def test_crash_at_every_syncpoint_with_image_ten_times_the_cache(tmp_path):
+    """The size axis: the same oracle over a table image of at least
+    ten pager caches, where checkpoint once lost the whole table."""
+    seed, filler_rows, steps = 3, 8200, 12
+    reference = probe(tmp_path, seed, filler_rows=filler_rows, steps=steps)
+    images = [
+        name for name in os.listdir(str(tmp_path / ("probe-%d" % seed)))
+        if name.startswith("data.")
+    ]
+    assert images, "schedule took no checkpoint"
+    image = tmp_path / ("probe-%d" % seed) / images[0]
+    assert os.path.getsize(str(image)) >= 10 * 64 * PAGE_SIZE
+    for sync_index in range(1, reference.total_syncs + 1):
+        crash_once(
+            tmp_path, seed, sync_index, filler_rows=filler_rows, steps=steps
+        )

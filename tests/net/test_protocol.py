@@ -85,7 +85,7 @@ class TestReplicationBodies:
         frame = protocol.pack_repl_rows("t", rows, order)
         kind, body = split_frame(frame)
         assert kind == protocol.REPL_ROWS
-        name, out = protocol.unpack_repl_rows(body, {"t": order}, Row)
+        name, out = protocol.unpack_repl_rows(body, {"t": order})
         assert name == "t"
         assert out == rows
 
@@ -93,4 +93,4 @@ class TestReplicationBodies:
         frame = protocol.pack_repl_rows("t", [], ["a"])
         kind, body = split_frame(frame)
         with pytest.raises(ProtocolError):
-            protocol.unpack_repl_rows(body, {}, Row)
+            protocol.unpack_repl_rows(body, {})

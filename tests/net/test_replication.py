@@ -348,3 +348,47 @@ class TestCrcRefusal:
         finally:
             replica.stop()
             listener.close()
+
+
+class TestReplicaVersionChains:
+    def test_shipped_rewrites_prune_the_chain(self, served_mdm):
+        """Redo on a replica prunes like the primary's own write path:
+        the chain of a hot row stays bounded, a pinned reader keeps its
+        version, and a shipped CHECKPOINT sweeps what a delete left."""
+        mdm, server = served_mdm
+        database = mdm.database
+        table = database.create_table("hot", [("v", "integer")])
+        row = table.insert({"v": 0})
+        replica = start_replica(server, name="chains")
+        try:
+            assert wait_serving(replica)
+            assert wait_applied(replica, database._log.flushed_lsn)
+            shadow = replica._state.database
+            chains = shadow.table("hot")._chains
+
+            pinned = shadow.transactions.pin_snapshot()
+            try:
+                for v in range(1, 101):
+                    table.update(row.rowid, {"v": v})
+                    assert shadow.table("hot").get(row.rowid)["v"] == 0
+                assert wait_applied(replica, database._log.flushed_lsn)
+                assert shadow.table("hot").get(row.rowid)["v"] == 0
+            finally:
+                shadow.transactions.unpin_snapshot()
+            assert pinned < replica.applied_lsn
+
+            for v in range(101, 201):
+                table.update(row.rowid, {"v": v})
+            assert wait_applied(replica, database._log.flushed_lsn)
+            assert len(chains[row.rowid]) <= 2
+            assert chains[row.rowid][-1].row["v"] == 200
+
+            table.delete(row.rowid)
+            assert wait_applied(replica, database._log.flushed_lsn)
+            database.checkpoint()  # ships a CHECKPOINT record
+            assert wait_applied(replica, database._log.flushed_lsn)
+            assert row.rowid not in chains
+            # All of it arrived as shipped frames, not as a re-seed.
+            assert replica.metrics.value("repl.seeds_received") == 1
+        finally:
+            replica.stop()

@@ -108,10 +108,14 @@ class TestTableCompositeMaintenance:
     def test_recovery_paths_maintain_index(self):
         table, index = make_table()
         row = table.insert({"parent": 1, "key": 10, "label": "a"})
-        table.remove_row(row.rowid)
+        table.install_committed(0, row.rowid, None)
         assert len(index) == 0
-        table.load_row(row)
+        table.install_committed(0, row.rowid, row)
         assert index.lookup((1, 10)) == [row.rowid]
+        moved = row.replaced({"key": 20})
+        table.install_committed(0, row.rowid, moved)
+        assert index.lookup((1, 10)) == []
+        assert index.lookup((1, 20)) == [row.rowid]
 
 
 class TestVersionCounter:
@@ -129,7 +133,7 @@ class TestVersionCounter:
         bumped()
         table.delete(row.rowid)
         bumped()
-        table.load_row(row)
+        table.install_committed(0, row.rowid, row)
         bumped()
-        table.remove_row(row.rowid)
+        table.install_committed(0, row.rowid, None)
         bumped()

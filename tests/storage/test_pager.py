@@ -92,6 +92,18 @@ class TestStreams:
             head = pager.write_stream(payload)
             assert pager.read_stream(head) == payload
 
+    def test_stream_longer_than_the_cache(self, db_path):
+        """Whole or in pieces, a chain of more pages than the cache
+        holds reads back intact (it used to come back blank: pages
+        allocated up front were evicted before they were filled)."""
+        payload = os.urandom(PAGE_SIZE * 20 + 17)
+        pieces = [payload[i:i + 1000] for i in range(0, len(payload), 1000)]
+        with Pager(db_path, capacity=4) as pager:
+            whole = pager.write_stream(payload)
+            streamed = pager.write_stream(iter(pieces))
+            assert pager.read_stream(whole) == payload
+            assert pager.read_stream(streamed) == payload
+
     def test_stream_survives_reopen(self, db_path):
         payload = bytes(range(256)) * 40
         with Pager(db_path) as pager:

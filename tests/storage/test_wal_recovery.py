@@ -85,6 +85,29 @@ class TestWal:
         db2.close()
         assert log_size_after < 200  # just the checkpoint record
 
+    def test_checkpoint_image_larger_than_the_pager_cache(self, db_dir):
+        """8,000 rows is the smallest load whose table image outgrew
+        the 64-page cache and read back empty on reopen."""
+        from repro.text.index import TrigramIndex
+
+        db = make_db(db_dir)
+        db.create_text_index("notes", "name")
+        db.bulk_ingest(
+            "notes",
+            [{"name": "opus %d" % i, "pitch": i % 128} for i in range(8000)],
+        )
+        before = {row.rowid: row.as_dict() for row in db.table("notes")}
+        db.checkpoint()
+        db.close()
+        db2 = make_db(db_dir)
+        table = db2.table("notes")
+        assert {row.rowid: row.as_dict() for row in table} == before
+        oracle = TrigramIndex()
+        for row in table:
+            oracle.insert(row["name"], row.rowid)
+        assert table.text_index_for("name")._postings == oracle._postings
+        db2.close()
+
     def test_changes_after_checkpoint_replay(self, db_dir):
         db = make_db(db_dir)
         with db.begin():
@@ -148,12 +171,36 @@ class TestLogFile:
                 2, wal_module.INSERT, table="t",
                 row=Row(2, {"a": 2}), column_orders=orders, flush=True,
             )
-            applied = []
-            replayed = wal_module.replay(
-                log, orders, lambda kind, t, row, old: applied.append(row.rowid)
+            db = Database()
+            db.create_table("t", [("a", "integer")])
+            wal_module.replay(log, db)
+            assert [row.rowid for row in db.table("t")] == [1]
+
+
+    def test_replay_ignores_frames_orphaned_under_a_reused_txn_id(self, tmp_path):
+        """Transaction ids restart with the process; the log does not.
+        Frames a crashed process left without a COMMIT must not ride in
+        on the COMMIT of a later transaction that drew the same id."""
+        from repro.storage.row import Row
+
+        orders = {"t": ["a"]}
+        with WriteAheadLog(str(tmp_path / "test.log")) as log:
+            log.append(1, wal_module.BEGIN)
+            log.append(
+                1, wal_module.INSERT, table="t",
+                row=Row(1, {"a": 1}), column_orders=orders, flush=True,
             )
-            assert applied == [1]
-            assert replayed == {1}
+            # -- crash; the next process starts again at transaction 1
+            log.append(1, wal_module.BEGIN)
+            log.append(
+                1, wal_module.INSERT, table="t",
+                row=Row(2, {"a": 2}), column_orders=orders,
+            )
+            log.append(1, wal_module.COMMIT, flush=True)
+            db = Database()
+            db.create_table("t", [("a", "integer")])
+            wal_module.replay(log, db)
+            assert [row.rowid for row in db.table("t")] == [2]
 
 
 class TestReplicationHorizon:
