@@ -444,8 +444,9 @@ class Ordering:
 
         Under a pinned MVCC snapshot both the memo cache and the
         (parent, order_key) index mirror the *live* table, so the rank
-        is computed instead by counting visible siblings that sort
-        earlier -- O(members) per call, but lock-free and consistent.
+        is computed instead by counting the visible siblings (two
+        ``select_eq`` look-ups, which run pinned) that sort earlier --
+        O(siblings) per call, but lock-free and consistent.
         """
         self._check_child(child)
         if self.table.snapshot_active():

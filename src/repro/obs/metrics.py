@@ -256,9 +256,14 @@ class Tally:
         pending = self._pending
         drained = []
         # Bounded drain: popleft never loses a concurrent append, and
-        # appends landing mid-drain wait for the next drain.
+        # appends landing mid-drain wait for the next drain.  Nothing
+        # serializes drainers, so another one may empty the queue under
+        # this one: each value still goes to exactly one of them.
         for _ in range(len(pending)):
-            drained.append(pending.popleft())
+            try:
+                drained.append(pending.popleft())
+            except IndexError:
+                break
         if not drained:
             return
         # Fold in bulk straight into the instruments' totals: two lock

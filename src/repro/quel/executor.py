@@ -39,7 +39,9 @@ from repro.quel.compile import compile_statement, statement_fingerprint
 from repro.quel.functions import FunctionRegistry, scalar_similarity
 from repro.quel.parser import parse_quel
 from repro.quel import planner
-from repro.text import SimilarityScorer, contains_match, is_similar
+from repro.storage.table import SWAMPED
+from repro.storage.values import value_sort_key
+from repro.text import SimilarityScorer
 
 
 class ExecutionLimits:
@@ -76,21 +78,9 @@ class ExecutionLimits:
             self.check_deadline()
 
 
-def _text_truth(value, operator, query, threshold):
-    """Evaluate one text gate exactly (no index involved)."""
-    if operator == "matches":
-        return contains_match(value, query)
-    return is_similar(value, query, threshold)
-
-
-#: Tables smaller than this always prune through the trigram index --
-#: the candidate-cap cost rule below only bites at catalog scale, so
-#: small fixtures keep their historical "index text" plans.
-_TEXT_SCAN_FLOOR = 512
-
-
 def _text_rowids(table, text_restrictions):
-    """Trigram-index candidate rowids for *text_restrictions*.
+    """Trigram-index candidate rowids for *text_restrictions*.  Reads
+    index structures only, so it runs inside a :meth:`Table.probe`.
 
     Returns ``(rowids, pruned)``: *rowids* is the intersection of the
     per-gate candidate sets (None when nothing pruned), *pruned* True
@@ -103,12 +93,14 @@ def _text_rowids(table, text_restrictions):
     at least half the table would spend more materializing and
     intersecting rowid sets than the scan it is meant to avoid, so it
     is skipped (the exact predicate still filters every row).  The
-    estimates read posting *lengths* only -- no posting is walked to
-    make the decision.
+    estimates read posting *lengths* and the row map's size only -- no
+    posting is walked and no row visited to make the decision; tables
+    under the cap's floor always prune, so small fixtures keep their
+    "index text" plans.
     """
     rowids = None
     pruned = False
-    cap = max(_TEXT_SCAN_FLOOR, len(table) // 2)
+    cap = table.candidate_cap()
     for attribute, operator, query, threshold in text_restrictions:
         index = table.text_index_for(attribute)
         if index is None:
@@ -164,9 +156,9 @@ class _RelationshipRange:
         return row
 
 
-def _candidates(declared, restrictions, text_restrictions, snapshot):
+def _candidates(declared, restrictions, text_restrictions):
     """Candidates of range *declared* satisfying *restrictions*, plus
-    the access path used.
+    the access path used and the stale rowids it had to consider.
 
     Every equality restriction on a real column is answered from an
     index -- built on first use if absent, so it never silently degrades
@@ -177,14 +169,19 @@ def _candidates(declared, restrictions, text_restrictions, snapshot):
     exact predicate re-verifies every survivor in the join, so
     candidates are a sound superset.  Restrictions on unknown attributes
     are filtered in place rather than triggering a full unfiltered scan.
-    Returns ``(candidates, access)`` with *access* one of "index",
-    "index text", "filtered scan", "scan", or "snapshot scan".
 
-    With *snapshot* the statement runs lock-free against a pinned MVCC
-    snapshot: indexes mirror the live table and are unsafe to read (let
-    alone build adaptively) without a lock, so every restriction --
-    equality and text alike -- is applied residually over the visible
-    rows.
+    The same code runs under a table lock and under a pinned MVCC
+    snapshot: the index reads happen inside :meth:`Table.probe` and the
+    rows come back through :meth:`Table.fetch`, which -- pinned -- adds
+    the table's stale rowids and re-checks the equalities on each
+    visible version (the join skips a static variable's restriction
+    conjuncts, so nothing downstream would).
+
+    Returns ``(candidates, access, stale)``.  *access* is "index",
+    "index text", "filtered scan" or "scan" -- or "snapshot scan", a
+    pinned read no index applied to.  *stale* counts the stale rowids
+    an index read took in (0 when not pinned); None says the table was
+    :data:`~repro.storage.table.SWAMPED` and the visible rows scanned.
     """
     table = declared.table
     has_column = table.schema.has_column
@@ -197,41 +194,39 @@ def _candidates(declared, restrictions, text_restrictions, snapshot):
             out = [c for c in out if all(c.get(a) == v for a, v in residual)]
         return out
 
-    if snapshot:
-        rows = list(table)
+    def probe():
+        rowids, text_pruned = _text_rowids(table, text_restrictions)
         for attribute, value in indexed:
-            rows = [r for r in rows if r[attribute] == value]
-        for attribute, operator, query, threshold in text_restrictions:
-            if has_column(attribute):
-                rows = [
-                    r for r in rows
-                    if _text_truth(r[attribute], operator, query, threshold)
-                ]
-        if declared.scan_order is not None:
-            rows.sort(key=lambda r: r[declared.scan_order])
-        return wrapped(rows), "snapshot scan"
-    rowids, text_pruned = _text_rowids(table, text_restrictions)
-    access = "index text" if text_pruned else "index"
-    if not indexed and rowids is None:
+            if rowids is not None and not rowids:
+                break
+            index = table.any_index_for(attribute)
+            if index is None:
+                # Adaptive access path: build the missing index once so
+                # this and every later query answers from it.
+                index = table.create_index(attribute)
+            matched = set(index.lookup(value))
+            rowids = matched if rowids is None else rowids & matched
+        return rowids, text_pruned
+
+    (rowids, text_pruned), stale = table.probe(probe)
+    pinned = stale is not None
+    if rowids is None:
         if declared.scan_order is None:
             rows = list(table)
         else:
             rows = table.sorted_by(declared.scan_order)
-        return wrapped(rows), "filtered scan" if residual else "scan"
-    if rowids is not None and not rowids:
-        return [], access
-    for attribute, value in indexed:
-        index = table.any_index_for(attribute)
-        if index is None:
-            # Adaptive access path: build the missing index once so
-            # this and every later query answers from it.
-            index = table.create_index(attribute)
-        matched = set(index.lookup(value))
-        rowids = matched if rowids is None else rowids & matched
-        if not rowids:
-            return [], access
+        access = "filtered scan" if residual else "scan"
+        return wrapped(rows), "snapshot scan" if pinned else access, 0
+    keys = [(a, value_sort_key(v)) for a, v in indexed]
     # One batched pass: no per-rowid table.get round trips.
-    return wrapped(table.get_many(sorted(rowids))), access
+    rows = table.fetch(
+        sorted(rowids), stale,
+        lambda row: all(value_sort_key(row[a]) == key for a, key in keys),
+    )
+    if stale is SWAMPED:
+        return wrapped(rows), "snapshot scan", None
+    access = "index text" if text_pruned else "index"
+    return wrapped(rows), access, len(stale) if pinned else 0
 
 
 class QuelSession:
@@ -272,6 +267,14 @@ class QuelSession:
         # trigram index, and how many candidate rows survived pruning.
         self._text_searches = self.metrics.counter("text.searches")
         self._text_candidates = self.metrics.counter("text.candidates")
+        # Pinned-snapshot reads: range variables answered from an index,
+        # and the ones a swamped stale set sent back to a scan.
+        self._snapshot_index_reads = self.metrics.counter(
+            "quel.snapshot_index_reads"
+        )
+        self._snapshot_scan_fallbacks = self.metrics.counter(
+            "quel.snapshot_scan_fallbacks"
+        )
         self._statement_cache = StatementCache(self.metrics)
         self._plan_cache = plan_cache_for(
             getattr(schema, "database", None), self.metrics
@@ -518,6 +521,10 @@ class QuelSession:
             self._limits_local.limits = previous
         plan = self._last_plan
         rows = plan.rows() if plan is not None else [{"plan": "(no plan)"}]
+        if plan is not None and plan.snapshot is not None:
+            rows.append(
+                {"plan": "snapshot %d: +%d stale rowids" % plan.snapshot}
+            )
         count = len(result) if isinstance(result, list) else result
         rows.append({"plan": "rows: %s" % count})
         rows.append({"plan": "rows visited: %d" % visits})
@@ -698,10 +705,15 @@ class QuelSession:
         bound (:meth:`SimilarityScorer.bound_with`), which is what lets
         :meth:`_text_topk` stop fetching rows early.
 
-        Returns ``(access, count, candidates, ranked)``: *candidates* is
-        the lazy instance stream (empty for top-k), *ranked* the
-        ``(rowids, scorer, index)`` the top-k operator ranks (None for
-        the stream).
+        Both read the index inside :meth:`Table.probe`, so they run
+        pinned exactly as locked; a table whose stale set has outgrown
+        the candidate cap gets neither (None: the generic source scans).
+
+        Returns ``(access, count, candidates, ranked, stale)``:
+        *candidates* is the lazy instance stream (empty for top-k),
+        *ranked* the ``(-score bound, rowid)`` list the top-k operator
+        fetches from, best bound first (None for the stream), *stale*
+        the stale rowids the source took in.
         """
         statement = compiled.statement
         variable = compiled.used[0]
@@ -718,27 +730,31 @@ class QuelSession:
             return None
         table = declared.table
         if statement.sort_by is None:
-            best = None
-            for attribute, operator, query, _threshold in text_restrictions:
-                index = table.text_index_for(attribute)
-                if operator != "matches" or index is None:
-                    continue
-                estimate = index.estimate_matching(query)
-                if estimate is not None and (
-                    best is None or estimate < best[0]
-                ):
-                    best = (estimate, index, query)
-            if best is None:
+            def rarest():
+                best = None
+                for attribute, operator, query, _threshold in text_restrictions:
+                    index = table.text_index_for(attribute)
+                    if operator != "matches" or index is None:
+                        continue
+                    estimate = index.estimate_matching(query)
+                    if estimate is not None and (
+                        best is None or estimate < best[0]
+                    ):
+                        best = (estimate, index, query)
+                return best
+
+            best, stale = table.probe(rarest)
+            if best is None or stale is SWAMPED:
                 return None
             estimate, index, query = best
-            stream = index.iter_matching(query)
-            if stream is None:
-                return None
             self._text_searches.inc()
             candidates = self._stream_candidates(
-                declared, stream, max(statement.limit, 64)
+                declared, index, query, max(statement.limit, 64)
             )
-            return "index text stream", estimate, candidates, None
+            return (
+                "index text stream", estimate, candidates, None,
+                len(stale or ()),
+            )
         spec = _similarity_sort_key(statement.sort_by)
         if not statement.descending or spec is None or spec[0] != variable:
             return None
@@ -746,28 +762,67 @@ class QuelSession:
         # sessions that rebound the name keep the generic sources.
         if self.functions.scalar("similarity") is not scalar_similarity:
             return None
-        index = table.text_index_for(spec[1])
         scorer = SimilarityScorer(spec[2])
-        if index is None or not scorer.grams:
+        if not scorer.grams:
             return None  # sub-trigram query: no overlap bound exists
-        rowids, _ = _text_rowids(table, text_restrictions)
-        if rowids is None:
-            return None
-        self._text_searches.inc()
-        self._text_candidates.inc(len(rowids))
-        return "index text topk", len(rowids), (), (rowids, scorer, index)
 
-    def _stream_candidates(self, declared, rowids, chunk):
-        """Instances for the lazy *rowids* stream, fetched *chunk* at a
-        time; abandoning the generator abandons the posting merge."""
+        def bounds():
+            """``{rowid: score upper bound}`` over the gate candidates,
+            from posting data alone (exact trigram overlap with the
+            query + stored row gram count; no row is fetched)."""
+            index = table.text_index_for(spec[1])
+            if index is None:
+                return None
+            rowids, _ = _text_rowids(table, text_restrictions)
+            if rowids is None:
+                return None
+            overlaps = index.overlap_counts(scorer.grams, rowids)
+            return {
+                rowid: scorer.bound_with(overlap, index.row_gram_count(rowid))
+                for rowid, overlap in overlaps.items()
+            }
+
+        bound_of, stale = table.probe(bounds)
+        if bound_of is None or stale is SWAMPED:
+            return None
+        stale = stale or ()
+        # What the postings say about a stale rowid describes some other
+        # version of it: bound 1.0, so it is always fetched and scored
+        # exactly.
+        bound_of.update(dict.fromkeys(stale, 1.0))
+        ranked = sorted((-bound, rowid) for rowid, bound in bound_of.items())
+        self._text_searches.inc()
+        self._text_candidates.inc(len(ranked))
+        return "index text topk", len(ranked), (), ranked, len(stale)
+
+    def _stream_candidates(self, declared, index, query, chunk):
+        """Instances for *index*'s lazy ``matches`` stream, *chunk*
+        rowids per probe.  Each probe opens a fresh posting merge past
+        the last rowid of the one before, so abandoning the generator
+        costs nothing and no merge is left suspended while a pinned
+        reader is off the latch; the stale rowids inside the chunk's
+        rowid range (all that are left, once the merge runs dry) are
+        merged in, keeping the stream in ascending rowid order."""
         table = declared.table
+        after = -1
         while True:
-            batch = list(islice(rowids, chunk))
-            if not batch:
-                return
+            batch, stale = table.probe(
+                lambda: list(islice(index.iter_matching(query, after), chunk))
+            )
+            last = batch[-1] if len(batch) == chunk else None
+            if stale:
+                if stale is SWAMPED:
+                    stale = table.rowids()
+                batch = sorted(set(batch).union(
+                    rowid for rowid in stale
+                    if rowid > after and (last is None or rowid <= last)
+                ))
             self._text_candidates.inc(len(batch))
             for row in table.get_many(batch):
                 yield declared.wrap(row)
+            if last is None:
+                return
+            after = last
 
     def _prepare_compiled(self, compiled, gate=True):
         """Lock tables, pick every variable's candidate source, and
@@ -775,17 +830,23 @@ class QuelSession:
 
         What selects a source is observable, never configured:
 
-        * a pinned snapshot (lock-free MVCC read) takes no locks and
-          reads no index -- every variable is a "snapshot scan" and
-          order conjuncts are checked per row;
         * an order conjunct (``before``/``after``/``under``) with one
           side bound enumerates the other side by (parent, order_key)
           index range scan once its driver is bound ("order range"), so
-          that variable gets no static candidate list;
+          that variable gets no static candidate list -- except under a
+          pinned snapshot, where the conjunct is checked per row (the
+          range scan would need an order_key-ordered merge of the stale
+          members);
         * a ``limit N`` text retrieve over one variable streams its
           candidates (:meth:`_limit_text_source`);
         * everything else materializes candidates from the restrictions
           an index can answer (:func:`_candidates`).
+
+        A pinned snapshot (lock-free MVCC read) takes no locks and
+        otherwise changes nothing here: every source reads its indexes
+        through :meth:`Table.probe`, which is what adds the table's
+        stale rowids to the candidates; "snapshot scan" is what a
+        pinned variable no index applies to is labelled.
 
         Returns ``(order, candidates, dynamic, checks_by_level,
         ranked)``, or None when a constant conjunct gates the whole
@@ -797,7 +858,7 @@ class QuelSession:
             ranges = {}
             database = self.schema.database
             read_table = database.read_table
-            snapshot = database.transactions.current_snapshot() is not None
+            snapshot = database.transactions.current_snapshot()
             for variable in compiled.used:
                 ranges[variable] = self._range_for(variable)
                 # Shared lock before any read: concurrent writers cannot
@@ -807,38 +868,42 @@ class QuelSession:
                 read_table(ranges[variable].table.name)
             dynamic = {}
             consumed = set()
-            if not snapshot and compiled.pushdown_options:
+            if snapshot is None and compiled.pushdown_options:
                 dynamic, consumed = self._choose_pushdowns(compiled)
 
             candidates = {}
             accesses = {}
             counts = {}
             ranked = None
+            stale_rowids = 0
 
             def bind_static(variable):
-                candidates[variable], accesses[variable] = _candidates(
+                nonlocal stale_rowids
+                candidates[variable], accesses[variable], stale = _candidates(
                     ranges[variable],
                     compiled.restrictions.get(variable, ()),
                     compiled.text_restrictions.get(variable, ()),
-                    snapshot,
                 )
                 counts[variable] = len(candidates[variable])
                 if accesses[variable] == "index text":
                     self._text_searches.inc()
                     self._text_candidates.inc(counts[variable])
+                if stale is None:
+                    self._snapshot_scan_fallbacks.inc()
+                else:
+                    stale_rowids += stale
 
             static_vars = [v for v in compiled.used if v not in dynamic]
             early_exit = None
-            if not snapshot and len(compiled.used) == 1:
+            if len(compiled.used) == 1:
                 (only,) = compiled.used
                 early_exit = self._limit_text_source(compiled, ranges[only])
             if early_exit is None:
                 for variable in static_vars:
                     bind_static(variable)
             else:
-                accesses[only], counts[only], candidates[only], ranked = (
-                    early_exit
-                )
+                (accesses[only], counts[only], candidates[only], ranked,
+                 stale_rowids) = early_exit
             nodes = [conjunct.node for conjunct in compiled.conjuncts]
             order = planner.order_variables(static_vars, counts, nodes)
             placed = set(order)
@@ -866,6 +931,14 @@ class QuelSession:
                 order.append(advanced)
                 placed.add(advanced)
             plan = planner.build_plan(order, counts, accesses)
+            if snapshot is not None:
+                plan.snapshot = (snapshot, stale_rowids)
+                index_reads = sum(
+                    1 for access in accesses.values()
+                    if access.startswith("index")
+                )
+                if index_reads:
+                    self._snapshot_index_reads.inc(index_reads)
             self._last_plan = plan
             if plan_span is not NOOP_SPAN:
                 plan_span.record("label", plan.label)
@@ -976,11 +1049,11 @@ class QuelSession:
         first -- all the statement's sort-and-limit tail will keep.
 
         Instead of materializing every candidate and sorting,
-        candidates are ranked by their score's *upper bound*, computed
-        from posting data alone (exact trigram overlap with the query +
-        stored row gram count; no row is fetched), and fetched
-        best-bound-first in fixed-size chunks; the scan stops once the
-        Nth-best exact score already beats the next chunk's bound.
+        candidates arrive ranked by their score's *upper bound*
+        (*ranked*, computed at plan time from posting data alone: see
+        :meth:`_limit_text_source`) and are fetched best-bound-first in
+        fixed-size chunks; the scan stops once the Nth-best exact score
+        already beats the next chunk's bound.
         Low-scoring candidates are never fetched via ``get_many`` at
         all, which is where the 1M-row win comes from.  Each chunk goes
         through :meth:`_join`, so visits are counted and conjuncts
@@ -990,27 +1063,19 @@ class QuelSession:
         exactly: equal scores order by rowid, which is the order the
         "index text" source visits candidates in.
         """
-        rowids, scorer, index = ranked
-        if not rowids:
-            return
         limit = compiled.statement.limit
         score = compiled.sort_fn
         declared = self._range_for(variable)
         table = declared.table
-        overlaps = index.overlap_counts(scorer.grams, rowids)
-        bounds = sorted(
-            (-scorer.bound_with(overlap, index.row_gram_count(rowid)), rowid)
-            for rowid, overlap in overlaps.items()
-        )
         # keys hold (-score, rowid): ascending order == score
         # descending, rowid ascending -- the stable-sort tie order.
         keys = []
         kept = []
         chunk = max(limit, 64)
-        for start in range(0, len(bounds), chunk):
-            if len(keys) >= limit and -bounds[start][0] < -keys[-1][0]:
+        for start in range(0, len(ranked), chunk):
+            if len(keys) >= limit and -ranked[start][0] < -keys[-1][0]:
                 break  # no remaining candidate can beat the Nth score
-            batch = sorted(rowid for _, rowid in bounds[start:start + chunk])
+            batch = sorted(rowid for _, rowid in ranked[start:start + chunk])
             pool = [declared.wrap(row) for row in table.get_many(batch)]
             for bindings in self._join(
                 [variable], {variable: pool}, {}, checks_by_level, limits
@@ -1136,7 +1201,7 @@ class QuelSession:
         else:
             if statement.sort_by is not None:
                 rows.sort(
-                    key=lambda item: _sortable(item[1]),
+                    key=lambda item: value_sort_key(item[1]),
                     reverse=statement.descending,
                 )
             out = [record for record, _, _ in rows]
@@ -1244,12 +1309,6 @@ def _similarity_sort_key(sort_by):
     return target.variable, target.attribute, literal.value
 
 
-def _sortable(value):
-    from repro.storage.values import value_sort_key
-
-    return value_sort_key(value)
-
-
 def _record_key(record):
     """Hashable identity of a result record, or None (unhashable values
     never dedupe -- they are always distinct)."""
@@ -1323,7 +1382,7 @@ class _BoundedSort:
         self._seq = 0
 
     def offer(self, record, sort_key):
-        key = _sortable(sort_key)
+        key = value_sort_key(sort_key)
         if self.descending:
             key = _Reversed(key)
         entry = (key, self._seq)

@@ -158,13 +158,17 @@ class QueryPlan:
     executor builds a QueryPlan per statement but the string only when
     someone reads it); ``rows()`` produces the result-set shape the
     ``explain`` statement returns; ``label`` is the compact access-path
-    summary the planner test sweep asserts on.
+    summary the planner test sweep asserts on.  ``snapshot`` is None
+    for a locked statement and ``(pinned LSN, stale rowids the index
+    reads took in)`` for a pinned one -- what ``explain analyze`` adds a
+    line for.
     """
 
-    __slots__ = ("steps", "_text")
+    __slots__ = ("steps", "snapshot", "_text")
 
     def __init__(self, steps):
         self.steps = list(steps)
+        self.snapshot = None
         self._text = None
 
     @property

@@ -23,21 +23,79 @@ half-open commit-LSN interval ``[begin_lsn, end_lsn)``:
 A thread that pinned a snapshot ``S`` (via the transaction manager's
 ``pin_snapshot``) sees exactly the versions with
 ``begin_lsn <= S < end_lsn``; every read method consults the injected
-*snapshot* callable and routes to the chains when one is pinned,
-bypassing the row map *and every secondary index* (indexes reflect the
-live table and are not safe to read without a lock).  Superseded
-versions are pruned opportunistically on the rowid being rewritten and
-in bulk at checkpoint, never past the horizon of an active snapshot.
+*snapshot* callable and fetches rows through the chains when one is
+pinned.  Superseded versions are pruned opportunistically on the rowid
+being rewritten and in bulk at checkpoint, never past the horizon of an
+active snapshot.
+
+Snapshot reads
+--------------
+A pinned reader takes no table lock, yet answers from the same indexes
+as a locked one.  The indexes describe the *current* rows only, so two
+pieces of per-table state bridge the gap:
+
+* the **latch** -- one mutex.  Every path that changes what the
+  indexes describe (``insert``/``insert_many``/``update``/``delete``,
+  the three undo paths, ``install_committed``, index creation) holds it
+  around "row map + ``_reindex`` + stale mark" and nothing else; a
+  pinned reader holds it only while it probes index structures and
+  copies the stale set (:meth:`Table.probe`) -- never across a row
+  fetch, a predicate, a journal callback, a lock wait, a WAL append or
+  an fsync.  Lock order is latch -> ``_chains_mutex`` / the snapshot
+  registry mutex, never the reverse.
+* the **stale set** -- the rowids whose chain still holds a version the
+  indexes no longer describe: one superseded by an update, delete or
+  redo install that is uncommitted, or committed above a snapshot that
+  may still be pinned.  A rowid leaves the set when pruning has left
+  its chain one current version (or nothing).  The set is ordered by
+  latest supersede; every rewrite settles up to two of the oldest
+  entries against the prune horizon (amortised O(1) per write), a
+  pinned probe does the same (the last rewrite before a quiet spell has
+  no later one to settle it) and ``prune_versions`` sweeps the rest, so
+  the set's size follows the rewrites since the oldest pinned snapshot
+  or open transaction, not since the last checkpoint.
+
+The invariant is a *verified superset*: for any snapshot ``S`` that may
+be pinned and any indexed predicate, the rowids whose version visible
+at ``S`` satisfies it are contained in (index probe over current rows)
+union (stale set), both taken in one latch hold.  Proof by cases on a
+rowid ``r`` at the moment of the hold: if ``r`` is not stale its chain
+is one current version, which the index describes, so the probe decides
+it exactly (and the fetch drops it if that version is not visible at
+``S``); if ``r`` is stale it is a candidate regardless.  A writer that
+rewrites ``r`` *after* the hold cannot take the version visible at ``S``
+away -- the reader's registered pin holds the prune horizon at or below
+``S`` -- so the fetch through the chain still finds it.  Candidates are
+then fetched at ``S`` and **every** restriction is re-checked on the
+visible version (:meth:`Table.fetch`), because a stale rowid's visible
+version need not satisfy what the index says about its current one.
+When the stale set outgrows the planner's candidate cap
+(:meth:`Table.candidate_cap`) the read falls back to scanning the
+visible rows (:data:`SWAMPED`).
 """
 
 import itertools
 import threading
+from collections import OrderedDict
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.index import HashIndex, OrderedCompositeIndex, OrderedIndex
 from repro.storage.row import Row
 from repro.storage.values import Domain, coerce_value, value_sort_key
 from repro.text.index import TrigramIndex
+
+
+#: Below this many candidates an index always beats a scan; above it
+#: the cap scales with the table (see :meth:`Table.candidate_cap`).
+_CANDIDATE_FLOOR = 512
+
+#: What :meth:`Table.probe` hands back in place of the stale rowids once
+#: they outnumber the candidate cap: every rowid is a candidate, scan.
+SWAMPED = object()
+
+#: Stale entries a single write may settle: each write adds at most
+#: one, so any backlog (a long snapshot just unpinned) drains.
+_TRIM_PER_WRITE = 2
 
 
 class RowVersion:
@@ -145,6 +203,13 @@ class Table:
         # but are pruned aggressively on rewrite.
         self._snapshot = snapshot
         self._prune_horizon = prune_horizon
+        # Snapshot reads (module docstring): the latch orders index
+        # upkeep against pinned readers' probes; the stale set, oldest
+        # supersede first, names the rowids whose chain holds a version
+        # the indexes no longer describe.  Re-entrant so an adaptive
+        # create_index can run inside a probe.
+        self._latch = threading.RLock()
+        self._stale = OrderedDict()
         # Optional bulk journal hook ``(table_name, rows)``: lets
         # insert_many log one batched WAL record instead of one frame
         # per row; absent, the batch journals row by row.
@@ -161,9 +226,10 @@ class Table:
             self._updates = metrics.counter("table.updates")
             self._deletes = metrics.counter("table.deletes")
             self._pruned = metrics.counter("mvcc.versions_pruned")
+            self._stale_gauge = metrics.gauge("mvcc.stale_rowids")
         else:
             self._inserts = self._updates = self._deletes = None
-            self._pruned = None
+            self._pruned = self._stale_gauge = None
         # Bumped on EVERY row mutation, including the non-journalled
         # recovery/undo paths, so derived caches can detect staleness.
         self.version = 0
@@ -316,18 +382,21 @@ class Table:
             for name in column:
                 self.schema.column(name)
             key = (column, True)
-            if key in self._indexes:
-                return self._indexes[key]
-            index = OrderedCompositeIndex(column)
         else:
             self.schema.column(column)
             key = (column, ordered)
+        # Under the latch: a pinned reader may build an index adaptively
+        # while a writer maintains the others.
+        with self._latch:
             if key in self._indexes:
                 return self._indexes[key]
-            index = OrderedIndex(column) if ordered else HashIndex(column)
-        for row in self._rows.values():
-            index.insert(self._index_value(column, row), row.rowid)
-        self._indexes[key] = index
+            if isinstance(column, tuple):
+                index = OrderedCompositeIndex(column)
+            else:
+                index = OrderedIndex(column) if ordered else HashIndex(column)
+            for row in self._rows.values():
+                index.insert(self._index_value(column, row), row.rowid)
+            self._indexes[key] = index
         self.notify_schema_change()
         return index
 
@@ -377,23 +446,25 @@ class Table:
                 % (self.name, column, schema_column.domain.value)
             )
         key = (column, "text")
-        existing = self._indexes.get(key)
-        if existing is not None:
-            return existing
-        index = TrigramIndex(metrics=self._metrics)
-        # One bulk build instead of a per-row insort storm: at catalog
-        # scale the backfill is the dominant cost of this DDL.
-        index.insert_many(
-            (self._index_value(column, row), row.rowid)
-            for row in self._rows.values()
-        )
-        self._indexes[key] = index
+        with self._latch:
+            existing = self._indexes.get(key)
+            if existing is not None:
+                return existing
+            index = TrigramIndex(metrics=self._metrics)
+            # One bulk build instead of a per-row insort storm: at
+            # catalog scale the backfill is the dominant cost of this DDL.
+            index.insert_many(
+                (self._index_value(column, row), row.rowid)
+                for row in self._rows.values()
+            )
+            self._indexes[key] = index
         self.notify_schema_change()
         return index
 
     def drop_text_index(self, column):
         """Drop the trigram index over *column*; returns it (or None)."""
-        index = self._indexes.pop((column, "text"), None)
+        with self._latch:
+            index = self._indexes.pop((column, "text"), None)
         if index is not None:
             index.detach()
             self.notify_schema_change()
@@ -406,7 +477,7 @@ class Table:
     def text_index_columns(self):
         """Sorted column names carrying a trigram index."""
         return sorted(
-            column for (column, kind) in self._indexes if kind == "text"
+            column for (column, kind) in list(self._indexes) if kind == "text"
         )
 
     # -- mutation ----------------------------------------------------------
@@ -426,9 +497,10 @@ class Table:
             # Keep the allocator ahead of explicitly provided rowids.
             self._next_rowid = itertools.count(max(rowid + 1, next(self._next_rowid)))
         row = Row(rowid, coerced)
-        self._rows[rowid] = row
-        self._chain_append(rowid, RowVersion(row))
-        self._reindex(None, row)
+        with self._latch:
+            self._rows[rowid] = row
+            self._chain_append(rowid, RowVersion(row))
+            self._reindex(None, row)
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc()
@@ -453,18 +525,19 @@ class Table:
             self._guard()
         coerced_list = [self.schema.coerce(values) for values in values_list]
         rows = []
-        for coerced in coerced_list:
-            rowid = next(self._next_rowid)
-            while rowid in self._rows:
+        with self._latch:
+            for coerced in coerced_list:
                 rowid = next(self._next_rowid)
-            row = Row(rowid, coerced)
-            self._rows[rowid] = row
-            self._chain_append(rowid, RowVersion(row))
-            rows.append(row)
-        for (column, _), index in self._indexes.items():
-            index.insert_many(
-                [(self._index_value(column, row), row.rowid) for row in rows]
-            )
+                while rowid in self._rows:
+                    rowid = next(self._next_rowid)
+                row = Row(rowid, coerced)
+                self._rows[rowid] = row
+                self._chain_append(rowid, RowVersion(row))
+                rows.append(row)
+            for (column, _), index in self._indexes.items():
+                index.insert_many(
+                    [(self._index_value(column, row), row.rowid) for row in rows]
+                )
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc(len(rows))
@@ -484,12 +557,13 @@ class Table:
         for column, value in updates.items():
             coerced[column] = coerce_value(self.schema.column(column).domain, value)
         new = old.replaced(coerced)
-        self._rows[rowid] = new
-        # The old version stays open (end_lsn None) until the commit
-        # stamps it; snapshot readers keep seeing it meanwhile.
-        self._chain_append(rowid, RowVersion(new))
-        self._prune_rowid(rowid)
-        self._reindex(old, new)
+        with self._latch:
+            self._rows[rowid] = new
+            # The old version stays open (end_lsn None) until the commit
+            # stamps it; snapshot readers keep seeing it meanwhile.
+            self._chain_append(rowid, RowVersion(new))
+            self._reindex(old, new)
+            self._supersede(rowid)
         self.version += 1
         if self._updates is not None:
             self._updates.inc()
@@ -502,11 +576,12 @@ class Table:
         if self._guard is not None:
             self._guard()
         old = self.require(rowid)
-        del self._rows[rowid]
-        # No chain change: the victim version stays open until the
-        # commit stamps its end_lsn, so pinned snapshots still see it.
-        self._prune_rowid(rowid)
-        self._reindex(old, None)
+        with self._latch:
+            del self._rows[rowid]
+            # No chain change: the victim version stays open until the
+            # commit stamps its end_lsn, so pinned snapshots still see it.
+            self._reindex(old, None)
+            self._supersede(rowid)
         self.version += 1
         if self._deletes is not None:
             self._deletes.inc()
@@ -570,66 +645,80 @@ class Table:
 
     # Undo paths: invoked while rolling back an uncommitted (or
     # failed-to-flush) transaction.  The mutating thread still holds its
-    # X locks, so the row map and indexes are private to it; chains are
-    # shared with snapshot readers, hence the identity-targeted drop /
-    # reopen instead of wholesale replacement.
+    # X locks, so no other writer is about; the row map and indexes are
+    # shared with pinned readers' probes (hence the latch) and the
+    # chains with their fetches, hence the identity-targeted drop /
+    # reopen instead of wholesale replacement.  An undo never makes a
+    # rowid stale -- the indexes go back to describing a version that
+    # never left the chain -- but it may be what leaves a stale rowid
+    # with one current version again.
 
     def undo_insert(self, row):
         """Roll back an uncommitted insert of *row*."""
         rowid = row.rowid
-        if self._rows.get(rowid) is row:
-            del self._rows[rowid]
-            self._reindex(row, None)
-        self._chain_drop(rowid, row)
+        with self._latch:
+            if self._rows.get(rowid) is row:
+                del self._rows[rowid]
+                self._reindex(row, None)
+            self._chain_drop(rowid, row)
+            self._settle(rowid, self._horizon())
         self.version += 1
 
     def undo_update(self, new_row, old_row):
         """Roll back an uncommitted update *old_row* -> *new_row*."""
         rowid = new_row.rowid
-        self._rows[rowid] = old_row
-        self._reindex(new_row, old_row)
-        self._chain_drop(rowid, new_row)
-        version = self._chain_version_of(old_row)
-        if version is not None:
-            version.end_lsn = None  # reopen: the commit stamp never took
+        with self._latch:
+            self._rows[rowid] = old_row
+            self._reindex(new_row, old_row)
+            self._chain_drop(rowid, new_row)
+            version = self._chain_version_of(old_row)
+            if version is not None:
+                version.end_lsn = None  # reopen: the commit stamp never took
+            self._settle(rowid, self._horizon())
         self.version += 1
 
     def undo_delete(self, old_row):
         """Roll back an uncommitted delete of *old_row*."""
         rowid = old_row.rowid
-        self._rows[rowid] = old_row
-        self._reindex(None, old_row)
-        version = self._chain_version_of(old_row)
-        if version is not None:
-            version.end_lsn = None
+        with self._latch:
+            self._rows[rowid] = old_row
+            self._reindex(None, old_row)
+            version = self._chain_version_of(old_row)
+            if version is not None:
+                version.end_lsn = None
+            self._settle(rowid, self._horizon())
         self.version += 1
 
-    def _prune_rowid(self, rowid):
+    def _horizon(self):
+        """The LSN below which no snapshot can look; None on a bare
+        table (no transaction manager: nothing stamps or snapshots
+        versions, so superseded images can go at once)."""
         if self._prune_horizon is None:
-            # Bare table (no transaction manager): nothing stamps or
-            # snapshots versions, so superseded images can go at once.
-            with self._chains_mutex:
-                chain = self._chains.get(rowid)
-                if chain is None:
-                    return
-                if rowid in self._rows:
-                    self._chains[rowid] = (chain[-1],)
-                else:
-                    del self._chains[rowid]
-            return
-        self._prune_chain(rowid, self._prune_horizon())
+            return None
+        return self._prune_horizon()
 
     def _prune_chain(self, rowid, horizon):
         """Drop versions of *rowid* invisible to every snapshot >= horizon."""
-        pruned = 0
+        chain = self._chains.get(rowid)
+        if chain is None:
+            return 0
+        if horizon is not None:
+            # Ends never decrease along a chain, so the oldest version
+            # decides -- without the mutex -- whether anything can go.
+            end = chain[0].end_lsn
+            if end is None or end > horizon:
+                return 0
         with self._chains_mutex:
             chain = self._chains.get(rowid)
             if chain is None:
                 return 0
-            kept = tuple(
-                v for v in chain
-                if v.end_lsn is None or v.end_lsn > horizon
-            )
+            if horizon is None:
+                kept = chain[-1:] if rowid in self._rows else ()
+            else:
+                kept = tuple(
+                    v for v in chain
+                    if v.end_lsn is None or v.end_lsn > horizon
+                )
             if len(kept) == len(chain):
                 return 0
             pruned = len(chain) - len(kept)
@@ -641,6 +730,59 @@ class Table:
             self._pruned.inc(pruned)
         return pruned
 
+    # Stale-set upkeep; every caller holds the latch.
+
+    def _supersede(self, rowid):
+        """*rowid*'s chain now holds a version the indexes no longer
+        describe: queue it as stale, prune its chain (as every rewrite
+        always has) and settle what has aged out at the front.
+
+        A rowid already queued moves to the back, so the set stays
+        ordered by *latest* supersede and a row rewritten in a loop
+        cannot park at the front and block the trim of everything
+        behind it.
+        """
+        stale = self._stale
+        if rowid in stale:
+            stale.move_to_end(rowid)
+        else:
+            stale[rowid] = None
+            if self._stale_gauge is not None:
+                self._stale_gauge.inc()
+        horizon = self._horizon()
+        self._prune_chain(rowid, horizon)
+        self._trim_stale(horizon)
+
+    def _trim_stale(self, horizon):
+        """Settle the oldest stale rowids, stopping at the first one a
+        snapshot or open transaction still needs (the ones behind it
+        were superseded later still)."""
+        stale = self._stale
+        for _ in range(_TRIM_PER_WRITE):
+            if not stale or not self._settle(next(iter(stale)), horizon):
+                return
+
+    def _settle(self, rowid, horizon):
+        """Prune *rowid*'s chain and, if one current version (or
+        nothing) is left, drop it from the stale set: the indexes
+        describe all of it again.  Returns whether it is settled."""
+        self._prune_chain(rowid, horizon)
+        chain = self._chains.get(rowid)
+        if chain is not None and (
+            len(chain) > 1 or chain[0].row is not self._rows.get(rowid)
+        ):
+            return False
+        if rowid in self._stale:
+            del self._stale[rowid]
+            if self._stale_gauge is not None:
+                self._stale_gauge.dec()
+        return True
+
+    def stale_rowids(self):
+        """The stale set, oldest supersede first (introspection)."""
+        with self._latch:
+            return tuple(self._stale)
+
     def prune_versions(self, horizon):
         """Prune every chain against *horizon*; returns versions dropped.
 
@@ -649,7 +791,8 @@ class Table:
         ``min(active snapshots, current durable LSN)`` with the durable
         LSN read first, and LSNs are monotone), and a version with
         ``end_lsn <= horizon`` is invisible to every snapshot
-        ``>= horizon``.
+        ``>= horizon``.  The stale set is swept afterwards, a slice per
+        latch hold.
         """
         total = 0
         for rowid, chain in list(self._chains.items()):
@@ -657,6 +800,11 @@ class Table:
             # rowid; skip it without taking the chain mutex.
             if len(chain) > 1 or chain[0].end_lsn is not None:
                 total += self._prune_chain(rowid, horizon)
+        pending = self.stale_rowids()
+        for start in range(0, len(pending), 256):
+            with self._latch:
+                for rowid in pending[start:start + 256]:
+                    self._settle(rowid, horizon)
         return total
 
     def scan(self, predicate=None):
@@ -665,55 +813,106 @@ class Table:
             if predicate is None or predicate(row):
                 yield row
 
-    def select_eq(self, column, value):
-        """Rows where *column* == *value*, via an index when available.
+    # -- the one index read path ---------------------------------------------
+    #
+    # Every read that answers from an index -- select_eq, select_range,
+    # each QUEL candidate source -- is a probe() followed by a fetch()
+    # (or, for the streaming sources, by get_many): the same two steps
+    # under a table lock and under a pinned snapshot.
 
-        Under a pinned snapshot the indexes (which mirror the live
-        table and are unsafe to read lock-free) are bypassed in favor
-        of a visible-row scan.
+    def candidate_cap(self):
+        """The most candidates an index may hand back before a scan is
+        the cheaper plan.  A cost estimate: it reads the current row
+        map's size, never a row (``len(table)`` under a pinned snapshot
+        walks every chain to stay exact)."""
+        return max(_CANDIDATE_FLOOR, len(self._rows) // 2)
+
+    def probe(self, fn, *args):
+        """Run ``fn(*args)`` where it may read this table's indexes;
+        returns ``(its result, stale)``.
+
+        Without a pinned snapshot the caller's table lock keeps writers
+        out, the indexes are exact and *stale* is None.  Pinned, *fn*
+        runs under the latch and *stale* is the stale set copied in the
+        same hold -- the rowids :meth:`fetch` must consider besides
+        whatever *fn* found (module docstring, "Snapshot reads") -- or
+        :data:`SWAMPED` once it has outgrown :meth:`candidate_cap`.
+        *fn* must only read index structures: no row fetch, no
+        predicate.
         """
-        snapshot = self._current_snapshot()
-        if snapshot is not None:
-            return [
-                row for row in self._snapshot_rows(snapshot)
-                if row[column] == value
-            ]
+        if self._snapshot is None or self._snapshot() is None:
+            return fn(*args), None
+        with self._latch:
+            stale = self._stale
+            if stale:
+                # The last rewrite before a quiet spell has no later
+                # write to settle it; the readers that follow do.
+                self._trim_stale(self._horizon())
+            swamped = len(stale) > self.candidate_cap()
+            return fn(*args), SWAMPED if swamped else tuple(stale)
+
+    def fetch(self, rowids, stale, verify):
+        """The rows a :meth:`probe` answered with.
+
+        *stale* None (not pinned): the rows of *rowids*, in the order
+        given.  Pinned: the versions of *rowids* and *stale* visible at
+        the snapshot that pass *verify*, the exact predicate the probe
+        stood for -- or, :data:`SWAMPED`, every visible row that passes
+        it -- in ascending rowid order, so callers that want the two to
+        agree pass *rowids* ascending.
+        """
+        if stale is None:
+            rows = self._rows
+            return [rows[rowid] for rowid in rowids if rowid in rows]
+        if stale is SWAMPED:
+            rows = sorted(self, key=lambda row: row.rowid)
+        else:
+            rows = self.get_many(sorted(set(stale).union(rowids)))
+        return [row for row in rows if verify(row)]
+
+    def _lookup(self, column, value):
+        """Rowids an index holds under *column* == *value*; None when
+        the column has no index."""
         index = self.any_index_for(column)
-        if index is not None:
-            rows = []
-            for rowid in index.lookup(value):
-                row = self._rows.get(rowid)
-                if row is not None:
-                    rows.append(row)
-            return rows
-        return [row for row in self._rows.values() if row[column] == value]
+        return None if index is None else index.lookup(value)
+
+    def select_eq(self, column, value):
+        """Rows where *column* == *value*, via an index when available
+        (locked or pinned: see :meth:`probe`), in ascending rowid order;
+        a scan in table order otherwise."""
+        rowids, stale = self.probe(self._lookup, column, value)
+        if rowids is None:
+            return [row for row in self if row[column] == value]
+        return self.fetch(
+            rowids, stale,
+            lambda row: value_sort_key(row[column]) == value_sort_key(value),
+        )
 
     def select_range(self, column, low=None, high=None):
-        """Rows with low <= column <= high, via an ordered index if present."""
-        snapshot = self._current_snapshot()
-        if snapshot is None:
+        """Rows with low <= column <= high: by ascending key (then
+        rowid) via an ordered index if present, else in table order."""
+        def scan_range():
             index = self.index_for(column, ordered=True)
-            if index is not None:
-                rows = []
-                for rowid in index.range(low, high):
-                    row = self._rows.get(rowid)
-                    if row is not None:
-                        rows.append(row)
-                return rows
-            source = self._rows.values()
-        else:
-            source = self._snapshot_rows(snapshot)
+            return None if index is None else list(index.range(low, high))
+
         low_key = None if low is None else value_sort_key(low)
         high_key = None if high is None else value_sort_key(high)
-        out = []
-        for row in source:
+
+        def within(row):
             key = value_sort_key(row[column])
-            if low_key is not None and key < low_key:
-                continue
-            if high_key is not None and key > high_key:
-                continue
-            out.append(row)
-        return out
+            return (low_key is None or key >= low_key) and (
+                high_key is None or key <= high_key
+            )
+
+        rowids, stale = self.probe(scan_range)
+        if rowids is None:
+            return [row for row in self if within(row)]
+        rows = self.fetch(rowids, stale, within)
+        # Pinned, fetch() hands back rowid order; a stable sort by key
+        # restores the index's (key, rowid) order -- which a visible
+        # version's key need not share with its rowid's current one.
+        rows.sort(key=lambda row: value_sort_key(row[column]))
+        return rows
 
     def sorted_by(self, column, descending=False):
         """All rows sorted by *column* (section 5.2's key ordering)."""
@@ -744,27 +943,29 @@ class Table:
 
         The superseded version ends at *lsn* and the new one begins
         there, so a reader pinned below *lsn* keeps its image while the
-        change lands; then the rowid's chain is pruned to the horizon,
-        as ``update``/``delete`` do.  Recovery and loads pass LSN 0 (the
-        horizon is never below it), which leaves exactly one version,
-        visible to every snapshot.
+        change lands; then the rowid is queued as stale and its chain
+        pruned to the horizon, as ``update``/``delete`` do.  Recovery
+        and loads pass LSN 0 (the horizon is never below it), which
+        leaves exactly one version, visible to every snapshot, and the
+        stale set empty.
         """
         old = self._rows.get(rowid)
-        if row is None:
-            if old is None:
-                return
-            del self._rows[rowid]
-        else:
-            self._rows[rowid] = row
-            self._next_rowid = itertools.count(
-                max(rowid + 1, next(self._next_rowid))
-            )
-        self._reindex(old, row)
-        if row is not None:
-            self._chain_append(rowid, RowVersion(row, lsn, None))
-        if old is not None:
-            version = self._chain_version_of(old)
-            if version is not None:
-                version.end_lsn = lsn
-            self._prune_rowid(rowid)
+        if row is None and old is None:
+            return
+        with self._latch:
+            if row is None:
+                del self._rows[rowid]
+            else:
+                self._rows[rowid] = row
+                self._next_rowid = itertools.count(
+                    max(rowid + 1, next(self._next_rowid))
+                )
+            self._reindex(old, row)
+            if row is not None:
+                self._chain_append(rowid, RowVersion(row, lsn, None))
+            if old is not None:
+                version = self._chain_version_of(old)
+                if version is not None:
+                    version.end_lsn = lsn
+                self._supersede(rowid)
         self.version += 1

@@ -154,13 +154,18 @@ class TransactionManager:
         """Pin this thread's read view at *lsn* (default: now's durable
         LSN); returns the pinned LSN.  Nested pins share the outermost
         snapshot and must be matched by as many ``unpin_snapshot`` calls.
+
+        The LSN is read *inside* the registry mutex: read outside it, a
+        commit plus a prune could land between the read and the
+        registration and reclaim the very version this reader needs
+        (see :meth:`prune_horizon`, whose argument rests on it).
         """
         depth = getattr(self._local, "snapshot_depth", 0)
         if depth:
             self._local.snapshot_depth = depth + 1
             return self._local.snapshot
-        snapshot = self.snapshot_lsn() if lsn is None else lsn
         with self._snapshot_mutex:
+            snapshot = self.snapshot_lsn() if lsn is None else lsn
             self._active_snapshots[snapshot] = (
                 self._active_snapshots.get(snapshot, 0) + 1
             )

@@ -42,7 +42,7 @@ or bucketed by gram overlap rather than materialized as a set.
 """
 
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 
 from repro.errors import StorageError
 
@@ -279,21 +279,22 @@ class TrigramIndex:
             return set(postings[0])
         return set(self._intersect(postings))
 
-    def iter_matching(self, query):
+    def iter_matching(self, query, after=-1):
         """Lazy ``candidates_matching``: yields rowids ascending.
 
         Returns None when the query has no trigrams (cannot prune).
-        The executor's streaming top-k path consumes only as many
-        candidates as the limit needs.
+        The executor's streaming path consumes only as many candidates
+        as the limit needs, a chunk per call: *after* re-seeks a fresh
+        merge past the last rowid the previous chunk saw, so no merge
+        is ever left suspended between chunks (a pinned reader lets
+        writers at the postings in between).
         """
         postings = self._query_postings(query)
         if postings is None:
             return None
         if not postings:
             return iter(())
-        if len(postings) == 1:
-            return iter(postings[0])
-        return self._intersect(postings)
+        return self._intersect(postings, after)
 
     def _query_postings(self, query):
         """The query grams' postings sorted shortest-first; None when the
@@ -311,8 +312,9 @@ class TrigramIndex:
         return postings
 
     @staticmethod
-    def _intersect(postings):
-        """Galloping merge: rowids present in every posting, ascending.
+    def _intersect(postings, after=-1):
+        """Galloping merge: rowids above *after* present in every
+        posting, ascending.
 
         Drives with the shortest posting; each longer posting keeps a
         cursor that only moves forward, advanced by exponential search.
@@ -322,7 +324,12 @@ class TrigramIndex:
         driver = postings[0]
         others = postings[1:]
         positions = [0] * len(others)
-        for rowid in driver:
+        start = bisect_right(driver, after)
+        tail = (
+            (driver[k] for k in range(start, len(driver))) if start
+            else driver
+        )
+        for rowid in tail:
             hit = True
             for j, posting in enumerate(others):
                 i = positions[j]

@@ -66,6 +66,128 @@ class TestShipping:
         finally:
             replica.stop()
 
+    def test_replica_reads_bind_indexes_while_rewrites_land(self, served_mdm):
+        """A replica read is a pinned read: it must answer from the
+        replica's indexes and still equal a state the primary committed,
+        while shipped rewrites of the indexed key are being installed
+        under it.  Exactness is judged on the replica itself -- the
+        indexed answer against the scan-everything reference under one
+        pin -- and against the primary by history: every answer is one
+        of the states the writer left behind, never a mix."""
+        mdm, server = served_mdm
+        writer = MdmClient(server.address, client_id="writer")
+        writer.execute(
+            "define entity SONG (slot = integer, tag = string, title = string)"
+        )
+        for slot in range(12):
+            writer.execute(
+                'append to SONG (slot = %d, tag = "g0", title = "take zero")'
+                % slot
+            )
+        writer.execute("define text index on SONG (title)")
+        replica = start_replica(server, name="idx")
+        reader = MdmClient(server.address, replicas=[replica.address],
+                           client_id="idx-reader")
+        #: tag -> the slots carrying it, after each write -- recorded
+        #: *before* the write is sent, so the replica cannot show a
+        #: state the history has not heard of yet.
+        history = [{"g0": list(range(12))}]
+        failures = []
+        done = threading.Event()
+
+        def rewrite():
+            try:
+                for step in range(1, 41):
+                    slot = (step * 5) % 12
+                    state = {
+                        tag: [s for s in slots if s != slot]
+                        for tag, slots in history[-1].items()
+                    }
+                    state["g%d" % step] = [slot]
+                    history.append({t: s for t, s in state.items() if s})
+                    writer.execute(
+                        'replace s (tag = "g%d", title = "take %d") '
+                        "where s.slot = %d" % (step, step, slot)
+                    )
+            except BaseException as error:
+                failures.append(error)
+            finally:
+                done.set()
+
+        try:
+            assert wait_serving(replica)
+            writer.execute("range of s is SONG")
+            reader.execute("range of s is SONG")
+            plan = reader.retrieve(
+                'explain retrieve (s.slot) where s.tag = "g0"'
+            )
+            assert plan == [{"plan": "bind s via index (12 candidates)"}]
+            served_before = replica.metrics.value("repl.reads_served")
+            thread = threading.Thread(target=rewrite)
+            thread.start()
+            reads = 0
+            last = 0
+            while not done.is_set() or reads < 20:
+                rows = reader.retrieve(
+                    'retrieve (s.slot, s.tag) where s.tag = "g0"'
+                )
+                seen = sorted(r["s.slot"] for r in rows)
+                assert all(r["s.tag"] == "g0" for r in rows)
+                # One of the written states, and never an older one
+                # than the read before saw (g0 only ever shrinks, so
+                # the first state showing this g0 dates the read).
+                at = [state.get("g0", []) for state in history].index(seen)
+                assert at >= last
+                last = at
+                self._assert_replica_index_equals_its_scan(replica)
+                reads += 1
+            thread.join(timeout=30)
+            assert not thread.is_alive() and not failures, failures
+            assert replica.metrics.value("repl.reads_served") \
+                >= served_before + reads
+            # Caught up: replica, primary and the model agree exactly.
+            assert wait_applied(replica, writer.last_commit_lsn)
+            for tag, slots in history[-1].items():
+                source = 'retrieve (s.slot) where s.tag = "%s"' % tag
+                on_replica = reader.retrieve(source)
+                assert sorted(r["s.slot"] for r in on_replica) == slots
+                assert on_replica == writer.retrieve(source)
+            state = replica._state.database
+            assert state.metrics.value("quel.snapshot_index_reads") > reads
+            assert state.metrics.value("quel.snapshot_scan_fallbacks") == 0
+        finally:
+            done.set()
+            reader.close()
+            writer.close()
+            replica.stop()
+
+    @staticmethod
+    def _assert_replica_index_equals_its_scan(replica):
+        """Under one pin on the replica's database: every indexed QUEL
+        source against the reference oracle's full scans."""
+        from repro.quel.executor import QuelSession
+        from tests.quel.reference import reference_execute
+
+        state = replica._state
+        transactions = state.database.transactions
+        session = QuelSession(state.schema)
+        session.execute("range of s is SONG")
+        transactions.pin_snapshot()
+        try:
+            for source, label in (
+                ('retrieve (s.slot, s.tag) where s.tag = "g0"', "index"),
+                ('retrieve (s.slot) where matches(s.title, "take zero")',
+                 "index text"),
+                ('retrieve (s.slot) where matches(s.title, "take") limit 4',
+                 "index text stream"),
+            ):
+                assert session.execute(source) == reference_execute(
+                    state.schema, "range of s is SONG\n" + source
+                ), source
+                assert session.last_plan_object.label == label
+        finally:
+            transactions.unpin_snapshot()
+
     def test_read_your_writes_via_min_lsn(self, served_mdm):
         _, server = served_mdm
         replica = start_replica(server)

@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry and its instruments."""
 
 import threading
+from collections import deque
 
 import pytest
 
@@ -109,6 +110,23 @@ class TestTally:
             thread.join()
         assert registry.counter("stmt").value == 4 * per_thread
         assert registry.histogram("stmt_seconds").count == 4 * per_thread
+
+
+    def test_a_racing_drain_may_take_values_from_under_this_one(self):
+        """Two threads crossing the pending bound together both drain;
+        the loser used to die of ``IndexError: pop from an empty
+        deque`` inside whatever statement it was finishing."""
+        class OneStolen(deque):
+            # As if another drainer popped one after the length read.
+            def __len__(self):
+                return super().__len__() + 1
+
+        registry = MetricsRegistry()
+        tally = registry.tally("stmt", "stmt_seconds")
+        tally._pending = OneStolen([0.001, 0.002])
+        tally.drain()
+        assert registry.counter("stmt").value == 2
+        assert registry.histogram("stmt_seconds").count == 2
 
 
 class TestRegistry:

@@ -11,6 +11,7 @@ none of the engine's error checks.  Over one range variable the row
 several only the multiset is, because the planner picks a binding order.
 """
 
+import functools
 import operator
 
 from repro.core.entity import SURROGATE_COLUMN, EntityInstance
@@ -28,11 +29,16 @@ _OPERATORS = {
 }
 
 
+#: Batteries re-run a handful of sources thousands of times; the AST is
+#: never mutated, so parsing each once is safe.
+_parse = functools.lru_cache(maxsize=512)(parse_quel)
+
+
 def reference_execute(schema, source):
     """The rows of the last retrieve in *source* (ranges + retrieves)."""
     run = _Reference(schema)
     result = None
-    for statement in parse_quel(source):
+    for statement in _parse(source):
         if isinstance(statement, ast.RangeStatement):
             for variable in statement.variables:
                 run.ranges[variable] = statement.entity_type

@@ -105,3 +105,53 @@ class TestExplainAnalyze:
         session.execute("explain analyze retrieve (n.pitch) where n.n = 7")
         assert "index" in session.last_plan
         assert session.last_plan_object.label == "index"
+
+    def test_a_pinned_statement_reports_its_snapshot_and_stale_rowids(
+        self, session
+    ):
+        """The one new thing that can make a pinned read slow -- stale
+        rowids riding along with every index probe -- is in the plan."""
+        database = session.schema.database
+        metrics = database.metrics
+        source = "explain analyze retrieve (n.pitch) where n.n = 7"
+        assert "snapshot" not in _plan_text(session.execute(source))
+        txn = database.begin()   # uncommitted: nothing can settle these
+        session.execute("replace n (pitch = 0) where n.n = 3")
+        session.execute("replace n (pitch = 0) where n.n = 4")
+        with database.snapshot() as snap:
+            text = _plan_text(session.execute(source))
+            assert "bind n via index (1 candidates)" in text
+            assert "snapshot %d: +2 stale rowids" % snap.lsn in text
+            assert "rows visited: 1" in text
+            assert session.execute("retrieve (n.pitch) where n.n = 3") == [
+                {"n.pitch": 63}
+            ]
+        txn.abort()
+        assert metrics.value("quel.snapshot_index_reads") == 2
+        assert metrics.value("quel.snapshot_scan_fallbacks") == 0
+        assert metrics.value("mvcc.stale_rowids") == 0
+        with database.snapshot() as snap:
+            text = _plan_text(session.execute(source))
+            assert "snapshot %d: +0 stale rowids" % snap.lsn in text
+
+    def test_a_swamped_stale_set_falls_back_to_the_scan_and_is_counted(
+        self, session
+    ):
+        database = session.schema.database
+        note = session.schema.entity_type("NOTE")
+        for i in range(20, 620):
+            note.create(n=i, pitch=0)
+        txn = database.begin()
+        assert session.execute("replace n (pitch = 1) where n.pitch = 0") == 600
+        with database.snapshot():
+            text = _plan_text(session.execute(
+                "explain analyze retrieve (n.pitch) where n.n = 7"
+            ))
+            assert "bind n via snapshot scan (1 candidates)" in text
+            assert session.execute("retrieve (n.n) where n.pitch = 0 limit 2") \
+                == [{"n.n": 20}, {"n.n": 21}]
+        txn.abort()
+        assert database.metrics.value("quel.snapshot_scan_fallbacks") == 2
+        with database.snapshot():
+            session.execute("retrieve (n.pitch) where n.n = 7")
+            assert session.last_plan_object.label == "index"

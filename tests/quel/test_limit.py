@@ -17,6 +17,7 @@ from repro.errors import ParseError
 from repro.fixtures.corpus import load_catalog
 from repro.quel.executor import QuelSession
 from repro.quel.parser import parse_quel
+from repro.storage.table import Table
 from tests.quel.reference import reference_execute
 
 ROWS = 10_000
@@ -148,7 +149,32 @@ class TestPathAgreement:
         with catalog.database.snapshot():
             out = session.execute(TOPK)
             assert out == live
-            assert session.last_plan_object.label == "snapshot scan"
+            assert session.last_plan_object.label == "index text topk"
+
+    def test_pinned_read_sizes_its_candidate_cap_without_visiting_rows(
+        self, catalog, monkeypatch
+    ):
+        """The planner's cap used to be ``len(table) // 2``, and ``len``
+        under a pinned snapshot walks every chain: 10,000 visibility
+        checks to compute one integer."""
+        session = _session(catalog)
+        source = 'retrieve (t.title) where matches(t.title, "op. 28")'
+        live = session.execute(source)
+        assert 0 < len(live) < ROWS // 20
+        visits = []
+        visible_row = Table._visible_row
+
+        def counting(chain, snapshot):
+            visits.append(chain)
+            return visible_row(chain, snapshot)
+
+        monkeypatch.setattr(Table, "_visible_row", staticmethod(counting))
+        with catalog.database.snapshot():
+            assert session.execute(source) == live
+        assert session.last_plan_object.label == "index text"
+        # A few looks per candidate row (fetch, gate, target) -- never
+        # one per row of the table.
+        assert 0 < len(visits) <= 4 * len(live)
 
     def test_stream_paths_agree_on_unsorted_limit(self, catalog):
         source = 'retrieve (t.title) where matches(t.title, "prelude") limit 5'
@@ -160,6 +186,41 @@ class TestPathAgreement:
         assert out == full[:5]
         assert session.last_plan_object.label == "index text"
         assert _reference(catalog, source) == out
+
+
+class TestStreamChunks:
+    """The stream source in small chunks, so every chunk after the first
+    re-seeks: same rowids, same order, locked and pinned."""
+
+    @pytest.mark.parametrize("chunk", [1, 8, 64])
+    def test_chunked_stream_equals_the_whole_merge(self, catalog, chunk):
+        session = _session(catalog)
+        declared = session._range_for("t")
+        index = declared.table.text_index_for("title")
+        expected = sorted(index.candidates_matching("op. 28"))
+        assert len(expected) > 8
+
+        def streamed():
+            return [
+                instance.rowid for instance in session._stream_candidates(
+                    declared, index, "op. 28", chunk
+                )
+            ]
+
+        assert streamed() == expected
+        with catalog.database.snapshot():
+            assert streamed() == expected
+
+    def test_limit_past_the_first_chunk(self, catalog):
+        session = _session(catalog)
+        base = 'retrieve (t.title) where matches(t.title, "no. 7")'
+        full = session.execute(base)
+        assert len(full) > 200
+        assert session.execute(base + " limit 200") == full[:200]
+        assert session.last_plan_object.label == "index text stream"
+        with catalog.database.snapshot():
+            assert session.execute(base + " limit 200") == full[:200]
+            assert session.last_plan_object.label == "index text stream"
 
 
 class TestEarlyExit:

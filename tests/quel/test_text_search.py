@@ -160,7 +160,7 @@ class TestConsistency:
         with db.snapshot():
             out = mdm.execute(source)
             assert titles(out) == live
-            assert mdm.session.last_plan_object.label == "snapshot scan"
+            assert mdm.session.last_plan_object.label == "index text"
         # Rows committed after a pinned LSN stay invisible to it.
         lsn = db.transactions.snapshot_lsn()
         track = mdm.schema.entity_type("TRACK")

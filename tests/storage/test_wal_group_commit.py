@@ -60,8 +60,14 @@ class TestGroupCommit:
         roles = []
 
         def commit_one(txn_id):
-            barrier.wait()
+            # Append, *then* meet: the leader fsyncs holding the append
+            # mutex, so a thread still appending when the first leader
+            # takes it can only lead a round of its own -- and whether
+            # any commit rides would be the scheduler's call.  With all
+            # eight frames in before anyone flushes, the first arrival
+            # leads for everyone.
             record = wal.append(txn_id, wal_module.COMMIT)
+            barrier.wait()
             roles.append(wal.commit_flush(record.lsn))
 
         threads = [

@@ -16,16 +16,23 @@ schedule that previously deadlocked, timed out, or shed:
 * **no shedding** — readers bypass the admission gate, so schedules
   that drown the old S-lock path keep `overload_shed` at zero.
 
+The second half does the same for *index* reads: pinned readers that
+answer from the hash and trigram indexes while writers rewrite the
+indexed keys under them -- no lost row, no phantom, and no error out of
+an index structure caught mid-mutation (the latch's job).
+
 Thread interleaving is the one nondeterminism; every assertion is
 written to hold under all of them, and op streams are seeded per
 ``(seed, worker)`` so a failure replays.
 """
 
 import random
+import sys
 import threading
 
 import pytest
 
+from repro.mdm.manager import MusicDataManager
 from repro.storage.lock import LockMode
 from tests.stress.harness import BLOCKER_ID_BASE, NOTE_TABLE, build_mdm
 
@@ -70,7 +77,11 @@ def _transfer(rowid_a, rowid_b, delta):
     """A sum-preserving transfer closure (safe to retry: it re-reads)."""
 
     def apply(m):
-        table = m.database.table(NOTE_TABLE)
+        # X lock *before* the reads: read first and an older transaction
+        # parked between its read and its update waits out a younger
+        # one's commit (wait-die only kills the younger), then writes
+        # from the stale image -- a lost update that breaks the sum.
+        table = m.database.write_table(NOTE_TABLE)
         a = table.require(rowid_a)
         b = table.require(rowid_b)
         table.update(rowid_a, {"pitch": a["pitch"] - delta})
@@ -256,4 +267,171 @@ def test_interleaving_matrix_extended(seed):
     _assert_matrix_holds(
         _run_matrix(seed, writers=8, readers=6, transfers=80, scans=120,
                     note_count=24)
+    )
+
+
+# -- indexed pinned readers beside writers rewriting the indexed key ----------
+
+TRACK_TABLE = "entity:TRACK"
+_WORD = {"a": "alpha", "b": "bravo"}
+
+
+def _build_catalog(slots):
+    """*slots* tracks, half tagged "a" and half "b"; the title carries
+    the tag's word, so the hash index on ``tag`` and the trigram index
+    on ``title`` must always agree."""
+    mdm = MusicDataManager(with_cmn=False, max_concurrent=12)
+    mdm.execute(
+        "define entity TRACK (slot = integer, tag = string, title = string)"
+    )
+    track = mdm.schema.entity_type("TRACK")
+    for slot in range(slots):
+        tag = "ab"[slot % 2]
+        track.create(slot=slot, tag=tag, title="%s take 0" % _WORD[tag])
+    track.table.create_index("tag")
+    mdm.execute("define text index on TRACK (title)")
+    mdm.session.execute("range of t is TRACK")
+    return mdm
+
+
+def _swap(rng, generation):
+    """A tag-count-preserving transaction: one "a" track becomes a "b"
+    and one "b" an "a", each with its title rewritten to match -- two
+    hash keys and two sets of postings move per commit."""
+    pick_a, pick_b = rng.random(), rng.random()
+
+    def apply(m):
+        table = m.database.write_table(TRACK_TABLE)
+        tagged_a = table.select_eq("tag", "a")
+        tagged_b = table.select_eq("tag", "b")
+        a = tagged_a[int(pick_a * len(tagged_a))]
+        b = tagged_b[int(pick_b * len(tagged_b))]
+        table.update(a.rowid, {
+            "tag": "b", "title": "%s take %d" % (_WORD["b"], generation),
+        })
+        table.update(b.rowid, {
+            "tag": "a", "title": "%s take %d" % (_WORD["a"], generation),
+        })
+
+    return apply
+
+
+def _indexed_reads(m):
+    """Five index reads in one snapshot; returns what they saw."""
+    def slots(source):
+        return [row["t.slot"] for row in m.retrieve(source)]
+
+    return {
+        "a": slots('retrieve (t.slot) where t.tag = "a"'),
+        "b": slots('retrieve (t.slot) where t.tag = "b"'),
+        "alpha": slots('retrieve (t.slot) where matches(t.title, "alpha")'),
+        "first": slots(
+            'retrieve (t.slot) where matches(t.title, "alpha") limit 5'
+        ),
+        "ranked": slots(
+            'retrieve (t.slot) where matches(t.title, "bravo") '
+            'sort by similarity(t.title, "bravo take 0") descending limit 5'
+        ),
+    }
+
+
+def _run_indexed_matrix(seed, writers=4, readers=4, swaps=30, reads=40,
+                        slots=24):
+    mdm = _build_catalog(slots)
+    start = threading.Barrier(writers + readers)
+    torn = []
+    errors = []
+
+    def writer_body(worker):
+        rng = random.Random(seed * 1000 + worker)
+        session = mdm.connect(
+            "w%d" % worker, seed=seed * 1000 + worker, max_attempts=200,
+            backoff_base=0.0005, backoff_cap=0.01, default_timeout=30.0,
+        )
+        start.wait()
+        for step in range(swaps):
+            try:
+                session.run(_swap(rng, worker * 1000 + step + 1))
+            except BaseException as error:
+                errors.append(("writer", worker, error))
+                return
+
+    def reader_body(worker):
+        session = mdm.connect(
+            "r%d" % worker, seed=seed * 2000 + worker, default_timeout=30.0,
+        )
+        start.wait()
+        for _ in range(reads):
+            try:
+                seen = session.run(_indexed_reads, read_only=True)
+            except BaseException as error:
+                errors.append(("reader", worker, error))
+                return
+            a, b = seen["a"], seen["b"]
+            if not (
+                len(a) == len(b) == slots // 2
+                and sorted(a + b) == list(range(slots))   # none lost, none twice
+                and seen["alpha"] == a                    # trigram == hash
+                and seen["first"] == a[:5]                # stream: same order
+                and len(seen["ranked"]) == 5
+                and set(seen["ranked"]) <= set(b)
+            ):
+                torn.append(seen)
+
+    threads = [
+        threading.Thread(target=writer_body, args=(w,)) for w in range(writers)
+    ] + [
+        threading.Thread(target=reader_body, args=(r,)) for r in range(readers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # interleave inside the index upkeep
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    metrics = mdm.database.metrics
+    table = mdm.database.table(TRACK_TABLE)
+    return {
+        "errors": errors,
+        "torn": torn,
+        "index_reads": metrics.value("quel.snapshot_index_reads"),
+        "fallbacks": metrics.value("quel.snapshot_scan_fallbacks"),
+        "expected_index_reads": readers * reads * 5,
+        "final_tags": sorted(row["tag"] for row in table),
+        "slots": slots,
+        "stale_left": len(table.stale_rowids()),
+    }
+
+
+def _assert_indexed_matrix_holds(evidence):
+    # No RuntimeError / IndexError / KeyError / StorageError out of an
+    # index caught mid-mutation, and no service-layer failure either.
+    assert not evidence["errors"], evidence["errors"][:3]
+    # No lost or phantom row, in any of the five sources.
+    assert not evidence["torn"], evidence["torn"][:3]
+    # Every read really did answer from an index.
+    assert evidence["index_reads"] == evidence["expected_index_reads"]
+    assert evidence["fallbacks"] == 0
+    half = evidence["slots"] // 2
+    assert evidence["final_tags"] == ["a"] * half + ["b"] * half
+    # Writers trim as they go: what is left is the last few commits'.
+    assert evidence["stale_left"] <= 8
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+def test_indexed_snapshot_readers_versus_key_rewriting_writers(seed):
+    _assert_indexed_matrix_holds(_run_indexed_matrix(seed))
+
+
+@pytest.mark.mvcc_slow
+@pytest.mark.parametrize("seed", [13, 29, 41, 59])
+def test_indexed_interleaving_matrix_extended(seed):
+    _assert_indexed_matrix_holds(
+        _run_indexed_matrix(seed, writers=6, readers=6, swaps=80, reads=120,
+                            slots=40)
     )

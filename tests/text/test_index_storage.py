@@ -32,6 +32,22 @@ class TestTrigramIndexUnit:
         assert index.candidates_matching("prelude in") == {1}
         assert index.candidates_matching("zzz") == set()
 
+    def test_iter_matching_reseeks_past_a_rowid(self):
+        """The streaming source reads a chunk per call and re-opens the
+        merge past the last rowid it saw."""
+        index = TrigramIndex()
+        for rowid in range(1, 41):
+            index.insert(
+                "prelude no %d" % rowid if rowid % 3 else "nocturne", rowid
+            )
+        for query in ("prelude", "prelude no", "pre"):   # 5, 8 and 1 grams
+            everything = list(index.iter_matching(query))
+            assert everything == sorted(index.candidates_matching(query))
+            for after in (-1, 0, 1, 7, 20, 39, 40, 99):
+                assert list(index.iter_matching(query, after)) == [
+                    rowid for rowid in everything if rowid > after
+                ], (query, after)
+
     def test_sub_trigram_query_declines_to_prune(self):
         index = TrigramIndex()
         index.insert("prelude", 1)
