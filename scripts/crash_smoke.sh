@@ -6,10 +6,21 @@
 # Default: the fast matrix (8 seeds, >=200 crash schedules, the
 # WAL-checksum and fault-layer unit tests, and tests/crash/test_redo.py:
 # recovery == replica == live, the check that the log's two consumers
-# have not drifted) -- a few seconds, always on in the main test run
-# too -- then the size axis: one crash_slow schedule whose table image
-# is ten pager caches (~20 s).  Pass --full for the whole extended
-# matrix (16 extra seeds and per-write crash granularity).
+# have not drifted) plus the commit-path regressions
+#
+#   test_commit_path.py                 transactions contiguous, durable
+#                                       prefix ends between them (small
+#                                       size); begin/abort/read write nothing
+#   test_checkpoint_beside_writers.py   open transaction stays out of the
+#                                       image; no commit lost to truncation
+#   test_failed_commit.py               a commit reported failed does not
+#                                       come back after exit_degraded()
+#
+# -- a few seconds, always on in the main test run too -- then the size
+# axis: one crash_slow schedule whose table image is ten pager caches
+# (~20 s).  Pass --full for the whole extended matrix (16 extra seeds,
+# per-write crash granularity, a transaction held open across every
+# checkpoint, the contiguity property at 8 threads).
 set -eu
 cd "$(dirname "$0")/.."
 

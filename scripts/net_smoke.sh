@@ -5,6 +5,8 @@
 # plus compound disconnect+torn+stall+partition schedules, each checked
 # against the exactly-once oracle (acked writes committed exactly once,
 # nothing committed twice, in-doubt writes resolved by ledger dedup).
+# Includes TestReconnectResume: a feed torn inside a transaction resumes
+# at applied_lsn and installs it exactly once.
 # Plus tests/crash/test_redo.py (also run by crash_smoke.sh): a
 # replica's tables == the primary's == what the primary recovers.
 #

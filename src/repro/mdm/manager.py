@@ -45,9 +45,6 @@ class MusicDataManager:
         self._meta = None
         self.clients = []
         self._closed = False
-        self._init_service(max_concurrent, admission_queue_timeout)
-
-    def _init_service(self, max_concurrent, admission_queue_timeout):
         # Service counters share the database's registry so one
         # \metrics listing covers the whole stack.
         self.metrics = ServiceMetrics(registry=self.database.metrics)
@@ -68,15 +65,7 @@ class MusicDataManager:
         over the recovered tables; table contents come from the
         checkpoint + WAL replay.
         """
-        manager = cls.__new__(cls)
-        manager.database = Database(path)
-        manager.cmn = _rebind_cmn(manager.database)
-        manager.session = QuelSession(manager.schema)
-        manager._meta = None
-        manager.clients = []
-        manager._closed = False
-        manager._init_service(8, 0.1)
-        return manager
+        return cls(path)
 
     @property
     def schema(self):
@@ -97,10 +86,7 @@ class MusicDataManager:
         stripped = source.lstrip()
         if stripped.lower().startswith("define"):
             return execute_ddl(source, self.schema)
-        result = self.session.execute(source)
-        if self._meta is not None:
-            pass  # data changes don't touch the catalog
-        return result
+        return self.session.execute(source)
 
     def retrieve(self, source):
         """Run a QUEL retrieve and return its rows."""
@@ -188,14 +174,3 @@ class MusicDataManager:
     def check_invariants(self):
         self.schema.check_invariants()
 
-
-def _rebind_cmn(database):
-    """Recreate CmnSchema objects over already-recovered tables.
-
-    Entity/ordering/relationship tables bind to recovered contents (see
-    Database.create_or_bind_table), so re-declaring the CMN schema over
-    the recovered database reattaches everything.
-    """
-    from repro.cmn.schema import CmnSchema
-
-    return CmnSchema(database=database)

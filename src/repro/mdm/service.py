@@ -418,9 +418,10 @@ class MdmSession:
     def _abort_quietly(self, txn):
         """Abort *txn* without masking the in-flight exception.
 
-        A failing abort (e.g. the WAL's ABORT record hitting a dead
-        disk) must not replace the error being handled; the lock table
-        is cleaned up regardless so no other session starves.
+        An abort undoes in memory and touches no file, so a dead disk
+        cannot fail it; should the undo itself raise, that must not
+        replace the error being handled, and the lock table is cleaned
+        up regardless so no other session starves.
         """
         from repro.storage.transaction import TransactionState
 

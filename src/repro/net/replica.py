@@ -230,27 +230,19 @@ class ReplicaServer:
             time.sleep(backoff * (0.5 + self._rng.random()))
 
     def _resume_lsn(self):
-        """Where to resume the feed on a (re)connect.
+        """Where to resume the feed on a (re)connect: ``applied_lsn``.
 
-        Buffered records of uncommitted transactions do not survive the
-        disconnect: keeping them while the primary re-streams from
-        ``applied_lsn`` would deliver the same change frames twice (an
-        in-flight transaction's changes have LSNs above ``applied_lsn``
-        but below their COMMIT), double-applying at COMMIT.  Instead
-        the buffer is dropped and the resume point backs up to *below
-        the oldest buffered frame* — not just ``applied_lsn``, because
-        an in-flight transaction's changes can sit below another
-        transaction's already-applied COMMIT LSN.  Everything between
-        resumes from the wire; records already applied are recognized
-        by LSN and skipped (see ``RedoApplier.apply``).
+        A torn feed can leave the front of one transaction buffered.
+        It is dropped -- kept, the re-stream would deliver its change
+        frames a second time -- and the primary ships the transaction
+        again from its first frame: a transaction's frames are
+        contiguous in the log, so all of them lie above the last commit
+        point applied.
         """
         with self._applied_cond:
-            resume = self.applied_lsn
             if self._state is not None:
-                oldest = self._state.redo.discard_buffered()
-                if oldest is not None:
-                    resume = min(resume, oldest - 1)
-            return resume
+                self._state.redo.discard_buffered()
+            return self.applied_lsn
 
     def _feed_from(self, transport):
         pending_state = None

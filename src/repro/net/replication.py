@@ -5,11 +5,12 @@ connection's own thread.  A replica is first *seeded* — a pinned MVCC
 snapshot of the schema (as a structural manifest) and every table's
 rows, shipped as binary ``REPL_ROWS`` frames so rationals and blobs
 survive — and then *streamed*: raw WAL frames, each still wearing its
-on-disk CRC, from the seed LSN forward (or earlier, when a transaction
-in flight at the seed point has durable change frames below it — see
-``_send_seed``).  Only the durable prefix ships
+on-disk CRC, from the seed LSN forward.  Only the durable prefix ships
 (``stream_frames`` stops at ``flushed_lsn``), so an acknowledged
-replica is never ahead of the primary's own durability.
+replica is never ahead of the primary's own durability; and because a
+transaction's frames are appended in one hold of the mutex the fsync
+takes, that prefix — hence every seed LSN and every batch — ends
+between transactions, never inside one.
 
 Health gating is the quarantine state machine from DESIGN.md §4j: a
 replica that falls further behind than the lag budget, reports a CRC
@@ -230,25 +231,12 @@ class ReplicationHub:
     # -- seeding ---------------------------------------------------------------
 
     def _send_seed(self, transport, peer):
-        """Ship a full snapshot; returns the LSN to stream from next.
-
-        The stream resumes from ``min(horizon, seed_lsn + 1)``, not
-        ``seed_lsn + 1``: a transaction in flight at the seed point can
-        have change frames already durable (a group-commit rider fsync
-        covers frames appended so far) at LSNs *below* the snapshot
-        point while its COMMIT lands above it.  Those changes are not
-        in the snapshot (uncommitted) and would otherwise never ship —
-        the replica would apply a partial transaction at COMMIT and
-        silently diverge.  The horizon is read *before* pinning the
-        snapshot, so any transaction journaling its first frame later
-        gets an LSN past it; re-shipped records of transactions already
-        inside the snapshot carry commit LSNs <= seed_lsn, which the
-        replica recognizes as applied and skips.
-        """
+        """Ship a full snapshot; returns the LSN to stream from next:
+        ``seed_lsn + 1``, the first frame of the first transaction the
+        snapshot does not hold."""
         peer.state = "seeding"
         database = self.mdm.database
         transactions = database.transactions
-        horizon = database._log.replication_horizon()
         seed_lsn = transactions.pin_snapshot()
         try:
             tables = [
@@ -290,4 +278,4 @@ class ReplicationHub:
         peer.acked_lsn = max(peer.acked_lsn, seed_lsn)
         peer.shipped_lsn = max(peer.shipped_lsn, seed_lsn)
         peer.state = "streaming"
-        return min(horizon, seed_lsn + 1)
+        return seed_lsn + 1

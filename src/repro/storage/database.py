@@ -276,7 +276,17 @@ class Database:
             )
 
     def exit_degraded(self):
-        """Manually leave degraded mode (operator action after repair)."""
+        """Manually leave degraded mode (operator action after repair).
+
+        The commits that were reported failed were rolled back in
+        memory; first the log drops their frames too
+        (:meth:`WriteAheadLog.discard_unsynced`), so what the live
+        database serves is what a reopen recovers.  If the disk refuses
+        that cut the ``OSError`` propagates and the database stays
+        degraded.
+        """
+        if self._log is not None:
+            self._log.discard_unsynced()
         self._degraded_reason = None
 
     def assert_writable(self):
@@ -399,16 +409,38 @@ class Database:
         return "data.%d.mdm" % (gen + 1)
 
     def checkpoint(self):
-        """Write a full image of every table and truncate the log."""
+        """Write a full image of every table and truncate the log.
+
+        Image, roots and truncation run inside one hold of the log's
+        append mutex (:meth:`WriteAheadLog.quiesced`), the image read
+        through a snapshot pinned at the LSN that hold made durable --
+        which lies between transactions.  So the image holds committed
+        rows only (another thread's open transaction stays out of it)
+        and no commit can land after its table's image and before the
+        truncation.  Committers wait for the length of a checkpoint;
+        pinned readers do not.
+        """
         if self.path is None:
             raise StorageError("in-memory database cannot checkpoint")
         self.assert_writable()
-        catalog = {
-            name: [[c.name, c.domain.value] for c in table.schema.columns]
-            for name, table in self._tables.items()
-        }
-        self._write_json_atomic(_CATALOG_FILE, catalog)
+        self.transactions.assert_no_snapshot()  # we pin our own below
+        self._persist_catalog()
         self._persist_text_indexes()
+        with self._log.quiesced() as lsn:
+            self.transactions.pin_snapshot(lsn)
+            try:
+                self._write_image()
+            finally:
+                self.transactions.unpin_snapshot()
+            self._log.truncate()
+        # Outside the hold: flush=True waits on a flush ticket.
+        self._log.append(0, wal_module.CHECKPOINT, flush=True)
+        self.prune_versions()
+        self._checkpoints.inc()
+
+    def _write_image(self):
+        """Write the rows this thread's snapshot sees to a fresh
+        generation file and make it the one recovery loads."""
         data_name = self._next_data_file()
         data_path = os.path.join(self.path, data_name)
         if os.path.exists(data_path):
@@ -425,11 +457,6 @@ class Database:
         for name in os.listdir(self.path):
             if name.startswith("data.") and name.endswith(".mdm") and name != data_name:
                 os.remove(os.path.join(self.path, name))
-        self._log.truncate()
-        if self.transactions.current() is None:
-            self._log.append(0, wal_module.CHECKPOINT, flush=True)
-        self.prune_versions()
-        self._checkpoints.inc()
 
     def prune_versions(self):
         """Reclaim version chains: every version superseded below the

@@ -627,7 +627,7 @@ class Table:
         """Stamp one committed change's versions with commit LSN *lsn*.
 
         Called by the transaction manager for every change of a
-        committing transaction, inside the WAL append critical section
+        committing transaction, inside the hold of the WAL append mutex
         (so the stamp lands before the commit's LSN can become the
         durable snapshot of any reader).  Versions are matched by row
         identity: an insert→update→delete sequence on one rowid inside

@@ -1,9 +1,13 @@
 """Transactions: atomic units of work over the storage layer.
 
-A transaction accumulates a journal of row-level changes.  Commit writes
-them to the WAL (flushed before acknowledging) and releases locks; abort
-undoes them in reverse order against the in-memory tables.  Operations
-outside any transaction run in auto-commit mode.
+A transaction accumulates a journal of row-level changes in memory and
+reaches the log once, whole, at commit: ``begin()`` and abort touch no
+file, a transaction that wrote nothing commits by releasing its locks,
+and one that did goes through :meth:`TransactionManager._publish` -- the
+one commit path, shared with auto-commit statements and bulk batches --
+which appends all its frames in one hold of the log's append mutex,
+flushes before acknowledging, and on failure undoes the changes in
+reverse order against the in-memory tables.
 
 Two thread-local pieces of context support the session/service layer:
 
@@ -19,7 +23,8 @@ A storage I/O failure (``OSError``) while publishing to the WAL flips
 the database into read-only degraded mode (see
 :meth:`repro.storage.database.Database.enter_degraded`): the in-memory
 state stays consistent (the failed transaction is rolled back), reads
-keep serving, and further writes fail fast with ``ReadOnlyError``.
+-- read-only transactions included -- keep serving, and further writes
+fail fast with ``ReadOnlyError``.
 
 Snapshots (MVCC)
 ----------------
@@ -29,13 +34,14 @@ current *visible LSN* -- the WAL's ``flushed_lsn`` on a durable
 database, an internal commit counter on an in-memory one -- and every
 table read on that thread routes through the version chains until
 :meth:`TransactionManager.unpin_snapshot`.  Committing transactions
-stamp their versions with the commit record's LSN inside the WAL append
-critical section (see :meth:`repro.storage.wal.WriteAheadLog.append`'s
-*stamp* hook), which orders stamping strictly before the LSN can become
-durable, so a reader can never pin a snapshot that should include a
-commit whose stamps it cannot yet see.  Pinned snapshots are registered
-so checkpoint pruning (:meth:`prune_horizon`) never reclaims a version
-an active reader still needs.
+stamp their versions with the commit record's LSN inside the hold of
+the log's append mutex that appended it (:meth:`_publish`).  A
+group-commit leader needs that mutex to fsync, which orders stamping
+strictly before the LSN can become durable, so a reader can never pin a
+snapshot that should include a commit whose stamps it cannot yet see.
+Pinned snapshots are registered so checkpoint pruning
+(:meth:`prune_horizon`) never reclaims a version an active reader still
+needs.
 """
 
 import enum
@@ -229,26 +235,16 @@ class TransactionManager:
         """The transaction active on this thread, or None."""
         return getattr(self._local, "txn", None)
 
+    def _next_id(self):
+        with self._mutex:
+            return next(self._ids)
+
     def begin(self):
-        """Start a transaction on this thread."""
+        """Start a transaction on this thread (touches no file)."""
         if self.current() is not None:
             raise TransactionError("a transaction is already active on this thread")
-        with self._mutex:
-            txn = Transaction(next(self._ids), self)
+        txn = Transaction(self._next_id(), self)
         self._local.txn = txn
-        # A degraded database still serves read-only transactions, so
-        # no WAL record is attempted (it would hit the dead disk).
-        if self._log is not None and not self._database.degraded:
-            try:
-                self._log.append(txn.txn_id, wal_module.BEGIN)
-            except BaseException as exc:
-                # Detach the half-born transaction so the thread is not
-                # stuck with an unusable "active" transaction.
-                txn.state = TransactionState.ABORTED
-                self._local.txn = None
-                if isinstance(exc, OSError):
-                    self._database.enter_degraded(exc)
-                raise
         return txn
 
     # -- deadline propagation -----------------------------------------------------
@@ -280,8 +276,7 @@ class TransactionManager:
         existing = getattr(self._local, "statement_owner", None)
         if existing is not None:
             return existing, False  # nested statement joins the outer scope
-        with self._mutex:
-            owner = next(self._ids)
+        owner = self._next_id()
         self._local.statement_owner = owner
         return owner, True
 
@@ -300,18 +295,11 @@ class TransactionManager:
 
     # -- commit stamping (MVCC) ------------------------------------------------
 
-    def _stamper_for(self, changes):
-        """A WAL *stamp* hook assigning a commit LSN to *changes*'
-        versions; None when there is nothing to stamp."""
-        if not changes:
-            return None
+    def _stamp(self, changes, lsn):
+        """Give *changes*' versions the commit LSN *lsn*."""
         tables = self._database.table
-
-        def stamp(lsn):
-            for action, table_name, new_row, old_row in changes:
-                tables(table_name).stamp_change(lsn, action, new_row, old_row)
-
-        return stamp
+        for action, table_name, new_row, old_row in changes:
+            tables(table_name).stamp_change(lsn, action, new_row, old_row)
 
     def _stamp_local(self, changes):
         """Stamp *changes* on an in-memory database (no WAL).
@@ -320,12 +308,8 @@ class TransactionManager:
         a reader pinning the new LSN always sees the whole commit.
         """
         with self._stamp_mutex:
-            lsn = self._visible_lsn + 1
-            for action, table_name, new_row, old_row in changes:
-                self._database.table(table_name).stamp_change(
-                    lsn, action, new_row, old_row
-                )
-            self._visible_lsn = lsn
+            self._stamp(changes, self._visible_lsn + 1)
+            self._visible_lsn += 1
 
     def journal(self, action, table_name, new_row, old_row):
         """Table mutation hook: route to the active txn or auto-commit."""
@@ -335,44 +319,11 @@ class TransactionManager:
             return
         # Auto-commit: one self-committing frame is the whole
         # transaction (no BEGIN/COMMIT bracket to pay for).
-        with self._mutex:
-            txn_id = next(self._ids)
-        change = (action, table_name, new_row, old_row)
-        if self._log is None:
-            self._stamp_local((change,))
-            return
-        orders = self._database.column_orders()
-        try:
-            record = self._log.append(
-                txn_id,
-                _AUTO_KIND[action],
-                table=table_name,
-                row=new_row,
-                old_row=old_row,
-                column_orders=orders,
-                stamp=self._stamper_for((change,)),
-            )
-            self._log.commit_flush(
-                record.lsn, deadline=self.current_deadline()
-            )
-        except BaseException as exc:
-            # The change is not durable and the process lives on:
-            # roll the table back so memory matches "not committed".
-            # Any failure counts -- a value that will not serialize
-            # leaves no frame behind just as surely as a dead disk
-            # -- but only an I/O error degrades to read-only.  (A
-            # SimulatedCrash stays hands-off: the process is
-            # modelled as dead and the crash oracle inspects the
-            # torn state as-is.)  If the frame was appended and
-            # stamped before the failure, no reader can have pinned a
-            # snapshot covering it (the flush never succeeded, so
-            # flushed_lsn never reached it); the undo unstamps.
-            if isinstance(exc, SimulatedCrash):
-                raise
-            self._undo_change(action, table_name, new_row, old_row)
-            if isinstance(exc, OSError):
-                self._database.enter_degraded(exc)
-            raise
+        self._publish(
+            self._next_id(),
+            ((action, table_name, new_row, old_row),),
+            ((_AUTO_KIND[action], table_name, new_row, old_row),),
+        )
 
     def journal_insert_batch(self, table_name, rows):
         """Journal a bulk insert of *rows* already installed in memory.
@@ -388,25 +339,60 @@ class TransactionManager:
             for row in rows:
                 txn.record("insert", table_name, row, None)
             return
-        changes = [("insert", table_name, row, None) for row in rows]
-        if self._log is None:
+        self._publish(
+            self._next_id(),
+            [("insert", table_name, row, None) for row in rows],
+            ((wal_module.BATCH_INSERT, table_name, rows, None),),
+        )
+
+    def _publish(self, txn_id, changes, frames):
+        """The one commit path: make *changes*, already applied in
+        memory, durable as *frames* -- or undo them and raise.
+
+        *frames* are ``(kind, table, row, old_row)`` in log order, the
+        last one the commit point (for BATCH_INSERT, *row* is the row
+        list).  They are appended in one hold of the log's append
+        mutex, so the run is contiguous and nothing durable, shipped or
+        pinned ever ends inside it.  The versions are stamped with the
+        commit point's LSN before the hold ends: a group-commit leader
+        needs the same mutex to fsync, so the stamps are published
+        strictly before ``flushed_lsn`` -- hence any snapshot -- can
+        reach that LSN.  The commit is acknowledged after its flush.
+
+        Any failure means the transaction did not happen: the changes
+        are undone newest-first (no reader can have pinned a snapshot
+        covering them -- ``flushed_lsn`` never reached the commit point
+        -- and the undo unstamps), and an ``OSError`` also degrades the
+        database to read-only.  The frames a failed flush leaves behind
+        are cut away before writes resume (``exit_degraded``).  Only a
+        ``SimulatedCrash`` leaves memory as it is: the process is
+        modelled as dead and the crash oracle inspects the state it
+        died in.
+        """
+        log = self._log
+        if log is None:
+            # In-memory database: stamping *is* the commit point.
             self._stamp_local(changes)
             return
-        with self._mutex:
-            txn_id = next(self._ids)
         orders = self._database.column_orders()
         try:
-            record = self._log.append_batch(
-                txn_id, table_name, rows, orders,
-                stamp=self._stamper_for(changes),
-            )
-            self._log.commit_flush(record.lsn, deadline=self.current_deadline())
+            self._database.assert_writable()
+            with log._mutex:
+                for kind, table, row, old_row in frames:
+                    if kind == wal_module.BATCH_INSERT:
+                        record = log.append_batch(txn_id, table, row, orders)
+                    else:
+                        record = log.append(
+                            txn_id, kind, table=table, row=row,
+                            old_row=old_row, column_orders=orders,
+                        )
+                self._stamp(changes, record.lsn)
+            log.commit_flush(record.lsn, deadline=self.current_deadline())
         except BaseException as exc:
             if isinstance(exc, SimulatedCrash):
                 raise
-            table = self._database.table(table_name)
-            for row in reversed(rows):
-                table.undo_insert(row)
+            for change in reversed(changes):
+                self._undo_change(*change)
             if isinstance(exc, OSError):
                 self._database.enter_degraded(exc)
             raise
@@ -459,78 +445,32 @@ class TransactionManager:
         elif action == "delete":
             table.undo_delete(old_row)
 
-    def _undo(self, txn):
-        """Reverse *txn*'s in-memory changes, without journalling the undos."""
-        for action, table_name, new_row, old_row in reversed(txn.changes):
-            self._undo_change(action, table_name, new_row, old_row)
-
     def _commit(self, txn):
         if txn.state is not TransactionState.ACTIVE:
             raise TransactionError("cannot commit a %s transaction" % txn.state.value)
-        # A read-only transaction commits fine on a degraded database --
-        # its COMMIT record would be advisory and the disk is dead, so
-        # skip the WAL.  One *with* changes cannot be made durable.
-        write_log = self._log is not None and (
-            txn.changes or not self._database.degraded
-        )
-        if write_log:
-            orders = self._database.column_orders()
-            try:
-                if txn.changes:
-                    self._database.assert_writable()
-                for action, table_name, new_row, old_row in txn.changes:
-                    self._log.append(
-                        txn.txn_id,
-                        _ACTION_TO_KIND[action],
-                        table=table_name,
-                        row=new_row,
-                        old_row=old_row,
-                        column_orders=orders,
-                    )
-                # The COMMIT record's LSN is the transaction's commit
-                # LSN; its versions are stamped inside the append's
-                # critical section so no reader can pin a snapshot at or
-                # past it before the stamps are visible.
-                record = self._log.append(
-                    txn.txn_id, wal_module.COMMIT,
-                    stamp=self._stamper_for(txn.changes),
-                )
-                self._log.commit_flush(
-                    record.lsn, deadline=self.current_deadline()
-                )
-            except BaseException as exc:
-                # The COMMIT record never reached stable storage: the
-                # transaction did not happen.  Roll the in-memory tables
-                # back and release locks so a surviving process is not
-                # left holding them, then let the I/O error propagate.
-                # (If stamping already ran, the flush's failure means
-                # flushed_lsn never reached the commit LSN, so no
-                # snapshot can have observed it; the undo unstamps.)
-                self._undo(txn)
-                self._finish(txn, TransactionState.ABORTED)
-                if isinstance(exc, OSError):
-                    self._database.enter_degraded(exc)
-                raise
-        elif self._log is None and txn.changes:
-            # In-memory database: stamping *is* the commit point.
-            self._stamp_local(txn.changes)
-        self._finish(txn, TransactionState.COMMITTED)
+        state = TransactionState.ABORTED
+        try:
+            # An empty write set has nothing to make durable: the commit
+            # is the lock release, on a healthy or a degraded database.
+            if txn.changes:
+                frames = [(wal_module.BEGIN, None, None, None)]
+                frames += [
+                    (_ACTION_TO_KIND[action], table_name, new_row, old_row)
+                    for action, table_name, new_row, old_row in txn.changes
+                ]
+                frames.append((wal_module.COMMIT, None, None, None))
+                self._publish(txn.txn_id, txn.changes, frames)
+            state = TransactionState.COMMITTED
+        finally:
+            self._finish(txn, state)
 
     def _abort(self, txn):
         if txn.state is not TransactionState.ACTIVE:
             raise TransactionError("cannot abort a %s transaction" % txn.state.value)
-        self._undo(txn)
         try:
-            if self._log is not None and not self._database.degraded:
-                try:
-                    self._log.append(txn.txn_id, wal_module.ABORT, flush=True)
-                except OSError as exc:
-                    # The record is advisory (recovery ignores uncommitted
-                    # transactions either way); the abort itself succeeded,
-                    # so degrade rather than fail it.
-                    self._database.enter_degraded(exc)
+            # Undo in memory, newest first; the log never saw the
+            # transaction, so there is nothing to tell it.
+            for change in reversed(txn.changes):
+                self._undo_change(*change)
         finally:
-            # Locks are released even when the ABORT record cannot be
-            # written; the record is advisory (recovery ignores
-            # uncommitted transactions with or without it).
             self._finish(txn, TransactionState.ABORTED)

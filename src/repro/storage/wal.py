@@ -17,8 +17,18 @@ away — the ARIES-style rule that the log's valid prefix *is* the log.
 Without the truncation a corrupt record would hide every record behind
 it while leaving their LSNs on disk, so a reopened log could hand out
 duplicate LSNs; see ``_scan``.
+
+A transaction reaches the log once, whole, at commit: its frames are
+appended in one hold of the append mutex
+(``TransactionManager._publish``) and the fsync takes the same mutex, so
+the durable prefix -- ``flushed_lsn``, every ``stream_frames`` batch,
+every pinned snapshot and seed LSN -- always ends between transactions.
+``BEGIN`` is the first frame of such a run; ``ABORT`` is no longer
+written (an abort touches no file) but, like interleaved runs, is still
+read, so a log written by an earlier version recovers to the same rows.
 """
 
+import contextlib
 import logging
 import os
 import struct
@@ -148,7 +158,8 @@ class WriteAheadLog:
     base-LSN sidecar file, so a WAL-shipping replica can order records
     across checkpoint generations.
 
-    **Group commit.**  A committing transaction appends its frames and
+    **Group commit.**  A committing transaction appends its frames (in
+    one hold of the append mutex) and
     then calls :meth:`commit_flush` with its COMMIT record's LSN.
     Whichever thread reaches the flush point while no flush is in
     flight becomes the *leader*: it fsyncs once on behalf of every
@@ -159,6 +170,14 @@ class WriteAheadLog:
     plus their commit LSN — until a leader's fsync covers them.  One
     fsync thus acknowledges every transaction that arrived while the
     previous flush was in flight.
+
+    **Failure.**  The first ``OSError`` out of a write or an fsync
+    *poisons* the log: every waiting and later append and flush raises,
+    so no commit can be acknowledged by a later fsync that would also
+    make its failed neighbour's frames durable.  Nothing acknowledged
+    lies past the byte offset the last successful fsync covered;
+    :meth:`discard_unsynced` cuts the file back to it and lifts the
+    poison.
     """
 
     def __init__(self, path, opener=None, metrics=None):
@@ -181,35 +200,26 @@ class WriteAheadLog:
         self._commits_synced = metrics.counter("wal.commits_synced")
         self._commits_per_fsync = metrics.gauge("wal.commits_per_fsync")
         self._flush_waits = metrics.histogram("wal.flush_wait_seconds")
-        # Serializes appends/flushes from concurrent sessions: frames
-        # from different transactions may interleave (records carry the
-        # txn id), but each seek+write pair must be atomic or frames
-        # tear — and the fsync itself runs under the same mutex so the
-        # durable prefix is always a whole number of appends.
+        # Serializes appends and fsyncs.  A transaction appends all its
+        # frames in one hold (re-entrant: append() takes it again
+        # inside) and the fsync runs under it too, so the durable
+        # prefix is always a whole number of transactions.
         self._mutex = threading.RLock()
         # Flush tickets: _flushed_lsn is the highest durable LSN;
         # _flush_leading is True while some thread's fsync is in
-        # flight.  Waiters never hold _mutex (lock order: cond, then
-        # mutex, never both at once from the waiting side).
+        # flight.  Lock order: _mutex, then the condition (an fsync
+        # publishes its LSN while it still holds the mutex); a waiter
+        # on the condition never holds or takes _mutex.
         self._flush_cond = threading.Condition(threading.Lock())
         self._flush_leading = False
-        # Replication-horizon bookkeeping (guarded by _mutex).  A WAL
-        # shipper that seeds a replica from a snapshot must stream every
-        # change frame of transactions still in flight at the seed
-        # point: those frames can already be durable (a group-commit
-        # rider fsync covers whatever was appended so far) while their
-        # COMMIT is not, so a stream starting at the snapshot LSN would
-        # skip them and the replica would apply a partial transaction.
-        # _active_txns maps an in-flight transaction to its first
-        # journaled LSN; _committing keeps transactions whose COMMIT is
-        # appended but not yet known durable (pruned lazily against
-        # flushed_lsn) — their changes stay shippable until the commit
-        # they belong to is inside the durable prefix the seed reads.
-        self._active_txns = {}
-        self._committing = {}
+        # Failure memory (guarded by _mutex): the first OSError a write
+        # or an fsync raised, and the byte offset the last successful
+        # fsync covered (see discard_unsynced).
+        self._poison = None
         self._base_path = path + ".base"
         self._file = self._opener(path, "ab+")
         entries, valid_end, corruption = self._scan()
+        self._synced_end = valid_end
         self.base_lsn = self._read_base_lsn()
         max_lsn = self.base_lsn
         for entry in entries:
@@ -248,24 +258,13 @@ class WriteAheadLog:
         return self._flushed_lsn
 
     def append(self, txn_id, kind, table=None, row=None, old_row=None,
-               column_orders=None, flush=False, stamp=None):
-        """Append a record; returns its LogRecord.
-
-        *stamp*, when given, is called with the record's LSN *inside*
-        the append critical section.  The transaction manager uses it to
-        stamp MVCC version chains with the commit LSN: a group-commit
-        leader needs this same mutex to fsync, so the stamp is published
-        strictly before ``flushed_lsn`` can reach the commit's LSN --
-        i.e. before any snapshot at least that new can be pinned.
-        """
+               column_orders=None, flush=False):
+        """Append a record; returns its LogRecord."""
         with self._mutex:
             record = LogRecord(self._next_lsn, txn_id, kind, table, row, old_row)
             self._next_lsn += 1
-            self._track_txn(txn_id, kind, record.lsn)
             payload = _encode_record(record, column_orders or {})
             self._append_frame(payload)
-            if stamp is not None:
-                stamp(record.lsn)
         # The flush happens outside the mutex: waiting on a flush
         # ticket while holding the append mutex would deadlock against
         # the leader, which needs the mutex to fsync.
@@ -273,7 +272,7 @@ class WriteAheadLog:
             self.sync_to(record.lsn)
         return record
 
-    def append_batch(self, txn_id, table, rows, column_orders, stamp=None):
+    def append_batch(self, txn_id, table, rows, column_orders):
         """Append one self-committing BATCH_INSERT frame covering *rows*.
 
         The whole batch lands in a single checksummed frame, so crash
@@ -289,14 +288,24 @@ class WriteAheadLog:
                 len(row_bytes), 0,
             )
             self._append_frame(body + table_bytes + row_bytes)
-            if stamp is not None:
-                stamp(record.lsn)
         return record
 
+    def _refuse_if_poisoned(self):
+        if self._poison is not None:
+            raise OSError(
+                "log refuses writes until cut back to its last fsync; "
+                "it failed with: %s" % (self._poison,)
+            ) from self._poison
+
     def _append_frame(self, payload):
+        self._refuse_if_poisoned()
         frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        self._file.seek(0, os.SEEK_END)
-        self._file.write(frame + payload)
+        try:
+            self._file.seek(0, os.SEEK_END)
+            self._file.write(frame + payload)
+        except OSError as exc:
+            self._poison = exc
+            raise
         self._appends.inc()
         self._append_bytes.inc(len(frame) + len(payload))
 
@@ -321,6 +330,7 @@ class WriteAheadLog:
         role = "noop"
         with self._flush_cond:
             while self._flushed_lsn < lsn:
+                self._refuse_if_poisoned()
                 if not self._flush_leading:
                     self._flush_leading = True
                     role = "led"
@@ -343,25 +353,76 @@ class WriteAheadLog:
         # durable target is exactly the frames appended before it.
         try:
             with self._mutex:
-                target = self._next_lsn - 1
-                fsync_file(self._file)
-                self._fsyncs.inc()
-        except BaseException:
-            # The flush failed (I/O error or simulated crash): free the
-            # leader slot and wake followers so each can retry — and
-            # surface its own error — instead of hanging on the ticket.
+                self._fsync_locked()
+        finally:
+            # Success or not, free the leader slot and wake followers:
+            # after a failure each surfaces the poison as its own error
+            # instead of hanging on the ticket.
             with self._flush_cond:
                 self._flush_leading = False
                 self._flush_cond.notify_all()
-            raise
-        with self._flush_cond:
-            self._flush_leading = False
-            if target > self._flushed_lsn:
-                self._flushed_lsn = target
-            self._flush_cond.notify_all()
         if waited:
             self._flush_waits.observe(waited)
         return "led"
+
+    def _fsync_locked(self):
+        """fsync every frame appended so far and publish its LSN as
+        flushed; returns that LSN.  The caller holds ``_mutex``."""
+        self._refuse_if_poisoned()
+        target = self._next_lsn - 1
+        try:
+            end = self._file.seek(0, os.SEEK_END)
+            fsync_file(self._file)
+        except OSError as exc:
+            self._poison = exc
+            raise
+        self._fsyncs.inc()
+        self._synced_end = end
+        with self._flush_cond:
+            if target > self._flushed_lsn:
+                self._flushed_lsn = target
+            self._flush_cond.notify_all()
+        return target
+
+    @contextlib.contextmanager
+    def quiesced(self):
+        """Hold the append mutex over a log that is durable to its last
+        frame; yields that frame's LSN.
+
+        For the length of the block nothing can be appended and no
+        fsync can run, so the yielded LSN stays ``last_lsn`` and
+        ``flushed_lsn`` alike and lies between transactions: a
+        checkpoint writes its image from a snapshot pinned there and
+        truncates inside the block, and no commit point can land
+        between the two.  Committers wait for the length of the block;
+        pinned readers do not.  The fsync is issued here rather than
+        through :meth:`sync_to`, and the block must not call ``sync_to``
+        (``flush``, ``append(flush=True)``) either: a group-commit
+        leader may already be parked on the mutex, and a ticket wait
+        for it from inside the hold would never end.
+        """
+        with self._mutex:
+            yield self._fsync_locked()
+
+    def discard_unsynced(self):
+        """Lift the poison by cutting the log back to its last fsync.
+
+        Everything past that byte belongs to commits that were reported
+        failed (their waiters all raised), so it must not come back at
+        the next recovery; their LSNs are handed out again.  A no-op on
+        a healthy log.  Raises ``OSError``, still poisoned, if the disk
+        refuses the cut.  Call it once the failed commits have returned
+        to their callers (``Database.exit_degraded`` does, as the
+        operator's step after a repair).
+        """
+        with self._mutex:
+            if self._poison is None:
+                return
+            self._file.truncate(self._synced_end)
+            fsync_file(self._file)
+            self._fsyncs.inc()
+            self._next_lsn = self._flushed_lsn + 1
+            self._poison = None
 
     def commit_flush(self, lsn, deadline=None):
         """Group-commit barrier: make the commit at *lsn* durable.
@@ -381,50 +442,6 @@ class WriteAheadLog:
         return role
 
     # -- record streaming (WAL shipping) ----------------------------------------
-
-    def _track_txn(self, txn_id, kind, lsn):
-        """Maintain the in-flight transaction map (under ``_mutex``)."""
-        if kind in (BEGIN, INSERT, UPDATE, DELETE):
-            self._active_txns.setdefault(txn_id, lsn)
-        elif kind == COMMIT:
-            first = self._active_txns.pop(txn_id, lsn)
-            self._committing[txn_id] = (first, lsn)
-        elif kind == ABORT:
-            self._active_txns.pop(txn_id, None)
-        if self._committing:
-            self._prune_committing_locked()
-
-    def _prune_committing_locked(self):
-        """Drop committed transactions whose COMMIT is now durable."""
-        flushed = self._flushed_lsn
-        for txn_id in [
-            t for t, (_, commit) in self._committing.items()
-            if commit <= flushed
-        ]:
-            del self._committing[txn_id]
-
-    def replication_horizon(self):
-        """The lowest LSN a seeding WAL shipper must stream from.
-
-        Every change frame belonging to a transaction whose COMMIT is
-        not yet durable has an LSN at or past this horizon, so a seed
-        snapshot pinned *after* reading it, streamed from
-        ``min(horizon, seed_lsn + 1)``, never skips an in-flight
-        transaction's changes.  (The ordering matters: a transaction
-        that journals its first frame after this call gets an LSN past
-        ``next_lsn`` as read here, hence past the horizon.)  Clamped
-        above ``base_lsn`` — records truncated into a checkpoint image
-        are not streamable regardless.
-        """
-        with self._mutex:
-            if self._committing:
-                self._prune_committing_locked()
-            horizon = self._next_lsn
-            for first in self._active_txns.values():
-                horizon = min(horizon, first)
-            for first, _ in self._committing.values():
-                horizon = min(horizon, first)
-            return max(horizon, self.base_lsn + 1)
 
     def wait_for_flushed(self, lsn, timeout=None):
         """Block until ``flushed_lsn >= lsn`` or *timeout* seconds pass.
@@ -589,6 +606,7 @@ class WriteAheadLog:
             self._file = self._opener(self.path, "wb+")
             fsync_file(self._file)
             self._fsyncs.inc()
+            self._synced_end = 0
             self._fsync_directory()
             self._truncations.inc()
         with self._flush_cond:
@@ -663,18 +681,19 @@ class RedoApplier:
     LSN 0, visible to every snapshot; True (a replica serving pinned
     readers while it applies) installs at the commit point's own LSN.
 
-    ``applied_lsn`` is the newest commit point installed.  A commit
-    point at or below it is skipped: a replica's feed re-ships applied
-    commits interleaved with in-flight change frames it still needs
-    (resume below the oldest buffered frame; seed from the replication
-    horizon), and each must install exactly once.
+    ``applied_lsn`` is the newest commit point installed; one at or
+    below it is skipped, so a feed that re-ships applied commits
+    installs each exactly once.  The reader is wider than today's
+    writer: transactions may interleave, a BEGIN may sit anywhere before
+    its first change and an ABORT drops a buffer, as earlier versions
+    wrote them.
     """
 
     def __init__(self, database, stamp_commits, applied_lsn=0):
         self._database = database
         self._stamp_commits = stamp_commits
         self.applied_lsn = applied_lsn
-        # txn_id -> (LSN of its first buffered frame, [change, ...])
+        # txn_id -> [change, ...] of its not yet committed frames
         self._buffered = {}
 
     def apply(self, lsn, txn_id, kind, table, row_bytes, old_bytes):
@@ -684,17 +703,17 @@ class RedoApplier:
             # A fresh buffer, not the frames a crashed process left
             # under the same id: transaction ids restart with the
             # process, the log does not.
-            self._buffered[txn_id] = (lsn, [])
+            self._buffered[txn_id] = []
             return False
         if kind in (INSERT, UPDATE, DELETE):
-            self._buffered.setdefault(txn_id, (lsn, []))[1].append(
+            self._buffered.setdefault(txn_id, []).append(
                 (kind, table, row_bytes, old_bytes)
             )
             return False
         if kind == ABORT:
             self._buffered.pop(txn_id, None)
             return False
-        changes = self._buffered.pop(txn_id, (lsn, ()))[1]
+        changes = self._buffered.pop(txn_id, ())
         if lsn <= self.applied_lsn:
             return False
         if kind == COMMIT:
@@ -740,13 +759,8 @@ class RedoApplier:
             table.install_committed(lsn, row.rowid, row)
 
     def discard_buffered(self):
-        """Forget every uncommitted transaction's frames; returns the
-        LSN of the oldest one forgotten (None when nothing was)."""
-        oldest = min(
-            (first for first, _ in self._buffered.values()), default=None
-        )
+        """Forget every uncommitted transaction's frames."""
         self._buffered = {}
-        return oldest
 
 
 def replay(log, database):

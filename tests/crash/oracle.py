@@ -20,6 +20,7 @@ and runs ``check_invariants`` on every ordering.
 """
 
 import random
+import threading
 
 from repro.core.schema import Schema
 from repro.storage.database import Database
@@ -44,11 +45,54 @@ def extract_state(db):
     }
 
 
-def prepare(db_dir):
-    """DDL-only setup with real files, so crash schedules cover data ops."""
+BYSTANDER_TABLE = "bystander"
+
+
+def prepare(db_dir, bystander=False):
+    """DDL-only setup with real files, so crash schedules cover data ops.
+
+    *bystander* adds the table (and its one committed row) that
+    :func:`hold_a_transaction_open_across_checkpoints` writes to."""
     db = Database(db_dir)
     build_schema(db)
+    if bystander:
+        db.create_table(BYSTANDER_TABLE, [("k", "integer")]).insert({"k": 0})
     db.close()
+
+
+def hold_a_transaction_open_across_checkpoints(workload):
+    """For the length of every ``checkpoint()`` of *workload*, a second
+    thread holds a transaction open that inserted one row into the
+    bystander table and rewrote its committed one; it aborts afterwards.
+    The logical state never changes, so the oracle's acceptable states
+    stand -- an image that took the open transaction's rows, or a
+    checkpoint that waited for it, fails them."""
+    db = workload.db
+    table = db.table(BYSTANDER_TABLE)
+    checkpoint = db.checkpoint
+
+    def checkpoint_beside_an_open_transaction():
+        opened, release = threading.Event(), threading.Event()
+
+        def bystander():
+            txn = db.begin()
+            table.insert({"k": -1})
+            table.update(table.select_eq("k", 0)[0].rowid, {"k": -2})
+            opened.set()
+            release.wait(60.0)
+            txn.abort()  # touches no file: works after the "power cut" too
+
+        thread = threading.Thread(target=bystander)
+        thread.start()
+        assert opened.wait(60.0)
+        try:
+            checkpoint()
+        finally:
+            release.set()
+            thread.join(60.0)
+            assert not thread.is_alive()
+
+    db.checkpoint = checkpoint_beside_an_open_transaction
 
 
 def describe_state_difference(state, acceptable):
@@ -208,7 +252,7 @@ class CrashWorkload:
                 for _ in range(self.rng.randint(1, 4)):
                     self.rng.choice(ops)()
                 if self.rng.random() < 0.15:
-                    txn.abort()  # flushes ABORT; state reverts in memory
+                    txn.abort()  # touches no file; state reverts in memory
                     # Entities created inside the transaction no longer
                     # exist; drop their handles.
                     del self.piece_handles[marks[0]:]

@@ -14,7 +14,12 @@ import pytest
 
 from repro.storage.faults import FaultPlan, SimulatedCrash
 
-from tests.crash.oracle import CrashWorkload, prepare, verify_recovery
+from tests.crash.oracle import (
+    CrashWorkload,
+    hold_a_transaction_open_across_checkpoints,
+    prepare,
+    verify_recovery,
+)
 
 #: The fast, always-on matrix; extended seeds live under -m crash_slow.
 SEEDS = list(range(8))
@@ -24,25 +29,32 @@ SLOW_SEEDS = list(range(8, 24))
 SCHEDULE_FLOOR = 200
 
 
-def count_syncpoints(tmp_path, seed, name="probe"):
-    """Run the workload to completion, counting durability barriers."""
+def count_syncpoints(tmp_path, seed, name="probe", beside=None):
+    """Run the workload to completion, counting durability barriers.
+
+    *beside*, here and in :func:`crash_once`, is a function of the
+    workload that sets a second thread up next to it."""
     probe_dir = str(tmp_path / ("%s-%d" % (name, seed)))
-    prepare(probe_dir)
+    prepare(probe_dir, bystander=beside is not None)
     plan = FaultPlan(seed=seed)
     workload = CrashWorkload(probe_dir, seed, plan)
+    if beside is not None:
+        beside(workload)
     workload.run()
     workload.close()
     return plan.sync_count
 
 
-def crash_once(tmp_path, seed, sync_index, torn="random"):
+def crash_once(tmp_path, seed, sync_index, torn="random", beside=None):
     """One schedule: crash at *sync_index*, recover, check the oracle."""
     crash_dir = str(tmp_path / ("crash-%d-%d" % (seed, sync_index)))
-    prepare(crash_dir)
+    prepare(crash_dir, bystander=beside is not None)
     plan = FaultPlan(
         seed=seed * 1009 + sync_index, crash_at_sync=sync_index, torn=torn
     )
     workload = CrashWorkload(crash_dir, seed, plan)
+    if beside is not None:
+        beside(workload)
     with pytest.raises(SimulatedCrash):
         workload.run()
     acceptable = workload.acceptable_states()
@@ -83,6 +95,21 @@ def test_extended_seed_matrix(tmp_path, seed):
     total = count_syncpoints(tmp_path, seed)
     for sync_index in range(1, total + 1):
         crash_once(tmp_path, seed, sync_index)
+
+
+@pytest.mark.crash
+@pytest.mark.crash_slow
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_crash_at_every_syncpoint_with_a_transaction_open_across_checkpoints(
+    tmp_path, seed
+):
+    """Every checkpoint of the workload runs beside another thread's
+    open transaction, which must stay out of the image and must not be
+    waited for."""
+    beside = hold_a_transaction_open_across_checkpoints
+    total = count_syncpoints(tmp_path, seed, beside=beside)
+    for sync_index in range(1, total + 1):
+        crash_once(tmp_path, seed, sync_index, beside=beside)
 
 
 @pytest.mark.crash

@@ -138,8 +138,8 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
         program = Program(database, seed)
 
         def caught_up():
-            # An ABORT is no commit point; end on one the replica can
-            # be seen to reach.
+            # End on a fresh commit point the replica can be seen to
+            # reach.
             program._edit()
             return wait_applied(replica, database._log.flushed_lsn)
 

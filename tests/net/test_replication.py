@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.errors import NetworkTimeoutError
 from repro.net import MdmClient, protocol
 from repro.net.transport import Transport
 from tests.net.conftest import start_replica, wait_applied, wait_serving
@@ -302,38 +303,30 @@ class TestQuarantine:
 
 class TestReconnectResume:
     def test_in_flight_txn_survives_reconnect_exactly_once(self, tmp_path):
-        """Feed torn with a transaction buffered mid-flight.
+        """Feed torn inside a transaction: after its BEGIN and one of
+        its two changes.
 
-        The replica must drop its buffer and resume from below the
-        oldest buffered frame (txn 2's changes sit *below* txn 3's
-        already-applied COMMIT), rebuild the transaction from the
-        re-stream, and skip re-shipped already-applied commits — every
-        commit lands exactly once.
+        The replica drops the partial buffer and resumes at its
+        ``applied_lsn`` -- a transaction's frames are contiguous, so all
+        of them lie above the last applied commit point -- rebuilds the
+        transaction from the re-stream and installs it exactly once.
         """
         from repro.net.replica import ReplicaServer
         from repro.storage import wal as wal_module
-        from repro.storage.row import Row
-        from repro.storage.wal import WriteAheadLog
+        from repro.storage.database import Database
 
-        log = WriteAheadLog(str(tmp_path / "wal"))
-        orders = {"t": ["v"]}
-
-        def change(txn, rowid, v):
-            log.append(txn, wal_module.INSERT, table="t",
-                       row=Row(rowid, {"v": v}), column_orders=orders)
-
-        log.append(1, wal_module.BEGIN)   # lsn 1
-        change(1, 1, 1)                   # lsn 2
-        log.append(1, wal_module.COMMIT)  # lsn 3
-        log.append(2, wal_module.BEGIN)   # lsn 4  (in flight at the cut)
-        change(2, 2, 2)                   # lsn 5
-        log.append(3, wal_module.BEGIN)   # lsn 6
-        change(3, 3, 3)                   # lsn 7
-        log.append(3, wal_module.COMMIT)  # lsn 8  (applied past txn 2)
-        log.append(2, wal_module.COMMIT)  # lsn 9
-        log.flush()
-        frames = dict(log.stream_frames(1))
-        log.close()
+        # The log is the writer's own: two explicit transactions.
+        with Database(str(tmp_path / "primary")) as db:
+            table = db.create_table("t", [("v", "integer")])
+            with db.begin():
+                table.insert({"v": 1})
+            with db.begin():
+                table.insert({"v": 2})
+                table.insert({"v": 3})
+            frames = dict(db._log.stream_frames(1))
+        kinds = [wal_module.decode_frame(frames[lsn])[2] for lsn in sorted(frames)]
+        B, I, C = wal_module.BEGIN, wal_module.INSERT, wal_module.COMMIT
+        assert kinds == [B, I, C, B, I, I, C]  # LSNs 1..7
 
         listener = socket.socket()
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -355,31 +348,31 @@ class TestReconnectResume:
             primary.send(protocol.REPL_SEED_END, {"lsn": 0})
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
-            for lsn in range(1, 9):  # everything except txn 2's COMMIT
+            for lsn in range(1, 6):  # cut after BEGIN + one change of txn 2
                 primary.send_raw(protocol.pack_repl_frame(lsn, frames[lsn]))
-            acked = [
-                protocol.unpack_json(*primary.recv(timeout=5.0))["lsn"]
-                for _ in range(2)
-            ]
-            assert acked == [3, 8]
-            primary.close()  # torn feed: txn 2 is buffered, not applied
+            kind, body = primary.recv(timeout=5.0)
+            assert kind == protocol.REPL_ACK
+            assert protocol.unpack_json(kind, body)["lsn"] == 3
+            primary.close()  # torn feed: txn 2 is half buffered
 
             sock, _ = listener.accept()
             primary = Transport(sock)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_HELLO
-            # Resume point backs below txn 2's first frame, not applied_lsn=8.
+            # The resume point is applied_lsn itself; nothing to back below.
             assert protocol.unpack_json(kind, body)["last_lsn"] == 3
-            for lsn in range(4, 10):  # re-stream, now with COMMIT 9
+            assert replica.status()["applied_lsn"] == 3
+            for lsn in range(4, 8):  # re-stream txn 2, whole
                 primary.send_raw(protocol.pack_repl_frame(lsn, frames[lsn]))
-            # Exactly one ACK: the re-shipped COMMIT 8 is recognized as
-            # applied and skipped; COMMIT 9 installs txn 2 once.
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
-            assert protocol.unpack_json(kind, body)["lsn"] == 9
-            assert wait_applied(replica, 9)
+            assert protocol.unpack_json(kind, body)["lsn"] == 7
+            assert wait_applied(replica, 7)
             table = replica._state.database.table("t")
+            # Exactly once: the change buffered before the cut is not doubled.
             assert sorted(row["v"] for row in table) == [1, 2, 3]
+            with pytest.raises(NetworkTimeoutError):  # one ACK, no more
+                primary.recv(timeout=0.2)
             primary.close()
         finally:
             replica.stop()

@@ -202,41 +202,38 @@ class TestLogFile:
             wal_module.replay(log, db)
             assert [row.rowid for row in db.table("t")] == [2]
 
-
-class TestReplicationHorizon:
-    def test_horizon_tracks_in_flight_transactions(self, tmp_path):
-        """The horizon must cover every change frame whose COMMIT is not
-        yet durable, so a seeding WAL shipper never skips them."""
+    def test_replay_reads_a_log_as_earlier_versions_wrote_it(self, tmp_path):
+        """The writer no longer produces eager BEGINs, ABORT records or
+        interleaved transactions; the reader still takes them."""
         from repro.storage.row import Row
 
         orders = {"t": ["a"]}
-        with WriteAheadLog(str(tmp_path / "test.log")) as log:
-            assert log.replication_horizon() == 1  # empty: next LSN
-            log.append(1, wal_module.BEGIN)  # lsn 1
-            assert log.replication_horizon() == 1
-            log.append(
-                1, wal_module.INSERT, table="t",
-                row=Row(1, {"a": 1}), column_orders=orders,
-            )  # lsn 2
-            log.append(2, wal_module.BEGIN)  # lsn 3
-            assert log.replication_horizon() == 1
-            # COMMIT appended but not yet durable: txn 1's change frames
-            # can already be covered by a rider fsync, so they must stay
-            # inside the horizon until the COMMIT itself is flushed.
-            log.append(1, wal_module.COMMIT)  # lsn 4
-            assert log.replication_horizon() == 1
-            log.flush()
-            # txn 1 fully durable; only txn 2 (BEGIN at 3) pins it now.
-            assert log.replication_horizon() == 3
-            log.append(2, wal_module.ABORT)  # lsn 5
-            assert log.replication_horizon() == 6  # nothing in flight
 
-    def test_horizon_clamped_past_truncation(self, tmp_path):
+        def change(log, txn, kind, rowid, old=None, **kwargs):
+            log.append(
+                txn, kind, table="t", column_orders=orders,
+                row=None if kind == wal_module.DELETE else Row(rowid, {"a": rowid}),
+                old_row=old, **kwargs
+            )
+
         with WriteAheadLog(str(tmp_path / "test.log")) as log:
-            log.append(1, wal_module.BEGIN)
-            log.append(1, wal_module.COMMIT, flush=True)
-            log.append(2, wal_module.BEGIN)  # in flight across truncate
-            log.truncate()
-            # Records at or below base_lsn live only in the checkpoint
-            # image; the horizon never points into truncated history.
-            assert log.replication_horizon() == log.base_lsn + 1
+            log.append(1, wal_module.BEGIN)      # eager: long before its changes
+            log.append(2, wal_module.BEGIN)
+            log.append(3, wal_module.BEGIN)      # a reader: BEGIN, COMMIT
+            log.append(3, wal_module.COMMIT)
+            change(log, 1, wal_module.INSERT, 1)
+            log.append(4, wal_module.BEGIN)      # wait-die victim
+            log.append(4, wal_module.ABORT)
+            change(log, 2, wal_module.INSERT, 2)  # interleaved with txn 1
+            change(log, 1, wal_module.INSERT, 3)
+            log.append(1, wal_module.COMMIT)
+            log.append(2, wal_module.ABORT)      # drops txn 2's buffer
+            log.append(5, wal_module.BEGIN)
+            change(log, 5, wal_module.DELETE, 3, old=Row(3, {"a": 3}))
+            log.append(5, wal_module.COMMIT)
+            log.append(6, wal_module.BEGIN)      # in flight at the crash
+            change(log, 6, wal_module.INSERT, 6, flush=True)
+            db = Database()
+            db.create_table("t", [("a", "integer")])
+            wal_module.replay(log, db)
+            assert [row.rowid for row in db.table("t")] == [1]
