@@ -214,6 +214,13 @@ class MdmSession:
         The shared :class:`~repro.mdm.manager.MusicDataManager`.
     name:
         Diagnostic label (shows up in error messages).
+    quel:
+        The :class:`~repro.quel.executor.QuelSession` this session's
+        statements run through and whose limits :meth:`run` sets.
+        Defaults to the manager's own (``mdm.session``), which
+        in-process callers share, declared ranges included; the network
+        server passes a fresh one per connection so that remote clients
+        share none.
     seed:
         Seeds the backoff-jitter RNG, so a stress schedule replays
         deterministically.
@@ -231,11 +238,12 @@ class MdmSession:
         Injectable for deterministic tests.
     """
 
-    def __init__(self, mdm, name="session", seed=0, max_attempts=6,
+    def __init__(self, mdm, name="session", quel=None, seed=0, max_attempts=6,
                  backoff_base=0.005, backoff_cap=0.25, default_timeout=5.0,
                  row_budget=None, clock=time.monotonic, sleep=time.sleep):
         self.mdm = mdm
         self.name = name
+        self.quel = quel if quel is not None else mdm.session
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -294,7 +302,7 @@ class MdmSession:
         deadline = None if window is None else self._clock() + window
         budget = self.row_budget if row_budget is None else row_budget
         transactions = self.mdm.database.transactions
-        quel = self.mdm.session
+        quel = self.quel
         run_span = span("mdm.run", session=self.name, read_only=True)
         try:
             transactions.set_deadline(deadline)
@@ -350,7 +358,7 @@ class MdmSession:
     def _run_with_retries(self, fn, deadline, row_budget):
         metrics = self.mdm.metrics
         transactions = self.mdm.database.transactions
-        quel = self.mdm.session
+        quel = self.quel
         last_error = None
         for attempt in range(1, self.max_attempts + 1):
             transactions.set_deadline(deadline)

@@ -20,7 +20,10 @@ the buffer.  Backslash commands inspect the schema:
     \\q              quit
 
 The shell is a thin, fully testable layer: :meth:`MdmShell.handle_line`
-returns the text that would be printed.
+returns the text that would be printed.  It executes QUEL through, and
+``\\plan`` / ``\\explain`` report on, one ``QuelSession``: the manager's
+own by default, the connection's when the network server serves the
+shell over ``META`` frames.
 """
 
 from repro.errors import MDMError, QueryTimeoutError, ResourceLimitError
@@ -60,11 +63,14 @@ def format_rows(rows):
 class MdmShell:
     """Stateful shell over one MusicDataManager."""
 
-    def __init__(self, mdm=None, server=None):
+    def __init__(self, mdm=None, server=None, session=None):
         self.mdm = mdm if mdm is not None else MusicDataManager()
         # When the shell is served over the wire (repro.net.server), the
-        # server hands itself in so \replicas can report shipping state.
+        # server hands itself in so \replicas can report shipping state,
+        # and the connection's QuelSession, so statements, \plan and
+        # \explain speak for this connection and no other.
         self.server = server
+        self.session = session if session is not None else self.mdm.session
         self._buffer = []
         self.done = False
 
@@ -91,7 +97,11 @@ class MdmShell:
         if not source:
             return ""
         try:
-            result = self.mdm.execute(source)
+            # DDL goes to the manager, QUEL through this shell's session.
+            if source.lower().startswith("define"):
+                result = self.mdm.execute(source)
+            else:
+                result = self.session.execute(source)
         except (QueryTimeoutError, ResourceLimitError) as error:
             # Surface partial progress instead of swallowing it: the
             # executor publishes how far the statement got before the
@@ -128,18 +138,18 @@ class MdmShell:
         if command == "\\health":
             return self._health()
         if command == "\\plan":
-            plan = self.mdm.session.last_plan
+            plan = self.session.last_plan
             return plan if plan else "(no query yet)"
         if command == "\\explain":
             if not arguments:
                 return "usage: \\explain <quel statement>"
             statement = text.split(None, 1)[1]
             try:
-                rows = self.mdm.execute("explain " + statement)
+                rows = self.session.execute("explain " + statement)
             except MDMError as error:
                 return "error: %s" % error
             rendered = format_rows(rows)
-            cache_info = getattr(self.mdm.session, "last_cache_info", None)
+            cache_info = self.session.last_cache_info
             if cache_info is not None:
                 rendered += "\n(plan cache: %s)" % cache_info
             return rendered

@@ -108,7 +108,11 @@ class MdmClient:
         self._seq = 0  # highest seq acked by the server
         self._inflight = None  # (seq, source) whose fate is unknown
         self._commit_lsn = 0  # read-your-writes horizon
-        self._preamble = []  # range declarations, replayed per connection
+        # Range declarations in the order last declared, replayed onto
+        # every fresh connection.  Keyed by statement text so that
+        # re-declaring one moves it to the end instead of growing the
+        # replay: the last declaration of a variable still wins.
+        self._preamble = {}
         registry = metrics if metrics is not None else MetricsRegistry()
         self.metrics = registry
         self._m_reconnects = registry.counter("client.reconnects")
@@ -136,7 +140,8 @@ class MdmClient:
                 "source": source, "read_only": True,
                 "row_budget": row_budget,
             }, timeout)
-            self._preamble.append(source)
+            self._preamble.pop(source, None)
+            self._preamble[source] = None
             return None
         if self._inflight is not None and self._inflight[1] == source:
             seq = self._inflight[0]

@@ -16,15 +16,20 @@ under concurrent readers.  The replica's visible LSN advances only once
 a whole commit is in; a reader pinned mid-apply keeps seeing the
 previous consistent state.
 
-The replica serves ``read_only`` retrieves on its own listener.  A
-request carrying ``min_lsn`` (the client's read-your-writes horizon)
-waits briefly for the applier to catch up and otherwise refuses with
+The replica serves readers through the loop the primary uses
+(:class:`repro.net.server.WireServer`: listener, handshake, idle
+reaping, ``ERROR`` frames, ``net.*`` counters); what it supplies is the
+answer.  Anything but a ``read_only`` ``REQUEST`` is refused with
+:class:`~repro.errors.ReadOnlyError`.  A request carrying ``min_lsn``
+(the client's read-your-writes horizon) waits briefly for the applier
+to catch up and otherwise refuses with
 :class:`~repro.errors.ReplicaLagError` — a *retryable* refusal, so the
-client fails over to the primary instead of reading stale data.
+client fails over to the primary instead of reading stale data.  Reads
+do not go through ``MdmSession``: a seeded generation is a bare
+database and schema, not an MDM.
 """
 
 import random
-import socket
 import threading
 import time
 
@@ -39,7 +44,9 @@ from repro.errors import (
     ReplicaLagError,
 )
 from repro.net import protocol
+from repro.net.server import WireServer
 from repro.net.transport import Transport
+from repro.obs.metrics import MetricsRegistry
 from repro.quel.executor import QuelSession
 from repro.storage import wal as wal_module
 from repro.storage.database import Database
@@ -89,17 +96,16 @@ class _ReplicaState:
         )
 
 
-class ReplicaServer:
-    """One read-only replica process: applier plus retrieve listener."""
+class ReplicaServer(WireServer):
+    """One read-only replica process: applier plus retrieve serving."""
 
     def __init__(self, primary_address, name="replica", host="127.0.0.1",
                  port=0, reconnect_base=0.05, reconnect_cap=1.0, seed=0,
                  transport_factory=None, metrics=None, idle_timeout=120.0):
+        registry = metrics if metrics is not None else MetricsRegistry()
+        super().__init__("replica", "replica-read-%s" % name, name, host,
+                         port, idle_timeout, registry)
         self.primary_address = tuple(primary_address)
-        self.name = name
-        self.host = host
-        self.port = port
-        self.address = None
         self._transport_factory = (
             transport_factory if transport_factory is not None
             else Transport.connect
@@ -107,13 +113,6 @@ class ReplicaServer:
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
         self._rng = random.Random(seed)
-        self.idle_timeout = idle_timeout
-        self._stopped = False
-        self._listener = None
-        self._threads = []
-        self._reader_threads = set()
-        self._transports = set()
-        self._mutex = threading.Lock()
         # Applier state: guarded by _applied_cond so min_lsn waiters see
         # a consistent (state, applied_lsn, serving) triple.
         self._applied_cond = threading.Condition(threading.Lock())
@@ -121,9 +120,6 @@ class ReplicaServer:
         self.applied_lsn = 0
         self._serving = False
         self.last_error = None
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = metrics if metrics is not None else MetricsRegistry()
         self.metrics = registry
         self._m_frames = registry.counter("repl.frames_applied")
         self._m_commits = registry.counter("repl.commits_applied")
@@ -133,56 +129,11 @@ class ReplicaServer:
         self._m_reads = registry.counter("repl.reads_served")
         self._m_lag_refusals = registry.counter("repl.lag_refusals")
 
-    # -- lifecycle -------------------------------------------------------------
-
     def start(self):
-        """Open the retrieve listener and start the feed loop."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
-        self._listener = listener
-        self.address = listener.getsockname()
-        for target, label in (
-            (self._feed_loop, "replica-feed"),
-            (self._accept_loop, "replica-accept"),
-        ):
-            thread = threading.Thread(
-                target=target, name="%s-%s" % (label, self.name), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-        return self.address
-
-    def stop(self):
-        self._stopped = True
-        if self._listener is not None:
-            try:
-                # Wake the thread blocked in accept() so it releases
-                # the fd; close() alone leaves the port held.
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._mutex:
-            transports = list(self._transports)
-        for transport in transports:
-            transport.close()
-        with self._mutex:
-            readers = list(self._reader_threads)
-        for thread in self._threads + readers:
-            thread.join(timeout=2.0)
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False
+        """Start serving readers, then the feed loop."""
+        address = super().start()
+        self._spawn(self._feed_loop, "replica-feed-%s" % self.name)
+        return address
 
     def status(self):
         with self._applied_cond:
@@ -198,7 +149,7 @@ class ReplicaServer:
 
     def _feed_loop(self):
         backoff = self._reconnect_base
-        while not self._stopped:
+        while not self._stopping:
             try:
                 transport = self._transport_factory(self.primary_address)
             except NetworkError:
@@ -226,7 +177,7 @@ class ReplicaServer:
             backoff = min(self._reconnect_cap, backoff * 2)
 
     def _sleep_backoff(self, backoff):
-        if not self._stopped:
+        if not self._stopping:
             time.sleep(backoff * (0.5 + self._rng.random()))
 
     def _resume_lsn(self):
@@ -246,7 +197,7 @@ class ReplicaServer:
 
     def _feed_from(self, transport):
         pending_state = None
-        while not self._stopped:
+        while not self._stopping:
             try:
                 kind, body = transport.recv(timeout=0.5)
             except NetworkTimeoutError:
@@ -347,89 +298,21 @@ class ReplicaServer:
                 self._state.redo.discard_buffered()
             self._applied_cond.notify_all()
 
-    # -- the retrieve listener (replica <- clients) ------------------------------
+    # -- serving retrieves (replica <- clients, through WireServer) ---------------
 
-    def _accept_loop(self):
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            transport = Transport(sock)
-            with self._mutex:
-                if self._stopped:
-                    transport.close()
-                    return
-                self._transports.add(transport)
-            thread = threading.Thread(
-                target=self._serve_reader, args=(transport,),
-                name="replica-read-%s" % self.name, daemon=True,
-            )
-            with self._mutex:
-                self._reader_threads.add(thread)
-            thread.start()
-
-    def _serve_reader(self, transport):
+    def _open_session(self, client_id):
         # Each connection executes through its own QuelSession (rebuilt
         # per seeded generation): concurrent readers must not race on
         # one session's limits, and one client's replayed ``range of``
         # preamble must not rebind another client's ranges.
-        sessions = {}
-        try:
-            kind, body = transport.recv(timeout=10.0)
-            if kind != protocol.HELLO:
-                raise ProtocolError("reader must open with HELLO")
-            hello = protocol.unpack_json(kind, body)
-            if hello.get("proto") != protocol.PROTOCOL_VERSION:
-                transport.send(protocol.ERROR, {
-                    "seq": None, "code": "ProtocolError", "retryable": False,
-                    "message": "protocol version mismatch",
-                })
-                return
-            transport.send(protocol.WELCOME, {
-                "proto": protocol.PROTOCOL_VERSION,
-                "server": self.name,
-                "role": "replica",
-                "last_seq": 0,
-            })
-            while True:
-                try:
-                    kind, body = transport.recv(timeout=self.idle_timeout)
-                except NetworkTimeoutError:
-                    return  # idle past the budget: reap the connection
-                if kind == protocol.BYE:
-                    return
-                message = protocol.unpack_json(kind, body)
-                seq = message.get("seq")
-                try:
-                    if kind != protocol.REQUEST or not message.get("read_only"):
-                        raise ReadOnlyError(
-                            "replica %r serves read-only retrieves only"
-                            % self.name
-                        )
-                    rows, applied = self._execute_read(message, sessions)
-                    transport.send(protocol.RESULT, {
-                        "seq": seq, "kind": "rows", "value": rows,
-                        "duplicate": False, "commit_lsn": applied,
-                    })
-                except (NetworkError, ProtocolError):
-                    raise
-                except Exception as error:
-                    if isinstance(error, ReplicaLagError):
-                        self._m_lag_refusals.inc()
-                    transport.send(protocol.ERROR, {
-                        "seq": seq,
-                        "code": type(error).__name__,
-                        "message": str(error),
-                        "retryable": isinstance(error, ReplicaLagError),
-                    })
-        except (NetworkError, ProtocolError, OSError):
-            pass
-        finally:
-            transport.close()
-            with self._mutex:
-                self._transports.discard(transport)
-                self._reader_threads.discard(threading.current_thread())
+        return {}
+
+    def _handle(self, sessions, kind, message):
+        if kind != protocol.REQUEST or not message.get("read_only"):
+            raise ReadOnlyError(
+                "replica %r serves read-only retrieves only" % self.name
+            )
+        return self._execute_read(message, sessions)
 
     def _execute_read(self, message, sessions):
         timeout_s = message.get("timeout_s")
@@ -460,7 +343,7 @@ class ReplicaServer:
         with self._applied_cond:
             applied = self.applied_lsn
         rows = protocol.encode_rows(result) if isinstance(result, list) else []
-        return rows, applied
+        return {"kind": "rows", "value": rows, "commit_lsn": applied}
 
     def _wait_caught_up(self, min_lsn, deadline):
         """The serving state at >= *min_lsn*, or ReplicaLagError.
@@ -481,6 +364,7 @@ class ReplicaServer:
                 if remaining <= 0:
                     break
                 self._applied_cond.wait(remaining)
+            self._m_lag_refusals.inc()
             raise ReplicaLagError(
                 "replica %r is %s (applied LSN %d, need %d)"
                 % (

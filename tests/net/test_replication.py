@@ -9,7 +9,15 @@ import pytest
 from repro.errors import NetworkTimeoutError
 from repro.net import MdmClient, protocol
 from repro.net.transport import Transport
-from tests.net.conftest import start_replica, wait_applied, wait_serving
+from tests.net.conftest import (
+    ROLES,
+    reply,
+    serving,
+    start_replica,
+    wait_applied,
+    wait_serving,
+    wait_until,
+)
 
 pytestmark = pytest.mark.net
 
@@ -380,20 +388,26 @@ class TestReconnectResume:
 
 
 class TestReaderIsolation:
+    @pytest.mark.parametrize("role", ROLES)
     def test_reader_connections_have_independent_sessions(self, served_mdm,
-                                                          client):
-        """One reader's range declarations must not rebind another's."""
+                                                          client, role):
+        """One reader's range declarations must not rebind another's,
+        whichever role answers (``primary``: no replicas, so every
+        retrieve is MdmServer's)."""
         _, server = served_mdm
         client.execute("define entity GADGET (size = integer)")
         client.execute("append to NOTE (degree = 1)")
         client.execute("append to GADGET (size = 2)")
-        replica = start_replica(server, name="iso")
+        replica = start_replica(server, name="iso") \
+            if role == "replica" else None
+        replicas = [replica.address] if replica else []
         try:
-            assert wait_serving(replica)
-            assert wait_applied(replica, client.last_commit_lsn)
-            r1 = MdmClient(server.address, replicas=[replica.address],
+            if replica:
+                assert wait_serving(replica)
+                assert wait_applied(replica, client.last_commit_lsn)
+            r1 = MdmClient(server.address, replicas=replicas,
                            client_id="iso-a")
-            r2 = MdmClient(server.address, replicas=[replica.address],
+            r2 = MdmClient(server.address, replicas=replicas,
                            client_id="iso-b")
             try:
                 r1.execute("range of x is NOTE")
@@ -413,7 +427,117 @@ class TestReaderIsolation:
                 r1.close()
                 r2.close()
         finally:
-            replica.stop()
+            if replica:
+                replica.stop()
+
+    def test_writes_go_through_the_connections_own_ranges(self, served_mdm,
+                                                          client):
+        """Same variable, same attribute name, two connections: a
+        replace or delete through ``x`` touches its own type's rows."""
+        mdm, server = served_mdm
+        client.execute("define entity GADGET (degree = integer)")
+        client.execute("append to NOTE (degree = 1)")
+        client.execute("append to GADGET (degree = 1)")
+        a = MdmClient(server.address, client_id="iso-w-a")
+        b = MdmClient(server.address, client_id="iso-w-b")
+
+        def degrees(type_name):
+            return [i.get("degree")
+                    for i in mdm.schema.entity_type(type_name).instances()]
+
+        try:
+            a.execute("range of x is NOTE")
+            b.execute("range of x is GADGET")
+            assert a.execute("replace x (degree = 9) where x.degree = 1") == 1
+            assert degrees("NOTE") == [9]
+            assert degrees("GADGET") == [1]
+            assert a.execute("delete x where x.degree = 9") == 1
+            assert degrees("NOTE") == []
+            assert degrees("GADGET") == [1]
+        finally:
+            a.close()
+            b.close()
+
+    def test_concurrent_redeclaration_never_leaks(self, served_mdm, client):
+        """Two clients re-declare a conflicting ``x`` before every
+        retrieve, each on its own thread: every answer is the one a
+        lone client gets, and nothing errors."""
+        _, server = served_mdm
+        client.execute("define entity GADGET (degree = integer)")
+        client.execute("append to NOTE (degree = 1)")
+        client.execute("append to GADGET (degree = 2)")
+        wrong = []
+
+        def read(type_name, expected):
+            reader = MdmClient(server.address)
+            try:
+                for _ in range(300):
+                    reader.execute("range of x is %s" % type_name)
+                    rows = reader.retrieve(
+                        "retrieve (x.degree) where x.degree != 0"
+                    )
+                    if rows != [{"x.degree": expected}]:
+                        wrong.append((type_name, rows))
+            except Exception as error:
+                wrong.append((type_name, error))
+            finally:
+                reader.close()
+
+        threads = [
+            threading.Thread(target=read, args=("NOTE", 1)),
+            threading.Thread(target=read, args=("GADGET", 2)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not wrong, wrong[:3]
+
+
+class TestReplicaRefusals:
+    def test_refusals_and_counters_on_the_replicas_registry(self, tmp_path):
+        """Raw frames at a replica: reads are served, anything else is a
+        non-retryable ``ReadOnlyError``, lag is retryable, and the
+        ``net.*`` counters land in the replica's own registry."""
+        with serving(tmp_path, "replica") as (replica, metrics, _connect):
+            with Transport.connect(replica.address) as wire:
+                wire.send(protocol.HELLO, {
+                    "proto": protocol.PROTOCOL_VERSION, "client": "raw",
+                })
+                welcome = reply(wire, protocol.WELCOME)
+                assert (welcome["role"], welcome["last_seq"]) == ("replica", 0)
+                assert metrics.value("net.connections") == 1
+
+                read = {"seq": None, "read_only": True, "timeout_s": 5.0,
+                        "source": "retrieve (NOTE.degree)"}
+                wire.send(protocol.REQUEST, read)
+                assert reply(wire, protocol.RESULT)["value"] == []
+                assert metrics.value("repl.reads_served") == 1
+
+                write = {"seq": 1, "read_only": False,
+                         "source": "append to NOTE (degree = 1)"}
+                meta = {"seq": None, "command": "\\health"}
+                for kind, body in (
+                    (protocol.REQUEST, write), (protocol.META, meta),
+                ):
+                    wire.send(kind, body)
+                    refusal = reply(wire, protocol.ERROR)
+                    assert refusal["code"] == "ReadOnlyError"
+                    assert refusal["retryable"] is False
+
+                wire.send(protocol.REQUEST, dict(read, min_lsn=10 ** 9))
+                refusal = reply(wire, protocol.ERROR)
+                assert refusal["code"] == "ReplicaLagError"
+                assert refusal["retryable"] is True
+                assert metrics.value("repl.lag_refusals") == 1
+
+                assert metrics.value("net.requests") == 3
+                assert metrics.value("net.errors") == 3
+                assert metrics.value("repl.reads_served") == 1
+                wire.send(protocol.BYE, {})
+            assert wait_until(
+                lambda: metrics.value("net.connections") == 0
+            )
 
 
 class TestCrcRefusal:

@@ -7,13 +7,18 @@ import pytest
 
 from repro.errors import (
     MDMError,
+    NetworkError,
+    NetworkTimeoutError,
+    ProtocolError,
     QueryError,
     RetryExhaustedError,
     ShutdownError,
 )
 from repro.mdm.manager import MusicDataManager
-from repro.net import MdmClient, MdmServer
+from repro.net import MdmClient, MdmServer, protocol
 from repro.net.server import DEDUP_TABLE
+from repro.net.transport import Transport
+from tests.net.conftest import ROLES, reply, serving, wait_until
 
 pytestmark = pytest.mark.net
 
@@ -54,6 +59,77 @@ class TestBasicServing:
         finally:
             a.close()
             b.close()
+
+
+class TestConnectionOwnsItsSession:
+    def test_meta_speaks_for_its_own_connection(self, served_mdm):
+        """``\\plan`` shows this client's last statement, and a range
+        declared through ``META`` is this connection's alone."""
+        mdm, server = served_mdm
+        a = MdmClient(server.address, client_id="meta-a")
+        b = MdmClient(server.address, client_id="meta-b")
+        try:
+            a.execute("append to NOTE (degree = 5)")
+            a.execute("range of n is NOTE")
+            b.execute("range of c is CHORD")
+            a.retrieve("retrieve (n.degree) where n.degree = 5")
+            b.retrieve("retrieve (c.duration)")
+            assert "bind n via index" in a.meta("\\plan")
+            assert "bind c via snapshot scan" in b.meta("\\plan")
+            assert "bind n via index" in a.meta("\\plan")
+            assert mdm.session.last_plan is None  # in-process callers' own
+
+            assert a.meta("range of m is NOTE ;;") == "ok"
+            assert a.retrieve("retrieve (m.degree)") == [{"m.degree": 5}]
+            with pytest.raises(QueryError):
+                b.retrieve("retrieve (m.degree)")
+            assert "m" not in mdm.session.ranges
+        finally:
+            a.close()
+            b.close()
+
+    def test_the_plan_cache_and_the_registry_stay_shared(self, served_mdm):
+        mdm, server = served_mdm
+        hits = mdm.database.metrics.counter("quel.cache.hits")
+        a = MdmClient(server.address, client_id="shared-a")
+        b = MdmClient(server.address, client_id="shared-b")
+        try:
+            statement = "retrieve (n.degree) where n.degree != 0"
+            a.execute("range of n is NOTE")
+            b.execute("range of n is NOTE")
+            a.retrieve(statement)
+            before = hits.value
+            b.retrieve(statement)  # compiled once, for the database
+            assert hits.value == before + 1
+        finally:
+            a.close()
+            b.close()
+
+
+class TestPreambleReplay:
+    def test_an_identical_declaration_is_replayed_once(self, served_mdm,
+                                                       client):
+        _, server = served_mdm
+        for _ in range(1000):
+            client.execute("range of n is NOTE")
+        assert list(client._preamble) == ["range of n is NOTE"]
+        frames = server.mdm.database.metrics.counter("net.frames_in")
+        client._primary.close()  # a torn link, as the client sees it
+        before = frames.value
+        assert client.retrieve("retrieve (n.degree)") == []
+        # HELLO, one replayed declaration, the retrieve.
+        assert frames.value == before + 3
+
+    def test_the_last_declaration_of_a_variable_wins(self, served_mdm,
+                                                     client):
+        client.execute("define entity GADGET (degree = integer)")
+        client.execute("append to NOTE (degree = 1)")
+        client.execute("append to GADGET (degree = 2)")
+        client.execute("range of x is NOTE")
+        client.execute("range of x is GADGET")
+        client.execute("range of x is NOTE")
+        client._primary.close()
+        assert client.retrieve("retrieve (x.degree)") == [{"x.degree": 1}]
 
 
 class TestExactlyOnceDedup:
@@ -180,48 +256,126 @@ class TestExactlyOnceDedup:
             mdm2.close()
 
 
+def _write_then_read(client, degree):
+    """One write (the primary's) and one retrieve (the role's)."""
+    assert client.execute("append to NOTE (degree = %d)" % degree) == 1
+    rows = client.retrieve(
+        "retrieve (NOTE.degree) where NOTE.degree = %d" % degree
+    )
+    assert rows == [{"NOTE.degree": degree}]
+
+
+@pytest.mark.parametrize("role", ROLES)
 class TestConnectionHygiene:
-    def test_connection_threads_are_pruned(self, served_mdm):
+    def test_connection_threads_are_pruned(self, tmp_path, role):
         """Finished connections must not accumulate thread bookkeeping."""
-        _, server = served_mdm
-        for i in range(5):
-            c = MdmClient(server.address, client_id="prune-%d" % i)
-            try:
-                c.execute("append to NOTE (degree = %d)" % (i + 1))
-            finally:
+        with serving(tmp_path, role) as (server, registry, connect):
+            for i in range(5):
+                c = connect("prune-%d" % i)
+                _write_then_read(c, i + 1)
                 c.close()
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            with server._mutex:
-                live = len(server._conn_threads)
-            if live == 0 and server.status()["connections"] == 0:
-                break
-            time.sleep(0.02)
-        with server._mutex:
-            assert len(server._conn_threads) == 0
-        assert server.status()["connections"] == 0
+
+            def idle():
+                with server._mutex:
+                    live = len(server._conn_threads)
+                return live == 0 and registry.value("net.connections") == 0
+
+            assert wait_until(idle)
+            assert registry.value("net.requests") >= 5
+            if role == "primary":
+                assert server.status()["connections"] == 0
 
     def test_idle_connections_are_reaped_and_clients_reconnect(
-            self, tmp_path):
+            self, tmp_path, role):
         """An abandoned client must not pin a server thread forever; a
         live one reaped while idle reconnects transparently."""
-        mdm = MusicDataManager(str(tmp_path / "db"))
-        server = MdmServer(mdm, idle_timeout=0.2)
-        server.start()
-        client = MdmClient(server.address, client_id="idler")
-        try:
-            client.execute("append to NOTE (degree = 1)")
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and \
-                    server.status()["connections"]:
-                time.sleep(0.05)
-            assert server.status()["connections"] == 0  # reaped while idle
-            count = client.execute("append to NOTE (degree = 2)")
-            assert count == 1  # transparent reconnect, new write applied
-        finally:
-            client.close()
-            server.stop()
-            mdm.close()
+        with serving(tmp_path, role, idle_timeout=0.2) as (
+                server, registry, connect):
+            client = connect("idler")
+            _write_then_read(client, 1)
+            served = registry.value("net.requests")
+            assert wait_until(  # reaped while idle
+                lambda: registry.value("net.connections") == 0
+            )
+            # Transparent to the caller: the primary's client redials,
+            # a replica's reader fails over and redials the replica on
+            # its next retrieve.
+            _write_then_read(client, 2)
+            _write_then_read(client, 3)
+            assert registry.value("net.requests") > served
+
+
+@pytest.mark.parametrize("role", ROLES)
+class TestHandshake:
+    def test_wrong_version_is_refused_once_then_closed(self, tmp_path, role):
+        with serving(tmp_path, role) as (server, registry, _connect):
+            theirs = protocol.PROTOCOL_VERSION + 1
+            with Transport.connect(server.address) as wire:
+                wire.send(protocol.HELLO, {"proto": theirs, "client": "new"})
+                refusal = reply(wire, protocol.ERROR)
+                message = refusal.pop("message")
+                assert refusal == {
+                    "seq": None, "code": "ProtocolError", "retryable": False,
+                }
+                assert str(theirs) in message
+                assert str(protocol.PROTOCOL_VERSION) in message
+                _assert_closed(wire)
+            assert wait_until(lambda: registry.value("net.connections") == 0)
+
+    def test_a_connection_must_open_with_hello(self, tmp_path, role):
+        """Anything else is closed without a reply (the primary also
+        takes ``REPL_HELLO``, from replicas; a replica feeds nobody)."""
+        with serving(tmp_path, role) as (server, _registry, _connect):
+            openers = [(protocol.REQUEST, {"seq": 1, "source": "retrieve"})]
+            if role == "replica":
+                openers.append((protocol.REPL_HELLO, {
+                    "proto": protocol.PROTOCOL_VERSION, "replica": "r",
+                }))
+            for kind, body in openers:
+                with Transport.connect(server.address) as wire:
+                    wire.send(kind, body)
+                    _assert_closed(wire)
+
+    def test_frames_carry_the_fields_a_parent_peer_reads(self, tmp_path,
+                                                         role):
+        """Raw frames, so a renamed or dropped body field fails here
+        and not in somebody's deployed client."""
+        with serving(tmp_path, role) as (server, _registry, _connect), \
+                Transport.connect(server.address) as wire:
+            wire.send(protocol.HELLO, {
+                "proto": protocol.PROTOCOL_VERSION, "client": "raw",
+                "last_seq": 0,
+            })
+            assert reply(wire, protocol.WELCOME) == {
+                "proto": protocol.PROTOCOL_VERSION, "server": server.name,
+                "role": role, "last_seq": 0,
+            }
+            wire.send(protocol.REQUEST, {
+                "seq": None, "source": "retrieve (NOTE.degree)",
+                "read_only": True, "timeout_s": 5.0,
+            })
+            result = reply(wire, protocol.RESULT)
+            assert isinstance(result.pop("commit_lsn"), int)
+            assert result == {
+                "seq": None, "kind": "rows", "value": [], "duplicate": False,
+            }
+            wire.send(protocol.REQUEST, {
+                "seq": 7, "source": "range of z is NO_SUCH_TYPE",
+                "read_only": True, "timeout_s": 5.0,
+            })
+            error = reply(wire, protocol.ERROR)
+            assert error.pop("message")
+            assert error == {
+                "seq": 7, "code": "QueryError", "retryable": False,
+            }
+            wire.send(protocol.BYE, {})
+
+
+def _assert_closed(wire):
+    """The peer hung up: end of stream, not silence and not a frame."""
+    with pytest.raises(NetworkError) as caught:
+        wire.recv(timeout=5.0)
+    assert not isinstance(caught.value, (NetworkTimeoutError, ProtocolError))
 
 
 class TestCloseUnderLoad:

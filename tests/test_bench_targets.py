@@ -10,11 +10,14 @@ module's globals).
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.core.schema import Schema
+from repro.mdm.manager import MusicDataManager
+from repro.net import MdmClient, MdmServer
 from repro.quel import executor
 
 TRACE_PY = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
@@ -63,3 +66,18 @@ def test_execute_reaches_parse_and_compile_through_executor_globals(
         {"NOTE.n": 1}
     ]
     assert calls == {"parse_quel": 1, "compile_statement": 1}
+
+
+def test_a_served_connection_runs_on_the_thread_name_the_bench_looks_for():
+    """``bench/catalog.py::connect`` finds the thread that works for a
+    client by this name; renamed, it would find none and the
+    reference-speed scaling would silently lose the server's CPU time."""
+    with MusicDataManager() as mdm, MdmServer(mdm) as server:
+        before = set(threading.enumerate())
+        with MdmClient(server.address) as client:
+            client.execute("range of n is NOTE")
+            serving = [
+                thread for thread in threading.enumerate()
+                if thread not in before and thread.name == "mdm-server-conn"
+            ]
+            assert len(serving) == 1
