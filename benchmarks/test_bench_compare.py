@@ -166,6 +166,27 @@ class TestGates:
         assert _enforce_gates([passing, failing]) is True
         assert "GATE FAILURE" in capsys.readouterr().out
 
+    def test_committed_text_baseline_holds_its_three_gates(self):
+        """BENCH_text.json as committed: the gates are there by the
+        names ROADMAP asks for, each with its bound, and each holds."""
+        path = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_text.json"
+        )
+        with open(path, encoding="utf-8") as handle:
+            report = validate_report(json.load(handle))
+        bounds = {
+            name: {key: gate[key] for key in gate if key != "value"}
+            for name, gate in report["gates"].items()
+        }
+        assert bounds == {
+            "catalog_ranked_topk_speedup": {"min": 10.0},
+            "catalog_similar_speedup": {"min": 10.0},
+            "catalog_scale_search_ratio": {"max": 5.0},
+        }
+        assert check_gates(report) == []
+        similar = report["gates"]["catalog_similar_speedup"]["value"]
+        assert similar == report["speedup"]["catalog_similar_p50"]
+
     def test_gateless_reports_are_silent(self, capsys):
         assert _enforce_gates([_report(scan=0.010)]) is False
         assert capsys.readouterr().out == ""

@@ -170,10 +170,10 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
     *scale_rows* additionally
     loads a second catalog of that size and re-times the limit-bearing
     statements there, so the report can show that first-N retrieval
-    cost stays flat as the corpus grows ~8x.  Both claims are hard
+    cost stays flat as the corpus grows ~8x.  Three claims are hard
     ``gates`` entries: ``--compare`` (and any full run) fails when the
-    top-k speedup drops below 10x or the 1M/120k search ratio rises
-    above 5x.
+    top-k speedup or the ``similar_to`` index-over-scan speedup drops
+    below 10x, or the 1M/120k search ratio rises above 5x.
     """
     from repro.fixtures.corpus import load_catalog
 
@@ -294,6 +294,9 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
         gates = {
             "catalog_ranked_topk_speedup": {
                 "value": speedup["catalog_ranked_topk_p50"], "min": 10.0,
+            },
+            "catalog_similar_speedup": {
+                "value": speedup["catalog_similar_p50"], "min": 10.0,
             },
         }
         if scale_rows:

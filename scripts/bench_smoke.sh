@@ -8,6 +8,9 @@
 #                                          order keys keep >=10x over renumbering
 #   pytest test_bench_obs -m obs_smoke     no-sink tracing overhead stays under 3%
 #   pytest test_bench_compare              the --compare gate and the hard gates
+#                                          (catalog_ranked_topk_speedup,
+#                                          catalog_similar_speedup,
+#                                          catalog_scale_search_ratio)
 #   bench_report.py --check                every BENCH_*.json suite still has a
 #                                          valid shape
 #   bench_report.py --compare BENCH_*      no p50 more than 25% over the committed

@@ -13,8 +13,8 @@
 # programs, bigger corpora), or --scale to run the million-row suite:
 # the text_scale top-k battery (streaming result vs a brute-force
 # sort-all reference at 1M rows) plus the bench catalog_scale_*
-# workloads and their hard gates (top-k speedup >= 10x, 1M/120k search
-# ratio <= 5x).
+# workloads and their hard gates (catalog_ranked_topk_speedup >= 10x,
+# catalog_similar_speedup >= 10x, catalog_scale_search_ratio <= 5x).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -89,14 +89,17 @@ def _text_rowids(table, text_restrictions):
     -- the exact predicate still verifies every materialized row
     downstream, so candidates remain a sound superset.
 
-    Candidate-cap cost rule: a gate whose posting-list estimate covers
-    at least half the table would spend more materializing and
-    intersecting rowid sets than the scan it is meant to avoid, so it
-    is skipped (the exact predicate still filters every row).  The
-    estimates read posting *lengths* and the row map's size only -- no
-    posting is walked and no row visited to make the decision; tables
-    under the cap's floor always prune, so small fixtures keep their
-    "index text" plans.
+    Candidate-cap cost rule, ``matches`` only: a gate whose shortest
+    posting covers at least half the table would spend more
+    materializing and intersecting rowid sets than the scan it is meant
+    to avoid, so it is skipped (the exact predicate still filters every
+    row).  The estimate reads posting *lengths* and the row map's size
+    only -- no posting is walked and no row visited to make the
+    decision; tables under the cap's floor always prune, so small
+    fixtures keep their "index text" plans.  A ``similar_to`` gate has
+    no such rule: the index hands back the rows that pass, never more
+    than the scan would fetch, for a count walk that costs less per
+    posting entry than the predicate costs per row.
     """
     rowids = None
     pruned = False
@@ -111,9 +114,6 @@ def _text_rowids(table, text_restrictions):
                 continue
             matched = index.candidates_matching(query)
         else:
-            estimate = index.estimate_similar(query, threshold)
-            if estimate is None or estimate >= cap:
-                continue
             matched = index.candidates_similar(query, threshold)
         if matched is None:
             continue

@@ -85,7 +85,7 @@ from repro.storage.values import Domain, coerce_value, value_sort_key
 from repro.text.index import TrigramIndex
 
 
-#: Below this many candidates an index always beats a scan; above it
+#: Below this many rows to fetch an index always beats a scan; above it
 #: the cap scales with the table (see :meth:`Table.candidate_cap`).
 _CANDIDATE_FLOOR = 512
 
@@ -394,8 +394,12 @@ class Table:
                 index = OrderedCompositeIndex(column)
             else:
                 index = OrderedIndex(column) if ordered else HashIndex(column)
-            for row in self._rows.values():
-                index.insert(self._index_value(column, row), row.rowid)
+            # One bulk build (one key sort), not an insort per row: the
+            # adaptive index a first query builds pays for this.
+            index.insert_many(
+                [(self._index_value(column, row), row.rowid)
+                 for row in self._rows.values()]
+            )
             self._indexes[key] = index
         self.notify_schema_change()
         return index
@@ -821,10 +825,11 @@ class Table:
     # under a table lock and under a pinned snapshot.
 
     def candidate_cap(self):
-        """The most candidates an index may hand back before a scan is
-        the cheaper plan.  A cost estimate: it reads the current row
-        map's size, never a row (``len(table)`` under a pinned snapshot
-        walks every chain to stay exact)."""
+        """The most rows an index read may fetch on an upper bound alone
+        -- a ``matches`` gate's shortest posting, a pinned read's stale
+        set -- before a scan is the cheaper plan.  A cost estimate: it
+        reads the current row map's size, never a row (``len(table)``
+        under a pinned snapshot walks every chain to stay exact)."""
         return max(_CANDIDATE_FLOOR, len(self._rows) // 2)
 
     def probe(self, fn, *args):

@@ -1,6 +1,6 @@
 """Catalog text search: normalization, similarity, trigram indexing.
 
-See DESIGN.md §4k-§4l for the index layout, WAL records, normalization
+See DESIGN.md §4k for the index layout, WAL records, normalization
 rules, the planner pushdown contract, and the streaming top-k path.
 """
 

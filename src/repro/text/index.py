@@ -21,24 +21,29 @@ through one resize-happy dict.  Rowids therefore must fit an unsigned
 32-bit int, which ``itertools.count``-allocated table rowids do until
 ~4 billion rows.
 
-Candidate retrieval is deliberately approximate-but-sound:
+Candidate retrieval is sound, and for ``similar_to`` exact:
 
 * ``candidates_matching`` intersects the posting lists of every query
   trigram (containment implies every query gram appears in the value)
   with a galloping merge driven by the shortest posting, so cost
   scales with the *rarest* gram, not the table;
-* ``candidates_similar`` keeps rows with at least ``required_overlap``
-  shared grams (the Jaccard bound) by counting only the ``k - r + 1``
-  *essential* shortest postings — a qualifying row must appear in one
-  of them — and probing the long postings per survivor by bisection,
+* ``candidates_similar`` decides each row from its posting overlap and
+  its stored gram count, which together give its Jaccard exactly.  It
+  counts only the ``k - r + 1`` *essential* shortest postings -- a
+  qualifying row must appear in one of them -- drops rows whose gram
+  count alone rules them out, and probes the long postings per
+  survivor by bisection until the row's own count bound is decided,
   instead of touching every posting entry of every query gram.
 
-Both return supersets of the true matches; callers re-verify with the
-exact predicate on the materialized rows.  Queries whose normalized
-form has no trigrams return ``None`` — "cannot prune, go scan".  The
-streaming counterparts ``iter_matching`` / ``overlap_counts`` feed the
-executor's top-k path, which wants candidates lazily (in rowid order)
-or bucketed by gram overlap rather than materialized as a set.
+Both return supersets of the true matches -- ``candidates_similar`` the
+match set itself while the index describes the rows it is asked about
+(a pinned reader's stale rowids are the exception) -- and callers
+re-verify with the exact predicate on the materialized rows.  Queries
+whose normalized form has no trigrams return ``None`` -- "cannot prune,
+go scan".  The streaming counterparts ``iter_matching`` /
+``overlap_counts`` feed the executor's top-k path, which wants
+candidates lazily (in rowid order) or bucketed by gram overlap rather
+than materialized as a set.
 """
 
 from array import array
@@ -345,28 +350,37 @@ class TrigramIndex:
                 yield rowid
 
     def candidates_similar(self, query, threshold):
-        """Rowids that can reach Jaccard >= threshold; None = cannot prune."""
+        """Rowids whose indexed value reaches Jaccard >= threshold; None =
+        cannot prune."""
         counts = self.similar_overlaps(query, threshold)
         if counts is None:
             return None
         return set(counts)
 
     def similar_overlaps(self, query, threshold):
-        """``{rowid: exact gram overlap}`` for rows that can pass the
-        Jaccard bound; None when the index cannot prune.
+        """``{rowid: exact gram overlap}`` for the rows whose Jaccard
+        with *query* reaches *threshold*; None when the index cannot
+        prune.
 
-        A row needs at least ``r = required_overlap(...)`` of the
-        query's ``k`` gram postings.  Any such row appears in one of the
-        ``k - r + 1`` shortest ("essential") postings — missing all of
+        With ``k`` query grams, a row of ``R`` grams sharing ``o`` of
+        them has Jaccard exactly ``o / (k + R - o)``, so it passes only
+        if ``t*k <= R <= k/t`` (no overlap could save it otherwise) and
+        ``o >= t*(k + R)/(1 + t)``.  Any passing row shares at least
+        ``r = required_overlap(...)`` grams and so appears in one of the
+        ``k - r + 1`` shortest ("essential") postings -- missing all of
         them caps its hits at ``r - 1``.  So: count hits over the
-        essential postings only, then finish each survivor's count by
-        bisecting into the long postings, abandoning a row as soon as
-        even winning every remaining probe cannot reach ``r``.
-        Survivors carry their exact overlap, which the top-k executor
-        turns into a similarity upper bound per bucket.
+        essential postings only, drop the rows the length filter rules
+        out, then finish each survivor's count by bisecting into the
+        long postings, abandoning a row as soon as even winning every
+        remaining probe cannot reach its bound.  The epsilons only ever
+        weaken those two tests; the last one is the predicate's own
+        division, so while the index describes the rows the result *is*
+        the answer set.  Survivors carry their exact overlap, which the
+        top-k executor turns into a similarity upper bound per bucket.
         """
         grams = trigrams(query)
-        required = required_overlap(len(grams), threshold)
+        k = len(grams)
+        required = required_overlap(k, threshold)
         if not grams or required <= 0:
             return None
         postings = []
@@ -383,22 +397,26 @@ class TrigramIndex:
         for posting in essential:
             for rowid in posting:
                 counts[rowid] = counts.get(rowid, 0) + 1
-        if not rest:
-            return {r: h for r, h in counts.items() if h >= required}
+        row_grams = self._row_grams
+        shortest = threshold * k - 1e-9
+        longest = k / threshold + 1e-9
+        share = threshold / (1.0 + threshold)
+        probes = len(rest)
         out = {}
-        total_rest = len(rest)
         for rowid, hits in counts.items():
-            remaining = total_rest
-            alive = True
+            size = row_grams[rowid]
+            if not shortest <= size <= longest:
+                continue
+            need = share * (k + size) - 1e-9
+            remaining = probes
             for posting in rest:
-                if hits + remaining < required:
-                    alive = False
+                if hits + remaining < need:
                     break
                 remaining -= 1
                 i = bisect_left(posting, rowid)
                 if i < len(posting) and posting[i] == rowid:
                     hits += 1
-            if alive and hits >= required:
+            if hits / (k + size - hits) >= threshold:
                 out[rowid] = hits
         return out
 
@@ -430,7 +448,7 @@ class TrigramIndex:
                         counts[rowid] += 1
         return counts
 
-    # -- planner cost estimates ----------------------------------------------
+    # -- planner cost estimate -----------------------------------------------
 
     def estimate_matching(self, query):
         """Upper bound on ``candidates_matching``'s result size, without
@@ -446,19 +464,3 @@ class TrigramIndex:
             if best is None or len(posting) < best:
                 best = len(posting)
         return best
-
-    def estimate_similar(self, query, threshold):
-        """Upper bound on ``candidates_similar``'s result size (the
-        essential-posting union); None = the index cannot prune."""
-        grams = trigrams(query)
-        required = required_overlap(len(grams), threshold)
-        if not grams or required <= 0:
-            return None
-        lengths = sorted(
-            len(posting)
-            for posting in map(self._posting, grams)
-            if posting is not None
-        )
-        if len(lengths) < required:
-            return 0
-        return sum(lengths[: len(lengths) - required + 1])

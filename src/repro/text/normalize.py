@@ -24,11 +24,14 @@ containing string, so posting-list intersection over the query's grams
 can never drop a true containment match.
 """
 
+import re
 import unicodedata
 
 __all__ = ["grams_of", "normalize", "token_sort", "trigrams", "GRAM"]
 
 GRAM = 3
+
+_ASCII_SEPARATORS = re.compile("[^a-z0-9]+")
 
 
 def normalize(text):
@@ -39,7 +42,12 @@ def normalize(text):
     """
     if text is None:
         return ""
-    decomposed = unicodedata.normalize("NFKD", str(text))
+    text = str(text)
+    if text.isascii():
+        # On ASCII, NFKD and combining() are the identity, casefold is
+        # lower() and isalnum is [a-z0-9]: the loop below, in three calls.
+        return _ASCII_SEPARATORS.sub(" ", text.lower()).strip()
+    decomposed = unicodedata.normalize("NFKD", text)
     out = []
     last_space = True
     for ch in decomposed:

@@ -19,6 +19,15 @@ of the trigram index:
 * post-verifying candidates with the exact predicate yields EXACTLY
   the true match set (what a QUEL statement ultimately returns).
 
+For ``similar_to`` it also measures *tightness*: the index decides each
+row from its posting overlap and stored gram count, so while it is in
+sync with the rows -- always, here -- ``candidates_similar`` minus the
+true set is empty, from threshold 0.05 to 1.0 and with gram-less rows
+in the table.  The *contract* callers rely on stays "verified
+superset" (a pinned reader adds stale rowids and re-checks); tightness
+is what makes going to the index never cost more row fetches than the
+answer has rows.
+
 It also pins the maintenance invariants: every candidate rowid is a
 live row, and the index entry count tracks the table row count.
 """
@@ -76,6 +85,10 @@ SIMILAR_QUERIES = [
     ("goldberg aria", 0.3),
     ("xy", 0.5),        # sub-trigram query
     ("etude", 0.9),
+    ("prelude no 7", 0.05),         # nearly every gramful row shares a gram
+    ("in c major prelude", 0.5),    # word order: same tokens, other grams
+    ("prelude no. 7", 1.0),         # only an identical gram set passes
+    ("ab", 1.0),        # gram-less query equal to a gram-less row: declined
 ]
 
 
@@ -187,6 +200,10 @@ class _State:
                 if is_similar(rows[rowid], query, threshold)
             }
             assert verified == true
+            assert not candidates - true, (
+                "similar_to(%r, %s) fetched rows that do not pass: %r"
+                % (query, threshold, sorted(candidates - true))
+            )
 
 
 def _generate_ops(seed, count=OPS_PER_PROGRAM):

@@ -1,13 +1,20 @@
 """End-to-end QUEL text search: matches/similar_to gates, the
-similarity scalar, planner pushdown onto the trigram index, snapshot
-residual evaluation, parser validation, DDL, and the shell command.
+similarity scalar, planner pushdown onto the trigram index (locked,
+pinned and through the server; `similar_to` above the candidate cap's
+floor), parser validation, DDL, and the shell command.
 """
+
+import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import ParseError, QueryError
+from repro.fixtures.corpus import load_catalog
 from repro.mdm.manager import MusicDataManager
 from repro.mdm.shell import MdmShell
+from repro.net import MdmClient, MdmServer
+from repro.text import is_similar
 from tests.quel.reference import reference_execute
 
 TITLES = [
@@ -133,24 +140,139 @@ class TestSimilarTo:
             mdm.execute('retrieve (x = similarity(t.n, "prelude"))')
 
 
-class TestConsistency:
-    @staticmethod
-    def _reference(mdm, source):
-        """The AST-interpreting, scan-everything oracle's answer."""
-        return reference_execute(mdm.schema, "range of t is TRACK\n" + source)
+#: Above the candidate cap's floor (512 rows), where a ``similar_to``
+#: gate's posting estimate used to lose to the cap and the gate scanned.
+CORPUS_ROWS = 2_000
+SIMILAR = 'retrieve (t.title) where similar_to(t.title, "%s", %s)'
 
+
+def _corpus_mdm():
+    manager = MusicDataManager(with_cmn=False)
+    load_catalog(manager.schema, CORPUS_ROWS, seed=5)
+    manager.execute("define text index on TRACK (title)")
+    manager.execute("range of t is TRACK")
+    return manager
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """A read-only corpus catalog and one of its titles."""
+    manager = _corpus_mdm()
+    return manager, _corpus_title(manager)
+
+
+def _corpus_title(manager):
+    table = manager.schema.entity_type("TRACK").table
+    return sorted(row["title"] for row in table)[CORPUS_ROWS // 2]
+
+
+def _reference(manager, source):
+    """The AST-interpreting, scan-everything oracle's answer."""
+    return reference_execute(manager.schema, "range of t is TRACK\n" + source)
+
+
+def _analyzed(rows):
+    """``(plan line, rows returned, rows visited)`` of an explain analyze."""
+    rendered = "\n".join(row["plan"] for row in rows)
+    returned = int(re.search(r"^rows: (\d+)", rendered, re.M).group(1))
+    visited = int(re.search(r"rows visited: (\d+)", rendered).group(1))
+    return rows[0]["plan"], returned, visited
+
+
+class TestSimilarToAnswersFromTheIndex:
+    """On a table above the floor the gate goes to the index at every
+    threshold, and the index hands back the rows that pass, not a
+    superset to be filtered."""
+
+    def test_binds_index_text_and_visits_only_the_rows_it_returns(self, corpus):
+        manager, title = corpus
+        source = SIMILAR % (title, 0.55)
+        out = manager.execute(source)
+        assert manager.session.last_plan_object.label == "index text"
+        assert len(out) > 1
+        assert out == _reference(manager, source)
+        plan, returned, visited = _analyzed(
+            manager.execute("explain analyze " + source)
+        )
+        assert plan == "bind t via index text (%d candidates)" % len(out)
+        assert returned == visited == len(out)
+
+    def test_pinned_read_takes_in_and_reverifies_the_stale_rowids(self):
+        manager = _corpus_mdm()
+        title = _corpus_title(manager)
+        table = manager.schema.entity_type("TRACK").table
+        source = SIMILAR % (title, 0.55)
+        pinned = manager.execute(source)
+        hit = next(r for r in table if is_similar(r["title"], title, 0.55))
+        miss = next(r for r in table if not is_similar(r["title"], title, 0.55))
+
+        def retitle():
+            # The index now says the opposite of the pinned version of
+            # each: the one that matched no longer does, and vice versa.
+            table.update(hit.rowid, {"title": "Something Else Entirely"})
+            table.update(miss.rowid, {"title": title})
+
+        with manager.database.snapshot():
+            with ThreadPoolExecutor(1) as pool:
+                pool.submit(retitle).result(timeout=10)
+            assert manager.execute(source) == pinned
+            plan = manager.session.last_plan_object
+            assert plan.label == "index text"
+            assert plan.snapshot[1] == 2
+        live = manager.execute(source)
+        assert live == _reference(manager, source)
+        assert titles(live) != titles(pinned)
+
+    def test_binds_the_same_way_through_the_server(self, corpus):
+        manager, title = corpus
+        source = SIMILAR % (title, 0.55)
+        server = MdmServer(manager)
+        server.start()
+        client = MdmClient(server.address, default_timeout=10.0)
+        try:
+            client.execute("range of t is TRACK")
+            out = client.retrieve(source)
+            assert out == manager.execute(source)
+            plan, returned, visited = _analyzed(
+                client.retrieve("explain analyze " + source)
+            )
+        finally:
+            client.close()
+            server.stop()
+        assert plan == "bind t via index text (%d candidates)" % len(out)
+        assert returned == visited == len(out)
+
+    @pytest.mark.parametrize("threshold", [0.05, 1.0, 1.5])
+    def test_every_threshold_agrees_with_the_reference(self, corpus, threshold):
+        manager, title = corpus
+        source = SIMILAR % (title, threshold)
+        out = manager.execute(source)
+        assert manager.session.last_plan_object.label == "index text"
+        assert out == _reference(manager, source)
+        assert bool(out) == (threshold <= 1.0)
+
+    @pytest.mark.parametrize("query", ["op", "", "--"])
+    def test_gram_less_query_still_scans(self, corpus, query):
+        manager, _ = corpus
+        source = SIMILAR % (query, 0.55)
+        out = manager.execute(source)
+        assert manager.session.last_plan_object.label == "scan"
+        assert out == _reference(manager, source)
+
+
+class TestConsistency:
     def test_interpreter_and_compiled_agree(self, mdm):
         source = 'retrieve (t.title) where matches(t.title, "prelude")'
         compiled = mdm.execute(source)
         assert mdm.session.last_plan_object.label == "index text"
-        assert compiled == self._reference(mdm, source)
+        assert compiled == _reference(mdm, source)
         assert len(compiled) == 2
 
     def test_ablated_session_scans_but_agrees(self, mdm):
         source = 'retrieve (t.title) where similar_to(t.title, "nocturne op 9", 0.4)'
         indexed = mdm.execute(source)
         assert mdm.session.last_plan_object.label == "index text"
-        assert indexed == self._reference(mdm, source)
+        assert indexed == _reference(mdm, source)
         assert indexed
 
     def test_snapshot_read_evaluates_residually(self, mdm):

@@ -88,6 +88,30 @@ class TestIndexes:
         table.create_index("pitch", ordered=True)
         assert [r["pitch"] for r in table.select_range("pitch", 1, 3)] == [1, 2, 3]
 
+    @pytest.mark.parametrize("column, ordered", [
+        ("pitch", False), ("pitch", True), (("name", "pitch"), True),
+    ])
+    def test_backfilled_index_equals_one_maintained_row_by_row(
+        self, column, ordered
+    ):
+        """``create_index`` over existing rows builds in bulk
+        (``insert_many``); the result is the index per-row ``insert``s
+        would have built: same keys, same order, same postings."""
+        values = [
+            {"name": "n%d" % (i % 5), "pitch": None if i % 11 == 0 else (i * 7) % 13}
+            for i in range(40)
+        ]
+        maintained = make_table()
+        kept = maintained.create_index(column, ordered=ordered)
+        backfilled = make_table()
+        for table in (maintained, backfilled):
+            for row in values:
+                table.insert(row)
+        built = backfilled.create_index(column, ordered=ordered)
+        assert type(built) is type(kept)
+        assert len(built) == len(kept) == 40
+        assert vars(built) == vars(kept)
+
     def test_select_eq_without_index(self):
         table = make_table()
         table.insert({"name": "a", "pitch": 60})

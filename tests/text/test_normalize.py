@@ -8,8 +8,12 @@ and the edge cases a library catalog actually contains -- empty
 titles, whitespace-only, sub-trigram shorts.
 """
 
+import random
+import unicodedata
+
 import pytest
 
+from repro.fixtures.corpus import corpus_rows
 from repro.text import (
     GRAM,
     contains_match,
@@ -49,6 +53,56 @@ class TestNormalize:
     def test_token_sort_orders_words(self):
         assert token_sort("In C Major: Prélude") == "c in major prelude"
         assert token_sort("Prélude in C major") == "c in major prelude"
+
+
+def _fold_per_character(text):
+    """The fold as the module docstring states it, one character at a
+    time: the reference ``normalize``'s ASCII shortcut must equal."""
+    out = []
+    last_space = True
+    for ch in unicodedata.normalize("NFKD", text):
+        if unicodedata.combining(ch):
+            continue
+        for folded in ch.casefold():
+            if folded.isalnum():
+                out.append(folded)
+                last_space = False
+            elif not last_space:
+                out.append(" ")
+                last_space = True
+    if out and out[-1] == " ":
+        out.pop()
+    return "".join(out)
+
+
+class TestFoldEquivalence:
+    """``normalize`` takes ASCII values through ``lower`` and one regex;
+    everything else through the per-character loop.  Same output."""
+
+    ASCII = [chr(code) for code in range(128)]  # controls, DEL, \x1c-\x1f
+    # Casefold expansions, a ligature, dotted capital I, full-width
+    # digits, and combining marks with nothing to combine with.
+    BEYOND = list("éßﬁİÉŉ１２９") + ["\u0301", "\u0308", "\u00a0", "\u2014"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_strings(self, seed):
+        rng = random.Random(seed)
+        ascii_only = 0
+        for _ in range(3000):
+            alphabet = self.ASCII if rng.random() < 0.5 else (
+                self.ASCII + self.BEYOND * 4
+            )
+            text = "".join(rng.choices(alphabet, k=rng.randrange(0, 24)))
+            ascii_only += text.isascii()
+            assert normalize(text) == _fold_per_character(text), repr(text)
+        assert 1000 < ascii_only < 2900  # both paths were taken
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_corpus_title(self, seed):
+        titles = [row["title"] for row in corpus_rows(5000, seed)]
+        assert any(not title.isascii() for title in titles)
+        for title in titles:
+            assert normalize(title) == _fold_per_character(title), title
 
 
 class TestTrigrams:
