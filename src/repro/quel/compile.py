@@ -217,13 +217,13 @@ class CompiledStatement:
     __slots__ = (
         "statement", "kind", "used", "conjuncts", "restrictions",
         "restriction_conjuncts", "text_restrictions", "pushdown_options",
-        "targets", "aggregates", "sort_fn", "assignments",
+        "targets", "aggregates", "sort_fn", "sort_target", "assignments",
     )
 
     def __init__(self, statement, kind, used, conjuncts, restrictions,
                  restriction_conjuncts, pushdown_options, targets=None,
                  aggregates=None, sort_fn=None, assignments=None,
-                 text_restrictions=None):
+                 text_restrictions=None, sort_target=None):
         self.statement = statement
         self.kind = kind
         self.used = used
@@ -239,6 +239,10 @@ class CompiledStatement:
         self.targets = targets
         self.aggregates = aggregates
         self.sort_fn = sort_fn
+        # The name of the plain target whose expression *is* the sort
+        # key (None: there is none): the tail reads the key off the
+        # record instead of evaluating it a second time per row.
+        self.sort_target = sort_target
         self.assignments = assignments
 
 
@@ -668,7 +672,7 @@ def compile_statement(statement, session):
         pushdown_options.extend(compiler.pushdown_options(index, node))
 
     kind = type(statement).__name__
-    targets = aggregates = sort_fn = assignments = None
+    targets = aggregates = sort_fn = sort_target = assignments = None
     if isinstance(statement, ast.RetrieveStatement):
         targets = []
         aggregates = []
@@ -692,6 +696,13 @@ def compile_statement(statement, session):
                 targets.append((target.name, compiler.expression(expression)))
         if statement.sort_by is not None:
             sort_fn = compiler.expression(statement.sort_by)
+            # A later target of the same name overwrites an earlier one
+            # in the record, so only the last of a name can stand in.
+            last = {t.name: fingerprint(t.expression) for t in statement.targets}
+            sort_print = fingerprint(statement.sort_by)
+            sort_target = next(
+                (name for name, _ in targets if last[name] == sort_print), None
+            )
     elif isinstance(statement, (ast.AppendStatement, ast.ReplaceStatement)):
         assignments = [
             (name, compiler.expression(expression))
@@ -704,5 +715,5 @@ def compile_statement(statement, session):
         statement, kind, list(used), conjuncts, restrictions,
         restriction_conjuncts, pushdown_options, targets=targets,
         aggregates=aggregates, sort_fn=sort_fn, assignments=assignments,
-        text_restrictions=text_restrictions,
+        text_restrictions=text_restrictions, sort_target=sort_target,
     )

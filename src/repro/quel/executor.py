@@ -27,7 +27,7 @@ the join loop, which raises ``QueryTimeoutError`` /
 import threading
 import time
 from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
 from repro.core.entity import SURROGATE_COLUMN, EntityInstance
@@ -53,12 +53,13 @@ class ExecutionLimits:
     visits (a monotonic read per row would dominate small queries).
     """
 
-    __slots__ = ("deadline", "row_budget", "visits")
+    __slots__ = ("deadline", "row_budget", "visits", "fetched")
 
     def __init__(self, deadline=None, row_budget=None):
         self.deadline = deadline
         self.row_budget = row_budget
         self.visits = 0
+        self.fetched = 0  # rows the sources asked for, a chunk at a time
 
     def check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -156,77 +157,28 @@ class _RelationshipRange:
         return row
 
 
-def _candidates(declared, restrictions, text_restrictions):
-    """Candidates of range *declared* satisfying *restrictions*, plus
-    the access path used and the stale rowids it had to consider.
+def _chunk_sizes(first):
+    """The one chunk rule: how many rowids each successive fetch of a
+    candidate source takes.  The first takes *first*, the statement's
+    early-exit bound, and every later one as many as all before it, so
+    a tail that stops early has paid for under twice the rowids it had
+    to see and one that drains the source for O(log n) fetch calls."""
+    total = 0
+    while True:
+        size = total or first
+        yield size
+        total += size
 
-    Every equality restriction on a real column is answered from an
-    index -- built on first use if absent, so it never silently degrades
-    to a filtered scan (relationship role columns are indexed at
-    definition time) -- and the rowid sets are intersected before any
-    row is materialized.  Text gates in *text_restrictions* prune
-    through the trigram index when one exists ("index text" access); the
-    exact predicate re-verifies every survivor in the join, so
-    candidates are a sound superset.  Restrictions on unknown attributes
-    are filtered in place rather than triggering a full unfiltered scan.
 
-    The same code runs under a table lock and under a pinned MVCC
-    snapshot: the index reads happen inside :meth:`Table.probe` and the
-    rows come back through :meth:`Table.fetch`, which -- pinned -- adds
-    the table's stale rowids and re-checks the equalities on each
-    visible version (the join skips a static variable's restriction
-    conjuncts, so nothing downstream would).
-
-    Returns ``(candidates, access, stale)``.  *access* is "index",
-    "index text", "filtered scan" or "scan" -- or "snapshot scan", a
-    pinned read no index applied to.  *stale* counts the stale rowids
-    an index read took in (0 when not pinned); None says the table was
-    :data:`~repro.storage.table.SWAMPED` and the visible rows scanned.
-    """
-    table = declared.table
-    has_column = table.schema.has_column
-    indexed = [(a, v) for a, v in restrictions if has_column(a)]
-    residual = [(a, v) for a, v in restrictions if not has_column(a)]
-
-    def wrapped(rows):
-        out = [declared.wrap(row) for row in rows]
-        if residual:
-            out = [c for c in out if all(c.get(a) == v for a, v in residual)]
-        return out
-
-    def probe():
-        rowids, text_pruned = _text_rowids(table, text_restrictions)
-        for attribute, value in indexed:
-            if rowids is not None and not rowids:
-                break
-            index = table.any_index_for(attribute)
-            if index is None:
-                # Adaptive access path: build the missing index once so
-                # this and every later query answers from it.
-                index = table.create_index(attribute)
-            matched = set(index.lookup(value))
-            rowids = matched if rowids is None else rowids & matched
-        return rowids, text_pruned
-
-    (rowids, text_pruned), stale = table.probe(probe)
-    pinned = stale is not None
-    if rowids is None:
-        if declared.scan_order is None:
-            rows = list(table)
-        else:
-            rows = table.sorted_by(declared.scan_order)
-        access = "filtered scan" if residual else "scan"
-        return wrapped(rows), "snapshot scan" if pinned else access, 0
-    keys = [(a, value_sort_key(v)) for a, v in indexed]
-    # One batched pass: no per-rowid table.get round trips.
-    rows = table.fetch(
-        sorted(rowids), stale,
-        lambda row: all(value_sort_key(row[a]) == key for a, key in keys),
-    )
-    if stale is SWAMPED:
-        return wrapped(rows), "snapshot scan", None
-    access = "index text" if text_pruned else "index"
-    return wrapped(rows), access, len(stale) if pinned else 0
+def _slices(items, first):
+    """List *items* cut by the chunk rule; one slice holding everything
+    when the statement has no early-exit bound (*first* None)."""
+    start = 0
+    for size in _chunk_sizes(first or len(items)):
+        if start >= len(items):
+            return
+        yield items[start:start + size]
+        start += size
 
 
 class QuelSession:
@@ -255,6 +207,7 @@ class QuelSession:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._statements = self.metrics.counter("quel.statements")
         self._rows_returned = self.metrics.counter("quel.rows_returned")
+        self._rows_fetched = self.metrics.counter("quel.rows_fetched")
         self._statement_seconds = self.metrics.histogram(
             "quel.statement_seconds"
         )
@@ -516,7 +469,7 @@ class QuelSession:
         try:
             result = self._dispatch(inner)
             elapsed = time.monotonic() - started
-            visits = self.limits.visits
+            visits, fetched = self.limits.visits, self.limits.fetched
         finally:
             self._limits_local.limits = previous
         plan = self._last_plan
@@ -528,6 +481,7 @@ class QuelSession:
         count = len(result) if isinstance(result, list) else result
         rows.append({"plan": "rows: %s" % count})
         rows.append({"plan": "rows visited: %d" % visits})
+        rows.append({"plan": "rows fetched: %d" % fetched})
         rows.append({"plan": "time: %.3f ms" % (elapsed * 1000.0)})
         return rows
 
@@ -683,6 +637,129 @@ class QuelSession:
                 consumed.add(index)
         return dynamic, consumed
 
+    def _pull(self, declared, chunks, fetch):
+        """The shared pull: *declared*'s candidates, a chunk of *chunks*
+        at a time -- ``fetch(chunk)``'s rows, wrapped.  Nothing is
+        fetched before the join asks, so plain ``explain`` fetches
+        nothing and a tail that stops early never pays for the chunks
+        behind the one it stopped in.  What each chunk asked its table
+        for is counted per chunk, not per row: ``quel.rows_fetched``,
+        and ``rows fetched`` under ``explain analyze``."""
+        wrap = declared.wrap
+        limits = self.limits
+
+        def pools():
+            for chunk in chunks:
+                self._rows_fetched.inc(len(chunk))
+                if limits is not None:
+                    limits.fetched += len(chunk)
+                yield [wrap(row) for row in fetch(chunk)]
+
+        return chain.from_iterable(pools())  # a hop per chunk, not per row
+
+    def _candidates(self, declared, restrictions, text_restrictions):
+        """The candidate source of range *declared* under *restrictions*.
+
+        Every equality restriction on a real column is answered from an
+        index -- built on first use if absent, so it never silently
+        degrades to a filtered scan (relationship role columns are
+        indexed at definition time) -- and the rowid sets are
+        intersected before any row is materialized.  Text gates in
+        *text_restrictions* prune through the trigram index when one
+        exists ("index text" access); the exact predicate re-verifies
+        every survivor in the join, so candidates are a sound superset.
+        Restrictions on unknown attributes filter in place rather than
+        triggering a full unfiltered scan.
+
+        The same code runs under a table lock and under a pinned MVCC
+        snapshot: the index reads happen inside one :meth:`Table.probe`,
+        whose stale rowids are merged into the ascending rowid list
+        once, and each chunk comes back through :meth:`Table.fetch`,
+        which -- pinned -- re-checks the equalities on each visible
+        version (the join skips a static variable's restriction
+        conjuncts, so nothing downstream would).
+
+        Returns ``(count, pull, access, stale)``.  *count* is what the
+        probe answered, neither inflated by stale rowids nor reduced by
+        the re-check; ``pull(first, selector)`` is the :meth:`_pull`
+        over the rowids cut by the chunk rule.  *access* is "index",
+        "index text", "filtered scan" or "scan" -- or "snapshot scan", a
+        pinned read no index applied to.  *stale* counts the stale
+        rowids an index read took in (0 when not pinned); None says the
+        table was :data:`~repro.storage.table.SWAMPED` and is scanned.
+        """
+        table = declared.table
+        has_column = table.schema.has_column
+        indexed = [(a, v) for a, v in restrictions if has_column(a)]
+        residual = [(a, v) for a, v in restrictions if not has_column(a)]
+
+        def kept(rows):
+            if residual:
+                rows = [
+                    row for row in rows
+                    if all(row.get(a) == v for a, v in residual)
+                ]
+            return rows
+
+        def probe():
+            rowids, text_pruned = _text_rowids(table, text_restrictions)
+            for attribute, value in indexed:
+                if rowids is not None and not rowids:
+                    break
+                index = table.any_index_for(attribute)
+                if index is None:
+                    # Adaptive access path: build the missing index once so
+                    # this and every later query answers from it.
+                    index = table.create_index(attribute)
+                # A lookup answers ascending: a lone one is the
+                # candidate list as it stands.
+                matched = index.lookup(value)
+                rowids = (
+                    matched if rowids is None
+                    else set(matched).intersection(rowids)
+                )
+            return rowids, text_pruned
+
+        (rowids, text_pruned), stale = table.probe(probe)
+        pinned = stale is not None
+        keys = [(a, value_sort_key(v)) for a, v in indexed]
+
+        def verify(row):
+            return all(value_sort_key(row[a]) == key for a, key in keys)
+
+        if rowids is None or stale is SWAMPED:
+            # A scan takes its rows now -- that is how it knows its
+            # count -- and hands them over as one chunk.
+            if rowids is not None:
+                rows = table.fetch(rowids, SWAMPED, verify)
+            elif declared.scan_order is None:
+                rows = list(table)
+            else:
+                rows = table.sorted_by(declared.scan_order)
+            rows = kept(rows)
+            access = "filtered scan" if residual else "scan"
+            return (
+                len(rows),
+                lambda first, selector: self._pull(declared, (rows,), iter),
+                "snapshot scan" if pinned else access,
+                0 if rowids is None else None,
+            )
+        count = len(rowids)
+        taken = len(stale) if pinned else 0
+        if not isinstance(rowids, list):
+            rowids = sorted(rowids)
+        if stale:
+            rowids, stale = sorted(set(rowids).union(stale)), ()
+        return (
+            count,
+            lambda first, selector: self._pull(
+                declared, _slices(rowids, first),
+                lambda chunk: kept(table.fetch(chunk, stale, verify)),
+            ),
+            "index text" if text_pruned else "index",
+            taken,
+        )
+
     def _limit_text_source(self, compiled, declared):
         """The early-exit source for a ``limit N`` text retrieve, or None.
 
@@ -693,27 +770,21 @@ class QuelSession:
         candidate set, which grows with the table.
 
         *Unsorted* -- "index text stream": the rarest ``matches`` gate's
-        posting intersection is consumed lazily, so the galloping merge
-        only advances far enough for the join to verify N rows.  Work is
-        proportional to the limit, not the catalog, which keeps
-        first-page search flat from 120k to 1M rows.  Row order matches
-        "index text" exactly: both visit candidates in ascending rowid
-        order.
+        posting merge itself advances a chunk at a time
+        (:meth:`_stream_candidates`), only far enough for the join to
+        verify N rows, in "index text"'s ascending rowid order.
 
         *Sorted by* ``similarity(v.attr, "literal")`` *descending* --
         "index text topk": only this sort key has a posting-count upper
-        bound (:meth:`SimilarityScorer.bound_with`), which is what lets
-        :meth:`_text_topk` stop fetching rows early.
+        bound (:meth:`SimilarityScorer.bound_with`), so candidates are
+        pulled best bound first until the tail's bounded selection holds
+        N rows no remaining bound can beat; the rest are never fetched.
+        Ties order by rowid, as a stable sort over "index text" would.
 
         Both read the index inside :meth:`Table.probe`, so they run
         pinned exactly as locked; a table whose stale set has outgrown
         the candidate cap gets neither (None: the generic source scans).
-
-        Returns ``(access, count, candidates, ranked, stale)``:
-        *candidates* is the lazy instance stream (empty for top-k),
-        *ranked* the ``(-score bound, rowid)`` list the top-k operator
-        fetches from, best bound first (None for the stream), *stale*
-        the stale rowids the source took in.
+        Returns ``(count, pull, access, stale)`` like :meth:`_candidates`.
         """
         statement = compiled.statement
         variable = compiled.used[0]
@@ -748,12 +819,12 @@ class QuelSession:
                 return None
             estimate, index, query = best
             self._text_searches.inc()
-            candidates = self._stream_candidates(
-                declared, index, query, max(statement.limit, 64)
-            )
             return (
-                "index text stream", estimate, candidates, None,
-                len(stale or ()),
+                estimate,
+                lambda first, selector: self._stream_candidates(
+                    declared, index, query, first
+                ),
+                "index text stream", len(stale or ()),
             )
         spec = _similarity_sort_key(statement.sort_by)
         if not statement.descending or spec is None or spec[0] != variable:
@@ -793,36 +864,56 @@ class QuelSession:
         ranked = sorted((-bound, rowid) for rowid, bound in bound_of.items())
         self._text_searches.inc()
         self._text_candidates.inc(len(ranked))
-        return "index text topk", len(ranked), (), ranked, len(stale)
 
-    def _stream_candidates(self, declared, index, query, chunk):
-        """Instances for *index*'s lazy ``matches`` stream, *chunk*
-        rowids per probe.  Each probe opens a fresh posting merge past
-        the last rowid of the one before, so abandoning the generator
-        costs nothing and no merge is left suspended while a pinned
-        reader is off the latch; the stale rowids inside the chunk's
-        rowid range (all that are left, once the merge runs dry) are
-        merged in, keeping the stream in ascending rowid order."""
+        def best_first(selector):
+            """Ascending rowid chunks of *ranked*, best bounds first,
+            until the selection is full of rows the next chunk's best
+            bound cannot beat."""
+            for piece in _slices(ranked, selector.limit):
+                if selector.entry(-piece[0][0], -1) is None:
+                    return
+                yield sorted(rowid for _, rowid in piece)
+
+        def pull(first, selector):
+            for candidate in self._pull(
+                declared, best_first(selector), table.get_many
+            ):
+                selector.seq = candidate.rowid
+                yield candidate
+
+        return len(ranked), pull, "index text topk", len(stale)
+
+    def _stream_candidates(self, declared, index, query, first):
+        """The pull over *index*'s lazy ``matches`` stream.  Each chunk
+        is a probe of its own that opens a fresh posting merge past the
+        last rowid of the one before, so abandoning the pull costs
+        nothing and no merge is left suspended while a pinned reader is
+        off the latch; the stale rowids inside the chunk's rowid range
+        (all that are left, once the merge runs dry) are merged in,
+        keeping the stream in ascending rowid order."""
         table = declared.table
-        after = -1
-        while True:
-            batch, stale = table.probe(
-                lambda: list(islice(index.iter_matching(query, after), chunk))
-            )
-            last = batch[-1] if len(batch) == chunk else None
-            if stale:
-                if stale is SWAMPED:
-                    stale = table.rowids()
-                batch = sorted(set(batch).union(
-                    rowid for rowid in stale
-                    if rowid > after and (last is None or rowid <= last)
-                ))
-            self._text_candidates.inc(len(batch))
-            for row in table.get_many(batch):
-                yield declared.wrap(row)
-            if last is None:
-                return
-            after = last
+
+        def merged():
+            after = -1
+            for size in _chunk_sizes(first):
+                batch, stale = table.probe(
+                    lambda: list(islice(index.iter_matching(query, after), size))
+                )
+                last = batch[-1] if len(batch) == size else None
+                if stale:
+                    if stale is SWAMPED:
+                        stale = table.rowids()
+                    batch = sorted(set(batch).union(
+                        rowid for rowid in stale
+                        if rowid > after and (last is None or rowid <= last)
+                    ))
+                self._text_candidates.inc(len(batch))
+                yield batch
+                if last is None:
+                    return
+                after = last
+
+        return self._pull(declared, merged(), table.get_many)
 
     def _prepare_compiled(self, compiled, gate=True):
         """Lock tables, pick every variable's candidate source, and
@@ -839,8 +930,10 @@ class QuelSession:
           members);
         * a ``limit N`` text retrieve over one variable streams its
           candidates (:meth:`_limit_text_source`);
-        * everything else materializes candidates from the restrictions
-          an index can answer (:func:`_candidates`).
+        * everything else answers from the restrictions an index can
+          answer (:meth:`_candidates`) -- either way planning reads the
+          indexes only, and the rows are fetched a chunk at a time
+          (:meth:`_pull`) once the join asks.
 
         A pinned snapshot (lock-free MVCC read) takes no locks and
         otherwise changes nothing here: every source reads its indexes
@@ -848,10 +941,9 @@ class QuelSession:
         stale rowids to the candidates; "snapshot scan" is what a
         pinned variable no index applies to is labelled.
 
-        Returns ``(order, candidates, dynamic, checks_by_level,
-        ranked)``, or None when a constant conjunct gates the whole
-        query out (*gate*; explain passes False so nothing is
-        evaluated).
+        Returns ``(order, pulls, dynamic, checks_by_level)``, or None
+        when a constant conjunct gates the whole query out (*gate*;
+        explain passes False so nothing is evaluated).
         """
         plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
         try:
@@ -871,20 +963,19 @@ class QuelSession:
             if snapshot is None and compiled.pushdown_options:
                 dynamic, consumed = self._choose_pushdowns(compiled)
 
-            candidates = {}
+            pulls = {}
             accesses = {}
             counts = {}
-            ranked = None
             stale_rowids = 0
 
             def bind_static(variable):
                 nonlocal stale_rowids
-                candidates[variable], accesses[variable], stale = _candidates(
+                (counts[variable], pulls[variable], accesses[variable],
+                 stale) = self._candidates(
                     ranges[variable],
                     compiled.restrictions.get(variable, ()),
                     compiled.text_restrictions.get(variable, ()),
                 )
-                counts[variable] = len(candidates[variable])
                 if accesses[variable] == "index text":
                     self._text_searches.inc()
                     self._text_candidates.inc(counts[variable])
@@ -902,7 +993,7 @@ class QuelSession:
                 for variable in static_vars:
                     bind_static(variable)
             else:
-                (accesses[only], counts[only], candidates[only], ranked,
+                (counts[only], pulls[only], accesses[only],
                  stale_rowids) = early_exit
             nodes = [conjunct.node for conjunct in compiled.conjuncts]
             order = planner.order_variables(static_vars, counts, nodes)
@@ -977,7 +1068,7 @@ class QuelSession:
                     and conjunct.variables <= bound
                 ]
             )
-        return order, candidates, dynamic, checks_by_level, ranked
+        return order, pulls, dynamic, checks_by_level
 
     def _order_range_candidates(self, option, bindings):
         """Candidates for an enumerated variable, given its bound driver.
@@ -1044,74 +1135,32 @@ class QuelSession:
 
         return join(0, {})
 
-    def _text_topk(self, compiled, variable, ranked, checks_by_level, limits):
-        """Yield the bindings of a ranked retrieve's N best rows, best
-        first -- all the statement's sort-and-limit tail will keep.
+    def _compiled_bindings(self, compiled, first=None, selector=None):
+        """Yield the binding dicts a compiled statement's tail consumes.
 
-        Instead of materializing every candidate and sorting,
-        candidates arrive ranked by their score's *upper bound*
-        (*ranked*, computed at plan time from posting data alone: see
-        :meth:`_limit_text_source`) and are fetched best-bound-first in
-        fixed-size chunks; the scan stops once the Nth-best exact score
-        already beats the next chunk's bound.
-        Low-scoring candidates are never fetched via ``get_many`` at
-        all, which is where the 1M-row win comes from.  Each chunk goes
-        through :meth:`_join`, so visits are counted and conjuncts
-        verified exactly as for any other source.
-
-        Tie-breaking matches the materialize-then-stable-sort path
-        exactly: equal scores order by rowid, which is the order the
-        "index text" source visits candidates in.
+        The tail says where it will stop: *first*, an unsorted ``limit
+        N``'s early-exit bound, sizes the first chunk of the outermost
+        variable's source (None: one chunk of everything); *selector*,
+        a sorted one's bounded selection, is what top-k consults.  Inner
+        variables are re-iterated per outer binding: drained into lists.
         """
-        limit = compiled.statement.limit
-        score = compiled.sort_fn
-        declared = self._range_for(variable)
-        table = declared.table
-        # keys hold (-score, rowid): ascending order == score
-        # descending, rowid ascending -- the stable-sort tie order.
-        keys = []
-        kept = []
-        chunk = max(limit, 64)
-        for start in range(0, len(ranked), chunk):
-            if len(keys) >= limit and -ranked[start][0] < -keys[-1][0]:
-                break  # no remaining candidate can beat the Nth score
-            batch = sorted(rowid for _, rowid in ranked[start:start + chunk])
-            pool = [declared.wrap(row) for row in table.get_many(batch)]
-            for bindings in self._join(
-                [variable], {variable: pool}, {}, checks_by_level, limits
-            ):
-                entry = (-score(self, bindings), bindings[variable].rowid)
-                if len(keys) >= limit and entry >= keys[-1]:
-                    continue
-                at = bisect_left(keys, entry)
-                keys.insert(at, entry)
-                kept.insert(at, bindings)
-                if len(keys) > limit:
-                    keys.pop()
-                    kept.pop()
-        yield from kept
-
-    def _compiled_bindings(self, compiled):
-        """Yield the binding dicts a compiled statement's tail consumes."""
         limits = self.limits
         if limits is not None:
             limits.check_deadline()
         prepared = self._prepare_compiled(compiled)
         if prepared is None:
             return
-        order, candidates, dynamic, checks_by_level, ranked = prepared
+        order, pulls, dynamic, checks_by_level = prepared
         if not order:
             # No range variables; the constant gate already passed.
             yield {}
             return
-        if ranked is None:
-            source = self._join(
-                order, candidates, dynamic, checks_by_level, limits
-            )
-        else:
-            source = self._text_topk(
-                compiled, order[0], ranked, checks_by_level, limits
-            )
+        outer = order[0]
+        candidates = {outer: pulls[outer](first, selector)}
+        for variable in order[1:]:
+            if variable in pulls:
+                candidates[variable] = list(pulls[variable](None, None))
+        source = self._join(order, candidates, dynamic, checks_by_level, limits)
         # The scan span brackets the whole join; a try/finally closes
         # it even when the caller abandons the generator early.
         visits_before = limits.visits if limits is not None else 0
@@ -1144,31 +1193,35 @@ class QuelSession:
         limit = statement.limit
 
         # Bounded execution under `limit`: an unsorted retrieve stops
-        # consuming bindings as soon as enough rows exist (the join
-        # generator is abandoned, so candidates after the cut are never
-        # visited); a sorted one routes rows through a bounded
-        # selection holding `limit` entries instead of materializing
-        # and sorting everything.  `unique` and aggregates still need
-        # the full row set -- only the final output is truncated.
-        selector = None
-        stop_after = None
-        unique_seen = None
+        # consuming bindings as soon as enough rows (distinct ones,
+        # under `unique`) exist -- the join generator is abandoned, so
+        # candidates after the cut are never visited, nor, past the
+        # chunk *first* sizes, fetched; a sorted one routes rows
+        # through a bounded selection holding `limit` entries instead
+        # of sorting everything.  Aggregates, and `unique` under a sort,
+        # need the full row set -- only the output is truncated.
+        selector = first = unique_seen = None
         unique_count = 0
         if limit is not None and not aggregates:
-            if statement.sort_by is not None:
-                if not statement.unique:
-                    selector = _BoundedSort(limit, statement.descending)
-            elif statement.unique:
-                unique_seen = set()
-            else:
-                stop_after = limit
+            if statement.sort_by is None:
+                first = limit
+                if statement.unique:
+                    unique_seen = set()
+            elif not statement.unique:
+                selector = _BoundedSort(limit, statement.descending)
 
+        sort_target = compiled.sort_target
         rows = []
-        for bindings in self._compiled_bindings(compiled):
+        for bindings in self._compiled_bindings(compiled, first, selector):
             record = {}
             for name, fn in plain:
                 record[name] = fn(self, bindings)
-            sort_key = sort_fn(self, bindings) if sort_fn is not None else None
+            sort_key = None
+            if sort_target is not None:
+                # Also a target: evaluated once a row, above.
+                sort_key = record[sort_target]
+            elif sort_fn is not None:
+                sort_key = sort_fn(self, bindings)
             if selector is not None:
                 selector.offer(record, sort_key)
                 continue
@@ -1178,9 +1231,10 @@ class QuelSession:
                     self, bindings
                 )
             rows.append((record, sort_key, aggregate_inputs))
-            if stop_after is not None and len(rows) >= stop_after:
-                break
-            if unique_seen is not None:
+            if unique_seen is None:
+                if first is not None and len(rows) >= first:
+                    break
+            else:
                 key = _record_key(record)
                 if key is None or key not in unique_seen:
                     if key is not None:
@@ -1366,28 +1420,39 @@ class _Reversed:
 class _BoundedSort:
     """Bounded selection for ``sort by ... limit N``.
 
-    Keeps the N best ``(key, seq)`` entries in a sorted list; *seq* is
-    arrival order, which reproduces the stable full-sort's tie-breaking
-    exactly.  A ranked retrieve over a million bindings holds N records
-    instead of materializing everything and sorting at the end.
+    Keeps the N best ``(key, seq)`` entries in a sorted list, so a
+    ranked retrieve over a million bindings holds N records instead of
+    sorting everything at the end.  *seq*, the tie-break the next offer
+    takes, is arrival order -- the stable full sort's tie-breaking --
+    unless the source sets it before each row it hands the tail: top-k,
+    which visits rows best bound first, sets the rowid ("index text"'s
+    visiting order).
     """
 
-    __slots__ = ("limit", "keys", "records", "descending", "_seq")
+    __slots__ = ("limit", "keys", "records", "descending", "seq")
 
     def __init__(self, limit, descending):
         self.limit = limit
         self.descending = descending
         self.keys = []
         self.records = []
-        self._seq = 0
+        self.seq = 0
 
-    def offer(self, record, sort_key):
+    def entry(self, sort_key, seq):
+        """The ``(key, seq)`` a row would be kept under, or None when
+        the selection is full of better ones."""
         key = value_sort_key(sort_key)
         if self.descending:
             key = _Reversed(key)
-        entry = (key, self._seq)
-        self._seq += 1
+        entry = (key, seq)
         if len(self.keys) >= self.limit and not entry < self.keys[-1]:
+            return None
+        return entry
+
+    def offer(self, record, sort_key):
+        entry = self.entry(sort_key, self.seq)
+        self.seq += 1
+        if entry is None:
             return
         at = bisect_left(self.keys, entry)
         self.keys.insert(at, entry)

@@ -99,6 +99,8 @@ def order_variables(variables, candidate_counts, conjuncts):
     """Choose a binding order: smallest candidate sets first, breaking
     ties toward variables connected to already-ordered ones (so join
     predicates apply as early as possible)."""
+    if len(variables) < 2:
+        return list(variables)  # nothing to order: skip the conjunct walk
     remaining = set(variables)
     ordered = []
     bound = set()

@@ -43,7 +43,8 @@ class HashIndex:
             del self._buckets[key]
 
     def lookup(self, value):
-        """Return the rowids stored under *value* (a new list)."""
+        """Return the rowids stored under *value* (a new list,
+        ascending, as every index's ``lookup`` answers)."""
         return sorted(self._buckets.get(self._key(value), ()))
 
     def distinct_values(self):

@@ -863,8 +863,14 @@ class Table:
         given.  Pinned: the versions of *rowids* and *stale* visible at
         the snapshot that pass *verify*, the exact predicate the probe
         stood for -- or, :data:`SWAMPED`, every visible row that passes
-        it -- in ascending rowid order, so callers that want the two to
-        agree pass *rowids* ascending.
+        it -- in ascending rowid order (nothing stale to merge in: the
+        order given), so callers that want the two to agree pass
+        *rowids* ascending.
+
+        A caller that fetches a probe's answer a chunk at a time merges
+        the stale rowids into the ascending list once and hands over
+        each piece with an empty *stale*: only this off-latch step, the
+        fetch at the pinned LSN with its re-check, is cut into pieces.
         """
         if stale is None:
             rows = self._rows
@@ -872,7 +878,9 @@ class Table:
         if stale is SWAMPED:
             rows = sorted(self, key=lambda row: row.rowid)
         else:
-            rows = self.get_many(sorted(set(stale).union(rowids)))
+            if stale:
+                rowids = sorted(set(stale).union(rowids))
+            rows = self.get_many(rowids)
         return [row for row in rows if verify(row)]
 
     def _lookup(self, column, value):

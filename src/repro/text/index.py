@@ -24,9 +24,10 @@ through one resize-happy dict.  Rowids therefore must fit an unsigned
 Candidate retrieval is sound, and for ``similar_to`` exact:
 
 * ``candidates_matching`` intersects the posting lists of every query
-  trigram (containment implies every query gram appears in the value)
-  with a galloping merge driven by the shortest posting, so cost
-  scales with the *rarest* gram, not the table;
+  trigram (containment implies every query gram appears in the value),
+  shortest first: the survivors meet each longer posting as a set, or
+  by bisection once it is much longer than they are, so cost scales
+  with the *rarest* gram, not the table;
 * ``candidates_similar`` decides each row from its posting overlap and
   its stored gram count, which together give its Jaccard exactly.  It
   counts only the ``k - r + 1`` *essential* shortest postings -- a
@@ -74,22 +75,23 @@ _ROW_OVERHEAD = 64
 _BULK_THRESHOLD = 16
 
 
-def _gallop(posting, target, lo):
-    """Insertion point of *target* in sorted *posting*, searching from
-    *lo* by exponential steps then bisection.
+#: A rowid set meets a posting by walking the posting -- a C loop,
+#: ~25 ns an entry -- unless the posting is this many times longer than
+#: the set; then each rowid is bisected into it, a Python step apiece.
+_BISECT_RATIO = 16
 
-    Caller guarantees ``posting[lo] < target`` (the probe advances
-    monotonically), so consecutive probes near each other cost O(log
-    gap) instead of O(log n).
-    """
+
+def _members(rowids, posting):
+    """The rowids of set *rowids* that sorted *posting* holds."""
     n = len(posting)
-    step = 1
-    hi = lo + 1
-    while hi < n and posting[hi] < target:
-        lo = hi
-        step <<= 1
-        hi = lo + step
-    return bisect_left(posting, target, lo + 1, min(hi, n))
+    if n <= _BISECT_RATIO * len(rowids):
+        return rowids.intersection(posting)
+    out = set()
+    for rowid in rowids:
+        i = bisect_left(posting, rowid)
+        if i < n and posting[i] == rowid:
+            out.add(rowid)
+    return out
 
 
 class TrigramIndex:
@@ -280,9 +282,10 @@ class TrigramIndex:
             return None
         if not postings:
             return set()
-        if len(postings) == 1:
-            return set(postings[0])
-        return set(self._intersect(postings))
+        rowids = set(postings[0])
+        for posting in postings[1:]:
+            rowids = _members(rowids, posting)
+        return rowids
 
     def iter_matching(self, query, after=-1):
         """Lazy ``candidates_matching``: yields rowids ascending.
@@ -318,13 +321,13 @@ class TrigramIndex:
 
     @staticmethod
     def _intersect(postings, after=-1):
-        """Galloping merge: rowids above *after* present in every
-        posting, ascending.
+        """Lazy merge: rowids above *after* present in every posting,
+        ascending.
 
         Drives with the shortest posting; each longer posting keeps a
-        cursor that only moves forward, advanced by exponential search.
-        Total cost is O(|shortest| · log(gap)) instead of building and
-        intersecting full sets.
+        cursor that only moves forward, by bisecting what lies past it,
+        so a consumer that stops early has walked only the driver's
+        head (the whole set is ``candidates_matching``'s job).
         """
         driver = postings[0]
         others = postings[1:]
@@ -339,7 +342,7 @@ class TrigramIndex:
             for j, posting in enumerate(others):
                 i = positions[j]
                 if i < len(posting) and posting[i] < rowid:
-                    i = _gallop(posting, rowid, i)
+                    i = bisect_left(posting, rowid, i + 1)
                     positions[j] = i
                 if i == len(posting):
                     return  # posting exhausted: nothing larger can match
@@ -424,28 +427,19 @@ class TrigramIndex:
         """Exact ``{rowid: |grams ∩ row grams|}`` for given *rowids*.
 
         The ranked top-k path calls this with the similarity query's
-        gram set over the (already pruned) gate candidates; per gram it
-        either walks a short posting against the candidate dict or
-        bisects each candidate into a long posting, whichever is fewer
-        probes.
+        gram set over the (already pruned) gate candidates; per gram
+        the candidates meet the posting as ``candidates_matching``'s
+        do (:func:`_members`), so only the hits cost a Python step.
         """
         counts = dict.fromkeys(rowids, 0)
         if not counts:
             return counts
+        rowids = set(counts)
         for gram in grams:
             posting = self._posting(gram)
-            if posting is None:
-                continue
-            n = len(posting)
-            if n <= len(counts):
-                for rowid in posting:
-                    if rowid in counts:
-                        counts[rowid] += 1
-            else:
-                for rowid in counts:
-                    i = bisect_left(posting, rowid)
-                    if i < n and posting[i] == rowid:
-                        counts[rowid] += 1
+            if posting is not None:
+                for rowid in _members(rowids, posting):
+                    counts[rowid] += 1
         return counts
 
     # -- planner cost estimate -----------------------------------------------

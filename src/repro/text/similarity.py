@@ -20,6 +20,7 @@ Two layers live here, deliberately separated:
 """
 
 import math
+import threading
 from difflib import SequenceMatcher
 
 from .normalize import grams_of, normalize, token_sort, trigrams
@@ -82,17 +83,33 @@ class SimilarityScorer:
     in a ranked retrieve.  A scorer folds those once and normalizes the
     row value once per call (the plain function folds it four times,
     through ``trigrams``/``normalize``/``edit_ratio``/``token_sort``).
-    ``scorer(value)`` returns bit-identical floats to
+    The two edit ratios run on matchers that keep the query side as
+    ``seq2`` -- difflib indexes ``seq2`` once and only ``set_seq1``
+    changes per row -- one pair per thread, because a compiled
+    statement, and so its scorer, is shared by every session of the
+    database.  ``scorer(value)`` returns bit-identical floats to
     ``similarity(value, query)``: same operations, same operand order.
     """
 
-    __slots__ = ("query", "grams", "_norm", "_token_sorted")
+    __slots__ = ("query", "grams", "_norm", "_token_sorted", "_local")
 
     def __init__(self, query):
         self.query = query
         self._norm = normalize(query)
         self.grams = grams_of(self._norm)
         self._token_sorted = " ".join(sorted(self._norm.split()))
+        self._local = threading.local()
+
+    def _matchers(self):
+        """This thread's (raw, token-sorted) matchers, built on first use."""
+        try:
+            return self._local.matchers
+        except AttributeError:
+            matchers = self._local.matchers = (
+                SequenceMatcher(None, "", self._norm),
+                SequenceMatcher(None, "", self._token_sorted),
+            )
+            return matchers
 
     def __call__(self, value):
         if value is None or self.query is None:
@@ -104,16 +121,14 @@ class SimilarityScorer:
         else:
             union = len(value_grams | self.grams)
             jac = len(value_grams & self.grams) / union if union else 0.0
-        raw = (
-            1.0
-            if not folded and not self._norm
-            else SequenceMatcher(None, folded, self._norm).ratio()
-        )
-        value_sorted = " ".join(sorted(folded.split()))
-        sorted_ratio = SequenceMatcher(
-            None, value_sorted, self._token_sorted
-        ).ratio()
-        return (jac + max(raw, sorted_ratio)) / 2.0
+        raw_matcher, sorted_matcher = self._matchers()
+        if not folded and not self._norm:
+            raw = 1.0
+        else:
+            raw_matcher.set_seq1(folded)
+            raw = raw_matcher.ratio()
+        sorted_matcher.set_seq1(" ".join(sorted(folded.split())))
+        return (jac + max(raw, sorted_matcher.ratio())) / 2.0
 
     def bound(self, overlap):
         """Highest score a row sharing *overlap* grams with the query

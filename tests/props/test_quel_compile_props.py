@@ -6,8 +6,12 @@ index lookups, order-range pushdown -- and through the reference
 interpreter in ``tests/quel/reference.py``, which scans every range
 variable and walks the AST per binding.  Both must produce the same
 multiset of rows, and when the statement sorts, each must emit the sort
-column in non-decreasing order.  Failures report the seed and the
-generated source so a reproducer is one paste away.
+column in non-decreasing order.  Every statement runs again under a
+random ``limit N``: the engine's rows must be the first N of its own
+unlimited answer and, over one range variable (where the reference
+shares the engine's row order), the reference's first N too.  Failures
+report the seed and the generated source so a reproducer is one paste
+away.
 """
 
 import random
@@ -98,7 +102,7 @@ def _random_retrieve(rng):
     if rng.random() < 0.4:
         sorted_by = targets[0]
         source += " sort by %s" % sorted_by
-    return source, sorted_by
+    return source, sorted_by, used
 
 
 def _canonical(rows):
@@ -116,7 +120,7 @@ def test_compiled_matches_interpreter(seed):
     session = QuelSession(schema)
     session.execute(ranges)
     for _ in range(QUERIES_PER_SEED):
-        source, sorted_by = _random_retrieve(rng)
+        source, sorted_by, used = _random_retrieve(rng)
         results = {
             "compiled": session.execute(source),
             "interpreted": reference_execute(schema, ranges + source),
@@ -134,3 +138,15 @@ def test_compiled_matches_interpreter(seed):
                     "seed=%d source=%r: %s broke the sort order"
                     % (seed, source, name)
                 )
+        limit = 1 + rng.randrange(6)
+        limited = "%s limit %d" % (source, limit)
+        rows = session.execute(limited)
+        assert rows == results["compiled"][:limit], (
+            "seed=%d source=%r: not a prefix of the unlimited answer"
+            % (seed, limited)
+        )
+        if used == {"n"}:
+            assert rows == reference_execute(schema, ranges + limited), (
+                "seed=%d source=%r: disagrees with the interpreter"
+                % (seed, limited)
+            )

@@ -3,21 +3,26 @@
 Parser validation (only positive integer literals), bounded execution
 across every statement shape (unsorted, sorted, unique, aggregates),
 agreement of the streaming, top-k and snapshot candidate sources with
-the scan-everything reference interpreter, and the streaming sources'
+the scan-everything reference interpreter, the streaming sources'
 early exit (``explain analyze`` rows-visited strictly below the
-candidate count).
+candidate count), and the pull every source shares: ``stmt limit N`` is
+a prefix of ``stmt`` for every source, read mode and N, and pays for N
+rows (``rows fetched``).
 """
 
 import re
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
 from repro.core.schema import Schema
 from repro.errors import ParseError
-from repro.fixtures.corpus import load_catalog
+from repro.fixtures.corpus import COMPOSERS, load_catalog
 from repro.quel.executor import QuelSession
 from repro.quel.parser import parse_quel
 from repro.storage.table import Table
+from repro.text import SimilarityScorer
 from tests.quel.reference import reference_execute
 
 ROWS = 10_000
@@ -226,11 +231,9 @@ class TestStreamChunks:
 class TestEarlyExit:
     @staticmethod
     def _analyze(session, source):
-        rows = session.execute("explain analyze " + source)
-        rendered = "\n".join(row["plan"] for row in rows)
-        visited = int(re.search(r"rows visited: (\d+)", rendered).group(1))
+        counts, rendered = _analyze(session, source)
         candidates = int(re.search(r"\((\d+) candidates\)", rendered).group(1))
-        return rendered, visited, candidates
+        return rendered, counts["rows visited"], candidates
 
     def test_topk_visits_fewer_rows_than_candidates(self, catalog):
         session = _session(catalog)
@@ -239,6 +242,21 @@ class TestEarlyExit:
         assert visited < candidates
         assert visited >= 10  # at least the returned rows were fetched
 
+    def test_a_ranked_row_is_scored_once(self, catalog, monkeypatch):
+        """The score is the sort key *and* a target: one scorer call per
+        visited row, with or without the top-k operator."""
+        calls = []
+        score = SimilarityScorer.__call__
+        monkeypatch.setattr(
+            SimilarityScorer, "__call__",
+            lambda scorer, value: calls.append(value) or score(scorer, value),
+        )
+        session = _session(catalog)
+        for source in (TOPK, TOPK_UNLIMITED):
+            del calls[:]
+            _, visited, _ = self._analyze(session, source)
+            assert len(calls) == visited > 10
+
     def test_stream_visits_fewer_rows_than_candidates(self, catalog):
         session = _session(catalog)
         source = 'retrieve (t.title) where matches(t.title, "prelude") limit 5'
@@ -246,3 +264,249 @@ class TestEarlyExit:
         assert "index text stream" in rendered
         assert visited < candidates
         assert visited >= 5
+
+
+# -- the shared pull ------------------------------------------------------------
+
+PULL_ROWS = 2_000
+BROWSED = COMPOSERS[4]
+OTHER = COMPOSERS[5]
+
+#: source -> (statement body, label plain, label under ``unique``); the
+#: two early-exit sources serve non-unique statements only.
+SOURCES = {
+    "index": (
+        '(t.title, t.edition) where t.composer = "%s"' % BROWSED,
+        "index", "index",
+    ),
+    "index text": (
+        '(t.title) where similar_to(t.title, "prelude no. 7 in a major", 0.3)',
+        "index text", "index text",
+    ),
+    "index text stream": (
+        '(t.title) where matches(t.title, "prelude")',
+        "index text stream", "index text",
+    ),
+    "index text topk": (
+        '(t.title, score = similarity(t.title, "prelude no. 7")) '
+        'where matches(t.title, "prelude") '
+        'sort by similarity(t.title, "prelude no. 7") descending',
+        "index text topk", "index text",
+    ),
+    "scan": ('(t.composer) where t.edition != "Durand"', "scan", "scan"),
+    "join": (
+        '(t.title, u.edition) where t.composer = "%s" '
+        'and u.composer = "%s" and u.incipit = t.incipit' % (BROWSED, BROWSED),
+        "index+index", "index+index",
+    ),
+}
+#: Around the boundary the stream and top-k chunks used to sit on, and
+#: past every candidate set.
+LIMITS = (1, 7, 63, 64, 65, 5_000)
+
+
+def _pull_catalog():
+    schema = Schema("pull-catalog")
+    entity = load_catalog(schema, PULL_ROWS, seed=7)
+    schema.database.create_text_index(entity.table.name, "title")
+    entity.table.create_index("composer")
+    session = QuelSession(schema)
+    session.execute("range of t, u is TRACK")
+    return schema, entity.table, session
+
+
+def _rewrites(table):
+    """Row rewrites that move rows into and out of every source's
+    candidate set, as ``(rowid, updates or None to delete)``; half are
+    committed, half left uncommitted, by the caller."""
+    browsed = [r.rowid for r in table if r["composer"] == BROWSED]
+    others = [r.rowid for r in table if r["composer"] == OTHER]
+    preludes = [
+        r.rowid for r in table
+        if "prelude" in r["title"].lower() and r["composer"] != BROWSED
+    ]
+    plain = [
+        r.rowid for r in table
+        if "lude" not in r["title"].lower()
+        and r["composer"] not in (BROWSED, OTHER)
+    ]
+    out = []
+    for half in (0, 1):
+        out.append([
+            (browsed[half], {"composer": OTHER}),
+            (browsed[2 + half], None),
+            (others[half], {"composer": BROWSED}),
+            (preludes[half], {"title": "Something Else Entirely"}),
+            (preludes[2 + half], None),
+            (plain[half], {"title": "Prelude No. 7 in A major"}),
+        ])
+    return out
+
+
+def _apply(table, rewrites):
+    for rowid, updates in rewrites:
+        if updates is None:
+            table.delete(rowid)
+        else:
+            table.update(rowid, updates)
+
+
+@pytest.fixture(scope="module", params=["locked", "pinned", "swamped"])
+def reading(request):
+    """``(session, mode, results before any rewrite)``; in the pinned
+    modes every read of the test runs under the pin while a writer
+    thread's rewrites -- committed after the pin and uncommitted --
+    sit in the table's stale set."""
+    schema, table, session = _pull_catalog()
+    database = schema.database
+    before = {
+        (source, unique): session.execute(
+            "retrieve %s%s" % ("unique " if unique else "", body)
+        )
+        for source, (body, _, _) in SOURCES.items()
+        for unique in (False, True)
+    }
+    if request.param == "locked":
+        yield session, "locked", before
+        return
+    committed, uncommitted = _rewrites(table)
+    if request.param == "swamped":
+        touched = {rowid for rowid, _ in committed + uncommitted}
+        uncommitted = uncommitted + [
+            (row.rowid, {"edition": "Swamp"})
+            for row in table if row.rowid not in touched
+        ][:table.candidate_cap() + 1]
+    opened = []
+
+    def write():
+        _apply(table, committed)
+        opened.append(database.begin())
+        _apply(table, uncommitted)
+
+    with ThreadPoolExecutor(1) as writer, database.snapshot():
+        writer.submit(write).result(timeout=30)
+        stale = len(table.stale_rowids())
+        assert (stale > table.candidate_cap()) == (request.param == "swamped")
+        assert stale >= len(committed) + len(uncommitted)
+        try:
+            yield session, request.param, before
+        finally:
+            writer.submit(opened[0].abort).result(timeout=30)
+
+
+class TestPrefixProperty:
+    """``stmt limit N`` == ``stmt``[:N] through every candidate source,
+    locked, pinned beside a non-empty stale set, and swamped."""
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_limit_is_a_prefix_through_every_source(
+        self, reading, source, unique
+    ):
+        session, mode, before = reading
+        body, plain_label, unique_label = SOURCES[source]
+        statement = "retrieve %s%s" % ("unique " if unique else "", body)
+        label = unique_label if unique else plain_label
+        if mode == "swamped":
+            label = "+".join(["snapshot scan"] * len(label.split("+")))
+        elif mode == "pinned" and label == "scan":
+            label = "snapshot scan"
+        full = session.execute(statement)
+        # The pin predates every rewrite: it reads what was there before.
+        assert full == before[source, unique]
+        assert len(full) > 65 or (source, unique) == ("scan", True)
+        for limit in LIMITS:
+            assert session.execute(
+                "%s limit %d" % (statement, limit)
+            ) == full[:limit], (source, mode, unique, limit)
+            assert session.last_plan_object.label == label
+
+
+def _analyze(session, source):
+    rendered = "\n".join(
+        row["plan"] for row in session.execute("explain analyze " + source)
+    )
+    return {
+        key: int(re.search(r"%s: (\d+)" % key, rendered).group(1))
+        for key in ("rows", "rows visited", "rows fetched")
+    }, rendered
+
+
+class TestRowsFetched:
+    """``limit N`` pays for N rows, and ``explain analyze`` says so."""
+
+    BROWSE = 'retrieve (t.title, t.composer) where t.composer = "%s"' % BROWSED
+
+    @pytest.fixture(scope="class")
+    def pull(self):
+        return _pull_catalog()
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_a_browse_fetches_one_chunk_of_its_posting(
+        self, pull, pinned, monkeypatch
+    ):
+        schema, table, session = pull
+        posting = len(table.any_index_for("composer").lookup(BROWSED))
+        assert posting >= 4 * 25
+        fetched = schema.database.metrics.counter("quel.rows_fetched")
+        probes = []
+        probe = table.probe
+        monkeypatch.setattr(
+            table, "probe", lambda *args: probes.append(args) or probe(*args)
+        )
+        with schema.database.snapshot() if pinned else nullcontext():
+            before = fetched.value
+            counts, rendered = _analyze(session, self.BROWSE + " limit 50")
+            assert counts == {
+                "rows": 50, "rows visited": 50, "rows fetched": 50,
+            }
+            assert "bind t via index (%d candidates)" % posting in rendered
+            assert fetched.value - before == 50
+            # Pinned or not, the indexes (and the latch) are read once.
+            assert len(probes) == 1
+            counts, _ = _analyze(session, self.BROWSE + " limit 25")
+            assert counts["rows fetched"] <= 2 * 25
+            # No limit: the whole posting, in one chunk, as before.
+            counts, _ = _analyze(session, self.BROWSE)
+            assert counts == {
+                "rows": posting, "rows visited": posting,
+                "rows fetched": posting,
+            }
+
+    def test_a_rejecting_join_pulls_later_chunks(self, pull):
+        """The rows the first chunk loses to a conjunct come from the
+        next one, which is as large as everything fetched before it."""
+        _, _, session = pull
+        source = self.BROWSE + ' and t.title > "N" limit 10'
+        counts, _ = _analyze(session, source)
+        assert counts["rows"] == 10
+        assert 10 < counts["rows visited"] <= counts["rows fetched"]
+        assert counts["rows fetched"] in (20, 40, 80)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_plain_explain_fetches_nothing(self, pull, source):
+        schema, _, session = pull
+        fetched = schema.database.metrics.counter("quel.rows_fetched")
+        body, label, _ = SOURCES[source]
+        before = fetched.value
+        session.execute("explain retrieve %s limit 5" % body)
+        assert session.last_plan_object.label == label
+        assert fetched.value == before
+        session.execute("retrieve %s limit 5" % body)
+        assert fetched.value > before
+
+    def test_the_stream_and_topk_fetch_by_the_same_rule(self, pull):
+        _, _, session = pull
+        counts, rendered = _analyze(
+            session, "retrieve %s limit 5" % SOURCES["index text stream"][0]
+        )
+        assert "index text stream" in rendered
+        assert counts == {"rows": 5, "rows visited": 5, "rows fetched": 5}
+        counts, rendered = _analyze(
+            session, "retrieve %s limit 5" % SOURCES["index text topk"][0]
+        )
+        assert "index text topk" in rendered
+        assert counts["rows"] == 5
+        # Whole chunks of 5, 5, 10, ...: a power-of-two multiple.
+        assert counts["rows fetched"] == counts["rows visited"]
+        assert counts["rows fetched"] in (5, 10, 20, 40, 80)

@@ -3,7 +3,26 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import HashIndex, OrderedCompositeIndex, OrderedIndex
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HashIndex("k"), lambda: OrderedIndex("k"),
+    lambda: OrderedCompositeIndex(("k",)),
+])
+def test_lookup_answers_ascending_whatever_the_insert_order(make):
+    """The QUEL executor uses a lone lookup's list as its ascending
+    candidate list, without sorting it again."""
+    composite = isinstance(make(), OrderedCompositeIndex)
+    key = ("x",) if composite else "x"
+    rowids = [40, 3, 17, 99, 1, 64, 22, 8, 70, 5, 31, 12, 88, 2, 51, 9, 77, 4]
+    one_by_one, bulk = make(), make()
+    for rowid in rowids:
+        one_by_one.insert(key, rowid)
+    bulk.insert_many([(key, rowid) for rowid in rowids])  # the bulk path
+    bulk.delete(key, 17)
+    assert one_by_one.lookup(key) == sorted(rowids)
+    assert bulk.lookup(key) == sorted(set(rowids) - {17})
 
 
 class TestHashIndex:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import StorageError, TransactionError
 from repro.storage.database import Database
+from repro.text import trigrams
 from repro.text.index import TrigramIndex
 
 
@@ -31,6 +32,41 @@ class TestTrigramIndexUnit:
         assert index.candidates_matching("prelude") == {1, 2}
         assert index.candidates_matching("prelude in") == {1}
         assert index.candidates_matching("zzz") == set()
+
+    def test_set_and_bisect_intersections_agree_with_a_posting_walk(self):
+        """Survivors meet a comparable posting as a set and a much
+        longer one by bisection; both must equal the per-entry loop."""
+        index = TrigramIndex()
+        values = {}
+        for rowid in range(1, 601):
+            values[rowid] = "prelude no %d%s" % (
+                rowid % 40, " zyx" if rowid % 150 == 0 else ""
+            )
+        index.insert_many(sorted((v, r) for r, v in values.items()))
+
+        def walk(grams, rowids):
+            counts = dict.fromkeys(rowids, 0)
+            for gram in grams:
+                for rowid in index._posting(gram) or ():
+                    if rowid in counts:
+                        counts[rowid] += 1
+            return counts
+
+        everything = set(values)
+        # " zy" holds 4 rowids, "pre" all 600: one query, both rules.
+        for query in ("prelude", "prelude no 1", "no 10 zyx", "zyx"):
+            grams = trigrams(query)
+            lengths = sorted(len(index._posting(g)) for g in grams)
+            expected = {
+                r for r, n in walk(grams, everything).items() if n == len(grams)
+            }
+            assert index.candidates_matching(query) == expected, query
+            assert list(index.iter_matching(query)) == sorted(expected)
+            for rowids in (everything, expected, {7, 150, 300}, set()):
+                assert index.overlap_counts(grams, rowids) == walk(
+                    grams, rowids
+                ), (query, lengths)
+        assert len(index._posting(" zy")) * 16 < len(index._posting("pre"))
 
     def test_iter_matching_reseeks_past_a_rowid(self):
         """The streaming source reads a chunk per call and re-opens the
