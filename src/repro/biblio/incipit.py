@@ -8,6 +8,8 @@ the "sufficient musical (i.e. thematic) material to identify the
 composition" use of section 4.2.
 """
 
+from itertools import repeat
+
 from repro.errors import BiblioError
 from repro.darms.canonical import normalize
 from repro.darms.parser import parse_darms
@@ -129,13 +131,18 @@ def search_catalog_incipits(entity, query_darms, mode="verbatim",
     candidate iterator is lazy, so a small limit reads only a small
     prefix of a large catalog).
     """
-    from repro.text import contains_match
+    from repro.text import contains_match, trigrams
 
     table = entity.table
+    chunks = None
     if mode == "verbatim":
         matcher = lambda text: contains_match(text, query_darms)
         index = table.text_index_for("incipit")
-        candidates = None if index is None else index.iter_matching(query_darms)
+        if index is not None and trigrams(query_darms):
+            # A bounded chunk per probe, so a small limit never
+            # materializes the whole candidate set; a sub-trigram query
+            # has no postings to stream and scans.
+            chunks = table.matching_chunks(index, query_darms, repeat(256))
     elif mode in ("intervals", "contour"):
         if mode == "intervals":
             needle = incipit_intervals(query_darms)
@@ -159,28 +166,14 @@ def search_catalog_incipits(entity, query_darms, mode="verbatim",
                 return haystack[: len(needle)] == needle
             return _contains(haystack, needle)
 
-        candidates = None
     else:
         raise BiblioError("unknown search mode %r" % mode)
 
     matches = []
-    if candidates is None:
+    if chunks is None:
         rows = iter(table)
     else:
-        # iter_matching yields ascending; fetch in bounded batches so a
-        # small limit never materializes the whole candidate set.
-        def _fetch(rowids, chunk=256):
-            batch = []
-            for rowid in rowids:
-                batch.append(rowid)
-                if len(batch) >= chunk:
-                    for row in table.get_many(batch):
-                        yield row
-                    batch = []
-            for row in table.get_many(batch):
-                yield row
-
-        rows = _fetch(candidates)
+        rows = (row for chunk in chunks for row in table.get_many(chunk))
     for row in rows:
         if matcher(row.get("incipit")):
             matches.append(row.rowid)

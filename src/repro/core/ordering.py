@@ -17,12 +17,16 @@ integer.  Appends extend the key range by a fixed gap; inserts take the
 midpoint of their neighbors' keys; only when a midpoint gap is exhausted
 does a rebalance rewrite one parent's sibling keys.  Insert, move,
 remove and reparent are therefore single-row writes instead of O(n)
-sibling shifts.  An ordered composite index over ``(parent, order_key)``
-answers ordinal and neighbor queries by bisect + slot arithmetic, and a
-per-ordering position cache (invalidated by the table's mutation
-version, so transaction undo and recovery invalidate it too) keeps
-``position_of`` O(1) amortized.  The public API is unchanged: positions
-remain contiguous, 1-based logical ordinals.
+sibling shifts.  Positions remain contiguous, 1-based logical ordinals.
+
+Every read of sibling order -- ``children``, ``child_at``, the sibling
+neighbors, ``position_of``, the executor's ``order range`` -- is one
+:meth:`Ordering.walk` over the ordered composite index on ``(parent,
+order_key)``: a :meth:`Table.probe` and a :meth:`Table.fetch`, so it
+answers under a table lock and under a pinned MVCC snapshot alike.
+Only writers do slot arithmetic on that index (they hold the table's
+exclusive lock and cannot be pinned), and ``check_invariants`` reads it
+directly because the index is what it checks.
 """
 
 from repro.errors import (
@@ -114,32 +118,102 @@ class Ordering:
         rows = self.table.select_eq("child", child.surrogate)
         return rows[0] if rows else None
 
-    def _assert_no_p_cycle(self, parent, child):
-        """Reject P-edge cycles: *child* may not be an ancestor of *parent*.
+    def _ancestors(self, instance):
+        """The P-edge chain above *instance*, nearest parent first.
 
-        Only recursive orderings can produce such cycles, but the walk is
-        cheap and correct in every case.
+        Only recursive orderings have chains longer than one; an
+        existing P-edge cycle raises instead of looping.
         """
-        current = parent
-        seen = set()
-        while current is not None:
-            if current.surrogate == child.surrogate:
-                raise OrderingCycleError(
-                    "placing %r under %r creates a P-edge cycle in ordering %r"
-                    % (child, parent, self.name)
-                )
+        seen = {instance.surrogate}
+        current = instance
+        while current.type.name in self.child_types:
+            current = self.parent_of(current)
+            if current is None:
+                return
             if current.surrogate in seen:
                 raise OrderingCycleError(
                     "existing P-edge cycle detected at %r in ordering %r"
                     % (current, self.name)
                 )
             seen.add(current.surrogate)
-            if current.type.name in self.child_types:
-                current = self.parent_of(current)
-            else:
-                current = None
+            yield current
 
-    # -- order-key plumbing -----------------------------------------------------
+    def _assert_no_p_cycle(self, parent, child):
+        """Reject P-edge cycles: *child* may not be *parent* or one of
+        its ancestors."""
+        if parent.surrogate == child.surrogate or any(
+            ancestor.surrogate == child.surrogate
+            for ancestor in self._ancestors(parent)
+        ):
+            raise OrderingCycleError(
+                "placing %r under %r creates a P-edge cycle in ordering %r"
+                % (child, parent, self.name)
+            )
+
+    # -- the one ordered read ---------------------------------------------------
+
+    def walk(self, parent_surrogate, after=None, before=None):
+        """The membership rows under *parent_surrogate* whose order key
+        lies strictly between *after* and *before* (None: unbounded), in
+        sibling order.
+
+        The only reader of the (parent, order_key) index.  Like every
+        other index read it is a :meth:`Table.probe` -- the slot range
+        is bisected and its rowids copied under the latch, the stale set
+        taken in the same hold -- followed by a :meth:`Table.fetch` that
+        re-checks parent and key bounds on each visible version.  A
+        stale rowid's visible key need not sit where its rowid sorts, so
+        a fetch that merged any in is put back in key order.
+        """
+        index = self._order_index
+
+        def rowids():
+            # Keys are integers, so "after < key" starts at after + 1.
+            start, stop = index.prefix_bounds((parent_surrogate,))
+            if after is not None:
+                start = index.rank((parent_surrogate, after + 1))
+            if before is not None:
+                stop = index.rank((parent_surrogate, before))
+            return index.rowids_slice(start, stop)
+
+        def member(row):
+            key = row["order_key"]
+            return (
+                row["parent"] == parent_surrogate
+                and (after is None or key > after)
+                and (before is None or key < before)
+            )
+
+        found, stale = self.table.probe(rowids)
+        rows = self.table.fetch(found, stale, member)
+        if stale:
+            rows.sort(key=lambda row: row["order_key"])
+        return rows
+
+    # The QUEL executor's ``order range`` source asks by these names
+    # (and the benchmark's tracer wraps them).
+
+    def member_row_of(self, child):
+        """The membership row of *child*, or None."""
+        return self._membership_row(child)
+
+    def member_rows_under(self, parent_surrogate):
+        """All membership rows under *parent_surrogate*, in order."""
+        return self.walk(parent_surrogate)
+
+    def member_rows_before(self, row):
+        """Membership rows of siblings strictly before *row*, in order."""
+        return self.walk(row["parent"], before=row["order_key"])
+
+    def member_rows_after(self, row):
+        """Membership rows of siblings strictly after *row*, in order."""
+        return self.walk(row["parent"], after=row["order_key"])
+
+    # -- write-side key allocation -----------------------------------------------
+    #
+    # Slot arithmetic straight on the (parent, order_key) index: a
+    # writer holds the table's exclusive lock and ``assert_no_snapshot``
+    # keeps it unpinned, so the index is exact for it.
 
     def _bounds(self, parent_surrogate):
         """Index slots [start, stop) holding this parent's siblings."""
@@ -149,49 +223,14 @@ class Ordering:
         start, stop = self._bounds(parent_surrogate)
         return stop - start
 
-    def _row_at_slot(self, slot):
-        return self.table.get(self._order_index.rowids_at(slot)[0])
-
     def _key_at_slot(self, slot):
-        return self._row_at_slot(slot)["order_key"]
+        return self.table.get(self._order_index.rowids_at(slot)[0])["order_key"]
 
     def _rank(self, row):
         """1-based logical position of a membership *row* among siblings."""
         start, _ = self._bounds(row["parent"])
         slot = self._order_index.rank((row["parent"], row["order_key"]))
         return slot - start + 1
-
-    def _ordered_child_rows(self, parent_surrogate):
-        start, stop = self._bounds(parent_surrogate)
-        return self.table.get_many(self._order_index.rowids_slice(start, stop))
-
-    # -- membership rows for query pushdown ------------------------------------
-    #
-    # The QUEL executor answers ``x under p`` / ``x before y`` conjuncts
-    # with one side bound by range-scanning the (parent, order_key)
-    # index instead of testing every candidate pair.  These helpers
-    # expose membership rows (parent/child/order_key) in sibling order,
-    # materialized in one batched pass.
-
-    def member_row_of(self, child):
-        """The membership row of *child*, or None."""
-        return self._membership_row(child)
-
-    def member_rows_under(self, parent_surrogate):
-        """All membership rows under *parent_surrogate*, in order."""
-        return self._ordered_child_rows(parent_surrogate)
-
-    def member_rows_before(self, row):
-        """Membership rows of siblings strictly before *row*, in order."""
-        start, _stop = self._bounds(row["parent"])
-        slot = self._order_index.rank((row["parent"], row["order_key"]))
-        return self.table.get_many(self._order_index.rowids_slice(start, slot))
-
-    def member_rows_after(self, row):
-        """Membership rows of siblings strictly after *row*, in order."""
-        _start, stop = self._bounds(row["parent"])
-        slot = self._order_index.rank((row["parent"], row["order_key"]))
-        return self.table.get_many(self._order_index.rowids_slice(slot + 1, stop))
 
     def _rebalance(self, parent_surrogate):
         """Rewrite one parent's sibling keys to evenly spaced multiples.
@@ -201,34 +240,41 @@ class Ordering:
         float limit) -- amortized over the ~log2(_GAP) single-row inserts
         each gap admits.
         """
-        rows = self._ordered_child_rows(parent_surrogate)
-        for index, row in enumerate(rows):
+        for index, row in enumerate(self.walk(parent_surrogate)):
             key = (index + 1) * _GAP
             if row["order_key"] != key:
                 self.table.update(row.rowid, {"order_key": key})
 
-    def _allocate_key(self, parent_surrogate, position):
-        """An order key placing a new child at 1-based *position*.
+    def _allocate_key(self, parent_surrogate, position, own=None):
+        """An order key placing a child at 1-based *position* among the
+        parent's siblings: all of them for a new child, the others for
+        one being re-placed, whose 0-based slot among them is *own*.
 
-        *position* must already be validated against the sibling count.
-        May rebalance the parent's siblings once when gaps are exhausted.
+        *position* must already be validated against that count.  May
+        rebalance the parent's siblings once when gaps are exhausted
+        (which moves no sibling, so *own* holds).
         """
         for _ in range(2):
             start, stop = self._bounds(parent_surrogate)
-            count = stop - start
+            count = stop - start - (own is not None)
+
+            def key_of(nth):
+                """The key of the nth (0-based) sibling to place around."""
+                stepped_over = own is not None and nth >= own
+                return self._key_at_slot(start + nth + stepped_over)
+
             if count == 0:
                 return 0
             if position == 1:
-                key = self._key_at_slot(start) - _GAP
+                key = key_of(0) - _GAP
                 if key > -_KEY_LIMIT:
                     return key
             elif position == count + 1:
-                key = self._key_at_slot(stop - 1) + _GAP
+                key = key_of(count - 1) + _GAP
                 if key < _KEY_LIMIT:
                     return key
             else:
-                low = self._key_at_slot(start + position - 2)
-                high = self._key_at_slot(start + position - 1)
+                low, high = key_of(position - 2), key_of(position - 1)
                 if high - low >= 2:
                     return (low + high) // 2
             self._rebalance(parent_surrogate)
@@ -324,48 +370,16 @@ class Ordering:
             raise OrderingMembershipError(
                 "%r is not a member of ordering %r" % (child, self.name)
             )
-        parent_surrogate = row["parent"]
-        count = self._sibling_count(parent_surrogate)
+        count = self._sibling_count(row["parent"])
         if new_position < 1 or new_position > count:
             raise OrderingMembershipError(
                 "position %d out of range 1..%d in ordering %r"
                 % (new_position, count, self.name)
             )
-        for _ in range(2):
-            start, _stop = self._bounds(parent_surrogate)
-            rank = self._rank(row)
-            if new_position == rank:
-                return
-            # Slots of the would-be neighbors in the full sibling list;
-            # the child's own slot (rank - 1) never appears among them.
-            if new_position < rank:
-                left_slot = new_position - 2
-                right_slot = new_position - 1
-            else:
-                left_slot = new_position - 1
-                right_slot = new_position
-            if new_position == 1:
-                key = self._key_at_slot(start + right_slot) - _GAP
-                if key > -_KEY_LIMIT:
-                    self.table.update(row.rowid, {"order_key": key})
-                    return
-            elif new_position == count:
-                key = self._key_at_slot(start + left_slot) + _GAP
-                if key < _KEY_LIMIT:
-                    self.table.update(row.rowid, {"order_key": key})
-                    return
-            else:
-                low = self._key_at_slot(start + left_slot)
-                high = self._key_at_slot(start + right_slot)
-                if high - low >= 2:
-                    self.table.update(row.rowid, {"order_key": (low + high) // 2})
-                    return
-            self._rebalance(parent_surrogate)
-            row = self.table.get(row.rowid)
-        raise IntegrityError(
-            "ordering %r: could not allocate an order key under parent #%d"
-            % (self.name, parent_surrogate)
-        )
+        rank = self._rank(row)
+        if new_position != rank:
+            key = self._allocate_key(row["parent"], new_position, own=rank - 1)
+            self.table.update(row.rowid, {"order_key": key})
 
     def reparent(self, child, new_parent, position=None):
         """Move *child* under a different parent.
@@ -412,7 +426,7 @@ class Ordering:
         self._check_parent(parent)
         return [
             self.schema.instance(row["child"])
-            for row in self._ordered_child_rows(parent.surrogate)
+            for row in self.walk(parent.surrogate)
         ]
 
     def child_at(self, parent, position):
@@ -421,11 +435,10 @@ class Ordering:
         Supports queries like "the third note in chord x" (section 5.4).
         """
         self._check_parent(parent)
-        start, stop = self._bounds(parent.surrogate)
-        if position < 1 or position > stop - start:
+        rows = self.walk(parent.surrogate)
+        if position < 1 or position > len(rows):
             return None
-        row = self._row_at_slot(start + position - 1)
-        return self.schema.instance(row["child"])
+        return self.schema.instance(rows[position - 1]["child"])
 
     def parent_of(self, child):
         """The parent of *child* in this ordering, or None."""
@@ -438,37 +451,27 @@ class Ordering:
     def position_of(self, child):
         """The 1-based ordinal of *child* under its parent, or None.
 
-        Memoized per table version: repeated ordinal queries between
-        mutations are O(1), and any mutation (including transaction undo
-        and recovery, which bypass this class) invalidates the cache.
-
-        Under a pinned MVCC snapshot both the memo cache and the
-        (parent, order_key) index mirror the *live* table, so the rank
-        is computed instead by counting the visible siblings (two
-        ``select_eq`` look-ups, which run pinned) that sort earlier --
-        O(siblings) per call, but lock-free and consistent.
+        One walk of the child's siblings numbers them all.  A current
+        read keeps the numbering per table version, so repeated ordinal
+        queries between mutations are O(1) and any mutation (including
+        transaction undo and recovery, which bypass this class)
+        invalidates it; the memo mirrors the *live* table, so a read
+        through a pinned snapshot neither consults nor feeds it.
         """
         self._check_child(child)
-        if self.table.snapshot_active():
+        positions = {}
+        if self.schema.database.transactions.current_snapshot() is None:
+            if self._positions_version != self.table.version:
+                self._positions.clear()
+                self._positions_version = self.table.version
+            positions = self._positions
+        if child.surrogate not in positions:
             row = self._membership_row(child)
-            if row is None:
-                return None
-            siblings = self.table.select_eq("parent", row["parent"])
-            return 1 + sum(
-                1 for sibling in siblings
-                if sibling["order_key"] < row["order_key"]
-            )
-        if self._positions_version != self.table.version:
-            self._positions.clear()
-            self._positions_version = self.table.version
-        try:
-            return self._positions[child.surrogate]
-        except KeyError:
-            pass
-        row = self._membership_row(child)
-        position = None if row is None else self._rank(row)
-        self._positions[child.surrogate] = position
-        return position
+            positions[child.surrogate] = None
+            if row is not None:
+                for position, sibling in enumerate(self.walk(row["parent"]), 1):
+                    positions[sibling["child"]] = position
+        return positions[child.surrogate]
 
     def contains(self, child):
         if child.type.name not in self.child_types:
@@ -505,23 +508,14 @@ class Ordering:
     def next_sibling(self, child):
         """The S-edge successor of *child*, or None."""
         row = self._membership_row(child)
-        if row is None:
-            return None
-        _start, stop = self._bounds(row["parent"])
-        slot = self._order_index.rank((row["parent"], row["order_key"]))
-        if slot + 1 >= stop:
-            return None
-        return self.schema.instance(self._row_at_slot(slot + 1)["child"])
+        later = row and self.walk(row["parent"], after=row["order_key"])
+        return self.schema.instance(later[0]["child"]) if later else None
 
     def previous_sibling(self, child):
+        """The S-edge predecessor of *child*, or None."""
         row = self._membership_row(child)
-        if row is None:
-            return None
-        start, _stop = self._bounds(row["parent"])
-        slot = self._order_index.rank((row["parent"], row["order_key"]))
-        if slot <= start:
-            return None
-        return self.schema.instance(self._row_at_slot(slot - 1)["child"])
+        earlier = row and self.walk(row["parent"], before=row["order_key"])
+        return self.schema.instance(earlier[-1]["child"]) if earlier else None
 
     def parents(self):
         """All parent instances that currently have children, in surrogate order."""
@@ -549,21 +543,8 @@ class Ordering:
 
     def depth_of(self, child):
         """Number of P-edges from *child* up to a root."""
-        depth = 0
-        current = self.parent_of(child)
-        guard = 0
-        while current is not None:
-            depth += 1
-            guard += 1
-            if guard > self.table_size() + 1:
-                raise OrderingCycleError(
-                    "P-edge cycle detected while computing depth in %r" % self.name
-                )
-            if current.type.name in self.child_types:
-                current = self.parent_of(current)
-            else:
-                current = None
-        return depth
+        self._check_child(child)
+        return sum(1 for _ in self._ancestors(child))
 
     def references(self, surrogate):
         """True if the ordering mentions the entity *surrogate*."""

@@ -27,7 +27,7 @@ the join loop, which raises ``QueryTimeoutError`` /
 import threading
 import time
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
 from repro.core.entity import SURROGATE_COLUMN, EntityInstance
@@ -884,36 +884,17 @@ class QuelSession:
         return len(ranked), pull, "index text topk", len(stale)
 
     def _stream_candidates(self, declared, index, query, first):
-        """The pull over *index*'s lazy ``matches`` stream.  Each chunk
-        is a probe of its own that opens a fresh posting merge past the
-        last rowid of the one before, so abandoning the pull costs
-        nothing and no merge is left suspended while a pinned reader is
-        off the latch; the stale rowids inside the chunk's rowid range
-        (all that are left, once the merge runs dry) are merged in,
-        keeping the stream in ascending rowid order."""
+        """The pull over *index*'s lazy ``matches`` stream: one
+        :meth:`Table.matching_chunks` chunk per fetch, cut by the chunk
+        rule, so abandoning the pull costs nothing."""
         table = declared.table
 
-        def merged():
-            after = -1
-            for size in _chunk_sizes(first):
-                batch, stale = table.probe(
-                    lambda: list(islice(index.iter_matching(query, after), size))
-                )
-                last = batch[-1] if len(batch) == size else None
-                if stale:
-                    if stale is SWAMPED:
-                        stale = table.rowids()
-                    batch = sorted(set(batch).union(
-                        rowid for rowid in stale
-                        if rowid > after and (last is None or rowid <= last)
-                    ))
-                self._text_candidates.inc(len(batch))
-                yield batch
-                if last is None:
-                    return
-                after = last
+        def fetch(chunk):
+            self._text_candidates.inc(len(chunk))
+            return table.get_many(chunk)
 
-        return self._pull(declared, merged(), table.get_many)
+        chunks = table.matching_chunks(index, query, _chunk_sizes(first))
+        return self._pull(declared, chunks, fetch)
 
     def _prepare_compiled(self, compiled, gate=True):
         """Lock tables, pick every variable's candidate source, and
@@ -922,12 +903,9 @@ class QuelSession:
         What selects a source is observable, never configured:
 
         * an order conjunct (``before``/``after``/``under``) with one
-          side bound enumerates the other side by (parent, order_key)
-          index range scan once its driver is bound ("order range"), so
-          that variable gets no static candidate list -- except under a
-          pinned snapshot, where the conjunct is checked per row (the
-          range scan would need an order_key-ordered merge of the stale
-          members);
+          side bound enumerates the other side by one
+          :meth:`Ordering.walk` per driver binding ("order range"), so
+          that variable gets no static candidate list;
         * a ``limit N`` text retrieve over one variable streams its
           candidates (:meth:`_limit_text_source`);
         * everything else answers from the restrictions an index can
@@ -960,7 +938,7 @@ class QuelSession:
                 read_table(ranges[variable].table.name)
             dynamic = {}
             consumed = set()
-            if snapshot is None and compiled.pushdown_options:
+            if compiled.pushdown_options:
                 dynamic, consumed = self._choose_pushdowns(compiled)
 
             pulls = {}
@@ -1017,7 +995,7 @@ class QuelSession:
                     break
                 option = pending.pop(advanced)
                 ordering = self.schema.ordering(option.order_name)
-                counts[advanced] = len(ordering.table)
+                counts[advanced] = ordering.table.row_estimate()
                 accesses[advanced] = "order range"
                 order.append(advanced)
                 placed.add(advanced)
@@ -1070,36 +1048,49 @@ class QuelSession:
             )
         return order, pulls, dynamic, checks_by_level
 
-    def _order_range_candidates(self, option, bindings):
+    def _order_range_candidates(self, option, bindings, limits):
         """Candidates for an enumerated variable, given its bound driver.
 
-        One (parent, order_key) range scan yields the membership rows;
-        each child surrogate is materialized through the enum type's
-        surrogate index, which silently drops children of other types --
-        exactly the rows the fallback conjunct would have rejected.
+        One :meth:`Ordering.walk` yields the membership rows; their
+        children materialize, in sibling order, through one probe and
+        fetch of the enum type's surrogate index, which silently drops
+        children of other types -- exactly the rows the fallback
+        conjunct would have rejected.  What the walk asked both tables
+        for is counted once, as :meth:`_pull` counts a chunk.
         """
         driver = bindings.get(option.driver_var)
         if not isinstance(driver, EntityInstance):
             return []
         ordering = self.schema.ordering(option.order_name)
         if option.mode == "under":
-            rows = ordering.member_rows_under(driver.surrogate)
+            members = ordering.member_rows_under(driver.surrogate)
         else:
             member = ordering.member_row_of(driver)
             if member is None:
                 return []
             if option.mode == "before":
-                rows = ordering.member_rows_before(member)
+                members = ordering.member_rows_before(member)
             else:
-                rows = ordering.member_rows_after(member)
-        entity_type = self._range_for(option.enum_var).entity_type
-        index = entity_type.table.any_index_for(SURROGATE_COLUMN)
-        out = []
-        for row in rows:
-            rowids = index.lookup(row["child"])
-            if rowids:
-                out.append(EntityInstance(entity_type, row["child"], rowids[0]))
-        return out
+                members = ordering.member_rows_after(member)
+        declared = self._range_for(option.enum_var)
+        table = declared.table
+        place = {row["child"]: slot for slot, row in enumerate(members)}
+
+        def lookups():
+            lookup = table.any_index_for(SURROGATE_COLUMN).lookup
+            return [rowid for child in place for rowid in lookup(child)]
+
+        rowids, stale = table.probe(lookups)
+        asked = len(members) + len(rowids)
+        self._rows_fetched.inc(asked)
+        if limits is not None:
+            limits.fetched += asked
+        rows = table.fetch(
+            rowids, stale, lambda row: row[SURROGATE_COLUMN] in place
+        )
+        if stale:  # merged in by rowid: back into sibling order
+            rows.sort(key=lambda row: place[row[SURROGATE_COLUMN]])
+        return [declared.wrap(row) for row in rows]
 
     # -- the join ---------------------------------------------------------------------------
 
@@ -1118,7 +1109,7 @@ class QuelSession:
             if option is None:
                 pool = candidates[variable]
             else:
-                pool = self._order_range_candidates(option, bindings)
+                pool = self._order_range_candidates(option, bindings, limits)
             checks = checks_by_level[level]
             for candidate in pool:
                 if limits is not None:

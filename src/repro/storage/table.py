@@ -244,10 +244,6 @@ class Table:
             return None
         return self._snapshot()
 
-    def snapshot_active(self):
-        """True when the calling thread reads through a pinned snapshot."""
-        return self._current_snapshot() is not None
-
     @staticmethod
     def _visible_row(chain, snapshot):
         """The row of *chain* visible at *snapshot*, or None.
@@ -824,13 +820,16 @@ class Table:
     # (or, for the streaming sources, by get_many): the same two steps
     # under a table lock and under a pinned snapshot.
 
+    def row_estimate(self):
+        """The current row map's size, for a plan line or a cost rule:
+        it visits no row (pinned, ``len(table)`` walks every chain)."""
+        return len(self._rows)
+
     def candidate_cap(self):
         """The most rows an index read may fetch on an upper bound alone
         -- a ``matches`` gate's shortest posting, a pinned read's stale
-        set -- before a scan is the cheaper plan.  A cost estimate: it
-        reads the current row map's size, never a row (``len(table)``
-        under a pinned snapshot walks every chain to stay exact)."""
-        return max(_CANDIDATE_FLOOR, len(self._rows) // 2)
+        set -- before a scan is the cheaper plan."""
+        return max(_CANDIDATE_FLOOR, self.row_estimate() // 2)
 
     def probe(self, fn, *args):
         """Run ``fn(*args)`` where it may read this table's indexes;
@@ -882,6 +881,35 @@ class Table:
                 rowids = sorted(set(stale).union(rowids))
             rows = self.get_many(rowids)
         return [row for row in rows if verify(row)]
+
+    def matching_chunks(self, index, query, sizes):
+        """Ascending rowid chunks, *sizes* long in turn, of text
+        *index*'s lazy ``matches`` stream for *query*.  Each chunk is a
+        probe of its own that opens a fresh posting merge past the last
+        rowid of the one before, so no merge is left suspended while a
+        pinned reader is off the latch; the stale rowids inside the
+        chunk's rowid range (all that are left, once the merge runs
+        dry) are merged in.  The caller fetches with :meth:`get_many`
+        and re-checks the predicate on every row."""
+        after = -1
+        for size in sizes:
+            batch, stale = self.probe(
+                lambda: list(itertools.islice(
+                    index.iter_matching(query, after), size
+                ))
+            )
+            last = batch[-1] if len(batch) == size else None
+            if stale:
+                if stale is SWAMPED:
+                    stale = self.rowids()
+                batch = sorted(set(batch).union(
+                    rowid for rowid in stale
+                    if rowid > after and (last is None or rowid <= last)
+                ))
+            yield batch
+            if last is None:
+                return
+            after = last
 
     def _lookup(self, column, value):
         """Rowids an index holds under *column* == *value*; None when

@@ -113,6 +113,15 @@ _AUTO_KIND = {
 }
 
 
+class _ThreadState(threading.local):
+    """A thread's transaction state.  ``snapshot`` defaults on the
+    class because every table read asks for it: ``getattr`` with a
+    default on a thread-local the thread never set raises and catches
+    inside, ten times the cost of finding the attribute."""
+
+    snapshot = None
+
+
 class TransactionManager:
     """Coordinates transactions, the lock manager, and the WAL."""
 
@@ -124,7 +133,7 @@ class TransactionManager:
         metrics = getattr(database, "metrics", None)
         self._locks = LockManager(metrics=metrics)
         self._ids = itertools.count(1)
-        self._local = threading.local()
+        self._local = _ThreadState()
         self._mutex = threading.Lock()
         # MVCC state.  _visible_lsn plays flushed_lsn's role on an
         # in-memory database (no WAL): it advances once per commit,
@@ -154,7 +163,7 @@ class TransactionManager:
 
     def current_snapshot(self):
         """The snapshot LSN pinned on this thread, or None."""
-        return getattr(self._local, "snapshot", None)
+        return self._local.snapshot
 
     def pin_snapshot(self, lsn=None):
         """Pin this thread's read view at *lsn* (default: now's durable

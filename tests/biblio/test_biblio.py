@@ -169,6 +169,28 @@ class TestCatalogIncipitSearch:
         assert "Fugue in G minor" in titles      # UU prefix
         assert "Nocturne" not in titles          # descends
 
+    def test_a_pinned_verbatim_search_answers_as_of_its_pin(self, catalog):
+        """The postings describe the current rows only; the search reads
+        them through ``Table.probe``, whose stale rowids bring back the
+        row another thread rewrote after the pin."""
+        import threading
+
+        query = "21Q 23Q"
+        fugue, _, nocturne = catalog.table.rowids()[:3]
+        assert search_catalog_incipits(catalog, query) == [fugue]
+        with catalog.schema.database.snapshot():
+            editor = threading.Thread(target=lambda: (
+                catalog.table.update(fugue, {"incipit": "!G 30Q 31Q //"}),
+                catalog.table.update(nocturne, {"incipit": "!G 21Q 23Q //"}),
+            ))
+            editor.start()
+            editor.join(timeout=10)
+            assert not editor.is_alive()
+            assert search_catalog_incipits(catalog, query) == [fugue]
+            assert search_catalog_incipits(catalog, "30Q 31Q") == []
+        assert search_catalog_incipits(catalog, query) == [nocturne]
+        assert search_catalog_incipits(catalog, "30Q 31Q") == [fugue]
+
     def test_limit_stops_early(self, catalog):
         hits = search_catalog_incipits(catalog, "!G", limit=2)
         assert len(hits) == 2

@@ -30,23 +30,22 @@ and come back.
 Pruning honesty: the engine prunes dead versions up to the horizon on
 every rewrite, and the horizon is bounded only by *pinned* snapshots —
 an unpinned LSN older than the horizon is void, by contract.  So the
-battery keeps a *protector* thread whose pin holds the horizon at the
-oldest snapshot the model still replays (pins are thread-local, hence
-the thread), and one op kind deliberately advances that floor: the
+battery keeps a *protector* thread (``tests/props/protector.py``) whose
+pin holds the horizon at the oldest snapshot the model still replays,
+and one op kind deliberately advances that floor: the
 model forgets the snapshots it just unprotected, then checks that every
 remaining one survived the pruning that the advance unleashed.
 """
 
 import collections
-import queue
 import random
-import threading
 
 import pytest
 
 from repro.core.entity import SURROGATE_COLUMN
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
+from tests.props.protector import Protector
 from tests.quel.reference import reference_execute
 
 pytestmark = pytest.mark.props
@@ -87,49 +86,6 @@ def _statements(n):
     ]
 
 
-class _Protector:
-    """Holds ``pin_snapshot(floor)`` on a dedicated thread.
-
-    Snapshot pins are thread-local, so the main thread — which must
-    stay free to mutate and to pin each replayed LSN in turn — cannot
-    itself keep the horizon back.  This thread pins the current floor
-    and re-pins on demand; commands are acknowledged synchronously so
-    the main thread never races its own protection.
-    """
-
-    def __init__(self, transactions):
-        self._transactions = transactions
-        self._commands = queue.Queue()
-        self._acks = queue.Queue()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-        self.floor = None
-
-    def _loop(self):
-        pinned = False
-        while True:
-            lsn = self._commands.get()
-            if pinned:
-                self._transactions.unpin_snapshot()
-                pinned = False
-            if lsn is None:
-                self._acks.put(None)
-                return
-            self._transactions.pin_snapshot(lsn)
-            pinned = True
-            self._acks.put(lsn)
-
-    def set_floor(self, lsn):
-        self._commands.put(lsn)
-        assert self._acks.get(timeout=10) == lsn
-        self.floor = lsn
-
-    def stop(self):
-        self._commands.put(None)
-        self._acks.get(timeout=10)
-        self._thread.join(timeout=10)
-
-
 class _State:
     """The live database plus the single-threaded reference model."""
 
@@ -156,7 +112,7 @@ class _State:
         for i in range(size):
             self._insert(_title(i), i % 50)
         self.committed = dict(self.scratch)
-        self.protector = _Protector(self.db.transactions)
+        self.protector = Protector(self.db.transactions)
         self.protector.set_floor(self.db.transactions.snapshot_lsn())
         self._record()
 

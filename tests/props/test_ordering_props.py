@@ -16,16 +16,41 @@ Checked after every operation:
   the list positions;
 * ``before`` / ``after`` hold for adjacent siblings and are *false*
   across parents (section 5.6's incomparability rule);
+* ``next_sibling`` / ``previous_sibling`` step through the list and end
+  in None;
 * removed children are not ``contains``-ed and have no position;
 * per-parent order keys stay distinct (the gap-key invariant) and
   ``check_invariants`` passes.
+
+The battery is also *temporal*, as ``test_mvcc_props.py`` is for plain
+tables: after every operation ``(snapshot LSN, deep copy of the list
+model)`` is recorded, and every recorded snapshot is then re-read under
+``pin_snapshot(lsn)`` -- the same checks against the copy (all but
+``check_invariants``, which reads the live index), plus ``under`` /
+``before`` / ``after`` retrieves that must bind ``order range``, return
+the copy's siblings in the copy's order and equal
+``tests/quel/reference.py`` under the same pin.  The last ``WINDOW``
+snapshots are kept: a protector thread (``tests/props/protector.py``)
+pins the oldest, and forgetting one lets the pruning loose on the rest.
+
+Sabotage: every sibling read is one ``Ordering.walk``, and what makes a
+walk right under a pin is the stale rowids ``Table.fetch`` merges into
+the index slice.  Hand ``fetch`` an empty stale set there and the first
+move, reparent or remove fails every seed at the snapshot before it;
+drop the walk's re-sort by key after such a merge and every seed fails
+too.
 """
 
+import copy
 import random
 
 import pytest
 
+from repro.core.ordering import Ordering
 from repro.core.schema import Schema
+from repro.quel.executor import QuelSession
+from tests.props.protector import Protector
+from tests.quel.reference import reference_execute
 
 pytestmark = pytest.mark.props
 
@@ -33,18 +58,22 @@ PARENTS = 3
 CHILDREN = 12
 OPS_PER_PROGRAM = 60
 SEEDS = range(20)
+#: Recorded snapshots kept (and re-read after every op).
+WINDOW = 5
+
+_RANGES = "range of n, a, b is NOTE\nrange of c is CHORD\n"
 
 # Paste the ops list from a failure message here to replay it.
 REPLAY_OPS = []
 
 
-def _fresh():
+def _fresh(count=CHILDREN):
     schema = Schema("props")
     schema.define_entity("CHORD", [("n", "integer")])
     schema.define_entity("NOTE", [("n", "integer")])
     ordering = schema.define_ordering("o", ["NOTE"], under="CHORD")
     parents = [schema.entity_type("CHORD").create(n=i) for i in range(PARENTS)]
-    children = [schema.entity_type("NOTE").create(n=i) for i in range(CHILDREN)]
+    children = [schema.entity_type("NOTE").create(n=i) for i in range(count)]
     return ordering, parents, children
 
 
@@ -93,8 +122,12 @@ def _apply(ordering, parents, children, model, op):
         model[new_parent_index].append(child_index)
 
 
-def _check(ordering, parents, children, model):
-    ordering.check_invariants()
+def _check(ordering, parents, children, model, live=True):
+    """Every read against *model*; *live* False under a pinned snapshot,
+    where ``check_invariants`` -- a reader of the live index -- has no
+    business."""
+    if live:
+        ordering.check_invariants()
     placed = set(index for row in model for index in row)
     for parent_index, expected in enumerate(model):
         parent = parents[parent_index]
@@ -110,6 +143,15 @@ def _check(ordering, parents, children, model):
             assert ordering.under(child, parent)
             other = parents[(parent_index + 1) % len(parents)]
             assert not ordering.under(child, other)
+            for step, neighbor in (
+                (ordering.previous_sibling, slot - 1),
+                (ordering.next_sibling, slot + 1),
+            ):
+                found = step(child)
+                if 0 <= neighbor < len(expected):
+                    assert found["n"] == expected[neighbor]
+                else:
+                    assert found is None
         for slot in range(len(expected) - 1):
             a = children[expected[slot]]
             b = children[expected[slot + 1]]
@@ -133,17 +175,101 @@ def _check(ordering, parents, children, model):
         assert len(set(keys)) == len(keys), "duplicate order keys under one parent"
 
 
-def _program_fails(ops):
+class _History:
+    """The temporal half: the last *window* ``(snapshot LSN, deep copy of
+    the list model)`` pairs, each re-read under its own pin."""
+
+    def __init__(self, ordering, parents, children, window):
+        self.world = (ordering, parents, children)
+        self.window = window
+        self.transactions = ordering.schema.database.transactions
+        self.quel = QuelSession(ordering.schema)
+        self.quel.execute(_RANGES)
+        self.snapshots = {}  # lsn -> the model as of that LSN
+        self.checks = 0
+        self.protector = Protector(self.transactions)
+        self.protector.set_floor(self.transactions.snapshot_lsn())
+
+    def close(self):
+        self.protector.stop()
+
+    def record(self, model):
+        snapshots = self.snapshots
+        snapshots[self.transactions.snapshot_lsn()] = copy.deepcopy(model)
+        while len(snapshots) > self.window:
+            del snapshots[min(snapshots)]
+            self.protector.set_floor(min(snapshots))
+            # Reap what the old floor kept alive; every snapshot still
+            # recorded must survive it.
+            self.world[0].table.prune_versions(self.transactions.prune_horizon())
+
+    def replay(self):
+        for lsn in sorted(self.snapshots):
+            self.transactions.pin_snapshot(lsn)
+            try:
+                _check(*self.world, self.snapshots[lsn], live=False)
+                self.check_retrieves(self.snapshots[lsn])
+            except AssertionError as error:
+                raise AssertionError("at snapshot %d: %s" % (lsn, error)) from error
+            finally:
+                self.transactions.unpin_snapshot()
+
+    def check_retrieves(self, model):
+        """One ``under``, ``before`` or ``after`` retrieve (which, and
+        over which parent or child, rotates), judged three ways: the
+        plan, the model's sibling order, the reference's rows.  The
+        equality comes first so the reference's ``and`` short-circuits
+        on it."""
+        self.checks += 1
+        turn, operator = divmod(self.checks, 3)
+        placed = [index for row in model for index in row]
+        if operator == 0 or not placed:
+            source = "retrieve (n.n) where c.n = %d and n under c in o" % (
+                turn % PARENTS
+            )
+            column, expected = "n.n", model[turn % PARENTS]
+        else:
+            pivot = placed[turn % len(placed)]
+            siblings = next(row for row in model if pivot in row)
+            slot = siblings.index(pivot)
+            source = "retrieve (a.n) where b.n = %d and a %s b in o" % (
+                pivot, "before" if operator == 1 else "after"
+            )
+            column = "a.n"
+            expected = siblings[:slot] if operator == 1 else siblings[slot + 1:]
+        rows = self.quel.execute(source)
+        label = self.quel.last_plan_object.label
+        assert label == "index+order range", "%s bound via %s" % (source, label)
+        observed = [row[column] for row in rows]
+        assert observed == expected, "%s = %r, model says %r" % (
+            source, observed, expected
+        )
+        reference = reference_execute(self.world[0].schema, _RANGES + source)
+        assert sorted(observed) == sorted(row[column] for row in reference), (
+            "%s = %r, reference says %r" % (source, observed, reference)
+        )
+
+
+def _program_fails(ops, count=CHILDREN, window=WINDOW):
     """Run a program; returns the failure message, or None if it passes."""
-    ordering, parents, children = _fresh()
+    ordering, parents, children = _fresh(count)
     model = [[] for _ in range(PARENTS)]
-    for index, op in enumerate(ops):
-        try:
-            _apply(ordering, parents, children, model, op)
-            _check(ordering, parents, children, model)
-        except Exception as error:  # noqa: BLE001 -- any divergence is a failure
-            return "op %d (%r): %s: %s" % (index, op, type(error).__name__, error)
-    return None
+    history = _History(ordering, parents, children, window)
+    try:
+        for index, op in enumerate(ops):
+            try:
+                _apply(ordering, parents, children, model, op)
+                _check(ordering, parents, children, model)
+                history.check_retrieves(model)
+                history.record(model)
+                history.replay()
+            except Exception as error:  # noqa: BLE001 -- any divergence is a failure
+                return "op %d (%r): %s: %s" % (
+                    index, op, type(error).__name__, error
+                )
+        return None
+    finally:
+        history.close()
 
 
 def _shrink(ops, fails):
@@ -164,23 +290,49 @@ def _shrink(ops, fails):
     return ops
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_programs_match_reference_model(seed):
-    ops = _generate_ops(seed)
-    error = _program_fails(ops)
-    if error is None:
+def _assert_passes(seed, ops, **sizes):
+    """Run *ops*; on failure shrink them and report the reproducer."""
+    if _program_fails(ops, **sizes) is None:
         return
-    minimal = _shrink(ops, lambda candidate: _program_fails(candidate) is not None)
+    minimal = _shrink(
+        ops, lambda candidate: _program_fails(candidate, **sizes) is not None
+    )
     pytest.fail(
         "seed %d diverged from the reference model.\n%s\n"
-        "Replay by setting REPLAY_OPS = %r" % (seed, _program_fails(minimal), minimal)
+        "Replay by setting REPLAY_OPS = %r"
+        % (seed, _program_fails(minimal, **sizes), minimal)
     )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_programs_match_reference_model(seed):
+    _assert_passes(seed, _generate_ops(seed))
 
 
 @pytest.mark.skipif(not REPLAY_OPS, reason="no recorded failure to replay")
 def test_replay_minimal_failure():
     error = _program_fails([tuple(op) for op in REPLAY_OPS])
     assert error is None, error
+
+
+@pytest.mark.mvcc_slow
+@pytest.mark.parametrize("seed", range(100, 104))
+def test_random_programs_extended(seed, monkeypatch):
+    """Longer programs over more children and a wider window, behind a
+    front-insert storm: each ``(0, 0, 0, 1)`` puts a free child second
+    under parent 0, halving the gap behind its first child until a
+    rebalance rewrites every sibling key there -- under the feet of the
+    snapshots recorded before it, whose whole sibling list is then
+    stale and has only its keys to come back in order by."""
+    rebalances = []
+    rebalance = Ordering._rebalance
+    monkeypatch.setattr(
+        Ordering, "_rebalance",
+        lambda self, parent: rebalances.append(parent) or rebalance(self, parent),
+    )
+    ops = [(0, 0, 0, 1)] * 20 + _generate_ops(seed, 50)
+    _assert_passes(seed, ops, count=24, window=8)
+    assert rebalances, "the storm no longer exhausts a gap"
 
 
 def test_shrinker_finds_minimal_reproducer():

@@ -510,3 +510,44 @@ class TestRowsFetched:
         # Whole chunks of 5, 5, 10, ...: a power-of-two multiple.
         assert counts["rows fetched"] == counts["rows visited"]
         assert counts["rows fetched"] in (5, 10, 20, 40, 80)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_an_order_range_counts_what_each_walk_asked_for(self, pinned):
+        """``rows fetched`` used to say 1 here: the ``order range``
+        source fetched outside the shared pull.  Each walk now counts
+        the membership rows it got and the entity rows they named, per
+        walk; with nothing stale a pinned run walks, visits and fetches
+        exactly what a locked one does."""
+        from repro.fixtures.examples import make_scale_score
+
+        syncs, chords, notes = 4, 2, 1  # per measure, per sync, per chord
+        schema = make_scale_score(
+            measures=2, voices=chords, notes_per_measure=syncs
+        ).cmn.schema
+        session = QuelSession(schema)
+        session.execute(
+            "range of n is NOTE\nrange of c is CHORD\n"
+            "range of s is SYNC\nrange of m is MEASURE"
+        )
+        fetched = schema.database.metrics.counter("quel.rows_fetched")
+        with schema.database.snapshot() if pinned else nullcontext():
+            before = fetched.value
+            counts, _ = _analyze(
+                session,
+                "retrieve (n.degree) where n under c in note_in_chord "
+                "and c under s in chord_in_sync "
+                "and s under m in sync_in_measure and m.number = 2",
+            )
+        assert session.last_plan_object.label == (
+            "index+order range+order range+order range"
+        )
+        walks = (1, syncs, syncs * chords)       # one per driver binding
+        members = (syncs, chords, notes)         # what each walk returns
+        enumerated = sum(w * m for w, m in zip(walks, members))
+        assert counts == {
+            "rows": syncs * chords * notes,
+            "rows visited": 1 + enumerated,
+            # the measure, then a membership row and an entity row each
+            "rows fetched": 1 + 2 * enumerated,
+        }
+        assert counts["rows fetched"] == fetched.value - before == 41

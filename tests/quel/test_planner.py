@@ -2,6 +2,8 @@
 ``explain`` exposes (``QueryPlan.label`` is the access paths in binding
 order), plus unit coverage of the QueryPlan/PlanStep structures."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.schema import Schema
@@ -69,6 +71,45 @@ class TestPlanShapes:
         assert sorted(r["n.n"] for r in rows) == sorted(
             r["n.n"] for r in expected
         )
+
+    # The order-conjunct shapes: (qualification, label locked, label
+    # under a pinned snapshot).  A walk is a walk in both columns; only
+    # a variable no index applies to is relabelled.
+    ORDER_SHAPES = [
+        ("n under c in o and c.n = 0",
+         "index+order range", "index+order range"),
+        ("a before b in o and b.n = 5",
+         "index+order range", "index+order range"),
+        ("a after b in o and b.n = 5",
+         "index+order range", "index+order range"),
+        ("a before b in o and b under c in o and c.n = 0",
+         "index+order range+order range", "index+order range+order range"),
+        # No side is restricted: the scan drives, the walk enumerates.
+        ("n under c in o", "scan+order range", "snapshot scan+order range"),
+        # Each side waits for the other: nothing can drive, both bind
+        # statically and the conjuncts are checked per row.
+        ("a before b in o and b before a in o",
+         "scan+scan", "snapshot scan+snapshot scan"),
+    ]
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("where, locked_label, pinned_label", ORDER_SHAPES)
+    def test_order_conjunct_shapes(
+        self, session, where, locked_label, pinned_label, pinned
+    ):
+        session.execute("range of a, b is NOTE")
+        key = "n.n" if where.startswith("n ") else "a.n"
+        source = "retrieve (%s) where %s" % (key, where)
+        with session.schema.database.snapshot() if pinned else nullcontext():
+            rows = session.execute(source)
+            assert session.last_plan_object.label == (
+                pinned_label if pinned else locked_label
+            )
+            expected = reference_execute(
+                session.schema,
+                "range of n, a, b is NOTE\nrange of c is CHORD\n" + source,
+            )
+        assert sorted(r[key] for r in rows) == sorted(r[key] for r in expected)
 
     def test_constant_query_has_no_steps(self, session):
         session.execute("retrieve (x = 1 + 2)")

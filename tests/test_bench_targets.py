@@ -8,6 +8,7 @@ attribute) or silently reported zeros (a call that moved to another
 module's globals).
 """
 
+import collections
 import importlib
 import importlib.util
 import threading
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.ordering import Ordering
 from repro.core.schema import Schema
 from repro.mdm.manager import MusicDataManager
 from repro.net import MdmClient, MdmServer
@@ -66,6 +68,46 @@ def test_execute_reaches_parse_and_compile_through_executor_globals(
         {"NOTE.n": 1}
     ]
     assert calls == {"parse_quel": 1, "compile_statement": 1}
+
+
+def test_an_order_range_retrieve_reaches_a_wrapped_ordering_read(
+    targets, monkeypatch
+):
+    """``core.ordering_read_us`` is the time inside the ``Ordering``
+    readers the tracer wraps.  Every one of them is a front for
+    ``Ordering.walk``; an executor that called ``walk`` itself would
+    answer the same rows and a traced run would report zero."""
+    calls = collections.Counter()
+    for _module, owner, name, span in targets:
+        if owner != "Ordering" or not span.startswith("core.ordering_read."):
+            continue
+        original = getattr(Ordering, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Ordering, name, counting)
+
+    schema = Schema("bench-targets")
+    schema.define_entity("CHORD", [("n", "integer")])
+    schema.define_entity("NOTE", [("n", "integer")])
+    ordering = schema.define_ordering("o", ["NOTE"], under="CHORD")
+    chord = schema.entity_type("CHORD").create(n=0)
+    ordering.extend(
+        chord, [schema.entity_type("NOTE").create(n=i) for i in range(3)]
+    )
+    session = executor.QuelSession(schema)
+    session.execute("range of a, b is NOTE\nrange of c is CHORD")
+    for where in ("a under c in o and c.n = 0", "a before b in o and b.n = 2",
+                  "a after b in o and b.n = 0"):
+        calls.clear()
+        assert len(session.execute("retrieve (a.n) where " + where)) >= 2
+        assert session.last_plan_object.label == "index+order range"
+        assert any(name.startswith("member_rows_") for name in calls), (
+            "%r ran outside every callable bench/trace.py wraps: %r"
+            % (where, dict(calls))
+        )
 
 
 def test_a_served_connection_runs_on_the_thread_name_the_bench_looks_for():
