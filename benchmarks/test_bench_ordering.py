@@ -11,7 +11,9 @@ import time
 
 import pytest
 
+from repro.core.ordering import Ordering
 from repro.core.schema import Schema
+from repro.fixtures.examples import make_scale_score
 from repro.storage.table import Column, Table, TableSchema
 
 
@@ -148,6 +150,39 @@ def count_row_writes(table):
 
         setattr(table, name, wrapped)
     return counts
+
+
+def count_rows_walked(monkeypatch):
+    """Wrap ``Ordering.walk``, the one sibling read, the way
+    ``count_row_writes`` wraps the mutators; returns the counter dict
+    (membership rows the walks handed back)."""
+    counts = {"rows": 0}
+    original = Ordering.walk
+
+    def wrapped(self, *args, **kwargs):
+        rows = original(self, *args, **kwargs)
+        counts["rows"] += len(rows)
+        return rows
+
+    monkeypatch.setattr(Ordering, "walk", wrapped)
+    return counts
+
+
+@pytest.mark.ordering_smoke
+def test_score_import_walks_stay_linear(monkeypatch):
+    """Importing a score reads a bounded number of sibling rows per
+    instance it creates, however long the score: a chord's start beat
+    must not cost a walk of every measure (when it does, 32 measures
+    read three times the rows per instance that 8 do)."""
+    counts = count_rows_walked(monkeypatch)
+    per_instance = {}
+    for measures in (8, 32):
+        counts["rows"] = 0
+        builder = make_scale_score(measures=measures, voices=4)
+        per_instance[measures] = (
+            counts["rows"] / builder.cmn.schema.instance_count()
+        )
+    assert per_instance[32] <= 1.25 * per_instance[8], per_instance
 
 
 @pytest.mark.ordering_smoke

@@ -16,6 +16,9 @@
 #   test_failed_commit.py               a commit reported failed does not
 #                                       come back after exit_degraded()
 #
+# and tests/storage/test_deferred_index_upkeep.py: open builds each index
+# once (call counts), in the log's DDL order, over an image + log overlap
+#
 # -- a few seconds, always on in the main test run too -- then the size
 # axis: one crash_slow schedule whose table image is ten pager caches
 # (~20 s).  Pass --full for the whole extended matrix (16 extra seeds,
@@ -29,6 +32,7 @@ if [ "${1:-}" = "--full" ]; then
     PYTHONPATH=src python -m pytest tests/crash -q -m crash "$@"
     exit 0
 fi
-PYTHONPATH=src python -m pytest tests/crash -q -m "crash and not crash_slow" "$@"
+PYTHONPATH=src python -m pytest tests/crash \
+    tests/storage/test_deferred_index_upkeep.py -q -m "crash and not crash_slow" "$@"
 PYTHONPATH=src python -m pytest -q -m crash_slow "$@" \
     tests/crash/test_text_index_crash.py::test_crash_at_every_syncpoint_with_image_ten_times_the_cache

@@ -8,7 +8,7 @@ at the same measure offset land on the same SYNC instance -- exactly
 figure 14's "dividing a measure into syncs".
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from repro.errors import NotationError
@@ -83,6 +83,9 @@ class ScoreBuilder:
         self._staff_of = {}  # voice surrogate -> STAFF instance
         self._measures = {}  # number -> (measure instance, MeterSignature)
         self._measure_meters = {}  # explicit per-measure meters
+        # Start beat of measure i + 1, then the end of the last one
+        # reckoned; restarted whenever the meters change.
+        self._measure_starts = [Fraction(0)]
         self._syncs = {}  # (measure number, offset) -> sync instance
         self.view = ScoreView(self.cmn, self.score)
 
@@ -154,6 +157,7 @@ class ScoreBuilder:
         self.movement = movement
         self._measures = {}
         self._measure_meters = {}
+        self._measure_starts = [Fraction(0)]
         self._syncs = {}
         for state in self._voices.values():
             state.cursor_beats = Fraction(0)
@@ -173,6 +177,7 @@ class ScoreBuilder:
                 "measure %d already created; set meters up front" % measure_number
             )
         self._measure_meters[measure_number] = meter
+        self._measure_starts = [Fraction(0)]
         return self
 
     def _meter_for(self, measure_number):
@@ -191,16 +196,17 @@ class ScoreBuilder:
         return self._measures[number][0]
 
     def _measure_bounds(self, beats_from_start):
-        """(measure number, offset in measure) for an absolute beat."""
-        cursor = Fraction(0)
-        number = 1
-        while True:
-            meter = self._meter_for(number)
-            span = meter.measure_duration().beats
-            if beats_from_start < cursor + span:
-                return number, beats_from_start - cursor, meter
-            cursor += span
-            number += 1
+        """(measure number, offset in measure, its meter) for an
+        absolute beat."""
+        starts = self._measure_starts
+        while starts[-1] <= beats_from_start:
+            span = self._meter_for(len(starts)).measure_duration().beats
+            starts.append(starts[-1] + span)
+        number = bisect_right(starts, beats_from_start)
+        return (
+            number, beats_from_start - starts[number - 1],
+            self._meter_for(number),
+        )
 
     def _sync(self, measure_number, offset_beats):
         key = (measure_number, offset_beats)

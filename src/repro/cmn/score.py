@@ -23,6 +23,8 @@ class ScoreView:
     def __init__(self, cmn, score):
         self.cmn = cmn
         self.score = score
+        self._start_maps = {}
+        self._start_maps_versions = None
 
     # -- temporal hierarchy -------------------------------------------------
 
@@ -106,14 +108,46 @@ class ScoreView:
         fifths = movement["key_fifths"]
         return KeySignature(fifths if fifths is not None else 0)
 
+    def _memoized_starts(self, parent_surrogate, compute):
+        """The start map of *parent_surrogate*'s children, computed once
+        per state of the tables it reads.
+
+        ``chord_start_beats`` wants both maps for every chord, and each
+        is a walk of every measure.  The memo follows ``position_of``'s
+        rule: it is keyed on the :attr:`Table.version` of the two
+        orderings and of MEASURE (``meter``), which every mutation bumps
+        -- undo and redo included -- so it mirrors the *live* tables and
+        a read through a pinned snapshot neither consults nor feeds it.
+        """
+        cmn = self.cmn
+        if cmn.schema.database.transactions.current_snapshot() is not None:
+            return compute()
+        versions = (
+            cmn.movement_in_score.table.version,
+            cmn.measure_in_movement.table.version,
+            cmn.MEASURE.table.version,
+        )
+        if versions != self._start_maps_versions:
+            self._start_maps = {}
+            self._start_maps_versions = versions
+        if parent_surrogate not in self._start_maps:
+            self._start_maps[parent_surrogate] = compute()
+        return self._start_maps[parent_surrogate]
+
     def measure_starts(self, movement):
         """measure surrogate -> start beat (from the movement start)."""
-        starts = {}
-        cursor = Fraction(0)
-        for measure in self.measures(movement):
-            starts[measure.surrogate] = cursor
-            cursor += self.meter_of(measure).measure_duration().beats
-        return starts
+        return dict(self._measure_starts(movement))
+
+    def _measure_starts(self, movement):
+        def compute():
+            starts = {}
+            cursor = Fraction(0)
+            for measure in self.measures(movement):
+                starts[measure.surrogate] = cursor
+                cursor += self.meter_of(measure).measure_duration().beats
+            return starts
+
+        return self._memoized_starts(movement.surrogate, compute)
 
     def movement_duration_beats(self, movement):
         """The movement's duration: the sum of its measures' durations."""
@@ -132,12 +166,18 @@ class ScoreView:
 
     def movement_starts(self):
         """movement surrogate -> start beat (from the score start)."""
-        starts = {}
-        cursor = Fraction(0)
-        for movement in self.movements():
-            starts[movement.surrogate] = cursor
-            cursor += self.movement_duration_beats(movement)
-        return starts
+        return dict(self._movement_starts())
+
+    def _movement_starts(self):
+        def compute():
+            starts = {}
+            cursor = Fraction(0)
+            for movement in self.movements():
+                starts[movement.surrogate] = cursor
+                cursor += self.movement_duration_beats(movement)
+            return starts
+
+        return self._memoized_starts(self.score.surrogate, compute)
 
     def chord_start_beats(self, chord):
         """A chord's start: inherited from its parent sync and measure."""
@@ -146,8 +186,8 @@ class ScoreView:
             raise NotationError("chord %r has no sync" % chord)
         measure = self.cmn.sync_in_measure.parent_of(sync)
         movement = self.cmn.measure_in_movement.parent_of(measure)
-        measure_start = self.measure_starts(movement)[measure.surrogate]
-        movement_start = self.movement_starts()[movement.surrogate]
+        measure_start = self._measure_starts(movement)[measure.surrogate]
+        movement_start = self._movement_starts()[movement.surrogate]
         return movement_start + measure_start + sync["offset_beats"]
 
     def chord_duration_beats(self, chord):

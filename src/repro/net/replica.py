@@ -84,9 +84,11 @@ class _ReplicaState:
                 self.database.create_table(
                     spec["name"], [(c, d) for c, d in spec["columns"]]
                 )
-        # Registered before rows land: seed row installs and the
-        # streamed frames that follow then maintain the postings
-        # incrementally, same ordering as local crash recovery.
+        # Registered before rows land, like the schema's hash and
+        # ordered indexes above: the seed's rows install with upkeep
+        # deferred and every index is built once at REPL_SEED_END
+        # (_feed_from), as in local crash recovery; the streamed frames
+        # that follow maintain them row by row.
         for name, columns in (text_indexes or {}).items():
             for column in columns:
                 self.database.table(name).create_text_index(column)
@@ -208,6 +210,8 @@ class ReplicaServer(WireServer):
                     int(message["lsn"]), message["schema"],
                     message["tables"], message.get("text_indexes"),
                 )
+                # Nothing reads a generation before _install_state.
+                pending_state.database.defer_index_upkeep()
             elif kind == protocol.REPL_ROWS:
                 if pending_state is None:
                     raise ProtocolError("REPL_ROWS outside a seed")
@@ -222,6 +226,7 @@ class ReplicaServer(WireServer):
                 if pending_state is None \
                         or int(message["lsn"]) != pending_state.seed_lsn:
                     raise ProtocolError("REPL_SEED_END without matching seed")
+                pending_state.database.build_deferred_indexes()
                 self._install_state(pending_state)
                 transport.send(
                     protocol.REPL_ACK, {"lsn": pending_state.seed_lsn}

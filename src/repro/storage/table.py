@@ -236,6 +236,9 @@ class Table:
         # Notified when the table's queryable shape changes (new index,
         # widened schema); the database routes this to its schema epoch.
         self._on_schema_change = on_schema_change
+        # True between defer_index_upkeep() and build_deferred_indexes():
+        # rows install, indexes only register, nothing reads them.
+        self._deferring = False
 
     # -- snapshot visibility ----------------------------------------------
 
@@ -354,6 +357,8 @@ class Table:
         change is left alone, so its posting is neither duplicated nor
         dropped and a trigram index's entry tally cannot drift.
         """
+        if self._deferring:
+            return
         for (column, _), index in self._indexes.items():
             if old is None:
                 index.insert(self._index_value(column, new), new.rowid)
@@ -390,15 +395,48 @@ class Table:
                 index = OrderedCompositeIndex(column)
             else:
                 index = OrderedIndex(column) if ordered else HashIndex(column)
-            # One bulk build (one key sort), not an insort per row: the
-            # adaptive index a first query builds pays for this.
-            index.insert_many(
-                [(self._index_value(column, row), row.rowid)
-                 for row in self._rows.values()]
-            )
+            self._index_rows(column, index, self._rows.values())
             self._indexes[key] = index
         self.notify_schema_change()
         return index
+
+    def _index_rows(self, column, index, rows):
+        """Add *rows* to *index* in one bulk build (one key sort, not an
+        insort per row): the adaptive index a first query builds, a text
+        index's backfill and ``insert_many`` all pay for this."""
+        if self._deferring:
+            return
+        index.insert_many(
+            [(self._index_value(column, row), row.rowid) for row in rows]
+        )
+
+    # Deferred upkeep: the two loads that fill an empty table before any
+    # reader can exist -- recovery (image + redo) and a replica's seed --
+    # install their rows with the indexes merely registered, then build
+    # each one once from the rows that are left.  A row installed and
+    # later deleted or retitled by the log never reaches an index.
+
+    def defer_index_upkeep(self):
+        """Stop maintaining indexes until :meth:`build_deferred_indexes`.
+
+        Only an empty table may enter (its registered indexes are then
+        empty too, so the build that ends the deferral starts from
+        nothing); :meth:`probe` refuses while it lasts.
+        """
+        if self._rows:
+            raise StorageError(
+                "table %r holds rows; index upkeep is deferred only while "
+                "an empty table is loaded" % self.name
+            )
+        self._deferring = True
+
+    def build_deferred_indexes(self):
+        """End the deferral: fill every registered index from the
+        current rows, one ``insert_many`` each."""
+        with self._latch:
+            self._deferring = False
+            for (column, _), index in self._indexes.items():
+                self._index_rows(column, index, self._rows.values())
 
     def notify_schema_change(self):
         if self._on_schema_change is not None:
@@ -451,12 +489,9 @@ class Table:
             if existing is not None:
                 return existing
             index = TrigramIndex(metrics=self._metrics)
-            # One bulk build instead of a per-row insort storm: at
-            # catalog scale the backfill is the dominant cost of this DDL.
-            index.insert_many(
-                (self._index_value(column, row), row.rowid)
-                for row in self._rows.values()
-            )
+            # At catalog scale the backfill is the dominant cost of
+            # this DDL.
+            self._index_rows(column, index, self._rows.values())
             self._indexes[key] = index
         self.notify_schema_change()
         return index
@@ -535,9 +570,7 @@ class Table:
                 self._chain_append(rowid, RowVersion(row))
                 rows.append(row)
             for (column, _), index in self._indexes.items():
-                index.insert_many(
-                    [(self._index_value(column, row), row.rowid) for row in rows]
-                )
+                self._index_rows(column, index, rows)
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc(len(rows))
@@ -844,6 +877,11 @@ class Table:
         *fn* must only read index structures: no row fetch, no
         predicate.
         """
+        if self._deferring:
+            raise StorageError(
+                "table %r is loading with index upkeep deferred; its "
+                "indexes cannot answer yet" % self.name
+            )
         if self._snapshot is None or self._snapshot() is None:
             return fn(*args), None
         with self._latch:

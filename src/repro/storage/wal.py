@@ -767,7 +767,8 @@ def replay(log, database):
     """Crash recovery's REDO: apply *log*'s valid prefix to *database*.
 
     Only committed work lands (see :class:`RedoApplier`); a record past
-    the first torn or corrupt frame does not exist.
+    the first torn or corrupt frame does not exist.  Returns the number
+    of records read.
     """
     entries, _, corruption = log._scan()
     if corruption is not None:
@@ -776,3 +777,4 @@ def replay(log, database):
     redo = RedoApplier(database, stamp_commits=False)
     for entry in entries:
         redo.apply(*entry)
+    return len(entries)

@@ -8,10 +8,11 @@ the same transaction as the row effect.
 
 The index stores *normalized* trigrams only; nothing here persists.
 Durability comes from the owning table's WAL: recovery re-registers an
-empty ``TrigramIndex`` before the checkpoint image loads, then image
-load and redo rebuild the postings row by row through
-``Table.install_committed`` — exactly the path the crash battery
-cross-checks against a rebuild-from-rows oracle.
+empty ``TrigramIndex`` before the checkpoint image loads, installs
+image and redo rows with index upkeep deferred, and fills it with one
+``insert_many`` over the rows that are left (``Table.
+build_deferred_indexes``) — the build the crash battery cross-checks
+against an oracle rebuilt row by row through ``insert``.
 
 Storage layout (the million-track change): each gram's posting is a
 sorted ``array('I')`` of rowids — 4 bytes per entry against the ~32+

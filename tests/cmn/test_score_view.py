@@ -86,6 +86,96 @@ class TestTemporalAttributes:
         assert starts[second.surrogate] == 4
 
 
+class TestStartsFollowTheTables:
+    """The start maps are memoised per ``Table.version``; one live view
+    must answer from the tables after every kind of change to them."""
+
+    @pytest.fixture
+    def three_measures(self):
+        builder = ScoreBuilder("starts", meter="4/4")
+        voice = builder.add_voice("a")
+        chords = [builder.note(voice, "C4", Fraction(1, 1)) for _ in range(3)]
+        builder.finish(derive=False)
+        view = builder.view
+        first, second, _ = view.measures(builder.movement)
+        assert view.chord_start_beats(chords[2]) == 8  # fills the memo
+        return builder, view, chords[2], first, second
+
+    def _new_measure(self, builder, meter, position):
+        measure = builder.cmn.MEASURE.create(number=0, meter=meter)
+        builder.cmn.measure_in_movement.insert(
+            builder.movement, measure, position
+        )
+        return measure
+
+    def test_an_earlier_meter_change_moves_the_start(self, three_measures):
+        _, view, chord, first, second = three_measures
+        first.set(meter="3/4")
+        assert view.chord_start_beats(chord) == 7
+        second.set(meter="2/4")
+        assert view.chord_start_beats(chord) == 5
+        assert view.movement_starts() == {view.movements()[0].surrogate: 0}
+
+    def test_a_measure_inserted_before_moves_the_start(self, three_measures):
+        builder, view, chord, _, _ = three_measures
+        self._new_measure(builder, "2/4", 1)
+        assert view.chord_start_beats(chord) == 10
+        assert len(view.measure_starts(builder.movement)) == 4
+
+    def test_an_earlier_movement_moves_the_start(self, three_measures):
+        builder, view, chord, _, _ = three_measures
+        cmn = builder.cmn
+        prelude = cmn.MOVEMENT.create(
+            number=0, name="0", key_fifths=0, initial_bpm=96
+        )
+        cmn.movement_in_score.insert(builder.score, prelude, 1)
+        assert view.chord_start_beats(chord) == 8  # an empty movement
+        measure = cmn.MEASURE.create(number=1, meter="6/8")
+        cmn.measure_in_movement.append(prelude, measure)
+        assert view.chord_start_beats(chord) == 11
+
+    @pytest.mark.parametrize("edit", ["meter", "insert"])
+    def test_an_aborted_change_moves_it_back(self, three_measures, edit):
+        """Undo restores the rows behind the view's back."""
+        builder, view, chord, first, _ = three_measures
+        txn = builder.cmn.schema.database.begin()
+        if edit == "meter":
+            first.set(meter="3/4")
+            assert view.chord_start_beats(chord) == 7
+        else:
+            self._new_measure(builder, "2/4", 1)
+            assert view.chord_start_beats(chord) == 10
+        txn.abort()
+        assert view.chord_start_beats(chord) == 8
+
+    def test_a_pinned_read_neither_consults_nor_feeds_the_memo(
+            self, three_measures):
+        import threading
+
+        builder, view, chord, first, _ = three_measures
+        database = builder.cmn.schema.database
+
+        live = []
+
+        def retime():
+            first.set(meter="3/4")
+            live.append(view.chord_start_beats(chord))  # refills the memo
+
+        with database.snapshot():
+            writer = threading.Thread(target=retime)
+            writer.start()
+            writer.join(10.0)
+            assert live == [7]
+            assert view.chord_start_beats(chord) == 8  # as pinned
+        assert view.chord_start_beats(chord) == 7
+
+    def test_a_caller_cannot_edit_the_memo(self, three_measures):
+        builder, view, chord, _, _ = three_measures
+        view.measure_starts(builder.movement).clear()
+        view.movement_starts().clear()
+        assert view.chord_start_beats(chord) == 8
+
+
 class TestPitchResolution:
     def test_key_signature_applied(self):
         builder = ScoreBuilder("keys", key=KeySignature.sharps(2), meter="4/4")

@@ -25,6 +25,9 @@ import threading
 from repro.core.schema import Schema
 from repro.storage.database import Database
 from repro.storage.faults import SimulatedCrash
+from repro.storage.index import HashIndex
+from repro.storage.table import Table
+from repro.text.index import TrigramIndex
 
 
 def build_schema(db):
@@ -43,6 +46,48 @@ def extract_state(db):
         name: {row.rowid: row.as_dict() for row in db.table(name)}
         for name in db.table_names()
     }
+
+
+def _index_contents(index):
+    """All an index holds, the same whatever order built it: ``lookup``,
+    ``range`` and the posting walks are functions of exactly this."""
+    if isinstance(index, TrigramIndex):
+        return index._postings, index._row_grams
+    if isinstance(index, HashIndex):
+        return index._buckets
+    return index._keys, index._postings
+
+
+def assert_indexes_match_rows(table):
+    """Every index registered on *table* -- hash, ordered, ordered-
+    composite, text -- holds what one rebuilt from the table's rows
+    holds.  The rebuild goes row by row through ``insert``; recovery and
+    a replica's seed build through ``insert_many`` and live tables by
+    ``insert``/``delete`` upkeep, so neither side checks itself."""
+    for (column, kind), index in table.indexes().items():
+        rebuilt = TrigramIndex() if kind == "text" else type(index)(column)
+        for row in table:
+            rebuilt.insert(Table._index_value(column, row), row.rowid)
+        assert _index_contents(index) == _index_contents(rebuilt), (
+            "%s index on %s.%s diverges from rebuild-from-rows"
+            % (type(index).__name__, table.name, column)
+        )
+        assert len(index) == len(rebuilt)
+
+
+def table_state(database):
+    """Every table's rows by rowid and the size of each text index it
+    carries, once every index on it has passed
+    :func:`assert_indexes_match_rows` -- what a live database, its
+    reopened directory and its replica must agree on."""
+    rows, postings = {}, {}
+    for name in database.table_names():
+        table = database.table(name)
+        assert_indexes_match_rows(table)
+        rows[name] = {row.rowid: row.as_dict() for row in table}
+        for column in table.text_index_columns():
+            postings[name, column] = len(table.text_index_for(column))
+    return rows, postings
 
 
 BYSTANDER_TABLE = "bystander"

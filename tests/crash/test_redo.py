@@ -5,10 +5,13 @@ log record does to a table.  Crash recovery feeds it the log file, a
 WAL-shipping replica feeds it shipped frames.  Two checks live here:
 
 * a seeded differential test -- a random program on a durable primary
-  with a replica attached; the live tables, the tables after reopening
-  the directory and the replica's tables at its applied LSN must be the
-  same rowid for rowid, and each one's trigram postings must equal the
-  crash battery's rebuild-from-rows oracle;
+  with a replica attached part-way in, so its seed carries rows; the
+  live tables, the tables after reopening the directory and the
+  replica's tables at its applied LSN must be the same rowid for rowid,
+  and every index registered on each -- the schema's hash and ordered-
+  composite ones, the trigram ones -- must equal the crash battery's
+  rebuild-from-rows oracle (the live side got there by per-row upkeep,
+  recovery and the seed by one deferred build each);
 * malformed redo input -- a cut table image, a ``BATCH_INSERT`` body
   shorter than its count, a ``REPL_ROWS`` body that runs out of bytes --
   raises a typed ``repro.errors`` exception from every carrier, never a
@@ -33,8 +36,8 @@ from repro.storage import wal as wal_module
 from repro.storage.database import Database
 from repro.storage.pager import PAGE_SIZE
 from repro.storage.row import Row
-from repro.text.index import TrigramIndex
 
+from tests.crash.oracle import table_state
 from tests.net.conftest import wait_applied, wait_serving
 
 pytestmark = [pytest.mark.crash, pytest.mark.net]
@@ -50,39 +53,51 @@ TITLES = [
 ]
 
 
-def table_state(database):
-    """Every table's rows by rowid, and its text postings beside the
-    postings an index rebuilt from those rows would hold."""
-    rows, postings = {}, {}
-    for name in database.table_names():
-        table = database.table(name)
-        rows[name] = {row.rowid: row.as_dict() for row in table}
-        for column in table.text_index_columns():
-            oracle = TrigramIndex()
-            for row in table:
-                oracle.insert(row[column], row.rowid)
-            index = table.text_index_for(column)
-            assert index._postings == oracle._postings, (
-                "%s.%s postings diverge from rebuild-from-rows" % (name, column)
-            )
-            postings[name, column] = len(index)
-    return rows, postings
-
-
 class Program:
-    """A seeded edit program over two text-indexed raw tables; the
-    index on ``t`` is dropped and re-created along the way."""
+    """A seeded edit program over two text-indexed raw tables and an
+    ordering of ITEMs under two BOXes (hash and ordered-composite
+    indexes); the index on ``t`` is dropped and re-created along the
+    way."""
 
-    def __init__(self, database, seed):
+    def __init__(self, mdm, seed):
         self.rng = random.Random(seed)
-        self.db = database
+        self.db = mdm.database
         self.serial = 0
+        schema = mdm.schema
+        box = schema.define_entity("BOX", [("v", "integer")])
+        self.items = schema.define_entity(
+            "ITEM", [("title", "string"), ("v", "integer")]
+        )
+        self.ordering = schema.define_ordering(
+            "item_in_box", ["ITEM"], under="BOX"
+        )
+        self.boxes = [box.create(v=0), box.create(v=1)]
 
     def _values(self):
         self.serial += 1
         return {"title": self.rng.choice(TITLES), "v": self.serial}
 
+    def _edit_ordering(self):
+        box = self.rng.choice(self.boxes)
+        members = self.ordering.children(box)
+        roll = self.rng.random()
+        if not members or roll < 0.5:
+            self.ordering.insert(
+                box, self.items.create(**self._values()),
+                self.rng.randint(1, len(members) + 1),
+            )
+        elif roll < 0.8:
+            self.ordering.move(
+                self.rng.choice(members), self.rng.randint(1, len(members))
+            )
+        else:
+            victim = self.rng.choice(members)
+            self.ordering.remove(victim)
+            victim.delete()
+
     def _edit(self):
+        if self.rng.random() < 0.3:
+            return self._edit_ordering()
         table = self.db.table(self.rng.choice(["t", "u"]))
         rowids = sorted(table.rowids())
         roll = self.rng.random()
@@ -127,15 +142,20 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
         database.create_table(name, [("title", "string"), ("v", "integer")])
     database.create_text_index("t", "title")
     database.create_text_index("u", "title")
-    # A lag budget no burst of this program can exceed: every change
-    # must reach the replica as a shipped frame, never as a re-seed.
+    program = Program(mdm, seed)
+    # What the replica's seed will carry: it fills every index the
+    # schema replay registered, not only empty tables.
+    for step in range(15):
+        program.step()
+    # A lag budget no burst of this program can exceed: every later
+    # change must reach the replica as a shipped frame, never as a
+    # re-seed.
     server = MdmServer(mdm, lag_budget=10 ** 6)
     server.start()
     replica = ReplicaServer(server.address, name="diff-%d" % seed)
     replica.start()
     try:
         assert wait_serving(replica)
-        program = Program(database, seed)
 
         def caught_up():
             # End on a fresh commit point the replica can be seen to
@@ -143,7 +163,7 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
             program._edit()
             return wait_applied(replica, database._log.flushed_lsn)
 
-        for step in range(60):
+        for step in range(15, 60):
             if step == 30:
                 # The replica must hold everything the checkpoint is
                 # about to truncate, or it is (rightly) re-seeded.
