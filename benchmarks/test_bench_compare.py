@@ -198,6 +198,7 @@ class TestRepeatedStatementScenario:
 
         report = validate_report(quel_report(2, chords=4, notes_per_chord=3))
         assert "repeated_statement" in report["workloads"]
+        assert "new_literal_statement" in report["workloads"]
         # The session's caches must actually be exercised.
         metrics = report["metrics"]
         assert metrics["quel.cache.statement_hits"] > 0

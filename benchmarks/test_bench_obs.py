@@ -5,7 +5,7 @@ With no trace sink attached, the executor's hot path hoists one
 attribute records) entirely; metric updates are lock-free deque
 appends folded on read.  This benchmark measures the exact
 per-statement instrumentation sequence of a warm compiled statement --
-statement-cache hit (no parse), plan-slot hit -- in isolation and
+shape-cache hit (no parse), plan hit -- in isolation and
 compares it to the latency of the *cheapest* instrumented statement
 (indexed equality retrieve, now compiled and cached: the worst case
 for relative overhead), asserting the ratio stays under the 3% budget
@@ -75,8 +75,8 @@ def test_noop_instrumentation_overhead_under_3_percent(populated):
 
     def instrumentation_cycle():
         # Mirrors exactly what one warm execute() pays with no sink
-        # attached: a statement-cache hit (no parse span), a plan-slot
-        # hit, one hoisted tracing_active() check per span site
+        # attached: a shape-cache hit (no parse span), a plan hit,
+        # one hoisted tracing_active() check per span site
         # (statement, plan, scan -- each skipped along with its
         # records and finishes), and the per-statement metric updates
         # (two cache counters, one row counter, one write-combined

@@ -29,6 +29,7 @@ guarding the committed BENCH_*.json numbers against perf regressions.
 """
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -107,17 +108,24 @@ def quel_report(rounds, chords=40, notes_per_chord=10):
     for name, source in sorted(statements.items()):
         workloads[name] = _time_workload(lambda s=source: session.execute(s), rounds)
 
-    # Repeated-statement scenario: the same source text executed over and
-    # over, the compile-and-cache layer's home turf -- parsed and compiled
-    # once (statement + plan caches), then only planned and run.
-    repeated = (
+    # The shape cache's two cases.  Repeated: the same source text over
+    # and over -- a text-memo hit, no lexing, then only planned and run.
+    # New literal: the same statement with another value each time -- one
+    # regex pass finds the shape's parse and plan, so it must cost what
+    # the repeat costs plus that pass, not a parse and a compile.
+    shape = (
         "retrieve (a = n.pitch * 2 + 1, b = n.n - 3, c = n.label) "
-        "where n.n = %d and n.pitch > 0" % target
+        "where n.n = %d and n.pitch > 0"
     )
+    repeated = shape % target
     session.execute(repeated)  # warm: adaptive indexes settle the epoch
     session.execute(repeated)
     workloads["repeated_statement"] = _time_workload(
         lambda: session.execute(repeated), rounds
+    )
+    fresh = itertools.count()
+    workloads["new_literal_statement"] = _time_workload(
+        lambda: session.execute(shape % (next(fresh) % (2 * target))), rounds
     )
     return {
         "benchmark": "quel",

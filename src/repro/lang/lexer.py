@@ -1,12 +1,21 @@
-"""A small hand-written lexer shared by the DDL and QUEL parsers.
+"""The lexer shared by the DDL and QUEL parsers: one compiled-regex pass.
 
 Produces identifiers, numbers, quoted strings, and punctuation, with
 line/column positions for error reporting.  Keywords are recognized
 case-insensitively by the parsers, not the lexer, so entity names like
 ``ORDER`` remain usable as identifiers where the grammar allows.
+
+The same lexical rules serve two readers.  :meth:`Lexer.tokens` builds
+the token list a parser walks.  :func:`lift` builds no tokens: it cuts
+the literals (and comments) out of a statement and returns what is left
+-- the statement's *shape*, the key QUEL caches parses and plans under
+-- beside the literal values in source order, so a statement that
+differs from an earlier one only in its literals costs one pass here
+and no parse (see :mod:`repro.quel.cache`).
 """
 
 import enum
+import re
 
 from repro.errors import ParseError
 
@@ -22,15 +31,18 @@ class TokenType(enum.Enum):
 
 
 class Token:
-    """One lexeme with its source position."""
+    """One lexeme with its source position.  *slot* numbers the number
+    and string tokens of a source from 0, in order -- the index of the
+    token's value in :func:`lift`'s literal vector; None for the rest."""
 
-    __slots__ = ("type", "value", "line", "column")
+    __slots__ = ("type", "value", "line", "column", "slot")
 
-    def __init__(self, token_type, value, line, column):
+    def __init__(self, token_type, value, line, column, slot=None):
         self.type = token_type
         self.value = value
         self.line = line
         self.column = column
+        self.slot = slot
 
     def matches_keyword(self, keyword):
         return self.type is TokenType.IDENT and self.value.lower() == keyword
@@ -44,125 +56,176 @@ class Token:
         )
 
 
-#: Multi-character symbols recognized before single characters.
-_MULTI_SYMBOLS = ("<=", ">=", "!=", "**")
-_SINGLE_SYMBOLS = set("()=,.*<>+-/%;:[]")
+# -- the lexical rules, stated once ------------------------------------------
+
+#: Either quote; a backslash takes the next character with it, newlines
+#: included; no closing quote, no match.
+_STRING = r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\''
+#: ASCII digits only: ``\d`` and ``str.isdigit`` also accept characters
+#: (``²``, ``٣``) that ``int()`` refuses or the grammar never meant.
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+_COMMENT = r"(?:\#|--)[^\n]*"
+
+#: One token, or one run of whitespace and comments, at a position.
+#: ``--`` must be tried before the ``-`` symbol; the alternatives are
+#: otherwise disjoint on their first character.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|" + _COMMENT + r")+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>" + _NUMBER + r")"
+    r"|(?P<string>" + _STRING + r")"
+    r"|(?P<symbol><=|>=|!=|\*\*|[()=,.*<>+\-/%;:\[\]])",
+    re.DOTALL,
+)
+
+#: What :func:`lift` cuts out: (string) | (number) | comment | (a quote
+#: no string starts at) and everything after it -- the scan for its
+#: closing quote ran to the end of the input, and cutting the rest is
+#: what keeps a source of a million such quotes one pass instead of a
+#: million.  A digit run that continues a word (``t1``, ``x²5``) is that
+#: identifier's, not a number.  The lookahead lets the scan skip, a
+#: character class at a time, every position none of these can start at.
+_LITERAL = re.compile(
+    r"(?=[\"'0-9#-])(?:(" + _STRING + r")|(?<!\w)(" + _NUMBER + r")|"
+    + _COMMENT + r"|([\"']).*)",
+    re.DOTALL,
+)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"n": "\n", "t": "\t"}
+
+
+def _unescape(found):
+    char = found.group(1)
+    return _ESCAPED.get(char, char)
+
+
+def _string_value(text):
+    """The value of the quoted string token *text*."""
+    body = text[1:-1]
+    if "\\" in body:
+        body = _ESCAPE.sub(_unescape, body)
+    return body
+
+
+def _number_value(text):
+    return float(text) if "." in text else int(text)
+
+
+def lift(source):
+    """Split *source* into ``(shape, literals)`` without building tokens.
+
+    *literals* is the tuple of number and string values in source order
+    (``Token.slot`` indexes it).  *shape* is the tuple of the text
+    between the literals and comments, closed by one character per cut:
+    ``s``/``i``/``f`` for a string, integer or float literal -- a slot
+    is typed, so ``1``, ``1.0`` and ``"1"`` are three shapes -- ``c``
+    for a comment and ``!`` for an unterminated string.  Two sources
+    with equal shapes lex to the same tokens but for the literal
+    values, or both fail to lex: a cut starts where a token would and
+    takes what the token would.  Never raises; time linear in *source*.
+    """
+    parts = _LITERAL.split(source)
+    if len(parts) == 1:
+        return (source, ""), ()
+    literals = []
+    kinds = []
+    for index in range(1, len(parts), 4):
+        string, number, unterminated = parts[index:index + 3]
+        if string is not None:
+            literals.append(_string_value(string))
+            kinds.append("s")
+        elif number is not None:
+            literals.append(_number_value(number))
+            kinds.append("f" if "." in number else "i")
+        else:
+            kinds.append("c" if unterminated is None else "!")
+    return tuple(parts[0::4]) + ("".join(kinds),), tuple(literals)
+
+
+def shape_text(shape):
+    """A shape as a statement with ``?`` where a literal stood."""
+    pieces = [shape[0]]
+    for kind, piece in zip(shape[-1], shape[1:-1]):
+        pieces.append("" if kind == "c" else "?")
+        pieces.append(piece)
+    return " ".join("".join(pieces).split())
+
+
+def leading_keywords(source, count):
+    """The lower-cased identifiers *source* opens with, at most *count*
+    of them, whitespace and comments skipped: how callers that route a
+    statement by its verb (``define``, ``range of``) read it.  Stops at
+    the first thing that is not an identifier; never raises."""
+    words = []
+    position = 0
+    while len(words) < count:
+        found = _TOKEN.match(source, position)
+        if found is None:
+            break
+        if found.lastgroup == "ident":
+            words.append(found.group().lower())
+        elif found.lastgroup != "skip":
+            break
+        position = found.end()
+    return tuple(words)
 
 
 class Lexer:
-    """Tokenize *source*; iterate or call :meth:`tokens`."""
+    """Tokenize *source*: call :meth:`tokens`."""
 
     def __init__(self, source):
         self.source = source
-        self._position = 0
-        self._line = 1
-        self._column = 1
 
     def tokens(self):
         """Return the full token list, ending with an END token."""
+        source = self.source
         out = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.type is TokenType.END:
-                return out
-
-    def _peek(self, ahead=0):
-        position = self._position + ahead
-        if position >= len(self.source):
-            return ""
-        return self.source[position]
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self._position < len(self.source):
-                if self.source[self._position] == "\n":
-                    self._line += 1
-                    self._column = 1
-                else:
-                    self._column += 1
-                self._position += 1
-
-    def _skip_whitespace_and_comments(self):
-        while True:
-            char = self._peek()
-            if char and char in " \t\r\n":
-                self._advance()
-            elif char == "#" or (char == "-" and self._peek(1) == "-"):
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self):
-        self._skip_whitespace_and_comments()
-        line, column = self._line, self._column
-        char = self._peek()
-        if not char:
-            return Token(TokenType.END, "", line, column)
-        if char == '"' or char == "'":
-            return self._string(char, line, column)
-        if char.isdigit():
-            return self._number(line, column)
-        if char.isalpha() or char == "_":
-            return self._identifier(line, column)
-        for symbol in _MULTI_SYMBOLS:
-            if self.source.startswith(symbol, self._position):
-                self._advance(len(symbol))
-                return Token(TokenType.SYMBOL, symbol, line, column)
-        if char in _SINGLE_SYMBOLS:
-            self._advance()
-            return Token(TokenType.SYMBOL, char, line, column)
-        raise ParseError("unexpected character %r" % char, line, column)
-
-    def _string(self, quote, line, column):
-        self._advance()
-        chars = []
-        while True:
-            char = self._peek()
-            if not char:
-                raise ParseError("unterminated string", line, column)
-            if char == "\\":
-                self._advance()
-                escaped = self._peek()
-                mapping = {"n": "\n", "t": "\t", "\\": "\\", quote: quote}
-                chars.append(mapping.get(escaped, escaped))
-                self._advance()
-                continue
-            if char == quote:
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars), line, column)
-            chars.append(char)
-            self._advance()
-
-    def _number(self, line, column):
-        digits = []
-        seen_dot = False
-        while True:
-            char = self._peek()
-            if char.isdigit():
-                digits.append(char)
-                self._advance()
-            elif char == "." and not seen_dot and self._peek(1).isdigit():
-                seen_dot = True
-                digits.append(char)
-                self._advance()
-            else:
-                break
-        text = "".join(digits)
-        value = float(text) if seen_dot else int(text)
-        return Token(TokenType.NUMBER, value, line, column)
-
-    def _identifier(self, line, column):
-        chars = []
-        while True:
-            char = self._peek()
-            if char.isalnum() or char == "_":
-                chars.append(char)
-                self._advance()
-            else:
-                break
-        return Token(TokenType.IDENT, "".join(chars), line, column)
+        match = _TOKEN.match
+        line = 1
+        line_start = 0  # offset of the current line's first character
+        position = 0
+        slot = 0
+        end = len(source)
+        while position < end:
+            found = match(source, position)
+            column = position - line_start + 1
+            if found is None:
+                char = source[position]
+                if char == '"' or char == "'":
+                    raise ParseError("unterminated string", line, column)
+                raise ParseError("unexpected character %r" % char, line, column)
+            kind = found.lastgroup
+            text = found.group()
+            if kind == "ident":
+                first = text[0]
+                # The pattern's first-character class also lets through
+                # the numeric non-letters (superscripts, fractions).
+                if first > "\x7f" and not first.isalpha():
+                    raise ParseError(
+                        "unexpected character %r" % first, line, column
+                    )
+                out.append(Token(TokenType.IDENT, text, line, column))
+            elif kind == "symbol":
+                out.append(Token(TokenType.SYMBOL, text, line, column))
+            elif kind == "number":
+                out.append(Token(
+                    TokenType.NUMBER, _number_value(text), line, column, slot
+                ))
+                slot += 1
+            elif kind == "string":
+                out.append(Token(
+                    TokenType.STRING, _string_value(text), line, column, slot
+                ))
+                slot += 1
+            position = found.end()
+            if kind == "skip" or kind == "string":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = position - len(text) + text.rfind("\n") + 1
+        out.append(Token(TokenType.END, "", line, end - line_start + 1))
+        return out
 
 
 class TokenStream:

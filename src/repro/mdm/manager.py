@@ -16,6 +16,7 @@ the admission gate, and the sessions into :meth:`statistics`.
 from repro.cmn.schema import CmnSchema
 from repro.core.catalog import MetaCatalog
 from repro.ddl.compiler import execute_ddl
+from repro.lang.lexer import leading_keywords
 from repro.mdm.service import (
     AdmissionGate,
     MdmSession,
@@ -83,8 +84,7 @@ class MusicDataManager:
 
     def execute(self, source):
         """Run DDL or QUEL text (dispatched on the first keyword)."""
-        stripped = source.lstrip()
-        if stripped.lower().startswith("define"):
+        if leading_keywords(source, 1) == ("define",):
             return execute_ddl(source, self.schema)
         return self.session.execute(source)
 

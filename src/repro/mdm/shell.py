@@ -27,6 +27,7 @@ shell over ``META`` frames.
 """
 
 from repro.errors import MDMError, QueryTimeoutError, ResourceLimitError
+from repro.lang.lexer import leading_keywords
 from repro.mdm.manager import MusicDataManager
 
 
@@ -98,7 +99,7 @@ class MdmShell:
             return ""
         try:
             # DDL goes to the manager, QUEL through this shell's session.
-            if source.lower().startswith("define"):
+            if leading_keywords(source, 1) == ("define",):
                 result = self.mdm.execute(source)
             else:
                 result = self.session.execute(source)
@@ -151,7 +152,9 @@ class MdmShell:
             rendered = format_rows(rows)
             cache_info = self.session.last_cache_info
             if cache_info is not None:
-                rendered += "\n(plan cache: %s)" % cache_info
+                rendered += "\n(plan cache: %s; shape: %s)" % (
+                    cache_info, self.session.last_shape
+                )
             return rendered
         if command == "\\indexes":
             return self._indexes()

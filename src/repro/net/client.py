@@ -35,6 +35,7 @@ from repro.errors import (
     ProtocolError,
     RetryExhaustedError,
 )
+from repro.lang.lexer import leading_keywords
 from repro.net import protocol
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
@@ -135,7 +136,7 @@ class MdmClient:
         statement abandons the in-doubt one (it keeps whatever fate it
         had) and moves to a fresh sequence number.
         """
-        if source.lstrip().lower().startswith("range of"):
+        if leading_keywords(source, 2) == ("range", "of"):
             result = self._call_primary({
                 "source": source, "read_only": True,
                 "row_budget": row_budget,

@@ -21,6 +21,7 @@ structured refusal, not a hung socket.
 import json
 import struct
 import zlib
+from fractions import Fraction
 
 from repro.errors import ProtocolError, RecoveryError
 from repro.storage.row import decode_row_run, encode_row_run
@@ -93,8 +94,9 @@ def decode_payload(payload, crc):
 
 
 def pack(kind, obj):
-    """A control frame with a JSON body."""
-    return encode_frame(kind, json.dumps(obj, sort_keys=True).encode("utf-8"))
+    """A control frame with a JSON body.  A value JSON has no form for
+    (a rational, a blob) is written as :func:`encode_value` writes it."""
+    return encode_frame(kind, _ENCODER.encode(obj).encode("utf-8"))
 
 
 def unpack_json(kind, body):
@@ -112,8 +114,6 @@ def unpack_json(kind, body):
 
 def encode_value(value):
     """Make one attribute value JSON-safe (rationals, blobs)."""
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
         return {"__rat__": [value.numerator, value.denominator]}
     if isinstance(value, (bytes, bytearray)):
@@ -121,12 +121,26 @@ def encode_value(value):
     return value
 
 
+def _encode_unknown(value):
+    """``json``'s ``default`` hook: called only for a value the encoder
+    has no form for, so a reply of strings and numbers never pays a
+    Python call per value."""
+    encoded = encode_value(value)
+    if encoded is value:
+        raise TypeError(
+            "%s is not JSON serializable" % type(value).__name__
+        )
+    return encoded
+
+
+#: ``json.dumps(obj, sort_keys=True, default=...)``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_encode_unknown)
+
+
 def decode_value(value):
     """Undo :func:`encode_value`."""
     if isinstance(value, dict):
         if "__rat__" in value:
-            from fractions import Fraction
-
             numerator, denominator = value["__rat__"]
             return Fraction(numerator, denominator)
         if "__blob__" in value:
@@ -135,16 +149,20 @@ def decode_value(value):
 
 
 def encode_rows(rows):
-    """JSON-safe copies of QUEL result rows."""
-    return [
-        {key: encode_value(val) for key, val in row.items()} for row in rows
-    ]
+    """QUEL result rows as a ``RESULT`` frame carries them: as they
+    are.  :func:`pack` encodes the values JSON cannot express when it
+    meets one; this is the step's name on the serving path."""
+    return rows
 
 
 def decode_rows(rows):
-    return [
-        {key: decode_value(val) for key, val in row.items()} for row in rows
-    ]
+    """Undo what :func:`pack` did to the values of parsed result
+    *rows*, in place: only an object-typed value can be an encoded one."""
+    for row in rows:
+        for key, value in row.items():
+            if type(value) is dict:
+                row[key] = decode_value(value)
+    return rows
 
 
 # -- binary replication bodies ---------------------------------------------------

@@ -49,6 +49,7 @@ from repro.errors import (
     ReplicaLagError,
     ShutdownError,
 )
+from repro.lang.lexer import leading_keywords
 from repro.mdm.shell import MdmShell
 from repro.net import protocol
 from repro.net.replication import ReplicationHub
@@ -371,7 +372,7 @@ class MdmServer(WireServer):
             )
             return {"kind": "rows", "value": encoded,
                     "commit_lsn": self._durable_lsn()}
-        if source.lstrip().lower().startswith("define"):
+        if leading_keywords(source, 1) == ("define",):
             # DDL is self-committing (table creation is not journaled),
             # so it bypasses the dedup transaction; a replayed define
             # fails loudly with SchemaError rather than double-applying.

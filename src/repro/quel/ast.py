@@ -93,12 +93,22 @@ class Target:
 
 
 class Literal:
-    """A constant value (number or string)."""
+    """A constant value (number or string).
 
-    __slots__ = ("value",)
+    *slot* is the index of the source token it was read from among the
+    source's literals (``Token.slot``), None for a literal no token
+    stands behind.  A parse shared by every statement of one shape says
+    where a value goes, not what it is: for the slots a plan leaves
+    *bound* (:func:`repro.quel.compile.bound_slots`) the value is read
+    from the executing statement's literal vector, and *value* -- the
+    first such statement's -- only from a bare AST run on its own.
+    """
 
-    def __init__(self, value):
+    __slots__ = ("value", "slot")
+
+    def __init__(self, value, slot=None):
         self.value = value
+        self.slot = slot
 
     def __repr__(self):
         return "Literal(%r)" % (self.value,)

@@ -12,9 +12,13 @@ assignments are pre-split and pre-compiled.
 Compiled artifacts are session-independent: closures reach all runtime
 state (schema, function registry, orderings) through *rt*, so a plan
 compiled by one session can be executed by any session whose range
-bindings match -- which is exactly what the per-database plan cache in
-:mod:`repro.quel.cache` keys on, together with the structural
-:func:`fingerprint` and the database schema epoch.
+bindings match -- which is what the shape cache in
+:mod:`repro.quel.cache` keys a plan on, together with the database
+schema epoch.  They are statement-independent too: a *bound* literal
+(see below) compiles to a read of the executing statement's literal
+vector, which travels on *rt*'s thread-local beside the execution
+limits, never on the plan, so every statement of one shape -- on any
+session or thread -- runs the same plan with its own values.
 """
 
 import operator as _operator
@@ -34,136 +38,50 @@ _COMPARISONS = {
 }
 
 
-# -- structural fingerprinting ---------------------------------------------------
+# -- bound and pinned literals -----------------------------------------------
+#
+# A parse is shared by every statement of one shape, so it can leave a
+# literal *bound* -- a slot the closure reads from the executing
+# statement's literal vector -- or *pinned*: its value is part of what
+# is cached, and a statement with another value there is another cache
+# entry.  Pinned is the default, and the safe one.  A literal is bound
+# only where it survives parsing as an ``ast.Literal`` node that the
+# table below does not name: comparison and arithmetic operands,
+# assignment values, targets.  Everything else is pinned -- the literals
+# the grammar itself consumes (``limit N``, the query and threshold of
+# a ``matches`` / ``similar_to`` gate, which planning lowers onto the
+# trigram index) and the function arguments named here, whose values
+# compile folds.
+
+#: function name -> positions of the literal arguments compile folds:
+#: ``similarity(x, "q")`` to a prebuilt scorer (and, as a sort key, to
+#: the top-k source's overlap bound), ``ordinal(v, "name")`` to its
+#: ordering.
+PINNED_ARGUMENTS = {"similarity": (1,), "ordinal": (1,)}
 
 
-def fingerprint(node):
-    """A structural key for an AST node: equal source shapes (including
-    literal values and their types) produce equal fingerprints."""
-    parts = []
-    _fingerprint(node, parts.append)
-    return "".join(parts)
-
-
-def _fingerprint(node, emit):
-    if node is None:
-        emit("~")
-        return
+def bound_slots(node, into=None):
+    """The slots of the literals under *node* (an AST node, or a list
+    or tuple of them) that are bound, by the rule above."""
+    if into is None:
+        into = set()
     if isinstance(node, ast.Literal):
-        emit("L<%s:%r>" % (type(node.value).__name__, node.value))
-        return
-    if isinstance(node, ast.AttributeRef):
-        emit("A<%s.%s>" % (node.variable, node.attribute))
-        return
-    if isinstance(node, ast.VariableRef):
-        emit("V<%s>" % node.variable)
-        return
-    if isinstance(node, ast.BinaryOp):
-        emit("B<%s>(" % node.operator)
-        _fingerprint(node.left, emit)
-        _fingerprint(node.right, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.FunctionCall):
-        emit("F<%s>(" % node.name)
-        for argument in node.arguments:
-            _fingerprint(argument, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.Comparison):
-        emit("C<%s>(" % node.operator)
-        _fingerprint(node.left, emit)
-        _fingerprint(node.right, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.IsClause):
-        emit("Is(")
-        _fingerprint(node.left, emit)
-        _fingerprint(node.right, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.OrderClause):
-        emit("O<%s:%s>(" % (node.operator, node.order_name))
-        _fingerprint(node.left, emit)
-        _fingerprint(node.right, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.UnderClause):
-        emit("U<%s>(" % (node.order_name,))
-        _fingerprint(node.child, emit)
-        _fingerprint(node.parent, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.MatchClause):
-        emit("M<%s:%s.%s:%r:%r>" % (
-            node.operator, node.variable, node.attribute,
-            node.query, node.threshold,
-        ))
-        return
-    if isinstance(node, ast.And):
-        emit("&(")
-        _fingerprint(node.left, emit)
-        _fingerprint(node.right, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.Or):
-        emit("|(")
-        _fingerprint(node.left, emit)
-        _fingerprint(node.right, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.Not):
-        emit("!(")
-        _fingerprint(node.operand, emit)
-        emit(")")
-        return
-    if isinstance(node, ast.Target):
-        emit("T<%s>(" % node.name)
-        _fingerprint(node.expression, emit)
-        emit(")")
-        return
-    raise QueryError("cannot fingerprint %r" % (node,))
-
-
-def statement_fingerprint(statement):
-    """A structural key for a whole (cacheable) statement."""
-    parts = []
-    emit = parts.append
-    if isinstance(statement, ast.RetrieveStatement):
-        emit(
-            "retrieve<u=%d,d=%d,l=%s>("
-            % (statement.unique, statement.descending, statement.limit)
-        )
-        for target in statement.targets:
-            _fingerprint(target, emit)
-        emit(";")
-        _fingerprint(statement.where, emit)
-        emit(";")
-        _fingerprint(statement.sort_by, emit)
-        emit(")")
-    elif isinstance(statement, ast.AppendStatement):
-        emit("append<%s>(" % statement.entity_type)
-        for name, expression in statement.assignments:
-            emit("%s=" % name)
-            _fingerprint(expression, emit)
-        emit(";")
-        _fingerprint(statement.where, emit)
-        emit(")")
-    elif isinstance(statement, ast.ReplaceStatement):
-        emit("replace<%s>(" % statement.variable)
-        for name, expression in statement.assignments:
-            emit("%s=" % name)
-            _fingerprint(expression, emit)
-        emit(";")
-        _fingerprint(statement.where, emit)
-        emit(")")
-    elif isinstance(statement, ast.DeleteStatement):
-        emit("delete<%s>(" % statement.variable)
-        _fingerprint(statement.where, emit)
-        emit(")")
+        if node.slot is not None:
+            into.add(node.slot)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            bound_slots(item, into)
+    elif isinstance(node, ast.FunctionCall):
+        pinned = PINNED_ARGUMENTS.get(node.name, ())
+        for position, argument in enumerate(node.arguments):
+            if position in pinned and isinstance(argument, ast.Literal):
+                continue
+            bound_slots(argument, into)
     else:
-        raise QueryError("cannot fingerprint statement %r" % (statement,))
-    return "".join(parts)
+        # Every node class declares its fields in ``__slots__``.
+        for field in getattr(node, "__slots__", ()):
+            bound_slots(getattr(node, field), into)
+    return into
 
 
 # -- compiled artifacts ----------------------------------------------------------
@@ -228,6 +146,9 @@ class CompiledStatement:
         self.kind = kind
         self.used = used
         self.conjuncts = conjuncts
+        # variable -> [(attribute, fn), ...] for ``variable.attr =
+        # literal`` conjuncts; planning calls ``fn(rt, None)`` for the
+        # value to probe the index with.
         self.restrictions = restrictions
         self.restriction_conjuncts = restriction_conjuncts
         # variable -> [(attribute, operator, query, threshold), ...]
@@ -275,10 +196,13 @@ def _apply_binary(op, left, right):
 
 class Compiler:
     """Compiles one statement against a session's compile-time context
-    (range-variable bindings, function registry, known orderings)."""
+    (range-variable bindings, function registry, known orderings).
+    *bound* is the set of literal slots read from the literal vector at
+    run time; every other literal is the constant its node holds."""
 
-    def __init__(self, session):
+    def __init__(self, session, bound=frozenset()):
         self.session = session
+        self.bound = bound
 
     # -- value expressions -------------------------------------------------------
 
@@ -290,6 +214,12 @@ class Compiler:
     def _expression(self, node):
         """Compile to ``(fn, is_constant, constant_value)``."""
         if isinstance(node, ast.Literal):
+            slot = node.slot
+            if slot in self.bound:
+                return (
+                    (lambda rt, bindings: rt._local.literals[slot]),
+                    False, None,
+                )
             value = node.value
             return (lambda rt, bindings: value), True, value
         if isinstance(node, ast.AttributeRef):
@@ -368,11 +298,12 @@ class Compiler:
         The scorer derives the query's normalized form, trigram set,
         and token-sorted form once at compile time instead of per row —
         the difference between a ranked retrieve that scores 10 rows
-        and one that re-folds its query string 120k times.  Only safe
-        while the session resolves ``similarity`` to the builtin; a
-        re-registered function bumps the registry version, which is
-        part of the plan-cache key, so a stale fold can never be
-        replayed against an overriding registry.
+        and one that re-folds its query string 120k times.  The literal
+        is pinned (:data:`PINNED_ARGUMENTS`), so the fold is keyed on
+        its value.  Only safe while the session resolves ``similarity``
+        to the builtin; a re-registered function bumps the registry
+        version, which is part of the plan key, so a stale fold can
+        never be replayed against an overriding registry.
         """
         from repro.quel.functions import scalar_similarity
         from repro.text import SimilarityScorer
@@ -643,11 +574,41 @@ class Compiler:
         return []
 
 
-def compile_statement(statement, session):
+def _same_expression(left, right, bound):
+    """True when two value expressions are one expression: equal node
+    for node.  A bound literal equals only itself -- two slots hold the
+    same value in one statement and not in the next of its shape."""
+    if left is right:
+        return True
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, ast.Literal):
+        return (
+            left.slot not in bound and right.slot not in bound
+            and type(left.value) is type(right.value)
+            and left.value == right.value
+        )
+    if isinstance(left, list):
+        return len(left) == len(right) and all(
+            _same_expression(a, b, bound) for a, b in zip(left, right)
+        )
+    fields = getattr(left, "__slots__", None)
+    if fields is None:
+        return left == right  # a name, an operator
+    return all(
+        _same_expression(getattr(left, field), getattr(right, field), bound)
+        for field in fields
+    )
+
+
+def compile_statement(statement, session, bound=frozenset()):
     """Lower *statement* to a :class:`CompiledStatement` for *session*'s
-    current range bindings (the plan-cache key pins those, plus the
-    schema epoch and function-registry version)."""
-    compiler = Compiler(session)
+    current range bindings (the plan key pins those, plus the schema
+    epoch and function-registry version).  *bound* is the set of
+    literal slots the plan leaves to the executing statement's literal
+    vector (:func:`bound_slots`); without one, every literal is the
+    constant its node holds -- a bare AST run on its own."""
+    compiler = Compiler(session, bound)
     used, where = session._plan_parts(statement)
     conjunct_nodes = planner.split_conjuncts(where)
     conjuncts = []
@@ -664,7 +625,10 @@ def compile_statement(statement, session):
         for variable in used:
             restriction = planner.equality_restriction(node, variable)
             if restriction is not None:
-                restrictions.setdefault(variable, []).append(restriction)
+                attribute, literal = restriction
+                restrictions.setdefault(variable, []).append(
+                    (attribute, compiler.expression(literal))
+                )
                 restriction_conjuncts.setdefault(variable, []).append(index)
             text = planner.text_restriction(node, variable)
             if text is not None:
@@ -698,10 +662,13 @@ def compile_statement(statement, session):
             sort_fn = compiler.expression(statement.sort_by)
             # A later target of the same name overwrites an earlier one
             # in the record, so only the last of a name can stand in.
-            last = {t.name: fingerprint(t.expression) for t in statement.targets}
-            sort_print = fingerprint(statement.sort_by)
+            last = {t.name: t.expression for t in statement.targets}
             sort_target = next(
-                (name for name, _ in targets if last[name] == sort_print), None
+                (
+                    name for name, _ in targets
+                    if _same_expression(last[name], statement.sort_by, bound)
+                ),
+                None,
             )
     elif isinstance(statement, (ast.AppendStatement, ast.ReplaceStatement)):
         assignments = [

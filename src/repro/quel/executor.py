@@ -34,8 +34,8 @@ from repro.core.entity import SURROGATE_COLUMN, EntityInstance
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, span, tracing_active
 from repro.quel import ast
-from repro.quel.cache import StatementCache, plan_cache_for
-from repro.quel.compile import compile_statement, statement_fingerprint
+from repro.quel.cache import CachedStatement, shape_cache_for
+from repro.quel.compile import bound_slots, compile_statement
 from repro.quel.functions import FunctionRegistry, scalar_similarity
 from repro.quel.parser import parse_quel
 from repro.quel import planner
@@ -136,6 +136,7 @@ class _EntityRange:
         self.entity_type = entity_type
         self.type_name = entity_type.name
         self.table = entity_type.table
+        self.key = (self.kind, self.type_name)  # what a plan depends on
 
     def wrap(self, row):
         return EntityInstance(self.entity_type, row[SURROGATE_COLUMN], row.rowid)
@@ -152,6 +153,7 @@ class _RelationshipRange:
         self.relationship = relationship
         self.type_name = relationship.name
         self.table = relationship.table
+        self.key = (self.kind, self.type_name)
 
     def wrap(self, row):
         return row
@@ -184,10 +186,11 @@ def _slices(items, first):
 class QuelSession:
     """Stateful QUEL session over one schema.
 
-    Every statement runs one pipeline.  Source text is parsed once per
-    session (statement cache); each statement is lowered once to Python
-    closures and cached per database, keyed on structural fingerprint
-    and invalidated by the schema epoch (plan cache).  Planning picks a
+    Every statement runs one pipeline.  Source text is parsed, and each
+    statement lowered to Python closures, once per *shape* -- the text
+    with its literals cut out -- in the database's shape cache
+    (:mod:`repro.quel.cache`); the literals a plan leaves bound travel
+    beside the execution, on this session's thread-local.  Planning picks a
     candidate source per range variable from what it observes -- a
     pinned snapshot, which restrictions an index can answer, the
     statement's ``limit``/sort shape (see :meth:`_prepare_compiled`) --
@@ -200,7 +203,9 @@ class QuelSession:
         self.ranges = {}
         self.functions = FunctionRegistry()
         self._last_plan = None
-        self._limits_local = threading.local()
+        # Per thread, because one session serves many: the execution
+        # limits, and the executing statement's literal vector.
+        self._local = threading.local()
         # Statement-level metrics ("quel.*") land in the database's
         # registry; increments are per statement, never per row.
         metrics = getattr(schema.database, "metrics", None)
@@ -228,13 +233,8 @@ class QuelSession:
         self._snapshot_scan_fallbacks = self.metrics.counter(
             "quel.snapshot_scan_fallbacks"
         )
-        self._statement_cache = StatementCache(self.metrics)
-        self._plan_cache = plan_cache_for(
-            getattr(schema, "database", None), self.metrics
-        )
-        # Bumped on any range (re)declaration: a session-local plan slot
-        # compiled under old bindings must not be reused.
-        self._ranges_version = 0
+        self._shapes = shape_cache_for(schema.database, self.metrics)
+        self._last_shape = None
         self._last_cache_info = None
 
     @property
@@ -242,6 +242,12 @@ class QuelSession:
         """'hit' or 'miss' for the last statement's plan-cache lookup,
         or None when the statement did not consult the cache."""
         return self._last_cache_info
+
+    @property
+    def last_shape(self):
+        """The shape of the last source text executed: the statement
+        with ``?`` where a literal stood (or None)."""
+        return self._last_shape
 
     @property
     def last_plan(self):
@@ -264,14 +270,14 @@ class QuelSession:
 
     def set_limits(self, deadline=None, row_budget=None):
         """Install a deadline/row budget for this thread's statements."""
-        self._limits_local.limits = ExecutionLimits(deadline, row_budget)
+        self._local.limits = ExecutionLimits(deadline, row_budget)
 
     def clear_limits(self):
-        self._limits_local.limits = None
+        self._local.limits = None
 
     @property
     def limits(self):
-        return getattr(self._limits_local, "limits", None)
+        return getattr(self._local, "limits", None)
 
     # -- public API ------------------------------------------------------------
 
@@ -280,25 +286,48 @@ class QuelSession:
 
         Retrieves return a list of result dicts; mutations return the
         affected-instance count; range statements return None.  A
-        source text is parsed at most once per session; repeats hit the
-        statement cache and skip the parser.
+        source is parsed at most once per shape: a repeat, or the same
+        statement with other literals, finds the parse in the shape
+        cache and runs it with its own literal vector.
         """
-        entry = self._statement_cache.lookup(source)
-        if entry is None:
+        shape, literals = self._shapes.lookup(source)
+        if shape is None:
             with span("quel.parse"):
                 statements = parse_quel(source)
-            entry = self._statement_cache.store(source, statements)
-        result = None
-        for statement, slot in zip(entry.statements, entry.slots):
-            result = self.execute_statement(statement, _slot=slot)
-        return result
+            bound = frozenset(bound_slots(statements))
+            shape = self._shapes.store(
+                source, literals,
+                [
+                    CachedStatement(statement, self._used_by(statement), bound)
+                    for statement in statements
+                ],
+                bound,
+            )
+        self._last_shape = shape.text
+        local = self._local
+        # Restored, not cleared: a registered function may run a
+        # statement of its own in the middle of this one.
+        outer = getattr(local, "literals", None)
+        local.literals = literals
+        try:
+            result = None
+            for cached in shape.statements:
+                result = self._execute(cached.statement, cached)
+            return result
+        finally:
+            local.literals = outer
 
-    def execute_statement(self, statement, _slot=None):
+    def execute_statement(self, statement):
+        """Execute one bare AST node: compiled on the spot with every
+        literal a constant, nothing cached."""
+        return self._execute(statement, None)
+
+    def _execute(self, statement, cached):
         self._last_cache_info = None
         if isinstance(statement, ast.RangeStatement):
             return self._declare_range(statement)
         if isinstance(statement, ast.ExplainStatement):
-            return self._explain(statement)
+            return self._explain(statement, cached)
         # The tracer check is hoisted so the no-sink path skips the
         # span calls (and their kwargs dicts) entirely -- that is how
         # the 3% overhead budget holds for cached compiled statements.
@@ -309,7 +338,7 @@ class QuelSession:
         )
         started = time.monotonic()
         try:
-            return self._dispatch(statement, slot=_slot)
+            return self._dispatch(statement, cached)
         except (QueryTimeoutError, ResourceLimitError) as exc:
             self._record_partial_progress(exc)
             statement_span.record("error", type(exc).__name__)
@@ -319,8 +348,8 @@ class QuelSession:
                 statement_span.finish()
             self._statement_tally.observe(time.monotonic() - started)
 
-    def _dispatch(self, statement, slot=None):
-        compiled = self._compiled_for(statement, slot)
+    def _dispatch(self, statement, cached):
+        compiled = self._compiled_for(statement, cached)
         if isinstance(statement, ast.RetrieveStatement):
             return self._with_statement_locks(self._retrieve, compiled)
         if isinstance(statement, ast.AppendStatement):
@@ -343,59 +372,52 @@ class QuelSession:
 
     # -- the compile-and-cache layer ---------------------------------------------
 
-    def _bindings_key(self, statement):
-        """The range-binding shape a compiled plan depends on."""
-        used, _ = self._plan_parts(statement)
-        parts = []
-        for variable in used:
-            declared = self._range_for(variable)
-            parts.append((variable, declared.kind, declared.type_name))
-        return tuple(parts)
+    def _used_by(self, statement):
+        """The range variables *statement*'s plan joins over, sorted;
+        None for a statement that has no plan."""
+        if isinstance(statement, ast.ExplainStatement):
+            statement = statement.statement  # the parser nests none
+        if isinstance(statement, ast.RangeStatement):
+            return None
+        return self._plan_parts(statement)[0]
 
-    def _compiled_for(self, statement, slot=None):
+    def _compiled_for(self, statement, cached=None):
         """The compiled form of *statement*.
 
-        Consults the session-local :class:`~repro.quel.cache.PlanSlot`
-        first (valid while schema epoch, function registry, and range
-        declarations are unchanged), then the per-database plan cache
-        keyed on (fingerprint, binding shape, registry); compiles and
-        stores on miss.  A statement kind that cannot be compiled
-        raises ``QueryError`` from the fingerprint.
+        *cached* is its entry in the shape cache, whose plans are keyed
+        on what a plan depends on beside the statement -- the bindings
+        of the range variables it uses and the function registry -- and
+        valid at one schema epoch; compiles and stores on miss.  A bare
+        AST (no entry) is compiled on the spot.  A statement kind that
+        cannot be compiled raises ``QueryError``.
         """
+        if cached is None:
+            self._last_cache_info = "miss"
+            return compile_statement(statement, self)
+        shapes = self._shapes
         epoch = self.schema.database.schema_epoch
         functions_version = self.functions.version
-        if (
-            slot is not None
-            and slot.compiled is not None
-            and slot.epoch == epoch
-            and slot.functions_version == functions_version
-            and slot.ranges_version == self._ranges_version
-        ):
-            self._plan_cache.hits.inc()
-            self._last_cache_info = "hit"
-            return slot.compiled
+        range_for = self._range_for
         key = (
-            statement_fingerprint(statement),
-            self._bindings_key(statement),
+            tuple([range_for(variable).key for variable in cached.used]),
             # Pristine registries are interchangeable; a session that
             # registered functions gets entries private to its registry
-            # (the cache's reference also pins the registry, so the key
+            # (the plan's reference also pins the registry, so the key
             # can never alias a recycled one).
             self.functions if functions_version else None,
             functions_version,
         )
-        compiled = self._plan_cache.get(key, epoch)
-        if compiled is None:
-            compiled = compile_statement(statement, self)
-            self._plan_cache.put(key, epoch, compiled)
-            self._last_cache_info = "miss"
-        else:
-            self._last_cache_info = "hit"
-        if slot is not None:
-            slot.epoch = epoch
-            slot.functions_version = functions_version
-            slot.ranges_version = self._ranges_version
-            slot.compiled = compiled
+        found = cached.plans.get(key)
+        if found is not None:
+            if found[0] == epoch:
+                shapes.hits.inc()
+                self._last_cache_info = "hit"
+                return found[1]
+            shapes.invalidations.inc()
+        shapes.misses.inc()
+        self._last_cache_info = "miss"
+        compiled = compile_statement(statement, self, cached.bound)
+        shapes.store_plan(cached, key, epoch, compiled)
         return compiled
 
     def _record_partial_progress(self, exc):
@@ -416,7 +438,7 @@ class QuelSession:
 
     # -- explain / explain analyze ---------------------------------------------
 
-    def _explain(self, statement):
+    def _explain(self, statement, cached):
         inner = statement.statement
         if isinstance(inner, ast.ExplainStatement):
             raise QueryError("explain cannot be nested")
@@ -424,9 +446,9 @@ class QuelSession:
             self._declare_range(inner)
             return [{"plan": "range declaration (no plan)"}]
         if statement.analyze:
-            return self._explain_analyze(inner)
+            return self._explain_analyze(inner, cached)
         return self._with_statement_locks(
-            self._plan_only, self._compiled_for(inner)
+            self._plan_only, self._compiled_for(inner, cached)
         )
 
     def _plan_parts(self, statement):
@@ -452,7 +474,7 @@ class QuelSession:
         self._prepare_compiled(compiled, gate=False)
         return self._last_plan.rows()
 
-    def _explain_analyze(self, inner):
+    def _explain_analyze(self, inner, cached):
         """Execute *inner* fully, then report plan + actual counts/time.
 
         Candidate-row visits are counted by a temporary
@@ -461,17 +483,17 @@ class QuelSession:
         always-on per-row counter.
         """
         previous = self.limits
-        self._limits_local.limits = ExecutionLimits(
+        self._local.limits = ExecutionLimits(
             deadline=previous.deadline if previous is not None else None,
             row_budget=previous.row_budget if previous is not None else None,
         )
         started = time.monotonic()
         try:
-            result = self._dispatch(inner)
+            result = self._dispatch(inner, cached)
             elapsed = time.monotonic() - started
             visits, fetched = self.limits.visits, self.limits.fetched
         finally:
-            self._limits_local.limits = previous
+            self._local.limits = previous
         plan = self._last_plan
         rows = plan.rows() if plan is not None else [{"plan": "(no plan)"}]
         if plan is not None and plan.snapshot is not None:
@@ -561,7 +583,6 @@ class QuelSession:
             )
         for variable in statement.variables:
             self.ranges[variable] = target
-        self._ranges_version += 1
         return None
 
     def _range_for(self, variable):
@@ -574,7 +595,6 @@ class QuelSession:
         if target is None:
             raise QueryError("undeclared range variable %r" % variable)
         self.ranges[variable] = target
-        self._ranges_version += 1
         return target
 
     def _resolve_ordering(self, clause_name, instances, parent=None):
@@ -951,7 +971,10 @@ class QuelSession:
                 (counts[variable], pulls[variable], accesses[variable],
                  stale) = self._candidates(
                     ranges[variable],
-                    compiled.restrictions.get(variable, ()),
+                    [
+                        (attribute, value(self, None)) for attribute, value
+                        in compiled.restrictions.get(variable, ())
+                    ],
                     compiled.text_restrictions.get(variable, ()),
                 )
                 if accesses[variable] == "index text":

@@ -348,12 +348,9 @@ def _unary(stream):
 
 def _primary(stream):
     token = stream.peek()
-    if token.type is TokenType.NUMBER:
+    if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
         stream.next()
-        return ast.Literal(token.value)
-    if token.type is TokenType.STRING:
-        stream.next()
-        return ast.Literal(token.value)
+        return ast.Literal(token.value, token.slot)
     if token.type is TokenType.SYMBOL and token.value == "(":
         stream.next()
         inner = _expression(stream)

@@ -59,10 +59,11 @@ def variables_in(node):
 
 def equality_restriction(conjunct, variable):
     """If *conjunct* is ``variable.attr = literal`` (either side),
-    return ``(attr, value)``; else None.
+    return ``(attr, literal node)``; else None.
 
     These restrictions are pushed into index lookups when generating a
-    variable's candidate set.
+    variable's candidate set; the node rather than its value, because
+    the value of a bound literal is the executing statement's.
     """
     if not isinstance(conjunct, ast.Comparison) or conjunct.operator != "=":
         return None
@@ -74,7 +75,7 @@ def equality_restriction(conjunct, variable):
         and left.variable == variable
         and isinstance(right, ast.Literal)
     ):
-        return (left.attribute, right.value)
+        return (left.attribute, right)
     return None
 
 

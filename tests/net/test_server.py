@@ -9,6 +9,7 @@ from repro.errors import (
     MDMError,
     NetworkError,
     NetworkTimeoutError,
+    ParseError,
     ProtocolError,
     QueryError,
     RetryExhaustedError,
@@ -41,6 +42,11 @@ class TestBasicServing:
         mdm, _ = served_mdm
         client.execute("define entity WIDGET (weight = integer)")
         assert mdm.schema.has_entity_type("WIDGET")
+        # Known by its first token, not its first characters.
+        client.execute("-- a part\n  define entity GEAR (teeth = integer)")
+        assert mdm.schema.has_entity_type("GEAR")
+        with pytest.raises(ParseError, match="a QUEL statement"):
+            client.execute("defined (x = 1)")  # an identifier, not the verb
 
     def test_errors_are_structured_and_typed(self, client):
         with pytest.raises(QueryError):
@@ -130,6 +136,26 @@ class TestPreambleReplay:
         client.execute("range of x is NOTE")
         client._primary.close()
         assert client.retrieve("retrieve (x.degree)") == [{"x.degree": 1}]
+
+    @pytest.mark.parametrize("declaration", [
+        "range  of t is NOTE",
+        "-- the tracks\nrange of t is NOTE",
+        "# tracks\n  RANGE\tOF t is NOTE",
+    ])
+    def test_a_declaration_is_known_by_its_tokens_not_its_prefix(
+        self, served_mdm, client, declaration
+    ):
+        """Two spaces or a leading comment used to make it a *write*:
+        answered 0, a durable ledger row and a seq spent, and -- never
+        recorded for replay -- lost with the connection."""
+        mdm, _ = served_mdm
+        client.execute("append to NOTE (degree = 3)")
+        seq = client._seq
+        assert client.execute(declaration) is None
+        assert client._seq == seq  # no ledger write, no seq
+        assert list(client._preamble) == [declaration]
+        client._primary.close()  # the transport drops
+        assert client.retrieve("retrieve (t.degree)") == [{"t.degree": 3}]
 
 
 class TestExactlyOnceDedup:

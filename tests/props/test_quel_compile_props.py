@@ -12,6 +12,17 @@ unlimited answer and, over one range variable (where the reference
 shares the engine's row order), the reference's first N too.  Failures
 report the seed and the generated source so a reproducer is one paste
 away.
+
+*Shape soundness* (``test_statements_of_one_shape_agree``): the engine
+caches one parse and one plan per statement *shape* and binds the
+literals at execute, so the second generator emits runs of consecutive
+statements that share a shape and differ only in their literals -- a
+type change in one slot (``1``, ``1.0``, ``"1"``), varying ``limit`` /
+``matches`` / ``similar_to`` / ``similarity`` / ``ordinal`` literals
+(the pinned ones), the same text under different range declarations,
+DDL epoch bumps in between, a session that re-registered
+``similarity`` -- and requires one long-lived session, a fresh session
+per statement and the reference to agree, locked and pinned.
 """
 
 import random
@@ -20,6 +31,7 @@ import pytest
 
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
+from repro.quel.functions import FunctionRegistry
 from tests.quel.reference import reference_execute
 
 pytestmark = pytest.mark.props
@@ -150,3 +162,202 @@ def test_compiled_matches_interpreter(seed):
                 "seed=%d source=%r: disagrees with the interpreter"
                 % (seed, limited)
             )
+
+
+# -- shape soundness -----------------------------------------------------------
+
+SHAPE_SEEDS = range(6)
+RUNS_PER_SEED = 14
+TITLES = [
+    "Prelude in C", "Prélude in D", "Fugue in C minor", "Fugue in G",
+    "Nocturne", "Notturno", "Sonata no 3", "Sonata no 13", "Air", "Aria",
+]
+RANGES = "range of n, m is NOTE\nrange of c is CHORD\n"
+
+
+def _titled(seed):
+    """``_populated`` plus what the pinned literals need: a text
+    attribute (indexed on odd seeds, scanned on even ones) and a second
+    ordering for ``ordinal``'s name to choose between."""
+    rng = random.Random(seed)
+    schema = Schema("shapeprops")
+    schema.define_entity("CHORD", [("n", "integer"), ("pitch", "integer")])
+    schema.define_entity(
+        "NOTE",
+        [("n", "integer"), ("pitch", "integer"), ("label", "string"),
+         ("title", "string")],
+    )
+    first = schema.define_ordering("o", ["NOTE"], under="CHORD")
+    second = schema.define_ordering("p", ["NOTE"], under="CHORD")
+    chords = [
+        schema.entity_type("CHORD").create(n=i, pitch=50 + i)
+        for i in range(CHORDS)
+    ]
+    for index in range(NOTES):
+        note = schema.entity_type("NOTE").create(
+            n=index,
+            pitch=40 + rng.randrange(30),
+            label="L%d" % rng.randrange(4),
+            title=rng.choice(TITLES),
+        )
+        if rng.random() < 0.85:
+            first.append(chords[rng.randrange(CHORDS)], note)
+        if rng.random() < 0.5:
+            second.insert(chords[rng.randrange(CHORDS)], note, 1)
+    if seed % 2:
+        schema.entity_type("NOTE").table.create_text_index("title")
+    return schema, rng
+
+
+def _number(rng, low, high):
+    """An integer literal, sometimes written as the float it equals."""
+    value = low + rng.randrange(high - low)
+    return rng.choice(["%d", "%d", "%d.0", "%d.5"]) % value
+
+
+def _retyped(rng, high):
+    """One slot, three types: ``1``, ``1.0``, ``"1"`` (for ``=`` and
+    ``!=`` only -- an order comparison across types has no answer)."""
+    return rng.choice(["%d", "%d.0", '"%d"']) % rng.randrange(high)
+
+
+def _label(rng):
+    return rng.choice(['"L%d"', "'L%d'"]) % rng.randrange(5)
+
+
+def _query(rng):
+    word = rng.choice(TITLES + ["prelude", "fugue in", "sonata no", "no 3"])
+    return '"%s"' % rng.choice([word, word.lower(), word.upper()])
+
+
+#: (template, its slots' generators, range variables, sort column,
+#: whether the reference shares the engine's row order).  Every run of a
+#: template is one shape; the slots are what varies.
+TEMPLATES = [
+    ("retrieve (n.n, n.pitch) where n.n = %s",
+     [lambda r: _retyped(r, NOTES)]),
+    ("retrieve (n.n) where %s = n.n or n.label != %s",
+     [lambda r: _retyped(r, NOTES), _label]),
+    ("retrieve (n.n) where n.pitch > %s and not (n.pitch >= %s)",
+     [lambda r: _number(r, 40, 60), lambda r: _number(r, 50, 70)]),
+    ("retrieve (n.n, v = n.pitch * %s + %s, w = %s) where n.label = %s",
+     [lambda r: _number(r, 0, 4), lambda r: _number(r, 0, 9), _label,
+      _label]),
+    ("retrieve unique (n.label, k = %s) where n.pitch - %s < 60",
+     [lambda r: _number(r, 0, 3), lambda r: _number(r, 0, 20)]),
+    ("retrieve (x = %s + %s, y = %s) where %s != %s",
+     [lambda r: _number(r, 0, 9), lambda r: _number(r, 0, 9), _label,
+      lambda r: _number(r, 0, 2), lambda r: _number(r, 0, 2)]),
+    ("retrieve (c = count(n.n), s = sum(n.pitch + %s)) where n.pitch > %s",
+     [lambda r: _number(r, 0, 9), lambda r: _number(r, 40, 70)]),
+    # A target that may or may not be the sort key, slot for slot.
+    ("retrieve (n.n, v = (n.n - %s) * (n.n - 2)) "
+     "sort by (n.n - %s) * (n.n - 2)",
+     [lambda r: r.choice(["3", "9"]), lambda r: r.choice(["3", "9"])]),
+    ("retrieve (n.n) where n.label != %s limit %s",
+     [_label, lambda r: str(1 + r.randrange(6))]),
+    ("retrieve (n.n, m.n) where n.pitch = m.pitch + %s and m.n %% %s = %s",
+     [lambda r: _number(r, 0, 3), lambda r: str(2 + r.randrange(3)),
+      lambda r: str(r.randrange(2))]),
+    ("retrieve (n.n, c.n) where n under c in o and c.n = %s and n.pitch > %s",
+     [lambda r: _retyped(r, CHORDS), lambda r: _number(r, 40, 60)]),
+    ("retrieve (n.n, at = ordinal(n, %s)) where n.n < %s",
+     [lambda r: r.choice(['"o"', '"p"']), lambda r: _number(r, 4, NOTES)]),
+    ("retrieve (n.n) where matches(n.title, %s) and n.pitch > %s",
+     [_query, lambda r: _number(r, 40, 60)]),
+    ("retrieve (n.n) where matches(n.title, %s) limit %s",
+     [_query, lambda r: str(1 + r.randrange(4))]),
+    ("retrieve (n.n) where similar_to(n.title, %s, %s)",
+     [_query, lambda r: r.choice(["0.3", "0.5", "0.9", "1"])]),
+    ("retrieve (n.n, s = similarity(n.title, %s)) where n.pitch > %s "
+     "sort by similarity(n.title, %s) descending limit %s",
+     [_query, lambda r: _number(r, 40, 50), _query,
+      lambda r: str(1 + r.randrange(5))]),
+    ("retrieve (n.n, s = similarity(n.title, %s)) "
+     "where matches(n.title, %s) "
+     "sort by similarity(n.title, %s) descending limit %s",
+     [_query, lambda r: r.choice(['"in"', '"no"', '"a"']), _query,
+      lambda r: str(1 + r.randrange(5))]),
+]
+
+
+def _multiset(rows):
+    """Order-free and type-strict (``_canonical`` cannot sort a None
+    beside an integer, and holds ``1 == 1.0``)."""
+    return sorted(repr(sorted(row.items())) for row in rows)
+
+
+def _other_similarity(left, right):
+    """What one session registers over the builtin."""
+    return len(left or "") - len(right or "")
+
+
+@pytest.mark.parametrize("mode", ["locked", "pinned"])
+@pytest.mark.parametrize("seed", SHAPE_SEEDS)
+def test_statements_of_one_shape_agree(seed, mode):
+    schema, rng = _titled(seed)
+    transactions = schema.database.transactions
+
+    def session_with(ranges, similarity=None):
+        session = QuelSession(schema)
+        session.execute(ranges)
+        if similarity is not None:
+            session.register_function("similarity", similarity)
+        return session
+
+    def engine(session, source):
+        if mode == "pinned":
+            transactions.pin_snapshot()
+        try:
+            return session.execute(source)
+        finally:
+            if mode == "pinned":
+                transactions.unpin_snapshot()
+
+    # The same texts under other declarations: n and m range over CHORD
+    # (every template that names only n.n / n.pitch is valid there too).
+    chord_ranges = "range of n, m is CHORD\n"
+    rebound = FunctionRegistry()
+    rebound.register_scalar("similarity", _other_similarity)
+    views = [
+        ("notes", RANGES, session_with(RANGES), None),
+        ("rebound similarity", RANGES,
+         session_with(RANGES, _other_similarity), rebound),
+        ("chords", chord_ranges, session_with(chord_ranges), None),
+    ]
+    bumps = 0
+    for _ in range(RUNS_PER_SEED):
+        template, slots = rng.choice(TEMPLATES)
+        on_chords = not any(
+            word in template
+            for word in ("label", "title", "under", "ordinal")
+        )
+        for _ in range(2 + rng.randrange(3)):  # one shape, new literals
+            source = template % tuple(slot(rng) for slot in slots)
+            if rng.random() < 0.15:
+                # A DDL epoch bump between two statements of a shape.
+                bumps += 1
+                schema.define_entity("BUMP%d" % bumps, [("n", "integer")])
+            for name, ranges, session, functions in views:
+                if name == "chords" and not on_chords:
+                    continue
+                if name == "rebound similarity" and "similarity" not in source:
+                    continue
+                expected = reference_execute(
+                    schema, ranges + source, functions
+                )
+                fresh = session_with(
+                    ranges, _other_similarity if functions else None
+                )
+                for who, rows in (
+                    ("long-lived", engine(session, source)),
+                    ("fresh", engine(fresh, source)),
+                ):
+                    context = "seed=%d mode=%s view=%s %s session: %r" % (
+                        seed, mode, name, who, source
+                    )
+                    ordered = "sort by" in source or "limit" in source
+                    if ordered and " m." not in source:
+                        assert rows == expected, context
+                    else:
+                        assert _multiset(rows) == _multiset(expected), context

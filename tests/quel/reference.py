@@ -34,9 +34,10 @@ _OPERATORS = {
 _parse = functools.lru_cache(maxsize=512)(parse_quel)
 
 
-def reference_execute(schema, source):
-    """The rows of the last retrieve in *source* (ranges + retrieves)."""
-    run = _Reference(schema)
+def reference_execute(schema, source, functions=None):
+    """The rows of the last retrieve in *source* (ranges + retrieves),
+    under *functions* (default: a pristine registry)."""
+    run = _Reference(schema, functions or FunctionRegistry())
     result = None
     for statement in _parse(source):
         if isinstance(statement, ast.RangeStatement):
@@ -62,10 +63,10 @@ def _variables(node, out):
 
 
 class _Reference:
-    def __init__(self, schema):
+    def __init__(self, schema, functions):
         self.schema = schema
         self.ranges = {}
-        self.functions = FunctionRegistry()
+        self.functions = functions
 
     def scan(self, variable):
         name = self.ranges.get(variable, variable)
