@@ -27,7 +27,7 @@ the join loop, which raises ``QueryTimeoutError`` /
 import threading
 import time
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, islice
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
 from repro.core.entity import SURROGATE_COLUMN, EntityInstance
@@ -83,46 +83,30 @@ def _text_rowids(table, text_restrictions):
     """Trigram-index candidate rowids for *text_restrictions*.  Reads
     index structures only, so it runs inside a :meth:`Table.probe`.
 
-    Returns ``(rowids, pruned)``: *rowids* is the intersection of the
-    per-gate candidate sets (None when nothing pruned), *pruned* True
-    when at least one trigram index contributed.  A gate with no index,
-    or a sub-trigram query the index cannot bound, contributes nothing
-    -- the exact predicate still verifies every materialized row
-    downstream, so candidates remain a sound superset.
-
-    Candidate-cap cost rule, ``matches`` only: a gate whose shortest
-    posting covers at least half the table would spend more
-    materializing and intersecting rowid sets than the scan it is meant
-    to avoid, so it is skipped (the exact predicate still filters every
-    row).  The estimate reads posting *lengths* and the row map's size
-    only -- no posting is walked and no row visited to make the
-    decision; tables under the cap's floor always prune, so small
-    fixtures keep their "index text" plans.  A ``similar_to`` gate has
-    no such rule: the index hands back the rows that pass, never more
-    than the scan would fetch, for a count walk that costs less per
-    posting entry than the predicate costs per row.
+    Returns the intersection of the per-gate candidate sets, ascending
+    when iterated, or None when no trigram index contributed.  A gate
+    with no index, or a sub-trigram query the index cannot bound,
+    contributes nothing -- the exact predicate still verifies every
+    materialized row downstream, so candidates remain a sound superset.
+    Every gate an index can answer is sent to it: a ``matches`` gate's
+    candidates are an AND over bitsets however many they are, a
+    ``similar_to`` gate's are the rows that pass.
     """
     rowids = None
-    pruned = False
-    cap = table.candidate_cap()
     for attribute, operator, query, threshold in text_restrictions:
         index = table.text_index_for(attribute)
         if index is None:
             continue
         if operator == "matches":
-            estimate = index.estimate_matching(query)
-            if estimate is None or estimate >= cap:
-                continue
             matched = index.candidates_matching(query)
         else:
             matched = index.candidates_similar(query, threshold)
         if matched is None:
             continue
-        pruned = True
         rowids = matched if rowids is None else rowids & matched
         if not rowids:
             break
-    return rowids, pruned
+    return rowids
 
 
 class _EntityRange:
@@ -722,7 +706,8 @@ class QuelSession:
             return rows
 
         def probe():
-            rowids, text_pruned = _text_rowids(table, text_restrictions)
+            rowids = _text_rowids(table, text_restrictions)
+            text_pruned = rowids is not None
             for attribute, value in indexed:
                 if rowids is not None and not rowids:
                     break
@@ -734,10 +719,12 @@ class QuelSession:
                 # A lookup answers ascending: a lone one is the
                 # candidate list as it stands.
                 matched = index.lookup(value)
-                rowids = (
-                    matched if rowids is None
-                    else set(matched).intersection(rowids)
-                )
+                if rowids is not None:
+                    # Walk the lookup: a text gate's candidates are a
+                    # set to ask, not one to enumerate.
+                    held = set(rowids) if isinstance(rowids, list) else rowids
+                    matched = [rowid for rowid in matched if rowid in held]
+                rowids = matched
             return rowids, text_pruned
 
         (rowids, text_pruned), stale = table.probe(probe)
@@ -790,15 +777,18 @@ class QuelSession:
         candidate set, which grows with the table.
 
         *Unsorted* -- "index text stream": the rarest ``matches`` gate's
-        posting merge itself advances a chunk at a time
+        posting intersection itself advances a chunk at a time
         (:meth:`_stream_candidates`), only far enough for the join to
         verify N rows, in "index text"'s ascending rowid order.
 
         *Sorted by* ``similarity(v.attr, "literal")`` *descending* --
         "index text topk": only this sort key has a posting-count upper
-        bound (:meth:`SimilarityScorer.bound_with`), so candidates are
-        pulled best bound first until the tail's bounded selection holds
-        N rows no remaining bound can beat; the rest are never fetched.
+        bound (:meth:`SimilarityScorer.bound`, tightened per row by
+        :meth:`~SimilarityScorer.bound_with`), so the gate candidates
+        are taken a bucket of equal trigram overlap at a time, highest
+        first, until the tail's bounded selection holds N rows no
+        remaining bucket's bound can beat; the rest are never fetched,
+        nor so much as enumerated.
         Ties order by rowid, as a stable sort over "index text" would.
 
         Both read the index inside :meth:`Table.probe`, so they run
@@ -857,42 +847,74 @@ class QuelSession:
         if not scorer.grams:
             return None  # sub-trigram query: no overlap bound exists
 
-        def bounds():
-            """``{rowid: score upper bound}`` over the gate candidates,
-            from posting data alone (exact trigram overlap with the
-            query + stored row gram count; no row is fetched)."""
+        def overlaps():
+            """The gate candidates bucketed by exact trigram overlap
+            with the similarity query, from the postings alone."""
             index = table.text_index_for(spec[1])
             if index is None:
                 return None
-            rowids, _ = _text_rowids(table, text_restrictions)
+            rowids = _text_rowids(table, text_restrictions)
             if rowids is None:
                 return None
-            overlaps = index.overlap_counts(scorer.grams, rowids)
-            return {
-                rowid: scorer.bound_with(overlap, index.row_gram_count(rowid))
-                for rowid, overlap in overlaps.items()
-            }
+            return rowids, index, index.overlap_counts(scorer.grams, rowids)
 
-        bound_of, stale = table.probe(bounds)
-        if bound_of is None or stale is SWAMPED:
+        planned, stale = table.probe(overlaps)
+        if planned is None or stale is SWAMPED:
             return None
-        stale = stale or ()
+        rowids, index, buckets = planned
         # What the postings say about a stale rowid describes some other
-        # version of it: bound 1.0, so it is always fetched and scored
-        # exactly.
-        bound_of.update(dict.fromkeys(stale, 1.0))
-        ranked = sorted((-bound, rowid) for rowid, bound in bound_of.items())
+        # version of it: it is fetched first and scored exactly.
+        seen = set(stale or ())
+        count = len(rowids) + sum(rowid not in rowids for rowid in seen)
         self._text_searches.inc()
-        self._text_candidates.inc(len(ranked))
+        self._text_candidates.inc(count)
+
+        def sized(overlap, bucket):
+            """A bucket's rowids not fetched yet, and their rows' stored
+            gram counts."""
+            bucket = [rowid for rowid in bucket if rowid not in seen]
+            return bucket, index.row_gram_counts(bucket)
+
+        def ranked(selector):
+            """The candidates that can still enter the selection as it
+            stands when each is drawn: a bucket at a time, highest
+            overlap first, until a bucket's bound cannot; best bound
+            first within a bucket (a row's stored gram count tightens
+            it), until a row's cannot."""
+            for overlap, bucket in buckets:
+                if selector.entry(scorer.bound(overlap), -1) is None:
+                    return
+                (bucket, sizes), late = table.probe(sized, overlap, bucket)
+                if late:
+                    # Rewritten since the postings were counted: the gram
+                    # count read now is another version's, the overlap is
+                    # not.  A row of *overlap* grams has the bucket's bound.
+                    late = set(bucket if late is SWAMPED else late)
+                    sizes = [
+                        overlap if rowid in late else size
+                        for rowid, size in zip(bucket, sizes)
+                    ]
+                bound_of = {
+                    size: -scorer.bound_with(overlap, size)
+                    for size in set(sizes)
+                }
+                bounds = map(bound_of.get, sizes)
+                for bound, rowid in sorted(zip(bounds, bucket)):
+                    if selector.entry(-bound, -1) is None:
+                        break
+                    yield rowid
 
         def best_first(selector):
-            """Ascending rowid chunks of *ranked*, best bounds first,
-            until the selection is full of rows the next chunk's best
-            bound cannot beat."""
-            for piece in _slices(ranked, selector.limit):
-                if selector.entry(-piece[0][0], -1) is None:
+            """Ascending rowid chunks of *ranked*, cut by the chunk
+            rule: all but the last are whole."""
+            if seen:
+                yield sorted(seen)
+            source = ranked(selector)
+            for size in _chunk_sizes(selector.limit):
+                chunk = sorted(islice(source, size))
+                if not chunk:
                     return
-                yield sorted(rowid for _, rowid in piece)
+                yield chunk
 
         def pull(first, selector):
             for candidate in self._pull(
@@ -901,7 +923,7 @@ class QuelSession:
                 selector.seq = candidate.rowid
                 yield candidate
 
-        return len(ranked), pull, "index text topk", len(stale)
+        return count, pull, "index text topk", len(seen)
 
     def _stream_candidates(self, declared, index, query, first):
         """The pull over *index*'s lazy ``matches`` stream: one

@@ -83,6 +83,7 @@ from repro.storage.index import HashIndex, OrderedCompositeIndex, OrderedIndex
 from repro.storage.row import Row
 from repro.storage.values import Domain, coerce_value, value_sort_key
 from repro.text.index import TrigramIndex
+from repro.text.normalize import trigrams
 
 
 #: Below this many rows to fetch an index always beats a scan; above it
@@ -859,9 +860,8 @@ class Table:
         return len(self._rows)
 
     def candidate_cap(self):
-        """The most rows an index read may fetch on an upper bound alone
-        -- a ``matches`` gate's shortest posting, a pinned read's stale
-        set -- before a scan is the cheaper plan."""
+        """The most stale rowids a pinned index read may take in
+        besides its candidates before a scan is the cheaper plan."""
         return max(_CANDIDATE_FLOOR, self.row_estimate() // 2)
 
     def probe(self, fn, *args):
@@ -923,17 +923,18 @@ class Table:
     def matching_chunks(self, index, query, sizes):
         """Ascending rowid chunks, *sizes* long in turn, of text
         *index*'s lazy ``matches`` stream for *query*.  Each chunk is a
-        probe of its own that opens a fresh posting merge past the last
-        rowid of the one before, so no merge is left suspended while a
+        probe of its own that opens a fresh intersection past the last
+        rowid of the one before, so none is left suspended while a
         pinned reader is off the latch; the stale rowids inside the
-        chunk's rowid range (all that are left, once the merge runs
+        chunk's rowid range (all that are left, once the stream runs
         dry) are merged in.  The caller fetches with :meth:`get_many`
         and re-checks the predicate on every row."""
         after = -1
+        grams = trigrams(query)  # folded once; each probe reads postings
         for size in sizes:
             batch, stale = self.probe(
                 lambda: list(itertools.islice(
-                    index.iter_matching(query, after), size
+                    index.iter_matching(grams, after), size
                 ))
             )
             last = batch[-1] if len(batch) == size else None

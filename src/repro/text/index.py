@@ -1,4 +1,5 @@
-"""Trigram inverted index: compact sorted posting arrays per 3-gram.
+"""Trigram inverted index: one posting per 3-gram, an array of rowids
+or a bitset, whichever is smaller.
 
 Mirrors the maintenance surface of ``storage.index.HashIndex`` —
 ``insert(value, rowid)`` / ``insert_many(pairs)`` / ``delete(value,
@@ -14,57 +15,67 @@ image and redo rows with index upkeep deferred, and fills it with one
 build_deferred_indexes``) — the build the crash battery cross-checks
 against an oracle rebuilt row by row through ``insert``.
 
-Storage layout (the million-track change): each gram's posting is a
-sorted ``array('I')`` of rowids — 4 bytes per entry against the ~32+
-bytes a Python ``set`` slot costs — and postings are sharded by the
-gram's first character so a catalog-scale gram space never funnels
-through one resize-happy dict.  Rowids therefore must fit an unsigned
-32-bit int, which ``itertools.count``-allocated table rowids do until
+Posting forms.  A gram's posting is a :class:`~repro.text.bitset.
+Sparse`, a sorted array of rowids at 4 bytes an entry, or a
+:class:`~repro.text.bitset.Bits`, a bit a rowid of span: the bitset
+once the posting holds an entry per 32 rowids up to its last, the array
+again once it holds fewer than one per 64.  The posting's own count and
+last rowid decide (``settled``), after every edit; nothing is
+configured, this module never asks which form it holds, and
+``_postings`` reads the same whichever form a history left a posting
+in.  Postings are sharded by the gram's first character so a
+catalog-scale gram space never funnels through one resize-happy dict.
+Rowids must fit the array's unsigned 32 bits (``StorageError``
+otherwise), which ``itertools.count``-allocated table rowids do until
 ~4 billion rows.
 
-Candidate retrieval is sound, and for ``similar_to`` exact:
+Candidate retrieval is sound, and for ``similar_to`` exact.  It runs on
+``repro.text.bitset``'s masks a chunk of rowid space at a time: an
+array's slice of the chunk is lifted to a transient mask (the one
+Python step per posting entry left), everything after is big-integer
+arithmetic, and a rowid becomes a Python object only as part of an
+answer.
 
-* ``candidates_matching`` intersects the posting lists of every query
-  trigram (containment implies every query gram appears in the value),
-  shortest first: the survivors meet each longer posting as a set, or
-  by bisection once it is much longer than they are, so cost scales
-  with the *rarest* gram, not the table;
-* ``candidates_similar`` decides each row from its posting overlap and
-  its stored gram count, which together give its Jaccard exactly.  It
-  counts only the ``k - r + 1`` *essential* shortest postings -- a
-  qualifying row must appear in one of them -- drops rows whose gram
-  count alone rules them out, and probes the long postings per
-  survivor by bisection until the row's own count bound is decided,
-  instead of touching every posting entry of every query gram.
+* ``candidates_matching`` / ``iter_matching`` take the chunks the
+  query's shortest posting reaches and AND the others' masks over each
+  (containment implies every query gram appears in the value), lazily
+  and ascending, so a consumer that stops early has paid for the chunks
+  it saw;
+* ``similar_overlaps`` / ``overlap_counts`` add the query grams' chunk
+  masks into bit-sliced counters and read the rows of one overlap off
+  the planes.  A row's overlap and its stored gram count give its
+  Jaccard exactly, so ``candidates_similar`` is the match set itself
+  while the index describes the rows it is asked about (a pinned
+  reader's stale rowids are the exception).
 
-Both return supersets of the true matches -- ``candidates_similar`` the
-match set itself while the index describes the rows it is asked about
-(a pinned reader's stale rowids are the exception) -- and callers
-re-verify with the exact predicate on the materialized rows.  Queries
-whose normalized form has no trigrams return ``None`` -- "cannot prune,
-go scan".  The streaming counterparts ``iter_matching`` /
-``overlap_counts`` feed the executor's top-k path, which wants
-candidates lazily (in rowid order) or bucketed by gram overlap rather
-than materialized as a set.
+Callers re-verify with the exact predicate on the materialized rows.
+Queries whose normalized form has no trigrams return ``None`` --
+"cannot prune, go scan".
 """
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
+from itertools import compress, repeat
+from operator import itemgetter
 
 from repro.errors import StorageError
 
+from .bitset import (
+    LOW, SHIFT, WIDTH, Bits, Rowids, Sparse, add_hits, count_equals,
+    rowids_of, spans,
+)
 from .normalize import trigrams
 from .similarity import required_overlap
 
 __all__ = ["TrigramIndex"]
 
-#: Posting array typecode: unsigned 32-bit rowids, 4 bytes each.
+#: What ``_postings`` shows a posting as: unsigned 32-bit rowids.
 _CODE = "I"
-_ITEMSIZE = array(_CODE).itemsize
+_MAX_ROWID = (1 << 8 * array(_CODE).itemsize) - 1
 
-#: Rough CPython cost of one posting beyond its entries: the array
-#: object header plus its dict slot in the shard.  Only used for the
-#: footprint *estimate* (``\indexes``, ``text.index.bytes``); nothing
+#: Rough CPython cost of one posting beyond its entries: the object
+#: header plus its dict slot in the shard.  Only used for the footprint
+#: *estimate* (``\indexes``, ``text.index.bytes``); nothing
 #: correctness-critical reads it.
 _POSTING_OVERHEAD = 120
 
@@ -75,33 +86,33 @@ _ROW_OVERHEAD = 64
 #: inserts; batching overhead would dominate (mirrors HashIndex).
 _BULK_THRESHOLD = 16
 
+#: ``insert_many`` looks for grams to collect in flags when this many
+#: rows are done, and again each time that number has doubled.
+_FIRST_LOOK = 1024
 
-#: A rowid set meets a posting by walking the posting -- a C loop,
-#: ~25 ns an entry -- unless the posting is this many times longer than
-#: the set; then each rowid is bisected into it, a Python step apiece.
-_BISECT_RATIO = 16
+_NO_DIGITS = b"0" * WIDTH
+_ROWID = itemgetter(1)
 
 
-def _members(rowids, posting):
-    """The rowids of set *rowids* that sorted *posting* holds."""
-    n = len(posting)
-    if n <= _BISECT_RATIO * len(rowids):
-        return rowids.intersection(posting)
-    out = set()
-    for rowid in rowids:
-        i = bisect_left(posting, rowid)
-        if i < n and posting[i] == rowid:
-            out.add(rowid)
-    return out
+def _read_flags(flags, poured, last, reached):
+    """Move what ``insert_many``'s *flags* say of the chunk ending at
+    rowid *last*, of which rows up to *reached* have been seen, into
+    *poured* as that chunk's masks, and clear them."""
+    lead = last - reached  # digits no row got to
+    for gram, flagged in flags.items():
+        mask = int(flagged[lead:], 2)
+        if mask:
+            poured[gram][last >> SHIFT] = mask
+            flagged[lead:] = _NO_DIGITS[lead:]
 
 
 class TrigramIndex:
-    """In-memory sharded trigram posting arrays over one string column."""
+    """In-memory sharded trigram postings over one string column."""
 
     kind = "text"
 
     def __init__(self, metrics=None):
-        # gram[0] -> {gram: sorted array('I') of rowids}
+        # gram[0] -> {gram: Sparse or Bits}
         self._shards = {}
         # rowid -> that row's gram-set size.  |row grams| turns a
         # candidate's posting overlap into an *exact* Jaccard (union =
@@ -109,7 +120,9 @@ class TrigramIndex:
         # bound tight enough to skip fetching most candidates.
         self._row_grams = {}
         self._posting_entries = 0
+        self._posting_bytes = 0
         self._gram_count = 0
+        self._reported = 0
         if metrics is not None:
             self._inserts = metrics.counter("text.index.inserts")
             self._deletes = metrics.counter("text.index.deletes")
@@ -132,27 +145,34 @@ class TrigramIndex:
         """Gram-set size of one indexed row (0 when unknown/gram-less)."""
         return self._row_grams.get(rowid, 0)
 
+    def row_gram_counts(self, rowids):
+        """:meth:`row_gram_count` of each of *rowids*, in their order."""
+        return list(map(self._row_grams.get, rowids, repeat(0)))
+
     def approx_bytes(self):
         """Estimated memory footprint of the index storage."""
         return (
-            self._posting_entries * _ITEMSIZE
+            self._posting_bytes
             + self._gram_count * _POSTING_OVERHEAD
             + len(self._row_grams) * _ROW_OVERHEAD
         )
 
     @property
     def _postings(self):
-        """Flat ``{gram: posting array}`` view across every shard.
+        """Flat ``{gram: array of ascending rowids}`` view across every
+        shard, whatever form each posting is held in.
 
-        Arrays compare element-wise and postings are kept sorted, so two
-        indexes holding the same rows are equal through this view no
-        matter what op order built them — the crash battery's
-        rebuild-from-rows oracle compares exactly this.
+        Arrays compare element-wise, so two indexes holding the same
+        rows are equal through this view no matter what op order built
+        them or which side of the size rule's hysteresis a posting is
+        on — the crash battery's rebuild-from-rows oracle compares
+        exactly this.
         """
-        out = {}
-        for shard in self._shards.values():
-            out.update(shard)
-        return out
+        return {
+            gram: array(_CODE, posting)
+            for shard in self._shards.values()
+            for gram, posting in shard.items()
+        }
 
     def _posting(self, gram):
         shard = self._shards.get(gram[0])
@@ -160,17 +180,12 @@ class TrigramIndex:
             return None
         return shard.get(gram)
 
-    def _account(self, entries_delta, grams_delta, rows_delta):
+    def _account(self, entries_delta):
         self._posting_entries += entries_delta
-        self._gram_count += grams_delta
-        if self._bytes_gauge is not None and (
-            entries_delta or grams_delta or rows_delta
-        ):
-            self._bytes_gauge.inc(
-                entries_delta * _ITEMSIZE
-                + grams_delta * _POSTING_OVERHEAD
-                + rows_delta * _ROW_OVERHEAD
-            )
+        if self._bytes_gauge is not None:
+            now = self.approx_bytes()
+            self._bytes_gauge.inc(now - self._reported)
+            self._reported = now
 
     def detach(self):
         """Surrender this index's share of ``text.index.bytes``.
@@ -180,113 +195,152 @@ class TrigramIndex:
         bytes back before it is discarded.
         """
         if self._bytes_gauge is not None:
-            self._bytes_gauge.dec(self.approx_bytes())
+            self._bytes_gauge.dec(self._reported)
             self._bytes_gauge = None
 
     # -- maintenance (the nine row paths all funnel through these) ---------
 
+    def _admit(self, low, top):
+        """Refuse rowids outside what a posting array can hold."""
+        if not 0 <= low <= top <= _MAX_ROWID:
+            raise StorageError(
+                "text index rowids must lie in 0..%d, got %r"
+                % (_MAX_ROWID, top if low >= 0 else low)
+            )
+
+    def _settle(self, shard, gram, posting):
+        """Hold *posting*, just edited, under *gram* of *shard* in the
+        form the size rule gives it now: not at all, once empty."""
+        settled = posting.settled()
+        if settled is posting:
+            return
+        self._posting_bytes -= posting.nbytes()
+        if settled is not None:
+            shard[gram] = settled
+            self._posting_bytes += settled.nbytes()
+            return
+        del shard[gram]
+        self._gram_count -= 1
+        if not shard:
+            del self._shards[gram[0]]
+
     def insert(self, value, rowid):
+        self._admit(rowid, rowid)
         grams = trigrams(value)
-        new_grams = 0
         for gram in grams:
             shard = self._shards.setdefault(gram[0], {})
             posting = shard.get(gram)
             if posting is None:
-                shard[gram] = array(_CODE, (rowid,))
-                new_grams += 1
-            elif rowid > posting[-1]:
-                # Fresh rowids are monotonic, so appends dominate.
-                posting.append(rowid)
-            else:
-                insort(posting, rowid)
+                posting = shard[gram] = Sparse()
+                self._gram_count += 1
+            self._posting_bytes += posting.add(rowid)
+            self._settle(shard, gram, posting)
         self._row_grams[rowid] = len(grams)
-        self._account(len(grams), new_grams, 1)
+        self._account(len(grams))
         if self._inserts is not None:
             self._inserts.inc()
 
     def insert_many(self, pairs):
-        """Bulk insert: group rowids per gram, one sort/merge per gram.
+        """Bulk insert: a Python step per (row, gram), the rest in C.
 
-        The per-row path pays an insort per (gram, row); a 1M-row
-        backfill through it is quadratic in the hot postings.  Here each
-        gram's new rowids are collected, sorted once (bulk loads arrive
-        in ascending rowid order, so Timsort sees nearly-sorted input),
-        and appended — or merged, when the batch interleaves an
-        existing posting — in one pass.
+        The per-row path pays an insort or a chunk rewrite per (gram,
+        row); a 1M-row backfill through it is quadratic in the hot
+        postings.  Here the rows are taken in rowid order and each
+        gram's new rowids collected in a list, merged into its posting
+        in one pass at the end.  A gram met in one row of 32 so far --
+        looked at each time the rows done have doubled -- collects in
+        flags from then on: a byte per rowid of the chunk the rows have
+        reached, set by that same one step and read off as the chunk's
+        mask by ``int(..., 2)`` when they leave it, with no step per
+        entry.
         """
-        pairs = list(pairs)
+        pairs = sorted(pairs, key=_ROWID)
         if len(pairs) < _BULK_THRESHOLD:
             for value, rowid in pairs:
                 self.insert(value, rowid)
             return
-        fresh = {}
-        for value, rowid in pairs:
-            grams = trigrams(value)
-            self._row_grams[rowid] = len(grams)
-            for gram in grams:
-                bucket = fresh.get(gram)
-                if bucket is None:
-                    fresh[gram] = [rowid]
-                else:
-                    bucket.append(rowid)
-        new_entries = 0
-        new_grams = 0
-        for gram, rowids in fresh.items():
-            rowids.sort()
+        self._admit(pairs[0][1], pairs[-1][1])
+        row_grams = self._row_grams
+        fresh = {}   # gram -> [rowid, ...]
+        flags = {}   # gram -> a chunk's rowids as binary digits, last first
+        poured = {}  # gram -> {chunk index: mask}, the chunks flags have left
+        last = -1    # last rowid of the chunk the flags are about
+        reached = 0  # and the last rowid seen, which is inside it
+        start, stop = 0, _FIRST_LOOK
+        while start < len(pairs):
+            for value, rowid in pairs[start:stop]:
+                if rowid > last:
+                    _read_flags(flags, poured, last, reached)
+                    last = rowid | LOW
+                grams = trigrams(value)
+                row_grams[rowid] = len(grams)
+                at = last - rowid
+                for gram in grams:
+                    flagged = flags.get(gram)
+                    if flagged is not None:
+                        flagged[at] = 49
+                    else:
+                        bucket = fresh.get(gram)
+                        if bucket is None:
+                            fresh[gram] = [rowid]
+                        else:
+                            bucket.append(rowid)
+                reached = rowid
+            for gram in [
+                g for g, b in fresh.items() if len(b) << 5 >= stop
+            ]:
+                flagged = flags[gram] = bytearray(_NO_DIGITS)
+                bucket = fresh.pop(gram)
+                cut = bisect_left(bucket, last - LOW)
+                poured[gram] = dict(spans(bucket[:cut]))
+                for held in bucket[cut:]:
+                    flagged[last - held] = 49
+            start, stop = stop, stop * 2
+        _read_flags(flags, poured, last, reached)
+        built = {gram: Sparse(rowids) for gram, rowids in fresh.items()}
+        for gram, masks in poured.items():
+            built[gram] = Bits(Rowids(masks=masks))
+        for gram, posting in built.items():
             shard = self._shards.setdefault(gram[0], {})
-            posting = shard.get(gram)
-            if posting is None:
-                shard[gram] = array(_CODE, rowids)
-                new_grams += 1
-            elif rowids[0] > posting[-1]:
-                posting.extend(rowids)
+            held = shard.get(gram)
+            if held is None:
+                shard[gram] = posting
+                self._gram_count += 1
+                self._posting_bytes += posting.nbytes()
             else:
-                posting.extend(rowids)
-                shard[gram] = array(_CODE, sorted(posting))
-            new_entries += len(rowids)
-        self._account(new_entries, new_grams, len(pairs))
+                self._posting_bytes += held.update(posting)
+            self._settle(shard, gram, shard[gram])
+        self._account(sum(map(len, built.values())))
         if self._inserts is not None:
             self._inserts.inc(len(pairs))
 
     def delete(self, value, rowid):
         grams = trigrams(value)
-        dropped_grams = 0
+        # Every posting is checked before any is edited: the desync this
+        # reports must not leave the index half-deleted as well.
         for gram in grams:
-            shard = self._shards.get(gram[0])
-            posting = shard.get(gram) if shard is not None else None
-            if posting is not None:
-                i = bisect_left(posting, rowid)
-                if i == len(posting) or posting[i] != rowid:
-                    posting = None
-            if posting is None:
+            posting = self._posting(gram)
+            if posting is None or rowid not in posting:
                 raise StorageError(
                     "text index out of sync: rowid %r missing from "
                     "posting %r" % (rowid, gram)
                 )
-            posting.pop(i)
-            if not posting:
-                del shard[gram]
-                dropped_grams += 1
-                if not shard:
-                    del self._shards[gram[0]]
+        for gram in grams:
+            shard = self._shards[gram[0]]
+            self._posting_bytes += shard[gram].discard(rowid)
+            self._settle(shard, gram, shard[gram])
         self._row_grams.pop(rowid, None)
-        self._account(-len(grams), -dropped_grams, -1)
+        self._account(-len(grams))
         if self._deletes is not None:
             self._deletes.inc()
 
     # -- candidate retrieval ------------------------------------------------
 
     def candidates_matching(self, query):
-        """Rowids whose value can contain *query*; None = cannot prune."""
-        postings = self._query_postings(query)
-        if postings is None:
-            return None
-        if not postings:
-            return set()
-        rowids = set(postings[0])
-        for posting in postings[1:]:
-            rowids = _members(rowids, posting)
-        return rowids
+        """:class:`Rowids` whose value can contain *query* (its text or
+        its folded gram set); None = cannot prune."""
+        masks = self._matching(query, -1)
+        return None if masks is None else Rowids(masks=dict(masks))
 
     def iter_matching(self, query, after=-1):
         """Lazy ``candidates_matching``: yields rowids ascending.
@@ -294,72 +348,81 @@ class TrigramIndex:
         Returns None when the query has no trigrams (cannot prune).
         The executor's streaming path consumes only as many candidates
         as the limit needs, a chunk per call: *after* re-seeks a fresh
-        merge past the last rowid the previous chunk saw, so no merge
-        is ever left suspended between chunks (a pinned reader lets
-        writers at the postings in between).
+        intersection past the last rowid the previous chunk saw, so
+        none is ever left suspended between chunks (a pinned reader
+        lets writers at the postings in between).
         """
+        masks = self._matching(query, after)
+        if masks is None:
+            return None
+        return (
+            rowid for at, mask in masks
+            for rowid in rowids_of(mask, at << SHIFT)
+        )
+
+    def _query_postings(self, query):
+        """The postings of *query*'s grams (its text, or the gram set
+        ``trigrams`` folded it to), shortest first; None when it has no
+        grams, [] when some gram has no posting at all."""
+        grams = query if isinstance(query, (set, frozenset)) else trigrams(query)
+        if not grams:
+            return None
+        postings = list(map(self._posting, grams))
+        return [] if None in postings else sorted(postings, key=len)
+
+    def _matching(self, query, after):
+        """The one intersection: ``(chunk index, mask)`` of the rowids
+        above *after* that every posting of *query* holds, ascending,
+        nonzero masks only, each computed as it is asked for.  None
+        when the query has no grams."""
         postings = self._query_postings(query)
         if postings is None:
             return None
         if not postings:
             return iter(())
-        return self._intersect(postings, after)
+        # The shortest posting says which chunks to look at; the others
+        # follow shortest first, an array lifted only where something
+        # is left.
+        shortest, others = postings[0], postings[1:]
 
-    def _query_postings(self, query):
-        """The query grams' postings sorted shortest-first; None when the
-        query has no grams, [] when some gram has no posting at all."""
-        grams = trigrams(query)
-        if not grams:
-            return None
-        postings = []
-        for gram in grams:
-            posting = self._posting(gram)
-            if posting is None:
-                return []
-            postings.append(posting)
-        postings.sort(key=len)
-        return postings
+        def masks():
+            for at, mask in shortest.chunks(after + 1):
+                for other in others:
+                    mask &= other.chunk(at)
+                    if not mask:
+                        break
+                else:
+                    yield at, mask
 
-    @staticmethod
-    def _intersect(postings, after=-1):
-        """Lazy merge: rowids above *after* present in every posting,
-        ascending.
-
-        Drives with the shortest posting; each longer posting keeps a
-        cursor that only moves forward, by bisecting what lies past it,
-        so a consumer that stops early has walked only the driver's
-        head (the whole set is ``candidates_matching``'s job).
-        """
-        driver = postings[0]
-        others = postings[1:]
-        positions = [0] * len(others)
-        start = bisect_right(driver, after)
-        tail = (
-            (driver[k] for k in range(start, len(driver))) if start
-            else driver
-        )
-        for rowid in tail:
-            hit = True
-            for j, posting in enumerate(others):
-                i = positions[j]
-                if i < len(posting) and posting[i] < rowid:
-                    i = bisect_left(posting, rowid, i + 1)
-                    positions[j] = i
-                if i == len(posting):
-                    return  # posting exhausted: nothing larger can match
-                if posting[i] != rowid:
-                    hit = False
-                    break
-            if hit:
-                yield rowid
+        return masks()
 
     def candidates_similar(self, query, threshold):
-        """Rowids whose indexed value reaches Jaccard >= threshold; None =
-        cannot prune."""
+        """:class:`Rowids` whose indexed value reaches Jaccard >=
+        threshold; None = cannot prune."""
         counts = self.similar_overlaps(query, threshold)
-        if counts is None:
-            return None
-        return set(counts)
+        return None if counts is None else Rowids(counts)
+
+    def _count(self, grams, within=None):
+        """The one counting kernel: ``[(chunk index, planes), ...]``
+        ascending, the bit-sliced count of how many of *grams*' postings
+        hold each rowid (of :class:`Rowids` *within*, when given), and
+        how many of the grams have a posting at all."""
+        postings = [
+            posting for posting in map(self._posting, grams)
+            if posting is not None
+        ]
+        counted = {} if within is None else {at: [] for at in within.masks}
+        for posting in postings:
+            if within is None:
+                hits = posting.chunks()
+            else:
+                hits = (
+                    (at, posting.chunk(at) & gate)
+                    for at, gate in within.masks.items()
+                )
+            for at, mask in hits:
+                add_hits(counted.setdefault(at, []), mask)
+        return sorted(counted.items()), len(postings)
 
     def similar_overlaps(self, query, threshold):
         """``{rowid: exact gram overlap}`` for the rows whose Jaccard
@@ -367,95 +430,67 @@ class TrigramIndex:
         prune.
 
         With ``k`` query grams, a row of ``R`` grams sharing ``o`` of
-        them has Jaccard exactly ``o / (k + R - o)``, so it passes only
-        if ``t*k <= R <= k/t`` (no overlap could save it otherwise) and
-        ``o >= t*(k + R)/(1 + t)``.  Any passing row shares at least
-        ``r = required_overlap(...)`` grams and so appears in one of the
-        ``k - r + 1`` shortest ("essential") postings -- missing all of
-        them caps its hits at ``r - 1``.  So: count hits over the
-        essential postings only, drop the rows the length filter rules
-        out, then finish each survivor's count by bisecting into the
-        long postings, abandoning a row as soon as even winning every
-        remaining probe cannot reach its bound.  The epsilons only ever
-        weaken those two tests; the last one is the predicate's own
-        division, so while the index describes the rows the result *is*
-        the answer set.  Survivors carry their exact overlap, which the
-        top-k executor turns into a similarity upper bound per bucket.
+        them has Jaccard exactly ``o / (k + R - o)``, and passing takes
+        ``o >= required_overlap(k, threshold)``.  So: count every
+        query gram's posting into the planes, and for each overlap from
+        the required one up read its rows off them and keep those whose
+        stored gram count passes -- the predicate's own division, so
+        while the index describes the rows the result *is* the answer
+        set.  Survivors carry their exact overlap, which the top-k
+        executor turns into a similarity upper bound per bucket.
         """
         grams = trigrams(query)
         k = len(grams)
         required = required_overlap(k, threshold)
         if not grams or required <= 0:
             return None
-        postings = []
-        for gram in grams:
-            posting = self._posting(gram)
-            if posting is not None:
-                postings.append(posting)
-        if len(postings) < required:
-            return {}
-        postings.sort(key=len)
-        cut = len(postings) - required + 1
-        essential, rest = postings[:cut], postings[cut:]
-        counts = {}
-        for posting in essential:
-            for rowid in posting:
-                counts[rowid] = counts.get(rowid, 0) + 1
-        row_grams = self._row_grams
-        shortest = threshold * k - 1e-9
-        longest = k / threshold + 1e-9
-        share = threshold / (1.0 + threshold)
-        probes = len(rest)
+        counted, most = self._count(grams)
         out = {}
-        for rowid, hits in counts.items():
-            size = row_grams[rowid]
-            if not shortest <= size <= longest:
-                continue
-            need = share * (k + size) - 1e-9
-            remaining = probes
-            for posting in rest:
-                if hits + remaining < need:
-                    break
-                remaining -= 1
-                i = bisect_left(posting, rowid)
-                if i < len(posting) and posting[i] == rowid:
-                    hits += 1
-            if hits / (k + size - hits) >= threshold:
-                out[rowid] = hits
+        for overlap in range(required, most + 1):
+            # The largest gram count that passes with this overlap.
+            limit = int(overlap / threshold) + overlap - k + 2
+            while overlap / (k + limit - overlap) < threshold:
+                limit -= 1
+            for at, planes in counted:
+                mask = count_equals(planes, overlap)
+                if mask:
+                    rowids = list(rowids_of(mask, at << SHIFT))
+                    passing = map(limit.__ge__, self.row_gram_counts(rowids))
+                    out.update(zip(compress(rowids, passing), repeat(overlap)))
         return out
 
     def overlap_counts(self, grams, rowids):
-        """Exact ``{rowid: |grams ∩ row grams|}`` for given *rowids*.
+        """*rowids* by how many of *grams* each one's row holds:
+        ``(overlap, Rowids)`` buckets, highest overlap first, empty
+        ones left out, every rowid in exactly one.
 
         The ranked top-k path calls this with the similarity query's
-        gram set over the (already pruned) gate candidates; per gram
-        the candidates meet the posting as ``candidates_matching``'s
-        do (:func:`_members`), so only the hits cost a Python step.
+        gram set over the (already pruned) gate candidates.  The
+        postings are counted before this returns; a bucket's rowids are
+        read off the planes when the caller reaches it, so a caller
+        that stops at the first buckets never enumerates the rest.
         """
-        counts = dict.fromkeys(rowids, 0)
-        if not counts:
-            return counts
-        rowids = set(counts)
-        for gram in grams:
-            posting = self._posting(gram)
-            if posting is not None:
-                for rowid in _members(rowids, posting):
-                    counts[rowid] += 1
-        return counts
+        if not isinstance(rowids, Rowids):
+            rowids = Rowids(rowids)
+        counted, most = self._count(grams, rowids)
+
+        def buckets():
+            for overlap in range(most, -1, -1):
+                masks = {
+                    at: mask for at, planes in counted
+                    if (mask := count_equals(planes, overlap, rowids.chunk(at)))
+                }
+                if masks:
+                    yield overlap, Rowids(masks=masks)
+
+        return buckets()
 
     # -- planner cost estimate -----------------------------------------------
 
     def estimate_matching(self, query):
         """Upper bound on ``candidates_matching``'s result size, without
         computing it; None = the index cannot prune this query."""
-        grams = trigrams(query)
-        if not grams:
+        postings = self._query_postings(query)
+        if postings is None:
             return None
-        best = None
-        for gram in grams:
-            posting = self._posting(gram)
-            if posting is None:
-                return 0
-            if best is None or len(posting) < best:
-                best = len(posting)
-        return best
+        return len(postings[0]) if postings else 0

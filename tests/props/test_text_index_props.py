@@ -30,14 +30,28 @@ answer has rows.
 
 It also pins the maintenance invariants: every candidate rowid is a
 live row, and the index entry count tracks the table row count.
+
+A second, *size* axis (``_SizedState``) drives a bare index through a
+few thousand rows whose rowids straddle a bitset chunk boundary, so
+that postings cross the array/bitset size rule in both directions; a
+pinned reader re-reads its snapshot across such a crossing; and the
+counting kernel is checked against ``collections.Counter`` on its own.
 """
 
+import collections
 import random
+import threading
+from array import array
 
 import pytest
 
+from repro.core.schema import Schema
+from repro.quel.executor import QuelSession
 from repro.storage.database import Database
-from repro.text import contains_match, is_similar
+from repro.text import contains_match, is_similar, similarity, trigrams
+from repro.text.bitset import Rowids, Sparse, add_hits, count_equals
+from repro.text.index import TrigramIndex
+from tests.props.protector import Protector
 
 pytestmark = pytest.mark.props
 
@@ -273,3 +287,343 @@ def test_random_programs_extended(seed):
         "seed %d diverged from the brute-force text reference.\n%s\n"
         "Replay by setting REPLAY_OPS = %r" % (seed, _program_fails(minimal), minimal)
     )
+
+
+# -- the size axis: postings that cross the array/bitset line -----------------
+
+_WORDS = ["prelude", "fugue", "nocturne", "sonata"]
+
+SIZED_MATCHES = ["prelude", "fugue no 7", "zyx", "no 1", "onata no 2", "e"]
+SIZED_SIMILAR = [
+    ("prelude no 7", 0.5), ("fugue no 12 zyx", 0.6), ("nocturne", 0.3),
+]
+
+
+def _sized_title(n):
+    """Four words by thirty numbers; one title in 97 carries ``zyx``."""
+    return "%s no %d%s" % (_WORDS[n % 4], n % 30, " zyx" if n % 97 == 0 else "")
+
+
+class _SizedState:
+    """A bare index, the rows it should describe, and verdict memos
+    (the brute-force predicates run once per distinct title)."""
+
+    #: First rowid handed out: growth crosses the 16,384 chunk boundary.
+    BASE = 15_000
+
+    def __init__(self):
+        self.index = TrigramIndex()
+        self.rows = {}
+        self.removed = []   # (rowid, title) a later op may re-insert
+        self.next = self.BASE
+        self.serial = 0
+        self.crossings = collections.Counter()
+        self.forms = {}
+        self._verdicts = {}
+
+    def _fresh(self, count):
+        pairs = []
+        for _ in range(count):
+            pairs.append((_sized_title(self.serial), self.next))
+            self.serial += 1
+            self.next += 1
+        return pairs
+
+    def _put(self, pairs, bulk):
+        if bulk:
+            self.index.insert_many(pairs)
+        else:
+            for title, rowid in pairs:
+                self.index.insert(title, rowid)
+        self.rows.update((rowid, title) for title, rowid in pairs)
+
+    def _drop(self, rowids):
+        for rowid in rowids:
+            title = self.rows.pop(rowid)
+            self.index.delete(title, rowid)
+            self.removed.append((rowid, title))
+
+    def apply(self, op):
+        kind = op[0] % 6
+        if kind == 0:    # a bulk load, long enough to collect in flags
+            self._put(self._fresh(200 + op[1] % 3000), bulk=True)
+        elif kind == 1:  # a few rows, one insert each
+            self._put(self._fresh(1 + op[1] % 20), bulk=False)
+        elif kind == 2:  # delete 7 in 8 of the rows holding one word
+            word = _WORDS[op[1] % 4]
+            holders = [r for r, t in sorted(self.rows.items()) if word in t]
+            self._drop(r for i, r in enumerate(holders) if (i + op[2]) % 8)
+        elif kind == 3:  # put deleted rows back under their old rowids
+            back, self.removed = self.removed, []
+            self._put([(t, r) for r, t in back], bulk=op[1] % 2 == 0)
+        elif kind == 4:  # delete everything above a cut: spans shrink
+            cut = self.BASE + op[1] % max(1, self.next - self.BASE)
+            self._drop([r for r in sorted(self.rows) if r > cut])
+        else:            # one row far beyond the rest: spans jump
+            self.next += 40_000
+            self._put(self._fresh(1), bulk=False)
+
+    def _verdict(self, kind, title, query, threshold=None):
+        key = (kind, title, query, threshold)
+        if key not in self._verdicts:
+            self._verdicts[key] = (
+                contains_match(title, query) if kind == "m"
+                else is_similar(title, query, threshold)
+            )
+        return self._verdicts[key]
+
+    def check(self):
+        index, rows = self.index, self.rows
+        rebuilt = TrigramIndex()
+        for rowid in sorted(rows):
+            rebuilt.insert(rows[rowid], rowid)
+        postings = index._postings
+        assert postings == rebuilt._postings
+        assert index._row_grams == rebuilt._row_grams
+        assert all(type(p) is array for p in postings.values())
+        assert (len(index), index.gram_count(), index.posting_entries()) == (
+            len(rebuilt), rebuilt.gram_count(), rebuilt.posting_entries()
+        )
+        held = 0
+        for gram in postings:
+            posting = index._posting(gram)
+            assert list(posting) == list(postings[gram]), gram
+            last = postings[gram][-1]
+            before = self.forms.get(gram)
+            self.forms[gram] = type(posting)
+            if isinstance(posting, Rowids):
+                assert len(posting) * 64 > last, gram       # else an array
+            else:
+                assert len(posting) * 32 <= last, gram      # else a bitset
+            if before not in (None, type(posting)):
+                self.crossings[isinstance(posting, Rowids)] += 1
+            held += posting.nbytes()
+        assert index._posting_bytes == held
+        for gram in set(self.forms) - set(postings):
+            del self.forms[gram]
+        for query in SIZED_MATCHES:
+            true = {r for r, t in rows.items() if self._verdict("m", t, query)}
+            candidates = index.candidates_matching(query)
+            if candidates is None:
+                assert not trigrams(query)
+                continue
+            assert true <= candidates <= set(rows), query
+            assert list(candidates) == sorted(candidates)
+            for after in (-1, 16_383, 16_384, self.next - 3):
+                assert list(index.iter_matching(query, after)) == [
+                    rowid for rowid in candidates if rowid > after
+                ], (query, after)
+            tally = collections.Counter()
+            for gram in trigrams(query):
+                tally.update(postings.get(gram, ()))
+            buckets = list(index.overlap_counts(trigrams(query), candidates))
+            assert [
+                (overlap, set(bucket)) for overlap, bucket in buckets
+            ] == [(len(trigrams(query)), set(candidates))][:len(buckets)]
+            everything = list(index.overlap_counts(trigrams(query), set(rows)))
+            assert {
+                rowid: overlap for overlap, bucket in everything
+                for rowid in bucket
+            } == {rowid: tally[rowid] for rowid in rows}
+        for query, threshold in SIZED_SIMILAR:
+            true = {
+                r for r, t in rows.items()
+                if self._verdict("s", t, query, threshold)
+            }
+            assert index.candidates_similar(query, threshold) == true, query
+            grams = trigrams(query)
+            assert index.similar_overlaps(query, threshold) == {
+                rowid: len(grams & trigrams(rows[rowid])) for rowid in true
+            }
+
+
+#: Every sized program starts here: grow (3,000 rows in one load, whose
+#: flags are read off at the chunk boundary), thin one word out, put it
+#: back.
+_SIZED_PREFIX = [(0, 2800, 0, 0), (2, 0, 1, 0), (3, 0, 0, 0), (2, 1, 0, 0),
+                 (5, 0, 0, 0), (3, 1, 0, 0)]
+
+
+def _sized_program_fails(ops):
+    state = _SizedState()
+    for index, op in enumerate(_SIZED_PREFIX + list(ops)):
+        try:
+            state.apply(op)
+            state.check()
+        except Exception as error:  # noqa: BLE001 -- any divergence fails
+            return "op %d (%r): %s: %s" % (index, op, type(error).__name__, error)
+    if not (state.crossings[True] and state.crossings[False]):
+        return "no posting crossed the size rule both ways: %r" % state.crossings
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sized_programs_cross_the_density_line_both_ways(seed):
+    ops = _generate_ops(1000 + seed, 8)
+    error = _sized_program_fails(ops)
+    if error is None:
+        return
+    minimal = _shrink(ops, lambda candidate: _sized_program_fails(candidate))
+    pytest.fail(
+        "seed %d diverged on the size axis.\n%s\nReplay: "
+        "_sized_program_fails(%r)" % (seed, _sized_program_fails(minimal), minimal)
+    )
+
+
+def test_a_pinned_reader_keeps_its_answers_across_a_promotion():
+    """A snapshot pinned while ``zyx`` is an array posting of a few
+    rowids is re-read after writers have made it a bitset and left the
+    old rows stale: every text source still answers as of the pin."""
+    schema = Schema("promotion-props")
+    entity = schema.define_entity("TRACK", [("title", "string"), ("n", "integer")])
+    table, db = entity.table, schema.database
+    db.create_text_index(table.name, "title")
+    session = QuelSession(schema)
+    session.execute("range of t is TRACK")
+    for n in range(1, 1501):
+        entity.create(title=_sized_title(n), n=n)
+    index = table.text_index_for("title")
+    assert isinstance(index._posting("zyx"), Sparse)
+    statements = [
+        'retrieve (t.n) where matches(t.title, "zyx")',
+        'retrieve (t.n) where matches(t.title, "prelude no 7")',
+        'retrieve (t.n) where similar_to(t.title, "fugue no 12 zyx", 0.6)',
+        'retrieve (t.n) where matches(t.title, "zyx") limit 4',
+        'retrieve (t.n, s = similarity(t.title, "sonata no 2 zyx")) '
+        'where matches(t.title, "sonata") '
+        'sort by similarity(t.title, "sonata no 2 zyx") descending limit 5',
+    ]
+    lsn = db.transactions.snapshot_lsn()
+    expected = [session.execute(source) for source in statements]
+    protector = Protector(db.transactions)
+    protector.set_floor(lsn)
+    try:
+        rowids = sorted(table.rowids())
+        with db.begin():
+            for rowid in rowids[::3]:      # a third of the table gains zyx
+                table.update(rowid, {"title": "sonata no 2 zyx"})
+            for rowid in rowids[1::97]:
+                table.delete(rowid)
+        assert isinstance(index._posting("zyx"), Rowids)
+        assert table.stale_rowids()
+        assert [session.execute(s) for s in statements] != expected
+        db.transactions.pin_snapshot(lsn)
+        try:
+            for source, rows in zip(statements, expected):
+                assert session.execute(source) == rows, source
+        finally:
+            db.transactions.unpin_snapshot()
+    finally:
+        protector.stop()
+
+
+def test_topk_scores_a_row_rewritten_between_its_plan_and_its_bucket():
+    """The ranked source reads a bucket's gram counts when it reaches
+    the bucket, off the latch since the plan: a row retitled in between
+    has another version's count, so it must be scored, not bounded."""
+    schema = Schema("late-props")
+    entity = schema.define_entity("TRACK", [("title", "string"), ("n", "integer")])
+    table, db = entity.table, schema.database
+    db.create_text_index(table.name, "title")
+    session = QuelSession(schema)
+    session.execute("range of t is TRACK")
+    for n in range(1, 41):
+        entity.create(title="prelude no %d in a major" % n, n=n)
+    best = entity.create(title="prelude no 7", n=0)
+    source = (
+        'retrieve (t.n, s = similarity(t.title, "prelude no 7")) '
+        'where matches(t.title, "prelude") '
+        'sort by similarity(t.title, "prelude no 7") descending limit 1'
+    )
+    # Its bucket holds a second row, which fills the selection first if
+    # the retitled row is ranked by the gram count it has now.
+    expected = session.execute(source)
+    assert expected == [{"t.n": 0, "s": 1.0}]
+
+    def retitle():
+        # A hundred-odd distinct grams: the bound read off that is low.
+        table.update(best.rowid, {"title": "prelude no 7 " + " ".join(
+            "abcdefghijklmnopqrstuvwxyz0123456789"[i:] for i in range(0, 12, 3)
+        )})
+
+    probe, probes = table.probe, []
+
+    def probe_after_a_write(*args):
+        probes.append(args)
+        if len(probes) == 2:   # the plan was the first; this is a bucket
+            writer = threading.Thread(target=retitle)
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        return probe(*args)
+
+    with db.snapshot():
+        table.probe = probe_after_a_write
+        try:
+            assert session.execute(source) == expected
+        finally:
+            del table.probe
+    assert len(probes) >= 2
+    assert session.execute(source) != expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_counter_planes_agree_with_a_counter(seed):
+    """The counting kernel alone: ripple-carry planes vs ``Counter``
+    over random posting sets, past sixteen postings (a fifth plane),
+    under a full, a partial and an empty gate."""
+    rng = random.Random(seed)
+    width = rng.choice([64, 1_000, 20_000])
+    k = [1, 3, 15, 16, 17, 33][seed % 6]
+    postings = [
+        set(rng.sample(range(width), rng.randrange(width + 1)))
+        for _ in range(k)
+    ]
+    postings[0] = set(range(width)) if seed % 2 else postings[0]
+
+    def mask(rowids):
+        return sum(1 << rowid for rowid in rowids)
+
+    def members(bits):
+        return {rowid for rowid in range(width) if bits >> rowid & 1}
+
+    planes = []
+    for posting in postings:
+        add_hits(planes, mask(posting))
+    tally = collections.Counter(r for posting in postings for r in posting)
+    assert len(planes) == max(tally.values(), default=0).bit_length()
+    gates = [set(range(width)), set(rng.sample(range(width), width // 3)), set()]
+    for gate in gates:
+        for count in range(k + 2):
+            assert members(count_equals(planes, count, mask(gate))) == {
+                rowid for rowid in gate if tally[rowid] == count
+            }, (count, len(gate))
+    assert not any(planes) or members(count_equals(planes, 0, mask(gates[0])))\
+        == {rowid for rowid in gates[0] if not tally[rowid]}
+
+
+def test_seventeen_grams_and_an_empty_gate_through_the_index():
+    index = TrigramIndex()
+    titles = {
+        rowid: "goldberg variations aria%s" % (" da capo" if rowid % 3 else "")
+        for rowid in range(1, 200)
+    }
+    index.insert_many([(title, rowid) for rowid, title in titles.items()])
+    query = "goldberg variations aria da capo"
+    grams = trigrams(query)
+    assert len(grams) > 16
+    assert list(index.overlap_counts(grams, Rowids())) == []
+    assert list(index.overlap_counts(grams, set())) == []
+    counted = {
+        rowid: overlap
+        for overlap, bucket in index.overlap_counts(grams, set(titles))
+        for rowid in bucket
+    }
+    assert counted == {
+        rowid: len(grams & trigrams(title)) for rowid, title in titles.items()
+    }
+    assert max(counted.values()) == len(grams) > 16
+    assert index.candidates_similar(query, 0.9) == {
+        rowid for rowid, title in titles.items()
+        if similarity and is_similar(title, query, 0.9)
+    }

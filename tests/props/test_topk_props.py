@@ -207,6 +207,50 @@ def test_random_topk_matches_sort_all_reference(seed):
     )
 
 
+def test_an_answer_across_two_buckets_with_a_tie_at_the_cut():
+    """The candidates arrive a bucket of equal overlap at a time: here
+    the best row of the second bucket outscores the last of the first,
+    and the cut falls inside a run of equal scores, which only the
+    rowid orders."""
+    state = _State()
+    for rowid in sorted(state.table.rowids()):
+        state.table.delete(rowid)
+    titles = [
+        "prelude no 7 in a flat major op 28",   # every query gram, long
+        "prelude no 9",                          # fewer grams, short
+        "prelude no 9",
+        "prelude no 7",                          # the query itself
+        "prelude no 9",
+        "prelude no 9",
+        "nocturne",                              # fails the gate
+    ]
+    for title in titles:
+        state._insert(title)
+    query, gate = "prelude no 7", "prelude"
+    rows = [(row.rowid, row.get("title"), row.get("n")) for row in state.table]
+    source = (
+        'retrieve (t.n) where matches(t.title, "%s") '
+        'sort by similarity(t.title, "%s") descending limit %%d' % (gate, query)
+    )
+    ranked = sorted(
+        (-similarity(title, query), rowid, n)
+        for rowid, title, n in rows if contains_match(title, gate)
+    )
+    for limit in range(1, 8):
+        got = state.topk.execute(source % limit)
+        assert state.topk.last_plan_object.label == "index text topk"
+        assert got == [{"t.n": n} for _, _, n in ranked[:limit]], limit
+    # The premise: two buckets, the lower one holding a better score...
+    grams = trigrams(query)
+    overlap = [len(grams & trigrams(title)) for title in titles]
+    assert overlap[0] == overlap[3] == len(grams) > overlap[1]
+    assert similarity(titles[1], query) > similarity(titles[0], query)
+    # ...and limit 3 cuts a run of four equal scores after its second.
+    assert [score for score, _, _ in ranked[1:5]] == [ranked[1][0]] * 4
+    tied = sorted(n for _, _, n in ranked[1:5])
+    assert state.topk.execute(source % 3)[1:] == [{"t.n": n} for n in tied[:2]]
+
+
 @pytest.mark.skipif(not REPLAY_OPS, reason="no recorded failure to replay")
 def test_replay_minimal_failure():
     error = _program_fails([tuple(op) for op in REPLAY_OPS])

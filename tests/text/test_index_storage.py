@@ -7,11 +7,14 @@ transactions, WAL + sidecar durability, and replica application of the
 self-committing TEXT-INDEX records.
 """
 
+import random
+
 import pytest
 
 from repro.errors import StorageError, TransactionError
 from repro.storage.database import Database
 from repro.text import trigrams
+from repro.text.bitset import Rowids, Sparse
 from repro.text.index import TrigramIndex
 
 
@@ -34,8 +37,9 @@ class TestTrigramIndexUnit:
         assert index.candidates_matching("zzz") == set()
 
     def test_set_and_bisect_intersections_agree_with_a_posting_walk(self):
-        """Survivors meet a comparable posting as a set and a much
-        longer one by bisection; both must equal the per-entry loop."""
+        """A query meets array postings, bitset postings and both at
+        once (where the name's set and bisection rules used to be);
+        every answer must equal the per-entry loop."""
         index = TrigramIndex()
         values = {}
         for rowid in range(1, 601):
@@ -52,8 +56,17 @@ class TestTrigramIndexUnit:
                         counts[rowid] += 1
             return counts
 
+        def counted(grams, rowids):
+            buckets = list(index.overlap_counts(grams, rowids))
+            overlaps = [overlap for overlap, _ in buckets]
+            assert overlaps == sorted(overlaps, reverse=True)
+            assert all(bucket for _, bucket in buckets)
+            pairs = [(r, o) for o, bucket in buckets for r in bucket]
+            assert len(pairs) == len(dict(pairs))  # one bucket a rowid
+            return dict(pairs)
+
         everything = set(values)
-        # " zy" holds 4 rowids, "pre" all 600: one query, both rules.
+        # " zy" holds 4 rowids, "pre" all 600: one query, both forms.
         for query in ("prelude", "prelude no 1", "no 10 zyx", "zyx"):
             grams = trigrams(query)
             lengths = sorted(len(index._posting(g)) for g in grams)
@@ -63,10 +76,39 @@ class TestTrigramIndexUnit:
             assert index.candidates_matching(query) == expected, query
             assert list(index.iter_matching(query)) == sorted(expected)
             for rowids in (everything, expected, {7, 150, 300}, set()):
-                assert index.overlap_counts(grams, rowids) == walk(
-                    grams, rowids
-                ), (query, lengths)
-        assert len(index._posting(" zy")) * 16 < len(index._posting("pre"))
+                assert counted(grams, rowids) == walk(grams, rowids), (
+                    query, lengths
+                )
+        assert isinstance(index._posting(" zy"), Sparse)
+        assert isinstance(index._posting("pre"), Rowids)
+
+    @pytest.mark.parametrize("step", [1, 5])
+    def test_a_bulk_build_over_several_chunks_equals_row_by_row(self, step):
+        """One ``insert_many`` whose rowids run through three bitset
+        chunks (dense grams collect in flags a chunk at a time), shuffled
+        on the way in, against one ``insert`` per row."""
+        pairs = [
+            ("prelude no %d%s" % (n % 40, " zyx" if n % 150 == 0 else ""),
+             10_000 + n * step)
+            for n in range(24_000 // step)
+        ]
+        rebuilt = TrigramIndex()
+        for value, rowid in pairs:
+            rebuilt.insert(value, rowid)
+        built = TrigramIndex()
+        random.Random(step).shuffle(pairs)
+        built.insert_many(pairs[:9_000 // step])
+        built.insert_many(pairs[9_000 // step:])   # merges into the first
+        assert built._postings == rebuilt._postings
+        assert built._row_grams == rebuilt._row_grams
+        assert isinstance(built._posting("pre"), Rowids)
+        assert isinstance(built._posting("zyx"), Sparse)
+        # Which side of the size rule's hysteresis a posting is on may
+        # differ with the history; what each index says it holds may not.
+        for index in (built, rebuilt):
+            assert index._posting_bytes == sum(
+                index._posting(gram).nbytes() for gram in index._postings
+            )
 
     def test_iter_matching_reseeks_past_a_rowid(self):
         """The streaming source reads a chunk per call and re-opens the
@@ -102,6 +144,54 @@ class TestTrigramIndexUnit:
         index.insert("prelude", 1)
         with pytest.raises(StorageError):
             index.delete("prelude", 99)
+
+    @pytest.mark.parametrize("rowid", [3, 70_000])  # a bitset; an array
+    def test_failed_delete_leaves_the_index_as_it_was(self, rowid):
+        """The value names grams the row was never indexed under: the
+        postings that do hold the rowid must keep it."""
+        index = TrigramIndex()
+        index.insert("prelude", rowid)
+        index.insert("prelude in c", rowid + 1)
+        form = {gram: type(index._posting(gram)) for gram in index._postings}
+        assert isinstance(index._posting("pre"), Rowids if rowid == 3 else Sparse)
+        before = (
+            {gram: list(p) for gram, p in index._postings.items()},
+            dict(index._row_grams), index.posting_entries(),
+            index.gram_count(), index.approx_bytes(),
+        )
+        with pytest.raises(StorageError, match="out of sync"):
+            index.delete("prelude in c", rowid)
+        assert before == (
+            {gram: list(p) for gram, p in index._postings.items()},
+            dict(index._row_grams), index.posting_entries(),
+            index.gram_count(), index.approx_bytes(),
+        )
+        assert form == {gram: type(index._posting(gram)) for gram in index._postings}
+        index.delete("prelude", rowid)
+        assert index.candidates_matching("prelude") == {rowid + 1}
+
+    @pytest.mark.parametrize("rowid", [1 << 32, -1])
+    def test_a_rowid_no_posting_can_hold_is_a_storage_error(self, rowid):
+        index = TrigramIndex()
+        index.insert("prelude", 1)
+        batch = [("prelude no %d" % n, n) for n in range(2, 40)]
+        with pytest.raises(StorageError, match="4294967295"):
+            index.insert("prelude", rowid)
+        with pytest.raises(StorageError, match="4294967295"):
+            index.insert_many(batch + [("prelude", rowid)])
+        assert index.candidates_matching("prelude") == {1}
+        assert len(index) == 1 and index.posting_entries() == 5
+        last = (1 << 32) - 1
+        index.insert("prelude", last)
+        # The far row is its own chunk's work, not the 262,143 before it.
+        both = index.candidates_matching("prelude")
+        assert both == {1, last} and sorted(both.masks) == [0, last >> 14]
+        assert list(index.iter_matching("prelude", 1)) == [last]
+        assert index.similar_overlaps("prelude", 0.5) == {1: 5, last: 5}
+        assert [
+            (overlap, set(bucket)) for overlap, bucket
+            in index.overlap_counts(trigrams("prelude no"), both)
+        ] == [(5, {1, last})]
 
     def test_entry_and_gram_counts(self):
         index = TrigramIndex()
