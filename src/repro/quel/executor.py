@@ -2,12 +2,12 @@
 
 A :class:`QuelSession` holds range-variable declarations and executes
 statements.  Each statement is compiled once (:mod:`repro.quel.compile`)
-and runs one pipeline: planning picks a candidate source per range
-variable, a backtracking join binds the candidates and checks the
-qualification's conjuncts, and the statement's tail projects, sorts,
-limits, aggregates or mutates.  The entity operators ``is``,
-``before``, ``after`` and ``under`` evaluate per the section 5.6
-semantics.
+and runs one pipeline: :mod:`repro.quel.sources` picks a candidate
+source per range variable, a backtracking join binds the candidates
+and checks the qualification's conjuncts, and the statement's tail
+projects, sorts, limits, aggregates or mutates.  The entity operators
+``is``, ``before``, ``after`` and ``under`` evaluate per the section
+5.6 semantics.
 
 Statements run under table locks: every range variable's table is
 read-locked (shared) and a mutation's target table write-locked
@@ -26,22 +26,18 @@ the join loop, which raises ``QueryTimeoutError`` /
 
 import threading
 import time
-from bisect import bisect_left
-from itertools import chain, islice
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
-from repro.core.entity import SURROGATE_COLUMN, EntityInstance
+from repro.core.entity import EntityInstance
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, span, tracing_active
 from repro.quel import ast
 from repro.quel.cache import CachedStatement, shape_cache_for
 from repro.quel.compile import bound_slots, compile_statement
-from repro.quel.functions import FunctionRegistry, scalar_similarity
+from repro.quel.functions import FunctionRegistry
 from repro.quel.parser import parse_quel
-from repro.quel import planner
-from repro.storage.table import SWAMPED
+from repro.quel import planner, sources
 from repro.storage.values import value_sort_key
-from repro.text import SimilarityScorer
 
 
 class ExecutionLimits:
@@ -79,107 +75,15 @@ class ExecutionLimits:
             self.check_deadline()
 
 
-def _text_rowids(table, text_restrictions):
-    """Trigram-index candidate rowids for *text_restrictions*.  Reads
-    index structures only, so it runs inside a :meth:`Table.probe`.
-
-    Returns the intersection of the per-gate candidate sets, ascending
-    when iterated, or None when no trigram index contributed.  A gate
-    with no index, or a sub-trigram query the index cannot bound,
-    contributes nothing -- the exact predicate still verifies every
-    materialized row downstream, so candidates remain a sound superset.
-    Every gate an index can answer is sent to it: a ``matches`` gate's
-    candidates are an AND over bitsets however many they are, a
-    ``similar_to`` gate's are the rows that pass.
-    """
-    rowids = None
-    for attribute, operator, query, threshold in text_restrictions:
-        index = table.text_index_for(attribute)
-        if index is None:
-            continue
-        if operator == "matches":
-            matched = index.candidates_matching(query)
-        else:
-            matched = index.candidates_similar(query, threshold)
-        if matched is None:
-            continue
-        rowids = matched if rowids is None else rowids & matched
-        if not rowids:
-            break
-    return rowids
-
-
-class _EntityRange:
-    """A range variable over an entity type: candidates are instances,
-    scanned in surrogate order."""
-
-    kind = "entity"
-    scan_order = SURROGATE_COLUMN
-
-    def __init__(self, entity_type):
-        self.entity_type = entity_type
-        self.type_name = entity_type.name
-        self.table = entity_type.table
-        self.key = (self.kind, self.type_name)  # what a plan depends on
-
-    def wrap(self, row):
-        return EntityInstance(self.entity_type, row[SURROGATE_COLUMN], row.rowid)
-
-
-class _RelationshipRange:
-    """A range variable over a relationship: candidates are its rows,
-    scanned in table order."""
-
-    kind = "relationship"
-    scan_order = None
-
-    def __init__(self, relationship):
-        self.relationship = relationship
-        self.type_name = relationship.name
-        self.table = relationship.table
-        self.key = (self.kind, self.type_name)
-
-    def wrap(self, row):
-        return row
-
-
-def _chunk_sizes(first):
-    """The one chunk rule: how many rowids each successive fetch of a
-    candidate source takes.  The first takes *first*, the statement's
-    early-exit bound, and every later one as many as all before it, so
-    a tail that stops early has paid for under twice the rowids it had
-    to see and one that drains the source for O(log n) fetch calls."""
-    total = 0
-    while True:
-        size = total or first
-        yield size
-        total += size
-
-
-def _slices(items, first):
-    """List *items* cut by the chunk rule; one slice holding everything
-    when the statement has no early-exit bound (*first* None)."""
-    start = 0
-    for size in _chunk_sizes(first or len(items)):
-        if start >= len(items):
-            return
-        yield items[start:start + size]
-        start += size
-
-
 class QuelSession:
     """Stateful QUEL session over one schema.
 
-    Every statement runs one pipeline.  Source text is parsed, and each
-    statement lowered to Python closures, once per *shape* -- the text
-    with its literals cut out -- in the database's shape cache
-    (:mod:`repro.quel.cache`); the literals a plan leaves bound travel
-    beside the execution, on this session's thread-local.  Planning picks a
-    candidate source per range variable from what it observes -- a
-    pinned snapshot, which restrictions an index can answer, the
-    statement's ``limit``/sort shape (see :meth:`_prepare_compiled`) --
-    and a single join loop binds candidates, runs the conjunct checks
-    and feeds the statement's tail.
+    Source text is parsed, and each statement lowered to Python
+    closures, once per *shape* -- the text with its literals cut out --
+    in the database's shape cache (:mod:`repro.quel.cache`); the
+    literals a plan leaves bound travel beside the execution, on this
+    session's thread-local.  Every statement then runs the module's one
+    pipeline: sources, join, tail.
     """
 
     def __init__(self, schema):
@@ -194,29 +98,14 @@ class QuelSession:
         # registry; increments are per statement, never per row.
         metrics = getattr(schema.database, "metrics", None)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._statements = self.metrics.counter("quel.statements")
         self._rows_returned = self.metrics.counter("quel.rows_returned")
-        self._rows_fetched = self.metrics.counter("quel.rows_fetched")
-        self._statement_seconds = self.metrics.histogram(
-            "quel.statement_seconds"
-        )
         # One queue write per statement covers both the counter and
         # the latency histogram (they drain it on read).
         self._statement_tally = self.metrics.tally(
             "quel.statements", "quel.statement_seconds"
         )
-        # Text-gate accounting: statements whose plan pruned through a
-        # trigram index, and how many candidate rows survived pruning.
-        self._text_searches = self.metrics.counter("text.searches")
-        self._text_candidates = self.metrics.counter("text.candidates")
-        # Pinned-snapshot reads: range variables answered from an index,
-        # and the ones a swamped stale set sent back to a scan.
-        self._snapshot_index_reads = self.metrics.counter(
-            "quel.snapshot_index_reads"
-        )
-        self._snapshot_scan_fallbacks = self.metrics.counter(
-            "quel.snapshot_scan_fallbacks"
-        )
+        # What the candidate sources count, and this thread's limits.
+        self.accounting = sources.Accounting(self.metrics, self._local)
         self._shapes = shape_cache_for(schema.database, self.metrics)
         self._last_shape = None
         self._last_cache_info = None
@@ -431,9 +320,12 @@ class QuelSession:
             return [{"plan": "range declaration (no plan)"}]
         if statement.analyze:
             return self._explain_analyze(inner, cached)
-        return self._with_statement_locks(
-            self._plan_only, self._compiled_for(inner, cached)
+        # Plans without evaluating anything, not even the constant
+        # conjuncts.
+        self._with_statement_locks(
+            self._prepare_compiled, self._compiled_for(inner, cached)
         )
+        return self._last_plan.rows()
 
     def _plan_parts(self, statement):
         """The (used variables, qualification) a statement would join over."""
@@ -451,12 +343,6 @@ class QuelSession:
             for _, expression in statement.assignments:
                 used |= variables_in(expression)
         return sorted(used), statement.where
-
-    def _plan_only(self, compiled):
-        # gate=False: explain plans without evaluating anything, not
-        # even the constant conjuncts.
-        self._prepare_compiled(compiled, gate=False)
-        return self._last_plan.rows()
 
     def _explain_analyze(self, inner, cached):
         """Execute *inner* fully, then report plan + actual counts/time.
@@ -554,9 +440,9 @@ class QuelSession:
     def _range_over(self, name):
         """A range over the entity type or relationship *name*, or None."""
         if self.schema.has_entity_type(name):
-            return _EntityRange(self.schema.entity_type(name))
+            return sources.EntityRange(self.schema.entity_type(name))
         if name in self.schema.relationships:
-            return _RelationshipRange(self.schema.relationship(name))
+            return sources.RelationshipRange(self.schema.relationship(name))
         return None
 
     def _declare_range(self, statement):
@@ -607,556 +493,71 @@ class QuelSession:
             % ", ".join(sorted(o.name for o in candidates))
         )
 
-    # -- planning: one candidate source per range variable ------------------------------
+    # -- planning and the join ----------------------------------------------------------------
 
-    def _choose_pushdowns(self, compiled):
-        """Pick at most one pushdown option per order conjunct.
-
-        The enumerated variable must not carry equality restrictions (an
-        index lookup would already make it cheap) and may be enumerated
-        for only one conjunct.  Among a conjunct's options, one whose
-        driver is restricted wins: the driver binds early and small.
-        Returns ``(dynamic, consumed)``: enum var -> option, plus the
-        conjunct indices the enumeration answers by construction.
-        """
-        dynamic = {}
-        consumed = set()
-        by_conjunct = {}
-        for option in compiled.pushdown_options:
-            by_conjunct.setdefault(option.conjunct_index, []).append(option)
-        for index in sorted(by_conjunct):
-            best = None
-            best_restricted = False
-            for option in by_conjunct[index]:
-                if option.enum_var in dynamic:
-                    continue
-                if compiled.restrictions.get(option.enum_var):
-                    continue
-                restricted = bool(compiled.restrictions.get(option.driver_var))
-                if best is None or (restricted and not best_restricted):
-                    best = option
-                    best_restricted = restricted
-            if best is not None:
-                dynamic[best.enum_var] = best
-                consumed.add(index)
-        return dynamic, consumed
-
-    def _pull(self, declared, chunks, fetch):
-        """The shared pull: *declared*'s candidates, a chunk of *chunks*
-        at a time -- ``fetch(chunk)``'s rows, wrapped.  Nothing is
-        fetched before the join asks, so plain ``explain`` fetches
-        nothing and a tail that stops early never pays for the chunks
-        behind the one it stopped in.  What each chunk asked its table
-        for is counted per chunk, not per row: ``quel.rows_fetched``,
-        and ``rows fetched`` under ``explain analyze``."""
-        wrap = declared.wrap
-        limits = self.limits
-
-        def pools():
-            for chunk in chunks:
-                self._rows_fetched.inc(len(chunk))
-                if limits is not None:
-                    limits.fetched += len(chunk)
-                yield [wrap(row) for row in fetch(chunk)]
-
-        return chain.from_iterable(pools())  # a hop per chunk, not per row
-
-    def _candidates(self, declared, restrictions, text_restrictions):
-        """The candidate source of range *declared* under *restrictions*.
-
-        Every equality restriction on a real column is answered from an
-        index -- built on first use if absent, so it never silently
-        degrades to a filtered scan (relationship role columns are
-        indexed at definition time) -- and the rowid sets are
-        intersected before any row is materialized.  Text gates in
-        *text_restrictions* prune through the trigram index when one
-        exists ("index text" access); the exact predicate re-verifies
-        every survivor in the join, so candidates are a sound superset.
-        Restrictions on unknown attributes filter in place rather than
-        triggering a full unfiltered scan.
-
-        The same code runs under a table lock and under a pinned MVCC
-        snapshot: the index reads happen inside one :meth:`Table.probe`,
-        whose stale rowids are merged into the ascending rowid list
-        once, and each chunk comes back through :meth:`Table.fetch`,
-        which -- pinned -- re-checks the equalities on each visible
-        version (the join skips a static variable's restriction
-        conjuncts, so nothing downstream would).
-
-        Returns ``(count, pull, access, stale)``.  *count* is what the
-        probe answered, neither inflated by stale rowids nor reduced by
-        the re-check; ``pull(first, selector)`` is the :meth:`_pull`
-        over the rowids cut by the chunk rule.  *access* is "index",
-        "index text", "filtered scan" or "scan" -- or "snapshot scan", a
-        pinned read no index applied to.  *stale* counts the stale
-        rowids an index read took in (0 when not pinned); None says the
-        table was :data:`~repro.storage.table.SWAMPED` and is scanned.
-        """
-        table = declared.table
-        has_column = table.schema.has_column
-        indexed = [(a, v) for a, v in restrictions if has_column(a)]
-        residual = [(a, v) for a, v in restrictions if not has_column(a)]
-
-        def kept(rows):
-            if residual:
-                rows = [
-                    row for row in rows
-                    if all(row.get(a) == v for a, v in residual)
-                ]
-            return rows
-
-        def probe():
-            rowids = _text_rowids(table, text_restrictions)
-            text_pruned = rowids is not None
-            for attribute, value in indexed:
-                if rowids is not None and not rowids:
-                    break
-                index = table.any_index_for(attribute)
-                if index is None:
-                    # Adaptive access path: build the missing index once so
-                    # this and every later query answers from it.
-                    index = table.create_index(attribute)
-                # A lookup answers ascending: a lone one is the
-                # candidate list as it stands.
-                matched = index.lookup(value)
-                if rowids is not None:
-                    # Walk the lookup: a text gate's candidates are a
-                    # set to ask, not one to enumerate.
-                    held = set(rowids) if isinstance(rowids, list) else rowids
-                    matched = [rowid for rowid in matched if rowid in held]
-                rowids = matched
-            return rowids, text_pruned
-
-        (rowids, text_pruned), stale = table.probe(probe)
-        pinned = stale is not None
-        keys = [(a, value_sort_key(v)) for a, v in indexed]
-
-        def verify(row):
-            return all(value_sort_key(row[a]) == key for a, key in keys)
-
-        if rowids is None or stale is SWAMPED:
-            # A scan takes its rows now -- that is how it knows its
-            # count -- and hands them over as one chunk.
-            if rowids is not None:
-                rows = table.fetch(rowids, SWAMPED, verify)
-            elif declared.scan_order is None:
-                rows = list(table)
-            else:
-                rows = table.sorted_by(declared.scan_order)
-            rows = kept(rows)
-            access = "filtered scan" if residual else "scan"
-            return (
-                len(rows),
-                lambda first, selector: self._pull(declared, (rows,), iter),
-                "snapshot scan" if pinned else access,
-                0 if rowids is None else None,
-            )
-        count = len(rowids)
-        taken = len(stale) if pinned else 0
-        if not isinstance(rowids, list):
-            rowids = sorted(rowids)
-        if stale:
-            rowids, stale = sorted(set(rowids).union(stale)), ()
-        return (
-            count,
-            lambda first, selector: self._pull(
-                declared, _slices(rowids, first),
-                lambda chunk: kept(table.fetch(chunk, stale, verify)),
-            ),
-            "index text" if text_pruned else "index",
-            taken,
-        )
-
-    def _limit_text_source(self, compiled, declared):
-        """The early-exit source for a ``limit N`` text retrieve, or None.
-
-        Both forms serve a non-unique, non-aggregate ``limit N``
-        retrieve over one entity variable with at least one pushable
-        text gate and no equality restriction (equality would change
-        the candidate set); neither materializes the full gate
-        candidate set, which grows with the table.
-
-        *Unsorted* -- "index text stream": the rarest ``matches`` gate's
-        posting intersection itself advances a chunk at a time
-        (:meth:`_stream_candidates`), only far enough for the join to
-        verify N rows, in "index text"'s ascending rowid order.
-
-        *Sorted by* ``similarity(v.attr, "literal")`` *descending* --
-        "index text topk": only this sort key has a posting-count upper
-        bound (:meth:`SimilarityScorer.bound`, tightened per row by
-        :meth:`~SimilarityScorer.bound_with`), so the gate candidates
-        are taken a bucket of equal trigram overlap at a time, highest
-        first, until the tail's bounded selection holds N rows no
-        remaining bucket's bound can beat; the rest are never fetched,
-        nor so much as enumerated.
-        Ties order by rowid, as a stable sort over "index text" would.
-
-        Both read the index inside :meth:`Table.probe`, so they run
-        pinned exactly as locked; a table whose stale set has outgrown
-        the candidate cap gets neither (None: the generic source scans).
-        Returns ``(count, pull, access, stale)`` like :meth:`_candidates`.
-        """
-        statement = compiled.statement
-        variable = compiled.used[0]
-        text_restrictions = compiled.text_restrictions.get(variable)
-        if (
-            compiled.kind != "RetrieveStatement"
-            or statement.limit is None
-            or statement.unique
-            or compiled.aggregates
-            or declared.kind != "entity"
-            or compiled.restrictions.get(variable)
-            or not text_restrictions
-        ):
-            return None
-        table = declared.table
-        if statement.sort_by is None:
-            def rarest():
-                best = None
-                for attribute, operator, query, _threshold in text_restrictions:
-                    index = table.text_index_for(attribute)
-                    if operator != "matches" or index is None:
-                        continue
-                    estimate = index.estimate_matching(query)
-                    if estimate is not None and (
-                        best is None or estimate < best[0]
-                    ):
-                        best = (estimate, index, query)
-                return best
-
-            best, stale = table.probe(rarest)
-            if best is None or stale is SWAMPED:
-                return None
-            estimate, index, query = best
-            self._text_searches.inc()
-            return (
-                estimate,
-                lambda first, selector: self._stream_candidates(
-                    declared, index, query, first
-                ),
-                "index text stream", len(stale or ()),
-            )
-        spec = _similarity_sort_key(statement.sort_by)
-        if not statement.descending or spec is None or spec[0] != variable:
-            return None
-        # The score bound replicates the *builtin* similarity();
-        # sessions that rebound the name keep the generic sources.
-        if self.functions.scalar("similarity") is not scalar_similarity:
-            return None
-        scorer = SimilarityScorer(spec[2])
-        if not scorer.grams:
-            return None  # sub-trigram query: no overlap bound exists
-
-        def overlaps():
-            """The gate candidates bucketed by exact trigram overlap
-            with the similarity query, from the postings alone."""
-            index = table.text_index_for(spec[1])
-            if index is None:
-                return None
-            rowids = _text_rowids(table, text_restrictions)
-            if rowids is None:
-                return None
-            return rowids, index, index.overlap_counts(scorer.grams, rowids)
-
-        planned, stale = table.probe(overlaps)
-        if planned is None or stale is SWAMPED:
-            return None
-        rowids, index, buckets = planned
-        # What the postings say about a stale rowid describes some other
-        # version of it: it is fetched first and scored exactly.
-        seen = set(stale or ())
-        count = len(rowids) + sum(rowid not in rowids for rowid in seen)
-        self._text_searches.inc()
-        self._text_candidates.inc(count)
-
-        def sized(overlap, bucket):
-            """A bucket's rowids not fetched yet, and their rows' stored
-            gram counts."""
-            bucket = [rowid for rowid in bucket if rowid not in seen]
-            return bucket, index.row_gram_counts(bucket)
-
-        def ranked(selector):
-            """The candidates that can still enter the selection as it
-            stands when each is drawn: a bucket at a time, highest
-            overlap first, until a bucket's bound cannot; best bound
-            first within a bucket (a row's stored gram count tightens
-            it), until a row's cannot."""
-            for overlap, bucket in buckets:
-                if selector.entry(scorer.bound(overlap), -1) is None:
-                    return
-                (bucket, sizes), late = table.probe(sized, overlap, bucket)
-                if late:
-                    # Rewritten since the postings were counted: the gram
-                    # count read now is another version's, the overlap is
-                    # not.  A row of *overlap* grams has the bucket's bound.
-                    late = set(bucket if late is SWAMPED else late)
-                    sizes = [
-                        overlap if rowid in late else size
-                        for rowid, size in zip(bucket, sizes)
-                    ]
-                bound_of = {
-                    size: -scorer.bound_with(overlap, size)
-                    for size in set(sizes)
-                }
-                bounds = map(bound_of.get, sizes)
-                for bound, rowid in sorted(zip(bounds, bucket)):
-                    if selector.entry(-bound, -1) is None:
-                        break
-                    yield rowid
-
-        def best_first(selector):
-            """Ascending rowid chunks of *ranked*, cut by the chunk
-            rule: all but the last are whole."""
-            if seen:
-                yield sorted(seen)
-            source = ranked(selector)
-            for size in _chunk_sizes(selector.limit):
-                chunk = sorted(islice(source, size))
-                if not chunk:
-                    return
-                yield chunk
-
-        def pull(first, selector):
-            for candidate in self._pull(
-                declared, best_first(selector), table.get_many
-            ):
-                selector.seq = candidate.rowid
-                yield candidate
-
-        return count, pull, "index text topk", len(seen)
-
-    def _stream_candidates(self, declared, index, query, first):
-        """The pull over *index*'s lazy ``matches`` stream: one
-        :meth:`Table.matching_chunks` chunk per fetch, cut by the chunk
-        rule, so abandoning the pull costs nothing."""
-        table = declared.table
-
-        def fetch(chunk):
-            self._text_candidates.inc(len(chunk))
-            return table.get_many(chunk)
-
-        chunks = table.matching_chunks(index, query, _chunk_sizes(first))
-        return self._pull(declared, chunks, fetch)
-
-    def _prepare_compiled(self, compiled, gate=True):
-        """Lock tables, pick every variable's candidate source, and
-        order the join.
-
-        What selects a source is observable, never configured:
-
-        * an order conjunct (``before``/``after``/``under``) with one
-          side bound enumerates the other side by one
-          :meth:`Ordering.walk` per driver binding ("order range"), so
-          that variable gets no static candidate list;
-        * a ``limit N`` text retrieve over one variable streams its
-          candidates (:meth:`_limit_text_source`);
-        * everything else answers from the restrictions an index can
-          answer (:meth:`_candidates`) -- either way planning reads the
-          indexes only, and the rows are fetched a chunk at a time
-          (:meth:`_pull`) once the join asks.
-
-        A pinned snapshot (lock-free MVCC read) takes no locks and
-        otherwise changes nothing here: every source reads its indexes
-        through :meth:`Table.probe`, which is what adds the table's
-        stale rowids to the candidates; "snapshot scan" is what a
-        pinned variable no index applies to is labelled.
-
-        Returns ``(order, pulls, dynamic, checks_by_level)``, or None
-        when a constant conjunct gates the whole query out (*gate*;
-        explain passes False so nothing is evaluated).
+    def _prepare_compiled(self, compiled):
+        """Lock every used variable's table, let
+        :func:`repro.quel.sources.choose` pick the sources and the
+        binding order, and publish the plan: returns ``(order, {variable:
+        source})``.  Only index structures are read; ``explain`` stops
+        here.
         """
         plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
         try:
-            ranges = {}
             database = self.schema.database
-            read_table = database.read_table
             snapshot = database.transactions.current_snapshot()
+            ranges = {}
             for variable in compiled.used:
-                ranges[variable] = self._range_for(variable)
+                ranges[variable] = declared = self._range_for(variable)
                 # Shared lock before any read: concurrent writers cannot
                 # produce torn reads of this table mid-statement.  (A
                 # pinned snapshot makes this a no-op: version chains,
                 # not locks, keep the read consistent.)
-                read_table(ranges[variable].table.name)
-            dynamic = {}
-            consumed = set()
-            if compiled.pushdown_options:
-                dynamic, consumed = self._choose_pushdowns(compiled)
-
-            pulls = {}
-            accesses = {}
-            counts = {}
-            stale_rowids = 0
-
-            def bind_static(variable):
-                nonlocal stale_rowids
-                (counts[variable], pulls[variable], accesses[variable],
-                 stale) = self._candidates(
-                    ranges[variable],
-                    [
-                        (attribute, value(self, None)) for attribute, value
-                        in compiled.restrictions.get(variable, ())
-                    ],
-                    compiled.text_restrictions.get(variable, ()),
-                )
-                if accesses[variable] == "index text":
-                    self._text_searches.inc()
-                    self._text_candidates.inc(counts[variable])
-                if stale is None:
-                    self._snapshot_scan_fallbacks.inc()
-                else:
-                    stale_rowids += stale
-
-            static_vars = [v for v in compiled.used if v not in dynamic]
-            early_exit = None
-            if len(compiled.used) == 1:
-                (only,) = compiled.used
-                early_exit = self._limit_text_source(compiled, ranges[only])
-            if early_exit is None:
-                for variable in static_vars:
-                    bind_static(variable)
-            else:
-                (counts[only], pulls[only], accesses[only],
-                 stale_rowids) = early_exit
-            nodes = [conjunct.node for conjunct in compiled.conjuncts]
-            order = planner.order_variables(static_vars, counts, nodes)
-            placed = set(order)
-            pending = dict(dynamic)
-            while pending:
-                advanced = None
-                for variable in sorted(pending):
-                    if pending[variable].driver_var in placed:
-                        advanced = variable
-                        break
-                if advanced is None:
-                    # Mutually-driven order clauses (a before b and b
-                    # before a): demote the rest to static candidates
-                    # and let the per-row checks decide.
-                    for variable in sorted(pending):
-                        consumed.discard(pending[variable].conjunct_index)
-                        del dynamic[variable]
-                        bind_static(variable)
-                        order.append(variable)
-                    break
-                option = pending.pop(advanced)
-                ordering = self.schema.ordering(option.order_name)
-                counts[advanced] = ordering.table.row_estimate()
-                accesses[advanced] = "order range"
-                order.append(advanced)
-                placed.add(advanced)
-            plan = planner.build_plan(order, counts, accesses)
+                database.read_table(declared.table.name)
+            order, chosen = sources.choose(
+                compiled, ranges, self, snapshot is not None
+            )
+            self._last_plan = plan = planner.build_plan(order, chosen)
             if snapshot is not None:
-                plan.snapshot = (snapshot, stale_rowids)
-                index_reads = sum(
-                    1 for access in accesses.values()
-                    if access.startswith("index")
-                )
-                if index_reads:
-                    self._snapshot_index_reads.inc(index_reads)
-            self._last_plan = plan
+                stale = sum(source.stale or 0 for source in chosen.values())
+                plan.snapshot = (snapshot, stale)
             if plan_span is not NOOP_SPAN:
+                steps = plan.steps
                 plan_span.record("label", plan.label)
-                plan_span.record("candidates", sum(counts.values()))
+                plan_span.record("candidates", sum(s.candidates for s in steps))
                 plan_span.record(
-                    "index_hits",
-                    sum(1 for a in accesses.values() if a == "index"),
+                    "index_hits", sum(s.access == "index" for s in steps)
                 )
         finally:
             if plan_span is not NOOP_SPAN:
                 plan_span.finish()
+        return order, chosen
 
-        if gate:
-            for conjunct in compiled.conjuncts:
-                if not conjunct.variables and not conjunct.truth(self, {}):
-                    return None
-
-        # Conjuncts answered structurally are skipped in the join:
-        # consumed order conjuncts hold by enumeration; a static
-        # variable's equality restrictions already filtered its
-        # candidates.
-        skip = set(consumed)
-        for variable in order:
-            if variable not in dynamic:
-                skip.update(compiled.restriction_conjuncts.get(variable, ()))
-        checks_by_level = []
-        bound = set()
-        for variable in order:
-            bound.add(variable)
-            checks_by_level.append(
-                [
-                    conjunct.truth
-                    for index, conjunct in enumerate(compiled.conjuncts)
-                    if index not in skip
-                    and variable in conjunct.variables
-                    and conjunct.variables <= bound
-                ]
-            )
-        return order, pulls, dynamic, checks_by_level
-
-    def _order_range_candidates(self, option, bindings, limits):
-        """Candidates for an enumerated variable, given its bound driver.
-
-        One :meth:`Ordering.walk` yields the membership rows; their
-        children materialize, in sibling order, through one probe and
-        fetch of the enum type's surrogate index, which silently drops
-        children of other types -- exactly the rows the fallback
-        conjunct would have rejected.  What the walk asked both tables
-        for is counted once, as :meth:`_pull` counts a chunk.
-        """
-        driver = bindings.get(option.driver_var)
-        if not isinstance(driver, EntityInstance):
-            return []
-        ordering = self.schema.ordering(option.order_name)
-        if option.mode == "under":
-            members = ordering.member_rows_under(driver.surrogate)
-        else:
-            member = ordering.member_row_of(driver)
-            if member is None:
-                return []
-            if option.mode == "before":
-                members = ordering.member_rows_before(member)
-            else:
-                members = ordering.member_rows_after(member)
-        declared = self._range_for(option.enum_var)
-        table = declared.table
-        place = {row["child"]: slot for slot, row in enumerate(members)}
-
-        def lookups():
-            lookup = table.any_index_for(SURROGATE_COLUMN).lookup
-            return [rowid for child in place for rowid in lookup(child)]
-
-        rowids, stale = table.probe(lookups)
-        asked = len(members) + len(rowids)
-        self._rows_fetched.inc(asked)
-        if limits is not None:
-            limits.fetched += asked
-        rows = table.fetch(
-            rowids, stale, lambda row: row[SURROGATE_COLUMN] in place
-        )
-        if stale:  # merged in by rowid: back into sibling order
-            rows.sort(key=lambda row: place[row[SURROGATE_COLUMN]])
-        return [declared.wrap(row) for row in rows]
-
-    # -- the join ---------------------------------------------------------------------------
-
-    def _join(self, order, candidates, dynamic, checks_by_level, limits):
+    def _join(self, order, chosen, checks_by_level, first, selector, limits):
         """The one join loop: bind each variable of *order* to its
-        candidates in turn, run the conjunct checks that variable
-        completes, and yield a copy of every full binding."""
+        source's candidates in turn, run the conjunct checks that
+        variable completes, and yield a copy of every full binding.
+        The tail's early-exit bound (*first*, *selector*) reaches the
+        outermost source only.  An inner source is re-iterated per
+        outer binding: pulled anew when it reads them (``correlated``),
+        drained into a list once when it does not."""
         total = len(order)
+        outermost = chosen[order[0]].pull
+        pools = [lambda bindings: outermost(bindings, first, selector)]
+        for variable in order[1:]:
+            pull = chosen[variable].pull
+            if chosen[variable].correlated:
+                pools.append(lambda bindings, pull=pull: pull(bindings, None, None))
+            else:
+                pools.append(lambda bindings, rows=list(pull(None, None, None)): rows)
 
         def join(level, bindings):
             if level == total:
                 yield dict(bindings)
                 return
             variable = order[level]
-            option = dynamic.get(variable)
-            if option is None:
-                pool = candidates[variable]
-            else:
-                pool = self._order_range_candidates(option, bindings, limits)
             checks = checks_by_level[level]
-            for candidate in pool:
+            for candidate in pools[level](bindings):
                 if limits is not None:
                     limits.tick()
                 bindings[variable] = candidate
@@ -1173,30 +574,36 @@ class QuelSession:
 
     def _compiled_bindings(self, compiled, first=None, selector=None):
         """Yield the binding dicts a compiled statement's tail consumes.
-
         The tail says where it will stop: *first*, an unsorted ``limit
-        N``'s early-exit bound, sizes the first chunk of the outermost
-        variable's source (None: one chunk of everything); *selector*,
-        a sorted one's bounded selection, is what top-k consults.  Inner
-        variables are re-iterated per outer binding: drained into lists.
-        """
+        N``'s early-exit bound; *selector*, a sorted one's bounded
+        selection (see :meth:`_join`)."""
         limits = self.limits
         if limits is not None:
             limits.check_deadline()
-        prepared = self._prepare_compiled(compiled)
-        if prepared is None:
-            return
-        order, pulls, dynamic, checks_by_level = prepared
+        order, chosen = self._prepare_compiled(compiled)
+        conjuncts = compiled.conjuncts
+        for conjunct in conjuncts:
+            # A false constant conjunct gates the whole statement out.
+            if not conjunct.variables and not conjunct.truth(self, {}):
+                return
         if not order:
-            # No range variables; the constant gate already passed.
             yield {}
             return
-        outer = order[0]
-        candidates = {outer: pulls[outer](first, selector)}
-        for variable in order[1:]:
-            if variable in pulls:
-                candidates[variable] = list(pulls[variable](None, None))
-        source = self._join(order, candidates, dynamic, checks_by_level, limits)
+        # A conjunct some source answers by construction is skipped;
+        # every other runs at the level that binds its last variable.
+        skip = {i for variable in order for i in chosen[variable].answers}
+        checks_by_level = []
+        bound = set()
+        for variable in order:
+            bound.add(variable)
+            checks_by_level.append([
+                conjunct.truth
+                for index, conjunct in enumerate(conjuncts)
+                if index not in skip
+                and variable in conjunct.variables
+                and conjunct.variables <= bound
+            ])
+        source = self._join(order, chosen, checks_by_level, first, selector, limits)
         # The scan span brackets the whole join; a try/finally closes
         # it even when the caller abandons the generator early.
         visits_before = limits.visits if limits is not None else 0
@@ -1244,7 +651,7 @@ class QuelSession:
                 if statement.unique:
                     unique_seen = set()
             elif not statement.unique:
-                selector = _BoundedSort(limit, statement.descending)
+                selector = sources.BoundedSort(limit, statement.descending)
 
         sort_target = compiled.sort_target
         rows = []
@@ -1380,25 +787,6 @@ class QuelSession:
         return len(matches)
 
 
-def _similarity_sort_key(sort_by):
-    """Match a sort key of ``similarity(v.attr, "literal")``: returns
-    ``(variable, attribute, query)``, or None for any other shape."""
-    if not (
-        isinstance(sort_by, ast.FunctionCall)
-        and sort_by.name == "similarity"
-        and len(sort_by.arguments) == 2
-    ):
-        return None
-    target, literal = sort_by.arguments
-    if not (
-        isinstance(target, ast.AttributeRef)
-        and isinstance(literal, ast.Literal)
-        and isinstance(literal.value, str)
-    ):
-        return None
-    return target.variable, target.attribute, literal.value
-
-
 def _record_key(record):
     """Hashable identity of a result record, or None (unhashable values
     never dedupe -- they are always distinct)."""
@@ -1422,80 +810,6 @@ def _dedupe(records):
             seen.add(key)
             out.append(record)
     return out
-
-
-class _Reversed:
-    """Inverts comparisons so a descending sort key can live inside an
-    ascending bounded-selection list (`functools.cmp_to_key` without
-    the per-compare lambda)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __ne__(self, other):
-        return self.key != other.key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __le__(self, other):
-        return other.key <= self.key
-
-    def __gt__(self, other):
-        return other.key > self.key
-
-    def __ge__(self, other):
-        return other.key >= self.key
-
-
-class _BoundedSort:
-    """Bounded selection for ``sort by ... limit N``.
-
-    Keeps the N best ``(key, seq)`` entries in a sorted list, so a
-    ranked retrieve over a million bindings holds N records instead of
-    sorting everything at the end.  *seq*, the tie-break the next offer
-    takes, is arrival order -- the stable full sort's tie-breaking --
-    unless the source sets it before each row it hands the tail: top-k,
-    which visits rows best bound first, sets the rowid ("index text"'s
-    visiting order).
-    """
-
-    __slots__ = ("limit", "keys", "records", "descending", "seq")
-
-    def __init__(self, limit, descending):
-        self.limit = limit
-        self.descending = descending
-        self.keys = []
-        self.records = []
-        self.seq = 0
-
-    def entry(self, sort_key, seq):
-        """The ``(key, seq)`` a row would be kept under, or None when
-        the selection is full of better ones."""
-        key = value_sort_key(sort_key)
-        if self.descending:
-            key = _Reversed(key)
-        entry = (key, seq)
-        if len(self.keys) >= self.limit and not entry < self.keys[-1]:
-            return None
-        return entry
-
-    def offer(self, record, sort_key):
-        entry = self.entry(sort_key, self.seq)
-        self.seq += 1
-        if entry is None:
-            return
-        at = bisect_left(self.keys, entry)
-        self.keys.insert(at, entry)
-        self.records.insert(at, record)
-        if len(self.keys) > self.limit:
-            self.keys.pop()
-            self.records.pop()
 
 
 def execute_quel(source, schema):

@@ -1,5 +1,6 @@
-"""Query planning: conjunct extraction, candidate generation, and
-variable ordering for the backtracking join.
+"""Query planning: conjunct extraction, the restrictions an index can
+answer, variable ordering for the backtracking join, and the plan the
+executor publishes (:mod:`repro.quel.sources` picks the access paths).
 
 The "planner" is deliberately simple -- this is a design-paper
 reproduction, not a query-optimization paper -- but it does implement
@@ -22,39 +23,16 @@ def split_conjuncts(qualification):
 
 
 def variables_in(node):
-    """The set of range-variable names an AST node references."""
-    if node is None:
-        return set()
-    if isinstance(node, ast.VariableRef):
+    """The set of range-variable names an AST node references (every
+    node class declares its fields in ``__slots__``)."""
+    if isinstance(node, (ast.VariableRef, ast.AttributeRef, ast.MatchClause)):
         return {node.variable}
-    if isinstance(node, ast.AttributeRef):
-        return {node.variable}
-    if isinstance(node, ast.Literal):
-        return set()
-    if isinstance(node, ast.BinaryOp):
-        return variables_in(node.left) | variables_in(node.right)
-    if isinstance(node, ast.FunctionCall):
-        out = set()
-        for argument in node.arguments:
-            out |= variables_in(argument)
-        return out
-    if isinstance(node, ast.Comparison):
-        return variables_in(node.left) | variables_in(node.right)
-    if isinstance(node, ast.IsClause):
-        return variables_in(node.left) | variables_in(node.right)
-    if isinstance(node, ast.OrderClause):
-        return variables_in(node.left) | variables_in(node.right)
-    if isinstance(node, ast.UnderClause):
-        return variables_in(node.child) | variables_in(node.parent)
-    if isinstance(node, ast.MatchClause):
-        return {node.variable}
-    if isinstance(node, (ast.And, ast.Or)):
-        return variables_in(node.left) | variables_in(node.right)
-    if isinstance(node, ast.Not):
-        return variables_in(node.operand)
-    if isinstance(node, ast.Target):
-        return variables_in(node.expression)
-    return set()
+    out = set()
+    for field in getattr(node, "__slots__", ()):
+        child = getattr(node, field)
+        for item in child if isinstance(child, list) else (child,):
+            out |= variables_in(item)
+    return out
 
 
 def equality_restriction(conjunct, variable):
@@ -83,10 +61,9 @@ def text_restriction(conjunct, variable):
     """If *conjunct* is a text gate over *variable*, return
     ``(attribute, operator, query, threshold)``; else None.
 
-    These are pushed into trigram-index candidate retrieval ("index
-    text" access).  Unlike equality restrictions they are *never*
-    marked as consumed: index candidates are a superset, and the exact
-    predicate re-verifies every materialized row.
+    These prune through the trigram index ("index text" access) and,
+    unlike equality restrictions, are never marked as answered: index
+    candidates are a superset the exact predicate re-verifies.
     """
     if isinstance(conjunct, ast.MatchClause) and conjunct.variable == variable:
         return (
@@ -96,27 +73,26 @@ def text_restriction(conjunct, variable):
     return None
 
 
-def order_variables(variables, candidate_counts, conjuncts):
-    """Choose a binding order: smallest candidate sets first, breaking
-    ties toward variables connected to already-ordered ones (so join
-    predicates apply as early as possible)."""
+def order_variables(variables, sources, conjuncts):
+    """Choose a binding order: smallest candidate sets (``sources[v].
+    count``) first, breaking ties toward variables connected to
+    already-ordered ones (so join predicates apply as early as
+    possible).  *conjuncts* are compiled: each knows its ``variables``."""
     if len(variables) < 2:
-        return list(variables)  # nothing to order: skip the conjunct walk
+        return list(variables)  # nothing to order
     remaining = set(variables)
     ordered = []
     bound = set()
     while remaining:
         def connectivity(variable):
-            score = 0
-            for conjunct in conjuncts:
-                used = variables_in(conjunct)
-                if variable in used and (used - {variable}) & bound:
-                    score += 1
-            return score
+            return sum(
+                1 for conjunct in conjuncts
+                if variable in conjunct.variables and conjunct.variables & bound
+            )
 
         best = min(
             sorted(remaining),
-            key=lambda v: (-connectivity(v), candidate_counts.get(v, 0), v),
+            key=lambda v: (-connectivity(v), sources[v].count, v),
         )
         ordered.append(best)
         remaining.discard(best)
@@ -125,18 +101,11 @@ def order_variables(variables, candidate_counts, conjuncts):
 
 
 class PlanStep:
-    """One binding step of a query plan: bind *variable* using *access*
-    ("index", "index text", "index text topk", "index text stream",
-    "filtered scan", "scan", or "order range" -- "index text" when a
-    trigram index pruned the candidates, "index text topk" when a
-    ranked ``limit N`` retrieve additionally streams gate candidates
-    best-overlap-first and stops fetching once the Nth score beats the
-    remaining upper bound, "index text stream" when an unsorted ``limit
-    N`` retrieve consumes the posting intersection lazily and stops
-    after N verified rows (*candidates* is then the posting-length
-    estimate, not an exact count), "order range" when an order-operator
-    conjunct enumerates the variable by (parent, order_key) index range
-    scan) over *candidates* rows."""
+    """One binding step of a query plan: bind *variable* using
+    *access*, its source's label (:mod:`repro.quel.sources` says what
+    each is), over *candidates* rows -- the source's count, which for
+    "index text stream" is the posting-length estimate and for "order
+    range" the membership table's size."""
 
     __slots__ = ("variable", "access", "candidates")
 
@@ -157,14 +126,13 @@ class PlanStep:
 class QueryPlan:
     """The chosen plan for one statement: an ordered list of PlanSteps.
 
-    ``render()`` produces the legacy ``last_plan`` text (memoized -- the
+    ``render()`` produces the ``last_plan`` text (memoized -- the
     executor builds a QueryPlan per statement but the string only when
-    someone reads it); ``rows()`` produces the result-set shape the
-    ``explain`` statement returns; ``label`` is the compact access-path
-    summary the planner test sweep asserts on.  ``snapshot`` is None
-    for a locked statement and ``(pinned LSN, stale rowids the index
-    reads took in)`` for a pinned one -- what ``explain analyze`` adds a
-    line for.
+    someone reads it); ``rows()`` the result-set shape ``explain``
+    returns; ``label`` the compact access-path summary the planner test
+    sweep asserts on.  ``snapshot`` is None for a locked statement and
+    ``(pinned LSN, stale rowids the index reads took in)`` for a pinned
+    one -- what ``explain analyze`` adds a line for.
     """
 
     __slots__ = ("steps", "snapshot", "_text")
@@ -200,18 +168,11 @@ class QueryPlan:
         return "QueryPlan(%s)" % self.label
 
 
-def build_plan(binding_order, candidate_counts, accesses):
-    """Assemble a QueryPlan from the executor's planning artifacts.
-
-    *accesses* maps each variable to the access path its candidate set
-    was generated with; a plain set of index-backed variables is also
-    accepted for compatibility.
-    """
-    steps = []
-    for variable in binding_order:
-        if isinstance(accesses, dict):
-            access = accesses.get(variable, "scan")
-        else:
-            access = "index" if variable in accesses else "scan"
-        steps.append(PlanStep(variable, access, candidate_counts.get(variable, 0)))
-    return QueryPlan(steps)
+def build_plan(binding_order, sources):
+    """The QueryPlan of *binding_order* over its chosen *sources*
+    (:mod:`repro.quel.sources`): each step reads its source's ``access``
+    and ``count``."""
+    return QueryPlan(
+        PlanStep(variable, sources[variable].access, sources[variable].count)
+        for variable in binding_order
+    )

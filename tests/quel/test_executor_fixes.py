@@ -1,5 +1,6 @@
-"""Regression tests for executor fixes: modulo by zero and the
-multi-restriction candidate generator.
+"""Regression tests for executor fixes: modulo by zero, the
+multi-restriction candidate generator, and the typed error for an
+unknown attribute of a relationship range.
 
 The candidate generator used to push only the *first* equality
 restriction into an index probe, and -- worse -- fell back to a full
@@ -13,7 +14,9 @@ import pytest
 
 from repro.core.schema import Schema
 from repro.ddl.compiler import execute_ddl
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownAttributeError
+from repro.mdm.manager import MusicDataManager
+from repro.net import MdmClient, MdmServer
 from repro.quel.executor import QuelSession
 
 
@@ -128,3 +131,58 @@ class TestRelationshipCandidates:
             " sort by k.title"
         )
         assert [r["k.title"] for r in rows] == ["Fugue", "Suite"]
+
+
+#: Statements that read an attribute the range has not got, on every
+#: path that evaluates one: target, qualification, sort key, aggregate.
+UNKNOWN_ATTRIBUTE = [
+    "retrieve (t.zz)",
+    "retrieve (x = 1) where t.zz > 1",
+    "retrieve (x = 1) sort by t.zz",
+    "retrieve (count(t.zz))",
+]
+
+
+class TestUnknownAttributeOnARelationshipRange:
+    """A relationship row used to answer ``t.zz`` with a raw
+    ``KeyError`` (over the wire: a bare ``MDMError("KeyError: 'zz'")``)
+    where an entity range raises ``UnknownAttributeError``."""
+
+    @pytest.fixture
+    def mdm(self, tmp_path):
+        mdm = MusicDataManager(str(tmp_path / "db"))
+        cmn = mdm.cmn
+        cmn.PERFORMS.relate(
+            orchestra=cmn.ORCHESTRA.create(name="Gewandhaus"),
+            score=cmn.SCORE.create(title="BWV 578"),
+        )
+        yield mdm
+        mdm.close()
+
+    @pytest.mark.parametrize("statement", UNKNOWN_ATTRIBUTE)
+    @pytest.mark.parametrize("ranged", ["PERFORMS", "ORCHESTRA"])
+    def test_local(self, mdm, ranged, statement):
+        session = QuelSession(mdm.schema)
+        session.execute("range of t is %s" % ranged)
+        with pytest.raises(UnknownAttributeError, match="zz"):
+            session.execute(statement)
+
+    def test_over_the_wire(self, mdm):
+        server = MdmServer(mdm)
+        server.start()
+        client = MdmClient(server.address, default_timeout=5.0)
+        try:
+            client.execute("range of t is PERFORMS")
+            for statement in UNKNOWN_ATTRIBUTE:
+                with pytest.raises(UnknownAttributeError, match="zz"):
+                    client.retrieve(statement)
+            assert len(client.retrieve("retrieve (t.score)")) == 1
+        finally:
+            client.close()
+            server.stop()
+
+    def test_an_unknown_equality_is_still_a_filtered_scan(self, mdm):
+        session = QuelSession(mdm.schema)
+        session.execute("range of t is PERFORMS")
+        assert session.execute("retrieve (t.score) where t.zz = 1") == []
+        assert session.last_plan_object.label == "filtered scan"

@@ -19,6 +19,9 @@ import pytest
 from repro.core.schema import Schema
 from repro.errors import ParseError
 from repro.fixtures.corpus import COMPOSERS, load_catalog
+from repro.obs.metrics import MetricsRegistry
+from repro.quel import sources
+from repro.quel.compile import PushdownOption
 from repro.quel.executor import QuelSession
 from repro.quel.parser import parse_quel
 from repro.storage.table import Table
@@ -193,28 +196,87 @@ class TestPathAgreement:
         assert _reference(catalog, source) == out
 
 
-class TestStreamChunks:
-    """The stream source in small chunks, so every chunk after the first
-    re-seeks: same rowids, same order, locked and pinned."""
+def _chunk_cases():
+    """name -> ``build(catalog)``, which returns ``(database, pulled)``:
+    ``pulled(first)`` plans the source afresh and returns what one pull
+    of it yields, as rowids (top-k: as the tail's selected records)."""
+    accounting = sources.Accounting(MetricsRegistry())
+    gates = [("title", "matches", "no. 7", None)]
+    ranked = "prelude no. 7"
 
-    @pytest.mark.parametrize("chunk", [1, 8, 64])
-    def test_chunked_stream_equals_the_whole_merge(self, catalog, chunk):
-        session = _session(catalog)
-        declared = session._range_for("t")
-        index = declared.table.text_index_for("title")
-        expected = sorted(index.candidates_matching("op. 28"))
-        assert len(expected) > 8
+    def rowids(source, bindings, first):
+        return [c.rowid for c in source.pull(bindings, first, None)]
 
-        def streamed():
-            return [
-                instance.rowid for instance in session._stream_candidates(
-                    declared, index, "op. 28", chunk
-                )
-            ]
+    def over_catalog(plan):
+        def build(catalog):
+            declared = sources.EntityRange(catalog.entity_type("TRACK"))
+            return catalog.database, lambda first: rowids(
+                plan(declared), {}, first
+            )
+        return build
 
-        assert streamed() == expected
-        with catalog.database.snapshot():
-            assert streamed() == expected
+    def topk(catalog):
+        declared = sources.EntityRange(catalog.entity_type("TRACK"))
+        score = SimilarityScorer(ranked)
+
+        def pulled(first):
+            # Top-k's first chunk is the selection's limit.
+            selector = sources.BoundedSort(first or ROWS, True)
+            source = sources.TextTopK.plan(
+                declared, gates, "title", ranked, accounting
+            )
+            for candidate in source.pull({}, None, selector):
+                selector.offer(candidate.rowid, score(candidate["title"]))
+            return selector.records
+
+        return catalog.database, pulled
+
+    def order_range(_catalog):
+        schema = Schema("chunk-score")
+        schema.define_entity("CHORD", [("n", "integer")])
+        note = schema.define_entity("NOTE", [("n", "integer")])
+        ordering = schema.define_ordering("o", ["NOTE"], under="CHORD")
+        chord = schema.entity_type("CHORD").create(n=0)
+        for n in range(100):
+            ordering.append(chord, note.create(n=n))
+        option = PushdownOption(0, "n", "c", "under", "o")
+        return schema.database, lambda first: rowids(
+            sources.OrderRange(
+                option, ordering, sources.EntityRange(note), accounting
+            ),
+            {"c": chord}, first,
+        )
+
+    return {
+        "index": over_catalog(lambda declared: sources.IndexSource(
+            declared, [("composer", COMPOSERS[4])], (), (), accounting
+        )),
+        "scan": over_catalog(lambda declared: sources.IndexSource(
+            declared, [], (), (), accounting
+        )),
+        "text stream": over_catalog(lambda declared: sources.TextStream.plan(
+            declared, gates, accounting
+        )),
+        "text top-k": topk,
+        "order range": order_range,
+    }
+
+
+class TestSourceChunks:
+    """Every source pulled in small chunks, so each chunk after the
+    first is a fetch (the stream: a re-seek) of its own: what its
+    one-chunk pull yields, in the same order, locked and pinned."""
+
+    @pytest.mark.parametrize("name", sorted(_chunk_cases()))
+    def test_chunked_pull_equals_the_one_chunk_pull(self, catalog, name):
+        database, pulled = _chunk_cases()[name](catalog)
+        whole = pulled(None)
+        assert len(whole) > 64
+        for pin in (nullcontext, database.snapshot):
+            with pin():
+                for chunk in (1, 8, 64):
+                    expected = whole[:chunk] if name == "text top-k" else whole
+                    assert pulled(chunk) == expected, (name, chunk)
 
     def test_limit_past_the_first_chunk(self, catalog):
         session = _session(catalog)

@@ -3,6 +3,7 @@
 order), plus unit coverage of the QueryPlan/PlanStep structures."""
 
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,10 +148,7 @@ class TestPlanStructures:
         assert plan.label == "index+scan"
         assert repr(plan) == "QueryPlan(index+scan)"
 
-    def test_build_plan_accepts_legacy_access_set(self):
-        plan = planner.build_plan(["a", "b"], {"a": 1, "b": 2}, {"a"})
-        assert plan.label == "index+scan"
-
     def test_order_variables_smallest_candidates_first(self):
-        order = planner.order_variables(["a", "b"], {"a": 10, "b": 1}, [])
+        sources = {"a": SimpleNamespace(count=10), "b": SimpleNamespace(count=1)}
+        order = planner.order_variables(["a", "b"], sources, [])
         assert order == ["b", "a"]

@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -59,3 +61,26 @@ def test_no_circular_import_surprises():
 
     importlib.reload(registry)
     assert registry.all_experiment_ids()
+
+
+def test_only_sources_reads_index_structures():
+    """The seam of ``repro/quel``: candidate sources live in
+    ``sources.py``, below the executor, and the three planning and
+    execution modules together stay no larger than ``executor.py`` and
+    ``planner.py`` were before the sources moved out (1,720 lines)."""
+    quel = Path(repro.__file__).parent / "quel"
+    index_read = re.compile(
+        r"text_index_for|any_index_for|matching_chunks|overlap_counts"
+        r"|row_gram_counts|\.probe\(|\.fetch\("
+    )
+    text = {path.name: path.read_text() for path in quel.glob("*.py")}
+    readers = sorted(name for name in text if index_read.search(text[name]))
+    assert readers == ["sources.py"]
+    assert not re.search(
+        r"^\s*(from|import)\s.*\bexecutor\b", text["sources.py"], re.MULTILINE
+    )
+    lines = {name: source.count("\n") for name, source in text.items()}
+    assert lines["executor.py"] < 900
+    assert sum(
+        lines[name] for name in ("executor.py", "sources.py", "planner.py")
+    ) <= 1720
