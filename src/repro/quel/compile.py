@@ -27,6 +27,7 @@ from repro.core.entity import EntityInstance
 from repro.errors import QueryError
 from repro.quel import ast
 from repro.quel import planner
+from repro.quel.functions import SCALARS
 
 _COMPARISONS = {
     "=": _operator.eq,
@@ -284,10 +285,27 @@ class Compiler:
             return folded
         name = node.name
         argument_fns = [self.expression(a) for a in node.arguments]
+        # A builtin's arity is known here; a registered function's is its
+        # own affair (the registry version is part of the plan key).
+        builtin = SCALARS.get(name.lower())
+        registered = self.session.functions.scalars.get(name.lower())
+        if builtin is not None and registered is builtin:
+            arity = builtin.__code__.co_argcount
+            if len(argument_fns) != arity:
+                raise QueryError(
+                    "%s() takes %d argument(s), got %d"
+                    % (name, arity, len(argument_fns))
+                )
 
         def call_fn(rt, bindings):
             function = rt.functions.scalar(name)
-            return function(*[fn(rt, bindings) for fn in argument_fns])
+            arguments = [fn(rt, bindings) for fn in argument_fns]
+            try:
+                return function(*arguments)
+            except (TypeError, AttributeError, ZeroDivisionError) as error:
+                if function is not builtin:
+                    raise
+                raise QueryError("%s(): %s" % (name, error)) from None
 
         return call_fn
 

@@ -24,7 +24,7 @@ fetched when the join pulls.  Every source has
 """
 
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 
 from repro.core.entity import SURROGATE_COLUMN, EntityInstance
 from repro.errors import UnknownAttributeError
@@ -426,13 +426,13 @@ class TextStream(_Source):
 
 class TextTopK(_Source):
     """"index text topk": only ``similarity(v.attr, "literal")`` has a
-    posting-count upper bound (:meth:`SimilarityScorer.bound`, tightened
-    per row by :meth:`~SimilarityScorer.bound_with`), so under that sort
-    key, descending, the gate candidates are taken a bucket of equal
-    trigram overlap at a time, highest first, until the tail's bounded
-    selection holds N rows no remaining bucket's bound can beat; the
-    rest are never fetched, nor so much as enumerated.  Ties order by
-    rowid, as a stable sort over "index text" would."""
+    posting-count upper bound (:meth:`SimilarityScorer.bound_with`,
+    tighter the more grams a row has beyond the shared ones), so under
+    that sort key, descending, the gate candidates are taken a bucket of
+    equal trigram overlap at a time, highest first, until the tail's
+    bounded selection holds N rows no remaining bucket's bound can beat;
+    the rest are never fetched, nor so much as enumerated.  Ties order
+    by rowid, as a stable sort over "index text" would."""
 
     __slots__ = ("text_candidates", "_scorer", "_index", "_buckets", "_seen")
     access = "index text topk"
@@ -473,12 +473,15 @@ class TextTopK(_Source):
         source._scorer = scorer
         return source
 
-    def _sized(self, overlap, bucket):
-        """A bucket's rowids not fetched yet, and their rows' stored
-        gram counts."""
-        seen = self._seen
-        bucket = [rowid for rowid in bucket if rowid not in seen]
-        return bucket, self._index.row_gram_counts(bucket)
+    def _cells(self, overlap, bucket, selector):
+        """A bucket's cells of equal stored gram count, fewest grams
+        (best bound) first, as far as a cell's bound can enter the
+        selection as it stands (index reads only: inside a probe)."""
+        bound = self._scorer.bound_with
+        return list(takewhile(
+            lambda cell: selector.entry(bound(overlap, cell[0]), -1) is not None,
+            self._index.size_cells(bucket),
+        ))
 
     def _ranked(self, selector):
         """The candidates that can still enter the selection as it
@@ -486,29 +489,26 @@ class TextTopK(_Source):
         first, until a bucket's bound cannot; best bound first within a
         bucket (a row's stored gram count tightens it), until a row's
         cannot."""
-        scorer = self._scorer
+        bound, seen = self._scorer.bound_with, self._seen
         probe = self._declared.table.probe
         for overlap, bucket in self._buckets:
-            if selector.entry(scorer.bound(overlap), -1) is None:
+            if selector.entry(bound(overlap, overlap), -1) is None:
                 return
-            (bucket, sizes), late = probe(self._sized, overlap, bucket)
+            cells, late = probe(self._cells, overlap, bucket, selector)
             if late:
                 # Rewritten since the postings were counted: the gram
                 # count read now is another version's, the overlap is
                 # not.  A row of *overlap* grams has the bucket's bound.
-                late = set(bucket if late is SWAMPED else late)
-                sizes = [
-                    overlap if rowid in late else size
-                    for rowid, size in zip(bucket, sizes)
-                ]
-            bound_of = {
-                size: -scorer.bound_with(overlap, size) for size in set(sizes)
-            }
-            bounds = map(bound_of.get, sizes)
-            for bound, rowid in sorted(zip(bounds, bucket)):
-                if selector.entry(-bound, -1) is None:
+                late = bucket if late is SWAMPED else late
+                cells.insert(0, (overlap, sorted(r for r in late if r in bucket)))
+            for size, rowid in (
+                (size, rowid) for size, cell in cells for rowid in cell
+            ):
+                if selector.entry(bound(overlap, size), -1) is None:
                     break
-                yield rowid
+                if rowid not in seen:
+                    seen.add(rowid)
+                    yield rowid
 
     def _best_first(self, selector):
         """Ascending rowid chunks of :meth:`_ranked`, cut by the chunk

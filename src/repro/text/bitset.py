@@ -17,9 +17,12 @@ no larger, and both answer the one posting interface: ``add``,
 ``lift`` turns rowids into a mask (the one place that takes a Python
 step per rowid going in, and what a :class:`Sparse` does to the slice
 of itself a chunk covers), ``rowids_of`` turns a mask back (the one
-place that takes one coming out), and ``add_hits`` / ``count_equals``
-are a bit-sliced counter: plane *i* holds bit *i* of every rowid's
-count.
+place that takes one coming out).  The rest is one bit-sliced counter
+family over a chunk: plane *i* holds bit *i* of every rowid's count.
+``add_hits`` counts up, ``set_count`` / ``planes_of`` store counts
+outright, and ``count_equals`` / ``at_most`` / ``least`` read them an
+AND a plane (and-not as ``x ^ (x & plane)``: ``~plane`` is a negative
+operand, six times the cost).
 """
 
 import sys
@@ -30,7 +33,8 @@ from itertools import compress
 
 __all__ = [
     "Bits", "LOW", "Rowids", "SHIFT", "Sparse", "WIDTH", "add_hits",
-    "count_equals", "lift", "rowids_of", "spans",
+    "at_most", "count_equals", "least", "lift", "planes_of", "rowids_of",
+    "set_count", "spans",
 ]
 
 #: Rowids per chunk.  An edit rewrites one chunk (2 KB); the kernels
@@ -47,6 +51,9 @@ _DEMOTE = 6
 
 _BIT = bytes(1 << bit for bit in range(8))
 _CHUNK_BYTES = WIDTH >> 3
+
+#: ``_DIGITS[i]`` translates a count byte to bit *i* of it as a binary digit.
+_DIGITS = [bytes(48 + (count >> i & 1) for count in range(256)) for i in range(8)]
 
 
 def lift(rowids, base):
@@ -106,6 +113,56 @@ def count_equals(planes, count, within=-1):
     for i, plane in enumerate(planes):
         within &= plane if count >> i & 1 else ~plane
     return within
+
+
+def at_most(planes, limit, within=-1):
+    """The mask of the bits of *within* whose counter in *planes* reads
+    *limit* or less: from the top plane down, what is already below
+    and what still equals *limit*'s leading bits."""
+    if limit >> len(planes):
+        return within
+    below = 0
+    for i in range(len(planes) - 1, -1, -1):
+        inside = within & planes[i]
+        if limit >> i & 1:
+            below |= within ^ inside
+            within = inside
+        else:
+            within ^= inside
+    return below | within
+
+
+def least(planes, within):
+    """The smallest counter *planes* holds among the bits of nonzero
+    mask *within*, and the mask of the bits that read it: the minimum
+    walk, top plane down, keeping the bits with a 0 while any has one."""
+    count = 0
+    for i in range(len(planes) - 1, -1, -1):
+        low = within ^ (within & planes[i])
+        if low:
+            within = low
+        else:
+            count |= 1 << i
+    return count, within
+
+
+def set_count(planes, bit, count):
+    """Make *count* the counter of mask *bit*; no empty top plane stays."""
+    planes.extend([0] * (count.bit_length() - len(planes)))
+    for i, plane in enumerate(planes):
+        planes[i] = plane | bit if count >> i & 1 else plane ^ (plane & bit)
+    while planes and not planes[-1]:
+        del planes[-1]
+
+
+def planes_of(counts):
+    """The planes of a chunk's *counts*, a byte a rowid, last rowid
+    first: ``translate`` to one plane's binary digits and ``int`` them,
+    with no step per rowid."""
+    planes = [int(counts.translate(digits), 2) for digits in _DIGITS]
+    while planes and not planes[-1]:
+        del planes[-1]
+    return planes
 
 
 class Rowids(Set):

@@ -43,10 +43,13 @@ answer.
   it saw;
 * ``similar_overlaps`` / ``overlap_counts`` add the query grams' chunk
   masks into bit-sliced counters and read the rows of one overlap off
-  the planes.  A row's overlap and its stored gram count give its
-  Jaccard exactly, so ``candidates_similar`` is the match set itself
-  while the index describes the rows it is asked about (a pinned
-  reader's stale rowids are the exception).
+  the planes.  A row's gram count is kept as planes too, a set per
+  chunk, so what is asked of it is ANDs as well: "at most this many"
+  (overlap and count give the Jaccard exactly, so
+  ``candidates_similar`` is the match set itself while the index
+  describes the rows it is asked about; a pinned reader's stale rowids
+  are the exception) and ``size_cells``' "fewest first" (the order the
+  ranked bound falls in).
 
 Callers re-verify with the exact predicate on the materialized rows.
 Queries whose normalized form has no trigrams return ``None`` --
@@ -55,14 +58,14 @@ Queries whose normalized form has no trigrams return ``None`` --
 
 from array import array
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import zip_longest
 from operator import itemgetter
 
 from repro.errors import StorageError
 
 from .bitset import (
-    LOW, SHIFT, WIDTH, Bits, Rowids, Sparse, add_hits, count_equals,
-    rowids_of, spans,
+    LOW, SHIFT, WIDTH, Bits, Rowids, Sparse, add_hits, at_most,
+    count_equals, least, planes_of, rowids_of, set_count, spans,
 )
 from .normalize import trigrams
 from .similarity import required_overlap
@@ -79,9 +82,6 @@ _MAX_ROWID = (1 << 8 * array(_CODE).itemsize) - 1
 #: correctness-critical reads it.
 _POSTING_OVERHEAD = 120
 
-#: Rough CPython cost of one row's slot in the per-row gram-count map.
-_ROW_OVERHEAD = 64
-
 #: Below this many pairs, ``insert_many`` falls back to per-row
 #: inserts; batching overhead would dominate (mirrors HashIndex).
 _BULK_THRESHOLD = 16
@@ -94,16 +94,24 @@ _NO_DIGITS = b"0" * WIDTH
 _ROWID = itemgetter(1)
 
 
-def _read_flags(flags, poured, last, reached):
-    """Move what ``insert_many``'s *flags* say of the chunk ending at
-    rowid *last*, of which rows up to *reached* have been seen, into
-    *poured* as that chunk's masks, and clear them."""
+def _read_flags(flags, poured, sizes, planes, last, reached):
+    """Move what ``insert_many``'s *flags* and *sizes* say of the chunk
+    ending at rowid *last*, of which rows up to *reached* have been
+    seen, into *poured* as that chunk's masks and into its gram-count
+    *planes*, and clear them."""
     lead = last - reached  # digits no row got to
     for gram, flagged in flags.items():
         mask = int(flagged[lead:], 2)
         if mask:
             poured[gram][last >> SHIFT] = mask
             flagged[lead:] = _NO_DIGITS[lead:]
+    read = planes_of(sizes[lead:])
+    if read:
+        held = planes.get(last >> SHIFT, ())
+        planes[last >> SHIFT] = [
+            a | b for a, b in zip_longest(held, read, fillvalue=0)
+        ]
+        sizes[lead:] = bytes(WIDTH - lead)
 
 
 class TrigramIndex:
@@ -114,11 +122,13 @@ class TrigramIndex:
     def __init__(self, metrics=None):
         # gram[0] -> {gram: Sparse or Bits}
         self._shards = {}
-        # rowid -> that row's gram-set size.  |row grams| turns a
-        # candidate's posting overlap into an *exact* Jaccard (union =
-        # |Q| + |R| - overlap), which is what makes the top-k score
-        # bound tight enough to skip fetching most candidates.
-        self._row_grams = {}
+        # chunk index -> planes of its rows' gram-set sizes.  |row grams|
+        # turns a candidate's posting overlap into an *exact* Jaccard
+        # (union = |Q| + |R| - overlap), which is what makes the top-k
+        # score bound tight enough to skip fetching most candidates.
+        # A gram-less row sets no bit and is counted in _rows alone.
+        self._sizes = {}
+        self._rows = 0
         self._posting_entries = 0
         self._posting_bytes = 0
         self._gram_count = 0
@@ -132,7 +142,7 @@ class TrigramIndex:
 
     def __len__(self):
         """Number of rows currently indexed (including gram-less ones)."""
-        return len(self._row_grams)
+        return self._rows
 
     def gram_count(self):
         return self._gram_count
@@ -141,21 +151,24 @@ class TrigramIndex:
         """Total posting slots across every gram (rows x grams-per-row)."""
         return self._posting_entries
 
-    def row_gram_count(self, rowid):
-        """Gram-set size of one indexed row (0 when unknown/gram-less)."""
-        return self._row_grams.get(rowid, 0)
-
-    def row_gram_counts(self, rowids):
-        """:meth:`row_gram_count` of each of *rowids*, in their order."""
-        return list(map(self._row_grams.get, rowids, repeat(0)))
-
     def approx_bytes(self):
         """Estimated memory footprint of the index storage."""
         return (
             self._posting_bytes
             + self._gram_count * _POSTING_OVERHEAD
-            + len(self._row_grams) * _ROW_OVERHEAD
+            + sum(map(len, self._sizes.values())) * (WIDTH >> 3)
         )
+
+    @property
+    def _row_grams(self):
+        """``{rowid: gram count}`` read off the planes, gram-less rows
+        left out: like ``_postings``, the same for the same rows."""
+        counts = {}
+        for at, planes in self._sizes.items():
+            for i, plane in enumerate(planes):
+                for rowid in rowids_of(plane, at << SHIFT):
+                    counts[rowid] = counts.get(rowid, 0) | 1 << i
+        return counts
 
     @property
     def _postings(self):
@@ -224,6 +237,13 @@ class TrigramIndex:
         if not shard:
             del self._shards[gram[0]]
 
+    def _resize(self, rowid, count):
+        """Store *count* (0: forget it) as *rowid*'s gram-set size."""
+        planes = self._sizes.setdefault(rowid >> SHIFT, [])
+        set_count(planes, 1 << (rowid & LOW), count)
+        if not planes:
+            del self._sizes[rowid >> SHIFT]
+
     def insert(self, value, rowid):
         self._admit(rowid, rowid)
         grams = trigrams(value)
@@ -235,7 +255,8 @@ class TrigramIndex:
                 self._gram_count += 1
             self._posting_bytes += posting.add(rowid)
             self._settle(shard, gram, posting)
-        self._row_grams[rowid] = len(grams)
+        self._resize(rowid, len(grams))
+        self._rows += 1
         self._account(len(grams))
         if self._inserts is not None:
             self._inserts.inc()
@@ -252,7 +273,9 @@ class TrigramIndex:
         flags from then on: a byte per rowid of the chunk the rows have
         reached, set by that same one step and read off as the chunk's
         mask by ``int(..., 2)`` when they leave it, with no step per
-        entry.
+        entry.  The rows' gram counts are a byte each of that chunk, read
+        off as its planes the same way (one no byte holds is stored as
+        ``insert`` does).
         """
         pairs = sorted(pairs, key=_ROWID)
         if len(pairs) < _BULK_THRESHOLD:
@@ -260,21 +283,24 @@ class TrigramIndex:
                 self.insert(value, rowid)
             return
         self._admit(pairs[0][1], pairs[-1][1])
-        row_grams = self._row_grams
         fresh = {}   # gram -> [rowid, ...]
         flags = {}   # gram -> a chunk's rowids as binary digits, last first
         poured = {}  # gram -> {chunk index: mask}, the chunks flags have left
-        last = -1    # last rowid of the chunk the flags are about
+        sizes, planes = bytearray(WIDTH), self._sizes  # its rows' gram counts
+        last = -1    # last rowid of the chunk the flags and sizes are about
         reached = 0  # and the last rowid seen, which is inside it
         start, stop = 0, _FIRST_LOOK
         while start < len(pairs):
             for value, rowid in pairs[start:stop]:
                 if rowid > last:
-                    _read_flags(flags, poured, last, reached)
+                    _read_flags(flags, poured, sizes, planes, last, reached)
                     last = rowid | LOW
                 grams = trigrams(value)
-                row_grams[rowid] = len(grams)
                 at = last - rowid
+                if len(grams) < 256:
+                    sizes[at] = len(grams)
+                else:
+                    self._resize(rowid, len(grams))
                 for gram in grams:
                     flagged = flags.get(gram)
                     if flagged is not None:
@@ -296,7 +322,8 @@ class TrigramIndex:
                 for held in bucket[cut:]:
                     flagged[last - held] = 49
             start, stop = stop, stop * 2
-        _read_flags(flags, poured, last, reached)
+        _read_flags(flags, poured, sizes, planes, last, reached)
+        self._rows += len(pairs)
         built = {gram: Sparse(rowids) for gram, rowids in fresh.items()}
         for gram, masks in poured.items():
             built[gram] = Bits(Rowids(masks=masks))
@@ -329,7 +356,8 @@ class TrigramIndex:
             shard = self._shards[gram[0]]
             self._posting_bytes += shard[gram].discard(rowid)
             self._settle(shard, gram, shard[gram])
-        self._row_grams.pop(rowid, None)
+        self._resize(rowid, 0)
+        self._rows -= 1
         self._account(-len(grams))
         if self._deletes is not None:
             self._deletes.inc()
@@ -399,8 +427,8 @@ class TrigramIndex:
     def candidates_similar(self, query, threshold):
         """:class:`Rowids` whose indexed value reaches Jaccard >=
         threshold; None = cannot prune."""
-        counts = self.similar_overlaps(query, threshold)
-        return None if counts is None else Rowids(counts)
+        masks = self.similar_overlaps(query, threshold)
+        return None if masks is None else Rowids(masks=masks)
 
     def _count(self, grams, within=None):
         """The one counting kernel: ``[(chunk index, planes), ...]``
@@ -425,19 +453,17 @@ class TrigramIndex:
         return sorted(counted.items()), len(postings)
 
     def similar_overlaps(self, query, threshold):
-        """``{rowid: exact gram overlap}`` for the rows whose Jaccard
-        with *query* reaches *threshold*; None when the index cannot
-        prune.
+        """``{chunk index: mask}`` of the rows whose Jaccard with
+        *query* reaches *threshold*; None when the index cannot prune.
 
         With ``k`` query grams, a row of ``R`` grams sharing ``o`` of
         them has Jaccard exactly ``o / (k + R - o)``, and passing takes
         ``o >= required_overlap(k, threshold)``.  So: count every
         query gram's posting into the planes, and for each overlap from
-        the required one up read its rows off them and keep those whose
-        stored gram count passes -- the predicate's own division, so
-        while the index describes the rows the result *is* the answer
-        set.  Survivors carry their exact overlap, which the top-k
-        executor turns into a similarity upper bound per bucket.
+        the required one up AND its rows with those whose stored gram
+        count is at most the largest that passes -- found by the
+        predicate's own division, so while the index describes the rows
+        the result *is* the answer set.
         """
         grams = trigrams(query)
         k = len(grams)
@@ -445,19 +471,19 @@ class TrigramIndex:
         if not grams or required <= 0:
             return None
         counted, most = self._count(grams)
-        out = {}
+        masks = {}
         for overlap in range(required, most + 1):
             # The largest gram count that passes with this overlap.
             limit = int(overlap / threshold) + overlap - k + 2
             while overlap / (k + limit - overlap) < threshold:
                 limit -= 1
             for at, planes in counted:
-                mask = count_equals(planes, overlap)
+                mask = at_most(
+                    self._sizes.get(at, ()), limit, count_equals(planes, overlap)
+                )
                 if mask:
-                    rowids = list(rowids_of(mask, at << SHIFT))
-                    passing = map(limit.__ge__, self.row_gram_counts(rowids))
-                    out.update(zip(compress(rowids, passing), repeat(overlap)))
-        return out
+                    masks[at] = masks.get(at, 0) | mask
+        return masks
 
     def overlap_counts(self, grams, rowids):
         """*rowids* by how many of *grams* each one's row holds:
@@ -484,6 +510,29 @@ class TrigramIndex:
                     yield overlap, Rowids(masks=masks)
 
         return buckets()
+
+    def size_cells(self, rowids):
+        """:class:`Rowids` *rowids* by stored gram count: ``(count,
+        Rowids)`` cells, fewest grams first (the order ``SimilarityScorer.
+        bound_with`` falls in), every rowid in exactly one.  A cell is
+        found when the caller reaches it, by the minimum walk over each
+        chunk's planes: one that stops early never looks for the rest."""
+        left = rowids.masks
+        while left:
+            heads = {
+                at: least(self._sizes.get(at, ()), mask)
+                for at, mask in left.items()
+            }
+            fewest = min(count for count, _ in heads.values())
+            masks = {
+                at: mask for at, (count, mask) in heads.items()
+                if count == fewest
+            }
+            left = {
+                at: rest for at, mask in left.items()
+                if (rest := mask ^ masks.get(at, 0))
+            }
+            yield fewest, Rowids(masks=masks)
 
     # -- planner cost estimate -----------------------------------------------
 

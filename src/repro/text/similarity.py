@@ -87,8 +87,10 @@ class SimilarityScorer:
     ``seq2`` -- difflib indexes ``seq2`` once and only ``set_seq1``
     changes per row -- one pair per thread, because a compiled
     statement, and so its scorer, is shared by every session of the
-    database.  ``scorer(value)`` returns bit-identical floats to
-    ``similarity(value, query)``: same operations, same operand order.
+    database.  Neither runs when one folded string contains the other:
+    the edit half is then decided by the two lengths.  ``scorer(value)``
+    returns bit-identical floats to ``similarity(value, query)``: same
+    operations, same operand order.
     """
 
     __slots__ = ("query", "grams", "_norm", "_token_sorted", "_local")
@@ -121,30 +123,26 @@ class SimilarityScorer:
         else:
             union = len(value_grams | self.grams)
             jac = len(value_grams & self.grams) / union if union else 0.0
+        short, long = sorted((folded, self._norm), key=len)
+        if short in long and len(self._norm) < 200:
+            # One matching block, the shorter string whole (below 200
+            # characters difflib sets none of the query's aside as
+            # junk): ``_calculate_ratio``'s own expression, and the cap
+            # of any ratio over these lengths, the token-sorted one's too.
+            length = len(short) + len(long)
+            return (jac + (2.0 * len(short) / length if length else 1.0)) / 2.0
         raw_matcher, sorted_matcher = self._matchers()
-        if not folded and not self._norm:
-            raw = 1.0
-        else:
-            raw_matcher.set_seq1(folded)
-            raw = raw_matcher.ratio()
+        raw_matcher.set_seq1(folded)
         sorted_matcher.set_seq1(" ".join(sorted(folded.split())))
-        return (jac + max(raw, sorted_matcher.ratio())) / 2.0
-
-    def bound(self, overlap):
-        """Highest score a row sharing *overlap* grams with the query
-        can reach: Jaccard <= overlap/|Q| (the union is at least the
-        query's gram set) and the edit-ratio blend half is <= 1.  Both
-        division and averaging are monotone in IEEE floats, so the
-        bound stays sound against the exact score.  No grams, no bound.
-        """
-        if not self.grams:
-            return 1.0
-        return (overlap / len(self.grams) + 1.0) / 2.0
+        return (jac + max(raw_matcher.ratio(), sorted_matcher.ratio())) / 2.0
 
     def bound_with(self, overlap, row_gram_count):
-        """:meth:`bound` tightened by the row's gram-set size.
-
-        With |R| known, two halves of the blend sharpen:
+        """Highest score a row of *row_gram_count* grams sharing
+        *overlap* of them with the query can reach.  Division and
+        averaging are monotone in IEEE floats, so it stays sound
+        against the exact score; it falls as the count grows, so a row
+        of just *overlap* grams has the bound of every row sharing
+        that many.  No grams, no bound.  The two halves of the blend:
 
         * the union is exactly ``|Q| + |R| - overlap``, so the Jaccard
           half is *exact* (row grams and stored grams come from the

@@ -35,7 +35,8 @@ A second, *size* axis (``_SizedState``) drives a bare index through a
 few thousand rows whose rowids straddle a bitset chunk boundary, so
 that postings cross the array/bitset size rule in both directions; a
 pinned reader re-reads its snapshot across such a crossing; and the
-counting kernel is checked against ``collections.Counter`` on its own.
+counting kernels are checked against ``collections.Counter`` and brute
+force on their own, stored gram counts past one byte included.
 """
 
 import collections
@@ -49,7 +50,9 @@ from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
 from repro.storage.database import Database
 from repro.text import contains_match, is_similar, similarity, trigrams
-from repro.text.bitset import Rowids, Sparse, add_hits, count_equals
+from repro.text.bitset import (
+    Rowids, Sparse, add_hits, at_most, count_equals, least, planes_of, set_count,
+)
 from repro.text.index import TrigramIndex
 from tests.props.protector import Protector
 
@@ -431,10 +434,7 @@ class _SizedState:
                 if self._verdict("s", t, query, threshold)
             }
             assert index.candidates_similar(query, threshold) == true, query
-            grams = trigrams(query)
-            assert index.similar_overlaps(query, threshold) == {
-                rowid: len(grams & trigrams(rows[rowid])) for rowid in true
-            }
+            assert index.similar_overlaps(query, threshold) == Rowids(true).masks
 
 
 #: Every sized program starts here: grow (3,000 rows in one load, whose
@@ -627,3 +627,108 @@ def test_seventeen_grams_and_an_empty_gate_through_the_index():
         rowid for rowid, title in titles.items()
         if similarity and is_similar(title, query, 0.9)
     }
+
+
+#: Gram counts either side of every plane and of the bulk build's byte.
+_COUNTS = [0, 1, 2, 7, 8, 31, 32, 255, 256, 257, 511, 512, 700]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stored_count_kernels_agree_with_brute_force(seed):
+    """``at_most`` and the minimum walk over planes stored one counter
+    at a time and read off a chunk's count bytes, under full, partial
+    and single-bit gates."""
+    rng = random.Random(seed)
+    width = [8, 200, 2_000][seed % 3]
+    counts = {
+        slot: rng.choice(_COUNTS + [rng.randrange(60)] * 8)
+        for slot in rng.sample(range(width), rng.randrange(1, min(width, 120)))
+    }
+    planes = []
+    for slot, count in counts.items():
+        set_count(planes, 1 << slot, 999)      # overwritten, not ORed into
+        set_count(planes, 1 << slot, count)
+    assert len(planes) == max(counts.values()).bit_length()
+    small = {slot: count for slot, count in counts.items() if count < 256}
+    lanes = bytearray(width)
+    for slot, count in small.items():
+        lanes[width - 1 - slot] = count        # last slot first
+    read = planes_of(lanes)
+    assert len(read) == max(small.values(), default=0).bit_length()
+
+    def mask(slots):
+        return sum(1 << slot for slot in slots)
+
+    def members(bits):
+        return {slot for slot in range(width) if bits >> slot & 1}
+
+    everything = set(range(width))
+    gates = [everything, set(counts), set(rng.sample(sorted(counts), 1))]
+    for held, model in ((planes, counts), (read, small)):
+        for gate in gates:
+            for limit in sorted({0, 1, 254, 255, 256, 600, 1023, *model.values()}):
+                assert members(at_most(held, limit, mask(gate))) == {
+                    slot for slot in gate if model.get(slot, 0) <= limit
+                }, (limit, len(gate))
+            left = set(gate)
+            while left:    # the walk, cell by cell, until the gate is spent
+                fewest, cell = least(held, mask(left))
+                assert fewest == min(model.get(slot, 0) for slot in left)
+                assert members(cell) == {
+                    slot for slot in left if model.get(slot, 0) == fewest
+                }
+                left -= members(cell)
+        assert members(at_most(held, 0)) >= everything - set(model)
+
+
+def _title_with(count, rng):
+    """A title of exactly *count* distinct trigrams."""
+    text, grams = "", set()
+    while len(grams) < count:
+        text += rng.choice("abcdefghijklmnopqrstuvwxyz0123456789")
+        grams = trigrams(text)
+    return text if count else rng.choice(["", "ab", "!!"])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_count_planes_after_random_programs_equal_a_rebuilt_index(seed):
+    """insert / delete / ``insert_many`` in random order over rowids
+    straddling a chunk boundary, counts past a byte among them: the
+    planes, the row count and the accounted bytes are those of an index
+    rebuilt row by row, and every cell walk reads the model back."""
+    rng = random.Random(seed)
+    index, rows, free = TrigramIndex(), {}, list(range(16_200, 16_700))
+    rng.shuffle(free)
+    for _ in range(12):
+        kind = rng.randrange(3)
+        if kind == 0 and rows:
+            for rowid in rng.sample(sorted(rows), min(len(rows), 9)):
+                index.delete(rows.pop(rowid), rowid)
+                free.append(rowid)
+            continue
+        fresh = [
+            (_title_with(rng.choice(_COUNTS[:10] + [12, 20, 20, 33]), rng), free.pop())
+            for _ in range(rng.choice([1, 3, 20, 40]))
+        ]
+        if kind == 1:
+            index.insert_many(fresh)
+        else:
+            for title, rowid in fresh:
+                index.insert(title, rowid)
+        rows.update((rowid, title) for title, rowid in fresh)
+        rebuilt = TrigramIndex()
+        for rowid in sorted(rows):
+            rebuilt.insert(rows[rowid], rowid)
+        model = {r: len(trigrams(t)) for r, t in rows.items() if trigrams(t)}
+        assert index._row_grams == rebuilt._row_grams == model
+        assert index._sizes == rebuilt._sizes
+        assert (len(index), index.approx_bytes()) == (
+            len(rebuilt), rebuilt.approx_bytes()
+        )
+        cells = list(index.size_cells(Rowids(rows)))
+        assert [size for size, _ in cells] == sorted({
+            model.get(rowid, 0) for rowid in rows
+        })
+        assert {r: size for size, cell in cells for r in cell} == {
+            rowid: model.get(rowid, 0) for rowid in rows
+        }

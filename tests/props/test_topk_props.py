@@ -25,12 +25,15 @@ generated corpus (run via ``scripts/text_smoke.sh --scale``).
 """
 
 import random
+import threading
 
 import pytest
 
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
 from repro.text import SimilarityScorer, contains_match, similarity, trigrams
+from repro.text.bitset import Rowids
+from tests.props.protector import Protector
 
 pytestmark = pytest.mark.props
 
@@ -144,16 +147,14 @@ class _State:
         ]
 
     def _check_bound_soundness(self, rows):
-        index = self.table.text_index_for("title")
+        sizes = self.table.text_index_for("title")._row_grams
         for query, _, _ in QUERIES:
             scorer = SimilarityScorer(query)
             if not scorer.grams:
                 continue
             for rowid, title in rows:
                 overlap = len(scorer.grams & trigrams(title))
-                bound = scorer.bound_with(
-                    overlap, index.row_gram_count(rowid)
-                )
+                bound = scorer.bound_with(overlap, sizes.get(rowid, 0))
                 score = similarity(title, query)
                 assert bound >= score - 1e-12, (
                     "bound %.6f below true score %.6f for title %r vs "
@@ -249,6 +250,108 @@ def test_an_answer_across_two_buckets_with_a_tie_at_the_cut():
     assert [score for score, _, _ in ranked[1:5]] == [ranked[1][0]] * 4
     tied = sorted(n for _, _, n in ranked[1:5])
     assert state.topk.execute(source % 3)[1:] == [{"t.n": n} for n in tied[:2]]
+
+
+def _emptied():
+    state = _State()
+    for rowid in sorted(state.table.rowids()):
+        state.table.delete(rowid)
+    return state
+
+
+def test_a_cut_inside_one_cell_of_equal_gram_counts_orders_by_rowid():
+    """Within a bucket the candidates arrive a cell of equal stored gram
+    count at a time: here six titles that differ share one cell and one
+    score, longer rows sit in the cells behind it, and every limit cuts
+    the tie by rowid -- with the first chunk's cut inside the cell too."""
+    state = _emptied()
+    query, gate = "prelude no 7", "prelude"
+    tied = ["prelude no 7%d" % n for n in (5, 1, 4, 2, 3, 0)]
+    for n, title in enumerate(tied):
+        state._insert("prelude no 7 in a flat major op 28 no %d" % n)
+        state._insert(title)
+    rows = [(row.rowid, row.get("title"), row.get("n")) for row in state.table]
+    index = state.table.text_index_for("title")
+    cells = list(index.size_cells(Rowids(rowid for rowid, _, _ in rows)))
+    assert [len(cell) for _, cell in cells][0] == len(tied) < len(rows)
+    assert len({similarity(title, query) for title in tied}) == 1
+    assert len({len(trigrams(query) & trigrams(t)) for _, t, _ in rows}) == 1
+    source = (
+        'retrieve (t.n) where matches(t.title, "%s") '
+        'sort by similarity(t.title, "%s") descending limit %%d' % (gate, query)
+    )
+    ranked = sorted((-similarity(t, query), rowid, n) for rowid, t, n in rows)
+    for limit in range(1, len(rows) + 1):
+        got = state.topk.execute(source % limit)
+        assert state.topk.last_plan_object.label == "index text topk"
+        assert got == [{"t.n": n} for _, _, n in ranked[:limit]], limit
+
+
+def test_a_late_row_in_a_cell_the_walk_skips_is_still_scored():
+    """A pinned reader plans, fills its selection from the first bucket,
+    and only then is the best row of the second retitled to fifty-odd
+    grams: its cell is one the walk stops short of, its overlap was
+    counted at the plan, so it has the bucket's bound, is fetched and is
+    scored as of the pin.  A row rewritten before the plan is stale and
+    fetched first."""
+    state = _emptied()
+    table, database = state.table, state.schema.database
+    query, gate = "prelude no 7", "prelude"
+    tail = " in a flat major opus 28 number fifteen"
+    for n in range(2):                       # every query gram, long
+        state._insert("prelude no 7%s %d" % (tail, n))
+    for n in range(6):                       # one gram fewer, ever longer
+        state._insert("prelude no 9" + tail[:6 * n])
+    late, stale = sorted(table.rowids())[2], sorted(table.rowids())[3]
+    source = (
+        'retrieve (t.n, s = similarity(t.title, "%s")) '
+        'where matches(t.title, "%s") '
+        'sort by similarity(t.title, "%s") descending limit 2' % (query, gate, query)
+    )
+    lsn = database.transactions.snapshot_lsn()
+    expected = state.topk.execute(source)
+    assert [row["t.n"] for row in expected] == [     # the second bucket's
+        table.get(rowid)["n"] for rowid in (late, stale)
+    ]
+    protector = Protector(database.transactions)
+    protector.set_floor(lsn)
+    long_title = "prelude no 9 " + " ".join(
+        "abcdefghijklmnopqrstuvwxyz0123456789"[i:] for i in range(0, 12, 3)
+    )
+    probe, probes = table.probe, []
+
+    def probe_after_a_write(*args):
+        probes.append(args)
+        if len(probes) == 3:     # the plan, the first bucket, now the second
+            writer = threading.Thread(
+                target=table.update, args=(late, {"title": long_title})
+            )
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        return probe(*args)
+
+    try:
+        table.update(stale, {"title": "prelude" + tail})
+        database.transactions.pin_snapshot(lsn)
+        table.probe = probe_after_a_write
+        try:
+            assert state.topk.execute(source) == expected
+        finally:
+            del table.probe
+            database.transactions.unpin_snapshot()
+    finally:
+        protector.stop()
+    assert len(probes) >= 3
+    # The premise: as the index stands, the late row's bound is below
+    # both scores the first bucket put into the selection.
+    scorer = SimilarityScorer(query)
+    grams = table.text_index_for("title")._row_grams[late]
+    overlap = len(scorer.grams & trigrams("prelude no 9"))
+    assert scorer.bound_with(overlap, grams) < min(
+        similarity("prelude no 7%s %d" % (tail, n), query) for n in range(2)
+    )
+    assert state.topk.execute(source) != expected
 
 
 @pytest.mark.skipif(not REPLAY_OPS, reason="no recorded failure to replay")

@@ -102,3 +102,45 @@ class TestSchemaReferenceValidation:
         schema.define_entity("WORK", [("when", "DATE")])
         schema.define_entity("DATE", [("year", "integer")])
         assert schema.validate_references() == []
+
+
+class TestBuiltinCallsAreTyped:
+    """A builtin scalar called with the wrong number or kind of
+    operands is a ``QueryError`` naming it, at compile where the arity
+    decides it; no ``TypeError`` leaves the session."""
+
+    @pytest.fixture
+    def session(self, schema):
+        from repro.quel.executor import QuelSession
+
+        track = schema.define_entity("TRACK", [("title", "string"), ("n", "integer")])
+        track.create(title="prelude", n=3)
+        session = QuelSession(schema)
+        session.execute("range of t is TRACK")
+        return session
+
+    @pytest.mark.parametrize("source, names", [
+        ("retrieve (x = similarity(t.title)) limit 2", "similarity() takes 2"),
+        ("retrieve (x = mod(1))", "mod() takes 2"),
+        ("retrieve (x = abs(1, 2))", "abs() takes 1"),
+        ("retrieve (t.n) where length(t.title, 1) = 7", "length() takes 1"),
+        ("retrieve (t.n) sort by mod(t.n)", "mod() takes 2"),
+        ("explain retrieve (x = mod(1))", "mod() takes 2"),
+        ('retrieve (x = mod("a", 2))', "mod(): "),
+        ('retrieve (x = abs(t.title))', "abs(): "),
+        ("retrieve (x = lowercase(t.n))", "lowercase(): "),
+        ("retrieve (x = mod(t.n, 0))", "mod(): "),
+    ])
+    def test_a_miscalled_builtin_is_a_query_error(self, session, source, names):
+        with pytest.raises(QueryError) as raised:
+            session.execute(source)
+        assert names in str(raised.value)
+
+    def test_a_registered_function_keeps_its_own_arity_and_errors(self, session):
+        assert session.execute("retrieve (x = mod(7, 4), y = abs(0 - t.n))") == [
+            {"x": 3, "y": 3}
+        ]
+        session.functions.register_scalar("mod", lambda value: value % 2)
+        assert session.execute("retrieve (x = mod(t.n))") == [{"x": 1}]
+        with pytest.raises(TypeError):
+            session.execute('retrieve (x = mod(t.title))')

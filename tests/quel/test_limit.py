@@ -303,6 +303,10 @@ class TestEarlyExit:
         assert "index text topk" in rendered
         assert visited < candidates
         assert visited >= 10  # at least the returned rows were fetched
+        # What drawing a bucket by (bound, rowid) fetched here, before
+        # it was drawn a cell of equal gram count at a time: the order
+        # is the same, so the number may fall, never rise.
+        assert _analyze(session, TOPK)[0]["rows fetched"] <= 141
 
     def test_a_ranked_row_is_scored_once(self, catalog, monkeypatch):
         """The score is the sort key *and* a target: one scorer call per

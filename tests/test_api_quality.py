@@ -71,7 +71,7 @@ def test_only_sources_reads_index_structures():
     quel = Path(repro.__file__).parent / "quel"
     index_read = re.compile(
         r"text_index_for|any_index_for|matching_chunks|overlap_counts"
-        r"|row_gram_counts|\.probe\(|\.fetch\("
+        r"|size_cells|\.probe\(|\.fetch\("
     )
     text = {path.name: path.read_text() for path in quel.glob("*.py")}
     readers = sorted(name for name in text if index_read.search(text[name]))

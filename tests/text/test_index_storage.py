@@ -187,7 +187,9 @@ class TestTrigramIndexUnit:
         both = index.candidates_matching("prelude")
         assert both == {1, last} and sorted(both.masks) == [0, last >> 14]
         assert list(index.iter_matching("prelude", 1)) == [last]
-        assert index.similar_overlaps("prelude", 0.5) == {1: 5, last: 5}
+        assert index.similar_overlaps("prelude", 0.5) == {
+            0: 1 << 1, last >> 14: 1 << (last & 16_383)
+        }
         assert [
             (overlap, set(bucket)) for overlap, bucket
             in index.overlap_counts(trigrams("prelude no"), both)
