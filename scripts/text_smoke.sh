@@ -12,7 +12,11 @@
 # --full to add the extended text_slow matrix (more seeds, longer op
 # programs, bigger corpora), or --scale to run the million-row suite:
 # the text_scale top-k battery (streaming result vs a brute-force
-# sort-all reference at 1M rows) plus the bench catalog_scale_*
+# sort-all reference at 1M rows; then checkpoint -> close -> reopen of
+# a durable 1M-row catalogue, which must load its index from the posting
+# stream, answer the battery's first query as before, and prints reopen
+# seconds, stream size and what close() and the checkpoint's hold each
+# grew by) plus the bench catalog_scale_*
 # workloads and their hard gates (catalog_ranked_topk_speedup >= 10x,
 # catalog_similar_speedup >= 10x, catalog_scale_search_ratio <= 5x).
 set -eu
@@ -36,6 +40,7 @@ PYTHONPATH=src python -m pytest -q -m "$MARKER" \
     tests/text \
     tests/props/test_text_index_props.py \
     tests/crash/test_text_index_crash.py \
+    tests/crash/test_posting_stream.py \
     tests/quel/test_text_search.py \
     tests/quel/test_limit.py \
     tests/props/test_topk_props.py \

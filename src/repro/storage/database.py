@@ -11,11 +11,21 @@ single commit point.  A crash anywhere in a checkpoint leaves either
 the old roots (old image intact, log still replayable) or the new
 roots (new image fully synced); never a mix.  Catalog and roots writes
 go through write-to-temp + fsync + ``os.replace`` for the same reason.
+
+So does the posting stream (``repro.text.stream``): the text indexes as
+bytes, published where they provably equal a rebuild from committed
+rows -- under a checkpoint's hold of the log and at ``close`` -- and
+naming the log's ``change_lsn`` at that moment.  An open installs image
+and log as ever and loads an index from the stream only if the log it
+recovered is at that same ``change_lsn`` and the table has the row
+count the stream says; any other stream, or none, is the rebuild from
+rows, which stays the reference the crash battery checks against.
 """
 
 import json
 import logging
 import os
+import threading
 import time
 
 from repro.errors import (
@@ -34,12 +44,14 @@ from repro.storage.row import decode_row_run, encode_row_run
 from repro.storage.table import Column, Table, TableSchema
 from repro.storage.transaction import TransactionManager
 from repro.storage.values import Domain
+from repro.text import stream as posting_stream
 
 _CATALOG_FILE = "catalog.json"
 _DATA_FILE = "data.mdm"  # legacy fixed name; new checkpoints use data.<gen>.mdm
 _LOG_FILE = "wal.log"
 _ROOTMAP_FILE = "roots.json"
 _TEXT_INDEX_FILE = "text_indexes.json"
+_POSTING_STREAM_FILE = "postings.bin"
 
 
 class Database:
@@ -69,6 +81,10 @@ class Database:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._degraded_entries = self.metrics.counter("db.degraded_entries")
         self._checkpoints = self.metrics.counter("db.checkpoints")
+        # The LSN the posting stream on disk names, once this process
+        # has written or loaded it; the mutex orders its writers.
+        self._stream_lsn = None
+        self._stream_mutex = threading.Lock()
         if path is not None:
             os.makedirs(path, exist_ok=True)
             self._log = wal_module.WriteAheadLog(
@@ -365,17 +381,25 @@ class Database:
 
     # -- durable metadata files ---------------------------------------------------
 
-    def _write_json_atomic(self, filename, obj):
-        """Durably publish *obj* as *filename* via temp + fsync + rename."""
+    def _write_atomic(self, filename, pieces):
+        """Durably publish the bytes *pieces* as *filename* via temp +
+        fsync + rename."""
         path = os.path.join(self.path, filename)
         tmp = path + ".tmp"
         handle = self._opener(tmp, "wb")
         try:
-            handle.write(json.dumps(obj, indent=2, sort_keys=True).encode("utf-8"))
+            for piece in pieces:
+                handle.write(piece)
             fsync_file(handle)
         finally:
             handle.close()
         os.replace(tmp, path)
+
+    def _write_json_atomic(self, filename, obj):
+        """:meth:`_write_atomic` of *obj* as JSON."""
+        self._write_atomic(
+            filename, [json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")]
+        )
 
     def _read_json(self, filename):
         path = os.path.join(self.path, filename)
@@ -385,6 +409,20 @@ class Database:
             return json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise RecoveryError("corrupt %s in %r: %s" % (filename, self.path, exc))
+
+    def _read_table_map(self, filename, shape, is_entry):
+        """:meth:`_read_json` for a file that maps each table to a list
+        of entries passing *is_entry*; well-formed JSON of any other
+        shape is as corrupt as a torn one, and says so by name."""
+        doc = self._read_json(filename)
+        if not isinstance(doc, dict) or not all(
+            isinstance(entries, list) and all(map(is_entry, entries))
+            for entries in doc.values()
+        ):
+            raise RecoveryError(
+                "corrupt %s in %r: expected %s" % (filename, self.path, shape)
+            )
+        return doc
 
     # -- durability -------------------------------------------------------------------
 
@@ -419,7 +457,8 @@ class Database:
         rows only (another thread's open transaction stays out of it)
         and no commit can land after its table's image and before the
         truncation.  Committers wait for the length of a checkpoint;
-        pinned readers do not.
+        pinned readers do not.  The text indexes are dumped inside the
+        hold too, in memory; the posting stream file is written after it.
         """
         if self.path is None:
             raise StorageError("in-memory database cannot checkpoint")
@@ -434,10 +473,108 @@ class Database:
             finally:
                 self.transactions.unpin_snapshot()
             self._log.truncate()
+            postings = self._dump_postings()
         # Outside the hold: flush=True waits on a flush ticket.
         self._log.append(0, wal_module.CHECKPOINT, flush=True)
+        self._publish_postings(postings)
         self.prune_versions()
         self._checkpoints.inc()
+
+    # -- the posting stream (module docstring) ---------------------------------
+
+    def _dump_postings(self):
+        """``(lsn, [(table, column, rows, dump pieces), ...])``: what a
+        posting stream written now would say -- or None when one may
+        not be written (degraded; a text-indexed table holding a change
+        no commit has stamped: an open transaction's, an abandoned
+        one's) or need not be (no text index; the stream on disk names
+        this LSN already).  In-memory work only.  The caller has the
+        log durable to its last frame and nothing committing, so every
+        stamped change is one a reopen finds at or below *lsn*."""
+        lsn = self._log.change_lsn
+        if self.degraded or lsn == self._stream_lsn:
+            return None
+        indexes = []
+        for name, table in sorted(self._tables.items()):
+            dumps = table.dump_text_indexes()
+            if dumps is None:
+                return None
+            indexes += [(name,) + dump for dump in dumps]
+        return (lsn, indexes) if indexes else None
+
+    def _publish_postings(self, postings):
+        """Write what :meth:`_dump_postings` returned as the posting
+        stream.  The stream only ever saves the next open a rebuild, so
+        a disk that refuses it costs that and nothing else."""
+        if postings is None:
+            return
+        lsn, indexes = postings
+        started = time.perf_counter()
+        pieces = posting_stream.pack(lsn, indexes)
+        try:
+            with self._stream_mutex:
+                self._write_atomic(_POSTING_STREAM_FILE, pieces)
+                self._stream_lsn = lsn
+        except OSError as exc:
+            logger.warning(
+                "database %s: posting stream not written: %s", self.path, exc
+            )
+            return
+        gauge = self.metrics.gauge
+        gauge("text.index.stream_bytes").set(sum(map(len, pieces)))
+        gauge("text.index.stream_write_ms").set(
+            (time.perf_counter() - started) * 1e3
+        )
+
+    def _load_postings(self):
+        """Fill, from the posting stream, every deferred text index the
+        stream describes as recovery left its table; returns ``({table:
+        [column, ...]} loaded, [why not, ...])``.  A stream that is
+        refused, or that left an index to be rebuilt, is removed: LSNs
+        can be handed out again after a cut log tail, so only a stream
+        this process has vouched for may stay."""
+        path = os.path.join(self.path, _POSTING_STREAM_FILE)
+        if not os.path.exists(path):
+            return {}, ["no posting stream"]
+        loaded, refused = {}, []
+        try:
+            with self._opener(path, "rb") as handle:
+                lsn, bodies = posting_stream.unpack(handle.read())
+            if lsn != self._log.change_lsn:
+                raise RecoveryError(
+                    "it names LSN %d, the log is at %d"
+                    % (lsn, self._log.change_lsn)
+                )
+        except (OSError, RecoveryError) as exc:
+            bodies = {}
+            refused.append("posting stream refused: %s" % exc)
+        for (name, column), (rows, body) in bodies.items():
+            table = self._tables.get(name)
+            index = None if table is None else table.text_index_for(column)
+            try:
+                if index is None:
+                    raise StorageError("no longer indexed")
+                if rows != table.row_estimate():
+                    raise StorageError(
+                        "%d rows, the stream describes %d"
+                        % (table.row_estimate(), rows)
+                    )
+                index.load(body)
+            except StorageError as exc:
+                refused.append("%s.%s: %s" % (name, column, exc))
+            else:
+                loaded.setdefault(name, []).append(column)
+        wanted = sum(
+            len(table.text_index_columns()) for table in self._tables.values()
+        )
+        if not refused and wanted == sum(map(len, loaded.values())):
+            self._stream_lsn = lsn
+        else:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        return loaded, refused
 
     def _write_image(self):
         """Write the rows this thread's snapshot sees to a fresh
@@ -475,10 +612,18 @@ class Database:
             table.defer_index_upkeep()
 
     def build_deferred_indexes(self):
-        """End the deferral: every table builds each of its indexes
-        once from the rows it now holds."""
-        for table in self._tables.values():
-            table.build_deferred_indexes()
+        """End the deferral: every index is filled once -- a text index
+        of a durable database from the posting stream where that
+        describes the rows now held, anything else from the rows.
+        Returns ``(loaded, rebuilt, seconds loading, [why not, ...])``."""
+        started = time.perf_counter()
+        loaded, refused = ({}, []) if self.path is None else self._load_postings()
+        load_s = time.perf_counter() - started
+        rebuilt = sum(
+            table.build_deferred_indexes(loaded.get(name, ()))
+            for name, table in self._tables.items()
+        )
+        return sum(map(len, loaded.values())), rebuilt, load_s, refused
 
     def _recover(self):
         """Recover, then say what the open cost: the ``db.recovery.*``
@@ -487,7 +632,9 @@ class Database:
         started = time.perf_counter()
         self._recovering = True
         try:
-            redo_records, build_s = self._recover_inner()
+            redo_records, build_s, (loaded, rebuilt, load_s, refused) = (
+                self._recover_inner()
+            )
         finally:
             self._recovering = False
         # Tables start at version 0 and every install bumps it once.
@@ -498,20 +645,30 @@ class Database:
         gauge("db.recovery.redo_records").set(redo_records)
         gauge("db.recovery.rows_installed").set(rows_installed)
         gauge("db.recovery.index_build_ms").set(build_ms)
+        gauge("db.recovery.index_load_ms").set(load_s * 1e3)
+        gauge("db.recovery.indexes_loaded").set(loaded)
+        gauge("db.recovery.indexes_rebuilt").set(rebuilt)
         gauge("db.recovery.total_ms").set(total_ms)
         logger.info(
             "database %s recovered in %.1f ms: %d redo records, %d rows "
-            "installed, indexes built in %.1f ms",
+            "installed, indexes built in %.1f ms (%d loaded in %.1f ms, %d "
+            "rebuilt from rows%s)",
             self.path, total_ms, redo_records, rows_installed, build_ms,
+            loaded, load_s * 1e3, rebuilt,
+            "".join("; " + why for why in refused),
         )
 
     def _recover_inner(self):
         """Load the image, redo the log, build the indexes; returns
-        (log records read, seconds the index build took)."""
+        (log records read, seconds the index build took, what
+        :meth:`build_deferred_indexes` said of it)."""
         catalog_path = os.path.join(self.path, _CATALOG_FILE)
         roots_path = os.path.join(self.path, _ROOTMAP_FILE)
         if os.path.exists(catalog_path):
-            catalog = self._read_json(_CATALOG_FILE)
+            catalog = self._read_table_map(
+                _CATALOG_FILE, "{table: [[column, domain], ...]}",
+                lambda column: isinstance(column, list) and len(column) == 2,
+            )
             for name, columns in sorted(catalog.items()):
                 if not self.has_table(name):
                     self.create_table(name, [(c, d) for c, d in columns])
@@ -524,9 +681,11 @@ class Database:
             # on the way leaves nothing built.
             self.defer_index_upkeep()
             if os.path.exists(os.path.join(self.path, _TEXT_INDEX_FILE)):
-                for name, columns in sorted(
-                    self._read_json(_TEXT_INDEX_FILE).items()
-                ):
+                text_indexes = self._read_table_map(
+                    _TEXT_INDEX_FILE, "{table: [column, ...]}",
+                    lambda column: isinstance(column, str),
+                )
+                for name, columns in sorted(text_indexes.items()):
                     if self.has_table(name):
                         for column in columns:
                             self._tables[name].create_text_index(column)
@@ -544,8 +703,8 @@ class Database:
         # REDO the log over the checkpoint image.
         redo_records = wal_module.replay(self._log, self)
         build_started = time.perf_counter()
-        self.build_deferred_indexes()
-        return redo_records, time.perf_counter() - build_started
+        built = self.build_deferred_indexes()
+        return redo_records, time.perf_counter() - build_started, built
 
     def _load_table_image(self, pager, name, head_page_no):
         table = self.table(name)
@@ -555,8 +714,19 @@ class Database:
             table.install_committed(0, row.rowid, row)
 
     def close(self):
-        if self._log is not None:
-            self._log.close()
+        """Release the log -- after publishing the posting stream, if
+        the log is durable to its last frame: every acknowledged commit
+        flushed it, so a frame past the last fsync is a failed or a
+        crashed commit's and the indexes may hold what no reopen will.
+        Call it once nothing else is committing."""
+        log = self._log
+        if log is None:
+            return
+        try:
+            if log.flushed_lsn == log.last_lsn:
+                self._publish_postings(self._dump_postings())
+        finally:
+            log.close()
             self._log = None
 
     def __enter__(self):

@@ -240,6 +240,13 @@ class Table:
         # True between defer_index_upkeep() and build_deferred_indexes():
         # rows install, indexes only register, nothing reads them.
         self._deferring = False
+        # Journalled changes applied here that no commit has stamped and
+        # no undo taken back: an open transaction's, a statement's on
+        # its way to the log, an abandoned transaction's for good.
+        # Moved under the latch, with the index upkeep it counts, so
+        # whoever holds the latch and reads 0 sees indexes that
+        # describe committed rows only (dump_text_indexes).
+        self._unstamped = 0
 
     # -- snapshot visibility ----------------------------------------------
 
@@ -431,13 +438,21 @@ class Table:
             )
         self._deferring = True
 
-    def build_deferred_indexes(self):
+    def build_deferred_indexes(self, loaded=()):
         """End the deferral: fill every registered index from the
-        current rows, one ``insert_many`` each."""
+        current rows, one ``insert_many`` each -- but for the text
+        indexes over the columns *loaded*, which the caller has filled
+        from a dump of these rows (``Database.build_deferred_indexes``).
+        Returns how many it built."""
         with self._latch:
             self._deferring = False
-            for (column, _), index in self._indexes.items():
+            build = [
+                (column, index) for (column, kind), index in self._indexes.items()
+                if kind != "text" or column not in loaded
+            ]
+            for column, index in build:
                 self._index_rows(column, index, self._rows.values())
+        return len(build)
 
     def notify_schema_change(self):
         if self._on_schema_change is not None:
@@ -516,6 +531,21 @@ class Table:
             column for (column, kind) in list(self._indexes) if kind == "text"
         )
 
+    def dump_text_indexes(self):
+        """``[(column, rows, TrigramIndex.dump() pieces), ...]``, taken in
+        one latch hold -- or None while a table that has text indexes
+        holds a change no commit has stamped (or is still loading),
+        when they describe more than the committed rows.  A caller that
+        also holds the log quiesced has every stamped change durable."""
+        with self._latch:
+            indexes = [
+                (column, self._indexes[column, "text"])
+                for column in self.text_index_columns()
+            ]
+            if indexes and (self._unstamped or self._deferring):
+                return None
+            return [(column, len(index), index.dump()) for column, index in indexes]
+
     # -- mutation ----------------------------------------------------------
 
     def insert(self, values, rowid=None):
@@ -537,6 +567,7 @@ class Table:
             self._rows[rowid] = row
             self._chain_append(rowid, RowVersion(row))
             self._reindex(None, row)
+            self._unstamped += 1
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc()
@@ -572,6 +603,7 @@ class Table:
                 rows.append(row)
             for (column, _), index in self._indexes.items():
                 self._index_rows(column, index, rows)
+            self._unstamped += len(rows)
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc(len(rows))
@@ -598,6 +630,7 @@ class Table:
             self._chain_append(rowid, RowVersion(new))
             self._reindex(old, new)
             self._supersede(rowid)
+            self._unstamped += 1
         self.version += 1
         if self._updates is not None:
             self._updates.inc()
@@ -616,6 +649,7 @@ class Table:
             # commit stamps its end_lsn, so pinned snapshots still see it.
             self._reindex(old, None)
             self._supersede(rowid)
+            self._unstamped += 1
         self.version += 1
         if self._deletes is not None:
             self._deletes.inc()
@@ -666,7 +700,9 @@ class Table:
         durable snapshot of any reader).  Versions are matched by row
         identity: an insert→update→delete sequence on one rowid inside
         a single transaction leaves intermediate versions stamped
-        ``[lsn, lsn)``, which no snapshot can ever see.
+        ``[lsn, lsn)``, which no snapshot can ever see.  *lsn* None
+        takes the stamp back, for a commit whose flush failed and whose
+        changes are about to be undone.
         """
         if action in ("update", "delete"):
             version = self._chain_version_of(old_row)
@@ -676,6 +712,8 @@ class Table:
             version = self._chain_version_of(new_row)
             if version is not None:
                 version.begin_lsn = lsn
+        with self._latch:
+            self._unstamped += 1 if lsn is None else -1
 
     # Undo paths: invoked while rolling back an uncommitted (or
     # failed-to-flush) transaction.  The mutating thread still holds its
@@ -696,6 +734,7 @@ class Table:
                 self._reindex(row, None)
             self._chain_drop(rowid, row)
             self._settle(rowid, self._horizon())
+            self._unstamped -= 1
         self.version += 1
 
     def undo_update(self, new_row, old_row):
@@ -709,6 +748,7 @@ class Table:
             if version is not None:
                 version.end_lsn = None  # reopen: the commit stamp never took
             self._settle(rowid, self._horizon())
+            self._unstamped -= 1
         self.version += 1
 
     def undo_delete(self, old_row):
@@ -721,6 +761,7 @@ class Table:
             if version is not None:
                 version.end_lsn = None
             self._settle(rowid, self._horizon())
+            self._unstamped -= 1
         self.version += 1
 
     def _horizon(self):

@@ -369,9 +369,9 @@ class TransactionManager:
         reach that LSN.  The commit is acknowledged after its flush.
 
         Any failure means the transaction did not happen: the changes
-        are undone newest-first (no reader can have pinned a snapshot
-        covering them -- ``flushed_lsn`` never reached the commit point
-        -- and the undo unstamps), and an ``OSError`` also degrades the
+        are unstamped and undone newest-first (no reader can have
+        pinned a snapshot covering them -- ``flushed_lsn`` never reached
+        the commit point), and an ``OSError`` also degrades the
         database to read-only.  The frames a failed flush leaves behind
         are cut away before writes resume (``exit_degraded``).  Only a
         ``SimulatedCrash`` leaves memory as it is: the process is
@@ -383,7 +383,13 @@ class TransactionManager:
             # In-memory database: stamping *is* the commit point.
             self._stamp_local(changes)
             return
-        orders = self._database.column_orders()
+        # The column orders of the tables the frames name, not of every
+        # table the database holds.
+        orders = {
+            table: self._database.table(table).schema.column_names()
+            for table in {frame[1] for frame in frames} if table is not None
+        }
+        stamped = False
         try:
             self._database.assert_writable()
             with log._mutex:
@@ -396,10 +402,13 @@ class TransactionManager:
                             old_row=old_row, column_orders=orders,
                         )
                 self._stamp(changes, record.lsn)
+                stamped = True
             log.commit_flush(record.lsn, deadline=self.current_deadline())
         except BaseException as exc:
             if isinstance(exc, SimulatedCrash):
                 raise
+            if stamped:
+                self._stamp(changes, None)
             for change in reversed(changes):
                 self._undo_change(*change)
             if isinstance(exc, OSError):

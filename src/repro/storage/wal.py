@@ -221,11 +221,16 @@ class WriteAheadLog:
         entries, valid_end, corruption = self._scan()
         self._synced_end = valid_end
         self.base_lsn = self._read_base_lsn()
-        max_lsn = self.base_lsn
+        max_lsn = changed = self.base_lsn
         for entry in entries:
             max_lsn = max(max_lsn, entry[0])
+            if entry[2] != CHECKPOINT:
+                changed = max(changed, entry[0])
         self._next_lsn = max_lsn + 1
         self._flushed_lsn = max_lsn
+        # See change_lsn; the second is its value at the last fsync,
+        # which discard_unsynced goes back to.
+        self._change_lsn = self._synced_change_lsn = changed
         if corruption is not None:
             logger.warning(
                 "WAL %s: %s; truncating log to valid prefix (%d bytes)",
@@ -257,6 +262,17 @@ class WriteAheadLog:
         """The highest LSN known durable (records <= this survived)."""
         return self._flushed_lsn
 
+    @property
+    def change_lsn(self):
+        """The LSN of the newest record that can change a row or an
+        index -- any kind but a ``CHECKPOINT`` marker -- and at least
+        the base LSN, whose records live in the image.  The same number
+        whether counted as the records are appended or, by the next
+        open, from the file: two states of one directory with equal
+        ``change_lsn`` hold the same committed rows, which is what the
+        posting stream (``Database``) is matched by."""
+        return self._change_lsn
+
     def append(self, txn_id, kind, table=None, row=None, old_row=None,
                column_orders=None, flush=False):
         """Append a record; returns its LogRecord."""
@@ -265,6 +281,8 @@ class WriteAheadLog:
             self._next_lsn += 1
             payload = _encode_record(record, column_orders or {})
             self._append_frame(payload)
+            if kind != CHECKPOINT:
+                self._change_lsn = record.lsn
         # The flush happens outside the mutex: waiting on a flush
         # ticket while holding the append mutex would deadlock against
         # the leader, which needs the mutex to fsync.
@@ -288,6 +306,7 @@ class WriteAheadLog:
                 len(row_bytes), 0,
             )
             self._append_frame(body + table_bytes + row_bytes)
+            self._change_lsn = record.lsn
         return record
 
     def _refuse_if_poisoned(self):
@@ -378,6 +397,7 @@ class WriteAheadLog:
             raise
         self._fsyncs.inc()
         self._synced_end = end
+        self._synced_change_lsn = self._change_lsn
         with self._flush_cond:
             if target > self._flushed_lsn:
                 self._flushed_lsn = target
@@ -422,6 +442,7 @@ class WriteAheadLog:
             fsync_file(self._file)
             self._fsyncs.inc()
             self._next_lsn = self._flushed_lsn + 1
+            self._change_lsn = self._synced_change_lsn
             self._poison = None
 
     def commit_flush(self, lsn, deadline=None):
@@ -607,6 +628,7 @@ class WriteAheadLog:
             fsync_file(self._file)
             self._fsyncs.inc()
             self._synced_end = 0
+            self._change_lsn = self._synced_change_lsn = base_lsn
             self._fsync_directory()
             self._truncations.inc()
         with self._flush_cond:

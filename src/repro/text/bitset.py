@@ -13,7 +13,11 @@ posting is a :class:`Sparse` (a sorted array, 4 bytes an entry) or a
 :class:`Bits` (a bit a rowid of span), whichever ``settled`` says is
 no larger, and both answer the one posting interface: ``add``,
 ``discard``, ``update``, ``in``, ``len``, ascending iteration,
-``chunk(at)``, ``chunks(start)``, ``settled()`` and ``nbytes()``.
+``chunk(at)``, ``chunks(start)``, ``settled()`` and ``nbytes()`` --
+plus ``dump()`` and ``load(view, offset)``, the posting's bytes in the
+posting stream (``repro.text.stream`` has the layout): an array or a
+chunk goes out by ``tobytes`` / ``to_bytes`` and comes back by
+``frombytes`` / ``from_bytes``, so neither takes a step per rowid.
 ``lift`` turns rowids into a mask (the one place that takes a Python
 step per rowid going in, and what a :class:`Sparse` does to the slice
 of itself a chunk covers), ``rowids_of`` turns a mask back (the one
@@ -25,6 +29,7 @@ AND a plane (and-not as ``x ^ (x & plane)``: ``~plane`` is a negative
 operand, six times the cost).
 """
 
+import struct
 import sys
 from array import array
 from bisect import bisect_left, insort
@@ -51,6 +56,32 @@ _DEMOTE = 6
 
 _BIT = bytes(1 << bit for bit in range(8))
 _CHUNK_BYTES = WIDTH >> 3
+
+#: What a dumped posting starts with: its rowid count, and for a bitset
+#: the number of chunks that follow.
+_SPARSE_HEAD = struct.Struct("<I")
+_BITS_HEAD = struct.Struct("<II")
+
+
+def _words(view, offset, count):
+    """*count* little-endian unsigned 32-bit words of *view* at
+    *offset*, as an array, and the offset past them."""
+    end = offset + 4 * count
+    words = array("I")
+    words.frombytes(view[offset:end])
+    if sys.byteorder == "big":
+        words.byteswap()
+    if len(words) != count:
+        raise ValueError("posting cut short at byte %d" % offset)
+    return words, end
+
+
+def _word_bytes(words):
+    """``_words``' inverse."""
+    if sys.byteorder == "big":
+        words = array("I", words)
+        words.byteswap()
+    return words.tobytes()
 
 #: ``_DIGITS[i]`` translates a count byte to bit *i* of it as a binary digit.
 _DIGITS = [bytes(48 + (count >> i & 1) for count in range(256)) for i in range(8)]
@@ -269,6 +300,30 @@ class Bits(Rowids):
     def nbytes(self):
         return len(self.masks) * _CHUNK_BYTES
 
+    def dump(self):
+        """As bytes pieces: ``<count:I><chunks:I>``, the chunk indexes
+        ascending, then each chunk's mask, ``WIDTH`` bits little-endian."""
+        ats = array("I", sorted(self.masks))
+        return [_BITS_HEAD.pack(self.count, len(ats)), _word_bytes(ats)] + [
+            self.masks[at].to_bytes(_CHUNK_BYTES, "little") for at in ats
+        ]
+
+    @classmethod
+    def load(cls, view, offset):
+        """The posting ``dump`` wrote at *offset* of *view*, and the
+        offset past it."""
+        count, chunks = _BITS_HEAD.unpack_from(view, offset)
+        ats, offset = _words(view, offset + _BITS_HEAD.size, chunks)
+        posting = cls.__new__(cls)  # __init__ would count the bits
+        posting.masks = masks = {}
+        for at in ats:
+            end = offset + _CHUNK_BYTES
+            masks[at] = int.from_bytes(view[offset:end], "little")
+            offset = end
+        posting.count = count
+        posting.top = max(ats, default=-1)
+        return posting, offset
+
 
 class Sparse:
     """The array posting form: ascending unsigned 32-bit rowids."""
@@ -326,3 +381,15 @@ class Sparse:
 
     def nbytes(self):
         return len(self.rowids) * self.rowids.itemsize
+
+    def dump(self):
+        """As bytes pieces: ``<count:I>``, then the rowids, 32 bits
+        each little-endian."""
+        return [_SPARSE_HEAD.pack(len(self.rowids)), _word_bytes(self.rowids)]
+
+    @classmethod
+    def load(cls, view, offset):
+        (count,) = _SPARSE_HEAD.unpack_from(view, offset)
+        posting = cls()
+        posting.rowids, offset = _words(view, offset + _SPARSE_HEAD.size, count)
+        return posting, offset

@@ -7,13 +7,16 @@ rowid)`` — so ``Table`` can register it in the same ``_indexes`` map
 and every mutation, undo and redo path maintains it for free, inside
 the same transaction as the row effect.
 
-The index stores *normalized* trigrams only; nothing here persists.
-Durability comes from the owning table's WAL: recovery re-registers an
-empty ``TrigramIndex`` before the checkpoint image loads, installs
-image and redo rows with index upkeep deferred, and fills it with one
-``insert_many`` over the rows that are left (``Table.
-build_deferred_indexes``) — the build the crash battery cross-checks
-against an oracle rebuilt row by row through ``insert``.
+The index stores *normalized* trigrams only.  Durability comes from the
+owning table's WAL: recovery re-registers an empty ``TrigramIndex``
+before the checkpoint image loads, installs image and redo rows with
+index upkeep deferred, and fills it with one ``insert_many`` over the
+rows that are left (``Table.build_deferred_indexes``) — the build the
+crash battery cross-checks against an oracle rebuilt row by row through
+``insert``.  ``dump()`` / ``load()`` are that build's shortcut, not a
+second source of truth: what the index holds goes out as bytes with no
+step per posting entry (``repro.text.stream`` has the layout) and an
+open whose rows are provably the ones dumped loads them back.
 
 Posting forms.  A gram's posting is a :class:`~repro.text.bitset.
 Sparse`, a sorted array of rowids at 4 bytes an entry, or a
@@ -56,6 +59,7 @@ Queries whose normalized form has no trigrams return ``None`` --
 "cannot prune, go scan".
 """
 
+import struct
 from array import array
 from bisect import bisect_left
 from itertools import zip_longest
@@ -92,6 +96,12 @@ _FIRST_LOOK = 1024
 
 _NO_DIGITS = b"0" * WIDTH
 _ROWID = itemgetter(1)
+
+#: ``dump()``'s fixed fields and what a gram's form byte loads as.
+_DUMP_HEAD = struct.Struct("<QQII")
+_SIZED_HEAD = struct.Struct("<IB")
+_FORMS = (Sparse, Bits)
+_MASK_BYTES = WIDTH >> 3
 
 
 def _read_flags(flags, poured, sizes, planes, last, reached):
@@ -210,6 +220,70 @@ class TrigramIndex:
         if self._bytes_gauge is not None:
             self._bytes_gauge.dec(self._reported)
             self._bytes_gauge = None
+
+    # -- dump / load (the posting stream) -------------------------------------
+
+    def dump(self):
+        """Everything this index holds as a list of bytes pieces (join
+        them for :meth:`load`), each posting in the form it is held in:
+        a step per gram and per chunk, none per posting entry, and no
+        second copy of the whole."""
+        pieces = [_DUMP_HEAD.pack(
+            self._rows, self._posting_entries, self._gram_count,
+            len(self._sizes),
+        )]
+        for shard in self._shards.values():
+            for gram, posting in shard.items():
+                raw = gram.encode("utf-8")
+                form = _FORMS.index(type(posting))
+                pieces.append(b"".join(
+                    [bytes((len(raw),)), raw, bytes((form,))] + posting.dump()
+                ))
+        for at, planes in self._sizes.items():
+            pieces.append(_SIZED_HEAD.pack(at, len(planes)) + b"".join(
+                plane.to_bytes(_MASK_BYTES, "little") for plane in planes
+            ))
+        return pieces
+
+    def load(self, data):
+        """Make this index, empty so far, hold what the one bytes-like
+        *data* was dumped from held.  Raises :class:`StorageError`, the
+        index still empty, when *data* is not a whole dump."""
+        if self._rows or self._shards:
+            raise StorageError("only an empty text index can load a dump")
+        view = memoryview(data)
+        shards, sizes, posting_bytes = {}, {}, 0
+        try:
+            rows, entries, grams, sized = _DUMP_HEAD.unpack_from(view, 0)
+            offset = _DUMP_HEAD.size
+            for _ in range(grams):
+                end = offset + 1 + view[offset]
+                gram = str(view[offset + 1:end], "utf-8")
+                posting, offset = _FORMS[view[end]].load(view, end + 1)
+                shards.setdefault(gram[0], {})[gram] = posting
+                posting_bytes += posting.nbytes()
+            for _ in range(sized):
+                at, count = _SIZED_HEAD.unpack_from(view, offset)
+                offset += _SIZED_HEAD.size
+                sizes[at] = [
+                    int.from_bytes(view[start:start + _MASK_BYTES], "little")
+                    for start in range(
+                        offset, offset + count * _MASK_BYTES, _MASK_BYTES
+                    )
+                ]
+                offset += count * _MASK_BYTES
+            # A slice past the end is short without complaint; only the
+            # running offset shows the dump was cut there.
+            if offset != len(view):
+                raise ValueError(
+                    "%d bytes where %d were dumped" % (len(view), offset)
+                )
+        except (struct.error, ValueError, IndexError) as error:
+            raise StorageError("malformed text index dump: %s" % error)
+        self._shards, self._sizes = shards, sizes
+        self._rows, self._gram_count = rows, grams
+        self._posting_bytes = posting_bytes
+        self._account(entries)
 
     # -- maintenance (the nine row paths all funnel through these) ---------
 

@@ -233,6 +233,41 @@ def _open_short_batch(tmp_path):
     Database(path)
 
 
+def _open_batch_cut_at_a_tag(tmp_path):
+    """A run that ends after a row's header, where a field's tag byte
+    should be: the decoder reads it by index."""
+    path = str(tmp_path / "db")
+    db = Database(path)
+    db.create_table("t", [("v", "integer")])
+    db.close()
+    with open(os.path.join(path, "wal.log"), "ab") as handle:
+        handle.write(_wal_frame(
+            1, wal_module.BATCH_INSERT, "t",
+            struct.pack("<I", 1) + Row(1, {"v": 1}).serialize(["v"])[:10],
+        ))
+    Database(path)
+
+
+def _open_misshapen(filename, document):
+    """Open a directory whose *filename* is well-formed JSON of the
+    wrong shape."""
+    def carrier(tmp_path):
+        import json
+
+        path = str(tmp_path / "db")
+        db = Database(path)
+        db.create_table("t", [("title", "string")])
+        db.create_text_index("t", "title")
+        db.table("t").insert({"title": "Prélude"})
+        db.close()
+        with open(os.path.join(path, filename), "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(RecoveryError, match=filename):
+            Database(path)
+        Database(path)
+    return carrier
+
+
 def _unpack_short_repl_rows(tmp_path):
     frame = protocol.pack_repl_rows(
         "t", [Row(1, {"v": 1}), Row(2, {"v": 2})], ["v"]
@@ -245,8 +280,21 @@ def _unpack_short_repl_rows(tmp_path):
     (lambda tmp_path: _open_cut_image(tmp_path, 0), RecoveryError),
     (lambda tmp_path: _open_cut_image(tmp_path, 9), RecoveryError),
     (_open_short_batch, RecoveryError),
+    (_open_batch_cut_at_a_tag, RecoveryError),
     (_unpack_short_repl_rows, ProtocolError),
-], ids=["empty-image", "truncated-image", "short-batch", "short-repl-rows"])
+    # Each of these escaped untyped or misleading: AttributeError on
+    # ``.items()``, "no column 't'" from a string walked as a list.
+    (_open_misshapen("catalog.json", [1, 2]), RecoveryError),
+    (_open_misshapen("catalog.json", {"t": "title"}), RecoveryError),
+    (_open_misshapen("catalog.json", {"t": [["title"]]}), RecoveryError),
+    (_open_misshapen("text_indexes.json", [1, 2]), RecoveryError),
+    (_open_misshapen("text_indexes.json", {"t": "title"}), RecoveryError),
+    (_open_misshapen("text_indexes.json", {"t": [1]}), RecoveryError),
+], ids=[
+    "empty-image", "truncated-image", "short-batch", "batch-cut-at-a-tag",
+    "short-repl-rows", "catalog-list", "catalog-string", "catalog-short-pair",
+    "text-indexes-list", "text-indexes-string", "text-indexes-number",
+])
 def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
     with pytest.raises(error):
         carrier(tmp_path)

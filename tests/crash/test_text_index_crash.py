@@ -210,8 +210,10 @@ def probe(tmp_path, seed, name="probe", ddl_toggles=False, filler_rows=0,
         probe_dir, seed, plan, steps=steps, ddl_toggles=ddl_toggles
     )
     workload.run()
-    workload.close()
+    # The barriers of the run; close() adds the posting stream's, which
+    # tests/crash/test_posting_stream.py crashes at.
     workload.total_syncs = plan.sync_count
+    workload.close()
     return workload
 
 

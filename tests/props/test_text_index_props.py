@@ -47,6 +47,7 @@ from array import array
 import pytest
 
 from repro.core.schema import Schema
+from repro.errors import StorageError
 from repro.quel.executor import QuelSession
 from repro.storage.database import Database
 from repro.text import contains_match, is_similar, similarity, trigrams
@@ -302,6 +303,29 @@ SIZED_SIMILAR = [
 ]
 
 
+def _reloaded(index):
+    """``load(dump(index))``, which must hold what *index* holds: every
+    posting, in the form it is held in, the count planes, the counters
+    and so the bytes accounted."""
+    loaded = TrigramIndex()
+    loaded.load(b"".join(index.dump()))
+    assert loaded._postings == index._postings
+    assert loaded._row_grams == index._row_grams
+    assert loaded._sizes == index._sizes
+    assert (
+        len(loaded), loaded.gram_count(), loaded.posting_entries(),
+        loaded.approx_bytes(),
+    ) == (
+        len(index), index.gram_count(), index.posting_entries(),
+        index.approx_bytes(),
+    )
+    assert all(
+        type(loaded._posting(gram)) is type(index._posting(gram))
+        for gram in index._postings
+    )
+    return loaded
+
+
 def _sized_title(n):
     """Four words by thirty numbers; one title in 97 carries ``zyx``."""
     return "%s no %d%s" % (_WORDS[n % 4], n % 30, " zyx" if n % 97 == 0 else "")
@@ -444,12 +468,18 @@ _SIZED_PREFIX = [(0, 2800, 0, 0), (2, 0, 1, 0), (3, 0, 0, 0), (2, 1, 0, 0),
                  (5, 0, 0, 0), (3, 1, 0, 0)]
 
 
-def _sized_program_fails(ops):
+def _sized_program_fails(ops, reload=False):
+    """*reload* swaps the index for ``load(dump())`` of itself after
+    every op: the loaded one must go on answering and taking edits --
+    form crossings included -- as the built one does."""
     state = _SizedState()
     for index, op in enumerate(_SIZED_PREFIX + list(ops)):
         try:
             state.apply(op)
             state.check()
+            loaded = _reloaded(state.index)
+            if reload:
+                state.index = loaded
         except Exception as error:  # noqa: BLE001 -- any divergence fails
             return "op %d (%r): %s: %s" % (index, op, type(error).__name__, error)
     if not (state.crossings[True] and state.crossings[False]):
@@ -468,6 +498,29 @@ def test_sized_programs_cross_the_density_line_both_ways(seed):
         "seed %d diverged on the size axis.\n%s\nReplay: "
         "_sized_program_fails(%r)" % (seed, _sized_program_fails(minimal), minimal)
     )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sized_programs_on_an_index_reloaded_after_every_op(seed):
+    ops = _generate_ops(1000 + seed, 8)
+    assert _sized_program_fails(ops, reload=True) is None
+
+
+def test_a_dump_loads_into_an_empty_index_only_and_whole():
+    index = TrigramIndex()
+    index.insert_many([(_sized_title(n), 16_300 + n) for n in range(400)])
+    dump = b"".join(index.dump())
+    with pytest.raises(StorageError):
+        index.load(dump)  # holds rows already
+    for cut in (0, 7, 23, len(dump) // 2, len(dump) - 1):
+        empty = TrigramIndex()
+        with pytest.raises(StorageError):
+            empty.load(dump[:cut])
+        assert len(empty) == 0 and empty._postings == {}
+        empty.load(dump)  # still loadable after the refusal
+    with pytest.raises(StorageError):
+        TrigramIndex().load(dump + b"\0")
+    assert _reloaded(TrigramIndex())._postings == {}
 
 
 def test_a_pinned_reader_keeps_its_answers_across_a_promotion():
@@ -725,6 +778,7 @@ def test_count_planes_after_random_programs_equal_a_rebuilt_index(seed):
         assert (len(index), index.approx_bytes()) == (
             len(rebuilt), rebuilt.approx_bytes()
         )
+        _reloaded(index)  # gram-less rows and counts past a byte survive
         cells = list(index.size_cells(Rowids(rows)))
         assert [size for size, _ in cells] == sorted({
             model.get(rowid, 0) for rowid in rows

@@ -209,9 +209,9 @@ def test_a_log_that_will_not_replay_builds_nothing(tmp_path, monkeypatch):
 
 
 def test_reopen_builds_each_text_index_in_one_call(tmp_path, monkeypatch):
-    """A 2,000-row text-indexed directory closed without a checkpoint:
-    redo installs every row, yet no row reaches ``TrigramIndex.insert``
-    and each index is built by exactly one ``insert_many``."""
+    """A 2,000-row text-indexed directory that was not closed: redo
+    installs every row, yet no row reaches ``TrigramIndex.insert`` and
+    each index is built by exactly one ``insert_many``."""
     path = str(tmp_path / "db")
     db = Database(path)
     db.create_table("t", [("title", "string"), ("v", "integer")])
@@ -225,6 +225,8 @@ def test_reopen_builds_each_text_index_in_one_call(tmp_path, monkeypatch):
     table.update(2, {"title": "retitled"})
     table.delete(3)
     db.close()
+    # Without the posting stream close() left, as after a crash.
+    os.remove(os.path.join(path, "postings.bin"))
 
     calls = {"insert": 0, "insert_many": []}
     insert, insert_many = TrigramIndex.insert, TrigramIndex.insert_many
@@ -266,11 +268,16 @@ def test_recovery_says_what_the_open_cost(tmp_path, caplog):
         # CREATE, five batches, one delete; 50 row installs and a delete.
         assert metrics.value("db.recovery.redo_records") == 7
         assert metrics.value("db.recovery.rows_installed") == 51
-        assert 0 < metrics.value("db.recovery.index_build_ms") \
+        assert 0 < metrics.value("db.recovery.index_load_ms") \
+            <= metrics.value("db.recovery.index_build_ms") \
             <= metrics.value("db.recovery.total_ms")
+        # Closed cleanly: the one index came from the posting stream.
+        assert metrics.value("db.recovery.indexes_loaded") == 1
+        assert metrics.value("db.recovery.indexes_rebuilt") == 0
         (line,) = [r.getMessage() for r in caplog.records
                    if "recovered" in r.getMessage()]
         assert "7 redo records" in line and "51 rows installed" in line
+        assert "1 loaded" in line and "0 rebuilt from rows" in line
         assert "db.recovery.total_ms" in metrics.render()  # the shell's \metrics
     finally:
         reopened.close()
