@@ -1,29 +1,35 @@
 #!/bin/sh
-# Crash-consistency smoke target: replay the seeded workload and kill
-# the simulated machine at every durability barrier (fsync), then
-# verify recovery against the oracle (tests/crash/oracle.py).
+# Crash-consistency smoke target.  tests/crash/oracle.py holds the one
+# seeded workload (orderings plus a text-indexed table: transactions
+# with aborts, auto-commit, bulk_ingest, text-index DDL, checkpoints)
+# and the lenses every recovery is checked through (acceptable state,
+# ordering invariants, index == rebuild-from-rows, single all-visible
+# versions under a frozen pin, exact text queries).  Default, the fast
+# matrix -- some thirty seconds, always on in the main test run too:
 #
-# Default: the fast matrix (8 seeds, >=200 crash schedules, the
-# WAL-checksum and fault-layer unit tests, and tests/crash/test_redo.py:
-# recovery == replica == live, the check that the log's two consumers
-# have not drifted) plus the commit-path regressions
+#   test_crash_oracle.py                the workload killed at every
+#                                       barrier of 20 seeds (>=200
+#                                       schedules), torn-tail extremes
+#   test_mvcc_crash.py                  ... aimed at commit stamps and
+#                                       the checkpoint's prune window
+#   test_text_index_crash.py            ... aimed at text-index DDL
+#   test_posting_stream.py              ... at close() and after each
+#                                       checkpoint; every refused stream
+#   test_redo.py                        the workload live == reopened ==
+#                                       replica
+#   test_group_commit_crash.py          bulk batches and a shared flush
+#                                       killed at every barrier
+#   test_commit_path.py, test_checkpoint_beside_writers.py,
+#   test_failed_commit.py, test_faults.py, test_wal_checksum.py
+#                                       commit-path regressions, the
+#                                       fault layer, log checksums
 #
-#   test_commit_path.py                 transactions contiguous, durable
-#                                       prefix ends between them (small
-#                                       size); begin/abort/read write nothing
-#   test_checkpoint_beside_writers.py   open transaction stays out of the
-#                                       image; no commit lost to truncation
-#   test_failed_commit.py               a commit reported failed does not
-#                                       come back after exit_degraded()
-#
-# and tests/storage/test_deferred_index_upkeep.py: open builds each index
-# once (call counts), in the log's DDL order, over an image + log overlap
-#
-# -- a few seconds, always on in the main test run too -- then the size
-# axis: one crash_slow schedule whose table image is ten pager caches
-# (~20 s).  Pass --full for the whole extended matrix (16 extra seeds,
-# per-write crash granularity, a transaction held open across every
-# checkpoint, the contiguity property at 8 threads).
+# plus tests/storage/test_deferred_index_upkeep.py (open builds each
+# index once); then the size axis: one crash_slow schedule whose table
+# image is ten pager caches.  Pass --full for every crash test,
+# crash_slow included (16 extra seeds, per-write crash granularity, a
+# transaction held open across every checkpoint, the contiguity
+# property at 8 threads).
 set -eu
 cd "$(dirname "$0")/.."
 

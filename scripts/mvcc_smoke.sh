@@ -1,17 +1,19 @@
 #!/bin/sh
 # Snapshot-isolation target: the whole MVCC battery in one command --
 # version-chain unit tests, the reader/writer interleaving oracle
-# (readers lock-free and never torn), the temporal property battery
-# (every recorded snapshot re-read vs a single-threaded reference
-# model), the temporal ordering battery (the same for sibling order:
-# every reader of an ordering and the order-range retrieves, re-read at
-# every recorded snapshot vs a list model) with its move-and-reparent
-# regression test, the commit-stamp/prune crash matrix, and the
-# degraded-mode snapshot regression tests.
+# (readers lock-free and never torn), the temporal property batteries
+# on the shared op-program runner (tests/props/program.py): plain rows
+# and index reads (test_mvcc_props.py) and sibling order in a flat and
+# a recursive ordering (test_ordering_props.py), every recorded
+# snapshot re-read vs a single-threaded reference model -- with the
+# move-and-reparent regression test, the crash workload aimed at commit
+# stamps and the prune window (every recovery also checked for single
+# all-visible versions under a frozen pin), and the degraded-mode
+# snapshot regression tests.
 #
-# Default: the fast matrices -- some ten seconds, all of it also on in
-# the main test run.  Pass --full to add the extended mvcc_slow matrix
-# (more seeds, more threads, longer programs; for the orderings a
+# Default: the fast matrices -- some twenty seconds, all of it also on
+# in the main test run.  Pass --full to add the extended mvcc_slow
+# matrix (more seeds, longer programs; for the orderings a
 # rebalance-forcing insert storm under the recorded snapshots).
 set -eu
 cd "$(dirname "$0")/.."

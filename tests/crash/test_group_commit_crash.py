@@ -1,6 +1,7 @@
 """Crash schedules for the group-commit write path.
 
-Two new shapes beyond the generic oracle matrix:
+Two shapes beyond the oracle's workload, run and crashed by its drivers
+(``tests/crash/oracle.py``: ``probe``, then ``crash`` at each barrier):
 
 * **bulk ingest**: each batch is one self-committing BATCH_INSERT
   frame, so recovery after a crash at any barrier must produce a
@@ -17,7 +18,9 @@ import threading
 import pytest
 
 from repro.storage.database import Database
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import SimulatedCrash
+
+from tests.crash.oracle import crash, probe
 
 COLUMNS = [("k", "integer"), ("v", "string")]
 
@@ -34,36 +37,36 @@ def ingest_rows(total):
     return [{"k": i, "v": "v%d" % i} for i in range(total)]
 
 
-def count_ingest_syncpoints(tmp_path, seed, total, batch_rows):
-    probe_dir = str(tmp_path / ("probe-%d" % seed))
-    prepare_plain(probe_dir)
-    plan = FaultPlan(seed=seed)
-    db = Database(probe_dir, opener=plan.opener)
-    db.bulk_ingest("bulk", ingest_rows(total), batch_rows=batch_rows)
-    db.close()
-    return plan.sync_count
+def bulk_run(total, batch_rows):
+    """One ``bulk_ingest`` call a batch; returns the keys acknowledged."""
+    def run(directory, plan):
+        prepare_plain(directory)
+        db = Database(directory, opener=plan.opener)
+        acknowledged = []
+        try:
+            for start in range(0, total, batch_rows):
+                db.bulk_ingest(
+                    "bulk", ingest_rows(total)[start:start + batch_rows]
+                )
+                acknowledged.extend(range(start, start + batch_rows))
+        except SimulatedCrash:
+            pass
+        db.close()
+        return acknowledged
+    return run
 
 
 @pytest.mark.crash
 @pytest.mark.parametrize("seed", range(4))
 def test_bulk_ingest_recovers_whole_batches(tmp_path, seed):
     total, batch_rows = 50, 10
-    syncpoints = count_ingest_syncpoints(tmp_path, seed, total, batch_rows)
+    run = bulk_run(total, batch_rows)
+    syncpoints = probe(tmp_path / "probe", run, seed)[0].sync_count
     assert syncpoints >= total // batch_rows
     for sync_index in range(1, syncpoints + 1):
-        crash_dir = str(tmp_path / ("crash-%d-%d" % (seed, sync_index)))
-        prepare_plain(crash_dir)
-        plan = FaultPlan(seed=seed * 1009 + sync_index,
-                         crash_at_sync=sync_index)
-        db = Database(crash_dir, opener=plan.opener)
-        acknowledged = []
-        with pytest.raises(SimulatedCrash):
-            for start in range(0, total, batch_rows):
-                db.bulk_ingest(
-                    "bulk", ingest_rows(total)[start:start + batch_rows]
-                )
-                acknowledged.extend(range(start, start + batch_rows))
-        db.close()
+        crash_dir = str(tmp_path / ("crash-%d" % sync_index))
+        plan, acknowledged = crash(crash_dir, run, seed, sync_index)
+        assert plan.crashed
         recovered = Database(crash_dir)
         try:
             keys = sorted(r["k"] for r in recovered.table("bulk"))
@@ -91,24 +94,19 @@ def test_concurrent_commit_crash_preserves_acknowledged(tmp_path, seed):
     thread."""
     thread_count, per_thread = 4, 6
     tables = tuple("w%d" % i for i in range(thread_count))
-    # Probe run: how many barriers does the full workload cross?
-    probe_dir = str(tmp_path / ("probe-%d" % seed))
-    prepare_plain(probe_dir, tables)
-    plan = FaultPlan(seed=seed)
-    db = Database(probe_dir, opener=plan.opener)
-    run_workload(db, tables, per_thread)
-    db.close()
-    syncpoints = plan.sync_count
-    assert syncpoints >= 1
 
-    for sync_index in range(1, syncpoints + 1):
-        crash_dir = str(tmp_path / ("crash-%d-%d" % (seed, sync_index)))
-        prepare_plain(crash_dir, tables)
-        plan = FaultPlan(seed=seed * 2003 + sync_index,
-                         crash_at_sync=sync_index)
-        db = Database(crash_dir, opener=plan.opener)
-        acknowledged, attempted = run_workload(db, tables, per_thread)
+    def run(directory, plan):
+        prepare_plain(directory, tables)
+        db = Database(directory, opener=plan.opener)
+        outcome = commit_concurrently(db, tables, per_thread)
         db.close()
+        return outcome
+
+    syncpoints = probe(tmp_path / "probe", run, seed)[0].sync_count
+    assert syncpoints >= 1
+    for sync_index in range(1, syncpoints + 1):
+        crash_dir = str(tmp_path / ("crash-%d" % sync_index))
+        _, (acknowledged, attempted) = crash(crash_dir, run, seed, sync_index)
         recovered = Database(crash_dir)
         try:
             for table in tables:
@@ -127,7 +125,7 @@ def test_concurrent_commit_crash_preserves_acknowledged(tmp_path, seed):
             recovered.close()
 
 
-def run_workload(db, tables, per_thread):
+def commit_concurrently(db, tables, per_thread):
     """N threads auto-commit inserts into their own tables; returns
     per-table acknowledged and attempted key sets."""
     acknowledged = {table: set() for table in tables}

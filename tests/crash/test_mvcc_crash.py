@@ -1,230 +1,44 @@
 """Crash battery for MVCC: commit stamping and version pruning die well.
 
-Same probe-then-kill scheme as ``test_crash_oracle.py``: a probe run
-counts the workload's durability barriers, then one schedule per
-barrier replays the workload and crashes the "machine" there with a
-seeded torn tail.  Beyond the classic oracle (``acknowledged ⊆
-recovered ⊆ attempted``), every recovery is checked through the MVCC
-lens:
+The one workload (``tests/crash/oracle.py``), its crashes aimed at the
+barriers where versions are made and unmade; every recovery is checked
+through every lens of ``verify_recovery`` -- here the one that matters
+is that recovered rows are single ``begin_lsn=0`` versions, visible to
+every snapshot, with no ghost of pre-crash version chains, and that a
+snapshot pinned on the recovered database stays frozen across a
+post-recovery commit:
 
-* recovered rows are loaded as single ``begin_lsn=0`` versions —
-  visible to every snapshot, with no ghost of pre-crash version chains;
-* a snapshot pinned on the recovered database reads exactly the
-  recovered state, and stays frozen across a post-recovery commit;
-* targeted matrices aim the crash specifically at the **commit-stamp
-  barrier** (the WAL flush that publishes commit LSNs — a torn tail
-  there decides atomically whether the whole transaction exists) and at
-  the **checkpoint barriers** that bracket version pruning (a crash
-  mid-prune must lose no committed row and resurrect no dead version).
+* the **commit-stamp barrier** -- the flush that publishes a
+  transaction's commit LSN: a torn tail there decides atomically
+  whether the whole transaction exists, never half-stamped;
+* the **checkpoint barriers** that bracket version pruning: a crash
+  mid-prune must lose no committed row and resurrect no dead version.
 """
-
-import random
 
 import pytest
 
-from repro.storage.database import Database
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from tests.crash.oracle import crash_and_verify, probe, run_workload
 
-SEEDS = list(range(6))
-SLOW_SEEDS = list(range(6, 18))
+pytestmark = pytest.mark.crash
 
 
-def prepare(db_dir):
-    """DDL-only setup with real files, so schedules cover data ops."""
-    db = Database(str(db_dir))
-    db.create_table("t", [("k", "string"), ("v", "integer")])
-    db.close()
-
-
-class MvccCrashWorkload:
-    """Seeded insert/update/delete mix with commit-boundary tracking.
-
-    Alongside the oracle states it records ``commit_barriers`` (the
-    sync count just before each explicit ``txn.commit()``) and
-    ``checkpoint_barriers`` (just before each checkpoint), so targeted
-    matrices can aim crashes at the stamp flush and the prune window.
-    """
-
-    def __init__(self, db_dir, seed, plan, steps=30):
-        self.rng = random.Random(seed)
-        self.plan = plan
-        self.steps = steps
-        self.db = Database(str(db_dir), opener=plan.opener)
-        self.table = self.db.table("t")
-        self.next_key = 0
-        self.last_committed = self._state()
-        self.commit_in_progress = False
-        self.pending_candidate = None
-        self.commit_barriers = []
-        self.checkpoint_barriers = []
-
-    def _state(self):
-        return {row.rowid: (row["k"], row["v"]) for row in self.table}
-
-    def acceptable_states(self):
-        states = [self.last_committed]
-        if self.pending_candidate is not None:
-            states.append(self.pending_candidate)
-        elif self.commit_in_progress:
-            states.append(self._state())
-        return states
-
-    def close(self):
-        try:
-            self.db.close()
-        except SimulatedCrash:
-            pass
-
-    def _one_op(self):
-        rowids = sorted(self.table.rowids())
-        roll = self.rng.random()
-        if not rowids or roll < 0.45:
-            self.next_key += 1
-            self.table.insert(
-                {"k": "k%d" % self.next_key, "v": self.rng.randrange(1000)}
-            )
-        elif roll < 0.85:
-            self.table.update(
-                self.rng.choice(rowids), {"v": self.rng.randrange(1000)}
-            )
-        else:
-            self.table.delete(self.rng.choice(rowids))
-
-    def run(self):
-        for step in range(self.steps):
-            roll = self.rng.random()
-            if roll < 0.15 and step > 3:
-                # Checkpoint: truncates the WAL and prunes dead
-                # versions up to the horizon.  Logical state unchanged.
-                self.checkpoint_barriers.append(self.plan.sync_count)
-                self.db.checkpoint()
-            elif roll < 0.35:
-                # Auto-commit: one row, one WAL group, one syncpoint.
-                self.commit_in_progress = True
-                self._one_op()
-                self.commit_in_progress = False
-                self.last_committed = self._state()
-            else:
-                txn = self.db.begin()
-                for _ in range(self.rng.randint(1, 4)):
-                    self._one_op()
-                if self.rng.random() < 0.15:
-                    txn.abort()
-                else:
-                    self.pending_candidate = self._state()
-                    self.commit_barriers.append(self.plan.sync_count)
-                    txn.commit()
-                    self.last_committed = self.pending_candidate
-                    self.pending_candidate = None
-        return self
-
-
-def verify_recovery(db_dir, acceptable):
-    """Recover with real files; classic oracle plus the MVCC checks."""
-    db = Database(str(db_dir))
-    try:
-        table = db.table("t")
-        state = {row.rowid: (row["k"], row["v"]) for row in table}
-        assert any(state == expected for expected in acceptable), (
-            "recovered %r matches none of %d acceptable states"
-            % (state, len(acceptable))
-        )
-        # Recovery loads each surviving row as one all-visible version.
-        assert set(table._chains) == set(state)
-        for chain in table._chains.values():
-            assert [(v.begin_lsn, v.end_lsn) for v in chain] == [(0, None)]
-        # The recovered database serves consistent snapshot reads...
-        lsn = db.transactions.snapshot_lsn()
-        db.transactions.pin_snapshot(lsn)
-        try:
-            assert {r.rowid: (r["k"], r["v"]) for r in table} == state
-        finally:
-            db.transactions.unpin_snapshot()
-        # ...and keeps them frozen across a post-recovery commit.
-        row = table.insert({"k": "post-recovery", "v": -1})
-        db.transactions.pin_snapshot(lsn)
-        try:
-            assert table.get(row.rowid) is None
-            assert {r.rowid: (r["k"], r["v"]) for r in table} == state
-        finally:
-            db.transactions.unpin_snapshot()
-        assert table.get(row.rowid) is not None
-    finally:
-        db.close()
-
-
-def probe(tmp_path, seed, name="probe"):
-    """Run the workload to completion; returns it (with barrier lists)."""
-    probe_dir = tmp_path / ("%s-%d" % (name, seed))
-    prepare(probe_dir)
-    plan = FaultPlan(seed=seed)
-    workload = MvccCrashWorkload(probe_dir, seed, plan)
-    workload.run()
-    workload.close()
-    workload.total_syncs = plan.sync_count
-    return workload
-
-
-def crash_once(tmp_path, seed, sync_index, torn="random"):
-    crash_dir = tmp_path / ("crash-%d-%d" % (seed, sync_index))
-    prepare(crash_dir)
-    plan = FaultPlan(
-        seed=seed * 1009 + sync_index, crash_at_sync=sync_index, torn=torn
-    )
-    workload = MvccCrashWorkload(crash_dir, seed, plan)
-    with pytest.raises(SimulatedCrash):
-        workload.run()
-    acceptable = workload.acceptable_states()
-    workload.close()
-    verify_recovery(crash_dir, acceptable)
-
-
-@pytest.mark.crash
-@pytest.mark.parametrize("seed", SEEDS)
-def test_crash_at_every_syncpoint(tmp_path, seed):
-    total = probe(tmp_path, seed).total_syncs
-    assert total >= 15, "workload too small to be a meaningful matrix"
-    for sync_index in range(1, total + 1):
-        crash_once(tmp_path, seed, sync_index)
-
-
-@pytest.mark.crash
-@pytest.mark.parametrize("seed", SEEDS[:3])
+# Seeds beyond ``test_crash_oracle.SEEDS``, whose every barrier that
+# matrix crashes at already.
+@pytest.mark.parametrize("seed", [20, 21, 22])
 def test_crash_at_commit_stamp_barrier(tmp_path, seed):
-    """Aim every crash at the flush that publishes commit stamps: the
-    transaction must be all-there or all-gone, never half-stamped."""
-    reference = probe(tmp_path, seed, name="cprobe")
-    assert reference.commit_barriers, "schedule produced no explicit commits"
-    for barrier in reference.commit_barriers:
-        crash_once(tmp_path, seed, barrier + 1)
+    _, workload = probe(tmp_path / "probe", run_workload(seed), seed)
+    assert workload.marks["commit"], "schedule produced no explicit commits"
+    for at in sorted({syncs + 1 for syncs, _ in workload.marks["commit"]}):
+        crash_and_verify(tmp_path / ("crash-%d" % at), seed, at)
 
 
-@pytest.mark.crash
-@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("seed", [20, 23, 25])
 def test_crash_inside_checkpoint_prune_window(tmp_path, seed):
     """Crash on each durability barrier inside checkpoint (the window
     where dead versions are pruned and the WAL truncated)."""
-    reference = probe(tmp_path, seed, name="kprobe")
-    assert reference.checkpoint_barriers, "schedule produced no checkpoints"
-    for barrier in reference.checkpoint_barriers:
-        for offset in (1, 2):
-            if barrier + offset <= reference.total_syncs:
-                crash_once(tmp_path, seed, barrier + offset)
-
-
-@pytest.mark.crash
-@pytest.mark.parametrize("torn", ["all", "none"])
-def test_torn_extremes(tmp_path, torn):
-    seed = SEEDS[0]
-    total = probe(tmp_path, seed, name="probe-%s" % torn).total_syncs
-    for sync_index in range(1, total + 1, 3):
-        crash_once(tmp_path, seed, sync_index, torn=torn)
-
-
-@pytest.mark.crash
-@pytest.mark.crash_slow
-@pytest.mark.parametrize("seed", SLOW_SEEDS)
-def test_extended_seed_matrix(tmp_path, seed):
-    total = probe(tmp_path, seed).total_syncs
-    for sync_index in range(1, total + 1):
-        crash_once(tmp_path, seed, sync_index)
+    _, workload = probe(tmp_path / "probe", run_workload(seed), seed)
+    assert workload.marks["checkpoint"], "schedule produced no checkpoints"
+    for before, after in zip(workload.marks["checkpoint"],
+                             workload.marks["checkpointed"]):
+        for at in range(before[0] + 1, after[0] + 1):
+            crash_and_verify(tmp_path / ("crash-%d" % at), seed, at)

@@ -5,17 +5,18 @@ checksummed file (``repro.text.stream``) naming the log's
 ``change_lsn``; the next open loads an index from it iff the log it
 recovered is at that LSN and the table has the row count the stream
 says, and rebuilds from rows otherwise.  Judged, like every other
-recovery path, by the rebuild-from-rows oracle (``tests/crash/
-oracle.py``): an index that was loaded must hold exactly what one
-rebuilt row by row holds.
+recovery path, by the crash oracle's lenses (``tests/crash/oracle.py``):
+an index that was loaded must hold exactly what one rebuilt row by row
+holds.
 
-* the crash battery -- seeds that close, checkpoint or crash, at every
-  barrier of ``close()`` (between the log's last fsync and the stream's
-  rename) and in the middle of the stream's write;
-* every way a stream is refused -- cut at every 4 KB, a flipped bit, an
-  LSN or a row count one off, a foreign format byte, an entry for an
-  index since dropped -- is the rebuild, with a log line saying why and
-  never an untyped exception;
+* the crash battery -- the one workload closed, checkpointed or crashed:
+  at every barrier of ``close()`` (between the log's last fsync and the
+  stream's rename), in the middle of the stream's write, and right
+  after each checkpoint;
+* every way a stream is refused -- cut anywhere, a flipped bit, an LSN
+  or a row count one off, a foreign format byte, an entry for an index
+  since dropped -- is the rebuild, with a log line saying why and never
+  an untyped exception;
 * the moments no stream may be written: beside an open or an abandoned
   transaction, degraded, in memory, or when the one on disk is current.
 """
@@ -27,18 +28,24 @@ import threading
 
 import pytest
 
+from repro.errors import RecoveryError
 from repro.storage.database import Database
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultPlan
 from repro.text import stream as posting_stream
 from repro.text.index import TrigramIndex
 
-from tests.crash.oracle import assert_indexes_match_rows
-from tests.crash.test_text_index_crash import TextCrashWorkload, prepare
+from tests.crash.oracle import (
+    assert_indexes_match_rows,
+    crash_and_verify,
+    prepare,
+    probe,
+    run_workload,
+    verify_recovery,
+)
 
 pytestmark = pytest.mark.crash
 
 STREAM = "postings.bin"
-SEEDS = list(range(6))
 
 
 def recovery(db):
@@ -49,127 +56,67 @@ def recovery(db):
     )
 
 
-def reopen_and_check(db_dir, acceptable=None):
-    """Open with real files; the rows are an acceptable state, every
-    index equals its rebuild, and the index keeps taking edits.
-    Returns what :func:`recovery` says of the open."""
-    db = Database(str(db_dir))
-    try:
-        table = db.table("t")
-        state = {
-            row.rowid: (row["title"], row["v"], row["pad"]) for row in table
-        }
-        if acceptable is not None:
-            assert any(state == expected for expected in acceptable)
-        assert_indexes_match_rows(table)
-        row = table.insert({"title": "post recovery prelude", "v": -1})
-        index = table.text_index_for("title")
-        assert row.rowid in index.candidates_matching("recovery prelude")
-        table.delete(row.rowid)
-        assert_indexes_match_rows(table)
-        return recovery(db)
-    finally:
-        db.close()
-
-
 # -- (a) the crash battery -----------------------------------------------------
 
 
-def run_to_close(db_dir, seed, plan):
-    prepare(db_dir)
-    workload = TextCrashWorkload(db_dir, seed, plan)
-    workload.run()
-    # A schedule may end on a checkpoint; this one ends on a commit, so
-    # the stream before close() is always a stale one.
-    workload.table.insert({"title": "Nocturne, the last commit", "v": 10 ** 6})
-    workload.last_committed = workload._state()
-    return workload
-
-
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", range(7))
 def test_a_clean_close_is_loaded_and_equals_the_rebuild(tmp_path, seed):
-    workload = run_to_close(tmp_path / "db", seed, FaultPlan(seed=seed))
-    workload.db.close()
-    assert reopen_and_check(tmp_path / "db", [workload.last_committed]) == (1, 0)
+    _, workload = probe(tmp_path / "db", run_workload(seed), seed)
+    indexes = len(workload.committed[1])
+    assert verify_recovery(tmp_path / "db", [workload.committed]) == (indexes, 0)
     # That reopen edited and closed: its stream is loaded in turn.
-    assert reopen_and_check(tmp_path / "db") == (1, 0)
+    assert verify_recovery(tmp_path / "db", [workload.committed]) == (indexes, 0)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+# Seeds beyond ``test_crash_oracle.SEEDS``, whose every fsync -- close()'s
+# too -- that matrix crashes at already, torn tails alike.
+@pytest.mark.parametrize("seed", range(20, 26))
 def test_crash_at_every_barrier_and_write_of_close(tmp_path, seed):
     """``close()`` dies between the log's last fsync and the stream's
     rename -- in the temp file's fsync, or part-way through its write
     (a seeded torn prefix): the stream of the checkpoint or close before
-    it is still the one on disk, stale, and the open rebuilds."""
-    plan = FaultPlan(seed=seed)
-    probe = run_to_close(tmp_path / "probe", seed, plan)
-    syncs, writes = plan.sync_count, plan.write_count
-    probe.db.close()
+    it is still the one on disk, stale (the workload ends on a commit),
+    and the open rebuilds."""
+    plan, workload = probe(tmp_path / "probe", run_workload(seed), seed)
+    (syncs, writes), = workload.marks["close"]
     close_syncs = range(syncs + 1, plan.sync_count + 1)
     close_writes = range(writes + 1, plan.write_count + 1)
     assert close_syncs and close_writes, "close() wrote no stream"
     # The stream goes out a piece at a time: crash after the first
     # write, the last, and a spread of the ones between.
     step = max(1, len(close_writes) // 6)
-    schedules = [{"crash_at_sync": at} for at in close_syncs]
-    schedules += [
-        {"crash_at_write": at}
-        for at in sorted({*close_writes[::step], close_writes[-1]})
+    schedules = [("sync", at) for at in close_syncs] + [
+        ("write", at) for at in sorted({*close_writes[::step], close_writes[-1]})
     ]
-    for number, schedule in enumerate(schedules):
-        db_dir = tmp_path / ("crash-%d" % number)
-        workload = run_to_close(
-            db_dir, seed, FaultPlan(seed=seed * 1009 + number, **schedule)
-        )
-        with pytest.raises(SimulatedCrash):
-            workload.db.close()
-        assert reopen_and_check(db_dir, [workload.last_committed]) == (0, 1)
+    for unit, at in schedules:
+        assert crash_and_verify(
+            tmp_path / ("crash-%s-%d" % (unit, at)), seed, at, unit
+        ) == (0, len(workload.committed[1]))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", range(20, 26))
 def test_crash_right_after_a_checkpoint_loads_its_stream(tmp_path, seed):
     """Power fails in the first barrier after each checkpoint and takes
     everything unsynced with it: the log is where the checkpoint left
     it (its bare CHECKPOINT marker does not count), so the stream the
     checkpoint wrote is the one that describes the rows."""
-    plan = FaultPlan(seed=seed)
-    prepare(tmp_path / "probe")
-    probe = TextCrashWorkload(tmp_path / "probe", seed, plan)
-    barriers = []
-    checkpoint = probe.db.checkpoint
-
-    def recording_checkpoint():
-        checkpoint()
-        barriers.append(plan.sync_count)
-
-    probe.db.checkpoint = recording_checkpoint
-    probe.run()
-    total = plan.sync_count
-    probe.close()
-    assert barriers, "schedule took no checkpoint"
-    for barrier in barriers:
-        if barrier == total:
-            continue
-        db_dir = tmp_path / ("crash-%d" % barrier)
-        prepare(db_dir)
-        workload = TextCrashWorkload(db_dir, seed, FaultPlan(
-            seed=seed, crash_at_sync=barrier + 1, torn="none"
-        ))
-        with pytest.raises(SimulatedCrash):
-            workload.run()
-        acceptable = workload.acceptable_states()
-        workload.close()
-        assert reopen_and_check(db_dir, acceptable[:1]) == (1, 0)
+    _, workload = probe(tmp_path / "probe", run_workload(seed), seed)
+    assert workload.marks["checkpointed"], "schedule took no checkpoint"
+    for syncs, _ in workload.marks["checkpointed"]:
+        loaded, rebuilt = crash_and_verify(
+            tmp_path / ("crash-%d" % syncs), seed, syncs + 1, torn="none"
+        )
+        assert rebuilt == 0 < loaded
 
 
 # -- (b) every way a stream is refused -----------------------------------------
 
-ROWS = 3000
+ROWS = 1500
 
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """A closed directory with a stream of some 150 KB, and the
+    """A closed directory with a stream of some 170 KB, and the
     ``_postings`` of the index a reopen loads from it."""
     path = str(tmp_path_factory.mktemp("pristine") / "db")
     db = Database(path)
@@ -293,17 +240,46 @@ def reopen_and_check_loaded(path):
         db.close()
 
 
-def test_a_stream_cut_at_any_4_kb_is_the_rebuild(pristine, tmp_path, caplog):
-    size = os.path.getsize(os.path.join(pristine[0], STREAM))
-    assert size > 64 * 1024
-    for length in list(range(0, size, 4096)) + [size - 1]:
-        def cut(path):
-            with open(path, "r+b") as handle:
-                handle.truncate(length)
-        counts, postings, line = open_copy(pristine, tmp_path, caplog, cut)
-        assert counts == (0, 1), length
-        assert postings == pristine[1]
-        assert "posting stream refused" in line
+def field_ends(raw):
+    """The offsets at which each field of stream *raw*'s header and
+    directory ends: format byte, checksum, LSN, entry count, then per
+    entry two strings (length, bytes) and its row count and length."""
+    ends = [1, 5, 13, 15]
+    _, bodies = posting_stream.unpack(raw)
+    for names in bodies:
+        for name in names:
+            ends += [ends[-1] + 2, ends[-1] + 2 + len(name.encode("utf-8"))]
+        ends += [ends[-1] + 8, ends[-1] + 16]
+    return ends
+
+
+def test_a_stream_cut_anywhere_is_refused_by_its_checksum(pristine):
+    """Every 4 KB and each side of every header and directory field: a
+    cut stream is refused by its checksum before a field of it is read
+    -- the directory's own checks would catch most cuts, but not
+    before trusting what they parse."""
+    with open(os.path.join(pristine[0], STREAM), "rb") as handle:
+        raw = handle.read()
+    assert len(raw) > 64 * 1024
+    cuts = set(range(0, len(raw), 4096)) | {len(raw) - 1} | {
+        end + shift for end in field_ends(raw) for shift in (-1, 0, 1)
+    }
+    for cut in sorted(cuts):
+        why = "torn header" if cut < 5 else "checksum mismatch"
+        with pytest.raises(RecoveryError, match=why):
+            posting_stream.unpack(raw[:cut])
+
+
+@pytest.mark.parametrize("cut", ["empty", "mid-body", "one short"])
+def test_a_cut_stream_is_the_rebuild(pristine, tmp_path, caplog, cut):
+    def damage(path):
+        size = os.path.getsize(path)
+        with open(path, "r+b") as handle:
+            handle.truncate({"empty": 0, "mid-body": size // 2}.get(cut, size - 1))
+    counts, postings, line = open_copy(pristine, tmp_path, caplog, damage)
+    assert counts == (0, 1)
+    assert postings == pristine[1]
+    assert "posting stream refused" in line
 
 
 def test_an_entry_for_an_index_since_dropped_is_passed_over(
@@ -477,7 +453,9 @@ def test_a_degraded_database_writes_no_stream(opened):
     db.enter_degraded("disk on fire")
     db.close()
     assert identity(path) == before
-    assert reopen_and_check(path) == (0, 1)
+    with Database(path) as reopened:
+        assert recovery(reopened) == (0, 1)
+        assert_indexes_match_rows(reopened.table("t"))
 
 
 @pytest.mark.parametrize("fails", ["write", "sync"])
@@ -508,7 +486,7 @@ def test_a_failed_commit_is_neither_in_the_stream_nor_in_its_way(tmp_path, fails
     db.close()
     reopened = Database(str(path))
     try:
-        assert recovery(reopened) == (1, 0)
+        assert recovery(reopened) == (2, 0)
         assert_indexes_match_rows(reopened.table("t"))
         index = reopened.table("t").text_index_for("title")
         assert not index.candidates_matching("zzzqqq")
@@ -525,7 +503,7 @@ def test_a_disk_that_refuses_the_stream_costs_the_next_open_a_rebuild(tmp_path):
     db.table("t").insert({"title": "Prélude", "v": 1})
     plan.io_error_at_write = plan.write_count + 3  # in the stream's temp file
     db.close()  # logs a warning; nothing raised, nothing degraded
-    assert reopen_and_check(path) == (0, 1)
+    assert verify_recovery(path) == (0, 2)
 
 
 def test_the_image_outrunning_the_stream_refuses_it(opened, monkeypatch):

@@ -4,10 +4,11 @@
 log record does to a table.  Crash recovery feeds it the log file, a
 WAL-shipping replica feeds it shipped frames.  Two checks live here:
 
-* a seeded differential test -- a random program on a durable primary
-  with a replica attached part-way in, so its seed carries rows; the
-  live tables, the tables after reopening the directory and the
-  replica's tables at its applied LSN must be the same rowid for rowid,
+* a seeded differential test -- the crash oracle's one workload on a
+  durable primary with a replica attached part-way in, so its seed
+  carries rows; the live tables, the tables after reopening the
+  directory and the replica's tables at its applied LSN must be the
+  same rowid for rowid,
   and every index registered on each -- the schema's hash and ordered-
   composite ones, the trigram ones -- must equal the crash battery's
   rebuild-from-rows oracle (the live side got there by per-row upkeep,
@@ -23,7 +24,6 @@ smoke catches the two consumers drifting apart.
 """
 
 import os
-import random
 import struct
 import zlib
 
@@ -37,100 +37,10 @@ from repro.storage.database import Database
 from repro.storage.pager import PAGE_SIZE
 from repro.storage.row import Row
 
-from tests.crash.oracle import table_state
+from tests.crash.oracle import Workload, table_state
 from tests.net.conftest import wait_applied, wait_serving
 
 pytestmark = [pytest.mark.crash, pytest.mark.net]
-
-TITLES = [
-    "Prélude in C Major",
-    "prelude, op. 28 no. 4",
-    "Étude aux chemins de fer",
-    "Nocturne Op. 9 No. 2",
-    "Grosse Fuge -- Straße",
-    "",
-    "ab",
-]
-
-
-class Program:
-    """A seeded edit program over two text-indexed raw tables and an
-    ordering of ITEMs under two BOXes (hash and ordered-composite
-    indexes); the index on ``t`` is dropped and re-created along the
-    way."""
-
-    def __init__(self, mdm, seed):
-        self.rng = random.Random(seed)
-        self.db = mdm.database
-        self.serial = 0
-        schema = mdm.schema
-        box = schema.define_entity("BOX", [("v", "integer")])
-        self.items = schema.define_entity(
-            "ITEM", [("title", "string"), ("v", "integer")]
-        )
-        self.ordering = schema.define_ordering(
-            "item_in_box", ["ITEM"], under="BOX"
-        )
-        self.boxes = [box.create(v=0), box.create(v=1)]
-
-    def _values(self):
-        self.serial += 1
-        return {"title": self.rng.choice(TITLES), "v": self.serial}
-
-    def _edit_ordering(self):
-        box = self.rng.choice(self.boxes)
-        members = self.ordering.children(box)
-        roll = self.rng.random()
-        if not members or roll < 0.5:
-            self.ordering.insert(
-                box, self.items.create(**self._values()),
-                self.rng.randint(1, len(members) + 1),
-            )
-        elif roll < 0.8:
-            self.ordering.move(
-                self.rng.choice(members), self.rng.randint(1, len(members))
-            )
-        else:
-            victim = self.rng.choice(members)
-            self.ordering.remove(victim)
-            victim.delete()
-
-    def _edit(self):
-        if self.rng.random() < 0.3:
-            return self._edit_ordering()
-        table = self.db.table(self.rng.choice(["t", "u"]))
-        rowids = sorted(table.rowids())
-        roll = self.rng.random()
-        if not rowids or roll < 0.4:
-            table.insert(self._values())
-        elif roll < 0.8:
-            table.update(
-                self.rng.choice(rowids), {"title": self.rng.choice(TITLES)}
-            )
-        else:
-            table.delete(self.rng.choice(rowids))
-
-    def step(self):
-        roll = self.rng.random()
-        if roll < 0.45:
-            txn = self.db.begin()
-            for _ in range(self.rng.randint(1, 4)):
-                self._edit()
-            if self.rng.random() < 0.2:
-                txn.abort()
-            else:
-                txn.commit()
-        elif roll < 0.75:
-            self._edit()  # auto-commit
-        elif roll < 0.9:
-            self.db.bulk_ingest(
-                "t", [self._values() for _ in range(self.rng.randint(2, 12))],
-                batch_rows=5,
-            )
-        elif self.db.table("t").text_index_for("title") is None:
-            self.db.create_text_index("t", "title")
-        else:
-            self.db.drop_text_index("t", "title")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -138,38 +48,38 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
     path = str(tmp_path / "db")
     mdm = MusicDataManager(path, with_cmn=False)
     database = mdm.database
-    for name in ("t", "u"):
-        database.create_table(name, [("title", "string"), ("v", "integer")])
-    database.create_text_index("t", "title")
-    database.create_text_index("u", "title")
-    program = Program(mdm, seed)
+    workload = Workload(database, seed, schema=mdm.schema)
     # What the replica's seed will carry: it fills every index the
     # schema replay registered, not only empty tables.
     for step in range(15):
-        program.step()
-    # A lag budget no burst of this program can exceed: every later
+        workload.step()
+    # A lag budget no burst of this workload can exceed: every later
     # change must reach the replica as a shipped frame, never as a
     # re-seed.
     server = MdmServer(mdm, lag_budget=10 ** 6)
     server.start()
     replica = ReplicaServer(server.address, name="diff-%d" % seed)
     replica.start()
+    checkpoint = database.checkpoint
+
+    def caught_up():
+        # End on a fresh commit point the replica can be seen to reach.
+        workload.text_commit()
+        return wait_applied(replica, database._log.flushed_lsn)
+
+    def checkpoint_once_caught_up():
+        # The replica must hold everything the checkpoint is about to
+        # truncate, or it is (rightly) re-seeded.
+        assert caught_up()
+        checkpoint()
+
+    database.checkpoint = checkpoint_once_caught_up
     try:
         assert wait_serving(replica)
-
-        def caught_up():
-            # End on a fresh commit point the replica can be seen to
-            # reach.
-            program._edit()
-            return wait_applied(replica, database._log.flushed_lsn)
-
         for step in range(15, 60):
             if step == 30:
-                # The replica must hold everything the checkpoint is
-                # about to truncate, or it is (rightly) re-seeded.
-                assert caught_up()
-                database.checkpoint()
-            program.step()
+                workload.checkpoint()
+            workload.step()
         assert caught_up()
         assert replica.metrics.value("repl.seeds_received") == 1
         live = table_state(database)

@@ -1,13 +1,12 @@
-"""Property tests: storage-layer round trips and equivalences."""
+"""Property tests: storage-layer round trips and the value order.
 
-from fractions import Fraction
+Index reads against the rows they index -- ``select_eq`` and
+``select_range``, locked and pinned, under insert / update / delete --
+are the MVCC battery's (``tests/props/test_mvcc_props.py``)."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.index import OrderedIndex
 from repro.storage.row import Row
-from repro.storage.table import Column, Table, TableSchema
 from repro.storage.values import value_sort_key
 
 storable_values = st.one_of(
@@ -29,47 +28,6 @@ def test_row_serialization_round_trip(values):
     back, offset = Row.deserialize(blob, ["a", "b", "c"])
     assert back == row
     assert offset == len(blob)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-1000, 1000), max_size=60))
-def test_ordered_index_matches_sorted_list(keys):
-    index = OrderedIndex("k")
-    for rowid, key in enumerate(keys):
-        index.insert(key, rowid)
-    low, high = -100, 100
-    via_index = sorted(index.range(low, high))
-    expected = sorted(
-        rowid for rowid, key in enumerate(keys) if low <= key <= high
-    )
-    assert via_index == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 5), st.integers(-50, 50)), max_size=40)
-)
-def test_index_scan_equivalence_under_mutation(ops):
-    """select_eq via index equals a predicate scan at every step."""
-    schema = TableSchema("t", [Column("k", "integer")])
-    table = Table(schema)
-    table.create_index("k")
-    rowids = []
-    for action, key in ops:
-        if action <= 3 or not rowids:
-            rowids.append(table.insert({"k": key}).rowid)
-        elif action == 4:
-            victim = rowids.pop(key % len(rowids))
-            if table.get(victim) is not None:
-                table.delete(victim)
-        else:
-            target = rowids[key % len(rowids)]
-            if table.get(target) is not None:
-                table.update(target, {"k": key})
-        for probe in (-1, 0, key):
-            indexed = {r.rowid for r in table.select_eq("k", probe)}
-            scanned = {r.rowid for r in table.scan(lambda r: r["k"] == probe)}
-            assert indexed == scanned
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,7 @@
 """Property battery: random writer programs vs a snapshot reference model.
 
-Same machinery as ``test_ordering_props.py``: programs are lists of raw
-4-int tuples from ``random.Random(seed)``, each interpreted *modulo the
-current state*, so every subsequence is itself a valid program and
-greedy delta-debugging is sound.  On failure the battery shrinks to a
-minimal reproducer and prints it for ``REPLAY_OPS``.
-
-The model here is *temporal*: alongside the live table, a
+Programs run on the shared runner (``tests/props/program.py``).  The
+model here is *temporal*: alongside the live table, a
 single-threaded reference tracks the committed row set, and after every
 commit the pair ``(snapshot LSN, deep copy of committed state)`` is
 recorded.  After **every** operation, every recorded snapshot is
@@ -25,7 +20,8 @@ key then rowid), and QUEL retrieves -- equality, ``matches``,
 order.  *size* preloads the table; the ``mvcc_slow`` matrix sizes it so
 a rewrite of every row pushes the stale set over the planner's
 candidate cap and the reads cross the fall-back to a visible-row scan
-and come back.
+and come back.  The unpinned present's ``select_eq`` / ``select_range``
+are held to the in-transaction state the same way.
 
 Pruning honesty: the engine prunes dead versions up to the horizon on
 every rewrite, and the horizon is bounded only by *pinned* snapshots —
@@ -38,23 +34,22 @@ remaining one survived the pruning that the advance unleashed.
 """
 
 import collections
-import random
 
 import pytest
 
 from repro.core.entity import SURROGATE_COLUMN
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
+from tests.props.program import assert_passes, generate
 from tests.props.protector import Protector
 from tests.quel.reference import reference_execute
 
 pytestmark = pytest.mark.props
 
 OPS_PER_PROGRAM = 50
-SEEDS = range(20)
-
-# Paste the ops list from a failure message here to replay it.
-REPLAY_OPS = []
+#: Twenty programs, and two more for the index-versus-scan and
+#: ordered-index-versus-sorted-list properties the battery took over.
+SEEDS = range(22)
 
 _FORMS = ["prelude", "fugue", "nocturne", "sonata", "etude"]
 _KEYS = ["in c major", "in g minor", "in e flat", "in a minor"]
@@ -86,7 +81,7 @@ def _statements(n):
     ]
 
 
-class _State:
+class MvccState:
     """The live database plus the single-threaded reference model."""
 
     def __init__(self, size=0):
@@ -133,6 +128,10 @@ class _State:
     def _record(self):
         lsn = self.db.transactions.snapshot_lsn()
         self.snapshots[lsn] = dict(self.committed)
+
+    def finish(self):
+        self.commit_if_open()
+        self.check()
 
     def commit_if_open(self):
         if self.txn is not None:
@@ -227,30 +226,37 @@ class _State:
                             "rowid %d visible at snapshot %d but the "
                             "reference has no such row" % (rowid, lsn)
                         )
-                self._check_index_reads(lsn, expected)
+                where = "at snapshot %d" % lsn
+                self._check_selects((self.checks + lsn) % 12, expected, where)
+                self._check_quel((self.checks + lsn) % 12, where)
             finally:
                 transactions.unpin_snapshot()
         # The unpinned present always reads the scratch (in-txn) state.
         now = {row.rowid: (row["k"], row["v"]) for row in self.table}
         assert now == self.scratch
+        self._check_selects(self.checks % 12, self.scratch, "unpinned")
 
-    def _check_index_reads(self, lsn, expected):
-        """Index reads at the pinned *lsn* against the model: rows and
-        the locked path's order."""
-        # A dozen probe values: enough to move the literals about, few
-        # enough that both sides parse each source once.
-        probe = (self.checks + lsn) % 12
+    def _check_selects(self, probe, expected, where):
+        """``select_eq`` and ``select_range`` against the model: rows and
+        the locked path's order (ascending rowid; ascending key then
+        rowid).  A dozen *probe* values move the literals about."""
         title = _title(probe * 7)
         assert [row.rowid for row in self.table.select_eq("k", title)] == [
             rowid for rowid, (k, _) in sorted(expected.items()) if k == title
-        ], "select_eq(k, %r) at snapshot %d" % (title, lsn)
+        ], "select_eq(k, %r) %s" % (title, where)
         low, high = probe % 50, probe % 50 + 10
         assert [
             row.rowid for row in self.table.select_range("v", low, high)
         ] == sorted(
             (rowid for rowid, (_, v) in expected.items() if low <= v <= high),
             key=lambda rowid: (expected[rowid][1], rowid),
-        ), "select_range(v, %d, %d) at snapshot %d" % (low, high, lsn)
+        ), "select_range(v, %d, %d) %s" % (low, high, where)
+
+    def _check_quel(self, probe, where):
+        """The QUEL reads of *probe* against the reference under the
+        same pin: same rows, same order, and the expected access path
+        while the stale set is under the cap.  A dozen probe values are
+        few enough that both sides parse each source once."""
         # Single-threaded, so the stale set can only shrink (a pinned
         # probe settles entries) between this look and the reads.
         swamped = (
@@ -260,92 +266,22 @@ class _State:
             out = self.quel.execute(source)
             assert out == reference_execute(
                 self.schema, "range of t is T\n" + source
-            ), "%s at snapshot %d (%s)" % (
-                source, lsn, self.quel.last_plan_object.label
-            )
+            ), "%s %s (%s)" % (source, where, self.quel.last_plan_object.label)
             seen = self.quel.last_plan_object.label
             self.labels[seen] += 1
             if not swamped:
-                assert seen == label, (
-                    "%s bound via %s at snapshot %d" % (source, seen, lsn)
-                )
-
-
-def _generate_ops(seed, count=OPS_PER_PROGRAM):
-    rng = random.Random(seed)
-    return [tuple(rng.randrange(1 << 16) for _ in range(4)) for _ in range(count)]
-
-
-def _program_fails(ops, size=0, labels=None):
-    """Run a program; returns the failure message, or None if it passes.
-    *labels*, a Counter, collects the access paths the QUEL reads took."""
-    state = _State(size)
-    try:
-        for index, op in enumerate(ops):
-            try:
-                state.apply(op)
-                state.check()
-            except Exception as error:  # noqa: BLE001 -- any divergence fails
-                return "op %d (%r): %s: %s" % (
-                    index, op, type(error).__name__, error
-                )
-        try:
-            state.commit_if_open()
-            state.check()
-        except Exception as error:  # noqa: BLE001
-            return "final commit: %s: %s" % (type(error).__name__, error)
-        return None
-    finally:
-        if labels is not None:
-            labels.update(state.labels)
-        state.close()
-
-
-def _shrink(ops, fails):
-    """Greedy delta-debugging, sound because subsequences stay valid."""
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(ops)):
-            candidate = ops[:index] + ops[index + 1:]
-            if fails(candidate):
-                ops = candidate
-                changed = True
-                break
-    return ops
+                assert seen == label, "%s bound via %s %s" % (source, seen, where)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_programs_match_snapshot_reference(seed):
-    ops = _generate_ops(seed)
-    error = _program_fails(ops)
-    if error is None:
-        return
-    minimal = _shrink(ops, lambda candidate: _program_fails(candidate) is not None)
-    pytest.fail(
-        "seed %d diverged from the snapshot reference model.\n%s\n"
-        "Replay by setting REPLAY_OPS = %r" % (seed, _program_fails(minimal), minimal)
-    )
-
-
-@pytest.mark.skipif(not REPLAY_OPS, reason="no recorded failure to replay")
-def test_replay_minimal_failure():
-    error = _program_fails([tuple(op) for op in REPLAY_OPS])
-    assert error is None, error
+    assert_passes(MvccState, generate(seed, OPS_PER_PROGRAM))
 
 
 @pytest.mark.mvcc_slow
 @pytest.mark.parametrize("seed", range(100, 140))
 def test_random_programs_extended(seed):
-    ops = _generate_ops(seed, 120)
-    error = _program_fails(ops)
-    if error is None:
-        return
-    minimal = _shrink(ops, lambda candidate: _program_fails(candidate) is not None)
-    pytest.fail(
-        "seed %d diverged from the snapshot reference model.\n%s\n"
-        "Replay by setting REPLAY_OPS = %r" % (seed, _program_fails(minimal), minimal)
-    )
+    assert_passes(MvccState, generate(seed, 120))
 
 
 @pytest.mark.mvcc_slow
@@ -361,10 +297,8 @@ def test_random_programs_cross_the_candidate_cap(seed):
     moves past the rewrite, if the program gets that far)."""
     ops = [
         (0,) + op[1:] if index < 10 and op[0] % 7 == 6 else op
-        for index, op in enumerate(_generate_ops(seed, 24))
+        for index, op in enumerate(generate(seed, 24))
     ]
     ops[10] = (6,) + ops[10][1:]
-    labels = collections.Counter()
-    error = _program_fails(ops, size=540, labels=labels)
-    assert error is None, "seed %d: %s\nops = %r" % (seed, error, ops)
+    labels = assert_passes(MvccState, ops, size=540).labels
     assert labels["snapshot scan"] and labels["index"], labels

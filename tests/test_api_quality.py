@@ -1,5 +1,6 @@
 """Meta-tests: public-API surface and documentation hygiene."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -84,3 +85,31 @@ def test_only_sources_reads_index_structures():
     assert sum(
         lines[name] for name in ("executor.py", "sources.py", "planner.py")
     ) <= 1720
+
+
+def test_only_the_shared_harnesses_drive_programs_and_crashes():
+    """The seam of the correctness harness: op programs are generated,
+    shrunk and replayed by ``tests/props/program.py``, crash schedules
+    probed and aimed by ``tests/crash/oracle.py``.  No other test module
+    defines a shrinker, a ``REPLAY_OPS``, a probe or every-barrier
+    driver, or hands ``FaultPlan`` a crash point it computed."""
+    tests = Path(__file__).parent
+    shared = {tests / "props" / "program.py", tests / "crash" / "oracle.py"}
+    found = []
+    for path in sorted(tests.rglob("*.py")):
+        if path in shared:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.search(
+                r"^_?shrink|^(probe|count_syncpoints|every_barrier)$", node.name
+            ):
+                found.append((path.name, node.name))
+            elif isinstance(node, ast.Name) and node.id == "REPLAY_OPS":
+                found.append((path.name, node.id))
+            elif (
+                isinstance(node, ast.keyword)
+                and node.arg in ("crash_at_sync", "crash_at_write")
+                and not isinstance(node.value, ast.Constant)
+            ):
+                found.append((path.name, node.arg))
+    assert found == []
