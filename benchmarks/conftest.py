@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark suite."""
+"""Shared helpers for the benchmark guards."""
 
 import os
 
@@ -12,10 +12,3 @@ def results_dir():
     path = os.path.abspath(RESULTS_DIR)
     os.makedirs(path, exist_ok=True)
     return path
-
-
-@pytest.fixture(scope="session")
-def bwv578_session():
-    from repro.fixtures.bwv578 import build_bwv578_score
-
-    return build_bwv578_score()

@@ -33,12 +33,11 @@ def _report(kind="quel", **p50s):
     workloads = {}
     for name, p50 in p50s.items():
         workloads[name] = {
-            "rounds": 5,
-            "total_s": p50 * 5,
-            "mean_s": p50,
-            "min_s": p50,
-            "max_s": p50,
+            "count": 5,
+            "sum_s": p50 * 5,
             "p50_s": p50,
+            "p99_s": None,
+            "raw_p50_s": p50,
         }
     return {
         "benchmark": kind,
@@ -153,6 +152,14 @@ class TestGates:
         assert len(failures) == 1
         assert "above allowed maximum" in failures[0]
 
+    def test_a_failed_op_fails_the_report(self):
+        report = _report(scan=0.010)
+        report.update(failed_ops=2, errors=["scan returned a wrong result"])
+        failures = check_gates(report)
+        assert len(failures) == 1
+        assert "2 op(s) failed their check" in failures[0]
+        assert _enforce_gates([report]) is True
+
     def test_malformed_gate_fails_validation(self):
         report = self._gated(broken={"value": 1.0})  # no bound at all
         with pytest.raises(ValueError):
@@ -196,7 +203,10 @@ class TestRepeatedStatementScenario:
     def test_quel_report_carries_the_repeated_workloads(self):
         from bench_report import quel_report
 
-        report = validate_report(quel_report(2, chords=4, notes_per_chord=3))
+        report = validate_report(
+            quel_report(0.02, chords=4, notes_per_chord=3)
+        )
+        assert report["failed_ops"] == 0
         assert "repeated_statement" in report["workloads"]
         assert "new_literal_statement" in report["workloads"]
         # The session's caches must actually be exercised.
@@ -213,6 +223,6 @@ class TestRepeatedStatementScenario:
         path = os.path.join(str(tmp_path), "BENCH_quel.json")
         with open(path, "w") as handle:
             json.dump(baseline, handle)
-        status = main(["--rounds", "2", "--compare", path])
+        status = main(["--seconds", "0.02", "--compare", path])
         assert status == 0
         assert "compare OK" in capsys.readouterr().out

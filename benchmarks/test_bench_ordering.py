@@ -1,10 +1,10 @@
-"""Ordering-manipulation benchmarks.
+"""Ordering-manipulation guards.
 
 Section 5.2 motivates ordering as a modeled property rather than a
-performance trick; these benches measure what the modeling costs:
-appends (position assignment only), front inserts (worst-case sibling
-shifting), membership queries, and the before/after operators as the
-sibling set grows.
+performance trick; these guards hold what the modeling may cost: an
+edit writes one membership row, front inserts stay >=10x ahead of dense
+renumbering, and a score import reads a bounded number of sibling rows
+per instance.  ``scripts/bench_smoke.sh`` runs them (``-m ordering_smoke``).
 """
 
 import time
@@ -15,6 +15,8 @@ from repro.core.ordering import Ordering
 from repro.core.schema import Schema
 from repro.fixtures.examples import make_scale_score
 from repro.storage.table import Column, Table, TableSchema
+
+pytestmark = pytest.mark.ordering_smoke
 
 
 def make_chord_schema(note_count):
@@ -27,89 +29,8 @@ def make_chord_schema(note_count):
     return schema, ordering, chord, notes
 
 
-@pytest.mark.parametrize("size", [10, 100, 400])
-def test_append_children(benchmark, size):
-    def build():
-        schema, ordering, chord, notes = make_chord_schema(size)
-        for note in notes:
-            ordering.append(chord, note)
-        return ordering
-
-    ordering = benchmark(build)
-    assert ordering.table_size() == size
-
-
-@pytest.mark.parametrize("size", [10, 100, 400])
-def test_front_insert_shifts(benchmark, size):
-    """Insert at position 1 each time: O(n) sibling shifts per insert."""
-
-    def build():
-        schema, ordering, chord, notes = make_chord_schema(size)
-        for note in notes:
-            ordering.insert(chord, note, 1)
-        return ordering
-
-    ordering = benchmark(build)
-    assert ordering.table_size() == size
-
-
-@pytest.mark.parametrize("size", [10, 100, 400])
-def test_before_operator(benchmark, size):
-    schema, ordering, chord, notes = make_chord_schema(size)
-    for note in notes:
-        ordering.append(chord, note)
-    first, last = notes[0], notes[-1]
-
-    result = benchmark(ordering.before, first, last)
-    assert result is True
-
-
-@pytest.mark.parametrize("size", [100, 400])
-def test_children_enumeration(benchmark, size):
-    schema, ordering, chord, notes = make_chord_schema(size)
-    for note in notes:
-        ordering.append(chord, note)
-
-    children = benchmark(ordering.children, chord)
-    assert len(children) == size
-
-
-def test_recursive_descendants(benchmark):
-    """Walk a 3-level beam-group tree (fan-out 5)."""
-    schema = Schema("bench")
-    schema.define_entity("G", [("n", "integer")])
-    ordering = schema.define_ordering("g", ["G"], under="G")
-    root = schema.entity_type("G").create(n=0)
-    frontier = [root]
-    created = 0
-    for _ in range(3):
-        next_frontier = []
-        for parent in frontier:
-            for _ in range(5):
-                created += 1
-                child = schema.entity_type("G").create(n=created)
-                ordering.append(parent, child)
-                next_frontier.append(child)
-        frontier = next_frontier
-
-    descendants = benchmark(ordering.descendants, root)
-    assert len(descendants) == 5 + 25 + 125
-
-
-def test_invariant_check(benchmark):
-    schema, ordering, chord, notes = make_chord_schema(300)
-    for note in notes:
-        ordering.append(chord, note)
-    benchmark(ordering.check_invariants)
-
-
-# -- order-key smoke guards ---------------------------------------------
-#
 # The gap-based order-key encoding must keep front inserts O(1) in row
-# writes: no per-sibling renumbering.  These run as a fast CI smoke
-# target (scripts/bench_smoke.sh, ``pytest -m ordering_smoke``) rather
-# than as timing benches.
-
+# writes: no per-sibling renumbering.
 SMOKE_CHILDREN = 2000
 
 
@@ -168,7 +89,6 @@ def count_rows_walked(monkeypatch):
     return counts
 
 
-@pytest.mark.ordering_smoke
 def test_score_import_walks_stay_linear(monkeypatch):
     """Importing a score reads a bounded number of sibling rows per
     instance it creates, however long the score: a chord's start beat
@@ -185,7 +105,6 @@ def test_score_import_walks_stay_linear(monkeypatch):
     assert per_instance[32] <= 1.25 * per_instance[8], per_instance
 
 
-@pytest.mark.ordering_smoke
 def test_front_insert_write_count():
     """Front-inserting the Nth child issues exactly one row write --
     no sibling is touched."""
@@ -201,7 +120,6 @@ def test_front_insert_write_count():
     assert [c["n"] for c in children] == list(range(SMOKE_CHILDREN - 1, -1, -1))
 
 
-@pytest.mark.ordering_smoke
 def test_move_and_remove_write_counts():
     """Moves and removes are single-row operations too."""
     schema, ordering, chord, notes = make_chord_schema(SMOKE_CHILDREN)
@@ -216,7 +134,6 @@ def test_move_and_remove_write_counts():
     ordering.check_invariants()
 
 
-@pytest.mark.ordering_smoke
 def test_front_insert_speedup_over_dense_reference():
     """2k front inserts must beat the seed's dense renumbering by >=10x."""
     dense = DensePositionReference()

@@ -1,10 +1,6 @@
-"""One benchmark per paper artifact: regenerates every figure and the
-figure 11 table, asserts its checks, and writes the rendering into
-``results/``.
-
-The timing measured is the cost of regenerating the artifact from
-scratch (schema construction + data + rendering), which doubles as a
-coarse end-to-end benchmark of each subsystem.
+"""One test per paper artifact: regenerates every figure and the figure
+11 table, asserts its checks, and writes the rendering into ``results/``
+(and all of them into ``EXPERIMENTS.md``).
 """
 
 import os
@@ -15,8 +11,8 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
-def test_regenerate(benchmark, results_dir, experiment_id):
-    result = benchmark(run_experiment, experiment_id)
+def test_regenerate(results_dir, experiment_id):
+    result = run_experiment(experiment_id)
     assert result.passed(), result.failed_checks()
     path = os.path.join(results_dir, "%s.txt" % experiment_id)
     with open(path, "w") as handle:
@@ -25,11 +21,11 @@ def test_regenerate(benchmark, results_dir, experiment_id):
         handle.write("\n")
 
 
-def test_write_experiments_report(benchmark, results_dir):
-    """Regenerate EXPERIMENTS.md (all experiments) as one benchmark."""
-    from repro.experiments.report import render_report, write_report
+def test_write_experiments_report(results_dir):
+    """Regenerate EXPERIMENTS.md (all experiments)."""
+    from repro.experiments.report import write_report
     from repro.experiments.registry import run_all
 
-    results = benchmark(run_all)
+    results = run_all()
     assert all(result.passed() for result in results)
     write_report(os.path.join(results_dir, "..", "EXPERIMENTS.md"), results)

@@ -1,37 +1,46 @@
 #!/usr/bin/env python
-"""Benchmark report: measure QUEL, storage, and net workloads, emit BENCH JSON.
+"""Benchmark report: the quel, storage, text and net suites as BENCH_*.json.
 
-Runs a self-contained ``time.perf_counter`` harness (no pytest-benchmark
-dependency) over four workload suites and writes ``BENCH_quel.json``,
-``BENCH_storage.json``, ``BENCH_text.json`` (trigram-indexed catalog
-search over a 120k-row library corpus vs. unindexed scans), and
-``BENCH_net.json`` (a multi-process client swarm against the network
-server, primary-only vs. two WAL-shipped replicas: per-retrieve p50/p99
-latency and shed rate) at the repository root.  Each file carries
-per-workload timing statistics plus the metrics-registry snapshot taken
-after the run, so a report shows both "how fast" and "how much work"
-(page I/O, WAL appends, lock waits, statements).
+Every workload is one ``harness.Op`` -- a call and a check of its answer
+-- driven by ``bench/harness.py`` the way ``bench/run.py`` drives its
+workloads: a warm-up, then a closed loop for ``--seconds``, the median of
+per-window medians, times at the harness's reference speed.  An op whose
+answer is wrong, or that raises, is a failed op, and a report with a
+failed op fails the run.  Four files land at the repository root:
+
+- ``BENCH_quel.json``: statements over a 40-chord ordering of 400 notes;
+- ``BENCH_storage.json``: table, bulk-load, group-commit (8 threads),
+  snapshot-read, checkpoint, WAL and pager operations;
+- ``BENCH_text.json``: the same catalog searches over a 120k-row corpus
+  before and after its trigram index exists, plus the first-N statements
+  over a 1M-row corpus, and three self-gates on those numbers;
+- ``BENCH_net.json``: a retrieve swarm, every client its own process,
+  against the primary alone and with two WAL-shipped replicas.
+
+A workload records its op count, the sum, p50 and p99 of its times at
+the reference speed (p99 is null below the harness's sample floor) and
+the unscaled p50; beside the workloads, the metrics snapshot after the
+run, each histogram as count / sum / quantiles.  The CPU time of the
+driving thread and of the crew threads a storage op hands work to is
+scaled; fsync waits and the swarm's server are reported as measured.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_report.py           # full run
-    PYTHONPATH=src python scripts/bench_report.py --check   # CI smoke
+    PYTHONPATH=src python scripts/bench_report.py           # full run, writes the files
+    PYTHONPATH=src python scripts/bench_report.py --check   # tiny sizes, writes nothing
     PYTHONPATH=src python scripts/bench_report.py \\
         --compare BENCH_quel.json --compare BENCH_storage.json
 
-``--check`` runs every workload once with tiny parameters and validates
-the report shape without writing any file -- wired into
-``scripts/bench_smoke.sh`` so a broken workload fails CI fast.
-
-``--compare`` re-runs the suites and exits nonzero when any workload's
-median (p50) regresses more than 25% against the named baseline report,
-guarding the committed BENCH_*.json numbers against perf regressions.
+``--compare`` runs the suites the named baselines hold, writes nothing,
+and exits nonzero when a workload's p50 is more than 25% (plus an
+absolute slack) over its baseline's.
 """
 
 import argparse
 import itertools
 import json
 import os
+import queue
 import shutil
 import subprocess
 import sys
@@ -39,9 +48,14 @@ import tempfile
 import threading
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+# Appended, not prepended: bench/ also holds a ``trace.py``, which must
+# not shadow the standard library's for anything else in this process.
+sys.path.append(os.path.join(ROOT, "bench"))
+
+import harness  # bench/harness.py
 
 from repro.core.schema import Schema
 from repro.obs.export import write_json
@@ -50,63 +64,163 @@ from repro.storage.database import Database
 from repro.storage.pager import Pager
 from repro.storage.wal import WriteAheadLog
 
+KINDS = ("quel", "storage", "text", "net")
+#: ``--seconds`` under ``--check``: long enough for a few ops a workload.
+CHECK_SECONDS = 0.05
 
-def _time_workload(fn, rounds):
-    """Run ``fn()`` *rounds* times; returns timing statistics (seconds)."""
-    samples = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    return _stats_from_samples(samples)
+
+class Suite:
+    """One report's workloads, each a ``harness.Op`` the harness drives."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+        self.workloads = {}
+        self.failed = 0
+        self.errors = []
+
+    def time(self, name, call, verify, crew=None):
+        """Warm ``call`` up, then drive it for ``seconds``; ``verify``
+        checks every answer, the warm-up's included.  The CPU time of a
+        *crew* the call hands work to counts as the op's."""
+        op = harness.Op(call, verify)
+        driver = harness.Driver(
+            name, {name: harness.BLOCK}, lambda cls, rng: op, seed=0
+        )
+        if crew is not None:
+            driver.helpers = crew.threads
+        harness.run_phase([driver], min(harness.WARMUP_S, self.seconds))
+        phase = harness.Phase(self.seconds)
+        harness.run_phase([driver], self.seconds, phase)
+        self.record(name, phase, name, driver.failed, driver.errors)
+
+    def record(self, name, phase, cls, failed, errors):
+        """Keep *phase*'s numbers for op class *cls* as workload *name*."""
+        self.failed += failed
+        self.errors += errors
+        median = phase.median_ms([cls])
+        if median is None:
+            raise SystemExit("%s: no op was verified: %s" % (name, errors))
+        tail = phase.percentile_ms([cls], 0.99)
+        self.workloads[name] = {
+            "count": median["n"],
+            "sum_s": sum(phase.pooled([cls])),
+            "p50_s": median["value"] / 1e3,
+            "p99_s": None if tail is None else tail["value"] / 1e3,
+            "raw_p50_s": median["raw"] / 1e3,
+        }
+
+    def report(self, kind, dataset, metrics, **extra):
+        report = {
+            "benchmark": kind,
+            "dataset": dataset,
+            "workloads": self.workloads,
+            "metrics": metrics,
+            "failed_ops": self.failed,
+            "errors": self.errors[:5],
+        }
+        report.update(extra)
+        return report
+
+
+def _metrics(registry):
+    """*registry*'s snapshot, each histogram as its count, sum and quantiles."""
+    snapshot = registry.snapshot()
+    for name, value in snapshot.items():
+        if isinstance(value, dict):
+            histogram = registry.get(name)
+            snapshot[name] = {
+                "count": value["count"], "sum": value["sum"],
+                "p50": histogram.quantile(0.50),
+                "p99": histogram.quantile(0.99),
+            }
+    return snapshot
+
+
+def _rows(rows):
+    """A result's rows in one canonical order: the answer as a multiset."""
+    return sorted(tuple(sorted(row.items())) for row in rows)
+
+
+def _scores(rows):
+    return [row["score"] for row in rows if "score" in row]
+
+
+def _same_rows(expected):
+    """A check that an answer holds exactly *expected*'s rows, and when
+    they are ranked, their scores in *expected*'s order."""
+    want, scores = _rows(expected), _scores(expected)
+    return lambda rows: _rows(rows) == want and _scores(rows) == scores
 
 
 # -- QUEL workloads -------------------------------------------------------------
 
 
 def _populated_schema(chords, notes_per_chord):
+    """A CHORD/NOTE ordering; returns it with ``n -> (pitch, label)``."""
     schema = Schema("bench")
     schema.define_entity("CHORD", [("n", "integer")])
     schema.define_entity(
         "NOTE", [("n", "integer"), ("pitch", "integer"), ("label", "string")]
     )
     ordering = schema.define_ordering("o", ["NOTE"], under="CHORD")
+    notes = {}
     for chord_index in range(chords):
         chord = schema.entity_type("CHORD").create(n=chord_index)
         for note_index in range(notes_per_chord):
+            n = chord_index * notes_per_chord + note_index
+            notes[n] = (40 + (chord_index + note_index) % 48, "n%d" % note_index)
             note = schema.entity_type("NOTE").create(
-                n=chord_index * notes_per_chord + note_index,
-                pitch=40 + (chord_index + note_index) % 48,
-                label="n%d" % note_index,
+                n=n, pitch=notes[n][0], label=notes[n][1]
             )
             ordering.append(chord, note)
-    return schema
+    return schema, notes
 
 
-def quel_report(rounds, chords=40, notes_per_chord=10):
-    schema = _populated_schema(chords, notes_per_chord)
+def quel_report(seconds, chords=40, notes_per_chord=10):
+    schema, notes = _populated_schema(chords, notes_per_chord)
     session = QuelSession(schema)
     session.execute("range of n is NOTE")
     session.execute("range of c is CHORD")
     target = chords * notes_per_chord // 2
+    pitch = {n: note[0] for n, note in notes.items()}
+    under = chords // 2
     statements = {
-        "indexed_equality": "retrieve (n.pitch) where n.n = %d" % target,
-        "filtered_scan": "retrieve (n.n) where n.pitch > 80",
+        "indexed_equality": (
+            "retrieve (n.pitch) where n.n = %d" % target,
+            [{"n.pitch": pitch[target]}],
+        ),
+        "filtered_scan": (
+            "retrieve (n.n) where n.pitch > 80",
+            [{"n.n": n} for n in notes if pitch[n] > 80],
+        ),
         "two_variable_join": (
             "range of a, b is NOTE\n"
-            "retrieve (a.n) where a.pitch = b.pitch + 1 and b.n = %d" % target
+            "retrieve (a.n) where a.pitch = b.pitch + 1 and b.n = %d" % target,
+            [{"a.n": n} for n in notes if pitch[n] == pitch[target] + 1],
         ),
         "under_query": (
             "retrieve (n.n) where n under c in o and c.n = %d sort by n.n"
-            % (chords // 2)
+            % under,
+            [{"n.n": n} for n in notes if n // notes_per_chord == under],
         ),
-        "aggregate": "retrieve (total = count(n.n), top = max(n.pitch))",
-        "explain_analyze": "explain analyze retrieve (n.pitch) where n.n = %d"
-        % target,
+        "aggregate": (
+            "retrieve (total = count(n.n), top = max(n.pitch))",
+            [{"total": len(notes), "top": max(pitch.values())}],
+        ),
     }
-    workloads = {}
-    for name, source in sorted(statements.items()):
-        workloads[name] = _time_workload(lambda s=source: session.execute(s), rounds)
+    suite = Suite(seconds)
+    for name, (source, expected) in sorted(statements.items()):
+        suite.time(
+            name, lambda s=source: session.execute(s), _same_rows(expected)
+        )
+    suite.time(
+        "explain_analyze",
+        lambda: session.execute(
+            "explain analyze retrieve (n.pitch) where n.n = %d" % target
+        ),
+        lambda plan: plan[0]["plan"].startswith("bind n via index")
+        and {"plan": "rows: 1"} in plan,
+    )
 
     # The shape cache's two cases.  Repeated: the same source text over
     # and over -- a text-memo hit, no lexing, then only planned and run.
@@ -117,22 +231,29 @@ def quel_report(rounds, chords=40, notes_per_chord=10):
         "retrieve (a = n.pitch * 2 + 1, b = n.n - 3, c = n.label) "
         "where n.n = %d and n.pitch > 0"
     )
-    repeated = shape % target
-    session.execute(repeated)  # warm: adaptive indexes settle the epoch
-    session.execute(repeated)
-    workloads["repeated_statement"] = _time_workload(
-        lambda: session.execute(repeated), rounds
+
+    def shaped(n):
+        return [{"a": notes[n][0] * 2 + 1, "b": n - 3, "c": notes[n][1]}]
+
+    suite.time(
+        "repeated_statement",
+        lambda: session.execute(shape % target),
+        _same_rows(shaped(target)),
     )
-    fresh = itertools.count()
-    workloads["new_literal_statement"] = _time_workload(
-        lambda: session.execute(shape % (next(fresh) % (2 * target))), rounds
+    literals = itertools.cycle(sorted(notes))
+
+    def new_literal():
+        n = next(literals)
+        return n, session.execute(shape % n)
+
+    suite.time(
+        "new_literal_statement", new_literal,
+        lambda answer: _rows(answer[1]) == _rows(shaped(answer[0])),
     )
-    return {
-        "benchmark": "quel",
-        "dataset": {"chords": chords, "notes_per_chord": notes_per_chord},
-        "workloads": workloads,
-        "metrics": session.metrics.snapshot(),
-    }
+    return suite.report(
+        "quel", {"chords": chords, "notes_per_chord": notes_per_chord},
+        _metrics(session.metrics),
+    )
 
 
 # -- text-search workloads ------------------------------------------------------
@@ -161,35 +282,53 @@ def _index_stats(index):
     }
 
 
-def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
-    """The catalog-search suite: trigram-indexed text queries vs scans.
+def _head(full, limit):
+    """A check for a ``limit`` statement: *limit* rows of *full* (all of
+    them when it has fewer), and when *full* is ranked, its head's
+    scores."""
+    rows, scores = set(_rows(full)), _scores(full)[:limit]
+    return lambda answer: (
+        len(answer) == min(limit, len(full))
+        and set(_rows(answer)) <= rows
+        and _scores(answer) == scores
+    )
 
-    Loads the deterministic library corpus (``repro.fixtures.corpus``)
-    and times the same ``matches``/``similar_to`` statements twice:
-    before the trigram index over the title column exists (the planner
-    can only scan and apply the predicate to every row) and after.  The
-    report carries the p50 speedup and the rows-visited count from
-    ``explain analyze`` so the "index prunes the heap" claim is
-    checkable from the JSON alone.
 
-    The top-k workloads time the streaming ``limit N`` ranked statement
-    against the same statement without its limit (every gate candidate
-    is fetched, scored and sorted -- the cost the operator avoids);
-    *scale_rows* additionally
-    loads a second catalog of that size and re-times the limit-bearing
-    statements there, so the report can show that first-N retrieval
-    cost stays flat as the corpus grows ~8x.  Three claims are hard
-    ``gates`` entries: ``--compare`` (and any full run) fails when the
-    top-k speedup or the ``similar_to`` index-over-scan speedup drops
-    below 10x, or the 1M/120k search ratio rises above 5x.
-    """
+def _catalog(name, row_count, seed):
     from repro.fixtures.corpus import load_catalog
 
-    schema = Schema("bench-text")
+    schema = Schema(name)
     entity = load_catalog(schema, row_count, seed=seed)
     session = QuelSession(schema)
     session.execute("range of t is TRACK")
+    return schema, entity, session
 
+
+def _scan_forms(session, statements):
+    """Each statement's answer before the text index exists: what its
+    indexed form must return."""
+    return {statement: session.execute(statement) for statement in statements}
+
+
+def _index_title(schema, entity):
+    schema.database.create_text_index(entity.table.name, "title")
+    return entity.table.text_index_for("title")
+
+
+def text_report(seconds, row_count=120_000, seed=7, scale_rows=None):
+    """The catalog-search suite: trigram-indexed text queries vs scans.
+
+    Over the deterministic library corpus (``repro.fixtures.corpus``),
+    every statement is answered once by scanning; the ``matches`` and
+    ``similar_to`` statements are timed before the title's trigram index
+    exists and after, and each indexed answer must be its scan form's.
+    The top-k workloads time the streaming ``limit N`` ranked statement
+    against the same statement without its limit (every candidate
+    scored and sorted); *scale_rows* times the limit-bearing statements
+    over a second, larger catalog.  Three hard ``gates``: the top-k and
+    ``similar_to`` speedups stay >= 10x, the scale/base search ratio
+    <= 5x.
+    """
     match = 'retrieve (t.title) where matches(t.title, "prelude no. 7")'
     similar = (
         'retrieve (t.title) where '
@@ -211,91 +350,61 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
     )
     topk_full = topk.rsplit(" limit ", 1)[0]
     topk_search = match + " limit 100"
-    # Scans walk the whole heap per round; fewer rounds keep the suite
-    # affordable without touching the p50's meaning.
-    scan_rounds = max(2, rounds // 6)
-    # No text index yet: these two can only scan.
-    workloads = {
-        "catalog_search_scan": _time_workload(
-            lambda: session.execute(match), scan_rounds
-        ),
-        "catalog_similar_scan": _time_workload(
-            lambda: session.execute(similar), scan_rounds
-        ),
-    }
-    schema.database.create_text_index(entity.table.name, "title")
-    workloads.update({
-        "catalog_search": _time_workload(
-            lambda: session.execute(match), rounds
-        ),
-        "catalog_similar": _time_workload(
-            lambda: session.execute(similar), rounds
-        ),
-        "catalog_ranked": _time_workload(
-            lambda: session.execute(ranked), rounds
-        ),
-        "catalog_ranked_topk": _time_workload(
-            lambda: session.execute(topk), rounds
-        ),
-        "catalog_ranked_topk_full": _time_workload(
-            lambda: session.execute(topk_full), scan_rounds
-        ),
-        "catalog_topk_search": _time_workload(
-            lambda: session.execute(topk_search), rounds
-        ),
-    })
 
-    index = entity.table.text_index_for("title")
+    schema, entity, session = _catalog("bench-text", row_count, seed)
+    scanned = _scan_forms(session, (match, similar, ranked, topk_full))
+    suite = Suite(seconds)
+    workloads = {
+        "catalog_search": (match, _same_rows(scanned[match])),
+        "catalog_similar": (similar, _same_rows(scanned[similar])),
+    }
+    # No text index yet: these two can only scan.
+    for name, (statement, verify) in workloads.items():
+        suite.time(name + "_scan", lambda s=statement: session.execute(s), verify)
+    index = _index_title(schema, entity)
+    workloads.update({
+        "catalog_ranked": (ranked, _same_rows(scanned[ranked])),
+        "catalog_ranked_topk": (topk, _head(scanned[topk_full], 10)),
+        "catalog_ranked_topk_full": (topk_full, _same_rows(scanned[topk_full])),
+        "catalog_topk_search": (topk_search, _head(scanned[match], 100)),
+    })
+    for name, (statement, verify) in workloads.items():
+        suite.time(name, lambda s=statement: session.execute(s), verify)
+
     dataset = {"rows": row_count, "seed": seed}
     dataset.update(_index_stats(index))
     dataset["rows_visited_indexed"] = _rows_visited(session, match)
     dataset["rows_visited_topk"] = _rows_visited(session, topk)
-    speedup = {
-        "catalog_search_p50": (
-            workloads["catalog_search_scan"]["p50_s"]
-            / workloads["catalog_search"]["p50_s"]
-        ),
-        "catalog_similar_p50": (
-            workloads["catalog_similar_scan"]["p50_s"]
-            / workloads["catalog_similar"]["p50_s"]
-        ),
-        "catalog_ranked_topk_p50": (
-            workloads["catalog_ranked_topk_full"]["p50_s"]
-            / workloads["catalog_ranked_topk"]["p50_s"]
-        ),
-    }
-
     if scale_rows:
-        scale_schema = Schema("bench-text-scale")
-        scale_entity = load_catalog(scale_schema, scale_rows, seed=seed)
-        scale_schema.database.create_text_index(
-            scale_entity.table.name, "title"
+        scale_schema, scale_entity, scale_session = _catalog(
+            "bench-text-scale", scale_rows, seed
         )
-        scale_session = QuelSession(scale_schema)
-        scale_session.execute("range of t is TRACK")
-        workloads["catalog_scale_search"] = _time_workload(
-            lambda: scale_session.execute(topk_search), rounds
+        scale_scanned = _scan_forms(scale_session, (match, topk_full))
+        scale_index = _index_title(scale_schema, scale_entity)
+        for name, statement, verify in (
+            ("catalog_scale_search", topk_search,
+             _head(scale_scanned[match], 100)),
+            ("catalog_scale_ranked_topk", topk,
+             _head(scale_scanned[topk_full], 10)),
+        ):
+            suite.time(
+                name, lambda s=statement: scale_session.execute(s), verify
+            )
+        dataset["scale"] = dict(
+            {"rows": scale_rows, "seed": seed}, **_index_stats(scale_index)
         )
-        workloads["catalog_scale_ranked_topk"] = _time_workload(
-            lambda: scale_session.execute(topk), scan_rounds
-        )
-        scale_dataset = {"rows": scale_rows, "seed": seed}
-        scale_dataset.update(_index_stats(
-            scale_entity.table.text_index_for("title")
-        ))
-        dataset["scale"] = scale_dataset
 
-    report = {
-        "benchmark": "text",
-        "dataset": dataset,
-        "speedup": speedup,
-        # The limit-bearing workloads finish in a couple of ms; widen
-        # the absolute slack so the regression gate flags real slowdowns
-        # rather than single-core scheduler noise.
-        "compare": {"min_delta_s": 0.002},
-        "workloads": workloads,
-        "metrics": session.metrics.snapshot(),
+    def ratio(slow, fast):
+        return suite.workloads[slow]["p50_s"] / suite.workloads[fast]["p50_s"]
+
+    speedup = {
+        "catalog_search_p50": ratio("catalog_search_scan", "catalog_search"),
+        "catalog_similar_p50": ratio("catalog_similar_scan", "catalog_similar"),
+        "catalog_ranked_topk_p50": ratio(
+            "catalog_ranked_topk_full", "catalog_ranked_topk"
+        ),
     }
+    gates = {}
     # Hard perf gates, only meaningful at the full corpus size (tiny
     # --check corpora leave nothing for the index to prune).
     if row_count >= 120_000:
@@ -309,63 +418,81 @@ def text_report(rounds, row_count=120_000, seed=7, scale_rows=None):
         }
         if scale_rows:
             gates["catalog_scale_search_ratio"] = {
-                "value": (
-                    workloads["catalog_scale_search"]["p50_s"]
-                    / workloads["catalog_topk_search"]["p50_s"]
-                ),
+                "value": ratio("catalog_scale_search", "catalog_topk_search"),
                 "max": 5.0,
             }
-        report["gates"] = gates
-    return report
+    return suite.report(
+        "text", dataset, _metrics(session.metrics), speedup=speedup,
+        # The limit-bearing workloads finish in a couple of ms; widen
+        # the absolute slack so the regression gate flags real slowdowns
+        # rather than single-core scheduler noise.
+        compare={"min_delta_s": 0.002}, gates=gates,
+    )
 
 
 # -- storage workloads ----------------------------------------------------------
 
+#: Rows set-up loads before anything is timed, in ``row_count`` units:
+#: what ``checkpoint`` writes an image of and ``table_select_eq`` reads.
+#: With the 200 ``mixed`` rows, the default run's image holds 13,400
+#: rows: the count the round-based report this one replaced had written
+#: (30 rounds x (2 x 200 + 8 x 5) + 200) when it timed ``checkpoint``.
+SETUP_BATCHES = 66
 
-def storage_report(rounds, row_count=200):
+
+class Crew:
+    """Threads that outlive the ops they work for, so that the harness
+    can read their CPU clocks across each op (``Driver.helpers``)."""
+
+    def __init__(self, size):
+        self._inboxes = [queue.Queue() for _ in range(size)]
+        self._outboxes = [queue.Queue() for _ in range(size)]
+        self.threads = [
+            threading.Thread(target=self._serve, args=(i,), daemon=True)
+            for i in range(size)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    def _serve(self, i):
+        for job in iter(self._inboxes[i].get, None):
+            try:
+                self._outboxes[i].put((job(), None))
+            except Exception as error:
+                self._outboxes[i].put((None, error))
+
+    def start(self, jobs):
+        """Hand ``jobs[i]`` to thread ``i``."""
+        for inbox, job in zip(self._inboxes, jobs):
+            inbox.put(job)
+
+    def wait(self, members):
+        """What the jobs of threads *members* returned; raises the first
+        error once they have all finished."""
+        outcomes = [self._outboxes[i].get() for i in members]
+        for _, error in outcomes:
+            if error is not None:
+                raise error
+        return [result for result, _ in outcomes]
+
+    def close(self):
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self.threads:
+            thread.join()
+
+
+def storage_report(seconds, row_count=200):
     tempdir = tempfile.mkdtemp(prefix="bench_storage_")
+    crew = Crew(8)
     try:
-        workloads = {}
-
-        # Table insert + indexed select through a durable database.
+        suite = Suite(seconds)
         database = Database(os.path.join(tempdir, "db"))
-        table = database.create_table(
-            "items", [("k", "integer"), ("v", "string")]
-        )
+        columns = [("k", "integer"), ("v", "string")]
+        table = database.create_table("items", columns)
         table.create_index("k")
-        counter = [0]
-
-        def insert_rows():
-            base = counter[0]
-            counter[0] += row_count
-            for offset in range(row_count):
-                table.insert({"k": base + offset, "v": "value-%d" % offset})
-
-        workloads["table_insert"] = _time_workload(insert_rows, rounds)
-        workloads["table_select_eq"] = _time_workload(
-            lambda: table.select_eq("k", row_count // 2), rounds
-        )
-
-        # COPY-style bulk load: one BATCH_INSERT frame + one group-commit
-        # flush per batch instead of a frame + fsync per row.
-        bulk = database.create_table(
-            "bulk", [("k", "integer"), ("v", "string")]
-        )
+        bulk = database.create_table("bulk", columns)
         bulk.create_index("k")
-
-        def bulk_ingest():
-            base = counter[0]
-            counter[0] += row_count
-            database.bulk_ingest(
-                "bulk",
-                [
-                    {"k": base + offset, "v": "value-%d" % offset}
-                    for offset in range(row_count)
-                ],
-            )
-
-        workloads["bulk_ingest"] = _time_workload(bulk_ingest, rounds)
-
         # Group commit under contention: 8 threads auto-commit inserts
         # into their own tables (so strict 2PL does not serialize them)
         # and their flushes coalesce -- wal.commits_per_fsync in the
@@ -374,196 +501,234 @@ def storage_report(rounds, row_count=200):
             database.create_table("conc%d" % i, [("k", "integer")])
             for i in range(8)
         ]
+        mixed = database.create_table(
+            "mixed", [("k", "integer"), ("v", "integer")]
+        )
+        mixed_rows = [mixed.insert({"k": i, "v": 0}) for i in range(row_count)]
+        loaded = row_count * SETUP_BATCHES
+        database.bulk_ingest(
+            "items", [{"k": k, "v": "value-%d" % k} for k in range(loaded)]
+        )
+        # Rows each table holds so far, which every write op checks.
+        written = {"items": loaded, "bulk": 0, "conc": 0, "wal": 0}
+
+        probe_key = row_count // 2
+        suite.time(
+            "table_select_eq", lambda: table.select_eq("k", probe_key),
+            lambda rows: [row["v"] for row in rows] == ["value-%d" % probe_key],
+        )
+        checkpoints = itertools.count(1)
+        suite.time(
+            "checkpoint", database.checkpoint,
+            lambda _: len(table) == loaded and database.metrics.value(
+                "db.checkpoints") == next(checkpoints),
+        )
+
+        def fresh_rows(name):
+            base = written[name]
+            written[name] += row_count
+            return [{"k": k, "v": "value-%d" % k}
+                    for k in range(base, base + row_count)]
+
+        def insert_rows():
+            for row in fresh_rows("items"):
+                table.insert(row)
+
+        suite.time(
+            "table_insert", insert_rows,
+            lambda _: len(table) == written["items"],
+        )
+        # COPY-style bulk load: one BATCH_INSERT frame + one group-commit
+        # flush per batch instead of a frame + fsync per row.
+        suite.time(
+            "bulk_ingest",
+            lambda: database.bulk_ingest("bulk", fresh_rows("bulk")),
+            lambda _: len(bulk) == written["bulk"],
+        )
+
         per_thread = max(1, row_count // 40)
 
         def concurrent_insert():
-            def hammer(tab, base):
-                for offset in range(per_thread):
-                    tab.insert({"k": base + offset})
+            base = written["conc"]
+            written["conc"] += per_thread
 
-            base = counter[0]
-            counter[0] += per_thread
-            threads = [
-                threading.Thread(target=hammer, args=(tab, base))
-                for tab in conc_tables
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            def hammer(tab):
+                for k in range(base, base + per_thread):
+                    tab.insert({"k": k})
 
-        workloads["concurrent_insert"] = _time_workload(concurrent_insert, rounds)
+            crew.start([lambda t=tab: hammer(t) for tab in conc_tables])
+            crew.wait(range(len(conc_tables)))
+
+        suite.time(
+            "concurrent_insert", concurrent_insert,
+            lambda _: all(len(t) == written["conc"] for t in conc_tables),
+            crew,
+        )
 
         # MVCC snapshot reads under write pressure: one writer thread
         # auto-commits updates while 4 scan threads each run pinned
         # snapshot scans.  Timed from the readers' side -- before
         # snapshot reads, this schedule serialized on the table lock.
-        mixed = database.create_table(
-            "mixed", [("k", "integer"), ("v", "integer")]
-        )
-        mixed_rows = [mixed.insert({"k": i, "v": 0}) for i in range(row_count)]
         transactions = database.transactions
 
         def mixed_readers_writers():
             stop = threading.Event()
 
             def writer():
-                i = 0
-                while not stop.is_set():
+                for i in itertools.count():
+                    if stop.is_set():
+                        return
                     mixed.update(mixed_rows[i % len(mixed_rows)].rowid,
                                  {"v": i})
-                    i += 1
 
-            def reader():
-                for _ in range(3):
-                    transactions.pin_snapshot()
-                    try:
-                        sum(row["v"] for row in mixed)
-                    finally:
-                        transactions.unpin_snapshot()
+            def scan():
+                transactions.pin_snapshot()
+                try:
+                    return sum(1 for _ in mixed)
+                finally:
+                    transactions.unpin_snapshot()
 
-            writer_thread = threading.Thread(target=writer)
-            readers = [threading.Thread(target=reader) for _ in range(4)]
-            writer_thread.start()
-            for thread in readers:
-                thread.start()
-            for thread in readers:
-                thread.join()
-            stop.set()
-            writer_thread.join()
+            crew.start([lambda: [scan() for _ in range(3)]] * 4 + [writer])
+            try:
+                return crew.wait(range(4))
+            finally:
+                stop.set()
+                crew.wait([4])
 
-        workloads["mixed_readers_writers"] = _time_workload(
-            mixed_readers_writers, rounds
+        suite.time(
+            "mixed_readers_writers", mixed_readers_writers,
+            lambda seen: seen == [[row_count] * 3] * 4, crew,
         )
-        workloads["checkpoint"] = _time_workload(database.checkpoint, rounds)
-        metrics_snapshot = database.metrics.snapshot()
+        metrics = _metrics(database.metrics)
         database.close()
 
         # Raw WAL append/fsync rates.
         wal = WriteAheadLog(os.path.join(tempdir, "bench.wal"))
 
         def wal_appends():
-            for offset in range(row_count):
+            for _ in range(row_count):
                 wal.append(1, 1)
             wal.flush()
+            written["wal"] += row_count
 
-        workloads["wal_append_fsync"] = _time_workload(wal_appends, rounds)
+        suite.time(
+            "wal_append_fsync", wal_appends,
+            lambda _: wal.flushed_lsn == wal.last_lsn == written["wal"],
+        )
         wal.close()
 
         # Pager stream write/read.
         pager = Pager(os.path.join(tempdir, "bench.mdm"), capacity=8)
         payload = b"x" * (64 * 1024)
-        heads = []
+        head = pager.write_stream(payload)
+        pager.flush()
 
         def stream_write():
-            heads.append(pager.write_stream(payload))
+            written_head = pager.write_stream(payload)
             pager.flush()
+            return written_head
 
-        workloads["pager_stream_write"] = _time_workload(stream_write, rounds)
-        workloads["pager_stream_read"] = _time_workload(
-            lambda: pager.read_stream(heads[0]), rounds
+        suite.time(
+            "pager_stream_write", stream_write,
+            lambda at: pager.read_stream(at) == payload,
+        )
+        suite.time(
+            "pager_stream_read", lambda: pager.read_stream(head),
+            lambda data: data == payload,
         )
         pager.close()
-
-        return {
-            "benchmark": "storage",
-            "dataset": {"row_count": row_count},
-            "workloads": workloads,
-            "metrics": metrics_snapshot,
-        }
+        return suite.report(
+            "storage", {"row_count": row_count, "setup_rows": loaded}, metrics
+        )
     finally:
+        crew.close()
         shutil.rmtree(tempdir, ignore_errors=True)
 
 
 # -- network serving workloads ---------------------------------------------------
 
-
-def _stats_from_samples(samples):
-    """The BENCH stat dict for a list of per-operation latencies."""
-    samples = sorted(samples)
-    count = len(samples)
-    total = sum(samples)
-    return {
-        "rounds": count,
-        "total_s": total,
-        "mean_s": total / count,
-        "min_s": samples[0],
-        "max_s": samples[-1],
-        "p50_s": samples[count // 2],
-        "p99_s": samples[min(count - 1, (count * 99) // 100)],
-    }
+SWARM_STATEMENT = "retrieve (n.degree) where n.degree >= 0"
 
 
 def _swarm_worker(argv):
-    """Child-process entry point (``--swarm-worker``): one retrieve
-    client hammering the server; emits latency samples as JSON."""
-    port, replica_ports, ops = argv[0], argv[1], int(argv[2])
-    from repro.errors import MDMError
+    """Child-process entry point (``--swarm-worker``): one retrieve client
+    driven by the harness; prints what its phase recorded as JSON."""
     from repro.net import MdmClient
 
-    replicas = [
-        ("127.0.0.1", int(p)) for p in replica_ports.split(",") if p
-    ]
+    port, replica_ports, seconds, rows = argv
+    seconds, rows = float(seconds), int(rows)
     client = MdmClient(
-        ("127.0.0.1", int(port)), replicas=replicas,
+        ("127.0.0.1", int(port)),
+        replicas=[("127.0.0.1", int(p)) for p in replica_ports.split(",") if p],
         client_id="swarm-%d" % os.getpid(), default_timeout=5.0,
     )
-    latencies, ok, shed = [], 0, 0
+    op = harness.Op(
+        lambda: client.retrieve(SWARM_STATEMENT),
+        lambda answer: len(answer) == rows,
+    )
+    driver = harness.Driver(
+        "swarm", {"retrieve": harness.BLOCK}, lambda cls, rng: op,
+        seed=os.getpid(),
+    )
+    phase = harness.Phase(seconds)
     try:
         client.execute("range of n is NOTE")
-        for _ in range(ops):
-            started = time.perf_counter()
-            try:
-                client.retrieve("retrieve (n.degree) where n.degree >= 0")
-            except MDMError:
-                shed += 1
-                continue
-            ok += 1
-            latencies.append(time.perf_counter() - started)
+        harness.run_phase([driver], min(harness.WARMUP_S, seconds))
+        harness.run_phase([driver], seconds, phase)
     finally:
         client.close()
-    json.dump({"lat": latencies, "ok": ok, "shed": shed}, sys.stdout)
+    json.dump({
+        "samples": phase.samples, "raw": phase.raw,
+        "failed": driver.failed, "errors": driver.errors,
+    }, sys.stdout)
     return 0
 
 
-def _run_swarm(port, replica_ports, clients, ops_per_client):
-    """Launch *clients* worker processes; returns merged results."""
-    env = dict(os.environ)
-    src = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "src"
-    )
-    env["PYTHONPATH"] = os.path.abspath(src)
+def _run_swarm(suite, label, port, replica_ports, clients, rows):
+    """Drive *clients* worker processes; their phases become one."""
     command = [
         sys.executable, os.path.abspath(__file__), "--swarm-worker",
         str(port), ",".join(str(p) for p in replica_ports),
-        str(ops_per_client),
+        str(suite.seconds), str(rows),
     ]
     procs = [
-        subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
+        subprocess.Popen(command, stdout=subprocess.PIPE)
         for _ in range(clients)
     ]
-    latencies, ok, shed = [], 0, 0
+    phase = harness.Phase(suite.seconds)
+    failed, errors = 0, []
     for proc in procs:
         out, _ = proc.communicate(timeout=120)
         if proc.returncode != 0:
             raise RuntimeError("swarm worker exited %d" % proc.returncode)
-        result = json.loads(out.decode("utf-8"))
-        latencies.extend(result["lat"])
-        ok += result["ok"]
-        shed += result["shed"]
-    return latencies, ok, shed
+        child = json.loads(out.decode("utf-8"))
+        # The merge mirrors Phase's own storage: every child must have cut
+        # its phase into the same windows.
+        if len(child["samples"]) != phase.windows:
+            raise RuntimeError(
+                "swarm worker sent %d windows, want %d"
+                % (len(child["samples"]), phase.windows)
+            )
+        for window, part in zip(phase.samples, child["samples"]):
+            for cls, values in part.items():
+                window[cls].extend(values)
+        for cls, values in child["raw"].items():
+            phase.raw[cls].extend(values)
+        failed += child["failed"]
+        errors += child["errors"]
+    suite.record(label, phase, "retrieve", failed, errors)
 
 
-def net_report(clients=4, ops_per_client=30, row_count=60):
-    """The client-swarm serving benchmark: per-retrieve latency and shed
-    rate with every client in its own OS process, primary-only vs.
-    primary plus two WAL-shipped replicas (retrieves fan out)."""
+def net_report(seconds, clients=4, row_count=60):
+    """The client-swarm serving benchmark: per-retrieve latency with
+    every client in its own OS process, primary-only vs. primary plus
+    two WAL-shipped replicas (retrieves fan out).  A shed retrieve is a
+    failed op; ``net.shed`` in the metrics counts them."""
     from repro.mdm.manager import MusicDataManager
     from repro.net import MdmServer, ReplicaServer
 
     tempdir = tempfile.mkdtemp(prefix="bench_net_")
-    workloads = {}
-    metrics_snapshot = {}
+    suite = Suite(seconds)
     try:
         for label, replica_count in (
             ("swarm_primary_only", 0),
@@ -587,46 +752,30 @@ def net_report(clients=4, ops_per_client=30, row_count=60):
                     r.status()["serving"] for r in replicas
                 ):
                     time.sleep(0.02)
-                latencies, ok, shed = _run_swarm(
-                    server.address[1],
-                    [r.address[1] for r in replicas],
-                    clients, ops_per_client,
+                _run_swarm(
+                    suite, label, server.address[1],
+                    [r.address[1] for r in replicas], clients, row_count,
                 )
-                if not latencies:
-                    raise RuntimeError(
-                        "swarm %r produced no successful retrieves" % label
-                    )
-                stats = _stats_from_samples(latencies)
-                stats["clients"] = clients
-                stats["ops_per_client"] = ops_per_client
-                stats["shed_rate"] = shed / float(ok + shed)
-                workloads[label] = stats
-                metrics_snapshot = mdm.database.metrics.snapshot()
+                metrics = _metrics(mdm.database.metrics)
             finally:
                 for replica in replicas:
                     replica.stop()
                 server.stop()
                 mdm.close()
-        return {
-            "benchmark": "net",
-            "dataset": {
-                "clients": clients, "ops_per_client": ops_per_client,
-                "row_count": row_count,
-            },
+        return suite.report(
+            "net", {"clients": clients, "row_count": row_count}, metrics,
             # Swarm latencies are a few ms and swing with machine load;
             # widen the absolute slack so the gate catches gross
             # serving regressions without flagging scheduler noise.
-            "compare": {"min_delta_s": 0.003},
-            "workloads": workloads,
-            "metrics": metrics_snapshot,
-        }
+            compare={"min_delta_s": 0.003},
+        )
     finally:
         shutil.rmtree(tempdir, ignore_errors=True)
 
 
 # -- report validation / entry point --------------------------------------------
 
-_STAT_KEYS = {"rounds", "total_s", "mean_s", "min_s", "max_s", "p50_s"}
+_STAT_KEYS = {"count", "sum_s", "p50_s", "p99_s", "raw_p50_s"}
 
 
 def validate_report(report):
@@ -640,7 +789,7 @@ def validate_report(report):
         missing = _STAT_KEYS - set(stats)
         if missing:
             raise ValueError("workload %r missing %s" % (name, sorted(missing)))
-        if stats["rounds"] < 1 or stats["total_s"] < 0:
+        if stats["count"] < 1 or stats["sum_s"] < 0:
             raise ValueError("workload %r has nonsense stats" % name)
     for name, gate in report.get("gates", {}).items():
         if "value" not in gate or not ({"min", "max"} & set(gate)):
@@ -650,15 +799,21 @@ def validate_report(report):
 
 
 def check_gates(report):
-    """Check a report's hard perf ``gates``.
+    """Check the claims a report makes about itself.
 
     Unlike the baseline comparison (relative: this run vs a committed
-    run), gates are absolute claims a report makes about itself -- the
-    top-k operator is >=10x its materialize-then-sort ablation, the
-    1M-row search p50 is <=5x the 120k one.  Returns human-readable
-    failure lines (empty means every gate holds).
+    run), these are absolute: every op returned a right answer, and the
+    hard perf ``gates`` hold -- the top-k operator is >=10x its
+    materialize-then-sort ablation, the 1M-row search p50 is <=5x the
+    120k one.  Returns human-readable failure lines (empty means every
+    claim holds).
     """
     failures = []
+    if report.get("failed_ops"):
+        failures.append(
+            "%d op(s) failed their check: %s"
+            % (report["failed_ops"], "; ".join(report.get("errors", [])))
+        )
     for name, gate in sorted(report.get("gates", {}).items()):
         value = gate["value"]
         if "min" in gate and value < gate["min"]:
@@ -678,26 +833,17 @@ def _enforce_gates(reports):
     """Print gate status for each report; returns True when any fail."""
     failed = False
     for report in reports:
-        gates = report.get("gates")
-        if not gates:
-            continue
         failures = check_gates(report)
+        gates = report.get("gates")
         if failures:
             failed = True
             print("GATE FAILURE in %s report:" % report["benchmark"])
             for line in failures:
                 print("  " + line)
-        else:
-            print(
-                "gates OK in %s report (%s)"
-                % (
-                    report["benchmark"],
-                    ", ".join(
-                        "%s=%.2f" % (name, gate["value"])
-                        for name, gate in sorted(gates.items())
-                    ),
-                )
-            )
+        elif gates:
+            values = ", ".join("%s=%.2f" % (name, gate["value"])
+                               for name, gate in sorted(gates.items()))
+            print("gates OK in %s report (%s)" % (report["benchmark"], values))
     return failed
 
 
@@ -774,7 +920,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="tiny rounds, validate report shapes, write nothing",
+        help="tiny sizes and %g s phases, every op still checked; "
+             "validate report shapes, write nothing" % CHECK_SECONDS,
     )
     parser.add_argument(
         "--compare", action="append", default=None, metavar="BASELINE",
@@ -782,11 +929,11 @@ def main(argv=None):
              "exit nonzero on >25%% p50 regression, write nothing",
     )
     parser.add_argument(
-        "--rounds", type=int, default=30,
-        help="timing rounds per workload (default 30)",
+        "--seconds", type=float, default=2.0,
+        help="measured seconds per workload, after a warm-up (default 2)",
     )
     parser.add_argument(
-        "--out-dir", default=os.path.join(os.path.dirname(__file__), ".."),
+        "--out-dir", default=ROOT,
         help="directory for BENCH_*.json (default: repository root)",
     )
     parser.add_argument(
@@ -795,8 +942,8 @@ def main(argv=None):
              "(default 1000000; 0 skips the scale suite)",
     )
     parser.add_argument(
-        "--swarm-worker", nargs=3, default=None,
-        metavar=("PORT", "REPLICA_PORTS", "OPS"),
+        "--swarm-worker", nargs=4, default=None,
+        metavar=("PORT", "REPLICA_PORTS", "SECONDS", "ROWS"),
         help=argparse.SUPPRESS,  # internal: net_report child process
     )
     args = parser.parse_args(argv)
@@ -804,22 +951,21 @@ def main(argv=None):
     if args.swarm_worker is not None:
         return _swarm_worker(args.swarm_worker)
 
-    rounds = 2 if args.check else args.rounds
+    seconds = CHECK_SECONDS if args.check else args.seconds
     builders = {
         "quel": lambda: quel_report(
-            rounds, chords=8 if args.check else 40,
+            seconds, chords=8 if args.check else 40,
             notes_per_chord=5 if args.check else 10,
         ),
         "storage": lambda: storage_report(
-            rounds, row_count=20 if args.check else 200
+            seconds, row_count=20 if args.check else 200
         ),
         "text": lambda: text_report(
-            rounds, row_count=400 if args.check else 120_000,
+            seconds, row_count=400 if args.check else 120_000,
             scale_rows=800 if args.check else args.scale_rows,
         ),
         "net": lambda: net_report(
-            clients=2 if args.check else 4,
-            ops_per_client=5 if args.check else 30,
+            seconds, clients=2 if args.check else 4,
             row_count=10 if args.check else 60,
         ),
     }
@@ -838,31 +984,28 @@ def main(argv=None):
         wanted &= set(builders)
     reports = {
         kind: validate_report(builders[kind]())
-        for kind in ("quel", "storage", "text", "net") if kind in wanted
+        for kind in KINDS if kind in wanted
     }
-    if args.check:
-        print(
-            "bench report check OK (%s workloads)"
-            % ", ".join(
-                "%d %s" % (len(reports[kind]["workloads"]), kind)
-                for kind in ("quel", "storage", "text", "net")
-            )
-        )
-        return 0
     gates_failed = _enforce_gates(reports.values())
+    if args.check:
+        counts = ", ".join("%d %s" % (len(reports[kind]["workloads"]), kind)
+                           for kind in KINDS)
+        print("bench report check %s (%s workloads)"
+              % ("FAILED" if gates_failed else "OK", counts))
+        return 1 if gates_failed else 0
     if args.compare:
         status = _run_compare(args.compare, reports)
         return 1 if gates_failed else status
     if gates_failed:
         return 1
     out_dir = os.path.abspath(args.out_dir)
-    for kind in ("quel", "storage", "text", "net"):
+    for kind in KINDS:
         path = os.path.join(out_dir, "BENCH_%s.json" % kind)
         write_json(path, reports[kind])
         print("wrote %s:" % os.path.relpath(path, out_dir))
         for name, stats in sorted(reports[kind]["workloads"].items()):
-            print("  %-24s mean %.6fs over %d rounds"
-                  % (name, stats["mean_s"], stats["rounds"]))
+            print("  %-26s p50 %.6fs over %d ops"
+                  % (name, stats["p50_s"], stats["count"]))
     return 0
 
 

@@ -29,8 +29,7 @@ if [ "${1:-}" = "--scale" ]; then
     shift
     PYTHONPATH=src python -m pytest -q -m text_scale \
         tests/props/test_text_index_props.py "$@"
-    PYTHONPATH=src python scripts/bench_report.py --rounds 7 \
-        --compare BENCH_text.json
+    PYTHONPATH=src python scripts/bench_report.py --compare BENCH_text.json
     exit 0
 fi
 

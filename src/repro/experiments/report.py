@@ -14,8 +14,9 @@ This is an early design paper: its evaluation artifacts are **figures
 1-15 and the figure 11 entity table**, not performance numbers.  Each
 section below regenerates one artifact from the live system and lists
 the structural checks that tie it to the paper's claims.  Performance
-characteristics of the implementation are measured separately by the
-`benchmarks/` suite (see `bench_output.txt`).
+characteristics of the implementation are measured separately: by
+`bench/run.py` (see `bench/README.md`) and by `scripts/bench_report.py`,
+whose runs are the committed `BENCH_*.json` files.
 
 Regenerate this file with:
 

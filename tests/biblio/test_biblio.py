@@ -14,6 +14,7 @@ from repro.biblio.thematic import ThematicIndex
 from repro.core.schema import Schema
 from repro.errors import BiblioError
 from repro.fixtures.bwv578 import SUBJECT_INCIPIT_DARMS, build_bwv_index
+from repro.fixtures.examples import make_demo_index
 
 
 @pytest.fixture
@@ -87,6 +88,12 @@ class TestSearch:
         hits = search_by_incipit(small_index, "!G 24Q 26Q 28Q //",
                                  prefix_only=True)
         assert [entry["number"] for entry, _ in hits] == [3]
+        # The same search over a generated 25-work index.
+        demo = make_demo_index(25)
+        assert len(demo) == 25
+        assert search_by_incipit(
+            demo, "!G !M4:4 21Q 23Q 25Q 27Q //", prefix_only=True
+        )
 
     def test_contains_search(self, small_index):
         # The descending step G4->F... matches inside entry 1's line.

@@ -70,6 +70,13 @@ class TestTemporalAttributes:
         # Second chord of the subject starts on beat 1.
         assert view.chord_start_beats(stream[1]) == 1
         assert view.chord_duration_beats(stream[0]) == 1
+        # Read from the shared syncs, every start is the one walking
+        # the stream and summing durations gives (figure 14).
+        walked = 0
+        for item in view.voice_stream(soprano):
+            if item.type.name == "CHORD":
+                assert view.chord_start_beats(item) == walked
+            walked += item["duration"] * 4
 
     def test_multi_movement_offsets(self):
         builder = ScoreBuilder("two movements", meter="4/4")

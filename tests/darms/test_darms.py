@@ -232,6 +232,7 @@ class TestEncodeRoundTrip:
         from repro.fixtures.gloria import GLORIA_USER_DARMS
 
         builder, score = darms_to_score(GLORIA_USER_DARMS)
+        assert builder.view.counts()["notes"] > 10
         encoded = score_to_darms(builder.cmn, score)
         builder2, score2 = darms_to_score(encoded)
         assert builder2.view.counts() == builder.view.counts()

@@ -7,7 +7,7 @@ import pytest
 from repro.cmn.builder import ScoreBuilder
 from repro.cmn.groups import beam
 from repro.errors import SchemaError
-from repro.graphics.graphdef import GraphicsCatalog
+from repro.graphics.graphdef import STEM_FUNCTION, GraphicsCatalog
 from repro.graphics.layout import layout_voice, stem_for_chord
 from repro.graphics.postscript import PostScriptError, execute_postscript
 from repro.graphics.render import render_staff
@@ -116,6 +116,13 @@ class TestGraphDefs:
         display = catalog.draw(art["stems"][0])
         ops = [op for op, _ in display]
         assert "moveto" in ops and "lineto" in ops and "stroke" in ops
+        # The catalog's indirection draws what the function run directly
+        # over the stem's attributes draws.
+        stem = art["stems"][0]
+        direct = execute_postscript(STEM_FUNCTION, {
+            name: stem[name] for name in ("xpos", "ypos", "length", "direction")
+        })
+        assert list(direct.display) == list(display)
 
     def test_draw_all(self, scored):
         builder, voice, catalog = scored

@@ -15,7 +15,7 @@ from repro.pianoroll.roll import PianoRoll
 from repro.quel.executor import QuelSession
 from repro.sound.compaction import compaction_report
 from repro.sound.synthesis import synthesize
-from repro.temporal.conductor import Conductor
+from repro.temporal.conductor import Conductor, RubatoWarp
 from repro.temporal.tempo import TempoMap
 
 
@@ -36,6 +36,12 @@ class TestScoreToSoundPipeline:
         assert (
             conductor.performance_seconds(32) > steady.performance_seconds(32)
         )
+        # Rubato on top moves the notes, never adds or drops one.
+        rubato = Conductor(
+            TempoMap(84).ritardando(28, 32, 60), RubatoWarp(0.03, 4.0)
+        )
+        warped = extract_midi(bwv578.cmn, bwv578.score, rubato, store=False)
+        assert len(warped.notes) == len(events.notes)
 
     def test_smf_of_full_score(self, bwv578, tmp_path):
         events = extract_midi(bwv578.cmn, bwv578.score, store=False)

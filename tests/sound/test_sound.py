@@ -134,6 +134,13 @@ class TestCompaction:
         silence = SampleBuffer.silence(1.0, 8000)
         packed = compact_redundancy(silence)
         assert len(packed) < silence.storage_bytes() / 10
+        # Two notes two seconds apart: folding the silent run beats one
+        # byte a sample, the floor of any per-sample varint stream.
+        events = EventList()
+        events.add_note(60, 80, 0, 0.0, 0.3)
+        events.add_note(64, 80, 0, 2.0, 2.3)
+        quiet = synthesize(events, sample_rate=8000)
+        assert len(compact_redundancy(quiet)) < len(quiet)
 
     def test_expand_rejects_garbage(self):
         with pytest.raises(SoundError):

@@ -278,6 +278,30 @@ class StressHarness:
         self.start_barrier = threading.Barrier(threads + 1)  # + blocker
         self.blocker = LockBlocker(self, seed * 1000 + 999, pulses=blocker_pulses)
 
+    def plant_wait_die(self):
+        """One certain wait-die abort before the stampede.
+
+        An owner older than every transaction holds ``entity:CHORD``; a
+        session's first attempt asks for it, is younger, dies and is
+        retried; its second attempt frees the lock first.  So a run
+        planted before :meth:`run` counts at least one
+        ``deadlock_aborts`` and one ``retries``, however the worker
+        threads happen to interleave.  It also adds one commit, so only
+        call it where the statistics are read for conflicts, not commits.
+        """
+        locks = self.mdm.database.transactions.lock_manager
+        older = 0  # transaction ids start at 1
+        locks.acquire(older, CHORD_TABLE, LockMode.EXCLUSIVE)
+        attempts = [0]
+
+        def op(m):
+            attempts[0] += 1
+            if attempts[0] > 1:
+                locks.release_all(older)
+            m.database.write_table(CHORD_TABLE)
+
+        self.mdm.connect("planted", seed=self.seed, backoff_base=0.0).run(op)
+
     def run(self):
         threads = [
             threading.Thread(target=worker.run_ops, name=worker.session.name)

@@ -8,7 +8,7 @@ is opt-in via ``scripts/stress_smoke.sh --full`` or ``-m stress_slow``.
 
 import pytest
 
-from tests.stress.harness import run_stress
+from tests.stress.harness import StressHarness, run_stress
 
 pytestmark = pytest.mark.stress
 
@@ -29,16 +29,18 @@ def test_seeded_stress_schedule(seed):
 def test_matrix_exercises_wait_die_retries():
     """Across high-contention seeds, wait-die conflicts actually fire.
 
-    No single interleaving guarantees a die, so this asserts over a
-    small aggregate: with six writers stampeding three shared tables
-    behind the blocker, at least one transaction must have been aborted
-    and retried (or given up) somewhere in the bundle.
+    No interleaving of the workers guarantees a die, so each run plants
+    one (``StressHarness.plant_wait_die``); six writers stampeding three
+    shared tables behind the blocker add theirs.  The statistics must
+    count at least one abort and retry in the bundle.
     """
     conflicts = 0
     for seed in (101, 202, 303):
-        stats = run_stress(
+        harness = StressHarness(
             seed, threads=6, ops_per_worker=12, max_concurrent=6
         )
+        harness.plant_wait_die()
+        stats = harness.run().verify()
         conflicts += (
             stats["retries"]
             + stats["deadlock_aborts"]
