@@ -33,7 +33,6 @@ def main():
 
     # Typesetting through the graphical-definitions layer (figure 10).
     catalog = GraphicsCatalog(builder.cmn.schema)
-    catalog.meta.sync()
     catalog.register_standard()
     art = layout_voice(builder.cmn, score, voice)
     print(

@@ -3,16 +3,22 @@
 
 Defines the paper's example schema through the DDL, stores data,
 runs QUEL queries -- including the entity operators ``is``, ``before``,
-``after``, ``under`` -- and shows the instance-graph view of a chord.
+``after``, ``under`` -- shows the instance-graph view of a chord, and
+reopens the database to ask the meta-database what it holds.
 
 Run:  python examples/quickstart.py
 """
+
+import os
+import tempfile
 
 from repro import MusicDataManager, InstanceGraph
 
 
 def main():
-    mdm = MusicDataManager()
+    directory = tempfile.TemporaryDirectory()
+    path = os.path.join(directory.name, "mdm")
+    mdm = MusicDataManager(path)
 
     # 1. Define a schema (section 5.1/5.4 of the paper).
     mdm.execute(
@@ -81,6 +87,16 @@ def main():
         ),
     )
     print("\nSchema statistics:", mdm.statistics())
+
+    # 7. The schema is stored data: each define above wrote its meta
+    #    rows through the log, so a reopened database knows WORK and
+    #    WROTE without being told again.
+    mdm.close()
+    mdm = MusicDataManager.reopen(path)
+    rows = mdm.retrieve("range of e is ENTITY retrieve (e.entity_name)")
+    print("\nEntity types after a reopen:", [r["e.entity_name"] for r in rows])
+    mdm.close()
+    directory.cleanup()
 
 
 if __name__ == "__main__":

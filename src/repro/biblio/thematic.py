@@ -47,18 +47,16 @@ BIBLIO_RELATIONSHIPS = {
 
 
 def build_biblio_schema(database=None, schema=None):
-    """Create (or extend) a schema with the bibliographic types."""
+    """Create (or extend, or bind to) a schema with the bibliographic
+    types: a define identical to a stored one binds."""
     if schema is None:
         schema = Schema("biblio", database=database)
     for name, attributes in BIBLIO_DDL_TYPES.items():
-        if not schema.has_entity_type(name):
-            schema.define_entity(name, attributes)
+        schema.define_entity(name, attributes)
     for name, (children, parent) in BIBLIO_ORDERINGS.items():
-        if name not in schema.orderings:
-            schema.define_ordering(name, children, under=parent)
+        schema.define_ordering(name, children, under=parent)
     for name, roles in BIBLIO_RELATIONSHIPS.items():
-        if name not in schema.relationships:
-            schema.define_relationship(name, roles)
+        schema.define_relationship(name, roles)
     return schema
 
 

@@ -10,7 +10,9 @@ attribute" (section 5.1, the COMPOSITION_DATE example).
 from repro.errors import SchemaError
 from repro.storage.values import Domain
 
-_SCALAR_NAMES = {d.value for d in Domain if d is not Domain.ENTITY}
+#: The scalar domains, as DDL spells them; any other domain name is an
+#: entity type.
+SCALAR_NAMES = frozenset(d.value for d in Domain if d is not Domain.ENTITY)
 
 
 class AttributeDef:
@@ -27,7 +29,7 @@ class AttributeDef:
             raise SchemaError("attribute name must be a non-empty string")
         if isinstance(domain, str):
             lowered = domain.lower()
-            if lowered in _SCALAR_NAMES:
+            if lowered in SCALAR_NAMES:
                 domain = Domain(lowered)
             elif domain == "entity":
                 # The exact lowercase keyword: an explicit entity domain

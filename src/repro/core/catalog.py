@@ -4,7 +4,7 @@ The schema itself is stored as ordered entities in the database, using
 the meta-schema of section 6.1:
 
     define entity ENTITY (entity_name = string)
-    define entity RELATIONSHIP (relationship_name = string)
+    define entity RELATIONSHIP (relationship_name = string, many_role = string)
     define entity ATTRIBUTE (attribute_name = string, attribute_type = string)
     define entity ORDERING (order_name = string, order_parent = ENTITY)
     define ordering entity_attributes (ATTRIBUTE) under ENTITY
@@ -13,11 +13,18 @@ the meta-schema of section 6.1:
 
 The catalog lives *inside the same schema it describes*, so the meta
 types catalogue themselves -- the "blur" the paper's title for section 6
-refers to.  :meth:`MetaCatalog.reconstruct` rebuilds a working Schema
-from the stored representation, proving the representation is complete.
+refers to.  These rows are the schema's only copy: every ``define`` and
+``add_attribute`` appends its rows in the commit that creates or widens
+its table, and a Schema over them is rebuilt from them.
+
+The lowering is lossless: ``many_role``, which the paper's RELATIONSHIP
+lacks, holds a 1:n relationship's many side (null is m:n), and a
+relationship's ATTRIBUTE rows are its roles then its attributes, told
+apart as the DDL tells them: a scalar domain names an attribute.
 """
 
-from repro.errors import SchemaError
+from repro.core.attributes import SCALAR_NAMES
+from repro.core.entity import SURROGATE_COLUMN
 
 META_ENTITY = "ENTITY"
 META_RELATIONSHIP = "RELATIONSHIP"
@@ -27,140 +34,117 @@ ENTITY_ATTRIBUTES = "entity_attributes"
 RELATIONSHIP_ATTRIBUTES = "relationship_attributes"
 ORDER_CHILD = "order_child"
 
-_META_TYPE_NAMES = (META_ENTITY, META_RELATIONSHIP, META_ATTRIBUTE, META_ORDERING)
+#: The meta-schema above, as the definitions a new schema starts from.
+META_DEFINITIONS = [
+    ("entity", META_ENTITY, [("entity_name", "string")]),
+    ("entity", META_RELATIONSHIP,
+     [("relationship_name", "string"), ("many_role", "string")]),
+    ("entity", META_ATTRIBUTE,
+     [("attribute_name", "string"), ("attribute_type", "string")]),
+    ("entity", META_ORDERING,
+     [("order_name", "string"), ("order_parent", META_ENTITY)]),
+    ("ordering", ENTITY_ATTRIBUTES, [META_ATTRIBUTE], META_ENTITY),
+    ("ordering", RELATIONSHIP_ATTRIBUTES, [META_ATTRIBUTE], META_RELATIONSHIP),
+    ("relationship", ORDER_CHILD,
+     [("child", META_ENTITY), ("ordering", META_ORDERING)], [], None),
+]
+
+#: Names of the meta-schema's types, relationship and orderings.
+META_NAMES = frozenset(definition[1] for definition in META_DEFINITIONS)
 
 
 class MetaCatalog:
-    """Schema-as-data catalog for one :class:`~repro.core.schema.Schema`."""
+    """Schema-as-data catalog for one :class:`~repro.core.schema.Schema`:
+    writes a definition's rows and reads them back.
+
+    A *definition* is what one ``define`` statement says, as a tuple:
+    ``("entity", name, [(attribute, domain name), ...])``,
+    ``("relationship", name, roles, attributes, many_role)`` or
+    ``("ordering", name, [child type, ...], parent type)``.
+    """
 
     def __init__(self, schema):
+        """Over *schema*, which holds the meta-schema's objects already."""
         self.schema = schema
-        self._install_meta_schema()
+        self.entity_table, self.relationship_table, self.attribute_table, \
+            self.ordering_table = map(schema.entity_type, (
+                META_ENTITY, META_RELATIONSHIP, META_ATTRIBUTE, META_ORDERING
+            ))
+        self.entity_attributes = schema.ordering(ENTITY_ATTRIBUTES)
+        self.relationship_attributes = schema.ordering(RELATIONSHIP_ATTRIBUTES)
+        self.order_child = schema.relationship(ORDER_CHILD)
 
-    def _install_meta_schema(self):
-        schema = self.schema
-        if not schema.has_entity_type(META_ENTITY):
-            schema.define_entity(META_ENTITY, [("entity_name", "string")])
-        if not schema.has_entity_type(META_RELATIONSHIP):
-            schema.define_entity(META_RELATIONSHIP, [("relationship_name", "string")])
-        if not schema.has_entity_type(META_ATTRIBUTE):
-            schema.define_entity(
-                META_ATTRIBUTE,
-                [("attribute_name", "string"), ("attribute_type", "string")],
-            )
-        if not schema.has_entity_type(META_ORDERING):
-            schema.define_entity(
-                META_ORDERING,
-                [("order_name", "string"), ("order_parent", META_ENTITY)],
-            )
-        if ENTITY_ATTRIBUTES not in schema.orderings:
-            schema.define_ordering(ENTITY_ATTRIBUTES, [META_ATTRIBUTE], under=META_ENTITY)
-        if RELATIONSHIP_ATTRIBUTES not in schema.orderings:
-            schema.define_ordering(
-                RELATIONSHIP_ATTRIBUTES, [META_ATTRIBUTE], under=META_RELATIONSHIP
-            )
-        if ORDER_CHILD not in schema.relationships:
-            schema.define_relationship(
-                ORDER_CHILD,
-                [("child", META_ENTITY), ("ordering", META_ORDERING)],
-            )
+    # -- writing: one definition's rows, inside its DDL commit -------------------
 
-    # -- convenience handles ---------------------------------------------------
-
-    @property
-    def entity_table(self):
-        return self.schema.entity_type(META_ENTITY)
-
-    @property
-    def relationship_table(self):
-        return self.schema.entity_type(META_RELATIONSHIP)
-
-    @property
-    def attribute_table(self):
-        return self.schema.entity_type(META_ATTRIBUTE)
-
-    @property
-    def ordering_table(self):
-        return self.schema.entity_type(META_ORDERING)
-
-    @property
-    def entity_attributes(self):
-        return self.schema.ordering(ENTITY_ATTRIBUTES)
-
-    @property
-    def relationship_attributes(self):
-        return self.schema.ordering(RELATIONSHIP_ATTRIBUTES)
-
-    @property
-    def order_child(self):
-        return self.schema.relationship(ORDER_CHILD)
-
-    # -- population --------------------------------------------------------------
-
-    def sync(self):
-        """(Re)populate the catalog from the live schema definitions.
-
-        Each ``define entity`` generates one ENTITY instance and one
-        ATTRIBUTE instance per attribute (ordered under it); likewise for
-        relationships; each ``define ordering`` generates one ORDERING
-        instance, its parent reference, and order_child relationships.
-        """
-        self._clear()
-        entity_records = {}
-        for name in sorted(self.schema.entity_types):
+    def record(self, definition):
+        """Append the rows that say *definition*."""
+        kind, name = definition[:2]
+        if kind == "entity":
             record = self.entity_table.create(entity_name=name)
-            entity_records[name] = record
-            for attribute in self.schema.entity_types[name].attributes:
-                attr_record = self.attribute_table.create(
-                    attribute_name=attribute.name,
-                    attribute_type=attribute.domain_name(),
-                )
-                self.entity_attributes.append(record, attr_record)
-        for name in sorted(self.schema.relationships):
-            relationship = self.schema.relationships[name]
-            record = self.relationship_table.create(relationship_name=name)
-            for role, type_name in relationship.roles:
-                attr_record = self.attribute_table.create(
-                    attribute_name=role, attribute_type=type_name
-                )
-                self.relationship_attributes.append(record, attr_record)
-            for attribute in relationship.attributes:
-                attr_record = self.attribute_table.create(
-                    attribute_name=attribute.name,
-                    attribute_type=attribute.domain_name(),
-                )
-                self.relationship_attributes.append(record, attr_record)
-        for name in sorted(self.schema.orderings):
-            ordering = self.schema.orderings[name]
-            record = self.ordering_table.create(
-                order_name=name,
-                order_parent=entity_records[ordering.parent_type],
+            self.record_attributes(record, definition[2])
+        elif kind == "relationship":
+            roles, attributes, many_role = definition[2:]
+            record = self.relationship_table.create(
+                relationship_name=name, many_role=many_role
             )
-            for child_type in ordering.child_types:
+            self.record_attributes(record, roles + attributes)
+        else:
+            children, parent = definition[2:]
+            record = self.ordering_table.create(
+                order_name=name, order_parent=self.entity_record(parent)
+            )
+            for child in children:
                 self.order_child.relate(
-                    child=entity_records[child_type], ordering=record
+                    child=self.entity_record(child), ordering=record
                 )
-        return self
 
-    def _clear(self):
-        # Truncate every relationship touching a meta type (order_child,
-        # plus application layers like GDefUse/GParmUse) so no dangling
-        # references survive the re-sync.
-        for relationship in self.schema.relationships.values():
-            if any(t in _META_TYPE_NAMES for _, t in relationship.roles):
-                relationship.table.truncate()
-        for ordering_name in (ENTITY_ATTRIBUTES, RELATIONSHIP_ATTRIBUTES):
-            self.schema.ordering(ordering_name).table.truncate()
-        for type_name in (META_ORDERING, META_ATTRIBUTE, META_RELATIONSHIP, META_ENTITY):
-            entity_type = self.schema.entity_type(type_name)
-            for instance in entity_type.instances():
-                entity_type.table.delete(instance.rowid)
-                self.schema.unregister_instance(instance.surrogate)
+    def record_attributes(self, owner, attributes):
+        """An ATTRIBUTE row per ``(name, type name)`` of *attributes*,
+        ordered last under *owner* (an ENTITY or a RELATIONSHIP record)."""
+        ordering = (
+            self.entity_attributes if owner.type.name == META_ENTITY
+            else self.relationship_attributes
+        )
+        ordering.extend(owner, [
+            self.attribute_table.create(
+                attribute_name=attribute_name, attribute_type=type_name
+            )
+            for attribute_name, type_name in attributes
+        ])
+
+    # -- reading: the definitions the rows say, in the order they were made ------
+
+    def definitions(self):
+        """Every catalogued definition: the entities, then the
+        relationships, then the orderings, each in catalogue order --
+        the order they can be defined in again."""
+        out = []
+        for record in self.entity_table.instances():
+            out.append(("entity", record["entity_name"], [
+                (a["attribute_name"], a["attribute_type"])
+                for a in self.entity_attributes.children(record)
+            ]))
+        for record in self.relationship_table.instances():
+            roles, attributes = [], []
+            for a in self.relationship_attributes.children(record):
+                pair = (a["attribute_name"], a["attribute_type"])
+                scalar = a["attribute_type"].lower() in SCALAR_NAMES
+                (attributes if scalar else roles).append(pair)
+            out.append(("relationship", record["relationship_name"], roles,
+                        attributes, record["many_role"]))
+        for record in self.ordering_table.instances():
+            out.append(("ordering", record["order_name"], [
+                c["entity_name"] for c in self.order_child.related(
+                    "ordering", record, fetch_role="child"
+                )
+            ], record.dereference("order_parent")["entity_name"]))
+        return out
 
     # -- lookups (the "class variable" access pattern of section 6) ---------------
 
     def entity_record(self, entity_name):
-        return self.entity_table.find_one(entity_name=entity_name)
+        (row,) = self.entity_table.table.select_eq("entity_name", entity_name)
+        return self.entity_table.get(row[SURROGATE_COLUMN])
 
     def relationship_record(self, relationship_name):
         return self.relationship_table.find_one(relationship_name=relationship_name)
@@ -194,55 +178,13 @@ class MetaCatalog:
 
     # -- round trip -----------------------------------------------------------------
 
-    def reconstruct(self, name="reconstructed", database=None, include_meta=False):
-        """Build a fresh Schema from the catalogued representation.
-
-        Demonstrates the catalog is a complete schema description.  Meta
-        types are skipped unless *include_meta*, since the new schema's
-        own MetaCatalog would recreate them.
-        """
+    def reconstruct(self, name="reconstructed", database=None):
+        """A fresh Schema defined from the catalogued rows alone (over
+        *database*, a new in-memory one by default): the proof that the
+        rows are a complete description of the schema."""
         from repro.core.schema import Schema
 
         rebuilt = Schema(name, database=database)
-        skip = set() if include_meta else set(_META_TYPE_NAMES)
-        known_entities = set(self.catalogued_entities()) - skip
-        for record in self.entity_table.instances():
-            entity_name = record["entity_name"]
-            if entity_name in skip:
-                continue
-            specs = []
-            for attribute in self.entity_attributes.children(record):
-                type_name = attribute["attribute_type"]
-                specs.append((attribute["attribute_name"], type_name))
-            rebuilt.define_entity(entity_name, specs)
-        for record in self.relationship_table.instances():
-            relationship_name = record["relationship_name"]
-            if not include_meta and relationship_name == ORDER_CHILD:
-                continue
-            roles = []
-            attrs = []
-            for attribute in self.relationship_attributes.children(record):
-                type_name = attribute["attribute_type"]
-                if type_name in known_entities:
-                    roles.append((attribute["attribute_name"], type_name))
-                else:
-                    attrs.append((attribute["attribute_name"], type_name))
-            rebuilt.define_relationship(relationship_name, roles, attrs)
-        for record in self.ordering_table.instances():
-            order_name = record["order_name"]
-            if not include_meta and order_name in (
-                ENTITY_ATTRIBUTES,
-                RELATIONSHIP_ATTRIBUTES,
-            ):
-                continue
-            parent = record.dereference("order_parent")
-            if parent is None:
-                raise SchemaError("ordering %r has no catalogued parent" % order_name)
-            children = [
-                c["entity_name"]
-                for c in self.order_child.related(
-                    "ordering", record, fetch_role="child"
-                )
-            ]
-            rebuilt.define_ordering(order_name, children, under=parent["entity_name"])
+        for definition in self.definitions():
+            rebuilt.define(definition)
         return rebuilt

@@ -33,16 +33,18 @@ class EntityType:
             raise SchemaError("%r is a reserved attribute name" % SURROGATE_COLUMN)
         columns = [(SURROGATE_COLUMN, Domain.INTEGER)]
         columns.extend((a.name, a.domain) for a in self.attributes)
-        # create_or_bind: re-declaring a type over a recovered database
-        # attaches to the existing rows (the MDM reopen path).
-        self.table = schema.database.create_or_bind_table(
-            self._table_name(name), columns
-        )
+        # A stored type (reopen, replica) binds to its recovered rows.
+        self.table = schema.database.create_or_bind_table(self.table_name(name), columns)
         self.table.create_index(SURROGATE_COLUMN)
 
     @staticmethod
-    def _table_name(name):
+    def table_name(name):
+        """The storage table holding the instances of type *name*."""
         return "entity:%s" % name
+
+    def definition(self):
+        """What this type's define says (``MetaCatalog`` form)."""
+        return ("entity", self.name, [(a.name, a.domain_name()) for a in self.attributes])
 
     # -- introspection -------------------------------------------------------
 
@@ -61,25 +63,21 @@ class EntityType:
         return [a.name for a in self.attributes]
 
     def add_attribute(self, spec):
-        """Extend the type with a new attribute (schema evolution).
-
-        Existing instances read the new attribute as null.
-        """
+        """Extend the type with a new attribute (schema evolution): the
+        table widens and the ATTRIBUTE row is appended in one DDL commit.
+        Existing instances read the new attribute as null."""
         attribute = parse_attribute_spec(spec)
         if self.has_attribute(attribute.name):
             raise SchemaError(
                 "entity %r already has attribute %r" % (self.name, attribute.name)
             )
-        self.attributes.append(attribute)
-        # Widen the backing table schema in place; old rows lack the
-        # column and report None via Row.get.
-        from repro.storage.table import Column
-
-        self.table.schema.columns.append(Column(attribute.name, attribute.domain))
-        self.table.schema._by_name[attribute.name] = self.table.schema.columns[-1]
-        # A widened schema changes what restrictions compile to: cached
-        # plans treating the attribute as unknown are now stale.
-        self.table.notify_schema_change()
+        database, meta = self.schema.database, self.schema.meta
+        with database.ddl():
+            database.add_column(self.table.name, attribute.name, attribute.domain)
+            meta.record_attributes(meta.entity_record(self.name), [
+                (attribute.name, attribute.domain_name())
+            ])
+        self.attributes = self.attributes + [attribute]
         return attribute
 
     # -- instances -----------------------------------------------------------

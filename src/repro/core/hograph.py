@@ -9,6 +9,8 @@ as ASCII and DOT.
 
 import enum
 
+from repro.core.catalog import META_NAMES
+
 
 class OrderingForm(enum.Enum):
     """The structural forms of hierarchical ordering named in section 5.5."""
@@ -22,12 +24,13 @@ class OrderingForm(enum.Enum):
 
 
 class HOGraph:
-    """The HO graph of a schema (or a subset of its orderings)."""
+    """The HO graph of a schema's orderings -- the meta-schema's own
+    (section 6) left out unless named -- or of a subset of them."""
 
     def __init__(self, schema, ordering_names=None):
         self.schema = schema
         if ordering_names is None:
-            ordering_names = sorted(schema.orderings)
+            ordering_names = sorted(set(schema.orderings) - META_NAMES)
         self.orderings = [schema.ordering(name) for name in ordering_names]
 
     # -- structure ---------------------------------------------------------------

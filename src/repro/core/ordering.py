@@ -607,6 +607,10 @@ class Ordering:
                 seen.add(current)
                 current = child_parent[current]
 
+    def definition(self):
+        """What this ordering's define says (``MetaCatalog`` form)."""
+        return ("ordering", self.name, list(self.child_types), self.parent_type)
+
     def ddl(self):
         """The ``define ordering`` statement for this ordering."""
         return "define ordering %s (%s) under %s" % (

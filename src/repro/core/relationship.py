@@ -37,6 +37,8 @@ class RelationshipType:
         if len(set(role_names)) != len(role_names):
             raise SchemaError("duplicate role in relationship %r" % name)
         self.attributes = [parse_attribute_spec(s) for s in attribute_specs]
+        if any(a.is_entity_valued for a in self.attributes):
+            raise SchemaError("relationship %r: an entity-typed clause is a role" % name)
         if many_role is not None and many_role not in role_names:
             raise SchemaError(
                 "relationship %r has no role %r to mark as the many-side"
@@ -48,6 +50,11 @@ class RelationshipType:
         self.table = schema.database.create_or_bind_table("rel:%s" % name, columns)
         for role, _ in self.roles:
             self.table.create_index(role)
+
+    def definition(self):
+        """What this relationship's define says (``MetaCatalog`` form)."""
+        return ("relationship", self.name, list(self.roles),
+                [(a.name, a.domain_name()) for a in self.attributes], self.many_role)
 
     @property
     def cardinality(self):

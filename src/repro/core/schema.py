@@ -3,9 +3,11 @@ orderings, backed by one relational database.
 
 This is the object a ``define entity`` / ``define relationship`` /
 ``define ordering`` program (section 5.4) compiles into, and the root of
-the public data-model API.
+the public data-model API.  Its definitions are stored only as section
+6's meta rows (:mod:`repro.core.catalog`) in its own database.
 """
 
+import contextlib
 import itertools
 
 from repro.errors import (
@@ -15,6 +17,8 @@ from repro.errors import (
     UnknownOrderingError,
     UnknownRelationshipError,
 )
+from repro.core.attributes import parse_attribute_spec
+from repro.core.catalog import META_DEFINITIONS, META_ENTITY, META_NAMES, MetaCatalog
 from repro.core.entity import EntityType
 from repro.core.ordering import Ordering, default_ordering_name
 from repro.core.relationship import RelationshipType
@@ -24,9 +28,26 @@ from repro.storage.values import Domain
 #: System table mapping surrogate -> (entity type, rowid).
 _INSTANCES_TABLE = "_instances"
 
+#: A definition's kind -> the Schema attribute holding its objects, their class.
+_KINDS = {
+    "entity": ("entity_types", EntityType),
+    "relationship": ("relationships", RelationshipType),
+    "ordering": ("orderings", Ordering),
+}
+
+
+def _spelled(spec):
+    """An attribute spec as its catalog row spells it."""
+    attribute = parse_attribute_spec(spec)
+    return attribute.name, attribute.domain_name()
+
 
 class Schema:
-    """A database schema in the paper's extended ER model."""
+    """A database schema in the paper's extended ER model.
+
+    Over a database holding meta rows it is what they say (:meth:`load`);
+    over any other it starts as the meta-schema, catalogued in one commit.
+    """
 
     def __init__(self, name="schema", database=None):
         self.name = name
@@ -34,43 +55,42 @@ class Schema:
         self.entity_types = {}
         self.relationships = {}
         self.orderings = {}
-        if self.database.has_table(_INSTANCES_TABLE):
-            self._instances = self.database.table(_INSTANCES_TABLE)
-            top = 0
-            for row in self._instances:
-                top = max(top, row["surrogate"])
-            self._surrogates = itertools.count(top + 1)
-        else:
-            self._instances = self.database.create_table(
-                _INSTANCES_TABLE,
-                [
-                    ("surrogate", Domain.INTEGER),
-                    ("entity_type", Domain.STRING),
-                    ("rowid", Domain.INTEGER),
-                ],
-            )
+        stored = self.stored_in(self.database)
+        with contextlib.nullcontext() if stored else self.database.ddl():
+            self._instances = self.database.create_or_bind_table(_INSTANCES_TABLE, [
+                ("surrogate", Domain.INTEGER), ("entity_type", Domain.STRING),
+                ("rowid", Domain.INTEGER),
+            ])
             self._instances.create_index("surrogate")
-            self._surrogates = itertools.count(1)
+            top = max((row["surrogate"] for row in self._instances), default=0)
+            self._surrogates = itertools.count(top + 1)
+            for definition in META_DEFINITIONS:
+                self._register(definition[0], self._build(definition))
+            self.meta = MetaCatalog(self)
+            self.meta.entity_table.table.create_index("entity_name")
+            if stored:
+                self.load()
+            else:
+                for definition in META_DEFINITIONS:
+                    self.meta.record(definition)
+
+    @staticmethod
+    def stored_in(database):
+        """Whether *database* holds a schema's meta rows."""
+        return database.has_table(EntityType.table_name(META_ENTITY))
 
     # -- definition ------------------------------------------------------------
 
     def define_entity(self, name, attribute_specs=()):
         """``define entity NAME (attr = domain, ...)``"""
-        if name in self.entity_types:
-            raise SchemaError("entity type %r already defined" % name)
-        entity_type = EntityType(self, name, attribute_specs)
-        self.entity_types[name] = entity_type
-        return entity_type
+        return self.define(("entity", name, [_spelled(s) for s in attribute_specs]))
 
     def define_relationship(self, name, role_specs, attribute_specs=(), many_role=None):
         """``define relationship NAME (role = TYPE, ...)``"""
-        if name in self.relationships:
-            raise SchemaError("relationship %r already defined" % name)
-        relationship = RelationshipType(
-            self, name, role_specs, attribute_specs, many_role
-        )
-        self.relationships[name] = relationship
-        return relationship
+        return self.define((
+            "relationship", name, [tuple(r) for r in role_specs],
+            [_spelled(s) for s in attribute_specs], many_role,
+        ))
 
     def define_ordering(self, name, child_types, under):
         """``define ordering [NAME] (CHILD, ...) under PARENT``
@@ -80,11 +100,58 @@ class Schema:
         """
         if name is None:
             name = default_ordering_name(child_types, under)
-        if name in self.orderings:
-            raise SchemaError("ordering %r already defined" % name)
-        ordering = Ordering(self, name, child_types, under)
-        self.orderings[name] = ordering
-        return ordering
+        return self.define(("ordering", name, list(child_types), under))
+
+    def define(self, definition):
+        """Define *definition* (:class:`MetaCatalog`'s tuple form) in one
+        DDL commit -- its table and its meta rows, or, failed, neither --
+        or bind to an equal stored one; a different one is refused."""
+        kind, name = definition[:2]
+        existing = getattr(self, _KINDS[kind][0]).get(name)
+        if existing is not None:
+            if existing.definition() != definition:
+                raise SchemaError(
+                    "%s %r already defined as %r" % (kind, name, existing.definition())
+                )
+            return existing
+        with self.database.ddl():
+            created = self._build(definition)
+            self.meta.record(created.definition())
+        self._register(kind, created)
+        return created
+
+    def load(self):
+        """Adopt the stored definitions and added attributes this schema
+        lacks (at open, and on a replica after each schema change)."""
+        for definition in self.meta.definitions():
+            kind, name = definition[:2]
+            existing = getattr(self, _KINDS[kind][0]).get(name)
+            if existing is None:
+                self._register(kind, self._build(definition))
+            elif kind == "entity" and len(definition[2]) > len(existing.attributes):
+                existing.attributes = existing.attributes + [
+                    parse_attribute_spec(spec)
+                    for spec in definition[2][len(existing.attributes):]
+                ]
+
+    def _build(self, definition):
+        """The object *definition* says, over its table (bound, or
+        created by this DDL commit)."""
+        return _KINDS[definition[0]][1](self, *definition[1:])
+
+    def _register(self, kind, created):
+        # A fresh dict, not an insert: a reader iterating the old one (a
+        # replica's load runs beside its readers) never sees it change.
+        attribute = _KINDS[kind][0]
+        setattr(self, attribute, {**getattr(self, attribute), created.name: created})
+
+    def definitions(self):
+        """What every define of this schema said, entities first."""
+        return [
+            created.definition()
+            for attribute, _ in _KINDS.values()
+            for created in getattr(self, attribute).values()
+        ]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -209,20 +276,20 @@ class Schema:
         return problems
 
     def ddl(self):
-        """Regenerate the DDL program defining this schema."""
+        """Regenerate the DDL program defining this schema (the
+        meta-schema every schema starts from is left out)."""
         lines = []
-        for name in sorted(self.entity_types):
-            entity_type = self.entity_types[name]
-            attrs = ", ".join(
-                "%s = %s" % (a.name, a.domain_name()) for a in entity_type.attributes
-            )
-            lines.append("define entity %s (%s)" % (name, attrs))
-        for name in sorted(self.relationships):
-            relationship = self.relationships[name]
-            roles = ", ".join("%s = %s" % (r, t) for r, t in relationship.roles)
-            lines.append("define relationship %s (%s)" % (name, roles))
-        for name in sorted(self.orderings):
-            lines.append(self.orderings[name].ddl())
+        for kind, name, *clauses in sorted(
+            self.definitions(), key=lambda d: (list(_KINDS).index(d[0]), d[1])
+        ):
+            if name in META_NAMES:
+                continue
+            if kind == "ordering":
+                lines.append(self.orderings[name].ddl())
+            else:  # an entity's attributes; a relationship's roles, then attributes
+                lines.append("define %s %s (%s)" % (kind, name, ", ".join(
+                    "%s = %s" % clause for clause in itertools.chain(*clauses[:2])
+                )))
         return "\n".join(lines)
 
     def statistics(self):

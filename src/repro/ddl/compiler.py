@@ -8,10 +8,8 @@ from repro.ddl.ast import (
     DefineRelationship,
     DefineTextIndex,
 )
+from repro.core.attributes import SCALAR_NAMES
 from repro.ddl.parser import parse_ddl
-from repro.storage.values import Domain
-
-_SCALAR_NAMES = {d.value for d in Domain if d is not Domain.ENTITY}
 
 
 def compile_ddl(statements, schema):
@@ -33,7 +31,7 @@ def compile_ddl(statements, schema):
             for clause in statement.attributes:
                 if schema.has_entity_type(clause.domain_name):
                     roles.append((clause.name, clause.domain_name))
-                elif clause.domain_name.lower() in _SCALAR_NAMES:
+                elif clause.domain_name.lower() in SCALAR_NAMES:
                     attributes.append((clause.name, clause.domain_name.lower()))
                 else:
                     raise SchemaError(

@@ -4,12 +4,11 @@ Section 6.1 stores the schema itself as ordered entities: ENTITY,
 RELATIONSHIP, ATTRIBUTE, ORDERING; ATTRIBUTE ordered under ENTITY and
 under RELATIONSHIP; order_child relating child entities to orderings;
 the ordering's parent held as an entity-valued attribute (the implicit
-"1 to n").  We regenerate the graph from the live meta-catalog and
-prove completeness: the catalogued representation reconstructs a
-working schema whose DDL matches the original.
+"1 to n").  Every define wrote its rows as it ran; we regenerate the
+graph from them and prove completeness: the catalogued representation
+reconstructs a working schema whose DDL matches the original.
 """
 
-from repro.core.catalog import MetaCatalog
 from repro.core.hograph import HOGraph
 from repro.core.schema import Schema
 from repro.ddl.compiler import execute_ddl
@@ -27,7 +26,7 @@ define ordering chord_in_measure (CHORD) under MEASURE
 def run():
     schema = execute_ddl(_DDL, Schema("fig09"))
     original_ddl = schema.ddl()
-    catalog = MetaCatalog(schema).sync()
+    catalog = schema.meta
 
     ho = HOGraph(schema, ["entity_attributes", "relationship_attributes"])
     artifact_lines = [
@@ -83,6 +82,6 @@ def run():
             ] == ["name", "pitch"],
             "reconstruction_round_trip": round_trip,
         },
-        notes="reconstruct() skips the meta types themselves; with "
-              "include_meta=True the catalog also rebuilds its own schema.",
+        notes="reconstruct() rebuilds the meta types from their own rows "
+              "too; ddl() leaves them out, as every schema starts with them.",
     )

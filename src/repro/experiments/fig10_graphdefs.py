@@ -32,7 +32,6 @@ def run():
     builder.finish()
 
     catalog = GraphicsCatalog(builder.cmn.schema)
-    catalog.meta.sync()
     catalog.register_standard()
 
     art = layout_voice(builder.cmn, builder.score, voice)

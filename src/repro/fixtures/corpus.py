@@ -156,10 +156,7 @@ def load_catalog(schema, count, seed=0, name="TRACK", batch_rows=2000,
     table itself; the row *content* depends only on ``(count, seed)``,
     never on the chunking.
     """
-    if schema.has_entity_type(name):
-        entity = schema.entity_type(name)
-    else:
-        entity = schema.define_entity(name, CATALOG_ATTRIBUTES)
+    entity = schema.define_entity(name, CATALOG_ATTRIBUTES)  # binds if stored
     ingest = schema.database.bulk_ingest
     table_name = entity.table.name
     rows = []

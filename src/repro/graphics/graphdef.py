@@ -17,7 +17,6 @@ execute the definition.
 """
 
 from repro.errors import SchemaError
-from repro.core.catalog import MetaCatalog
 from repro.graphics.postscript import execute_postscript
 
 GRAPHDEF = "GraphDef"
@@ -71,28 +70,23 @@ _BEAM_PARAMETERS = [
 class GraphicsCatalog:
     """The GraphDef layer over a schema's MetaCatalog."""
 
-    def __init__(self, schema, meta=None):
+    def __init__(self, schema):
         self.schema = schema
-        self.meta = meta if meta is not None else MetaCatalog(schema)
+        self.meta = schema.meta
         self._install()
 
     def _install(self):
+        # A define identical to a stored one binds: safe on every open.
         schema = self.schema
-        if not schema.has_entity_type(GRAPHDEF):
-            schema.define_entity(
-                GRAPHDEF, [("name", "string"), ("function", "string")]
-            )
-        if GDEF_USE not in schema.relationships:
-            schema.define_relationship(
-                GDEF_USE,
-                [("entity", "ENTITY"), ("graphdef", GRAPHDEF)],
-            )
-        if GPARM_USE not in schema.relationships:
-            schema.define_relationship(
-                GPARM_USE,
-                [("attribute", "ATTRIBUTE"), ("graphdef", GRAPHDEF)],
-                [("setup", "string"), ("ordinal", "integer")],
-            )
+        schema.define_entity(GRAPHDEF, [("name", "string"), ("function", "string")])
+        schema.define_relationship(
+            GDEF_USE, [("entity", "ENTITY"), ("graphdef", GRAPHDEF)]
+        )
+        schema.define_relationship(
+            GPARM_USE,
+            [("attribute", "ATTRIBUTE"), ("graphdef", GRAPHDEF)],
+            [("setup", "string"), ("ordinal", "integer")],
+        )
 
     @property
     def graphdef_table(self):

@@ -1,6 +1,6 @@
 """The MusicDataManager facade.
 
-Owns the storage database (with WAL/locking), the CMN schema, the
+Owns the storage database (with WAL/locking), the CMN schema and its
 meta-catalog, the QUEL session, and a client registry.  Programs talk
 to the MDM through DDL/QUEL text or through the object APIs; either
 way they share one representation, the core benefit section 2 claims.
@@ -14,7 +14,6 @@ the admission gate, and the sessions into :meth:`statistics`.
 """
 
 from repro.cmn.schema import CmnSchema
-from repro.core.catalog import MetaCatalog
 from repro.ddl.compiler import execute_ddl
 from repro.lang.lexer import leading_keywords
 from repro.mdm.service import (
@@ -43,7 +42,6 @@ class MusicDataManager:
             self.cmn = None
             self._bare_schema = Schema("mdm", database=self.database)
         self.session = QuelSession(self.schema)
-        self._meta = None
         self.clients = []
         self._closed = False
         # Service counters share the database's registry so one
@@ -62,9 +60,9 @@ class MusicDataManager:
     def reopen(cls, path):
         """Reopen a persisted MDM directory (recovers committed state).
 
-        Schema *objects* are reconstructed by re-declaring the CMN schema
-        over the recovered tables; table contents come from the
-        checkpoint + WAL replay.
+        Checkpoint + WAL replay recover the rows, the schema's meta rows
+        among them; the schema is rebuilt from those, and the CMN
+        declarations bind to what it already holds.
         """
         return cls(path)
 
@@ -74,11 +72,8 @@ class MusicDataManager:
 
     @property
     def meta(self):
-        """The schema-as-data catalog, built lazily and kept in sync."""
-        if self._meta is None:
-            self._meta = MetaCatalog(self.schema)
-            self._meta.sync()
-        return self._meta
+        """The schema-as-data catalog (section 6)."""
+        return self.schema.meta
 
     # -- language entry points ------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.errors import ProtocolError, RecoveryError
 from repro.storage.row import decode_row_run, encode_row_run
 
 #: Bumped on any incompatible frame-layout change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frames larger than this are refused outright: a corrupt length field
 #: must fail fast, not allocate gigabytes.
@@ -51,7 +51,7 @@ ERROR = 0x13       # {seq, code, message, retryable}
 
 # Replication (replica <-> primary).
 REPL_HELLO = 0x21  # {proto, replica, last_lsn}
-REPL_SEED = 0x22   # {lsn, schema, tables: [{name, columns}]}  (rows follow)
+REPL_SEED = 0x22   # {lsn}  (REPL_ROWS follow, the storage catalog's first)
 REPL_ROWS = 0x23   # binary: <name_len:H><count:I><name><row bytes...>
 REPL_SEED_END = 0x24  # {lsn}
 REPL_FRAME = 0x25  # binary: <lsn:Q><raw WAL frame>
@@ -192,8 +192,8 @@ def pack_repl_rows(table_name, rows, column_order):
 def unpack_repl_rows(body, column_orders):
     """Split a ``REPL_ROWS`` body into ``(table_name, [Row, ...])``.
 
-    *column_orders* maps table name -> column order (the receiver's
-    schema must already know the table from the ``REPL_SEED`` manifest).
+    *column_orders* maps table name -> column order (the receiver must
+    already know the table: the seed's storage catalog rows come first).
     """
     if len(body) < _REPL_ROWS_HEAD.size:
         raise ProtocolError("short REPL_ROWS body")

@@ -1,20 +1,23 @@
 """Read-only replicas fed by WAL shipping.
 
 A :class:`ReplicaServer` owns a private in-memory database rebuilt from
-the primary's seed (schema manifest + serialized rows) and kept current
-by applying shipped WAL frames.  Every frame is CRC-verified with the
-same frame parser recovery uses (:func:`repro.storage.wal.decode_frame`);
-a frame that fails its checksum — or that references a table the replica
-does not know, e.g. after un-shipped DDL — makes the replica *degrade*:
-it reports ``REPL_ERROR`` to the primary, refuses reads, and waits to
-be quarantined and re-seeded from a fresh snapshot.
+the primary's seed (serialized rows, the storage catalog's first) and
+kept current by applying shipped WAL frames.  Every frame is
+CRC-verified with the same frame parser recovery uses
+(:func:`repro.storage.wal.decode_frame`); a frame that fails its
+checksum, or that cannot be applied, makes the replica *degrade*: it
+reports ``REPL_ERROR`` to the primary, refuses reads, and waits to be
+quarantined and re-seeded from a fresh snapshot.
 
 What a verified record does is not decided here: each one goes to the
 same :class:`repro.storage.wal.RedoApplier` crash recovery drives, set
 to install at the commit LSN rather than LSN 0, so apply is MVCC-correct
 under concurrent readers.  The replica's visible LSN advances only once
 a whole commit is in; a reader pinned mid-apply keeps seeing the
-previous consistent state.
+previous consistent state.  As on open, a table exists once its
+storage catalog row is installed, and the schema is loaded from the
+meta rows: at the seed's end and after each commit that changed the
+catalog.
 
 The replica serves readers through the loop the primary uses
 (:class:`repro.net.server.WireServer`: listener, handshake, idle
@@ -49,53 +52,40 @@ from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.quel.executor import QuelSession
 from repro.storage import wal as wal_module
-from repro.storage.database import Database
+from repro.storage.database import CATALOG, Database
 
 
 class _ReplicaState:
-    """One seeded generation of the replica's database."""
+    """One seeded generation of the replica's database: filled by the
+    seed's rows with index upkeep deferred, like a recovering open; its
+    schema is loaded from the meta rows once they are in, never written
+    here: the replica's own writes would take rowids the primary's
+    frames carry."""
 
-    def __init__(self, seed_lsn, manifest, tables, text_indexes=None):
+    def __init__(self, seed_lsn):
         self.seed_lsn = seed_lsn
         self.database = Database(None)
-        self.schema = Schema("replica", database=self.database)
-        for entity in manifest.get("entities", ()):
-            if not self.schema.has_entity_type(entity["name"]):
-                self.schema.define_entity(
-                    entity["name"], [tuple(a) for a in entity["attrs"]]
-                )
-        for rel in manifest.get("relationships", ()):
-            if rel["name"] not in self.schema.relationships:
-                self.schema.define_relationship(
-                    rel["name"],
-                    [tuple(r) for r in rel["roles"]],
-                    [tuple(a) for a in rel["attrs"]],
-                    rel.get("many_role"),
-                )
-        for ordering in manifest.get("orderings", ()):
-            if ordering["name"] not in self.schema.orderings:
-                self.schema.define_ordering(
-                    ordering["name"], ordering["children"], ordering["parent"]
-                )
-        # Non-schema tables (the dedup ledger, anything raw) come from
-        # the seed's table list; schema replay already made the rest.
-        for spec in tables:
-            if not self.database.has_table(spec["name"]):
-                self.database.create_table(
-                    spec["name"], [(c, d) for c, d in spec["columns"]]
-                )
-        # Registered before rows land, like the schema's hash and
-        # ordered indexes above: the seed's rows install with upkeep
-        # deferred and every index is built once at REPL_SEED_END
-        # (_feed_from), as in local crash recovery; the streamed frames
-        # that follow maintain them row by row.
-        for name, columns in (text_indexes or {}).items():
-            for column in columns:
-                self.database.table(name).create_text_index(column)
-        self.column_orders = self.database.column_orders()
+        self.database.defer_index_upkeep()
+        self.schema = None
         self.redo = wal_module.RedoApplier(
             self.database, stamp_commits=True, applied_lsn=seed_lsn
         )
+        self._catalog = self.database.table(CATALOG)
+        self._catalog_version = None
+
+    def seeded(self):
+        self.database.build_deferred_indexes()
+        self.applied()
+
+    def applied(self):
+        """After the seed and each commit point: one that changed the
+        storage catalog may have defined a type, so the schema loads it."""
+        if self._catalog.version != self._catalog_version:
+            self._catalog_version = self._catalog.version
+            if self.schema is not None:
+                self.schema.load()
+            elif Schema.stored_in(self.database):
+                self.schema = Schema("replica", database=self.database)
 
 
 class ReplicaServer(WireServer):
@@ -206,19 +196,16 @@ class ReplicaServer(WireServer):
                 continue  # idle link; re-check _stopped
             if kind == protocol.REPL_SEED:
                 message = protocol.unpack_json(kind, body)
-                pending_state = _ReplicaState(
-                    int(message["lsn"]), message["schema"],
-                    message["tables"], message.get("text_indexes"),
-                )
                 # Nothing reads a generation before _install_state.
-                pending_state.database.defer_index_upkeep()
+                pending_state = _ReplicaState(int(message["lsn"]))
             elif kind == protocol.REPL_ROWS:
                 if pending_state is None:
                     raise ProtocolError("REPL_ROWS outside a seed")
+                database = pending_state.database
                 name, rows = protocol.unpack_repl_rows(
-                    body, pending_state.column_orders
+                    body, database.column_orders()
                 )
-                table = pending_state.database.table(name)
+                table = database.table(name)
                 for row in rows:
                     table.install_committed(0, row.rowid, row)
             elif kind == protocol.REPL_SEED_END:
@@ -226,7 +213,7 @@ class ReplicaServer(WireServer):
                 if pending_state is None \
                         or int(message["lsn"]) != pending_state.seed_lsn:
                     raise ProtocolError("REPL_SEED_END without matching seed")
-                pending_state.database.build_deferred_indexes()
+                pending_state.seeded()
                 self._install_state(pending_state)
                 transport.send(
                     protocol.REPL_ACK, {"lsn": pending_state.seed_lsn}
@@ -266,6 +253,8 @@ class ReplicaServer(WireServer):
             return  # degraded: drop frames until the next seed
         try:
             advanced = self._state.redo.apply(*decoded)
+            if advanced:
+                self._state.applied()
         except (MDMError, KeyError, ValueError) as error:
             self._degrade("cannot apply shipped record: %s" % error)
             transport.send(protocol.REPL_ERROR, {

@@ -1,10 +1,11 @@
 """WAL shipping: the primary side of read-only replication.
 
 The :class:`ReplicationHub` serves each connected replica from the
-connection's own thread.  A replica is first *seeded* — a pinned MVCC
-snapshot of the schema (as a structural manifest) and every table's
-rows, shipped as binary ``REPL_ROWS`` frames so rationals and blobs
-survive — and then *streamed*: raw WAL frames, each still wearing its
+connection's own thread.  A replica is first *seeded* — every table's
+rows at a pinned MVCC snapshot, the storage catalog's first (its rows
+are the tables, and section 6's meta rows among them are the schema),
+shipped as binary ``REPL_ROWS`` frames so rationals and blobs survive —
+and then *streamed*: raw WAL frames, each still wearing its
 on-disk CRC, from the seed LSN forward.  Only the durable prefix ships
 (``stream_frames`` stops at ``flushed_lsn``), so an acknowledged
 replica is never ahead of the primary's own durability; and because a
@@ -32,47 +33,6 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.net import protocol
-
-
-def schema_manifest(schema):
-    """A structural, JSON-safe description of *schema* for seeding.
-
-    Entity-valued attributes serialize as their target type's name
-    (exactly how DDL spells them), so the replica can replay the
-    definitions with the same ``define_*`` calls the primary made.
-    """
-    entities = [
-        {
-            "name": name,
-            "attrs": [
-                [a.name, a.domain_name()]
-                for a in schema.entity_types[name].attributes
-            ],
-        }
-        for name in sorted(schema.entity_types)
-    ]
-    relationships = [
-        {
-            "name": name,
-            "roles": [[role, type_name] for role, type_name in rel.roles],
-            "attrs": [[a.name, a.domain_name()] for a in rel.attributes],
-            "many_role": rel.many_role,
-        }
-        for name, rel in sorted(schema.relationships.items())
-    ]
-    orderings = [
-        {
-            "name": name,
-            "children": list(ordering.child_types),
-            "parent": ordering.parent_type,
-        }
-        for name, ordering in sorted(schema.orderings.items())
-    ]
-    return {
-        "entities": entities,
-        "relationships": relationships,
-        "orderings": orderings,
-    }
 
 
 class ReplicaPeer:
@@ -199,8 +159,8 @@ class ReplicationHub:
                 peer.acked_lsn = max(peer.acked_lsn, int(message["lsn"]))
                 self._m_acks.inc()
             elif kind == protocol.REPL_ERROR:
-                # The replica refused a frame (CRC failure, unknown
-                # table after DDL, apply error): its state is suspect.
+                # The replica refused a frame (CRC failure, apply
+                # error): its state is suspect.
                 self._quarantine(
                     peer,
                     "%s: %s" % (message.get("code"), message.get("message")),
@@ -235,38 +195,16 @@ class ReplicationHub:
         ``seed_lsn + 1``, the first frame of the first transaction the
         snapshot does not hold."""
         peer.state = "seeding"
-        database = self.mdm.database
-        transactions = database.transactions
-        seed_lsn = transactions.pin_snapshot()
+        transactions = self.mdm.database.transactions
+        seed_lsn, tables = self.mdm.database.pin_tables()
         try:
-            tables = [
-                {
-                    "name": name,
-                    "columns": [
-                        [c.name, c.domain.value]
-                        for c in database.table(name).schema.columns
-                    ],
-                }
-                for name in database.table_names()
-            ]
-            transport.send(protocol.REPL_SEED, {
-                "lsn": seed_lsn,
-                "schema": schema_manifest(self.mdm.schema),
-                "tables": tables,
-                # Text indexes created before the seed point never
-                # re-ship as stream frames (their CREATE records sit at
-                # or below seed_lsn, which the replica skips), so the
-                # catalog itself is part of the snapshot.
-                "text_indexes": database.text_index_catalog(),
-            })
-            for name in database.table_names():
-                table = database.table(name)
-                order = table.schema.column_names()
+            transport.send(protocol.REPL_SEED, {"lsn": seed_lsn})
+            for table, order in tables:
                 rows = list(table)  # snapshot-visible rows only
                 for start in range(0, len(rows), self.seed_chunk_rows):
                     chunk = rows[start:start + self.seed_chunk_rows]
                     transport.send_raw(
-                        protocol.pack_repl_rows(name, chunk, order)
+                        protocol.pack_repl_rows(table.name, chunk, order)
                     )
             transport.send(protocol.REPL_SEED_END, {"lsn": seed_lsn})
         finally:

@@ -373,9 +373,10 @@ class MdmServer(WireServer):
             return {"kind": "rows", "value": encoded,
                     "commit_lsn": self._durable_lsn()}
         if leading_keywords(source, 1) == ("define",):
-            # DDL is self-committing (table creation is not journaled),
-            # so it bypasses the dedup transaction; a replayed define
-            # fails loudly with SchemaError rather than double-applying.
+            # A define is its own commit and cannot run inside the dedup
+            # transaction; it needs no ledger row either, because a
+            # define re-sent after a dropped ack binds to the stored one
+            # and answers "ok" again.
             self.mdm.execute(source)
             return {"kind": "text", "value": "ok",
                     "commit_lsn": self._durable_lsn()}

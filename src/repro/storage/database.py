@@ -4,13 +4,21 @@ In-memory by default; given a directory path it persists via a
 checkpoint image (page file) plus a write-ahead log, and recovers on
 open by loading the checkpoint and REDO-replaying the log.
 
+One system table, the *storage catalog* (:data:`CATALOG`), has a row
+per table: its columns, their domains and its text-indexed columns.  A
+schema change is a change to catalog rows in one ordinary transaction
+(:meth:`Database.ddl`), and every catalog row change -- live, undone,
+or installed by image load, redo or a replica -- reshapes the table
+objects at once: a table exists exactly while its row does.
+
 Crash-safety protocol: checkpoints write a fresh generation-numbered
 page file (``data.<gen>.mdm``), fsync it, then atomically replace
-``roots.json`` — whose content names the generation file — as the
-single commit point.  A crash anywhere in a checkpoint leaves either
-the old roots (old image intact, log still replayable) or the new
-roots (new image fully synced); never a mix.  Catalog and roots writes
-go through write-to-temp + fsync + ``os.replace`` for the same reason.
+``roots.json`` -- whose content names the format, the generation file
+and the LSN the image holds -- as the single commit point.  A crash
+anywhere in a checkpoint leaves either the old roots (old image intact,
+log still replayable) or the new roots (new image fully synced, redo
+skipping what it holds); never a mix.  The roots write goes through
+write-to-temp + fsync + ``os.replace`` for the same reason.
 
 So does the posting stream (``repro.text.stream``): the text indexes as
 bytes, published where they provably equal a rebuild from committed
@@ -22,6 +30,7 @@ count the stream says; any other stream, or none, is the rebuild from
 rows, which stays the reference the crash battery checks against.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -29,6 +38,7 @@ import threading
 import time
 
 from repro.errors import (
+    MDMError,
     ReadOnlyError,
     RecoveryError,
     StorageError,
@@ -46,12 +56,47 @@ from repro.storage.transaction import TransactionManager
 from repro.storage.values import Domain
 from repro.text import stream as posting_stream
 
-_CATALOG_FILE = "catalog.json"
-_DATA_FILE = "data.mdm"  # legacy fixed name; new checkpoints use data.<gen>.mdm
 _LOG_FILE = "wal.log"
 _ROOTMAP_FILE = "roots.json"
-_TEXT_INDEX_FILE = "text_indexes.json"
 _POSTING_STREAM_FILE = "postings.bin"
+
+#: The format ``roots.json`` names; one of another format is refused.
+ROOTS_FORMAT = 2
+
+#: The storage catalog's name (module docstring).
+CATALOG = "_catalog"
+
+
+class _Catalog(Table):
+    """The storage catalog: ``columns`` a JSON list of ``[name, domain]``,
+    ``text_indexed`` one of column names.  Its index upkeep, never
+    deferred, is where a row change reaches the table objects."""
+
+    def __init__(self, schema, database, **hooks):
+        super().__init__(schema, **hooks)
+        self._database = database
+
+    def _reindex(self, old, new):
+        super()._reindex(old, new)
+        self._database._catalog_changed(old, new)
+
+    def defer_index_upkeep(self):
+        pass
+
+
+def _catalog_entry(row):
+    """``(name, [Column, ...], {text-indexed column, ...})`` of a catalog
+    row; a row that does not say that -- only a damaged file's or a
+    peer's can fail to -- raises :class:`RecoveryError`."""
+    try:
+        columns = [Column(name, domain) for name, domain in json.loads(row["columns"])]
+        text = set(json.loads(row["text_indexed"]))
+        TableSchema(row["table_name"], columns)
+        if not text <= {column.name for column in columns}:
+            raise StorageError("text index on an unknown column")
+    except (AttributeError, TypeError, ValueError, MDMError) as exc:
+        raise RecoveryError("malformed catalog row %r: %s" % (row, exc))
+    return row["table_name"], columns, text
 
 
 class Database:
@@ -85,6 +130,13 @@ class Database:
         # has written or loaded it; the mutex orders its writers.
         self._stream_lsn = None
         self._stream_mutex = threading.Lock()
+        # Held by a DDL transaction (ddl) and by pin_tables.  A dropped
+        # table waits in _retired until its transaction ends; while
+        # _deferring, the tables the catalog creates start deferred.
+        self._ddl_mutex = threading.RLock()
+        self._ddl_txn = None
+        self._retired = None
+        self._deferring = False
         if path is not None:
             os.makedirs(path, exist_ok=True)
             self._log = wal_module.WriteAheadLog(
@@ -92,63 +144,130 @@ class Database:
                 metrics=self.metrics,
             )
         self.transactions = TransactionManager(self, self._log)
+        self._catalog = self._tables[CATALOG] = self._new_table(
+            TableSchema(CATALOG, [
+                Column(name, Domain.STRING)
+                for name in ("table_name", "columns", "text_indexed")
+            ]),
+            _Catalog, database=self,
+        )
         if path is not None:
             self._recover()
 
     # -- table management ----------------------------------------------------
 
-    def create_table(self, name, columns):
-        """Create a table; *columns* is a list of (name, domain) pairs."""
-        if name in self._tables:
-            raise StorageError("table %r already exists" % name)
-        schema = TableSchema(name, [Column(n, d) for n, d in columns])
-        table = Table(
+    def _new_table(self, schema, cls=Table, **extra):
+        name = schema.name
+        table = cls(
             schema, journal=self._journal_for(name), guard=self._guard_for(name),
             metrics=self.metrics, on_schema_change=self.bump_schema_epoch,
             journal_batch=self._journal_batch_for(name),
             snapshot=self.transactions.current_snapshot,
-            prune_horizon=self.transactions.prune_horizon,
+            prune_horizon=self.transactions.prune_horizon, **extra
         )
-        self._tables[name] = table
-        self.bump_schema_epoch()
-        self._persist_catalog()
+        if self._deferring:
+            table.defer_index_upkeep()
         return table
 
-    def create_or_bind_table(self, name, columns):
-        """Create *name*, or bind to it if it already exists (recovery).
-
-        Binding requires the recovered table's columns to match the
-        requested definition exactly, so a genuine name collision still
-        fails loudly.
-        """
-        if name in self._tables:
-            table = self._tables[name]
-            expected = [column_name for column_name, _ in columns]
-            if table.schema.column_names() != expected:
-                raise StorageError(
-                    "table %r exists with columns %s, not %s"
-                    % (name, table.schema.column_names(), expected)
+    @contextlib.contextmanager
+    def ddl(self):
+        """One schema change, one commit: the catalog rows (and whatever
+        else the block writes, e.g. section 6's meta rows) commit
+        together or not at all.  A block nested in another joins its
+        commit; one inside an explicit transaction is refused."""
+        with self._ddl_mutex:
+            txn = self.transactions.current()
+            if txn is not None and txn is self._ddl_txn:
+                yield
+                return
+            if txn is not None:
+                raise TransactionError(
+                    "DDL commits by itself and cannot run inside an "
+                    "explicit transaction"
                 )
+            self._ddl_txn = txn = self.begin()
+            try:
+                with txn:
+                    yield
+            finally:
+                self._ddl_txn = None
+
+    def _entry(self, name):
+        """The catalog row of table *name*."""
+        if name == CATALOG or name not in self._tables:
+            raise StorageError("no table %r" % name)
+        return self._catalog.select_eq("table_name", name)[0]
+
+    def _alter(self, name, columns=None, text_indexed=None):
+        """Write *name*'s catalog row (a new one if it has none) with
+        *columns* and *text_indexed* where given, as one DDL commit."""
+        values = {"table_name": name}
+        if columns is not None:
+            TableSchema(name, columns)  # refuses a duplicate column
+            values["columns"] = json.dumps([[c.name, c.domain.value] for c in columns])
+        if text_indexed is not None:
+            values["text_indexed"] = json.dumps(sorted(text_indexed))
+        with self.ddl():
+            if name in self._tables:
+                self._catalog.update(self._entry(name).rowid, values)
+            else:
+                self._catalog.insert(values)
+
+    def _catalog_changed(self, old, new):
+        """Make the table objects say what catalog row *new* (None: no
+        row) says in place of *old* (None: none was there).  Called under
+        the catalog's latch by every path that changes a catalog row."""
+        if new is None:
+            self._retired = (old, self._tables.pop(old["table_name"]))
+            self.bump_schema_epoch()
+            return
+        name, columns, text = _catalog_entry(new)
+        if old is not None and old["table_name"] != name:
+            raise RecoveryError("catalog row %r renames a table" % (new,))
+        if old is not None:
+            table = self._tables[name]
+            table.schema.set_columns(columns)
+        elif self._retired is not None and self._retired[0] is new:
+            table = self._tables[name] = self._retired[1]  # an undone drop
+        else:
+            table = self._tables[name] = self._new_table(TableSchema(name, columns))
+        for column in text.difference(table.text_index_columns()):
+            table.create_text_index(column)
+        for column in set(table.text_index_columns()) - text:
+            table.drop_text_index(column)
+        self.bump_schema_epoch()
+
+    def create_table(self, name, columns):
+        """Create a table; *columns* is a list of (name, domain) pairs."""
+        columns = [Column(n, d) for n, d in columns]
+        with self.ddl():
+            if name in self._tables:
+                raise StorageError("table %r already exists" % name)
+            self._alter(name, columns, text_indexed=())
+        return self._tables[name]
+
+    def create_or_bind_table(self, name, columns):
+        """Bind to table *name* if it has exactly these columns, else
+        create it (refused if it exists)."""
+        table = self._tables.get(name)
+        if table is not None and table.schema.column_names() == [c for c, _ in columns]:
             return table
         return self.create_table(name, columns)
 
     def drop_table(self, name):
-        if name not in self._tables:
-            raise StorageError("no table %r" % name)
-        del self._tables[name]
-        self.bump_schema_epoch()
-        self._persist_catalog()
+        try:
+            with self.ddl():
+                self._catalog.delete(self._entry(name).rowid)
+        finally:
+            self._retired = None
 
-    def _persist_catalog(self):
-        """Keep the on-disk table catalog current so log replay after a
-        crash (no checkpoint yet) can rebuild every logged table."""
-        if self.path is None or getattr(self, "_recovering", False):
-            return
-        catalog = {
-            name: [[c.name, c.domain.value] for c in table.schema.columns]
-            for name, table in self._tables.items()
-        }
-        self._write_json_atomic(_CATALOG_FILE, catalog)
+    def add_column(self, table_name, name, domain):
+        """Widen *table_name* by a column; rows it holds read it as null.
+        Holds the table's exclusive lock to its commit, so no commit can
+        log a row of it in the shape it had before."""
+        with self.ddl():
+            columns = self.write_table(table_name).schema.columns
+            self._alter(table_name, columns + [Column(name, domain)])
 
     def bump_schema_epoch(self):
         """Invalidate cached query plans compiled under the old shape."""
@@ -157,76 +276,37 @@ class Database:
     # -- text (trigram) indexes ---------------------------------------------
 
     def create_text_index(self, table_name, column):
-        """Create a durable trigram text index over ``table.column``.
-
-        Self-committing DDL, mirroring ``bulk_ingest``'s transaction
-        stance: the WAL record lands (flushed) before the in-memory
-        create, and a ``text_indexes.json`` sidecar is rewritten after
-        it, so a crash at any point recovers the index — sidecar and
-        log replay are both idempotent.  Unlike equality indexes there
-        is no adaptive auto-create: the planner only lowers text
-        predicates onto indexes declared through here.
+        """Create (or return) a durable trigram text index over
+        ``table.column``: a DDL commit naming the column in the table's
+        catalog row.  Unlike equality indexes there is no adaptive
+        auto-create: the planner only lowers text predicates onto
+        indexes declared through here.
         """
-        self.assert_writable()
-        if self.transactions.current() is not None:
-            raise TransactionError(
-                "text-index DDL is self-committing and cannot run inside "
-                "an explicit transaction"
-            )
-        table = self.table(table_name)
-        existing = table.text_index_for(column)
-        if existing is not None:
-            return existing
-        schema_column = table.schema.column(column)
-        if schema_column.domain is not Domain.STRING:
-            raise StorageError(
-                "text index needs a string column; %r.%r is %s"
-                % (table_name, column, schema_column.domain.value)
-            )
-        if self._log is not None:
-            self._log.append(
-                0, wal_module.TEXT_INDEX_CREATE,
-                table=table_name + wal_module.TEXT_TARGET_SEP + column,
-                flush=True,
-            )
-        index = table.create_text_index(column)
-        self._persist_text_indexes()
-        return index
+        with self.ddl():
+            table = self.table(table_name)
+            if table.text_index_for(column) is None:
+                domain = table.schema.column(column).domain
+                if domain is not Domain.STRING:
+                    raise StorageError(
+                        "text index needs a string column; %r.%r is %s"
+                        % (table_name, column, domain.value)
+                    )
+                self._alter(
+                    table_name, text_indexed=table.text_index_columns() + [column]
+                )
+            return table.text_index_for(column)
 
     def drop_text_index(self, table_name, column):
         """Durably drop the trigram index over ``table.column``."""
-        self.assert_writable()
-        if self.transactions.current() is not None:
-            raise TransactionError(
-                "text-index DDL is self-committing and cannot run inside "
-                "an explicit transaction"
-            )
-        table = self.table(table_name)
-        if table.text_index_for(column) is None:
-            raise StorageError(
-                "no text index on %r.%r" % (table_name, column)
-            )
-        if self._log is not None:
-            self._log.append(
-                0, wal_module.TEXT_INDEX_DROP,
-                table=table_name + wal_module.TEXT_TARGET_SEP + column,
-                flush=True,
-            )
-        table.drop_text_index(column)
-        self._persist_text_indexes()
-
-    def text_index_catalog(self):
-        """``{table: [column, ...]}`` for every table with text indexes."""
-        return {
-            name: table.text_index_columns()
-            for name, table in sorted(self._tables.items())
-            if table.text_index_columns()
-        }
-
-    def _persist_text_indexes(self):
-        if self.path is None or getattr(self, "_recovering", False):
-            return
-        self._write_json_atomic(_TEXT_INDEX_FILE, self.text_index_catalog())
+        with self.ddl():
+            table = self.table(table_name)
+            if table.text_index_for(column) is None:
+                raise StorageError(
+                    "no text index on %r.%r" % (table_name, column)
+                )
+            self._alter(table_name, text_indexed=[
+                name for name in table.text_index_columns() if name != column
+            ])
 
     def table(self, name):
         try:
@@ -238,7 +318,8 @@ class Database:
         return name in self._tables
 
     def table_names(self):
-        return sorted(self._tables)
+        """Every table but the storage catalog, sorted."""
+        return sorted(name for name in self._tables if name != CATALOG)
 
     def column_orders(self):
         """Map table -> column order, for WAL row (de)serialization."""
@@ -401,51 +482,43 @@ class Database:
             filename, [json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")]
         )
 
-    def _read_json(self, filename):
-        path = os.path.join(self.path, filename)
-        with self._opener(path, "rb") as handle:
-            raw = handle.read()
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise RecoveryError("corrupt %s in %r: %s" % (filename, self.path, exc))
-
-    def _read_table_map(self, filename, shape, is_entry):
-        """:meth:`_read_json` for a file that maps each table to a list
-        of entries passing *is_entry*; well-formed JSON of any other
-        shape is as corrupt as a torn one, and says so by name."""
-        doc = self._read_json(filename)
-        if not isinstance(doc, dict) or not all(
-            isinstance(entries, list) and all(map(is_entry, entries))
-            for entries in doc.values()
-        ):
-            raise RecoveryError(
-                "corrupt %s in %r: expected %s" % (filename, self.path, shape)
-            )
-        return doc
-
     # -- durability -------------------------------------------------------------------
 
-    @staticmethod
-    def _parse_roots(doc):
-        """Roots document -> (data file name, {table: head page}).
-
-        New format: ``{"file": "data.<gen>.mdm", "roots": {...}}``;
-        legacy format was the bare roots mapping over a fixed file name.
-        """
-        if isinstance(doc, dict) and "file" in doc and "roots" in doc:
-            return doc["file"], doc["roots"]
-        return _DATA_FILE, doc
+    def _read_roots(self):
+        """``roots.json`` -> (data file name, {table: head page}, the LSN
+        the image holds); a file of another format is refused."""
+        with self._opener(os.path.join(self.path, _ROOTMAP_FILE), "rb") as handle:
+            raw = handle.read()
+        try:
+            doc = json.loads(raw)  # a torn file is ValueError too
+            if doc["format"] != ROOTS_FORMAT:
+                raise ValueError("format %r" % (doc["format"],))
+            return str(doc["file"]), dict(doc["roots"]), int(doc["lsn"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecoveryError("%s in %r is not a format-%d roots file (%s)"
+                                % (_ROOTMAP_FILE, self.path, ROOTS_FORMAT, exc))
 
     def _next_data_file(self):
-        roots_path = os.path.join(self.path, _ROOTMAP_FILE)
         gen = 0
-        if os.path.exists(roots_path):
-            current, _ = self._parse_roots(self._read_json(_ROOTMAP_FILE))
+        if os.path.exists(os.path.join(self.path, _ROOTMAP_FILE)):
+            current, _, _ = self._read_roots()
             parts = current.split(".")
             if len(parts) == 3 and parts[1].isdigit():
                 gen = int(parts[1])
         return "data.%d.mdm" % (gen + 1)
+
+    def pin_tables(self, lsn=None):
+        """Pin this thread's snapshot at *lsn* (default now) between
+        schema changes; returns the LSN and ``[(table, column order),
+        ...]``, the catalog first: what an image or a seed writes."""
+        with self._ddl_mutex:
+            lsn = self.transactions.pin_snapshot(lsn)
+            return lsn, [
+                (table, table.schema.column_names())
+                for name, table in sorted(
+                    self._tables.items(), key=lambda item: item[0] != CATALOG
+                )
+            ]
 
     def checkpoint(self):
         """Write a full image of every table and truncate the log.
@@ -453,9 +526,10 @@ class Database:
         Image, roots and truncation run inside one hold of the log's
         append mutex (:meth:`WriteAheadLog.quiesced`), the image read
         through a snapshot pinned at the LSN that hold made durable --
-        which lies between transactions.  So the image holds committed
-        rows only (another thread's open transaction stays out of it)
-        and no commit can land after its table's image and before the
+        which lies between transactions -- and between schema changes
+        (:meth:`pin_tables`).  So the image holds committed rows only
+        (another thread's open transaction stays out of it) and no
+        commit can land after its table's image and before the
         truncation.  Committers wait for the length of a checkpoint;
         pinned readers do not.  The text indexes are dumped inside the
         hold too, in memory; the posting stream file is written after it.
@@ -464,12 +538,10 @@ class Database:
             raise StorageError("in-memory database cannot checkpoint")
         self.assert_writable()
         self.transactions.assert_no_snapshot()  # we pin our own below
-        self._persist_catalog()
-        self._persist_text_indexes()
-        with self._log.quiesced() as lsn:
-            self.transactions.pin_snapshot(lsn)
+        with self._ddl_mutex, self._log.quiesced() as lsn:
+            _, tables = self.pin_tables(lsn)
             try:
-                self._write_image()
+                self._write_image(lsn, tables)
             finally:
                 self.transactions.unpin_snapshot()
             self._log.truncate()
@@ -576,22 +648,24 @@ class Database:
                 pass
         return loaded, refused
 
-    def _write_image(self):
-        """Write the rows this thread's snapshot sees to a fresh
-        generation file and make it the one recovery loads."""
+    def _write_image(self, lsn, tables):
+        """Write *tables* (:meth:`pin_tables`) as this thread's snapshot
+        at *lsn* sees them to a fresh generation file and make it the
+        one recovery loads."""
         data_name = self._next_data_file()
         data_path = os.path.join(self.path, data_name)
         if os.path.exists(data_path):
             os.remove(data_path)  # residue of a checkpoint that crashed mid-image
         roots = {}
         with Pager(data_path, opener=self._opener, metrics=self.metrics) as pager:
-            for name, table in sorted(self._tables.items()):
-                roots[name] = pager.write_stream(
-                    encode_row_run(table, table.schema.column_names())
-                )
+            for table, order in tables:
+                roots[table.name] = pager.write_stream(encode_row_run(table, order))
             pager.flush()
         # Commit point: after this rename, recovery reads the new image.
-        self._write_json_atomic(_ROOTMAP_FILE, {"file": data_name, "roots": roots})
+        self._write_json_atomic(_ROOTMAP_FILE, {
+            "format": ROOTS_FORMAT, "file": data_name, "lsn": lsn,
+            "roots": roots,
+        })
         for name in os.listdir(self.path):
             if name.startswith("data.") and name.endswith(".mdm") and name != data_name:
                 os.remove(os.path.join(self.path, name))
@@ -605,9 +679,11 @@ class Database:
             table.prune_versions(horizon)
 
     def defer_index_upkeep(self):
-        """Every (empty) table stops maintaining its indexes until
-        :meth:`build_deferred_indexes`: for recovery and a replica's
-        seed, which fill the tables before any reader exists."""
+        """Every (empty) table, and every table the catalog creates
+        until :meth:`build_deferred_indexes`, stops maintaining its
+        indexes: for recovery and a replica's seed, which fill the
+        tables before any reader exists."""
+        self._deferring = True
         for table in self._tables.values():
             table.defer_index_upkeep()
 
@@ -616,6 +692,7 @@ class Database:
         of a durable database from the posting stream where that
         describes the rows now held, anything else from the rows.
         Returns ``(loaded, rebuilt, seconds loading, [why not, ...])``."""
+        self._deferring = False
         started = time.perf_counter()
         loaded, refused = ({}, []) if self.path is None else self._load_postings()
         load_s = time.perf_counter() - started
@@ -630,13 +707,9 @@ class Database:
         gauges and one log line, read around the phases so no row pays
         for them."""
         started = time.perf_counter()
-        self._recovering = True
-        try:
-            redo_records, build_s, (loaded, rebuilt, load_s, refused) = (
-                self._recover_inner()
-            )
-        finally:
-            self._recovering = False
+        redo_records, build_s, (loaded, rebuilt, load_s, refused) = (
+            self._recover_inner()
+        )
         # Tables start at version 0 and every install bumps it once.
         rows_installed = sum(table.version for table in self._tables.values())
         build_ms = build_s * 1e3
@@ -661,52 +734,34 @@ class Database:
     def _recover_inner(self):
         """Load the image, redo the log, build the indexes; returns
         (log records read, seconds the index build took, what
-        :meth:`build_deferred_indexes` said of it)."""
-        catalog_path = os.path.join(self.path, _CATALOG_FILE)
-        roots_path = os.path.join(self.path, _ROOTMAP_FILE)
-        if os.path.exists(catalog_path):
-            catalog = self._read_table_map(
-                _CATALOG_FILE, "{table: [[column, domain], ...]}",
-                lambda column: isinstance(column, list) and len(column) == 2,
-            )
-            for name, columns in sorted(catalog.items()):
-                if not self.has_table(name):
-                    self.create_table(name, [(c, d) for c, d in columns])
-            # No reader exists yet: image rows and redone records
-            # install with index upkeep deferred, the sidecar below and
-            # the log's TEXT_INDEX_CREATE / DROP only register and
-            # unregister, and each index left at the end is built once
-            # from the recovered rows -- the build the crash battery
-            # cross-checks against a row-by-row rebuild.  A RecoveryError
-            # on the way leaves nothing built.
-            self.defer_index_upkeep()
-            if os.path.exists(os.path.join(self.path, _TEXT_INDEX_FILE)):
-                text_indexes = self._read_table_map(
-                    _TEXT_INDEX_FILE, "{table: [column, ...]}",
-                    lambda column: isinstance(column, str),
-                )
-                for name, columns in sorted(text_indexes.items()):
-                    if self.has_table(name):
-                        for column in columns:
-                            self._tables[name].create_text_index(column)
-            if os.path.exists(roots_path):
-                data_name, roots = self._parse_roots(self._read_json(_ROOTMAP_FILE))
-                data_path = os.path.join(self.path, data_name)
-                if roots and not os.path.exists(data_path):
-                    raise RecoveryError("checkpoint image missing at %r" % data_path)
-                if roots:
-                    with Pager(
-                        data_path, opener=self._opener, metrics=self.metrics
-                    ) as pager:
-                        for name, head in roots.items():
-                            self._load_table_image(pager, name, head)
+        :meth:`build_deferred_indexes` said of it).
+
+        The catalog's rows -- the image's first, then the log's -- make
+        the tables; rows install with index upkeep deferred and each
+        index is built once at the end, so a RecoveryError on the way
+        leaves nothing built."""
+        self.defer_index_upkeep()
+        image_lsn = 0
+        if os.path.exists(os.path.join(self.path, _ROOTMAP_FILE)):
+            data_name, roots, image_lsn = self._read_roots()
+            data_path = os.path.join(self.path, data_name)
+            if not os.path.exists(data_path):
+                raise RecoveryError("checkpoint image missing at %r" % data_path)
+            with Pager(data_path, opener=self._opener, metrics=self.metrics) as pager:
+                for name in sorted(roots, key=lambda name: name != CATALOG):
+                    self._load_table_image(pager, name, roots[name])
         # REDO the log over the checkpoint image.
-        redo_records = wal_module.replay(self._log, self)
+        redo_records = wal_module.replay(self._log, self, image_lsn)
         build_started = time.perf_counter()
         built = self.build_deferred_indexes()
         return redo_records, time.perf_counter() - build_started, built
 
     def _load_table_image(self, pager, name, head_page_no):
+        if not self.has_table(name):
+            raise RecoveryError(
+                "the checkpoint image holds table %r, its catalog no such "
+                "table" % name
+            )
         table = self.table(name)
         for row in decode_row_run(
             pager.read_stream(head_page_no), table.schema.column_names()

@@ -144,10 +144,17 @@ class TableSchema:
 
     def __init__(self, name, columns):
         self.name = name
-        self.columns = list(columns)
-        self._by_name = {c.name: c for c in self.columns}
-        if len(self._by_name) != len(self.columns):
-            raise StorageError("duplicate column in table %r" % name)
+        self.set_columns(columns)
+
+    def set_columns(self, columns):
+        """Reshape in place (the storage catalog widens a table this
+        way, and an undone widening narrows it back); a row lacking a
+        column reads it as null."""
+        columns = list(columns)
+        by_name = {c.name: c for c in columns}
+        if len(by_name) != len(columns):
+            raise StorageError("duplicate column in table %r" % self.name)
+        self.columns, self._by_name = list(columns), by_name
 
     def column(self, name):
         try:

@@ -23,9 +23,11 @@ appended in one hold of the append mutex
 (``TransactionManager._publish``) and the fsync takes the same mutex, so
 the durable prefix -- ``flushed_lsn``, every ``stream_frames`` batch,
 every pinned snapshot and seed LSN -- always ends between transactions.
-``BEGIN`` is the first frame of such a run; ``ABORT`` is no longer
-written (an abort touches no file) but, like interleaved runs, is still
-read, so a log written by an earlier version recovers to the same rows.
+``BEGIN`` is the first frame of such a run and ``COMMIT`` its last; an
+abort touches no file.
+
+The file opens with :data:`LOG_HEADER`, a magic string and the format
+byte: a log of any other format is refused, never misread.
 """
 
 import contextlib
@@ -43,13 +45,13 @@ from repro.storage.row import decode_row_run, encode_row_run
 
 logger = logging.getLogger(__name__)
 
-# Record kinds.
+# Record kinds.  6 (an abort record) and 12/13 (text-index DDL, now a
+# catalog row) are retired numbers: no writer emits them.
 BEGIN = 1
 INSERT = 2
 UPDATE = 3
 DELETE = 4
 COMMIT = 5
-ABORT = 6
 CHECKPOINT = 7
 # Self-committing change records: the record's presence in the log's
 # valid prefix IS the commit point — no separate BEGIN/COMMIT frames.
@@ -61,17 +63,6 @@ AC_INSERT = 8
 AC_UPDATE = 9
 AC_DELETE = 10
 BATCH_INSERT = 11
-# Text-index DDL records: self-committing, no row images.  The target
-# is encoded in the ``table`` field as ``"table\x1fcolumn"`` (the ASCII
-# unit separator cannot appear in an identifier), so the frame layout —
-# and every decoder — is unchanged.  Logged *before* the in-memory
-# create/drop and the catalog sidecar write, so a crash between them
-# replays the DDL idempotently on recovery.
-TEXT_INDEX_CREATE = 12
-TEXT_INDEX_DROP = 13
-
-#: Separator packing ``(table, column)`` into a record's table field.
-TEXT_TARGET_SEP = "\x1f"
 
 _KIND_NAMES = {
     BEGIN: "BEGIN",
@@ -79,21 +70,19 @@ _KIND_NAMES = {
     UPDATE: "UPDATE",
     DELETE: "DELETE",
     COMMIT: "COMMIT",
-    ABORT: "ABORT",
     CHECKPOINT: "CHECKPOINT",
     AC_INSERT: "AC-INSERT",
     AC_UPDATE: "AC-UPDATE",
     AC_DELETE: "AC-DELETE",
     BATCH_INSERT: "BATCH-INSERT",
-    TEXT_INDEX_CREATE: "TEXT-INDEX-CREATE",
-    TEXT_INDEX_DROP: "TEXT-INDEX-DROP",
 }
 
 #: Kinds whose presence alone marks their transaction committed.
-SELF_COMMITTING = frozenset(
-    (AC_INSERT, AC_UPDATE, AC_DELETE, BATCH_INSERT,
-     TEXT_INDEX_CREATE, TEXT_INDEX_DROP)
-)
+SELF_COMMITTING = frozenset((AC_INSERT, AC_UPDATE, AC_DELETE, BATCH_INSERT))
+
+#: The log's format number, and the bytes every log file begins with.
+LOG_FORMAT = 2
+LOG_HEADER = b"MDM-WAL" + bytes((LOG_FORMAT,))
 
 #: Frame header: payload length, CRC32 of the payload.
 _FRAME = struct.Struct("<II")
@@ -218,6 +207,11 @@ class WriteAheadLog:
         self._poison = None
         self._base_path = path + ".base"
         self._file = self._opener(path, "ab+")
+        if self._file.seek(0, os.SEEK_END) < len(LOG_HEADER):
+            # New, or cut while its header was first written: nothing in
+            # it was ever durable.  The first fsync makes the header so.
+            self._file.truncate(0)
+            self._file.write(LOG_HEADER)
         entries, valid_end, corruption = self._scan()
         self._synced_end = valid_end
         self.base_lsn = self._read_base_lsn()
@@ -514,7 +508,7 @@ class WriteAheadLog:
             with self._opener(self.path, "rb") as handle:
                 data = handle.read()
         frames = []
-        offset = 0
+        offset = len(LOG_HEADER)
         while offset < len(data):
             try:
                 record, end = _parse_frame(data, offset)
@@ -539,13 +533,20 @@ class WriteAheadLog:
         record, and *corruption* a message describing why the scan
         stopped early (None for a clean log; a torn frame at the very
         end of the file is normal crash residue, reported so the tail
-        gets trimmed).
+        gets trimmed).  A file that does not begin with
+        :data:`LOG_HEADER` raises :class:`RecoveryError`.
         """
         self._file.flush()
         with self._opener(self.path, "rb") as handle:
             data = handle.read()
+        offset = len(LOG_HEADER)
+        if data[:offset] != LOG_HEADER:
+            raise RecoveryError(
+                "%s is not a format-%d log (it begins %r): written by "
+                "another version of the database"
+                % (self.path, LOG_FORMAT, data[:offset])
+            )
         entries = []
-        offset = 0
         while offset < len(data):
             try:
                 record, offset = _parse_frame(data, offset)
@@ -625,9 +626,10 @@ class WriteAheadLog:
             self.base_lsn = base_lsn
             self._file.close()
             self._file = self._opener(self.path, "wb+")
+            self._file.write(LOG_HEADER)
             fsync_file(self._file)
             self._fsyncs.inc()
-            self._synced_end = 0
+            self._synced_end = len(LOG_HEADER)
             self._change_lsn = self._synced_change_lsn = base_lsn
             self._fsync_directory()
             self._truncations.inc()
@@ -695,68 +697,54 @@ def decode_frame(frame):
 class RedoApplier:
     """The one interpreter of log records: what each kind does to a table.
 
-    Fed records in log order through :meth:`apply`.  Change frames of an
-    explicit transaction are buffered until its COMMIT and dropped at
-    its ABORT; a commit point -- COMMIT, a self-committing kind, text-
-    index DDL, CHECKPOINT -- installs at once.  *stamp_commits* picks
-    the LSN installed versions carry: False (crash recovery) installs at
-    LSN 0, visible to every snapshot; True (a replica serving pinned
-    readers while it applies) installs at the commit point's own LSN.
+    Fed records in log order through :meth:`apply`.  An explicit
+    transaction's change frames are one contiguous run from its BEGIN,
+    buffered until its COMMIT; any other commit point installs at once.
+    A BEGIN drops whatever run a crashed process left unfinished; a
+    change frame or COMMIT outside its transaction's run raises
+    :class:`RecoveryError`.  *stamp_commits* picks the LSN installed
+    versions carry: False (crash recovery) LSN 0, visible to every
+    snapshot; True (a replica serving pinned readers) the commit's own.
 
     ``applied_lsn`` is the newest commit point installed; one at or
-    below it is skipped, so a feed that re-ships applied commits
-    installs each exactly once.  The reader is wider than today's
-    writer: transactions may interleave, a BEGIN may sit anywhere before
-    its first change and an ABORT drops a buffer, as earlier versions
-    wrote them.
+    below it is skipped, so a re-shipped commit, or one a checkpoint
+    image already holds, installs exactly once.  A schema change is one
+    more commit: its storage catalog rows make the tables.
     """
 
     def __init__(self, database, stamp_commits, applied_lsn=0):
         self._database = database
         self._stamp_commits = stamp_commits
         self.applied_lsn = applied_lsn
-        # txn_id -> [change, ...] of its not yet committed frames
-        self._buffered = {}
+        # (txn_id, [change, ...]) of the run since the open BEGIN
+        self._run = None
 
     def apply(self, lsn, txn_id, kind, table, row_bytes, old_bytes):
         """Apply one record; True when it installed a commit point
         (visibility advanced to *lsn*)."""
         if kind == BEGIN:
-            # A fresh buffer, not the frames a crashed process left
-            # under the same id: transaction ids restart with the
-            # process, the log does not.
-            self._buffered[txn_id] = []
+            self._run = (txn_id, [])
             return False
-        if kind in (INSERT, UPDATE, DELETE):
-            self._buffered.setdefault(txn_id, []).append(
-                (kind, table, row_bytes, old_bytes)
+        run, self._run = self._run, None
+        if kind in (INSERT, UPDATE, DELETE, COMMIT) and (
+            run is None or run[0] != txn_id
+        ):
+            raise RecoveryError(
+                "%s frame at LSN %d outside transaction %d's run"
+                % (_KIND_NAMES[kind], lsn, txn_id)
             )
+        if kind in (INSERT, UPDATE, DELETE):
+            run[1].append((kind, table, row_bytes, old_bytes))
+            self._run = run
             return False
-        if kind == ABORT:
-            self._buffered.pop(txn_id, None)
-            return False
-        changes = self._buffered.pop(txn_id, ())
         if lsn <= self.applied_lsn:
             return False
         if kind == COMMIT:
-            for change in changes:
+            for change in run[1]:
                 self._install(lsn, *change)
         elif kind == CHECKPOINT:
             # The primary pruned its version chains here; so do we.
             self._database.prune_versions()
-        elif kind in (TEXT_INDEX_CREATE, TEXT_INDEX_DROP):
-            # The target rides in the table field as "table\x1fcolumn".
-            # Both directions are idempotent (create returns an existing
-            # index, drop of a missing one is a no-op), so the sidecar
-            # or seed catalog and the log can overlap freely; a table
-            # since dropped from the catalog has no index to maintain.
-            name, _, column = table.partition(TEXT_TARGET_SEP)
-            if self._database.has_table(name):
-                target = self._database.table(name)
-                if kind == TEXT_INDEX_CREATE:
-                    target.create_text_index(column)
-                else:
-                    target.drop_text_index(column)
         elif kind in SELF_COMMITTING:
             self._install(lsn, kind, table, row_bytes, old_bytes)
         else:
@@ -781,12 +769,13 @@ class RedoApplier:
             table.install_committed(lsn, row.rowid, row)
 
     def discard_buffered(self):
-        """Forget every uncommitted transaction's frames."""
-        self._buffered = {}
+        """Forget the unfinished transaction's frames."""
+        self._run = None
 
 
-def replay(log, database):
-    """Crash recovery's REDO: apply *log*'s valid prefix to *database*.
+def replay(log, database, applied_lsn=0):
+    """Crash recovery's REDO: apply *log*'s valid prefix to *database*,
+    whose checkpoint image holds every commit at or below *applied_lsn*.
 
     Only committed work lands (see :class:`RedoApplier`); a record past
     the first torn or corrupt frame does not exist.  Returns the number
@@ -796,7 +785,7 @@ def replay(log, database):
     if corruption is not None:
         logger.warning("WAL %s: %s; replaying valid prefix only",
                        log.path, corruption)
-    redo = RedoApplier(database, stamp_commits=False)
+    redo = RedoApplier(database, stamp_commits=False, applied_lsn=applied_lsn)
     for entry in entries:
         redo.apply(*entry)
     return len(entries)

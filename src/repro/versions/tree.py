@@ -15,18 +15,17 @@ VERSION_ORDERING = "version_of_work"
 
 
 def _install_version_schema(schema):
-    if not schema.has_entity_type(VERSION_TYPE):
-        schema.define_entity(
-            VERSION_TYPE,
-            [
-                ("label", "string"),
-                ("sequence", "integer"),
-                ("snapshot", "SCORE"),
-                ("parent_sequence", "integer"),
-            ],
-        )
-    if VERSION_ORDERING not in schema.orderings:
-        schema.define_ordering(VERSION_ORDERING, [VERSION_TYPE], under="SCORE")
+    # A define identical to a stored one binds: safe on every open.
+    schema.define_entity(
+        VERSION_TYPE,
+        [
+            ("label", "string"),
+            ("sequence", "integer"),
+            ("snapshot", "SCORE"),
+            ("parent_sequence", "integer"),
+        ],
+    )
+    schema.define_ordering(VERSION_ORDERING, [VERSION_TYPE], under="SCORE")
 
 
 class VersionTree:

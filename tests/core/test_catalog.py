@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.catalog import MetaCatalog
+from repro.core.schema import Schema
+from repro.graphics.graphdef import GDEF_USE, GraphicsCatalog
 
 
 @pytest.fixture
@@ -13,8 +14,7 @@ def catalogued(schema):
         "HARMONY", [("a", "CHORD"), ("b", "CHORD")], [("interval", "integer")]
     )
     schema.define_ordering("note_in_chord", ["NOTE"], under="CHORD")
-    catalog = MetaCatalog(schema).sync()
-    return schema, catalog
+    return schema, schema.meta
 
 
 class TestPopulation:
@@ -47,17 +47,35 @@ class TestPopulation:
         children = catalog.children_of_ordering("note_in_chord")
         assert [c["entity_name"] for c in children] == ["NOTE"]
 
-    def test_sync_idempotent(self, catalogued):
-        _, catalog = catalogued
+    def test_redefine_writes_no_rows(self, catalogued):
+        schema, catalog = catalogued
         before = len(catalog.entity_table.instances())
-        catalog.sync()
+        schema.define_entity("NOTE", [("name", "integer"), ("pitch", "string")])
+        schema.define_ordering("note_in_chord", ["NOTE"], under="CHORD")
         assert len(catalog.entity_table.instances()) == before
 
-    def test_sync_picks_up_new_types(self, catalogued):
+    def test_a_later_define_is_catalogued_as_it_runs(self, catalogued):
         schema, catalog = catalogued
         schema.define_entity("REST", [("duration", "string")])
-        catalog.sync()
         assert "REST" in catalog.catalogued_entities()
+
+    def test_an_added_attribute_is_catalogued_last(self, catalogued):
+        schema, catalog = catalogued
+        schema.entity_type("NOTE").add_attribute(("octave", "integer"))
+        assert [
+            a["attribute_name"] for a in catalog.attributes_of_entity("NOTE")
+        ] == ["name", "pitch", "octave"]
+
+    def test_figure_10_registrations_survive_a_later_define(self, catalogued):
+        """GDefUse rows point at ENTITY records; a define used to be
+        catalogued only by a re-sync that truncated them."""
+        schema, catalog = catalogued
+        graphics = GraphicsCatalog(schema)
+        graphics.register("NOTE", "newpath", [("pitch", "/pitch exch def")])
+        schema.define_entity("STEM", [("length", "integer")])
+        assert schema.relationship(GDEF_USE).count() == 1
+        assert graphics.definition_for("NOTE")["function"] == "newpath"
+        assert "STEM" in catalog.catalogued_entities()
 
 
 class TestReconstruction:
@@ -86,13 +104,26 @@ class TestReconstruction:
         assert [r for r, _ in harmony.roles] == ["a", "b"]
         assert [a.name for a in harmony.attributes] == ["interval"]
 
-    def test_reconstruct_skips_meta_by_default(self, catalogued):
-        _, catalog = catalogued
-        rebuilt = catalog.reconstruct()
-        assert not rebuilt.has_entity_type("ENTITY")
+    def test_roles_typed_by_a_meta_type_stay_roles(self, catalogued):
+        schema, catalog = catalogued
+        schema.define_relationship(
+            "USES", [("entity", "ENTITY"), ("chord", "CHORD")],
+            [("weight", "integer")], many_role="entity",
+        )
+        uses = catalog.reconstruct().relationship("USES")
+        assert uses.roles == [("entity", "ENTITY"), ("chord", "CHORD")]
+        assert [a.name for a in uses.attributes] == ["weight"]
+        assert uses.many_role == "entity"
 
     def test_reconstruct_include_meta(self, catalogued):
-        _, catalog = catalogued
-        rebuilt = catalog.reconstruct(include_meta=True)
+        schema, catalog = catalogued
+        rebuilt = catalog.reconstruct()
         assert rebuilt.has_entity_type("ENTITY")
         assert "entity_attributes" in rebuilt.orderings
+        assert rebuilt.definitions() == schema.definitions()
+
+    def test_a_schema_over_stored_rows_is_rebuilt_from_them(self, catalogued):
+        schema, _ = catalogued
+        reopened = Schema("again", database=schema.database)
+        assert reopened.definitions() == schema.definitions()
+        assert reopened.instance_count() == schema.instance_count()

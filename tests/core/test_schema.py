@@ -24,13 +24,17 @@ class TestLookups:
             schema.ordering("X")
 
     def test_duplicate_definitions(self, schema):
-        schema.define_entity("A", [("x", "integer")])
+        """An identical define binds to the stored one; a different one
+        under the same name is refused."""
+        a = schema.define_entity("A", [("x", "integer")])
+        assert schema.define_entity("A", [("x", "integer")]) is a
         with pytest.raises(SchemaError):
-            schema.define_entity("A", [("x", "integer")])
+            schema.define_entity("A", [("x", "string")])
         schema.define_entity("B", [("x", "integer")])
-        schema.define_ordering("o", ["A"], under="B")
+        o = schema.define_ordering("o", ["A"], under="B")
+        assert schema.define_ordering("o", ["A"], under="B") is o
         with pytest.raises(SchemaError):
-            schema.define_ordering("o", ["A"], under="B")
+            schema.define_ordering("o", ["B"], under="A")
 
 
 class TestOrderingResolution:
@@ -94,12 +98,23 @@ class TestWholeSchema:
         assert rebuilt.ddl() == schema.ddl()
 
     def test_statistics(self, chord_schema):
+        """The counts take in section 6's meta-schema, whose rows are
+        entity instances like any other."""
         schema, _, _, _ = chord_schema
+        meta = schema.meta
         stats = schema.statistics()
-        assert stats["entity_types"] == 2
-        assert stats["orderings"] == 1
-        assert stats["instances"] == 5
-        assert stats["ordering_edges"] == 4
+        assert stats["entity_types"] == 2 + 4
+        assert stats["orderings"] == 1 + 2
+        assert stats["instances"] == 5 + sum(
+            table.count() for table in (
+                meta.entity_table, meta.relationship_table,
+                meta.attribute_table, meta.ordering_table,
+            )
+        )
+        assert stats["ordering_edges"] == 4 + sum(
+            ordering.table_size()
+            for ordering in (meta.entity_attributes, meta.relationship_attributes)
+        )
 
     def test_check_invariants_clean(self, chord_schema):
         schema, _, _, _ = chord_schema

@@ -6,19 +6,24 @@ in CHORDs in PIECEs: creates, updates, insert at a position, move,
 remove -- and sometimes delete --, reparent) and a raw text-indexed
 table ``t``, through explicit transactions (one in seven aborted),
 auto-committed single rows, ``bulk_ingest`` batches, text-index drops
-and re-creates, and checkpoints, over a durable :class:`Database`; the
-PIECE titles carry a second text index that is never dropped.  Every
-commit point goes through :meth:`Workload._commit`, so after a crash
+and re-creates, schema changes (an entity type, an ordering -- recursive
+or inhomogeneous at times --, a relationship, an attribute added to a
+type that holds rows) and checkpoints, over a durable
+:class:`Database`; the PIECE titles carry a second text index that is
+never dropped.  Every commit point goes through
+:meth:`Workload._commit`, so after a crash
 :meth:`Workload.acceptable_states` names the only states a correct
 recovery may produce: the last acknowledged one and, when the crash
 hit a commit point, the one it was publishing -- never a prefix of it.
-A state is every table's rows by rowid plus which text indexes exist.
+A state is every table's rows by rowid, which text indexes exist and
+the schema's definitions.
 The workload also records its *marks* -- the fsync and write counts
 just before each commit, checkpoint, text DDL and ``close()``, and just
 after each checkpoint -- for the targeted matrices.
 
 :func:`verify_recovery` reopens a directory with real files and checks
-it through every lens: the state is acceptable; every ordering passes
+it through every lens: the state, with the schema rebuilt from the
+recovered meta rows, is acceptable; every ordering passes
 ``check_invariants``; every index equals one rebuilt from the rows
 (:func:`assert_indexes_match_rows`); every row is one all-visible
 version, and a snapshot pinned on the recovered database reads exactly
@@ -41,6 +46,7 @@ import tempfile
 import threading
 
 from repro.core.schema import Schema
+from repro.core.catalog import META_NAMES
 from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash
 from repro.storage.index import HashIndex
@@ -64,6 +70,9 @@ TITLES = [
 ]
 
 QUERIES = ["prelude", "étude", "no. 2", "zzzqqq"]
+
+#: The base entity types; the ``define`` step adds to them.
+BASE_TYPES = ["PIECE", "CHORD", "NOTE"]
 
 
 def define(db, schema=None, filler_rows=0):
@@ -115,14 +124,21 @@ def prepare(directory, filler_rows=0, bystander=False):
 _TEMPLATES = {}
 
 
-def state_of(db):
-    """``(every table's rows by rowid, the text indexes)``."""
+def state_of(db, definitions):
+    """``(every table's rows by rowid, the text indexes, the schema's
+    *definitions*)``.  A row is read by its table's columns: one
+    written before its table was widened has no value for the new
+    column wherever it was last decoded from, and reads it as null."""
     rows, text = {}, []
     for name in db.table_names():
         table = db.table(name)
-        rows[name] = {row.rowid: row.as_dict() for row in table}
+        columns = table.schema.column_names()
+        rows[name] = {
+            row.rowid: {column: row.get(column) for column in columns}
+            for row in table
+        }
         text += [(name, column) for column in table.text_index_columns()]
-    return rows, sorted(text)
+    return rows, sorted(text), sorted(definitions)
 
 
 def _index_contents(index):
@@ -153,12 +169,13 @@ def assert_indexes_match_rows(table):
 
 
 def table_state(database):
-    """:func:`state_of` *database*, once every index on every table has
-    passed :func:`assert_indexes_match_rows` -- what a live database,
-    its reopened directory and its replica must agree on."""
+    """:func:`state_of` *database* with the schema its meta rows say,
+    once every index on every table has passed
+    :func:`assert_indexes_match_rows` -- what a live database, its
+    reopened directory and its replica must agree on."""
     for name in database.table_names():
         assert_indexes_match_rows(database.table(name))
-    return state_of(database)
+    return state_of(database, Schema("state", database=database).definitions())
 
 
 def hold_a_transaction_open_across_checkpoints(workload):
@@ -198,11 +215,16 @@ def hold_a_transaction_open_across_checkpoints(workload):
 
 def describe_state_difference(state, acceptable):
     lines = ["recovered state matches none of %d acceptable states" % len(acceptable)]
-    rows, text = state
-    for index, (want_rows, want_text) in enumerate(acceptable):
+    rows, text, definitions = state
+    for index, (want_rows, want_text, want_definitions) in enumerate(acceptable):
         if text != want_text:
             lines.append("  vs acceptable[%d]: text indexes %r, want %r"
                          % (index, text, want_text))
+        if definitions != want_definitions:
+            lines.append("  vs acceptable[%d]: definitions %r, want %r" % (
+                index, sorted(set(definitions) ^ set(want_definitions)),
+                want_definitions,
+            ))
         for table in sorted(set(rows) | set(want_rows)):
             got, want = rows.get(table, {}), want_rows.get(table, {})
             if got != want:
@@ -224,12 +246,13 @@ def verify_recovery(directory, acceptable=None):
     rebuilt)`` by the open, what the posting stream bought it."""
     db = Database(str(directory))
     try:
-        schema = define(db)
-        state = state_of(db)
+        schema = Schema("crash", database=db)
+        state = state_of(db, schema.definitions())
         if acceptable is not None:
             assert state in acceptable, describe_state_difference(state, acceptable)
+        define(db, schema)  # binds: the base types are stored
         schema.check_invariants()
-        rows, text = state
+        rows, text, _ = state
         for name in db.table_names():
             table = db.table(name)
             assert_indexes_match_rows(table)
@@ -258,7 +281,7 @@ def verify_recovery(directory, acceptable=None):
         row = table.insert({"title": "post recovery prelude", "v": -1})
         db.transactions.pin_snapshot(lsn)
         try:
-            assert state_of(db) == state
+            assert state_of(db, schema.definitions()) == state
         finally:
             db.transactions.unpin_snapshot()
         index = table.text_index_for("title")
@@ -293,7 +316,7 @@ class Workload:
         self.chord_ord = self.schema.ordering("chord_in_piece")
         self._reload_handles()
         self.serial = 0
-        self.committed = state_of(db)
+        self.committed = self.state()
         self.in_flight = None
         self.marks = collections.defaultdict(list)
 
@@ -301,6 +324,19 @@ class Workload:
         self.piece_handles = self.pieces.instances()
         self.chord_handles = self.chords.instances()
         self.note_handles = self.notes.instances()
+
+    def state(self, definitions=None):
+        """:func:`state_of` the database, with the schema's definitions
+        or the *definitions* given."""
+        if definitions is None:
+            definitions = self.schema.definitions()
+        return state_of(self.db, definitions)
+
+    def _extra_types(self):
+        """The entity types :meth:`define` added, by name."""
+        return sorted(
+            set(self.schema.entity_types) - META_NAMES - set(BASE_TYPES)
+        )
 
     def mark(self, kind):
         """Note the barrier counts just before (or after) a *kind* event."""
@@ -326,10 +362,10 @@ class Workload:
         *publishes()*, by default what memory holds when the machine
         dies -- a crash leaves memory as it was."""
         self.mark(kind)
-        self.in_flight = publishes or (lambda: state_of(self.db))
+        self.in_flight = publishes or self.state
         action()
         self.in_flight = None
-        self.committed = state_of(self.db)
+        self.committed = self.state()
 
     # -- single operations -------------------------------------------------------
 
@@ -383,6 +419,18 @@ class Workload:
                 self.rng.choice(members), self.rng.choice(self.chord_handles)
             )
 
+    def _op_extra(self):
+        """An instance of a type :meth:`define` added, if there is one."""
+        extras = self._extra_types()
+        if extras:
+            entity_type = self.schema.entity_type(self.rng.choice(extras))
+            self.serial += 1
+            entity_type.create(**{
+                a.name: self.serial if a.domain_name() == "integer"
+                else self.rng.choice(TITLES)
+                for a in entity_type.attributes
+            })
+
     def _op_text(self):
         rowids = sorted(self.text.rowids())
         roll = self.rng.random()
@@ -407,14 +455,59 @@ class Workload:
 
     def toggle_text_index(self):
         """Self-committing DDL: drop ``t``'s text index, or create it."""
-        rows, text = self.committed
+        rows, text, definitions = self.committed
         target = (TEXT, "title")
         ddl = (
             self.db.drop_text_index if target in text
             else self.db.create_text_index
         )
         toggled = sorted(set(text) ^ {target})
-        self._commit("ddl", lambda: ddl(*target), lambda: (rows, toggled))
+        self._commit(
+            "ddl", lambda: ddl(*target), lambda: (rows, toggled, definitions)
+        )
+
+    def define(self):
+        """One schema change, one commit: a new entity type; an ordering
+        of one or two child types (an extra type's, or NOTEs) under an
+        extra type, recursive when the parent is a child; a relationship
+        with a value attribute or a many-side at times; or an attribute
+        added to an extra type, which may hold rows by then."""
+        self.serial += 1
+        extras, roll, rng = self._extra_types(), self.rng.random(), self.rng
+        definitions = self.schema.definitions()
+        if not extras or roll < 0.35:
+            name = "EXTRA%d" % self.serial
+            definition = ("entity", name, [
+                ("a%d" % i, rng.choice(["integer", "string"]))
+                for i in range(rng.randint(1, 2))
+            ])
+            action = lambda: self.schema.define(definition)
+        elif roll < 0.55:
+            children = rng.sample(extras + ["NOTE"], min(2, len(extras) + 1))
+            definition = (
+                "ordering", "extra_o%d" % self.serial,
+                children[:rng.randint(1, 2)], rng.choice(extras),
+            )
+            action = lambda: self.schema.define(definition)
+        elif roll < 0.75:
+            definition = (
+                "relationship", "EXTRA_R%d" % self.serial,
+                [("left", rng.choice(extras)),
+                 ("right", rng.choice(extras + BASE_TYPES))],
+                [("weight", "integer")] if rng.random() < 0.5 else [],
+                "left" if rng.random() < 0.3 else None,
+            )
+            action = lambda: self.schema.define(definition)
+        else:
+            target = self.schema.entity_type(rng.choice(extras))
+            attribute = ("b%d" % self.serial, rng.choice(["integer", "string"]))
+            definition = target.definition()
+            definition = definition[:2] + (definition[2] + [attribute],)
+            definitions.remove(target.definition())
+            action = lambda: target.add_attribute(attribute)
+        self._commit(
+            "ddl", action, lambda: self.state(definitions + [definition])
+        )
 
     def bulk(self):
         """2-12 rows into ``t``, a self-committing batch of five at a time."""
@@ -439,7 +532,7 @@ class Workload:
         ops = [
             self._op_create, self._op_create, self._op_create, self._op_update,
             self._op_move, self._op_remove, self._op_reparent,
-            self._op_text, self._op_text, self._op_text,
+            self._op_text, self._op_text, self._op_text, self._op_extra,
         ]
         txn = self.db.begin()
         for _ in range(self.rng.randint(1, 4)):
@@ -454,9 +547,11 @@ class Workload:
         roll = self.rng.random()
         if roll < 0.08 and not early:
             self.checkpoint()
-        elif roll < 0.14 and not early:
+        elif roll < 0.13 and not early:
             self.toggle_text_index()
-        elif roll < 0.22:
+        elif roll < 0.19 and not early:
+            self.define()
+        elif roll < 0.25:
             self.bulk()
         elif roll < 0.42:
             self.autocommit()

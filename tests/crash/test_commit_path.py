@@ -38,7 +38,8 @@ def _commit_points(path):
     BEGIN count)`` after asserting every run is contiguous."""
     with open(path, "rb") as handle:
         data = handle.read()
-    points, begins, open_txn, offset = set(), 0, None, 0
+    points, begins, open_txn = set(), 0, None
+    offset = len(wal_module.LOG_HEADER)
     while offset < len(data):
         (lsn, txn, kind, _, _, _), offset = wal_module._parse_frame(data, offset)
         where = "LSN %d (txn %d, kind %d) inside txn %r" % (lsn, txn, kind, open_txn)
@@ -54,7 +55,7 @@ def _commit_points(path):
             points.add(lsn)
         else:  # self-committing kinds
             assert open_txn is None, where
-            assert kind != wal_module.ABORT, where
+            assert kind in wal_module.SELF_COMMITTING, where
             points.add(lsn)
     assert open_txn is None, "log ends inside txn %r" % open_txn
     return points, begins
@@ -154,7 +155,8 @@ def _contiguity_run(tmp_path, seed, threads, ops):
     db.close()
 
     points, begins = _commit_points(os.path.join(db.path, "wal.log"))
-    assert begins == sum(committed) > 0  # one run per commit, none per abort
+    # One run per table's DDL commit and per commit, none per abort.
+    assert begins == len(tables) + sum(committed) > len(tables)
     assert flushed_seen <= points | {base}, sorted(flushed_seen - points)
     assert set(batch_ends) <= points, sorted(set(batch_ends) - points)
     assert len(batch_ends) > 1

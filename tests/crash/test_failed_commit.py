@@ -215,3 +215,54 @@ def test_a_rider_is_not_acknowledged_past_a_failed_leader(tmp_path):
             t.name: sorted(row["k"] for row in reopened.table(t.name))
             for t in tables
         }
+
+
+DEFINES = {
+    "entity": lambda s: s.define_entity("B", [("y", "string")]),
+    "ordering": lambda s: s.define_ordering("a_under_a", ["A"], under="A"),
+    "relationship": lambda s: s.define_relationship(
+        "R", [("left", "A"), ("right", "A")], [("w", "integer")]
+    ),
+    "add_attribute": lambda s: s.entity_type("A").add_attribute(("y", "string")),
+}
+
+
+def _schema_state(schema):
+    database = schema.database
+    return (
+        schema.definitions(),
+        {name: database.table(name).schema.column_names()
+         for name in database.table_names()},
+        schema.instance_count(),
+    )
+
+
+@pytest.mark.parametrize("define", sorted(DEFINES))
+def test_a_define_whose_commit_failed_leaves_nothing_behind(tmp_path, define):
+    """Its catalog rows, meta rows, table and type go together: the
+    failed fsync leaves the schema, the tables and their shapes as they
+    were, live and reopened, and the same define then succeeds."""
+    from repro.core.schema import Schema
+
+    path = str(tmp_path / "db")
+    plan = FaultPlan()
+    schema = Schema("s", database=Database(path, opener=plan.opener))
+    schema.define_entity("A", [("x", "integer")])
+    schema.entity_type("A").create(x=1)
+    before = _schema_state(schema)
+    plan.io_error_at_sync = plan.sync_count + 1
+    with pytest.raises(OSError):
+        DEFINES[define](schema)
+    assert _schema_state(schema) == before
+    plan.io_error_at_sync = None
+    plan.heal_io()
+    schema.database.exit_degraded()
+    DEFINES[define](schema)
+    after = _schema_state(schema)
+    assert after != before
+    schema.database.close()
+    reopened = Database(path)
+    try:
+        assert _schema_state(Schema("s", database=reopened)) == after
+    finally:
+        reopened.close()

@@ -14,9 +14,10 @@ WAL-shipping replica feeds it shipped frames.  Two checks live here:
   rebuild-from-rows oracle (the live side got there by per-row upkeep,
   recovery and the seed by one deferred build each);
 * malformed redo input -- a cut table image, a ``BATCH_INSERT`` body
-  shorter than its count, a ``REPL_ROWS`` body that runs out of bytes --
-  raises a typed ``repro.errors`` exception from every carrier, never a
-  bare ``struct.error``.
+  shorter than its count, a ``REPL_ROWS`` body that runs out of bytes, a
+  storage catalog row of the wrong shape, a log or roots file of
+  another format -- raises a typed ``repro.errors`` exception from every
+  carrier, never a bare ``struct.error``.
 
 Marked both ``crash`` and ``net``: ``scripts/crash_smoke.sh`` and
 ``scripts/net_smoke.sh`` each run the differential test, so either
@@ -33,12 +34,12 @@ from repro.errors import ProtocolError, RecoveryError
 from repro.mdm.manager import MusicDataManager
 from repro.net import MdmServer, ReplicaServer, protocol
 from repro.storage import wal as wal_module
-from repro.storage.database import Database
+from repro.storage.database import CATALOG, Database
 from repro.storage.pager import PAGE_SIZE
 from repro.storage.row import Row
 
 from tests.crash.oracle import Workload, table_state
-from tests.net.conftest import wait_applied, wait_serving
+from tests.net.conftest import send_seed, wait_applied, wait_serving
 
 pytestmark = [pytest.mark.crash, pytest.mark.net]
 
@@ -128,7 +129,7 @@ def _open_cut_image(tmp_path, length):
     db.close()
     (image,) = [n for n in os.listdir(path) if n.startswith("data.")]
     with open(os.path.join(path, image), "r+b") as handle:
-        handle.seek(PAGE_SIZE)  # page 1 heads the only chain
+        handle.seek(PAGE_SIZE)  # page 1 heads the first chain, the catalog's
         handle.write(struct.pack("<II", 0, length))
     Database(path)
 
@@ -139,7 +140,7 @@ def _open_short_batch(tmp_path):
     db.create_table("t", [("v", "integer")])
     db.close()
     with open(os.path.join(path, "wal.log"), "ab") as handle:
-        handle.write(_short_batch_frame())
+        handle.write(_short_batch_frame(100))
     Database(path)
 
 
@@ -152,27 +153,46 @@ def _open_batch_cut_at_a_tag(tmp_path):
     db.close()
     with open(os.path.join(path, "wal.log"), "ab") as handle:
         handle.write(_wal_frame(
-            1, wal_module.BATCH_INSERT, "t",
+            100, wal_module.BATCH_INSERT, "t",
             struct.pack("<I", 1) + Row(1, {"v": 1}).serialize(["v"])[:10],
         ))
     Database(path)
 
 
-def _open_misshapen(filename, document):
-    """Open a directory whose *filename* is well-formed JSON of the
-    wrong shape."""
+def _open_misshapen(column, value):
+    """Open a directory whose log installs a storage catalog row whose
+    *column* is well-formed JSON of the wrong shape."""
     def carrier(tmp_path):
-        import json
-
         path = str(tmp_path / "db")
         db = Database(path)
         db.create_table("t", [("title", "string")])
-        db.create_text_index("t", "title")
-        db.table("t").insert({"title": "Prélude"})
         db.close()
-        with open(os.path.join(path, filename), "w") as handle:
-            json.dump(document, handle)
-        with pytest.raises(RecoveryError, match=filename):
+        entry = {"table_name": "u", "columns": '[["title", "string"]]',
+                 "text_indexed": "[]", column: value}
+        with wal_module.WriteAheadLog(os.path.join(path, "wal.log")) as log:
+            log.append(
+                0, wal_module.AC_INSERT, table=CATALOG, row=Row(99, entry),
+                column_orders={CATALOG: list(entry)}, flush=True,
+            )
+        with pytest.raises(RecoveryError, match="catalog row"):
+            Database(path)
+        Database(path)
+    return carrier
+
+
+def _open_another_format(filename, content):
+    """Open a directory whose *filename* holds *content*: what an
+    earlier format wrote, a bare frame log or a roots file that names
+    no format."""
+    def carrier(tmp_path):
+        path = str(tmp_path / "db")
+        db = Database(path)
+        db.create_table("t", [("v", "integer")])
+        db.checkpoint()
+        db.close()
+        with open(os.path.join(path, filename), "wb") as handle:
+            handle.write(content)
+        with pytest.raises(RecoveryError, match="format-2"):
             Database(path)
         Database(path)
     return carrier
@@ -192,18 +212,23 @@ def _unpack_short_repl_rows(tmp_path):
     (_open_short_batch, RecoveryError),
     (_open_batch_cut_at_a_tag, RecoveryError),
     (_unpack_short_repl_rows, ProtocolError),
-    # Each of these escaped untyped or misleading: AttributeError on
-    # ``.items()``, "no column 't'" from a string walked as a list.
-    (_open_misshapen("catalog.json", [1, 2]), RecoveryError),
-    (_open_misshapen("catalog.json", {"t": "title"}), RecoveryError),
-    (_open_misshapen("catalog.json", {"t": [["title"]]}), RecoveryError),
-    (_open_misshapen("text_indexes.json", [1, 2]), RecoveryError),
-    (_open_misshapen("text_indexes.json", {"t": "title"}), RecoveryError),
-    (_open_misshapen("text_indexes.json", {"t": [1]}), RecoveryError),
+    # Each of these would escape untyped or misleading: a TypeError
+    # from a number walked as a list, a column named "t" from a string.
+    (_open_misshapen("columns", "[1, 2]"), RecoveryError),
+    (_open_misshapen("columns", '"title"'), RecoveryError),
+    (_open_misshapen("columns", '[["title"]]'), RecoveryError),
+    (_open_misshapen("text_indexed", "[1, 2]"), RecoveryError),
+    (_open_misshapen("text_indexed", '"title"'), RecoveryError),
+    (_open_misshapen("text_indexed", "3"), RecoveryError),
+    (_open_another_format("wal.log", _short_batch_frame()), RecoveryError),
+    (_open_another_format(
+        "roots.json", b'{"file": "data.1.mdm", "roots": {}}'
+    ), RecoveryError),
 ], ids=[
     "empty-image", "truncated-image", "short-batch", "batch-cut-at-a-tag",
     "short-repl-rows", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
+    "earlier-log-format", "earlier-roots-format",
 ])
 def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
     with pytest.raises(error):
@@ -228,12 +253,9 @@ def test_short_shipped_batch_degrades_the_replica():
         primary = Transport(sock)
         kind, _ = primary.recv(timeout=5.0)
         assert kind == protocol.REPL_HELLO
-        primary.send(protocol.REPL_SEED, {
-            "lsn": 10,
-            "schema": {"entities": [], "relationships": [], "orderings": []},
-            "tables": [{"name": "t", "columns": [["v", "integer"]]}],
-        })
-        primary.send(protocol.REPL_SEED_END, {"lsn": 10})
+        seeded = Database()
+        seeded.create_table("t", [("v", "integer")])
+        send_seed(primary, 10, seeded)
         kind, _ = primary.recv(timeout=5.0)
         assert kind == protocol.REPL_ACK
         primary.send_raw(protocol.pack_repl_frame(11, _short_batch_frame(11)))

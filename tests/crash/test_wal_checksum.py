@@ -23,7 +23,7 @@ def frame_spans(path):
     with open(path, "rb") as handle:
         data = handle.read()
     spans = []
-    offset = 0
+    offset = len(wal_module.LOG_HEADER)
     while offset < len(data):
         length, _ = _FRAME.unpack_from(data, offset)
         spans.append((offset, _FRAME.size + length))
@@ -93,10 +93,11 @@ class TestDatabaseRecovery:
         _seed_three_txns(db_dir)
         log_path = os.path.join(db_dir, "wal.log")
         spans = frame_spans(log_path)
-        assert len(spans) == 9  # three txns of BEGIN/INSERT/COMMIT
+        # The table's DDL commit, then three txns, each BEGIN/INSERT/COMMIT.
+        assert len(spans) == 3 + 9
         # Corrupt txn 2's INSERT payload: txn 2's COMMIT is behind the
         # bad record, so txns 2 and 3 are discarded with the tail.
-        flip_byte(log_path, spans[4][0] + _FRAME.size + 5)
+        flip_byte(log_path, spans[7][0] + _FRAME.size + 5)
         db = Database(db_dir)  # recovery must not raise
         try:
             assert sorted(r["name"] for r in db.table("notes")) == ["a"]
@@ -110,7 +111,7 @@ class TestDatabaseRecovery:
         _seed_three_txns(db_dir)
         log_path = os.path.join(db_dir, "wal.log")
         spans = frame_spans(log_path)
-        plan = FaultPlan(bit_flips=[("wal.log", spans[4][0] + _FRAME.size + 5, 0x10)])
+        plan = FaultPlan(bit_flips=[("wal.log", spans[7][0] + _FRAME.size + 5, 0x10)])
         db = Database(db_dir, opener=plan.opener)
         try:
             assert sorted(r["name"] for r in db.table("notes")) == ["a"]

@@ -82,7 +82,6 @@ def scored():
     beam(builder.cmn, voice, [c1, c2])
     builder.finish(derive=False)
     catalog = GraphicsCatalog(builder.cmn.schema)
-    catalog.meta.sync()
     catalog.register_standard()
     return builder, voice, catalog
 

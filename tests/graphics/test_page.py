@@ -9,7 +9,6 @@ from repro.graphics.page import assemble_page, write_page
 @pytest.fixture
 def catalogued(bwv578):
     catalog = GraphicsCatalog(bwv578.cmn.schema)
-    catalog.meta.sync()
     catalog.register_standard()
     return bwv578, catalog
 

@@ -102,3 +102,21 @@ def wait_applied(replica, lsn, timeout=5.0):
         return status["serving"] and status["applied_lsn"] >= lsn
 
     return wait_until(applied, timeout)
+
+
+def send_seed(primary, lsn, database=None):
+    """Seed a replica by hand over the *primary* end of its feed, as
+    ``ReplicationHub`` does: ``REPL_SEED``, every table of *database*
+    (none by default) as ``REPL_ROWS``, the storage catalog's first,
+    then ``REPL_SEED_END``."""
+    primary.send(protocol.REPL_SEED, {"lsn": lsn})
+    if database is not None:
+        _, tables = database.pin_tables()
+        try:
+            for table, order in tables:
+                rows = list(table)
+                if rows:
+                    primary.send_raw(protocol.pack_repl_rows(table.name, rows, order))
+        finally:
+            database.transactions.unpin_snapshot()
+    primary.send(protocol.REPL_SEED_END, {"lsn": lsn})

@@ -12,6 +12,7 @@ from repro.net.transport import Transport
 from tests.net.conftest import (
     ROLES,
     reply,
+    send_seed,
     serving,
     start_replica,
     wait_applied,
@@ -275,36 +276,31 @@ class TestFailover:
             client.close()
 
 
-class TestQuarantine:
-    def test_ddl_after_seed_quarantines_then_reseeds(self, served_mdm, client):
-        """Un-shipped DDL leaves the replica behind; re-seed catches it up."""
+class TestDdlAfterSeed:
+    def test_a_type_defined_after_the_seed_is_served(self, served_mdm, client):
+        """A define reaches the replica as one more shipped commit: its
+        catalog row makes the table, its meta rows the type, and the
+        replica answers for it with no quarantine and no second seed."""
         mdm, server = served_mdm
         replica = start_replica(server, name="q")
         try:
             assert wait_serving(replica)
-            seeds_before = replica.metrics.value("repl.seeds_received")
             client.execute("define entity GADGET (size = integer)")
             client.execute("append to GADGET (size = 3)")
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if replica.metrics.value("repl.seeds_received") > seeds_before:
-                    break
-                time.sleep(0.05)
-            assert replica.metrics.value("repl.seeds_received") > seeds_before
             assert wait_applied(replica, client.last_commit_lsn)
-            assert mdm.database.metrics.value("repl.quarantines") >= 1
+            assert replica.status()["serving"]
+            assert replica.metrics.value("repl.seeds_received") == 1
+            assert mdm.database.metrics.value("repl.quarantines") == 0
             reader = MdmClient(server.address, replicas=[replica.address],
                                client_id="qr")
+            served = replica.metrics.value("repl.reads_served")
             try:
                 reader.execute("range of g is GADGET")
                 rows = reader.retrieve("retrieve (g.size) where g.size = 3")
                 assert [r["g.size"] for r in rows] == [3]
             finally:
                 reader.close()
-            status = server.replication.status()
-            (peer,) = [p for p in status if p["name"] == "q"]
-            assert peer["quarantines"] >= 1
-            assert peer["state"] == "streaming"
+            assert replica.metrics.value("repl.reads_served") > served
         finally:
             replica.stop()
 
@@ -323,7 +319,9 @@ class TestReconnectResume:
         from repro.storage import wal as wal_module
         from repro.storage.database import Database
 
-        # The log is the writer's own: two explicit transactions.
+        # The log is the writer's own: the table's DDL commit, then two
+        # explicit transactions.  The seed is empty: the table arrives
+        # as its catalog row in the first shipped commit.
         with Database(str(tmp_path / "primary")) as db:
             table = db.create_table("t", [("v", "integer")])
             with db.begin():
@@ -334,14 +332,12 @@ class TestReconnectResume:
             frames = dict(db._log.stream_frames(1))
         kinds = [wal_module.decode_frame(frames[lsn])[2] for lsn in sorted(frames)]
         B, I, C = wal_module.BEGIN, wal_module.INSERT, wal_module.COMMIT
-        assert kinds == [B, I, C, B, I, I, C]  # LSNs 1..7
+        assert kinds == [B, I, C, B, I, C, B, I, I, C]  # LSNs 1..10
 
         listener = socket.socket()
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
         listener.listen(2)
-        manifest = {"entities": [], "relationships": [], "orderings": []}
-        tables = [{"name": "t", "columns": [["v", "integer"]]}]
         replica = ReplicaServer(listener.getsockname(), name="resume",
                                 reconnect_base=0.01)
         replica.start()
@@ -351,31 +347,30 @@ class TestReconnectResume:
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_HELLO
             assert protocol.unpack_json(kind, body)["last_lsn"] == 0
-            primary.send(protocol.REPL_SEED,
-                         {"lsn": 0, "schema": manifest, "tables": tables})
-            primary.send(protocol.REPL_SEED_END, {"lsn": 0})
+            send_seed(primary, 0)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
-            for lsn in range(1, 6):  # cut after BEGIN + one change of txn 2
+            for lsn in range(1, 9):  # cut after BEGIN + one change of txn 3
                 primary.send_raw(protocol.pack_repl_frame(lsn, frames[lsn]))
-            kind, body = primary.recv(timeout=5.0)
-            assert kind == protocol.REPL_ACK
-            assert protocol.unpack_json(kind, body)["lsn"] == 3
-            primary.close()  # torn feed: txn 2 is half buffered
+            for acked in (3, 6):
+                kind, body = primary.recv(timeout=5.0)
+                assert kind == protocol.REPL_ACK
+                assert protocol.unpack_json(kind, body)["lsn"] == acked
+            primary.close()  # torn feed: txn 3 is half buffered
 
             sock, _ = listener.accept()
             primary = Transport(sock)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_HELLO
             # The resume point is applied_lsn itself; nothing to back below.
-            assert protocol.unpack_json(kind, body)["last_lsn"] == 3
-            assert replica.status()["applied_lsn"] == 3
-            for lsn in range(4, 8):  # re-stream txn 2, whole
+            assert protocol.unpack_json(kind, body)["last_lsn"] == 6
+            assert replica.status()["applied_lsn"] == 6
+            for lsn in range(7, 11):  # re-stream txn 3, whole
                 primary.send_raw(protocol.pack_repl_frame(lsn, frames[lsn]))
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
-            assert protocol.unpack_json(kind, body)["lsn"] == 7
-            assert wait_applied(replica, 7)
+            assert protocol.unpack_json(kind, body)["lsn"] == 10
+            assert wait_applied(replica, 10)
             table = replica._state.database.table("t")
             # Exactly once: the change buffered before the cut is not doubled.
             assert sorted(row["v"] for row in table) == [1, 2, 3]
@@ -556,11 +551,7 @@ class TestCrcRefusal:
             primary = Transport(sock)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_HELLO
-            manifest = {"entities": [], "relationships": [], "orderings": []}
-            primary.send(protocol.REPL_SEED, {
-                "lsn": 10, "schema": manifest, "tables": [],
-            })
-            primary.send(protocol.REPL_SEED_END, {"lsn": 10})
+            send_seed(primary, 10)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
             assert protocol.unpack_json(kind, body)["lsn"] == 10
@@ -575,10 +566,7 @@ class TestCrcRefusal:
             assert replica.metrics.value("repl.crc_failures") == 1
 
             # The primary's quarantine response: a fresh seed heals it.
-            primary.send(protocol.REPL_SEED, {
-                "lsn": 20, "schema": manifest, "tables": [],
-            })
-            primary.send(protocol.REPL_SEED_END, {"lsn": 20})
+            send_seed(primary, 20)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
             assert wait_serving(replica)

@@ -182,6 +182,34 @@ class TestExactlyOnceDedup:
         finally:
             client.close()
 
+    def test_a_define_resent_after_a_dropped_ack_answers_ok(self, served_mdm):
+        """A define commits by itself, outside the ledger: the retry
+        after its ack was lost binds to the stored definition."""
+        mdm, server = served_mdm
+        execute, drops = mdm.execute, {"left": 1}
+
+        def execute_then_drop(source):
+            result = execute(source)
+            if drops["left"] > 0:
+                drops["left"] -= 1
+                raise NetworkError("connection dropped before the ack")
+            return result
+
+        mdm.execute = execute_then_drop
+        client = MdmClient(server.address, client_id="ddl-retry",
+                           backoff_base=0.001)
+        try:
+            assert client.execute("define entity WIDGET (weight = integer)") == "ok"
+            assert drops["left"] == 0  # the first answer was lost
+            assert [
+                d for d in mdm.schema.definitions() if d[1] == "WIDGET"
+            ] == [("entity", "WIDGET", [("weight", "integer")])]
+            with pytest.raises(MDMError, match="already defined"):
+                client.execute("define entity WIDGET (weight = string)")
+        finally:
+            client.close()
+            del mdm.execute
+
     def test_welcome_reports_last_committed_seq(self, served_mdm):
         _, server = served_mdm
         client = MdmClient(server.address, client_id="w")

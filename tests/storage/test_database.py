@@ -41,7 +41,10 @@ class TestCatalog:
     def test_column_orders(self):
         db = Database()
         db.create_table("a", [("x", "integer"), ("y", "string")])
-        assert db.column_orders() == {"a": ["x", "y"]}
+        assert db.column_orders() == {
+            "_catalog": ["table_name", "columns", "text_indexed"],
+            "a": ["x", "y"],
+        }
 
     def test_in_memory_cannot_checkpoint(self):
         db = Database()

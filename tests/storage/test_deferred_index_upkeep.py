@@ -11,17 +11,18 @@ and by the live database the directory came from;
 reopened and replica.  Counts, not wall-clock, guard the cost.
 """
 
-import json
 import logging
 import os
 
 import pytest
 
 from repro.errors import RecoveryError, StorageError
+from repro.storage import wal as wal_module
 from repro.storage.database import Database
 from repro.storage.pager import PAGE_SIZE
 from repro.storage.row import Row
 from repro.storage.table import Column, Table, TableSchema
+from repro.storage.wal import WriteAheadLog
 from repro.text.index import TrigramIndex
 
 from tests.crash.oracle import assert_indexes_match_rows, table_state
@@ -93,15 +94,13 @@ def test_only_an_empty_table_may_defer():
         table.defer_index_upkeep()
 
 
-# -- recovery: DDL order, image + log overlap, a log that will not replay ------
+# -- recovery: DDL order, image + log, a log that will not replay --------------
 
 
-@pytest.mark.parametrize("sidecar", [None, {"t": ["title"]}, {}])
-def test_index_ddl_in_the_log_keeps_its_order(tmp_path, sidecar):
-    """CREATE -> rows -> DROP -> rows -> CREATE on one column, with
-    ``text_indexes.json`` as written, stale "index exists" and stale "no
-    index": the log decides, and the one build at the end holds the
-    rows of every era."""
+def test_index_ddl_in_the_log_keeps_its_order(tmp_path):
+    """CREATE -> rows -> DROP -> rows -> CREATE on one column: the
+    catalog rows the log carries decide, and the one build at the end
+    holds the rows of every era."""
     path = str(tmp_path / "db")
     db = Database(path)
     db.create_table("t", [("title", "string"), ("v", "integer")])
@@ -116,9 +115,6 @@ def test_index_ddl_in_the_log_keeps_its_order(tmp_path, sidecar):
     table.update(7, {"title": "retitled while indexed"})
     live = table_state(db)
     db.close()
-    if sidecar is not None:
-        with open(os.path.join(path, "text_indexes.json"), "w") as handle:
-            json.dump(sidecar, handle)
     reopened = Database(path)
     try:
         assert reopened.table("t").text_index_columns() == ["title"]
@@ -127,8 +123,7 @@ def test_index_ddl_in_the_log_keeps_its_order(tmp_path, sidecar):
         reopened.close()
 
 
-@pytest.mark.parametrize("sidecar", [None, {"t": ["title"]}])
-def test_an_index_the_log_drops_last_stays_dropped(tmp_path, sidecar):
+def test_an_index_the_log_drops_last_stays_dropped(tmp_path):
     path = str(tmp_path / "db")
     db = Database(path)
     db.create_table("t", [("title", "string"), ("v", "integer")])
@@ -137,9 +132,6 @@ def test_an_index_the_log_drops_last_stays_dropped(tmp_path, sidecar):
     db.drop_text_index("t", "title")
     live = table_state(db)
     db.close()
-    if sidecar is not None:
-        with open(os.path.join(path, "text_indexes.json"), "w") as handle:
-            json.dump(sidecar, handle)
     reopened = Database(path)
     try:
         assert reopened.table("t").text_index_columns() == []
@@ -189,12 +181,11 @@ def test_a_log_that_will_not_replay_builds_nothing(tmp_path, monkeypatch):
     db.create_text_index("t", "title")
     db.bulk_ingest("t", [titled(i) for i in range(40)])
     db.close()
-    catalog = os.path.join(path, "catalog.json")
-    with open(catalog) as handle:
-        tables = json.load(handle)
-    tables["gone"] = tables.pop("t")  # the log now names an unknown table
-    with open(catalog, "w") as handle:
-        json.dump(tables, handle)
+    with WriteAheadLog(os.path.join(path, "wal.log")) as log:
+        log.append(  # a table no catalog row names
+            0, wal_module.AC_INSERT, table="gone", row=Row(1, {"v": 1}),
+            column_orders={"gone": ["v"]}, flush=True,
+        )
     builds = []
     monkeypatch.setattr(
         TrigramIndex, "insert_many",
@@ -265,9 +256,11 @@ def test_recovery_says_what_the_open_cost(tmp_path, caplog):
         reopened = Database(path)
     try:
         metrics = reopened.metrics
-        # CREATE, five batches, one delete; 50 row installs and a delete.
-        assert metrics.value("db.recovery.redo_records") == 7
-        assert metrics.value("db.recovery.rows_installed") == 51
+        # Two DDL commits of three frames each (BEGIN, the catalog row,
+        # COMMIT), five batches, one delete; the catalog row's insert and
+        # update, 50 row installs and a delete.
+        assert metrics.value("db.recovery.redo_records") == 12
+        assert metrics.value("db.recovery.rows_installed") == 53
         assert 0 < metrics.value("db.recovery.index_load_ms") \
             <= metrics.value("db.recovery.index_build_ms") \
             <= metrics.value("db.recovery.total_ms")
@@ -276,7 +269,7 @@ def test_recovery_says_what_the_open_cost(tmp_path, caplog):
         assert metrics.value("db.recovery.indexes_rebuilt") == 0
         (line,) = [r.getMessage() for r in caplog.records
                    if "recovered" in r.getMessage()]
-        assert "7 redo records" in line and "51 rows installed" in line
+        assert "12 redo records" in line and "53 rows installed" in line
         assert "1 loaded" in line and "0 rebuilt from rows" in line
         assert "db.recovery.total_ms" in metrics.render()  # the shell's \metrics
     finally:

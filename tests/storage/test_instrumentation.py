@@ -16,9 +16,10 @@ class TestDatabaseRegistry:
         database = Database()
         assert database.metrics.value("table.inserts") == 0
         table = database.create_table("t", [("k", "integer")])
+        assert database.metrics.value("table.inserts") == 1  # its catalog row
         table.insert({"k": 1})
         table.insert({"k": 2})
-        assert database.metrics.value("table.inserts") == 2
+        assert database.metrics.value("table.inserts") == 3
 
     def test_shared_registry_can_be_injected(self):
         registry = MetricsRegistry()
@@ -34,7 +35,7 @@ class TestDatabaseRegistry:
             table.update(row.rowid, {"k": 3})
             table.delete(row.rowid)
             metrics = database.metrics
-            assert metrics.value("table.inserts") == 2
+            assert metrics.value("table.inserts") == 1 + 2  # a catalog row
             assert metrics.value("table.updates") == 1
             assert metrics.value("table.deletes") == 1
             assert metrics.value("wal.appends") > 0

@@ -361,6 +361,7 @@ class TestPinOrdering:
         row = t.insert({"k": "a", "v": 1})
         transactions = db.transactions
         real = transactions.snapshot_lsn
+        inserted = real()
         intruders = []
 
         def intrude():
@@ -383,7 +384,7 @@ class TestPinOrdering:
         try:
             intruders[0].join(timeout=10)
             assert not intruders[0].is_alive()
-            assert pinned == 1
+            assert pinned == inserted
             assert [(r["k"], r["v"]) for r in t] == [("a", 1)]
             assert [r["v"] for r in t.select_eq("k", "a")] == [1]
         finally:

@@ -201,39 +201,3 @@ class TestLogFile:
             db.create_table("t", [("a", "integer")])
             wal_module.replay(log, db)
             assert [row.rowid for row in db.table("t")] == [2]
-
-    def test_replay_reads_a_log_as_earlier_versions_wrote_it(self, tmp_path):
-        """The writer no longer produces eager BEGINs, ABORT records or
-        interleaved transactions; the reader still takes them."""
-        from repro.storage.row import Row
-
-        orders = {"t": ["a"]}
-
-        def change(log, txn, kind, rowid, old=None, **kwargs):
-            log.append(
-                txn, kind, table="t", column_orders=orders,
-                row=None if kind == wal_module.DELETE else Row(rowid, {"a": rowid}),
-                old_row=old, **kwargs
-            )
-
-        with WriteAheadLog(str(tmp_path / "test.log")) as log:
-            log.append(1, wal_module.BEGIN)      # eager: long before its changes
-            log.append(2, wal_module.BEGIN)
-            log.append(3, wal_module.BEGIN)      # a reader: BEGIN, COMMIT
-            log.append(3, wal_module.COMMIT)
-            change(log, 1, wal_module.INSERT, 1)
-            log.append(4, wal_module.BEGIN)      # wait-die victim
-            log.append(4, wal_module.ABORT)
-            change(log, 2, wal_module.INSERT, 2)  # interleaved with txn 1
-            change(log, 1, wal_module.INSERT, 3)
-            log.append(1, wal_module.COMMIT)
-            log.append(2, wal_module.ABORT)      # drops txn 2's buffer
-            log.append(5, wal_module.BEGIN)
-            change(log, 5, wal_module.DELETE, 3, old=Row(3, {"a": 3}))
-            log.append(5, wal_module.COMMIT)
-            log.append(6, wal_module.BEGIN)      # in flight at the crash
-            change(log, 6, wal_module.INSERT, 6, flush=True)
-            db = Database()
-            db.create_table("t", [("a", "integer")])
-            wal_module.replay(log, db)
-            assert [row.rowid for row in db.table("t")] == [1]

@@ -56,6 +56,14 @@ def test_concurrent_committers_exactly_once(tmp_path, thread_count):
     ]
     barrier = threading.Barrier(thread_count)
     errors = []
+    metrics = database.metrics
+    # The tables' own DDL commits came before; count from here.
+    synced, led, rode = (
+        metrics.value(name) for name in (
+            "wal.commits_synced", "wal.group_commits",
+            "wal.group_commit_riders",
+        )
+    )
 
     def committer(index):
         table = tables[index]
@@ -83,17 +91,15 @@ def test_concurrent_committers_exactly_once(tmp_path, thread_count):
     assert not errors, "unexpected worker errors: %r" % errors
 
     total_commits = thread_count * commits_each
-    metrics = database.metrics
-    assert metrics.value("wal.commits_synced") == total_commits
+    assert metrics.value("wal.commits_synced") - synced == total_commits
     if thread_count >= 4:
         # Enough committers pile up behind the in-flight flush that the
         # next leader must cover several of them: fewer fsyncs than
         # commits were paid.  (Two threads can legally alternate
         # leadership with nobody left over to ride.)
-        leaders = metrics.value("wal.group_commits")
+        leaders = metrics.value("wal.group_commits") - led
         assert 0 < leaders < total_commits
-        assert metrics.value("wal.group_commit_riders") >= 1
-        assert metrics.value("wal.commits_per_fsync") > 1.0
+        assert metrics.value("wal.group_commit_riders") - rode >= 1
 
     # Exactly-once, live.
     for index, table in enumerate(tables):

@@ -3,16 +3,16 @@
 The QUEL batteries cover query semantics; these pin the storage
 contract underneath them -- posting maintenance across all nine row
 paths, the sound-superset candidate API, text DDL refusal inside
-transactions, WAL + sidecar durability, and replica application of the
-self-committing TEXT-INDEX records.
+transactions, and durability through the storage catalog's rows.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.errors import StorageError, TransactionError
-from repro.storage.database import Database
+from repro.storage.database import CATALOG, Database
 from repro.text import trigrams
 from repro.text.bitset import Rowids, Sparse
 from repro.text.index import TrigramIndex
@@ -237,10 +237,17 @@ class TestTextDdl:
             db.drop_text_index("t", "title")
 
     def test_catalog_lists_indexed_columns(self, db):
+        """The storage catalog's row for the table is the index's record."""
+        catalog = db.table(CATALOG)
+
+        def indexed():
+            (row,) = catalog.select_eq("table_name", "t")
+            return json.loads(row["text_indexed"])
+
         db.create_text_index("t", "title")
-        assert db.text_index_catalog() == {"t": ["title"]}
+        assert indexed() == ["title"]
         db.drop_text_index("t", "title")
-        assert db.text_index_catalog() == {}
+        assert indexed() == []
 
 
 class TestDurability:
