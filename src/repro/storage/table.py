@@ -154,7 +154,7 @@ class TableSchema:
         by_name = {c.name: c for c in columns}
         if len(by_name) != len(columns):
             raise StorageError("duplicate column in table %r" % self.name)
-        self.columns, self._by_name = list(columns), by_name
+        self.columns, self._by_name = columns, by_name
 
     def column(self, name):
         try:
