@@ -105,14 +105,16 @@ class Schema:
     def define(self, definition):
         """Define *definition* (:class:`MetaCatalog`'s tuple form) in one
         DDL commit -- its table and its meta rows, or, failed, neither --
-        or bind to an equal stored one; a different one is refused."""
+        or bind to an equal stored one; a different one is refused.  An
+        entity binds to a stored one with attributes appended, since
+        ``add_attribute`` only appends."""
         kind, name = definition[:2]
         existing = getattr(self, _KINDS[kind][0]).get(name)
         if existing is not None:
-            if existing.definition() != definition:
-                raise SchemaError(
-                    "%s %r already defined as %r" % (kind, name, existing.definition())
-                )
+            stored = existing.definition()
+            grown = kind == "entity" and stored[2][:len(definition[2])] == definition[2]
+            if stored != definition and not grown:
+                raise SchemaError("%s %r already defined as %r" % (kind, name, stored))
             return existing
         with self.database.ddl():
             created = self._build(definition)

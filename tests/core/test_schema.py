@@ -36,6 +36,18 @@ class TestLookups:
         with pytest.raises(SchemaError):
             schema.define_ordering("o", ["B"], under="A")
 
+    def test_a_define_binds_to_its_type_grown_by_add_attribute(self, schema):
+        """``add_attribute`` appends, so the define a program re-declares
+        on every open still binds; one that differs is refused."""
+        a = schema.define_entity("A", [("x", "integer")])
+        a.add_attribute(("y", "string"))
+        assert schema.define_entity("A", [("x", "integer")]) is a
+        assert schema.define_entity("A", [("x", "integer"), ("y", "string")]) is a
+        with pytest.raises(SchemaError):
+            schema.define_entity("A", [("y", "string")])
+        with pytest.raises(SchemaError):
+            schema.define_entity("A", [("x", "integer"), ("z", "string")])
+
 
 class TestOrderingResolution:
     """How a before-clause with no 'in order_name' resolves (section 5.6)."""

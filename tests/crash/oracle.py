@@ -172,10 +172,15 @@ def table_state(database):
     """:func:`state_of` *database* with the schema its meta rows say,
     once every index on every table has passed
     :func:`assert_indexes_match_rows` -- what a live database, its
-    reopened directory and its replica must agree on."""
+    reopened directory and its replica must agree on.  It only reads: a
+    database holding no meta rows has no schema, and none is made."""
     for name in database.table_names():
         assert_indexes_match_rows(database.table(name))
-    return state_of(database, Schema("state", database=database).definitions())
+    definitions = (
+        Schema("state", database=database).definitions()
+        if Schema.stored_in(database) else []
+    )
+    return state_of(database, definitions)
 
 
 def hold_a_transaction_open_across_checkpoints(workload):

@@ -62,6 +62,21 @@ def test_an_added_attribute_survives_reopen(tmp_path, reopened):
     assert rows == [("Casals", 1876), ("Landowska", None)]
 
 
+def test_an_attribute_added_to_a_cmn_type_survives_reopen(tmp_path, reopened):
+    """The CMN schema declares NOTE again on every open, without the
+    added attribute: that define binds to the grown stored type."""
+    mdm = MusicDataManager(str(tmp_path / "db"))
+    note = mdm.schema.entity_type("NOTE")
+    note.add_attribute(("velocity", "integer"))
+    note.create(degree=3, velocity=96)
+    again = reopened(mdm)
+    assert again.cmn.NOTE is again.schema.entity_type("NOTE")
+    again.execute("range of n is NOTE")
+    assert again.retrieve("retrieve (n.degree, n.velocity)") == [
+        {"n.degree": 3, "n.velocity": 96}
+    ]
+
+
 def test_every_kind_of_define_survives_reopen(tmp_path, reopened):
     mdm = MusicDataManager(str(tmp_path / "db"))
     mdm.execute(

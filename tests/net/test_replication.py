@@ -2,7 +2,6 @@
 
 import socket
 import threading
-import time
 
 import pytest
 
@@ -298,6 +297,70 @@ class TestDdlAfterSeed:
                 reader.execute("range of g is GADGET")
                 rows = reader.retrieve("retrieve (g.size) where g.size = 3")
                 assert [r["g.size"] for r in rows] == [3]
+            finally:
+                reader.close()
+            assert replica.metrics.value("repl.reads_served") > served
+        finally:
+            replica.stop()
+
+
+def _feed_tearing_the_first_frame():
+    """A replica's ``transport_factory`` whose feed flips the last byte
+    of the first WAL frame shipped to it, as a torn link would."""
+    torn = []
+
+    def connect(address):
+        transport = Transport.connect(address)
+        recv = transport.recv
+
+        def recv_tearing(timeout=None):
+            kind, body = recv(timeout=timeout)
+            if kind == protocol.REPL_FRAME and not torn:
+                torn.append(body)
+                body = body[:-1] + bytes([body[-1] ^ 0xFF])
+            return kind, body
+
+        transport.recv = recv_tearing
+        return transport
+
+    return connect
+
+
+class TestQuarantine:
+    def test_a_refused_frame_quarantines_then_reseeds(self, served_mdm, client):
+        """The replica refuses the frame with ``REPL_ERROR``; the hub
+        quarantines it and re-seeds it on the same connection, and it
+        serves the write the torn frame carried."""
+        mdm, server = served_mdm
+        replica = start_replica(server, name="q",
+                                transport_factory=_feed_tearing_the_first_frame())
+        try:
+            assert wait_serving(replica)
+            seeds_before = replica.metrics.value("repl.seeds_received")
+            client.execute("append to NOTE (degree = 3)")
+            assert wait_until(
+                lambda: replica.metrics.value("repl.seeds_received") > seeds_before,
+                10.0,
+            )
+            assert wait_applied(replica, client.last_commit_lsn)
+            assert replica.metrics.value("repl.crc_failures") == 1
+            assert mdm.database.metrics.value("repl.quarantines") >= 1
+
+            def peer():
+                (status,) = [
+                    p for p in server.replication.status() if p["name"] == "q"
+                ]
+                return status
+
+            assert wait_until(lambda: peer()["state"] == "streaming")
+            assert peer()["quarantines"] >= 1
+            reader = MdmClient(server.address, replicas=[replica.address],
+                               client_id="qr")
+            served = replica.metrics.value("repl.reads_served")
+            try:
+                reader.execute("range of n is NOTE")
+                rows = reader.retrieve("retrieve (n.degree) where n.degree = 3")
+                assert [r["n.degree"] for r in rows] == [3]
             finally:
                 reader.close()
             assert replica.metrics.value("repl.reads_served") > served
