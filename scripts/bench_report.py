@@ -10,7 +10,7 @@ failed op fails the run.  Four files land at the repository root:
 
 - ``BENCH_quel.json``: statements over a 40-chord ordering of 400 notes;
 - ``BENCH_storage.json``: table, bulk-load, group-commit (8 threads),
-  snapshot-read, checkpoint, WAL and pager operations;
+  snapshot-read, checkpoint, image-open and WAL operations;
 - ``BENCH_text.json``: the same catalog searches over a 120k-row corpus
   before and after its trigram index exists, plus the first-N statements
   over a 1M-row corpus, and three self-gates on those numbers;
@@ -61,7 +61,6 @@ from repro.core.schema import Schema
 from repro.obs.export import write_json
 from repro.quel.executor import QuelSession
 from repro.storage.database import Database
-from repro.storage.pager import Pager
 from repro.storage.wal import WriteAheadLog
 
 KINDS = ("quel", "storage", "text", "net")
@@ -523,6 +522,10 @@ def storage_report(seconds, row_count=200):
             lambda _: len(table) == loaded and database.metrics.value(
                 "db.checkpoints") == next(checkpoints),
         )
+        # What image_open opens: the set-up rows, as the last checkpoint
+        # left them -- the same rows however fast the host ran the ops.
+        image_dir = os.path.join(tempdir, "image")
+        shutil.copytree(database.path, image_dir)
 
         def fresh_rows(name):
             base = written[name]
@@ -602,6 +605,14 @@ def storage_report(seconds, row_count=200):
         metrics = _metrics(database.metrics)
         database.close()
 
+        # Opening the checkpointed copy: the image read, checked and
+        # installed, a log of one CHECKPOINT frame replayed.
+        def open_image():
+            with Database(image_dir) as reopened:
+                return len(reopened.table("items"))
+
+        suite.time("image_open", open_image, lambda rows: rows == loaded)
+
         # Raw WAL append/fsync rates.
         wal = WriteAheadLog(os.path.join(tempdir, "bench.wal"))
 
@@ -616,27 +627,6 @@ def storage_report(seconds, row_count=200):
             lambda _: wal.flushed_lsn == wal.last_lsn == written["wal"],
         )
         wal.close()
-
-        # Pager stream write/read.
-        pager = Pager(os.path.join(tempdir, "bench.mdm"), capacity=8)
-        payload = b"x" * (64 * 1024)
-        head = pager.write_stream(payload)
-        pager.flush()
-
-        def stream_write():
-            written_head = pager.write_stream(payload)
-            pager.flush()
-            return written_head
-
-        suite.time(
-            "pager_stream_write", stream_write,
-            lambda at: pager.read_stream(at) == payload,
-        )
-        suite.time(
-            "pager_stream_read", lambda: pager.read_stream(head),
-            lambda data: data == payload,
-        )
-        pager.close()
         return suite.report(
             "storage", {"row_count": row_count, "setup_rows": loaded}, metrics
         )

@@ -25,11 +25,11 @@
 #                                       fault layer, log checksums
 #
 # plus tests/storage/test_deferred_index_upkeep.py (open builds each
-# index once); then the size axis: one crash_slow schedule whose table
-# image is ten pager caches.  Pass --full for every crash test,
-# crash_slow included (16 extra seeds, per-write crash granularity, a
-# transaction held open across every checkpoint, the contiguity
-# property at 8 threads).
+# index once); then the size axis: one crash_slow schedule whose
+# checkpoint image is at least 2,621,440 bytes.  Pass --full for every
+# crash test, crash_slow included (16 extra seeds, per-write crash
+# granularity, a transaction held open across every checkpoint, the
+# contiguity property at 8 threads).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,4 +41,4 @@ fi
 PYTHONPATH=src python -m pytest tests/crash \
     tests/storage/test_deferred_index_upkeep.py -q -m "crash and not crash_slow" "$@"
 PYTHONPATH=src python -m pytest -q -m crash_slow "$@" \
-    tests/crash/test_text_index_crash.py::test_crash_at_every_syncpoint_with_image_ten_times_the_cache
+    tests/crash/test_text_index_crash.py::test_crash_at_every_syncpoint_with_a_multi_megabyte_image

@@ -14,10 +14,6 @@ class StorageError(MDMError):
     """Failure in the relational storage substrate."""
 
 
-class PageError(StorageError):
-    """Malformed or out-of-range page access."""
-
-
 class TransactionError(StorageError):
     """Illegal transaction state transition (e.g. write after commit)."""
 
@@ -31,7 +27,8 @@ class LockTimeoutError(TransactionError):
 
 
 class RecoveryError(StorageError):
-    """The write-ahead log could not be replayed."""
+    """A durable file -- the log, the checkpoint image -- could not be
+    recovered."""
 
 
 class ReadOnlyError(StorageError):

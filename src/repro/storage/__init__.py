@@ -2,7 +2,7 @@
 
 The paper layers its data model on the INGRES relational system.  This
 package is our INGRES stand-in: typed values, heap tables, hash and
-ordered indexes, a page-structured file format, a write-ahead log with
+ordered indexes, a checksummed checkpoint image, a write-ahead log with
 REDO recovery, and a strict two-phase-locking transaction manager.
 """
 
@@ -11,7 +11,6 @@ from repro.storage.faults import FaultPlan, FaultyFile, SimulatedCrash, fsync_fi
 from repro.storage.row import Row
 from repro.storage.table import Column, Table, TableSchema
 from repro.storage.index import HashIndex, OrderedIndex
-from repro.storage.pager import Page, Pager, PAGE_SIZE
 from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.storage.lock import LockManager, LockMode
 from repro.storage.transaction import Transaction, TransactionManager, TransactionState
@@ -31,9 +30,6 @@ __all__ = [
     "TableSchema",
     "HashIndex",
     "OrderedIndex",
-    "Page",
-    "Pager",
-    "PAGE_SIZE",
     "LogRecord",
     "WriteAheadLog",
     "LockManager",

@@ -1,8 +1,8 @@
 """The Database: a catalog of tables plus durability and transactions.
 
 In-memory by default; given a directory path it persists via a
-checkpoint image (page file) plus a write-ahead log, and recovers on
-open by loading the checkpoint and REDO-replaying the log.
+checkpoint image plus a write-ahead log, and recovers on open by loading
+the image and REDO-replaying the log.
 
 One system table, the *storage catalog* (:data:`CATALOG`), has a row
 per table: its columns, their domains and its text-indexed columns.  A
@@ -11,16 +11,16 @@ schema change is a change to catalog rows in one ordinary transaction
 or installed by image load, redo or a replica -- reshapes the table
 objects at once: a table exists exactly while its row does.
 
-Crash-safety protocol: checkpoints write a fresh generation-numbered
-page file (``data.<gen>.mdm``), fsync it, then atomically replace
-``roots.json`` -- whose content names the format, the generation file
-and the LSN the image holds -- as the single commit point.  A crash
-anywhere in a checkpoint leaves either the old roots (old image intact,
-log still replayable) or the new roots (new image fully synced, redo
-skipping what it holds); never a mix.  The roots write goes through
-write-to-temp + fsync + ``os.replace`` for the same reason.
+Crash-safety protocol: a checkpoint streams every table into one
+checksummed file (``repro.storage.image``) through write-to-temp +
+fsync + ``os.replace`` to ``image.mdm`` + a directory fsync, and that
+rename is its single commit point; only then is the log emptied.  A
+crash anywhere in a checkpoint leaves the old image and a replayable
+log, or the new image and a log whose records it holds, which redo
+skips; never a mix.  The image names the LSN it holds, and every open
+hands that LSN to the log as its base: the one durable copy of it.
 
-So does the posting stream (``repro.text.stream``): the text indexes as
+So is the posting stream (``repro.text.stream``): the text indexes as
 bytes, published where they provably equal a rebuild from committed
 rows -- under a checkpoint's hold of the log and at ``close`` -- and
 naming the log's ``change_lsn`` at that moment.  An open installs image
@@ -47,21 +47,17 @@ from repro.errors import (
 
 logger = logging.getLogger(__name__)
 from repro.obs.metrics import MetricsRegistry
+from repro.storage import image as checkpoint_image
 from repro.storage import wal as wal_module
-from repro.storage.faults import fsync_file
-from repro.storage.pager import Pager
-from repro.storage.row import decode_row_run, encode_row_run
+from repro.storage.faults import fsync_directory, fsync_file
 from repro.storage.table import Column, Table, TableSchema
 from repro.storage.transaction import TransactionManager
 from repro.storage.values import Domain
 from repro.text import stream as posting_stream
 
 _LOG_FILE = "wal.log"
-_ROOTMAP_FILE = "roots.json"
+_IMAGE_FILE = "image.mdm"
 _POSTING_STREAM_FILE = "postings.bin"
-
-#: The format ``roots.json`` names; one of another format is refused.
-ROOTS_FORMAT = 2
 
 #: The storage catalog's name (module docstring).
 CATALOG = "_catalog"
@@ -105,9 +101,9 @@ class Database:
     ``Database()`` is purely in-memory (fast, for tests and scratch
     work).  ``Database(path)`` stores a checkpoint image and WAL under
     *path* and recovers committed state on reopen.  *opener* is an
-    injectable binary-mode ``open`` substitute threaded through the WAL
-    and pager (see :mod:`repro.storage.faults`); production code passes
-    nothing.
+    injectable binary-mode ``open`` substitute every file under *path*
+    is opened through (see :mod:`repro.storage.faults`); production
+    code passes nothing.
     """
 
     def __init__(self, path=None, opener=None, metrics=None):
@@ -121,8 +117,8 @@ class Database:
         # cached query plans (see repro.quel.cache) can detect staleness
         # with one integer compare.
         self.schema_epoch = 0
-        # One registry per database; the WAL, pager, lock manager, and
-        # QUEL executor above all record into it.
+        # One registry per database; the WAL, lock manager, and QUEL
+        # executor above all record into it.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._degraded_entries = self.metrics.counter("db.degraded_entries")
         self._checkpoints = self.metrics.counter("db.checkpoints")
@@ -139,9 +135,11 @@ class Database:
         self._deferring = False
         if path is not None:
             os.makedirs(path, exist_ok=True)
+            started = time.perf_counter()
+            image_lsn, image_tables = self._read_image()
             self._log = wal_module.WriteAheadLog(
-                os.path.join(path, _LOG_FILE), opener=self._opener,
-                metrics=self.metrics,
+                os.path.join(path, _LOG_FILE), base_lsn=image_lsn,
+                opener=self._opener, metrics=self.metrics,
             )
         self.transactions = TransactionManager(self, self._log)
         self._catalog = self._tables[CATALOG] = self._new_table(
@@ -152,7 +150,7 @@ class Database:
             _Catalog, database=self,
         )
         if path is not None:
-            self._recover()
+            self._recover(started, image_tables)
 
     # -- table management ----------------------------------------------------
 
@@ -460,52 +458,28 @@ class Database:
         """
         return _SnapshotContext(self.transactions)
 
-    # -- durable metadata files ---------------------------------------------------
+    # -- files published whole ----------------------------------------------------
 
     def _write_atomic(self, filename, pieces):
-        """Durably publish the bytes *pieces* as *filename* via temp +
-        fsync + rename."""
+        """Durably publish the bytes *pieces* as *filename*: temp file,
+        fsync, rename, then a directory fsync, so the rename itself is
+        durable before this returns.  Returns the bytes written."""
         path = os.path.join(self.path, filename)
         tmp = path + ".tmp"
+        written = 0
         handle = self._opener(tmp, "wb")
         try:
             for piece in pieces:
                 handle.write(piece)
+                written += len(piece)
             fsync_file(handle)
         finally:
             handle.close()
         os.replace(tmp, path)
-
-    def _write_json_atomic(self, filename, obj):
-        """:meth:`_write_atomic` of *obj* as JSON."""
-        self._write_atomic(
-            filename, [json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")]
-        )
+        fsync_directory(self.path)
+        return written
 
     # -- durability -------------------------------------------------------------------
-
-    def _read_roots(self):
-        """``roots.json`` -> (data file name, {table: head page}, the LSN
-        the image holds); a file of another format is refused."""
-        with self._opener(os.path.join(self.path, _ROOTMAP_FILE), "rb") as handle:
-            raw = handle.read()
-        try:
-            doc = json.loads(raw)  # a torn file is ValueError too
-            if doc["format"] != ROOTS_FORMAT:
-                raise ValueError("format %r" % (doc["format"],))
-            return str(doc["file"]), dict(doc["roots"]), int(doc["lsn"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecoveryError("%s in %r is not a format-%d roots file (%s)"
-                                % (_ROOTMAP_FILE, self.path, ROOTS_FORMAT, exc))
-
-    def _next_data_file(self):
-        gen = 0
-        if os.path.exists(os.path.join(self.path, _ROOTMAP_FILE)):
-            current, _, _ = self._read_roots()
-            parts = current.split(".")
-            if len(parts) == 3 and parts[1].isdigit():
-                gen = int(parts[1])
-        return "data.%d.mdm" % (gen + 1)
 
     def pin_tables(self, lsn=None):
         """Pin this thread's snapshot at *lsn* (default now) between
@@ -523,7 +497,7 @@ class Database:
     def checkpoint(self):
         """Write a full image of every table and truncate the log.
 
-        Image, roots and truncation run inside one hold of the log's
+        Image and truncation run inside one hold of the log's
         append mutex (:meth:`WriteAheadLog.quiesced`), the image read
         through a snapshot pinned at the LSN that hold made durable --
         which lies between transactions -- and between schema changes
@@ -541,7 +515,10 @@ class Database:
         with self._ddl_mutex, self._log.quiesced() as lsn:
             _, tables = self.pin_tables(lsn)
             try:
-                self._write_image(lsn, tables)
+                # Commit point: after this rename, an open reads the new image.
+                written = self._write_atomic(_IMAGE_FILE, checkpoint_image.pack(
+                    lsn, [(table.name, table, order) for table, order in tables]
+                ))
             finally:
                 self.transactions.unpin_snapshot()
             self._log.truncate()
@@ -551,6 +528,7 @@ class Database:
         self._publish_postings(postings)
         self.prune_versions()
         self._checkpoints.inc()
+        self.metrics.gauge("db.image_bytes").set(written)
 
     # -- the posting stream (module docstring) ---------------------------------
 
@@ -582,10 +560,11 @@ class Database:
             return
         lsn, indexes = postings
         started = time.perf_counter()
-        pieces = posting_stream.pack(lsn, indexes)
         try:
             with self._stream_mutex:
-                self._write_atomic(_POSTING_STREAM_FILE, pieces)
+                written = self._write_atomic(
+                    _POSTING_STREAM_FILE, posting_stream.pack(lsn, indexes)
+                )
                 self._stream_lsn = lsn
         except OSError as exc:
             logger.warning(
@@ -593,7 +572,7 @@ class Database:
             )
             return
         gauge = self.metrics.gauge
-        gauge("text.index.stream_bytes").set(sum(map(len, pieces)))
+        gauge("text.index.stream_bytes").set(written)
         gauge("text.index.stream_write_ms").set(
             (time.perf_counter() - started) * 1e3
         )
@@ -648,27 +627,28 @@ class Database:
                 pass
         return loaded, refused
 
-    def _write_image(self, lsn, tables):
-        """Write *tables* (:meth:`pin_tables`) as this thread's snapshot
-        at *lsn* sees them to a fresh generation file and make it the
-        one recovery loads."""
-        data_name = self._next_data_file()
-        data_path = os.path.join(self.path, data_name)
-        if os.path.exists(data_path):
-            os.remove(data_path)  # residue of a checkpoint that crashed mid-image
-        roots = {}
-        with Pager(data_path, opener=self._opener, metrics=self.metrics) as pager:
-            for table, order in tables:
-                roots[table.name] = pager.write_stream(encode_row_run(table, order))
-            pager.flush()
-        # Commit point: after this rename, recovery reads the new image.
-        self._write_json_atomic(_ROOTMAP_FILE, {
-            "format": ROOTS_FORMAT, "file": data_name, "lsn": lsn,
-            "roots": roots,
-        })
-        for name in os.listdir(self.path):
-            if name.startswith("data.") and name.endswith(".mdm") and name != data_name:
-                os.remove(os.path.join(self.path, name))
+    def _read_image(self):
+        """``(lsn, tables)`` of the checkpoint image (see
+        :func:`repro.storage.image.unpack`), ``(0, ())`` if there is
+        none.  A file that is not a whole image raises
+        :class:`RecoveryError` here, before any row is installed."""
+        path = os.path.join(self.path, _IMAGE_FILE)
+        if not os.path.exists(path):
+            return 0, ()
+        with self._opener(path, "rb") as handle:
+            raw = handle.read()
+        try:
+            return checkpoint_image.unpack(raw, self._image_columns)
+        except RecoveryError as exc:
+            raise RecoveryError("%s: %s" % (path, exc))
+
+    def _image_columns(self, name):
+        if not self.has_table(name):
+            raise RecoveryError(
+                "the checkpoint image holds table %r, its catalog no such "
+                "table" % name
+            )
+        return self.table(name).schema.column_names()
 
     def prune_versions(self):
         """Reclaim version chains: every version superseded below the
@@ -702,13 +682,12 @@ class Database:
         )
         return sum(map(len, loaded.values())), rebuilt, load_s, refused
 
-    def _recover(self):
-        """Recover, then say what the open cost: the ``db.recovery.*``
-        gauges and one log line, read around the phases so no row pays
-        for them."""
-        started = time.perf_counter()
+    def _recover(self, started, image_tables):
+        """Recover, then say what the open that began at *started* cost:
+        the ``db.recovery.*`` gauges and one log line, read around the
+        phases so no row pays for them."""
         redo_records, build_s, (loaded, rebuilt, load_s, refused) = (
-            self._recover_inner()
+            self._recover_inner(image_tables)
         )
         # Tables start at version 0 and every install bumps it once.
         rows_installed = sum(table.version for table in self._tables.values())
@@ -731,42 +710,25 @@ class Database:
             "".join("; " + why for why in refused),
         )
 
-    def _recover_inner(self):
-        """Load the image, redo the log, build the indexes; returns
-        (log records read, seconds the index build took, what
-        :meth:`build_deferred_indexes` said of it).
+    def _recover_inner(self, image_tables):
+        """Install *image_tables* (:meth:`_read_image`), redo the log,
+        build the indexes; returns (log records read, seconds the index
+        build took, what :meth:`build_deferred_indexes` said of it).
 
         The catalog's rows -- the image's first, then the log's -- make
         the tables; rows install with index upkeep deferred and each
         index is built once at the end, so a RecoveryError on the way
         leaves nothing built."""
         self.defer_index_upkeep()
-        image_lsn = 0
-        if os.path.exists(os.path.join(self.path, _ROOTMAP_FILE)):
-            data_name, roots, image_lsn = self._read_roots()
-            data_path = os.path.join(self.path, data_name)
-            if not os.path.exists(data_path):
-                raise RecoveryError("checkpoint image missing at %r" % data_path)
-            with Pager(data_path, opener=self._opener, metrics=self.metrics) as pager:
-                for name in sorted(roots, key=lambda name: name != CATALOG):
-                    self._load_table_image(pager, name, roots[name])
+        for name, rows in image_tables:
+            table = self.table(name)
+            for row in rows:
+                table.install_committed(0, row.rowid, row)
         # REDO the log over the checkpoint image.
-        redo_records = wal_module.replay(self._log, self, image_lsn)
+        redo_records = wal_module.replay(self._log, self, self._log.base_lsn)
         build_started = time.perf_counter()
         built = self.build_deferred_indexes()
         return redo_records, time.perf_counter() - build_started, built
-
-    def _load_table_image(self, pager, name, head_page_no):
-        if not self.has_table(name):
-            raise RecoveryError(
-                "the checkpoint image holds table %r, its catalog no such "
-                "table" % name
-            )
-        table = self.table(name)
-        for row in decode_row_run(
-            pager.read_stream(head_page_no), table.schema.column_names()
-        ):
-            table.install_committed(0, row.rowid, row)
 
     def close(self):
         """Release the log -- after publishing the posting stream, if

@@ -1,10 +1,11 @@
 """Deterministic fault injection for the durability stack.
 
-The WAL and pager accept an injectable *opener* (any callable with the
-signature of :func:`open` restricted to binary modes).  Production runs
-pass nothing and get real files; crash tests pass
-``FaultPlan.opener`` and get :class:`FaultyFile` wrappers that model a
-power failure precisely:
+The WAL and the files the database publishes whole (the checkpoint
+image, the posting stream) are opened through an injectable *opener*
+(any callable with the signature of :func:`open` restricted to binary
+modes).  Production runs pass nothing and get real files; crash tests
+pass ``FaultPlan.opener`` and get :class:`FaultyFile` wrappers that
+model a power failure precisely:
 
 * every byte written goes straight to the OS file (so concurrent
   readers of the same path observe it), **but** bytes written since the
@@ -25,9 +26,9 @@ enumerates.
 
 Limitations (documented, deliberate): ``os.replace`` and open-time
 truncation (``"w"`` modes) are modelled as atomic and immediately
-durable, matching the POSIX rename story the checkpoint protocol
-relies on; pending writes tear as a prefix rather than in arbitrary
-page order.
+durable -- what a rename followed by :func:`fsync_directory` gives on
+POSIX -- so a directory fsync is no syncpoint; pending writes tear as
+a prefix rather than in arbitrary order.
 """
 
 import os
@@ -57,9 +58,8 @@ def fsync_file(handle):
     """Flush *handle* to stable storage.
 
     Files from :class:`FaultPlan.opener` expose ``fsync()`` (a plan
-    syncpoint); plain files get ``flush`` + ``os.fsync``.  The WAL and
-    pager route every durability barrier through here so fault plans
-    see each one.
+    syncpoint); plain files get ``flush`` + ``os.fsync``.  Every file
+    durability barrier goes through here so fault plans see each one.
     """
     fsync = getattr(handle, "fsync", None)
     if fsync is not None:
@@ -67,6 +67,22 @@ def fsync_file(handle):
         return
     handle.flush()
     os.fsync(handle.fileno())
+
+
+def fsync_directory(path):
+    """Make the entries of directory *path* durable: POSIX makes a
+    rename durable only once its directory is fsynced.  Best-effort: a
+    platform that cannot open or fsync a directory skips the barrier."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 class FaultPlan:
@@ -266,7 +282,7 @@ class FaultPlan:
 class FaultyFile:
     """A binary file wrapper that models the OS cache / platter split.
 
-    Supports exactly the surface the WAL and pager use: ``read``,
+    Supports exactly the surface the WAL and the database use: ``read``,
     ``write``, ``seek``, ``tell``, ``truncate``, ``flush``, ``fsync``,
     ``fileno``, ``close``, and context management.
     """

@@ -1,10 +1,10 @@
 """Row representation and a compact binary serialization.
 
 Rows are immutable mappings from column name to value.  The binary form
-is used by the pager (fixed-size pages) and by the write-ahead log.
-A *row run* -- a count followed by that many serialized rows -- is the
-one body format shared by checkpoint table images, ``BATCH_INSERT`` log
-records and ``REPL_ROWS`` seed frames.
+is used by the checkpoint image and by the write-ahead log.  A *row
+run* -- a count followed by that many serialized rows -- is the one body
+format shared by the image's tables, ``BATCH_INSERT`` log records and
+``REPL_ROWS`` seed frames.
 """
 
 import struct
@@ -183,7 +183,8 @@ def encode_row_run(rows, column_order, counted=True):
 
 
 def decode_row_run(buf, column_order, offset=0, count=None):
-    """Decode the row run at *offset* of *buf* into a list of Rows.
+    """Decode the row run at *offset* of *buf*: ``([Row, ...], the
+    offset past the run)``.
 
     *count* None reads the ``<count:I>`` prefix.  Every carrier of a
     run is input from outside the process (a file a crash may have
@@ -206,4 +207,4 @@ def decode_row_run(buf, column_order, offset=0, count=None):
         raise RecoveryError(
             "row run truncated: needs %d bytes, has %d" % (offset, len(buf))
         )
-    return rows
+    return rows, offset

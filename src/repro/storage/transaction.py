@@ -129,7 +129,7 @@ class TransactionManager:
         self._database = database
         self._log = log
         # Share the database's registry so lock counters land beside the
-        # WAL/pager ones; direct construction in tests may lack one.
+        # WAL ones; direct construction in tests may lack one.
         metrics = getattr(database, "metrics", None)
         self._locks = LockManager(metrics=metrics)
         self._ids = itertools.count(1)

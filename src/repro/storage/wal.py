@@ -81,7 +81,7 @@ _KIND_NAMES = {
 SELF_COMMITTING = frozenset((AC_INSERT, AC_UPDATE, AC_DELETE, BATCH_INSERT))
 
 #: The log's format number, and the bytes every log file begins with.
-LOG_FORMAT = 2
+LOG_FORMAT = 3
 LOG_HEADER = b"MDM-WAL" + bytes((LOG_FORMAT,))
 
 #: Frame header: payload length, CRC32 of the payload.
@@ -142,10 +142,11 @@ class WriteAheadLog:
 
     A log whose tail is torn or corrupt is truncated to its valid
     prefix at open time, so LSN assignment always continues past every
-    record that could ever be replayed.  LSNs are additionally kept
-    globally monotone across :meth:`truncate` (checkpoints) via a
-    base-LSN sidecar file, so a WAL-shipping replica can order records
-    across checkpoint generations.
+    record that could ever be replayed.  *base_lsn* is the LSN the
+    checkpoint image holds (0: none), below which :meth:`truncate` cut
+    the records away; assignment continues past it too, so LSNs stay
+    monotone across checkpoints and a WAL-shipping replica can order
+    records across them.
 
     **Group commit.**  A committing transaction appends its frames (in
     one hold of the append mutex) and
@@ -169,7 +170,7 @@ class WriteAheadLog:
     poison.
     """
 
-    def __init__(self, path, opener=None, metrics=None):
+    def __init__(self, path, base_lsn=0, opener=None, metrics=None):
         self.path = path
         self._opener = opener if opener is not None else open
         # Durability counters ("wal.*"): appended frames/bytes and
@@ -205,7 +206,7 @@ class WriteAheadLog:
         # or an fsync raised, and the byte offset the last successful
         # fsync covered (see discard_unsynced).
         self._poison = None
-        self._base_path = path + ".base"
+        self.base_lsn = base_lsn
         self._file = self._opener(path, "ab+")
         if self._file.seek(0, os.SEEK_END) < len(LOG_HEADER):
             # New, or cut while its header was first written: nothing in
@@ -214,8 +215,7 @@ class WriteAheadLog:
             self._file.write(LOG_HEADER)
         entries, valid_end, corruption = self._scan()
         self._synced_end = valid_end
-        self.base_lsn = self._read_base_lsn()
-        max_lsn = changed = self.base_lsn
+        max_lsn = changed = base_lsn
         for entry in entries:
             max_lsn = max(max_lsn, entry[0])
             if entry[2] != CHECKPOINT:
@@ -557,72 +557,17 @@ class WriteAheadLog:
 
     # -- truncation (checkpoints) ---------------------------------------------
 
-    def _read_base_lsn(self):
-        """The persisted base LSN (last LSN assigned before the most
-        recent truncation), or 0 for a log that never truncated."""
-        if not os.path.exists(self._base_path):
-            return 0
-        try:
-            with self._opener(self._base_path, "rb") as handle:
-                raw = handle.read()
-            return int(raw.decode("ascii").strip() or "0")
-        except (OSError, ValueError, UnicodeDecodeError):
-            logger.warning(
-                "WAL %s: unreadable base-LSN sidecar %s; assuming 0",
-                self.path, self._base_path,
-            )
-            return 0
-
-    def _write_base_lsn(self, base_lsn):
-        """Durably publish *base_lsn* via temp + fsync + rename."""
-        tmp = self._base_path + ".tmp"
-        handle = self._opener(tmp, "wb")
-        try:
-            handle.write(("%d" % base_lsn).encode("ascii"))
-            fsync_file(handle)
-            self._fsyncs.inc()
-        finally:
-            handle.close()
-        os.replace(tmp, self._base_path)
-
-    def _fsync_directory(self):
-        """Make the directory entry of the emptied log durable.
-
-        Best-effort: platforms that cannot open a directory read-only
-        (or fsync one) simply skip the barrier, matching the usual
-        POSIX-vs-elsewhere handling of directory durability.
-        """
-        directory = os.path.dirname(os.path.abspath(self.path))
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
     def truncate(self):
-        """Discard the log contents (after a checkpoint).
+        """Discard the log contents, once a durable checkpoint image
+        holds every record: the last assigned LSN becomes the base.
 
-        Two durability obligations beyond emptying the file:
-
-        * the emptied file (and its directory entry) is fsynced, so a
-          crash right after the checkpoint cannot resurrect
-          pre-checkpoint records and REDO-replay them over the newer
-          checkpoint image;
-        * the last assigned LSN is persisted to a sidecar first, so
-          LSN assignment stays globally monotone across truncations —
-          the continuity WAL-shipping replicas need.  (Sidecar before
-          emptying: if the crash lands between the two, records remain
-          replayable and the reopened log resumes past ``max(base,
-          scanned)`` either way.)
+        The emptied file is fsynced, so a crash right after the
+        checkpoint cannot resurrect records a redo would then have to
+        skip.  The base itself is not written down here: the image
+        names it, and the next open passes it back in.
         """
         with self._mutex:
             base_lsn = self._next_lsn - 1
-            self._write_base_lsn(base_lsn)
             self.base_lsn = base_lsn
             self._file.close()
             self._file = self._opener(self.path, "wb+")
@@ -631,7 +576,6 @@ class WriteAheadLog:
             self._fsyncs.inc()
             self._synced_end = len(LOG_HEADER)
             self._change_lsn = self._synced_change_lsn = base_lsn
-            self._fsync_directory()
             self._truncations.inc()
         with self._flush_cond:
             # Records <= base_lsn now live in the checkpoint image; a
@@ -759,13 +703,14 @@ class RedoApplier:
         order = table.schema.column_names()
         lsn = commit_lsn if self._stamp_commits else 0
         if kind == BATCH_INSERT:
-            for row in decode_row_run(row_bytes, order):
+            rows, _ = decode_row_run(row_bytes, order)
+            for row in rows:
                 table.install_committed(lsn, row.rowid, row)
         elif kind in (DELETE, AC_DELETE):
-            (old_row,) = decode_row_run(old_bytes, order, count=1)
+            (old_row,), _ = decode_row_run(old_bytes, order, count=1)
             table.install_committed(lsn, old_row.rowid, None)
         else:
-            (row,) = decode_row_run(row_bytes, order, count=1)
+            (row,), _ = decode_row_run(row_bytes, order, count=1)
             table.install_committed(lsn, row.rowid, row)
 
     def discard_buffered(self):

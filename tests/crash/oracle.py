@@ -80,8 +80,7 @@ def define(db, schema=None, filler_rows=0):
     one over *db* otherwise -- attaching to the tables a reopen found.
     The first call on a database also creates ``t`` with its text index,
     the PIECE title index and *filler_rows* rows made wide by an
-    unindexed column (the size axis: a table image many times the pager
-    cache)."""
+    unindexed column (the size axis: a checkpoint image of megabytes)."""
     schema = schema or Schema("crash", database=db)
     schema.define_entity("PIECE", [("title", "string")])
     schema.define_entity("CHORD", [("name", "integer")])

@@ -1,7 +1,7 @@
 """``checkpoint()`` beside other threads' transactions.
 
-The image, ``roots.json`` and the log truncation run inside one hold of
-the log's append mutex, the image read through a snapshot pinned at the
+The image and the log truncation run inside one hold of the log's
+append mutex, the image read through a snapshot pinned at the
 LSN that hold made durable.  Two ways this used to go wrong, both
 deterministic here: an open transaction's rows were written into the
 image (and survived its abort), and a commit that landed after its
@@ -58,19 +58,20 @@ def test_an_open_transaction_stays_out_of_the_image(tmp_path):
 
 def test_a_commit_cannot_land_between_image_and_truncation(tmp_path):
     db, table = _open(tmp_path)
-    publish = db._write_json_atomic
+    publish = db._write_atomic
     writer = threading.Thread(target=table.insert, args=({"k": -7},))
 
-    def publish_after_a_commit_tries(filename, obj):
-        if filename == "roots.json":
-            # Every table's image is written; the log is not truncated
-            # yet.  The commit either lands now (and must survive the
-            # truncation) or waits for the checkpoint to finish.
+    def publish_after_a_commit_tries(filename, pieces):
+        written = publish(filename, pieces)
+        if filename == "image.mdm":
+            # The image is published; the log is not truncated yet.  The
+            # commit either lands now (and must survive the truncation)
+            # or waits for the checkpoint to finish.
             writer.start()
             writer.join(0.3)
-        publish(filename, obj)
+        return written
 
-    db._write_json_atomic = publish_after_a_commit_tries
+    db._write_atomic = publish_after_a_commit_tries
     db.checkpoint()
     writer.join(10.0)
     assert not writer.is_alive()

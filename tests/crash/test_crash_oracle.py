@@ -2,7 +2,7 @@
 
 For each seed a probe runs the one workload (``tests/crash/oracle.py``)
 to the end and counts its durability barriers -- commit flushes,
-checkpoint image/roots syncs, text DDL, the posting stream of
+checkpoint image and truncation syncs, text DDL, the posting stream of
 ``close()``; then one schedule per barrier replays the same workload
 and kills the "machine" there, with a seeded-random torn tail of
 un-synced bytes.  Every recovery is checked through every lens of

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import PageError
+from repro.errors import RecoveryError
+from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash, fsync_file
-from repro.storage.pager import Pager
 
 
 @pytest.mark.crash
@@ -134,17 +134,20 @@ class TestReadFaults:
         with open(path, "rb") as check:
             assert check.read() == b"hello"  # the platter is untouched
 
-    def test_short_read_fails_pager_loudly(self, tmp_path):
-        path = str(tmp_path / "pages.db")
-        with Pager(path) as pager:
-            page = pager.allocate()
-            page.write(0, b"payload")
-            pager.flush()
-        # Read 1 is the header; read 2 is page 1 and comes back short.
-        plan = FaultPlan(short_reads={2: 100})
-        with pytest.raises(PageError):
-            with Pager(path, opener=plan.opener) as pager:
-                pager.get(1)
+    @pytest.mark.parametrize("fault", [
+        {"short_reads": {1: 100}},  # read 1 of an open is the image's
+        {"bit_flips": [("image.mdm", 100, 0x10)]},
+    ], ids=["short-read", "bit-flip"])
+    def test_a_damaged_image_read_fails_the_open_loudly(self, tmp_path, fault):
+        path = str(tmp_path / "db")
+        with Database(path) as db:
+            db.create_table("t", [("v", "integer")])
+            db.bulk_ingest("t", [{"v": i} for i in range(50)])
+            db.checkpoint()
+        with pytest.raises(RecoveryError, match="image"):
+            Database(path, opener=FaultPlan(**fault).opener)
+        with Database(path) as db:  # the file itself is whole
+            assert len(db.table("t")) == 50
 
 
 @pytest.mark.crash

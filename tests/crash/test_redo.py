@@ -13,11 +13,12 @@ WAL-shipping replica feeds it shipped frames.  Two checks live here:
   composite ones, the trigram ones -- must equal the crash battery's
   rebuild-from-rows oracle (the live side got there by per-row upkeep,
   recovery and the seed by one deferred build each);
-* malformed redo input -- a cut table image, a ``BATCH_INSERT`` body
-  shorter than its count, a ``REPL_ROWS`` body that runs out of bytes, a
-  storage catalog row of the wrong shape, a log or roots file of
-  another format -- raises a typed ``repro.errors`` exception from every
-  carrier, never a bare ``struct.error``.
+* malformed redo input -- a cut or flipped checkpoint image, a
+  ``BATCH_INSERT`` body shorter than its count, a ``REPL_ROWS`` body
+  that runs out of bytes, a storage catalog row of the wrong shape, a
+  log or image of another format -- raises a typed ``repro.errors``
+  exception from every carrier, never a bare ``struct.error`` and never
+  other rows.
 
 Marked both ``crash`` and ``net``: ``scripts/crash_smoke.sh`` and
 ``scripts/net_smoke.sh`` each run the differential test, so either
@@ -35,7 +36,6 @@ from repro.mdm.manager import MusicDataManager
 from repro.net import MdmServer, ReplicaServer, protocol
 from repro.storage import wal as wal_module
 from repro.storage.database import CATALOG, Database
-from repro.storage.pager import PAGE_SIZE
 from repro.storage.row import Row
 
 from tests.crash.oracle import Workload, table_state
@@ -118,20 +118,29 @@ def _short_batch_frame(lsn=1):
     )
 
 
-def _open_cut_image(tmp_path, length):
-    """Open a checkpointed database whose table image claims *length*
-    bytes."""
-    path = str(tmp_path / "db")
-    db = Database(path)
-    db.create_table("t", [("v", "integer")])
-    db.bulk_ingest("t", [{"v": i} for i in range(20)])
-    db.checkpoint()
-    db.close()
-    (image,) = [n for n in os.listdir(path) if n.startswith("data.")]
-    with open(os.path.join(path, image), "r+b") as handle:
-        handle.seek(PAGE_SIZE)  # page 1 heads the first chain, the catalog's
-        handle.write(struct.pack("<II", 0, length))
-    Database(path)
+def _open_damaged_image(damage):
+    """Open a checkpointed database whose image bytes *damage* rewrites."""
+    def carrier(tmp_path):
+        path = str(tmp_path / "db")
+        db = Database(path)
+        db.create_table("t", [("v", "string")])
+        db.bulk_ingest("t", [{"v": "value-%d" % i} for i in range(20)])
+        db.checkpoint()
+        db.close()
+        image = os.path.join(path, "image.mdm")
+        with open(image, "rb") as handle:
+            raw = bytearray(handle.read())
+        with open(image, "wb") as handle:
+            handle.write(damage(raw))
+        Database(path)
+    return carrier
+
+
+def _flip_a_byte(raw):
+    """The damage that once reopened as other rows, with no error: one
+    digit of a row's value."""
+    raw[raw.rindex(b"value-1") + 6] ^= 0x06
+    return raw
 
 
 def _open_short_batch(tmp_path):
@@ -182,8 +191,7 @@ def _open_misshapen(column, value):
 
 def _open_another_format(filename, content):
     """Open a directory whose *filename* holds *content*: what an
-    earlier format wrote, a bare frame log or a roots file that names
-    no format."""
+    earlier format wrote, a bare frame log or a format-2 log."""
     def carrier(tmp_path):
         path = str(tmp_path / "db")
         db = Database(path)
@@ -192,7 +200,7 @@ def _open_another_format(filename, content):
         db.close()
         with open(os.path.join(path, filename), "wb") as handle:
             handle.write(content)
-        with pytest.raises(RecoveryError, match="format-2"):
+        with pytest.raises(RecoveryError, match="format-3"):
             Database(path)
         Database(path)
     return carrier
@@ -207,8 +215,10 @@ def _unpack_short_repl_rows(tmp_path):
 
 
 @pytest.mark.parametrize("carrier, error", [
-    (lambda tmp_path: _open_cut_image(tmp_path, 0), RecoveryError),
-    (lambda tmp_path: _open_cut_image(tmp_path, 9), RecoveryError),
+    (_open_damaged_image(lambda raw: b""), RecoveryError),
+    (_open_damaged_image(lambda raw: raw[:-9]), RecoveryError),
+    (_open_damaged_image(_flip_a_byte), RecoveryError),
+    (_open_damaged_image(lambda raw: raw[:7] + b"\x02" + raw[8:]), RecoveryError),
     (_open_short_batch, RecoveryError),
     (_open_batch_cut_at_a_tag, RecoveryError),
     (_unpack_short_repl_rows, ProtocolError),
@@ -221,14 +231,17 @@ def _unpack_short_repl_rows(tmp_path):
     (_open_misshapen("text_indexed", '"title"'), RecoveryError),
     (_open_misshapen("text_indexed", "3"), RecoveryError),
     (_open_another_format("wal.log", _short_batch_frame()), RecoveryError),
+    # A format-2 directory's log holds only what followed the checkpoint
+    # its roots.json named: refused, not opened as if it were all.
     (_open_another_format(
-        "roots.json", b'{"file": "data.1.mdm", "roots": {}}'
+        "wal.log", b"MDM-WAL\x02" + _short_batch_frame()
     ), RecoveryError),
 ], ids=[
-    "empty-image", "truncated-image", "short-batch", "batch-cut-at-a-tag",
+    "empty-image", "truncated-image", "flipped-byte-image",
+    "another-image-format", "short-batch", "batch-cut-at-a-tag",
     "short-repl-rows", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
-    "earlier-log-format", "earlier-roots-format",
+    "earlier-log-format", "format-2-log",
 ])
 def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
     with pytest.raises(error):

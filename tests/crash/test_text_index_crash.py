@@ -11,15 +11,13 @@ and that queries through it are exact.  Aimed here:
 * the self-committing ``create_text_index`` / ``drop_text_index`` WAL
   records: whichever side of the barrier the crash lands on, the index
   exists exactly as one acceptable state says, and matches the rows;
-* the size axis: a table image of ten pager caches, where checkpoint
-  once lost the whole table.
+* the size axis: a checkpoint image of at least 2,621,440 bytes, where
+  a checkpoint once lost the whole table.
 """
 
 import os
 
 import pytest
-
-from repro.storage.pager import PAGE_SIZE
 
 from tests.crash.oracle import crash_and_verify, every_barrier, probe, run_workload
 
@@ -40,15 +38,11 @@ def test_crash_around_text_ddl_barrier(tmp_path, seed):
 
 
 @pytest.mark.crash_slow
-def test_crash_at_every_syncpoint_with_image_ten_times_the_cache(tmp_path):
-    """The size axis: the same oracle over a table image of at least
-    ten pager caches."""
+def test_crash_at_every_syncpoint_with_a_multi_megabyte_image(tmp_path):
+    """The size axis: the same oracle over a checkpoint image of at
+    least 2,621,440 bytes."""
     seed, filler_rows, steps = 10, 8200, 12
     every_barrier(tmp_path, seed, filler_rows=filler_rows, steps=steps)
-    images = [
-        name for name in os.listdir(str(tmp_path / "probe"))
-        if name.startswith("data.")
-    ]
-    assert images, "schedule took no checkpoint"
-    image = tmp_path / "probe" / images[0]
-    assert os.path.getsize(str(image)) >= 10 * 64 * PAGE_SIZE
+    image = str(tmp_path / "probe" / "image.mdm")
+    assert os.path.exists(image), "schedule took no checkpoint"
+    assert os.path.getsize(image) >= 2_621_440

@@ -18,7 +18,7 @@ from repro.errors import TransactionError
 from repro.mdm import MusicDataManager
 
 #: Every name a closed durable directory may hold.
-FORMAT_FILES = re.compile(r"wal\.log|wal\.log\.base|roots\.json|postings\.bin|data\.\d+\.mdm")
+FORMAT_FILES = re.compile(r"wal\.log|image\.mdm|postings\.bin")
 
 
 @pytest.fixture(params=["log", "checkpoint"])

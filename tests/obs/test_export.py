@@ -58,11 +58,11 @@ def test_tracer_to_dict_and_json():
 
 def test_metrics_export():
     registry = MetricsRegistry()
-    registry.counter("pager.page_reads").inc(9)
+    registry.counter("wal.fsyncs").inc(9)
     registry.histogram("quel.statement_seconds").observe(0.003)
     assert metrics_to_dict(registry) == registry.snapshot()
     parsed = json.loads(metrics_to_json(registry))
-    assert parsed["pager.page_reads"] == 9
+    assert parsed["wal.fsyncs"] == 9
     assert parsed["quel.statement_seconds"]["count"] == 1
 
 

@@ -19,7 +19,6 @@ import pytest
 from repro.errors import RecoveryError, StorageError
 from repro.storage import wal as wal_module
 from repro.storage.database import Database
-from repro.storage.pager import PAGE_SIZE
 from repro.storage.row import Row
 from repro.storage.table import Column, Table, TableSchema
 from repro.storage.wal import WriteAheadLog
@@ -140,9 +139,9 @@ def test_an_index_the_log_drops_last_stays_dropped(tmp_path):
         reopened.close()
 
 
-def test_log_over_an_image_larger_than_the_page_cache(tmp_path):
-    """The image-load half: rows from a checkpoint image past the
-    64-page cache, then a log that deletes, retitles and appends over
+def test_log_over_a_large_image(tmp_path):
+    """The image-load half: rows from a checkpoint image of more than
+    262,144 bytes, then a log that deletes, retitles and appends over
     them, closed without a second checkpoint."""
     path = str(tmp_path / "db")
     db = Database(path)
@@ -152,8 +151,7 @@ def test_log_over_an_image_larger_than_the_page_cache(tmp_path):
     db.create_text_index("t", "title")
     db.bulk_ingest("t", [dict(titled(i), pad="%d" % i * 80) for i in range(1200)])
     db.checkpoint()
-    (image,) = [n for n in os.listdir(path) if n.startswith("data.")]
-    assert os.path.getsize(os.path.join(path, image)) > 64 * PAGE_SIZE
+    assert os.path.getsize(os.path.join(path, "image.mdm")) > 262_144
     table = db.table("t")
     for rowid in range(10, 1200, 45):
         table.delete(rowid)

@@ -7,7 +7,6 @@ import time
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.database import Database
 from repro.storage.lock import LockManager, LockMode
-from repro.storage.pager import Pager
 from repro.storage.wal import WriteAheadLog
 
 
@@ -43,7 +42,7 @@ class TestDatabaseRegistry:
             before = metrics.value("db.checkpoints")
             database.checkpoint()
             assert metrics.value("db.checkpoints") == before + 1
-            assert metrics.value("pager.page_writes") > 0
+            assert metrics.value("db.image_bytes") > 0
             assert metrics.value("wal.truncations") > 0
         finally:
             database.close()
@@ -52,38 +51,6 @@ class TestDatabaseRegistry:
         database = Database()
         database.enter_degraded("test reason")
         assert database.metrics.value("db.degraded_entries") == 1
-
-
-class TestPagerCounters:
-    def test_read_write_evict_counters(self, tmp_path):
-        registry = MetricsRegistry()
-        pager = Pager(str(tmp_path / "p.mdm"), capacity=2, metrics=registry)
-        try:
-            # The pager clamps tiny capacities; write more pages than the
-            # effective cache so the chain walk must evict and re-read.
-            payload = b"x" * ((pager.capacity + 2) * 4096)
-            head = pager.write_stream(payload)
-            pager.flush()
-            assert registry.value("pager.allocations") > pager.capacity
-            assert registry.value("pager.page_writes") > 0
-            assert registry.value("pager.flushes") == 1
-            pager.read_stream(head)
-            assert registry.value("pager.evictions") > 0
-            assert registry.value("pager.page_reads") > 0
-            frees_before = registry.value("pager.frees")
-            pager.free_stream(head)
-            assert registry.value("pager.frees") > frees_before
-        finally:
-            pager.close()
-
-    def test_pager_without_registry_still_works(self, tmp_path):
-        pager = Pager(str(tmp_path / "bare.mdm"), capacity=2)
-        try:
-            head = pager.write_stream(b"y" * 100)
-            pager.flush()
-            assert pager.read_stream(head) == b"y" * 100
-        finally:
-            pager.close()
 
 
 class TestWalCounters:

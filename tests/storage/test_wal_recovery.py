@@ -85,9 +85,9 @@ class TestWal:
         db2.close()
         assert log_size_after < 200  # just the checkpoint record
 
-    def test_checkpoint_image_larger_than_the_pager_cache(self, db_dir):
-        """8,000 rows is the smallest load whose table image outgrew
-        the 64-page cache and read back empty on reopen."""
+    def test_checkpoint_image_of_8000_rows(self, db_dir):
+        """8,000 rows, some 263,000 bytes of image: the smallest load a
+        checkpoint once lost whole, reading it back empty."""
         from repro.text.index import TrigramIndex
 
         db = make_db(db_dir)

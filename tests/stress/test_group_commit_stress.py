@@ -4,8 +4,8 @@ Per-thread tables keep strict 2PL out of the way (no lock conflicts),
 so the only shared resource is the WAL's flush point — exactly the
 contention group commit amortizes.  The oracle is exactly-once durable
 effects: every acknowledged commit's rows exist exactly once, both live
-and after a close/reopen recovery; the slow-fsync opener makes flush
-overlap (and therefore riders) a certainty rather than scheduler luck.
+and after a close/reopen recovery, under a slow fsync that keeps
+committers queued behind the flush in flight.
 """
 
 import os
@@ -92,14 +92,14 @@ def test_concurrent_committers_exactly_once(tmp_path, thread_count):
 
     total_commits = thread_count * commits_each
     assert metrics.value("wal.commits_synced") - synced == total_commits
-    if thread_count >= 4:
-        # Enough committers pile up behind the in-flight flush that the
-        # next leader must cover several of them: fewer fsyncs than
-        # commits were paid.  (Two threads can legally alternate
-        # leadership with nobody left over to ride.)
-        leaders = metrics.value("wal.group_commits") - led
-        assert 0 < leaders < total_commits
-        assert metrics.value("wal.group_commit_riders") - rode >= 1
+    # Every commit led a flush or rode one.  Whether any rode is the
+    # scheduler's call: a leader fsyncs holding the append mutex, so a
+    # committer still appending then can only lead a round of its own,
+    # and at times none rides.  test_concurrent_commits_share_fsyncs
+    # pins a shared flush down.
+    leaders = metrics.value("wal.group_commits") - led
+    riders = metrics.value("wal.group_commit_riders") - rode
+    assert leaders > 0 and leaders + riders == total_commits
 
     # Exactly-once, live.
     for index, table in enumerate(tables):
