@@ -151,6 +151,20 @@ class TestTruncationDurability:
         with WriteAheadLog(path) as wal:
             assert wal.append(10, wal_module.BEGIN).lsn == high + 2
 
+    def test_lsns_monotone_when_truncated_log_reopens_empty(self, tmp_path):
+        """Regression: an empty post-checkpoint log must not restart
+        LSN assignment at 1; the base it is opened with is where the
+        image left off."""
+        path = str(tmp_path / "e.wal")
+        with WriteAheadLog(path) as wal:
+            for txn_id in range(1, 8):
+                wal.append(txn_id, wal_module.COMMIT)
+            high = wal.last_lsn
+            wal.truncate()
+        with WriteAheadLog(path, base_lsn=high) as wal:
+            assert wal.last_lsn == wal.base_lsn == high
+            assert wal.append(1, wal_module.BEGIN).lsn == high + 1
+
     def test_lsns_continue_past_the_image_over_a_log_of_only_its_header(
         self, tmp_path
     ):
