@@ -205,7 +205,7 @@ def unpack_repl_rows(body, column_orders):
     if order is None:
         raise ProtocolError("REPL_ROWS for unknown table %r" % table_name)
     try:
-        rows, _ = decode_row_run(body, order, offset, count)
+        rows = decode_row_run(body, order, offset, count)
     except RecoveryError as error:
         raise ProtocolError("REPL_ROWS for %r: %s" % (table_name, error))
     return table_name, rows

@@ -463,21 +463,18 @@ class Database:
     def _write_atomic(self, filename, pieces):
         """Durably publish the bytes *pieces* as *filename*: temp file,
         fsync, rename, then a directory fsync, so the rename itself is
-        durable before this returns.  Returns the bytes written."""
+        durable before this returns."""
         path = os.path.join(self.path, filename)
         tmp = path + ".tmp"
-        written = 0
         handle = self._opener(tmp, "wb")
         try:
             for piece in pieces:
                 handle.write(piece)
-                written += len(piece)
             fsync_file(handle)
         finally:
             handle.close()
         os.replace(tmp, path)
         fsync_directory(self.path)
-        return written
 
     # -- durability -------------------------------------------------------------------
 
@@ -516,7 +513,7 @@ class Database:
             _, tables = self.pin_tables(lsn)
             try:
                 # Commit point: after this rename, an open reads the new image.
-                written = self._write_atomic(_IMAGE_FILE, checkpoint_image.pack(
+                self._write_atomic(_IMAGE_FILE, checkpoint_image.pack(
                     lsn, [(table.name, table, order) for table, order in tables]
                 ))
             finally:
@@ -528,7 +525,6 @@ class Database:
         self._publish_postings(postings)
         self.prune_versions()
         self._checkpoints.inc()
-        self.metrics.gauge("db.image_bytes").set(written)
 
     # -- the posting stream (module docstring) ---------------------------------
 
@@ -560,11 +556,10 @@ class Database:
             return
         lsn, indexes = postings
         started = time.perf_counter()
+        pieces = posting_stream.pack(lsn, indexes)
         try:
             with self._stream_mutex:
-                written = self._write_atomic(
-                    _POSTING_STREAM_FILE, posting_stream.pack(lsn, indexes)
-                )
+                self._write_atomic(_POSTING_STREAM_FILE, pieces)
                 self._stream_lsn = lsn
         except OSError as exc:
             logger.warning(
@@ -572,7 +567,7 @@ class Database:
             )
             return
         gauge = self.metrics.gauge
-        gauge("text.index.stream_bytes").set(written)
+        gauge("text.index.stream_bytes").set(sum(map(len, pieces)))
         gauge("text.index.stream_write_ms").set(
             (time.perf_counter() - started) * 1e3
         )
@@ -635,10 +630,10 @@ class Database:
         path = os.path.join(self.path, _IMAGE_FILE)
         if not os.path.exists(path):
             return 0, ()
-        with self._opener(path, "rb") as handle:
-            raw = handle.read()
         try:
-            return checkpoint_image.unpack(raw, self._image_columns)
+            return checkpoint_image.unpack(
+                lambda: self._opener(path, "rb"), self._image_columns
+            )
         except RecoveryError as exc:
             raise RecoveryError("%s: %s" % (path, exc))
 

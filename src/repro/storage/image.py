@@ -11,21 +11,25 @@ Everything is little-endian; ``str`` is ``<bytes:H>`` and that many of
 UTF-8::
 
     image := <magic:7s> <format:B> <lsn:Q> table* <crc32:I>
-    table := <name:str> <count:I> row*       a row run (repro.storage.row)
+    table := <name:str> <count:I> piece*     count rows, in pieces
+    piece := <size:I> <rows:I> row*          size bytes of rows rows
+                                             (repro.storage.row)
 
 *lsn* is the log's last LSN when the rows were read: the image holds
-every commit at or below it and none above.  The storage catalog's run
-comes first; its rows make the tables whose column orders decode the
-runs after it.  The CRC covers every byte before it.  A file of another
-magic or format byte, or whose checksum fails, is refused whole, never
-guessed at.
+every commit at or below it and none above.  The storage catalog's
+table comes first; its rows make the tables whose column orders decode
+the tables after it.  The CRC covers every byte before it.  A file of
+another magic or format byte, or whose checksum fails, is refused whole,
+never guessed at.  Neither side holds more than a piece of the file at
+a time: a piece is about 64 KB of rows.
 """
 
+import os
 import struct
 import zlib
 
 from repro.errors import RecoveryError
-from repro.storage.row import decode_row_run, encode_row_run
+from repro.storage.row import decode_row_run
 
 __all__ = ["FORMAT", "pack", "unpack"]
 
@@ -34,58 +38,104 @@ _MAGIC = b"MDM-IMG"
 
 _HEAD = struct.Struct("<7sBQ")
 _STR = struct.Struct("<H")
+_COUNT = struct.Struct("<I")
+_PIECE_HEAD = struct.Struct("<II")
 _CRC = struct.Struct("<I")
-#: The size pieces are gathered to before they are handed out.
+#: The size a piece's rows are gathered to.
 _PIECE = 1 << 16
+#: The size the checksum pass reads in.
+_CHUNK = 1 << 20
 
 
 def pack(lsn, tables):
     """Yield the image naming *lsn* of *tables* -- ``(name, rows, column
-    order)`` each, the catalog first -- in pieces of about 64 KB: no
-    table is ever serialized whole."""
-    crc, buffered = 0, bytearray(_HEAD.pack(_MAGIC, FORMAT, lsn))
+    order)`` each, the catalog first -- a piece at a time: no table is
+    ever serialized whole."""
+    crc = 0
+    for part in _parts(lsn, tables):
+        crc = zlib.crc32(part, crc)
+        yield part
+    yield _CRC.pack(crc)
+
+
+def _parts(lsn, tables):
+    yield _HEAD.pack(_MAGIC, FORMAT, lsn)
     for name, rows, order in tables:
         raw = name.encode("utf-8")
-        buffered += _STR.pack(len(raw)) + raw
-        for piece in encode_row_run(rows, order):
-            buffered += piece
-            if len(buffered) >= _PIECE:
-                crc = zlib.crc32(buffered, crc)
-                yield buffered
-                buffered = bytearray()
-    yield buffered + _CRC.pack(zlib.crc32(buffered, crc))
+        yield _STR.pack(len(raw)) + raw + _COUNT.pack(len(rows))
+        run, count = bytearray(), 0
+        for row in rows:
+            run += row.serialize(order)
+            count += 1
+            if len(run) >= _PIECE:
+                yield _PIECE_HEAD.pack(len(run), count) + run
+                run, count = bytearray(), 0
+        if count:
+            yield _PIECE_HEAD.pack(len(run), count) + run
 
 
-def unpack(raw, column_order):
-    """``(lsn, tables)`` of image *raw*: *tables* yields ``(name, rows)``
-    in file order, decoding each run by ``column_order(name)`` -- asked
-    only once the runs before it are taken, so the catalog's rows can
-    make the tables the later runs name.  Raises :class:`RecoveryError`
+def unpack(open_image, column_order):
+    """``(lsn, tables)`` of the image ``open_image()`` opens (a binary
+    file, read in two passes): *tables* yields ``(name, rows)`` in file
+    order, decoding each table by ``column_order(name)`` -- asked only
+    once the tables before it are taken, so the catalog's rows can make
+    the tables the later ones name.  Raises :class:`RecoveryError`
     naming the defect for anything but a whole image of this format,
-    before any run is decoded."""
-    if len(raw) < _HEAD.size + _CRC.size:
-        raise RecoveryError("torn image: %d bytes" % len(raw))
-    magic, version, lsn = _HEAD.unpack_from(raw, 0)
-    if magic != _MAGIC or version != FORMAT:
-        raise RecoveryError(
-            "not a format-%d image (it begins %r)" % (FORMAT, raw[:8])
-        )
-    body = memoryview(raw)[:-_CRC.size]
-    (crc,) = _CRC.unpack_from(raw, len(body))
-    if zlib.crc32(body) != crc:
-        raise RecoveryError("image checksum mismatch")
-    return lsn, _tables(body, _HEAD.size, column_order)
+    before any table is decoded."""
+    with open_image() as handle:
+        end = handle.seek(0, os.SEEK_END) - _CRC.size
+        if end < _HEAD.size:
+            raise RecoveryError("torn image: %d bytes" % (end + _CRC.size))
+        handle.seek(0)
+        crc, at = 0, 0
+        while at < end:
+            chunk = _read(handle, min(_CHUNK, end - at))
+            if not at:
+                magic, version, lsn = _HEAD.unpack_from(chunk)
+                if magic != _MAGIC or version != FORMAT:
+                    raise RecoveryError(
+                        "not a format-%d image (it begins %r)" % (FORMAT, chunk[:8])
+                    )
+            crc = zlib.crc32(chunk, crc)
+            at += len(chunk)
+        if _CRC.unpack(_read(handle, _CRC.size))[0] != crc:
+            raise RecoveryError("image checksum mismatch")
+    return lsn, _tables(open_image, end, column_order)
 
 
-def _tables(body, offset, column_order):
-    while offset < len(body):
-        try:
-            (size,) = _STR.unpack_from(body, offset)
-            offset += _STR.size + size
-            if offset > len(body):
-                raise ValueError("a table name runs past the tables")
-            name = str(body[offset - size:offset], "utf-8")
-        except (struct.error, ValueError) as error:
-            raise RecoveryError("malformed image: %s" % error)
-        rows, offset = decode_row_run(body, column_order(name), offset)
-        yield name, rows
+def _read(handle, size):
+    data = handle.read(size)
+    if len(data) != size:
+        raise RecoveryError("torn image: read %d bytes of %d" % (len(data), size))
+    return data
+
+
+def _tables(open_image, end, column_order):
+    with open_image() as handle:
+        handle.seek(_HEAD.size)
+        at = _HEAD.size
+
+        def take(size, what):
+            nonlocal at
+            if at + size > end:
+                raise RecoveryError("malformed image: %s runs past the tables" % what)
+            at += size
+            return _read(handle, size)
+
+        while at < end:
+            (size,) = _STR.unpack(take(_STR.size, "a table name"))
+            try:
+                name = take(size, "a table name").decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise RecoveryError("malformed image: %s" % error)
+            (count,) = _COUNT.unpack(take(_COUNT.size, "a table"))
+            order, rows = column_order(name), []
+            while len(rows) < count:
+                size, held = _PIECE_HEAD.unpack(take(_PIECE_HEAD.size, "a piece"))
+                rows += decode_row_run(take(size, "a piece"), order, count=held)
+            if len(rows) != count:
+                raise RecoveryError(
+                    "malformed image: table %r holds %d rows, not %d"
+                    % (name, len(rows), count)
+                )
+            yield name, rows

@@ -183,8 +183,7 @@ def encode_row_run(rows, column_order, counted=True):
 
 
 def decode_row_run(buf, column_order, offset=0, count=None):
-    """Decode the row run at *offset* of *buf*: ``([Row, ...], the
-    offset past the run)``.
+    """Decode the row run at *offset* of *buf* into a list of Rows.
 
     *count* None reads the ``<count:I>`` prefix.  Every carrier of a
     run is input from outside the process (a file a crash may have
@@ -207,4 +206,4 @@ def decode_row_run(buf, column_order, offset=0, count=None):
         raise RecoveryError(
             "row run truncated: needs %d bytes, has %d" % (offset, len(buf))
         )
-    return rows, offset
+    return rows

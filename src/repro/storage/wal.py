@@ -703,14 +703,13 @@ class RedoApplier:
         order = table.schema.column_names()
         lsn = commit_lsn if self._stamp_commits else 0
         if kind == BATCH_INSERT:
-            rows, _ = decode_row_run(row_bytes, order)
-            for row in rows:
+            for row in decode_row_run(row_bytes, order):
                 table.install_committed(lsn, row.rowid, row)
         elif kind in (DELETE, AC_DELETE):
-            (old_row,), _ = decode_row_run(old_bytes, order, count=1)
+            (old_row,) = decode_row_run(old_bytes, order, count=1)
             table.install_committed(lsn, old_row.rowid, None)
         else:
-            (row,), _ = decode_row_run(row_bytes, order, count=1)
+            (row,) = decode_row_run(row_bytes, order, count=1)
             table.install_committed(lsn, row.rowid, row)
 
     def discard_buffered(self):

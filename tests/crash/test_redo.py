@@ -219,6 +219,7 @@ def _unpack_short_repl_rows(tmp_path):
     (_open_damaged_image(lambda raw: raw[:-9]), RecoveryError),
     (_open_damaged_image(_flip_a_byte), RecoveryError),
     (_open_damaged_image(lambda raw: raw[:7] + b"\x02" + raw[8:]), RecoveryError),
+    (_open_damaged_image(lambda raw: b"MDM1" + raw[4:]), RecoveryError),
     (_open_short_batch, RecoveryError),
     (_open_batch_cut_at_a_tag, RecoveryError),
     (_unpack_short_repl_rows, ProtocolError),
@@ -238,7 +239,7 @@ def _unpack_short_repl_rows(tmp_path):
     ), RecoveryError),
 ], ids=[
     "empty-image", "truncated-image", "flipped-byte-image",
-    "another-image-format", "short-batch", "batch-cut-at-a-tag",
+    "another-image-format", "another-image-magic", "short-batch", "batch-cut-at-a-tag",
     "short-repl-rows", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
     "earlier-log-format", "format-2-log",

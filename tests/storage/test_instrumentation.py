@@ -42,7 +42,6 @@ class TestDatabaseRegistry:
             before = metrics.value("db.checkpoints")
             database.checkpoint()
             assert metrics.value("db.checkpoints") == before + 1
-            assert metrics.value("db.image_bytes") > 0
             assert metrics.value("wal.truncations") > 0
         finally:
             database.close()

@@ -4,8 +4,10 @@ Per-thread tables keep strict 2PL out of the way (no lock conflicts),
 so the only shared resource is the WAL's flush point — exactly the
 contention group commit amortizes.  The oracle is exactly-once durable
 effects: every acknowledged commit's rows exist exactly once, both live
-and after a close/reopen recovery, under a slow fsync that keeps
-committers queued behind the flush in flight.
+and after a close/reopen recovery.  Every thread's first commit appends,
+then meets the others, then flushes, which makes a shared flush (and
+therefore riders) a certainty rather than scheduler luck; the slow fsync
+keeps later committers queued behind the flush in flight.
 """
 
 import os
@@ -64,6 +66,21 @@ def test_concurrent_committers_exactly_once(tmp_path, thread_count):
             "wal.group_commit_riders",
         )
     )
+    # A leader fsyncs holding the append mutex, so a committer still
+    # appending then can only lead a round of its own.  With every
+    # first frame in before anyone flushes, the first arrival leads for
+    # all of them; the later commits run free.
+    appended = threading.Barrier(thread_count)
+    first = threading.local()
+    commit_flush = database._log.commit_flush
+
+    def flush_first_together(lsn, deadline=None):
+        if not getattr(first, "met", False):
+            first.met = True
+            appended.wait(10.0)
+        return commit_flush(lsn, deadline=deadline)
+
+    database._log.commit_flush = flush_first_together
 
     def committer(index):
         table = tables[index]
@@ -88,18 +105,19 @@ def test_concurrent_committers_exactly_once(tmp_path, thread_count):
         thread.start()
     for thread in threads:
         thread.join()
+    del database._log.commit_flush
     assert not errors, "unexpected worker errors: %r" % errors
 
     total_commits = thread_count * commits_each
     assert metrics.value("wal.commits_synced") - synced == total_commits
-    # Every commit led a flush or rode one.  Whether any rode is the
-    # scheduler's call: a leader fsyncs holding the append mutex, so a
-    # committer still appending then can only lead a round of its own,
-    # and at times none rides.  test_concurrent_commits_share_fsyncs
-    # pins a shared flush down.
-    leaders = metrics.value("wal.group_commits") - led
-    riders = metrics.value("wal.group_commit_riders") - rode
-    assert leaders > 0 and leaders + riders == total_commits
+    if thread_count >= 4:
+        # Enough committers pile up behind the in-flight flush that the
+        # next leader must cover several of them: fewer fsyncs than
+        # commits were paid.  (Two threads can legally alternate
+        # leadership with nobody left over to ride.)
+        leaders = metrics.value("wal.group_commits") - led
+        assert 0 < leaders < total_commits
+        assert metrics.value("wal.group_commit_riders") - rode >= 1
 
     # Exactly-once, live.
     for index, table in enumerate(tables):
