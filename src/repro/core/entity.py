@@ -148,7 +148,9 @@ class EntityInstance:
     """A handle on one entity instance (type + surrogate + rowid).
 
     Attribute access reads through to the backing table, so handles are
-    always current; two handles are equal iff their surrogates match.
+    always current -- except a handle bound by a statement
+    (:class:`BoundInstance`), which reads the row that statement saw.
+    Two handles are equal iff their surrogates match.
     """
 
     __slots__ = ("type", "surrogate", "rowid")
@@ -218,3 +220,21 @@ class EntityInstance:
 
     def __repr__(self):
         return "%s#%d" % (self.type.name, self.surrogate)
+
+
+class BoundInstance(EntityInstance):
+    """An instance as a statement's range variable binds it: attribute
+    reads come from *row*, the version its candidate source fetched, so
+    the statement reads each row once and sees it as it was when fetched
+    (a ``replace`` reads no row an earlier match of it rewrote)."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, entity_type, row):
+        self.type = entity_type
+        self.surrogate = row[SURROGATE_COLUMN]
+        self.rowid = row.rowid
+        self.row = row
+
+    def _row(self):
+        return self.row

@@ -152,10 +152,9 @@ class CompiledStatement:
         # value to probe the index with.
         self.restrictions = restrictions
         self.restriction_conjuncts = restriction_conjuncts
-        # variable -> [(attribute, operator, query, threshold), ...]
-        # for matches/similar_to gates.  Never added to any skip set:
-        # trigram candidates are a superset, so the gate's conjunct
-        # still re-verifies every materialized row.
+        # variable -> [(attribute, operator, query, threshold,
+        # conjunct index), ...] for matches/similar_to gates: the index
+        # is what a source that decided a gate adds to its answers.
         self.text_restrictions = text_restrictions or {}
         self.pushdown_options = pushdown_options
         self.targets = targets
@@ -650,7 +649,7 @@ def compile_statement(statement, session, bound=frozenset()):
                 restriction_conjuncts.setdefault(variable, []).append(index)
             text = planner.text_restriction(node, variable)
             if text is not None:
-                text_restrictions.setdefault(variable, []).append(text)
+                text_restrictions.setdefault(variable, []).append(text + (index,))
         pushdown_options.extend(compiler.pushdown_options(index, node))
 
     kind = type(statement).__name__

@@ -374,6 +374,7 @@ class QuelSession:
         rows.append({"plan": "rows: %s" % count})
         rows.append({"plan": "rows visited: %d" % visits})
         rows.append({"plan": "rows fetched: %d" % fetched})
+        rows.append({"plan": "conjuncts decided: %d" % len(getattr(plan, "decided", ()))})
         rows.append({"plan": "time: %.3f ms" % (elapsed * 1000.0)})
         return rows
 
@@ -499,8 +500,8 @@ class QuelSession:
         """Lock every used variable's table, let
         :func:`repro.quel.sources.choose` pick the sources and the
         binding order, and publish the plan: returns ``(order, {variable:
-        source})``.  Only index structures are read; ``explain`` stops
-        here.
+        source}, the conjuncts they answer)``.  Only index structures are
+        read; ``explain`` stops here.
         """
         plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
         try:
@@ -531,7 +532,7 @@ class QuelSession:
         finally:
             if plan_span is not NOOP_SPAN:
                 plan_span.finish()
-        return order, chosen
+        return order, chosen, plan.decided
 
     def _join(self, order, chosen, checks_by_level, first, selector, limits):
         """The one join loop: bind each variable of *order* to its
@@ -580,7 +581,7 @@ class QuelSession:
         limits = self.limits
         if limits is not None:
             limits.check_deadline()
-        order, chosen = self._prepare_compiled(compiled)
+        order, chosen, skip = self._prepare_compiled(compiled)
         conjuncts = compiled.conjuncts
         for conjunct in conjuncts:
             # A false constant conjunct gates the whole statement out.
@@ -589,9 +590,8 @@ class QuelSession:
         if not order:
             yield {}
             return
-        # A conjunct some source answers by construction is skipped;
-        # every other runs at the level that binds its last variable.
-        skip = {i for variable in order for i in chosen[variable].answers}
+        # A conjunct some source answers (*skip*) is not checked; every
+        # other runs at the level that binds its last variable.
         checks_by_level = []
         bound = set()
         for variable in order:

@@ -61,9 +61,9 @@ def text_restriction(conjunct, variable):
     """If *conjunct* is a text gate over *variable*, return
     ``(attribute, operator, query, threshold)``; else None.
 
-    These prune through the trigram index ("index text" access) and,
-    unlike equality restrictions, are never marked as answered: index
-    candidates are a superset the exact predicate re-verifies.
+    These prune through the trigram index ("index text" access): a
+    ``matches`` gate's candidates are a superset the join re-verifies, a
+    ``similar_to``'s the answer set (:mod:`repro.quel.sources`).
     """
     if isinstance(conjunct, ast.MatchClause) and conjunct.variable == variable:
         return (
@@ -130,16 +130,17 @@ class QueryPlan:
     executor builds a QueryPlan per statement but the string only when
     someone reads it); ``rows()`` the result-set shape ``explain``
     returns; ``label`` the compact access-path summary the planner test
-    sweep asserts on.  ``snapshot`` is None for a locked statement and
-    ``(pinned LSN, stale rowids the index reads took in)`` for a pinned
-    one -- what ``explain analyze`` adds a line for.
+    sweep asserts on.  ``explain analyze`` adds a line for ``decided``,
+    the conjuncts the sources answer, and for ``snapshot``: None locked,
+    ``(pinned LSN, stale rowids the index reads took in)`` pinned.
     """
 
-    __slots__ = ("steps", "snapshot", "_text")
+    __slots__ = ("steps", "snapshot", "decided", "_text")
 
-    def __init__(self, steps):
+    def __init__(self, steps, decided=frozenset()):
         self.steps = list(steps)
         self.snapshot = None
+        self.decided = decided
         self._text = None
 
     @property
@@ -171,8 +172,8 @@ class QueryPlan:
 def build_plan(binding_order, sources):
     """The QueryPlan of *binding_order* over its chosen *sources*
     (:mod:`repro.quel.sources`): each step reads its source's ``access``
-    and ``count``."""
-    return QueryPlan(
+    and ``count``; ``decided`` is their ``answers``."""
+    return QueryPlan([
         PlanStep(variable, sources[variable].access, sources[variable].count)
         for variable in binding_order
-    )
+    ], {i for variable in binding_order for i in sources[variable].answers})

@@ -12,7 +12,7 @@ fetched when the join pulls.  Every source has
 * ``stale`` -- the stale rowids a pinned index read took in (0 when not
   pinned); None when the table was swamped and is scanned instead;
 * ``answers`` -- indices of the conjuncts its candidates satisfy by
-  construction, which the join skips;
+  construction (a ``similar_to`` with nothing stale), which the join skips;
 * ``text_candidates`` -- what a trigram index pruned to at plan time
   (None: none did);
 * ``correlated`` -- True when the pull reads outer bindings: the join
@@ -24,9 +24,10 @@ fetched when the join pulls.  Every source has
 """
 
 from bisect import bisect_left
+from functools import partial
 from itertools import chain, islice, takewhile
 
-from repro.core.entity import SURROGATE_COLUMN, EntityInstance
+from repro.core.entity import SURROGATE_COLUMN, BoundInstance, EntityInstance
 from repro.errors import UnknownAttributeError
 from repro.quel import ast, planner
 from repro.quel.functions import scalar_similarity
@@ -40,7 +41,7 @@ from repro.text import SimilarityScorer
 
 class EntityRange:
     """A range variable over an entity type: candidates are instances,
-    scanned in surrogate order."""
+    scanned in surrogate order, bound to the rows their source fetched."""
 
     kind = "entity"
     scan_order = SURROGATE_COLUMN
@@ -50,9 +51,7 @@ class EntityRange:
         self.type_name = entity_type.name
         self.table = entity_type.table
         self.key = (self.kind, self.type_name)  # what a plan depends on
-
-    def wrap(self, row):
-        return EntityInstance(self.entity_type, row[SURROGATE_COLUMN], row.rowid)
+        self.wrap = partial(BoundInstance, entity_type)
 
 
 class RelationshipRange:
@@ -240,22 +239,23 @@ class BoundedSort:
 # -- the sources ------------------------------------------------------------------------
 
 
-def text_rowids(table, text_restrictions):
+def text_rowids(table, text_restrictions, decided):
     """The intersection of the trigram-index candidate sets of
     *text_restrictions*, ascending when iterated, or None when no index
     contributed (index reads only: it runs inside a probe).  A gate with
     no index, or a sub-trigram query the index cannot bound, contributes
     nothing -- the exact predicate still verifies every materialized
-    row in the join, so candidates stay a sound superset."""
+    row in the join, so candidates stay a sound superset.  *decided*
+    gains each ``similar_to`` conjunct an index answered, exactly."""
     rowids = None
-    for attribute, operator, query, threshold in text_restrictions:
+    for attribute, operator, query, threshold, conjunct in text_restrictions:
         index = table.text_index_for(attribute)
         if index is None:
             continue
         if operator == "matches":
             matched = index.candidates_matching(query)
-        else:
-            matched = index.candidates_similar(query, threshold)
+        elif (matched := index.candidates_similar(query, threshold)) is not None:
+            decided.append(conjunct)
         if matched is None:
             continue
         rowids = matched if rowids is None else rowids & matched
@@ -294,9 +294,9 @@ class IndexSource(_Source):
     probe, whose stale rowids are merged into the ascending rowid list
     once; each chunk comes back through :meth:`Table.fetch`, which --
     pinned -- re-checks the equalities on each visible version (the
-    join skips *answers*, so nothing downstream would).  A scan takes
-    its rows at plan time -- that is how it knows its count -- and
-    hands them over as one chunk.
+    join skips *answers*, so nothing downstream would; with no stale
+    rowid they take each ``similar_to`` the index decided).  A scan
+    takes its rows at plan time, hence its count, as one chunk.
     """
 
     __slots__ = ("access", "answers", "text_candidates", "_chunks", "_fetch")
@@ -320,7 +320,7 @@ class IndexSource(_Source):
             return rows
 
         def probe():
-            rowids = text_rowids(table, text_restrictions)
+            rowids = text_rowids(table, text_restrictions, decided)
             text_pruned = rowids is not None
             for attribute, value in indexed:
                 if rowids is not None and not rowids:
@@ -341,6 +341,7 @@ class IndexSource(_Source):
                 rowids = matched
             return rowids, text_pruned
 
+        decided = []
         (rowids, text_pruned), stale = table.probe(probe)
         pinned = stale is not None
         keys = [(a, value_sort_key(v)) for a, v in indexed]
@@ -366,6 +367,8 @@ class IndexSource(_Source):
             return
         self.count = len(rowids)
         self.stale = len(stale) if pinned else 0
+        if decided and not self.stale:
+            self.answers = [*answers, *decided]
         if not isinstance(rowids, list):
             rowids = sorted(rowids)
         if stale:
@@ -397,7 +400,7 @@ class TextStream(_Source):
 
         def rarest():
             best = None
-            for attribute, operator, query, _threshold in text_restrictions:
+            for attribute, operator, query, _threshold, _ in text_restrictions:
                 index = table.text_index_for(attribute)
                 if operator != "matches" or index is None:
                     continue
@@ -453,7 +456,7 @@ class TextTopK(_Source):
             index = table.text_index_for(attribute)
             if index is None:
                 return None
-            rowids = text_rowids(table, text_restrictions)
+            rowids = text_rowids(table, text_restrictions, [])
             if rowids is None:
                 return None
             return rowids, index, index.overlap_counts(scorer.grams, rowids)

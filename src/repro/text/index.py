@@ -54,7 +54,8 @@ answer.
   are the exception) and ``size_cells``' "fewest first" (the order the
   ranked bound falls in).
 
-Callers re-verify with the exact predicate on the materialized rows.
+Callers re-verify ``matches`` candidates, and whatever a pinned
+reader's stale rowids add, with the exact predicate on the rows.
 Queries whose normalized form has no trigrams return ``None`` --
 "cannot prune, go scan".
 """

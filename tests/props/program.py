@@ -10,11 +10,16 @@ position, a live rowid), so every op is total and every subsequence of
 a program is itself a program.  That makes greedy delta-debugging
 sound: a failing program is shrunk one op at a time, and the report is
 a shell line that replays the minimal program under a debugger.
+``every_conjunct_rerun`` is the lens the QUEL batteries share.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
+
+from repro.quel.sources import IndexSource
 
 
 def generate(seed, count):
@@ -85,3 +90,14 @@ def assert_passes(state_class, ops, **params):
            run(state_class, minimal, **params)[0],
            state_class.__module__, state_class.__name__, call)
     )
+
+
+@contextlib.contextmanager
+def every_conjunct_rerun():
+    """The join as it would be if no index source answered a conjunct:
+    while open, an ``IndexSource``'s ``answers`` read empty, so every
+    conjunct is re-run on every candidate.  A statement's answer inside
+    must equal its answer outside -- the lens on what sources decide."""
+    nothing = property(lambda source: (), lambda source, answers: None)
+    with mock.patch.object(IndexSource, "answers", nothing):
+        yield

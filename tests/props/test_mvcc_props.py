@@ -17,7 +17,9 @@ the model's rows in the locked path's order (ascending rowid; ascending
 key then rowid), and QUEL retrieves -- equality, ``matches``,
 ``similar_to``, unsorted ``limit N``, ranked top-k -- must equal
 ``tests/quel/reference.py`` run under the same pin: same rows, same
-order.  *size* preloads the table; the ``mvcc_slow`` matrix sizes it so
+order.  A ``similar_to`` must also equal itself with every conjunct
+re-run (``every_conjunct_rerun``): the index decides the gate only when
+the pin has no stale rowid, and the stale ones are re-checked.  *size* preloads the table; the ``mvcc_slow`` matrix sizes it so
 a rewrite of every row pushes the stale set over the planner's
 candidate cap and the reads cross the fall-back to a visible-row scan
 and come back.  The unpinned present's ``select_eq`` / ``select_range``
@@ -40,7 +42,7 @@ import pytest
 from repro.core.entity import SURROGATE_COLUMN
 from repro.core.schema import Schema
 from repro.quel.executor import QuelSession
-from tests.props.program import assert_passes, generate
+from tests.props.program import assert_passes, every_conjunct_rerun, generate
 from tests.props.protector import Protector
 from tests.quel.reference import reference_execute
 
@@ -264,10 +266,20 @@ class MvccState:
         )
         for source, label in _statements(probe * 7):
             out = self.quel.execute(source)
+            plan = self.quel.last_plan_object
+            if "similar_to" in source:
+                stale = plan.snapshot[1] if plan.snapshot else 0
+                self.labels["decided" if plan.decided else
+                            "verified, %sstale" % ("" if stale else "not ")] += 1
+                with every_conjunct_rerun():
+                    assert self.quel.execute(source) == out, (
+                        "%s %s: the index's decision changed the answer"
+                        % (source, where)
+                    )
             assert out == reference_execute(
                 self.schema, "range of t is T\n" + source
-            ), "%s %s (%s)" % (source, where, self.quel.last_plan_object.label)
-            seen = self.quel.last_plan_object.label
+            ), "%s %s (%s)" % (source, where, plan.label)
+            seen = plan.label
             self.labels[seen] += 1
             if not swamped:
                 assert seen == label, "%s bound via %s %s" % (source, seen, where)
@@ -275,7 +287,9 @@ class MvccState:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_programs_match_snapshot_reference(seed):
-    assert_passes(MvccState, generate(seed, OPS_PER_PROGRAM))
+    labels = assert_passes(MvccState, generate(seed, OPS_PER_PROGRAM)).labels
+    # The lens saw both sides: pins the index decided, pins it did not.
+    assert labels["decided"] and labels["verified, stale"], labels
 
 
 @pytest.mark.mvcc_slow

@@ -1,6 +1,7 @@
 """Regression tests for executor fixes: modulo by zero, the
-multi-restriction candidate generator, and the typed error for an
-unknown attribute of a relationship range.
+multi-restriction candidate generator, the typed error for an unknown
+attribute of a relationship range, and a ``replace`` that reads the rows
+its statement saw.
 
 The candidate generator used to push only the *first* equality
 restriction into an index probe, and -- worse -- fell back to a full
@@ -186,3 +187,21 @@ class TestUnknownAttributeOnARelationshipRange:
         session.execute("range of t is PERFORMS")
         assert session.execute("retrieve (t.score) where t.zz = 1") == []
         assert session.last_plan_object.label == "filtered scan"
+
+
+class TestReplaceReadsTheRowsItsStatementSaw:
+    """Set-at-a-time: a ``replace``'s assignments read each bound row as
+    the statement fetched it, never as an earlier match of the same
+    statement rewrote it."""
+
+    def test_a_rewritten_row_is_read_as_it_was_matched(self):
+        schema = execute_ddl("define entity T (n = integer)", Schema("shift"))
+        for n in (1, 2, 3):
+            schema.entity_type("T").create(n=n)
+        session = QuelSession(schema)
+        session.execute("range of t is T\nrange of s is T")
+        # t = 2 takes s = 1's n, t = 3 takes s = 2's n -- the 2 it was
+        # matched with, not the 1 that the first assignment wrote there.
+        assert session.execute("replace t (n = s.n) where t.n = s.n + 1") == 2
+        rows = session.execute("retrieve (t.n)")
+        assert sorted(row["t.n"] for row in rows) == [1, 1, 2]

@@ -94,6 +94,20 @@ class TestExplainAnalyze:
             {"n.pitch": 63}
         ]
 
+    def test_reports_the_conjuncts_the_sources_decided(self, session):
+        """One trailer line: how many conjuncts the chosen sources
+        answered, so the join never ran them."""
+        cases = {
+            "retrieve (n.pitch) where n.n = 7": 1,           # the index
+            "retrieve (n.pitch) where n.n = 7 and n.pitch = 67": 2,
+            "retrieve (n.pitch) where n.n + 0 = 7": 0,       # the checks
+        }
+        for source, decided in cases.items():
+            text = _plan_text(session.execute("explain analyze " + source))
+            assert "\nconjuncts decided: %d\n" % decided in text, source
+            # Plain explain's lines are what they were.
+            assert "decided" not in _plan_text(session.execute("explain " + source))
+
     def test_restores_previously_installed_limits(self, session):
         session.set_limits(row_budget=1000)
         previous = session.limits

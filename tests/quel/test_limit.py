@@ -201,7 +201,7 @@ def _chunk_cases():
     ``pulled(first)`` plans the source afresh and returns what one pull
     of it yields, as rowids (top-k: as the tail's selected records)."""
     accounting = sources.Accounting(MetricsRegistry())
-    gates = [("title", "matches", "no. 7", None)]
+    gates = [("title", "matches", "no. 7", None, 0)]  # conjunct 0
     ranked = "prelude no. 7"
 
     def rowids(source, bindings, first):

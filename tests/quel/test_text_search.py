@@ -196,6 +196,14 @@ class TestSimilarToAnswersFromTheIndex:
         )
         assert plan == "bind t via index text (%d candidates)" % len(out)
         assert returned == visited == len(out)
+        # The index decided the gate, so the join never re-ran it.
+        assert manager.session.last_plan_object.decided == {0}
+
+    def test_a_matches_gate_is_only_necessary_and_is_rerun(self, corpus):
+        manager, _ = corpus
+        manager.execute('retrieve (t.title) where matches(t.title, "no. 7")')
+        assert manager.session.last_plan_object.label == "index text"
+        assert manager.session.last_plan_object.decided == set()
 
     def test_pinned_read_takes_in_and_reverifies_the_stale_rowids(self):
         manager = _corpus_mdm()
@@ -213,12 +221,16 @@ class TestSimilarToAnswersFromTheIndex:
             table.update(miss.rowid, {"title": title})
 
         with manager.database.snapshot():
+            # Nothing stale yet: the index describes the pinned rows.
+            assert manager.execute(source) == pinned
+            assert manager.session.last_plan_object.decided == {0}
             with ThreadPoolExecutor(1) as pool:
                 pool.submit(retitle).result(timeout=10)
             assert manager.execute(source) == pinned
             plan = manager.session.last_plan_object
             assert plan.label == "index text"
             assert plan.snapshot[1] == 2
+            assert plan.decided == set()  # stale rowids: the gate re-runs
         live = manager.execute(source)
         assert live == _reference(manager, source)
         assert titles(live) != titles(pinned)
