@@ -9,9 +9,9 @@ The payload's first byte is the frame *kind*; the rest is the body.
 
 Control frames carry JSON bodies (QUEL text, shell meta-commands,
 structured results and errors); replication data frames carry binary
-bodies (``REPL_FRAME`` embeds a raw WAL record — itself CRC-framed —
-prefixed by its LSN, and ``REPL_ROWS`` embeds serialized rows), so row
-values that JSON cannot express (rationals, blobs) replicate losslessly.
+bodies: ``REPL_SEED`` a piece of a checkpoint image
+(``repro.storage.image``, checksummed whole), ``REPL_FRAME`` a raw WAL
+record — itself CRC-framed — prefixed by its LSN.
 
 Every connection opens with a version handshake (``HELLO``/``WELCOME``
 for clients, ``REPL_HELLO`` for replicas); a version mismatch is a
@@ -23,11 +23,10 @@ import struct
 import zlib
 from fractions import Fraction
 
-from repro.errors import ProtocolError, RecoveryError
-from repro.storage.row import decode_row_run, encode_row_run
+from repro.errors import ProtocolError
 
 #: Bumped on any incompatible frame-layout change.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frames larger than this are refused outright: a corrupt length field
 #: must fail fast, not allocate gigabytes.
@@ -51,9 +50,8 @@ ERROR = 0x13       # {seq, code, message, retryable}
 
 # Replication (replica <-> primary).
 REPL_HELLO = 0x21  # {proto, replica, last_lsn}
-REPL_SEED = 0x22   # {lsn}  (REPL_ROWS follow, the storage catalog's first)
-REPL_ROWS = 0x23   # binary: <name_len:H><count:I><name><row bytes...>
-REPL_SEED_END = 0x24  # {lsn}
+REPL_SEED = 0x22   # binary: the next piece of a checkpoint image
+REPL_SEED_END = 0x24  # {}  (the image is whole)
 REPL_FRAME = 0x25  # binary: <lsn:Q><raw WAL frame>
 REPL_ACK = 0x26    # {lsn}
 REPL_ERROR = 0x27  # {code, message, lsn}
@@ -62,12 +60,11 @@ KIND_NAMES = {
     HELLO: "HELLO", REQUEST: "REQUEST", META: "META", BYE: "BYE",
     WELCOME: "WELCOME", RESULT: "RESULT", ERROR: "ERROR",
     REPL_HELLO: "REPL_HELLO", REPL_SEED: "REPL_SEED",
-    REPL_ROWS: "REPL_ROWS", REPL_SEED_END: "REPL_SEED_END",
+    REPL_SEED_END: "REPL_SEED_END",
     REPL_FRAME: "REPL_FRAME", REPL_ACK: "REPL_ACK",
     REPL_ERROR: "REPL_ERROR",
 }
 
-_REPL_ROWS_HEAD = struct.Struct("<HI")
 _REPL_FRAME_HEAD = struct.Struct("<Q")
 
 
@@ -179,33 +176,3 @@ def unpack_repl_frame(body):
         raise ProtocolError("short REPL_FRAME body")
     (lsn,) = _REPL_FRAME_HEAD.unpack_from(body, 0)
     return lsn, body[_REPL_FRAME_HEAD.size:]
-
-
-def pack_repl_rows(table_name, rows, column_order):
-    """``REPL_ROWS`` body: one table's serialized rows (seed transfer)."""
-    name_bytes = table_name.encode("utf-8")
-    chunks = [_REPL_ROWS_HEAD.pack(len(name_bytes), len(rows)), name_bytes]
-    chunks.extend(encode_row_run(rows, column_order, counted=False))
-    return encode_frame(REPL_ROWS, b"".join(chunks))
-
-
-def unpack_repl_rows(body, column_orders):
-    """Split a ``REPL_ROWS`` body into ``(table_name, [Row, ...])``.
-
-    *column_orders* maps table name -> column order (the receiver must
-    already know the table: the seed's storage catalog rows come first).
-    """
-    if len(body) < _REPL_ROWS_HEAD.size:
-        raise ProtocolError("short REPL_ROWS body")
-    name_len, count = _REPL_ROWS_HEAD.unpack_from(body, 0)
-    offset = _REPL_ROWS_HEAD.size
-    table_name = body[offset:offset + name_len].decode("utf-8")
-    offset += name_len
-    order = column_orders.get(table_name)
-    if order is None:
-        raise ProtocolError("REPL_ROWS for unknown table %r" % table_name)
-    try:
-        rows = decode_row_run(body, order, offset, count)
-    except RecoveryError as error:
-        raise ProtocolError("REPL_ROWS for %r: %s" % (table_name, error))
-    return table_name, rows

@@ -1,12 +1,12 @@
 """Read-only replicas fed by WAL shipping.
 
 A :class:`ReplicaServer` owns a private in-memory database rebuilt from
-the primary's seed (serialized rows, the storage catalog's first) and
-kept current by applying shipped WAL frames.  Every frame is
-CRC-verified with the same frame parser recovery uses
-(:func:`repro.storage.wal.decode_frame`); a frame that fails its
-checksum, or that cannot be applied, makes the replica *degrade*: it
-reports ``REPL_ERROR`` to the primary, refuses reads, and waits to be
+the primary's seed, a checkpoint image installed as an open installs
+one, and kept current by applying shipped WAL frames, each CRC-verified
+by the frame parser recovery uses (:func:`repro.storage.wal.decode_frame`).
+A seed that is not a whole image, or a frame that fails its checksum or
+cannot be applied, makes the replica *degrade*: it reports
+``REPL_ERROR`` to the primary, refuses reads, and waits to be
 quarantined and re-seeded from a fresh snapshot.
 
 What a verified record does is not decided here: each one goes to the
@@ -32,6 +32,7 @@ do not go through ``MdmSession``: a seeded generation is a bare
 database and schema, not an MDM.
 """
 
+import io
 import random
 import threading
 import time
@@ -56,24 +57,22 @@ from repro.storage.database import CATALOG, Database
 
 
 class _ReplicaState:
-    """One seeded generation of the replica's database: filled by the
-    seed's rows with index upkeep deferred, like a recovering open; its
-    schema is loaded from the meta rows once they are in, never written
-    here: the replica's own writes would take rowids the primary's
-    frames carry."""
+    """One seeded generation of the replica's database: the *seed*
+    image installed as an open installs one (a seed that is not a whole
+    image raises :class:`RecoveryError`); its schema is loaded from the
+    meta rows, never written here: the replica's own writes would take
+    rowids the primary's frames carry."""
 
-    def __init__(self, seed_lsn):
-        self.seed_lsn = seed_lsn
+    def __init__(self, seed):
         self.database = Database(None)
-        self.database.defer_index_upkeep()
+        self.seed_lsn, tables = self.database.read_image(lambda: io.BytesIO(seed))
+        self.database.install_image(tables)
         self.schema = None
         self.redo = wal_module.RedoApplier(
-            self.database, stamp_commits=True, applied_lsn=seed_lsn
+            self.database, stamp_commits=True, applied_lsn=self.seed_lsn
         )
         self._catalog = self.database.table(CATALOG)
         self._catalog_version = None
-
-    def seeded(self):
         self.database.build_deferred_indexes()
         self.applied()
 
@@ -188,38 +187,19 @@ class ReplicaServer(WireServer):
             return self.applied_lsn
 
     def _feed_from(self, transport):
-        pending_state = None
+        seed = []
         while not self._stopping:
             try:
                 kind, body = transport.recv(timeout=0.5)
             except NetworkTimeoutError:
                 continue  # idle link; re-check _stopped
             if kind == protocol.REPL_SEED:
-                message = protocol.unpack_json(kind, body)
-                # Nothing reads a generation before _install_state.
-                pending_state = _ReplicaState(int(message["lsn"]))
-            elif kind == protocol.REPL_ROWS:
-                if pending_state is None:
-                    raise ProtocolError("REPL_ROWS outside a seed")
-                database = pending_state.database
-                name, rows = protocol.unpack_repl_rows(
-                    body, database.column_orders()
-                )
-                table = database.table(name)
-                for row in rows:
-                    table.install_committed(0, row.rowid, row)
+                seed.append(body)
             elif kind == protocol.REPL_SEED_END:
-                message = protocol.unpack_json(kind, body)
-                if pending_state is None \
-                        or int(message["lsn"]) != pending_state.seed_lsn:
-                    raise ProtocolError("REPL_SEED_END without matching seed")
-                pending_state.seeded()
-                self._install_state(pending_state)
-                transport.send(
-                    protocol.REPL_ACK, {"lsn": pending_state.seed_lsn}
-                )
-                pending_state = None
-                self._m_seeds.inc()
+                # One bytes object, which io.BytesIO reads without a
+                # copy, and the pieces let go: the seed is held once.
+                image, seed = b"".join(seed), []
+                self._receive_seed(transport, image)
             elif kind == protocol.REPL_FRAME:
                 lsn, wal_frame = protocol.unpack_repl_frame(body)
                 self._receive_frame(transport, lsn, wal_frame)
@@ -235,6 +215,18 @@ class ReplicaServer(WireServer):
                     % protocol.KIND_NAMES.get(kind, kind)
                 )
 
+    def _receive_seed(self, transport, image):
+        """Install the seed *image* whole, or refuse all of it."""
+        try:
+            # Nothing reads a generation before _install_state.
+            state = _ReplicaState(image)
+        except (MDMError, KeyError, ValueError) as error:
+            self._refuse_feed(transport, "refused seed", error, 0)
+            return
+        self._install_state(state)
+        transport.send(protocol.REPL_ACK, {"lsn": state.seed_lsn})
+        self._m_seeds.inc()
+
     def _receive_frame(self, transport, lsn, wal_frame):
         if not self._serving and self._state is None:
             return  # never seeded; wait for the seed
@@ -244,10 +236,7 @@ class ReplicaServer(WireServer):
             # Torn or corrupt in flight: refuse it and everything after
             # until the primary re-seeds us from a clean snapshot.
             self._m_crc_failures.inc()
-            self._degrade("corrupt shipped frame: %s" % error)
-            transport.send(protocol.REPL_ERROR, {
-                "code": "RecoveryError", "message": str(error), "lsn": lsn,
-            })
+            self._refuse_feed(transport, "corrupt shipped frame", error, lsn)
             return
         if not self._serving:
             return  # degraded: drop frames until the next seed
@@ -256,11 +245,7 @@ class ReplicaServer(WireServer):
             if advanced:
                 self._state.applied()
         except (MDMError, KeyError, ValueError) as error:
-            self._degrade("cannot apply shipped record: %s" % error)
-            transport.send(protocol.REPL_ERROR, {
-                "code": type(error).__name__, "message": str(error),
-                "lsn": lsn,
-            })
+            self._refuse_feed(transport, "cannot apply shipped record", error, lsn)
             return
         self._m_frames.inc()
         if advanced:
@@ -283,6 +268,14 @@ class ReplicaServer(WireServer):
             self._serving = True
             self.last_error = None
             self._applied_cond.notify_all()
+
+    def _refuse_feed(self, transport, what, error, lsn):
+        """Degrade for *error* in *what* and say so with ``REPL_ERROR``:
+        the primary quarantines this replica and re-seeds it."""
+        self._degrade("%s: %s" % (what, error))
+        transport.send(protocol.REPL_ERROR, {
+            "code": type(error).__name__, "message": str(error), "lsn": lsn,
+        })
 
     def _degrade(self, reason):
         with self._applied_cond:

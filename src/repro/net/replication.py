@@ -1,21 +1,20 @@
 """WAL shipping: the primary side of read-only replication.
 
 The :class:`ReplicationHub` serves each connected replica from the
-connection's own thread.  A replica is first *seeded* — every table's
-rows at a pinned MVCC snapshot, the storage catalog's first (its rows
-are the tables, and section 6's meta rows among them are the schema),
-shipped as binary ``REPL_ROWS`` frames so rationals and blobs survive —
-and then *streamed*: raw WAL frames, each still wearing its
-on-disk CRC, from the seed LSN forward.  Only the durable prefix ships
-(``stream_frames`` stops at ``flushed_lsn``), so an acknowledged
-replica is never ahead of the primary's own durability; and because a
-transaction's frames are appended in one hold of the mutex the fsync
-takes, that prefix — hence every seed LSN and every batch — ends
-between transactions, never inside one.
+connection's own thread.  A replica is first *seeded* with the image
+of a pinned MVCC snapshot (``Database.image``: what a checkpoint writes,
+a ``REPL_SEED`` frame a piece, then ``REPL_SEED_END``) and then
+*streamed*: raw WAL frames, each still wearing its on-disk CRC, from the
+seed LSN forward.  Only the durable prefix ships (``stream_frames``
+stops at ``flushed_lsn``), so an acknowledged replica is never ahead of
+the primary's own durability; and because a transaction's frames are
+appended in one hold of the mutex the fsync takes, that prefix — hence
+every seed LSN and every batch — ends between transactions, never
+inside one.
 
 Health gating is the quarantine state machine from DESIGN.md §4j: a
-replica that falls further behind than the lag budget, reports a CRC
-failure, or needs history the primary has truncated (checkpoint moved
+replica that falls further behind than the lag budget, refuses a frame
+or a seed, or needs history the primary has truncated (checkpoint moved
 ``base_lsn`` past it) is quarantined and re-seeded from a fresh
 snapshot on the same connection.  While re-seeding, the replica itself
 refuses reads with :class:`~repro.errors.ReplicaLagError`, so clients
@@ -64,14 +63,12 @@ class ReplicaPeer:
 class ReplicationHub:
     """Seeds and streams the WAL to every connected replica."""
 
-    def __init__(self, mdm, lag_budget=64, seed_chunk_rows=512,
-                 metrics=None):
+    def __init__(self, mdm, lag_budget=64):
         self.mdm = mdm
         self.lag_budget = lag_budget
-        self.seed_chunk_rows = seed_chunk_rows
         self._mutex = threading.Lock()
         self._peers = {}
-        registry = metrics if metrics is not None else mdm.database.metrics
+        registry = mdm.database.metrics
         self._m_frames = registry.counter("repl.frames_shipped")
         self._m_seeds = registry.counter("repl.seeds_sent")
         self._m_quarantines = registry.counter("repl.quarantines")
@@ -191,24 +188,14 @@ class ReplicationHub:
     # -- seeding ---------------------------------------------------------------
 
     def _send_seed(self, transport, peer):
-        """Ship a full snapshot; returns the LSN to stream from next:
-        ``seed_lsn + 1``, the first frame of the first transaction the
-        snapshot does not hold."""
+        """Ship the image of a pinned snapshot; returns the LSN to
+        stream from next: ``seed_lsn + 1``, the first frame of the first
+        transaction the snapshot does not hold."""
         peer.state = "seeding"
-        transactions = self.mdm.database.transactions
-        seed_lsn, tables = self.mdm.database.pin_tables()
-        try:
-            transport.send(protocol.REPL_SEED, {"lsn": seed_lsn})
-            for table, order in tables:
-                rows = list(table)  # snapshot-visible rows only
-                for start in range(0, len(rows), self.seed_chunk_rows):
-                    chunk = rows[start:start + self.seed_chunk_rows]
-                    transport.send_raw(
-                        protocol.pack_repl_rows(table.name, chunk, order)
-                    )
-            transport.send(protocol.REPL_SEED_END, {"lsn": seed_lsn})
-        finally:
-            transactions.unpin_snapshot()
+        with self.mdm.database.image() as (seed_lsn, pieces):
+            for piece in pieces:
+                transport.send_raw(protocol.encode_frame(protocol.REPL_SEED, piece))
+        transport.send(protocol.REPL_SEED_END, {})
         self._m_seeds.inc()
         peer.seeds += 1
         # Optimistically treat the seed as acked for lag accounting; the

@@ -307,9 +307,7 @@ class MdmServer(WireServer):
         self.on_pre_ack = None
         self._m_shed = registry.counter("net.shed")
         self._m_duplicates = registry.counter("net.duplicate_acks")
-        self.replication = ReplicationHub(
-            mdm, lag_budget=lag_budget, metrics=registry
-        )
+        self.replication = ReplicationHub(mdm, lag_budget=lag_budget)
         self._dedup = mdm.database.create_or_bind_table(
             DEDUP_TABLE,
             [("client", Domain.STRING), ("seq", Domain.INTEGER),

@@ -126,7 +126,7 @@ class Database:
         # has written or loaded it; the mutex orders its writers.
         self._stream_lsn = None
         self._stream_mutex = threading.Lock()
-        # Held by a DDL transaction (ddl) and by pin_tables.  A dropped
+        # Held by a DDL transaction (ddl) and by image().  A dropped
         # table waits in _retired until its transaction ends; while
         # _deferring, the tables the catalog creates start deferred.
         self._ddl_mutex = threading.RLock()
@@ -319,12 +319,6 @@ class Database:
         """Every table but the storage catalog, sorted."""
         return sorted(name for name in self._tables if name != CATALOG)
 
-    def column_orders(self):
-        """Map table -> column order, for WAL row (de)serialization."""
-        return {
-            name: table.schema.column_names() for name, table in self._tables.items()
-        }
-
     def _journal_for(self, table_name):
         def journal(action, name, new_row, old_row):
             self.transactions.journal(action, name, new_row, old_row)
@@ -478,18 +472,25 @@ class Database:
 
     # -- durability -------------------------------------------------------------------
 
-    def pin_tables(self, lsn=None):
+    @contextlib.contextmanager
+    def image(self, lsn=None):
         """Pin this thread's snapshot at *lsn* (default now) between
-        schema changes; returns the LSN and ``[(table, column order),
-        ...]``, the catalog first: what an image or a seed writes."""
+        schema changes and yield ``(lsn, pieces)``: the image of every
+        table at that LSN (:func:`repro.storage.image.pack`), the
+        catalog first, produced as *pieces* is iterated on this thread.
+        A checkpoint writes it to disk, a replica's seed onto the wire."""
         with self._ddl_mutex:
             lsn = self.transactions.pin_snapshot(lsn)
-            return lsn, [
-                (table, table.schema.column_names())
+            tables = [
+                (name, table, table.schema.column_names())
                 for name, table in sorted(
                     self._tables.items(), key=lambda item: item[0] != CATALOG
                 )
             ]
+        try:
+            yield lsn, checkpoint_image.pack(lsn, tables)
+        finally:
+            self.transactions.unpin_snapshot()
 
     def checkpoint(self):
         """Write a full image of every table and truncate the log.
@@ -498,7 +499,7 @@ class Database:
         append mutex (:meth:`WriteAheadLog.quiesced`), the image read
         through a snapshot pinned at the LSN that hold made durable --
         which lies between transactions -- and between schema changes
-        (:meth:`pin_tables`).  So the image holds committed rows only
+        (:meth:`image`).  So the image holds committed rows only
         (another thread's open transaction stays out of it) and no
         commit can land after its table's image and before the
         truncation.  Committers wait for the length of a checkpoint;
@@ -510,14 +511,9 @@ class Database:
         self.assert_writable()
         self.transactions.assert_no_snapshot()  # we pin our own below
         with self._ddl_mutex, self._log.quiesced() as lsn:
-            _, tables = self.pin_tables(lsn)
-            try:
+            with self.image(lsn) as (_, pieces):
                 # Commit point: after this rename, an open reads the new image.
-                self._write_atomic(_IMAGE_FILE, checkpoint_image.pack(
-                    lsn, [(table.name, table, order) for table, order in tables]
-                ))
-            finally:
-                self.transactions.unpin_snapshot()
+                self._write_atomic(_IMAGE_FILE, pieces)
             self._log.truncate()
             postings = self._dump_postings()
         # Outside the hold: flush=True waits on a flush ticket.
@@ -623,27 +619,41 @@ class Database:
         return loaded, refused
 
     def _read_image(self):
-        """``(lsn, tables)`` of the checkpoint image (see
-        :func:`repro.storage.image.unpack`), ``(0, ())`` if there is
-        none.  A file that is not a whole image raises
-        :class:`RecoveryError` here, before any row is installed."""
+        """``(lsn, tables)`` of the checkpoint image (:meth:`read_image`),
+        ``(0, ())`` if there is none."""
         path = os.path.join(self.path, _IMAGE_FILE)
         if not os.path.exists(path):
             return 0, ()
         try:
-            return checkpoint_image.unpack(
-                lambda: self._opener(path, "rb"), self._image_columns
-            )
+            return self.read_image(lambda: self._opener(path, "rb"))
         except RecoveryError as exc:
             raise RecoveryError("%s: %s" % (path, exc))
+
+    def read_image(self, open_image):
+        """``(lsn, tables)`` of the image ``open_image()`` opens, for
+        :meth:`install_image` (:func:`repro.storage.image.unpack`): an
+        open's file or a replica's seed.  One that is not a whole image
+        raises :class:`RecoveryError` here, before any row is installed;
+        a table its catalog rows did not make, once *tables* reaches it."""
+        return checkpoint_image.unpack(open_image, self._image_columns)
 
     def _image_columns(self, name):
         if not self.has_table(name):
             raise RecoveryError(
-                "the checkpoint image holds table %r, its catalog no such "
-                "table" % name
+                "the image holds table %r, its catalog no such table" % name
             )
         return self.table(name).schema.column_names()
+
+    def install_image(self, tables):
+        """Defer index upkeep and install *tables* (:meth:`read_image`'s)
+        as committed at LSN 0: one version, visible to every snapshot.
+        The catalog's rows come first and make the tables the rest fill;
+        :meth:`build_deferred_indexes` ends the load."""
+        self.defer_index_upkeep()
+        for name, rows in tables:
+            table = self.table(name)
+            for row in rows:
+                table.install_committed(0, row.rowid, row)
 
     def prune_versions(self):
         """Reclaim version chains: every version superseded below the
@@ -714,11 +724,7 @@ class Database:
         the tables; rows install with index upkeep deferred and each
         index is built once at the end, so a RecoveryError on the way
         leaves nothing built."""
-        self.defer_index_upkeep()
-        for name, rows in image_tables:
-            table = self.table(name)
-            for row in rows:
-                table.install_committed(0, row.rowid, row)
+        self.install_image(image_tables)
         # REDO the log over the checkpoint image.
         redo_records = wal_module.replay(self._log, self, self._log.base_lsn)
         build_started = time.perf_counter()

@@ -1,11 +1,11 @@
-"""The checkpoint image: every table's committed rows as one file.
+"""The checkpoint image: every table's committed rows at one LSN.
 
-``Database.checkpoint`` streams it through ``Database._write_atomic`` --
-a temporary file, fsync, then the rename to ``image.mdm`` that is the
-checkpoint's commit point -- and an open installs it before the log's
-redo.  This module is the file's format and the one place it is written
-down; when an image is taken, and what its LSN is to the log, is
-``repro.storage.database``'s to decide.
+``Database.image`` produces it.  A checkpoint publishes it as
+``image.mdm`` through ``Database._write_atomic`` (temp file, fsync, the
+rename that commits) and an open installs it before the log's redo; a
+replica is seeded with it, a piece a frame, and installs it the same
+way.  This module is the format; when an image is taken, and what its
+LSN is to the log, is ``repro.storage.database``'s to decide.
 
 Everything is little-endian; ``str`` is ``<bytes:H>`` and that many of
 UTF-8::
@@ -20,8 +20,8 @@ every commit at or below it and none above.  The storage catalog's
 table comes first; its rows make the tables whose column orders decode
 the tables after it.  The CRC covers every byte before it.  A file of
 another magic or format byte, or whose checksum fails, is refused whole,
-never guessed at.  Neither side holds more than a piece of the file at
-a time: a piece is about 64 KB of rows.
+never guessed at.  Neither :func:`pack` nor :func:`unpack` holds more
+than a piece at a time: a piece is about 64 KB of rows.
 """
 
 import os

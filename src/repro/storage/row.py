@@ -1,10 +1,10 @@
 """Row representation and a compact binary serialization.
 
 Rows are immutable mappings from column name to value.  The binary form
-is used by the checkpoint image and by the write-ahead log.  A *row
-run* -- a count followed by that many serialized rows -- is the one body
-format shared by the image's tables, ``BATCH_INSERT`` log records and
-``REPL_ROWS`` seed frames.
+is used by the checkpoint image (on disk and as a replica's seed) and
+by the write-ahead log.  A *row run* -- serialized rows, decoded by one
+kernel -- is the body of an image's pieces and of ``BATCH_INSERT`` log
+records, which prefix it with a count.
 """
 
 import struct
@@ -171,13 +171,10 @@ class Row:
         return row, offset
 
 
-def encode_row_run(rows, column_order, counted=True):
+def encode_row_run(rows, column_order):
     """Yield the run of *rows* (anything sized) piece by piece:
-    ``<count:I>``, then each row's serialization.  *counted* False
-    leaves the prefix out, for a carrier (``REPL_ROWS``) whose own
-    header holds the count."""
-    if counted:
-        yield _RUN_COUNT.pack(len(rows))
+    ``<count:I>``, then each row's serialization."""
+    yield _RUN_COUNT.pack(len(rows))
     for row in rows:
         yield row.serialize(column_order)
 

@@ -13,12 +13,11 @@ WAL-shipping replica feeds it shipped frames.  Two checks live here:
   composite ones, the trigram ones -- must equal the crash battery's
   rebuild-from-rows oracle (the live side got there by per-row upkeep,
   recovery and the seed by one deferred build each);
-* malformed redo input -- a cut or flipped checkpoint image, a
-  ``BATCH_INSERT`` body shorter than its count, a ``REPL_ROWS`` body
-  that runs out of bytes, a storage catalog row of the wrong shape, a
-  log or image of another format -- raises a typed ``repro.errors``
-  exception from every carrier, never a bare ``struct.error`` and never
-  other rows.
+* malformed redo input -- a cut or flipped checkpoint image, on disk
+  or as a replica's seed, a ``BATCH_INSERT`` body shorter than its
+  count, a storage catalog row of the wrong shape, a log or image of
+  another format -- raises a typed ``repro.errors`` exception from every
+  carrier, never a bare ``struct.error`` and never other rows.
 
 Marked both ``crash`` and ``net``: ``scripts/crash_smoke.sh`` and
 ``scripts/net_smoke.sh`` each run the differential test, so either
@@ -31,9 +30,10 @@ import zlib
 
 import pytest
 
-from repro.errors import ProtocolError, RecoveryError
+from repro.errors import RecoveryError
 from repro.mdm.manager import MusicDataManager
 from repro.net import MdmServer, ReplicaServer, protocol
+from repro.net.replica import _ReplicaState
 from repro.storage import wal as wal_module
 from repro.storage.database import CATALOG, Database
 from repro.storage.row import Row
@@ -206,12 +206,14 @@ def _open_another_format(filename, content):
     return carrier
 
 
-def _unpack_short_repl_rows(tmp_path):
-    frame = protocol.pack_repl_rows(
-        "t", [Row(1, {"v": 1}), Row(2, {"v": 2})], ["v"]
-    )
-    body = frame[protocol.FRAME_HEADER.size + 1:-3]
-    protocol.unpack_repl_rows(body, {"t": ["v"]})
+def _install_a_cut_seed(tmp_path):
+    """A replica's seed that ends early, installed as a replica does."""
+    seeded = Database()
+    seeded.create_table("t", [("v", "integer")])
+    seeded.bulk_ingest("t", [{"v": 1}, {"v": 2}])
+    with seeded.image(10) as (_, pieces):
+        seed = b"".join(pieces)
+    _ReplicaState(seed[:-3])
 
 
 @pytest.mark.parametrize("carrier, error", [
@@ -222,7 +224,7 @@ def _unpack_short_repl_rows(tmp_path):
     (_open_damaged_image(lambda raw: b"MDM1" + raw[4:]), RecoveryError),
     (_open_short_batch, RecoveryError),
     (_open_batch_cut_at_a_tag, RecoveryError),
-    (_unpack_short_repl_rows, ProtocolError),
+    (_install_a_cut_seed, RecoveryError),
     # Each of these would escape untyped or misleading: a TypeError
     # from a number walked as a list, a column named "t" from a string.
     (_open_misshapen("columns", "[1, 2]"), RecoveryError),
@@ -240,7 +242,7 @@ def _unpack_short_repl_rows(tmp_path):
 ], ids=[
     "empty-image", "truncated-image", "flipped-byte-image",
     "another-image-format", "another-image-magic", "short-batch", "batch-cut-at-a-tag",
-    "short-repl-rows", "catalog-list", "catalog-string", "catalog-short-pair",
+    "cut-seed", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
     "earlier-log-format", "format-2-log",
 ])

@@ -7,6 +7,7 @@ import pytest
 
 from repro.mdm.manager import MusicDataManager
 from repro.net import MdmClient, MdmServer, ReplicaServer, protocol
+from repro.storage.database import Database
 
 
 @pytest.fixture
@@ -104,19 +105,19 @@ def wait_applied(replica, lsn, timeout=5.0):
     return wait_until(applied, timeout)
 
 
+def seed_frames(lsn, database=None):
+    """The frames ``ReplicationHub`` seeds a replica with: the image of
+    *database* (an empty one by default) at *lsn*, a ``REPL_SEED`` frame
+    a piece, then ``REPL_SEED_END``."""
+    database = database if database is not None else Database()
+    with database.image(lsn) as (_, pieces):
+        frames = [
+            protocol.encode_frame(protocol.REPL_SEED, piece) for piece in pieces
+        ]
+    return frames + [protocol.pack(protocol.REPL_SEED_END, {})]
+
+
 def send_seed(primary, lsn, database=None):
-    """Seed a replica by hand over the *primary* end of its feed, as
-    ``ReplicationHub`` does: ``REPL_SEED``, every table of *database*
-    (none by default) as ``REPL_ROWS``, the storage catalog's first,
-    then ``REPL_SEED_END``."""
-    primary.send(protocol.REPL_SEED, {"lsn": lsn})
-    if database is not None:
-        _, tables = database.pin_tables()
-        try:
-            for table, order in tables:
-                rows = list(table)
-                if rows:
-                    primary.send_raw(protocol.pack_repl_rows(table.name, rows, order))
-        finally:
-            database.transactions.unpin_snapshot()
-    primary.send(protocol.REPL_SEED_END, {"lsn": lsn})
+    """Seed a replica by hand over the *primary* end of its feed."""
+    for frame in seed_frames(lsn, database):
+        primary.send_raw(frame)

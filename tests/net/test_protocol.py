@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.net import protocol
-from repro.storage.row import Row
 
 pytestmark = pytest.mark.net
 
@@ -127,22 +126,3 @@ class TestReplicationBodies:
         kind, body = split_frame(frame)
         assert kind == protocol.REPL_FRAME
         assert protocol.unpack_repl_frame(body) == (123, wal_bytes)
-
-    def test_repl_rows_round_trip_with_rationals(self):
-        order = ["a", "b"]
-        rows = [
-            Row(1, {"a": Fraction(1, 3), "b": "x"}),
-            Row(2, {"a": Fraction(2, 3), "b": b"\x01\x02"}),
-        ]
-        frame = protocol.pack_repl_rows("t", rows, order)
-        kind, body = split_frame(frame)
-        assert kind == protocol.REPL_ROWS
-        name, out = protocol.unpack_repl_rows(body, {"t": order})
-        assert name == "t"
-        assert out == rows
-
-    def test_repl_rows_unknown_table_refused(self):
-        frame = protocol.pack_repl_rows("t", [], ["a"])
-        kind, body = split_frame(frame)
-        with pytest.raises(ProtocolError):
-            protocol.unpack_repl_rows(body, {})

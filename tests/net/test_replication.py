@@ -1,4 +1,5 @@
-"""WAL shipping: seeding, streaming, failover, quarantine, CRC refusal."""
+"""WAL shipping: seeding, streaming, failover, quarantine, CRC refusal
+(of a shipped frame or a seed)."""
 
 import socket
 import threading
@@ -11,6 +12,7 @@ from repro.net.transport import Transport
 from tests.net.conftest import (
     ROLES,
     reply,
+    seed_frames,
     send_seed,
     serving,
     start_replica,
@@ -634,6 +636,65 @@ class TestCrcRefusal:
             assert kind == protocol.REPL_ACK
             assert wait_serving(replica)
             assert replica.status()["applied_lsn"] == 20
+            primary.close()
+        finally:
+            replica.stop()
+            listener.close()
+
+    def test_a_seed_that_is_not_a_whole_image_is_refused_whole(self):
+        """A seed missing the piece that carries a table's rows, or with
+        a byte flipped inside a validly framed piece, is not served: the
+        replica says ``REPL_ERROR`` and installs the next whole seed."""
+        from repro.net.replica import ReplicaServer
+        from repro.storage.database import Database
+
+        database = Database()
+        database.create_table("t", [("v", "string")])
+        database.bulk_ingest("t", [{"v": "row %d" % i} for i in range(50)])
+
+        def missing(frames, at):
+            return frames[:at] + frames[at + 1:]
+
+        def flipped(frames, at):
+            body = bytearray(frames[at][protocol.FRAME_HEADER.size + 1:])
+            body[len(body) // 2] ^= 0x01
+            piece = protocol.encode_frame(protocol.REPL_SEED, bytes(body))
+            return frames[:at] + [piece] + frames[at + 1:]
+
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        replica = ReplicaServer(listener.getsockname(), name="whole")
+        replica.start()
+        try:
+            sock, _ = listener.accept()
+            primary = Transport(sock)
+            kind, _ = primary.recv(timeout=5.0)
+            assert kind == protocol.REPL_HELLO
+            for lsn, damage in ((10, missing), (20, flipped)):
+                frames = seed_frames(lsn, database)
+                (rows_at,) = [
+                    at for at, frame in enumerate(frames) if b"row 7" in frame
+                ]
+                for frame in damage(frames, rows_at):
+                    primary.send_raw(frame)
+                kind, body = primary.recv(timeout=5.0)
+                assert kind == protocol.REPL_ERROR
+                assert protocol.unpack_json(kind, body)["code"] == "RecoveryError"
+                status = replica.status()
+                assert status["serving"] is False
+                assert "refused seed" in status["last_error"]
+
+                send_seed(primary, lsn, database)
+                kind, body = primary.recv(timeout=5.0)
+                assert kind == protocol.REPL_ACK
+                assert protocol.unpack_json(kind, body)["lsn"] == lsn
+                assert wait_serving(replica)
+                assert replica.status()["applied_lsn"] == lsn
+                seeded = replica._state.database.table("t")
+                assert len(seeded) == 50
+            assert replica.metrics.value("repl.seeds_received") == 2
             primary.close()
         finally:
             replica.stop()

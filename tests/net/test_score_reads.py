@@ -7,8 +7,11 @@ state had.
 The editor works in process on the primary (moves and reparents are API
 calls, not QUEL) and records ``(commit LSN, answer per measure)`` after
 every transaction.  The reader cannot see its own pin, so each retrieve
-is bracketed by the serving database's visible LSN before and after: the
-rows must be the model's at one of the LSNs in between.
+is bracketed by the visible LSN, before and after, of the database that
+answered it: the rows must be the model's at one of the LSNs in between.
+That is the replica's, unless the client failed over to the primary
+(``client.failovers`` moved): a replica the hub quarantines for lag
+refuses reads until its re-seed installs.
 """
 
 import bisect
@@ -132,10 +135,13 @@ class _Editor:
         ]
 
 
-def _read_beside_the_editor(editor, client, visible_lsn):
+def _read_beside_the_editor(editor, client, replica=None):
     """Retrieve ``path`` in a loop while the editor edits; every answer
-    must be the model's at an LSN the serving database showed around
-    that request."""
+    must be the model's at an LSN the database that answered showed
+    around that request.  Returns how many reads failed over."""
+    endpoints = [editor.mdm.database.transactions.snapshot_lsn]
+    if replica is not None:
+        endpoints.insert(0, lambda: replica.status()["applied_lsn"])
     client.execute(RANGES)
     plan = [row["plan"] for row in client.retrieve(
         "explain analyze " + PATH % 1
@@ -151,33 +157,37 @@ def _read_beside_the_editor(editor, client, visible_lsn):
     try:
         while thread.is_alive() or len(observed) < 2 * MEASURES:
             number = 1 + len(observed) % MEASURES
-            low = visible_lsn()
+            failovers = client.metrics.value("client.failovers")
+            lows = [lsn() for lsn in endpoints]
             rows = client.retrieve(PATH % number)
-            observed.append(
-                (number, low, visible_lsn(), [row["n.degree"] for row in rows])
-            )
+            highs = [lsn() for lsn in endpoints]
+            failed_over = client.metrics.value("client.failovers") > failovers
+            at = -1 if failed_over else 0  # the primary is tried last
+            observed.append((
+                number, lows[at], highs[at], [row["n.degree"] for row in rows],
+                failed_over,
+            ))
     finally:
         thread.join(timeout=30)
     assert not thread.is_alive()
     if editor.error is not None:
         raise editor.error
     assert len(editor.history) == EDITS + 1
-    for number, low, high, degrees in observed:
+    for number, low, high, degrees, _ in observed:
         assert degrees in editor.answers_between(number, low, high), (
             "measure %d read %r between LSN %d and %d"
             % (number, degrees, low, high)
         )
     # The reads really did interleave with the edits.
-    assert len({low for _, low, _, _ in observed}) > 2
+    assert len({low for _, low, _, _, _ in observed}) > 2
+    return sum(failed_over for *_, failed_over in observed)
 
 
 def test_a_client_reads_a_score_beside_an_editor(served_mdm):
     mdm, server = served_mdm
     editor = _Editor(mdm, seed=22)
     with MdmClient(server.address, default_timeout=10.0) as client:
-        _read_beside_the_editor(
-            editor, client, mdm.database.transactions.snapshot_lsn
-        )
+        _read_beside_the_editor(editor, client)
     mdm.check_invariants()
 
 
@@ -191,11 +201,10 @@ def test_a_replica_reads_a_score_beside_an_editor(served_mdm):
         reads = replica.metrics.value("repl.reads_served")
         with MdmClient(server.address, replicas=[replica.address],
                        default_timeout=10.0, replica_cooldown=0.0) as client:
-            _read_beside_the_editor(
-                editor, client, lambda: replica.status()["applied_lsn"]
-            )
-        # The replica, not a failover to the primary, answered.
-        assert replica.metrics.value("repl.reads_served") - reads > 2 * MEASURES
+            failed_over = _read_beside_the_editor(editor, client, replica)
+        # The replica, not a failover to the primary, answered most.
+        served = replica.metrics.value("repl.reads_served") - reads
+        assert served > 2 * MEASURES and served > failed_over
         assert wait_applied(replica, editor.history[-1][0])
     finally:
         replica.stop()

@@ -38,14 +38,6 @@ class TestCatalog:
             db.create_table(name, [("x", "integer")])
         assert db.table_names() == ["alpha", "mid", "zeta"]
 
-    def test_column_orders(self):
-        db = Database()
-        db.create_table("a", [("x", "integer"), ("y", "string")])
-        assert db.column_orders() == {
-            "_catalog": ["table_name", "columns", "text_indexed"],
-            "a": ["x", "y"],
-        }
-
     def test_in_memory_cannot_checkpoint(self):
         db = Database()
         with pytest.raises(StorageError):

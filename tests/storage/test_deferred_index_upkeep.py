@@ -1,7 +1,7 @@
 """Open and a replica's seed build each index once.
 
-While an empty table loads -- recovery's image + redo, a replica's
-``REPL_SEED`` .. ``REPL_SEED_END`` -- ``Table.defer_index_upkeep`` turns
+While an empty table loads -- recovery's image + redo, the image a
+replica is seeded with -- ``Table.defer_index_upkeep`` turns
 index upkeep off: rows install, index DDL only registers, and
 ``build_deferred_indexes`` fills every index left at the end through its
 ``insert_many``.  Judged here by the crash battery's rebuild-from-rows
