@@ -641,25 +641,30 @@ class TestCrcRefusal:
             replica.stop()
             listener.close()
 
-    def test_a_seed_that_is_not_a_whole_image_is_refused_whole(self):
+    @staticmethod
+    def missing(frames, at):
+        return frames[:at] + frames[at + 1:]
+
+    @staticmethod
+    def flipped(frames, at):
+        body = bytearray(frames[at][protocol.FRAME_HEADER.size + 1:])
+        body[len(body) // 2] ^= 0x01
+        piece = protocol.encode_frame(protocol.REPL_SEED, bytes(body))
+        return frames[:at] + [piece] + frames[at + 1:]
+
+    @pytest.mark.parametrize("damage", ["missing", "flipped"])
+    def test_a_seed_that_is_not_a_whole_image_is_refused_whole(self, damage):
         """A seed missing the piece that carries a table's rows, or with
         a byte flipped inside a validly framed piece, is not served: the
-        replica says ``REPL_ERROR`` and installs the next whole seed."""
+        replica says ``REPL_ERROR`` and installs the next whole seed --
+        twice, so a refusal after a served seed is covered too."""
         from repro.net.replica import ReplicaServer
         from repro.storage.database import Database
 
         database = Database()
         database.create_table("t", [("v", "string")])
         database.bulk_ingest("t", [{"v": "row %d" % i} for i in range(50)])
-
-        def missing(frames, at):
-            return frames[:at] + frames[at + 1:]
-
-        def flipped(frames, at):
-            body = bytearray(frames[at][protocol.FRAME_HEADER.size + 1:])
-            body[len(body) // 2] ^= 0x01
-            piece = protocol.encode_frame(protocol.REPL_SEED, bytes(body))
-            return frames[:at] + [piece] + frames[at + 1:]
+        damage = getattr(self, damage)
 
         listener = socket.socket()
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -672,7 +677,7 @@ class TestCrcRefusal:
             primary = Transport(sock)
             kind, _ = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_HELLO
-            for lsn, damage in ((10, missing), (20, flipped)):
+            for lsn in (10, 20):
                 frames = seed_frames(lsn, database)
                 (rows_at,) = [
                     at for at, frame in enumerate(frames) if b"row 7" in frame

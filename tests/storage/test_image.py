@@ -249,6 +249,34 @@ class TestDatabaseImage:
         with pytest.raises(RecoveryError, match="'ghost'"):
             Database(path)
 
+    def test_an_image_is_pinned_while_taken_and_installs_as_a_seed(self):
+        """``image()`` pins its LSN until the block ends; the bytes install
+        into an empty in-memory database as a replica installs them."""
+        db = Database()
+        db.create_table("t", [("v", "integer")])
+        db.bulk_ingest("t", [{"v": i} for i in range(5)])
+        with db.image() as (lsn, pieces):
+            assert db.transactions.current_snapshot() == lsn
+            raw = b"".join(pieces)
+        assert db.transactions.current_snapshot() is None
+        copy = Database()
+        seed_lsn, tables = copy.read_image(lambda: io.BytesIO(raw))
+        copy.install_image(tables)
+        copy.build_deferred_indexes()
+        assert seed_lsn == lsn
+        assert copy.table_names() == ["t"]
+        assert sorted(row["v"] for row in copy.table("t")) == list(range(5))
+
+    def test_a_seed_naming_a_table_its_catalog_lacks(self):
+        """Whole by its CRC, yet refused once the install reaches it."""
+        raw = _image(5, [("ghost", [], ["k", "v"])])
+        copy = Database()
+        lsn, tables = copy.read_image(lambda: io.BytesIO(raw))
+        assert lsn == 5
+        with pytest.raises(RecoveryError, match="'ghost'"):
+            copy.install_image(tables)
+        assert not copy.has_table("ghost")
+
     def test_the_rename_is_durable_before_the_log_is_emptied(
         self, tmp_path, monkeypatch
     ):
