@@ -53,7 +53,7 @@ from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.quel.executor import QuelSession
 from repro.storage import wal as wal_module
-from repro.storage.database import CATALOG, Database
+from repro.storage.database import CATALOG, Database, collector_paused
 
 
 class _ReplicaState:
@@ -66,14 +66,15 @@ class _ReplicaState:
     def __init__(self, seed):
         self.database = Database(None)
         self.seed_lsn, tables = self.database.read_image(lambda: io.BytesIO(seed))
-        self.database.install_image(tables)
+        with collector_paused():
+            self.database.install_image(tables)
+            self.database.build_deferred_indexes()
         self.schema = None
         self.redo = wal_module.RedoApplier(
             self.database, stamp_commits=True, applied_lsn=self.seed_lsn
         )
         self._catalog = self.database.table(CATALOG)
         self._catalog_version = None
-        self.database.build_deferred_indexes()
         self.applied()
 
     def applied(self):

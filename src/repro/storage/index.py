@@ -23,13 +23,24 @@ class HashIndex:
         return sum(len(b) for b in self._buckets.values())
 
     def insert(self, value, rowid):
-        self._buckets.setdefault(self._key(value), set()).add(rowid)
+        key = self._key(value)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = {rowid}
+        else:
+            bucket.add(rowid)
 
     def insert_many(self, pairs):
-        """Bulk insert of ``(value, rowid)`` pairs."""
-        buckets = self._buckets
+        """Bulk insert of ``(value, rowid)`` pairs; a bucket is made
+        only for a key not yet held (no ``setdefault`` default per row)."""
+        buckets, key_of = self._buckets, self._key
         for value, rowid in pairs:
-            buckets.setdefault(self._key(value), set()).add(rowid)
+            key = key_of(value)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {rowid}
+            else:
+                bucket.add(rowid)
 
     def delete(self, value, rowid):
         key = self._key(value)
@@ -50,11 +61,9 @@ class HashIndex:
     def distinct_values(self):
         return len(self._buckets)
 
-    @staticmethod
-    def _key(value):
-        # Normalize numerics so 1, 1.0 and Fraction(1) share a bucket,
-        # matching the comparison semantics of the executor.
-        return value_sort_key(value)
+    # Normalize numerics so 1, 1.0 and Fraction(1) share a bucket,
+    # matching the comparison semantics of the executor.
+    _key = staticmethod(value_sort_key)
 
 
 class _AfterAll:

@@ -421,9 +421,12 @@ class Table:
         index's backfill and ``insert_many`` all pay for this."""
         if self._deferring:
             return
-        index.insert_many(
-            [(self._index_value(column, row), row.rowid) for row in rows]
-        )
+        # _index_value's two cases, decided once and not per row.
+        if isinstance(column, tuple):
+            pairs = [(tuple(row[c] for c in column), row.rowid) for row in rows]
+        else:
+            pairs = [(row[column], row.rowid) for row in rows]
+        index.insert_many(pairs)
 
     # Deferred upkeep: the two loads that fill an empty table before any
     # reader can exist -- recovery (image + redo) and a replica's seed --
@@ -1057,43 +1060,73 @@ class Table:
 
     # -- committed-change install (image load, replica seed, redo) -----------
 
-    def install_committed(self, lsn, rowid, row):
-        """Make *row* the current image of *rowid* as of commit *lsn*.
+    def install_committed(self, lsn, rows, deleted=()):
+        """Make each of *rows* the current image of its rowid as of
+        commit *lsn*, in order, then delete the rowids *deleted*.
 
-        *row* None deletes the rowid; a rowid already present is
-        overwritten (redo of an update, or image load and log replay
-        overlapping after a crash between the image commit and the log
-        truncation), so the call is idempotent.  The one entry point for
-        changes that are committed before they reach this table: a
-        checkpoint image row, a replica seed row, a redone log record.
+        The one entry point for changes that are committed before they
+        reach this table: a checkpoint image's rows, a replica seed's, a
+        redone log record's (a ``BATCH_INSERT``'s whole run at once).
         No journal, guard or lock is involved -- the caller (recovery,
-        or a replica's single applier thread) is the only writer.
+        or a replica's single applier thread) is the only writer -- and
+        one latch hold covers the run.  A run of rowids the table has
+        never held, none named twice -- every load's -- updates the row
+        map and the chains once; any other goes row by row.
 
-        The superseded version ends at *lsn* and the new one begins
-        there, so a reader pinned below *lsn* keeps its image while the
-        change lands; then the rowid is queued as stale and its chain
-        pruned to the horizon, as ``update``/``delete`` do.  Recovery
-        and loads pass LSN 0 (the horizon is never below it), which
-        leaves exactly one version, visible to every snapshot, and the
-        stale set empty.
+        A rowid already present (redo of an update, or named earlier in
+        the run) is overwritten and a deleted rowid that is absent is
+        passed over, so a change installed twice lands once.  The
+        superseded version ends at *lsn* and the new one begins there,
+        so a reader pinned below *lsn* keeps its image while the change
+        lands; then the rowid is queued as stale and its chain pruned to
+        the horizon, as ``update``/``delete`` do.  Recovery and loads
+        pass LSN 0 (the horizon is never below it), which leaves exactly
+        one version, visible to every snapshot, and the stale set empty.
+        ``version`` grows by one a row installed or deleted.
         """
-        old = self._rows.get(rowid)
-        if row is None and old is None:
-            return
+        held, chains = self._rows, self._chains
+        changed = 0
         with self._latch:
-            if row is None:
-                del self._rows[rowid]
-            else:
-                self._rows[rowid] = row
+            if rows:
+                run = {row.rowid: row for row in rows}
+                # A held rowid has a chain, so disjoint chains mean
+                # nothing is overwritten.
+                if len(run) == len(rows) and chains.keys().isdisjoint(run):
+                    held.update(run)
+                    with self._chains_mutex:
+                        chains.update({
+                            rowid: (RowVersion(row, lsn, None),)
+                            for rowid, row in run.items()
+                        })
+                    if not self._deferring:
+                        for row in rows:
+                            self._reindex(None, row)
+                else:
+                    for row in rows:
+                        self._replace_committed(lsn, row.rowid, row)
                 self._next_rowid = itertools.count(
-                    max(rowid + 1, next(self._next_rowid))
+                    max(max(run) + 1, next(self._next_rowid))
                 )
-            self._reindex(old, row)
-            if row is not None:
-                self._chain_append(rowid, RowVersion(row, lsn, None))
-            if old is not None:
-                version = self._chain_version_of(old)
-                if version is not None:
-                    version.end_lsn = lsn
-                self._supersede(rowid)
-        self.version += 1
+                changed = len(rows)
+            for rowid in deleted:
+                if rowid in held:
+                    self._replace_committed(lsn, rowid, None)
+                    changed += 1
+        self.version += changed
+
+    def _replace_committed(self, lsn, rowid, row):
+        """One change of :meth:`install_committed` over whatever *rowid*
+        holds; *row* None deletes it.  The caller holds the latch."""
+        old = self._rows.get(rowid)
+        if row is None:
+            del self._rows[rowid]
+        else:
+            self._rows[rowid] = row
+        self._reindex(old, row)
+        if row is not None:
+            self._chain_append(rowid, RowVersion(row, lsn, None))
+        if old is not None:
+            version = self._chain_version_of(old)
+            if version is not None:
+                version.end_lsn = lsn
+            self._supersede(rowid)

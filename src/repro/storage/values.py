@@ -97,7 +97,14 @@ def value_sort_key(value):
     "sorted ... by ascending key value" (section 5.2) regardless of
     domain.
     """
-    rank = _TYPE_RANK.get(type(value))
+    cls = type(value)
+    # The exact types nearly every key is, first: an int pays no ABC
+    # ``isinstance`` against Fraction.  The same keys as below.
+    if cls is str:
+        return (3, value)
+    if cls is int or cls is float:
+        return (2, float(value))
+    rank = _TYPE_RANK.get(cls)
     if rank is None:
         raise TypeMismatchError("unsortable value %r" % (value,))
     if value is None:

@@ -214,6 +214,9 @@ class WriteAheadLog:
             self._file.truncate(0)
             self._file.write(LOG_HEADER)
         entries, valid_end, corruption = self._scan()
+        # The valid prefix, kept for replay until the first write
+        # (_take_opened): an open reads the file once.
+        self._opened = entries
         self._synced_end = valid_end
         max_lsn = changed = base_lsn
         for entry in entries:
@@ -303,6 +306,13 @@ class WriteAheadLog:
             self._change_lsn = record.lsn
         return record
 
+    def _take_opened(self):
+        """The valid prefix as :meth:`_scan` found it at open, once,
+        while nothing has been written since; else None."""
+        with self._mutex:
+            entries, self._opened = self._opened, None
+        return entries
+
     def _refuse_if_poisoned(self):
         if self._poison is not None:
             raise OSError(
@@ -313,6 +323,7 @@ class WriteAheadLog:
     def _append_frame(self, payload):
         self._refuse_if_poisoned()
         frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+        self._opened = None
         try:
             self._file.seek(0, os.SEEK_END)
             self._file.write(frame + payload)
@@ -569,6 +580,7 @@ class WriteAheadLog:
         with self._mutex:
             base_lsn = self._next_lsn - 1
             self.base_lsn = base_lsn
+            self._opened = None
             self._file.close()
             self._file = self._opener(self.path, "wb+")
             self._file.write(LOG_HEADER)
@@ -687,8 +699,11 @@ class RedoApplier:
             for change in run[1]:
                 self._install(lsn, *change)
         elif kind == CHECKPOINT:
-            # The primary pruned its version chains here; so do we.
-            self._database.prune_versions()
+            # The primary pruned its version chains here; so does a
+            # replica.  Recovery installs at LSN 0, one version a chain:
+            # nothing to prune.
+            if self._stamp_commits:
+                self._database.prune_versions()
         elif kind in SELF_COMMITTING:
             self._install(lsn, kind, table, row_bytes, old_bytes)
         else:
@@ -703,14 +718,12 @@ class RedoApplier:
         order = table.schema.column_names()
         lsn = commit_lsn if self._stamp_commits else 0
         if kind == BATCH_INSERT:
-            for row in decode_row_run(row_bytes, order):
-                table.install_committed(lsn, row.rowid, row)
+            table.install_committed(lsn, decode_row_run(row_bytes, order))
         elif kind in (DELETE, AC_DELETE):
             (old_row,) = decode_row_run(old_bytes, order, count=1)
-            table.install_committed(lsn, old_row.rowid, None)
+            table.install_committed(lsn, (), (old_row.rowid,))
         else:
-            (row,) = decode_row_run(row_bytes, order, count=1)
-            table.install_committed(lsn, row.rowid, row)
+            table.install_committed(lsn, decode_row_run(row_bytes, order, count=1))
 
     def discard_buffered(self):
         """Forget the unfinished transaction's frames."""
@@ -722,13 +735,17 @@ def replay(log, database, applied_lsn=0):
     whose checkpoint image holds every commit at or below *applied_lsn*.
 
     Only committed work lands (see :class:`RedoApplier`); a record past
-    the first torn or corrupt frame does not exist.  Returns the number
+    the first torn or corrupt frame does not exist.  The prefix is the
+    one the log's open scanned, if nothing was written since (the file
+    is read once); else the file is scanned again.  Returns the number
     of records read.
     """
-    entries, _, corruption = log._scan()
-    if corruption is not None:
-        logger.warning("WAL %s: %s; replaying valid prefix only",
-                       log.path, corruption)
+    entries = log._take_opened()
+    if entries is None:
+        entries, _, corruption = log._scan()
+        if corruption is not None:
+            logger.warning("WAL %s: %s; replaying valid prefix only",
+                           log.path, corruption)
     redo = RedoApplier(database, stamp_commits=False, applied_lsn=applied_lsn)
     for entry in entries:
         redo.apply(*entry)

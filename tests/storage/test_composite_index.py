@@ -108,12 +108,12 @@ class TestTableCompositeMaintenance:
     def test_recovery_paths_maintain_index(self):
         table, index = make_table()
         row = table.insert({"parent": 1, "key": 10, "label": "a"})
-        table.install_committed(0, row.rowid, None)
+        table.install_committed(0, (), (row.rowid,))
         assert len(index) == 0
-        table.install_committed(0, row.rowid, row)
+        table.install_committed(0, [row])
         assert index.lookup((1, 10)) == [row.rowid]
         moved = row.replaced({"key": 20})
-        table.install_committed(0, row.rowid, moved)
+        table.install_committed(0, [moved])
         assert index.lookup((1, 10)) == []
         assert index.lookup((1, 20)) == [row.rowid]
 
@@ -133,7 +133,7 @@ class TestVersionCounter:
         bumped()
         table.delete(row.rowid)
         bumped()
-        table.install_committed(0, row.rowid, row)
+        table.install_committed(0, [row])
         bumped()
-        table.install_committed(0, row.rowid, None)
+        table.install_committed(0, (), (row.rowid,))
         bumped()

@@ -1,6 +1,9 @@
-"""Open and a replica's seed build each index once.
+"""Open and a replica's seed install a row run at a time and build each
+index once.
 
-While an empty table loads -- recovery's image + redo, the image a
+``Table.install_committed`` takes a run of rows in one latch hold and
+must leave what the same changes one at a time leave.  While an empty
+table loads -- recovery's image + redo, the image a
 replica is seeded with -- ``Table.defer_index_upkeep`` turns
 index upkeep off: rows install, index DDL only registers, and
 ``build_deferred_indexes`` fills every index left at the end through its
@@ -11,6 +14,7 @@ and by the live database the directory came from;
 reopened and replica.  Counts, not wall-clock, guard the cost.
 """
 
+import gc
 import logging
 import os
 
@@ -53,11 +57,11 @@ def test_every_index_kind_is_built_once_from_the_rows_that_are_left():
     table.create_index(("w", "v"))
     table.create_text_index("title")
     for i in range(1, 41):
-        table.install_committed(0, i, Row(i, dict(titled(i), w=i % 7)))
+        table.install_committed(0, [Row(i, dict(titled(i), w=i % 7))])
     for i in range(1, 41, 3):  # the log retitles some rows, deletes others
-        table.install_committed(0, i, Row(i, dict(titled(i + 100), w=i % 5)))
+        table.install_committed(0, [Row(i, dict(titled(i + 100), w=i % 5))])
     for i in range(2, 41, 5):
-        table.install_committed(0, i, None)
+        table.install_committed(0, (), (i,))
     assert len(table.text_index_for("title")) == 0  # nothing kept meanwhile
     table.build_deferred_indexes()
     assert_indexes_match_rows(table)
@@ -77,13 +81,88 @@ def test_a_deferring_table_refuses_to_answer_from_its_indexes():
     table = bare_table()
     table.create_index("v")
     table.defer_index_upkeep()
-    table.install_committed(0, 1, Row(1, dict(titled(1), w=1)))
+    table.install_committed(0, [Row(1, dict(titled(1), w=1))])
     with pytest.raises(StorageError):
         table.probe(lambda: None)
     with pytest.raises(StorageError):
         table.select_eq("v", 1)
     table.build_deferred_indexes()
     assert [row.rowid for row in table.select_eq("v", 1)] == [1]
+
+
+# -- the run install ------------------------------------------------------------
+
+
+def chain_state(table):
+    """Everything an install decides besides the indexes: rows, each
+    chain's versions with their LSNs, the stale set, ``version`` and the
+    next rowid (taken, so call once)."""
+    return (
+        {rowid: row.as_dict() for rowid, row in table._rows.items()},
+        {
+            rowid: [(v.row.as_dict(), v.begin_lsn, v.end_lsn) for v in chain]
+            for rowid, chain in table._chains.items()
+        },
+        table.stale_rowids(),
+        table.version,
+        next(table._next_rowid),
+    )
+
+
+def test_a_run_installs_as_its_changes_one_at_a_time():
+    """A run that overwrites held rowids and names one twice, at an LSN
+    a horizon of 0 keeps the superseded versions of: the same rows,
+    chains, stale set, ``version`` and next rowid as one-row runs."""
+    tables = []
+    for _ in range(2):
+        table = Table(bare_table().schema, prune_horizon=lambda: 0)
+        table.create_index("v")
+        table.create_index("w", ordered=True)
+        table.create_index(("w", "v"))
+        table.create_text_index("title")
+        table.install_committed(0, [
+            Row(i, dict(titled(i), w=i % 3)) for i in range(1, 11)
+        ])
+        tables.append(table)
+    run = [Row(i, dict(titled(i + 50), w=i % 4)) for i in (12, 3, 7, 20)]
+    run += [Row(3, dict(titled(99), w=9)), Row(15, dict(titled(15), w=0))]
+    whole, single = tables
+    whole.install_committed(7, run, (5, 15, 40))
+    for row in run:
+        single.install_committed(7, [row])
+    for rowid in (5, 15, 40):
+        single.install_committed(7, (), (rowid,))
+    assert chain_state(whole) == chain_state(single)
+    assert whole.stale_rowids() == (7, 3, 5, 15)  # 3 superseded twice
+    assert whole.version == 10 + 6 + 2  # the absent rowid 40 is no change
+    for table in tables:
+        assert_indexes_match_rows(table)
+    assert [row.rowid for row in whole.select_eq("w", 9)] == [3]
+
+
+def test_a_fresh_run_lands_in_one_latch_hold():
+    table = bare_table()
+    table.create_index("v")
+    holds = []
+
+    class CountingLatch:
+        def __init__(self, latch):
+            self._latch = latch
+
+        def __enter__(self):
+            holds.append(1)
+            return self._latch.__enter__()
+
+        def __exit__(self, *exc_info):
+            return self._latch.__exit__(*exc_info)
+
+    table._latch = CountingLatch(table._latch)
+    table.install_committed(
+        0, [Row(i, dict(titled(i), w=i)) for i in range(1, 501)]
+    )
+    assert holds == [1]
+    assert table.version == 500 and next(table._next_rowid) == 501
+    assert_indexes_match_rows(table)
 
 
 def test_only_an_empty_table_may_defer():
@@ -172,7 +251,9 @@ def test_log_over_a_large_image(tmp_path):
         reopened.close()
 
 
-def test_a_log_that_will_not_replay_builds_nothing(tmp_path, monkeypatch):
+def unreplayable(tmp_path):
+    """A directory whose log ends in a row for a table no catalog row
+    names: redo raises past its first records."""
     path = str(tmp_path / "db")
     db = Database(path)
     db.create_table("t", [("title", "string"), ("v", "integer")])
@@ -180,10 +261,15 @@ def test_a_log_that_will_not_replay_builds_nothing(tmp_path, monkeypatch):
     db.bulk_ingest("t", [titled(i) for i in range(40)])
     db.close()
     with WriteAheadLog(os.path.join(path, "wal.log")) as log:
-        log.append(  # a table no catalog row names
+        log.append(
             0, wal_module.AC_INSERT, table="gone", row=Row(1, {"v": 1}),
             column_orders={"gone": ["v"]}, flush=True,
         )
+    return path
+
+
+def test_a_log_that_will_not_replay_builds_nothing(tmp_path, monkeypatch):
+    path = unreplayable(tmp_path)
     builds = []
     monkeypatch.setattr(
         TrigramIndex, "insert_many",
@@ -194,7 +280,83 @@ def test_a_log_that_will_not_replay_builds_nothing(tmp_path, monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failed_open_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    """The load pauses the cyclic collector; an open that raises
+    mid-redo hands it back enabled or disabled, as the caller had it."""
+    path = unreplayable(tmp_path)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RecoveryError):
+            Database(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 # -- what an open costs, in calls ----------------------------------------------
+
+
+def test_a_reopen_reads_the_log_once(tmp_path):
+    """The valid prefix the log scans at open is what redo replays:
+    ``wal.log`` is opened for reading once, and the prefix is not kept."""
+    path = str(tmp_path / "db")
+    db = Database(path)
+    db.create_table("t", [("title", "string"), ("v", "integer")])
+    db.bulk_ingest("t", [titled(i) for i in range(30)], batch_rows=10)
+    db.table("t").update(4, {"title": "retitled"})
+    live = table_state(db)
+    db.close()
+    reads = []
+
+    def opener(name, mode):
+        if mode == "rb" and os.path.basename(name) == "wal.log":
+            reads.append(name)
+        return open(name, mode)
+
+    reopened = Database(path, opener=opener)
+    try:
+        assert len(reads) == 1
+        assert reopened._log._opened is None
+        assert table_state(reopened) == live
+    finally:
+        reopened.close()
+
+
+def test_a_reopen_after_a_checkpoint_prunes_nothing(tmp_path, monkeypatch):
+    """Recovery installs at LSN 0, one version a chain, so the
+    ``CHECKPOINT`` marker it replays sweeps nothing; a replica, which
+    installs at commit LSNs, still sweeps there."""
+    path = str(tmp_path / "db")
+    db = Database(path)
+    db.create_table("t", [("title", "string"), ("v", "integer")])
+    db.bulk_ingest("t", [titled(i) for i in range(30)])
+    db.checkpoint()
+    db.close()
+    sweeps = []
+    prune_versions = Table.prune_versions
+
+    def counted(self, horizon):
+        sweeps.append(self.name)
+        return prune_versions(self, horizon)
+
+    monkeypatch.setattr(Table, "prune_versions", counted)
+    reopened = Database(path)
+    try:
+        assert reopened.metrics.value("db.recovery.redo_records") == 1
+        assert sweeps == []
+        assert all(
+            len(chain) == 1 and chain[0].begin_lsn == 0
+            for chain in reopened.table("t")._chains.values()
+        )
+        replica = wal_module.RedoApplier(Database(), stamp_commits=True)
+        replica.apply(5, 0, wal_module.CHECKPOINT, "", b"", b"")
+        assert sweeps == ["_catalog"]
+    finally:
+        reopened.close()
+
+
 
 
 def test_reopen_builds_each_text_index_in_one_call(tmp_path, monkeypatch):

@@ -213,11 +213,11 @@ class TestStaleSet:
         """install_committed at a commit LSN: the superseded image stays
         reachable for a reader pinned below it, through the index."""
         db, t = _make_db()
-        t.install_committed(0, 1, _row(t, 1, "a", 1))
+        t.install_committed(0, [_row(t, 1, "a", 1)])
         db.transactions._visible_lsn = 5
         holder = _PinHolder(db.transactions)           # pinned at 5
         try:
-            t.install_committed(9, 1, _row(t, 1, "b", 2))
+            t.install_committed(9, [_row(t, 1, "b", 2)])
             db.transactions._visible_lsn = 9
             assert t.stale_rowids() == (1,)
             holder.run(lambda: _assert_eq(t, {"a": [1], "b": []}))

@@ -169,7 +169,7 @@ class TestScan:
         table = make_table(journal=lambda *a: events.append(a[0]))
         from repro.storage.row import Row
 
-        table.install_committed(0, 3, Row(3, {"name": "x", "pitch": 9}))
+        table.install_committed(0, [Row(3, {"name": "x", "pitch": 9})])
         assert events == []
         assert table.get(3)["pitch"] == 9
         # allocator stays ahead

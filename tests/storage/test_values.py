@@ -1,5 +1,6 @@
 """Domain coercion and the total value sort order."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,3 +90,37 @@ class TestSortKey:
 
         with pytest.raises(TypeMismatchError):
             value_sort_key(object())
+
+    # The exact key of every kind, so a fast path for one type cannot
+    # change what an index stores for another.
+    @pytest.mark.parametrize("value, key", [
+        (None, (0, 0)),
+        (True, (2, 1.0)),
+        (False, (2, 0.0)),
+        (7, (2, 7.0)),
+        (2 ** 53 + 1, (2, float(2 ** 53))),
+        (-(2 ** 60), (2, -1152921504606846976.0)),
+        (2.5, (2, 2.5)),
+        (Fraction(1, 3), (2, Fraction(1, 3))),
+        ("", (3, "")),
+        ("abc", (3, "abc")),
+        (b"ab", (4, b"ab")),
+    ])
+    def test_exact_keys(self, value, key):
+        got = value_sort_key(value)
+        assert got == key
+        assert [type(part) for part in got] == [type(part) for part in key]
+
+    def test_ints_past_2_53_share_a_key_with_their_float(self):
+        assert value_sort_key(2 ** 53 + 1) == value_sort_key(2 ** 53)
+
+    def test_negative_zero_keeps_its_sign(self):
+        key = value_sort_key(-0.0)
+        assert key == value_sort_key(0) and math.copysign(1.0, key[1]) == -1.0
+
+    def test_a_str_subclass_is_refused(self):
+        class Title(str):
+            pass
+
+        with pytest.raises(TypeMismatchError):
+            value_sort_key(Title("abc"))
