@@ -89,9 +89,9 @@ class MusicDataManager:
 
     # -- service layer --------------------------------------------------------------
 
-    def connect(self, name="session", **session_options):
+    def connect(self, name="session", **options):
         """A service-layer session for one client (see MdmSession)."""
-        return MdmSession(self, name=name, **session_options)
+        return MdmSession(self, name=name, **options)
 
     # -- transactions / durability -----------------------------------------------
 

@@ -5,9 +5,9 @@ the primary's seed, a checkpoint image installed as an open installs
 one, and kept current by applying shipped WAL frames, each CRC-verified
 by the frame parser recovery uses (:func:`repro.storage.wal.decode_frame`).
 A seed that is not a whole image, or a frame that fails its checksum or
-cannot be applied, makes the replica *degrade*: it reports
-``REPL_ERROR`` to the primary, refuses reads, and waits to be
-quarantined and re-seeded from a fresh snapshot.
+cannot be applied, makes the replica *degrade*, the one thing that
+stops it serving: it reports ``REPL_ERROR`` and refuses reads until
+the primary's fresh seed installs.
 
 What a verified record does is not decided here: each one goes to the
 same :class:`repro.storage.wal.RedoApplier` crash recovery drives, set
@@ -92,7 +92,7 @@ class ReplicaServer(WireServer):
     """One read-only replica process: applier plus retrieve serving."""
 
     def __init__(self, primary_address, name="replica", host="127.0.0.1",
-                 port=0, reconnect_base=0.05, reconnect_cap=1.0, seed=0,
+                 port=0, reconnect_base=0.05, seed=0,
                  transport_factory=None, metrics=None, idle_timeout=120.0):
         registry = metrics if metrics is not None else MetricsRegistry()
         super().__init__("replica", "replica-read-%s" % name, name, host,
@@ -103,7 +103,6 @@ class ReplicaServer(WireServer):
             else Transport.connect
         )
         self._reconnect_base = reconnect_base
-        self._reconnect_cap = reconnect_cap
         self._rng = random.Random(seed)
         # Applier state: guarded by _applied_cond so min_lsn waiters see
         # a consistent (state, applied_lsn, serving) triple.
@@ -145,8 +144,7 @@ class ReplicaServer(WireServer):
             try:
                 transport = self._transport_factory(self.primary_address)
             except NetworkError:
-                self._sleep_backoff(backoff)
-                backoff = min(self._reconnect_cap, backoff * 2)
+                backoff = self._sleep_backoff(backoff)
                 continue
             with self._mutex:
                 self._transports.add(transport)
@@ -165,12 +163,13 @@ class ReplicaServer(WireServer):
                 transport.close()
                 with self._mutex:
                     self._transports.discard(transport)
-            self._sleep_backoff(backoff)
-            backoff = min(self._reconnect_cap, backoff * 2)
+            backoff = self._sleep_backoff(backoff)
 
     def _sleep_backoff(self, backoff):
+        """Sleep *backoff*, jittered; the next one doubles, up to 1 s."""
         if not self._stopping:
             time.sleep(backoff * (0.5 + self._rng.random()))
+        return min(1.0, backoff * 2)
 
     def _resume_lsn(self):
         """Where to resume the feed on a (re)connect: ``applied_lsn``.
@@ -225,8 +224,8 @@ class ReplicaServer(WireServer):
             self._refuse_feed(transport, "refused seed", error, 0)
             return
         self._install_state(state)
-        transport.send(protocol.REPL_ACK, {"lsn": state.seed_lsn})
         self._m_seeds.inc()
+        transport.send(protocol.REPL_ACK, {"lsn": state.seed_lsn})
 
     def _receive_frame(self, transport, lsn, wal_frame):
         if not self._serving and self._state is None:

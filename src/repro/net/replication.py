@@ -12,14 +12,13 @@ appended in one hold of the mutex the fsync takes, that prefix — hence
 every seed LSN and every batch — ends between transactions, never
 inside one.
 
-Health gating is the quarantine state machine from DESIGN.md §4j: a
-replica that falls further behind than the lag budget, refuses a frame
-or a seed, or needs history the primary has truncated (checkpoint moved
-``base_lsn`` past it) is quarantined and re-seeded from a fresh
-snapshot on the same connection.  While re-seeding, the replica itself
-refuses reads with :class:`~repro.errors.ReplicaLagError`, so clients
-fail over; the system degrades to primary-only serving rather than
-serving stale or torn data.
+A replica is quarantined and re-seeded from a fresh snapshot, on the
+same connection, in two cases only: it refused a frame or a seed
+(``REPL_ERROR``: its state is suspect, and it refuses reads until the
+seed installs), or it needs history the primary no longer holds (a
+checkpoint moved ``base_lsn`` past it).  A replica that is merely
+behind is streamed what it lacks; its lag is reported, and a client
+that must not read stale state says so with ``min_lsn``.
 """
 
 import threading
@@ -63,9 +62,8 @@ class ReplicaPeer:
 class ReplicationHub:
     """Seeds and streams the WAL to every connected replica."""
 
-    def __init__(self, mdm, lag_budget=64):
+    def __init__(self, mdm):
         self.mdm = mdm
-        self.lag_budget = lag_budget
         self._mutex = threading.Lock()
         self._peers = {}
         registry = mdm.database.metrics
@@ -125,15 +123,8 @@ class ReplicationHub:
                 if self._drain_acks(transport, peer):
                     need_seed = True
                     continue
-                lag = max(0, wal.flushed_lsn - peer.acked_lsn)
-                peer.lag = lag
+                peer.lag = max(0, wal.flushed_lsn - peer.acked_lsn)
                 self._update_lag_gauge()
-                if lag > self.lag_budget:
-                    self._quarantine(
-                        peer, "lag %d exceeds budget %d" % (lag, self.lag_budget)
-                    )
-                    need_seed = True
-                    continue
                 # Caught up: park until new records become durable.
                 wal.wait_for_flushed(next_lsn, timeout=0.05)
         except (NetworkError, ProtocolError, OSError):
@@ -195,12 +186,10 @@ class ReplicationHub:
         with self.mdm.database.image() as (seed_lsn, pieces):
             for piece in pieces:
                 transport.send_raw(protocol.encode_frame(protocol.REPL_SEED, piece))
-        transport.send(protocol.REPL_SEED_END, {})
+        # Counted before the end frame: whoever holds it sees the count.
         self._m_seeds.inc()
         peer.seeds += 1
-        # Optimistically treat the seed as acked for lag accounting; the
-        # replica's own REPL_ACK confirms (or quarantine catches it).
-        peer.acked_lsn = max(peer.acked_lsn, seed_lsn)
+        transport.send(protocol.REPL_SEED_END, {})
         peer.shipped_lsn = max(peer.shipped_lsn, seed_lsn)
         peer.state = "streaming"
         return seed_lsn + 1

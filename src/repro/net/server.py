@@ -34,7 +34,7 @@ in-flight write the same way.
 
 Replica connections (``REPL_HELLO``) are handed to the
 :class:`~repro.net.replication.ReplicationHub`, which seeds and then
-streams WAL frames (see that module for the quarantine state machine).
+streams WAL frames (see that module for when it re-seeds a replica).
 """
 
 import contextlib
@@ -294,12 +294,11 @@ class MdmServer(WireServer):
     """Serves one MusicDataManager to remote clients and replicas."""
 
     def __init__(self, mdm, host="127.0.0.1", port=0, name="primary",
-                 lag_budget=64, session_options=None, idle_timeout=120.0):
+                 idle_timeout=120.0):
         registry = mdm.database.metrics
         super().__init__("primary", "mdm-server-conn", name, host, port,
                          idle_timeout, registry)
         self.mdm = mdm
-        self._session_options = dict(session_options or {})
         #: Test hook: called as ``on_pre_ack(client_id, seq)`` after a
         #: write commits durably but before its RESULT frame is sent.
         #: Raising here drops the connection un-acked — the crash window
@@ -307,7 +306,7 @@ class MdmServer(WireServer):
         self.on_pre_ack = None
         self._m_shed = registry.counter("net.shed")
         self._m_duplicates = registry.counter("net.duplicate_acks")
-        self.replication = ReplicationHub(mdm, lag_budget=lag_budget)
+        self.replication = ReplicationHub(mdm)
         self._dedup = mdm.database.create_or_bind_table(
             DEDUP_TABLE,
             [("client", Domain.STRING), ("seq", Domain.INTEGER),
@@ -330,9 +329,7 @@ class MdmServer(WireServer):
         # the connection; the plan cache and the metrics registry hang
         # off the database and stay shared.
         quel = QuelSession(self.mdm.schema)
-        session = self.mdm.connect(
-            name="net:%s" % client_id, quel=quel, **self._session_options
-        )
+        session = self.mdm.connect(name="net:%s" % client_id, quel=quel)
         shell = MdmShell(self.mdm, server=self, session=quel)
         return client_id, session, shell
 

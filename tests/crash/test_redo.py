@@ -54,10 +54,7 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
     # schema replay registered, not only empty tables.
     for step in range(15):
         workload.step()
-    # A lag budget no burst of this workload can exceed: every later
-    # change must reach the replica as a shipped frame, never as a
-    # re-seed.
-    server = MdmServer(mdm, lag_budget=10 ** 6)
+    server = MdmServer(mdm)
     server.start()
     replica = ReplicaServer(server.address, name="diff-%d" % seed)
     replica.start()

@@ -129,7 +129,7 @@ class TestSessionBasics:
         assert mdm.database.transactions.current() is None
         assert mdm.statistics()["commits"] == 0
 
-    def test_connect_passes_session_options(self):
+    def test_connect_passes_options_to_the_session(self):
         session = bare_mdm().connect("tuned", max_attempts=2, default_timeout=1.5)
         assert isinstance(session, MdmSession)
         assert session.name == "tuned"

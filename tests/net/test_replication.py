@@ -1,5 +1,5 @@
-"""WAL shipping: seeding, streaming, failover, quarantine, CRC refusal
-(of a shipped frame or a seed)."""
+"""WAL shipping: seeding, streaming, failover, what re-seeds a replica
+and what does not, CRC refusal (of a shipped frame or a seed)."""
 
 import socket
 import threading
@@ -9,6 +9,7 @@ import pytest
 from repro.errors import NetworkTimeoutError
 from repro.net import MdmClient, protocol
 from repro.net.transport import Transport
+from tests.crash.oracle import table_state
 from tests.net.conftest import (
     ROLES,
     reply,
@@ -368,6 +369,81 @@ class TestQuarantine:
             assert replica.metrics.value("repl.reads_served") > served
         finally:
             replica.stop()
+
+
+class TestSeedCauses:
+    """What the hub re-seeds for: a refusal (``TestQuarantine``) or a
+    gap in the log; a replica that is merely behind is streamed."""
+
+    def test_a_burst_of_multi_row_transactions_is_streamed(self, served_mdm):
+        mdm, server = served_mdm
+        replica = start_replica(server, name="burst")
+        try:
+            assert wait_serving(replica)
+            note = mdm.cmn.NOTE
+            for txn in range(50):
+                with mdm.begin():
+                    for i in range(10):
+                        note.create(degree=(txn + i) % 12, accidental="",
+                                    tied_to_next=False)
+            assert wait_applied(replica, mdm.database._log.flushed_lsn, 10.0)
+            metrics = mdm.database.metrics
+            assert metrics.value("repl.seeds_sent") == 1
+            assert metrics.value("repl.quarantines") == 0
+            (peer,) = server.replication.status()
+            assert peer["seeds"] == 1
+            assert table_state(replica._state.database) == table_state(
+                mdm.database
+            )
+        finally:
+            replica.stop()
+
+    @staticmethod
+    def _hello_after_a_checkpoint(mdm, server, client, behind):
+        """Write, checkpoint, write again; then open a raw replica feed
+        saying it holds everything up to *behind* LSNs below the log's
+        base.  Returns ``(base_lsn, wire)``."""
+        client.execute("append to NOTE (degree = 1)")
+        mdm.checkpoint()
+        client.execute("append to NOTE (degree = 2)")
+        base = mdm.database._log.base_lsn
+        wire = Transport.connect(server.address)
+        wire.send(protocol.REPL_HELLO, {
+            "proto": protocol.PROTOCOL_VERSION, "replica": "raw",
+            "last_lsn": base - behind,
+        })
+        return base, wire
+
+    def test_a_hello_within_the_log_streams_from_its_lsn(self, served_mdm,
+                                                         client):
+        mdm, server = served_mdm
+        base, wire = self._hello_after_a_checkpoint(mdm, server, client, 0)
+        with wire:
+            lsns, timeout = [], 5.0
+            while True:
+                try:
+                    kind, body = wire.recv(timeout=timeout)
+                except NetworkTimeoutError:
+                    break
+                timeout = 0.3
+                assert kind == protocol.REPL_FRAME, protocol.KIND_NAMES[kind]
+                lsns.append(protocol.unpack_repl_frame(body)[0])
+        flushed = mdm.database._log.flushed_lsn
+        assert lsns == list(range(base + 1, flushed + 1))
+        assert mdm.database.metrics.value("repl.seeds_sent") == 0
+
+    def test_a_hello_below_the_log_base_is_seeded(self, served_mdm, client):
+        mdm, server = served_mdm
+        _, wire = self._hello_after_a_checkpoint(mdm, server, client, 1)
+        with wire:
+            kinds = [wire.recv(timeout=5.0)[0]]
+            while kinds[-1] == protocol.REPL_SEED:
+                kinds.append(wire.recv(timeout=5.0)[0])
+        assert kinds[0] == protocol.REPL_SEED
+        assert kinds[-1] == protocol.REPL_SEED_END
+        metrics = mdm.database.metrics
+        assert metrics.value("repl.seeds_sent") == 1
+        assert metrics.value("repl.quarantines") == 0
 
 
 class TestReconnectResume:

@@ -10,8 +10,8 @@ every transaction.  The reader cannot see its own pin, so each retrieve
 is bracketed by the visible LSN, before and after, of the database that
 answered it: the rows must be the model's at one of the LSNs in between.
 That is the replica's, unless the client failed over to the primary
-(``client.failovers`` moved): a replica the hub quarantines for lag
-refuses reads until its re-seed installs.
+(``client.failovers`` moved): a replica behind the reader's
+``min_lsn`` refuses, retryably.
 """
 
 import bisect
