@@ -172,7 +172,9 @@ class ReplicaServer(WireServer):
         return min(1.0, backoff * 2)
 
     def _resume_lsn(self):
-        """Where to resume the feed on a (re)connect: ``applied_lsn``.
+        """Where to resume the feed on a (re)connect: ``applied_lsn``,
+        or 0 -- send a seed -- if degraded: the primary may never have
+        heard the ``REPL_ERROR`` that asked for one.
 
         A torn feed can leave the front of one transaction buffered.
         It is dropped -- kept, the re-stream would deliver its change
@@ -184,7 +186,7 @@ class ReplicaServer(WireServer):
         with self._applied_cond:
             if self._state is not None:
                 self._state.redo.discard_buffered()
-            return self.applied_lsn
+            return self.applied_lsn if self._serving else 0
 
     def _feed_from(self, transport):
         seed = []

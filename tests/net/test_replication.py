@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import NetworkTimeoutError
+from repro.errors import NetworkError, NetworkTimeoutError
 from repro.net import MdmClient, protocol
 from repro.net.transport import Transport
 from tests.crash.oracle import table_state
@@ -307,14 +307,16 @@ class TestDdlAfterSeed:
             replica.stop()
 
 
-def _feed_tearing_the_first_frame():
+def _feed_tearing_the_first_frame(drop_on_refusal=False):
     """A replica's ``transport_factory`` whose feed flips the last byte
-    of the first WAL frame shipped to it, as a torn link would."""
+    of the first WAL frame shipped to it, as a torn link would; with
+    *drop_on_refusal*, the link then breaks as the replica sends its
+    ``REPL_ERROR``, so the primary never hears it."""
     torn = []
 
     def connect(address):
         transport = Transport.connect(address)
-        recv = transport.recv
+        recv, send = transport.recv, transport.send
 
         def recv_tearing(timeout=None):
             kind, body = recv(timeout=timeout)
@@ -323,7 +325,13 @@ def _feed_tearing_the_first_frame():
                 body = body[:-1] + bytes([body[-1] ^ 0xFF])
             return kind, body
 
-        transport.recv = recv_tearing
+        def send_dropping(kind, obj):
+            if drop_on_refusal and kind == protocol.REPL_ERROR:
+                transport.close()
+                raise NetworkError("link dropped")
+            send(kind, obj)
+
+        transport.recv, transport.send = recv_tearing, send_dropping
         return transport
 
     return connect
@@ -364,6 +372,44 @@ class TestQuarantine:
                 reader.execute("range of n is NOTE")
                 rows = reader.retrieve("retrieve (n.degree) where n.degree = 3")
                 assert [r["n.degree"] for r in rows] == [3]
+            finally:
+                reader.close()
+            assert replica.metrics.value("repl.reads_served") > served
+        finally:
+            replica.stop()
+
+
+    def test_a_refusal_lost_with_the_link_reseeds_on_reconnect(
+            self, served_mdm, client):
+        """The link breaks as the replica sends ``REPL_ERROR``, so the
+        hub never quarantines it; the degraded replica asks for a seed
+        in its next hello and serves again."""
+        mdm, server = served_mdm
+        replica = start_replica(
+            server, name="qd",
+            transport_factory=_feed_tearing_the_first_frame(drop_on_refusal=True),
+        )
+        try:
+            assert wait_serving(replica)
+            seeds_before = replica.metrics.value("repl.seeds_received")
+            client.execute("append to NOTE (degree = 3)")
+            assert wait_until(
+                lambda: replica.metrics.value("repl.crc_failures") == 1
+            )
+            client.execute("append to NOTE (degree = 4)")
+            assert wait_until(
+                lambda: replica.metrics.value("repl.seeds_received") > seeds_before,
+                10.0,
+            )
+            assert wait_applied(replica, client.last_commit_lsn)
+            assert mdm.database.metrics.value("repl.quarantines") == 0
+            reader = MdmClient(server.address, replicas=[replica.address],
+                               client_id="qdr")
+            served = replica.metrics.value("repl.reads_served")
+            try:
+                reader.execute("range of n is NOTE")
+                rows = reader.retrieve("retrieve (n.degree) where n.degree > 2")
+                assert sorted(r["n.degree"] for r in rows) == [3, 4]
             finally:
                 reader.close()
             assert replica.metrics.value("repl.reads_served") > served
