@@ -541,7 +541,7 @@ def storage_report(seconds, row_count=200):
             "table_insert", insert_rows,
             lambda _: len(table) == written["items"],
         )
-        # COPY-style bulk load: one BATCH_INSERT frame + one group-commit
+        # COPY-style bulk load: one commit frame + one group-commit
         # flush per batch instead of a frame + fsync per row.
         suite.time(
             "bulk_ingest",
@@ -613,12 +613,12 @@ def storage_report(seconds, row_count=200):
 
         suite.time("image_open", open_image, lambda rows: rows == loaded)
 
-        # Raw WAL append/fsync rates.
+        # Raw WAL append/fsync rates: commit frames of no change.
         wal = WriteAheadLog(os.path.join(tempdir, "bench.wal"))
 
         def wal_appends():
             for _ in range(row_count):
-                wal.append(1, 1)
+                wal.append_batch((), {})
             wal.flush()
             written["wal"] += row_count
 

@@ -20,9 +20,10 @@
 #   test_group_commit_crash.py          bulk batches and a shared flush
 #                                       killed at every barrier
 #   test_commit_path.py, test_checkpoint_beside_writers.py,
-#   test_failed_commit.py, test_faults.py, test_wal_checksum.py
-#                                       commit-path regressions, the
-#                                       fault layer, log checksums
+#   test_failed_commit.py, test_faults.py, test_wal_checksum.py,
+#   test_statement_commit.py            commit-path regressions, the
+#                                       fault layer, log checksums, a
+#                                       statement as one commit
 #
 # plus tests/storage/test_deferred_index_upkeep.py (open builds each
 # index once); then the size axis: one crash_slow schedule whose

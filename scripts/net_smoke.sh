@@ -5,8 +5,8 @@
 # plus compound disconnect+torn+stall+partition schedules, each checked
 # against the exactly-once oracle (acked writes committed exactly once,
 # nothing committed twice, in-doubt writes resolved by ledger dedup).
-# Includes TestReconnectResume: a feed torn inside a transaction resumes
-# at applied_lsn and installs it exactly once.
+# Includes TestReconnectResume: a torn feed resumes at applied_lsn, and a
+# commit shipped again installs exactly once.
 # Includes the one-serving-loop cases: TestReaderIsolation (a connection
 # owns its QUEL session on the primary as on a replica, reads and
 # writes, and under the concurrent re-declaration race),

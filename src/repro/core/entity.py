@@ -87,8 +87,10 @@ class EntityType:
         coerced = self._coerce_values(values)
         surrogate = self.schema.next_surrogate()
         coerced[SURROGATE_COLUMN] = surrogate
-        row = self.table.insert(coerced)
-        self.schema.register_instance(surrogate, self.name, row.rowid)
+        # The row and its registry entry commit together or not at all.
+        with self.schema.database.transactions.statement():
+            row = self.table.insert(coerced)
+            self.schema.register_instance(surrogate, self.name, row.rowid)
         return EntityInstance(self, surrogate, row.rowid)
 
     def _coerce_values(self, values):
@@ -206,9 +208,11 @@ class EntityInstance:
 
     def delete(self):
         """Delete the instance (orderings/relationships must drop it first)."""
-        self.type.schema.assert_unreferenced(self)
-        self.type.table.delete(self.rowid)
-        self.type.schema.unregister_instance(self.surrogate)
+        schema = self.type.schema
+        schema.assert_unreferenced(self)
+        with schema.database.transactions.statement():
+            self.type.table.delete(self.rowid)
+            schema.unregister_instance(self.surrogate)
 
     def __eq__(self, other):
         if not isinstance(other, EntityInstance):

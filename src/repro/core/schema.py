@@ -19,7 +19,7 @@ from repro.errors import (
 )
 from repro.core.attributes import parse_attribute_spec
 from repro.core.catalog import META_DEFINITIONS, META_ENTITY, META_NAMES, MetaCatalog
-from repro.core.entity import EntityType
+from repro.core.entity import SURROGATE_COLUMN, EntityType
 from repro.core.ordering import Ordering, default_ordering_name
 from repro.core.relationship import RelationshipType
 from repro.storage.database import Database
@@ -62,15 +62,14 @@ class Schema:
                 ("rowid", Domain.INTEGER),
             ])
             self._instances.create_index("surrogate")
-            top = max((row["surrogate"] for row in self._instances), default=0)
-            self._surrogates = itertools.count(top + 1)
             for definition in META_DEFINITIONS:
                 self._register(definition[0], self._build(definition))
             self.meta = MetaCatalog(self)
             self.meta.entity_table.table.create_index("entity_name")
             if stored:
                 self.load()
-            else:
+            self._surrogates = itertools.count(self._top_surrogate() + 1)
+            if not stored:
                 for definition in META_DEFINITIONS:
                     self.meta.record(definition)
 
@@ -214,6 +213,18 @@ class Schema:
 
     def next_surrogate(self):
         return next(self._surrogates)
+
+    def _top_surrogate(self):
+        """The largest surrogate the registry or any entity table holds
+        (0: none).  Both count: a bulk load writes entity rows the
+        registry does not list."""
+        indexes = [self._instances.index_for("surrogate")] + [
+            entity.table.index_for(SURROGATE_COLUMN)
+            for entity in self.entity_types.values()
+        ]
+        # A hash index keys an integer by value_sort_key: (2, float).
+        keys = [index.max_key() for index in indexes]
+        return max((int(key[1]) for key in keys if key is not None), default=0)
 
     def register_instance(self, surrogate, type_name, rowid):
         self._instances.insert(

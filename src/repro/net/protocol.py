@@ -11,7 +11,7 @@ Control frames carry JSON bodies (QUEL text, shell meta-commands,
 structured results and errors); replication data frames carry binary
 bodies: ``REPL_SEED`` a piece of a checkpoint image
 (``repro.storage.image``, checksummed whole), ``REPL_FRAME`` a raw WAL
-record — itself CRC-framed — prefixed by its LSN.
+record (one whole commit or a marker, CRC-framed) prefixed by its LSN.
 
 Every connection opens with a version handshake (``HELLO``/``WELCOME``
 for clients, ``REPL_HELLO`` for replicas); a version mismatch is a
@@ -26,7 +26,7 @@ from fractions import Fraction
 from repro.errors import ProtocolError
 
 #: Bumped on any incompatible frame-layout change.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Frames larger than this are refused outright: a corrupt length field
 #: must fail fast, not allocate gigabytes.

@@ -12,10 +12,10 @@ the primary's fresh seed installs.
 What a verified record does is not decided here: each one goes to the
 same :class:`repro.storage.wal.RedoApplier` crash recovery drives, set
 to install at the commit LSN rather than LSN 0, so apply is MVCC-correct
-under concurrent readers.  The replica's visible LSN advances only once
-a whole commit is in; a reader pinned mid-apply keeps seeing the
-previous consistent state.  As on open, a table exists once its
-storage catalog row is installed, and the schema is loaded from the
+under concurrent readers.  A commit is one frame, and the replica's
+visible LSN advances once it is in; a reader pinned mid-apply keeps
+seeing the previous consistent state.  As on open, a table exists once
+its storage catalog row is installed, and the schema is loaded from the
 meta rows: at the seed's end and after each commit that changed the
 catalog.
 
@@ -174,18 +174,9 @@ class ReplicaServer(WireServer):
     def _resume_lsn(self):
         """Where to resume the feed on a (re)connect: ``applied_lsn``,
         or 0 -- send a seed -- if degraded: the primary may never have
-        heard the ``REPL_ERROR`` that asked for one.
-
-        A torn feed can leave the front of one transaction buffered.
-        It is dropped -- kept, the re-stream would deliver its change
-        frames a second time -- and the primary ships the transaction
-        again from its first frame: a transaction's frames are
-        contiguous in the log, so all of them lie above the last commit
-        point applied.
-        """
+        heard the ``REPL_ERROR`` that asked for one.  A commit is one
+        frame, so a torn feed leaves nothing half applied."""
         with self._applied_cond:
-            if self._state is not None:
-                self._state.redo.discard_buffered()
             return self.applied_lsn if self._serving else 0
 
     def _feed_from(self, transport):
@@ -283,8 +274,6 @@ class ReplicaServer(WireServer):
         with self._applied_cond:
             self._serving = False
             self.last_error = reason
-            if self._state is not None:
-                self._state.redo.discard_buffered()
             self._applied_cond.notify_all()
 
     # -- serving retrieves (replica <- clients, through WireServer) ---------------

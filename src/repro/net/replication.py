@@ -7,10 +7,8 @@ a ``REPL_SEED`` frame a piece, then ``REPL_SEED_END``) and then
 *streamed*: raw WAL frames, each still wearing its on-disk CRC, from the
 seed LSN forward.  Only the durable prefix ships (``stream_frames``
 stops at ``flushed_lsn``), so an acknowledged replica is never ahead of
-the primary's own durability; and because a transaction's frames are
-appended in one hold of the mutex the fsync takes, that prefix — hence
-every seed LSN and every batch — ends between transactions, never
-inside one.
+the primary's own durability; and because a commit is one frame, that
+prefix — hence every seed LSN and every batch — ends between commits.
 
 A replica is quarantined and re-seeded from a fresh snapshot, on the
 same connection, in two cases only: it refused a frame or a seed

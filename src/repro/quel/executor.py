@@ -383,9 +383,10 @@ class QuelSession:
 
         Pre-acquires the exclusive lock on a mutation's target table;
         range-variable tables are share-locked as the binding generator
-        resolves them.  Ephemeral (no-transaction) owners release their
-        locks when the statement ends, success or error; transactional
-        owners keep theirs until commit/abort (strict 2PL).
+        resolves them.  Outside a transaction the statement commits its
+        changes as one when it ends, or undoes them if it raises, and
+        releases its locks; a transaction keeps its own until
+        commit/abort (strict 2PL).
 
         Read statements in *snapshot mode* -- the thread has a pinned
         MVCC snapshot, or the database is degraded with no transaction
@@ -407,17 +408,13 @@ class QuelSession:
             finally:
                 if pin:
                     transactions.unpin_snapshot()
-        owner, ephemeral = transactions.begin_statement()
-        try:
+        with transactions.statement():
             limits = self.limits
             if limits is not None:
                 limits.check_deadline()
             if write_target is not None:
                 database.write_table(write_target())
             return method(compiled)
-        finally:
-            if ephemeral:
-                transactions.end_statement(owner)
 
     @staticmethod
     def _snapshot_read_mode(database):

@@ -11,7 +11,7 @@ from repro.storage.faults import FaultPlan, FaultyFile, SimulatedCrash, fsync_fi
 from repro.storage.row import Row
 from repro.storage.table import Column, Table, TableSchema
 from repro.storage.index import HashIndex, OrderedIndex
-from repro.storage.wal import LogRecord, WriteAheadLog
+from repro.storage.wal import WriteAheadLog
 from repro.storage.lock import LockManager, LockMode
 from repro.storage.transaction import Transaction, TransactionManager, TransactionState
 from repro.storage.database import Database
@@ -30,7 +30,6 @@ __all__ = [
     "TableSchema",
     "HashIndex",
     "OrderedIndex",
-    "LogRecord",
     "WriteAheadLog",
     "LockManager",
     "LockMode",

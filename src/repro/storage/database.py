@@ -174,9 +174,9 @@ class Database:
     def _new_table(self, schema, cls=Table, **extra):
         name = schema.name
         table = cls(
-            schema, journal=self._journal_for(name), guard=self._guard_for(name),
-            metrics=self.metrics, on_schema_change=self.bump_schema_epoch,
-            journal_batch=self._journal_batch_for(name),
+            schema, journal=self.transactions.journal,
+            guard=self._guard_for(name), metrics=self.metrics,
+            on_schema_change=self.bump_schema_epoch,
             snapshot=self.transactions.current_snapshot,
             prune_horizon=self.transactions.prune_horizon, **extra
         )
@@ -336,16 +336,6 @@ class Database:
         """Every table but the storage catalog, sorted."""
         return sorted(name for name in self._tables if name != CATALOG)
 
-    def _journal_for(self, table_name):
-        def journal(action, name, new_row, old_row):
-            self.transactions.journal(action, name, new_row, old_row)
-        return journal
-
-    def _journal_batch_for(self, table_name):
-        def journal_batch(name, rows):
-            self.transactions.journal_insert_batch(name, rows)
-        return journal_batch
-
     def _guard_for(self, table_name):
         """Pre-mutation hook: runs BEFORE a row changes, so a refusal
         (degraded mode) or a wait-die abort leaves the table untouched
@@ -411,10 +401,9 @@ class Database:
     def bulk_ingest(self, table_name, rows, batch_rows=1000):
         """COPY-style bulk load: insert *rows* (dicts) into *table_name*.
 
-        Chunks the input into batches of *batch_rows*; each batch takes
-        the table X lock once, installs its rows with index builds
-        deferred to the end of the batch, and journals one BATCH_INSERT
-        frame whose group-commit flush acknowledges the whole chunk.
+        Chunks the input into batches of *batch_rows*; each batch is one
+        statement: it takes the table X lock once, installs its rows
+        with one index build at the end, and commits as one frame.
         Batches commit as they complete: a failure mid-load leaves the
         already-committed prefix durable (the partially applied batch
         itself is rolled back), which is why running one inside an
@@ -431,13 +420,8 @@ class Database:
         rows = list(rows)
         out = []
         for start in range(0, len(rows), batch_rows):
-            chunk = rows[start:start + batch_rows]
-            owner, ephemeral = self.transactions.begin_statement()
-            try:
-                out.extend(table.insert_many(chunk))
-            finally:
-                if ephemeral:
-                    self.transactions.end_statement(owner)
+            with self.transactions.statement():
+                out.extend(table.insert_many(rows[start:start + batch_rows]))
         return out
 
     # -- locked access helpers (used by the QUEL executor) ---------------------------
@@ -534,7 +518,7 @@ class Database:
             self._log.truncate()
             postings = self._dump_postings()
         # Outside the hold: flush=True waits on a flush ticket.
-        self._log.append(0, wal_module.CHECKPOINT, flush=True)
+        self._log.append(flush=True)
         self._publish_postings(postings)
         self.prune_versions()
         self._checkpoints.inc()

@@ -58,6 +58,9 @@ class HashIndex:
         ascending, as every index's ``lookup`` answers)."""
         return sorted(self._buckets.get(self._key(value), ()))
 
+    def max_key(self):
+        return max(self._buckets, default=None)
+
     def distinct_values(self):
         return len(self._buckets)
 

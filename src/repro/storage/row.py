@@ -3,8 +3,8 @@
 Rows are immutable mappings from column name to value.  The binary form
 is used by the checkpoint image (on disk and as a replica's seed) and
 by the write-ahead log.  A *row run* -- serialized rows, decoded by one
-kernel -- is the body of an image's pieces and of ``BATCH_INSERT`` log
-records, which prefix it with a count.
+kernel -- is the body of an image's pieces and of a log commit's runs
+of rows to install, which prefix it with a count.
 """
 
 import struct

@@ -185,13 +185,13 @@ class Table:
     """A heap of rows plus secondary indexes.
 
     Mutations go through ``insert``/``update``/``delete`` so indexes stay
-    consistent; the optional *journal* callback receives change records
-    the transaction layer turns into WAL entries and undo actions.
+    consistent; the optional *journal* callback receives each
+    mutation's ``(action, table, new_row, old_row)`` changes as one list,
+    which the transaction layer turns into a commit and undo actions.
     """
 
     def __init__(self, schema, journal=None, guard=None, metrics=None,
-                 on_schema_change=None, journal_batch=None, snapshot=None,
-                 prune_horizon=None):
+                 on_schema_change=None, snapshot=None, prune_horizon=None):
         self.schema = schema
         self.name = schema.name
         self._rows = {}
@@ -218,10 +218,6 @@ class Table:
         # create_index can run inside a probe.
         self._latch = threading.RLock()
         self._stale = OrderedDict()
-        # Optional bulk journal hook ``(table_name, rows)``: lets
-        # insert_many log one batched WAL record instead of one frame
-        # per row; absent, the batch journals row by row.
-        self._journal_batch = journal_batch
         # Pre-mutation hook (lock acquisition, read-only refusal): runs
         # before any row or index changes, so its exceptions leave the
         # table exactly as it was.
@@ -582,7 +578,7 @@ class Table:
         if self._inserts is not None:
             self._inserts.inc()
         if self._journal is not None:
-            self._journal("insert", self.name, row, None)
+            self._journal((("insert", self.name, row, None),))
         return row
 
     def insert_many(self, values_list):
@@ -593,8 +589,7 @@ class Table:
         is installed (a bad row rejects the batch with the table
         untouched), secondary-index maintenance is deferred to one
         bulk build per index after all rows land, and the batch is
-        journalled as a unit through *journal_batch* when the table
-        has one (else row by row).
+        journalled as one list of changes.
         """
         if not values_list:
             return []
@@ -617,11 +612,8 @@ class Table:
         self.version += 1
         if self._inserts is not None:
             self._inserts.inc(len(rows))
-        if self._journal_batch is not None:
-            self._journal_batch(self.name, rows)
-        elif self._journal is not None:
-            for row in rows:
-                self._journal("insert", self.name, row, None)
+        if self._journal is not None:
+            self._journal([("insert", self.name, row, None) for row in rows])
         return rows
 
     def update(self, rowid, updates):
@@ -645,7 +637,7 @@ class Table:
         if self._updates is not None:
             self._updates.inc()
         if self._journal is not None:
-            self._journal("update", self.name, new, old)
+            self._journal((("update", self.name, new, old),))
         return new
 
     def delete(self, rowid):
@@ -664,7 +656,7 @@ class Table:
         if self._deletes is not None:
             self._deletes.inc()
         if self._journal is not None:
-            self._journal("delete", self.name, None, old)
+            self._journal((("delete", self.name, None, old),))
         return old
 
     def truncate(self):
@@ -1066,7 +1058,7 @@ class Table:
 
         The one entry point for changes that are committed before they
         reach this table: a checkpoint image's rows, a replica seed's, a
-        redone log record's (a ``BATCH_INSERT``'s whole run at once).
+        redone commit's (each of its runs at once).
         No journal, guard or lock is involved -- the caller (recovery,
         or a replica's single applier thread) is the only writer -- and
         one latch hold covers the run.  A run of rowids the table has

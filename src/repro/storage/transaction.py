@@ -4,20 +4,20 @@ A transaction accumulates a journal of row-level changes in memory and
 reaches the log once, whole, at commit: ``begin()`` and abort touch no
 file, a transaction that wrote nothing commits by releasing its locks,
 and one that did goes through :meth:`TransactionManager._publish` -- the
-one commit path, shared with auto-commit statements and bulk batches --
-which appends all its frames in one hold of the log's append mutex,
-flushes before acknowledging, and on failure undoes the changes in
-reverse order against the in-memory tables.
+one commit path, shared with statements and bulk batches -- which
+appends one ``COMMIT`` frame, flushes before acknowledging, and on
+failure undoes the changes newest first against the in-memory tables.
 
 Two thread-local pieces of context support the session/service layer:
 
 * a **deadline** (absolute ``time.monotonic``) threaded into every lock
   acquisition, so a 100 ms call budget bounds lock waits to 100 ms
   instead of the manager's flat default;
-* a **statement owner**: a lock-table identity for a single statement
-  running outside any transaction (the QUEL executor's auto-commit
-  path), so even lone statements read and write under real S/X locks
-  and release them when the statement ends.
+* a **statement** (:meth:`TransactionManager.statement`): a lock-table
+  identity and a journal for one statement running outside any
+  transaction (the QUEL executor's auto-commit path, a bulk batch, an
+  entity's create or delete), so a lone statement reads and writes
+  under real S/X locks and commits once, as one frame, when it ends.
 
 A storage I/O failure (``OSError``) while publishing to the WAL flips
 the database into read-only degraded mode (see
@@ -44,12 +44,12 @@ Pinned snapshots are registered so checkpoint pruning
 needs.
 """
 
+import contextlib
 import enum
 import itertools
 import threading
 
 from repro.errors import ReadOnlyError, TransactionError
-from repro.storage import wal as wal_module
 from repro.storage.faults import SimulatedCrash
 from repro.storage.lock import LockManager, LockMode
 
@@ -71,13 +71,13 @@ class Transaction:
         self._manager = manager
         self.changes = []  # (action, table_name, new_row, old_row)
 
-    def record(self, action, table_name, new_row, old_row):
+    def record(self, changes):
         if self.state is not TransactionState.ACTIVE:
             raise TransactionError(
                 "transaction %d is %s; cannot record changes"
                 % (self.txn_id, self.state.value)
             )
-        self.changes.append((action, table_name, new_row, old_row))
+        self.changes += changes
 
     def commit(self):
         self._manager._commit(self)
@@ -97,29 +97,17 @@ class Transaction:
         return False
 
 
-_ACTION_TO_KIND = {
-    "insert": wal_module.INSERT,
-    "update": wal_module.UPDATE,
-    "delete": wal_module.DELETE,
-}
-
-# Auto-commit writes one self-committing frame per statement instead of
-# a BEGIN/change/COMMIT triple: the record's presence in the log's
-# valid prefix is the commit point.
-_AUTO_KIND = {
-    "insert": wal_module.AC_INSERT,
-    "update": wal_module.AC_UPDATE,
-    "delete": wal_module.AC_DELETE,
-}
-
-
 class _ThreadState(threading.local):
-    """A thread's transaction state.  ``snapshot`` defaults on the
-    class because every table read asks for it: ``getattr`` with a
+    """A thread's transaction state.  The defaults live on the class
+    because every table read and write asks for them: ``getattr`` with a
     default on a thread-local the thread never set raises and catches
     inside, ten times the cost of finding the attribute."""
 
     snapshot = None
+    txn = None
+    # The open statement's lock owner and journal (statement()).
+    statement_owner = None
+    statement_changes = None
 
 
 class TransactionManager:
@@ -242,7 +230,7 @@ class TransactionManager:
 
     def current(self):
         """The transaction active on this thread, or None."""
-        return getattr(self._local, "txn", None)
+        return self._local.txn
 
     def _next_id(self):
         with self._mutex:
@@ -268,39 +256,42 @@ class TransactionManager:
     def current_deadline(self):
         return getattr(self._local, "deadline", None)
 
-    # -- statement-scoped lock owners ----------------------------------------------
+    # -- statements outside a transaction -----------------------------------------
 
-    def begin_statement(self):
-        """Return ``(owner_id, ephemeral)`` for statement-scoped locking.
-
-        Inside a transaction the transaction is the owner and holds its
-        locks until commit/abort (strict 2PL).  Outside one, a fresh id
-        is allocated for the statement; the caller must pass it to
-        :meth:`end_statement` when the statement finishes (success *or*
-        error), releasing its locks.
-        """
-        txn = self.current()
-        if txn is not None:
-            return txn.txn_id, False
-        existing = getattr(self._local, "statement_owner", None)
-        if existing is not None:
-            return existing, False  # nested statement joins the outer scope
-        owner = self._next_id()
-        self._local.statement_owner = owner
-        return owner, True
-
-    def end_statement(self, owner):
-        """Release an ephemeral statement owner's locks."""
-        if getattr(self._local, "statement_owner", None) == owner:
-            self._local.statement_owner = None
-        self._locks.release_all(owner)
+    @contextlib.contextmanager
+    def statement(self):
+        """Run the block as one statement: outside a transaction, under
+        a lock owner of its own whose locks it releases at the end, and
+        as one commit -- the changes it journals are published together
+        when it ends, or undone, newest first, if it raises.  Inside a
+        transaction, or nested in another statement, it joins that."""
+        local = self._local
+        if local.txn is not None or local.statement_owner is not None:
+            yield
+            return
+        owner = local.statement_owner = self._next_id()
+        changes = local.statement_changes = []
+        try:
+            try:
+                yield
+            except BaseException as exc:
+                if not isinstance(exc, SimulatedCrash):
+                    for change in reversed(changes):
+                        self._undo_change(*change)
+                raise
+            finally:
+                local.statement_owner = local.statement_changes = None
+            if changes:
+                self._publish(changes)
+        finally:
+            self._locks.release_all(owner)
 
     def _lock_owner(self):
         """The lock-table identity for this thread, or None (unlocked)."""
-        txn = self.current()
+        txn = self._local.txn
         if txn is not None:
             return txn.txn_id
-        return getattr(self._local, "statement_owner", None)
+        return self._local.statement_owner
 
     # -- commit stamping (MVCC) ------------------------------------------------
 
@@ -320,60 +311,36 @@ class TransactionManager:
             self._stamp(changes, self._visible_lsn + 1)
             self._visible_lsn += 1
 
-    def journal(self, action, table_name, new_row, old_row):
-        """Table mutation hook: route to the active txn or auto-commit."""
-        txn = self.current()
-        if txn is not None:
-            txn.record(action, table_name, new_row, old_row)
-            return
-        # Auto-commit: one self-committing frame is the whole
-        # transaction (no BEGIN/COMMIT bracket to pay for).
-        self._publish(
-            self._next_id(),
-            ((action, table_name, new_row, old_row),),
-            ((_AUTO_KIND[action], table_name, new_row, old_row),),
-        )
+    def journal(self, changes):
+        """Table mutation hook: *changes* (``(action, table, new_row,
+        old_row)`` each, applied in memory) join this thread's
+        transaction or statement, or else commit at once."""
+        local = self._local
+        if local.txn is not None:
+            local.txn.record(changes)
+        elif local.statement_changes is not None:
+            local.statement_changes += changes
+        else:
+            self._publish(changes)
 
-    def journal_insert_batch(self, table_name, rows):
-        """Journal a bulk insert of *rows* already installed in memory.
-
-        Inside a transaction the rows simply join its journal (commit
-        writes them as ordinary INSERT frames).  Outside one, the whole
-        batch becomes a single self-committing BATCH_INSERT frame:
-        crash recovery replays it all-or-nothing, and one group-commit
-        flush acknowledges the lot.
-        """
-        txn = self.current()
-        if txn is not None:
-            for row in rows:
-                txn.record("insert", table_name, row, None)
-            return
-        self._publish(
-            self._next_id(),
-            [("insert", table_name, row, None) for row in rows],
-            ((wal_module.BATCH_INSERT, table_name, rows, None),),
-        )
-
-    def _publish(self, txn_id, changes, frames):
+    def _publish(self, changes):
         """The one commit path: make *changes*, already applied in
-        memory, durable as *frames* -- or undo them and raise.
+        memory, durable as one ``COMMIT`` frame -- or undo them and
+        raise.
 
-        *frames* are ``(kind, table, row, old_row)`` in log order, the
-        last one the commit point (for BATCH_INSERT, *row* is the row
-        list).  They are appended in one hold of the log's append
-        mutex, so the run is contiguous and nothing durable, shipped or
-        pinned ever ends inside it.  The versions are stamped with the
-        commit point's LSN before the hold ends: a group-commit leader
+        The frame is appended and the versions are stamped with its LSN
+        in one hold of the log's append mutex: a group-commit leader
         needs the same mutex to fsync, so the stamps are published
         strictly before ``flushed_lsn`` -- hence any snapshot -- can
-        reach that LSN.  The commit is acknowledged after its flush.
+        reach that LSN, and nothing durable, shipped or pinned ever ends
+        between the two.  The commit is acknowledged after its flush.
 
         Any failure means the transaction did not happen: the changes
         are unstamped and undone newest-first (no reader can have
         pinned a snapshot covering them -- ``flushed_lsn`` never reached
-        the commit point), and an ``OSError`` also degrades the
-        database to read-only.  The frames a failed flush leaves behind
-        are cut away before writes resume (``exit_degraded``).  Only a
+        the commit's LSN), and an ``OSError`` also degrades the
+        database to read-only.  The frame a failed flush leaves behind
+        is cut away before writes resume (``exit_degraded``).  Only a
         ``SimulatedCrash`` leaves memory as it is: the process is
         modelled as dead and the crash oracle inspects the state it
         died in.
@@ -383,27 +350,20 @@ class TransactionManager:
             # In-memory database: stamping *is* the commit point.
             self._stamp_local(changes)
             return
-        # The column orders of the tables the frames name, not of every
-        # table the database holds.
+        # The column orders of the tables the changes name, not of
+        # every table the database holds.
         orders = {
             table: self._database.table(table).schema.column_names()
-            for table in {frame[1] for frame in frames} if table is not None
+            for table in {change[1] for change in changes}
         }
         stamped = False
         try:
             self._database.assert_writable()
             with log._mutex:
-                for kind, table, row, old_row in frames:
-                    if kind == wal_module.BATCH_INSERT:
-                        record = log.append_batch(txn_id, table, row, orders)
-                    else:
-                        record = log.append(
-                            txn_id, kind, table=table, row=row,
-                            old_row=old_row, column_orders=orders,
-                        )
-                self._stamp(changes, record.lsn)
+                lsn = log.append_batch(changes, orders)
+                self._stamp(changes, lsn)
                 stamped = True
-            log.commit_flush(record.lsn, deadline=self.current_deadline())
+            log.commit_flush(lsn, deadline=self.current_deadline())
         except BaseException as exc:
             if isinstance(exc, SimulatedCrash):
                 raise
@@ -471,13 +431,7 @@ class TransactionManager:
             # An empty write set has nothing to make durable: the commit
             # is the lock release, on a healthy or a degraded database.
             if txn.changes:
-                frames = [(wal_module.BEGIN, None, None, None)]
-                frames += [
-                    (_ACTION_TO_KIND[action], table_name, new_row, old_row)
-                    for action, table_name, new_row, old_row in txn.changes
-                ]
-                frames.append((wal_module.COMMIT, None, None, None))
-                self._publish(txn.txn_id, txn.changes, frames)
+                self._publish(txn.changes)
             state = TransactionState.COMMITTED
         finally:
             self._finish(txn, state)

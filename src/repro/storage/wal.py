@@ -1,36 +1,35 @@
 """Write-ahead logging and REDO.
 
-Every committed mutation is appended to the log before the transaction
-acknowledges commit; redo applies only the changes of transactions whose
-commit point made it to stable storage.  This is the "recovery" service
-section 2 requires of the MDM.  What a record does to a table is decided
-in one place, :class:`RedoApplier`, which crash recovery
-(:func:`replay`) feeds from the log file and a WAL-shipping replica
-feeds from shipped frames -- a replica's state is by construction what
-the primary itself would recover.
+Every commit is appended to the log before it is acknowledged; redo
+applies only commits that reached stable storage -- the "recovery"
+service section 2 requires of the MDM.  What a record does to a table
+is decided in one place, :class:`RedoApplier`, fed by crash recovery
+(:func:`replay`) from the file and by a replica from shipped frames, so
+a replica's state is by construction what the primary would recover.
 
-On-disk framing is ``<length:I><crc32:I><payload>`` per record, where
-the CRC covers the payload.  The tail scan stops at the first frame
-that is torn (runs past end-of-file) or fails its checksum; everything
-from that point on is discarded and, at open, physically truncated
-away — the ARIES-style rule that the log's valid prefix *is* the log.
-Without the truncation a corrupt record would hide every record behind
-it while leaving their LSNs on disk, so a reopened log could hand out
-duplicate LSNs; see ``_scan``.
+A record is ``<length:I><crc32:I><payload>``, the CRC over the payload.
+The tail scan stops at the first frame that is torn or fails its
+checksum, and at open the file is cut there -- the valid prefix *is*
+the log; kept, a corrupt record would hide the ones behind it while
+their LSNs stayed on disk (``_scan``).  The payload, little-endian::
 
-A transaction reaches the log once, whole, at commit: its frames are
-appended in one hold of the append mutex
-(``TransactionManager._publish``) and the fsync takes the same mutex, so
-the durable prefix -- ``flushed_lsn``, every ``stream_frames`` batch,
-every pinned snapshot and seed LSN -- always ends between transactions.
-``BEGIN`` is the first frame of such a run and ``COMMIT`` its last; an
-abort touches no file.
+    payload := <lsn:Q> <kind:B> run*          a CHECKPOINT has no runs
+    run     := <op:B> <name:H> <size:I> name body
+    body    := a row run (_INSTALL_RUN: repro.storage.row's encoder)
+             | <rowid:q>*                     (_REMOVE_RUN)
 
-The file opens with :data:`LOG_HEADER`, a magic string and the format
+A ``COMMIT`` is one whole commit -- a transaction's, a statement's or a
+bulk batch's, from ``TransactionManager._publish`` -- its changes in
+order, consecutive ones of one table and kind folded into a run; a
+``CHECKPOINT`` is a checkpoint's marker.  So a commit lands whole or not
+at all, and the durable prefix -- ``flushed_lsn``, every
+``stream_frames`` batch, every snapshot and seed LSN -- ends between
+commits.  The file opens with :data:`LOG_HEADER`, magic and format
 byte: a log of any other format is refused, never misread.
 """
 
 import contextlib
+import itertools
 import logging
 import os
 import struct
@@ -45,93 +44,46 @@ from repro.storage.row import decode_row_run, encode_row_run
 
 logger = logging.getLogger(__name__)
 
-# Record kinds.  6 (an abort record) and 12/13 (text-index DDL, now a
-# catalog row) are retired numbers: no writer emits them.
-BEGIN = 1
-INSERT = 2
-UPDATE = 3
-DELETE = 4
+# Record kinds.  Every other number is retired: no writer emits it.
 COMMIT = 5
 CHECKPOINT = 7
-# Self-committing change records: the record's presence in the log's
-# valid prefix IS the commit point — no separate BEGIN/COMMIT frames.
-# Auto-commit writes exactly one AC_* frame per statement (one frame
-# where the old write path paid three), and bulk ingest writes one
-# BATCH_INSERT frame per batch of rows, so a torn tail makes a whole
-# batch durable or absent, never a prefix of it.
-AC_INSERT = 8
-AC_UPDATE = 9
-AC_DELETE = 10
-BATCH_INSERT = 11
-
-_KIND_NAMES = {
-    BEGIN: "BEGIN",
-    INSERT: "INSERT",
-    UPDATE: "UPDATE",
-    DELETE: "DELETE",
-    COMMIT: "COMMIT",
-    CHECKPOINT: "CHECKPOINT",
-    AC_INSERT: "AC-INSERT",
-    AC_UPDATE: "AC-UPDATE",
-    AC_DELETE: "AC-DELETE",
-    BATCH_INSERT: "BATCH-INSERT",
-}
-
-#: Kinds whose presence alone marks their transaction committed.
-SELF_COMMITTING = frozenset((AC_INSERT, AC_UPDATE, AC_DELETE, BATCH_INSERT))
 
 #: The log's format number, and the bytes every log file begins with.
-LOG_FORMAT = 3
+LOG_FORMAT = 4
 LOG_HEADER = b"MDM-WAL" + bytes((LOG_FORMAT,))
 
 #: Frame header: payload length, CRC32 of the payload.
 _FRAME = struct.Struct("<II")
-_BODY = struct.Struct("<QQBH I I")
+#: Payload head: LSN, kind.  Run head: what it does, name and body sizes.
+_HEAD = struct.Struct("<QB")
+_RUN = struct.Struct("<BHI")
+# What a run does: install its rows, or delete its rowids.
+_INSTALL_RUN = 0
+_REMOVE_RUN = 1
 
 
-class LogRecord:
-    """One log entry: (lsn, txn, kind, table, row-image)."""
-
-    __slots__ = ("lsn", "txn_id", "kind", "table", "row", "old_row")
-
-    def __init__(self, lsn, txn_id, kind, table=None, row=None, old_row=None):
-        self.lsn = lsn
-        self.txn_id = txn_id
-        self.kind = kind
-        self.table = table
-        self.row = row
-        self.old_row = old_row
-
-    def __repr__(self):
-        return "LogRecord(lsn=%d, txn=%d, %s, table=%r)" % (
-            self.lsn,
-            self.txn_id,
-            _KIND_NAMES.get(self.kind, self.kind),
-            self.table,
-        )
-
-
-def _encode_record(record, column_orders):
-    table_bytes = (record.table or "").encode("utf-8")
-    if record.row is not None:
-        order = column_orders[record.table]
-        row_bytes = record.row.serialize(order)
-    else:
-        row_bytes = b""
-    if record.old_row is not None:
-        order = column_orders[record.table]
-        old_bytes = record.old_row.serialize(order)
-    else:
-        old_bytes = b""
-    body = _BODY.pack(
-        record.lsn,
-        record.txn_id,
-        record.kind,
-        len(table_bytes),
-        len(row_bytes),
-        len(old_bytes),
-    )
-    return body + table_bytes + row_bytes + old_bytes
+def _encode_runs(changes, column_orders, out):
+    """Append a commit's runs (module docstring) to the bytearray *out*:
+    *changes* are the journal's ``(action, table, new_row, old_row)``;
+    the rows of a table are serialized by ``column_orders[table]``.
+    Written in place, so a large commit is held once, not per run."""
+    for (removes, table), group in itertools.groupby(
+        changes, key=lambda change: (change[0] == "delete", change[1])
+    ):
+        name = table.encode("utf-8")
+        head = len(out)
+        out += bytes(_RUN.size) + name
+        if removes:
+            rowids = [old_row.rowid for _, _, _, old_row in group]
+            out += struct.pack("<%dq" % len(rowids), *rowids)
+            op = _REMOVE_RUN
+        else:
+            rows = [new_row for _, _, new_row, _ in group]
+            for piece in encode_row_run(rows, column_orders[table]):
+                out += piece
+            op = _INSTALL_RUN
+        size = len(out) - head - _RUN.size - len(name)
+        _RUN.pack_into(out, head, op, len(name), size)
 
 
 class WriteAheadLog:
@@ -148,9 +100,8 @@ class WriteAheadLog:
     monotone across checkpoints and a WAL-shipping replica can order
     records across them.
 
-    **Group commit.**  A committing transaction appends its frames (in
-    one hold of the append mutex) and
-    then calls :meth:`commit_flush` with its COMMIT record's LSN.
+    **Group commit.**  A committing transaction appends its frame and
+    then calls :meth:`commit_flush` with its LSN.
     Whichever thread reaches the flush point while no flush is in
     flight becomes the *leader*: it fsyncs once on behalf of every
     record appended so far.  Threads arriving while that fsync is in
@@ -164,7 +115,7 @@ class WriteAheadLog:
     **Failure.**  The first ``OSError`` out of a write or an fsync
     *poisons* the log: every waiting and later append and flush raises,
     so no commit can be acknowledged by a later fsync that would also
-    make its failed neighbour's frames durable.  Nothing acknowledged
+    make its failed neighbour's frame durable.  Nothing acknowledged
     lies past the byte offset the last successful fsync covered;
     :meth:`discard_unsynced` cuts the file back to it and lifts the
     poison.
@@ -190,10 +141,8 @@ class WriteAheadLog:
         self._commits_synced = metrics.counter("wal.commits_synced")
         self._commits_per_fsync = metrics.gauge("wal.commits_per_fsync")
         self._flush_waits = metrics.histogram("wal.flush_wait_seconds")
-        # Serializes appends and fsyncs.  A transaction appends all its
-        # frames in one hold (re-entrant: append() takes it again
-        # inside) and the fsync runs under it too, so the durable
-        # prefix is always a whole number of transactions.
+        # Serializes appends and fsyncs.  Re-entrant: a committer holds
+        # it over its append and its stamps (TransactionManager._publish).
         self._mutex = threading.RLock()
         # Flush tickets: _flushed_lsn is the highest durable LSN;
         # _flush_leading is True while some thread's fsync is in
@@ -221,7 +170,7 @@ class WriteAheadLog:
         max_lsn = changed = base_lsn
         for entry in entries:
             max_lsn = max(max_lsn, entry[0])
-            if entry[2] != CHECKPOINT:
+            if entry[1] != CHECKPOINT:
                 changed = max(changed, entry[0])
         self._next_lsn = max_lsn + 1
         self._flushed_lsn = max_lsn
@@ -270,41 +219,33 @@ class WriteAheadLog:
         posting stream (``Database``) is matched by."""
         return self._change_lsn
 
-    def append(self, txn_id, kind, table=None, row=None, old_row=None,
-               column_orders=None, flush=False):
-        """Append a record; returns its LogRecord."""
+    def append(self, flush=False):
+        """Append a ``CHECKPOINT`` marker; returns its LSN."""
         with self._mutex:
-            record = LogRecord(self._next_lsn, txn_id, kind, table, row, old_row)
+            lsn = self._next_lsn
             self._next_lsn += 1
-            payload = _encode_record(record, column_orders or {})
-            self._append_frame(payload)
-            if kind != CHECKPOINT:
-                self._change_lsn = record.lsn
+            self._append_frame(_HEAD.pack(lsn, CHECKPOINT))
         # The flush happens outside the mutex: waiting on a flush
         # ticket while holding the append mutex would deadlock against
         # the leader, which needs the mutex to fsync.
         if flush:
-            self.sync_to(record.lsn)
-        return record
+            self.sync_to(lsn)
+        return lsn
 
-    def append_batch(self, txn_id, table, rows, column_orders):
-        """Append one self-committing BATCH_INSERT frame covering *rows*.
-
-        The whole batch lands in a single checksummed frame, so crash
-        recovery replays it all-or-nothing; returns its LogRecord.
-        """
-        table_bytes = table.encode("utf-8")
-        row_bytes = b"".join(encode_row_run(rows, column_orders[table]))
+    def append_batch(self, changes, column_orders):
+        """Append one commit: a ``COMMIT`` frame holding *changes*
+        (``(action, table, new_row, old_row)`` in order; the rows of a
+        table serialized by ``column_orders[table]``); returns its LSN.
+        Recovery replays the frame whole or, torn, not at all."""
+        payload = bytearray(_HEAD.size)
+        _encode_runs(changes, column_orders, payload)
         with self._mutex:
-            record = LogRecord(self._next_lsn, txn_id, BATCH_INSERT, table)
+            lsn = self._next_lsn
             self._next_lsn += 1
-            body = _BODY.pack(
-                record.lsn, txn_id, BATCH_INSERT, len(table_bytes),
-                len(row_bytes), 0,
-            )
-            self._append_frame(body + table_bytes + row_bytes)
-            self._change_lsn = record.lsn
-        return record
+            _HEAD.pack_into(payload, 0, lsn, COMMIT)
+            self._append_frame(payload)
+            self._change_lsn = lsn
+        return lsn
 
     def _take_opened(self):
         """The valid prefix as :meth:`_scan` found it at open, once,
@@ -539,8 +480,8 @@ class WriteAheadLog:
         """Parse the log's valid prefix.
 
         Returns ``(entries, valid_end, corruption)`` where *entries* is
-        a list of ``(lsn, txn, kind, table, row_bytes, old_bytes)``
-        tuples, *valid_end* the byte offset just past the last good
+        a list of ``(lsn, kind, runs)`` (:func:`decode_frame`),
+        *valid_end* the byte offset just past the last good
         record, and *corruption* a message describing why the scan
         stopped early (None for a clean log; a torn frame at the very
         end of the file is normal crash residue, reported so the tail
@@ -604,9 +545,8 @@ def _parse_frame(data, offset):
     The one frame parser: the open-time scan, the shipper and the
     replica all go through it, so they cannot disagree on which bytes
     are a valid record.  Returns ``(record, end)`` -- *record* the
-    ``(lsn, txn_id, kind, table, row_bytes, old_bytes)`` fields (*table*
-    ``""`` when the record names none), *end* the offset just past the
-    frame.  Raises :class:`RecoveryError` naming the defect.
+    ``(lsn, kind, runs)`` of :func:`decode_frame`, *end* the offset just
+    past the frame.  Raises :class:`RecoveryError` naming the defect.
     """
     start = offset + _FRAME.size
     if start > len(data):
@@ -618,29 +558,35 @@ def _parse_frame(data, offset):
     payload = data[start:end]
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise RecoveryError("checksum mismatch at offset %d" % offset)
-    if length < _BODY.size:
+    if length < _HEAD.size:
         raise RecoveryError("short record body at offset %d" % offset)
-    lsn, txn_id, kind, table_len, row_len, old_len = _BODY.unpack_from(payload, 0)
-    cursor = _BODY.size
-    if cursor + table_len + row_len + old_len != length:
-        raise RecoveryError("inconsistent lengths at offset %d" % offset)
-    try:
-        table = payload[cursor:cursor + table_len].decode("utf-8")
-    except UnicodeDecodeError:
-        raise RecoveryError("undecodable table name at offset %d" % offset)
-    cursor += table_len
-    row_bytes = payload[cursor:cursor + row_len]
-    old_bytes = payload[cursor + row_len:]
-    return (lsn, txn_id, kind, table, row_bytes, old_bytes), end
+    lsn, kind = _HEAD.unpack_from(payload, 0)
+    runs = []
+    cursor = _HEAD.size
+    while cursor < length:
+        if cursor + _RUN.size > length:
+            raise RecoveryError("torn run header at offset %d" % offset)
+        op, name_len, size = _RUN.unpack_from(payload, cursor)
+        cursor += _RUN.size
+        body_at = cursor + name_len
+        if body_at + size > length:
+            raise RecoveryError("inconsistent lengths at offset %d" % offset)
+        try:
+            table = payload[cursor:body_at].decode("utf-8")
+        except UnicodeDecodeError:
+            raise RecoveryError("undecodable table name at offset %d" % offset)
+        cursor = body_at + size
+        runs.append((op, table, payload[body_at:cursor]))
+    return (lsn, kind, runs), end
 
 
 def decode_frame(frame):
-    """Parse one raw on-disk frame into its record fields.
+    """Parse one raw on-disk frame into ``(lsn, kind, runs)``, each run
+    an ``(op, table, body)`` of the module docstring's layout.
 
     Verifies the frame's CRC and length bookkeeping -- the integrity
-    check a WAL-shipping replica runs on every received record -- and
-    returns ``(lsn, txn_id, kind, table, row_bytes, old_bytes)``.
-    Raises :class:`RecoveryError` on any corruption.
+    check a WAL-shipping replica runs on every received record.  Raises
+    :class:`RecoveryError` on any corruption.
     """
     record, end = _parse_frame(frame, 0)
     if end != len(frame):
@@ -653,81 +599,59 @@ def decode_frame(frame):
 class RedoApplier:
     """The one interpreter of log records: what each kind does to a table.
 
-    Fed records in log order through :meth:`apply`.  An explicit
-    transaction's change frames are one contiguous run from its BEGIN,
-    buffered until its COMMIT; any other commit point installs at once.
-    A BEGIN drops whatever run a crashed process left unfinished; a
-    change frame or COMMIT outside its transaction's run raises
-    :class:`RecoveryError`.  *stamp_commits* picks the LSN installed
-    versions carry: False (crash recovery) LSN 0, visible to every
-    snapshot; True (a replica serving pinned readers) the commit's own.
+    Fed records in log order through :meth:`apply`.  A ``COMMIT``
+    installs its runs in order, each with one
+    ``Table.install_committed`` call.  *stamp_commits* picks the LSN
+    installed versions carry: False (crash recovery) LSN 0, visible to
+    every snapshot; True (a replica serving pinned readers) the
+    commit's own.
 
-    ``applied_lsn`` is the newest commit point installed; one at or
-    below it is skipped, so a re-shipped commit, or one a checkpoint
-    image already holds, installs exactly once.  A schema change is one
-    more commit: its storage catalog rows make the tables.
+    ``applied_lsn`` is the newest record installed; one at or below it
+    is skipped, so a re-shipped commit, or one a checkpoint image
+    already holds, installs exactly once.  A schema change is one more
+    commit: its storage catalog rows make the tables.
     """
 
     def __init__(self, database, stamp_commits, applied_lsn=0):
         self._database = database
         self._stamp_commits = stamp_commits
         self.applied_lsn = applied_lsn
-        # (txn_id, [change, ...]) of the run since the open BEGIN
-        self._run = None
 
-    def apply(self, lsn, txn_id, kind, table, row_bytes, old_bytes):
-        """Apply one record; True when it installed a commit point
-        (visibility advanced to *lsn*)."""
-        if kind == BEGIN:
-            self._run = (txn_id, [])
-            return False
-        run, self._run = self._run, None
-        if kind in (INSERT, UPDATE, DELETE, COMMIT) and (
-            run is None or run[0] != txn_id
-        ):
-            raise RecoveryError(
-                "%s frame at LSN %d outside transaction %d's run"
-                % (_KIND_NAMES[kind], lsn, txn_id)
-            )
-        if kind in (INSERT, UPDATE, DELETE):
-            run[1].append((kind, table, row_bytes, old_bytes))
-            self._run = run
-            return False
+    def apply(self, lsn, kind, runs):
+        """Apply one record; True when it installed it (visibility
+        advanced to *lsn*)."""
         if lsn <= self.applied_lsn:
             return False
         if kind == COMMIT:
-            for change in run[1]:
-                self._install(lsn, *change)
+            for run in runs:
+                self._install(lsn, *run)
         elif kind == CHECKPOINT:
             # The primary pruned its version chains here; so does a
             # replica.  Recovery installs at LSN 0, one version a chain:
             # nothing to prune.
             if self._stamp_commits:
                 self._database.prune_versions()
-        elif kind in SELF_COMMITTING:
-            self._install(lsn, kind, table, row_bytes, old_bytes)
         else:
             raise RecoveryError("unknown log record kind %d" % kind)
         self.applied_lsn = lsn
         return True
 
-    def _install(self, commit_lsn, kind, table_name, row_bytes, old_bytes):
+    def _install(self, commit_lsn, op, table_name, body):
         if not self._database.has_table(table_name):
             raise RecoveryError("log references unknown table %r" % table_name)
         table = self._database.table(table_name)
-        order = table.schema.column_names()
         lsn = commit_lsn if self._stamp_commits else 0
-        if kind == BATCH_INSERT:
-            table.install_committed(lsn, decode_row_run(row_bytes, order))
-        elif kind in (DELETE, AC_DELETE):
-            (old_row,) = decode_row_run(old_bytes, order, count=1)
-            table.install_committed(lsn, (), (old_row.rowid,))
+        if op == _INSTALL_RUN:
+            order = table.schema.column_names()
+            table.install_committed(lsn, decode_row_run(body, order))
+        elif op == _REMOVE_RUN and len(body) % 8 == 0:
+            rowids = struct.unpack("<%dq" % (len(body) // 8), body)
+            table.install_committed(lsn, (), rowids)
         else:
-            table.install_committed(lsn, decode_row_run(row_bytes, order, count=1))
-
-    def discard_buffered(self):
-        """Forget the unfinished transaction's frames."""
-        self._run = None
+            raise RecoveryError(
+                "malformed run (op %d, %d bytes) for table %r"
+                % (op, len(body), table_name)
+            )
 
 
 def replay(log, database, applied_lsn=0):

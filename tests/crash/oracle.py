@@ -514,7 +514,7 @@ class Workload:
         )
 
     def bulk(self):
-        """2-12 rows into ``t``, a self-committing batch of five at a time."""
+        """2-12 rows into ``t``, a batch of five at a time, a commit each."""
         rows = []
         for _ in range(self.rng.randint(2, 12)):
             self.serial += 1

@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.storage import wal as wal_module
 from repro.storage.database import Database
 
 pytestmark = pytest.mark.crash
@@ -97,9 +96,9 @@ def test_checkpoint_does_not_wait_on_a_leader_parked_on_the_mutex(tmp_path):
         # parks; the checkpoint re-enters it and, at the last step
         # inside its own hold, drops the outer one.
         log._mutex.acquire()
-        record = log.append(0, wal_module.CHECKPOINT)  # not yet durable
+        lsn = log.append()  # a CHECKPOINT marker, not yet durable
         leader = threading.Thread(
-            target=lambda: roles.append(log.commit_flush(record.lsn))
+            target=lambda: roles.append(log.commit_flush(lsn))
         )
         leader.start()
         while not log._flush_leading:

@@ -1,11 +1,11 @@
 """The commit path's invariant, and what stopped happening.
 
-A transaction reaches the log once, whole, at commit: its frames are
-appended in one hold of the log's append mutex, and the fsync takes the
-same mutex.  So, whatever the threads do,
+A transaction reaches the log once, whole, at commit: as one frame,
+appended under the log's append mutex, which the fsync takes too.  So,
+whatever the threads do,
 
-* every explicit transaction is one contiguous ``BEGIN ... COMMIT`` run
-  in ``wal.log`` and an aborted one leaves no frame;
+* every commit -- a transaction's, a statement's, a bulk batch's -- is
+  one frame in ``wal.log`` and an aborted transaction leaves none;
 * ``flushed_lsn``, the last LSN of every ``stream_frames()`` batch and
   hence every pinned snapshot and seed LSN is a commit point (or the
   base LSN) -- never a frame inside a transaction;
@@ -30,35 +30,18 @@ from tests.stress.harness import NOTE_TABLE, build_mdm
 
 pytestmark = pytest.mark.crash
 
-_CHANGES = (wal_module.INSERT, wal_module.UPDATE, wal_module.DELETE)
-
-
 def _commit_points(path):
-    """Parse *path* frame by frame; returns ``(commit point LSNs,
-    BEGIN count)`` after asserting every run is contiguous."""
+    """The LSNs of *path*'s commit points: every non-``CHECKPOINT``
+    frame."""
     with open(path, "rb") as handle:
         data = handle.read()
-    points, begins, open_txn = set(), 0, None
+    points = set()
     offset = len(wal_module.LOG_HEADER)
     while offset < len(data):
-        (lsn, txn, kind, _, _, _), offset = wal_module._parse_frame(data, offset)
-        where = "LSN %d (txn %d, kind %d) inside txn %r" % (lsn, txn, kind, open_txn)
-        if kind == wal_module.BEGIN:
-            assert open_txn is None, where
-            open_txn = txn
-            begins += 1
-        elif kind in _CHANGES:
-            assert open_txn == txn, where
-        elif kind == wal_module.COMMIT:
-            assert open_txn == txn, where
-            open_txn = None
+        (lsn, kind, _), offset = wal_module._parse_frame(data, offset)
+        if kind != wal_module.CHECKPOINT:
             points.add(lsn)
-        else:  # self-committing kinds
-            assert open_txn is None, where
-            assert kind in wal_module.SELF_COMMITTING, where
-            points.add(lsn)
-    assert open_txn is None, "log ends inside txn %r" % open_txn
-    return points, begins
+    return points
 
 
 def _contiguity_run(tmp_path, seed, threads, ops):
@@ -115,20 +98,18 @@ def _contiguity_run(tmp_path, seed, threads, ops):
                         txn.abort()  # wait-die victim: leaves no frame
                         mine.extend(gone)
                     continue
-                # Self-committing statements; one that dies in wait-die
+                # Statements, a commit each; one that dies in wait-die
                 # does so in the guard, before it touched anything.
                 table = rng.choice(tables)
                 try:
                     if roll < 0.85:
-                        owner, _ = db.transactions.begin_statement()
-                        try:
+                        with db.transactions.statement():
                             rows = [table.insert({"k": index, "v": op})]
-                        finally:
-                            db.transactions.end_statement(owner)
                     else:
                         rows = db.bulk_ingest(
                             table.name, [{"k": index, "v": op}] * 3
                         )
+                    committed[index] += 1
                     mine.extend((table, row.rowid) for row in rows)
                 except (DeadlockError, LockTimeoutError):
                     pass
@@ -154,9 +135,9 @@ def _contiguity_run(tmp_path, seed, threads, ops):
     base = log.base_lsn
     db.close()
 
-    points, begins = _commit_points(os.path.join(db.path, "wal.log"))
-    # One run per table's DDL commit and per commit, none per abort.
-    assert begins == len(tables) + sum(committed) > len(tables)
+    points = _commit_points(os.path.join(db.path, "wal.log"))
+    # One frame per table's DDL commit and per commit, none per abort.
+    assert len(points) == len(tables) + sum(committed) > len(tables)
     assert flushed_seen <= points | {base}, sorted(flushed_seen - points)
     assert set(batch_ends) <= points, sorted(set(batch_ends) - points)
     assert len(batch_ends) > 1

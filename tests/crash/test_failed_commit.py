@@ -2,7 +2,7 @@
 
 When a write or an fsync of a commit raises ``OSError`` the client is
 told so, memory is rolled back and the database degrades -- but the
-frames may already sit in ``wal.log``.  The log remembers the byte its
+frame may already sit in ``wal.log``.  The log remembers the byte its
 last successful fsync covered, refuses everything after the first
 failure (so no later fsync can make a failed neighbour durable while
 acknowledging a rider), and ``exit_degraded()`` cuts the file back to
@@ -30,8 +30,9 @@ def _in_a_transaction(db, k):
 
 
 WRITERS = {
-    # name -> (a commit of rows keyed k, the log writes it makes)
-    "transaction": (_in_a_transaction, 4),  # BEGIN, two changes, COMMIT
+    # name -> (a commit of rows keyed k, the log writes it makes: one
+    # frame, whatever wrote it)
+    "transaction": (_in_a_transaction, 1),
     "auto-commit": (lambda db, k: db.table("t").insert({"k": k}), 1),
     "bulk batch": (lambda db, k: db.bulk_ingest("t", [{"k": k}] * 3), 1),
 }
@@ -165,7 +166,7 @@ class _FlakyFsyncFile:
 
 def test_a_rider_is_not_acknowledged_past_a_failed_leader(tmp_path):
     """Two commits are appended, one leads the fsync and it fails.  A
-    second fsync would succeed -- and would make the leader's frames,
+    second fsync would succeed -- and would make the leader's frame,
     reported failed, as durable as the rider's.  So the rider fails
     too, and the cut removes both."""
     box = {}

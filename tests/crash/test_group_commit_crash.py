@@ -3,8 +3,7 @@
 Two shapes beyond the oracle's workload, run and crashed by its drivers
 (``tests/crash/oracle.py``: ``probe``, then ``crash`` at each barrier):
 
-* **bulk ingest**: each batch is one self-committing BATCH_INSERT
-  frame, so recovery after a crash at any barrier must produce a
+* **bulk ingest**: each batch is one commit, one frame, so recovery after a crash at any barrier must produce a
   whole-batch prefix of the load — never a partial batch;
 * **concurrent commits through one leader**: several threads
   auto-commit while sharing flushes; a crash during the leader's fsync

@@ -14,7 +14,7 @@ WAL-shipping replica feeds it shipped frames.  Two checks live here:
   rebuild-from-rows oracle (the live side got there by per-row upkeep,
   recovery and the seed by one deferred build each);
 * malformed redo input -- a cut or flipped checkpoint image, on disk
-  or as a replica's seed, a ``BATCH_INSERT`` body shorter than its
+  or as a replica's seed, a commit's run of rows shorter than its
   count, a storage catalog row of the wrong shape, a log or image of
   another format -- raises a typed ``repro.errors`` exception from every
   carrier, never a bare ``struct.error`` and never other rows.
@@ -96,22 +96,24 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
 # -- malformed redo input ------------------------------------------------------
 
 
-def _wal_frame(lsn, kind, table, row_bytes):
-    """A well-framed (CRC-valid) log record with an arbitrary body."""
+def _wal_frame(lsn, table, row_bytes):
+    """A well-framed (CRC-valid) commit of one run of rows to install,
+    *row_bytes* whatever they are."""
     name = table.encode("utf-8")
-    payload = wal_module._BODY.pack(
-        lsn, 1, kind, len(name), len(row_bytes), 0
-    ) + name + row_bytes
+    payload = (
+        wal_module._HEAD.pack(lsn, wal_module.COMMIT)
+        + wal_module._RUN.pack(wal_module._INSTALL_RUN, len(name), len(row_bytes))
+        + name + row_bytes
+    )
     return wal_module._FRAME.pack(
         len(payload), zlib.crc32(payload) & 0xFFFFFFFF
     ) + payload
 
 
 def _short_batch_frame(lsn=1):
-    """A BATCH_INSERT that promises three rows and carries one."""
+    """A commit whose run promises three rows and carries one."""
     return _wal_frame(
-        lsn, wal_module.BATCH_INSERT, "t",
-        struct.pack("<I", 3) + Row(1, {"v": 1}).serialize(["v"]),
+        lsn, "t", struct.pack("<I", 3) + Row(1, {"v": 1}).serialize(["v"]),
     )
 
 
@@ -159,8 +161,7 @@ def _open_batch_cut_at_a_tag(tmp_path):
     db.close()
     with open(os.path.join(path, "wal.log"), "ab") as handle:
         handle.write(_wal_frame(
-            100, wal_module.BATCH_INSERT, "t",
-            struct.pack("<I", 1) + Row(1, {"v": 1}).serialize(["v"])[:10],
+            100, "t", struct.pack("<I", 1) + Row(1, {"v": 1}).serialize(["v"])[:10],
         ))
     Database(path)
 
@@ -176,10 +177,10 @@ def _open_misshapen(column, value):
         entry = {"table_name": "u", "columns": '[["title", "string"]]',
                  "text_indexed": "[]", column: value}
         with wal_module.WriteAheadLog(os.path.join(path, "wal.log")) as log:
-            log.append(
-                0, wal_module.AC_INSERT, table=CATALOG, row=Row(99, entry),
-                column_orders={CATALOG: list(entry)}, flush=True,
+            log.append_batch(
+                [("insert", CATALOG, Row(99, entry), None)], {CATALOG: list(entry)}
             )
+            log.flush()
         with pytest.raises(RecoveryError, match="catalog row"):
             Database(path)
         Database(path)
@@ -188,7 +189,7 @@ def _open_misshapen(column, value):
 
 def _open_another_format(filename, content):
     """Open a directory whose *filename* holds *content*: what an
-    earlier format wrote, a bare frame log or a format-2 log."""
+    earlier format wrote, a bare frame log or a format-2 or -3 log."""
     def carrier(tmp_path):
         path = str(tmp_path / "db")
         db = Database(path)
@@ -197,7 +198,7 @@ def _open_another_format(filename, content):
         db.close()
         with open(os.path.join(path, filename), "wb") as handle:
             handle.write(content)
-        with pytest.raises(RecoveryError, match="format-3"):
+        with pytest.raises(RecoveryError, match="format-4"):
             Database(path)
         Database(path)
     return carrier
@@ -236,12 +237,17 @@ def _install_a_cut_seed(tmp_path):
     (_open_another_format(
         "wal.log", b"MDM-WAL\x02" + _short_batch_frame()
     ), RecoveryError),
+    # A format-3 log wrote a transaction as a run of frames, and rows
+    # as another encoding: refused, never misread.
+    (_open_another_format(
+        "wal.log", b"MDM-WAL\x03" + _short_batch_frame()
+    ), RecoveryError),
 ], ids=[
     "empty-image", "truncated-image", "flipped-byte-image",
     "another-image-format", "another-image-magic", "short-batch", "batch-cut-at-a-tag",
     "cut-seed", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
-    "earlier-log-format", "format-2-log",
+    "earlier-log-format", "format-2-log", "format-3-log",
 ])
 def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
     with pytest.raises(error):
@@ -249,7 +255,7 @@ def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
 
 
 def test_short_shipped_batch_degrades_the_replica():
-    """The same short BATCH_INSERT, shipped: the replica refuses it with
+    """The same short run, shipped: the replica refuses it with
     REPL_ERROR and stops serving (it used to kill the feed thread)."""
     import socket
 

@@ -8,8 +8,8 @@ installed with upkeep deferred, then one ``insert_many``) agrees
 posting-for-posting with one rebuilt row by row off the recovered rows,
 and that queries through it are exact.  Aimed here:
 
-* the self-committing ``create_text_index`` / ``drop_text_index`` WAL
-  records: whichever side of the barrier the crash lands on, the index
+* the ``create_text_index`` / ``drop_text_index`` commits (one WAL
+  frame each): whichever side of the barrier the crash lands on, the index
   exists exactly as one acceptable state says, and matches the rows;
 * the size axis: a checkpoint image of at least 2,621,440 bytes, where
   a checkpoint once lost the whole table.
@@ -28,7 +28,7 @@ pytestmark = pytest.mark.crash
 # matrix crashes at already.
 @pytest.mark.parametrize("seed", [20, 23, 24])
 def test_crash_around_text_ddl_barrier(tmp_path, seed):
-    """Aim crashes at the self-committing create/drop WAL records."""
+    """Aim crashes at the create/drop commits' WAL frames."""
     _, workload = probe(tmp_path / "probe", run_workload(seed), seed)
     assert workload.marks["ddl"], "schedule produced no text DDL"
     for at in sorted({

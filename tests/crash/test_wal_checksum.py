@@ -45,12 +45,12 @@ class TestChecksum:
     def test_bit_flip_truncates_tail_and_lsns_continue(self, tmp_path, caplog):
         path = str(tmp_path / "wal.log")
         with WriteAheadLog(path) as log:
-            for txn in (1, 2, 3):
-                log.append(txn, wal_module.BEGIN)
-                log.append(txn, wal_module.COMMIT, flush=True)
+            for _ in range(4):
+                log.append_batch([], {})
+            log.flush()
         spans = frame_spans(path)
-        assert len(spans) == 6
-        # Flip one bit inside the payload of record 3 (txn 2's BEGIN).
+        assert len(spans) == 4
+        # Flip one bit inside the payload of record 3.
         flip_byte(path, spans[2][0] + _FRAME.size + 3)
         with caplog.at_level("WARNING", logger="repro.storage.wal"):
             with WriteAheadLog(path) as log:  # must not raise
@@ -60,15 +60,15 @@ class TestChecksum:
                 assert os.path.getsize(path) == spans[2][0]
                 # ... and LSN assignment continues rather than restarting
                 # at 1 (which would mint duplicate LSNs).
-                assert log.append(9, wal_module.BEGIN).lsn == 3
+                assert log.append_batch([], {}) == 3
         assert any("checksum mismatch" in msg for msg in caplog.messages)
 
     def test_flip_in_frame_header_is_also_fatal_for_the_tail(self, tmp_path):
         path = str(tmp_path / "wal.log")
         with WriteAheadLog(path) as log:
-            for txn in (1, 2):
-                log.append(txn, wal_module.BEGIN)
-                log.append(txn, wal_module.COMMIT, flush=True)
+            for _ in range(2):
+                log.append_batch([], {})
+            log.flush()
         spans = frame_spans(path)
         # Corrupt record 2's declared length: reads as torn/inconsistent.
         flip_byte(path, spans[1][0], mask=0x80)
@@ -93,11 +93,11 @@ class TestDatabaseRecovery:
         _seed_three_txns(db_dir)
         log_path = os.path.join(db_dir, "wal.log")
         spans = frame_spans(log_path)
-        # The table's DDL commit, then three txns, each BEGIN/INSERT/COMMIT.
-        assert len(spans) == 3 + 9
-        # Corrupt txn 2's INSERT payload: txn 2's COMMIT is behind the
-        # bad record, so txns 2 and 3 are discarded with the tail.
-        flip_byte(log_path, spans[7][0] + _FRAME.size + 5)
+        # The table's DDL commit, then three txns, a frame each.
+        assert len(spans) == 1 + 3
+        # Corrupt txn 2's payload: txns 2 and 3 are discarded with the
+        # tail.
+        flip_byte(log_path, spans[2][0] + _FRAME.size + 5)
         db = Database(db_dir)  # recovery must not raise
         try:
             assert sorted(r["name"] for r in db.table("notes")) == ["a"]
@@ -111,9 +111,47 @@ class TestDatabaseRecovery:
         _seed_three_txns(db_dir)
         log_path = os.path.join(db_dir, "wal.log")
         spans = frame_spans(log_path)
-        plan = FaultPlan(bit_flips=[("wal.log", spans[7][0] + _FRAME.size + 5, 0x10)])
+        plan = FaultPlan(bit_flips=[("wal.log", spans[2][0] + _FRAME.size + 5, 0x10)])
         db = Database(db_dir, opener=plan.opener)
         try:
             assert sorted(r["name"] for r in db.table("notes")) == ["a"]
         finally:
             db.close()
+
+
+def _state(path):
+    with Database(path) as db:
+        return {
+            name: sorted(row["v"] for row in db.table(name)) for name in "ab"
+        }
+
+
+@pytest.mark.crash
+def test_a_commit_frame_lands_whole_or_not_at_all(tmp_path):
+    """One commit of three changes over two tables -- a row into ``a``,
+    one into ``b``, a delete from ``a`` -- is one frame: torn at every
+    byte, or bit-flipped once, recovery holds all of it or none."""
+    path = str(tmp_path / "db")
+    log_path = os.path.join(path, "wal.log")
+    with Database(path) as db:
+        a, b = (db.create_table(name, [("v", "integer")]) for name in "ab")
+        old = a.insert({"v": 0})
+    before = os.path.getsize(log_path)
+    with Database(path) as db:
+        with db.begin():
+            db.table("a").insert({"v": 1})
+            db.table("b").insert({"v": 2})
+            db.table("a").delete(old.rowid)
+    with open(log_path, "rb") as handle:
+        data = handle.read()
+    assert frame_spans(log_path)[-1] == (before, len(data) - before)
+    none, whole = {"a": [0], "b": []}, {"a": [1], "b": [2]}
+    assert _state(path) == whole
+    for cut in range(before, len(data)):
+        with open(log_path, "wb") as handle:
+            handle.write(data[:cut])
+        assert _state(path) == none, cut
+    with open(log_path, "wb") as handle:
+        handle.write(data)
+    flip_byte(log_path, (before + len(data)) // 2)
+    assert _state(path) == none

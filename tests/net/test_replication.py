@@ -493,15 +493,12 @@ class TestSeedCauses:
 
 
 class TestReconnectResume:
-    def test_in_flight_txn_survives_reconnect_exactly_once(self, tmp_path):
-        """Feed torn inside a transaction: after its BEGIN and one of
-        its two changes.
-
-        The replica drops the partial buffer and resumes at its
-        ``applied_lsn`` -- a transaction's frames are contiguous, so all
-        of them lie above the last applied commit point -- rebuilds the
-        transaction from the re-stream and installs it exactly once.
-        """
+    def test_a_commit_shipped_again_after_a_reconnect_installs_once(
+        self, tmp_path
+    ):
+        """A torn feed, resumed: the replica resumes at its
+        ``applied_lsn``, and a commit shipped again at or below it is
+        passed over, not installed twice."""
         from repro.net.replica import ReplicaServer
         from repro.storage import wal as wal_module
         from repro.storage.database import Database
@@ -517,9 +514,9 @@ class TestReconnectResume:
                 table.insert({"v": 2})
                 table.insert({"v": 3})
             frames = dict(db._log.stream_frames(1))
-        kinds = [wal_module.decode_frame(frames[lsn])[2] for lsn in sorted(frames)]
-        B, I, C = wal_module.BEGIN, wal_module.INSERT, wal_module.COMMIT
-        assert kinds == [B, I, C, B, I, C, B, I, I, C]  # LSNs 1..10
+        records = [wal_module.decode_frame(frames[lsn]) for lsn in sorted(frames)]
+        assert [kind for _, kind, _ in records] == [wal_module.COMMIT] * 3
+        assert [len(runs) for _, _, runs in records] == [1, 1, 1]
 
         listener = socket.socket()
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -537,29 +534,25 @@ class TestReconnectResume:
             send_seed(primary, 0)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
-            for lsn in range(1, 9):  # cut after BEGIN + one change of txn 3
+            for lsn in (1, 2):
                 primary.send_raw(protocol.pack_repl_frame(lsn, frames[lsn]))
-            for acked in (3, 6):
                 kind, body = primary.recv(timeout=5.0)
                 assert kind == protocol.REPL_ACK
-                assert protocol.unpack_json(kind, body)["lsn"] == acked
-            primary.close()  # torn feed: txn 3 is half buffered
+                assert protocol.unpack_json(kind, body)["lsn"] == lsn
+            primary.close()  # torn feed, between commits
 
             sock, _ = listener.accept()
             primary = Transport(sock)
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_HELLO
-            # The resume point is applied_lsn itself; nothing to back below.
-            assert protocol.unpack_json(kind, body)["last_lsn"] == 6
-            assert replica.status()["applied_lsn"] == 6
-            for lsn in range(7, 11):  # re-stream txn 3, whole
+            assert protocol.unpack_json(kind, body)["last_lsn"] == 2
+            for lsn in (2, 3):  # the primary ships commit 2 again
                 primary.send_raw(protocol.pack_repl_frame(lsn, frames[lsn]))
             kind, body = primary.recv(timeout=5.0)
             assert kind == protocol.REPL_ACK
-            assert protocol.unpack_json(kind, body)["lsn"] == 10
-            assert wait_applied(replica, 10)
+            assert protocol.unpack_json(kind, body)["lsn"] == 3
+            assert wait_applied(replica, 3)
             table = replica._state.database.table("t")
-            # Exactly once: the change buffered before the cut is not doubled.
             assert sorted(row["v"] for row in table) == [1, 2, 3]
             with pytest.raises(NetworkTimeoutError):  # one ACK, no more
                 primary.recv(timeout=0.2)

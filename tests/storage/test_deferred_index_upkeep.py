@@ -261,10 +261,10 @@ def unreplayable(tmp_path):
     db.bulk_ingest("t", [titled(i) for i in range(40)])
     db.close()
     with WriteAheadLog(os.path.join(path, "wal.log")) as log:
-        log.append(
-            0, wal_module.AC_INSERT, table="gone", row=Row(1, {"v": 1}),
-            column_orders={"gone": ["v"]}, flush=True,
+        log.append_batch(
+            [("insert", "gone", Row(1, {"v": 1}), None)], {"gone": ["v"]}
         )
+        log.flush()
     return path
 
 
@@ -351,7 +351,7 @@ def test_a_reopen_after_a_checkpoint_prunes_nothing(tmp_path, monkeypatch):
             for chain in reopened.table("t")._chains.values()
         )
         replica = wal_module.RedoApplier(Database(), stamp_commits=True)
-        replica.apply(5, 0, wal_module.CHECKPOINT, "", b"", b"")
+        replica.apply(5, wal_module.CHECKPOINT, [])
         assert sweeps == ["_catalog"]
     finally:
         reopened.close()
@@ -416,10 +416,10 @@ def test_recovery_says_what_the_open_cost(tmp_path, caplog):
         reopened = Database(path)
     try:
         metrics = reopened.metrics
-        # Two DDL commits of three frames each (BEGIN, the catalog row,
-        # COMMIT), five batches, one delete; the catalog row's insert and
-        # update, 50 row installs and a delete.
-        assert metrics.value("db.recovery.redo_records") == 12
+        # A frame a commit: two DDL commits, five batches, one delete;
+        # the catalog row's insert and update, 50 row installs and a
+        # delete.
+        assert metrics.value("db.recovery.redo_records") == 8
         assert metrics.value("db.recovery.rows_installed") == 53
         assert 0 < metrics.value("db.recovery.index_load_ms") \
             <= metrics.value("db.recovery.index_build_ms") \
@@ -429,7 +429,7 @@ def test_recovery_says_what_the_open_cost(tmp_path, caplog):
         assert metrics.value("db.recovery.indexes_rebuilt") == 0
         (line,) = [r.getMessage() for r in caplog.records
                    if "recovered" in r.getMessage()]
-        assert "12 redo records" in line and "53 rows installed" in line
+        assert "8 redo records" in line and "53 rows installed" in line
         assert "1 loaded" in line and "0 rebuilt from rows" in line
         assert "db.recovery.total_ms" in metrics.render()  # the shell's \metrics
     finally:

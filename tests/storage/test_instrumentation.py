@@ -57,8 +57,8 @@ class TestWalCounters:
         registry = MetricsRegistry()
         wal = WriteAheadLog(str(tmp_path / "t.wal"), metrics=registry)
         try:
-            wal.append(1, 7)
-            wal.append(1, 8)
+            wal.append_batch([], {})
+            wal.append()
             wal.flush()
             assert registry.value("wal.appends") == 2
             assert registry.value("wal.append_bytes") > 0

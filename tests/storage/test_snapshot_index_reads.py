@@ -337,8 +337,7 @@ class TestLatchDiscipline:
         held = []
         t = Table(
             TableSchema("bare", [Column("k", "string")]),
-            journal=lambda *change: held.append(t._latch._is_owned()),
-            journal_batch=lambda *batch: held.append(t._latch._is_owned()),
+            journal=lambda changes: held.append(t._latch._is_owned()),
         )
         row = t.insert({"k": "a"})
         t.update(row.rowid, {"k": "b"})

@@ -158,15 +158,18 @@ class TestScan:
 
     def test_journal_callback(self):
         events = []
-        table = make_table(journal=lambda *a: events.append(a[0]))
+        table = make_table(
+            journal=lambda changes: events.extend(c[0] for c in changes)
+        )
         row = table.insert({"name": "a", "pitch": 1})
         table.update(row.rowid, {"pitch": 2})
         table.delete(row.rowid)
-        assert events == ["insert", "update", "delete"]
+        table.insert_many([{"name": "b", "pitch": 3}] * 2)
+        assert events == ["insert", "update", "delete", "insert", "insert"]
 
     def test_load_row_bypasses_journal(self):
         events = []
-        table = make_table(journal=lambda *a: events.append(a[0]))
+        table = make_table(journal=events.extend)
         from repro.storage.row import Row
 
         table.install_committed(0, [Row(3, {"name": "x", "pitch": 9})])

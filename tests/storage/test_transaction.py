@@ -47,7 +47,7 @@ class TestLifecycle:
         txn = db.begin()
         txn.commit()
         with pytest.raises(TransactionError):
-            txn.record("insert", "t", None, None)
+            txn.record([("insert", "t", None, None)])
 
     def test_nested_begin_rejected(self, db):
         with db.begin():

@@ -59,21 +59,18 @@ class TestGroupCommit:
         barrier = threading.Barrier(commits)
         roles = []
 
-        def commit_one(txn_id):
+        def commit_one():
             # Append, *then* meet: the leader fsyncs holding the append
             # mutex, so a thread still appending when the first leader
             # takes it can only lead a round of its own -- and whether
             # any commit rides would be the scheduler's call.  With all
             # eight frames in before anyone flushes, the first arrival
             # leads for everyone.
-            record = wal.append(txn_id, wal_module.COMMIT)
+            lsn = wal.append_batch([], {})
             barrier.wait()
-            roles.append(wal.commit_flush(record.lsn))
+            roles.append(wal.commit_flush(lsn))
 
-        threads = [
-            threading.Thread(target=commit_one, args=(txn_id,))
-            for txn_id in range(1, commits + 1)
-        ]
+        threads = [threading.Thread(target=commit_one) for _ in range(commits)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -96,33 +93,34 @@ class TestGroupCommit:
     def test_sequential_commits_lead_every_flush(self, tmp_path):
         registry = MetricsRegistry()
         with WriteAheadLog(str(tmp_path / "s.wal"), metrics=registry) as wal:
-            for txn_id in range(1, 6):
-                record = wal.append(txn_id, wal_module.COMMIT)
-                assert wal.commit_flush(record.lsn) == "led"
+            for _ in range(5):
+                lsn = wal.append_batch([], {})
+                assert wal.commit_flush(lsn) == "led"
         assert registry.value("wal.group_commits") == 5
         assert registry.value("wal.group_commit_riders") == 0
         assert registry.value("wal.commits_per_fsync") == 1.0
 
     def test_sync_to_is_noop_when_already_durable(self, tmp_path):
         with WriteAheadLog(str(tmp_path / "n.wal")) as wal:
-            record = wal.append(1, wal_module.COMMIT, flush=True)
-            assert wal.sync_to(record.lsn) == "noop"
+            lsn = wal.append_batch([], {})
+            wal.flush()
+            assert wal.sync_to(lsn) == "noop"
 
     def test_expired_deadline_still_flushes(self, tmp_path):
         """A deadline in the past shortens the wait, never the fsync."""
         with WriteAheadLog(str(tmp_path / "d.wal")) as wal:
-            record = wal.append(1, wal_module.COMMIT)
-            role = wal.commit_flush(record.lsn, deadline=time.monotonic() - 1.0)
+            lsn = wal.append_batch([], {})
+            role = wal.commit_flush(lsn, deadline=time.monotonic() - 1.0)
             assert role == "led"
-            assert wal.flushed_lsn >= record.lsn
+            assert wal.flushed_lsn >= lsn
 
 
 class TestTruncationDurability:
     def test_truncate_fsyncs_emptied_log(self, tmp_path):
         registry = MetricsRegistry()
         with WriteAheadLog(str(tmp_path / "t.wal"), metrics=registry) as wal:
-            wal.append(1, wal_module.BEGIN)
-            wal.append(1, wal_module.COMMIT, flush=True)
+            wal.append_batch([], {})
+            wal.flush()
             before = registry.value("wal.fsyncs")
             wal.truncate()
             assert registry.value("wal.fsyncs") == before + 1
@@ -133,7 +131,8 @@ class TestTruncationDurability:
         point, so crash-at-truncate is an enumerable state."""
         plan = FaultPlan(seed=3)
         with WriteAheadLog(str(tmp_path / "p.wal"), opener=plan.opener) as wal:
-            wal.append(1, wal_module.COMMIT, flush=True)
+            wal.append_batch([], {})
+            wal.flush()
             before = plan.sync_count
             wal.truncate()
             assert plan.sync_count == before + 1
@@ -141,15 +140,14 @@ class TestTruncationDurability:
     def test_lsns_monotone_across_truncate(self, tmp_path):
         path = str(tmp_path / "m.wal")
         with WriteAheadLog(path) as wal:
-            for txn_id in range(1, 5):
-                wal.append(txn_id, wal_module.COMMIT)
+            for _ in range(4):
+                wal.append_batch([], {})
             high = wal.last_lsn
             wal.truncate()
-            record = wal.append(9, wal_module.CHECKPOINT, flush=True)
-            assert record.lsn == high + 1
+            assert wal.append(flush=True) == high + 1
         # Continuity also survives close/reopen after the truncation.
         with WriteAheadLog(path) as wal:
-            assert wal.append(10, wal_module.BEGIN).lsn == high + 2
+            assert wal.append_batch([], {}) == high + 2
 
     def test_lsns_monotone_when_truncated_log_reopens_empty(self, tmp_path):
         """Regression: an empty post-checkpoint log must not restart
@@ -157,13 +155,13 @@ class TestTruncationDurability:
         image left off."""
         path = str(tmp_path / "e.wal")
         with WriteAheadLog(path) as wal:
-            for txn_id in range(1, 8):
-                wal.append(txn_id, wal_module.COMMIT)
+            for _ in range(7):
+                wal.append_batch([], {})
             high = wal.last_lsn
             wal.truncate()
         with WriteAheadLog(path, base_lsn=high) as wal:
             assert wal.last_lsn == wal.base_lsn == high
-            assert wal.append(1, wal_module.BEGIN).lsn == high + 1
+            assert wal.append_batch([], {}) == high + 1
 
     def test_lsns_continue_past_the_image_over_a_log_of_only_its_header(
         self, tmp_path
@@ -238,7 +236,7 @@ class TestAutoCommitPath:
             def explode(*args, **kwargs):
                 raise ValueError("unserializable value")
 
-            monkeypatch.setattr(log, "append", explode)
+            monkeypatch.setattr(log, "append_batch", explode)
             with pytest.raises(ValueError):
                 table.insert({"k": 2})
             monkeypatch.undo()

@@ -147,57 +147,28 @@ class TestLogFile:
     def test_lsns_monotonic(self, tmp_path):
         path = str(tmp_path / "test.log")
         with WriteAheadLog(path) as log:
-            first = log.append(1, wal_module.BEGIN)
-            second = log.append(1, wal_module.COMMIT, flush=True)
-            assert second.lsn == first.lsn + 1
+            first = log.append_batch([], {})
+            second = log.append(flush=True)
+            assert second == first + 1
         with WriteAheadLog(path) as log:
-            third = log.append(2, wal_module.BEGIN)
-            assert third.lsn > second.lsn
+            assert log.append_batch([], {}) > second
 
     def test_replay_filters_uncommitted(self, tmp_path):
+        """A commit whose frame a crash tore never happened."""
         from repro.storage.row import Row
 
         path = str(tmp_path / "test.log")
         orders = {"t": ["a"]}
         with WriteAheadLog(path) as log:
-            log.append(1, wal_module.BEGIN)
-            log.append(
-                1, wal_module.INSERT, table="t",
-                row=Row(1, {"a": 1}), column_orders=orders,
-            )
-            log.append(1, wal_module.COMMIT)
-            log.append(2, wal_module.BEGIN)
-            log.append(
-                2, wal_module.INSERT, table="t",
-                row=Row(2, {"a": 2}), column_orders=orders, flush=True,
-            )
+            for rowid in (1, 2):
+                log.append_batch(
+                    [("insert", "t", Row(rowid, {"a": rowid}), None)], orders
+                )
+            log.flush()
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 1)
+        with WriteAheadLog(path) as log:
             db = Database()
             db.create_table("t", [("a", "integer")])
             wal_module.replay(log, db)
             assert [row.rowid for row in db.table("t")] == [1]
-
-
-    def test_replay_ignores_frames_orphaned_under_a_reused_txn_id(self, tmp_path):
-        """Transaction ids restart with the process; the log does not.
-        Frames a crashed process left without a COMMIT must not ride in
-        on the COMMIT of a later transaction that drew the same id."""
-        from repro.storage.row import Row
-
-        orders = {"t": ["a"]}
-        with WriteAheadLog(str(tmp_path / "test.log")) as log:
-            log.append(1, wal_module.BEGIN)
-            log.append(
-                1, wal_module.INSERT, table="t",
-                row=Row(1, {"a": 1}), column_orders=orders, flush=True,
-            )
-            # -- crash; the next process starts again at transaction 1
-            log.append(1, wal_module.BEGIN)
-            log.append(
-                1, wal_module.INSERT, table="t",
-                row=Row(2, {"a": 2}), column_orders=orders,
-            )
-            log.append(1, wal_module.COMMIT, flush=True)
-            db = Database()
-            db.create_table("t", [("a", "integer")])
-            wal_module.replay(log, db)
-            assert [row.rowid for row in db.table("t")] == [2]
