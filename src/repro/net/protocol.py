@@ -26,7 +26,7 @@ from fractions import Fraction
 from repro.errors import ProtocolError
 
 #: Bumped on any incompatible frame-layout change.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Frames larger than this are refused outright: a corrupt length field
 #: must fail fast, not allocate gigabytes.

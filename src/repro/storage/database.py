@@ -483,7 +483,7 @@ class Database:
         with self._ddl_mutex:
             lsn = self.transactions.pin_snapshot(lsn)
             tables = [
-                (name, table, table.schema.column_names())
+                (name, table, table.schema)
                 for name, table in sorted(
                     self._tables.items(), key=lambda item: item[0] != CATALOG
                 )
@@ -636,14 +636,14 @@ class Database:
         open's file or a replica's seed.  One that is not a whole image
         raises :class:`RecoveryError` here, before any row is installed;
         a table its catalog rows did not make, once *tables* reaches it."""
-        return checkpoint_image.unpack(open_image, self._image_columns)
+        return checkpoint_image.unpack(open_image, self._image_schema)
 
-    def _image_columns(self, name):
+    def _image_schema(self, name):
         if not self.has_table(name):
             raise RecoveryError(
                 "the image holds table %r, its catalog no such table" % name
             )
-        return self.table(name).schema.column_names()
+        return self.table(name).schema
 
     def install_image(self, tables):
         """Defer index upkeep and install *tables* (:meth:`read_image`'s)

@@ -12,45 +12,45 @@ UTF-8::
 
     image := <magic:7s> <format:B> <lsn:Q> table* <crc32:I>
     table := <name:str> <count:I> piece*     count rows, in pieces
-    piece := <size:I> <rows:I> row*          size bytes of rows rows
+    piece := <size:I> run                    a row run of size bytes
                                              (repro.storage.row)
 
 *lsn* is the log's last LSN when the rows were read: the image holds
 every commit at or below it and none above.  The storage catalog's
-table comes first; its rows make the tables whose column orders decode
-the tables after it.  The CRC covers every byte before it.  A file of
+table comes first; its rows make the tables whose schemas decode the
+tables after it.  The CRC covers every byte before it.  A file of
 another magic or format byte, or whose checksum fails, is refused whole,
 never guessed at.  Neither :func:`pack` nor :func:`unpack` holds more
-than a piece at a time: a piece is about 64 KB of rows.
+than a piece at a time: a piece is :data:`PIECE_ROWS` rows.
 """
 
+import itertools
 import os
 import struct
 import zlib
 
 from repro.errors import RecoveryError
-from repro.storage.row import decode_row_run
+from repro.storage.row import decode_row_run, encode_row_run
 
 __all__ = ["FORMAT", "pack", "unpack"]
 
-FORMAT = 1
+FORMAT = 2
 _MAGIC = b"MDM-IMG"
 
 _HEAD = struct.Struct("<7sBQ")
 _STR = struct.Struct("<H")
 _COUNT = struct.Struct("<I")
-_PIECE_HEAD = struct.Struct("<II")
 _CRC = struct.Struct("<I")
-#: The size a piece's rows are gathered to.
-_PIECE = 1 << 16
+#: The rows a piece holds (the last of a table's, what is left).
+PIECE_ROWS = 1024
 #: The size the checksum pass reads in.
 _CHUNK = 1 << 20
 
 
 def pack(lsn, tables):
-    """Yield the image naming *lsn* of *tables* -- ``(name, rows, column
-    order)`` each, the catalog first -- a piece at a time: no table is
-    ever serialized whole."""
+    """Yield the image naming *lsn* of *tables* -- ``(name, rows,
+    schema)`` each, the catalog first -- a piece at a time: no table is
+    ever encoded whole."""
     crc = 0
     for part in _parts(lsn, tables):
         crc = zlib.crc32(part, crc)
@@ -60,24 +60,24 @@ def pack(lsn, tables):
 
 def _parts(lsn, tables):
     yield _HEAD.pack(_MAGIC, FORMAT, lsn)
-    for name, rows, order in tables:
+    for name, rows, schema in tables:
         raw = name.encode("utf-8")
         yield _STR.pack(len(raw)) + raw + _COUNT.pack(len(rows))
-        run, count = bytearray(), 0
-        for row in rows:
-            run += row.serialize(order)
-            count += 1
-            if len(run) >= _PIECE:
-                yield _PIECE_HEAD.pack(len(run), count) + run
-                run, count = bytearray(), 0
-        if count:
-            yield _PIECE_HEAD.pack(len(run), count) + run
+        rows = iter(rows)
+        while True:
+            piece = list(itertools.islice(rows, PIECE_ROWS))
+            if not piece:
+                break
+            run = bytearray(_COUNT.size)
+            encode_row_run(piece, schema, run)
+            _COUNT.pack_into(run, 0, len(run) - _COUNT.size)
+            yield run
 
 
-def unpack(open_image, column_order):
+def unpack(open_image, schema_of):
     """``(lsn, tables)`` of the image ``open_image()`` opens (a binary
     file, read in two passes): *tables* yields ``(name, rows)`` in file
-    order, decoding each table by ``column_order(name)`` -- asked only
+    order, decoding each table by ``schema_of(name)`` -- asked only
     once the tables before it are taken, so the catalog's rows can make
     the tables the later ones name.  Raises :class:`RecoveryError`
     naming the defect for anything but a whole image of this format,
@@ -100,7 +100,7 @@ def unpack(open_image, column_order):
             at += len(chunk)
         if _CRC.unpack(_read(handle, _CRC.size))[0] != crc:
             raise RecoveryError("image checksum mismatch")
-    return lsn, _tables(open_image, end, column_order)
+    return lsn, _tables(open_image, end, schema_of)
 
 
 def _read(handle, size):
@@ -110,7 +110,7 @@ def _read(handle, size):
     return data
 
 
-def _tables(open_image, end, column_order):
+def _tables(open_image, end, schema_of):
     with open_image() as handle:
         handle.seek(_HEAD.size)
         at = _HEAD.size
@@ -129,10 +129,10 @@ def _tables(open_image, end, column_order):
             except UnicodeDecodeError as error:
                 raise RecoveryError("malformed image: %s" % error)
             (count,) = _COUNT.unpack(take(_COUNT.size, "a table"))
-            order, rows = column_order(name), []
+            schema, rows = schema_of(name), []
             while len(rows) < count:
-                size, held = _PIECE_HEAD.unpack(take(_PIECE_HEAD.size, "a piece"))
-                rows += decode_row_run(take(size, "a piece"), order, count=held)
+                (size,) = _COUNT.unpack(take(_COUNT.size, "a piece"))
+                rows += decode_row_run(take(size, "a piece"), schema)
             if len(rows) != count:
                 raise RecoveryError(
                     "malformed image: table %r holds %d rows, not %d"

@@ -80,7 +80,7 @@ from collections import OrderedDict
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.index import HashIndex, OrderedCompositeIndex, OrderedIndex
-from repro.storage.row import Row
+from repro.storage.row import Layout, Row
 from repro.storage.values import Domain, coerce_value, value_sort_key
 from repro.text.index import TrigramIndex
 from repro.text.normalize import trigrams
@@ -140,21 +140,31 @@ class Column:
 
 
 class TableSchema:
-    """Ordered collection of columns defining a table's shape."""
+    """Ordered collection of columns defining a table's shape, and the
+    :class:`Layout` its rows are held by."""
 
     def __init__(self, name, columns):
         self.name = name
+        self.layout = Layout()
         self.set_columns(columns)
 
     def set_columns(self, columns):
         """Reshape in place (the storage catalog widens a table this
-        way, and an undone widening narrows it back); a row lacking a
-        column reads it as null."""
+        way, and an undone widening narrows it back).  The layout only
+        grows, so a row made before a column reads it as null."""
         columns = list(columns)
         by_name = {c.name: c for c in columns}
         if len(by_name) != len(columns):
             raise StorageError("duplicate column in table %r" % self.name)
+        for column in columns:
+            self.layout.add_column(column.name)
         self.columns, self._by_name = columns, by_name
+        # Per layout position, the name and the domain coerce() fills it
+        # by: None for a column the table no longer has.
+        self._slots = [
+            (name, by_name[name].domain if name in by_name else None)
+            for name in self.layout
+        ]
 
     def column(self, name):
         try:
@@ -169,16 +179,15 @@ class TableSchema:
         return [c.name for c in self.columns]
 
     def coerce(self, values):
-        """Validate and coerce a dict of values against this schema."""
-        out = {}
-        for column in self.columns:
-            out[column.name] = coerce_value(column.domain, values.get(column.name))
-        extra = set(values) - set(self._by_name)
-        if extra:
+        """Validate and coerce a dict of values against this schema:
+        the values tuple of a row over :attr:`layout`."""
+        if not values.keys() <= self._by_name.keys():
             raise TypeMismatchError(
-                "unknown column(s) %s for table %r" % (sorted(extra), self.name)
+                "unknown column(s) %s for table %r"
+                % (sorted(values.keys() - self._by_name.keys()), self.name)
             )
-        return out
+        get = values.get
+        return tuple([coerce_value(domain, get(name)) for name, domain in self._slots])
 
 
 class Table:
@@ -568,7 +577,7 @@ class Table:
         else:
             # Keep the allocator ahead of explicitly provided rowids.
             self._next_rowid = itertools.count(max(rowid + 1, next(self._next_rowid)))
-        row = Row(rowid, coerced)
+        row = Row(rowid, coerced, self.schema.layout)
         with self._latch:
             self._rows[rowid] = row
             self._chain_append(rowid, RowVersion(row))
@@ -596,13 +605,14 @@ class Table:
         if self._guard is not None:
             self._guard()
         coerced_list = [self.schema.coerce(values) for values in values_list]
+        layout = self.schema.layout
         rows = []
         with self._latch:
             for coerced in coerced_list:
                 rowid = next(self._next_rowid)
                 while rowid in self._rows:
                     rowid = next(self._next_rowid)
-                row = Row(rowid, coerced)
+                row = Row(rowid, coerced, layout)
                 self._rows[rowid] = row
                 self._chain_append(rowid, RowVersion(row))
                 rows.append(row)

@@ -350,17 +350,17 @@ class TransactionManager:
             # In-memory database: stamping *is* the commit point.
             self._stamp_local(changes)
             return
-        # The column orders of the tables the changes name, not of
-        # every table the database holds.
-        orders = {
-            table: self._database.table(table).schema.column_names()
+        # The schemas of the tables the changes name, not of every
+        # table the database holds.
+        schemas = {
+            table: self._database.table(table).schema
             for table in {change[1] for change in changes}
         }
         stamped = False
         try:
             self._database.assert_writable()
             with log._mutex:
-                lsn = log.append_batch(changes, orders)
+                lsn = log.append_batch(changes, schemas)
                 self._stamp(changes, lsn)
                 stamped = True
             log.commit_flush(lsn, deadline=self.current_deadline())

@@ -23,6 +23,11 @@ class Domain(enum.Enum):
     ENTITY = "entity"  # surrogate reference to an entity instance
     BLOB = "blob"  # uninterpreted bytes (digitized sound, section 4.1)
 
+    # A member is a singleton, equal only to itself: hash it by identity,
+    # in C, not by name in Python as Enum does -- the row codec looks a
+    # domain up for every column of every run.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name):
         """Return the domain named *name* (as written in DDL source)."""
@@ -32,17 +37,31 @@ class Domain(enum.Enum):
             raise TypeMismatchError("unknown domain %r" % name)
 
 
+#: The integers every store holds: an ``integer`` or ``entity`` value and
+#: each part of a ``rational`` one (``repro.storage.row`` packs them so).
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _int64(value, what):
+    if value not in _INT64:
+        raise TypeMismatchError("%s %r is outside the 64-bit range" % (what, value))
+    return value
+
+
 def coerce_value(domain, value):
     """Coerce *value* into *domain*, raising TypeMismatchError on failure.
 
-    ``None`` is accepted in every domain (a null attribute value).
+    ``None`` is accepted in every domain (a null attribute value).  So
+    is only what every store can hold -- in memory, on disk and on a
+    replica alike: integers of 64 bits, strings that encode as
+    UTF-8.
     """
     if value is None:
         return None
     if domain is Domain.INTEGER:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeMismatchError("expected integer, got %r" % (value,))
-        return value
+        return _int64(value, "integer")
     if domain is Domain.FLOAT:
         if isinstance(value, bool):
             raise TypeMismatchError("expected float, got %r" % (value,))
@@ -52,6 +71,11 @@ def coerce_value(domain, value):
     if domain is Domain.STRING:
         if not isinstance(value, str):
             raise TypeMismatchError("expected string, got %r" % (value,))
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as error:
+                raise TypeMismatchError("string %r is not UTF-8: %s" % (value, error))
         return value
     if domain is Domain.BOOLEAN:
         if not isinstance(value, bool):
@@ -61,14 +85,17 @@ def coerce_value(domain, value):
         if isinstance(value, bool):
             raise TypeMismatchError("expected rational, got %r" % (value,))
         if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+            value = Fraction(value)
+            _int64(value.numerator, "numerator")
+            _int64(value.denominator, "denominator")
+            return value
         raise TypeMismatchError("expected rational, got %r" % (value,))
     if domain is Domain.ENTITY:
         if isinstance(value, int) and not isinstance(value, bool):
-            return value
+            return _int64(value, "surrogate")
         surrogate = getattr(value, "surrogate", None)
         if isinstance(surrogate, int):
-            return surrogate
+            return _int64(surrogate, "surrogate")
         raise TypeMismatchError("expected entity reference, got %r" % (value,))
     if domain is Domain.BLOB:
         if isinstance(value, (bytes, bytearray)):

@@ -15,7 +15,7 @@ their LSNs stayed on disk (``_scan``).  The payload, little-endian::
 
     payload := <lsn:Q> <kind:B> run*          a CHECKPOINT has no runs
     run     := <op:B> <name:H> <size:I> name body
-    body    := a row run (_INSTALL_RUN: repro.storage.row's encoder)
+    body    := a row run (_INSTALL_RUN: repro.storage.row)
              | <rowid:q>*                     (_REMOVE_RUN)
 
 A ``COMMIT`` is one whole commit -- a transaction's, a statement's or a
@@ -49,7 +49,7 @@ COMMIT = 5
 CHECKPOINT = 7
 
 #: The log's format number, and the bytes every log file begins with.
-LOG_FORMAT = 4
+LOG_FORMAT = 5
 LOG_HEADER = b"MDM-WAL" + bytes((LOG_FORMAT,))
 
 #: Frame header: payload length, CRC32 of the payload.
@@ -62,10 +62,10 @@ _INSTALL_RUN = 0
 _REMOVE_RUN = 1
 
 
-def _encode_runs(changes, column_orders, out):
+def _encode_runs(changes, schemas, out):
     """Append a commit's runs (module docstring) to the bytearray *out*:
     *changes* are the journal's ``(action, table, new_row, old_row)``;
-    the rows of a table are serialized by ``column_orders[table]``.
+    the rows of a table are encoded by ``schemas[table]``.
     Written in place, so a large commit is held once, not per run."""
     for (removes, table), group in itertools.groupby(
         changes, key=lambda change: (change[0] == "delete", change[1])
@@ -79,8 +79,7 @@ def _encode_runs(changes, column_orders, out):
             op = _REMOVE_RUN
         else:
             rows = [new_row for _, _, new_row, _ in group]
-            for piece in encode_row_run(rows, column_orders[table]):
-                out += piece
+            encode_row_run(rows, schemas[table], out)
             op = _INSTALL_RUN
         size = len(out) - head - _RUN.size - len(name)
         _RUN.pack_into(out, head, op, len(name), size)
@@ -232,13 +231,13 @@ class WriteAheadLog:
             self.sync_to(lsn)
         return lsn
 
-    def append_batch(self, changes, column_orders):
+    def append_batch(self, changes, schemas):
         """Append one commit: a ``COMMIT`` frame holding *changes*
         (``(action, table, new_row, old_row)`` in order; the rows of a
-        table serialized by ``column_orders[table]``); returns its LSN.
+        table encoded by ``schemas[table]``); returns its LSN.
         Recovery replays the frame whole or, torn, not at all."""
         payload = bytearray(_HEAD.size)
-        _encode_runs(changes, column_orders, payload)
+        _encode_runs(changes, schemas, payload)
         with self._mutex:
             lsn = self._next_lsn
             self._next_lsn += 1
@@ -642,8 +641,7 @@ class RedoApplier:
         table = self._database.table(table_name)
         lsn = commit_lsn if self._stamp_commits else 0
         if op == _INSTALL_RUN:
-            order = table.schema.column_names()
-            table.install_committed(lsn, decode_row_run(body, order))
+            table.install_committed(lsn, decode_row_run(body, table.schema))
         elif op == _REMOVE_RUN and len(body) % 8 == 0:
             rowids = struct.unpack("<%dq" % (len(body) // 8), body)
             table.install_committed(lsn, (), rowids)

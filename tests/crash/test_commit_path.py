@@ -234,18 +234,18 @@ def test_abort_on_a_dead_disk_succeeds(tmp_path):
 def test_a_commit_asks_only_the_tables_it_names_for_their_columns(
     tmp_path, monkeypatch
 ):
-    """The log serializes a commit's rows by their tables' column
-    orders; it once took the order of every table in the database
-    (61 on the CMN schema) for every commit."""
-    from repro.storage.table import TableSchema
-
+    """The log encodes a commit's rows by their tables' schemas; it once
+    took the column order of every table in the database (61 on the CMN
+    schema) for every commit."""
     db = Database(str(tmp_path / "db"))
     tables = [db.create_table("t%d" % i, [("v", "integer")]) for i in range(8)]
     asked = []
-    column_names = TableSchema.column_names
+    append_batch = wal_module.WriteAheadLog.append_batch
     monkeypatch.setattr(
-        TableSchema, "column_names",
-        lambda self: asked.append(self.name) or column_names(self),
+        wal_module.WriteAheadLog, "append_batch",
+        lambda log, changes, schemas: (
+            asked.extend(schemas) or append_batch(log, changes, schemas)
+        ),
     )
     tables[0].insert({"v": 1})  # auto-commit, one frame
     assert set(asked) == {"t0"}

@@ -25,7 +25,6 @@ smoke catches the two consumers drifting apart.
 """
 
 import os
-import struct
 import zlib
 
 import pytest
@@ -36,7 +35,8 @@ from repro.net import MdmServer, ReplicaServer, protocol
 from repro.net.replica import _ReplicaState
 from repro.storage import wal as wal_module
 from repro.storage.database import CATALOG, Database
-from repro.storage.row import Row
+from repro.storage.row import Row, encode_row_run
+from repro.storage.table import Column, TableSchema
 
 from tests.crash.oracle import Workload, table_state
 from tests.net.conftest import send_seed, wait_applied, wait_serving
@@ -110,15 +110,25 @@ def _wal_frame(lsn, table, row_bytes):
     ) + payload
 
 
+def _one_row_run():
+    """The run of one row of a table ``t`` of one integer column ``v``:
+    its count, column count and rowid take a byte each, then ``v``."""
+    schema = TableSchema("t", [Column("v", "integer")])
+    run = bytearray()
+    encode_row_run([Row(1, schema.coerce({"v": 1}), schema.layout)], schema, run)
+    return run
+
+
 def _short_batch_frame(lsn=1):
     """A commit whose run promises three rows and carries one."""
-    return _wal_frame(
-        lsn, "t", struct.pack("<I", 3) + Row(1, {"v": 1}).serialize(["v"]),
-    )
+    run = _one_row_run()
+    run[0] = 3
+    return _wal_frame(lsn, "t", bytes(run))
 
 
-def _open_damaged_image(damage):
-    """Open a checkpointed database whose image bytes *damage* rewrites."""
+def _open_damaged_image(damage, match=None):
+    """Open a checkpointed database whose image bytes *damage* rewrites;
+    the refusal names *match*, where given."""
     def carrier(tmp_path):
         path = str(tmp_path / "db")
         db = Database(path)
@@ -131,6 +141,9 @@ def _open_damaged_image(damage):
             raw = bytearray(handle.read())
         with open(image, "wb") as handle:
             handle.write(damage(raw))
+        if match is not None:
+            with pytest.raises(RecoveryError, match=match):
+                Database(path)
         Database(path)
     return carrier
 
@@ -152,17 +165,15 @@ def _open_short_batch(tmp_path):
     Database(path)
 
 
-def _open_batch_cut_at_a_tag(tmp_path):
-    """A run that ends after a row's header, where a field's tag byte
+def _open_batch_cut_at_a_column(tmp_path):
+    """A run that ends after its rowids, where its column's null flag
     should be: the decoder reads it by index."""
     path = str(tmp_path / "db")
     db = Database(path)
     db.create_table("t", [("v", "integer")])
     db.close()
     with open(os.path.join(path, "wal.log"), "ab") as handle:
-        handle.write(_wal_frame(
-            100, "t", struct.pack("<I", 1) + Row(1, {"v": 1}).serialize(["v"])[:10],
-        ))
+        handle.write(_wal_frame(100, "t", bytes(_one_row_run()[:4])))
     Database(path)
 
 
@@ -176,10 +187,10 @@ def _open_misshapen(column, value):
         db.close()
         entry = {"table_name": "u", "columns": '[["title", "string"]]',
                  "text_indexed": "[]", column: value}
+        schema = db.table(CATALOG).schema
+        row = Row(99, schema.coerce(entry), schema.layout)
         with wal_module.WriteAheadLog(os.path.join(path, "wal.log")) as log:
-            log.append_batch(
-                [("insert", CATALOG, Row(99, entry), None)], {CATALOG: list(entry)}
-            )
+            log.append_batch([("insert", CATALOG, row, None)], {CATALOG: schema})
             log.flush()
         with pytest.raises(RecoveryError, match="catalog row"):
             Database(path)
@@ -189,7 +200,7 @@ def _open_misshapen(column, value):
 
 def _open_another_format(filename, content):
     """Open a directory whose *filename* holds *content*: what an
-    earlier format wrote, a bare frame log or a format-2 or -3 log."""
+    earlier format wrote, a bare frame log or a format-2, -3 or -4 log."""
     def carrier(tmp_path):
         path = str(tmp_path / "db")
         db = Database(path)
@@ -198,7 +209,7 @@ def _open_another_format(filename, content):
         db.close()
         with open(os.path.join(path, filename), "wb") as handle:
             handle.write(content)
-        with pytest.raises(RecoveryError, match="format-4"):
+        with pytest.raises(RecoveryError, match="format-%d" % wal_module.LOG_FORMAT):
             Database(path)
         Database(path)
     return carrier
@@ -218,10 +229,14 @@ def _install_a_cut_seed(tmp_path):
     (_open_damaged_image(lambda raw: b""), RecoveryError),
     (_open_damaged_image(lambda raw: raw[:-9]), RecoveryError),
     (_open_damaged_image(_flip_a_byte), RecoveryError),
-    (_open_damaged_image(lambda raw: raw[:7] + b"\x02" + raw[8:]), RecoveryError),
+    (_open_damaged_image(lambda raw: raw[:7] + b"\x03" + raw[8:]), RecoveryError),
+    # A format-1 image held its rows a tagged field at a time.
+    (_open_damaged_image(
+        lambda raw: raw[:7] + b"\x01" + raw[8:], match="format-2",
+    ), RecoveryError),
     (_open_damaged_image(lambda raw: b"MDM1" + raw[4:]), RecoveryError),
     (_open_short_batch, RecoveryError),
-    (_open_batch_cut_at_a_tag, RecoveryError),
+    (_open_batch_cut_at_a_column, RecoveryError),
     (_install_a_cut_seed, RecoveryError),
     # Each of these would escape untyped or misleading: a TypeError
     # from a number walked as a list, a column named "t" from a string.
@@ -242,12 +257,17 @@ def _install_a_cut_seed(tmp_path):
     (_open_another_format(
         "wal.log", b"MDM-WAL\x03" + _short_batch_frame()
     ), RecoveryError),
+    # A format-4 log held its rows a tagged field at a time.
+    (_open_another_format(
+        "wal.log", b"MDM-WAL\x04" + _short_batch_frame()
+    ), RecoveryError),
 ], ids=[
     "empty-image", "truncated-image", "flipped-byte-image",
-    "another-image-format", "another-image-magic", "short-batch", "batch-cut-at-a-tag",
+    "another-image-format", "format-1-image", "another-image-magic", "short-batch",
+    "batch-cut-at-a-column",
     "cut-seed", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
-    "earlier-log-format", "format-2-log", "format-3-log",
+    "earlier-log-format", "format-2-log", "format-3-log", "format-4-log",
 ])
 def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
     with pytest.raises(error):

@@ -4,9 +4,12 @@ Index reads against the rows they index -- ``select_eq`` and
 ``select_range``, locked and pinned, under insert / update / delete --
 are the MVCC battery's (``tests/props/test_mvcc_props.py``)."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.row import Row
+from repro.storage.row import Row, decode_row_run, encode_row_run
+from repro.storage.table import Column, TableSchema
 from repro.storage.values import value_sort_key
 
 storable_values = st.one_of(
@@ -23,11 +26,19 @@ storable_values = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(storable_values, min_size=3, max_size=3))
 def test_row_serialization_round_trip(values):
-    row = Row(7, dict(zip("abc", values)))
-    blob = row.serialize(["a", "b", "c"])
-    back, offset = Row.deserialize(blob, ["a", "b", "c"])
-    assert back == row
-    assert offset == len(blob)
+    schema = TableSchema("t", [
+        Column(name, _DOMAIN_OF[type(value)]) for name, value in zip("abc", values)
+    ])
+    row = Row(7, schema.coerce(dict(zip("abc", values))), schema.layout)
+    run = bytearray()
+    encode_row_run([row], schema, run)
+    assert decode_row_run(bytes(run), schema) == [row]
+
+
+_DOMAIN_OF = {
+    type(None): "integer", bool: "boolean", int: "integer", float: "float",
+    str: "string", bytes: "blob", Fraction: "rational",
+}
 
 
 @settings(max_examples=100, deadline=None)

@@ -205,3 +205,22 @@ class TestReplaceReadsTheRowsItsStatementSaw:
         assert session.execute("replace t (n = s.n) where t.n = s.n + 1") == 2
         rows = session.execute("retrieve (t.n)")
         assert sorted(row["t.n"] for row in rows) == [1, 1, 2]
+
+
+def test_a_restriction_on_an_added_attribute_passes_over_older_rows():
+    """The rows appended before ``add_attribute`` read the attribute as
+    null, so the index a restriction on it builds takes them in; they
+    once raised ``KeyError`` there."""
+    mdm = MusicDataManager(with_cmn=False)
+    work = mdm.schema.define_entity("WORK", [("title", "string")])
+    mdm.execute('append to WORK (title = "Mass")')
+    work.add_attribute(("opus", "integer"))
+    mdm.execute('append to WORK (title = "Sonata", opus = 3)')
+    mdm.execute("range of w is WORK")
+    assert mdm.retrieve("retrieve (w.title) where w.opus = 3") == [
+        {"w.title": "Sonata"}
+    ]
+    assert mdm.retrieve("retrieve (w.title, w.opus) sort by w.title") == [
+        {"w.title": "Mass", "w.opus": None},
+        {"w.title": "Sonata", "w.opus": 3},
+    ]

@@ -78,3 +78,30 @@ class TestDurability:
         fresh = db2.table("t").insert({"v": 99})
         assert fresh.rowid > max(r.rowid for r in rows)
         db2.close()
+
+
+def test_rows_made_before_a_column_read_it_as_null_live_and_reopened(tmp_path):
+    """Live, log-reopened and checkpoint-reopened rows all hold the
+    column a row predates as null, and an index or sort over it takes
+    every row.  Live and log-reopened rows once lacked the key (an index
+    build raised ``KeyError``) while an image-reopened row held None."""
+    path = str(tmp_path / "db")
+    db = Database(path)
+    table = db.create_table("t", [("k", "integer")])
+    table.insert({"k": 1})
+    db.add_column("t", "v", "integer")
+    table.insert({"k": 2, "v": 5})
+    assert [row["k"] for row in table.sorted_by("v")] == [1, 2]
+    table.create_index("v")
+    assert [row["k"] for row in table.select_eq("v", 5)] == [2]
+    live = {row.rowid: row.as_dict() for row in table}
+    assert live == {1: {"k": 1, "v": None}, 2: {"k": 2, "v": 5}}
+    db.close()
+    with Database(path) as reopened:
+        assert {row.rowid: row.as_dict() for row in reopened.table("t")} == live
+        assert [row["k"] for row in reopened.table("t").sorted_by("v")] == [1, 2]
+        reopened.checkpoint()
+    with Database(path) as reopened:
+        assert {row.rowid: row.as_dict() for row in reopened.table("t")} == live
+        reopened.table("t").create_index("v")
+        assert [row["k"] for row in reopened.table("t").select_eq("v", None)] == [1]

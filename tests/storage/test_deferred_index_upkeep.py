@@ -39,6 +39,11 @@ def titled(i):
     return {"title": "%s %d" % (TITLES[i % len(TITLES)], i), "v": i}
 
 
+def row_of(table, rowid, values):
+    """A Row of *table* holding *values*, as a load hands it over."""
+    return Row(rowid, table.schema.coerce(values), table.schema.layout)
+
+
 # -- the switch itself ---------------------------------------------------------
 
 
@@ -57,9 +62,9 @@ def test_every_index_kind_is_built_once_from_the_rows_that_are_left():
     table.create_index(("w", "v"))
     table.create_text_index("title")
     for i in range(1, 41):
-        table.install_committed(0, [Row(i, dict(titled(i), w=i % 7))])
+        table.install_committed(0, [row_of(table, i, dict(titled(i), w=i % 7))])
     for i in range(1, 41, 3):  # the log retitles some rows, deletes others
-        table.install_committed(0, [Row(i, dict(titled(i + 100), w=i % 5))])
+        table.install_committed(0, [row_of(table, i, dict(titled(i + 100), w=i % 5))])
     for i in range(2, 41, 5):
         table.install_committed(0, (), (i,))
     assert len(table.text_index_for("title")) == 0  # nothing kept meanwhile
@@ -81,7 +86,7 @@ def test_a_deferring_table_refuses_to_answer_from_its_indexes():
     table = bare_table()
     table.create_index("v")
     table.defer_index_upkeep()
-    table.install_committed(0, [Row(1, dict(titled(1), w=1))])
+    table.install_committed(0, [row_of(table, 1, dict(titled(1), w=1))])
     with pytest.raises(StorageError):
         table.probe(lambda: None)
     with pytest.raises(StorageError):
@@ -121,12 +126,13 @@ def test_a_run_installs_as_its_changes_one_at_a_time():
         table.create_index(("w", "v"))
         table.create_text_index("title")
         table.install_committed(0, [
-            Row(i, dict(titled(i), w=i % 3)) for i in range(1, 11)
+            row_of(table, i, dict(titled(i), w=i % 3)) for i in range(1, 11)
         ])
         tables.append(table)
-    run = [Row(i, dict(titled(i + 50), w=i % 4)) for i in (12, 3, 7, 20)]
-    run += [Row(3, dict(titled(99), w=9)), Row(15, dict(titled(15), w=0))]
     whole, single = tables
+    run = [row_of(whole, i, dict(titled(i + 50), w=i % 4)) for i in (12, 3, 7, 20)]
+    run += [row_of(whole, 3, dict(titled(99), w=9)),
+            row_of(whole, 15, dict(titled(15), w=0))]
     whole.install_committed(7, run, (5, 15, 40))
     for row in run:
         single.install_committed(7, [row])
@@ -158,7 +164,7 @@ def test_a_fresh_run_lands_in_one_latch_hold():
 
     table._latch = CountingLatch(table._latch)
     table.install_committed(
-        0, [Row(i, dict(titled(i), w=i)) for i in range(1, 501)]
+        0, [row_of(table, i, dict(titled(i), w=i)) for i in range(1, 501)]
     )
     assert holds == [1]
     assert table.version == 500 and next(table._next_rowid) == 501
@@ -260,9 +266,11 @@ def unreplayable(tmp_path):
     db.create_text_index("t", "title")
     db.bulk_ingest("t", [titled(i) for i in range(40)])
     db.close()
+    gone = Table(TableSchema("gone", [Column("v", "integer")]))
     with WriteAheadLog(os.path.join(path, "wal.log")) as log:
         log.append_batch(
-            [("insert", "gone", Row(1, {"v": 1}), None)], {"gone": ["v"]}
+            [("insert", "gone", row_of(gone, 1, {"v": 1}), None)],
+            {"gone": gone.schema},
         )
         log.flush()
     return path

@@ -14,27 +14,33 @@ from repro.storage import database as database_module
 from repro.storage import image
 from repro.storage.database import Database
 from repro.storage.faults import fsync_directory
-from repro.storage.row import Row
+from repro.storage.row import Row, decode_row_run, encode_row_run
+from repro.storage.table import Column, TableSchema
 from repro.storage.wal import WriteAheadLog
 
 _HEAD = struct.Struct("<7sBQ")  # magic, format byte, LSN
-_PIECE_HEAD = struct.Struct("<II")  # size, rows
+_SIZE = struct.Struct("<I")  # a piece's size
+#: The schema every test table has unless it names another.
+KV = TableSchema("kv", [Column("k", "integer"), Column("v", "string")])
 
 
 def _rows(count, width=8):
-    return [Row(i, {"k": i, "v": "x" * width}) for i in range(1, count + 1)]
+    return [
+        Row(i, KV.coerce({"k": i, "v": "x" * width}), KV.layout)
+        for i in range(1, count + 1)
+    ]
 
 
-def _image(lsn=9, tables=(("a", _rows(3), ["k", "v"]),)):
+def _image(lsn=9, tables=(("a", _rows(3), KV),)):
     return b"".join(image.pack(lsn, list(tables)))
 
 
-def _decode(raw, orders=None):
-    """``(lsn, {name: rows})`` of *raw*, every table of columns k, v
-    unless *orders* names another order."""
-    orders = orders or {}
+def _decode(raw, schemas=None):
+    """``(lsn, {name: rows})`` of *raw*, every table of schema KV
+    unless *schemas* names another."""
+    schemas = schemas or {}
     lsn, tables = image.unpack(
-        lambda: io.BytesIO(raw), lambda name: orders.get(name, ["k", "v"])
+        lambda: io.BytesIO(raw), lambda name: schemas.get(name, KV)
     )
     return lsn, dict(tables)
 
@@ -52,9 +58,12 @@ def _table(name, count):
 
 
 def _piece(rows, held=None):
-    """A piece of *rows* whose header says it holds *held* of them."""
-    run = b"".join(row.serialize(["k", "v"]) for row in rows)
-    return _PIECE_HEAD.pack(len(run), len(rows) if held is None else held) + run
+    """A piece of *rows* whose run says it holds *held* of them."""
+    run = bytearray()
+    encode_row_run(rows, KV, run)
+    if held is not None:
+        run[0] = held  # a count below 128 is its one byte
+    return _SIZE.pack(len(run)) + run
 
 
 class _RecordingReads(io.BytesIO):
@@ -88,7 +97,7 @@ class TestRoundTrip:
     def test_lsn_names_and_rows_come_back(self):
         first, second = _rows(4), _rows(2, width=30)
         lsn, tables = _decode(_image(41, [
-            ("first", first, ["k", "v"]), ("second", second, ["k", "v"]),
+            ("first", first, KV), ("second", second, KV),
         ]))
         assert lsn == 41
         assert list(tables) == ["first", "second"]
@@ -101,7 +110,7 @@ class TestRoundTrip:
 
     def test_an_empty_table_keeps_its_place(self):
         lsn, tables = _decode(_image(3, [
-            ("empty", [], ["k", "v"]), ("full", _rows(1), ["k", "v"]),
+            ("empty", [], KV), ("full", _rows(1), KV),
         ]))
         assert list(tables) == ["empty", "full"]
         assert tables["empty"] == []
@@ -110,32 +119,35 @@ class TestRoundTrip:
         values = {
             "none": None, "yes": True, "int": -(2 ** 62), "float": 2.5,
             "ratio": Fraction(3, 8), "text": "Gloria in excelsis ♯",
-            "blob": b"\x00\xffMDM",
+            "blob": b"\x00\xffMDM", "work": 2 ** 40,
         }
-        order = sorted(values)
-        _, tables = _decode(
-            _image(1, [("t", [Row(7, values)], order)]), {"t": order}
-        )
-        assert tables["t"] == [Row(7, values)]
+        schema = TableSchema("t", [
+            Column("none", "integer"), Column("yes", "boolean"),
+            Column("int", "integer"), Column("float", "float"),
+            Column("ratio", "rational"), Column("text", "string"),
+            Column("blob", "blob"), Column("work", "entity"),
+        ])
+        row = Row(7, schema.coerce(values), schema.layout)
+        _, tables = _decode(_image(1, [("t", [row], schema)]), {"t": schema})
+        assert tables["t"] == [row]
+        assert tables["t"][0].as_dict() == values
         assert tables["t"][0]["yes"] is True
 
     def test_a_unicode_table_name_survives(self):
-        _, tables = _decode(_image(1, [("Stück", _rows(1), ["k", "v"])]))
+        _, tables = _decode(_image(1, [("Stück", _rows(1), KV)]))
         assert list(tables) == ["Stück"]
 
-    def test_column_orders_are_asked_in_file_order_as_tables_are_taken(self):
+    def test_schemas_are_asked_in_file_order_as_tables_are_taken(self):
         """The catalog's rows make the tables the later ones name, so no
-        order is asked for before the tables ahead of it are read."""
+        schema is asked for before the tables ahead of it are read."""
         asked = []
 
-        def order(name):
+        def schema_of(name):
             asked.append(name)
-            return ["k", "v"]
+            return KV
 
-        raw = _image(5, [
-            ("_catalog", _rows(1), ["k", "v"]), ("b", _rows(2), ["k", "v"]),
-        ])
-        lsn, tables = image.unpack(lambda: io.BytesIO(raw), order)
+        raw = _image(5, [("_catalog", _rows(1), KV), ("b", _rows(2), KV)])
+        lsn, tables = image.unpack(lambda: io.BytesIO(raw), schema_of)
         assert asked == []
         assert next(tables)[0] == "_catalog" and asked == ["_catalog"]
         assert next(tables)[0] == "b" and asked == ["_catalog", "b"]
@@ -146,33 +158,39 @@ class TestLayout:
         raw = _image(2 ** 40 + 3)
         assert _HEAD.unpack_from(raw, 0) == (b"MDM-IMG", image.FORMAT, 2 ** 40 + 3)
 
-    def test_a_large_table_comes_out_in_pieces_of_about_64_kb(self):
-        # header, table, full pieces, the last piece, CRC
-        parts = list(image.pack(1, [("t", _rows(3000, width=100), ["k", "v"])]))
-        assert len(parts) > 6
-        row_size = len(Row(1, {"k": 1, "v": "x" * 100}).serialize(["k", "v"]))
-        for part in parts[2:-2]:
-            run = len(part) - _PIECE_HEAD.size
-            assert 1 << 16 <= run < (1 << 16) + row_size
+    def test_a_large_table_comes_out_in_pieces_of_piece_rows_rows(self):
+        rows = _rows(2 * image.PIECE_ROWS + 7, width=100)
+        # header, table, the full pieces, the last piece, CRC
+        parts = list(image.pack(1, [("t", rows, KV)]))
+        assert len(parts) == 6
+        pieces = [decode_row_run(part[_SIZE.size:], KV) for part in parts[2:-1]]
+        assert [len(piece) for piece in pieces] == [
+            image.PIECE_ROWS, image.PIECE_ROWS, 7,
+        ]
+        assert [row for piece in pieces for row in piece] == rows
+        for part in parts[2:-1]:
+            assert _SIZE.unpack_from(part)[0] == len(part) - _SIZE.size
 
     def test_the_decode_pass_reads_a_piece_at_a_time(self):
-        raw = _image(1, [("t", _rows(3000, width=100), ["k", "v"])])
+        tables = [("t", _rows(3000, width=100), KV)]
+        pieces = list(image.pack(1, tables))[2:-1]
+        raw = _image(1, tables)
         opened = []
 
         def open_image():
             opened.append(_RecordingReads(raw))
             return opened[-1]
 
-        _, tables = image.unpack(open_image, lambda name: ["k", "v"])
+        _, tables = image.unpack(open_image, lambda name: KV)
         assert len(opened) == 1  # the checksum pass; nothing decoded yet
         assert len(dict(tables)["t"]) == 3000
         decoded = opened[1]
         assert sum(decoded.sizes) == len(raw) - _HEAD.size - 4
-        assert max(decoded.sizes) < (1 << 16) + 200
+        assert max(decoded.sizes) == max(map(len, pieces)) - _SIZE.size
 
-    def test_no_table_is_serialized_whole_before_its_first_piece(self):
-        rows = _CountedRows(_rows(400, width=1000))
-        parts = image.pack(1, [("t", rows, ["k", "v"])])
+    def test_no_table_is_encoded_whole_before_its_first_piece(self):
+        rows = _CountedRows(_rows(2 * image.PIECE_ROWS + 1))
+        parts = image.pack(1, [("t", rows, KV)])
         for _ in range(3):  # header, table, first piece
             next(parts)
         assert 0 < rows.taken < len(rows)
@@ -269,7 +287,7 @@ class TestDatabaseImage:
 
     def test_a_seed_naming_a_table_its_catalog_lacks(self):
         """Whole by its CRC, yet refused once the install reaches it."""
-        raw = _image(5, [("ghost", [], ["k", "v"])])
+        raw = _image(5, [("ghost", [], KV)])
         copy = Database()
         lsn, tables = copy.read_image(lambda: io.BytesIO(raw))
         assert lsn == 5

@@ -1,37 +1,78 @@
-"""Row semantics and binary serialization."""
+"""Row semantics over a layout, and the row run."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.errors import StorageError
-from repro.storage.row import Row
+from repro.errors import RecoveryError, StorageError
+from repro.storage.row import Layout, Row, decode_row_run, encode_row_run
+from repro.storage.table import Column, TableSchema
 
-COLUMNS = ["a", "b", "c"]
+
+def _schema(*domains):
+    """A table whose columns a, b, c, ... have *domains*."""
+    return TableSchema("t", [
+        Column(chr(ord("a") + at), domain) for at, domain in enumerate(domains)
+    ])
+
+
+ABC = _schema("integer", "string", "integer")
+
+
+def _row(rowid, values, schema=ABC):
+    return Row(rowid, schema.coerce(values), schema.layout)
+
+
+def _round_trip(rows, schema=ABC):
+    run = bytearray()
+    encode_row_run(rows, schema, run)
+    return decode_row_run(bytes(run), schema)
 
 
 def test_access():
-    row = Row(1, {"a": 1, "b": "x", "c": None})
+    row = _row(1, {"a": 1, "b": "x", "c": None})
     assert row["a"] == 1
     assert row.get("c") is None
     assert row.get("missing", 7) == 7
     assert "b" in row
+    assert row.columns() == ["a", "b", "c"]
+    assert row.as_dict() == {"a": 1, "b": "x", "c": None}
+    with pytest.raises(KeyError):
+        row["missing"]
 
 
 def test_replaced_preserves_rowid():
-    row = Row(5, {"a": 1, "b": 2, "c": 3})
-    updated = row.replaced({"b": 9})
+    row = _row(5, {"a": 1, "b": "2", "c": 3})
+    updated = row.replaced({"b": "9"})
     assert updated.rowid == 5
-    assert updated["b"] == 9
-    assert row["b"] == 2  # original untouched
+    assert updated["b"] == "9"
+    assert row["b"] == "2"  # original untouched
 
 
 def test_equality_and_hash():
-    row1 = Row(1, {"a": 1})
-    row2 = Row(1, {"a": 1})
+    row1 = _row(1, {"a": 1})
+    row2 = _row(1, {"a": 1})
     assert row1 == row2
     assert hash(row1) == hash(row2)
-    assert row1 != Row(1, {"a": 2})
+    assert row1 != _row(1, {"a": 2})
+    assert row1 != _row(2, {"a": 1})
+
+
+def test_a_row_made_before_a_column_reads_it_as_null():
+    """A layout only grows: the rows made before a column answer None
+    for it, by every accessor, and equal a row that holds it null."""
+    schema = _schema("integer")
+    old = Row(1, schema.coerce({"a": 1}), schema.layout)
+    schema.set_columns(schema.columns + [Column("b", "string")])
+    assert old["b"] is None and old.get("b", 7) is None
+    assert old.as_dict() == {"a": 1, "b": None}
+    assert old.replaced({"b": "x"}).as_dict() == {"a": 1, "b": "x"}
+    assert old == Row(1, schema.coerce({"a": 1}), schema.layout)
+    other = Layout(a=0, b=1)
+    assert old == Row(1, (1, None), other)
+    assert old != Row(1, (1, "x"), other)
+    with pytest.raises(KeyError):
+        old["never"]
 
 
 @pytest.mark.parametrize(
@@ -43,33 +84,31 @@ def test_equality_and_hash():
         {"a": Fraction(3, 7), "b": b"\x00\xff", "c": ""},
     ],
 )
-def test_serialize_round_trip(values):
-    row = Row(99, values)
-    blob = row.serialize(COLUMNS)
-    back, offset = Row.deserialize(blob, COLUMNS)
+def test_a_one_row_run_round_trips(values):
+    schema = _schema(*(
+        {int: "integer", float: "float", str: "string", bool: "boolean",
+         Fraction: "rational", bytes: "blob", type(None): "entity"}[type(value)]
+        for value in values.values()
+    ))
+    row = _row(99, values, schema)
+    (back,) = _round_trip([row], schema)
     assert back == row
-    assert offset == len(blob)
+    assert back.as_dict() == values
 
 
-def test_serialize_missing_column_as_null():
-    row = Row(1, {"a": 1})
-    blob = row.serialize(COLUMNS)
-    back, _ = Row.deserialize(blob, COLUMNS)
-    assert back["b"] is None
+def test_a_run_of_rows_round_trips():
+    rows = [_row(i, {"a": i, "b": str(i % 2), "c": None}) for i in range(5)]
+    assert _round_trip(rows) == rows
 
 
-def test_deserialize_wrong_arity():
-    row = Row(1, {"a": 1, "b": 2, "c": 3})
-    blob = row.serialize(COLUMNS)
-    with pytest.raises(StorageError):
-        Row.deserialize(blob, ["a", "b"])
+def test_a_run_of_another_width_is_refused():
+    run = bytearray()
+    encode_row_run([_row(1, {"a": 1, "b": "2", "c": 3})], ABC, run)
+    with pytest.raises(RecoveryError, match="3 columns"):
+        decode_row_run(bytes(run), _schema("integer", "string"))
 
 
-def test_concatenated_rows():
-    rows = [Row(i, {"a": i, "b": str(i), "c": None}) for i in range(5)]
-    blob = b"".join(r.serialize(COLUMNS) for r in rows)
-    offset = 0
-    for expected in rows:
-        row, offset = Row.deserialize(blob, COLUMNS, offset)
-        assert row == expected
-    assert offset == len(blob)
+def test_a_row_of_another_layout_is_not_encoded():
+    with pytest.raises(StorageError, match="another layout"):
+        encode_row_run([_row(1, {"a": 1}, _schema("integer", "string", "integer"))],
+                       ABC, bytearray())

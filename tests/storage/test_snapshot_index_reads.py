@@ -398,7 +398,7 @@ class TestPinOrdering:
 def _row(table, rowid, k, v):
     from repro.storage.row import Row
 
-    return Row(rowid, table.schema.coerce({"k": k, "v": v}))
+    return Row(rowid, table.schema.coerce({"k": k, "v": v}), table.schema.layout)
 
 
 def _assert_eq(table, expected):

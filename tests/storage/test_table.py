@@ -172,7 +172,9 @@ class TestScan:
         table = make_table(journal=events.extend)
         from repro.storage.row import Row
 
-        table.install_committed(0, [Row(3, {"name": "x", "pitch": 9})])
+        schema = table.schema
+        row = Row(3, schema.coerce({"name": "x", "pitch": 9}), schema.layout)
+        table.install_committed(0, [row])
         assert events == []
         assert table.get(3)["pitch"] == 9
         # allocator stays ahead

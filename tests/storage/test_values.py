@@ -61,6 +61,29 @@ class TestCoercion:
     def test_blob(self):
         assert coerce_value(Domain.BLOB, bytearray(b"xy")) == b"xy"
 
+    @pytest.mark.parametrize("domain, value", [
+        (Domain.INTEGER, 2 ** 63),
+        (Domain.INTEGER, -(2 ** 63) - 1),
+        (Domain.ENTITY, 2 ** 64),
+        (Domain.RATIONAL, Fraction(1, 3 ** 50)),
+        (Domain.RATIONAL, 2 ** 63),
+        (Domain.STRING, "\ud800"),
+        (Domain.STRING, "a lone \udfff in a title"),
+    ])
+    def test_a_value_no_store_can_hold_is_refused(self, domain, value):
+        with pytest.raises(TypeMismatchError):
+            coerce_value(domain, value)
+
+    @pytest.mark.parametrize("domain, value", [
+        (Domain.INTEGER, 2 ** 63 - 1),
+        (Domain.INTEGER, -(2 ** 63)),
+        (Domain.ENTITY, 2 ** 63 - 1),
+        (Domain.RATIONAL, Fraction(-(2 ** 63), 2 ** 63 - 1)),
+        (Domain.STRING, "\U0001d11e clef"),
+    ])
+    def test_the_widest_value_every_store_holds_is_accepted(self, domain, value):
+        assert coerce_value(domain, value) == value
+
     def test_null_everywhere(self):
         for domain in Domain:
             assert coerce_value(domain, None) is None

@@ -158,17 +158,15 @@ class TestLogFile:
         from repro.storage.row import Row
 
         path = str(tmp_path / "test.log")
-        orders = {"t": ["a"]}
+        db = Database()
+        schema = db.create_table("t", [("a", "integer")]).schema
         with WriteAheadLog(path) as log:
             for rowid in (1, 2):
-                log.append_batch(
-                    [("insert", "t", Row(rowid, {"a": rowid}), None)], orders
-                )
+                row = Row(rowid, schema.coerce({"a": rowid}), schema.layout)
+                log.append_batch([("insert", "t", row, None)], {"t": schema})
             log.flush()
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) - 1)
         with WriteAheadLog(path) as log:
-            db = Database()
-            db.create_table("t", [("a", "integer")])
             wal_module.replay(log, db)
             assert [row.rowid for row in db.table("t")] == [1]
