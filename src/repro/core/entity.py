@@ -87,10 +87,7 @@ class EntityType:
         coerced = self._coerce_values(values)
         surrogate = self.schema.next_surrogate()
         coerced[SURROGATE_COLUMN] = surrogate
-        # The row and its registry entry commit together or not at all.
-        with self.schema.database.transactions.statement():
-            row = self.table.insert(coerced)
-            self.schema.register_instance(surrogate, self.name, row.rowid)
+        row = self.table.insert(coerced)
         return EntityInstance(self, surrogate, row.rowid)
 
     def _coerce_values(self, values):
@@ -193,7 +190,7 @@ class EntityInstance:
         surrogate = self._row().get(attribute_name)
         if surrogate is None:
             return None
-        return self.type.schema.instance(surrogate)
+        return self.type.schema.instance(surrogate, [attribute.target_type])
 
     def set(self, **updates):
         """Update attribute values in place."""
@@ -208,11 +205,8 @@ class EntityInstance:
 
     def delete(self):
         """Delete the instance (orderings/relationships must drop it first)."""
-        schema = self.type.schema
-        schema.assert_unreferenced(self)
-        with schema.database.transactions.statement():
-            self.type.table.delete(self.rowid)
-            schema.unregister_instance(self.surrogate)
+        self.type.schema.assert_unreferenced(self)
+        self.type.table.delete(self.rowid)
 
     def __eq__(self, other):
         if not isinstance(other, EntityInstance):

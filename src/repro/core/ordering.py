@@ -54,6 +54,8 @@ def default_ordering_name(child_types, parent_type):
 class Ordering:
     """One hierarchical ordering (one edge of the HO graph)."""
 
+    kind = "ordering"
+
     def __init__(self, schema, name, child_types, parent_type):
         if not child_types:
             raise SchemaError("ordering %r needs at least one child type" % name)
@@ -76,7 +78,6 @@ class Ordering:
                 ("order_key", Domain.INTEGER),
             ],
         )
-        self.table.create_index("parent")
         self.table.create_index("child")
         self._order_index = self.table.create_index(("parent", "order_key"))
         self._positions = {}
@@ -416,18 +417,19 @@ class Ordering:
     def clear(self, parent):
         """Remove every child of *parent*."""
         self._check_parent(parent)
-        for row in self.table.select_eq("parent", parent.surrogate):
+        for row in self.walk(parent.surrogate):
             self.table.delete(row.rowid)
 
     # -- queries (the section 5.6 operators' semantics) -------------------------------
 
+    def _child(self, row):
+        """The child instance membership *row* names."""
+        return self.schema.instance(row["child"], self.child_types)
+
     def children(self, parent):
         """The ordered children of *parent* ("x under p", all x)."""
         self._check_parent(parent)
-        return [
-            self.schema.instance(row["child"])
-            for row in self.walk(parent.surrogate)
-        ]
+        return [self._child(row) for row in self.walk(parent.surrogate)]
 
     def child_at(self, parent, position):
         """The child at ordinal *position* (1-based), or None.
@@ -438,7 +440,7 @@ class Ordering:
         rows = self.walk(parent.surrogate)
         if position < 1 or position > len(rows):
             return None
-        return self.schema.instance(rows[position - 1]["child"])
+        return self._child(rows[position - 1])
 
     def parent_of(self, child):
         """The parent of *child* in this ordering, or None."""
@@ -446,7 +448,7 @@ class Ordering:
         row = self._membership_row(child)
         if row is None:
             return None
-        return self.schema.instance(row["parent"])
+        return self.schema.instance(row["parent"], [self.parent_type])
 
     def position_of(self, child):
         """The 1-based ordinal of *child* under its parent, or None.
@@ -509,20 +511,20 @@ class Ordering:
         """The S-edge successor of *child*, or None."""
         row = self._membership_row(child)
         later = row and self.walk(row["parent"], after=row["order_key"])
-        return self.schema.instance(later[0]["child"]) if later else None
+        return self._child(later[0]) if later else None
 
     def previous_sibling(self, child):
         """The S-edge predecessor of *child*, or None."""
         row = self._membership_row(child)
         earlier = row and self.walk(row["parent"], before=row["order_key"])
-        return self.schema.instance(earlier[-1]["child"]) if earlier else None
+        return self._child(earlier[-1]) if earlier else None
 
     def parents(self):
         """All parent instances that currently have children, in surrogate order."""
         seen = {}
         for row in self.table:
             seen.setdefault(row["parent"], None)
-        return [self.schema.instance(s) for s in sorted(seen)]
+        return [self.schema.instance(s, [self.parent_type]) for s in sorted(seen)]
 
     def roots(self):
         """Parents that are not themselves children (tops of the hierarchy).
@@ -546,12 +548,12 @@ class Ordering:
         self._check_child(child)
         return sum(1 for _ in self._ancestors(child))
 
-    def references(self, surrogate):
-        """True if the ordering mentions the entity *surrogate*."""
-        return bool(
-            self.table.select_eq("child", surrogate)
-            or self.table.select_eq("parent", surrogate)
-        )
+    def rows_holding(self, place, surrogate):
+        """The membership rows holding *surrogate* as *place*
+        (``"child"`` or ``"parent"``)."""
+        if place == "parent":
+            return self.walk(surrogate)
+        return self.table.select_eq("child", surrogate)
 
     def table_size(self):
         return len(self.table)

@@ -20,6 +20,8 @@ from repro.storage.values import Domain
 class RelationshipType:
     """A named relationship among entity types."""
 
+    kind = "relationship"
+
     def __init__(self, schema, name, role_specs, attribute_specs=(), many_role=None):
         self.schema = schema
         self.name = name
@@ -136,8 +138,8 @@ class RelationshipType:
 
     def _materialize(self, row):
         record = {}
-        for role, _ in self.roles:
-            record[role] = self.schema.instance(row[role])
+        for role, type_name in self.roles:
+            record[role] = self.schema.instance(row[role], [type_name])
         for attribute in self.attributes:
             record[attribute.name] = row.get(attribute.name)
         return record
@@ -155,11 +157,9 @@ class RelationshipType:
             out.append(record[fetch_role] if fetch_role else record)
         return out
 
-    def references(self, surrogate):
-        """True if any instance references the entity *surrogate*."""
-        return any(
-            self.table.select_eq(role, surrogate) for role, _ in self.roles
-        )
+    def rows_holding(self, role, surrogate):
+        """The relationship instances whose *role* is *surrogate*."""
+        return self.table.select_eq(role, surrogate)
 
     def count(self):
         return len(self.table)

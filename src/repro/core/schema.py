@@ -23,10 +23,6 @@ from repro.core.entity import SURROGATE_COLUMN, EntityType
 from repro.core.ordering import Ordering, default_ordering_name
 from repro.core.relationship import RelationshipType
 from repro.storage.database import Database
-from repro.storage.values import Domain
-
-#: System table mapping surrogate -> (entity type, rowid).
-_INSTANCES_TABLE = "_instances"
 
 #: A definition's kind -> the Schema attribute holding its objects, their class.
 _KINDS = {
@@ -57,11 +53,6 @@ class Schema:
         self.orderings = {}
         stored = self.stored_in(self.database)
         with contextlib.nullcontext() if stored else self.database.ddl():
-            self._instances = self.database.create_or_bind_table(_INSTANCES_TABLE, [
-                ("surrogate", Domain.INTEGER), ("entity_type", Domain.STRING),
-                ("rowid", Domain.INTEGER),
-            ])
-            self._instances.create_index("surrogate")
             for definition in META_DEFINITIONS:
                 self._register(definition[0], self._build(definition))
             self.meta = MetaCatalog(self)
@@ -209,16 +200,30 @@ class Schema:
     def orderings_with_child(self, child_type):
         return [o for o in self.orderings.values() if child_type in o.child_types]
 
-    # -- surrogate registry --------------------------------------------------------
+    def holders(self, type_name):
+        """Where an instance of *type_name* can be held, as ``(holder,
+        place)`` pairs: ``(ordering, "child")`` and ``(ordering,
+        "parent")`` for each ordering admitting the type there,
+        ``(relationship, role)`` for each role it types.  Membership
+        rows are type-checked on the way in, so nothing else can hold
+        one; ``holder.rows_holding(place, surrogate)`` says what does."""
+        return (
+            [(o, "child") for o in self.orderings_with_child(type_name)]
+            + [(o, "parent") for o in self.orderings_with_parent(type_name)]
+            + [
+                (r, role) for r in self.relationships.values()
+                for role, role_type in r.roles if role_type == type_name
+            ]
+        )
+
+    # -- surrogates ----------------------------------------------------------------
 
     def next_surrogate(self):
         return next(self._surrogates)
 
     def _top_surrogate(self):
-        """The largest surrogate the registry or any entity table holds
-        (0: none).  Both count: a bulk load writes entity rows the
-        registry does not list."""
-        indexes = [self._instances.index_for("surrogate")] + [
+        """The largest surrogate any entity table holds (0: none)."""
+        indexes = [
             entity.table.index_for(SURROGATE_COLUMN)
             for entity in self.entity_types.values()
         ]
@@ -226,41 +231,25 @@ class Schema:
         keys = [index.max_key() for index in indexes]
         return max((int(key[1]) for key in keys if key is not None), default=0)
 
-    def register_instance(self, surrogate, type_name, rowid):
-        self._instances.insert(
-            {"surrogate": surrogate, "entity_type": type_name, "rowid": rowid}
-        )
-
-    def unregister_instance(self, surrogate):
-        for row in self._instances.select_eq("surrogate", surrogate):
-            self._instances.delete(row.rowid)
-
-    def instance(self, surrogate):
-        """Resolve a surrogate to an EntityInstance (any type)."""
-        rows = self._instances.select_eq("surrogate", surrogate)
-        if not rows:
-            raise IntegrityError("no instance with surrogate %d" % surrogate)
-        record = rows[0]
-        entity_type = self.entity_type(record["entity_type"])
-        from repro.core.entity import EntityInstance
-
-        return EntityInstance(entity_type, surrogate, record["rowid"])
+    def instance(self, surrogate, type_names):
+        """Resolve a surrogate to an instance of one of the entity types
+        *type_names*, each looked up through its own surrogate index."""
+        for name in type_names:
+            found = self.entity_types[name].get(surrogate)
+            if found is not None:
+                return found
+        raise IntegrityError("no instance with surrogate %d" % surrogate)
 
     def instance_count(self):
-        return len(self._instances)
+        return sum(entity.count() for entity in self.entity_types.values())
 
     def assert_unreferenced(self, instance):
         """Raise if *instance* still participates in orderings/relationships."""
-        for ordering in self.orderings.values():
-            if ordering.references(instance.surrogate):
+        for holder, place in self.holders(instance.type.name):
+            if holder.rows_holding(place, instance.surrogate):
                 raise IntegrityError(
-                    "%r still participates in ordering %r" % (instance, ordering.name)
-                )
-        for relationship in self.relationships.values():
-            if relationship.references(instance.surrogate):
-                raise IntegrityError(
-                    "%r still participates in relationship %r"
-                    % (instance, relationship.name)
+                    "%r still participates in %s %r"
+                    % (instance, holder.kind, holder.name)
                 )
 
     # -- whole-schema operations ----------------------------------------------------
@@ -315,7 +304,7 @@ class Schema:
             "ordering_edges": sum(
                 o.table_size() for o in self.orderings.values()
             ),
-            "relationship_instances": sum(
+            "relationship_rows": sum(
                 r.count() for r in self.relationships.values()
             ),
         }

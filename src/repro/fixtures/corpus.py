@@ -13,12 +13,7 @@ property runs are reproducible.
 
 ``load_catalog`` bulk-loads rows through the COPY-style
 :meth:`~repro.storage.database.Database.bulk_ingest` path with
-pre-allocated surrogates.  Deliberate trade-off: rows are NOT
-registered in the ``_instances`` system table (one extra insert per
-row), so schema-wide surrogate lookup (``schema.instance``) and
-ordering membership do not see them.  QUEL retrieves, joins on the
-entity's own surrogate index, and text search -- everything the
-catalog-search workload exercises -- are unaffected.
+pre-allocated surrogates.
 """
 
 import random
@@ -148,8 +143,7 @@ def load_catalog(schema, count, seed=0, name="TRACK", batch_rows=2000,
     """Define (or reuse) entity *name* and bulk-load a *count*-row corpus.
 
     Returns the entity type.  Surrogates are pre-allocated from the
-    schema counter and the rows go through ``bulk_ingest`` (see the
-    module docstring for the ``_instances`` trade-off).
+    schema counter and the rows go through ``bulk_ingest``.
 
     The generator is drained in *chunk_rows* slices so a million-track
     load never holds more than one chunk of pending dicts on top of the

@@ -397,19 +397,36 @@ class Compiler:
         if isinstance(node, ast.AttributeRef):
             value_fn = self.expression(node)
             variable, attribute = node.variable, node.attribute
+            target_types = self._target_types(variable, attribute)
 
             def attr_operand(rt, bindings):
                 value = value_fn(rt, bindings)
                 if value is None:
                     return None
-                if isinstance(value, int):
-                    return rt.schema.instance(value)
+                if isinstance(value, int) and target_types:
+                    return rt.schema.instance(value, target_types)
                 raise QueryError(
                     "%s.%s is not an entity reference" % (variable, attribute)
                 )
 
             return attr_operand
         raise QueryError("bad entity operand %r" % (node,))
+
+    def _target_types(self, variable, attribute):
+        """The entity types *variable.attribute* refers to: an
+        entity-valued attribute's target, a relationship role's type;
+        none for anything else."""
+        declared = self.session._range_for(variable)
+        schema = self.session.schema
+        if declared.kind == "relationship":
+            targets = dict(schema.relationship(declared.type_name).roles)
+        else:
+            targets = {
+                a.name: a.target_type
+                for a in schema.entity_type(declared.type_name).attributes
+                if a.is_entity_valued
+            }
+        return [targets[attribute]] if attribute in targets else []
 
     # -- qualifications ----------------------------------------------------------
 

@@ -746,7 +746,7 @@ class QuelSession:
             count += 1
         return count
 
-    def _matching_instances(self, compiled):
+    def _matches(self, compiled):
         """Distinct instances of the statement's target variable that
         satisfy its qualification, each with its first full binding."""
         variable = compiled.statement.variable
@@ -759,7 +759,7 @@ class QuelSession:
         return list(seen.values())
 
     def _replace(self, compiled):
-        matches = self._matching_instances(compiled)
+        matches = self._matches(compiled)
         for instance, bindings in matches:
             updates = {
                 name: fn(self, bindings) for name, fn in compiled.assignments
@@ -768,18 +768,14 @@ class QuelSession:
         return len(matches)
 
     def _delete(self, compiled):
-        matches = self._matching_instances(compiled)
+        matches = self._matches(compiled)
         for instance, _ in matches:
-            # Remove from orderings/relationships first so the delete is legal.
-            for ordering in self.schema.orderings.values():
-                if instance.type.name in ordering.child_types and ordering.contains(
-                    instance
-                ):
-                    ordering.remove(instance)
-            for relationship in self.schema.relationships.values():
-                for role, type_name in relationship.roles:
-                    if type_name == instance.type.name:
-                        relationship.unrelate(**{role: instance})
+            # Leave orderings as a child and every relationship first, so
+            # the delete is legal unless the instance still has children.
+            for holder, place in self.schema.holders(instance.type.name):
+                if place != "parent":
+                    for row in holder.rows_holding(place, instance.surrogate):
+                        holder.table.delete(row.rowid)
             instance.delete()
         return len(matches)
 

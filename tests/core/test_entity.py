@@ -55,7 +55,7 @@ class TestSurrogates:
     def test_instance_resolution(self, schema):
         a = schema.define_entity("A", [("x", "integer")])
         created = a.create(x=42)
-        resolved = schema.instance(created.surrogate)
+        resolved = schema.instance(created.surrogate, ["A"])
         assert resolved == created
         assert resolved["x"] == 42
 
@@ -64,7 +64,7 @@ class TestSurrogates:
         created = a.create(x=1)
         created.delete()
         with pytest.raises(IntegrityError):
-            schema.instance(created.surrogate)
+            schema.instance(created.surrogate, ["A"])
 
 
 class TestEntityValuedAttributes:
@@ -137,7 +137,7 @@ class TestInstanceOps:
     def test_equality_by_surrogate(self, schema):
         note = schema.define_entity("NOTE", [("name", "integer")])
         created = note.create(name=1)
-        again = schema.instance(created.surrogate)
+        again = schema.instance(created.surrogate, ["NOTE"])
         assert created == again
         assert hash(created) == hash(again)
 

@@ -105,10 +105,11 @@ class TestInstances:
         schema, rel = composer_schema
         alice = schema.entity_type("PERSON").create(name="Alice")
         piece = schema.entity_type("COMPOSITION").create(title="Solo")
-        assert not rel.references(alice.surrogate)
+        assert not rel.rows_holding("composer", alice.surrogate)
         rel.relate(composer=alice, composition=piece)
-        assert rel.references(alice.surrogate)
-        assert rel.references(piece.surrogate)
+        assert rel.rows_holding("composer", alice.surrogate)
+        assert rel.rows_holding("composition", piece.surrogate)
+        assert not rel.rows_holding("composer", piece.surrogate)
 
     def test_delete_blocked_while_related(self, composer_schema):
         schema, rel = composer_schema

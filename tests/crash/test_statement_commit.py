@@ -1,13 +1,11 @@
 """A statement outside a transaction is one commit, and a surrogate is
 handed out once.
 
-An ``append`` to an entity type writes the entity's row and its
-``_instances`` registry row.  Outside a transaction the two commit
-together -- one frame, one fsync -- so a crash leaves both or neither,
-and a reopened schema never hands out a surrogate a row already holds:
-its counter starts above every surrogate the registry or an entity
-table holds, bulk-loaded rows (which the registry does not list)
-included.
+A ``replace`` that matches two TRACKs rewrites two rows.  Outside a
+transaction the two commit together -- one frame, one fsync -- so a
+crash leaves both or neither, and a reopened schema never hands out a
+surrogate a row already holds: its counter starts above every
+surrogate an entity table holds, bulk-loaded rows included.
 """
 
 import pytest
@@ -20,6 +18,7 @@ from repro.storage.faults import FaultPlan, SimulatedCrash
 pytestmark = pytest.mark.crash
 
 APPEND = 'append to TRACK (title = "Gymnopedie")'
+REPLACE = 'replace TRACK (title = "Gnossienne")'
 
 
 def _open(path, opener=None):
@@ -28,43 +27,48 @@ def _open(path, opener=None):
     return mdm
 
 
+def _two_tracks(path, opener=None):
+    mdm = _open(path, opener)
+    mdm.execute(APPEND)
+    mdm.execute(APPEND)
+    return mdm
+
+
 def _surrogates(mdm):
-    """``(TRACK rows' surrogates, registered TRACK surrogates)``."""
+    """The TRACK rows' surrogates."""
     table = mdm.schema.entity_type("TRACK").table
-    registry = mdm.database.table("_instances")
-    return (
-        sorted(row[SURROGATE_COLUMN] for row in table),
-        sorted(row["surrogate"] for row in registry
-               if row["entity_type"] == "TRACK"),
-    )
+    return sorted(row[SURROGATE_COLUMN] for row in table)
+
+
+def _titles(mdm):
+    return sorted(row["title"] for row in mdm.schema.entity_type("TRACK").table)
 
 
 @pytest.mark.parametrize("torn", ["none", "all", "random"])
-def test_a_crash_in_an_auto_commit_append_keeps_both_rows_or_neither(
+def test_a_crash_in_an_auto_commit_replace_keeps_both_rows_or_neither(
     tmp_path, torn
 ):
     probe = FaultPlan()
-    mdm = _open(str(tmp_path / "probe"), probe.opener)
+    mdm = _two_tracks(str(tmp_path / "probe"), probe.opener)
     before = probe.sync_count
-    mdm.execute(APPEND)
+    mdm.execute(REPLACE)
     syncs = probe.sync_count - before
     mdm.close()
-    for at in range(1, syncs + 1):  # every fsync the append makes
+    for at in range(1, syncs + 1):  # every fsync the replace makes
         path = str(tmp_path / ("crash-%d" % at))
         plan = FaultPlan(seed=at, torn=torn)
-        mdm = _open(path, plan.opener)
-        mdm.execute(APPEND)
+        mdm = _two_tracks(path, plan.opener)
         plan.crash_at_sync = plan.sync_count + at
         with pytest.raises(SimulatedCrash):
-            mdm.execute(APPEND)
+            mdm.execute(REPLACE)
         reopened = _open(path)
         try:
-            tracks, registered = _surrogates(reopened)
-            assert tracks == registered and len(tracks) in (1, 2), at
+            assert _titles(reopened) in (
+                ["Gnossienne"] * 2, ["Gymnopedie"] * 2
+            ), at
             reopened.execute(APPEND)
-            tracks, registered = _surrogates(reopened)
-            assert tracks == registered, at
-            assert len(set(tracks)) == len(tracks), at
+            tracks = _surrogates(reopened)
+            assert len(set(tracks)) == len(tracks) == 3, at
         finally:
             reopened.close()
     assert syncs == 1
@@ -78,7 +82,7 @@ def test_a_surrogate_after_a_bulk_load_and_a_reopen_is_unused(tmp_path):
     mdm = MusicDataManager(path, with_cmn=False)
     try:
         mdm.execute(APPEND)
-        tracks, _ = _surrogates(mdm)
+        tracks = _surrogates(mdm)
         assert len(set(tracks)) == len(tracks) == 51
     finally:
         mdm.close()
@@ -95,8 +99,9 @@ def test_a_failed_statement_leaves_nothing(tmp_path):
         with pytest.raises(RuntimeError):
             with transactions.statement():
                 track.create(title="kept?")
+                track.create(title="kept too?")
                 raise RuntimeError("the statement fails after its writes")
-        assert _surrogates(mdm) == ([], [])
+        assert _surrogates(mdm) == []
         assert mdm.database.metrics.value("wal.appends") == appends
     finally:
         mdm.close()

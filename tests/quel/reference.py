@@ -123,7 +123,9 @@ class _Reference:
         if isinstance(node, ast.VariableRef):
             return bindings[node.variable]
         value = self.evaluate(node, bindings)
-        return None if value is None else self.schema.instance(value)
+        if value is None:
+            return None
+        return self.schema.instance(value, list(self.schema.entity_types))
 
     def ordering(self, name, children, parent=None):
         if name is not None:

@@ -68,8 +68,8 @@ class StressWorker:
     sequence of *committed* operations — concurrency can reorder
     workers against each other but never corrupt this per-worker
     ledger.  Contention comes from the shared tables underneath
-    (every create touches ``entity:NOTE`` and the instance registry;
-    every membership op touches the one ordering table).
+    (every create touches ``entity:NOTE``; every membership op touches
+    the one ordering table).
     """
 
     def __init__(self, harness, worker_id, seed, op_count):
@@ -220,10 +220,10 @@ class LockBlocker(threading.Thread):
 
     Holds ``entity:NOTE`` exclusively *before* the workers start (so the
     run begins with a guaranteed multi-session pileup on the lock
-    table), then pulses short exclusive holds on random tables.  Uses
-    huge owner ids: colliding sessions are older and wait; when a
-    session already holds the lock the blocker is younger and dies —
-    which is fine, it just skips that pulse.
+    table), then pulses short exclusive holds on the two tables the
+    workers write.  Uses huge owner ids: colliding sessions are older
+    and wait; when a session already holds the lock the blocker is
+    younger and dies — which is fine, it just skips that pulse.
     """
 
     def __init__(self, harness, seed, pulses=15, hold=0.002, gap=0.0005):
@@ -236,7 +236,7 @@ class LockBlocker(threading.Thread):
 
     def run(self):
         locks = self.harness.mdm.database.transactions.lock_manager
-        tables = (NOTE_TABLE, ORDERING_TABLE, "_instances")
+        tables = (NOTE_TABLE, ORDERING_TABLE)
         owner = BLOCKER_ID_BASE
         baseline = locks.stats()["waits"]
         locks.acquire(owner, NOTE_TABLE, LockMode.EXCLUSIVE)
