@@ -227,9 +227,8 @@ class Schema:
             entity.table.index_for(SURROGATE_COLUMN)
             for entity in self.entity_types.values()
         ]
-        # A hash index keys an integer by value_sort_key: (2, float).
         keys = [index.max_key() for index in indexes]
-        return max((int(key[1]) for key in keys if key is not None), default=0)
+        return max((key for key in keys if key is not None), default=0)
 
     def instance(self, surrogate, type_names):
         """Resolve a surrogate to an instance of one of the entity types

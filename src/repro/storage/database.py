@@ -68,7 +68,7 @@ CATALOG = "_catalog"
 def collector_paused():
     """Hold the cyclic garbage collector off for a load: the image
     install, redo and deferred index build of an open or a replica's
-    seed create rows, versions and chains by the hundred thousand and
+    seed create rows and their value tuples by the hundred thousand and
     no cycle among them, so its passes over them would find nothing.
     The collector's state before is restored, whatever the load raises."""
     enabled = gc.isenabled()
@@ -647,7 +647,7 @@ class Database:
 
     def install_image(self, tables):
         """Defer index upkeep and install *tables* (:meth:`read_image`'s)
-        as committed at LSN 0: one version, visible to every snapshot.
+        as committed at LSN 0: each row its rowid's one version, no chain.
         The catalog's rows come first and make the tables the rest fill;
         :meth:`build_deferred_indexes` ends the load."""
         self.defer_index_upkeep()

@@ -13,60 +13,68 @@ from repro.storage.values import value_sort_key
 
 
 class HashIndex:
-    """Equality index: value -> set of rowids."""
+    """Equality index: value -> rowids.  A bucket is keyed by the value,
+    so equal numbers (``1``, ``1.0``, ``Fraction(1)``, ``True``) share one;
+    a lone rowid is held bare, two or more as a set -- one form a content."""
 
     def __init__(self, column):
         self.column = column
         self._buckets = {}
 
     def __len__(self):
-        return sum(len(b) for b in self._buckets.values())
+        return sum(
+            1 if type(bucket) is int else len(bucket)
+            for bucket in self._buckets.values()
+        )
 
     def insert(self, value, rowid):
-        key = self._key(value)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = {rowid}
-        else:
-            bucket.add(rowid)
+        self.insert_many(((value, rowid),))
 
     def insert_many(self, pairs):
-        """Bulk insert of ``(value, rowid)`` pairs; a bucket is made
-        only for a key not yet held (no ``setdefault`` default per row)."""
-        buckets, key_of = self._buckets, self._key
+        """Insert each ``(value, rowid)`` of the iterable *pairs*: one
+        ``setdefault`` a pair, which a key not yet held ends at."""
+        buckets = self._buckets
+        setdefault = buckets.setdefault
         for value, rowid in pairs:
-            key = key_of(value)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {rowid}
-            else:
+            bucket = setdefault(value, rowid)
+            if bucket is rowid:
+                continue
+            if type(bucket) is not int:
                 bucket.add(rowid)
+            elif bucket != rowid:
+                buckets[value] = {bucket, rowid}
 
     def delete(self, value, rowid):
-        key = self._key(value)
-        bucket = self._buckets.get(key)
-        if bucket is None or rowid not in bucket:
+        buckets = self._buckets
+        bucket = buckets.get(value)
+        if bucket == rowid:
+            del buckets[value]
+        elif type(bucket) is set and rowid in bucket:
+            bucket.remove(rowid)
+            if len(bucket) == 1:
+                buckets[value] = bucket.pop()
+        else:
             raise StorageError(
                 "index on %r: row #%s not present under %r" % (self.column, rowid, value)
             )
-        bucket.discard(rowid)
-        if not bucket:
-            del self._buckets[key]
 
     def lookup(self, value):
         """Return the rowids stored under *value* (a new list,
         ascending, as every index's ``lookup`` answers)."""
-        return sorted(self._buckets.get(self._key(value), ()))
+        bucket = self._buckets.get(value)
+        if bucket is None:
+            return []
+        if type(bucket) is int:
+            return [bucket]
+        return sorted(bucket)
 
     def max_key(self):
+        """The largest value held (None: none), of values that compare
+        with each other, as an entity's surrogates do."""
         return max(self._buckets, default=None)
 
     def distinct_values(self):
         return len(self._buckets)
-
-    # Normalize numerics so 1, 1.0 and Fraction(1) share a bucket,
-    # matching the comparison semantics of the executor.
-    _key = staticmethod(value_sort_key)
 
 
 class _AfterAll:
@@ -92,6 +100,31 @@ class _AfterAll:
 
 #: Singleton used to pad prefix probes in composite-index bisects.
 AFTER_ALL = _AfterAll()
+
+
+def _post(postings, keyed):
+    """Add each ``(key, rowid)`` of *keyed* to the sorted posting lists
+    *postings*; returns the keys it made a list for."""
+    new_keys = []
+    for key, rowid in keyed:
+        posting = postings.get(key)
+        if posting is None:
+            postings[key] = [rowid]
+            new_keys.append(key)
+        else:
+            bisect.insort(posting, rowid)
+    return new_keys
+
+
+def _add_keys(keys, new_keys):
+    """Merge *new_keys* into the sorted list *keys*: an insort each for a
+    few, one sort for many."""
+    if len(new_keys) < 16:
+        for key in new_keys:
+            bisect.insort(keys, key)
+    else:
+        keys.extend(new_keys)
+        keys.sort()
 
 
 class OrderedIndex:
@@ -120,27 +153,14 @@ class OrderedIndex:
             bisect.insort(postings, rowid)
 
     def insert_many(self, pairs):
-        """Bulk insert of ``(value, rowid)`` pairs.
+        """Bulk insert of the iterable *pairs*, ``(value, rowid)`` each.
 
-        Large batches pay one key-list sort instead of a
-        ``bisect.insort`` (O(n) list shift) per previously unseen key.
+        Many unseen keys pay one key-list sort instead of a
+        ``bisect.insort`` (O(n) list shift) each.
         """
-        if len(pairs) < 16:
-            for value, rowid in pairs:
-                self.insert(value, rowid)
-            return
-        new_keys = []
-        for value, rowid in pairs:
-            key = value_sort_key(value)
-            postings = self._postings.get(key)
-            if postings is None:
-                self._postings[key] = [rowid]
-                new_keys.append(key)
-            else:
-                bisect.insort(postings, rowid)
-        if new_keys:
-            self._keys.extend(new_keys)
-            self._keys.sort()
+        _add_keys(self._keys, _post(self._postings, (
+            (value_sort_key(value), rowid) for value, rowid in pairs
+        )))
 
     def delete(self, value, rowid):
         key = value_sort_key(value)
@@ -222,24 +242,12 @@ class OrderedCompositeIndex:
             bisect.insort(postings, rowid)
 
     def insert_many(self, pairs):
-        """Bulk insert of ``(values, rowid)`` pairs (one sort, as in
-        :meth:`OrderedIndex.insert_many`)."""
-        if len(pairs) < 16:
-            for values, rowid in pairs:
-                self.insert(values, rowid)
-            return
-        new_keys = []
-        for values, rowid in pairs:
-            key = self.make_key(values)
-            postings = self._postings.get(key)
-            if postings is None:
-                self._postings[key] = [rowid]
-                new_keys.append(key)
-            else:
-                bisect.insort(postings, rowid)
-        if new_keys:
-            self._keys.extend(new_keys)
-            self._keys.sort()
+        """Bulk insert of the iterable *pairs*, ``(values, rowid)`` each
+        (as :meth:`OrderedIndex.insert_many`)."""
+        make_key = self.make_key
+        _add_keys(self._keys, _post(self._postings, (
+            (make_key(values), rowid) for values, rowid in pairs
+        )))
 
     def delete(self, values, rowid):
         key = self.make_key(values)

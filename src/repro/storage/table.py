@@ -6,27 +6,27 @@ this is the relational substrate the ER layer compiles down to.
 
 MVCC version chains
 -------------------
-Besides the current-row map, every rowid owns a *version chain*: an
-immutable tuple of :class:`RowVersion` entries (oldest first), replaced
-wholesale on mutation so lock-free snapshot readers can walk a chain
-without synchronizing with writers.  A version's lifetime is the
-half-open commit-LSN interval ``[begin_lsn, end_lsn)``:
+A rowid with no *version chain* has one version: its row, installed at
+LSN 0 by a load (checkpoint image, replica seed, crash recovery's redo)
+and visible to every snapshot.  A writer that touches one first gives
+it the chain ``(RowVersion(row, 0, None),)``.  A chain is an immutable
+tuple of :class:`RowVersion` entries (oldest first), replaced wholesale
+on mutation and always set before the row map changes.  A version
+covers the commit-LSN interval ``[begin_lsn, end_lsn)``: ``begin_lsn``
+None is not yet committed, ``end_lsn`` None still current.
 
-* ``begin_lsn is None`` -- created by a transaction that has not
-  committed yet; invisible to every snapshot;
-* ``begin_lsn == 0`` -- installed from a checkpoint image, a replica
-  seed or crash recovery's redo; visible to all snapshots (its creator
-  committed before the image, seed or crash);
-* ``end_lsn is None`` -- still current (no committed delete/update
-  supersedes it).
-
-A thread that pinned a snapshot ``S`` (via the transaction manager's
-``pin_snapshot``) sees exactly the versions with
-``begin_lsn <= S < end_lsn``; every read method consults the injected
-*snapshot* callable and fetches rows through the chains when one is
-pinned.  Superseded versions are pruned opportunistically on the rowid
-being rewritten and in bulk at checkpoint, never past the horizon of an
-active snapshot.
+A thread that pinned snapshot ``S`` (the transaction manager's
+``pin_snapshot``) sees the versions with ``begin_lsn <= S < end_lsn``:
+it reads a rowid's row, then its chain, and answers from the chain if
+there is one.  A row it finds chainless is a load's: a writer's row has
+its chain from before it entered the map, and pruning drops a chain
+only when all its versions end at or below the horizon -- which the
+reader's pin holds at or below ``S``, below the end of any row it can
+still find in the map.  An undone insert drops its chain at once,
+bumping ``_retracted`` after its row leaves the map, and a read that saw
+the count move reads again.  Superseded versions are pruned on the
+rowid being rewritten and in bulk at checkpoint, never past the horizon
+of an active snapshot.
 
 Snapshot reads
 --------------
@@ -59,13 +59,14 @@ The invariant is a *verified superset*: for any snapshot ``S`` that may
 be pinned and any indexed predicate, the rowids whose version visible
 at ``S`` satisfies it are contained in (index probe over current rows)
 union (stale set), both taken in one latch hold.  Proof by cases on a
-rowid ``r`` at the moment of the hold: if ``r`` is not stale its chain
-is one current version, which the index describes, so the probe decides
-it exactly (and the fetch drops it if that version is not visible at
-``S``); if ``r`` is stale it is a candidate regardless.  A writer that
-rewrites ``r`` *after* the hold cannot take the version visible at ``S``
-away -- the reader's registered pin holds the prune horizon at or below
-``S`` -- so the fetch through the chain still finds it.  Candidates are
+rowid ``r`` at the moment of the hold: if ``r`` is not stale it has one
+current version (chainless, or a chain of one), which the index
+describes, so the probe decides it exactly (and the fetch drops it if
+that version is not visible at ``S``); if ``r`` is stale it is a
+candidate regardless.  A writer that rewrites ``r`` *after* the hold
+cannot take the version visible at ``S`` away -- the reader's
+registered pin holds the prune horizon at or below ``S`` -- so the
+fetch through the chain still finds it.  Candidates are
 then fetched at ``S`` and **every** restriction is re-checked on the
 visible version (:meth:`Table.fetch`), because a stale rowid's visible
 version need not satisfy what the index says about its current one.
@@ -77,6 +78,7 @@ visible rows (:data:`SWAMPED`).
 import itertools
 import threading
 from collections import OrderedDict
+from operator import attrgetter
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.index import HashIndex, OrderedCompositeIndex, OrderedIndex
@@ -97,6 +99,8 @@ SWAMPED = object()
 #: Stale entries a single write may settle: each write adds at most
 #: one, so any backlog (a long snapshot just unpinned) drains.
 _TRIM_PER_WRITE = 2
+
+_ROWID = attrgetter("rowid")
 
 
 class RowVersion:
@@ -207,12 +211,16 @@ class Table:
         self._next_rowid = itertools.count(1)
         self._indexes = {}
         self._journal = journal
-        # MVCC: rowid -> immutable tuple of RowVersions, oldest first.
+        # MVCC: rowid -> immutable tuple of RowVersions, oldest first; a
+        # rowid without one has one version, its row, from LSN 0.
         # Writers replace a rowid's tuple wholesale (under _chains_mutex,
         # which orders them against checkpoint pruning); lock-free
         # snapshot readers walk whatever tuple they atomically observe.
         self._chains = {}
         self._chains_mutex = threading.Lock()
+        # Undone inserts, counted between a row leaving the map and its
+        # chain going: a pinned read that saw the count move reads again.
+        self._retracted = 0
         # *snapshot* returns the pinned snapshot LSN of the calling
         # thread (or None); *prune_horizon* returns the LSN below which
         # no active or future snapshot can look.  Bare tables (tests)
@@ -275,6 +283,10 @@ class Table:
         ``begin_lsn <= snapshot < end_lsn`` because committed intervals
         partition the rowid's history.
         """
+        version = chain[-1]  # nearly every chain's case, decided first
+        begin = version.begin_lsn
+        if version.end_lsn is None and begin is not None and begin <= snapshot:
+            return version.row
         for version in reversed(chain):
             begin = version.begin_lsn
             if begin is None or begin > snapshot:
@@ -286,16 +298,42 @@ class Table:
         return None
 
     def _snapshot_rows(self, snapshot):
-        """Every row visible at *snapshot* (lock-free, index-free)."""
-        visible = self._visible_row
+        """Every row visible at *snapshot*, in ascending rowid order
+        (lock-free, index-free; module docstring)."""
+        # rowid -> its row, or its chain where it has one: both copies
+        # are atomic under the GIL, and the rows' is taken first.
+        retracted = None
+        while retracted != self._retracted:
+            retracted = self._retracted
+            held = self._rows.copy()
+            held.update(self._chains)
         out = []
-        # list() of dict items is atomic under the GIL; each chain tuple
-        # is immutable, so concurrent writers can only swap in new
-        # tuples we either see whole or not at all.
-        for _rowid, chain in list(self._chains.items()):
-            row = visible(chain, snapshot)
+        visible = self._visible_row
+        for entry in held.values():
+            if type(entry) is not tuple:
+                out.append(entry)  # chainless: one version, visible to all
+                continue
+            row = visible(entry, snapshot)
             if row is not None:
                 out.append(row)
+        out.sort(key=_ROWID)
+        return out
+
+    def _visible_rows(self, rowids, snapshot):
+        """The rows of the sequence *rowids* visible at *snapshot*, in
+        its order (module docstring)."""
+        rows, chains, visible = self._rows, self._chains, self._visible_row
+        retracted = None
+        while retracted != self._retracted:
+            retracted = self._retracted
+            out = []
+            for rowid in rowids:
+                row = rows.get(rowid)
+                chain = chains.get(rowid)
+                if chain is not None:
+                    row = visible(chain, snapshot)
+                if row is not None:
+                    out.append(row)
         return out
 
     # -- introspection ----------------------------------------------------
@@ -323,10 +361,12 @@ class Table:
         snapshot = self._current_snapshot()
         if snapshot is None:
             return self._rows.get(rowid)
-        chain = self._chains.get(rowid)
-        if chain is None:
-            return None
-        return self._visible_row(chain, snapshot)
+        retracted = None
+        while retracted != self._retracted:  # module docstring
+            retracted = self._retracted
+            row = self._rows.get(rowid)
+            chain = self._chains.get(rowid)
+        return row if chain is None else self._visible_row(chain, snapshot)
 
     def get_many(self, rowids):
         """Rows for *rowids*, in the given order, skipping missing ones.
@@ -336,20 +376,12 @@ class Table:
         ``get`` round trip each.
         """
         snapshot = self._current_snapshot()
+        if snapshot is not None:
+            return self._visible_rows(rowids, snapshot)
+        rows = self._rows
         out = []
-        if snapshot is None:
-            rows = self._rows
-            for rowid in rowids:
-                row = rows.get(rowid)
-                if row is not None:
-                    out.append(row)
-            return out
-        chains = self._chains
         for rowid in rowids:
-            chain = chains.get(rowid)
-            if chain is None:
-                continue
-            row = self._visible_row(chain, snapshot)
+            row = rows.get(rowid)
             if row is not None:
                 out.append(row)
         return out
@@ -428,9 +460,9 @@ class Table:
             return
         # _index_value's two cases, decided once and not per row.
         if isinstance(column, tuple):
-            pairs = [(tuple(row[c] for c in column), row.rowid) for row in rows]
+            pairs = ((tuple(row[c] for c in column), row.rowid) for row in rows)
         else:
-            pairs = [(row[column], row.rowid) for row in rows]
+            pairs = ((row[column], row.rowid) for row in rows)
         index.insert_many(pairs)
 
     # Deferred upkeep: the two loads that fill an empty table before any
@@ -579,8 +611,8 @@ class Table:
             self._next_rowid = itertools.count(max(rowid + 1, next(self._next_rowid)))
         row = Row(rowid, coerced, self.schema.layout)
         with self._latch:
-            self._rows[rowid] = row
             self._chain_append(rowid, RowVersion(row))
+            self._rows[rowid] = row
             self._reindex(None, row)
             self._unstamped += 1
         self.version += 1
@@ -613,8 +645,8 @@ class Table:
                 while rowid in self._rows:
                     rowid = next(self._next_rowid)
                 row = Row(rowid, coerced, layout)
-                self._rows[rowid] = row
                 self._chain_append(rowid, RowVersion(row))
+                self._rows[rowid] = row
                 rows.append(row)
             for (column, _), index in self._indexes.items():
                 self._index_rows(column, index, rows)
@@ -636,10 +668,10 @@ class Table:
             coerced[column] = coerce_value(self.schema.column(column).domain, value)
         new = old.replaced(coerced)
         with self._latch:
-            self._rows[rowid] = new
             # The old version stays open (end_lsn None) until the commit
             # stamps it; snapshot readers keep seeing it meanwhile.
             self._chain_append(rowid, RowVersion(new))
+            self._rows[rowid] = new
             self._reindex(old, new)
             self._supersede(rowid)
             self._unstamped += 1
@@ -656,9 +688,10 @@ class Table:
             self._guard()
         old = self.require(rowid)
         with self._latch:
+            # The victim version stays open until the commit stamps its
+            # end_lsn, so pinned snapshots still see it.
+            self._chain_append(rowid)
             del self._rows[rowid]
-            # No chain change: the victim version stays open until the
-            # commit stamps its end_lsn, so pinned snapshots still see it.
             self._reindex(old, None)
             self._supersede(rowid)
             self._unstamped += 1
@@ -683,9 +716,18 @@ class Table:
     # Stamping only assigns version attributes (atomic under the GIL)
     # and needs no mutex.
 
-    def _chain_append(self, rowid, version):
+    def _chain_append(self, rowid, version=None):
+        """Append *version* (if any) to *rowid*'s chain, which a
+        chainless rowid's row first enters as its LSN-0 version.  Called
+        before the row map changes (module docstring)."""
         with self._chains_mutex:
-            self._chains[rowid] = self._chains.get(rowid, ()) + (version,)
+            chain = self._chains.get(rowid)
+            if chain is None:
+                held = self._rows.get(rowid)
+                chain = () if held is None else (RowVersion(held, 0, None),)
+            if version is not None:
+                chain += (version,)
+            self._chains[rowid] = chain
 
     def _chain_drop(self, rowid, row):
         """Remove the version holding exactly *row* (by identity)."""
@@ -744,6 +786,7 @@ class Table:
             if self._rows.get(rowid) is row:
                 del self._rows[rowid]
                 self._reindex(row, None)
+            self._retracted += 1
             self._chain_drop(rowid, row)
             self._settle(rowid, self._horizon())
             self._unstamped -= 1
@@ -966,7 +1009,7 @@ class Table:
             rows = self._rows
             return [rows[rowid] for rowid in rowids if rowid in rows]
         if stale is SWAMPED:
-            rows = sorted(self, key=lambda row: row.rowid)
+            rows = list(self)  # pinned: ascending rowid
         else:
             if stale:
                 rowids = sorted(set(stale).union(rowids))
@@ -1071,35 +1114,37 @@ class Table:
         redone commit's (each of its runs at once).
         No journal, guard or lock is involved -- the caller (recovery,
         or a replica's single applier thread) is the only writer -- and
-        one latch hold covers the run.  A run of rowids the table has
-        never held, none named twice -- every load's -- updates the row
-        map and the chains once; any other goes row by row.
+        one latch hold covers the run.  A run of rowids the table does
+        not hold, none named twice -- every load's -- updates the row
+        map (and the chains) once; any other goes row by row.
 
         A rowid already present (redo of an update, or named earlier in
         the run) is overwritten and a deleted rowid that is absent is
-        passed over, so a change installed twice lands once.  The
-        superseded version ends at *lsn* and the new one begins there,
-        so a reader pinned below *lsn* keeps its image while the change
-        lands; then the rowid is queued as stale and its chain pruned to
-        the horizon, as ``update``/``delete`` do.  Recovery and loads
-        pass LSN 0 (the horizon is never below it), which leaves exactly
-        one version, visible to every snapshot, and the stale set empty.
-        ``version`` grows by one a row installed or deleted.
+        passed over, so a change installed twice lands once.  LSN 0 is
+        a load's, into tables no writer has touched: it only fills or
+        empties the row map, each row its rowid's one version.  Above
+        it (a replica's redo) the superseded version ends at *lsn* and
+        the new one begins there, so a reader pinned below *lsn* keeps
+        its image while the change lands; then the rowid is queued as
+        stale and its chain pruned to the horizon, as
+        ``update``/``delete`` do.  ``version`` grows by one a row
+        installed or deleted.
         """
         held, chains = self._rows, self._chains
         changed = 0
         with self._latch:
             if rows:
                 run = {row.rowid: row for row in rows}
-                # A held rowid has a chain, so disjoint chains mean
-                # nothing is overwritten.
-                if len(run) == len(rows) and chains.keys().isdisjoint(run):
+                if len(run) == len(rows) and held.keys().isdisjoint(run) and (
+                    not lsn or chains.keys().isdisjoint(run)
+                ):
+                    if lsn:
+                        with self._chains_mutex:
+                            chains.update({
+                                rowid: (RowVersion(row, lsn, None),)
+                                for rowid, row in run.items()
+                            })
                     held.update(run)
-                    with self._chains_mutex:
-                        chains.update({
-                            rowid: (RowVersion(row, lsn, None),)
-                            for rowid, row in run.items()
-                        })
                     if not self._deferring:
                         for row in rows:
                             self._reindex(None, row)
@@ -1120,14 +1165,16 @@ class Table:
         """One change of :meth:`install_committed` over whatever *rowid*
         holds; *row* None deletes it.  The caller holds the latch."""
         old = self._rows.get(rowid)
+        if lsn:
+            self._chain_append(
+                rowid, None if row is None else RowVersion(row, lsn, None)
+            )
         if row is None:
             del self._rows[rowid]
         else:
             self._rows[rowid] = row
         self._reindex(old, row)
-        if row is not None:
-            self._chain_append(rowid, RowVersion(row, lsn, None))
-        if old is not None:
+        if lsn and old is not None:
             version = self._chain_version_of(old)
             if version is not None:
                 version.end_lsn = lsn

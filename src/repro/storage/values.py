@@ -107,7 +107,7 @@ def coerce_value(domain, value):
 # Rank per type so heterogeneous columns (and nulls) still sort totally.
 _TYPE_RANK = {
     type(None): 0,
-    bool: 1,
+    bool: 2,
     int: 2,
     float: 2,
     Fraction: 2,
@@ -119,23 +119,22 @@ _TYPE_RANK = {
 def value_sort_key(value):
     """Return a key tuple giving a total order over all storable values.
 
-    Nulls sort first; numerics sort together by numeric value; strings and
-    blobs sort within their own groups.  This is what lets a relation be
-    "sorted ... by ascending key value" (section 5.2) regardless of
-    domain.
+    Nulls sort first; numerics sort together by numeric value, compared
+    exactly (an integer past 2**53 is not its nearest float); strings
+    and blobs sort within their own groups.  This is what lets a
+    relation be "sorted ... by ascending key value" (section 5.2)
+    regardless of domain.
     """
     cls = type(value)
-    # The exact types nearly every key is, first: an int pays no ABC
-    # ``isinstance`` against Fraction.  The same keys as below.
+    # The exact types nearly every key is, first, without the rank
+    # look-up.  The same keys as below.
     if cls is str:
         return (3, value)
     if cls is int or cls is float:
-        return (2, float(value))
+        return (2, value)
     rank = _TYPE_RANK.get(cls)
     if rank is None:
         raise TypeMismatchError("unsortable value %r" % (value,))
     if value is None:
         return (0, 0)
-    if rank == 2 or rank == 1:
-        return (2, float(value) if not isinstance(value, Fraction) else value)
     return (rank, value)

@@ -626,7 +626,7 @@ class RedoApplier:
                 self._install(lsn, *run)
         elif kind == CHECKPOINT:
             # The primary pruned its version chains here; so does a
-            # replica.  Recovery installs at LSN 0, one version a chain:
+            # replica.  Recovery installs at LSN 0, without chains:
             # nothing to prune.
             if self._stamp_commits:
                 self._database.prune_versions()

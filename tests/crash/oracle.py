@@ -26,8 +26,9 @@ it through every lens: the state, with the schema rebuilt from the
 recovered meta rows, is acceptable; every ordering passes
 ``check_invariants``; every index equals one rebuilt from the rows
 (:func:`assert_indexes_match_rows`); every row is one all-visible
-version, and a snapshot pinned on the recovered database reads exactly
-the recovered state across a post-recovery commit; text queries through
+version, with no chain (:func:`assert_one_version_a_row`), and a
+snapshot pinned on the recovered database reads exactly the recovered
+state across a post-recovery commit; text queries through
 each index are exact after post-verification, and the index keeps up
 with a new row.
 
@@ -167,6 +168,26 @@ def assert_indexes_match_rows(table):
         assert len(index) == len(rebuilt)
 
 
+def assert_one_version_a_row(database, table, rows):
+    """What a load leaves *table* holding: *rows* (rowid -> values),
+    each its rowid's one version, from LSN 0 -- no chain, a pin below
+    every commit reads every row -- and no hash bucket of one rowid
+    that is not that bare rowid."""
+    assert not table._chains, "%s holds version chains" % table.name
+    database.transactions.pin_snapshot(0)
+    try:
+        assert [row.rowid for row in table] == sorted(rows)
+        assert table.get_many(sorted(rows)) == list(table)
+    finally:
+        database.transactions.unpin_snapshot()
+    for index in table.indexes().values():
+        if isinstance(index, HashIndex):
+            assert not [
+                bucket for bucket in index._buckets.values()
+                if type(bucket) is not int and len(bucket) < 2
+            ], "a hash index on %s holds a set of one rowid" % table.name
+
+
 def table_state(database):
     """:func:`state_of` *database* with the schema its meta rows say,
     once every index on every table has passed
@@ -260,10 +281,7 @@ def verify_recovery(directory, acceptable=None):
         for name in db.table_names():
             table = db.table(name)
             assert_indexes_match_rows(table)
-            # Each surviving row is one version, visible to every snapshot.
-            assert set(table._chains) == set(rows[name])
-            for chain in table._chains.values():
-                assert [(v.begin_lsn, v.end_lsn) for v in chain] == [(0, None)]
+            assert_one_version_a_row(db, table, rows[name])
         for name, column in text:
             index = db.table(name).text_index_for(column)
             for query in QUERIES:

@@ -3,10 +3,10 @@
 The one workload (``tests/crash/oracle.py``), its crashes aimed at the
 barriers where versions are made and unmade; every recovery is checked
 through every lens of ``verify_recovery`` -- here the one that matters
-is that recovered rows are single ``begin_lsn=0`` versions, visible to
-every snapshot, with no ghost of pre-crash version chains, and that a
-snapshot pinned on the recovered database stays frozen across a
-post-recovery commit:
+is that recovered rows hold no version chain (each is its rowid's one
+version, visible to every snapshot, with no ghost of pre-crash chains)
+and that a snapshot pinned on the recovered database stays frozen
+across a post-recovery commit:
 
 * the **commit-stamp barrier** -- the flush that publishes a
   transaction's commit LSN: a torn tail there decides atomically

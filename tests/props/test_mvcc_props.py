@@ -25,6 +25,16 @@ candidate cap and the reads cross the fall-back to a visible-row scan
 and come back.  The unpinned present's ``select_eq`` / ``select_range``
 are held to the in-transaction state the same way.
 
+Reopen: the world is a durable database, and one op kind closes and
+reopens its directory.  What the open loads is chainless -- each row
+its rowid's one version, from LSN 0 -- and the recorded history goes
+with the process, so the model keeps only the reopened present; the
+ops after it update and delete chainless rows under the pins it then
+records.  :class:`ReplicaState` is the same judgement on a replica:
+its seed loads chainless, and a pin taken after the seed must keep
+reading the seeded versions while shipped commits update and delete
+them.
+
 Pruning honesty: the engine prunes dead versions up to the horizon on
 every rewrite, and the horizon is bounded only by *pinned* snapshots —
 an unpinned LSN older than the horizon is void, by contract.  So the
@@ -36,12 +46,18 @@ remaining one survived the pruning that the advance unleashed.
 """
 
 import collections
+import shutil
+import tempfile
 
 import pytest
 
 from repro.core.entity import SURROGATE_COLUMN
 from repro.core.schema import Schema
+from repro.net.replica import _ReplicaState
 from repro.quel.executor import QuelSession
+from repro.storage import wal as wal_module
+from repro.storage.database import Database
+from tests.crash.oracle import assert_indexes_match_rows, assert_one_version_a_row
 from tests.props.program import assert_passes, every_conjunct_rerun, generate
 from tests.props.protector import Protector
 from tests.quel.reference import reference_execute
@@ -87,17 +103,9 @@ class MvccState:
     """The live database plus the single-threaded reference model."""
 
     def __init__(self, size=0):
-        self.schema = Schema("mvcc-props")
-        self.db = self.schema.database
-        entity = self.schema.define_entity(
-            "T", [("n", "integer"), ("k", "string"), ("v", "integer")]
-        )
-        self.table = entity.table
-        self.table.create_index("k")
-        self.table.create_index("v", ordered=True)
-        self.db.create_text_index(self.table.name, "k")
-        self.quel = QuelSession(self.schema)
-        self.quel.execute("range of t is T")
+        self.directory = tempfile.mkdtemp(prefix="mvcc-props-")
+        self.protector = None
+        self._open()
         self.txn = None
         self.committed = {}   # rowid -> (k, v) as of the last commit
         self.scratch = {}     # rowid -> (k, v) including uncommitted ops
@@ -109,9 +117,36 @@ class MvccState:
         for i in range(size):
             self._insert(_title(i), i % 50)
         self.committed = dict(self.scratch)
+        self._protect_the_present()
+
+    def _open(self):
+        """Open the directory: a fresh one is defined, a reopened one
+        binds to what it stores; the equality indexes are built anew."""
+        self.schema = Schema("mvcc-props", database=Database(self.directory))
+        self.db = self.schema.database
+        entity = self.schema.define_entity(
+            "T", [("n", "integer"), ("k", "string"), ("v", "integer")]
+        )
+        self.table = entity.table
+        self.table.create_index("k")
+        self.table.create_index("v", ordered=True)
+        self.db.create_text_index(self.table.name, "k")
+        self.quel = QuelSession(self.schema)
+        self.quel.execute("range of t is T")
+
+    def _protect_the_present(self):
         self.protector = Protector(self.db.transactions)
         self.protector.set_floor(self.db.transactions.snapshot_lsn())
         self._record()
+
+    def reopen(self):
+        self.protector.stop()
+        self.db.close()
+        self._open()
+        assert_indexes_match_rows(self.table)
+        assert_one_version_a_row(self.db, self.table, self.committed)
+        self.snapshots = {}
+        self._protect_the_present()
 
     def _insert(self, key, value):
         # Raw table rows: the surrogate doubles as the serial ``n``, so
@@ -125,7 +160,12 @@ class MvccState:
         self.ever.add(row.rowid)
 
     def close(self):
-        self.protector.stop()
+        try:
+            if self.protector is not None:
+                self.protector.stop()
+            self.db.close()
+        finally:
+            shutil.rmtree(self.directory, ignore_errors=True)
 
     def _record(self):
         lsn = self.db.transactions.snapshot_lsn()
@@ -144,7 +184,7 @@ class MvccState:
 
     def apply(self, op):
         """One raw op; total by construction (invalid choices no-op)."""
-        kind = op[0] % 7
+        kind = op[0] % 8
         auto = self.txn is None
         rowids = sorted(self.scratch)
         if kind == 0:  # insert a fresh row
@@ -173,6 +213,10 @@ class MvccState:
                 self.txn.abort()
                 self.txn = None
                 self.scratch = dict(self.committed)
+            return
+        elif kind == 7:  # close and reopen the directory
+            if self.txn is None:
+                self.reopen()
             return
         elif kind == 5:  # advance the protection floor; older snapshots are void
             if self.txn is not None:
@@ -310,9 +354,110 @@ def test_random_programs_cross_the_candidate_cap(seed):
     the same reads fall back to the visible-row scan (until the floor
     moves past the rewrite, if the program gets that far)."""
     ops = [
-        (0,) + op[1:] if index < 10 and op[0] % 7 == 6 else op
+        (0,) + op[1:] if index < 10 and op[0] % 8 == 6 else op
         for index, op in enumerate(generate(seed, 24))
     ]
     ops[10] = (6,) + ops[10][1:]
     labels = assert_passes(MvccState, ops, size=540).labels
     assert labels["snapshot scan"] and labels["index"], labels
+
+
+class ReplicaState:
+    """A durable primary's table, a replica seeded from it, and the
+    committed rows by LSN.  Every primary commit is shipped and applied
+    as the replica's feed applies it; the seed's pin is held throughout
+    (the replica's prune horizon stays at the seed), and every recorded
+    LSN is re-read on the replica after every op."""
+
+    def __init__(self, rows=24):
+        self.directory = tempfile.mkdtemp(prefix="mvcc-replica-")
+        self.protector = None
+        self.primary = Database(self.directory)
+        self.source = self.primary.create_table(
+            "t", [("k", "string"), ("v", "integer")]
+        )
+        self.primary.bulk_ingest(
+            "t", [{"k": _title(i), "v": i % 50} for i in range(rows)]
+        )
+        self.committed = {
+            row.rowid: (row["k"], row["v"]) for row in self.source
+        }
+        with self.primary.image() as (_, pieces):
+            self.replica = _ReplicaState(b"".join(pieces))
+        transactions = self.replica.database.transactions
+        transactions._visible_lsn = self.replica.seed_lsn
+        self.table = self.replica.database.table("t")
+        assert_one_version_a_row(self.replica.database, self.table, self.committed)
+        self.table.create_index("k")
+        self.table.create_index("v", ordered=True)
+        assert_indexes_match_rows(self.table)
+        self.protector = Protector(transactions)
+        self.protector.set_floor(self.replica.seed_lsn)
+        self.snapshots = {self.replica.seed_lsn: dict(self.committed)}
+        self.ever = set(self.committed)
+
+    def close(self):
+        try:
+            if self.protector is not None:
+                self.protector.stop()
+            self.primary.close()
+        finally:
+            shutil.rmtree(self.directory, ignore_errors=True)
+
+    def apply(self, op):
+        kind = op[0] % 3
+        rowids = sorted(self.committed)
+        if kind == 0 or not rowids:
+            image = (_title(op[2]), op[3] % 50)
+            row = self.source.insert({"k": image[0], "v": image[1]})
+            self.committed[row.rowid] = image
+            self.ever.add(row.rowid)
+        elif kind == 1:
+            rowid = rowids[op[1] % len(rowids)]
+            image = (_title(op[2]), op[3] % 50)
+            self.source.update(rowid, {"k": image[0], "v": image[1]})
+            self.committed[rowid] = image
+        else:
+            rowid = rowids[op[1] % len(rowids)]
+            self.source.delete(rowid)
+            del self.committed[rowid]
+        redo = self.replica.redo
+        for lsn, frame in self.primary._log.stream_frames(redo.applied_lsn + 1):
+            if redo.apply(*wal_module.decode_frame(frame)):
+                self.replica.applied()
+                self.replica.database.transactions._visible_lsn = lsn
+        self.snapshots[redo.applied_lsn] = dict(self.committed)
+
+    def check(self):
+        transactions = self.replica.database.transactions
+        for lsn, expected in sorted(self.snapshots.items()):
+            transactions.pin_snapshot(lsn)
+            try:
+                observed = {row.rowid: (row["k"], row["v"]) for row in self.table}
+                assert observed == expected, "replica pin %d" % lsn
+                for rowid in self.ever:
+                    row = self.table.get(rowid)
+                    image = None if row is None else (row["k"], row["v"])
+                    assert image == expected.get(rowid), (
+                        "replica pin %d, rowid %d" % (lsn, rowid)
+                    )
+                title = _title(lsn * 7)
+                assert [r.rowid for r in self.table.select_eq("k", title)] == [
+                    rowid for rowid, (k, _) in sorted(expected.items())
+                    if k == title
+                ]
+                low = lsn % 40
+                assert [
+                    r.rowid for r in self.table.select_range("v", low, low + 10)
+                ] == sorted(
+                    (rowid for rowid, (_, v) in expected.items()
+                     if low <= v <= low + 10),
+                    key=lambda rowid: (expected[rowid][1], rowid),
+                )
+            finally:
+                transactions.unpin_snapshot()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_replica_pin_after_the_seed_reads_it_across_shipped_commits(seed):
+    assert_passes(ReplicaState, generate(seed, 30))

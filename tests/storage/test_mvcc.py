@@ -266,9 +266,14 @@ def test_recovery_exposes_committed_versions_to_snapshots(tmp_path):
     db2 = Database(path)
     with db2.snapshot():
         assert _visible(db2) == {"a": 2}
-    # Recovered versions are visible to every snapshot (begin LSN 0).
-    chain = db2.table("t")._chains[a.rowid]
-    assert [v.begin_lsn for v in chain] == [0]
+    # A recovered row is its rowid's one version, from LSN 0: no chain,
+    # and a pin below every commit reads it.
+    assert not db2.table("t")._chains
+    db2.transactions.pin_snapshot(0)
+    try:
+        assert _visible(db2) == {"a": 2}
+    finally:
+        db2.transactions.unpin_snapshot()
     db2.close()
 
 

@@ -206,7 +206,7 @@ class TestStaleSet:
         reopened = Database(str(tmp_path / "d"))
         table = reopened.table("t")
         assert table.stale_rowids() == ()
-        assert [len(chain) for chain in table._chains.values()] == [1]
+        assert not table._chains and [r.rowid for r in table] == [row.rowid]
         reopened.close()
 
     def test_replica_style_installs_queue_and_settle(self):

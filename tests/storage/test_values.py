@@ -118,11 +118,11 @@ class TestSortKey:
     # change what an index stores for another.
     @pytest.mark.parametrize("value, key", [
         (None, (0, 0)),
-        (True, (2, 1.0)),
-        (False, (2, 0.0)),
-        (7, (2, 7.0)),
-        (2 ** 53 + 1, (2, float(2 ** 53))),
-        (-(2 ** 60), (2, -1152921504606846976.0)),
+        (True, (2, True)),
+        (False, (2, False)),
+        (7, (2, 7)),
+        (2 ** 53 + 1, (2, 2 ** 53 + 1)),
+        (-(2 ** 60), (2, -(2 ** 60))),
         (2.5, (2, 2.5)),
         (Fraction(1, 3), (2, Fraction(1, 3))),
         ("", (3, "")),
@@ -134,8 +134,11 @@ class TestSortKey:
         assert got == key
         assert [type(part) for part in got] == [type(part) for part in key]
 
-    def test_ints_past_2_53_share_a_key_with_their_float(self):
-        assert value_sort_key(2 ** 53 + 1) == value_sort_key(2 ** 53)
+    def test_ints_past_2_53_keep_their_own_key(self):
+        assert value_sort_key(2 ** 53) < value_sort_key(2 ** 53 + 1)
+        assert value_sort_key(2 ** 53 + 1) != value_sort_key(float(2 ** 53))
+        assert value_sort_key(float(2 ** 53)) == value_sort_key(2 ** 53)
+        assert value_sort_key(2 ** 53 + 1) < value_sort_key(Fraction(2 ** 55 + 5, 4))
 
     def test_negative_zero_keeps_its_sign(self):
         key = value_sort_key(-0.0)
