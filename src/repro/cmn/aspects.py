@@ -28,10 +28,6 @@ ASPECT_TREE = {
 }
 
 
-def top_level_aspects():
-    return list(ASPECT_TREE.keys())
-
-
 def parent_aspect(aspect):
     """The enclosing aspect of a subaspect, or None for a top level."""
     for parent, children in ASPECT_TREE.items():

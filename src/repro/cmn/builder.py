@@ -369,6 +369,3 @@ class ScoreBuilder:
 
     def voice(self, name):
         return self._voices[name].voice
-
-    def chords_of(self, voice):
-        return list(self._state(voice).chords)

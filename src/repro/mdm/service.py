@@ -31,7 +31,7 @@ import threading
 import time
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import current_span, span
+from repro.obs.trace import NOOP_SPAN, current_span, span, tracing_active
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
@@ -113,7 +113,9 @@ class RemoteSessions:
     def exit(self):
         with self._cond:
             self._active -= 1
-            if self._active <= 0:
+            # Only drain() waits, and it sets draining under this lock
+            # before it does.
+            if self.draining and self._active <= 0:
                 self._cond.notify_all()
 
     def track(self, label="remote request"):
@@ -303,7 +305,11 @@ class MdmSession:
         budget = self.row_budget if row_budget is None else row_budget
         transactions = self.mdm.database.transactions
         quel = self.quel
-        run_span = span("mdm.run", session=self.name, read_only=True)
+        run_span = (
+            span("mdm.run", session=self.name, read_only=True)
+            if tracing_active()
+            else NOOP_SPAN
+        )
         try:
             transactions.set_deadline(deadline)
             quel.set_limits(deadline=deadline, row_budget=budget)

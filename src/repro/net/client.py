@@ -137,8 +137,8 @@ class MdmClient:
         had) and moves to a fresh sequence number.
         """
         if leading_keywords(source, 2) == ("range", "of"):
-            result = self._call_primary({
-                "source": source, "read_only": True,
+            self._call_primary({
+                "seq": None, "source": source, "read_only": True,
                 "row_budget": row_budget,
             }, timeout)
             self._preamble.pop(source, None)
@@ -190,13 +190,13 @@ class MdmClient:
         window = self.default_timeout if timeout is None else timeout
         deadline = None if window is None else time.monotonic() + window
         request = {
-            "source": source, "read_only": True, "row_budget": row_budget,
-            "min_lsn": self._commit_lsn,
+            "seq": None, "source": source, "read_only": True,
+            "row_budget": row_budget, "min_lsn": self._commit_lsn,
         }
         for endpoint in self._replica_order():
             try:
-                message = self._request_on(endpoint, dict(request), deadline)
-                return protocol.decode_rows(message.get("value") or [])
+                message = self._request_on(endpoint, request, deadline)
+                return protocol.decode_rows(message)
             except MDMError:
                 endpoint.close()
                 endpoint.cooldown_until = (
@@ -204,12 +204,13 @@ class MdmClient:
                 )
                 self._m_failovers.inc()
         message = self._call_primary(request, timeout, deadline=deadline)
-        return protocol.decode_rows(message.get("value") or [])
+        return protocol.decode_rows(message)
 
     def meta(self, command, timeout=None):
         """Run a shell meta-command (``\\health``, ``\\replicas``, ...)."""
         message = self._call(
-            self._primary, protocol.META, {"command": command}, timeout
+            self._primary, protocol.META, {"seq": None, "command": command},
+            timeout,
         )
         return message.get("value")
 
@@ -285,10 +286,10 @@ class MdmClient:
         return self._roundtrip(endpoint, protocol.REQUEST, request, remaining)
 
     def _roundtrip(self, endpoint, kind, body, remaining):
-        request = dict(body)
-        request.setdefault("seq", None)
-        request["timeout_s"] = remaining
-        endpoint.transport.send(kind, request)
+        """Send *body*, a dict the call owns, with this attempt's
+        ``timeout_s`` set in it, and read the reply."""
+        body["timeout_s"] = remaining
+        endpoint.transport.send(kind, body)
         # Grace past the server-side deadline so a structured timeout
         # frame beats the socket timeout.
         wait = None if remaining is None else remaining + 0.5

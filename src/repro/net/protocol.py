@@ -7,9 +7,16 @@ tears a frame exactly as a power cut tears a log record, and the
 receiver detects both with the same checksum-then-length discipline.
 The payload's first byte is the frame *kind*; the rest is the body.
 
-Control frames carry JSON bodies (QUEL text, shell meta-commands,
-structured results and errors); replication data frames carry binary
-bodies: ``REPL_SEED`` a piece of a checkpoint image
+Control frames carry compact JSON bodies (QUEL text, shell
+meta-commands, structured results and errors), keys in the order the
+sender set them; a rational or a blob travels as a one-key object that
+the decoder's object hook turns back into itself.  A ``RESULT`` of rows
+(version 6) names its columns once and sends each row as an array of
+its values.  It stays JSON rather than the log's typed column runs
+(``repro.storage.row``): the C encoder and decoder round-trip 1 / 20 /
+50 title rows in 11 / 39 / 101 µs, where building, encoding and
+decoding a column run took 16 / 142 / 242 µs.  Replication data frames
+carry binary bodies: ``REPL_SEED`` a piece of a checkpoint image
 (``repro.storage.image``, checksummed whole), ``REPL_FRAME`` a raw WAL
 record (one whole commit or a marker, CRC-framed) prefixed by its LSN.
 
@@ -26,7 +33,7 @@ from fractions import Fraction
 from repro.errors import ProtocolError
 
 #: Bumped on any incompatible frame-layout change.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Frames larger than this are refused outright: a corrupt length field
 #: must fail fast, not allocate gigabytes.
@@ -45,7 +52,7 @@ BYE = 0x04         # {}
 
 # Server -> client.
 WELCOME = 0x11     # {proto, server, role, last_seq}
-RESULT = 0x12      # {seq, kind, rows|count|text, duplicate, commit_lsn, applied_lsn}
+RESULT = 0x12      # {seq, duplicate, kind, [columns,] value, commit_lsn}
 ERROR = 0x13       # {seq, code, message, retryable}
 
 # Replication (replica <-> primary).
@@ -91,15 +98,16 @@ def decode_payload(payload, crc):
 
 
 def pack(kind, obj):
-    """A control frame with a JSON body.  A value JSON has no form for
-    (a rational, a blob) is written as :func:`encode_value` writes it."""
+    """A control frame with a JSON body, its keys in the order *obj*
+    holds them.  A value JSON has no form for (a rational, a blob) is
+    written as :func:`encode_value` writes it."""
     return encode_frame(kind, _ENCODER.encode(obj).encode("utf-8"))
 
 
 def unpack_json(kind, body):
-    """Parse a control frame's JSON body."""
+    """Parse a control frame's JSON body, undoing :func:`encode_value`."""
     try:
-        return json.loads(body.decode("utf-8"))
+        return _DECODER.decode(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(
             "unparseable %s body: %s" % (KIND_NAMES.get(kind, kind), exc)
@@ -130,10 +138,6 @@ def _encode_unknown(value):
     return encoded
 
 
-#: ``json.dumps(obj, sort_keys=True, default=...)``, built once.
-_ENCODER = json.JSONEncoder(sort_keys=True, default=_encode_unknown)
-
-
 def decode_value(value):
     """Undo :func:`encode_value`."""
     if isinstance(value, dict):
@@ -145,21 +149,42 @@ def decode_value(value):
     return value
 
 
+#: The body codec, built once.  A body is a tree built for one frame,
+#: never circular, so the encoder keeps no record of the containers it
+#: is inside (one dict insert and delete a row array, a third of a
+#: 50-row encode).  ``decode_value`` is the decoder's ``object_hook``:
+#: it meets each JSON object, and a ``RESULT``'s rows are arrays, so it
+#: runs once for the body and once for each tunnelled value, never once
+#: a row.
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), check_circular=False, default=_encode_unknown
+)
+_DECODER = json.JSONDecoder(object_hook=decode_value)
+
+
 def encode_rows(rows):
-    """QUEL result rows as a ``RESULT`` frame carries them: as they
-    are.  :func:`pack` encodes the values JSON cannot express when it
-    meets one; this is the step's name on the serving path."""
-    return rows
+    """The ``RESULT`` fields that carry QUEL result *rows* (dicts that
+    share their keys, in one order, as a retrieve answers them): the
+    names once, under ``columns``, and each row as the array of its
+    values in that order, under ``value``."""
+    if not rows:
+        return {"kind": "rows", "columns": [], "value": []}
+    return {
+        "kind": "rows",
+        "columns": list(rows[0]),
+        "value": [list(row.values()) for row in rows],
+    }
 
 
-def decode_rows(rows):
-    """Undo what :func:`pack` did to the values of parsed result
-    *rows*, in place: only an object-typed value can be an encoded one."""
-    for row in rows:
-        for key, value in row.items():
-            if type(value) is dict:
-                row[key] = decode_value(value)
-    return rows
+def decode_rows(message):
+    """The result rows a parsed ``RESULT`` *message* carries, as the
+    dicts :func:`encode_rows` was given; ``ProtocolError`` if it
+    carries none."""
+    try:
+        columns = message["columns"]
+        return [dict(zip(columns, values)) for values in message["value"]]
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError("RESULT carries no rows: %r" % (exc,)) from None
 
 
 # -- binary replication bodies ---------------------------------------------------

@@ -320,8 +320,9 @@ class ReplicaServer(WireServer):
         self._m_reads.inc()
         with self._applied_cond:
             applied = self.applied_lsn
-        rows = protocol.encode_rows(result) if isinstance(result, list) else []
-        return {"kind": "rows", "value": rows, "commit_lsn": applied}
+        reply = protocol.encode_rows(result if isinstance(result, list) else [])
+        reply["commit_lsn"] = applied
+        return reply
 
     def _wait_caught_up(self, min_lsn, deadline):
         """The serving state at >= *min_lsn*, or ReplicaLagError.

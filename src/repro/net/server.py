@@ -46,6 +46,7 @@ from repro.errors import (
     NetworkTimeoutError,
     OverloadError,
     ProtocolError,
+    QueryError,
     ReplicaLagError,
     ShutdownError,
 )
@@ -331,16 +332,17 @@ class MdmServer(WireServer):
         quel = QuelSession(self.mdm.schema)
         session = self.mdm.connect(name="net:%s" % client_id, quel=quel)
         shell = MdmShell(self.mdm, server=self, session=quel)
-        return client_id, session, shell
+        # What MusicDataManager.close and stop() drain before teardown.
+        tracker = self.mdm.remote.track("request from %r" % client_id)
+        return client_id, session, shell, tracker
 
     # -- the service-layer dispatch ----------------------------------------------
 
     def _in_flight(self, connection):
-        # What MusicDataManager.close and stop() drain before teardown.
-        return self.mdm.remote.track("request from %r" % connection[0])
+        return connection[3]
 
     def _handle(self, connection, kind, message):
-        client_id, session, shell = connection
+        client_id, session, shell, _tracker = connection
         if kind == protocol.REQUEST:
             return self._handle_request(client_id, session, message)
         if kind == protocol.META:
@@ -362,12 +364,18 @@ class MdmServer(WireServer):
                 timeout=timeout_s, row_budget=row_budget, read_only=True,
             )
             # Non-retrieve read statements (range declarations) yield None.
-            encoded = (
-                protocol.encode_rows(rows) if isinstance(rows, list) else []
+            result = protocol.encode_rows(rows if isinstance(rows, list) else [])
+            result["commit_lsn"] = self._durable_lsn()
+            return result
+        verb = leading_keywords(source, 1)
+        if verb == ("retrieve",):
+            # A write answers a count, so a retrieve sent as one would
+            # commit a ledger row and lose its rows.
+            raise QueryError(
+                "retrieve is a read: send it as a read-only request "
+                "(MdmClient.retrieve), not as a write"
             )
-            return {"kind": "rows", "value": encoded,
-                    "commit_lsn": self._durable_lsn()}
-        if leading_keywords(source, 1) == ("define",):
+        if verb == ("define",):
             # A define is its own commit and cannot run inside the dedup
             # transaction; it needs no ledger row either, because a
             # define re-sent after a dropped ack binds to the stored one

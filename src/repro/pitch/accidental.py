@@ -83,7 +83,3 @@ class AccidentalState:
         if self.key_signature is not None:
             return self.key_signature.alteration_of(step)
         return 0
-
-    def in_force(self):
-        """Snapshot of degree -> alteration currently in force."""
-        return dict(self._in_force)

@@ -103,9 +103,6 @@ class KeySignature:
             direction,
         )
 
-    def accidental_count(self):
-        return abs(self.fifths)
-
     def __eq__(self, other):
         return isinstance(other, KeySignature) and self.fifths == other.fifths
 

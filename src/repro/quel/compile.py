@@ -24,7 +24,7 @@ session or thread -- runs the same plan with its own values.
 import operator as _operator
 
 from repro.core.entity import EntityInstance
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownAttributeError
 from repro.quel import ast
 from repro.quel import planner
 from repro.quel.functions import SCALARS
@@ -223,15 +223,7 @@ class Compiler:
             value = node.value
             return (lambda rt, bindings: value), True, value
         if isinstance(node, ast.AttributeRef):
-            variable, attribute = node.variable, node.attribute
-
-            def attr_fn(rt, bindings):
-                bound = bindings.get(variable)
-                if bound is None:
-                    raise QueryError("unbound range variable %r" % variable)
-                return bound[attribute]
-
-            return attr_fn, False, None
+            return self.attribute_read(node.variable, node.attribute), False, None
         if isinstance(node, ast.VariableRef):
             variable = node.variable
 
@@ -251,6 +243,30 @@ class Compiler:
         if isinstance(node, ast.FunctionCall):
             return self._function_call(node), False, None
         raise QueryError("cannot evaluate %r" % (node,))
+
+    def attribute_read(self, variable, attribute):
+        """``fn(rt, bindings)`` reading *attribute* off the row
+        *variable* is bound to: the attribute's slot in the row's values
+        tuple is found here, once a plan, and a row made before its
+        table widened reads a later slot as null.  An attribute the
+        range lacks raises ``UnknownAttributeError`` when read, not
+        here: a statement that reads no row (an empty join, ``explain``)
+        does not raise."""
+        try:
+            position = self.session._range_for(variable).position(attribute)
+        except UnknownAttributeError as error:
+            position, unknown = None, str(error)
+
+        def attr_fn(rt, bindings):
+            bound = bindings.get(variable)
+            if bound is None:
+                raise QueryError("unbound range variable %r" % variable)
+            if position is None:
+                raise UnknownAttributeError(unknown)
+            values = bound.row.values
+            return values[position] if position < len(values) else None
+
+        return attr_fn
 
     def _binary_op(self, node):
         op = node.operator
@@ -526,11 +542,10 @@ class Compiler:
             else:
                 predicate = similar_predicate(node.query, node.threshold)
 
+            read = self.attribute_read(variable, attribute)
+
             def match_fn(rt, bindings):
-                bound = bindings.get(variable)
-                if bound is None:
-                    raise QueryError("unbound range variable %r" % variable)
-                return predicate(bound[attribute])
+                return predicate(read(rt, bindings))
 
             return match_fn
         raise QueryError("cannot evaluate qualification %r" % (node,))

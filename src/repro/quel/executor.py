@@ -550,11 +550,9 @@ class QuelSession:
                 pools.append(lambda bindings, rows=list(pull(None, None, None)): rows)
 
         def join(level, bindings):
-            if level == total:
-                yield dict(bindings)
-                return
             variable = order[level]
             checks = checks_by_level[level]
+            last = level + 1 == total
             for candidate in pools[level](bindings):
                 if limits is not None:
                     limits.tick()
@@ -564,7 +562,9 @@ class QuelSession:
                     if not check(self, bindings):
                         passed = False
                         break
-                if passed:
+                if passed and last:
+                    yield dict(bindings)
+                elif passed:
                     yield from join(level + 1, bindings)
             bindings.pop(variable, None)
 

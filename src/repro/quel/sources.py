@@ -53,6 +53,12 @@ class EntityRange:
         self.key = (self.kind, self.type_name)  # what a plan depends on
         self.wrap = partial(BoundInstance, entity_type)
 
+    def position(self, name):
+        """The slot of attribute *name* in a bound row's values tuple;
+        an attribute the type lacks raises ``UnknownAttributeError``."""
+        self.entity_type.attribute(name)
+        return self.table.schema.layout[name]
+
 
 class RelationshipRange:
     """A range variable over a relationship: candidates are its rows,
@@ -67,27 +73,25 @@ class RelationshipRange:
         self.key = (self.kind, self.type_name)
 
     def wrap(self, row):
-        return _RelationshipRow(self, row)
+        return _RelationshipRow(row)
+
+    def position(self, name):
+        """The slot of role or attribute *name* in a bound row's values
+        tuple; one the relationship lacks raises as an entity range does."""
+        if name not in self.table.schema.layout:
+            raise UnknownAttributeError("relationship %r has no role or "
+                                        "attribute %r" % (self.type_name, name))
+        return self.table.schema.layout[name]
 
 
 class _RelationshipRow:
-    """A relationship row as a range variable binds it: an unknown role
-    or attribute is the typed error an entity instance raises."""
+    """A relationship row as a range variable binds it (compiled reads
+    take their values from ``row``)."""
 
-    __slots__ = ("declared", "row")
+    __slots__ = ("row",)
 
-    def __init__(self, declared, row):
-        self.declared = declared
+    def __init__(self, row):
         self.row = row
-
-    def __getitem__(self, name):
-        try:
-            return self.row[name]
-        except KeyError:
-            raise UnknownAttributeError(
-                "relationship %r has no role or attribute %r"
-                % (self.declared.type_name, name)
-            ) from None
 
 
 # -- the chunk rule, the shared pull, the counters, the bounded selection ------------

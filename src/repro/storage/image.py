@@ -24,7 +24,6 @@ never guessed at.  Neither :func:`pack` nor :func:`unpack` holds more
 than a piece at a time: a piece is :data:`PIECE_ROWS` rows.
 """
 
-import itertools
 import os
 import struct
 import zlib
@@ -61,13 +60,14 @@ def pack(lsn, tables):
 def _parts(lsn, tables):
     yield _HEAD.pack(_MAGIC, FORMAT, lsn)
     for name, rows, schema in tables:
+        # One walk of a pinned table gives its count and its pieces
+        # (iter() first: list() asks for a length hint, and a table's
+        # len() is a walk of its own).
+        rows = list(iter(rows))
         raw = name.encode("utf-8")
         yield _STR.pack(len(raw)) + raw + _COUNT.pack(len(rows))
-        rows = iter(rows)
-        while True:
-            piece = list(itertools.islice(rows, PIECE_ROWS))
-            if not piece:
-                break
+        for start in range(0, len(rows), PIECE_ROWS):
+            piece = rows[start:start + PIECE_ROWS]
             run = bytearray(_COUNT.size)
             encode_row_run(piece, schema, run)
             _COUNT.pack_into(run, 0, len(run) - _COUNT.size)

@@ -15,7 +15,8 @@ from repro.storage.values import value_sort_key
 class HashIndex:
     """Equality index: value -> rowids.  A bucket is keyed by the value,
     so equal numbers (``1``, ``1.0``, ``Fraction(1)``, ``True``) share one;
-    a lone rowid is held bare, two or more as a set -- one form a content."""
+    a lone rowid is held bare, two or more as an ascending list -- one
+    form a content, which ``lookup`` answers with a copy, not a sort."""
 
     def __init__(self, column):
         self.column = column
@@ -28,35 +29,60 @@ class HashIndex:
         )
 
     def insert(self, value, rowid):
-        self.insert_many(((value, rowid),))
+        buckets = self._buckets
+        bucket = buckets.setdefault(value, rowid)
+        if bucket is rowid:
+            return
+        if type(bucket) is int:
+            if bucket != rowid:
+                buckets[value] = [bucket, rowid] if bucket < rowid else [rowid, bucket]
+        elif rowid > bucket[-1]:
+            bucket.append(rowid)
+        else:
+            position = bisect.bisect_left(bucket, rowid)
+            if bucket[position] != rowid:
+                bucket.insert(position, rowid)
 
     def insert_many(self, pairs):
-        """Insert each ``(value, rowid)`` of the iterable *pairs*: one
-        ``setdefault`` a pair, which a key not yet held ends at."""
+        """Insert each ``(value, rowid)`` of the iterable *pairs*.  A
+        rowid above its bucket's last is appended, as every pair of a
+        walk in rowid order is; a bucket that took any other is sorted
+        once, at the end."""
         buckets = self._buckets
         setdefault = buckets.setdefault
+        unsorted = {}
         for value, rowid in pairs:
             bucket = setdefault(value, rowid)
             if bucket is rowid:
                 continue
-            if type(bucket) is not int:
-                bucket.add(rowid)
-            elif bucket != rowid:
-                buckets[value] = {bucket, rowid}
+            if type(bucket) is int:
+                if bucket != rowid:
+                    buckets[value] = [bucket, rowid] if bucket < rowid else [rowid, bucket]
+                continue
+            if rowid > bucket[-1]:
+                bucket.append(rowid)
+            elif rowid != bucket[-1]:
+                bucket.append(rowid)
+                unsorted[id(bucket)] = bucket
+        for bucket in unsorted.values():
+            bucket[:] = sorted(set(bucket))
 
     def delete(self, value, rowid):
         buckets = self._buckets
         bucket = buckets.get(value)
         if bucket == rowid:
             del buckets[value]
-        elif type(bucket) is set and rowid in bucket:
-            bucket.remove(rowid)
-            if len(bucket) == 1:
-                buckets[value] = bucket.pop()
-        else:
-            raise StorageError(
-                "index on %r: row #%s not present under %r" % (self.column, rowid, value)
-            )
+            return
+        if type(bucket) is list:
+            position = bisect.bisect_left(bucket, rowid)
+            if position < len(bucket) and bucket[position] == rowid:
+                del bucket[position]
+                if len(bucket) == 1:
+                    buckets[value] = bucket[0]
+                return
+        raise StorageError(
+            "index on %r: row #%s not present under %r" % (self.column, rowid, value)
+        )
 
     def lookup(self, value):
         """Return the rowids stored under *value* (a new list,
@@ -66,7 +92,7 @@ class HashIndex:
             return []
         if type(bucket) is int:
             return [bucket]
-        return sorted(bucket)
+        return bucket[:]
 
     def max_key(self):
         """The largest value held (None: none), of values that compare

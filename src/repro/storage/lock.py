@@ -29,12 +29,6 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
 
-def _compatible(held_modes, requested):
-    if requested is LockMode.SHARED:
-        return LockMode.EXCLUSIVE not in held_modes
-    return not held_modes
-
-
 class LockManager:
     """Table-level S/X lock table keyed by resource name."""
 

@@ -54,16 +54,16 @@ class Row:
     columns the row then reads as null.
     """
 
-    __slots__ = ("rowid", "_values", "_layout")
+    __slots__ = ("rowid", "values", "_layout")
 
     def __init__(self, rowid, values, layout):
         self.rowid = rowid
-        self._values = values
+        self.values = values
         self._layout = layout
 
     def __getitem__(self, column):
         try:
-            return self._values[self._layout[column]]
+            return self.values[self._layout[column]]
         except IndexError:  # a column added after the row was made
             return None
 
@@ -71,7 +71,7 @@ class Row:
         position = self._layout.get(column)
         if position is None:
             return default
-        values = self._values
+        values = self.values
         return values[position] if position < len(values) else None
 
     def __contains__(self, column):
@@ -82,12 +82,12 @@ class Row:
 
     def as_dict(self):
         """Return a mutable copy of the column -> value mapping."""
-        return dict(zip_longest(self._layout, self._values))
+        return dict(zip_longest(self._layout, self.values))
 
     def replaced(self, updates):
         """Return a new Row with *updates* applied (same rowid)."""
         layout = self._layout
-        values = list(self._values)
+        values = list(self.values)
         values += [None] * (len(layout) - len(values))
         for column, value in updates.items():
             values[layout[column]] = value
@@ -98,8 +98,8 @@ class Row:
             return NotImplemented
         if self.rowid != other.rowid:
             return False
-        if self._layout is other._layout and len(self._values) == len(other._values):
-            return self._values == other._values
+        if self._layout is other._layout and len(self.values) == len(other.values):
+            return self.values == other.values
         return all(
             self.get(column) == other.get(column)
             for column in self._layout.keys() | other._layout.keys()
@@ -205,7 +205,7 @@ def encode_row_run(rows, schema, out):
     for row in rows:
         if row._layout is not layout:
             raise StorageError("a row of another layout in a run of %r" % schema.name)
-        values = row._values
+        values = row.values
         if len(values) != width:
             values += (None,) * (width - len(values))
         rowids.append(row.rowid)
@@ -384,7 +384,7 @@ def _decode(reader, schema):
     for rowid, values in zip(rowids, zip(*by_position) if layout else repeat((), count)):
         row = new(Row)
         row.rowid = rowid
-        row._values = values
+        row.values = values
         row._layout = layout
         rows.append(row)
     return rows

@@ -32,6 +32,25 @@ __all__ = ["grams_of", "normalize", "token_sort", "trigrams", "GRAM"]
 GRAM = 3
 
 _ASCII_SEPARATORS = re.compile("[^a-z0-9]+")
+#: A run of anything ``str.isalnum`` is false for.
+_SEPARATORS = re.compile(r"[\W_]+")
+
+
+class _DropCombining(dict):
+    """A ``str.translate`` table that drops combining marks and keeps
+    every other character, filled a code point at a time as text meets
+    it (one entry a code point at most): a pure function's memo, so
+    sharing it changes no answer."""
+
+    __slots__ = ()
+
+    def __missing__(self, code):
+        kept = None if unicodedata.combining(chr(code)) else code
+        self[code] = kept
+        return kept
+
+
+_DROP_COMBINING = _DropCombining()
 
 
 def normalize(text):
@@ -45,26 +64,13 @@ def normalize(text):
     text = str(text)
     if text.isascii():
         # On ASCII, NFKD and combining() are the identity, casefold is
-        # lower() and isalnum is [a-z0-9]: the loop below, in three calls.
+        # lower() and isalnum is [a-z0-9]: the steps below, in three calls.
         return _ASCII_SEPARATORS.sub(" ", text.lower()).strip()
-    decomposed = unicodedata.normalize("NFKD", text)
-    out = []
-    last_space = True
-    for ch in decomposed:
-        if unicodedata.combining(ch):
-            continue
-        ch = ch.casefold()
-        # casefold can expand one char to several ("ß" -> "ss").
-        for folded in ch:
-            if folded.isalnum():
-                out.append(folded)
-                last_space = False
-            elif not last_space:
-                out.append(" ")
-                last_space = True
-    if out and out[-1] == " ":
-        out.pop()
-    return "".join(out)
+    # The docstring's steps a string at a time.  casefold maps each
+    # character on its own (it can expand one to several: "ß" -> "ss"),
+    # and [\W_] is exactly what isalnum is false for.
+    decomposed = unicodedata.normalize("NFKD", text).translate(_DROP_COMBINING)
+    return _SEPARATORS.sub(" ", decomposed.casefold()).strip(" ")
 
 
 def token_sort(text):

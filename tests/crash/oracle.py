@@ -185,7 +185,7 @@ def assert_one_version_a_row(database, table, rows):
             assert not [
                 bucket for bucket in index._buckets.values()
                 if type(bucket) is not int and len(bucket) < 2
-            ], "a hash index on %s holds a set of one rowid" % table.name
+            ], "a hash index on %s holds a list of one rowid" % table.name
 
 
 def table_state(database):

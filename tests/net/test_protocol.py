@@ -1,5 +1,6 @@
 """Frame-layer tests: framing, checksums, JSON-safe values, binary bodies."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -51,61 +52,82 @@ class TestFraming:
 
 def result_frame(rows):
     """The ``RESULT`` frame a server sends for *rows*."""
-    return protocol.pack(protocol.RESULT, {
-        "seq": 4, "kind": "rows", "value": protocol.encode_rows(rows),
-        "commit_lsn": 9,
-    })
+    body = {"seq": 4, "duplicate": False}
+    body.update(protocol.encode_rows(rows))
+    body["commit_lsn"] = 9
+    return protocol.pack(protocol.RESULT, body)
 
 
 def rows_of(frame):
     """What a client makes of a ``RESULT`` frame."""
     kind, body = split_frame(frame)
-    return protocol.decode_rows(protocol.unpack_json(kind, body)["value"])
+    return protocol.decode_rows(protocol.unpack_json(kind, body))
 
 
-#: ``RESULT`` frames as the per-value codec this one replaced wrote
-#: them (recorded at its last commit): an old peer writes and reads
-#: exactly these bytes, so a new server answers an old client, and a
-#: new client reads an old server, only while they stay what we write.
+#: ``RESULT`` frames as protocol version 6 writes them: the names once,
+#: each row an array, keys in the order the server sets them, no
+#: whitespace.  A peer of this version writes and reads exactly these
+#: bytes, so a change to them is a change of ``PROTOCOL_VERSION``.
 GOLDEN_FRAMES = [
     (
         [{"t.title": 'Prélude "in" C', "t.n": 5, "t.x": None, "t.f": 1.5,
           "t.ok": True}],
-        "8e000000561c604d127b22636f6d6d69745f6c736e223a20392c20226b696e64"
-        "223a2022726f7773222c2022736571223a20342c202276616c7565223a205b7b"
-        "22742e66223a20312e352c2022742e6e223a20352c2022742e6f6b223a207472"
-        "75652c2022742e7469746c65223a202250725c75303065396c756465205c2269"
-        "6e5c222043222c2022742e78223a206e756c6c7d5d7d",
+        "9c0000007eab5ea2127b22736571223a342c226475706c6963617465223a6661"
+        "6c73652c226b696e64223a22726f7773222c22636f6c756d6e73223a5b22742e"
+        "7469746c65222c22742e6e222c22742e78222c22742e66222c22742e6f6b225d"
+        "2c2276616c7565223a5b5b2250725c75303065396c756465205c22696e5c2220"
+        "43222c352c6e756c6c2c312e352c747275655d5d2c22636f6d6d69745f6c736e"
+        "223a397d",
     ),
     (
         [{"d": Fraction(3, 8), "n": Fraction(-7, 1)}],
-        "6e00000045298a50127b22636f6d6d69745f6c736e223a20392c20226b696e64"
-        "223a2022726f7773222c2022736571223a20342c202276616c7565223a205b7b"
-        "2264223a207b225f5f7261745f5f223a205b332c20385d7d2c20226e223a207b"
-        "225f5f7261745f5f223a205b2d372c20315d7d7d5d7d",
+        "7e000000388fab1d127b22736571223a342c226475706c6963617465223a6661"
+        "6c73652c226b696e64223a22726f7773222c22636f6c756d6e73223a5b226422"
+        "2c226e225d2c2276616c7565223a5b5b7b225f5f7261745f5f223a5b332c385d"
+        "7d2c7b225f5f7261745f5f223a5b2d372c315d7d5d5d2c22636f6d6d69745f6c"
+        "736e223a397d",
     ),
     (
         [{"b": b"\x00\x01\xff", "e": b""}],
-        "6d000000aafe0d5d127b22636f6d6d69745f6c736e223a20392c20226b696e64"
-        "223a2022726f7773222c2022736571223a20342c202276616c7565223a205b7b"
-        "2262223a207b225f5f626c6f625f5f223a2022303030316666227d2c20226522"
-        "3a207b225f5f626c6f625f5f223a2022227d7d5d7d",
+        "7f0000007f227c29127b22736571223a342c226475706c6963617465223a6661"
+        "6c73652c226b696e64223a22726f7773222c22636f6c756d6e73223a5b226222"
+        "2c2265225d2c2276616c7565223a5b5b7b225f5f626c6f625f5f223a22303030"
+        "316666227d2c7b225f5f626c6f625f5f223a22227d5d5d2c22636f6d6d69745f"
+        "6c736e223a397d",
     ),
 ]
 
 
 class TestValues:
     def test_rational_and_blob_survive_json(self):
-        row = {"d": Fraction(3, 8), "b": b"\x00\x01\xff", "n": 5, "s": "x"}
-        (decoded,) = rows_of(result_frame([row]))
-        assert decoded == row
-        assert isinstance(decoded["d"], Fraction)
-        assert isinstance(decoded["b"], bytes)
+        rows = [
+            {"d": Fraction(3, 8), "b": b"\x00\x01\xff", "n": 5, "s": "x"},
+            {"d": None, "b": b"", "n": 6, "s": "y"},
+        ]
+        frame = result_frame(rows)
+        kind, body = split_frame(frame)
+        raw = json.loads(body)
+        assert raw["columns"] == ["d", "b", "n", "s"]
+        assert raw["value"] == [
+            [{"__rat__": [3, 8]}, {"__blob__": "0001ff"}, 5, "x"],
+            [None, {"__blob__": ""}, 6, "y"],
+        ]
+        decoded = rows_of(frame)
+        assert decoded == rows
+        assert isinstance(decoded[0]["d"], Fraction)
+        assert isinstance(decoded[0]["b"], bytes)
+        assert isinstance(decoded[1]["b"], bytes)
+
+    @pytest.mark.parametrize("message", [
+        {"kind": "count", "value": 1}, {"columns": ["a"], "value": 3},
+        {"columns": [["a"]], "value": [[1]]},
+    ])
+    def test_a_result_without_rows_is_a_protocol_error(self, message):
+        with pytest.raises(ProtocolError):
+            protocol.decode_rows(message)
 
     @pytest.mark.parametrize("rows, golden", GOLDEN_FRAMES)
-    def test_result_frames_are_byte_identical_to_the_old_codec(
-        self, rows, golden
-    ):
+    def test_result_frames_are_the_recorded_v6_bytes(self, rows, golden):
         assert result_frame(rows).hex() == golden
         assert rows_of(bytes.fromhex(golden)) == rows
 

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,10 @@ from repro.mdm.manager import MusicDataManager
 from repro.net import MdmClient, MdmServer, protocol
 from repro.net.server import DEDUP_TABLE
 from repro.net.transport import Transport
-from tests.net.conftest import ROLES, reply, serving, wait_until
+from tests.net.conftest import (
+    ROLES, reply, serving, start_replica, wait_applied, wait_serving,
+    wait_until,
+)
 
 pytestmark = pytest.mark.net
 
@@ -269,6 +273,22 @@ class TestExactlyOnceDedup:
         assert len(rows) == 1
         assert rows[0]["seq"] == 1
 
+    def test_a_retrieve_sent_as_a_write_is_refused_before_the_ledger(
+        self, served_mdm, client
+    ):
+        """Run as a write, it would commit a ledger row (an LSN and an
+        fsync) and answer 0, its rows lost."""
+        mdm, _ = served_mdm
+        client.execute("append to NOTE (degree = 3)")
+        log, ledger = mdm.database._log, mdm.database.table(DEDUP_TABLE)
+        flushed = log.flushed_lsn
+        with pytest.raises(QueryError, match="retrieve"):
+            client.execute("retrieve (NOTE.degree)")
+        assert log.flushed_lsn == flushed
+        assert [row["seq"] for row in ledger.select_eq("client", "test-client")] == [1]
+        assert client.execute("append to NOTE (degree = 4)") == 1
+        assert [row["seq"] for row in ledger.select_eq("client", "test-client")] == [2]
+
     def test_exactly_once_across_server_restart(self, tmp_path):
         """Crash after commit, before ack; a NEW server must still dedup."""
         path = str(tmp_path / "db")
@@ -361,9 +381,11 @@ class TestConnectionHygiene:
 
 @pytest.mark.parametrize("role", ROLES)
 class TestHandshake:
-    def test_wrong_version_is_refused_once_then_closed(self, tmp_path, role):
+    @pytest.mark.parametrize("theirs", [5, protocol.PROTOCOL_VERSION + 1])
+    def test_wrong_version_is_refused_once_then_closed(self, tmp_path, role,
+                                                       theirs):
+        """A peer of the version before (rows as dicts) or after."""
         with serving(tmp_path, role) as (server, registry, _connect):
-            theirs = protocol.PROTOCOL_VERSION + 1
             with Transport.connect(server.address) as wire:
                 wire.send(protocol.HELLO, {"proto": theirs, "client": "new"})
                 refusal = reply(wire, protocol.ERROR)
@@ -394,8 +416,14 @@ class TestHandshake:
                                                          role):
         """Raw frames, so a renamed or dropped body field fails here
         and not in somebody's deployed client."""
-        with serving(tmp_path, role) as (server, _registry, _connect), \
+        with serving(tmp_path, role) as (server, _registry, connect), \
                 Transport.connect(server.address) as wire:
+            writer = connect("writer")
+            for degree in (7, 5):
+                writer.execute("append to NOTE (degree = %d)" % degree)
+            written = writer.last_commit_lsn
+            if role == "replica":
+                assert wait_applied(server, written)
             wire.send(protocol.HELLO, {
                 "proto": protocol.PROTOCOL_VERSION, "client": "raw",
                 "last_seq": 0,
@@ -405,14 +433,18 @@ class TestHandshake:
                 "role": role, "last_seq": 0,
             }
             wire.send(protocol.REQUEST, {
-                "seq": None, "source": "retrieve (NOTE.degree)",
+                "seq": None, "source": "retrieve (NOTE.degree, twice = "
+                "NOTE.degree * 2) sort by NOTE.degree",
                 "read_only": True, "timeout_s": 5.0,
             })
             result = reply(wire, protocol.RESULT)
-            assert isinstance(result.pop("commit_lsn"), int)
-            assert result == {
-                "seq": None, "kind": "rows", "value": [], "duplicate": False,
-            }
+            assert result.pop("commit_lsn") >= written
+            # The names once, then a row an array; fields in this order.
+            assert list(result.items()) == [
+                ("seq", None), ("duplicate", False), ("kind", "rows"),
+                ("columns", ["NOTE.degree", "twice"]),
+                ("value", [[5, 10], [7, 14]]),
+            ]
             wire.send(protocol.REQUEST, {
                 "seq": 7, "source": "range of z is NO_SUCH_TYPE",
                 "read_only": True, "timeout_s": 5.0,
@@ -423,6 +455,41 @@ class TestHandshake:
                 "seq": 7, "code": "QueryError", "retryable": False,
             }
             wire.send(protocol.BYE, {})
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_a_rational_and_a_blob_column_round_trip(tmp_path, role):
+    """``RESULT`` tunnels what JSON has no form for, from either role."""
+    mdm = MusicDataManager(str(tmp_path / "db"))
+    sample = mdm.schema.define_entity(
+        "SAMPLE", [("n", "integer"), ("onset", "rational"), ("sound", "blob")]
+    )
+    sample.create(n=1, onset=Fraction(3, 8), sound=b"\x00\x01\xff")
+    sample.create(n=2, onset=Fraction(-7), sound=b"")
+    sample.create(n=3)
+    statement = "retrieve (SAMPLE.n, SAMPLE.onset, SAMPLE.sound) sort by SAMPLE.n"
+    expected = mdm.session.execute(statement)
+    primary = MdmServer(mdm)
+    primary.start()
+    replica = start_replica(primary) if role == "replica" else None
+    client = MdmClient(
+        primary.address, replicas=[replica.address] if replica else []
+    )
+    try:
+        if replica is not None:
+            assert wait_serving(replica)
+        rows = client.retrieve(statement)
+        if replica is not None:
+            assert replica.metrics.value("repl.reads_served") == 1
+    finally:
+        client.close()
+        if replica is not None:
+            replica.stop()
+        primary.stop()
+        mdm.close()
+    assert rows == expected
+    assert [type(row["SAMPLE.onset"]) for row in rows] == [Fraction, Fraction, type(None)]
+    assert [row["SAMPLE.sound"] for row in rows] == [b"\x00\x01\xff", b"", None]
 
 
 def _assert_closed(wire):

@@ -8,10 +8,11 @@ tell apart (2**53 and 2**53 + 1).  The model keys a number by its exact
 ``Fraction`` and anything else by its type and value, so it decides
 equality without the index's own rule.  After every step:
 
-* a bucket of one rowid is that bare int and any other is a set of two
-  or more -- and an index built from the model's pairs in one
-  ``insert_many`` holds the same buckets, so whichever path built it, a
-  content has one form (the crash oracle compares ``_buckets``);
+* a bucket of one rowid is that bare int and any other is a strictly
+  ascending list of two or more -- and an index built from the model's
+  pairs in one ``insert_many``, fed in descending rowid order, holds the
+  same buckets, so whichever path built it, a content has one form (the
+  crash oracle compares ``_buckets``);
 * ``lookup`` of every value answers the model's rowids, ascending;
 * ``len`` and ``distinct_values`` are the model's.
 """
@@ -60,9 +61,9 @@ class HashIndexState:
             (value, rowid), = self._pairs(op, 1)
             self.index.insert(value, rowid)
             self._add([(value, rowid)])
-        elif kind == 1:  # a bulk insert, fed as a generator
+        elif kind == 1:  # a bulk insert, fed as a generator, some pairs twice
             pairs = self._pairs(op, 1 + op[3] % 6)
-            self.index.insert_many(pair for pair in pairs)
+            self.index.insert_many(pair for pair in pairs + pairs[::-2])
             self._add(pairs)
         else:  # delete, under any value equal to the one inserted
             value, rowid = self._pairs(op, 1)[0]
@@ -81,14 +82,15 @@ class HashIndexState:
     def check(self):
         buckets = self.index._buckets
         for bucket in buckets.values():
-            assert type(bucket) is int or (type(bucket) is set and len(bucket) > 1), (
-                "bucket %r is not in its one form" % (bucket,)
-            )
+            assert type(bucket) is int or (
+                type(bucket) is list and len(bucket) > 1
+                and all(a < b for a, b in zip(bucket, bucket[1:]))
+            ), "bucket %r is not in its one form" % (bucket,)
         rebuilt = HashIndex("v")
         rebuilt.insert_many(
             (value, rowid)
             for value in VALUES
-            for rowid in sorted(self.model.get(_model_key(value), ()))
+            for rowid in sorted(self.model.get(_model_key(value), ()), reverse=True)
         )
         assert buckets == rebuilt._buckets
         for value in VALUES:

@@ -3,7 +3,7 @@
 After a reopen -- from the log alone, and from a checkpoint image --
 and on a replica after its seed, no table holds a version chain (each
 row is its rowid's one version, from LSN 0, read by a pin below every
-commit) and no hash index holds a set of one rowid; every index equals
+commit) and no hash index holds a list of one rowid; every index equals
 one rebuilt from the rows.  The first write to a loaded row gives it its
 chain, and a pin taken before that write keeps reading the loaded row.
 """
@@ -53,7 +53,7 @@ def test_a_reopen_holds_no_chain_and_no_set_of_one(tmp_path, checkpoint):
         reopened.table(WORK).create_index("opus")
         _assert_loaded(reopened)
         buckets = reopened.table(WORK).index_for("opus")._buckets
-        assert buckets[5] == next(  # the set a replace shrank is bare
+        assert buckets[5] == next(  # the list a replace shrank is bare
             row.rowid for row in reopened.table(WORK) if row["title"] == "w5"
         )
         assert len(buckets[3]) == 6

@@ -1,6 +1,7 @@
 """The checkpoint image: its format, its streaming, its refusals, and how
 a database publishes and opens it."""
 
+import collections
 import io
 import os
 import struct
@@ -12,10 +13,10 @@ import pytest
 from repro.errors import RecoveryError
 from repro.storage import database as database_module
 from repro.storage import image
-from repro.storage.database import Database
+from repro.storage.database import CATALOG, Database
 from repro.storage.faults import fsync_directory
 from repro.storage.row import Row, decode_row_run, encode_row_run
-from repro.storage.table import Column, TableSchema
+from repro.storage.table import Column, Table, TableSchema
 from repro.storage.wal import WriteAheadLog
 
 _HEAD = struct.Struct("<7sBQ")  # magic, format byte, LSN
@@ -76,21 +77,6 @@ class _RecordingReads(io.BytesIO):
     def read(self, size=-1):
         self.sizes.append(size)
         return super().read(size)
-
-
-class _CountedRows:
-    """A sized run of rows that counts how many have been taken."""
-
-    def __init__(self, rows):
-        self.rows, self.taken = rows, 0
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        for row in self.rows:
-            self.taken += 1
-            yield row
 
 
 class TestRoundTrip:
@@ -188,14 +174,22 @@ class TestLayout:
         assert sum(decoded.sizes) == len(raw) - _HEAD.size - 4
         assert max(decoded.sizes) == max(map(len, pieces)) - _SIZE.size
 
-    def test_no_table_is_encoded_whole_before_its_first_piece(self):
-        rows = _CountedRows(_rows(2 * image.PIECE_ROWS + 1))
-        parts = image.pack(1, [("t", rows, KV)])
+    def test_no_table_is_encoded_whole_before_its_first_piece(
+        self, monkeypatch
+    ):
+        encoded = []
+
+        def encode(rows, schema, out):
+            encoded.append(len(rows))
+            encode_row_run(rows, schema, out)
+
+        monkeypatch.setattr(image, "encode_row_run", encode)
+        parts = image.pack(1, [("t", _rows(2 * image.PIECE_ROWS + 1), KV)])
         for _ in range(3):  # header, table, first piece
             next(parts)
-        assert 0 < rows.taken < len(rows)
+        assert encoded == [image.PIECE_ROWS]
         rest = b"".join(parts)
-        assert rows.taken == len(rows) and rest
+        assert encoded == [image.PIECE_ROWS, image.PIECE_ROWS, 1] and rest
 
 
 class TestRefusal:
@@ -284,6 +278,24 @@ class TestDatabaseImage:
         assert seed_lsn == lsn
         assert copy.table_names() == ["t"]
         assert sorted(row["v"] for row in copy.table("t")) == list(range(5))
+
+    def test_an_image_walks_each_table_once(self, monkeypatch):
+        """Its count and its pieces come from one snapshot walk."""
+        db = Database()
+        for name in ("t", "u"):
+            db.create_table(name, [("v", "integer")])
+            db.bulk_ingest(name, [{"v": i} for i in range(5)])
+        walks = collections.Counter()
+        walk = Table._snapshot_rows
+
+        def counting(table, snapshot):
+            walks[table.name] += 1
+            return walk(table, snapshot)
+
+        monkeypatch.setattr(Table, "_snapshot_rows", counting)
+        with db.image() as (_, pieces):
+            b"".join(pieces)
+        assert walks == {CATALOG: 1, "t": 1, "u": 1}
 
     def test_a_seed_naming_a_table_its_catalog_lacks(self):
         """Whole by its CRC, yet refused once the install reaches it."""

@@ -8,7 +8,9 @@ and the edge cases a library catalog actually contains -- empty
 titles, whitespace-only, sub-trigram shorts.
 """
 
+import importlib
 import random
+import sys
 import unicodedata
 
 import pytest
@@ -25,6 +27,9 @@ from repro.text import (
     trigram_jaccard,
     trigrams,
 )
+
+# The module, which ``repro.text``'s ``normalize`` (the function) hides.
+normalize_module = importlib.import_module("repro.text.normalize")
 
 
 class TestNormalize:
@@ -57,7 +62,7 @@ class TestNormalize:
 
 def _fold_per_character(text):
     """The fold as the module docstring states it, one character at a
-    time: the reference ``normalize``'s ASCII shortcut must equal."""
+    time: the reference both of ``normalize``'s paths must equal."""
     out = []
     last_space = True
     for ch in unicodedata.normalize("NFKD", text):
@@ -76,8 +81,9 @@ def _fold_per_character(text):
 
 
 class TestFoldEquivalence:
-    """``normalize`` takes ASCII values through ``lower`` and one regex;
-    everything else through the per-character loop.  Same output."""
+    """``normalize`` takes ASCII values through ``lower`` and one regex,
+    everything else through NFKD, a translate, ``casefold`` and one
+    regex; the per-character loop is the reference.  Same output."""
 
     ASCII = [chr(code) for code in range(128)]  # controls, DEL, \x1c-\x1f
     # Casefold expansions, a ligature, dotted capital I, full-width
@@ -96,6 +102,33 @@ class TestFoldEquivalence:
             ascii_only += text.isascii()
             assert normalize(text) == _fold_per_character(text), repr(text)
         assert 1000 < ascii_only < 2900  # both paths were taken
+
+    def test_every_code_point(self, monkeypatch):
+        # A table of its own, which every code point fills, let go after.
+        monkeypatch.setattr(
+            normalize_module, "_DROP_COMBINING",
+            type(normalize_module._DROP_COMBINING)(),
+        )
+        differ = [
+            hex(code) for code in range(sys.maxunicode + 1)
+            if normalize(chr(code)) != _fold_per_character(chr(code))
+        ]
+        assert differ == []
+
+    def test_200k_seeded_random_strings(self):
+        rng = random.Random(20_000)
+        marks = [chr(code) for code in range(0x300, 0x370)]
+        pools = [self.ASCII, self.BEYOND, marks]
+        differ = []
+        for _ in range(200_000):
+            text = "".join(
+                rng.choice(pools[pick]) if pick < 3
+                else chr(rng.randrange(0x80, sys.maxunicode + 1))
+                for pick in rng.choices(range(4), k=rng.randrange(0, 16))
+            )
+            if normalize(text) != _fold_per_character(text):
+                differ.append(text)
+        assert differ == []
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_corpus_title(self, seed):
