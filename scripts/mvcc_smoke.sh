@@ -1,6 +1,8 @@
 #!/bin/sh
 # Snapshot-isolation target: the whole MVCC battery in one command --
-# version-chain unit tests, the reader/writer interleaving oracle
+# version-chain unit tests, pinned index reads (stale set, the re-check
+# of stale rowids only, fall-back, latch discipline:
+# test_snapshot_index_reads.py), the reader/writer interleaving oracle
 # (readers lock-free and never torn), the temporal property batteries
 # on the shared op-program runner (tests/props/program.py): plain rows
 # and index reads, across reopens whose rows load chainless and on a
@@ -28,6 +30,7 @@ if [ "${1:-}" = "--full" ]; then
 fi
 PYTHONPATH=src python -m pytest -q -m "$MARKER" \
     tests/storage/test_mvcc.py \
+    tests/storage/test_snapshot_index_reads.py \
     tests/stress/test_mvcc_interleaving.py \
     tests/props/test_mvcc_props.py \
     tests/props/test_hash_index_props.py \

@@ -314,7 +314,8 @@ class MdmSession:
             transactions.set_deadline(deadline)
             quel.set_limits(deadline=deadline, row_budget=budget)
             snapshot = transactions.pin_snapshot()
-            run_span.record("snapshot_lsn", snapshot)
+            if run_span is not NOOP_SPAN:
+                run_span.record("snapshot_lsn", snapshot)
             try:
                 result = fn(self.mdm)
             finally:
@@ -324,7 +325,8 @@ class MdmSession:
         finally:
             transactions.clear_deadline()
             quel.clear_limits()
-            run_span.finish()
+            if run_span is not NOOP_SPAN:
+                run_span.finish()
 
     def bulk_ingest(self, table_name, rows, timeout=None, batch_rows=1000):
         """Bulk-load *rows* into *table_name* through the service layer.

@@ -22,12 +22,13 @@ session or thread -- runs the same plan with its own values.
 """
 
 import operator as _operator
+from operator import itemgetter
 
-from repro.core.entity import EntityInstance
+from repro.core.entity import SURROGATE_COLUMN
 from repro.errors import QueryError, UnknownAttributeError
 from repro.quel import ast
-from repro.quel import planner
-from repro.quel.functions import SCALARS
+from repro.quel import planner, sources
+from repro.quel.functions import SCALARS, scalar_similarity
 
 _COMPARISONS = {
     "=": _operator.eq,
@@ -131,18 +132,22 @@ class CompiledAggregate:
 
 class CompiledStatement:
     """Everything the executor needs to run one statement without
-    touching its AST again (except through prebuilt closures)."""
+    touching its AST again (except through prebuilt closures), and the
+    planning that depends only on the plan's cache key, done once: each
+    variable's :class:`~repro.quel.sources.IndexAccess`, the order
+    pushdowns, the early-exit source, the checks each join level runs."""
 
     __slots__ = (
         "statement", "kind", "used", "conjuncts", "restrictions",
         "restriction_conjuncts", "text_restrictions", "pushdown_options",
         "targets", "aggregates", "sort_fn", "sort_target", "assignments",
+        "project", "accesses", "pushdowns", "early_exit", "_levels",
     )
 
     def __init__(self, statement, kind, used, conjuncts, restrictions,
                  restriction_conjuncts, pushdown_options, targets=None,
                  aggregates=None, sort_fn=None, assignments=None,
-                 text_restrictions=None, sort_target=None):
+                 text_restrictions=None, sort_target=None, project=None):
         self.statement = statement
         self.kind = kind
         self.used = used
@@ -165,6 +170,33 @@ class CompiledStatement:
         # record instead of evaluating it a second time per row.
         self.sort_target = sort_target
         self.assignments = assignments
+        # A retrieve's targets as one ``fn(rt, bindings) -> record``.
+        self.project = project
+        self.accesses = self.pushdowns = self.early_exit = None
+        self._levels = {}
+
+    def checks(self, order, skip):
+        """Per join level of *order*, the truth closures of the
+        conjuncts it completes, but those in *skip* (the ones the
+        sources answer): a level runs a conjunct once it binds the last
+        of its variables.  Memoized: the answer is a function of its
+        arguments, which a plan's runs share."""
+        key = (tuple(order), frozenset(skip))
+        levels = self._levels.get(key)
+        if levels is None:
+            levels = []
+            bound = set()
+            for variable in order:
+                bound.add(variable)
+                levels.append(tuple(
+                    conjunct.truth
+                    for index, conjunct in enumerate(self.conjuncts)
+                    if index not in skip
+                    and variable in conjunct.variables
+                    and conjunct.variables <= bound
+                ))
+            self._levels[key] = levels
+        return levels
 
 
 # -- the compiler ----------------------------------------------------------------
@@ -226,16 +258,21 @@ class Compiler:
             return self.attribute_read(node.variable, node.attribute), False, None
         if isinstance(node, ast.VariableRef):
             variable = node.variable
+            declared = self.session._range_for(variable)
+            position = (
+                declared.table.schema.layout[SURROGATE_COLUMN]
+                if declared.kind == "entity" else None
+            )
 
             def var_fn(rt, bindings):
-                bound = bindings.get(variable)
-                if bound is None:
+                row = bindings.get(variable)
+                if row is None:
                     raise QueryError("unbound range variable %r" % variable)
-                if isinstance(bound, EntityInstance):
-                    return bound.surrogate
-                raise QueryError(
-                    "relationship variable %r used as a value" % variable
-                )
+                if position is None:
+                    raise QueryError(
+                        "relationship variable %r used as a value" % variable
+                    )
+                return row.values[position]
 
             return var_fn, False, None
         if isinstance(node, ast.BinaryOp):
@@ -263,7 +300,7 @@ class Compiler:
                 raise QueryError("unbound range variable %r" % variable)
             if position is None:
                 raise UnknownAttributeError(unknown)
-            values = bound.row.values
+            values = bound.values
             return values[position] if position < len(values) else None
 
         return attr_fn
@@ -338,7 +375,6 @@ class Compiler:
         version, which is part of the plan key, so a stale fold can
         never be replayed against an overriding registry.
         """
-        from repro.quel.functions import scalar_similarity
         from repro.text import SimilarityScorer
 
         if node.name != "similarity" or len(node.arguments) != 2:
@@ -394,20 +430,63 @@ class Compiler:
 
         return ordinal_fn
 
+    def projection(self, targets, fns):
+        """A retrieve's plain *targets*, ``[(name, AST node), ...]``
+        compiled to *fns*, as one ``fn(rt, bindings) -> record``.
+        Attributes of one variable are one ``itemgetter`` over its row's
+        values tuple (a row made before its table widened reads the
+        later slots as null); any other target list runs *fns* in turn."""
+        names = [name for name, _ in targets]
+        variables = {
+            node.variable for _, node in targets
+            if isinstance(node, ast.AttributeRef)
+        }
+        positions = []
+        if len(variables) == 1 and all(
+            isinstance(node, ast.AttributeRef) for _, node in targets
+        ):
+            (variable,) = variables
+            declared = self.session._range_for(variable)
+            try:
+                positions = [
+                    declared.position(node.attribute) for _, node in targets
+                ]
+            except UnknownAttributeError:
+                positions = []
+        if not positions:
+            return lambda rt, bindings: dict(
+                zip(names, [fn(rt, bindings) for fn in fns])
+            )
+        width = max(positions) + 1
+        pick = itemgetter(*positions)
+        single = len(positions) == 1
+
+        def project(rt, bindings):
+            row = bindings.get(variable)
+            if row is None:
+                raise QueryError("unbound range variable %r" % variable)
+            values = row.values
+            if len(values) < width:
+                values += (None,) * (width - len(values))
+            return dict(zip(names, (pick(values),) if single else pick(values)))
+
+        return project
+
     # -- entity operands ---------------------------------------------------------
 
     def entity_operand(self, node):
         """Compile an entity operand to ``fn(rt, bindings) -> instance``."""
         if isinstance(node, ast.VariableRef):
             variable = node.variable
+            entity = self.session._range_for(variable).kind == "entity"
 
             def var_operand(rt, bindings):
-                bound = bindings.get(variable)
-                if isinstance(bound, EntityInstance):
-                    return bound
-                raise QueryError(
-                    "%r is not an entity range variable" % variable
-                )
+                row = bindings.get(variable)
+                if row is None or not entity:
+                    raise QueryError(
+                        "%r is not an entity range variable" % variable
+                    )
+                return rt._range_for(variable).wrap(row)
 
             return var_operand
         if isinstance(node, ast.AttributeRef):
@@ -623,6 +702,85 @@ class Compiler:
         return []
 
 
+# -- plan-time choices of the sources ------------------------------------------
+
+
+def _pushdowns(compiled):
+    """At most one pushdown option per order conjunct, as ``{enumerated
+    variable: option}``.  The enumerated variable must not carry
+    equality restrictions (an index lookup would already make it cheap)
+    and may be enumerated for only one conjunct.  Among a conjunct's
+    options, the first whose driver is restricted wins: the driver
+    binds early and small."""
+    restricted = compiled.restrictions.get
+    chosen = {}
+    by_conjunct = {}
+    for option in compiled.pushdown_options:
+        by_conjunct.setdefault(option.conjunct_index, []).append(option)
+    for index in sorted(by_conjunct):
+        options = [
+            option for option in by_conjunct[index]
+            if option.enum_var not in chosen and not restricted(option.enum_var)
+        ]
+        if options:
+            best = next(
+                (o for o in options if restricted(o.driver_var)), options[0]
+            )
+            chosen[best.enum_var] = best
+    return chosen
+
+
+def _similarity_sort_key(sort_by):
+    """Match a sort key of ``similarity(v.attr, "literal")``: returns
+    ``(variable, attribute, query)``, or None for any other shape."""
+    if (
+        isinstance(sort_by, ast.FunctionCall)
+        and sort_by.name == "similarity"
+        and len(sort_by.arguments) == 2
+    ):
+        target, literal = sort_by.arguments
+        if (
+            isinstance(target, ast.AttributeRef)
+            and isinstance(literal, ast.Literal)
+            and isinstance(literal.value, str)
+        ):
+            return target.variable, target.attribute, literal.value
+    return None
+
+
+def _early_exit(compiled, session):
+    """The early-exit source a plan takes, decided when it is compiled:
+    ``("stream", variable)``, ``("topk", variable, attribute, query)``,
+    or None.  It is for a non-unique, non-aggregate ``limit N``
+    retrieve over one entity variable with a pushable text gate and no
+    equality restriction (which would change the candidate set).
+    Neither materializes the gate's full candidate set, which grows
+    with the table: unsorted, :class:`~repro.quel.sources.TextStream`; sorted by the builtin
+    ``similarity`` descending, :class:`~repro.quel.sources.TextTopK` (its bound replicates
+    the builtin: a session that rebound the name gets neither, and the
+    registry's version is part of the plan key)."""
+    if len(compiled.used) != 1:
+        return None
+    statement, (variable,) = compiled.statement, compiled.used
+    text_restrictions = compiled.text_restrictions.get(variable)
+    if (
+        compiled.kind != "RetrieveStatement" or statement.limit is None
+        or statement.unique or compiled.aggregates
+        or session._range_for(variable).kind != "entity"
+        or not text_restrictions or compiled.restrictions.get(variable)
+    ):
+        return None
+    if statement.sort_by is None:
+        return ("stream", variable)
+    spec = _similarity_sort_key(statement.sort_by)
+    if (
+        not statement.descending or spec is None or spec[0] != variable
+        or session.functions.scalar("similarity") is not scalar_similarity
+    ):
+        return None
+    return ("topk", variable, spec[1], spec[2])
+
+
 def _same_expression(left, right, bound):
     """True when two value expressions are one expression: equal node
     for node.  A bound literal equals only itself -- two slots hold the
@@ -685,9 +843,10 @@ def compile_statement(statement, session, bound=frozenset()):
         pushdown_options.extend(compiler.pushdown_options(index, node))
 
     kind = type(statement).__name__
-    targets = aggregates = sort_fn = sort_target = assignments = None
+    targets = aggregates = sort_fn = sort_target = assignments = project = None
     if isinstance(statement, ast.RetrieveStatement):
         targets = []
+        plain = []
         aggregates = []
         for target in statement.targets:
             expression = target.expression
@@ -707,6 +866,8 @@ def compile_statement(statement, session, bound=frozenset()):
                 )
             else:
                 targets.append((target.name, compiler.expression(expression)))
+                plain.append((target.name, expression))
+        project = compiler.projection(plain, [fn for _, fn in targets])
         if statement.sort_by is not None:
             sort_fn = compiler.expression(statement.sort_by)
             # A later target of the same name overwrites an earlier one
@@ -727,9 +888,21 @@ def compile_statement(statement, session, bound=frozenset()):
     elif not isinstance(statement, ast.DeleteStatement):
         raise QueryError("cannot compile statement %r" % (statement,))
 
-    return CompiledStatement(
+    compiled = CompiledStatement(
         statement, kind, list(used), conjuncts, restrictions,
         restriction_conjuncts, pushdown_options, targets=targets,
         aggregates=aggregates, sort_fn=sort_fn, assignments=assignments,
         text_restrictions=text_restrictions, sort_target=sort_target,
+        project=project,
     )
+    compiled.accesses = {
+        variable: sources.IndexAccess(
+            session._range_for(variable), restrictions.get(variable, ()),
+            text_restrictions.get(variable, ()),
+            restriction_conjuncts.get(variable, ()),
+        )
+        for variable in used
+    }
+    compiled.pushdowns = _pushdowns(compiled) if pushdown_options else {}
+    compiled.early_exit = _early_exit(compiled, session)
+    return compiled

@@ -28,7 +28,6 @@ import threading
 import time
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
-from repro.core.entity import EntityInstance
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, span, tracing_active
 from repro.quel import ast
@@ -270,9 +269,13 @@ class QuelSession:
         shapes = self._shapes
         epoch = self.schema.database.schema_epoch
         functions_version = self.functions.version
-        range_for = self._range_for
+        ranges, range_for = self.ranges, self._range_for
         key = (
-            tuple([range_for(variable).key for variable in cached.used]),
+            tuple([
+                (ranges[variable] if variable in ranges
+                 else range_for(variable)).key
+                for variable in cached.used
+            ]),
             # Pristine registries are interchangeable; a session that
             # registered functions gets entries private to its registry
             # (the plan's reference also pins the registry, so the key
@@ -396,17 +399,23 @@ class QuelSession:
         """
         database = self.schema.database
         transactions = database.transactions
-        if write_target is None and self._snapshot_read_mode(database):
-            pin = transactions.current_snapshot() is None
-            if pin:
+        pinned = transactions.current_snapshot() is not None
+        if write_target is None and (
+            pinned
+            # Degraded (read-only) databases serve every standalone read
+            # lock-free: there is nothing a lock could protect against,
+            # and S-lock churn on the healed path was a real regression.
+            or database.degraded and transactions.current() is None
+        ):
+            if not pinned:
                 transactions.pin_snapshot()
             try:
-                limits = self.limits
+                limits = getattr(self._local, "limits", None)
                 if limits is not None:
                     limits.check_deadline()
                 return method(compiled)
             finally:
-                if pin:
+                if not pinned:
                     transactions.unpin_snapshot()
         with transactions.statement():
             limits = self.limits
@@ -415,17 +424,6 @@ class QuelSession:
             if write_target is not None:
                 database.write_table(write_target())
             return method(compiled)
-
-    @staticmethod
-    def _snapshot_read_mode(database):
-        """True when a read statement should run against a snapshot."""
-        transactions = database.transactions
-        if transactions.current_snapshot() is not None:
-            return True
-        # Degraded (read-only) databases serve every standalone read
-        # lock-free: there is nothing a lock could protect against, and
-        # S-lock churn on the healed path was a real regression.
-        return database.degraded and transactions.current() is None
 
     def register_function(self, name, function, aggregate=False):
         if aggregate:
@@ -504,20 +502,19 @@ class QuelSession:
         try:
             database = self.schema.database
             snapshot = database.transactions.current_snapshot()
-            ranges = {}
-            for variable in compiled.used:
-                ranges[variable] = declared = self._range_for(variable)
+            if snapshot is None:
                 # Shared lock before any read: concurrent writers cannot
                 # produce torn reads of this table mid-statement.  (A
-                # pinned snapshot makes this a no-op: version chains,
-                # not locks, keep the read consistent.)
-                database.read_table(declared.table.name)
-            order, chosen = sources.choose(
-                compiled, ranges, self, snapshot is not None
-            )
+                # pinned snapshot needs none: version chains, not
+                # locks, keep the read consistent.)
+                for variable in compiled.used:
+                    database.read_table(self._range_for(variable).table.name)
+            order, chosen = sources.choose(compiled, self, snapshot is not None)
             self._last_plan = plan = planner.build_plan(order, chosen)
             if snapshot is not None:
-                stale = sum(source.stale or 0 for source in chosen.values())
+                stale = 0
+                for source in chosen.values():
+                    stale += source.stale or 0
                 plan.snapshot = (snapshot, stale)
             if plan_span is not NOOP_SPAN:
                 steps = plan.steps
@@ -531,17 +528,18 @@ class QuelSession:
                 plan_span.finish()
         return order, chosen, plan.decided
 
-    def _join(self, order, chosen, checks_by_level, first, selector, limits):
+    def _join(self, order, chosen, levels, first, selector, limits):
         """The one join loop: bind each variable of *order* to its
-        source's candidates in turn, run the conjunct checks that
-        variable completes, and yield a copy of every full binding.
-        The tail's early-exit bound (*first*, *selector*) reaches the
-        outermost source only.  An inner source is re-iterated per
-        outer binding: pulled anew when it reads them (``correlated``),
-        drained into a list once when it does not."""
+        source's candidates, the rows they fetched, in turn, run the
+        conjunct checks that variable completes (*levels*), and yield
+        every full binding -- the one dict, rebound in place: a tail
+        that keeps a binding copies it.  The tail's early-exit bound
+        (*first*, *selector*) reaches the outermost source only.  An
+        inner source is re-iterated per outer binding: pulled anew when
+        it reads them (``correlated``), drained into a list once when it
+        does not."""
         total = len(order)
-        outermost = chosen[order[0]].pull
-        pools = [lambda bindings: outermost(bindings, first, selector)]
+        pools = [None]  # the outermost source is pulled once, below
         for variable in order[1:]:
             pull = chosen[variable].pull
             if chosen[variable].correlated:
@@ -549,79 +547,68 @@ class QuelSession:
             else:
                 pools.append(lambda bindings, rows=list(pull(None, None, None)): rows)
 
-        def join(level, bindings):
+        def join(level, bindings, candidates):
             variable = order[level]
-            checks = checks_by_level[level]
+            checks = levels[level]
             last = level + 1 == total
-            for candidate in pools[level](bindings):
+            for candidate in candidates:
                 if limits is not None:
                     limits.tick()
                 bindings[variable] = candidate
-                passed = True
                 for check in checks:
                     if not check(self, bindings):
-                        passed = False
                         break
-                if passed and last:
-                    yield dict(bindings)
-                elif passed:
-                    yield from join(level + 1, bindings)
+                else:
+                    if last:
+                        yield bindings
+                    else:
+                        yield from join(
+                            level + 1, bindings, pools[level + 1](bindings)
+                        )
             bindings.pop(variable, None)
 
-        return join(0, {})
+        bindings = {}
+        return join(0, bindings, chosen[order[0]].pull(bindings, first, selector))
 
     def _compiled_bindings(self, compiled, first=None, selector=None):
-        """Yield the binding dicts a compiled statement's tail consumes.
-        The tail says where it will stop: *first*, an unsorted ``limit
-        N``'s early-exit bound; *selector*, a sorted one's bounded
-        selection (see :meth:`_join`)."""
-        limits = self.limits
-        if limits is not None:
-            limits.check_deadline()
+        """The binding dicts a compiled statement's tail consumes, one
+        dict rebound in place (see :meth:`_join`).  The tail says where
+        it will stop: *first*, an unsorted ``limit N``'s early-exit
+        bound; *selector*, a sorted one's bounded selection.  The
+        deadline was checked as the statement took its locks."""
+        limits = getattr(self._local, "limits", None)
         order, chosen, skip = self._prepare_compiled(compiled)
-        conjuncts = compiled.conjuncts
-        for conjunct in conjuncts:
+        for conjunct in compiled.conjuncts:
             # A false constant conjunct gates the whole statement out.
             if not conjunct.variables and not conjunct.truth(self, {}):
-                return
+                return iter(())
         if not order:
-            yield {}
-            return
+            return iter(({},))
         # A conjunct some source answers (*skip*) is not checked; every
         # other runs at the level that binds its last variable.
-        checks_by_level = []
-        bound = set()
-        for variable in order:
-            bound.add(variable)
-            checks_by_level.append([
-                conjunct.truth
-                for index, conjunct in enumerate(conjuncts)
-                if index not in skip
-                and variable in conjunct.variables
-                and conjunct.variables <= bound
-            ])
-        source = self._join(order, chosen, checks_by_level, first, selector, limits)
-        # The scan span brackets the whole join; a try/finally closes
-        # it even when the caller abandons the generator early.
-        visits_before = limits.visits if limits is not None else 0
-        scan_span = (
-            span("quel.scan", variables=len(order))
-            if tracing_active()
-            else NOOP_SPAN
+        source = self._join(
+            order, chosen, compiled.checks(order, skip), first, selector, limits
         )
+        if not tracing_active():
+            return source
+        return self._scanned(source, len(order), limits)
+
+    @staticmethod
+    def _scanned(source, variables, limits):
+        """*source* inside the ``quel.scan`` span, which a try/finally
+        closes even when the caller abandons the generator early."""
+        visits_before = limits.visits if limits is not None else 0
+        scan_span = span("quel.scan", variables=variables)
         rows_out = 0
         try:
             for bindings in source:
                 rows_out += 1
                 yield bindings
         finally:
-            if scan_span is not NOOP_SPAN:
-                if limits is not None:
-                    scan_span.record(
-                        "rows_visited", limits.visits - visits_before
-                    )
-                scan_span.record("rows_out", rows_out)
-                scan_span.finish()
+            if limits is not None:
+                scan_span.record("rows_visited", limits.visits - visits_before)
+            scan_span.record("rows_out", rows_out)
+            scan_span.finish()
 
     # -- statements -------------------------------------------------------------------
 
@@ -651,11 +638,10 @@ class QuelSession:
                 selector = sources.BoundedSort(limit, statement.descending)
 
         sort_target = compiled.sort_target
+        project = compiled.project
         rows = []
         for bindings in self._compiled_bindings(compiled, first, selector):
-            record = {}
-            for name, fn in plain:
-                record[name] = fn(self, bindings)
+            record = project(self, bindings)
             sort_key = None
             if sort_target is not None:
                 # Also a target: evaluated once a row, above.
@@ -750,12 +736,14 @@ class QuelSession:
         """Distinct instances of the statement's target variable that
         satisfy its qualification, each with its first full binding."""
         variable = compiled.statement.variable
+        declared = self._range_for(variable)
         seen = {}
         for bindings in self._compiled_bindings(compiled):
-            bound = bindings[variable]
-            if not isinstance(bound, EntityInstance):
+            if declared.kind != "entity":
                 raise QueryError("%r is not an entity range variable" % variable)
-            seen.setdefault(bound.surrogate, (bound, bindings))
+            instance = declared.wrap(bindings[variable])
+            if instance.surrogate not in seen:
+                seen[instance.surrogate] = (instance, dict(bindings))
         return list(seen.values())
 
     def _replace(self, compiled):

@@ -17,20 +17,23 @@ fetched when the join pulls.  Every source has
   (None: none did);
 * ``correlated`` -- True when the pull reads outer bindings: the join
   pulls such a source per binding and drains any other inner one once;
-* ``pull(bindings, first, selector)`` -- the candidates, wrapped, a
-  chunk at a time.  *first*, an unsorted ``limit N``'s early-exit
-  bound, sizes the first chunk (None: one chunk of everything);
-  *selector*, a sorted one's :class:`BoundedSort`, is what top-k asks.
+* ``pull(bindings, first, selector)`` -- the candidates, the fetched
+  rows themselves, a chunk at a time.  *first*, an unsorted ``limit
+  N``'s early-exit bound, sizes the first chunk (None: one chunk of
+  everything); *selector*, a sorted one's :class:`BoundedSort`, is what
+  top-k asks.
+
+A range variable binds the fetched :class:`~repro.storage.row.Row`;
+only an operand that needs an instance wraps it (``EntityRange.wrap``).
 """
 
 from bisect import bisect_left
 from functools import partial
 from itertools import chain, islice, takewhile
 
-from repro.core.entity import SURROGATE_COLUMN, BoundInstance, EntityInstance
+from repro.core.entity import SURROGATE_COLUMN, BoundInstance
 from repro.errors import UnknownAttributeError
-from repro.quel import ast, planner
-from repro.quel.functions import scalar_similarity
+from repro.quel import planner
 from repro.storage.table import SWAMPED
 from repro.storage.values import value_sort_key
 from repro.text import SimilarityScorer
@@ -40,8 +43,9 @@ from repro.text import SimilarityScorer
 
 
 class EntityRange:
-    """A range variable over an entity type: candidates are instances,
-    scanned in surrogate order, bound to the rows their source fetched."""
+    """A range variable over an entity type: candidates are its rows,
+    scanned in surrogate order; ``wrap`` makes one an instance that
+    reads the row its source fetched."""
 
     kind = "entity"
     scan_order = SURROGATE_COLUMN
@@ -72,9 +76,6 @@ class RelationshipRange:
         self.table = relationship.table
         self.key = (self.kind, self.type_name)
 
-    def wrap(self, row):
-        return _RelationshipRow(row)
-
     def position(self, name):
         """The slot of role or attribute *name* in a bound row's values
         tuple; one the relationship lacks raises as an entity range does."""
@@ -82,16 +83,6 @@ class RelationshipRange:
             raise UnknownAttributeError("relationship %r has no role or "
                                         "attribute %r" % (self.type_name, name))
         return self.table.schema.layout[name]
-
-
-class _RelationshipRow:
-    """A relationship row as a range variable binds it (compiled reads
-    take their values from ``row``)."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        self.row = row
 
 
 # -- the chunk rule, the shared pull, the counters, the bounded selection ------------
@@ -112,9 +103,16 @@ def chunk_sizes(first):
 
 def slices(items, first):
     """List *items* cut by the chunk rule; one slice holding everything
-    when the statement has no early-exit bound (*first* None)."""
+    when the statement has no early-exit bound (*first* None) or the
+    first chunk takes them all."""
+    if not first or first >= len(items):
+        return (items,) if items else ()
+    return _cut(items, first)
+
+
+def _cut(items, first):
     start = 0
-    for size in chunk_sizes(first or len(items)):
+    for size in chunk_sizes(first):
         if start >= len(items):
             return
         yield items[start:start + size]
@@ -166,17 +164,16 @@ class Accounting:
         if index_reads:
             self.snapshot_index_reads.inc(index_reads)
 
-    def pull(self, wrap, chunks, fetch):
-        """The shared pull: ``fetch(chunk)``'s rows, wrapped, a chunk of
-        *chunks* at a time, none before the join asks: ``explain``
-        fetches nothing and a tail that stops early never pays for the
-        chunks behind the one it stopped in."""
-        def pools():
-            for chunk in chunks:
-                self.fetched(len(chunk))
-                yield [wrap(row) for row in fetch(chunk)]
+    def pull(self, chunks, fetch):
+        """The shared pull: ``fetch(chunk)``'s rows, a chunk of *chunks*
+        at a time, none before the join asks: ``explain`` fetches
+        nothing and a tail that stops early never pays for the chunks
+        behind the one it stopped in."""
+        def counted(chunk):
+            self.fetched(len(chunk))
+            return fetch(chunk)
 
-        return chain.from_iterable(pools())  # a hop per chunk, not per row
+        return chain.from_iterable(map(counted, chunks))  # a hop a chunk
 
 
 class _Reversed:
@@ -282,9 +279,67 @@ class _Source:
         self._accounting = accounting
 
     def pull(self, bindings, first, selector):
-        return self._accounting.pull(
-            self._declared.wrap, self._chunks(first), self._fetch
+        return self._accounting.pull(self._chunks(first), self._fetch)
+
+
+class IndexAccess:
+    """The half of an :class:`IndexSource` that depends only on what a
+    cached plan is keyed on, resolved once a plan: the table, the
+    index over each equality restriction's column (None: the first run
+    builds it, a schema change, so the next statement recompiles), the
+    restrictions on attributes the table has no column for, the text
+    gates, and the conjuncts the source answers.
+
+    *restrictions* are ``(attribute, value)`` pairs, where
+    ``value(rt, None)`` is the literal the executing statement probes
+    with."""
+
+    __slots__ = ("table", "scan_order", "indexed", "residual",
+                 "text_restrictions", "answers")
+
+    def __init__(self, declared, restrictions, text_restrictions, answers):
+        table = self.table = declared.table
+        self.scan_order = declared.scan_order
+        has_column = table.schema.has_column
+        self.indexed = tuple(
+            (attribute, table.any_index_for(attribute), value)
+            for attribute, value in restrictions if has_column(attribute)
         )
+        self.residual = tuple(
+            (attribute, value)
+            for attribute, value in restrictions if not has_column(attribute)
+        )
+        self.text_restrictions = text_restrictions
+        self.answers = answers
+
+    def probe(self, values):
+        """The rowids the indexes hold for the restrictions, *values*
+        being their literals in order, the text gates' included: None
+        when nothing indexed answers; then whether a text gate pruned,
+        and the ``similar_to`` gates an index decided (index reads
+        only: it runs inside :meth:`Table.probe`)."""
+        table, decided = self.table, []
+        rowids = None
+        if self.text_restrictions:
+            rowids = text_rowids(table, self.text_restrictions, decided)
+        text_pruned = rowids is not None
+        for (attribute, index, _), value in zip(self.indexed, values):
+            if rowids is not None and not rowids:
+                break
+            if index is None:
+                # Adaptive access path: build the missing index once so
+                # this and every later query answers from it.
+                index = table.create_index(attribute)
+            # A lookup answers ascending: a lone one is the candidate
+            # list as it stands.
+            matched = index.lookup(value)
+            if rowids is not None:
+                # Walk the lookup: a text gate's candidates are a set
+                # to ask, not one to enumerate.
+                held = set(rowids) if isinstance(rowids, list) else rowids
+                matched = [rowid for rowid in matched if rowid in held]
+            rowids = matched
+        return rowids, text_pruned, decided
 
 
 class IndexSource(_Source):
@@ -292,97 +347,91 @@ class IndexSource(_Source):
     scan", "scan"; "snapshot scan" when pinned).
 
     Every equality restriction on a real column is answered from an
-    index -- built on first use if absent -- and the rowid sets, text
-    gates' included, are intersected before any row is materialized; one
-    on an unknown attribute filters in place.  The index reads are one
-    probe, whose stale rowids are merged into the ascending rowid list
-    once; each chunk comes back through :meth:`Table.fetch`, which --
-    pinned -- re-checks the equalities on each visible version (the
-    join skips *answers*, so nothing downstream would; with no stale
-    rowid they take each ``similar_to`` the index decided).  A scan
-    takes its rows at plan time, hence its count, as one chunk.
+    index (:class:`IndexAccess`) and the rowid sets, text gates'
+    included, are intersected before any row is materialized; one on an
+    unknown attribute filters in place.  The index reads are one probe,
+    whose stale rowids are merged into the ascending rowid list once;
+    each chunk comes back through :meth:`Table.fetch`, which -- pinned
+    -- re-checks the equalities on the visible version of each stale
+    rowid (the join skips *answers*, so nothing downstream would; with
+    no stale rowid they take each ``similar_to`` the index decided).
+    A scan takes its rows at plan time, hence its count, as one chunk.
     """
 
-    __slots__ = ("access", "answers", "text_candidates", "_chunks", "_fetch")
+    __slots__ = ("access", "answers", "text_candidates", "_plan", "_values",
+                 "_residual", "_rowids", "_stale", "_rows")
 
-    def __init__(self, declared, restrictions, text_restrictions, answers,
-                 accounting):
-        _Source.__init__(self, declared, accounting)
-        self.answers = answers
+    def __init__(self, plan, rt, accounting):
+        self._declared, self._accounting = None, accounting
+        self._plan = plan
+        self.answers = plan.answers
         self.text_candidates = None
-        table = declared.table
-        has_column = table.schema.has_column
-        indexed = [(a, v) for a, v in restrictions if has_column(a)]
-        residual = [(a, v) for a, v in restrictions if not has_column(a)]
-
-        def kept(rows):
-            if residual:
-                rows = [
-                    row for row in rows
-                    if all(row.get(a) == v for a, v in residual)
-                ]
-            return rows
-
-        def probe():
-            rowids = text_rowids(table, text_restrictions, decided)
-            text_pruned = rowids is not None
-            for attribute, value in indexed:
-                if rowids is not None and not rowids:
-                    break
-                index = table.any_index_for(attribute)
-                if index is None:
-                    # Adaptive access path: build the missing index once so
-                    # this and every later query answers from it.
-                    index = table.create_index(attribute)
-                # A lookup answers ascending: a lone one is the
-                # candidate list as it stands.
-                matched = index.lookup(value)
-                if rowids is not None:
-                    # Walk the lookup: a text gate's candidates are a
-                    # set to ask, not one to enumerate.
-                    held = set(rowids) if isinstance(rowids, list) else rowids
-                    matched = [rowid for rowid in matched if rowid in held]
-                rowids = matched
-            return rowids, text_pruned
-
-        decided = []
-        (rowids, text_pruned), stale = table.probe(probe)
+        self._rows = None
+        table = plan.table
+        self._values = values = [value(rt, None) for _, _, value in plan.indexed]
+        self._residual = [
+            (attribute, value(rt, None)) for attribute, value in plan.residual
+        ] if plan.residual else None
+        (rowids, text_pruned, decided), stale = table.probe(plan.probe, values)
         pinned = stale is not None
-        keys = [(a, value_sort_key(v)) for a, v in indexed]
-
-        def verify(row):
-            return all(value_sort_key(row[a]) == key for a, key in keys)
-
         if rowids is None or stale is SWAMPED:
             if rowids is not None:
-                rows = table.fetch(rowids, SWAMPED, verify)
-            elif declared.scan_order is None:
+                rows = table.fetch(rowids, SWAMPED, self._verify)
+            elif plan.scan_order is None:
                 rows = list(table)
             else:
-                rows = table.sorted_by(declared.scan_order)
-            rows = kept(rows)
-            self._chunks = lambda first: (rows,)
-            self._fetch = iter
+                rows = table.sorted_by(plan.scan_order)
+            self._rows = rows = self._kept(rows)
             self.count = len(rows)
             self.access = "snapshot scan" if pinned else (
-                "filtered scan" if residual else "scan"
+                "filtered scan" if self._residual else "scan"
             )
             self.stale = 0 if rowids is None else None
             return
         self.count = len(rowids)
         self.stale = len(stale) if pinned else 0
         if decided and not self.stale:
-            self.answers = [*answers, *decided]
+            self.answers = [*self.answers, *decided]
         if not isinstance(rowids, list):
             rowids = sorted(rowids)
         if stale:
-            rowids, stale = sorted(set(rowids).union(stale)), ()
-        self._chunks = lambda first: slices(rowids, first)
-        self._fetch = lambda chunk: kept(table.fetch(chunk, stale, verify))
+            stale = frozenset(stale)
+            rowids = sorted(stale.union(rowids))
+        self._rowids, self._stale = rowids, stale
         self.access = "index"
         if text_pruned:
             self.access = "index text"
             self.text_candidates = self.count
+
+    def _kept(self, rows):
+        residual = self._residual
+        if residual:
+            rows = [
+                row for row in rows
+                if all(row.get(a) == v for a, v in residual)
+            ]
+        return rows
+
+    def _verify(self, row):
+        """The equalities the probe stood for, on a visible version."""
+        return all(
+            value_sort_key(row[attribute]) == value_sort_key(value)
+            for (attribute, _, _), value in zip(self._plan.indexed, self._values)
+        )
+
+    def _chunks(self, first):
+        if self._rows is not None:
+            return (self._rows,)
+        return slices(self._rowids, first)
+
+    def _fetch(self, chunk):
+        if self._rows is not None:
+            return chunk
+        stale = self._stale
+        rows = self._plan.table.fetch(
+            chunk, stale.intersection(chunk) if stale else stale, self._verify
+        )
+        return self._kept(rows) if self._residual else rows
 
 
 class TextStream(_Source):
@@ -530,9 +579,8 @@ class TextTopK(_Source):
             yield chunk
 
     def pull(self, bindings, first, selector):
-        declared = self._declared
         for candidate in self._accounting.pull(
-            declared.wrap, self._best_first(selector), declared.table.get_many
+            self._best_first(selector), self._declared.table.get_many
         ):
             selector.seq = candidate.rowid
             yield candidate
@@ -546,29 +594,31 @@ class OrderRange(_Source):
     enumerated type's surrogate index, which drops children of other
     types -- the rows the conjunct would have rejected.  Each walk
     counts the membership and the entity rows it asked for; never
-    outermost, it meets no early-exit bound: one chunk per walk."""
+    outermost, it meets no early-exit bound: one chunk per walk.
+    *driver* is the driver variable's range."""
 
-    __slots__ = ("answers", "_ordering", "_option")
+    __slots__ = ("answers", "_ordering", "_option", "_driver")
     access = "order range"
     stale = 0
     correlated = True
 
-    def __init__(self, option, ordering, declared, accounting):
+    def __init__(self, option, ordering, declared, driver, accounting):
         _Source.__init__(self, declared, accounting)
         self.count = ordering.table.row_estimate()
         self.answers = (option.conjunct_index,)
         self._ordering = ordering
         self._option = option
+        self._driver = driver
 
     def pull(self, bindings, first, selector):
-        driver = bindings.get(self._option.driver_var)
-        if not isinstance(driver, EntityInstance):
+        row = bindings.get(self._option.driver_var)
+        if row is None:
             return ()
         ordering, mode = self._ordering, self._option.mode
         if mode == "under":
-            members = ordering.member_rows_under(driver.surrogate)
+            members = ordering.member_rows_under(row[SURROGATE_COLUMN])
         else:
-            member = ordering.member_row_of(driver)
+            member = ordering.member_row_of(self._driver.wrap(row))
             if member is None:
                 return ()
             if mode == "before":
@@ -589,137 +639,67 @@ class OrderRange(_Source):
         )
         if stale:  # merged in by rowid: back into sibling order
             rows.sort(key=lambda row: place[row[SURROGATE_COLUMN]])
-        wrap = self._declared.wrap
-        return [wrap(row) for row in rows]
+        return rows
 
 
 # -- who picks -----------------------------------------------------------------------------
 
 
-def _pushdowns(compiled):
-    """At most one pushdown option per order conjunct, as ``{enumerated
-    variable: option}``.  The enumerated variable must not carry
-    equality restrictions (an index lookup would already make it cheap)
-    and may be enumerated for only one conjunct.  Among a conjunct's
-    options, the first whose driver is restricted wins: the driver
-    binds early and small."""
-    restricted = compiled.restrictions.get
-    chosen = {}
-    by_conjunct = {}
-    for option in compiled.pushdown_options:
-        by_conjunct.setdefault(option.conjunct_index, []).append(option)
-    for index in sorted(by_conjunct):
-        options = [
-            option for option in by_conjunct[index]
-            if option.enum_var not in chosen and not restricted(option.enum_var)
-        ]
-        if options:
-            best = next(
-                (o for o in options if restricted(o.driver_var)), options[0]
-            )
-            chosen[best.enum_var] = best
-    return chosen
+def _early_source(compiled, rt):
+    """The source the plan's ``early_exit`` names, or None when its
+    plan-time probe finds it cannot serve (see its ``plan``)."""
+    kind, variable, *sort_key = compiled.early_exit
+    declared = rt._range_for(variable)
+    gates = compiled.text_restrictions[variable]
+    if kind == "stream":
+        return TextStream.plan(declared, gates, rt.accounting)
+    return TextTopK.plan(declared, gates, *sort_key, rt.accounting)
 
 
-def _similarity_sort_key(sort_by):
-    """Match a sort key of ``similarity(v.attr, "literal")``: returns
-    ``(variable, attribute, query)``, or None for any other shape."""
-    if (
-        isinstance(sort_by, ast.FunctionCall)
-        and sort_by.name == "similarity"
-        and len(sort_by.arguments) == 2
-    ):
-        target, literal = sort_by.arguments
-        if (
-            isinstance(target, ast.AttributeRef)
-            and isinstance(literal, ast.Literal)
-            and isinstance(literal.value, str)
-        ):
-            return target.variable, target.attribute, literal.value
-    return None
-
-
-def _early_exit(compiled, declared, rt):
-    """The early-exit source for a non-unique, non-aggregate ``limit
-    N`` retrieve over one entity variable with a pushable text gate and
-    no equality restriction (which would change the candidate set), or
-    None.  Neither materializes the gate's full candidate set, which
-    grows with the table: unsorted, :class:`TextStream`; sorted by the
-    builtin ``similarity`` descending, :class:`TextTopK` (its bound
-    replicates the builtin: a session that rebound the name gets
-    neither)."""
-    statement, (variable,) = compiled.statement, compiled.used
-    text_restrictions = compiled.text_restrictions.get(variable)
-    if (
-        compiled.kind != "RetrieveStatement" or statement.limit is None
-        or statement.unique or compiled.aggregates
-        or declared.kind != "entity" or not text_restrictions
-        or compiled.restrictions.get(variable)
-    ):
-        return None
-    if statement.sort_by is None:
-        return TextStream.plan(declared, text_restrictions, rt.accounting)
-    spec = _similarity_sort_key(statement.sort_by)
-    if (
-        not statement.descending or spec is None or spec[0] != variable
-        or rt.functions.scalar("similarity") is not scalar_similarity
-    ):
-        return None
-    return TextTopK.plan(declared, text_restrictions, spec[1], spec[2], rt.accounting)
-
-
-def choose(compiled, ranges, rt, pinned):
+def choose(compiled, rt, pinned):
     """Pick the source of every variable *compiled* uses and the order
-    the join binds them in: ``(order, {variable: source})``.  *ranges*
-    maps each variable to its declared range; *rt* is the executing
-    session, whose literal vector the restrictions read.  What selects
-    a source is observed, never configured:
+    the join binds them in: ``(order, {variable: source})``.  *rt* is
+    the executing session, whose ranges the plan's match and whose
+    literal vector the restrictions read.  What selects a source is
+    observed, never configured:
 
     * an order conjunct with one side bound enumerates the other
       (:class:`OrderRange`), placed after its driver; mutually-driven
       ones (a before b and b before a) get plain sources and let the
       per-row checks decide;
     * a ``limit N`` text retrieve over one variable streams its
-      candidates (:func:`_early_exit`);
+      candidates (``CompiledStatement.early_exit``);
     * everything else answers from the restrictions an index can answer
       (:class:`IndexSource`), smallest candidate set first.
     """
     used = compiled.used
     accounting = rt.accounting
+    accesses = compiled.accesses
     sources = {}
-
-    def plain(variable):
-        sources[variable] = IndexSource(
-            ranges[variable],
-            [
-                (attribute, value(rt, None)) for attribute, value
-                in compiled.restrictions.get(variable, ())
-            ],
-            compiled.text_restrictions.get(variable, ()),
-            compiled.restriction_conjuncts.get(variable, ()),
-            accounting,
-        )
-
-    driven = _pushdowns(compiled) if compiled.pushdown_options else {}
-    early = _early_exit(compiled, ranges[used[0]], rt) if len(used) == 1 else None
+    driven = dict(compiled.pushdowns)
+    early = _early_source(compiled, rt) if compiled.early_exit else None
     if early is not None:
         sources[used[0]] = early
         order = list(used)
     else:
         order = [variable for variable in used if variable not in driven]
         for variable in order:
-            plain(variable)
-        order = planner.order_variables(order, sources, compiled.conjuncts)
+            sources[variable] = IndexSource(accesses[variable], rt, accounting)
+        if len(order) > 1:
+            order = planner.order_variables(order, sources, compiled.conjuncts)
     while driven:
         ready = [v for v in sorted(driven) if driven[v].driver_var in sources]
         if not ready:
             for variable in sorted(driven):
-                plain(variable)
+                sources[variable] = IndexSource(
+                    accesses[variable], rt, accounting
+                )
                 order.append(variable)
             break
         option = driven.pop(ready[0])
         sources[ready[0]] = OrderRange(
-            option, rt.schema.ordering(option.order_name), ranges[ready[0]],
+            option, rt.schema.ordering(option.order_name),
+            rt._range_for(ready[0]), rt._range_for(option.driver_var),
             accounting,
         )
         order.append(ready[0])

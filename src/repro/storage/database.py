@@ -96,6 +96,9 @@ class _Catalog(Table):
     def defer_index_upkeep(self):
         pass
 
+    def _loading(self):
+        return self._database._deferring
+
 
 def _catalog_entry(row):
     """``(name, [Column, ...], {text-indexed column, ...})`` of a catalog

@@ -66,10 +66,10 @@ that version is not visible at ``S``); if ``r`` is stale it is a
 candidate regardless.  A writer that rewrites ``r`` *after* the hold
 cannot take the version visible at ``S`` away -- the reader's
 registered pin holds the prune horizon at or below ``S`` -- so the
-fetch through the chain still finds it.  Candidates are
-then fetched at ``S`` and **every** restriction is re-checked on the
-visible version (:meth:`Table.fetch`), because a stale rowid's visible
-version need not satisfy what the index says about its current one.
+fetch through the chain still finds it.  Candidates are fetched at
+``S`` (:meth:`Table.fetch`): a stale rowid's visible version, which
+need not match what the index says of its current one, is re-checked
+on every restriction; the probe decides every other hit.
 When the stale set outgrows the planner's candidate cap
 (:meth:`Table.candidate_cap`) the read falls back to scanning the
 visible rows (:data:`SWAMPED`).
@@ -458,11 +458,16 @@ class Table:
         index's backfill and ``insert_many`` all pay for this."""
         if self._deferring:
             return
-        # _index_value's two cases, decided once and not per row.
+        # _index_value's two cases, decided once and not per row; a
+        # column's slot is looked up once a build, not once a row.
         if isinstance(column, tuple):
             pairs = ((tuple(row[c] for c in column), row.rowid) for row in rows)
         else:
-            pairs = ((row[column], row.rowid) for row in rows)
+            at = self.schema.layout[column]
+            pairs = (
+                (row.values[at] if at < len(row.values) else None, row.rowid)
+                for row in rows
+            )
         index.insert_many(pairs)
 
     # Deferred upkeep: the two loads that fill an empty table before any
@@ -484,6 +489,11 @@ class Table:
                 "an empty table is loaded" % self.name
             )
         self._deferring = True
+
+    def _loading(self):
+        """Whether a load is filling this table: the one time it may
+        take an LSN-0 install (:meth:`install_committed`)."""
+        return self._deferring
 
     def build_deferred_indexes(self, loaded=()):
         """End the deferral: fill every registered index from the
@@ -986,35 +996,41 @@ class Table:
                 # The last rewrite before a quiet spell has no later
                 # write to settle it; the readers that follow do.
                 self._trim_stale(self._horizon())
-            swamped = len(stale) > self.candidate_cap()
-            return fn(*args), SWAMPED if swamped else tuple(stale)
+                if len(stale) > self.candidate_cap():
+                    return fn(*args), SWAMPED
+            return fn(*args), tuple(stale)
 
     def fetch(self, rowids, stale, verify):
         """The rows a :meth:`probe` answered with.
 
         *stale* None (not pinned): the rows of *rowids*, in the order
-        given.  Pinned: the versions of *rowids* and *stale* visible at
-        the snapshot that pass *verify*, the exact predicate the probe
-        stood for -- or, :data:`SWAMPED`, every visible row that passes
-        it -- in ascending rowid order (nothing stale to merge in: the
-        order given), so callers that want the two to agree pass
-        *rowids* ascending.
+        given.  Pinned: the versions visible at the snapshot of *rowids*
+        and of the *stale* rowids, which are merged in where *rowids*
+        lacks them -- in ascending rowid order then, so callers that
+        want the two to agree pass *rowids* ascending.  The probe
+        decided every rowid exactly but the stale ones, so a row is
+        re-checked by *verify*, the exact predicate the probe stood
+        for, only if its rowid is stale.  :data:`SWAMPED`: every visible
+        row that passes *verify*, in ascending rowid order.
 
         A caller that fetches a probe's answer a chunk at a time merges
         the stale rowids into the ascending list once and hands over
-        each piece with an empty *stale*: only this off-latch step, the
-        fetch at the pinned LSN with its re-check, is cut into pieces.
+        each chunk with the stale rowids inside it.
         """
         if stale is None:
             rows = self._rows
             return [rows[rowid] for rowid in rowids if rowid in rows]
         if stale is SWAMPED:
-            rows = list(self)  # pinned: ascending rowid
-        else:
-            if stale:
-                rowids = sorted(set(stale).union(rowids))
-            rows = self.get_many(rowids)
-        return [row for row in rows if verify(row)]
+            return [row for row in self if verify(row)]  # pinned: ascending
+        if stale:
+            stale = frozenset(stale)
+            missing = stale.difference(rowids)
+            if missing:
+                rowids = sorted(missing.union(rowids))
+        rows = self._visible_rows(rowids, self._snapshot())
+        if not stale:
+            return rows
+        return [row for row in rows if row.rowid not in stale or verify(row)]
 
     def matching_chunks(self, index, query, sizes):
         """Ascending rowid chunks, *sizes* long in turn, of text
@@ -1121,8 +1137,11 @@ class Table:
         A rowid already present (redo of an update, or named earlier in
         the run) is overwritten and a deleted rowid that is absent is
         passed over, so a change installed twice lands once.  LSN 0 is
-        a load's, into tables no writer has touched: it only fills or
-        empties the row map, each row its rowid's one version.  Above
+        a load's, and outside one (:meth:`defer_index_upkeep` to
+        :meth:`build_deferred_indexes`, into a table no writer has
+        touched) raises ``StorageError``: it only fills or empties the
+        row map, each row its rowid's one version, and would leave any
+        chain a writer made answering pinned reads.  Above
         it (a replica's redo) the superseded version ends at *lsn* and
         the new one begins there, so a reader pinned below *lsn* keeps
         its image while the change lands; then the rowid is queued as
@@ -1130,6 +1149,11 @@ class Table:
         ``update``/``delete`` do.  ``version`` grows by one a row
         installed or deleted.
         """
+        if not lsn and not self._loading():
+            raise StorageError(
+                "table %r is not loading: an LSN-0 install is a load's, "
+                "taken only with index upkeep deferred" % self.name
+            )
         held, chains = self._rows, self._chains
         changed = 0
         with self._latch:

@@ -31,7 +31,14 @@ __all__ = ["grams_of", "normalize", "token_sort", "trigrams", "GRAM"]
 
 GRAM = 3
 
-_ASCII_SEPARATORS = re.compile("[^a-z0-9]+")
+#: On ASCII bytes: a letter to its lowercase, a digit to itself,
+#: anything else to a space.
+_ASCII_FOLD = bytes(
+    code + 32 if 65 <= code <= 90
+    else code if 97 <= code <= 122 or 48 <= code <= 57
+    else 32
+    for code in range(256)
+)
 #: A run of anything ``str.isalnum`` is false for.
 _SEPARATORS = re.compile(r"[\W_]+")
 
@@ -64,8 +71,9 @@ def normalize(text):
     text = str(text)
     if text.isascii():
         # On ASCII, NFKD and combining() are the identity, casefold is
-        # lower() and isalnum is [a-z0-9]: the steps below, in three calls.
-        return _ASCII_SEPARATORS.sub(" ", text.lower()).strip()
+        # lower() and isalnum is [a-z0-9]: the steps below, one byte
+        # table and a split.
+        return " ".join(text.encode().translate(_ASCII_FOLD).decode().split())
     # The docstring's steps a string at a time.  casefold maps each
     # character on its own (it can expand one to several: "ß" -> "ss"),
     # and [\W_] is exactly what isalnum is false for.

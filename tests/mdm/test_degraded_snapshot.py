@@ -4,7 +4,7 @@ Regression battery for the PR's bug fix: a database in read-only
 degraded mode used to route ``retrieve`` through the normal
 statement-lock path — pointless (nothing can write) and fragile (a
 lock row abandoned by the failing writer could block every reader).
-Now :meth:`QuelExecutor._snapshot_read_mode` detects degraded mode and
+Now :meth:`QuelSession._with_statement_locks` detects degraded mode and
 serves every retrieve from a pinned snapshot: zero lock-manager calls,
 ``snapshot scan`` plans, and writes still refused.
 """

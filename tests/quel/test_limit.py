@@ -240,19 +240,23 @@ def _chunk_cases():
         for n in range(100):
             ordering.append(chord, note.create(n=n))
         option = PushdownOption(0, "n", "c", "under", "o")
+        chords = sources.EntityRange(schema.entity_type("CHORD"))
         return schema.database, lambda first: rowids(
             sources.OrderRange(
-                option, ordering, sources.EntityRange(note), accounting
+                option, ordering, sources.EntityRange(note), chords,
+                accounting,
             ),
-            {"c": chord}, first,
+            {"c": chords.table.get(chord.rowid)}, first,
         )
 
     return {
         "index": over_catalog(lambda declared: sources.IndexSource(
-            declared, [("composer", COMPOSERS[4])], (), (), accounting
+            sources.IndexAccess(
+                declared, [("composer", lambda rt, _: COMPOSERS[4])], (), ()
+            ), None, accounting,
         )),
         "scan": over_catalog(lambda declared: sources.IndexSource(
-            declared, [], (), (), accounting
+            sources.IndexAccess(declared, [], (), ()), None, accounting
         )),
         "text stream": over_catalog(lambda declared: sources.TextStream.plan(
             declared, gates, accounting

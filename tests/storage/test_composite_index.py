@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.index import AFTER_ALL, OrderedCompositeIndex
+from repro.storage.row import Row
 from repro.storage.table import Column, Table, TableSchema
 
 
@@ -106,16 +107,28 @@ class TestTableCompositeMaintenance:
         assert table.index_for(["parent", "key"]) is index
 
     def test_recovery_paths_maintain_index(self):
+        """A load's LSN-0 installs, index upkeep deferred, and a
+        replica's installs above LSN 0 leave the index describing the
+        row map."""
         table, index = make_table()
-        row = table.insert({"parent": 1, "key": 10, "label": "a"})
-        table.install_committed(0, (), (row.rowid,))
-        assert len(index) == 0
+        schema = table.schema
+        row = Row(1, schema.coerce({"parent": 1, "key": 10, "label": "a"}),
+                  schema.layout)
+        table.defer_index_upkeep()
         table.install_committed(0, [row])
+        table.install_committed(0, (), (row.rowid,))
+        table.build_deferred_indexes()
+        assert len(index) == 0
+        table.defer_index_upkeep()
+        table.install_committed(0, [row])
+        table.build_deferred_indexes()
         assert index.lookup((1, 10)) == [row.rowid]
         moved = row.replaced({"key": 20})
-        table.install_committed(0, [moved])
+        table.install_committed(1, [moved])
         assert index.lookup((1, 10)) == []
         assert index.lookup((1, 20)) == [row.rowid]
+        table.install_committed(2, (), (row.rowid,))
+        assert len(index) == 0
 
 
 class TestVersionCounter:
@@ -133,7 +146,7 @@ class TestVersionCounter:
         bumped()
         table.delete(row.rowid)
         bumped()
-        table.install_committed(0, [row])
+        table.install_committed(1, [row])
         bumped()
-        table.install_committed(0, (), (row.rowid,))
+        table.install_committed(2, (), (row.rowid,))
         bumped()

@@ -125,9 +125,11 @@ def test_a_run_installs_as_its_changes_one_at_a_time():
         table.create_index("w", ordered=True)
         table.create_index(("w", "v"))
         table.create_text_index("title")
+        table.defer_index_upkeep()
         table.install_committed(0, [
             row_of(table, i, dict(titled(i), w=i % 3)) for i in range(1, 11)
         ])
+        table.build_deferred_indexes()
         tables.append(table)
     whole, single = tables
     run = [row_of(whole, i, dict(titled(i + 50), w=i % 4)) for i in (12, 3, 7, 20)]
@@ -163,10 +165,12 @@ def test_a_fresh_run_lands_in_one_latch_hold():
             return self._latch.__exit__(*exc_info)
 
     table._latch = CountingLatch(table._latch)
+    table.defer_index_upkeep()
     table.install_committed(
         0, [row_of(table, i, dict(titled(i), w=i)) for i in range(1, 501)]
     )
     assert holds == [1]
+    table.build_deferred_indexes()
     assert table.version == 500 and next(table._next_rowid) == 501
     assert_indexes_match_rows(table)
 

@@ -8,6 +8,9 @@ tests/stress/test_mvcc_interleaving.py.
 
 import threading
 
+import pytest
+
+from repro.errors import StorageError
 from repro.storage.database import Database
 from repro.storage.table import SWAMPED, Table
 
@@ -93,6 +96,62 @@ class TestPinnedReadsUseTheIndexes:
         txn.abort()
         with db.snapshot():
             assert [r["v"] for r in t.select_eq("k", "a")] == [1]
+
+
+class TestRecheck:
+    """A pinned fetch re-checks the rows of stale rowids and no other:
+    the probe decided those exactly (module docstring of
+    ``repro.storage.table``)."""
+
+    @staticmethod
+    def _counting(table, column, value):
+        checked = []
+
+        def verify(row):
+            checked.append(row.rowid)
+            return row[column] == value
+
+        return checked, lambda: table.fetch(
+            *table.probe(table._lookup, column, value), verify
+        )
+
+    def test_a_quiet_table_is_not_rechecked(self):
+        db, t = _make_db()
+        rows = [t.insert({"k": "k%d" % (i % 3), "v": i}) for i in range(30)]
+        checked, read = self._counting(t, "k", "k1")
+        with db.snapshot():
+            assert read() == [r for r in rows if r["k"] == "k1"]
+        assert checked == []
+
+    def test_after_an_update_under_a_pin_only_the_stale_rowids_are(self):
+        db, t = _make_db()
+        rows = [t.insert({"k": "k%d" % (i % 3), "v": i}) for i in range(30)]
+        holder = _PinHolder(db.transactions)
+        try:
+            moved = [rows[1], rows[5], rows[6]]   # a k1, two k2s
+            for row in moved:
+                t.update(row.rowid, {"k": "k1" if row is rows[1] else "k2"})
+            t.update(rows[4].rowid, {"k": "gone"})
+            stale = {row.rowid for row in moved} | {rows[4].rowid}
+            assert set(t.stale_rowids()) == stale
+            checked, read = self._counting(t, "k", "k1")
+            expected = [r.rowid for r in rows if r["k"] == "k1"]
+            holder.run(lambda: checked.append(
+                [r.rowid for r in read()] == expected
+            ))
+            assert checked.pop() is True
+            # At the holder's pin: each stale rowid's old version, and
+            # the index's k1 rowids, of which rows[1] and rows[4] are
+            # stale -- nothing else is re-checked.
+            assert sorted(checked) == sorted(stale)
+            checked.clear()
+            with db.snapshot():
+                live = [r.rowid for r in read()]
+            assert live == [r.rowid for r in rows if r["k"] == "k1"
+                            and r is not rows[4]]
+            assert sorted(checked) == sorted(stale)
+        finally:
+            holder.release()
 
 
 class TestStaleSet:
@@ -213,7 +272,9 @@ class TestStaleSet:
         """install_committed at a commit LSN: the superseded image stays
         reachable for a reader pinned below it, through the index."""
         db, t = _make_db()
+        t.defer_index_upkeep()
         t.install_committed(0, [_row(t, 1, "a", 1)])
+        t.build_deferred_indexes()
         db.transactions._visible_lsn = 5
         holder = _PinHolder(db.transactions)           # pinned at 5
         try:
@@ -228,6 +289,20 @@ class TestStaleSet:
         with db.snapshot():
             _assert_eq(t, {"a": [], "b": [1]})
         assert t.stale_rowids() == ()
+
+
+    def test_an_lsn_0_install_outside_a_load_is_refused(self):
+        """Over a writer's row, which has a chain, an LSN-0 install
+        would fill the row map and leave the chain answering pinned
+        reads: refused, and nothing changes."""
+        db, t = _make_db()
+        row = t.insert({"k": "a", "v": 1})
+        assert row.rowid in t._chains
+        with db.snapshot():
+            with pytest.raises(StorageError, match="not loading"):
+                t.install_committed(0, [_row(t, row.rowid, "b", 2)])
+            _assert_eq(t, {"a": [row.rowid], "b": []})
+        assert t.get(row.rowid) is row and t.stale_rowids() == ()
 
 
 class TestFallback:
@@ -314,8 +389,11 @@ class TestLatchDiscipline:
         assert seen == [["a"]]    # the version it was pinned on, via stale
 
     def test_held_for_the_probe_only_and_never_when_locked(self):
+        """The rowid is stale (a pin below its update keeps the old
+        version), so the pinned fetch re-checks it -- off the latch."""
         db, t = _make_db()
         row = t.insert({"k": "a", "v": 1})
+        holder = _PinHolder(db.transactions)
         held = []
 
         def lookup():
@@ -326,9 +404,14 @@ class TestLatchDiscipline:
             held.append(("verify", t._latch._is_owned()))
             return True
 
-        with db.snapshot():
+        try:
+            row = t.update(row.rowid, {"v": 2})
+            assert t.stale_rowids() == (row.rowid,)
+            with db.snapshot():
+                assert t.fetch(*t.probe(lookup), verify) == [row]
             assert t.fetch(*t.probe(lookup), verify) == [row]
-        assert t.fetch(*t.probe(lookup), verify) == [row]
+        finally:
+            holder.release()
         assert held == [("probe", True), ("verify", False), ("probe", False)]
 
     def test_writers_release_it_before_they_journal(self):

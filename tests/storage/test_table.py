@@ -174,7 +174,9 @@ class TestScan:
 
         schema = table.schema
         row = Row(3, schema.coerce({"name": "x", "pitch": 9}), schema.layout)
+        table.defer_index_upkeep()
         table.install_committed(0, [row])
+        table.build_deferred_indexes()
         assert events == []
         assert table.get(3)["pitch"] == 9
         # allocator stays ahead
