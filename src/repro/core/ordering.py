@@ -21,13 +21,16 @@ sibling shifts.  Positions remain contiguous, 1-based logical ordinals.
 
 Every read of sibling order -- ``children``, ``child_at``, the sibling
 neighbors, ``position_of``, the executor's ``order range`` -- is one
-:meth:`Ordering.walk` over the ordered composite index on ``(parent,
-order_key)``: a :meth:`Table.probe` and a :meth:`Table.fetch`, so it
-answers under a table lock and under a pinned MVCC snapshot alike.
-Only writers do slot arithmetic on that index (they hold the table's
-exclusive lock and cannot be pinned), and ``check_invariants`` reads it
-directly because the index is what it checks.
+:meth:`Ordering.walk` over the composite index on ``(parent,
+order_key)``, which holds each parent's sibling list: a
+:meth:`Table.probe` and a :meth:`Table.fetch`, so it answers under a
+table lock and under a pinned MVCC snapshot alike.  Only writers read
+positions in a sibling list straight off that index (they hold the
+table's exclusive lock and cannot be pinned), and ``check_invariants``
+reads it directly because the index is what it checks.
 """
+
+from operator import itemgetter
 
 from repro.errors import (
     IntegrityError,
@@ -41,9 +44,12 @@ from repro.storage.values import Domain
 #: Spacing between appended order keys; also the post-rebalance stride.
 _GAP = 1 << 16
 
-#: Keys are kept well inside float-exact integer range (sort keys pass
-#: through ``float``), forcing a rebalance long before precision loss.
+#: Keys stay within +-2**52, where a rebalance has always set in; the
+#: index compares them exactly, so the bound only keeps stored keys as
+#: they have always been.
 _KEY_LIMIT = 1 << 52
+
+_order_key = itemgetter("order_key")
 
 
 def default_ordering_name(child_types, parent_type):
@@ -159,23 +165,20 @@ class Ordering:
         sibling order.
 
         The only reader of the (parent, order_key) index.  Like every
-        other index read it is a :meth:`Table.probe` -- the slot range
-        is bisected and its rowids copied under the latch, the stale set
-        taken in the same hold -- followed by a :meth:`Table.fetch` that
-        re-checks parent and key bounds on each visible version.  A
-        stale rowid's visible key need not sit where its rowid sorts, so
-        a fetch that merged any in is put back in key order.
+        other index read it is a :meth:`Table.probe` -- one dict hit for
+        the parent's siblings, a bisect among their keys for a bound,
+        the rowids copied under the latch and the stale set taken in the
+        same hold -- followed by a :meth:`Table.fetch`, which re-checks
+        parent and key bounds on the visible version of each stale
+        rowid.  That version's key need not sit where the rowid does, so
+        a fetch that had any is put back in key order.
         """
-        index = self._order_index
-
-        def rowids():
-            # Keys are integers, so "after < key" starts at after + 1.
-            start, stop = index.prefix_bounds((parent_surrogate,))
-            if after is not None:
-                start = index.rank((parent_surrogate, after + 1))
-            if before is not None:
-                stop = index.rank((parent_surrogate, before))
-            return index.rowids_slice(start, stop)
+        table = self.table
+        found, stale = table.probe(
+            self._order_index.between, parent_surrogate, after, before
+        )
+        if not stale:
+            return table.fetch(found, stale, None)
 
         def member(row):
             key = row["order_key"]
@@ -185,10 +188,8 @@ class Ordering:
                 and (before is None or key < before)
             )
 
-        found, stale = self.table.probe(rowids)
-        rows = self.table.fetch(found, stale, member)
-        if stale:
-            rows.sort(key=lambda row: row["order_key"])
+        rows = table.fetch(found, stale, member)
+        rows.sort(key=_order_key)
         return rows
 
     # The QUEL executor's ``order range`` source asks by these names
@@ -212,34 +213,22 @@ class Ordering:
 
     # -- write-side key allocation -----------------------------------------------
     #
-    # Slot arithmetic straight on the (parent, order_key) index: a
-    # writer holds the table's exclusive lock and ``assert_no_snapshot``
-    # keeps it unpinned, so the index is exact for it.
-
-    def _bounds(self, parent_surrogate):
-        """Index slots [start, stop) holding this parent's siblings."""
-        return self._order_index.prefix_bounds((parent_surrogate,))
-
-    def _sibling_count(self, parent_surrogate):
-        start, stop = self._bounds(parent_surrogate)
-        return stop - start
-
-    def _key_at_slot(self, slot):
-        return self.table.get(self._order_index.rowids_at(slot)[0])["order_key"]
+    # Positions within one parent's sibling list, read straight off the
+    # (parent, order_key) index: a writer holds the table's exclusive
+    # lock and ``assert_no_snapshot`` keeps it unpinned, so the index is
+    # exact for it.
 
     def _rank(self, row):
         """1-based logical position of a membership *row* among siblings."""
-        start, _ = self._bounds(row["parent"])
-        slot = self._order_index.rank((row["parent"], row["order_key"]))
-        return slot - start + 1
+        return self._order_index.position(row["parent"], row["order_key"]) + 1
 
     def _rebalance(self, parent_surrogate):
         """Rewrite one parent's sibling keys to evenly spaced multiples.
 
         This is the only O(n)-write operation left, and it runs only when
-        midpoint insertion exhausts a gap (or keys approach the exact-
-        float limit) -- amortized over the ~log2(_GAP) single-row inserts
-        each gap admits.
+        midpoint insertion exhausts a gap (or a key would pass
+        ``_KEY_LIMIT``) -- amortized over the ~log2(_GAP) single-row
+        inserts each gap admits.
         """
         for index, row in enumerate(self.walk(parent_surrogate)):
             key = (index + 1) * _GAP
@@ -255,14 +244,14 @@ class Ordering:
         rebalance the parent's siblings once when gaps are exhausted
         (which moves no sibling, so *own* holds).
         """
+        index = self._order_index
         for _ in range(2):
-            start, stop = self._bounds(parent_surrogate)
-            count = stop - start - (own is not None)
+            count = index.count(parent_surrogate) - (own is not None)
 
             def key_of(nth):
                 """The key of the nth (0-based) sibling to place around."""
                 stepped_over = own is not None and nth >= own
-                return self._key_at_slot(start + nth + stepped_over)
+                return index.key_at(parent_surrogate, nth + stepped_over)
 
             if count == 0:
                 return 0
@@ -300,7 +289,7 @@ class Ordering:
                 "%r is already a member of ordering %r" % (child, self.name)
             )
         self._assert_no_p_cycle(parent, child)
-        count = self._sibling_count(parent.surrogate)
+        count = self._order_index.count(parent.surrogate)
         if position is None:
             position = count + 1
         if position < 1 or position > count + 1:
@@ -338,8 +327,11 @@ class Ordering:
                 )
             batch.add(child.surrogate)
             self._assert_no_p_cycle(parent, child)
-        start, stop = self._bounds(parent.surrogate)
-        key = self._key_at_slot(stop - 1) + _GAP if stop > start else 0
+        count = self._order_index.count(parent.surrogate)
+        key = (
+            self._order_index.key_at(parent.surrogate, count - 1) + _GAP
+            if count else 0
+        )
         for child in children:
             self.table.insert(
                 {
@@ -371,7 +363,7 @@ class Ordering:
             raise OrderingMembershipError(
                 "%r is not a member of ordering %r" % (child, self.name)
             )
-        count = self._sibling_count(row["parent"])
+        count = self._order_index.count(row["parent"])
         if new_position < 1 or new_position > count:
             raise OrderingMembershipError(
                 "position %d out of range 1..%d in ordering %r"
@@ -397,11 +389,11 @@ class Ordering:
             )
         self._check_parent(new_parent)
         if row["parent"] == new_parent.surrogate:
-            count = self._sibling_count(new_parent.surrogate)
+            count = self._order_index.count(new_parent.surrogate)
             self.move(child, count if position is None else position)
             return
         self._assert_no_p_cycle(new_parent, child)
-        count = self._sibling_count(new_parent.surrogate)
+        count = self._order_index.count(new_parent.surrogate)
         if position is None:
             position = count + 1
         if position < 1 or position > count + 1:
@@ -587,12 +579,16 @@ class Ordering:
                     "ordering %r: duplicate order keys under parent #%d: %r"
                     % (self.name, parent_surrogate, sorted(keys))
                 )
-            start, stop = self._bounds(parent_surrogate)
-            if stop - start != len(keys):
+            if self._order_index.count(parent_surrogate) != len(keys):
                 raise IntegrityError(
                     "ordering %r: order index out of sync under parent #%d"
                     % (self.name, parent_surrogate)
                 )
+        if len(self._order_index) != len(self.table):
+            raise IntegrityError(
+                "ordering %r: the order index holds %d rows, the table %d"
+                % (self.name, len(self._order_index), len(self.table))
+            )
         child_parent = {row["child"]: row["parent"] for row in self.table}
         if len(child_parent) != len(self.table):
             raise IntegrityError(

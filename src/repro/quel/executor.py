@@ -543,7 +543,7 @@ class QuelSession:
         for variable in order[1:]:
             pull = chosen[variable].pull
             if chosen[variable].correlated:
-                pools.append(lambda bindings, pull=pull: pull(bindings, None, None))
+                pools.append(pull)  # pull(bindings): no early-exit bound
             else:
                 pools.append(lambda bindings, rows=list(pull(None, None, None)): rows)
 

@@ -124,32 +124,47 @@ class PlanStep:
 
 
 class QueryPlan:
-    """The chosen plan for one statement: an ordered list of PlanSteps.
+    """The chosen plan for one statement: the binding order and the
+    source each variable binds through.
 
-    ``render()`` produces the ``last_plan`` text (memoized -- the
-    executor builds a QueryPlan per statement but the string only when
-    someone reads it); ``rows()`` the result-set shape ``explain``
-    returns; ``label`` the compact access-path summary the planner test
-    sweep asserts on.  ``explain analyze`` adds a line for ``decided``,
-    the conjuncts the sources answer, and for ``snapshot``: None locked,
-    ``(pinned LSN, stale rowids the index reads took in)`` pinned.
+    ``steps``, the ordered :class:`PlanStep` list, is built when first
+    read -- the executor makes a QueryPlan per statement, but only
+    ``explain``, ``last_plan`` and a tracing span read the steps;
+    ``render()`` produces the ``last_plan`` text (memoized); ``rows()``
+    the result-set shape ``explain`` returns; ``label`` the compact
+    access-path summary the planner test sweep asserts on.  ``explain
+    analyze`` adds a line for ``decided``, the conjuncts the sources
+    answer, and for ``snapshot``: None locked, ``(pinned LSN, stale
+    rowids the index reads took in)`` pinned.
     """
 
-    __slots__ = ("steps", "snapshot", "decided", "_text")
+    __slots__ = ("order", "sources", "snapshot", "decided", "_steps", "_text")
 
-    def __init__(self, steps, decided=frozenset()):
-        self.steps = list(steps)
+    def __init__(self, order, sources, decided=frozenset()):
+        self.order = order
+        self.sources = sources
         self.snapshot = None
         self.decided = decided
+        self._steps = None
         self._text = None
+
+    @property
+    def steps(self):
+        if self._steps is None:
+            sources = self.sources
+            self._steps = [
+                PlanStep(variable, sources[variable].access, sources[variable].count)
+                for variable in self.order
+            ]
+        return self._steps
 
     @property
     def label(self):
         """Access paths in binding order, e.g. ``index+scan``
         (``constant`` for a plan with no range variables)."""
-        if not self.steps:
+        if not self.order:
             return "constant"
-        return "+".join(step.access for step in self.steps)
+        return "+".join(self.sources[variable].access for variable in self.order)
 
     def render(self):
         if self._text is None:
@@ -161,7 +176,7 @@ class QueryPlan:
 
     def rows(self):
         """The plan as a list of single-column result dicts."""
-        if not self.steps:
+        if not self.order:
             return [{"plan": "constant (no range variables)"}]
         return [{"plan": step.describe()} for step in self.steps]
 
@@ -173,7 +188,7 @@ def build_plan(binding_order, sources):
     """The QueryPlan of *binding_order* over its chosen *sources*
     (:mod:`repro.quel.sources`): each step reads its source's ``access``
     and ``count``; ``decided`` is their ``answers``."""
-    return QueryPlan([
-        PlanStep(variable, sources[variable].access, sources[variable].count)
-        for variable in binding_order
-    ], {i for variable in binding_order for i in sources[variable].answers})
+    return QueryPlan(
+        binding_order, sources,
+        {i for variable in binding_order for i in sources[variable].answers},
+    )

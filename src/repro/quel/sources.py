@@ -594,10 +594,13 @@ class OrderRange(_Source):
     enumerated type's surrogate index, which drops children of other
     types -- the rows the conjunct would have rejected.  Each walk
     counts the membership and the entity rows it asked for; never
-    outermost, it meets no early-exit bound: one chunk per walk.
-    *driver* is the driver variable's range."""
+    outermost, it meets no early-exit bound: one chunk per walk, pulled
+    with the bindings alone.  *driver* is the driver variable's range.
+    The table, its surrogate index and the walk's front are resolved
+    here, once a plan."""
 
-    __slots__ = ("answers", "_ordering", "_option", "_driver")
+    __slots__ = ("answers", "_ordering", "_driver", "_driver_var", "_under",
+                 "_walk", "_table", "_rowids_of", "_surrogate_at", "_child_at")
     access = "order range"
     stale = 0
     correlated = True
@@ -607,38 +610,45 @@ class OrderRange(_Source):
         self.count = ordering.table.row_estimate()
         self.answers = (option.conjunct_index,)
         self._ordering = ordering
-        self._option = option
         self._driver = driver
+        self._driver_var = option.driver_var
+        self._under = option.mode == "under"
+        self._walk = {
+            "under": ordering.member_rows_under,
+            "before": ordering.member_rows_before,
+            "after": ordering.member_rows_after,
+        }[option.mode]
+        self._table = declared.table
+        self._rowids_of = self._table.index_for(SURROGATE_COLUMN).lookup_many
+        # Where a driver row holds its surrogate and a membership row
+        # its child: leading columns, which every row has.
+        self._surrogate_at = driver.table.schema.layout[SURROGATE_COLUMN]
+        self._child_at = ordering.table.schema.layout["child"]
 
-    def pull(self, bindings, first, selector):
-        row = bindings.get(self._option.driver_var)
+    def pull(self, bindings, first=None, selector=None):
+        row = bindings.get(self._driver_var)
         if row is None:
             return ()
-        ordering, mode = self._ordering, self._option.mode
-        if mode == "under":
-            members = ordering.member_rows_under(row[SURROGATE_COLUMN])
+        if self._under:
+            members = self._walk(row.values[self._surrogate_at])
         else:
-            member = ordering.member_row_of(self._driver.wrap(row))
+            member = self._ordering.member_row_of(self._driver.wrap(row))
             if member is None:
                 return ()
-            if mode == "before":
-                members = ordering.member_rows_before(member)
-            else:
-                members = ordering.member_rows_after(member)
-        table = self._declared.table
-        place = {row["child"]: slot for slot, row in enumerate(members)}
-
-        def lookups():
-            lookup = table.any_index_for(SURROGATE_COLUMN).lookup
-            return [rowid for child in place for rowid in lookup(child)]
-
-        rowids, stale = table.probe(lookups)
+            members = self._walk(member)
+        at = self._child_at
+        children = [member.values[at] for member in members]
+        table = self._table
+        rowids, stale = table.probe(self._rowids_of, children)
         self._accounting.fetched(len(members) + len(rowids))
+        if not stale:
+            return table.fetch(rowids, stale, None)
+        # Merged in by rowid: checked, then put back into sibling order.
+        place = {child: slot for slot, child in enumerate(children)}
         rows = table.fetch(
             rowids, stale, lambda row: row[SURROGATE_COLUMN] in place
         )
-        if stale:  # merged in by rowid: back into sibling order
-            rows.sort(key=lambda row: place[row[SURROGATE_COLUMN]])
+        rows.sort(key=lambda row: place[row[SURROGATE_COLUMN]])
         return rows
 
 

@@ -94,6 +94,17 @@ class HashIndex:
             return [bucket]
         return bucket[:]
 
+    def lookup_many(self, values):
+        """The rowids stored under each of *values* in turn, each
+        value's ascending (one new list)."""
+        out = []
+        for bucket in map(self._buckets.get, values):
+            if type(bucket) is int:
+                out.append(bucket)
+            elif bucket:
+                out.extend(bucket)
+        return out
+
     def max_key(self):
         """The largest value held (None: none), of values that compare
         with each other, as an entity's surrogates do."""
@@ -101,31 +112,6 @@ class HashIndex:
 
     def distinct_values(self):
         return len(self._buckets)
-
-
-class _AfterAll:
-    """Open upper bound: compares greater than every index key."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return self is other
-
-    def __gt__(self, other):
-        return self is not other
-
-    def __ge__(self, other):
-        return True
-
-    def __repr__(self):
-        return "<after-all>"
-
-
-#: Singleton used to pad prefix probes in composite-index bisects.
-AFTER_ALL = _AfterAll()
 
 
 def _post(postings, keyed):
@@ -230,99 +216,134 @@ class OrderedIndex:
 
 
 class OrderedCompositeIndex:
-    """Sorted index over a tuple of columns, e.g. ``(parent, order_key)``.
+    """Sorted index over two columns, ``(group, order)``, e.g. an
+    ordering's ``(parent, order_key)``: per group value, two aligned
+    lists -- the order values ascending and their rowids, equal values
+    by ascending rowid.
 
-    Keys are tuples of per-column sort keys kept in one flat sorted list,
-    which gives this index a property a per-key B-tree would not: within
-    the contiguous run of keys sharing a prefix, the k-th entry is plain
-    list indexing -- O(1) after the O(log n) bisect that locates the run.
-    Hierarchical orderings lean on that for positional (ordinal) access
-    to siblings without scanning them.
+    A group's siblings are one dict hit away, and everything positional
+    about them -- how many, the k-th one's key, the slice strictly
+    between two keys -- is list indexing or a bisect inside that one
+    group's keys, which hold the stored values themselves: a column
+    holds one domain, so they compare as they are.  A row whose order
+    value is null is held apart, by group: ``lookup`` and ``len`` count
+    it, no positional read sees it (an ordering's keys are never null).
     """
 
     def __init__(self, columns):
         self.columns = tuple(columns)
-        if not self.columns:
-            raise StorageError("composite index needs at least one column")
-        self._keys = []
-        self._postings = {}
+        if len(self.columns) != 2:
+            raise StorageError(
+                "composite index takes two columns (group, order), got %r"
+                % (self.columns,)
+            )
+        self._groups = {}  # group value -> (keys, rowids)
+        self._nulls = {}  # group value -> ascending rowids of null keys
 
     def __len__(self):
-        return sum(len(p) for p in self._postings.values())
-
-    def make_key(self, values):
-        if len(values) != len(self.columns):
-            raise StorageError(
-                "composite index on %r takes %d values, got %d"
-                % (self.columns, len(self.columns), len(values))
-            )
-        return tuple(value_sort_key(v) for v in values)
+        return sum(len(keys) for keys, _ in self._groups.values()) + sum(
+            len(rowids) for rowids in self._nulls.values()
+        )
 
     def insert(self, values, rowid):
-        key = self.make_key(values)
-        postings = self._postings.get(key)
-        if postings is None:
-            bisect.insort(self._keys, key)
-            self._postings[key] = [rowid]
-        else:
-            bisect.insort(postings, rowid)
+        group, key = values
+        if key is None:
+            bisect.insort(self._nulls.setdefault(group, []), rowid)
+            return
+        held = self._groups.get(group)
+        if held is None:
+            self._groups[group] = ([key], [rowid])
+            return
+        keys, rowids = held
+        if key > keys[-1] or key == keys[-1] and rowid > rowids[-1]:
+            keys.append(key)
+            rowids.append(rowid)
+            return
+        low = bisect.bisect_left(keys, key)
+        high = bisect.bisect_right(keys, key, low)
+        at = bisect.bisect_left(rowids, rowid, low, high)
+        keys.insert(at, key)
+        rowids.insert(at, rowid)
 
     def insert_many(self, pairs):
-        """Bulk insert of the iterable *pairs*, ``(values, rowid)`` each
-        (as :meth:`OrderedIndex.insert_many`)."""
-        make_key = self.make_key
-        _add_keys(self._keys, _post(self._postings, (
-            (make_key(values), rowid) for values, rowid in pairs
-        )))
+        """Bulk insert of the iterable *pairs*, ``(values, rowid)`` each:
+        a group that took any is sorted once."""
+        added = {}
+        for (group, key), rowid in pairs:
+            if key is None:
+                bisect.insort(self._nulls.setdefault(group, []), rowid)
+            else:
+                added.setdefault(group, []).append((key, rowid))
+        groups = self._groups
+        for group, entries in added.items():
+            held = groups.get(group)
+            if held is not None:
+                entries.extend(zip(*held))
+            entries.sort()
+            groups[group] = (
+                [key for key, _ in entries], [rowid for _, rowid in entries]
+            )
 
     def delete(self, values, rowid):
-        key = self.make_key(values)
-        postings = self._postings.get(key)
-        if postings is None or rowid not in postings:
-            raise StorageError(
-                "index on %r: row #%s not present under %r"
-                % (self.columns, rowid, values)
-            )
-        postings.remove(rowid)
-        if not postings:
-            del self._postings[key]
-            position = bisect.bisect_left(self._keys, key)
-            del self._keys[position]
+        group, key = values
+        if key is None:
+            rowids = self._nulls.get(group, ())
+            if rowid in rowids:
+                rowids.remove(rowid)
+                if not rowids:
+                    del self._nulls[group]
+                return
+        else:
+            keys, rowids = self._groups.get(group, ((), ()))
+            low = bisect.bisect_left(keys, key)
+            high = bisect.bisect_right(keys, key, low)
+            at = bisect.bisect_left(rowids, rowid, low, high)
+            if at < high and rowids[at] == rowid:
+                del keys[at], rowids[at]
+                if not keys:
+                    del self._groups[group]
+                return
+        raise StorageError(
+            "index on %r: row #%s not present under %r"
+            % (self.columns, rowid, values)
+        )
 
     def lookup(self, values):
-        """Rowids stored exactly under the full key *values*."""
-        return list(self._postings.get(self.make_key(values), ()))
+        """Rowids stored exactly under *values* (a new list, ascending)."""
+        group, key = values
+        if key is None:
+            return list(self._nulls.get(group, ()))
+        held = self._groups.get(group)
+        if held is None:
+            return []
+        keys, rowids = held
+        low = bisect.bisect_left(keys, key)
+        return rowids[low:bisect.bisect_right(keys, key, low)]
 
-    def prefix_bounds(self, prefix):
-        """The slot range [start, stop) of keys beginning with *prefix*."""
-        if len(prefix) > len(self.columns):
-            raise StorageError(
-                "prefix of %d values exceeds composite index on %r"
-                % (len(prefix), self.columns)
-            )
-        probe = tuple(value_sort_key(v) for v in prefix)
-        start = bisect.bisect_left(self._keys, probe)
-        pad = (AFTER_ALL,) * (len(self.columns) - len(probe))
-        stop = bisect.bisect_left(self._keys, probe + pad)
-        return start, stop
+    # -- positional reads within one group ---------------------------------
 
-    def rank(self, values):
-        """Absolute slot of the full key *values* in the sorted key list."""
-        return bisect.bisect_left(self._keys, self.make_key(values))
+    def count(self, group):
+        """How many rows of *group* have an order value."""
+        held = self._groups.get(group)
+        return 0 if held is None else len(held[0])
 
-    def key_at(self, slot):
-        return self._keys[slot]
+    def key_at(self, group, position):
+        """The order value at 0-based *position* within *group*."""
+        return self._groups[group][0][position]
 
-    def rowids_at(self, slot):
-        """Rowids stored under the key occupying *slot* (a new list)."""
-        return list(self._postings[self._keys[slot]])
+    def position(self, group, key):
+        """The 0-based position *key* holds, or would, within *group*:
+        how many of its order values are less than *key*."""
+        held = self._groups.get(group)
+        return 0 if held is None else bisect.bisect_left(held[0], key)
 
-    def rowids_slice(self, start, stop):
-        """Rowids of slots [start, stop) in ascending key order."""
-        out = []
-        for key in self._keys[start:stop]:
-            out.extend(self._postings[key])
-        return out
-
-    def distinct_values(self):
-        return len(self._keys)
+    def between(self, group, after=None, before=None):
+        """Rowids of *group* whose order value lies strictly between
+        *after* and *before* (None: unbounded), in order (a new list)."""
+        held = self._groups.get(group)
+        if held is None:
+            return []
+        keys, rowids = held
+        start = 0 if after is None else bisect.bisect_right(keys, after)
+        stop = None if before is None else bisect.bisect_left(keys, before)
+        return rowids[start:stop]

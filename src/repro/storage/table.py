@@ -426,9 +426,10 @@ class Table:
     def create_index(self, column, ordered=False):
         """Create (or return) an index over *column*.
 
-        *column* may also be a tuple/list of column names, producing an
-        ordered composite index (always ordered -- composite hash
-        indexes would add nothing over per-column hashes here).
+        *column* may also be a tuple/list of two column names, ``(group,
+        order)``, producing an ordered composite index (always ordered
+        -- composite hash indexes would add nothing over per-column
+        hashes here).
         """
         if isinstance(column, (tuple, list)):
             column = tuple(column)

@@ -50,7 +50,7 @@ from repro.core.schema import Schema
 from repro.core.catalog import META_NAMES
 from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash
-from repro.storage.index import HashIndex
+from repro.storage.index import HashIndex, OrderedCompositeIndex
 from repro.storage.table import Table
 from repro.text import contains_match
 from repro.text.index import TrigramIndex
@@ -148,6 +148,8 @@ def _index_contents(index):
         return index._postings, index._row_grams
     if isinstance(index, HashIndex):
         return index._buckets
+    if isinstance(index, OrderedCompositeIndex):
+        return index._groups, index._nulls
     return index._keys, index._postings
 
 

@@ -34,12 +34,21 @@ the copy's siblings in the copy's order and equal
 snapshots are kept: a protector thread (``tests/props/protector.py``)
 pins the oldest, and forgetting one lets the pruning loose on the rest.
 
+The battery is also the index oracle's: one op in eight runs in a
+transaction that aborts (the ``undo_*`` paths), and after every op each
+index of the membership table must equal one rebuilt from its rows
+(``tests/crash/oracle.py``), as must a twin table's that took every
+op's committed changes by redo (``install_committed``).
+
 Sabotage: every sibling read is one ``Ordering.walk``, and what makes a
 walk right under a pin is the stale rowids ``Table.fetch`` merges into
 the index slice.  Hand ``fetch`` an empty stale set there and the first
 move, reparent or remove fails every seed at the snapshot before it;
 let ``reparent`` write before it looks for a P-cycle and the recursive
-world's illegal op finds the ordering changed.
+world's illegal op finds the ordering changed; skip the index upkeep of
+``undo_update`` and the first aborted move or reparent leaves the order
+index without its row; skip it for a redone update and the twin's order
+index diverges from its rebuild.
 """
 
 import copy
@@ -50,6 +59,9 @@ from repro.core.ordering import Ordering
 from repro.core.schema import Schema
 from repro.errors import IntegrityError, OrderingCycleError
 from repro.quel.executor import QuelSession
+from repro.storage.database import Database
+from repro.storage.row import Row
+from tests.crash.oracle import assert_indexes_match_rows
 from tests.props.program import assert_passes, generate, shrink
 from tests.props.protector import Protector
 from tests.quel.reference import reference_execute
@@ -105,6 +117,16 @@ class OrderingState:
         self.checks = 0
         self.protector = Protector(self.transactions)
         self.protector.set_floor(self.transactions.snapshot_lsn())
+        # Redo: a twin of the membership table, in a database of its
+        # own, takes each op's committed changes as one run through
+        # ``install_committed``, as a replica's applier does.
+        table = self.ordering.table
+        self.twin = Database().create_table("ord:twin", [
+            (column.name, column.domain) for column in table.schema.columns
+        ])
+        for column, _ in table.indexes():
+            self.twin.create_index(column)
+        self.redo_lsn = 0
 
     def close(self):
         self.protector.stop()
@@ -138,7 +160,20 @@ class OrderingState:
 
     def apply(self, op):
         """Interpret one raw op against the current state; mutate both
-        sides, or neither where the model refuses it."""
+        sides, or neither where the model refuses it.  One op in eight
+        runs in a transaction that aborts: the ``undo_*`` paths put the
+        ordering back, and the model is put back with it."""
+        if op[0] // 6 % 8 != 7:
+            return self._apply(op)
+        model = copy.deepcopy(self.model)
+        txn = self.transactions.begin()
+        try:
+            self._apply(op)
+        finally:
+            txn.abort()
+            self.model = model
+
+    def _apply(self, op):
         ordering, model = self.ordering, self.model
         kind = op[0] % 6
         placed = sorted(index for row in model for index in row)
@@ -231,6 +266,7 @@ class OrderingState:
         """The live checks, then the temporal half: record this state,
         re-read every recorded one under its pin."""
         self._check_reads(self.model)
+        self._check_indexes()
         self.check_retrieves(self.model)
         self.snapshots[self.transactions.snapshot_lsn()] = copy.deepcopy(self.model)
         while len(self.snapshots) > self.window:
@@ -248,6 +284,26 @@ class OrderingState:
                 raise AssertionError("at snapshot %d: %s" % (lsn, error)) from error
             finally:
                 self.transactions.unpin_snapshot()
+
+    def _check_indexes(self):
+        """Every index of the membership table holds what one rebuilt
+        from its rows holds, whichever paths -- writes, undos -- the op
+        took; then the twin takes the op's changes by redo, and its
+        rows and rebuilt-checked indexes must be the live ones."""
+        table, twin = self.ordering.table, self.twin
+        assert_indexes_match_rows(table)
+        live = {row.rowid: row.values for row in table}
+        held = {row.rowid: row.values for row in twin}
+        changed = [
+            Row(rowid, values, twin.schema.layout)
+            for rowid, values in live.items() if held.get(rowid) != values
+        ]
+        gone = [rowid for rowid in held if rowid not in live]
+        if changed or gone:
+            self.redo_lsn += 1
+            twin.install_committed(self.redo_lsn, changed, gone)
+        assert {row.rowid: row.values for row in twin} == live
+        assert_indexes_match_rows(twin)
 
     def _check_reads(self, model, live=True):
         """Every read against *model*; *live* False under a pinned

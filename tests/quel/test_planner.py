@@ -126,21 +126,81 @@ class TestPlanShapes:
         assert "bind n via index (1 candidates)" in text
 
 
+class TestLazySteps:
+    """A plan keeps its binding order and sources; the ``PlanStep``s
+    are built when ``explain``, ``last_plan`` or a span first reads
+    them, and read the same as when every statement built them."""
+
+    STATEMENTS = [
+        ("retrieve (n.pitch) where n.n = 5",
+         ["bind n via index (1 candidates)"]),
+        ("retrieve (n.n) where n under c in o and c.n = 0",
+         ["bind c via index (1 candidates)",
+          "bind n via order range (10 candidates)"]),
+        ("retrieve (a.n) where a before b in o and b.n = 5",
+         ["bind b via index (1 candidates)",
+          "bind a via order range (10 candidates)"]),
+        ("retrieve (a.n) where a.pitch = b.pitch and b.n = 5",
+         ["bind b via index (1 candidates)",
+          "bind a via scan (10 candidates)"]),
+    ]
+
+    def test_a_statement_nobody_explains_builds_no_step(
+        self, session, monkeypatch
+    ):
+        built = []
+        init = planner.PlanStep.__init__
+        monkeypatch.setattr(
+            planner.PlanStep, "__init__",
+            lambda step, *args: built.append(args) or init(step, *args),
+        )
+        session.execute("range of a, b is NOTE")
+        for text, _ in self.STATEMENTS:
+            session.execute(text)
+        assert built == []
+        assert session.last_plan_object.label == "index+scan"
+        assert built == []
+        assert len(session.last_plan_object.steps) == 2
+        assert len(built) == 2
+
+    def test_explain_and_last_plan_text_are_unchanged(self, session):
+        session.execute("range of a, b is NOTE")
+        for text, lines in self.STATEMENTS:
+            session.execute(text)
+            assert session.last_plan == "\n".join(
+                ["plan:"] + ["  " + line for line in lines]
+            )
+            assert session.execute("explain " + text) == [
+                {"plan": line} for line in lines
+            ]
+        session.execute("retrieve (x = 1 + 2)")
+        assert session.last_plan == "plan:"
+        assert session.execute("explain retrieve (x = 1 + 2)") == [
+            {"plan": "constant (no range variables)"}
+        ]
+
+
 class TestPlanStructures:
     def test_step_describe(self):
         step = planner.PlanStep("n", "index", 3)
         assert step.describe() == "bind n via index (3 candidates)"
         assert "bind n via index" in repr(step)
 
+    @staticmethod
+    def plan_of(*steps):
+        """A plan over stand-in sources: ``(variable, access, count)``."""
+        return planner.build_plan([variable for variable, _, _ in steps], {
+            variable: SimpleNamespace(access=access, count=count, answers=())
+            for variable, access, count in steps
+        })
+
     def test_render_is_memoized(self):
-        plan = planner.QueryPlan([planner.PlanStep("n", "scan", 2)])
+        plan = self.plan_of(("n", "scan", 2))
         assert plan.render() is plan.render()
         assert plan.render() == "plan:\n  bind n via scan (2 candidates)"
 
     def test_rows_shape(self):
-        plan = planner.QueryPlan(
-            [planner.PlanStep("a", "index", 1), planner.PlanStep("b", "scan", 4)]
-        )
+        plan = self.plan_of(("a", "index", 1), ("b", "scan", 4))
         assert plan.rows() == [
             {"plan": "bind a via index (1 candidates)"},
             {"plan": "bind b via scan (4 candidates)"},

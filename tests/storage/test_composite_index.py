@@ -1,16 +1,18 @@
 """OrderedCompositeIndex and the table mutation-version counter.
 
 These are the storage primitives behind the gap-based order-key
-encoding: a composite ``(parent, order_key)`` index answering prefix and
-rank queries, and a ``Table.version`` counter that derived caches (the
-ordering's position memo) use to detect *any* row mutation -- including
-the non-journalled recovery/undo paths that bypass the ordering layer.
+encoding: a composite ``(parent, order_key)`` index holding each
+parent's sibling list, which answers counts, positions and key ranges
+within one parent, and a ``Table.version`` counter that derived caches
+(the ordering's position memo) use to detect *any* row mutation --
+including the non-journalled recovery/undo paths that bypass the
+ordering layer.
 """
 
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.index import AFTER_ALL, OrderedCompositeIndex
+from repro.storage.index import OrderedCompositeIndex
 from repro.storage.row import Row
 from repro.storage.table import Column, Table, TableSchema
 
@@ -31,44 +33,71 @@ class TestCompositeIndex:
         assert index.lookup((1, 20)) == [2]
         assert index.lookup((1, 99)) == []
 
-    def test_prefix_bounds(self, index):
-        assert index.prefix_bounds((1,)) == (0, 3)
-        assert index.prefix_bounds((2,)) == (3, 5)
-        assert index.prefix_bounds((3,)) == (5, 5)
+    def test_count_per_parent(self, index):
+        assert index.count(1) == 3
+        assert index.count(2) == 2
+        assert index.count(3) == 0
 
-    def test_rank_is_absolute_slot(self, index):
-        assert index.rank((1, 10)) == 0
-        assert index.rank((1, 30)) == 2
-        assert index.rank((2, 5)) == 3
+    def test_position_is_within_the_parent(self, index):
+        assert index.position(1, 10) == 0
+        assert index.position(1, 30) == 2
+        assert index.position(2, 5) == 0
+        assert index.position(3, 5) == 0
 
-    def test_rowids_slice_follows_key_order(self, index):
-        assert index.rowids_slice(0, 3) == [1, 2, 3]
-        assert index.rowids_slice(3, 5) == [4, 5]
+    def test_between_follows_key_order(self, index):
+        assert index.between(1) == [1, 2, 3]
+        assert index.between(2) == [4, 5]
+        assert index.between(1, after=10) == [2, 3]
+        assert index.between(1, before=30) == [1, 2]
+        assert index.between(1, after=10, before=30) == [2]
+        assert index.between(3) == []
 
     def test_key_at(self, index):
-        assert index.key_at(1) == index.make_key((1, 20))
+        assert index.key_at(1, 1) == 20
 
     def test_delete_and_reinsert(self, index):
         index.delete((1, 20), 2)
-        assert index.prefix_bounds((1,)) == (0, 2)
+        assert index.count(1) == 2
         index.insert((1, 12), 2)
-        assert index.rowids_slice(0, 3) == [1, 2, 3]
+        assert index.between(1) == [1, 2, 3]
         with pytest.raises(StorageError):
             index.delete((1, 99), 9)
 
     def test_negative_keys_sort_before_positive(self, index):
         index.insert((1, -7), 9)
-        assert index.rank((1, -7)) == 0
-        assert index.prefix_bounds((1,)) == (0, 4)
+        assert index.position(1, -7) == 0
+        assert index.count(1) == 4
+        assert index.between(1) == [9, 1, 2, 3]
 
-    def test_arity_checked(self, index):
+    def test_equal_keys_order_by_rowid(self, index):
+        index.insert((1, 20), 7)
+        index.insert((1, 20), 0)
+        assert index.between(1) == [1, 0, 2, 7, 3]
+        assert index.lookup((1, 20)) == [0, 2, 7]
+        index.delete((1, 20), 2)
+        assert index.between(1) == [1, 0, 7, 3]
+
+    def test_arity_checked(self):
+        for columns in (("parent",), ("parent", "key", "extra")):
+            with pytest.raises(StorageError):
+                OrderedCompositeIndex(columns)
+
+    def test_open_bounds_reach_past_every_key(self, index):
+        index.insert((1, 10**30), 9)
+        index.insert((1, -10**30), 8)
+        assert index.between(1, after=30) == [9]
+        assert index.between(1, before=-10**30) == []
+        assert index.between(1)[0] == 8 and index.between(1)[-1] == 9
+
+    def test_null_keys_are_held_apart(self, index):
+        index.insert((1, None), 9)
+        assert len(index) == 6
+        assert index.lookup((1, None)) == [9]
+        assert index.count(1) == 3 and index.between(1) == [1, 2, 3]
+        index.delete((1, None), 9)
+        assert len(index) == 5
         with pytest.raises(StorageError):
-            index.make_key((1,))
-
-    def test_after_all_sentinel_orders_last(self):
-        assert AFTER_ALL > 10**30
-        assert not AFTER_ALL < "z"
-        assert AFTER_ALL >= AFTER_ALL
+            index.delete((1, None), 9)
 
 
 def make_table():
@@ -91,15 +120,15 @@ class TestTableCompositeMaintenance:
         table, index = make_table()
         a = table.insert({"parent": 1, "key": 10, "label": "a"})
         b = table.insert({"parent": 1, "key": 20, "label": "b"})
-        assert index.rowids_slice(*index.prefix_bounds((1,))) == [a.rowid, b.rowid]
+        assert index.between(1) == [a.rowid, b.rowid]
         # Moving a past b via its key: one update, order flips.
         table.update(a.rowid, {"key": 30})
-        assert index.rowids_slice(*index.prefix_bounds((1,))) == [b.rowid, a.rowid]
+        assert index.between(1) == [b.rowid, a.rowid]
         # A non-key update must not disturb the index.
         table.update(a.rowid, {"label": "a2"})
-        assert index.rowids_slice(*index.prefix_bounds((1,))) == [b.rowid, a.rowid]
+        assert index.between(1) == [b.rowid, a.rowid]
         table.delete(b.rowid)
-        assert index.prefix_bounds((1,)) == (0, 1)
+        assert index.count(1) == 1
 
     def test_create_index_is_idempotent(self):
         table, index = make_table()
