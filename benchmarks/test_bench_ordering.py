@@ -2,9 +2,10 @@
 
 Section 5.2 motivates ordering as a modeled property rather than a
 performance trick; these guards hold what the modeling may cost: an
-edit writes one membership row, front inserts stay >=10x ahead of dense
-renumbering, and a score import reads a bounded number of sibling rows
-per instance.  ``scripts/bench_smoke.sh`` runs them (``-m ordering_smoke``).
+edit writes one membership row, front inserts stay >=20x ahead of dense
+renumbering in the same database, and a score import reads a bounded
+number of sibling rows per instance.  ``scripts/bench_smoke.sh`` runs
+them (``-m ordering_smoke``).
 """
 
 import time
@@ -14,7 +15,6 @@ import pytest
 from repro.core.ordering import Ordering
 from repro.core.schema import Schema
 from repro.fixtures.examples import make_scale_score
-from repro.storage.table import Column, Table, TableSchema
 
 pytestmark = pytest.mark.ordering_smoke
 
@@ -37,18 +37,12 @@ SMOKE_CHILDREN = 2000
 class DensePositionReference:
     """The seed's dense 1-based ``position`` encoding, kept as a
     reference point: inserting at the front renumbers every existing
-    sibling, one ``table.update`` per row."""
+    sibling, one ``table.update`` per row, in *database*."""
 
-    def __init__(self):
-        self.table = Table(
-            TableSchema(
-                "dense_ord",
-                [
-                    Column("parent", "integer"),
-                    Column("child", "integer"),
-                    Column("position", "integer"),
-                ],
-            )
+    def __init__(self, database):
+        self.table = database.create_table(
+            "dense_ord",
+            [("parent", "integer"), ("child", "integer"), ("position", "integer")],
         )
         self._parent_index = self.table.create_index("parent")
 
@@ -134,21 +128,29 @@ def test_move_and_remove_write_counts():
     ordering.check_invariants()
 
 
+# 10x the dense renumbering, scaled by what a database adds to each of
+# its updates (journal, commit stamp, version chain: about 1.8x the
+# update alone), so the reference's own overhead cannot pay for a
+# slower order-key insert.
+DENSE_SPEEDUP = 20
+
+
 def test_front_insert_speedup_over_dense_reference():
-    """2k front inserts must beat the seed's dense renumbering by >=10x."""
-    dense = DensePositionReference()
+    """2k front inserts must beat the seed's dense renumbering, in the
+    same database, by >= DENSE_SPEEDUP x."""
+    schema, ordering, chord, notes = make_chord_schema(SMOKE_CHILDREN)
+    dense = DensePositionReference(schema.database)
     start = time.perf_counter()
     for i in range(SMOKE_CHILDREN):
         dense.insert_front(1, i)
     dense_elapsed = time.perf_counter() - start
 
-    schema, ordering, chord, notes = make_chord_schema(SMOKE_CHILDREN)
     start = time.perf_counter()
     for note in notes:
         ordering.insert(chord, note, 1)
     elapsed = time.perf_counter() - start
 
     assert ordering.table_size() == SMOKE_CHILDREN
-    assert dense_elapsed >= 10 * elapsed, (
+    assert dense_elapsed >= DENSE_SPEEDUP * elapsed, (
         "dense reference %.3fs vs order keys %.3fs" % (dense_elapsed, elapsed)
     )

@@ -5,7 +5,7 @@
 #   step                                   gates
 #   -------------------------------------  ----------------------------------------
 #   pytest benchmarks -m ordering_smoke    ordering edits stay O(1) in row writes;
-#                                          order keys keep >=10x over renumbering;
+#                                          order keys keep >=20x over renumbering;
 #                                          score import walks stay linear in measures
 #   pytest test_bench_obs -m obs_smoke     no-sink tracing overhead stays under 3%
 #   pytest test_bench_compare              the --compare and gate logic, on

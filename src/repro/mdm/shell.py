@@ -9,7 +9,7 @@ the buffer.  Backslash commands inspect the schema:
 
     \\d              list entity types, relationships, orderings
     \\d NAME         describe one entity type
-    \\indexes        list every index (equality and trigram text)
+    \\indexes        list every index (equality, ordered, trigram text)
     \\stats          schema statistics
     \\health         robustness counters and degraded-mode status
     \\plan           show the last query plan
@@ -175,14 +175,15 @@ class MdmShell:
         )
 
     def _indexes(self):
-        """Every index in the database: equality (hash) and text (trigram)."""
+        """Every index in the database: equality (hash), ordered (a
+        column's or a composite's) and text (trigram)."""
         database = self.mdm.database
         rows = []
         for table_name in database.table_names():
             table = database.table(table_name)
             entries = []
             for (column, kind), index in table.indexes().items():
-                # Composite unique indexes key on a tuple of columns.
+                # A composite index keys on a tuple of columns.
                 name = (
                     ", ".join(column) if isinstance(column, tuple) else column
                 )
@@ -198,7 +199,7 @@ class MdmShell:
                 else:
                     rows.append((
                         table_name, name,
-                        "unique" if kind else "equality",
+                        "ordered" if kind else "equality",
                         "%d keys" % len(index),
                     ))
         if not rows:

@@ -85,10 +85,6 @@ class _Catalog(Table):
     ``text_indexed`` one of column names.  Its index upkeep, never
     deferred, is where a row change reaches the table objects."""
 
-    def __init__(self, schema, database, **hooks):
-        super().__init__(schema, **hooks)
-        self._database = database
-
     def _reindex(self, old, new):
         super()._reindex(old, new)
         self._database._catalog_changed(old, new)
@@ -167,22 +163,15 @@ class Database:
                 Column(name, Domain.STRING)
                 for name in ("table_name", "columns", "text_indexed")
             ]),
-            _Catalog, database=self,
+            _Catalog,
         )
         if path is not None:
             self._recover(started, image_tables)
 
     # -- table management ----------------------------------------------------
 
-    def _new_table(self, schema, cls=Table, **extra):
-        name = schema.name
-        table = cls(
-            schema, journal=self.transactions.journal,
-            guard=self._guard_for(name), metrics=self.metrics,
-            on_schema_change=self.bump_schema_epoch,
-            snapshot=self.transactions.current_snapshot,
-            prune_horizon=self.transactions.prune_horizon, **extra
-        )
+    def _new_table(self, schema, cls=Table):
+        table = cls(schema, self)
         if self._deferring:
             table.defer_index_upkeep()
         return table

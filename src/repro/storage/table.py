@@ -197,20 +197,22 @@ class TableSchema:
 class Table:
     """A heap of rows plus secondary indexes.
 
+    Every table belongs to a :class:`~repro.storage.database.Database`.
     Mutations go through ``insert``/``update``/``delete`` so indexes stay
-    consistent; the optional *journal* callback receives each
-    mutation's ``(action, table, new_row, old_row)`` changes as one list,
-    which the transaction layer turns into a commit and undo actions.
+    consistent; each hands its ``(action, table, new_row, old_row)``
+    changes as one list to the database's transaction journal, which
+    turns them into a commit and undo actions.
     """
 
-    def __init__(self, schema, journal=None, guard=None, metrics=None,
-                 on_schema_change=None, snapshot=None, prune_horizon=None):
+    def __init__(self, schema, database):
         self.schema = schema
         self.name = schema.name
+        self._database = database
         self._rows = {}
         self._next_rowid = itertools.count(1)
         self._indexes = {}
-        self._journal = journal
+        transactions = database.transactions
+        self._journal = transactions.journal
         # MVCC: rowid -> immutable tuple of RowVersions, oldest first; a
         # rowid without one has one version, its row, from LSN 0.
         # Writers replace a rowid's tuple wholesale (under _chains_mutex,
@@ -221,13 +223,11 @@ class Table:
         # Undone inserts, counted between a row leaving the map and its
         # chain going: a pinned read that saw the count move reads again.
         self._retracted = 0
-        # *snapshot* returns the pinned snapshot LSN of the calling
-        # thread (or None); *prune_horizon* returns the LSN below which
-        # no active or future snapshot can look.  Bare tables (tests)
-        # leave both None: reads are always current, chains still grow
-        # but are pruned aggressively on rewrite.
-        self._snapshot = snapshot
-        self._prune_horizon = prune_horizon
+        # _snapshot() is the calling thread's pinned snapshot LSN (or
+        # None); _prune_horizon() the LSN below which no active or
+        # future snapshot can look.
+        self._snapshot = transactions.current_snapshot
+        self._prune_horizon = transactions.prune_horizon
         # Snapshot reads (module docstring): the latch orders index
         # upkeep against pinned readers' probes; the stale set, oldest
         # supersede first, names the rowids whose chain holds a version
@@ -238,25 +238,20 @@ class Table:
         # Pre-mutation hook (lock acquisition, read-only refusal): runs
         # before any row or index changes, so its exceptions leave the
         # table exactly as it was.
-        self._guard = guard
-        # Mutation counters ("table.*"), shared across every table of a
-        # database; None (bare tables in tests) means no counting.
-        self._metrics = metrics
-        if metrics is not None:
-            self._inserts = metrics.counter("table.inserts")
-            self._updates = metrics.counter("table.updates")
-            self._deletes = metrics.counter("table.deletes")
-            self._pruned = metrics.counter("mvcc.versions_pruned")
-            self._stale_gauge = metrics.gauge("mvcc.stale_rowids")
-        else:
-            self._inserts = self._updates = self._deletes = None
-            self._pruned = self._stale_gauge = None
+        self._guard = database._guard_for(self.name)
+        # Mutation counters ("table.*"), shared by the database's tables.
+        metrics = self._metrics = database.metrics
+        self._inserts = metrics.counter("table.inserts")
+        self._updates = metrics.counter("table.updates")
+        self._deletes = metrics.counter("table.deletes")
+        self._pruned = metrics.counter("mvcc.versions_pruned")
+        self._stale_gauge = metrics.gauge("mvcc.stale_rowids")
         # Bumped on EVERY row mutation, including the non-journalled
         # recovery/undo paths, so derived caches can detect staleness.
         self.version = 0
-        # Notified when the table's queryable shape changes (new index,
-        # widened schema); the database routes this to its schema epoch.
-        self._on_schema_change = on_schema_change
+        # Called when the table's queryable shape changes (new index,
+        # widened schema): the database's schema epoch.
+        self._on_schema_change = database.bump_schema_epoch
         # True between defer_index_upkeep() and build_deferred_indexes():
         # rows install, indexes only register, nothing reads them.
         self._deferring = False
@@ -269,11 +264,6 @@ class Table:
         self._unstamped = 0
 
     # -- snapshot visibility ----------------------------------------------
-
-    def _current_snapshot(self):
-        if self._snapshot is None:
-            return None
-        return self._snapshot()
 
     @staticmethod
     def _visible_row(chain, snapshot):
@@ -339,26 +329,26 @@ class Table:
     # -- introspection ----------------------------------------------------
 
     def __len__(self):
-        snapshot = self._current_snapshot()
+        snapshot = self._snapshot()
         if snapshot is None:
             return len(self._rows)
         return len(self._snapshot_rows(snapshot))
 
     def __iter__(self):
-        snapshot = self._current_snapshot()
+        snapshot = self._snapshot()
         if snapshot is None:
             return iter(list(self._rows.values()))
         return iter(self._snapshot_rows(snapshot))
 
     def rowids(self):
-        snapshot = self._current_snapshot()
+        snapshot = self._snapshot()
         if snapshot is None:
             return list(self._rows.keys())
         return [row.rowid for row in self._snapshot_rows(snapshot)]
 
     def get(self, rowid):
         """Return the row with *rowid*, or None."""
-        snapshot = self._current_snapshot()
+        snapshot = self._snapshot()
         if snapshot is None:
             return self._rows.get(rowid)
         retracted = None
@@ -375,7 +365,7 @@ class Table:
         lock materialize a whole candidate list without a per-rowid
         ``get`` round trip each.
         """
-        snapshot = self._current_snapshot()
+        snapshot = self._snapshot()
         if snapshot is not None:
             return self._visible_rows(rowids, snapshot)
         rows = self._rows
@@ -450,7 +440,7 @@ class Table:
                 index = OrderedIndex(column) if ordered else HashIndex(column)
             self._index_rows(column, index, self._rows.values())
             self._indexes[key] = index
-        self.notify_schema_change()
+        self._on_schema_change()
         return index
 
     def _index_rows(self, column, index, rows):
@@ -512,10 +502,6 @@ class Table:
                 self._index_rows(column, index, self._rows.values())
         return len(build)
 
-    def notify_schema_change(self):
-        if self._on_schema_change is not None:
-            self._on_schema_change()
-
     def index_for(self, column, ordered=False):
         if isinstance(column, (tuple, list)):
             return self._indexes.get((tuple(column), True))
@@ -567,7 +553,7 @@ class Table:
             # this DDL.
             self._index_rows(column, index, self._rows.values())
             self._indexes[key] = index
-        self.notify_schema_change()
+        self._on_schema_change()
         return index
 
     def drop_text_index(self, column):
@@ -576,7 +562,7 @@ class Table:
             index = self._indexes.pop((column, "text"), None)
         if index is not None:
             index.detach()
-            self.notify_schema_change()
+            self._on_schema_change()
         return index
 
     def text_index_for(self, column):
@@ -608,8 +594,7 @@ class Table:
 
     def insert(self, values, rowid=None):
         """Insert a row; returns the new Row."""
-        if self._guard is not None:
-            self._guard()
+        self._guard()
         coerced = self.schema.coerce(values)
         if rowid is None:
             rowid = next(self._next_rowid)
@@ -627,10 +612,8 @@ class Table:
             self._reindex(None, row)
             self._unstamped += 1
         self.version += 1
-        if self._inserts is not None:
-            self._inserts.inc()
-        if self._journal is not None:
-            self._journal((("insert", self.name, row, None),))
+        self._inserts.inc()
+        self._journal((("insert", self.name, row, None),))
         return row
 
     def insert_many(self, values_list):
@@ -645,8 +628,7 @@ class Table:
         """
         if not values_list:
             return []
-        if self._guard is not None:
-            self._guard()
+        self._guard()
         coerced_list = [self.schema.coerce(values) for values in values_list]
         layout = self.schema.layout
         rows = []
@@ -663,16 +645,13 @@ class Table:
                 self._index_rows(column, index, rows)
             self._unstamped += len(rows)
         self.version += 1
-        if self._inserts is not None:
-            self._inserts.inc(len(rows))
-        if self._journal is not None:
-            self._journal([("insert", self.name, row, None) for row in rows])
+        self._inserts.inc(len(rows))
+        self._journal([("insert", self.name, row, None) for row in rows])
         return rows
 
     def update(self, rowid, updates):
         """Apply *updates* to the row with *rowid*; returns the new Row."""
-        if self._guard is not None:
-            self._guard()
+        self._guard()
         old = self.require(rowid)
         coerced = {}
         for column, value in updates.items():
@@ -687,16 +666,13 @@ class Table:
             self._supersede(rowid)
             self._unstamped += 1
         self.version += 1
-        if self._updates is not None:
-            self._updates.inc()
-        if self._journal is not None:
-            self._journal((("update", self.name, new, old),))
+        self._updates.inc()
+        self._journal((("update", self.name, new, old),))
         return new
 
     def delete(self, rowid):
         """Delete the row with *rowid*; returns the deleted Row."""
-        if self._guard is not None:
-            self._guard()
+        self._guard()
         old = self.require(rowid)
         with self._latch:
             # The victim version stays open until the commit stamps its
@@ -707,10 +683,8 @@ class Table:
             self._supersede(rowid)
             self._unstamped += 1
         self.version += 1
-        if self._deletes is not None:
-            self._deletes.inc()
-        if self._journal is not None:
-            self._journal((("delete", self.name, None, old),))
+        self._deletes.inc()
+        self._journal((("delete", self.name, None, old),))
         return old
 
     def truncate(self):
@@ -799,7 +773,7 @@ class Table:
                 self._reindex(row, None)
             self._retracted += 1
             self._chain_drop(rowid, row)
-            self._settle(rowid, self._horizon())
+            self._settle(rowid, self._prune_horizon())
             self._unstamped -= 1
         self.version += 1
 
@@ -813,7 +787,7 @@ class Table:
             version = self._chain_version_of(old_row)
             if version is not None:
                 version.end_lsn = None  # reopen: the commit stamp never took
-            self._settle(rowid, self._horizon())
+            self._settle(rowid, self._prune_horizon())
             self._unstamped -= 1
         self.version += 1
 
@@ -826,40 +800,27 @@ class Table:
             version = self._chain_version_of(old_row)
             if version is not None:
                 version.end_lsn = None
-            self._settle(rowid, self._horizon())
+            self._settle(rowid, self._prune_horizon())
             self._unstamped -= 1
         self.version += 1
-
-    def _horizon(self):
-        """The LSN below which no snapshot can look; None on a bare
-        table (no transaction manager: nothing stamps or snapshots
-        versions, so superseded images can go at once)."""
-        if self._prune_horizon is None:
-            return None
-        return self._prune_horizon()
 
     def _prune_chain(self, rowid, horizon):
         """Drop versions of *rowid* invisible to every snapshot >= horizon."""
         chain = self._chains.get(rowid)
         if chain is None:
             return 0
-        if horizon is not None:
-            # Ends never decrease along a chain, so the oldest version
-            # decides -- without the mutex -- whether anything can go.
-            end = chain[0].end_lsn
-            if end is None or end > horizon:
-                return 0
+        # Ends never decrease along a chain, so the oldest version
+        # decides -- without the mutex -- whether anything can go.
+        end = chain[0].end_lsn
+        if end is None or end > horizon:
+            return 0
         with self._chains_mutex:
             chain = self._chains.get(rowid)
             if chain is None:
                 return 0
-            if horizon is None:
-                kept = chain[-1:] if rowid in self._rows else ()
-            else:
-                kept = tuple(
-                    v for v in chain
-                    if v.end_lsn is None or v.end_lsn > horizon
-                )
+            kept = tuple(
+                v for v in chain if v.end_lsn is None or v.end_lsn > horizon
+            )
             if len(kept) == len(chain):
                 return 0
             pruned = len(chain) - len(kept)
@@ -867,8 +828,7 @@ class Table:
                 self._chains[rowid] = kept
             else:
                 del self._chains[rowid]
-        if self._pruned is not None:
-            self._pruned.inc(pruned)
+        self._pruned.inc(pruned)
         return pruned
 
     # Stale-set upkeep; every caller holds the latch.
@@ -888,9 +848,8 @@ class Table:
             stale.move_to_end(rowid)
         else:
             stale[rowid] = None
-            if self._stale_gauge is not None:
-                self._stale_gauge.inc()
-        horizon = self._horizon()
+            self._stale_gauge.inc()
+        horizon = self._prune_horizon()
         self._prune_chain(rowid, horizon)
         self._trim_stale(horizon)
 
@@ -915,8 +874,7 @@ class Table:
             return False
         if rowid in self._stale:
             del self._stale[rowid]
-            if self._stale_gauge is not None:
-                self._stale_gauge.dec()
+            self._stale_gauge.dec()
         return True
 
     def stale_rowids(self):
@@ -989,14 +947,14 @@ class Table:
                 "table %r is loading with index upkeep deferred; its "
                 "indexes cannot answer yet" % self.name
             )
-        if self._snapshot is None or self._snapshot() is None:
+        if self._snapshot() is None:
             return fn(*args), None
         with self._latch:
             stale = self._stale
             if stale:
                 # The last rewrite before a quiet spell has no later
                 # write to settle it; the readers that follow do.
-                self._trim_stale(self._horizon())
+                self._trim_stale(self._prune_horizon())
                 if len(stale) > self.candidate_cap():
                     return fn(*args), SWAMPED
             return fn(*args), tuple(stale)
@@ -1109,7 +1067,7 @@ class Table:
 
     def sorted_by(self, column, descending=False):
         """All rows sorted by *column* (section 5.2's key ordering)."""
-        snapshot = self._current_snapshot()
+        snapshot = self._snapshot()
         source = (
             self._rows.values() if snapshot is None
             else self._snapshot_rows(snapshot)

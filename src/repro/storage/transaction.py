@@ -117,8 +117,8 @@ class TransactionManager:
         self._database = database
         self._log = log
         # Share the database's registry so lock counters land beside the
-        # WAL ones; direct construction in tests may lack one.
-        metrics = getattr(database, "metrics", None)
+        # WAL ones.
+        metrics = database.metrics
         self._locks = LockManager(metrics=metrics)
         self._ids = itertools.count(1)
         self._local = _ThreadState()
@@ -132,10 +132,7 @@ class TransactionManager:
         self._visible_lsn = 0
         self._snapshot_mutex = threading.Lock()
         self._active_snapshots = {}
-        self._snapshots_gauge = (
-            metrics.gauge("mvcc.snapshots_active") if metrics is not None
-            else None
-        )
+        self._snapshots_gauge = metrics.gauge("mvcc.snapshots_active")
 
     @property
     def lock_manager(self):
@@ -172,10 +169,7 @@ class TransactionManager:
             self._active_snapshots[snapshot] = (
                 self._active_snapshots.get(snapshot, 0) + 1
             )
-            if self._snapshots_gauge is not None:
-                self._snapshots_gauge.set(
-                    sum(self._active_snapshots.values())
-                )
+            self._snapshots_gauge.set(sum(self._active_snapshots.values()))
         self._local.snapshot = snapshot
         self._local.snapshot_depth = 1
         return snapshot
@@ -197,10 +191,7 @@ class TransactionManager:
                 self._active_snapshots[snapshot] = count
             else:
                 self._active_snapshots.pop(snapshot, None)
-            if self._snapshots_gauge is not None:
-                self._snapshots_gauge.set(
-                    sum(self._active_snapshots.values())
-                )
+            self._snapshots_gauge.set(sum(self._active_snapshots.values()))
 
     def assert_no_snapshot(self):
         """Refuse mutations on a thread reading through a snapshot."""

@@ -355,15 +355,15 @@ class TestShell:
         assert "title" in out
 
     def test_indexes_command_survives_composite_index(self, mdm):
-        # The net-request ledger keys a composite unique index on
-        # (client, seq); \indexes must list it next to text indexes
-        # without tripping over the tuple-valued column key.
+        # \indexes lists a composite index next to text indexes without
+        # tripping over the tuple-valued column key, and calls it
+        # ordered: no index enforces uniqueness.
         table = mdm.schema.entity_type("TRACK").table
         table.create_index(("title", "n"))
         shell = MdmShell(mdm=mdm)
         out = shell.handle_line("\\indexes")
         assert "title, n" in out
-        assert "unique" in out
+        assert "ordered" in out and "unique" not in out
         assert "text" in out
 
     def test_search_through_the_shell(self, mdm):

@@ -10,19 +10,15 @@ from repro.errors import (
 )
 from repro.mdm.manager import MusicDataManager
 from repro.storage.database import Database
-from repro.storage.table import Column, Table, TableSchema
 
 
-def bare_table():
-    schema = TableSchema(
-        "t", [Column("k", "integer"), Column("v", "string")]
-    )
-    return Table(schema)
+def make_table():
+    return Database().create_table("t", [("k", "integer"), ("v", "string")])
 
 
 class TestInsertMany:
     def test_inserts_and_returns_rows(self):
-        table = bare_table()
+        table = make_table()
         rows = table.insert_many(
             [{"k": i, "v": "v%d" % i} for i in range(30)]
         )
@@ -30,12 +26,12 @@ class TestInsertMany:
         assert table.get(rows[5].rowid)["v"] == "v5"
 
     def test_empty_batch_is_a_noop(self):
-        table = bare_table()
+        table = make_table()
         assert table.insert_many([]) == []
         assert len(table) == 0
 
     def test_deferred_index_builds_stay_consistent(self):
-        table = bare_table()
+        table = make_table()
         table.create_index("k")
         table.create_index("v", ordered=True)
         table.create_index(("k", "v"))
@@ -56,7 +52,7 @@ class TestInsertMany:
         ]
 
     def test_bad_value_rejects_whole_batch(self):
-        table = bare_table()
+        table = make_table()
         table.create_index("k")
         with pytest.raises((StorageError, TypeMismatchError)):
             table.insert_many(

@@ -13,8 +13,8 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.index import OrderedCompositeIndex
+from repro.storage.database import Database
 from repro.storage.row import Row
-from repro.storage.table import Column, Table, TableSchema
 
 
 @pytest.fixture
@@ -101,15 +101,8 @@ class TestCompositeIndex:
 
 
 def make_table():
-    table = Table(
-        TableSchema(
-            "t",
-            [
-                Column("parent", "integer"),
-                Column("key", "integer"),
-                Column("label", "string"),
-            ],
-        )
+    table = Database().create_table(
+        "t", [("parent", "integer"), ("key", "integer"), ("label", "string")]
     )
     index = table.create_index(("parent", "key"))
     return table, index

@@ -14,9 +14,11 @@ and by the live database the directory came from;
 reopened and replica.  Counts, not wall-clock, guard the cost.
 """
 
+import contextlib
 import gc
 import logging
 import os
+import threading
 
 import pytest
 
@@ -47,15 +49,38 @@ def row_of(table, rowid, values):
 # -- the switch itself ---------------------------------------------------------
 
 
-def bare_table():
-    return Table(TableSchema("t", [
-        Column("title", "string"), Column("v", "integer"),
-        Column("w", "integer"),
-    ]))
+def new_table(db=None):
+    """Table ``t`` of *db*, a fresh in-memory database by default."""
+    db = Database() if db is None else db
+    return db.create_table(
+        "t", [("title", "string"), ("v", "integer"), ("w", "integer")]
+    )
+
+
+@contextlib.contextmanager
+def horizon_held_at_zero(db):
+    """Hold *db*'s prune horizon at 0 with a snapshot pinned at LSN 0 on
+    a thread of its own (a pin refuses writes on its own thread)."""
+    pinned, release = threading.Event(), threading.Event()
+
+    def hold():
+        db.transactions.pin_snapshot(0)
+        pinned.set()
+        release.wait(60)
+        db.transactions.unpin_snapshot()
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert pinned.wait(10)
+        yield
+    finally:
+        release.set()
+        thread.join(10)
 
 
 def test_every_index_kind_is_built_once_from_the_rows_that_are_left():
-    table = bare_table()
+    table = new_table()
     table.create_index("v")  # registered before: empty, like a seed's
     table.defer_index_upkeep()
     table.create_index("w", ordered=True)
@@ -83,7 +108,7 @@ def test_every_index_kind_is_built_once_from_the_rows_that_are_left():
 
 
 def test_a_deferring_table_refuses_to_answer_from_its_indexes():
-    table = bare_table()
+    table = new_table()
     table.create_index("v")
     table.defer_index_upkeep()
     table.install_committed(0, [row_of(table, 1, dict(titled(1), w=1))])
@@ -118,38 +143,42 @@ def test_a_run_installs_as_its_changes_one_at_a_time():
     """A run that overwrites held rowids and names one twice, at an LSN
     a horizon of 0 keeps the superseded versions of: the same rows,
     chains, stale set, ``version`` and next rowid as one-row runs."""
-    tables = []
-    for _ in range(2):
-        table = Table(bare_table().schema, prune_horizon=lambda: 0)
-        table.create_index("v")
-        table.create_index("w", ordered=True)
-        table.create_index(("w", "v"))
-        table.create_text_index("title")
-        table.defer_index_upkeep()
-        table.install_committed(0, [
-            row_of(table, i, dict(titled(i), w=i % 3)) for i in range(1, 11)
-        ])
-        table.build_deferred_indexes()
-        tables.append(table)
-    whole, single = tables
-    run = [row_of(whole, i, dict(titled(i + 50), w=i % 4)) for i in (12, 3, 7, 20)]
-    run += [row_of(whole, 3, dict(titled(99), w=9)),
-            row_of(whole, 15, dict(titled(15), w=0))]
-    whole.install_committed(7, run, (5, 15, 40))
-    for row in run:
-        single.install_committed(7, [row])
-    for rowid in (5, 15, 40):
-        single.install_committed(7, (), (rowid,))
-    assert chain_state(whole) == chain_state(single)
-    assert whole.stale_rowids() == (7, 3, 5, 15)  # 3 superseded twice
-    assert whole.version == 10 + 6 + 2  # the absent rowid 40 is no change
-    for table in tables:
-        assert_indexes_match_rows(table)
-    assert [row.rowid for row in whole.select_eq("w", 9)] == [3]
+    with contextlib.ExitStack() as stack:
+        tables = []
+        for _ in range(2):
+            db = Database()
+            stack.enter_context(horizon_held_at_zero(db))
+            table = new_table(db)
+            table.create_index("v")
+            table.create_index("w", ordered=True)
+            table.create_index(("w", "v"))
+            table.create_text_index("title")
+            table.defer_index_upkeep()
+            table.install_committed(0, [
+                row_of(table, i, dict(titled(i), w=i % 3)) for i in range(1, 11)
+            ])
+            table.build_deferred_indexes()
+            tables.append(table)
+        whole, single = tables
+        run = [row_of(whole, i, dict(titled(i + 50), w=i % 4))
+               for i in (12, 3, 7, 20)]
+        run += [row_of(whole, 3, dict(titled(99), w=9)),
+                row_of(whole, 15, dict(titled(15), w=0))]
+        whole.install_committed(7, run, (5, 15, 40))
+        for row in run:
+            single.install_committed(7, [row])
+        for rowid in (5, 15, 40):
+            single.install_committed(7, (), (rowid,))
+        assert chain_state(whole) == chain_state(single)
+        assert whole.stale_rowids() == (7, 3, 5, 15)  # 3 superseded twice
+        assert whole.version == 10 + 6 + 2  # the absent rowid 40 is no change
+        for table in tables:
+            assert_indexes_match_rows(table)
+        assert [row.rowid for row in whole.select_eq("w", 9)] == [3]
 
 
 def test_a_fresh_run_lands_in_one_latch_hold():
-    table = bare_table()
+    table = new_table()
     table.create_index("v")
     holds = []
 
@@ -176,7 +205,7 @@ def test_a_fresh_run_lands_in_one_latch_hold():
 
 
 def test_only_an_empty_table_may_defer():
-    table = bare_table()
+    table = new_table()
     table.insert(dict(titled(1), w=1))
     with pytest.raises(StorageError):
         table.defer_index_upkeep()
@@ -270,12 +299,10 @@ def unreplayable(tmp_path):
     db.create_text_index("t", "title")
     db.bulk_ingest("t", [titled(i) for i in range(40)])
     db.close()
-    gone = Table(TableSchema("gone", [Column("v", "integer")]))
+    gone = TableSchema("gone", [Column("v", "integer")])
+    row = Row(1, gone.coerce({"v": 1}), gone.layout)
     with WriteAheadLog(os.path.join(path, "wal.log")) as log:
-        log.append_batch(
-            [("insert", "gone", row_of(gone, 1, {"v": 1}), None)],
-            {"gone": gone.schema},
-        )
+        log.append_batch([("insert", "gone", row, None)], {"gone": gone})
         log.flush()
     return path
 

@@ -5,6 +5,8 @@ the concurrent half lives in tests/stress/test_mvcc_interleaving.py and
 the randomized half in tests/props/test_mvcc_props.py.
 """
 
+import threading
+
 import pytest
 
 from repro.errors import ReadOnlyError, StorageError, TransactionError
@@ -325,16 +327,48 @@ def test_commit_stamp_failure_rolls_back_versions(tmp_path):
             db.transactions.unpin_snapshot()
 
 
-def test_bare_table_chains_stay_bounded():
-    from repro.storage.table import Column, Table, TableSchema
+def test_chains_are_pruned_to_the_horizon():
+    """The one pruning rule: a version goes once it ends at or below the
+    prune horizon.  Unpinned, each rewrite prunes its own chain; a
+    deleted row's chain goes at the next sweep; a snapshot pinned on
+    another thread holds the horizon down and keeps what it reads."""
+    db = _make_db()
+    t = db.table("t")
+    transactions = db.transactions
+    row = t.insert({"k": "a", "v": 0})
+    for value in range(1, 51):
+        row = t.update(row.rowid, {"v": value})
+    assert len(t._chains[row.rowid]) <= 2
+    t.delete(row.rowid)
+    t.prune_versions(transactions.prune_horizon())
+    assert row.rowid not in t._chains
 
-    table = Table(TableSchema("bare", [Column("v", "integer")]))
-    row = table.insert({"v": 0})
-    for value in range(50):
-        row = table.update(row.rowid, {"v": value})
-    assert len(table._chains[row.rowid]) == 1
-    table.delete(row.rowid)
-    assert row.rowid not in table._chains
+    kept = t.insert({"k": "b", "v": 1})
+    pinned, release, seen = threading.Event(), threading.Event(), []
+
+    def reader():
+        transactions.pin_snapshot()
+        try:
+            pinned.set()
+            release.wait(10)
+            seen.append(t.get(kept.rowid)["v"])
+        finally:
+            transactions.unpin_snapshot()
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        assert pinned.wait(10)
+        for value in range(2, 12):
+            t.update(kept.rowid, {"v": value})
+        t.prune_versions(transactions.prune_horizon())
+        assert [v.row["v"] for v in t._chains[kept.rowid]][:1] == [1]
+    finally:
+        release.set()
+        thread.join(10)
+    assert seen == [1]
+    t.prune_versions(transactions.prune_horizon())
+    assert len(t._chains[kept.rowid]) == 1 and t.stale_rowids() == ()
 
 
 def test_require_respects_snapshot():

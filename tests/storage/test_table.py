@@ -3,15 +3,23 @@
 import pytest
 
 from repro.errors import StorageError, TypeMismatchError
-from repro.storage.table import Column, Table, TableSchema
+from repro.storage.database import Database
 
 
 def make_table(journal=None):
-    schema = TableSchema(
-        "notes",
-        [Column("name", "string"), Column("pitch", "integer")],
-    )
-    return Table(schema, journal=journal)
+    """A table of an in-memory database; *journal*, if given, sees each
+    change list the table hands the database's transaction journal."""
+    db = Database()
+    if journal is not None:
+        # A table binds its database's journal when it is created.
+        publish = db.transactions.journal
+
+        def observed(changes):
+            journal(changes)
+            publish(changes)
+
+        db.transactions.journal = observed
+    return db.create_table("notes", [("name", "string"), ("pitch", "integer")])
 
 
 class TestBasics:
