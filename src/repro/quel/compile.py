@@ -29,6 +29,9 @@ from repro.errors import QueryError, UnknownAttributeError
 from repro.quel import ast
 from repro.quel import planner, sources
 from repro.quel.functions import SCALARS, scalar_similarity
+from repro.text import (
+    SimilarityScorer, match_predicate, normalize, similar_predicate,
+)
 
 _COMPARISONS = {
     "=": _operator.eq,
@@ -230,11 +233,16 @@ class Compiler:
     """Compiles one statement against a session's compile-time context
     (range-variable bindings, function registry, known orderings).
     *bound* is the set of literal slots read from the literal vector at
-    run time; every other literal is the constant its node holds."""
+    run time; every other literal is the constant its node holds.
+    *ranked* is the ``(variable, attribute, query)`` of a ``similarity()``
+    sort key, if there is one: a text check on its value leaves the fold
+    in the variable's :class:`~repro.quel.sources.RowHint`, and a
+    ``similarity()`` of the same three takes the Jaccard half there."""
 
-    def __init__(self, session, bound=frozenset()):
+    def __init__(self, session, bound=frozenset(), ranked=None):
         self.session = session
         self.bound = bound
+        self.ranked = ranked
 
     # -- value expressions -------------------------------------------------------
 
@@ -375,8 +383,6 @@ class Compiler:
         version, which is part of the plan key, so a stale fold can
         never be replayed against an overriding registry.
         """
-        from repro.text import SimilarityScorer
-
         if node.name != "similarity" or len(node.arguments) != 2:
             return None
         literal = node.arguments[1]
@@ -390,8 +396,15 @@ class Compiler:
             return None
         if builtin is not scalar_similarity:
             return None
-        value_fn = self.expression(node.arguments[0])
+        target = node.arguments[0]
+        value_fn = self.expression(target)
         scorer = SimilarityScorer(literal.value)
+        slot = ranked = None
+        if isinstance(target, ast.AttributeRef):
+            slot = (sources.RowHint, target.variable)
+            ranked = self.ranked == (
+                target.variable, target.attribute, literal.value
+            )
 
         def scorer_fn(rt, bindings):
             value = value_fn(rt, bindings)
@@ -399,7 +412,11 @@ class Compiler:
                 return 0.0
             if not isinstance(value, str):
                 raise QueryError("similarity() expects strings")
-            return scorer(value)
+            hint = bindings.get(slot)
+            if hint is None:
+                return scorer.score(normalize(value))
+            folded = hint.folded if hint.value is value else normalize(value)
+            return scorer.score(folded, hint.jaccard if ranked else None)
 
         return scorer_fn
 
@@ -609,22 +626,32 @@ class Compiler:
 
             return under_fn
         if isinstance(node, ast.MatchClause):
-            from repro.text import match_predicate, similar_predicate
-
-            variable, attribute = node.variable, node.attribute
             # The query side is a parser-enforced literal, so its
             # normalized form / gram set folds at compile time; the
             # per-row verification pass over index candidates then
-            # only normalizes the row value.
+            # only folds the row value -- and leaves the fold for the
+            # scorer when a similarity() sort key reads the same value.
             if node.operator == "matches":
                 predicate = match_predicate(node.query)
             else:
                 predicate = similar_predicate(node.query, node.threshold)
 
-            read = self.attribute_read(variable, attribute)
+            read = self.attribute_read(node.variable, node.attribute)
+            slot = None
+            if self.ranked and self.ranked[:2] == (node.variable, node.attribute):
+                slot = (sources.RowHint, node.variable)
 
             def match_fn(rt, bindings):
-                return predicate(read(rt, bindings))
+                value = read(rt, bindings)
+                if value is None:
+                    return False
+                folded = normalize(value)
+                if slot is not None:
+                    hint = bindings.get(slot)
+                    if hint is None:
+                        hint = bindings[slot] = sources.RowHint()
+                    hint.value, hint.folded = value, folded
+                return predicate(folded)
 
             return match_fn
         raise QueryError("cannot evaluate qualification %r" % (node,))
@@ -750,10 +777,11 @@ def _similarity_sort_key(sort_by):
 
 def _early_exit(compiled, session):
     """The early-exit source a plan takes, decided when it is compiled:
-    ``("stream", variable)``, ``("topk", variable, attribute, query)``,
-    or None.  It is for a non-unique, non-aggregate ``limit N``
-    retrieve over one entity variable with a pushable text gate and no
-    equality restriction (which would change the candidate set).
+    ``("stream", variable)``, ``("topk", variable, attribute, scorer)``
+    (the similarity query's scorer, built once a plan), or None.  It is
+    for a non-unique, non-aggregate ``limit N`` retrieve over one entity
+    variable with a pushable text gate and no equality restriction
+    (which would change the candidate set).
     Neither materializes the gate's full candidate set, which grows
     with the table: unsorted, :class:`~repro.quel.sources.TextStream`; sorted by the builtin
     ``similarity`` descending, :class:`~repro.quel.sources.TextTopK` (its bound replicates
@@ -778,7 +806,9 @@ def _early_exit(compiled, session):
         or session.functions.scalar("similarity") is not scalar_similarity
     ):
         return None
-    return ("topk", variable, spec[1], spec[2])
+    scorer = SimilarityScorer(spec[2])
+    # A sub-trigram query has no overlap bound.
+    return ("topk", variable, spec[1], scorer) if scorer.grams else None
 
 
 def _same_expression(left, right, bound):
@@ -815,7 +845,8 @@ def compile_statement(statement, session, bound=frozenset()):
     literal slots the plan leaves to the executing statement's literal
     vector (:func:`bound_slots`); without one, every literal is the
     constant its node holds -- a bare AST run on its own."""
-    compiler = Compiler(session, bound)
+    ranked = _similarity_sort_key(getattr(statement, "sort_by", None))
+    compiler = Compiler(session, bound, ranked)
     used, where = session._plan_parts(statement)
     conjunct_nodes = planner.split_conjuncts(where)
     conjuncts = []

@@ -29,14 +29,13 @@ only an operand that needs an instance wraps it (``EntityRange.wrap``).
 
 from bisect import bisect_left
 from functools import partial
-from itertools import chain, islice, takewhile
+from itertools import chain
 
 from repro.core.entity import SURROGATE_COLUMN, BoundInstance
 from repro.errors import UnknownAttributeError
 from repro.quel import planner
 from repro.storage.table import SWAMPED
 from repro.storage.values import value_sort_key
-from repro.text import SimilarityScorer
 
 
 # -- what a range variable ranges over ----------------------------------------------
@@ -480,6 +479,15 @@ class TextStream(_Source):
         )
 
 
+class RowHint:
+    """What one execution learned of a variable's row in hand, in its
+    bindings under ``(RowHint, variable)``: the ``value`` a text check
+    read and its ``folded`` form (for that object only), and the Jaccard
+    half :class:`TextTopK` read off the postings (None: use the grams)."""
+
+    value = folded = jaccard = None
+
+
 class TextTopK(_Source):
     """"index text topk": only ``similarity(v.attr, "literal")`` has a
     posting-count upper bound (:meth:`SimilarityScorer.bound_with`,
@@ -488,19 +496,18 @@ class TextTopK(_Source):
     equal trigram overlap at a time, highest first, until the tail's
     bounded selection holds N rows no remaining bucket's bound can beat;
     the rest are never fetched, nor so much as enumerated.  Ties order
-    by rowid, as a stable sort over "index text" would."""
+    by rowid, as a stable sort over "index text" would.  A drawn row's
+    overlap and stored gram count, its exact Jaccard half, go in its hint."""
 
-    __slots__ = ("text_candidates", "_scorer", "_index", "_buckets", "_seen")
+    __slots__ = ("text_candidates", "_scorer", "_index", "_buckets", "_seen",
+                 "_variable", "_jaccards")
     access = "index text topk"
 
     @classmethod
-    def plan(cls, declared, text_restrictions, attribute, query, accounting):
-        """Top-k by similarity of *attribute* to *query*, or None: a
-        sub-trigram query (no overlap bound exists), no index on either
-        side, or a swamped stale set."""
-        scorer = SimilarityScorer(query)
-        if not scorer.grams:
-            return None
+    def plan(cls, declared, gates, variable, attribute, scorer, accounting):
+        """Top-k by *scorer*'s similarity of *variable*'s *attribute* to
+        its query, or None: no index on either side, or a swamped stale
+        set."""
         table = declared.table
 
         def overlaps():
@@ -509,7 +516,7 @@ class TextTopK(_Source):
             index = table.text_index_for(attribute)
             if index is None:
                 return None
-            rowids = text_rowids(table, text_restrictions, [])
+            rowids = text_rowids(table, gates, [])
             if rowids is None:
                 return None
             return rowids, index, index.overlap_counts(scorer.grams, rowids)
@@ -526,63 +533,67 @@ class TextTopK(_Source):
         source.count = source.text_candidates = len(rowids) + sum(
             rowid not in rowids for rowid in seen
         )
-        source._scorer = scorer
+        source._scorer, source._variable, source._jaccards = scorer, variable, {}
         return source
 
-    def _cells(self, overlap, bucket, selector):
-        """A bucket's cells of equal stored gram count, fewest grams
-        (best bound) first, as far as a cell's bound can enter the
-        selection as it stands (index reads only: inside a probe)."""
-        bound = self._scorer.bound_with
-        return list(takewhile(
-            lambda cell: selector.entry(bound(overlap, cell[0]), -1) is not None,
-            self._index.size_cells(bucket),
-        ))
-
-    def _ranked(self, selector):
-        """The candidates that can still enter the selection as it
-        stands when each is drawn: a bucket at a time, highest overlap
-        first, until a bucket's bound cannot; best bound first within a
-        bucket (a row's stored gram count tightens it), until a row's
-        cannot."""
-        bound, seen = self._scorer.bound_with, self._seen
-        probe = self._declared.table.probe
+    def _cells(self, selector):
+        """``(bound, Jaccard half or None, rowids)`` cells that can enter
+        the selection when reached: buckets highest overlap first, then
+        cells of equal stored gram count fewest first (best bound), each
+        until a bound cannot.  One probe a bucket reads its counts."""
+        bound, jaccard = self._scorer.bound_with, self._scorer.jaccard
+        probe, seen = self._declared.table.probe, self._seen
         for overlap, bucket in self._buckets:
-            if selector.entry(bound(overlap, overlap), -1) is None:
+            best = bound(overlap, overlap)
+            if selector.entry(best, -1) is None:
                 return
-            cells, late = probe(self._cells, overlap, bucket, selector)
+            cells, late = probe(self._index.size_cells, bucket)
             if late:
                 # Rewritten since the postings were counted: the gram
                 # count read now is another version's, the overlap is
                 # not.  A row of *overlap* grams has the bucket's bound.
-                late = bucket if late is SWAMPED else late
-                cells.insert(0, (overlap, sorted(r for r in late if r in bucket)))
-            for size, rowid in (
-                (size, rowid) for size, cell in cells for rowid in cell
-            ):
-                if selector.entry(bound(overlap, size), -1) is None:
+                late = sorted(r for r in (bucket if late is SWAMPED else late)
+                              if r in bucket)
+                yield best, None, late
+                seen.update(late)
+            for size, cell in cells:
+                score = bound(overlap, size)
+                if selector.entry(score, -1) is None:
                     break
-                if rowid not in seen:
-                    seen.add(rowid)
-                    yield rowid
+                # Fewer grams than the overlap: every row here is late.
+                yield score, jaccard(overlap, size) if size >= overlap else None, cell
 
     def _best_first(self, selector):
-        """Ascending rowid chunks of :meth:`_ranked`, cut by the chunk
-        rule: all but the last are whole."""
-        if self._seen:
-            yield sorted(self._seen)
-        source = self._ranked(selector)
-        for size in chunk_sizes(selector.limit):
-            chunk = sorted(islice(source, size))
-            if not chunk:
-                return
-            yield chunk
+        """Ascending rowid chunks of :meth:`_cells`' rows, cut by the chunk
+        rule, all but the last whole; a row's Jaccard half waits in
+        ``_jaccards`` for its fetch.  The selection moves only while a
+        chunk is out, so a cell's bound is asked again then."""
+        seen, jaccards = self._seen, self._jaccards
+        if seen:
+            yield sorted(seen)
+        sizes = chunk_sizes(selector.limit)
+        size, chunk = next(sizes), []
+        for bound, jaccard, cell in self._cells(selector):
+            for rowid in cell:
+                if rowid in seen:
+                    continue
+                chunk.append(rowid)
+                jaccards[rowid] = jaccard
+                if len(chunk) == size:
+                    yield sorted(chunk)
+                    size, chunk = next(sizes), []
+                    if selector.entry(bound, -1) is None:
+                        break
+        if chunk:
+            yield sorted(chunk)
 
     def pull(self, bindings, first, selector):
+        hint = bindings[RowHint, self._variable] = RowHint()
         for candidate in self._accounting.pull(
             self._best_first(selector), self._declared.table.get_many
         ):
             selector.seq = candidate.rowid
+            hint.jaccard = self._jaccards.pop(candidate.rowid, None)
             yield candidate
 
 
@@ -663,7 +674,7 @@ def _early_source(compiled, rt):
     gates = compiled.text_restrictions[variable]
     if kind == "stream":
         return TextStream.plan(declared, gates, rt.accounting)
-    return TextTopK.plan(declared, gates, *sort_key, rt.accounting)
+    return TextTopK.plan(declared, gates, variable, *sort_key, rt.accounting)
 
 
 def choose(compiled, rt, pinned):

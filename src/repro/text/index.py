@@ -67,6 +67,7 @@ from itertools import zip_longest
 from operator import itemgetter
 
 from repro.errors import StorageError
+from repro.obs.metrics import Gauge
 
 from .bitset import (
     LOW, SHIFT, WIDTH, Bits, Rowids, Sparse, add_hits, at_most,
@@ -130,7 +131,7 @@ class TrigramIndex:
 
     kind = "text"
 
-    def __init__(self, metrics=None):
+    def __init__(self, metrics):
         # gram[0] -> {gram: Sparse or Bits}
         self._shards = {}
         # chunk index -> planes of its rows' gram-set sizes.  |row grams|
@@ -144,12 +145,9 @@ class TrigramIndex:
         self._posting_bytes = 0
         self._gram_count = 0
         self._reported = 0
-        if metrics is not None:
-            self._inserts = metrics.counter("text.index.inserts")
-            self._deletes = metrics.counter("text.index.deletes")
-            self._bytes_gauge = metrics.gauge("text.index.bytes")
-        else:
-            self._inserts = self._deletes = self._bytes_gauge = None
+        self._inserts = metrics.counter("text.index.inserts")
+        self._deletes = metrics.counter("text.index.deletes")
+        self._bytes_gauge = metrics.gauge("text.index.bytes")
 
     def __len__(self):
         """Number of rows currently indexed (including gram-less ones)."""
@@ -206,21 +204,20 @@ class TrigramIndex:
 
     def _account(self, entries_delta):
         self._posting_entries += entries_delta
-        if self._bytes_gauge is not None:
-            now = self.approx_bytes()
-            self._bytes_gauge.inc(now - self._reported)
-            self._reported = now
+        now = self.approx_bytes()
+        self._bytes_gauge.inc(now - self._reported)
+        self._reported = now
 
     def detach(self):
         """Surrender this index's share of ``text.index.bytes``.
 
         Called when the owning table drops the index; the registry gauge
         aggregates every live text index, so a dropped one must give its
-        bytes back before it is discarded.
+        bytes back before it is discarded -- once: from then on it
+        reports to a gauge of its own, which no registry holds.
         """
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.dec(self._reported)
-            self._bytes_gauge = None
+        self._bytes_gauge.dec(self._reported)
+        self._bytes_gauge = Gauge(self._bytes_gauge.name)
 
     # -- dump / load (the posting stream) -------------------------------------
 
@@ -333,8 +330,7 @@ class TrigramIndex:
         self._resize(rowid, len(grams))
         self._rows += 1
         self._account(len(grams))
-        if self._inserts is not None:
-            self._inserts.inc()
+        self._inserts.inc()
 
     def insert_many(self, pairs):
         """Bulk insert: a Python step per (row, gram), the rest in C.
@@ -413,8 +409,7 @@ class TrigramIndex:
                 self._posting_bytes += held.update(posting)
             self._settle(shard, gram, shard[gram])
         self._account(sum(map(len, built.values())))
-        if self._inserts is not None:
-            self._inserts.inc(len(pairs))
+        self._inserts.inc(len(pairs))
 
     def delete(self, value, rowid):
         grams = trigrams(value)
@@ -434,8 +429,7 @@ class TrigramIndex:
         self._resize(rowid, 0)
         self._rows -= 1
         self._account(-len(grams))
-        if self._deletes is not None:
-            self._deletes.inc()
+        self._deletes.inc()
 
     # -- candidate retrieval ------------------------------------------------
 
@@ -569,45 +563,58 @@ class TrigramIndex:
         gram set over the (already pruned) gate candidates.  The
         postings are counted before this returns; a bucket's rowids are
         read off the planes when the caller reaches it, so a caller
-        that stops at the first buckets never enumerates the rest.
+        that stops at the first buckets never enumerates the rest, and
+        none is looked for once every rowid has had its bucket.
         """
         if not isinstance(rowids, Rowids):
             rowids = Rowids(rowids)
         counted, most = self._count(grams, rowids)
 
         def buckets():
+            left = dict(rowids.masks)
             for overlap in range(most, -1, -1):
                 masks = {
                     at: mask for at, planes in counted
-                    if (mask := count_equals(planes, overlap, rowids.chunk(at)))
+                    if (mask := count_equals(planes, overlap, left.get(at, 0)))
                 }
                 if masks:
                     yield overlap, Rowids(masks=masks)
+                    for at, mask in masks.items():
+                        if rest := left.pop(at) ^ mask:
+                            left[at] = rest
+                    if not left:
+                        return
 
         return buckets()
 
     def size_cells(self, rowids):
         """:class:`Rowids` *rowids* by stored gram count: ``(count,
         Rowids)`` cells, fewest grams first (the order ``SimilarityScorer.
-        bound_with`` falls in), every rowid in exactly one.  A cell is
-        found when the caller reaches it, by the minimum walk over each
-        chunk's planes: one that stops early never looks for the rest."""
-        left = rowids.masks
-        while left:
-            heads = {
-                at: least(self._sizes.get(at, ()), mask)
-                for at, mask in left.items()
-            }
-            fewest = min(count for count, _ in heads.values())
-            masks = {
-                at: mask for at, (count, mask) in heads.items()
-                if count == fewest
-            }
-            left = {
-                at: rest for at, mask in left.items()
-                if (rest := mask ^ masks.get(at, 0))
-            }
-            yield fewest, Rowids(masks=masks)
+        bound_with`` falls in), every rowid in exactly one.  The counts
+        are read when this is called, which is all a caller does inside
+        a probe; a cell is found from them when the caller reaches it,
+        by the minimum walk of the chunks whose head cell went out last,
+        so one that stops early never looks for the rest."""
+        planes = {at: tuple(self._sizes.get(at, ())) for at in rowids.masks}
+
+        def cells(left):
+            heads = {}
+            while left:
+                for at, mask in left.items():
+                    if at not in heads:
+                        heads[at] = least(planes[at], mask)
+                fewest = min(count for count, _ in heads.values())
+                cell = {
+                    at: mask for at, (count, mask) in heads.items()
+                    if count == fewest
+                }
+                for at, mask in cell.items():
+                    del heads[at]
+                    if rest := left.pop(at) ^ mask:
+                        left[at] = rest
+                yield fewest, Rowids(masks=cell)
+
+        return cells(dict(rowids.masks))
 
     # -- planner cost estimate -----------------------------------------------
 

@@ -90,7 +90,9 @@ class SimilarityScorer:
     database.  Neither runs when one folded string contains the other:
     the edit half is then decided by the two lengths.  ``scorer(value)``
     returns bit-identical floats to ``similarity(value, query)``: same
-    operations, same operand order.
+    operations, same operand order.  :meth:`score` is the same blend for
+    a caller that has folded the row already and may hold its Jaccard
+    half, read off a trigram index's counts without a gram set.
     """
 
     __slots__ = ("query", "grams", "_norm", "_token_sorted", "_local")
@@ -116,13 +118,28 @@ class SimilarityScorer:
     def __call__(self, value):
         if value is None or self.query is None:
             return 0.0
-        folded = normalize(value)
-        value_grams = grams_of(folded)
-        if not value_grams and not self.grams:
-            jac = 1.0 if folded == self._norm else 0.0
-        else:
-            union = len(value_grams | self.grams)
-            jac = len(value_grams & self.grams) / union if union else 0.0
+        return self.score(normalize(value))
+
+    def jaccard(self, overlap, row_gram_count):
+        """The Jaccard half for a row of *row_gram_count* distinct grams
+        sharing *overlap* of them with the query (which has some, so the
+        row has at least *overlap*): the union is exactly ``|Q| + |R| -
+        overlap``, so these are the integers :meth:`score` divides and
+        this is the float it gets."""
+        return overlap / (len(self.grams) + row_gram_count - overlap)
+
+    def score(self, folded, jaccard=None):
+        """The blend for a row value already folded by ``normalize``.
+        *jaccard* is the row's Jaccard half when the caller holds it
+        (:meth:`jaccard` of the counts a trigram index keeps), else it is
+        taken from the row's gram set."""
+        if jaccard is None:
+            value_grams = grams_of(folded)
+            if not value_grams and not self.grams:
+                jaccard = 1.0 if folded == self._norm else 0.0
+            else:
+                union = len(value_grams | self.grams)
+                jaccard = len(value_grams & self.grams) / union if union else 0.0
         short, long = sorted((folded, self._norm), key=len)
         if short in long and len(self._norm) < 200:
             # One matching block, the shorter string whole (below 200
@@ -130,11 +147,11 @@ class SimilarityScorer:
             # junk): ``_calculate_ratio``'s own expression, and the cap
             # of any ratio over these lengths, the token-sorted one's too.
             length = len(short) + len(long)
-            return (jac + (2.0 * len(short) / length if length else 1.0)) / 2.0
+            return (jaccard + (2.0 * len(short) / length if length else 1.0)) / 2.0
         raw_matcher, sorted_matcher = self._matchers()
         raw_matcher.set_seq1(folded)
         sorted_matcher.set_seq1(" ".join(sorted(folded.split())))
-        return (jac + max(raw_matcher.ratio(), sorted_matcher.ratio())) / 2.0
+        return (jaccard + max(raw_matcher.ratio(), sorted_matcher.ratio())) / 2.0
 
     def bound_with(self, overlap, row_gram_count):
         """Highest score a row of *row_gram_count* grams sharing
@@ -170,26 +187,19 @@ class SimilarityScorer:
 
 
 def match_predicate(query):
-    """:func:`contains_match` with the query normalized once."""
+    """:func:`contains_match` of a value already folded by ``normalize``,
+    the query folded once."""
     needle = normalize(query)
-
-    def predicate(value):
-        if value is None:
-            return False
-        return needle in normalize(value)
-
-    return predicate
+    return lambda folded: needle in folded
 
 
 def similar_predicate(query, threshold):
-    """:func:`is_similar` with the query's gram set folded once."""
+    """:func:`is_similar` of a value already folded by ``normalize``,
+    the query's gram set folded once."""
     query_norm = normalize(query)
     query_grams = grams_of(query_norm)
 
-    def predicate(value):
-        if value is None:
-            return False
-        folded = normalize(value)
+    def predicate(folded):
         value_grams = grams_of(folded)
         if not value_grams and not query_grams:
             return (1.0 if folded == query_norm else 0.0) >= threshold

@@ -48,6 +48,7 @@ import threading
 
 from repro.core.schema import Schema
 from repro.core.catalog import META_NAMES
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash
 from repro.storage.index import HashIndex, OrderedCompositeIndex
@@ -160,7 +161,10 @@ def assert_indexes_match_rows(table):
     a replica's seed build through ``insert_many`` and live tables by
     ``insert``/``delete`` upkeep, so neither side checks itself."""
     for (column, kind), index in table.indexes().items():
-        rebuilt = TrigramIndex() if kind == "text" else type(index)(column)
+        rebuilt = (
+            TrigramIndex(MetricsRegistry()) if kind == "text"
+            else type(index)(column)
+        )
         for row in table:
             rebuilt.insert(Table._index_value(column, row), row.rowid)
         assert _index_contents(index) == _index_contents(rebuilt), (

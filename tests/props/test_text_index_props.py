@@ -50,6 +50,7 @@ import pytest
 
 from repro.core.schema import Schema
 from repro.errors import StorageError
+from repro.obs.metrics import MetricsRegistry
 from repro.quel.executor import QuelSession
 from repro.text import (
     SimilarityScorer, contains_match, is_similar, similarity, trigrams,
@@ -317,7 +318,7 @@ def _reloaded(index):
     """``load(dump(index))``, which must hold what *index* holds: every
     posting, in the form it is held in, the count planes, the counters
     and so the bytes accounted."""
-    loaded = TrigramIndex()
+    loaded = TrigramIndex(MetricsRegistry())
     loaded.load(b"".join(index.dump()))
     assert loaded._postings == index._postings
     assert loaded._row_grams == index._row_grams
@@ -353,7 +354,7 @@ class SizedState:
 
     def __init__(self, reload=False):
         self.reload = reload
-        self.index = TrigramIndex()
+        self.index = TrigramIndex(MetricsRegistry())
         self.rows = {}
         self.removed = []   # (rowid, title) a later op may re-insert
         self.next = self.BASE
@@ -414,7 +415,7 @@ class SizedState:
 
     def check(self):
         index, rows = self.index, self.rows
-        rebuilt = TrigramIndex()
+        rebuilt = TrigramIndex(MetricsRegistry())
         for rowid in sorted(rows):
             rebuilt.insert(rows[rowid], rowid)
         postings = index._postings
@@ -499,20 +500,20 @@ def test_sized_programs_cross_the_density_line_both_ways(seed, reload):
 
 
 def test_a_dump_loads_into_an_empty_index_only_and_whole():
-    index = TrigramIndex()
+    index = TrigramIndex(MetricsRegistry())
     index.insert_many([(_sized_title(n), 16_300 + n) for n in range(400)])
     dump = b"".join(index.dump())
     with pytest.raises(StorageError):
         index.load(dump)  # holds rows already
     for cut in (0, 7, 23, len(dump) // 2, len(dump) - 1):
-        empty = TrigramIndex()
+        empty = TrigramIndex(MetricsRegistry())
         with pytest.raises(StorageError):
             empty.load(dump[:cut])
         assert len(empty) == 0 and empty._postings == {}
         empty.load(dump)  # still loadable after the refusal
     with pytest.raises(StorageError):
-        TrigramIndex().load(dump + b"\0")
-    assert _reloaded(TrigramIndex())._postings == {}
+        TrigramIndex(MetricsRegistry()).load(dump + b"\0")
+    assert _reloaded(TrigramIndex(MetricsRegistry()))._postings == {}
 
 
 def test_a_pinned_reader_keeps_its_answers_across_a_promotion():
@@ -565,7 +566,10 @@ def test_a_pinned_reader_keeps_its_answers_across_a_promotion():
 def test_topk_scores_a_row_rewritten_between_its_plan_and_its_bucket():
     """The ranked source reads a bucket's gram counts when it reaches
     the bucket, off the latch since the plan: a row retitled in between
-    has another version's count, so it must be scored, not bounded."""
+    has another version's count, so it must be scored, not bounded --
+    and scored from its row: its Jaccard half is not the one that count
+    and its overlap would give, so every score, its own too, is
+    ``similarity()`` of the title as pinned, bit for bit."""
     schema = Schema("late-props")
     entity = schema.define_entity("TRACK", [("title", "string"), ("n", "integer")])
     table, db = entity.table, schema.database
@@ -575,42 +579,76 @@ def test_topk_scores_a_row_rewritten_between_its_plan_and_its_bucket():
     for n in range(1, 41):
         entity.create(title="prelude no %d in a major" % n, n=n)
     best = entity.create(title="prelude no 7", n=0)
+    query = "prelude no 7"
     source = (
         'retrieve (t.n, s = similarity(t.title, "prelude no 7")) '
         'where matches(t.title, "prelude") '
-        'sort by similarity(t.title, "prelude no 7") descending limit 1'
+        'sort by similarity(t.title, "prelude no 7") descending limit %d'
     )
+    # A hundred-odd distinct grams: the bound read off that is low.
+    tail = " " + " ".join(
+        "abcdefghijklmnopqrstuvwxyz0123456789"[i:] for i in range(0, 12, 3)
+    )
+
+    def rewritten_between_plan_and_bucket(row, limit, write=None):
+        """*source* at *limit* under a pin, *row* rewritten by another
+        thread as the first bucket is read: by *write* (rowid), or else
+        retitled to end in *tail*."""
+        if write is None:
+            title = table.get(row.rowid)["title"]
+
+            def write(rowid):
+                table.update(rowid, {"title": title + tail})
+
+        probe, probes = table.probe, []
+
+        def probe_after_a_write(*args):
+            probes.append(args)
+            if len(probes) == 2:   # the plan was the first; this is a bucket
+                writer = threading.Thread(target=write, args=(row.rowid,))
+                writer.start()
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+            return probe(*args)
+
+        with db.snapshot():
+            table.probe = probe_after_a_write
+            try:
+                return session.execute(source % limit)
+            finally:
+                del table.probe
+                assert len(probes) >= 2
+
     # Its bucket holds a second row, which fills the selection first if
     # the retitled row is ranked by the gram count it has now.
-    expected = session.execute(source)
+    expected = session.execute(source % 1)
     assert expected == [{"t.n": 0, "s": 1.0}]
-
-    def retitle():
-        # A hundred-odd distinct grams: the bound read off that is low.
-        table.update(best.rowid, {"title": "prelude no 7 " + " ".join(
-            "abcdefghijklmnopqrstuvwxyz0123456789"[i:] for i in range(0, 12, 3)
-        )})
-
-    probe, probes = table.probe, []
-
-    def probe_after_a_write(*args):
-        probes.append(args)
-        if len(probes) == 2:   # the plan was the first; this is a bucket
-            writer = threading.Thread(target=retitle)
-            writer.start()
-            writer.join(timeout=10)
-            assert not writer.is_alive()
-        return probe(*args)
-
-    with db.snapshot():
-        table.probe = probe_after_a_write
-        try:
-            assert session.execute(source) == expected
-        finally:
-            del table.probe
-    assert len(probes) >= 2
-    assert session.execute(source) != expected
-
+    assert rewritten_between_plan_and_bucket(best, 1) == expected
+    assert session.execute(source % 1) != expected
+    # A retitled row inside a longer answer, behind rows of its bucket.
+    titles = {row["n"]: row["title"] for row in table}
+    expected = session.execute(source % 5)
+    assert [row["s"] for row in expected] == [
+        similarity(titles[row["t.n"]], query) for row in expected
+    ]
+    late = next(row for row in table if row["n"] == expected[2]["t.n"])
+    assert rewritten_between_plan_and_bucket(late, 5) == expected
+    assert session.execute(source % 5) != expected
+    # The exact match of the top bucket deleted, or retitled to a value
+    # of no grams: its count now reads 0, so the bound and Jaccard half
+    # that count would give divide by |Q| + 0 - |Q|.  It is drawn as
+    # late and scored from its pinned version.
+    exact = entity.create(title=query, n=-1)
+    expected = session.execute(source % 3)
+    assert expected[0] == {"t.n": -1, "s": 1.0}
+    assert rewritten_between_plan_and_bucket(
+        exact, 3, lambda rowid: table.update(rowid, {"title": "ab"})
+    ) == expected
+    assert session.execute(source % 3) != expected
+    table.update(exact.rowid, {"title": query})
+    expected = session.execute(source % 3)
+    assert rewritten_between_plan_and_bucket(exact, 3, table.delete) == expected
+    assert session.execute(source % 3) != expected
 
 @pytest.mark.parametrize("seed", range(10))
 def test_counter_planes_agree_with_a_counter(seed):
@@ -648,7 +686,7 @@ def test_counter_planes_agree_with_a_counter(seed):
 
 
 def test_seventeen_grams_and_an_empty_gate_through_the_index():
-    index = TrigramIndex()
+    index = TrigramIndex(MetricsRegistry())
     titles = {
         rowid: "goldberg variations aria%s" % (" da capo" if rowid % 3 else "")
         for rowid in range(1, 200)
@@ -742,7 +780,8 @@ def test_count_planes_after_random_programs_equal_a_rebuilt_index(seed):
     planes, the row count and the accounted bytes are those of an index
     rebuilt row by row, and every cell walk reads the model back."""
     rng = random.Random(seed)
-    index, rows, free = TrigramIndex(), {}, list(range(16_200, 16_700))
+    index, rows = TrigramIndex(MetricsRegistry()), {}
+    free = list(range(16_200, 16_700))
     rng.shuffle(free)
     for _ in range(12):
         kind = rng.randrange(3)
@@ -761,7 +800,7 @@ def test_count_planes_after_random_programs_equal_a_rebuilt_index(seed):
             for title, rowid in fresh:
                 index.insert(title, rowid)
         rows.update((rowid, title) for title, rowid in fresh)
-        rebuilt = TrigramIndex()
+        rebuilt = TrigramIndex(MetricsRegistry())
         for rowid in sorted(rows):
             rebuilt.insert(rows[rowid], rowid)
         model = {r: len(trigrams(t)) for r, t in rows.items() if trigrams(t)}

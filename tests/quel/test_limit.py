@@ -11,6 +11,8 @@ rows (``rows fetched``).
 """
 
 import re
+import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -20,12 +22,13 @@ from repro.core.schema import Schema
 from repro.errors import ParseError
 from repro.fixtures.corpus import COMPOSERS, load_catalog
 from repro.obs.metrics import MetricsRegistry
+from repro.quel import compile as compile_module
 from repro.quel import sources
 from repro.quel.compile import PushdownOption
 from repro.quel.executor import QuelSession
 from repro.quel.parser import parse_quel
 from repro.storage.table import Table
-from repro.text import SimilarityScorer
+from repro.text import SimilarityScorer, similarity
 from tests.quel.reference import reference_execute
 
 ROWS = 10_000
@@ -223,7 +226,7 @@ def _chunk_cases():
             # Top-k's first chunk is the selection's limit.
             selector = sources.BoundedSort(first or ROWS, True)
             source = sources.TextTopK.plan(
-                declared, gates, "title", ranked, accounting
+                declared, gates, "t", "title", score, accounting
             )
             for candidate in source.pull({}, None, selector):
                 selector.offer(candidate.rowid, score(candidate["title"]))
@@ -316,16 +319,70 @@ class TestEarlyExit:
         """The score is the sort key *and* a target: one scorer call per
         visited row, with or without the top-k operator."""
         calls = []
-        score = SimilarityScorer.__call__
+        score = SimilarityScorer.score
         monkeypatch.setattr(
-            SimilarityScorer, "__call__",
-            lambda scorer, value: calls.append(value) or score(scorer, value),
+            SimilarityScorer, "score",
+            lambda scorer, folded, jaccard=None: calls.append(folded)
+            or score(scorer, folded, jaccard),
         )
         session = _session(catalog)
         for source in (TOPK, TOPK_UNLIMITED):
             del calls[:]
             _, visited, _ = self._analyze(session, source)
             assert len(calls) == visited > 10
+
+    def test_a_ranked_row_is_folded_once_and_builds_no_gram_set(
+        self, catalog, monkeypatch
+    ):
+        """The gate's check leaves its fold for the scorer, and top-k
+        reads each drawn row's Jaccard half off its overlap and stored
+        gram count: once the plan is cached, a scored row is folded once
+        and builds no trigram set (scoring every candidate, one a row)."""
+        calls = Counter()
+
+        def counted(name, function):
+            def call(text):
+                calls[name] += 1
+                return function(text)
+            return call
+
+        for module in (sys.modules["repro.text.similarity"], compile_module):
+            for name in ("normalize", "grams_of"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, counted(name, getattr(module, name))
+                    )
+        session = _session(catalog)
+        for source, gram_sets in ((TOPK, 0), (TOPK_UNLIMITED, 1)):
+            self._analyze(session, source)  # compiled: the query folded
+            calls.clear()
+            rendered, visited, _ = self._analyze(session, source)
+            assert visited > 10
+            assert calls["normalize"] == visited
+            assert calls["grams_of"] == gram_sets * visited
+            assert ("index text topk" in rendered) == (source is TOPK)
+
+    def test_only_the_sort_keys_similarity_takes_the_postings_jaccard(
+        self, catalog
+    ):
+        """Another query, or another attribute, over the same row in hand
+        scores its own grams: the Jaccard half in the row's hint is the
+        sort key's."""
+        session = _session(catalog)
+        source = TOPK.replace(
+            "score = similarity(t.title, \"prelude no. 7\")",
+            "score = similarity(t.title, \"prelude no. 7\"), t.composer, "
+            "other = similarity(t.title, \"nocturne in c\"), "
+            "near = similarity(t.composer, \"prelude no. 7\")",
+        )
+        rows = session.execute(source)
+        assert session.last_plan_object.label == "index text topk"
+        assert len(rows) == 10
+        for row in rows:
+            title = row["t.title"]
+            assert row["score"] == similarity(title, "prelude no. 7")
+            assert row["other"] == similarity(title, "nocturne in c")
+            assert row["near"] == similarity(row["t.composer"], "prelude no. 7")
 
     def test_stream_visits_fewer_rows_than_candidates(self, catalog):
         session = _session(catalog)

@@ -88,6 +88,7 @@ class TestWal:
     def test_checkpoint_image_of_8000_rows(self, db_dir):
         """8,000 rows, some 263,000 bytes of image: the smallest load a
         checkpoint once lost whole, reading it back empty."""
+        from repro.obs.metrics import MetricsRegistry
         from repro.text.index import TrigramIndex
 
         db = make_db(db_dir)
@@ -102,7 +103,7 @@ class TestWal:
         db2 = make_db(db_dir)
         table = db2.table("notes")
         assert {row.rowid: row.as_dict() for row in table} == before
-        oracle = TrigramIndex()
+        oracle = TrigramIndex(MetricsRegistry())
         for row in table:
             oracle.insert(row["name"], row.rowid)
         assert table.text_index_for("name")._postings == oracle._postings

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.errors import StorageError, TransactionError
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.database import CATALOG, Database
 from repro.text import trigrams
 from repro.text.bitset import Rowids, Sparse
@@ -28,7 +29,7 @@ def db(tmp_path):
 
 class TestTrigramIndexUnit:
     def test_candidates_matching_intersects_postings(self):
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("prelude in c", 1)
         index.insert("prelude no 4", 2)
         index.insert("nocturne", 3)
@@ -40,7 +41,7 @@ class TestTrigramIndexUnit:
         """A query meets array postings, bitset postings and both at
         once (where the name's set and bisection rules used to be);
         every answer must equal the per-entry loop."""
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         values = {}
         for rowid in range(1, 601):
             values[rowid] = "prelude no %d%s" % (
@@ -92,10 +93,10 @@ class TestTrigramIndexUnit:
              10_000 + n * step)
             for n in range(24_000 // step)
         ]
-        rebuilt = TrigramIndex()
+        rebuilt = TrigramIndex(MetricsRegistry())
         for value, rowid in pairs:
             rebuilt.insert(value, rowid)
-        built = TrigramIndex()
+        built = TrigramIndex(MetricsRegistry())
         random.Random(step).shuffle(pairs)
         built.insert_many(pairs[:9_000 // step])
         built.insert_many(pairs[9_000 // step:])   # merges into the first
@@ -113,7 +114,7 @@ class TestTrigramIndexUnit:
     def test_iter_matching_reseeks_past_a_rowid(self):
         """The streaming source reads a chunk per call and re-opens the
         merge past the last rowid it saw."""
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         for rowid in range(1, 41):
             index.insert(
                 "prelude no %d" % rowid if rowid % 3 else "nocturne", rowid
@@ -127,20 +128,20 @@ class TestTrigramIndexUnit:
                 ], (query, after)
 
     def test_sub_trigram_query_declines_to_prune(self):
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("prelude", 1)
         assert index.candidates_matching("ab") is None
         assert index.candidates_matching("") is None
 
     def test_candidates_similar_uses_count_bound(self):
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("prelude in c major", 1)
         index.insert("nocturne op 9", 2)
         hits = index.candidates_similar("prelude in c", 0.4)
         assert 1 in hits and 2 not in hits
 
     def test_strict_delete_raises_on_desync(self):
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("prelude", 1)
         with pytest.raises(StorageError):
             index.delete("prelude", 99)
@@ -149,7 +150,7 @@ class TestTrigramIndexUnit:
     def test_failed_delete_leaves_the_index_as_it_was(self, rowid):
         """The value names grams the row was never indexed under: the
         postings that do hold the rowid must keep it."""
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("prelude", rowid)
         index.insert("prelude in c", rowid + 1)
         form = {gram: type(index._posting(gram)) for gram in index._postings}
@@ -172,7 +173,7 @@ class TestTrigramIndexUnit:
 
     @pytest.mark.parametrize("rowid", [1 << 32, -1])
     def test_a_rowid_no_posting_can_hold_is_a_storage_error(self, rowid):
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("prelude", 1)
         batch = [("prelude no %d" % n, n) for n in range(2, 40)]
         with pytest.raises(StorageError, match="4294967295"):
@@ -196,7 +197,7 @@ class TestTrigramIndexUnit:
         ] == [(5, {1, last})]
 
     def test_entry_and_gram_counts(self):
-        index = TrigramIndex()
+        index = TrigramIndex(MetricsRegistry())
         index.insert("abcd", 1)
         index.insert("", 2)          # gram-free rows still count
         assert len(index) == 2

@@ -17,7 +17,9 @@ import threading
 import pytest
 
 from repro.fixtures.corpus import corpus_rows
-from repro.text import SimilarityScorer, normalize, similarity
+from repro.obs.metrics import MetricsRegistry
+from repro.text import SimilarityScorer, TrigramIndex, normalize, similarity
+from repro.text.bitset import Rowids
 
 TITLES = [row["title"] for row in corpus_rows(400, 11)] + [
     "", "ab", "!!!...***", "In C Major: Prélude", "x" * 260 + " no 7",
@@ -106,3 +108,40 @@ def test_one_scorer_shared_by_threads_scores_every_row_as_alone():
     by_title = dict(zip(TITLES, expected))
     for titles, scores in results.values():
         assert scores == [by_title[title] for title in titles]
+
+
+#: The ranked queries the catalog benchmark draws (``bench/catalog.py``,
+#: seed 1: ``form no N`` under a ``matches`` gate on the form).
+BENCH_RANKED = [
+    "mazurka no 19", "berceuse no 18", "symphony no 17", "suite no 14",
+    "berceuse no 15", "ballade no 20", "fugue no 20", "berceuse no 19",
+]
+
+
+@pytest.mark.parametrize("step", [16, pytest.param(1, marks=pytest.mark.text_slow)])
+def test_a_jaccard_half_read_off_the_postings_is_similarity_bit_for_bit(step):
+    """The ranked path hands the scorer each row's Jaccard half as
+    ``jaccard(overlap, count)``: the overlap its ``overlap_counts``
+    bucket says and the gram count its ``size_cells`` cell says, read
+    off an index of every distinct title of the bench corpus.  With the
+    row folded once, ``score`` is ``similarity()`` to the last bit on
+    every bench query and every *step*-th title (all of them in the
+    ``text_slow`` matrix: 112k pairs, half a minute of difflib)."""
+    titles = sorted({row["title"] for row in corpus_rows(16000, 1)})
+    index = TrigramIndex(MetricsRegistry())
+    index.insert_many([(title, rowid) for rowid, title in enumerate(titles)])
+    everything = Rowids(range(len(titles)))
+    for query in BENCH_RANKED:
+        scorer = SimilarityScorer(query)
+        scored = set()
+        for overlap, bucket in index.overlap_counts(scorer.grams, everything):
+            for count, cell in index.size_cells(bucket):
+                jaccard = scorer.jaccard(overlap, count)
+                for rowid in cell:
+                    if rowid % step == 0:
+                        title = titles[rowid]
+                        assert scorer.score(normalize(title), jaccard) == (
+                            similarity(title, query)
+                        ), (query, title)
+                        scored.add(rowid)
+        assert scored == set(range(0, len(titles), step))
