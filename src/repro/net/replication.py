@@ -95,8 +95,8 @@ class ReplicationHub:
         try:
             last_lsn = int(hello.get("last_lsn", 0))
             # A replica resuming within retained history streams from
-            # where it left off; anything else (fresh, or behind a
-            # checkpoint truncation) must be seeded.
+            # where it left off; anything else (fresh, or behind the
+            # segments a checkpoint dropped) must be seeded.
             need_seed = last_lsn <= 0 or last_lsn < wal.base_lsn
             next_lsn = last_lsn + 1
             if not need_seed:

@@ -14,15 +14,15 @@ objects at once: a table exists exactly while its row does.
 Crash-safety protocol: a checkpoint streams every table into one
 checksummed file (``repro.storage.image``) through write-to-temp +
 fsync + ``os.replace`` to ``image.mdm`` + a directory fsync, and that
-rename is its single commit point; only then is the log emptied.  A
-crash anywhere in a checkpoint leaves the old image and a replayable
-log, or the new image and a log whose records it holds, which redo
-skips; never a mix.  The image names the LSN it holds, and every open
-hands that LSN to the log as its base: the one durable copy of it.
+rename is its single commit point; only then are the log segments it
+holds deleted.  A crash anywhere in a checkpoint leaves the old image
+and a replayable log, or the new image and a log whose records it holds,
+which redo skips; never a mix.  The image names the LSN it holds, and
+every open hands that LSN to the log as its base: its one durable copy.
 
 So is the posting stream (``repro.text.stream``): the text indexes as
 bytes, published where they provably equal a rebuild from committed
-rows -- under a checkpoint's hold of the log and at ``close`` -- and
+rows -- under a checkpoint's roll of the log and at ``close`` -- and
 naming the log's ``change_lsn`` at that moment.  An open installs image
 and log as ever and loads an index from the stream only if the log it
 recovered is at that same ``change_lsn`` and the table has the row
@@ -486,29 +486,27 @@ class Database:
             self.transactions.unpin_snapshot()
 
     def checkpoint(self):
-        """Write a full image of every table and truncate the log.
+        """Write a full image of every table and drop the log it holds.
 
-        Image and truncation run inside one hold of the log's
-        append mutex (:meth:`WriteAheadLog.quiesced`), the image read
-        through a snapshot pinned at the LSN that hold made durable --
-        which lies between transactions -- and between schema changes
-        (:meth:`image`).  So the image holds committed rows only
-        (another thread's open transaction stays out of it) and no
-        commit can land after its table's image and before the
-        truncation.  Committers wait for the length of a checkpoint;
-        pinned readers do not.  The text indexes are dumped inside the
-        hold too, in memory; the posting stream file is written after it.
+        One short hold of the log (:meth:`WriteAheadLog.rolled`) seals
+        it at an LSN between transactions, pins the image's snapshot
+        there, between schema changes (:meth:`image`), and dumps the
+        text indexes.  So the image holds committed rows only (another
+        thread's open transaction stays out of it).  It is written after
+        the hold while commits go on; once its rename is durable, the
+        segments it holds are deleted.
         """
         if self.path is None:
             raise StorageError("in-memory database cannot checkpoint")
         self.assert_writable()
         self.transactions.assert_no_snapshot()  # we pin our own below
-        with self._ddl_mutex, self._log.quiesced() as lsn:
-            with self.image(lsn) as (_, pieces):
-                # Commit point: after this rename, an open reads the new image.
-                self._write_atomic(_IMAGE_FILE, pieces)
-            self._log.truncate()
-            postings = self._dump_postings()
+        with self._ddl_mutex, contextlib.ExitStack() as pinned:
+            with self._log.rolled() as lsn:
+                _, pieces = pinned.enter_context(self.image(lsn))
+                postings = self._dump_postings()
+            # Commit point: after this rename, an open reads the new image.
+            self._write_atomic(_IMAGE_FILE, pieces)
+        self._log.drop_through(lsn)
         # Outside the hold: flush=True waits on a flush ticket.
         self._log.append(flush=True)
         self._publish_postings(postings)

@@ -579,8 +579,8 @@ class Table:
         """``[(column, rows, TrigramIndex.dump() pieces), ...]``, taken in
         one latch hold -- or None while a table that has text indexes
         holds a change no commit has stamped (or is still loading),
-        when they describe more than the committed rows.  A caller that
-        also holds the log quiesced has every stamped change durable."""
+        when they describe more than the committed rows.  A caller inside
+        the log's roll has every stamped change durable."""
         with self._latch:
             indexes = [
                 (column, self._indexes[column, "text"])

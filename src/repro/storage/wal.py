@@ -7,9 +7,9 @@ is decided in one place, :class:`RedoApplier`, fed by crash recovery
 (:func:`replay`) from the file and by a replica from shipped frames, so
 a replica's state is by construction what the primary would recover.
 
-A record is ``<length:I><crc32:I><payload>``, the CRC over the payload.
-The tail scan stops at the first frame that is torn or fails its
-checksum, and at open the file is cut there -- the valid prefix *is*
+A record is ``<length:I><crc32:I><payload>``, CRC over the payload.  A
+scan stops at the first torn or checksum-failing frame: open cuts the
+live segment there and refuses a sealed one -- the valid prefix *is*
 the log; kept, a corrupt record would hide the ones behind it while
 their LSNs stayed on disk (``_scan``).  The payload, little-endian::
 
@@ -24,7 +24,7 @@ order, consecutive ones of one table and kind folded into a run; a
 ``CHECKPOINT`` is a checkpoint's marker.  So a commit lands whole or not
 at all, and the durable prefix -- ``flushed_lsn``, every
 ``stream_frames`` batch, every snapshot and seed LSN -- ends between
-commits.  The file opens with :data:`LOG_HEADER`, magic and format
+commits.  A segment opens with :data:`LOG_HEADER`, magic and format
 byte: a log of any other format is refused, never misread.
 """
 
@@ -32,14 +32,15 @@ import contextlib
 import itertools
 import logging
 import os
+import re
 import struct
 import threading
 import time
 import zlib
 
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReplicationError
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.faults import fsync_file
+from repro.storage.faults import fsync_directory, fsync_file
 from repro.storage.row import decode_row_run, encode_row_run
 
 logger = logging.getLogger(__name__)
@@ -91,13 +92,13 @@ class WriteAheadLog:
     *opener* is an injectable binary-mode substitute for :func:`open`
     (see :mod:`repro.storage.faults`); production code passes nothing.
 
-    A log whose tail is torn or corrupt is truncated to its valid
-    prefix at open time, so LSN assignment always continues past every
-    record that could ever be replayed.  *base_lsn* is the LSN the
-    checkpoint image holds (0: none), below which :meth:`truncate` cut
-    the records away; assignment continues past it too, so LSNs stay
-    monotone across checkpoints and a WAL-shipping replica can order
-    records across them.
+    *path* is the live segment, which :meth:`rolled` seals as
+    ``<path>.<last LSN>``; open cuts its torn or corrupt tail, so LSN
+    assignment continues past every record that could ever be replayed.
+    *base_lsn* is the LSN the checkpoint image holds (0: none); open and
+    :meth:`drop_through` delete the segments it holds.  Assignment
+    continues past it too, so LSNs stay monotone across checkpoints and
+    a WAL-shipping replica can order records across them.
 
     **Group commit.**  A committing transaction appends its frame and
     then calls :meth:`commit_flush` with its LSN.
@@ -131,7 +132,7 @@ class WriteAheadLog:
         self._appends = metrics.counter("wal.appends")
         self._append_bytes = metrics.counter("wal.append_bytes")
         self._fsyncs = metrics.counter("wal.fsyncs")
-        self._truncations = metrics.counter("wal.truncations")
+        self._rolls = metrics.counter("wal.rolls")
         # Group-commit accounting: fsyncs issued by commit flushes,
         # commits acknowledged by another thread's fsync, the running
         # amortization ratio, and how long followers waited.
@@ -155,6 +156,14 @@ class WriteAheadLog:
         # fsync covered (see discard_unsynced).
         self._poison = None
         self.base_lsn = base_lsn
+        directory, name = os.path.split(path)
+        # The sealed segments, oldest first, as (last LSN, path).
+        self._sealed = sorted(
+            (int(entry[len(name) + 1:]), os.path.join(directory, entry))
+            for entry in os.listdir(directory or os.curdir)
+            if re.fullmatch(re.escape(name) + r"\.[0-9]{1,20}", entry)
+        )
+        self.drop_through(base_lsn)
         self._file = self._opener(path, "ab+")
         if self._file.seek(0, os.SEEK_END) < len(LOG_HEADER):
             # New, or cut while its header was first written: nothing in
@@ -162,8 +171,8 @@ class WriteAheadLog:
             self._file.truncate(0)
             self._file.write(LOG_HEADER)
         entries, valid_end, corruption = self._scan()
-        # The valid prefix, kept for replay until the first write
-        # (_take_opened): an open reads the file once.
+        # The valid prefix, kept until replay takes it: an open reads
+        # each segment once.
         self._opened = entries
         self._synced_end = valid_end
         max_lsn = changed = base_lsn
@@ -246,13 +255,6 @@ class WriteAheadLog:
             self._change_lsn = lsn
         return lsn
 
-    def _take_opened(self):
-        """The valid prefix as :meth:`_scan` found it at open, once,
-        while nothing has been written since; else None."""
-        with self._mutex:
-            entries, self._opened = self._opened, None
-        return entries
-
     def _refuse_if_poisoned(self):
         if self._poison is not None:
             raise OSError(
@@ -263,7 +265,6 @@ class WriteAheadLog:
     def _append_frame(self, payload):
         self._refuse_if_poisoned()
         frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        self._opened = None
         try:
             self._file.seek(0, os.SEEK_END)
             self._file.write(frame + payload)
@@ -350,24 +351,56 @@ class WriteAheadLog:
         return target
 
     @contextlib.contextmanager
-    def quiesced(self):
-        """Hold the append mutex over a log that is durable to its last
-        frame; yields that frame's LSN.
+    def rolled(self):
+        """Seal the live segment in one short hold of the append mutex;
+        yields the LSN of its last frame.
 
-        For the length of the block nothing can be appended and no
-        fsync can run, so the yielded LSN stays ``last_lsn`` and
-        ``flushed_lsn`` alike and lies between transactions: a
-        checkpoint writes its image from a snapshot pinned there and
-        truncates inside the block, and no commit point can land
-        between the two.  Committers wait for the length of the block;
-        pinned readers do not.  The fsync is issued here rather than
-        through :meth:`sync_to`, and the block must not call ``sync_to``
-        (``flush``, ``append(flush=True)``) either: a group-commit
-        leader may already be parked on the mutex, and a ticket wait
-        for it from inside the hold would never end.
+        The log is fsynced and renamed ``<path>.<LSN>``, and a new live
+        segment's header and the directory are fsynced before the block
+        runs, before any commit is acknowledged into it; a segment of no
+        frames stays live.  In the block the LSN lies between
+        transactions and is ``last_lsn``, ``flushed_lsn`` and
+        ``change_lsn`` (what an open past an image at it computes).  A
+        roll that fails part-way poisons the log.  The block must not
+        call :meth:`sync_to` (``flush``, ``append(flush=True)``): a
+        group-commit leader may already be parked on the mutex, and a
+        ticket wait for it from inside the hold would never end.
         """
         with self._mutex:
-            yield self._fsync_locked()
+            lsn = self._fsync_locked()
+            if self._synced_end > len(LOG_HEADER):
+                sealed = "%s.%020d" % (self.path, lsn)
+                try:
+                    os.rename(self.path, sealed)
+                    self._sealed.append((lsn, sealed))
+                    self._start_segment()
+                except OSError as exc:
+                    self._poison = exc
+                    raise
+            self._change_lsn = self._synced_change_lsn = lsn
+            yield lsn
+
+    def _start_segment(self):
+        """A roll's second half, redone by :meth:`discard_unsynced` if it
+        failed: a new live segment, its header and directory durable."""
+        self._synced_end = 0  # until the header is durable
+        self._file.close()
+        self._file = self._opener(self.path, "wb+")
+        self._file.write(LOG_HEADER)
+        fsync_file(self._file)
+        fsync_directory(os.path.dirname(self.path) or os.curdir)
+        self._fsyncs.inc()
+        self._rolls.inc()
+        self._synced_end = len(LOG_HEADER)
+
+    def drop_through(self, lsn):
+        """Make *lsn*, which a durable image holds, the base, and delete
+        the sealed segments holding no record above it.  A segment a
+        crash keeps is deleted by the next open."""
+        with self._mutex:
+            self.base_lsn = max(self.base_lsn, lsn)
+            while self._sealed and self._sealed[0][0] <= self.base_lsn:
+                os.remove(self._sealed.pop(0)[1])
 
     def discard_unsynced(self):
         """Lift the poison by cutting the log back to its last fsync.
@@ -383,9 +416,12 @@ class WriteAheadLog:
         with self._mutex:
             if self._poison is None:
                 return
-            self._file.truncate(self._synced_end)
-            fsync_file(self._file)
-            self._fsyncs.inc()
+            if self._synced_end < len(LOG_HEADER):  # a roll failed
+                self._start_segment()
+            else:
+                self._file.truncate(self._synced_end)
+                fsync_file(self._file)
+                self._fsyncs.inc()
             self._next_lsn = self._flushed_lsn + 1
             self._change_lsn = self._synced_change_lsn
             self._poison = None
@@ -439,103 +475,75 @@ class WriteAheadLog:
         never be ahead of the primary's durable prefix.
 
         Raises :class:`ReplicationError` when *from_lsn* falls at or
-        below the truncation base — those records now live only in the
-        checkpoint image, so the consumer must re-seed from a snapshot.
+        below the base -- those records may live only in the checkpoint
+        image, so the consumer must re-seed from a snapshot.
         """
-        from repro.errors import ReplicationError
-
-        with self._flush_cond:
-            flushed = self._flushed_lsn
-        with self._mutex:
-            base = self.base_lsn
-            if from_lsn <= base:
-                raise ReplicationError(
-                    "records from LSN %d truncated away (base LSN %d); "
-                    "re-seed from a checkpoint" % (from_lsn, base)
-                )
-            # One whole-file read under the mutex: a checkpoint
-            # truncation cannot swap the file out from under the parse.
-            self._file.flush()
-            with self._opener(self.path, "rb") as handle:
-                data = handle.read()
-        frames = []
-        offset = len(LOG_HEADER)
-        while offset < len(data):
-            try:
-                record, end = _parse_frame(data, offset)
-            except RecoveryError:
-                break  # torn tail: necessarily past flushed_lsn
-            lsn = record[0]
-            if lsn > flushed:
-                break
-            if lsn >= from_lsn:
-                frames.append((lsn, data[offset:end]))
-            offset = end
+        with contextlib.ExitStack() as stack:
+            with self._mutex:
+                if from_lsn <= self.base_lsn:
+                    raise ReplicationError(
+                        "records from LSN %d dropped (base LSN %d); "
+                        "re-seed from a checkpoint" % (from_lsn, self.base_lsn)
+                    )
+                # A sealed segment never changes and the live one only
+                # grows past its last fsync: the handles are opened in
+                # the hold, and the durable bytes read outside it.
+                reads = [
+                    (stack.enter_context(self._opener(path, "rb")), -1)
+                    for last, path in self._sealed if last >= from_lsn
+                ]
+                live = stack.enter_context(self._opener(self.path, "rb"))
+                reads.append((live, self._synced_end))
+            frames = []
+            for handle, size in reads:
+                data = handle.read(size)
+                offset = len(LOG_HEADER)
+                while offset < len(data):
+                    try:
+                        (lsn, _, _), end = _parse_frame(data, offset)
+                    except RecoveryError:
+                        return frames  # damage: ship what precedes it
+                    if lsn >= from_lsn:
+                        frames.append((lsn, data[offset:end]))
+                    offset = end
         return frames
 
     # -- reading ---------------------------------------------------------------
 
     def _scan(self):
-        """Parse the log's valid prefix.
+        """Parse the log's valid prefix: the sealed segments, then the
+        live one.
 
         Returns ``(entries, valid_end, corruption)`` where *entries* is
         a list of ``(lsn, kind, runs)`` (:func:`decode_frame`),
-        *valid_end* the byte offset just past the last good
-        record, and *corruption* a message describing why the scan
-        stopped early (None for a clean log; a torn frame at the very
-        end of the file is normal crash residue, reported so the tail
-        gets trimmed).  A file that does not begin with
-        :data:`LOG_HEADER` raises :class:`RecoveryError`.
+        *valid_end* the live segment's offset just past its last good
+        record, and *corruption* why its scan stopped early (None for a
+        clean log; a torn frame at the very end is normal crash residue,
+        reported so the tail gets trimmed).  A sealed segment was whole
+        when fsynced, so a bad frame in one, like a segment that does
+        not begin with :data:`LOG_HEADER`, raises :class:`RecoveryError`.
         """
         self._file.flush()
-        with self._opener(self.path, "rb") as handle:
-            data = handle.read()
-        offset = len(LOG_HEADER)
-        if data[:offset] != LOG_HEADER:
-            raise RecoveryError(
-                "%s is not a format-%d log (it begins %r): written by "
-                "another version of the database"
-                % (self.path, LOG_FORMAT, data[:offset])
-            )
         entries = []
-        while offset < len(data):
-            try:
-                record, offset = _parse_frame(data, offset)
-            except RecoveryError as error:
-                return entries, offset, str(error)
-            entries.append(record)
+        for sealed, path in self._sealed + [(None, self.path)]:
+            with self._opener(path, "rb") as handle:
+                data = handle.read()
+            if data[:len(LOG_HEADER)] != LOG_HEADER:
+                raise RecoveryError(
+                    "%s is not a format-%d log (it begins %r): written by "
+                    "another version of the database"
+                    % (path, LOG_FORMAT, data[:len(LOG_HEADER)])
+                )
+            offset = len(LOG_HEADER)
+            while offset < len(data):
+                try:
+                    record, offset = _parse_frame(data, offset)
+                except RecoveryError as error:
+                    if sealed is not None:
+                        raise RecoveryError("%s: %s" % (path, error))
+                    return entries, offset, str(error)
+                entries.append(record)
         return entries, offset, None
-
-    # -- truncation (checkpoints) ---------------------------------------------
-
-    def truncate(self):
-        """Discard the log contents, once a durable checkpoint image
-        holds every record: the last assigned LSN becomes the base.
-
-        The emptied file is fsynced, so a crash right after the
-        checkpoint cannot resurrect records a redo would then have to
-        skip.  The base itself is not written down here: the image
-        names it, and the next open passes it back in.
-        """
-        with self._mutex:
-            base_lsn = self._next_lsn - 1
-            self.base_lsn = base_lsn
-            self._opened = None
-            self._file.close()
-            self._file = self._opener(self.path, "wb+")
-            self._file.write(LOG_HEADER)
-            fsync_file(self._file)
-            self._fsyncs.inc()
-            self._synced_end = len(LOG_HEADER)
-            self._change_lsn = self._synced_change_lsn = base_lsn
-            self._truncations.inc()
-        with self._flush_cond:
-            # Records <= base_lsn now live in the checkpoint image; a
-            # pending commit_flush for one of them must not fsync an
-            # empty file.
-            if base_lsn > self._flushed_lsn:
-                self._flushed_lsn = base_lsn
-            self._flush_cond.notify_all()
 
 
 def _parse_frame(data, offset):
@@ -653,21 +661,15 @@ class RedoApplier:
 
 
 def replay(log, database, applied_lsn=0):
-    """Crash recovery's REDO: apply *log*'s valid prefix to *database*,
-    whose checkpoint image holds every commit at or below *applied_lsn*.
+    """Crash recovery's REDO: apply the valid prefix *log*'s open
+    scanned, which it hands over once, to *database*, whose checkpoint
+    image holds every commit at or below *applied_lsn*.
 
     Only committed work lands (see :class:`RedoApplier`); a record past
-    the first torn or corrupt frame does not exist.  The prefix is the
-    one the log's open scanned, if nothing was written since (the file
-    is read once); else the file is scanned again.  Returns the number
+    the first torn or corrupt frame does not exist.  Returns the number
     of records read.
     """
-    entries = log._take_opened()
-    if entries is None:
-        entries, _, corruption = log._scan()
-        if corruption is not None:
-            logger.warning("WAL %s: %s; replaying valid prefix only",
-                           log.path, corruption)
+    entries, log._opened = log._opened, None
     redo = RedoApplier(database, stamp_commits=False, applied_lsn=applied_lsn)
     for entry in entries:
         redo.apply(*entry)

@@ -1,13 +1,14 @@
 """``checkpoint()`` beside other threads' transactions.
 
-The image and the log truncation run inside one hold of the log's
-append mutex, the image read through a snapshot pinned at the
-LSN that hold made durable.  Two ways this used to go wrong, both
-deterministic here: an open transaction's rows were written into the
-image (and survived its abort), and a commit that landed after its
-table's image and before the truncation was acknowledged and then lost.
+One short hold of the log's append mutex seals the live segment and
+pins the image's snapshot at the LSN it made durable; the image is
+written after the hold.  Deterministic here: an open transaction's rows
+stay out of the image (they once survived its abort), a commit issued
+while the image is written is acknowledged then and survives a reopen,
+and the hold never waits on a group-commit leader parked on the mutex.
 """
 
+import contextlib
 import threading
 
 import pytest
@@ -55,25 +56,26 @@ def test_an_open_transaction_stays_out_of_the_image(tmp_path):
         assert _keys(reopened) == list(range(ROWS))
 
 
-def test_a_commit_cannot_land_between_image_and_truncation(tmp_path):
+def test_a_commit_lands_while_the_image_is_written(tmp_path):
+    """The image is written outside the append mutex: a writer started
+    while it is published is acknowledged before the publication ends,
+    into the new live segment, and a reopen holds its row."""
     db, table = _open(tmp_path)
     publish = db._write_atomic
     writer = threading.Thread(target=table.insert, args=({"k": -7},))
+    finished_in_hook = []
 
-    def publish_after_a_commit_tries(filename, pieces):
-        written = publish(filename, pieces)
+    def publish_beside_a_commit(filename, pieces):
         if filename == "image.mdm":
-            # The image is published; the log is not truncated yet.  The
-            # commit either lands now (and must survive the truncation)
-            # or waits for the checkpoint to finish.
             writer.start()
-            writer.join(0.3)
-        return written
+            writer.join(10.0)
+            finished_in_hook.append(not writer.is_alive())
+        return publish(filename, pieces)
 
-    db._write_atomic = publish_after_a_commit_tries
+    db._write_atomic = publish_beside_a_commit
     db.checkpoint()
     writer.join(10.0)
-    assert not writer.is_alive()
+    assert finished_in_hook == [True]
     assert _keys(db) == [-7] + list(range(ROWS))
     db.close()
     with Database(db.path) as reopened:
@@ -103,13 +105,15 @@ def test_checkpoint_does_not_wait_on_a_leader_parked_on_the_mutex(tmp_path):
         leader.start()
         while not log._flush_leading:
             leader.join(0.001)
-        truncate = log.truncate
+        rolled = log.rolled
 
-        def truncate_and_drop_the_outer_hold():
-            truncate()
-            log._mutex.release()
+        @contextlib.contextmanager
+        def rolled_and_drop_the_outer_hold():
+            with rolled() as lsn:
+                log._mutex.release()
+                yield lsn
 
-        log.truncate = truncate_and_drop_the_outer_hold
+        log.rolled = rolled_and_drop_the_outer_hold
         db.checkpoint()
         leader.join(10.0)
 
@@ -117,7 +121,7 @@ def test_checkpoint_does_not_wait_on_a_leader_parked_on_the_mutex(tmp_path):
     thread.start()
     thread.join(20.0)
     assert not thread.is_alive(), "checkpoint waited on the parked leader"
-    assert roles == ["led"]  # it led an fsync of the emptied log, harmlessly
+    assert roles == ["led"]  # it led an fsync of the new segment, harmlessly
     assert log.flushed_lsn == log.last_lsn
     db.close()
     with Database(db.path) as reopened:

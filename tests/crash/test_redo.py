@@ -67,7 +67,7 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
 
     def checkpoint_once_caught_up():
         # The replica must hold everything the checkpoint is about to
-        # truncate, or it is (rightly) re-seeded.
+        # drop, or it is (rightly) re-seeded.
         assert caught_up()
         checkpoint()
 

@@ -6,33 +6,35 @@ from fractions import Fraction
 
 import pytest
 
-from repro.errors import DeadlockError
-from repro.mdm import MusicDataManager
+from repro.errors import RetryExhaustedError
+from repro.mdm import MdmSession, MusicDataManager
 
 
 class TestConcurrentClients:
     def test_parallel_transactions_all_commit(self):
         """Several threads each insert their own scores transactionally;
-        wait-die aborts are retried; every insert lands exactly once."""
+        wait-die aborts are retried through the service layer's jittered
+        backoff, so a younger transaction does not spend its budget while
+        the older lock holder waits for the processor; every insert lands
+        exactly once."""
         mdm = MusicDataManager()
         threads = 4
         per_thread = 10
         errors = []
 
         def worker(worker_index):
+            session = MdmSession(mdm, name="worker-%d" % worker_index,
+                                 seed=worker_index, max_attempts=20)
             for item in range(per_thread):
-                for _ in range(50):  # retry loop for wait-die aborts
-                    txn = mdm.begin()
-                    try:
-                        mdm.cmn.SCORE.create(
-                            title="w%d-%d" % (worker_index, item),
-                            catalogue_id="",
-                        )
-                        txn.commit()
-                        break
-                    except DeadlockError:
-                        txn.abort()
-                else:
+                title = "w%d-%d" % (worker_index, item)
+                try:
+                    session.run(
+                        lambda m, title=title: m.cmn.SCORE.create(
+                            title=title, catalogue_id=""
+                        ),
+                        timeout=30.0,
+                    )
+                except RetryExhaustedError:
                     errors.append("worker %d starved" % worker_index)
 
         pool = [

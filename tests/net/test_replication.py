@@ -444,6 +444,30 @@ class TestSeedCauses:
         finally:
             replica.stop()
 
+    def test_a_replica_streams_across_two_checkpoints(self, served_mdm,
+                                                      client):
+        """A checkpoint drops only segments a caught-up replica has been
+        shipped: it is streamed across, never re-seeded."""
+        mdm, server = served_mdm
+        replica = start_replica(server, name="across")
+        try:
+            assert wait_serving(replica)
+            for degree in range(3):
+                client.execute("append to NOTE (degree = %d)" % degree)
+                assert wait_applied(replica, mdm.database._log.flushed_lsn)
+                mdm.checkpoint()
+            client.execute("append to NOTE (degree = 9)")
+            assert wait_applied(replica, mdm.database._log.flushed_lsn)
+            assert mdm.database.metrics.value("wal.rolls") == 3
+            (peer,) = server.replication.status()
+            assert peer["seeds"] == 1
+            assert mdm.database.metrics.value("repl.quarantines") == 0
+            assert table_state(replica._state.database) == table_state(
+                mdm.database
+            )
+        finally:
+            replica.stop()
+
     @staticmethod
     def _hello_after_a_checkpoint(mdm, server, client, behind):
         """Write, checkpoint, write again; then open a raw replica feed

@@ -17,7 +17,6 @@ from repro.storage.database import CATALOG, Database
 from repro.storage.faults import fsync_directory
 from repro.storage.row import Row, decode_row_run, encode_row_run
 from repro.storage.table import Column, Table, TableSchema
-from repro.storage.wal import WriteAheadLog
 
 _HEAD = struct.Struct("<7sBQ")  # magic, format byte, LSN
 _SIZE = struct.Struct("<I")  # a piece's size
@@ -307,7 +306,7 @@ class TestDatabaseImage:
             copy.install_image(tables)
         assert not copy.has_table("ghost")
 
-    def test_the_rename_is_durable_before_the_log_is_emptied(
+    def test_the_rename_is_durable_before_a_segment_is_deleted(
         self, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "db")
@@ -316,15 +315,17 @@ class TestDatabaseImage:
             database_module, "fsync_directory",
             lambda where: events.append(("fsync_directory", where)),
         )
-        truncate = WriteAheadLog.truncate
+        remove = os.remove
 
-        def recording_truncate(wal):
-            events.append(("truncate", os.path.exists(os.path.join(path, "image.mdm"))))
-            truncate(wal)
+        def recording_remove(name):
+            if ".log." in os.path.basename(name):
+                image_there = os.path.exists(os.path.join(path, "image.mdm"))
+                events.append(("remove", image_there))
+            remove(name)
 
-        monkeypatch.setattr(WriteAheadLog, "truncate", recording_truncate)
+        monkeypatch.setattr(os, "remove", recording_remove)
         _checkpointed(path).close()
-        assert events == [("fsync_directory", path), ("truncate", True)]
+        assert events == [("fsync_directory", path), ("remove", True)]
 
 
 class TestDirectoryFsync:

@@ -1,4 +1,4 @@
-"""Group commit, coalesced auto-commit, and truncation durability.
+"""Group commit, coalesced auto-commit, and segment roll durability.
 
 The slow-fsync opener stretches every durability barrier so concurrent
 committers provably pile up behind the in-flight flush — the schedule
@@ -115,41 +115,52 @@ class TestGroupCommit:
             assert wal.flushed_lsn >= lsn
 
 
-class TestTruncationDurability:
-    def test_truncate_fsyncs_emptied_log(self, tmp_path):
+class TestRollDurability:
+    def test_a_roll_fsyncs_the_new_segment_header(self, tmp_path, monkeypatch):
         registry = MetricsRegistry()
-        with WriteAheadLog(str(tmp_path / "t.wal"), metrics=registry) as wal:
-            wal.append_batch([], {})
+        path = str(tmp_path / "t.wal")
+        directories = []
+        monkeypatch.setattr(wal_module, "fsync_directory", directories.append)
+        with WriteAheadLog(path, metrics=registry) as wal:
+            lsn = wal.append_batch([], {})
             wal.flush()
             before = registry.value("wal.fsyncs")
-            wal.truncate()
-            assert registry.value("wal.fsyncs") == before + 1
-            assert registry.value("wal.truncations") == 1
+            with wal.rolled() as rolled:
+                # The log's own fsync, then the new segment's header and
+                # its directory entry, before any commit can land in it.
+                assert registry.value("wal.fsyncs") == before + 2
+                assert directories == [str(tmp_path)]
+                assert registry.value("wal.rolls") == 1
+            assert rolled == lsn
+            with open(path, "rb") as handle:
+                assert handle.read() == wal_module.LOG_HEADER
+            assert os.path.exists("%s.%020d" % (path, lsn))
 
-    def test_truncate_syncs_are_plan_syncpoints(self, tmp_path):
-        """The crash oracle sees truncation's barrier as a schedule
-        point, so crash-at-truncate is an enumerable state."""
+    def test_roll_syncs_are_plan_syncpoints(self, tmp_path):
+        """The crash oracle sees the roll's barriers as schedule points,
+        so a crash at the new segment's header is an enumerable state."""
         plan = FaultPlan(seed=3)
         with WriteAheadLog(str(tmp_path / "p.wal"), opener=plan.opener) as wal:
             wal.append_batch([], {})
             wal.flush()
             before = plan.sync_count
-            wal.truncate()
-            assert plan.sync_count == before + 1
+            with wal.rolled():
+                assert plan.sync_count == before + 2
 
-    def test_lsns_monotone_across_truncate(self, tmp_path):
+    def test_lsns_monotone_across_a_roll(self, tmp_path):
         path = str(tmp_path / "m.wal")
         with WriteAheadLog(path) as wal:
             for _ in range(4):
                 wal.append_batch([], {})
             high = wal.last_lsn
-            wal.truncate()
+            with wal.rolled() as lsn:
+                assert lsn == high
             assert wal.append(flush=True) == high + 1
-        # Continuity also survives close/reopen after the truncation.
+        # Continuity also survives close/reopen after the roll.
         with WriteAheadLog(path) as wal:
             assert wal.append_batch([], {}) == high + 2
 
-    def test_lsns_monotone_when_truncated_log_reopens_empty(self, tmp_path):
+    def test_lsns_monotone_when_an_empty_live_segment_reopens(self, tmp_path):
         """Regression: an empty post-checkpoint log must not restart
         LSN assignment at 1; the base it is opened with is where the
         image left off."""
@@ -158,7 +169,10 @@ class TestTruncationDurability:
             for _ in range(7):
                 wal.append_batch([], {})
             high = wal.last_lsn
-            wal.truncate()
+            with wal.rolled():
+                pass
+            wal.drop_through(high)  # as a checkpoint does, its image durable
+        assert sorted(os.listdir(tmp_path)) == ["e.wal"]
         with WriteAheadLog(path, base_lsn=high) as wal:
             assert wal.last_lsn == wal.base_lsn == high
             assert wal.append_batch([], {}) == high + 1
