@@ -41,8 +41,8 @@ pieces of per-table state bridge the gap:
   pinned reader holds it only while it probes index structures and
   copies the stale set (:meth:`Table.probe`) -- never across a row
   fetch, a predicate, a journal callback, a lock wait, a WAL append or
-  an fsync.  Lock order is latch -> ``_chains_mutex`` / the snapshot
-  registry mutex, never the reverse.
+  an fsync.  Lock order is latch -> the snapshot registry mutex, never
+  the reverse.
 * the **stale set** -- the rowids whose chain still holds a version the
   indexes no longer describe: one superseded by an update, delete or
   redo install that is uncommitted, or committed above a snapshot that
@@ -215,11 +215,10 @@ class Table:
         self._journal = transactions.journal
         # MVCC: rowid -> immutable tuple of RowVersions, oldest first; a
         # rowid without one has one version, its row, from LSN 0.
-        # Writers replace a rowid's tuple wholesale (under _chains_mutex,
+        # Writers replace a rowid's tuple wholesale (under the latch,
         # which orders them against checkpoint pruning); lock-free
         # snapshot readers walk whatever tuple they atomically observe.
         self._chains = {}
-        self._chains_mutex = threading.Lock()
         # Undone inserts, counted between a row leaving the map and its
         # chain going: a pinned read that saw the count move reads again.
         self._retracted = 0
@@ -693,36 +692,28 @@ class Table:
             self.delete(rowid)
 
     # -- MVCC maintenance --------------------------------------------------
-    #
-    # Chain mutations happen under _chains_mutex because the rewrite is
-    # read-modify-write on the chain tuple: per-table X locks serialize
-    # writers against each other, but checkpoint pruning runs outside
-    # the lock table and must not lose a concurrently appended version.
-    # Stamping only assigns version attributes (atomic under the GIL)
-    # and needs no mutex.
 
     def _chain_append(self, rowid, version=None):
         """Append *version* (if any) to *rowid*'s chain, which a
         chainless rowid's row first enters as its LSN-0 version.  Called
-        before the row map changes (module docstring)."""
-        with self._chains_mutex:
-            chain = self._chains.get(rowid)
-            if chain is None:
-                held = self._rows.get(rowid)
-                chain = () if held is None else (RowVersion(held, 0, None),)
-            if version is not None:
-                chain += (version,)
-            self._chains[rowid] = chain
+        under the latch, before the row map changes (module docstring)."""
+        chain = self._chains.get(rowid)
+        if chain is None:
+            held = self._rows.get(rowid)
+            chain = () if held is None else (RowVersion(held, 0, None),)
+        if version is not None:
+            chain += (version,)
+        self._chains[rowid] = chain
 
     def _chain_drop(self, rowid, row):
-        """Remove the version holding exactly *row* (by identity)."""
-        with self._chains_mutex:
-            chain = self._chains.get(rowid, ())
-            kept = tuple(v for v in chain if v.row is not row)
-            if kept:
-                self._chains[rowid] = kept
-            else:
-                self._chains.pop(rowid, None)
+        """Remove the version holding exactly *row* (by identity);
+        called under the latch."""
+        chain = self._chains.get(rowid, ())
+        kept = tuple(v for v in chain if v.row is not row)
+        if kept:
+            self._chains[rowid] = kept
+        else:
+            self._chains.pop(rowid, None)
 
     def _chain_version_of(self, row):
         for version in reversed(self._chains.get(row.rowid, ())):
@@ -741,7 +732,8 @@ class Table:
         a single transaction leaves intermediate versions stamped
         ``[lsn, lsn)``, which no snapshot can ever see.  *lsn* None
         takes the stamp back, for a commit whose flush failed and whose
-        changes are about to be undone.
+        changes are about to be undone.  A stamp only assigns version
+        attributes (atomic under the GIL), so it takes no latch.
         """
         if action in ("update", "delete"):
             version = self._chain_version_of(old_row)
@@ -805,29 +797,26 @@ class Table:
         self.version += 1
 
     def _prune_chain(self, rowid, horizon):
-        """Drop versions of *rowid* invisible to every snapshot >= horizon."""
+        """Drop versions of *rowid* invisible to every snapshot >= horizon;
+        called under the latch."""
         chain = self._chains.get(rowid)
         if chain is None:
             return 0
         # Ends never decrease along a chain, so the oldest version
-        # decides -- without the mutex -- whether anything can go.
+        # decides whether anything can go.
         end = chain[0].end_lsn
         if end is None or end > horizon:
             return 0
-        with self._chains_mutex:
-            chain = self._chains.get(rowid)
-            if chain is None:
-                return 0
-            kept = tuple(
-                v for v in chain if v.end_lsn is None or v.end_lsn > horizon
-            )
-            if len(kept) == len(chain):
-                return 0
-            pruned = len(chain) - len(kept)
-            if kept:
-                self._chains[rowid] = kept
-            else:
-                del self._chains[rowid]
+        kept = tuple(
+            v for v in chain if v.end_lsn is None or v.end_lsn > horizon
+        )
+        if len(kept) == len(chain):
+            return 0
+        pruned = len(chain) - len(kept)
+        if kept:
+            self._chains[rowid] = kept
+        else:
+            del self._chains[rowid]
         self._pruned.inc(pruned)
         return pruned
 
@@ -890,15 +879,20 @@ class Table:
         ``min(active snapshots, current durable LSN)`` with the durable
         LSN read first, and LSNs are monotone), and a version with
         ``end_lsn <= horizon`` is invisible to every snapshot
-        ``>= horizon``.  The stale set is swept afterwards, a slice per
-        latch hold.
+        ``>= horizon``.  The chains, then the stale set, are swept a
+        slice per latch hold.
         """
+        # A lone open version is the steady state of nearly every
+        # rowid; skip it without taking the latch.
+        pending = [
+            rowid for rowid, chain in list(self._chains.items())
+            if len(chain) > 1 or chain[0].end_lsn is not None
+        ]
         total = 0
-        for rowid, chain in list(self._chains.items()):
-            # A lone open version is the steady state of nearly every
-            # rowid; skip it without taking the chain mutex.
-            if len(chain) > 1 or chain[0].end_lsn is not None:
-                total += self._prune_chain(rowid, horizon)
+        for start in range(0, len(pending), 256):
+            with self._latch:
+                for rowid in pending[start:start + 256]:
+                    total += self._prune_chain(rowid, horizon)
         pending = self.stale_rowids()
         for start in range(0, len(pending), 256):
             with self._latch:
@@ -1122,11 +1116,10 @@ class Table:
                     not lsn or chains.keys().isdisjoint(run)
                 ):
                     if lsn:
-                        with self._chains_mutex:
-                            chains.update({
-                                rowid: (RowVersion(row, lsn, None),)
-                                for rowid, row in run.items()
-                            })
+                        chains.update({
+                            rowid: (RowVersion(row, lsn, None),)
+                            for rowid, row in run.items()
+                        })
                     held.update(run)
                     if not self._deferring:
                         for row in rows:

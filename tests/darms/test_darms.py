@@ -43,6 +43,12 @@ class TestTokens:
         with pytest.raises(DarmsError):
             duration_code(Fraction(1, 5))
 
+    def test_duration_code_round_trip(self):
+        for letter in "WHQES":
+            for dots in range(4):
+                value = duration_value(letter, dots)
+                assert duration_code(value) == (letter, dots), value
+
 
 class TestParser:
     def test_header_codes(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NotationError
+from repro.pitch.clef import ALTO, BASS, TENOR, TREBLE
 from repro.pitch.pitch import Pitch, PitchClass
 
 
@@ -53,7 +54,19 @@ class TestPitch:
 
     def test_from_midi_round_trip(self):
         for key in range(0, 128):
-            assert Pitch.from_midi(key).midi_key == key
+            for prefer_flats in (False, True):
+                assert Pitch.from_midi(key, prefer_flats).midi_key == key, (
+                    key, prefer_flats
+                )
+
+    def test_clef_degree_round_trip(self):
+        for clef in (TREBLE, BASS, ALTO, TENOR):
+            for degree in range(-10, 21):
+                for alter in range(-2, 3):
+                    pitch = clef.degree_to_pitch(degree, alter)
+                    case = (clef, degree, alter)
+                    assert clef.pitch_to_degree(pitch) == degree, case
+                    assert pitch.alter == alter, case
 
     def test_frequency(self):
         assert abs(Pitch.parse("A4").frequency() - 440.0) < 1e-9
@@ -63,6 +76,14 @@ class TestPitch:
     def test_transposed(self):
         assert Pitch.parse("C4").transposed(7).name() == "G4"
         assert Pitch.parse("B3").transposed(1).name() == "C4"
+
+    def test_transposition_additive(self):
+        for key in range(12, 116):
+            pitch = Pitch.from_midi(key)
+            for interval in range(-12, 13):
+                assert pitch.transposed(interval).midi_key == key + interval, (
+                    key, interval
+                )
 
     def test_diatonic_index_round_trip(self):
         for name in ("C0", "D3", "B7", "F4"):

@@ -399,8 +399,8 @@ class OrderingState:
         )
 
 
-# Twenty programs, and one more for each property of the six ordering
-# hypothesis tests the battery took over.
+# Twenty programs, and one more for each of the six ordering properties
+# that had tests of their own before the battery took them over.
 @pytest.mark.parametrize("world, seed", [
     *(("flat", seed) for seed in range(14)),
     *(("recursive", seed) for seed in range(14, 26)),

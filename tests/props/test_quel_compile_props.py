@@ -23,6 +23,11 @@ type change in one slot (``1``, ``1.0``, ``"1"``), varying ``limit`` /
 DDL epoch bumps in between, a session that re-registered
 ``similarity`` -- and requires one long-lived session, a fresh session
 per statement and the reference to agree, locked and pinned.
+
+*Against an oracle* (``*_differential``): a selection, a self-join,
+aggregates, a delete and a grouped count over a random NOTE table --
+the empty and one-row tables first -- agree three ways: the engine, the
+reference and a brute-force Python oracle.
 """
 
 import random
@@ -361,3 +366,95 @@ def test_statements_of_one_shape_agree(seed, mode):
                         assert rows == expected, context
                     else:
                         assert _multiset(rows) == _multiset(expected), context
+
+
+# (rows, point, bound): NOTE tables of up to 25 (a, b) rows over 0..6,
+# and two literals over 0..6.
+DIFFERENTIAL_EDGES = [
+    ([], 0, 6),
+    ([(0, 0)], 0, 1),
+    ([(6, 6)], 6, 6),
+    ([(3, 3)] * 25, 3, 6),
+]
+
+
+def _differential_case(seed):
+    if seed < len(DIFFERENTIAL_EDGES):
+        rows, point, bound = DIFFERENTIAL_EDGES[seed]
+    else:
+        rng = random.Random(seed)
+        rows = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(0, 25))]
+        point, bound = rng.randint(0, 6), rng.randint(0, 6)
+    schema = Schema("prop")
+    schema.define_entity("NOTE", [("a", "integer"), ("b", "integer")])
+    note_type = schema.entity_type("NOTE")
+    for a, b in rows:
+        note_type.create(a=a, b=b)
+    return schema, rows, point, bound
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_selection_differential(seed):
+    schema, rows, point, bound = _differential_case(seed)
+    query = (
+        "range of n is NOTE\n"
+        "retrieve (n.a, n.b) where n.a = %d and n.b < %d sort by n.b"
+        % (point, bound)
+    )
+    with_index = QuelSession(schema).execute(query)
+    oracle = [{"n.a": a, "n.b": b} for a, b in rows if a == point and b < bound]
+    assert with_index == reference_execute(schema, query)
+    assert _multiset(with_index) == _multiset(oracle)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_join_differential(seed):
+    schema, rows, _, _ = _differential_case(seed)
+    query = "range of x, y is NOTE\nretrieve (x.a, y.b) where x.a = y.b"
+    result = QuelSession(schema).execute(query)
+    oracle = [{"x.a": xa, "y.b": yb} for xa, _ in rows for _, yb in rows if xa == yb]
+    assert _multiset(result) == _multiset(reference_execute(schema, query))
+    assert _multiset(result) == _multiset(oracle)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_aggregate_differential(seed):
+    schema, rows, _, _ = _differential_case(seed)
+    query = (
+        "range of n is NOTE\n"
+        "retrieve (c = count(n.a), s = sum(n.a), lo = min(n.b), hi = max(n.b))"
+    )
+    result = QuelSession(schema).execute(query)
+    expected = {
+        "c": len(rows),
+        "s": sum(a for a, _ in rows),
+        "lo": min((b for _, b in rows), default=None),
+        "hi": max((b for _, b in rows), default=None),
+    }
+    assert result == reference_execute(schema, query)
+    assert result == [expected]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_delete_differential(seed):
+    schema, rows, victim, _ = _differential_case(seed)
+    session = QuelSession(schema)
+    deleted = session.execute("range of n is NOTE\ndelete n where n.a = %d" % victim)
+    assert deleted == sum(1 for a, _ in rows if a == victim)
+    query = "range of n is NOTE\nretrieve (n.a, n.b)"
+    remaining = session.execute(query)
+    oracle = [{"n.a": a, "n.b": b} for a, b in rows if a != victim]
+    assert remaining == reference_execute(schema, query)
+    assert _multiset(remaining) == _multiset(oracle)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_grouped_count_differential(seed):
+    schema, rows, _, _ = _differential_case(seed)
+    query = "range of n is NOTE\nretrieve (n.a, total = count(n.b))"
+    result = QuelSession(schema).execute(query)
+    expected = {}
+    for a, _ in rows:
+        expected[a] = expected.get(a, 0) + 1
+    assert _multiset(result) == _multiset(reference_execute(schema, query))
+    assert {r["n.a"]: r["total"] for r in result} == expected

@@ -10,18 +10,29 @@ two-note chords).  Two fixed points are checked:
 * MIDI: the entities stored by ``extract_midi(store=True)`` rebuild
   exactly the event list the extractor returned.
 
-Failures report the seed; rerun the one parametrized case to replay.
+Beside them, the smaller fixed points: the DARMS canonizer on random
+note lists, a tempo map's beat -> seconds -> beat inverse and its
+monotony under random directives, and lossless sound compaction.  Each
+of these generators returns its edge cases for the first seeds (the
+shortest lists, the range ends) and random draws after them.
+
+Failures report the seed (the test ID); rerun that one case to replay.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.cmn.builder import ScoreBuilder
+from repro.darms.canonical import canonize
 from repro.darms.decode import darms_to_score
 from repro.darms.encode import score_to_darms
 from repro.midi.extract import extract_midi, stored_midi_of_score
+from repro.sound.compaction import compact_redundancy, expand_redundancy
+from repro.sound.samples import SampleBuffer
+from repro.temporal.tempo import TempoMap
 
 pytestmark = pytest.mark.props
 
@@ -126,3 +137,106 @@ def test_midi_extraction_is_deterministic(seed):
     first = extract_midi(builder.cmn, score, store=False)
     second = extract_midi(builder.cmn, score, store=False)
     assert first.sorted_notes() == second.sorted_notes()
+
+
+# (staff position 1..9, duration letter) lists of at most 12 notes.
+NOTE_EDGES = [[(1, "W")], [(9, "S")], [(1, "W"), (9, "S")], [(9, "S")] * 12]
+
+
+def _notes(seed, least):
+    edges = [notes for notes in NOTE_EDGES if len(notes) >= least]
+    if seed < len(edges):
+        return edges[seed]
+    rng = random.Random(seed)
+    return [
+        (rng.randint(1, 9), rng.choice("WHQES"))
+        for _ in range(rng.randint(least, 12))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_darms_canonize_is_idempotent(seed):
+    notes = _notes(seed, 1)
+    source = " ".join("%d%s" % note for note in notes)
+    canonical = canonize(source)
+    assert canonize(canonical) == canonical
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_darms_canonize_makes_carried_durations_explicit(seed):
+    # Drop all but the first duration: the canonizer must restore them.
+    notes = _notes(seed, 2)
+    source = "%d%s " % notes[0] + " ".join(str(p) for p, _ in notes[1:])
+    tokens = canonize(source).split()
+    assert len(tokens) == len(notes)
+    first_duration = notes[0][1]
+    assert all(token.endswith(first_duration) for token in tokens)
+
+
+# (directives, beat): up to five (kind, start 0..32, bpm 30..240,
+# span 1..8) directives over a beat in [0, 40].
+TEMPO_EDGES = [
+    ([], 0.0),
+    ([], 40.0),
+    ([("mark", 0, 30, 1)], -0.0),
+    ([("ramp", 32, 240, 8)], 40.0),
+    ([("ramp", 0, 30, 1), ("mark", 0, 240, 1)], 0.0),
+    ([("ramp", 0, 240, 8)] * 5, 40.0),
+]
+
+
+def _tempo_case(seed):
+    if seed < len(TEMPO_EDGES):
+        return TEMPO_EDGES[seed]
+    rng = random.Random(seed)
+    directives = [
+        (rng.choice(["mark", "ramp"]), rng.randint(0, 32), rng.randint(30, 240),
+         rng.randint(1, 8))
+        for _ in range(rng.randint(0, 5))
+    ]
+    return directives, rng.uniform(0.0, 40.0)
+
+
+def _tempo_map(directives):
+    tempo_map = TempoMap(100)
+    for kind, start, bpm, span in directives:
+        if kind == "mark":
+            tempo_map.set_tempo(start, bpm)
+        else:
+            tempo_map.linear_change(start, start + span, bpm)
+    return tempo_map
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tempo_beat_seconds_inverse_round_trip(seed):
+    directives, beat = _tempo_case(seed)
+    tempo_map = _tempo_map(directives)
+    seconds = tempo_map.seconds_at(beat)
+    assert abs(tempo_map.beat_at(seconds) - beat) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tempo_seconds_strictly_monotonic(seed):
+    directives, _ = _tempo_case(seed)
+    tempo_map = _tempo_map(directives)
+    samples = [tempo_map.seconds_at(Fraction(b, 4)) for b in range(160)]
+    assert all(a < b for a, b in zip(samples, samples[1:]))
+
+
+# int16 sample lists of at most 2,000: the empty and one-sample lists,
+# the extremes, the largest second-order deltas, and runs of zero ones.
+SAMPLE_EDGES = [
+    [], [0], [-32768], [32767], [-32768, 32767] * 1000, [7] * 2000,
+    list(range(-1000, 1000)),
+]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_redundancy_compaction_lossless(seed):
+    if seed < len(SAMPLE_EDGES):
+        samples = SAMPLE_EDGES[seed]
+    else:
+        rng = random.Random(seed)
+        samples = [rng.randint(-32768, 32767) for _ in range(rng.randint(0, 2000))]
+    buffer = SampleBuffer(np.array(samples, dtype=np.int16), 8000)
+    assert expand_redundancy(compact_redundancy(buffer)) == buffer

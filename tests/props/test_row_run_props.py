@@ -4,8 +4,8 @@ A run (``repro.storage.row``) reaches the decoder from outside the
 process -- a log or image a crash may have cut, a peer's frame -- so:
 
 * encode -> decode is the identity, for runs of 0, 1, 3 and 3,000 rows
-  holding nulls, empty and non-ASCII strings, the 64-bit extremes and a
-  column added to the table part-way through its rows;
+  holding nulls, empty and non-ASCII strings, the 64-bit and float
+  extremes and a column added to the table part-way through its rows;
 * a run cut short anywhere raises ``RecoveryError`` and nothing else;
 * a run with one bit flipped raises ``RecoveryError`` or decodes.
 
@@ -40,7 +40,9 @@ def _value(rng, domain, nulls):
     if domain == "entity":
         return rng.choice([rng.randrange(1, 10 ** 6), INT64[1]])
     if domain == "float":
-        return rng.choice([0.0, -0.0, 2.5, rng.uniform(-1e12, 1e12), float("-inf")])
+        return rng.choice([
+            0.0, -0.0, 2.5, rng.uniform(-1e12, 1e12), float("-inf"), 1e308, -1e308, 5e-324,
+        ])
     if domain == "string":
         return rng.choice(STRINGS + ["%s %d" % (rng.choice(STRINGS), rng.randrange(50))])
     if domain == "boolean":
