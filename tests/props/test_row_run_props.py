@@ -4,10 +4,14 @@ A run (``repro.storage.row``) reaches the decoder from outside the
 process -- a log or image a crash may have cut, a peer's frame -- so:
 
 * encode -> decode is the identity, for runs of 0, 1, 3 and 3,000 rows
-  holding nulls, empty and non-ASCII strings, the 64-bit and float
+  holding nulls, empty, non-ASCII and random strings, blobs of up to 50
+  bytes, fractions with denominators up to 10**6, the 64-bit and float
   extremes and a column added to the table part-way through its rows;
 * a run cut short anywhere raises ``RecoveryError`` and nothing else;
 * a run with one bit flipped raises ``RecoveryError`` or decodes.
+
+The same values, mixed across domains, sort by ``value_sort_key``
+without raising and in order (the edge values first, then 99 seeds).
 
 Never ``struct.error``, ``IndexError``, ``UnicodeDecodeError``,
 ``MemoryError`` or a hang: every count is checked against the bytes
@@ -16,6 +20,7 @@ flipped at every byte, the 3,000-row run at every byte of its head and
 at a stride after it.  A failure names the byte.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +29,7 @@ import pytest
 from repro.errors import RecoveryError
 from repro.storage.row import Row, decode_row_run, encode_row_run
 from repro.storage.table import Column, TableSchema
+from repro.storage.values import value_sort_key
 
 pytestmark = pytest.mark.props
 
@@ -36,23 +42,34 @@ def _value(rng, domain, nulls):
     if rng.random() < nulls:
         return None
     if domain == "integer":
-        return rng.choice([0, -1, *INT64, rng.randrange(-1000, 1000), rng.randrange(2 ** 40)])
+        return rng.choice([
+            0, -1, *INT64, rng.randrange(-1000, 1000), rng.randrange(2 ** 40),
+            rng.randint(-(2 ** 62), 2 ** 62),
+        ])
     if domain == "entity":
         return rng.choice([rng.randrange(1, 10 ** 6), INT64[1]])
     if domain == "float":
         return rng.choice([
             0.0, -0.0, 2.5, rng.uniform(-1e12, 1e12), float("-inf"), 1e308, -1e308, 5e-324,
+            math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1024)),
         ])
     if domain == "string":
-        return rng.choice(STRINGS + ["%s %d" % (rng.choice(STRINGS), rng.randrange(50))])
+        # Up to 50 code points from anywhere outside the surrogates.
+        text = "".join(
+            chr(rng.choice([rng.randrange(0xD800), rng.randrange(0xE000, 0x110000)]))
+            for _ in range(rng.randrange(51))
+        )
+        return rng.choice(STRINGS + ["%s %d" % (rng.choice(STRINGS), rng.randrange(50)), text])
     if domain == "boolean":
         return rng.random() < 0.5
     if domain == "rational":
+        denominator = rng.randint(1, 10 ** 6)
         return rng.choice([
             Fraction(rng.randrange(-100, 100), rng.randrange(1, 100)),
+            Fraction(rng.randint(-1000 * denominator, 1000 * denominator), denominator),
             Fraction(INT64[0], INT64[1]), Fraction(INT64[1]),
         ])
-    return bytes(rng.randrange(256) for _ in range(rng.randrange(6)))
+    return bytes(rng.randrange(256) for _ in range(rng.randrange(rng.choice([6, 51]))))
 
 
 def _table(rng, count, added_at=None, nulls=0.15):
@@ -149,3 +166,24 @@ def test_a_forged_count_is_refused_before_it_is_allocated():
     forged = b"\x80" * 8 + b"\x40" + bytes(run[1:])
     with pytest.raises(RecoveryError, match="truncated"):
         decode_row_run(forged, schema)
+
+
+# Every domain's edge values, sorted together by the first seed.
+EDGE_VALUES = [
+    None, False, True, 0, -(2 ** 62), 2 ** 62, -32768, 32767, 0.0, -0.0,
+    1e308, -1e308, "", "Étude ♯ \U0001d11e", b"", Fraction(1, 999999),
+    Fraction(-999999, 10 ** 6),
+]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_value_sort_key_total_order(seed):
+    """Mixed-domain lists sort without raising, in order."""
+    if seed == 0:
+        values = EDGE_VALUES
+    else:
+        rng = random.Random(seed)
+        values = [_value(rng, rng.choice(DOMAINS), 0.1) for _ in range(rng.randint(2, 6))]
+    keys = sorted(value_sort_key(v) for v in values)
+    for a, b in zip(keys, keys[1:]):
+        assert a <= b

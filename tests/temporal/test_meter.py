@@ -28,6 +28,20 @@ class TestConstruction:
 
 
 class TestDurations:
+    @pytest.mark.parametrize(
+        "num,den,beats",
+        [(4, 4, 4), (3, 4, 3), (6, 8, 3), (2, 2, 4), (12, 8, 6), (5, 4, 5),
+         (7, 8, Fraction(7, 2))],
+    )
+    def test_measure_duration(self, num, den, beats):
+        assert MeterSignature(num, den).measure_duration().beats == beats
+
+    def test_beat_offsets(self):
+        assert MeterSignature(3, 4).beat_offsets() == [0, 1, 2]
+        assert MeterSignature(6, 8).beat_offsets() == [
+            0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2),
+        ]
+
     def test_offsets_fill_measure(self):
         """Every meter of up to 16 beats: the offsets step by the pulse
         from 0, and the measure lasts one pulse past the last."""
