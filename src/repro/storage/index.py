@@ -2,8 +2,13 @@
 
 Section 5.2 of the paper observes that relational systems use key
 ordering "purely as a performance optimization" for selections on key
-values or ranges.  These two index types provide exactly those access
-paths; the QUEL planner chooses between them and heap scans.
+values or ranges.  These index types provide those access paths.  The
+QUEL planner uses them for equality restrictions only: it asks
+``Table.any_index_for`` for an index over the restricted column
+(ordered preferred) and builds a hash index when there is none.  No
+QUEL restriction reaches :meth:`OrderedIndex.range`, which only
+``Table.select_range`` calls; :class:`OrderedCompositeIndex` serves an
+ordering's sibling walk.
 """
 
 import bisect

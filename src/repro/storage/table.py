@@ -6,27 +6,32 @@ this is the relational substrate the ER layer compiles down to.
 
 MVCC version chains
 -------------------
-A rowid with no *version chain* has one version: its row, installed at
-LSN 0 by a load (checkpoint image, replica seed, crash recovery's redo)
-and visible to every snapshot.  A writer that touches one first gives
-it the chain ``(RowVersion(row, 0, None),)``.  A chain is an immutable
+A rowid has a *version chain* only while some snapshot that is pinned,
+or may yet be pinned, could read something other than its current row:
+the first settle after that drops it (the stale set, below).  A
+chainless rowid's row (or its absence) is what every such snapshot
+reads -- as a load's rows are, which install at LSN 0 (checkpoint
+image, replica seed, crash recovery's redo).  A chain is an immutable
 tuple of :class:`RowVersion` entries (oldest first), replaced wholesale
 on mutation and always set before the row map changes.  A version
 covers the commit-LSN interval ``[begin_lsn, end_lsn)``: ``begin_lsn``
-None is not yet committed, ``end_lsn`` None still current.
+None is not yet committed, ``end_lsn`` None still current and
+:data:`_PENDING` superseded by a change not yet committed.  A writer
+that touches a chainless rowid first gives its row the version
+``[0, ...)``: no snapshot that may be pinned can tell it from one that
+began at its real LSN.
 
 A thread that pinned snapshot ``S`` (the transaction manager's
 ``pin_snapshot``) sees the versions with ``begin_lsn <= S < end_lsn``:
 it reads a rowid's row, then its chain, and answers from the chain if
-there is one.  A row it finds chainless is a load's: a writer's row has
-its chain from before it entered the map, and pruning drops a chain
-only when all its versions end at or below the horizon -- which the
-reader's pin holds at or below ``S``, below the end of any row it can
-still find in the map.  An undone insert drops its chain at once,
-bumping ``_retracted`` after its row leaves the map, and a read that saw
-the count move reads again.  Superseded versions are pruned on the
-rowid being rewritten and in bulk at checkpoint, never past the horizon
-of an active snapshot.
+there is one.  A chain is dropped (:meth:`Table._settle`) only when it
+holds nothing, or one current, committed version that began at or below
+the prune horizon -- which the reader's pin holds at or below ``S``.
+So a row the reader finds chainless is visible at ``S``: a write that
+changed the row map after the pin commits above ``S``, and its chain
+outlives the reader.  An undo's change carries no LSN, so it bumps
+``_retracted`` after the row map changes, and a read that saw the count
+move reads again.
 
 Snapshot reads
 --------------
@@ -37,42 +42,33 @@ pieces of per-table state bridge the gap:
 * the **latch** -- one mutex.  Every path that changes what the
   indexes describe (``insert``/``insert_many``/``update``/``delete``,
   the three undo paths, ``install_committed``, index creation) holds it
-  around "row map + ``_reindex`` + stale mark" and nothing else; a
-  pinned reader holds it only while it probes index structures and
-  copies the stale set (:meth:`Table.probe`) -- never across a row
-  fetch, a predicate, a journal callback, a lock wait, a WAL append or
-  an fsync.  Lock order is latch -> the snapshot registry mutex, never
-  the reverse.
-* the **stale set** -- the rowids whose chain still holds a version the
-  indexes no longer describe: one superseded by an update, delete or
-  redo install that is uncommitted, or committed above a snapshot that
-  may still be pinned.  A rowid leaves the set when pruning has left
-  its chain one current version (or nothing).  The set is ordered by
-  latest supersede; every rewrite settles up to two of the oldest
-  entries against the prune horizon (amortised O(1) per write), a
-  pinned probe does the same (the last rewrite before a quiet spell has
-  no later one to settle it) and ``prune_versions`` sweeps the rest, so
-  the set's size follows the rewrites since the oldest pinned snapshot
-  or open transaction, not since the last checkpoint.
+  around "row map + ``_reindex`` + chain" and nothing else; a pinned
+  reader holds it only while it probes index structures and copies the
+  stale set (:meth:`Table.probe`) -- never across a row fetch, a
+  predicate, a journal callback, a lock wait, a WAL append or an fsync.
+  Lock order is latch -> the snapshot registry mutex, never the reverse.
+* the **stale set** -- the chained rowids, queued in latest-write order
+  (a rowid written again moves to the back).  Every mutation call and
+  every pinned probe settles the front of the queue while its entries
+  settle, 256 a latch hold, and stops at the first that cannot: the
+  ones behind it were written later.  ``prune_versions`` sweeps all of
+  it.  So the set's size follows the writes since the oldest pinned
+  snapshot or uncommitted write, not since the last checkpoint.
 
 The invariant is a *verified superset*: for any snapshot ``S`` that may
 be pinned and any indexed predicate, the rowids whose version visible
 at ``S`` satisfies it are contained in (index probe over current rows)
-union (stale set), both taken in one latch hold.  Proof by cases on a
-rowid ``r`` at the moment of the hold: if ``r`` is not stale it has one
-current version (chainless, or a chain of one), which the index
-describes, so the probe decides it exactly (and the fetch drops it if
-that version is not visible at ``S``); if ``r`` is stale it is a
-candidate regardless.  A writer that rewrites ``r`` *after* the hold
-cannot take the version visible at ``S`` away -- the reader's
-registered pin holds the prune horizon at or below ``S`` -- so the
-fetch through the chain still finds it.  Candidates are fetched at
-``S`` (:meth:`Table.fetch`): a stale rowid's visible version, which
-need not match what the index says of its current one, is re-checked
-on every restriction; the probe decides every other hit.
-When the stale set outgrows the planner's candidate cap
-(:meth:`Table.candidate_cap`) the read falls back to scanning the
-visible rows (:data:`SWAMPED`).
+union (stale set), both taken in one latch hold.  A rowid outside the
+stale set is chainless: ``S`` reads its current row, which the index
+describes, so the probe decides it exactly.  A stale rowid is a
+candidate regardless, and a writer that rewrites it *after* the hold
+cannot take the version visible at ``S`` away -- the reader's pin holds
+the prune horizon at or below ``S``.  Candidates are fetched at ``S``
+(:meth:`Table.fetch`): a stale rowid's visible version, which need not
+match what the index says of its current one, is re-checked on every
+restriction; the probe decides every other hit.  When the stale set
+outgrows the planner's candidate cap (:meth:`Table.candidate_cap`) the
+read falls back to scanning the visible rows (:data:`SWAMPED`).
 """
 
 import itertools
@@ -96,9 +92,9 @@ _CANDIDATE_FLOOR = 512
 #: they outnumber the candidate cap: every rowid is a candidate, scan.
 SWAMPED = object()
 
-#: Stale entries a single write may settle: each write adds at most
-#: one, so any backlog (a long snapshot just unpinned) drains.
-_TRIM_PER_WRITE = 2
+#: The ``end_lsn`` of a version a change not yet committed superseded:
+#: above every snapshot, as a current version's None is, but not current.
+_PENDING = float("inf")
 
 _ROWID = attrgetter("rowid")
 
@@ -213,14 +209,15 @@ class Table:
         self._indexes = {}
         transactions = database.transactions
         self._journal = transactions.journal
-        # MVCC: rowid -> immutable tuple of RowVersions, oldest first; a
-        # rowid without one has one version, its row, from LSN 0.
-        # Writers replace a rowid's tuple wholesale (under the latch,
-        # which orders them against checkpoint pruning); lock-free
-        # snapshot readers walk whatever tuple they atomically observe.
+        # MVCC: rowid -> immutable tuple of RowVersions, oldest first,
+        # while a snapshot may need one; every other rowid's one version
+        # is its row.  Writers replace a rowid's tuple wholesale (under
+        # the latch); lock-free snapshot readers walk whatever tuple
+        # they atomically observe.
         self._chains = {}
-        # Undone inserts, counted between a row leaving the map and its
-        # chain going: a pinned read that saw the count move reads again.
+        # Undos, counted between the row map change and any drop of the
+        # chain it allows: a pinned read that saw the count move reads
+        # again.
         self._retracted = 0
         # _snapshot() is the calling thread's pinned snapshot LSN (or
         # None); _prune_horizon() the LSN below which no active or
@@ -228,10 +225,9 @@ class Table:
         self._snapshot = transactions.current_snapshot
         self._prune_horizon = transactions.prune_horizon
         # Snapshot reads (module docstring): the latch orders index
-        # upkeep against pinned readers' probes; the stale set, oldest
-        # supersede first, names the rowids whose chain holds a version
-        # the indexes no longer describe.  Re-entrant so an adaptive
-        # create_index can run inside a probe.
+        # upkeep against pinned readers' probes; the stale set queues
+        # the chained rowids, least recently written first.  Re-entrant
+        # so an adaptive create_index can run inside a probe.
         self._latch = threading.RLock()
         self._stale = OrderedDict()
         # Pre-mutation hook (lock acquisition, read-only refusal): runs
@@ -610,6 +606,7 @@ class Table:
             self._rows[rowid] = row
             self._reindex(None, row)
             self._unstamped += 1
+        self._trim()
         self.version += 1
         self._inserts.inc()
         self._journal((("insert", self.name, row, None),))
@@ -643,6 +640,7 @@ class Table:
             for (column, _), index in self._indexes.items():
                 self._index_rows(column, index, rows)
             self._unstamped += len(rows)
+        self._trim()
         self.version += 1
         self._inserts.inc(len(rows))
         self._journal([("insert", self.name, row, None) for row in rows])
@@ -657,13 +655,13 @@ class Table:
             coerced[column] = coerce_value(self.schema.column(column).domain, value)
         new = old.replaced(coerced)
         with self._latch:
-            # The old version stays open (end_lsn None) until the commit
-            # stamps it; snapshot readers keep seeing it meanwhile.
+            # The old version stays visible (end_lsn pending) until the
+            # commit stamps it; snapshot readers keep seeing it meanwhile.
             self._chain_append(rowid, RowVersion(new))
             self._rows[rowid] = new
             self._reindex(old, new)
-            self._supersede(rowid)
             self._unstamped += 1
+        self._trim(rowid)
         self.version += 1
         self._updates.inc()
         self._journal((("update", self.name, new, old),))
@@ -674,36 +672,41 @@ class Table:
         self._guard()
         old = self.require(rowid)
         with self._latch:
-            # The victim version stays open until the commit stamps its
-            # end_lsn, so pinned snapshots still see it.
+            # The victim version stays visible until the commit stamps
+            # its end_lsn, so pinned snapshots still see it.
             self._chain_append(rowid)
             del self._rows[rowid]
             self._reindex(old, None)
-            self._supersede(rowid)
             self._unstamped += 1
+        self._trim(rowid)
         self.version += 1
         self._deletes.inc()
         self._journal((("delete", self.name, None, old),))
         return old
 
-    def truncate(self):
-        """Delete every row (journalled individually)."""
-        for rowid in list(self._rows):
-            self.delete(rowid)
-
     # -- MVCC maintenance --------------------------------------------------
 
-    def _chain_append(self, rowid, version=None):
-        """Append *version* (if any) to *rowid*'s chain, which a
-        chainless rowid's row first enters as its LSN-0 version.  Called
-        under the latch, before the row map changes (module docstring)."""
+    def _chain_append(self, rowid, version=None, end=_PENDING):
+        """End *rowid*'s current version (if it has a row) at *end*,
+        append *version* (if any) and queue the rowid at the back of the
+        stale set.  A chainless rowid's row first enters the chain as its
+        LSN-0 version.  Called under the latch, before the row map
+        changes (module docstring)."""
         chain = self._chains.get(rowid)
+        held = self._rows.get(rowid)
         if chain is None:
-            held = self._rows.get(rowid)
             chain = () if held is None else (RowVersion(held, 0, None),)
+        if held is not None:
+            chain[-1].end_lsn = end
         if version is not None:
             chain += (version,)
         self._chains[rowid] = chain
+        stale = self._stale
+        if rowid in stale:
+            stale.move_to_end(rowid)
+        else:
+            stale[rowid] = None
+            self._stale_gauge.inc()
 
     def _chain_drop(self, rowid, row):
         """Remove the version holding exactly *row* (by identity);
@@ -731,14 +734,15 @@ class Table:
         identity: an insert→update→delete sequence on one rowid inside
         a single transaction leaves intermediate versions stamped
         ``[lsn, lsn)``, which no snapshot can ever see.  *lsn* None
-        takes the stamp back, for a commit whose flush failed and whose
-        changes are about to be undone.  A stamp only assigns version
-        attributes (atomic under the GIL), so it takes no latch.
+        takes the stamp back (an end goes back to pending), for a commit
+        whose flush failed and whose changes are about to be undone.  A
+        stamp only assigns version attributes (atomic under the GIL), so
+        it takes no latch.
         """
         if action in ("update", "delete"):
             version = self._chain_version_of(old_row)
             if version is not None:
-                version.end_lsn = lsn
+                version.end_lsn = _PENDING if lsn is None else lsn
         if action in ("insert", "update"):
             version = self._chain_version_of(new_row)
             if version is not None:
@@ -751,10 +755,9 @@ class Table:
     # X locks, so no other writer is about; the row map and indexes are
     # shared with pinned readers' probes (hence the latch) and the
     # chains with their fetches, hence the identity-targeted drop /
-    # reopen instead of wholesale replacement.  An undo never makes a
-    # rowid stale -- the indexes go back to describing a version that
-    # never left the chain -- but it may be what leaves a stale rowid
-    # with one current version again.
+    # reopen instead of wholesale replacement.  The row map change of
+    # an undo carries no LSN, so it bumps ``_retracted`` before the
+    # chain it leaves may settle (module docstring).
 
     def undo_insert(self, row):
         """Roll back an uncommitted insert of *row*."""
@@ -775,11 +778,9 @@ class Table:
         with self._latch:
             self._rows[rowid] = old_row
             self._reindex(new_row, old_row)
+            self._retracted += 1
             self._chain_drop(rowid, new_row)
-            version = self._chain_version_of(old_row)
-            if version is not None:
-                version.end_lsn = None  # reopen: the commit stamp never took
-            self._settle(rowid, self._prune_horizon())
+            self._reopen(old_row)
             self._unstamped -= 1
         self.version += 1
 
@@ -789,116 +790,97 @@ class Table:
         with self._latch:
             self._rows[rowid] = old_row
             self._reindex(None, old_row)
-            version = self._chain_version_of(old_row)
-            if version is not None:
-                version.end_lsn = None
-            self._settle(rowid, self._prune_horizon())
+            self._retracted += 1
+            self._reopen(old_row)
             self._unstamped -= 1
         self.version += 1
 
+    def _reopen(self, row):
+        """Make *row*'s version current again (the change that ended it
+        never committed) and settle its rowid; under the latch."""
+        version = self._chain_version_of(row)
+        if version is not None:
+            version.end_lsn = None
+        self._settle(row.rowid, self._prune_horizon())
+
     def _prune_chain(self, rowid, horizon):
-        """Drop versions of *rowid* invisible to every snapshot >= horizon;
-        called under the latch."""
+        """Drop the versions of *rowid* that end at or below *horizon*,
+        invisible to every snapshot that may be pinned; under the latch.
+        Returns what is left of the chain (None: nothing)."""
         chain = self._chains.get(rowid)
         if chain is None:
-            return 0
+            return None
         # Ends never decrease along a chain, so the oldest version
         # decides whether anything can go.
         end = chain[0].end_lsn
         if end is None or end > horizon:
-            return 0
+            return chain
         kept = tuple(
             v for v in chain if v.end_lsn is None or v.end_lsn > horizon
         )
-        if len(kept) == len(chain):
-            return 0
-        pruned = len(chain) - len(kept)
+        self._pruned.inc(len(chain) - len(kept))
         if kept:
             self._chains[rowid] = kept
-        else:
-            del self._chains[rowid]
-        self._pruned.inc(pruned)
-        return pruned
-
-    # Stale-set upkeep; every caller holds the latch.
-
-    def _supersede(self, rowid):
-        """*rowid*'s chain now holds a version the indexes no longer
-        describe: queue it as stale, prune its chain (as every rewrite
-        always has) and settle what has aged out at the front.
-
-        A rowid already queued moves to the back, so the set stays
-        ordered by *latest* supersede and a row rewritten in a loop
-        cannot park at the front and block the trim of everything
-        behind it.
-        """
-        stale = self._stale
-        if rowid in stale:
-            stale.move_to_end(rowid)
-        else:
-            stale[rowid] = None
-            self._stale_gauge.inc()
-        horizon = self._prune_horizon()
-        self._prune_chain(rowid, horizon)
-        self._trim_stale(horizon)
-
-    def _trim_stale(self, horizon):
-        """Settle the oldest stale rowids, stopping at the first one a
-        snapshot or open transaction still needs (the ones behind it
-        were superseded later still)."""
-        stale = self._stale
-        for _ in range(_TRIM_PER_WRITE):
-            if not stale or not self._settle(next(iter(stale)), horizon):
-                return
+            return kept
+        del self._chains[rowid]
+        return None
 
     def _settle(self, rowid, horizon):
-        """Prune *rowid*'s chain and, if one current version (or
-        nothing) is left, drop it from the stale set: the indexes
-        describe all of it again.  Returns whether it is settled."""
-        self._prune_chain(rowid, horizon)
-        chain = self._chains.get(rowid)
-        if chain is not None and (
-            len(chain) > 1 or chain[0].row is not self._rows.get(rowid)
-        ):
-            return False
+        """Prune *rowid*'s chain, then drop it and dequeue the rowid if
+        no snapshot that may be pinned can read anything but its current
+        row: nothing is left, or one current, committed version that
+        began at or below *horizon*.  Under the latch; returns whether
+        it settled."""
+        chain = self._prune_chain(rowid, horizon)
+        if chain is not None:
+            begin = chain[0].begin_lsn
+            if (len(chain) > 1 or chain[0].end_lsn is not None
+                    or begin is None or begin > horizon):
+                return False
+            del self._chains[rowid]
         if rowid in self._stale:
             del self._stale[rowid]
             self._stale_gauge.dec()
         return True
 
+    def _trim(self, rewritten=None):
+        """Settle the front of the stale set while its entries settle,
+        256 a latch hold, stopping at the first that cannot (the ones
+        behind it were written later).  A *rewritten* rowid's chain is
+        pruned first: behind an entry that cannot settle, a row
+        rewritten in a loop would otherwise keep every version."""
+        horizon = self._prune_horizon()
+        stale = self._stale
+        while True:
+            with self._latch:
+                if rewritten is not None:
+                    self._prune_chain(rewritten, horizon)
+                    rewritten = None
+                for _ in range(256):
+                    if not stale or not self._settle(next(iter(stale)), horizon):
+                        return
+
     def stale_rowids(self):
-        """The stale set, oldest supersede first (introspection)."""
+        """The stale set, least recently written first (introspection)."""
         with self._latch:
             return tuple(self._stale)
 
     def prune_versions(self, horizon):
-        """Prune every chain against *horizon*; returns versions dropped.
+        """Settle every stale rowid that can against *horizon*, 256 a
+        latch hold.
 
         Safe against concurrent readers because a snapshot pinned from
         now on is at least *horizon* (the caller computes the horizon as
         ``min(active snapshots, current durable LSN)`` with the durable
         LSN read first, and LSNs are monotone), and a version with
         ``end_lsn <= horizon`` is invisible to every snapshot
-        ``>= horizon``.  The chains, then the stale set, are swept a
-        slice per latch hold.
+        ``>= horizon``.
         """
-        # A lone open version is the steady state of nearly every
-        # rowid; skip it without taking the latch.
-        pending = [
-            rowid for rowid, chain in list(self._chains.items())
-            if len(chain) > 1 or chain[0].end_lsn is not None
-        ]
-        total = 0
-        for start in range(0, len(pending), 256):
-            with self._latch:
-                for rowid in pending[start:start + 256]:
-                    total += self._prune_chain(rowid, horizon)
         pending = self.stale_rowids()
         for start in range(0, len(pending), 256):
             with self._latch:
                 for rowid in pending[start:start + 256]:
                     self._settle(rowid, horizon)
-        return total
 
     def scan(self, predicate=None):
         """Yield rows, optionally filtered by *predicate(row)*."""
@@ -943,14 +925,14 @@ class Table:
             )
         if self._snapshot() is None:
             return fn(*args), None
+        if self._stale:
+            # The last write before a quiet spell has no later write to
+            # settle it; the readers that follow do.
+            self._trim()
         with self._latch:
             stale = self._stale
-            if stale:
-                # The last rewrite before a quiet spell has no later
-                # write to settle it; the readers that follow do.
-                self._trim_stale(self._prune_horizon())
-                if len(stale) > self.candidate_cap():
-                    return fn(*args), SWAMPED
+            if len(stale) > self.candidate_cap():
+                return fn(*args), SWAMPED
             return fn(*args), tuple(stale)
 
     def fetch(self, rowids, stale, verify):
@@ -1097,10 +1079,9 @@ class Table:
         chain a writer made answering pinned reads.  Above
         it (a replica's redo) the superseded version ends at *lsn* and
         the new one begins there, so a reader pinned below *lsn* keeps
-        its image while the change lands; then the rowid is queued as
-        stale and its chain pruned to the horizon, as
-        ``update``/``delete`` do.  ``version`` grows by one a row
-        installed or deleted.
+        its image while the change lands; every rowid it touches is
+        queued as stale and the call trims as a write does.
+        ``version`` grows by one a row installed or deleted.
         """
         if not lsn and not self._loading():
             raise StorageError(
@@ -1120,6 +1101,9 @@ class Table:
                             rowid: (RowVersion(row, lsn, None),)
                             for rowid, row in run.items()
                         })
+                        queued = len(self._stale)
+                        self._stale.update(dict.fromkeys(run))
+                        self._stale_gauge.inc(len(self._stale) - queued)
                     held.update(run)
                     if not self._deferring:
                         for row in rows:
@@ -1135,6 +1119,8 @@ class Table:
                 if rowid in held:
                     self._replace_committed(lsn, rowid, None)
                     changed += 1
+        if lsn:
+            self._trim()
         self.version += changed
 
     def _replace_committed(self, lsn, rowid, row):
@@ -1143,15 +1129,10 @@ class Table:
         old = self._rows.get(rowid)
         if lsn:
             self._chain_append(
-                rowid, None if row is None else RowVersion(row, lsn, None)
+                rowid, None if row is None else RowVersion(row, lsn, None), lsn
             )
         if row is None:
             del self._rows[rowid]
         else:
             self._rows[rowid] = row
         self._reindex(old, row)
-        if lsn and old is not None:
-            version = self._chain_version_of(old)
-            if version is not None:
-                version.end_lsn = lsn
-            self._supersede(rowid)

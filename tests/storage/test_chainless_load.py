@@ -6,6 +6,8 @@ row is its rowid's one version, from LSN 0, read by a pin below every
 commit) and no hash index holds a list of one rowid; every index equals
 one rebuilt from the rows.  The first write to a loaded row gives it its
 chain, and a pin taken before that write keeps reading the loaded row.
+Rows a live bulk load wrote end the same way, chainless, once one more
+call has settled the last batch.
 """
 
 import pytest
@@ -102,3 +104,36 @@ def test_the_first_write_to_a_loaded_row_chains_it_under_a_pin(tmp_path):
     finally:
         protector.stop()
         reopened.close()
+
+
+@pytest.mark.parametrize("then", ["write", "pinned probe"])
+def test_a_bulk_load_leaves_no_chain_after_one_more_call(tmp_path, then):
+    database = Database(str(tmp_path / "db"))
+    try:
+        table = database.create_table("t", [("title", "string"), ("v", "integer")])
+        table.create_index("v")
+        rows = database.bulk_ingest(
+            "t", [{"title": "w%d" % i, "v": i % 7} for i in range(2500)]
+        )
+        # Each batch settled the one before it; the last one waits for a
+        # later call on the table.
+        assert table.stale_rowids() == tuple(row.rowid for row in rows[2000:])
+        if then == "write":
+            table.update(rows[0].rowid, {"v": 99})
+            loaded = rows[1:]
+        else:
+            with database.snapshot():
+                assert len(table.select_eq("v", 3)) == 357
+            loaded = rows
+        assert not any(row.rowid in table._chains for row in loaded)
+        queued = table.stale_rowids()
+        assert queued == (() if then == "pinned probe" else (rows[0].rowid,))
+        # So a sweep has no loaded row left to settle.
+        pruned = database.metrics.value("mvcc.versions_pruned")
+        table.prune_versions(database.transactions.prune_horizon())
+        assert not table._chains and table.stale_rowids() == ()
+        assert database.metrics.value("mvcc.versions_pruned") == pruned + (
+            1 if then == "write" else 0
+        )
+    finally:
+        database.close()

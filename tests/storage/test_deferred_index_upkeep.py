@@ -170,7 +170,8 @@ def test_a_run_installs_as_its_changes_one_at_a_time():
         for rowid in (5, 15, 40):
             single.install_committed(7, (), (rowid,))
         assert chain_state(whole) == chain_state(single)
-        assert whole.stale_rowids() == (7, 3, 5, 15)  # 3 superseded twice
+        # In latest-write order: 3 and 15 were each written twice.
+        assert whole.stale_rowids() == (12, 7, 20, 3, 5, 15)
         assert whole.version == 10 + 6 + 2  # the absent rowid 40 is no change
         for table in tables:
             assert_indexes_match_rows(table)

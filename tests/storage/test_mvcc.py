@@ -6,11 +6,13 @@ the randomized half in tests/props/test_mvcc_props.py.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import ReadOnlyError, StorageError, TransactionError
 from repro.storage.database import Database
+from tests.props.protector import Protector
 
 
 def _make_db(tmp_path=None):
@@ -52,14 +54,21 @@ def test_pinned_reader_keeps_old_state_across_commits(tmp_path, durable):
     with db.snapshot() as snap:
         old = _visible(db)
         assert old == {"a": 1}
-    t.update(row.rowid, {"v": 2})
-    t.insert({"k": "b", "v": 3})
-    # Old snapshot LSN still resolves the old state explicitly.
-    db.transactions.pin_snapshot(snap.lsn)
+    # That client's reader stays pinned at snap.lsn across the writes:
+    # an LSN no pin holds is void once the writes settle past it.
+    protector = Protector(db.transactions)
+    protector.set_floor(snap.lsn)
     try:
-        assert _visible(db) == {"a": 1}
+        t.update(row.rowid, {"v": 2})
+        t.insert({"k": "b", "v": 3})
+        # Old snapshot LSN still resolves the old state explicitly.
+        db.transactions.pin_snapshot(snap.lsn)
+        try:
+            assert _visible(db) == {"a": 1}
+        finally:
+            db.transactions.unpin_snapshot()
     finally:
-        db.transactions.unpin_snapshot()
+        protector.stop()
     with db.snapshot():
         assert _visible(db) == {"a": 2, "b": 3}
 
@@ -225,7 +234,7 @@ def test_checkpoint_prunes_dead_versions(tmp_path):
     # Only the live version of "a" remains reachable; state is intact.
     with db.snapshot():
         assert _visible(db) == {"a": 5}
-    assert len(t._chains[row.rowid]) == 1
+    assert row.rowid not in t._chains
     assert victim.rowid not in t._chains
 
 
@@ -247,7 +256,7 @@ def test_active_snapshot_blocks_pruning_of_its_versions(tmp_path):
         db.transactions.unpin_snapshot()
     # Unpinned, the old version is now reclaimable.
     t.prune_versions(db.transactions.prune_horizon())
-    assert len(t._chains[row.rowid]) == 1
+    assert row.rowid not in t._chains
     with db.snapshot():
         assert _visible(db) == {"a": 1}
 
@@ -368,7 +377,105 @@ def test_chains_are_pruned_to_the_horizon():
         thread.join(10)
     assert seen == [1]
     t.prune_versions(transactions.prune_horizon())
-    assert len(t._chains[kept.rowid]) == 1 and t.stale_rowids() == ()
+    assert kept.rowid not in t._chains and t.stale_rowids() == ()
+
+
+def test_an_insert_keeps_its_chain_while_a_pin_below_it_may_read():
+    """A rowid is chainless only once no snapshot that may be pinned can
+    read anything but its row: later writes and pinned probes settle the
+    entries around an insert, never the insert itself, while a pin taken
+    before it holds the horizon down."""
+    db = _make_db()
+    t = db.table("t")
+    t.create_index("k")
+    t.insert({"k": "old", "v": 0})
+    lsn = db.transactions.snapshot_lsn()
+    protector = Protector(db.transactions)   # a reader pinned at lsn
+    protector.set_floor(lsn)
+    try:
+        row = t.insert({"k": "new", "v": 1})
+        later = t.insert({"k": "later", "v": 2})
+        t.update(later.rowid, {"v": 3})
+        with db.snapshot():
+            assert [r["v"] for r in t.select_eq("k", "new")] == [1]
+        t.delete(later.rowid)
+        assert t.stale_rowids() == (row.rowid, later.rowid)
+        assert t._chains[row.rowid][0].begin_lsn > lsn
+        db.transactions.pin_snapshot(lsn)
+        try:
+            assert t.select_eq("k", "new") == []
+            assert t.get(row.rowid) is None
+            assert _visible(db) == {"old": 0}
+        finally:
+            db.transactions.unpin_snapshot()
+    finally:
+        protector.stop()
+    with db.snapshot():
+        assert t.select_eq("k", "new") == [row]
+    assert not t._chains and t.stale_rowids() == ()
+
+
+def test_a_settled_row_rewritten_under_a_pin_chains_from_lsn_0():
+    db = _make_db()
+    t = db.table("t")
+    t.create_index("k")
+    row = t.insert({"k": "a", "v": 1})
+    with db.snapshot():
+        t.select_eq("k", "a")   # settles the insert
+    assert not t._chains
+    lsn = db.transactions.snapshot_lsn()
+    protector = Protector(db.transactions)   # a pin taken in between
+    protector.set_floor(lsn)
+    try:
+        t.update(row.rowid, {"v": 2})
+        first, second = t._chains[row.rowid]
+        assert first.row is row and first.begin_lsn == 0
+        assert second.begin_lsn > lsn
+        db.transactions.pin_snapshot(lsn)
+        try:
+            assert t.get(row.rowid) is row
+            assert t.select_eq("k", "a") == [row]
+        finally:
+            db.transactions.unpin_snapshot()
+    finally:
+        protector.stop()
+    with db.snapshot():
+        assert [r["v"] for r in t.select_eq("k", "a")] == [2]
+    assert not t._chains
+
+
+@pytest.mark.parametrize("change", ["update", "delete"])
+def test_a_read_caught_across_an_undo_reads_again(change):
+    """A pinned read takes a rowid's row, then its chain.  An undo that
+    lands between the two puts back a row the read did not take and lets
+    the chain settle; it bumps ``_retracted``, so the read goes again
+    instead of answering chainless from the row it took."""
+
+    class Chains(dict):
+        armed = False
+
+        def get(self, key, default=None):
+            if self.armed:
+                self.armed = False
+                writer.submit(txn.abort).result(timeout=10)
+            return dict.get(self, key, default)
+
+    db = _make_db()
+    t = db.table("t")
+    row = t.insert({"k": "a", "v": 1})
+    t.insert({"k": "b", "v": 2})   # settles the first insert
+    assert row.rowid not in t._chains
+    with ThreadPoolExecutor(1) as writer:
+        txn = writer.submit(db.begin).result(timeout=10)
+        if change == "update":
+            writer.submit(t.update, row.rowid, {"v": 9}).result(timeout=10)
+        else:
+            writer.submit(t.delete, row.rowid).result(timeout=10)
+        t._chains = chains = Chains(t._chains)
+        with db.snapshot():
+            chains.armed = True
+            assert t.get(row.rowid) is row
+        assert not chains.armed and row.rowid not in chains
 
 
 def test_require_respects_snapshot():

@@ -159,28 +159,34 @@ class TestStaleSet:
         self, tmp_path
     ):
         db, t = _make_db(tmp_path / "d")
+        # The gauge counts every table's set: besides t's, it holds the
+        # row create_table wrote to the catalog, which no later catalog
+        # call has settled.
         gauge = db.metrics.gauge("mvcc.stale_rowids")
+        assert len(db._catalog.stale_rowids()) == 1
         rows = [t.insert({"k": "k%d" % i, "v": i}) for i in range(20)]
-        assert t.stale_rowids() == ()
+        # Each insert settles the one before it; the last waits for a
+        # later call.
+        assert t.stale_rowids() == (rows[-1].rowid,)
         with db.begin():
             for row in rows:
                 t.update(row.rowid, {"k": "x"})
             # Uncommitted: nothing can be settled yet.
             assert set(t.stale_rowids()) == {row.rowid for row in rows}
-            assert gauge.value == 20
+            assert gauge.value == 20 + 1
         # Committed and nobody pinned below it, so the horizon has moved
-        # past the commit; each later write settles two of the oldest
-        # entries and queues one ...
+        # past the commit; each later write settles every entry in
+        # front of its own ...
         for row in rows:
             t.update(row.rowid, {"v": 0})
-        assert len(t.stale_rowids()) <= 2
+        assert t.stale_rowids() == (rows[-1].rowid,)
         # ... and the first pinned read after the last write settles
         # what no later write will.  No checkpoint anywhere.
         with db.snapshot():
             assert len(t.select_eq("k", "x")) == 20
         assert t.stale_rowids() == ()
-        assert gauge.value == 0
-        assert all(len(chain) == 1 for chain in t._chains.values())
+        assert gauge.value == 1
+        assert not t._chains
 
     def test_bounded_under_steady_rewrites_beside_pinning_readers(self):
         db, t = _make_db()
@@ -212,6 +218,20 @@ class TestStaleSet:
         t.prune_versions(db.transactions.prune_horizon())
         assert t.stale_rowids() == ()
 
+    def test_a_row_rewritten_behind_an_entry_that_cannot_settle(self):
+        """An abandoned transaction (its abort failed, its locks went)
+        leaves its insert uncommitted at the front of the queue, and no
+        trim gets past it; each rewrite still prunes its own chain."""
+        db, t = _make_db()
+        hot = t.insert({"k": "hot", "v": 0})
+        txn = db.begin()
+        stuck = t.insert({"k": "stuck", "v": 0})
+        db.transactions.abandon(txn)
+        for v in range(1, 51):
+            t.update(hot.rowid, {"v": v})
+        assert t.stale_rowids() == (stuck.rowid, hot.rowid)
+        assert [v.row["v"] for v in t._chains[hot.rowid]] == [49, 50]
+
     def test_abort_leaves_it_consistent(self):
         db, t = _make_db()
         a = t.insert({"k": "a", "v": 1})
@@ -220,12 +240,14 @@ class TestStaleSet:
         txn = db.begin()
         t.update(a.rowid, {"k": "z"})
         t.delete(b.rowid)
-        t.insert({"k": "c", "v": 3})
-        assert set(t.stale_rowids()) == {a.rowid, b.rowid}
+        c = t.insert({"k": "c", "v": 3})
+        assert t.stale_rowids() == (a.rowid, b.rowid, c.rowid)
         txn.abort()
         # The indexes describe the one version each rowid has again.
         assert t.stale_rowids() == ()
-        assert db.metrics.gauge("mvcc.stale_rowids").value == 0
+        # What is left is the catalog row create_table wrote.
+        assert db.metrics.gauge("mvcc.stale_rowids").value == 1
+        assert len(db._catalog.stale_rowids()) == 1
         for pin in (lsn, None):
             db.transactions.pin_snapshot(pin)
             try:
@@ -250,7 +272,7 @@ class TestStaleSet:
             holder.release()
         t.prune_versions(db.transactions.prune_horizon())
         assert t.stale_rowids() == ()
-        assert len(t._chains[a.rowid]) == 1
+        assert not t._chains
         with db.snapshot():
             _assert_eq(t, {"a": [], "b": [a.rowid]})
 
@@ -345,8 +367,8 @@ class TestFallback:
         with db.snapshot():
             assert t.candidate_cap() == 1000
             assert visits == []
-            assert len(t) == 2000   # exact, and it does walk the chains
-            assert len(visits) == 2000
+            assert len(t) == 2000   # exact, and it does walk the chains:
+            assert len(visits) == 1  # the last insert's, which no call settled
 
 
 class TestLatchDiscipline:
@@ -429,11 +451,11 @@ class TestLatchDiscipline:
         row = t.insert({"k": "a"})
         t.update(row.rowid, {"k": "b"})
         t.delete(row.rowid)
-        t.insert_many([{"k": "c"}, {"k": "d"}])
+        c, d = t.insert_many([{"k": "c"}, {"k": "d"}])
         assert held == [False] * 4
-        # Only the rowid the writes rewrote is stale, and with no pin
-        # a sweep settles it.
-        assert set(t.stale_rowids()) <= {row.rowid}
+        # The batch settled the deleted rowid; its own rows wait for a
+        # later call, and with no pin a sweep settles them.
+        assert t.stale_rowids() == (c.rowid, d.rowid)
         t.prune_versions(db.transactions.prune_horizon())
         assert t.stale_rowids() == ()
 

@@ -70,13 +70,6 @@ class TestBasics:
         with pytest.raises(StorageError):
             table.insert({"name": "b", "pitch": 2}, rowid=7)
 
-    def test_truncate(self):
-        table = make_table()
-        for i in range(5):
-            table.insert({"name": str(i), "pitch": i})
-        table.truncate()
-        assert len(table) == 0
-
 
 class TestIndexes:
     def test_hash_index_consistency(self):
