@@ -34,6 +34,10 @@ Usage::
 ``--compare`` runs the suites the named baselines hold, writes nothing,
 and exits nonzero when a workload's p50 is more than 25% (plus an
 absolute slack) over its baseline's.
+
+Run as a program with ``PYTHONHASHSEED`` unset, the script re-executes
+itself with ``PYTHONHASHSEED=0`` (its swarm workers inherit it): the hash
+seed alone moves some text workloads' times between two runs of one tree.
 """
 
 import argparse
@@ -1000,4 +1004,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    if "PYTHONHASHSEED" not in os.environ:
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, *sys.argv])
     sys.exit(main())

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Snapshot-isolation target: the whole MVCC battery in one command --
 # version-chain unit tests, pinned index reads (stale set, the re-check
-# of stale rowids only, fall-back, latch discipline:
+# of stale rowids only, one over half the table, latch discipline:
 # test_snapshot_index_reads.py), the reader/writer interleaving oracle
 # (readers lock-free and never torn), the temporal property batteries
 # on the shared op-program runner (tests/props/program.py): plain rows

@@ -6,7 +6,7 @@ representation and query interface instead of each managing its own.
 """
 
 from repro.mdm.manager import MusicDataManager
-from repro.mdm.service import AdmissionGate, MdmSession, ServiceMetrics
+from repro.mdm.service import AdmissionGate, MdmSession
 from repro.mdm.clients import (
     AnalysisClient,
     Client,
@@ -19,7 +19,6 @@ __all__ = [
     "MusicDataManager",
     "MdmSession",
     "AdmissionGate",
-    "ServiceMetrics",
     "Client",
     "EditorClient",
     "CompositionClient",

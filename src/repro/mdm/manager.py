@@ -17,10 +17,10 @@ from repro.cmn.schema import CmnSchema
 from repro.ddl.compiler import execute_ddl
 from repro.lang.lexer import leading_keywords
 from repro.mdm.service import (
+    SERVICE_COUNTERS,
     AdmissionGate,
     MdmSession,
     RemoteSessions,
-    ServiceMetrics,
 )
 from repro.quel.executor import QuelSession
 from repro.storage.database import Database
@@ -44,13 +44,12 @@ class MusicDataManager:
         self.session = QuelSession(self.schema)
         self.clients = []
         self._closed = False
-        # Service counters share the database's registry so one
+        # Service counters live in the database's registry so one
         # \metrics listing covers the whole stack.
-        self.metrics = ServiceMetrics(registry=self.database.metrics)
         self.admission = AdmissionGate(
             limit=max_concurrent,
             queue_timeout=admission_queue_timeout,
-            metrics=self.metrics,
+            metrics=self.database.metrics,
         )
         # Remote requests (the network server's) register here, so
         # close() can drain them instead of dying under their feet.
@@ -158,7 +157,9 @@ class MusicDataManager:
         stats = self.schema.statistics()
         stats["clients"] = len(self.clients)
         stats["tables"] = len(self.database.table_names())
-        stats.update(self.metrics.snapshot())
+        value = self.database.metrics.value
+        for name in SERVICE_COUNTERS:
+            stats[name] = value("service." + name)
         locks = self.database.transactions.lock_manager.stats()
         stats["lock_waits"] = locks["waits"]
         stats["lock_timeouts"] = locks["timeouts"]

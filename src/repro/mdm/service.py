@@ -16,9 +16,9 @@ transaction.  This module is that something:
 * :class:`AdmissionGate` — a bounded concurrent-transaction gate that
   queues briefly and then sheds load with :class:`OverloadError` rather
   than piling threads onto the lock table.
-* :class:`ServiceMetrics` — thread-safe robustness counters surfaced
-  through ``MusicDataManager.statistics()`` and the shell's ``\\health``
-  command.
+* :data:`SERVICE_COUNTERS` — the robustness counters both keep in the
+  database's metrics registry as ``service.<name>``, surfaced through
+  ``MusicDataManager.statistics()`` and the shell's ``\\health`` command.
 
 Closures passed to :meth:`MdmSession.run` must be *re-runnable*: each
 retry re-executes the closure against the rolled-back state, so any
@@ -44,41 +44,11 @@ from repro.errors import (
 )
 
 
-class ServiceMetrics:
-    """Thread-safe robustness counters for one MusicDataManager.
-
-    Backed by a :class:`~repro.obs.metrics.MetricsRegistry` (counter
-    names ``service.<name>``) so the shell's ``\\metrics`` command and
-    the bench report see the same numbers as ``statistics()``; the
-    ``incr``/``snapshot`` API and its short key names are unchanged.
-    """
-
-    _NAMES = (
-        "admitted", "commits", "retries", "retry_exhausted",
-        "overload_shed", "query_timeouts", "resource_limited",
-        "snapshot_reads",
-    )
-
-    def __init__(self, registry=None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._mutex = threading.Lock()
-        self._counters = {
-            name: self.registry.counter("service." + name)
-            for name in self._NAMES
-        }
-
-    def incr(self, name, amount=1):
-        counter = self._counters.get(name)
-        if counter is None:
-            with self._mutex:
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self.registry.counter("service." + name)
-                    self._counters[name] = counter
-        counter.inc(amount)
-
-    def snapshot(self):
-        return {name: counter.value for name, counter in self._counters.items()}
+#: The ``service.*`` counters, by the names ``statistics()`` reports.
+SERVICE_COUNTERS = (
+    "admitted", "commits", "retries", "retry_exhausted", "overload_shed",
+    "query_timeouts", "resource_limited", "snapshot_reads", "bulk_rows",
+)
 
 
 class RemoteSessions:
@@ -167,7 +137,8 @@ class AdmissionGate:
     caller's deadline), then is shed with :class:`OverloadError`.
     Shedding at the door keeps the lock table's wait-die churn bounded
     under overload instead of letting every thread pile on and abort
-    each other.
+    each other.  *metrics* is the registry its ``service.admitted`` and
+    ``service.overload_shed`` counters live in.
     """
 
     def __init__(self, limit=8, queue_timeout=0.1, metrics=None,
@@ -176,7 +147,9 @@ class AdmissionGate:
             raise ValueError("admission limit must be >= 1")
         self.limit = limit
         self.queue_timeout = queue_timeout
-        self._metrics = metrics if metrics is not None else ServiceMetrics()
+        counter = (metrics if metrics is not None else MetricsRegistry()).counter
+        self._admitted = counter("service.admitted")
+        self._shed = counter("service.overload_shed")
         self._clock = clock
         self._semaphore = threading.BoundedSemaphore(limit)
         self._active_mutex = threading.Lock()
@@ -192,14 +165,14 @@ class AdmissionGate:
         if deadline is not None:
             wait = min(wait, max(0.0, deadline - self._clock()))
         if not self._semaphore.acquire(timeout=wait):
-            self._metrics.incr("overload_shed")
+            self._shed.inc()
             raise OverloadError(
                 "admission gate full (%d active); request shed after %.3fs"
                 % (self.limit, wait)
             )
         with self._active_mutex:
             self._active += 1
-        self._metrics.incr("admitted")
+        self._admitted.inc()
 
     def release(self):
         with self._active_mutex:
@@ -254,6 +227,14 @@ class MdmSession:
         self._rng = random.Random(seed)
         self._clock = clock
         self._sleep = sleep
+        counter = mdm.database.metrics.counter
+        self._commits = counter("service.commits")
+        self._retries = counter("service.retries")
+        self._retry_exhausted = counter("service.retry_exhausted")
+        self._query_timeouts = counter("service.query_timeouts")
+        self._resource_limited = counter("service.resource_limited")
+        self._snapshot_reads = counter("service.snapshot_reads")
+        self._bulk_rows = counter("service.bulk_rows")
 
     # -- the entry point -------------------------------------------------------
 
@@ -320,7 +301,7 @@ class MdmSession:
                 result = fn(self.mdm)
             finally:
                 transactions.unpin_snapshot()
-            self.mdm.metrics.incr("snapshot_reads")
+            self._snapshot_reads.inc()
             return result
         finally:
             transactions.clear_deadline()
@@ -352,7 +333,7 @@ class MdmSession:
                 out = self.mdm.bulk_ingest(
                     table_name, rows, batch_rows=batch_rows
                 )
-                self.mdm.metrics.incr("bulk_rows", len(out))
+                self._bulk_rows.inc(len(out))
                 ingest_span.record("rows", len(out))
                 return out
             finally:
@@ -364,7 +345,6 @@ class MdmSession:
     # -- internals -------------------------------------------------------------
 
     def _run_with_retries(self, fn, deadline, row_budget):
-        metrics = self.mdm.metrics
         transactions = self.mdm.database.transactions
         quel = self.quel
         last_error = None
@@ -376,7 +356,7 @@ class MdmSession:
                 txn = self.mdm.begin()
                 result = fn(self.mdm)
                 txn.commit()
-                metrics.incr("commits")
+                self._commits.inc()
                 current_span().record("attempts", attempt)
                 return result
             except (DeadlockError, LockTimeoutError) as error:
@@ -387,7 +367,7 @@ class MdmSession:
                 )
                 out_of_time = remaining is not None and remaining <= 0
                 if attempt >= self.max_attempts or out_of_time:
-                    metrics.incr("retry_exhausted")
+                    self._retry_exhausted.inc()
                     current_span().record("attempts", attempt).record(
                         "exhausted", True
                     )
@@ -402,18 +382,18 @@ class MdmSession:
                         attempts=attempt,
                         last_error=error,
                     ) from error
-                metrics.incr("retries")
+                self._retries.inc()
                 delay = self._backoff_delay(attempt, remaining)
                 current_span().add("backoff_s", delay)
                 self._sleep(delay)
             except QueryTimeoutError:
                 self._abort_quietly(txn)
-                metrics.incr("query_timeouts")
+                self._query_timeouts.inc()
                 current_span().record("error", "QueryTimeoutError")
                 raise
             except ResourceLimitError:
                 self._abort_quietly(txn)
-                metrics.incr("resource_limited")
+                self._resource_limited.inc()
                 current_span().record("error", "ResourceLimitError")
                 raise
             except BaseException:

@@ -9,7 +9,7 @@ the buffer.  Backslash commands inspect the schema:
 
     \\d              list entity types, relationships, orderings
     \\d NAME         describe one entity type
-    \\indexes        list every index (equality, ordered, trigram text)
+    \\indexes        list every index (column hash, ordering, text)
     \\stats          schema statistics
     \\health         robustness counters and degraded-mode status
     \\plan           show the last query plan
@@ -175,8 +175,8 @@ class MdmShell:
         )
 
     def _indexes(self):
-        """Every index in the database: equality (hash), ordered (a
-        column's or a composite's) and text (trigram)."""
+        """Every index in the database: a column's equality (hash), an
+        ordering's ordered composite and text (trigram)."""
         database = self.mdm.database
         rows = []
         for table_name in database.table_names():

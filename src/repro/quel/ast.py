@@ -100,8 +100,8 @@ class Literal:
     stands behind.  A parse shared by every statement of one shape says
     where a value goes, not what it is: for the slots a plan leaves
     *bound* (:func:`repro.quel.compile.bound_slots`) the value is read
-    from the executing statement's literal vector, and *value* -- the
-    first such statement's -- only from a bare AST run on its own.
+    from the executing statement's literal vector, not *value* (the
+    first such statement's).
     """
 
     __slots__ = ("value", "slot")

@@ -239,7 +239,7 @@ class Compiler:
     in the variable's :class:`~repro.quel.sources.RowHint`, and a
     ``similarity()`` of the same three takes the Jaccard half there."""
 
-    def __init__(self, session, bound=frozenset(), ranked=None):
+    def __init__(self, session, bound, ranked):
         self.session = session
         self.bound = bound
         self.ranked = ranked
@@ -838,13 +838,13 @@ def _same_expression(left, right, bound):
     )
 
 
-def compile_statement(statement, session, bound=frozenset()):
+def compile_statement(statement, session, bound):
     """Lower *statement* to a :class:`CompiledStatement` for *session*'s
     current range bindings (the plan key pins those, plus the schema
     epoch and function-registry version).  *bound* is the set of
     literal slots the plan leaves to the executing statement's literal
-    vector (:func:`bound_slots`); without one, every literal is the
-    constant its node holds -- a bare AST run on its own."""
+    vector (:func:`bound_slots`); every other literal is the constant
+    its node holds."""
     ranked = _similarity_sort_key(getattr(statement, "sort_by", None))
     compiler = Compiler(session, bound, ranked)
     used, where = session._plan_parts(statement)

@@ -189,11 +189,6 @@ class QuelSession:
         finally:
             local.literals = outer
 
-    def execute_statement(self, statement):
-        """Execute one bare AST node: compiled on the spot with every
-        literal a constant, nothing cached."""
-        return self._execute(statement, None)
-
     def _execute(self, statement, cached):
         self._last_cache_info = None
         if isinstance(statement, ast.RangeStatement):
@@ -253,19 +248,15 @@ class QuelSession:
             return None
         return self._plan_parts(statement)[0]
 
-    def _compiled_for(self, statement, cached=None):
+    def _compiled_for(self, statement, cached):
         """The compiled form of *statement*.
 
         *cached* is its entry in the shape cache, whose plans are keyed
         on what a plan depends on beside the statement -- the bindings
         of the range variables it uses and the function registry -- and
-        valid at one schema epoch; compiles and stores on miss.  A bare
-        AST (no entry) is compiled on the spot.  A statement kind that
-        cannot be compiled raises ``QueryError``.
+        valid at one schema epoch; compiles and stores on miss.  A
+        statement kind that cannot be compiled raises ``QueryError``.
         """
-        if cached is None:
-            self._last_cache_info = "miss"
-            return compile_statement(statement, self)
         shapes = self._shapes
         epoch = self.schema.database.schema_epoch
         functions_version = self.functions.version
@@ -315,9 +306,7 @@ class QuelSession:
     # -- explain / explain analyze ---------------------------------------------
 
     def _explain(self, statement, cached):
-        inner = statement.statement
-        if isinstance(inner, ast.ExplainStatement):
-            raise QueryError("explain cannot be nested")
+        inner = statement.statement  # the parser nests no explain
         if isinstance(inner, ast.RangeStatement):
             self._declare_range(inner)
             return [{"plan": "range declaration (no plan)"}]
@@ -512,10 +501,9 @@ class QuelSession:
             order, chosen = sources.choose(compiled, self, snapshot is not None)
             self._last_plan = plan = planner.build_plan(order, chosen)
             if snapshot is not None:
-                stale = 0
-                for source in chosen.values():
-                    stale += source.stale or 0
-                plan.snapshot = (snapshot, stale)
+                plan.snapshot = (
+                    snapshot, sum(source.stale for source in chosen.values())
+                )
             if plan_span is not NOOP_SPAN:
                 steps = plan.steps
                 plan_span.record("label", plan.label)

@@ -9,8 +9,8 @@ fetched when the join pulls.  Every source has
 * ``count`` -- the probe's answer, neither inflated by stale rowids nor
   reduced by a re-check: the plan line and the join order;
 * ``access`` -- the plan label;
-* ``stale`` -- the stale rowids a pinned index read took in (0 when not
-  pinned); None when the table was swamped and is scanned instead;
+* ``stale`` -- how many stale rowids a pinned index read took in (0
+  when not pinned, or for a scan);
 * ``answers`` -- indices of the conjuncts its candidates satisfy by
   construction (a ``similar_to`` with nothing stale), which the join skips;
 * ``text_candidates`` -- what a trigram index pruned to at plan time
@@ -34,7 +34,6 @@ from itertools import chain
 from repro.core.entity import SURROGATE_COLUMN, BoundInstance
 from repro.errors import UnknownAttributeError
 from repro.quel import planner
-from repro.storage.table import SWAMPED
 from repro.storage.values import value_sort_key
 
 
@@ -131,10 +130,8 @@ class Accounting:
         # Statements a trigram index pruned, and to how many rows.
         self.text_searches = counter("text.searches")
         self.text_candidates = counter("text.candidates")
-        # Pinned reads: variables answered from an index, and the ones a
-        # swamped stale set sent back to a scan.
+        # Pinned reads: variables answered from an index.
         self.snapshot_index_reads = counter("quel.snapshot_index_reads")
-        self.snapshot_scan_fallbacks = counter("quel.snapshot_scan_fallbacks")
 
     def fetched(self, asked):
         """A source asked its table for *asked* rows."""
@@ -156,8 +153,6 @@ class Accounting:
         for source in sources:
             if source.text_candidates is not None:
                 self.text_search(source.text_candidates)
-            if source.stale is None:
-                self.snapshot_scan_fallbacks.inc()
             if pinned and source.access.startswith("index"):
                 index_reads += 1
         if index_reads:
@@ -301,7 +296,7 @@ class IndexAccess:
         self.scan_order = declared.scan_order
         has_column = table.schema.has_column
         self.indexed = tuple(
-            (attribute, table.any_index_for(attribute), value)
+            (attribute, table.index_for(attribute), value)
             for attribute, value in restrictions if has_column(attribute)
         )
         self.residual = tuple(
@@ -373,10 +368,8 @@ class IndexSource(_Source):
         ] if plan.residual else None
         (rowids, text_pruned, decided), stale = table.probe(plan.probe, values)
         pinned = stale is not None
-        if rowids is None or stale is SWAMPED:
-            if rowids is not None:
-                rows = table.fetch(rowids, SWAMPED, self._verify)
-            elif plan.scan_order is None:
+        if rowids is None:
+            if plan.scan_order is None:
                 rows = list(table)
             else:
                 rows = table.sorted_by(plan.scan_order)
@@ -385,7 +378,7 @@ class IndexSource(_Source):
             self.access = "snapshot scan" if pinned else (
                 "filtered scan" if self._residual else "scan"
             )
-            self.stale = 0 if rowids is None else None
+            self.stale = 0
             return
         self.count = len(rowids)
         self.stale = len(stale) if pinned else 0
@@ -447,7 +440,7 @@ class TextStream(_Source):
     @classmethod
     def plan(cls, declared, text_restrictions, accounting):
         """The stream over *declared*, or None: no indexed ``matches``
-        gate bounds it, or the stale set is swamped."""
+        gate bounds it."""
         table = declared.table
 
         def rarest():
@@ -462,7 +455,7 @@ class TextStream(_Source):
             return best
 
         best, stale = table.probe(rarest)
-        if best is None or stale is SWAMPED:
+        if best is None:
             return None
         source = cls(declared, accounting)
         source.count, source._index, source._query = best
@@ -506,8 +499,7 @@ class TextTopK(_Source):
     @classmethod
     def plan(cls, declared, gates, variable, attribute, scorer, accounting):
         """Top-k by *scorer*'s similarity of *variable*'s *attribute* to
-        its query, or None: no index on either side, or a swamped stale
-        set."""
+        its query, or None: no index on either side."""
         table = declared.table
 
         def overlaps():
@@ -522,7 +514,7 @@ class TextTopK(_Source):
             return rowids, index, index.overlap_counts(scorer.grams, rowids)
 
         planned, stale = table.probe(overlaps)
-        if planned is None or stale is SWAMPED:
+        if planned is None:
             return None
         source = cls(declared, accounting)
         rowids, source._index, source._buckets = planned
@@ -552,8 +544,7 @@ class TextTopK(_Source):
                 # Rewritten since the postings were counted: the gram
                 # count read now is another version's, the overlap is
                 # not.  A row of *overlap* grams has the bucket's bound.
-                late = sorted(r for r in (bucket if late is SWAMPED else late)
-                              if r in bucket)
+                late = sorted(r for r in late if r in bucket)
                 yield best, None, late
                 seen.update(late)
             for size, cell in cells:

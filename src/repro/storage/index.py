@@ -1,20 +1,16 @@
-"""Secondary indexes: hash (equality) and ordered (range) access paths.
+"""Secondary indexes: a column's hash index and an ordering's composite.
 
 Section 5.2 of the paper observes that relational systems use key
-ordering "purely as a performance optimization" for selections on key
-values or ranges.  These index types provide those access paths.  The
-QUEL planner uses them for equality restrictions only: it asks
-``Table.any_index_for`` for an index over the restricted column
-(ordered preferred) and builds a hash index when there is none.  No
-QUEL restriction reaches :meth:`OrderedIndex.range`, which only
-``Table.select_range`` calls; :class:`OrderedCompositeIndex` serves an
+ordering "purely as a performance optimization".  A column has one
+index kind, :class:`HashIndex`: the QUEL planner asks
+``Table.index_for`` for it on an equality restriction and builds it
+when there is none.  :class:`OrderedCompositeIndex` serves an
 ordering's sibling walk.
 """
 
 import bisect
 
 from repro.errors import StorageError
-from repro.storage.values import value_sort_key
 
 
 class HashIndex:
@@ -117,107 +113,6 @@ class HashIndex:
 
     def distinct_values(self):
         return len(self._buckets)
-
-
-def _post(postings, keyed):
-    """Add each ``(key, rowid)`` of *keyed* to the sorted posting lists
-    *postings*; returns the keys it made a list for."""
-    new_keys = []
-    for key, rowid in keyed:
-        posting = postings.get(key)
-        if posting is None:
-            postings[key] = [rowid]
-            new_keys.append(key)
-        else:
-            bisect.insort(posting, rowid)
-    return new_keys
-
-
-def _add_keys(keys, new_keys):
-    """Merge *new_keys* into the sorted list *keys*: an insort each for a
-    few, one sort for many."""
-    if len(new_keys) < 16:
-        for key in new_keys:
-            bisect.insort(keys, key)
-    else:
-        keys.extend(new_keys)
-        keys.sort()
-
-
-class OrderedIndex:
-    """Sorted index supporting range scans.
-
-    Keys are kept in a sorted list (bisect); each key maps to a sorted
-    list of rowids.  This plays the role a B-tree plays in a disk-based
-    system: logarithmic point lookup, linear-in-result range scans.
-    """
-
-    def __init__(self, column):
-        self.column = column
-        self._keys = []
-        self._postings = {}
-
-    def __len__(self):
-        return sum(len(p) for p in self._postings.values())
-
-    def insert(self, value, rowid):
-        key = value_sort_key(value)
-        postings = self._postings.get(key)
-        if postings is None:
-            bisect.insort(self._keys, key)
-            self._postings[key] = [rowid]
-        else:
-            bisect.insort(postings, rowid)
-
-    def insert_many(self, pairs):
-        """Bulk insert of the iterable *pairs*, ``(value, rowid)`` each.
-
-        Many unseen keys pay one key-list sort instead of a
-        ``bisect.insort`` (O(n) list shift) each.
-        """
-        _add_keys(self._keys, _post(self._postings, (
-            (value_sort_key(value), rowid) for value, rowid in pairs
-        )))
-
-    def delete(self, value, rowid):
-        key = value_sort_key(value)
-        postings = self._postings.get(key)
-        if postings is None or rowid not in postings:
-            raise StorageError(
-                "index on %r: row #%s not present under %r" % (self.column, rowid, value)
-            )
-        postings.remove(rowid)
-        if not postings:
-            del self._postings[key]
-            position = bisect.bisect_left(self._keys, key)
-            del self._keys[position]
-
-    def lookup(self, value):
-        """Rowids stored exactly under *value*."""
-        return list(self._postings.get(value_sort_key(value), ()))
-
-    def range(self, low=None, high=None):
-        """Yield rowids with low <= value <= high in ascending key order."""
-        if low is None:
-            start = 0
-        else:
-            start = bisect.bisect_left(self._keys, value_sort_key(low))
-        if high is None:
-            stop = len(self._keys)
-        else:
-            stop = bisect.bisect_right(self._keys, value_sort_key(high))
-        for key in self._keys[start:stop]:
-            for rowid in self._postings[key]:
-                yield rowid
-
-    def min_key(self):
-        return self._keys[0] if self._keys else None
-
-    def max_key(self):
-        return self._keys[-1] if self._keys else None
-
-    def distinct_values(self):
-        return len(self._keys)
 
 
 class OrderedCompositeIndex:

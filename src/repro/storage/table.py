@@ -66,9 +66,7 @@ cannot take the version visible at ``S`` away -- the reader's pin holds
 the prune horizon at or below ``S``.  Candidates are fetched at ``S``
 (:meth:`Table.fetch`): a stale rowid's visible version, which need not
 match what the index says of its current one, is re-checked on every
-restriction; the probe decides every other hit.  When the stale set
-outgrows the planner's candidate cap (:meth:`Table.candidate_cap`) the
-read falls back to scanning the visible rows (:data:`SWAMPED`).
+restriction; the probe decides every other hit.
 """
 
 import itertools
@@ -77,20 +75,12 @@ from collections import OrderedDict
 from operator import attrgetter
 
 from repro.errors import StorageError, TypeMismatchError
-from repro.storage.index import HashIndex, OrderedCompositeIndex, OrderedIndex
+from repro.storage.index import HashIndex, OrderedCompositeIndex
 from repro.storage.row import Layout, Row
 from repro.storage.values import Domain, coerce_value, value_sort_key
 from repro.text.index import TrigramIndex
 from repro.text.normalize import trigrams
 
-
-#: Below this many rows to fetch an index always beats a scan; above it
-#: the cap scales with the table (see :meth:`Table.candidate_cap`).
-_CANDIDATE_FLOOR = 512
-
-#: What :meth:`Table.probe` hands back in place of the stale rowids once
-#: they outnumber the candidate cap: every rowid is a candidate, scan.
-SWAMPED = object()
 
 #: The ``end_lsn`` of a version a change not yet committed superseded:
 #: above every snapshot, as a current version's None is, but not current.
@@ -408,14 +398,10 @@ class Table:
                     index.delete(old_value, old.rowid)
                     index.insert(new_value, new.rowid)
 
-    def create_index(self, column, ordered=False):
-        """Create (or return) an index over *column*.
-
-        *column* may also be a tuple/list of two column names, ``(group,
-        order)``, producing an ordered composite index (always ordered
-        -- composite hash indexes would add nothing over per-column
-        hashes here).
-        """
+    def create_index(self, column):
+        """Create (or return) the index over *column*: a hash index, or,
+        for a tuple/list of two column names ``(group, order)``, an
+        ordered composite index."""
         if isinstance(column, (tuple, list)):
             column = tuple(column)
             for name in column:
@@ -423,7 +409,7 @@ class Table:
             key = (column, True)
         else:
             self.schema.column(column)
-            key = (column, ordered)
+            key = (column, False)
         # Under the latch: a pinned reader may build an index adaptively
         # while a writer maintains the others.
         with self._latch:
@@ -432,7 +418,7 @@ class Table:
             if isinstance(column, tuple):
                 index = OrderedCompositeIndex(column)
             else:
-                index = OrderedIndex(column) if ordered else HashIndex(column)
+                index = HashIndex(column)
             self._index_rows(column, index, self._rows.values())
             self._indexes[key] = index
         self._on_schema_change()
@@ -497,22 +483,16 @@ class Table:
                 self._index_rows(column, index, self._rows.values())
         return len(build)
 
-    def index_for(self, column, ordered=False):
+    def index_for(self, column):
+        """The index :meth:`create_index` made over *column*, or None."""
         if isinstance(column, (tuple, list)):
             return self._indexes.get((tuple(column), True))
-        return self._indexes.get((column, ordered))
-
-    def any_index_for(self, column):
-        """Return any index over *column* (ordered preferred), or None."""
-        ordered = self._indexes.get((column, True))
-        if ordered is not None:
-            return ordered
         return self._indexes.get((column, False))
 
     def indexes(self):
         """Every registered index, keyed by ``(column, kind)``.
 
-        *kind* is ``False`` (hash), ``True`` (ordered / composite), or
+        *kind* is ``False`` (hash), ``True`` (composite), or
         ``"text"`` (trigram).  Read-only view for introspection
         (``\\indexes`` in the shell).
         """
@@ -521,9 +501,8 @@ class Table:
     # Text (trigram) indexes share the generic ``_indexes`` map under
     # the kind tag ``"text"``, so ``_reindex`` maintains them for every
     # mutation, undo and redo path exactly like the equality indexes —
-    # inside the same transaction as the row effect.  The
-    # equality probes (``index_for`` / ``any_index_for``) only look at
-    # the True/False kinds and never see them.
+    # inside the same transaction as the row effect.  ``index_for``
+    # only looks at the True/False kinds and never sees them.
 
     def create_text_index(self, column):
         """Create (or return) a trigram inverted index over *column*.
@@ -890,8 +869,8 @@ class Table:
 
     # -- the one index read path ---------------------------------------------
     #
-    # Every read that answers from an index -- select_eq, select_range,
-    # each QUEL candidate source -- is a probe() followed by a fetch()
+    # Every read that answers from an index -- select_eq, each QUEL
+    # candidate source -- is a probe() followed by a fetch()
     # (or, for the streaming sources, by get_many): the same two steps
     # under a table lock and under a pinned snapshot.
 
@@ -899,11 +878,6 @@ class Table:
         """The current row map's size, for a plan line or a cost rule:
         it visits no row (pinned, ``len(table)`` walks every chain)."""
         return len(self._rows)
-
-    def candidate_cap(self):
-        """The most stale rowids a pinned index read may take in
-        besides its candidates before a scan is the cheaper plan."""
-        return max(_CANDIDATE_FLOOR, self.row_estimate() // 2)
 
     def probe(self, fn, *args):
         """Run ``fn(*args)`` where it may read this table's indexes;
@@ -913,9 +887,8 @@ class Table:
         out, the indexes are exact and *stale* is None.  Pinned, *fn*
         runs under the latch and *stale* is the stale set copied in the
         same hold -- the rowids :meth:`fetch` must consider besides
-        whatever *fn* found (module docstring, "Snapshot reads") -- or
-        :data:`SWAMPED` once it has outgrown :meth:`candidate_cap`.
-        *fn* must only read index structures: no row fetch, no
+        whatever *fn* found (module docstring, "Snapshot reads"), however
+        many.  *fn* must only read index structures: no row fetch, no
         predicate.
         """
         if self._deferring:
@@ -930,10 +903,7 @@ class Table:
             # settle it; the readers that follow do.
             self._trim()
         with self._latch:
-            stale = self._stale
-            if len(stale) > self.candidate_cap():
-                return fn(*args), SWAMPED
-            return fn(*args), tuple(stale)
+            return fn(*args), tuple(self._stale)
 
     def fetch(self, rowids, stale, verify):
         """The rows a :meth:`probe` answered with.
@@ -945,8 +915,7 @@ class Table:
         want the two to agree pass *rowids* ascending.  The probe
         decided every rowid exactly but the stale ones, so a row is
         re-checked by *verify*, the exact predicate the probe stood
-        for, only if its rowid is stale.  :data:`SWAMPED`: every visible
-        row that passes *verify*, in ascending rowid order.
+        for, only if its rowid is stale.
 
         A caller that fetches a probe's answer a chunk at a time merges
         the stale rowids into the ascending list once and hands over
@@ -955,8 +924,6 @@ class Table:
         if stale is None:
             rows = self._rows
             return [rows[rowid] for rowid in rowids if rowid in rows]
-        if stale is SWAMPED:
-            return [row for row in self if verify(row)]  # pinned: ascending
         if stale:
             stale = frozenset(stale)
             missing = stale.difference(rowids)
@@ -986,8 +953,6 @@ class Table:
             )
             last = batch[-1] if len(batch) == size else None
             if stale:
-                if stale is SWAMPED:
-                    stale = self.rowids()
                 batch = sorted(set(batch).union(
                     rowid for rowid in stale
                     if rowid > after and (last is None or rowid <= last)
@@ -1000,7 +965,7 @@ class Table:
     def _lookup(self, column, value):
         """Rowids an index holds under *column* == *value*; None when
         the column has no index."""
-        index = self.any_index_for(column)
+        index = self.index_for(column)
         return None if index is None else index.lookup(value)
 
     def select_eq(self, column, value):
@@ -1016,30 +981,21 @@ class Table:
         )
 
     def select_range(self, column, low=None, high=None):
-        """Rows with low <= column <= high: by ascending key (then
-        rowid) via an ordered index if present, else in table order."""
-        def scan_range():
-            index = self.index_for(column, ordered=True)
-            return None if index is None else list(index.range(low, high))
-
+        """Rows with low <= column <= high (None: unbounded), a filtered
+        scan, by ascending key, then rowid."""
         low_key = None if low is None else value_sort_key(low)
         high_key = None if high is None else value_sort_key(high)
 
+        def key(row):
+            return value_sort_key(row[column]), row.rowid
+
         def within(row):
-            key = value_sort_key(row[column])
-            return (low_key is None or key >= low_key) and (
-                high_key is None or key <= high_key
+            value = value_sort_key(row[column])
+            return (low_key is None or value >= low_key) and (
+                high_key is None or value <= high_key
             )
 
-        rowids, stale = self.probe(scan_range)
-        if rowids is None:
-            return [row for row in self if within(row)]
-        rows = self.fetch(rowids, stale, within)
-        # Pinned, fetch() hands back rowid order; a stable sort by key
-        # restores the index's (key, rowid) order -- which a visible
-        # version's key need not share with its rowid's current one.
-        rows.sort(key=lambda row: value_sort_key(row[column]))
-        return rows
+        return sorted(filter(within, self), key=key)
 
     def sorted_by(self, column, descending=False):
         """All rows sorted by *column* (section 5.2's key ordering)."""

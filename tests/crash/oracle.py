@@ -51,7 +51,7 @@ from repro.core.catalog import META_NAMES
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash
-from repro.storage.index import HashIndex, OrderedCompositeIndex
+from repro.storage.index import HashIndex
 from repro.storage.table import Table
 from repro.text import contains_match
 from repro.text.index import TrigramIndex
@@ -143,20 +143,18 @@ def state_of(db, definitions):
 
 
 def _index_contents(index):
-    """All an index holds, the same whatever order built it: ``lookup``,
-    ``range`` and the posting walks are functions of exactly this."""
+    """All an index holds, the same whatever order built it: ``lookup``
+    and the posting walks are functions of exactly this."""
     if isinstance(index, TrigramIndex):
         return index._postings, index._row_grams
     if isinstance(index, HashIndex):
         return index._buckets
-    if isinstance(index, OrderedCompositeIndex):
-        return index._groups, index._nulls
-    return index._keys, index._postings
+    return index._groups, index._nulls
 
 
 def assert_indexes_match_rows(table):
-    """Every index registered on *table* -- hash, ordered, ordered-
-    composite, text -- holds what one rebuilt from the table's rows
+    """Every index registered on *table* -- hash, ordered composite,
+    text -- holds what one rebuilt from the table's rows
     holds.  The rebuild goes row by row through ``insert``; recovery and
     a replica's seed build through ``insert_many`` and live tables by
     ``insert``/``delete`` upkeep, so neither side checks itself."""

@@ -12,7 +12,8 @@ from repro.errors import (
     RetryExhaustedError,
 )
 from repro.mdm.manager import MusicDataManager
-from repro.mdm.service import AdmissionGate, MdmSession, ServiceMetrics
+from repro.mdm.service import SERVICE_COUNTERS, AdmissionGate, MdmSession
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.lock import LockMode
 
 
@@ -84,25 +85,34 @@ class TestAdmissionGate:
         assert gate.active == 0
 
     def test_expired_deadline_sheds_without_queueing(self):
-        metrics = ServiceMetrics()
-        gate = AdmissionGate(limit=1, queue_timeout=10.0, metrics=metrics)
+        registry = MetricsRegistry()
+        gate = AdmissionGate(limit=1, queue_timeout=10.0, metrics=registry)
         gate.acquire()
         start = time.monotonic()
         with pytest.raises(OverloadError):
             gate.acquire(deadline=time.monotonic() - 1.0)
         assert time.monotonic() - start < 1.0  # not the 10 s queue timeout
-        assert metrics.snapshot()["overload_shed"] == 1
+        assert registry.value("service.overload_shed") == 1
 
 
 class TestServiceMetrics:
     def test_counters_are_snapshots(self):
-        metrics = ServiceMetrics()
-        metrics.incr("commits")
-        metrics.incr("commits", 2)
-        snapshot = metrics.snapshot()
-        assert snapshot["commits"] == 3
-        snapshot["commits"] = 99  # mutating the copy changes nothing
-        assert metrics.snapshot()["commits"] == 3
+        """``statistics()`` reports each ``service.*`` counter of the
+        database's registry by its short name, as a copy."""
+        mdm = bare_mdm()
+        session = mdm.connect("editor", seed=0)
+        for pitch in (60, 62, 64):
+            session.run(
+                lambda m, p=pitch: m.schema.entity_type("NOTE").create(pitch=p)
+            )
+        stats = mdm.statistics()
+        registry = mdm.database.metrics
+        assert {name: stats[name] for name in SERVICE_COUNTERS} == {
+            name: registry.value("service." + name) for name in SERVICE_COUNTERS
+        }
+        assert stats["commits"] == stats["admitted"] == 3
+        stats["commits"] = 99  # mutating the copy changes nothing
+        assert mdm.statistics()["commits"] == 3
 
 
 class TestSessionBasics:

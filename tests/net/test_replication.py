@@ -166,7 +166,6 @@ class TestShipping:
                 assert on_replica == writer.retrieve(source)
             state = replica._state.database
             assert state.metrics.value("quel.snapshot_index_reads") > reads
-            assert state.metrics.value("quel.snapshot_scan_fallbacks") == 0
         finally:
             done.set()
             reader.close()

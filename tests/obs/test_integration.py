@@ -10,6 +10,7 @@ import pytest
 from repro.core.schema import Schema
 from repro.mdm.manager import MusicDataManager
 from repro.obs.trace import Tracer, install_tracer, open_span_count, uninstall_tracer
+from repro.quel.compile import compile_statement
 from repro.quel.executor import QuelSession
 from repro.quel.parser import parse_quel
 
@@ -101,7 +102,9 @@ class TestQuelSpans:
     def test_abandoned_generator_does_not_leak(self, tracer, session):
         # Internal generator use: grab one binding and walk away.
         (statement,) = parse_quel("retrieve (n.n)")
-        generator = session._compiled_bindings(session._compiled_for(statement))
+        generator = session._compiled_bindings(
+            compile_statement(statement, session, frozenset())
+        )
         next(generator)
         generator.close()
         assert open_span_count() == 0

@@ -90,7 +90,7 @@ class TestCandidateGeneration:
         )
         assert "index (1 candidates)" in session.last_plan
         # The adaptively created index persists for later statements.
-        assert library.entity_type("PIECE").table.any_index_for("form")
+        assert library.entity_type("PIECE").table.index_for("form")
 
     def test_plan_labels_unrestricted_scan(self, session):
         session.execute("range of p is PIECE\nretrieve (p.title)")

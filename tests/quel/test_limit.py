@@ -162,12 +162,12 @@ class TestPathAgreement:
             assert out == live
             assert session.last_plan_object.label == "index text topk"
 
-    def test_pinned_read_sizes_its_candidate_cap_without_visiting_rows(
+    def test_a_pinned_index_read_visits_no_chain(
         self, catalog, monkeypatch
     ):
-        """The planner's cap used to be ``len(table) // 2``, and ``len``
-        under a pinned snapshot walks every chain: 10,000 visibility
-        checks to compute one integer."""
+        """A pinned plan sizes nothing by ``len(table)``, which under a
+        pinned snapshot walks every chain: 10,000 visibility checks to
+        compute one integer."""
         session = _session(catalog)
         source = 'retrieve (t.title) where matches(t.title, "op. 28")'
         live = session.execute(source)
@@ -484,7 +484,8 @@ def reading(request):
     """``(session, mode, results before any rewrite)``; in the pinned
     modes every read of the test runs under the pin while a writer
     thread's rewrites -- committed after the pin and uncommitted --
-    sit in the table's stale set."""
+    sit in the table's stale set, which "swamped" fills past half the
+    table."""
     schema, table, session = _pull_catalog()
     database = schema.database
     before = {
@@ -503,7 +504,7 @@ def reading(request):
         uncommitted = uncommitted + [
             (row.rowid, {"edition": "Swamp"})
             for row in table if row.rowid not in touched
-        ][:table.candidate_cap() + 1]
+        ][:table.row_estimate() // 2 + 1]
     opened = []
 
     def write():
@@ -514,7 +515,9 @@ def reading(request):
     with ThreadPoolExecutor(1) as writer, database.snapshot():
         writer.submit(write).result(timeout=30)
         stale = len(table.stale_rowids())
-        assert (stale > table.candidate_cap()) == (request.param == "swamped")
+        assert (stale > table.row_estimate() // 2) == (
+            request.param == "swamped"
+        )
         assert stale >= len(committed) + len(uncommitted)
         try:
             yield session, request.param, before
@@ -524,7 +527,8 @@ def reading(request):
 
 class TestPrefixProperty:
     """``stmt limit N`` == ``stmt``[:N] through every candidate source,
-    locked, pinned beside a non-empty stale set, and swamped."""
+    locked, pinned beside a non-empty stale set, and pinned beside one
+    over half the table, each pinned read on its index."""
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("unique", [False, True])
@@ -535,9 +539,7 @@ class TestPrefixProperty:
         body, plain_label, unique_label = SOURCES[source]
         statement = "retrieve %s%s" % ("unique " if unique else "", body)
         label = unique_label if unique else plain_label
-        if mode == "swamped":
-            label = "+".join(["snapshot scan"] * len(label.split("+")))
-        elif mode == "pinned" and label == "scan":
+        if mode != "locked" and label == "scan":
             label = "snapshot scan"
         full = session.execute(statement)
         # The pin predates every rewrite: it reads what was there before.
@@ -574,7 +576,7 @@ class TestRowsFetched:
         self, pull, pinned, monkeypatch
     ):
         schema, table, session = pull
-        posting = len(table.any_index_for("composer").lookup(BROWSED))
+        posting = len(table.index_for("composer").lookup(BROWSED))
         assert posting >= 4 * 25
         fetched = schema.database.metrics.counter("quel.rows_fetched")
         probes = []

@@ -1,7 +1,7 @@
 """End-to-end QUEL text search: matches/similar_to gates, the
 similarity scalar, planner pushdown onto the trigram index (locked,
-pinned and through the server; `similar_to` above the candidate cap's
-floor), parser validation, DDL, and the shell command.
+pinned and through the server; `similar_to` over long postings),
+parser validation, DDL, and the shell command.
 """
 
 import re
@@ -140,8 +140,8 @@ class TestSimilarTo:
             mdm.execute('retrieve (x = similarity(t.n, "prelude"))')
 
 
-#: Above the candidate cap's floor (512 rows), where a ``similar_to``
-#: gate's posting estimate used to lose to the cap and the gate scanned.
+#: Large enough that a ``similar_to`` gate's postings hold hundreds of
+#: rows.
 CORPUS_ROWS = 2_000
 SIMILAR = 'retrieve (t.title) where similar_to(t.title, "%s", %s)'
 
@@ -180,7 +180,7 @@ def _analyzed(rows):
 
 
 class TestSimilarToAnswersFromTheIndex:
-    """On a table above the floor the gate goes to the index at every
+    """On a 2,000-row table the gate goes to the index at every
     threshold, and the index hands back the rows that pass, not a
     superset to be filtered."""
 

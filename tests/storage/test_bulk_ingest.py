@@ -33,7 +33,7 @@ class TestInsertMany:
     def test_deferred_index_builds_stay_consistent(self):
         table = make_table()
         table.create_index("k")
-        table.create_index("v", ordered=True)
+        table.create_index("v")
         table.create_index(("k", "v"))
         table.insert({"k": 0, "v": "seed"})
         rows = table.insert_many(
@@ -44,8 +44,8 @@ class TestInsertMany:
         for k in range(7):
             expect = sorted(r.rowid for r in table.scan(lambda r, k=k: r["k"] == k))
             assert sorted(table.index_for("k").lookup(k)) == expect
-        ordered = table.index_for("v", ordered=True)
-        assert sorted(ordered.range()) == sorted(r.rowid for r in table)
+        for row in rows[::5]:
+            assert table.index_for("v").lookup(row["v"]) == [row.rowid]
         composite = table.index_for(("k", "v"))
         assert sorted(composite.lookup((rows[3]["k"], rows[3]["v"]))) == [
             rows[3].rowid

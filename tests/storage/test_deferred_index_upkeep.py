@@ -83,7 +83,7 @@ def test_every_index_kind_is_built_once_from_the_rows_that_are_left():
     table = new_table()
     table.create_index("v")  # registered before: empty, like a seed's
     table.defer_index_upkeep()
-    table.create_index("w", ordered=True)
+    table.create_index("w")
     table.create_index(("w", "v"))
     table.create_text_index("title")
     for i in range(1, 41):
@@ -96,7 +96,7 @@ def test_every_index_kind_is_built_once_from_the_rows_that_are_left():
     table.build_deferred_indexes()
     assert_indexes_match_rows(table)
     assert set(table.indexes()) == {
-        ("v", False), ("w", True), (("w", "v"), True), ("title", "text"),
+        ("v", False), ("w", False), (("w", "v"), True), ("title", "text"),
     }
     # Upkeep is back on, row by row.
     table.update(1, {"title": "afterwards", "w": 99})
@@ -150,7 +150,7 @@ def test_a_run_installs_as_its_changes_one_at_a_time():
             stack.enter_context(horizon_held_at_zero(db))
             table = new_table(db)
             table.create_index("v")
-            table.create_index("w", ordered=True)
+            table.create_index("w")
             table.create_index(("w", "v"))
             table.create_text_index("title")
             table.defer_index_upkeep()

@@ -156,7 +156,6 @@ def test_snapshot_reads_bypass_indexes():
     db = _make_db()
     t = db.table("t")
     t.create_index("k")
-    t.create_index("v", ordered=True)
     row = t.insert({"k": "a", "v": 1})
     lsn = db.transactions.snapshot_lsn()
     t.update(row.rowid, {"v": 5})

@@ -1,5 +1,6 @@
 """Pinned-snapshot reads answer from the indexes: stale set, re-check,
-fall-back, and the pin/prune-horizon ordering the trimming rests on.
+however large the stale set grows, and the pin/prune-horizon ordering
+the trimming rests on.
 
 The deterministic single-thread half; the randomized half is the
 temporal model in tests/props/test_mvcc_props.py, the concurrent half
@@ -10,32 +11,31 @@ import threading
 
 import pytest
 
+from repro.core.schema import Schema
 from repro.errors import StorageError
+from repro.quel.executor import QuelSession
 from repro.storage.database import Database
-from repro.storage.table import SWAMPED, Table
+from repro.storage.table import Table
 
 
 def _make_db(tmp_path=None):
     db = Database(None if tmp_path is None else str(tmp_path))
     t = db.create_table("t", [("k", "string"), ("v", "integer")])
     t.create_index("k")
-    t.create_index("v", ordered=True)
+    t.create_index("v")
     return db, t
 
 
 def _counting_lookups(index):
-    """Wrap *index*'s lookup/range so a test can tell it was probed."""
+    """Wrap *index*'s lookup so a test can tell it was probed."""
     calls = []
-    for name in ("lookup", "range"):
-        original = getattr(index, name, None)
-        if original is None:
-            continue
+    lookup = index.lookup
 
-        def counting(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
+    def counting(*args):
+        calls.append("lookup")
+        return lookup(*args)
 
-        setattr(index, name, counting)
+    index.lookup = counting
     return calls
 
 
@@ -59,7 +59,7 @@ class TestPinnedReadsUseTheIndexes:
         assert calls == ["lookup"] * 3
         assert [r.rowid for r in t.select_eq("k", "b")] == [a.rowid]
 
-    def test_select_range_keeps_the_index_order_of_the_visible_keys(self):
+    def test_select_range_orders_the_visible_keys_then_rowids(self):
         db, t = _make_db()
         rows = [t.insert({"k": "r%d" % i, "v": v})
                 for i, v in enumerate([5, 3, 3, 9, 1])]
@@ -71,7 +71,6 @@ class TestPinnedReadsUseTheIndexes:
             t.update(rows[0].rowid, {"v": 100})   # leaves the range
             t.update(rows[4].rowid, {"v": 4})     # enters it
             t.delete(rows[1].rowid)
-            calls = _counting_lookups(t.index_for("v", ordered=True))
 
             def read():
                 assert [r.rowid for r in t.select_range("v", 2, 9)] == locked
@@ -79,7 +78,6 @@ class TestPinnedReadsUseTheIndexes:
             holder.run(read)
         finally:
             holder.release()
-        assert calls == ["range"]
         assert [r.rowid for r in t.select_range("v", 2, 9)] == [
             rows[2].rowid, rows[4].rowid, rows[3].rowid
         ]
@@ -327,20 +325,23 @@ class TestStaleSet:
         assert t.get(row.rowid) is row and t.stale_rowids() == ()
 
 
-class TestFallback:
-    def test_a_swamped_stale_set_scans_and_then_comes_back(self):
+class TestOverHalfTheTable:
+    """A pinned read merges its stale set however large it is: rewriting
+    more than half a table leaves every read on its index."""
+
+    def test_a_stale_set_over_half_the_table_is_merged_and_then_settles(self):
         db, t = _make_db()
         rows = [t.insert({"k": "k%d" % (i % 10), "v": i}) for i in range(600)]
-        assert t.candidate_cap() == 512
         expected = [r.rowid for r in rows if r["k"] == "k3"]
         txn = db.begin()
         for row in rows:
             t.update(row.rowid, {"k": "moved", "v": -1})
         with db.snapshot():
-            assert t.probe(lambda: None) == (None, SWAMPED)
+            assert t.probe(lambda: None) == (None, tuple(r.rowid for r in rows))
             calls = _counting_lookups(t.index_for("k"))
             assert [r.rowid for r in t.select_eq("k", "k3")] == expected
             assert t.select_eq("k", "moved") == []
+            assert calls == ["lookup"] * 2
             assert [r.rowid for r in t.select_range("v", 10, 12)] == [
                 rows[10].rowid, rows[11].rowid, rows[12].rowid
             ]
@@ -352,7 +353,7 @@ class TestFallback:
             assert len(t.select_eq("k", "moved")) == 600
             assert t.select_eq("k", "k3") == []
 
-    def test_the_cap_is_an_estimate_that_visits_no_row(self, monkeypatch):
+    def test_the_row_estimate_visits_no_row(self, monkeypatch):
         db, t = _make_db()
         for i in range(2000):
             t.insert({"k": "k", "v": i})
@@ -365,10 +366,75 @@ class TestFallback:
 
         monkeypatch.setattr(Table, "_visible_row", staticmethod(counting))
         with db.snapshot():
-            assert t.candidate_cap() == 1000
+            assert t.row_estimate() == 2000
             assert visits == []
             assert len(t) == 2000   # exact, and it does walk the chains:
             assert len(visits) == 1  # the last insert's, which no call settled
+
+    def test_every_source_kind_reads_its_index_and_the_pinned_rows(self):
+        """Each QUEL candidate source, pinned while a writer rewrote
+        most of its table, answers what the locked read answered before
+        the rewrite, under the label it has locked."""
+        schema = Schema("over-half")
+        schema.define_entity("TRACK", [
+            ("title", "string"), ("composer", "string"), ("n", "integer"),
+        ])
+        schema.define_entity("VOICE", [("n", "integer")])
+        stream = schema.define_ordering("stream", ["TRACK"], under="VOICE")
+        tracks = schema.entity_type("TRACK")
+        table = tracks.table
+        schema.database.create_text_index(table.name, "title")
+        voice = schema.entity_type("VOICE").create(n=0)
+        created = [
+            tracks.create(
+                title="%s No. %d" % (("Prelude", "Fugue", "Etude")[i % 3], i),
+                composer="ABC"[i % 3], n=i,
+            )
+            for i in range(60)
+        ]
+        stream.extend(voice, created[:12])
+        statements = {
+            'retrieve (t.n) where t.composer = "B"': "index",
+            'retrieve (t.n) where matches(t.title, "prelude")': "index text",
+            'retrieve (t.n) where matches(t.title, "prelude") limit 5':
+                "index text stream",
+            'retrieve (t.n) where matches(t.title, "prelude") sort by '
+            'similarity(t.title, "prelude no. 3") descending limit 5':
+                "index text topk",
+            "retrieve (t.n) where t under v in stream and v.n = 0":
+                "index+order range",
+            'retrieve (t.n) where similar_to(t.title, "fugue no. 4", 0.3)':
+                "index text",
+        }
+        session = QuelSession(schema)
+        session.execute("range of t is TRACK\nrange of v is VOICE")
+        locked = {}
+        for statement, label in statements.items():
+            locked[statement] = session.execute(statement)
+            assert session.last_plan_object.label == label, statement
+            assert locked[statement], statement
+
+        def rewrite():
+            for i, track in enumerate(created[:50]):
+                track.set(
+                    title="%s No. %d" % (("Fugue", "Etude", "Prelude")[i % 3], i),
+                    composer="CAB"[i % 3],
+                )
+            stream.move(created[0], 12)
+            stream.move(created[5], 1)
+
+        with schema.database.snapshot():
+            writer = threading.Thread(target=rewrite)
+            writer.start()
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            assert len(table.stale_rowids()) > table.row_estimate() // 2
+            for statement, label in statements.items():
+                assert session.execute(statement) == locked[statement], statement
+                assert session.last_plan_object.label == label, statement
+        # Unpinned, each reads the rewrite.
+        for statement in statements:
+            assert session.execute(statement) != locked[statement], statement
 
 
 class TestLatchDiscipline:

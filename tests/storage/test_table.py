@@ -85,16 +85,12 @@ class TestIndexes:
     def test_index_created_on_existing_data(self):
         table = make_table()
         for i in range(5):
-            table.insert({"name": str(i), "pitch": i})
-        table.create_index("pitch", ordered=True)
-        assert [r["pitch"] for r in table.select_range("pitch", 1, 3)] == [1, 2, 3]
+            table.insert({"name": str(i), "pitch": i % 3})
+        table.create_index("pitch")
+        assert [r["name"] for r in table.select_eq("pitch", 1)] == ["1", "4"]
 
-    @pytest.mark.parametrize("column, ordered", [
-        ("pitch", False), ("pitch", True), (("name", "pitch"), True),
-    ])
-    def test_backfilled_index_equals_one_maintained_row_by_row(
-        self, column, ordered
-    ):
+    @pytest.mark.parametrize("column", ["pitch", ("name", "pitch")])
+    def test_backfilled_index_equals_one_maintained_row_by_row(self, column):
         """``create_index`` over existing rows builds in bulk
         (``insert_many``); the result is the index per-row ``insert``s
         would have built: same keys, same order, same postings."""
@@ -103,12 +99,12 @@ class TestIndexes:
             for i in range(40)
         ]
         maintained = make_table()
-        kept = maintained.create_index(column, ordered=ordered)
+        kept = maintained.create_index(column)
         backfilled = make_table()
         for table in (maintained, backfilled):
             for row in values:
                 table.insert(row)
-        built = backfilled.create_index(column, ordered=ordered)
+        built = backfilled.create_index(column)
         assert type(built) is type(kept)
         assert len(built) == len(kept) == 40
         assert vars(built) == vars(kept)
@@ -127,11 +123,20 @@ class TestIndexes:
 
     def test_select_range_open_ended(self):
         table = make_table()
-        table.create_index("pitch", ordered=True)
         for i in range(10):
             table.insert({"name": str(i), "pitch": i})
         assert len(table.select_range("pitch", low=7)) == 3
         assert len(table.select_range("pitch", high=2)) == 3
+
+    def test_select_range_orders_by_key_then_rowid(self):
+        table = make_table()
+        rows = [
+            table.insert({"name": str(i), "pitch": pitch})
+            for i, pitch in enumerate([2, 1, 3, 1, 2, 0])
+        ]
+        assert [r.rowid for r in table.select_range("pitch", 1, 2)] == [
+            rows[1].rowid, rows[3].rowid, rows[0].rowid, rows[4].rowid,
+        ]
 
     def test_sorted_by(self):
         table = make_table()
@@ -141,13 +146,6 @@ class TestIndexes:
         assert [r["pitch"] for r in table.sorted_by("pitch", descending=True)] == [
             5, 3, 1,
         ]
-
-    def test_any_index_prefers_ordered(self):
-        table = make_table()
-        hash_index = table.create_index("pitch")
-        ordered = table.create_index("pitch", ordered=True)
-        assert table.any_index_for("pitch") is ordered
-        assert table.index_for("pitch") is hash_index
 
 
 class TestScan:

@@ -71,7 +71,7 @@ def test_only_sources_reads_index_structures():
     ``planner.py`` were before the sources moved out (1,720 lines)."""
     quel = Path(repro.__file__).parent / "quel"
     index_read = re.compile(
-        r"text_index_for|any_index_for|matching_chunks|overlap_counts"
+        r"text_index_for|\bindex_for|matching_chunks|overlap_counts"
         r"|size_cells|\.probe\(|\.fetch\("
     )
     text = {path.name: path.read_text() for path in quel.glob("*.py")}
