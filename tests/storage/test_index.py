@@ -7,15 +7,16 @@ from repro.storage.index import HashIndex, OrderedCompositeIndex
 
 
 @pytest.mark.parametrize("make", [
-    lambda: HashIndex("k"), lambda: OrderedCompositeIndex(("g", "k")),
+    lambda: (HashIndex("k"), "x"),
+    lambda: (OrderedCompositeIndex(("g", "k")), (1, "x")),
+    # a null order value is held apart from the positional lists
+    lambda: (OrderedCompositeIndex(("g", "k")), (1, None)),
 ])
 def test_lookup_answers_ascending_whatever_the_insert_order(make):
     """The QUEL executor uses a lone lookup's list as its ascending
     candidate list, without sorting it again."""
-    composite = isinstance(make(), OrderedCompositeIndex)
-    key = (1, "x") if composite else "x"
+    (one_by_one, key), (bulk, _) = make(), make()
     rowids = [40, 3, 17, 99, 1, 64, 22, 8, 70, 5, 31, 12, 88, 2, 51, 9, 77, 4]
-    one_by_one, bulk = make(), make()
     for rowid in rowids:
         one_by_one.insert(key, rowid)
     bulk.insert_many([(key, rowid) for rowid in rowids])  # the bulk path
