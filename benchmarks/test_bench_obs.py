@@ -2,8 +2,8 @@
 
 With no trace sink attached, the executor's hot path hoists one
 ``tracing_active()`` check per span site and skips the span (and its
-attribute records) entirely; metric updates are lock-free deque
-appends folded on read.  This benchmark measures the exact
+attribute records) entirely; a statement's counts are kept in plain
+slots and posted once, one lock-free deque append folded on read.  This benchmark measures the exact
 per-statement instrumentation sequence of a warm compiled statement --
 shape-cache hit (no parse), plan hit -- in isolation and
 compares it to the latency of the *cheapest* instrumented statement
@@ -13,11 +13,12 @@ the observability layer promises.
 """
 
 import time
+from bisect import bisect_left
 
 import pytest
 
 from repro.core.schema import Schema
-from repro.obs.metrics import Counter, Gauge, Histogram, Tally
+from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.trace import (
     NOOP_SPAN,
     get_tracer,
@@ -25,7 +26,12 @@ from repro.obs.trace import (
     tracing_active,
     uninstall_tracer,
 )
+from repro.quel import sources
+from repro.quel.sources import (
+    FETCHED, PLAN_HITS, RETURNED, STATEMENT_HITS, STATEMENTS,
+)
 from repro.quel.executor import QuelSession
+from repro.storage.lock import LockManager
 
 pytestmark = pytest.mark.obs_smoke
 
@@ -70,58 +76,62 @@ def _warm_session(schema):
 
 def _instrumentation_cycle(metrics):
     """Mirrors exactly what one warm execute() pays with no sink
-    attached: a shape-cache hit (no parse span), a plan hit, one
-    hoisted tracing_active() check per span site (statement, plan,
-    scan -- each skipped along with its records and finishes), and the
-    per-statement metric updates (two cache counters, the table lock's
-    grant, the rows fetched and returned, one write-combined
-    count+latency tally)."""
-    statement_hits = metrics.counter("quel.cache.statement_hits")
-    plan_hits = metrics.counter("quel.cache.hits")
-    lock_grants = metrics.counter("lock.grants")
-    rows_fetched = metrics.counter("quel.rows_fetched")
-    rows_returned = metrics.counter("quel.rows_returned")
-    statement_tally = metrics.tally("quel.statements", "quel.statement_seconds")
+    attached: one hoisted tracing_active() check that every span site
+    (statement, plan, scan) reads, each span skipped with its records
+    and finishes; the table lock's grant; and the statement's counts
+    -- a shape-cache hit (no parse span), a plan hit, the rows fetched
+    and returned, the statement and its latency -- added into the
+    thread's Accounting slots."""
+    grants = LockManager(metrics=metrics)
+    tally = sources.statement_tally(metrics)
+    seconds = metrics.histogram("quel.statement_seconds")
+    at = tally.slot(seconds)
+    latency = (at, seconds.buckets, at + len(seconds.buckets) + 1)
+    accounting = sources.Accounting(tally.cell())
 
     def cycle():
-        statement_hits.inc()
+        accounting.limits = None
+        accounting.counts[STATEMENT_HITS] += 1
+        tracing = accounting.tracing = tracing_active()
         statement_span = (
             span("quel.statement", kind="RetrieveStatement")
-            if tracing_active()
-            else NOOP_SPAN
+            if tracing else NOOP_SPAN
         )
         started = time.monotonic()
-        plan_hits.inc()
-        plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
+        accounting.counts[PLAN_HITS] += 1
+        plan_span = span("quel.plan") if accounting.tracing else NOOP_SPAN
         if plan_span is not NOOP_SPAN:
             plan_span.record("label", "index")
             plan_span.record("candidates", 1)
             plan_span.record("index_hits", 1)
         if plan_span is not NOOP_SPAN:
             plan_span.finish()
-        lock_grants.inc()
+        grants._granted += 1  # under the grant's own condition
         scan_span = (
-            span("quel.scan", variables=1) if tracing_active() else NOOP_SPAN
+            span("quel.scan", variables=1) if accounting.tracing else NOOP_SPAN
         )
-        rows_fetched.inc(1)
+        accounting.counts[FETCHED] += 1  # the pull's one chunk
+        if accounting.limits is not None:
+            accounting.limits.fetched += 1
         if scan_span is not NOOP_SPAN:
             scan_span.record("rows_out", 1)
             scan_span.finish()
+        accounting.counts[RETURNED] += 1
         if statement_span is not NOOP_SPAN:
             statement_span.finish()
-        statement_tally.observe(time.monotonic() - started)
-        rows_returned.inc(1)
+        elapsed = time.monotonic() - started
+        counts, (at_, buckets, total) = accounting.counts, latency
+        counts[STATEMENTS] += 1
+        counts[at_ + bisect_left(buckets, elapsed)] += 1
+        counts[total] += elapsed
 
     return cycle
 
 
 def _recorded(write, writes):
     def recorded(instrument, *args):
-        name = (
-            instrument.counter.name if isinstance(instrument, Tally)
-            else instrument.name
-        )
-        writes.append((type(instrument).__name__, write.__name__, name))
+        writes.append((type(instrument).__name__, write.__name__,
+                       instrument.name))
         return write(instrument, *args)
     return recorded
 
@@ -129,23 +139,35 @@ def _recorded(write, writes):
 def test_the_mirror_makes_the_writes_of_a_warm_retrieve(populated, monkeypatch):
     """The timed mirror stays a copy of the path it stands for: one warm
     retrieve and one mirror cycle write the same instruments, the same
-    number of times."""
+    number of times, and add the same counts to the same slots."""
     writes = []
     for kind, methods in (
         (Counter, ("inc",)), (Gauge, ("set", "inc", "dec")),
-        (Histogram, ("observe",)), (Tally, ("observe",)),
+        (Histogram, ("observe",)),
     ):
         for method in methods:
             monkeypatch.setattr(
                 kind, method, _recorded(getattr(kind, method), writes)
             )
     session, source = _warm_session(populated)
-    del writes[:]
-    session.execute(source)
-    statement = sorted(writes)
-    del writes[:]
-    _instrumentation_cycle(session.metrics)()
-    assert sorted(writes) == statement
+    metrics = session.metrics
+    cell = sources.statement_tally(metrics).cell()
+    width = len(sources.STATEMENT_COUNTERS)
+
+    def counted(run):
+        """The instrument writes *run* makes, and what it adds to the
+        thread's Accounting slots (each count, and the latencies) and
+        to the lock grants."""
+        before, grants = list(cell), metrics.value("lock.grants")
+        del writes[:]
+        run()
+        added = [after - was for after, was in zip(cell, before)]
+        return (sorted(writes), added[:width], sum(added[width:-1]),
+                metrics.value("lock.grants") - grants)
+
+    assert counted(lambda: session.execute(source)) == counted(
+        _instrumentation_cycle(metrics)
+    )
 
 
 def test_noop_instrumentation_overhead_under_3_percent(populated):

@@ -14,6 +14,10 @@
 # TestConnectionHygiene / TestHandshake / TestReplicaRefusals (thread
 # pruning, idle reaping, version refusal and the net.* counters on both
 # roles).
+# Includes test_request_counters.py: two remote readers and a remote
+# writer leave net.*, service.snapshot_reads, quel.* and text.searches
+# equal to what the clients sent and received, and a warm remote read
+# calls three instruments on its connection's thread.
 # Plus tests/crash/test_redo.py (also run by crash_smoke.sh): a
 # replica's tables == the primary's == what the primary recovers.
 #

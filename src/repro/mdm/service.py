@@ -63,17 +63,20 @@ class RemoteSessions:
 
     def __init__(self, clock=time.monotonic):
         self._clock = clock
-        self._cond = threading.Condition(threading.Lock())
+        # enter/exit take the lock itself: the condition's own
+        # __enter__ is a Python call around it.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._active = 0
         self.draining = False
 
     @property
     def active(self):
-        with self._cond:
+        with self._lock:
             return self._active
 
     def enter(self, label="remote request"):
-        with self._cond:
+        with self._lock:
             if self.draining:
                 raise ShutdownError(
                     "%s refused: the data manager is shutting down" % label
@@ -81,7 +84,7 @@ class RemoteSessions:
             self._active += 1
 
     def exit(self):
-        with self._cond:
+        with self._lock:
             self._active -= 1
             # Only drain() waits, and it sets draining under this lock
             # before it does.
@@ -280,7 +283,14 @@ class MdmSession:
             run_span.finish()
 
     def _run_read_only(self, fn, timeout, row_budget):
-        """The lock-free snapshot path behind ``run(read_only=True)``."""
+        """The lock-free snapshot path behind ``run(read_only=True)``.
+
+        The call's deadline and row budget are set once, as the QUEL
+        limits, and the snapshot pinned once; both are cleared once.  A
+        pinned read takes no lock and commits nothing, so the
+        transaction manager's deadline (lock waits, commit flushes) has
+        nothing to bound and is left unset.
+        """
         window = self.default_timeout if timeout is None else timeout
         deadline = None if window is None else self._clock() + window
         budget = self.row_budget if row_budget is None else row_budget
@@ -291,23 +301,19 @@ class MdmSession:
             if tracing_active()
             else NOOP_SPAN
         )
+        quel.set_limits(deadline=deadline, row_budget=budget)
+        snapshot = transactions.pin_snapshot()
         try:
-            transactions.set_deadline(deadline)
-            quel.set_limits(deadline=deadline, row_budget=budget)
-            snapshot = transactions.pin_snapshot()
             if run_span is not NOOP_SPAN:
                 run_span.record("snapshot_lsn", snapshot)
-            try:
-                result = fn(self.mdm)
-            finally:
-                transactions.unpin_snapshot()
-            self._snapshot_reads.inc()
-            return result
+            result = fn(self.mdm)
         finally:
-            transactions.clear_deadline()
+            transactions.unpin_snapshot()
             quel.clear_limits()
             if run_span is not NOOP_SPAN:
                 run_span.finish()
+        self._snapshot_reads.inc()
+        return result
 
     def bulk_ingest(self, table_name, rows, timeout=None, batch_rows=1000):
         """Bulk-load *rows* into *table_name* through the service layer.

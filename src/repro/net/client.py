@@ -189,6 +189,8 @@ class MdmClient:
         """
         window = self.default_timeout if timeout is None else timeout
         deadline = None if window is None else time.monotonic() + window
+        # Built once: every attempt, on any endpoint, sends it with
+        # only its timeout_s rewritten.
         request = {
             "seq": None, "source": source, "read_only": True,
             "row_budget": row_budget, "min_lsn": self._commit_lsn,
@@ -203,7 +205,9 @@ class MdmClient:
                     time.monotonic() + self.replica_cooldown
                 )
                 self._m_failovers.inc()
-        message = self._call_primary(request, timeout, deadline=deadline)
+        message = self._call(
+            self._primary, protocol.REQUEST, request, timeout, deadline
+        )
         return protocol.decode_rows(message)
 
     def meta(self, command, timeout=None):
@@ -252,9 +256,7 @@ class MdmClient:
                 break
             try:
                 self._ensure_connected(endpoint, remaining)
-                return self._roundtrip(
-                    endpoint, kind, body, remaining
-                )
+                return self._roundtrip(endpoint, kind, body, remaining)
             except (NetworkError, ProtocolError) as error:
                 # Torn link: reconnect and resend (dedup makes writes safe).
                 endpoint.close()

@@ -74,18 +74,22 @@ KIND_NAMES = {
 
 _REPL_FRAME_HEAD = struct.Struct("<Q")
 
+#: Each kind as the payload's first byte.
+_KIND_BYTES = [bytes((kind,)) for kind in range(256)]
+
 
 def encode_frame(kind, body):
     """Build one wire frame around *body* (bytes)."""
-    payload = bytes((kind,)) + body
-    if len(payload) > MAX_FRAME_BYTES:
+    size = len(body) + 1
+    if size > MAX_FRAME_BYTES:
         raise ProtocolError(
             "frame of %d bytes exceeds the %d-byte limit"
-            % (len(payload), MAX_FRAME_BYTES)
+            % (size, MAX_FRAME_BYTES)
         )
-    return FRAME_HEADER.pack(
-        len(payload), zlib.crc32(payload) & 0xFFFFFFFF
-    ) + payload
+    kind = _KIND_BYTES[kind]
+    return b"".join((
+        FRAME_HEADER.pack(size, zlib.crc32(body, zlib.crc32(kind))), kind, body
+    ))
 
 
 def decode_payload(payload, crc):
@@ -101,17 +105,24 @@ def pack(kind, obj):
     """A control frame with a JSON body, its keys in the order *obj*
     holds them.  A value JSON has no form for (a rational, a blob) is
     written as :func:`encode_value` writes it."""
-    return encode_frame(kind, _ENCODER.encode(obj).encode("utf-8"))
+    return encode_frame(kind, "".join(_ENCODE(obj, 0)).encode("ascii"))
 
 
 def unpack_json(kind, body):
     """Parse a control frame's JSON body, undoing :func:`encode_value`."""
     try:
-        return _DECODER.decode(body.decode("utf-8"))
+        text = body.decode("utf-8")
+        obj, end = _SCAN(text, 0)
+        if end == len(text):
+            return obj
+        problem = "extra data at char %d" % end
+    except StopIteration as exc:  # no JSON value where the body starts
+        problem = "expecting a value at char %d" % exc.value
     except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(
-            "unparseable %s body: %s" % (KIND_NAMES.get(kind, kind), exc)
-        )
+        problem = exc
+    raise ProtocolError(
+        "unparseable %s body: %s" % (KIND_NAMES.get(kind, kind), problem)
+    )
 
 
 # -- result values over JSON -----------------------------------------------------
@@ -149,37 +160,37 @@ def decode_value(value):
     return value
 
 
-#: The body codec, built once.  A body is a tree built for one frame,
-#: never circular, so the encoder keeps no record of the containers it
-#: is inside (one dict insert and delete a row array, a third of a
-#: 50-row encode).  ``decode_value`` is the decoder's ``object_hook``:
-#: it meets each JSON object, and a ``RESULT``'s rows are arrays, so it
-#: runs once for the body and once for each tunnelled value, never once
-#: a row.
-_ENCODER = json.JSONEncoder(
-    separators=(",", ":"), check_circular=False, default=_encode_unknown
+#: The body codec: the C encoder and scanner, built once and called
+#: directly (``JSONEncoder.encode`` builds a C encoder per call, and
+#: ``JSONDecoder.decode`` wraps the scan in two whitespace matches; a
+#: body has no whitespace around it).  A body is a tree built for one
+#: frame, never circular, so the encoder keeps no record of the
+#: containers it is inside (``markers`` None: one dict insert and
+#: delete a row array, a third of a 50-row encode).  Strings are
+#: written ASCII-escaped.  ``decode_value`` is the scanner's
+#: ``object_hook``: it meets each JSON object, and a ``RESULT``'s rows
+#: are arrays, so it runs once for the body and once for each
+#: tunnelled value, never once a row.
+_ENCODE = json.encoder.c_make_encoder(
+    None, _encode_unknown, json.encoder.encode_basestring_ascii, None,
+    ":", ",", False, False, True,
 )
-_DECODER = json.JSONDecoder(object_hook=decode_value)
+_SCAN = json.JSONDecoder(object_hook=decode_value).scan_once
 
 
-def encode_rows(rows):
-    """The ``RESULT`` fields that carry QUEL result *rows* (dicts that
-    share their keys, in one order, as a retrieve answers them): the
-    names once, under ``columns``, and each row as the array of its
-    values in that order, under ``value``."""
-    if not rows:
-        return {"kind": "rows", "columns": [], "value": []}
-    return {
-        "kind": "rows",
-        "columns": list(rows[0]),
-        "value": [list(row.values()) for row in rows],
-    }
+def encode_rows(columns, values):
+    """The ``RESULT`` fields that carry QUEL result rows as a retrieve
+    made them (:class:`repro.quel.executor.Rows`): the column names
+    once, under ``columns``, and each row as the array of its values in
+    that order, under ``value`` -- the tuples themselves, which the
+    encoder writes as arrays, so no row is copied on its way out."""
+    return {"kind": "rows", "columns": columns, "value": values}
 
 
 def decode_rows(message):
-    """The result rows a parsed ``RESULT`` *message* carries, as the
-    dicts :func:`encode_rows` was given; ``ProtocolError`` if it
-    carries none."""
+    """The result rows a parsed ``RESULT`` *message* carries, one dict
+    a row -- the one place a remote row becomes a dict;
+    ``ProtocolError`` if it carries none."""
     try:
         columns = message["columns"]
         return [dict(zip(columns, values)) for values in message["value"]]

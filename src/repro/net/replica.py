@@ -51,7 +51,7 @@ from repro.net import protocol
 from repro.net.server import WireServer
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
-from repro.quel.executor import QuelSession
+from repro.quel.executor import QuelSession, Rows
 from repro.storage import wal as wal_module
 from repro.storage.database import CATALOG, Database, collector_paused
 
@@ -285,12 +285,14 @@ class ReplicaServer(WireServer):
         # preamble must not rebind another client's ranges.
         return {}
 
-    def _handle(self, sessions, kind, message):
+    def _handle(self, sessions, kind, message, seq):
         if kind != protocol.REQUEST or not message.get("read_only"):
             raise ReadOnlyError(
                 "replica %r serves read-only retrieves only" % self.name
             )
-        return self._execute_read(message, sessions)
+        reply = {"seq": seq, "duplicate": False}
+        reply.update(self._execute_read(message, sessions))
+        return reply
 
     def _execute_read(self, message, sessions):
         timeout_s = message.get("timeout_s")
@@ -313,14 +315,16 @@ class ReplicaServer(WireServer):
         )
         transactions.pin_snapshot()
         try:
-            result = quel.execute(message.get("source", ""))
+            rows = quel.execute(message.get("source", ""), tuples=True)
         finally:
             transactions.unpin_snapshot()
             quel.clear_limits()
         self._m_reads.inc()
         with self._applied_cond:
             applied = self.applied_lsn
-        reply = protocol.encode_rows(result if isinstance(result, list) else [])
+        if rows is None:  # a range declaration
+            rows = Rows([], [])
+        reply = protocol.encode_rows(rows.columns, rows.values)
         reply["commit_lsn"] = applied
         return reply
 

@@ -23,6 +23,13 @@ unchanged; the client's remaining time budget travels in the frame and
 bounds lock waits and QUEL execution on the server, surfacing as a
 structured ``ERROR`` frame instead of a hung socket.
 
+A read-only ``REQUEST`` is one pass: the frame is received (one
+``recv`` when it arrives whole) and parsed, one ``MdmSession.run``
+sets the limits and pins the snapshot once, the cached plan runs, the
+rows go into the reply as the projection made them (names once, a
+tuple a row), and the frame's ``net.*`` counts are slots of the
+connection thread's cell (:class:`repro.obs.metrics.Tally`).
+
 Exactly-once writes survive a server crash between WAL flush and ack:
 each write request carries a per-client sequence number, and the server
 records ``(client, seq, result)`` in the ``_net_requests`` table *inside
@@ -55,7 +62,7 @@ from repro.mdm.shell import MdmShell
 from repro.net import protocol
 from repro.net.replication import ReplicationHub
 from repro.net.transport import Transport
-from repro.quel.executor import QuelSession
+from repro.quel.executor import QuelSession, Rows
 from repro.storage.values import Domain
 
 #: Durable per-client write-dedup ledger; one row per client.
@@ -71,6 +78,9 @@ _HANDSHAKE_TIMEOUT = 10.0
 
 #: Pending-connection backlog of the listening socket.
 _BACKLOG = 32
+
+#: What a read that is not a retrieve (a range declaration) answers.
+_NO_ROWS = Rows([], [])
 
 
 class WireServer:
@@ -105,8 +115,11 @@ class WireServer:
         self._stopping = False
         self._m_frames_in = registry.counter("net.frames_in")
         self._m_frames_out = registry.counter("net.frames_out")
-        self._m_requests = registry.counter("net.requests")
-        self._m_errors = registry.counter("net.errors")
+        # The request loop's counts, in its thread's cell: frames in,
+        # requests, frames out, errors.
+        self._m_exchange = registry.tally(
+            ("net.frames_in", "net.requests", "net.frames_out", "net.errors")
+        )
         self._m_connections = registry.gauge("net.connections")
 
     # -- lifecycle -------------------------------------------------------------
@@ -224,6 +237,9 @@ class WireServer:
     # -- the client request loop -----------------------------------------------
 
     def _serve_client(self, transport, hello):
+        """Answer the client's frames, one pass each: receive, parse,
+        answer inside :meth:`_in_flight`, send, each frame's ``net.*``
+        counts added into this thread's cell."""
         client_id = str(hello.get("client", "anonymous"))
         self._send(transport, protocol.WELCOME, {
             "proto": protocol.PROTOCOL_VERSION,
@@ -232,29 +248,33 @@ class WireServer:
             "last_seq": self._last_committed_seq(client_id),
         })
         session = self._open_session(client_id)
+        idle_timeout = self.idle_timeout
+        counts = self._m_exchange.cell()  # in, requests, out, errors
         while True:
             try:
-                kind, body = transport.recv(timeout=self.idle_timeout)
+                kind, body = transport.recv(timeout=idle_timeout)
             except NetworkTimeoutError:
                 return  # idle past the budget: reap the connection
-            self._m_frames_in.inc()
+            counts[0] += 1
             if kind == protocol.BYE:
                 return
+            if kind == protocol.REQUEST:
+                counts[1] += 1
             message = protocol.unpack_json(kind, body)
             seq = message.get("seq")
-            if kind == protocol.REQUEST:
-                self._m_requests.inc()
             try:
-                # The ack is sent inside the scope, so a role that counts
-                # work in flight still counts it until the client has it.
+                # The ack is sent inside the scope, so a role that
+                # counts work in flight still counts it until the
+                # client has it.  The reply is counted as it is handed
+                # over, so a client that has it finds it counted.
                 with self._in_flight(session):
-                    result = {"seq": seq, "duplicate": False}
-                    result.update(self._handle(session, kind, message))
-                    self._send(transport, protocol.RESULT, result)
+                    reply = self._handle(session, kind, message, seq)
+                    counts[2] += 1
+                    transport.send(protocol.RESULT, reply)
             except NetworkError:
                 raise  # the connection itself is gone/poisoned
             except Exception as error:  # structured refusal, keep serving
-                self._m_errors.inc()
+                counts[3] += 1
                 self._refuse(transport, seq, error)
 
     def _refuse(self, transport, seq, error):
@@ -279,10 +299,10 @@ class WireServer:
         """The state one connection owns; handed back to :meth:`_handle`."""
         raise NotImplementedError
 
-    def _handle(self, session, kind, message):
-        """Answer one frame: the ``RESULT`` body's ``kind``, ``value``,
-        ``commit_lsn`` (and ``duplicate`` when true), or raise the
-        refusal."""
+    def _handle(self, session, kind, message, seq):
+        """Answer one frame, whose *message* carries *seq*: the whole
+        ``RESULT`` body (``seq``, ``duplicate``, ``kind``, ``value``,
+        ``commit_lsn``), or raise the refusal."""
         raise NotImplementedError
 
     def _in_flight(self, session):
@@ -341,32 +361,45 @@ class MdmServer(WireServer):
     def _in_flight(self, connection):
         return connection[3]
 
-    def _handle(self, connection, kind, message):
+    def _handle(self, connection, kind, message, seq):
         client_id, session, shell, _tracker = connection
         if kind == protocol.REQUEST:
-            return self._handle_request(client_id, session, message)
+            if message.get("read_only"):
+                return self._read(session, message, seq)
+            return {
+                "seq": seq,
+                **self._handle_write(client_id, session, message, seq),
+            }
         if kind == protocol.META:
             output = shell.handle_line(message.get("command", ""))
-            return {"kind": "text", "value": output, "commit_lsn": None}
+            return {"seq": seq, "duplicate": False, "kind": "text",
+                    "value": output, "commit_lsn": None}
         raise ProtocolError(
             "unexpected frame kind %s mid-session"
             % protocol.KIND_NAMES.get(kind, kind)
         )
 
-    def _handle_request(self, client_id, session, message):
-        seq = message.get("seq")
+    def _read(self, session, message, seq):
+        """A read-only request's reply: one statement run on a pinned
+        snapshot, its rows going out as the projection made them."""
+        source = message.get("source", "")
+        quel = session.quel
+        rows = session.run(
+            lambda m: quel.execute(source, tuples=True),
+            timeout=message.get("timeout_s"),
+            row_budget=message.get("row_budget"), read_only=True,
+        )
+        if rows is None:  # a range declaration
+            rows = _NO_ROWS
+        reply = {"seq": seq, "duplicate": False}
+        reply.update(protocol.encode_rows(rows.columns, rows.values))
+        reply["commit_lsn"] = self._durable_lsn()
+        return reply
+
+    def _handle_write(self, client_id, session, message, seq):
         source = message.get("source", "")
         timeout_s = message.get("timeout_s")
         row_budget = message.get("row_budget")
-        if message.get("read_only"):
-            rows = session.run(
-                lambda m: session.quel.execute(source),
-                timeout=timeout_s, row_budget=row_budget, read_only=True,
-            )
-            # Non-retrieve read statements (range declarations) yield None.
-            result = protocol.encode_rows(rows if isinstance(rows, list) else [])
-            result["commit_lsn"] = self._durable_lsn()
-            return result
         verb = leading_keywords(source, 1)
         if verb == ("retrieve",):
             # A write answers a count, so a retrieve sent as one would
@@ -381,7 +414,7 @@ class MdmServer(WireServer):
             # define re-sent after a dropped ack binds to the stored one
             # and answers "ok" again.
             self.mdm.execute(source)
-            return {"kind": "text", "value": "ok",
+            return {"duplicate": False, "kind": "text", "value": "ok",
                     "commit_lsn": self._durable_lsn()}
         outcome = self._run_deduped_write(
             session, client_id, seq, source, timeout_s, row_budget

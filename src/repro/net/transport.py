@@ -16,19 +16,30 @@ stalls, and persistent partitions, so one seeded plan drives disk and
 wire faults together and a failing schedule replays exactly.
 """
 
+import math
 import socket
+import struct
 import time
 
 from repro.errors import NetworkError, NetworkTimeoutError, ProtocolError
 from repro.net import protocol
+
+_HEADER = protocol.FRAME_HEADER
+_HEADER_SIZE = _HEADER.size
+#: ``struct timeval``: seconds, microseconds.
+_TIMEVAL = struct.Struct("@ll")
 
 
 class Transport:
     """One framed, bidirectional connection."""
 
     def __init__(self, sock):
+        # Blocking, with the kernel bounding each wait (_wait_at_most).
+        sock.settimeout(None)
         self._sock = sock
         self._buffer = b""
+        self._wait = None  # the last wait asked for
+        self._wait_ms = None  # the bound set on the socket (None: none)
         self.closed = False
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -42,7 +53,6 @@ class Transport:
             sock = socket.create_connection(address, timeout=timeout)
         except OSError as exc:
             raise NetworkError("cannot connect to %s:%s: %s" % (address[0], address[1], exc))
-        sock.settimeout(None)
         return cls(sock)
 
     # -- sending ---------------------------------------------------------------
@@ -73,51 +83,88 @@ class Transport:
         *complete* frame; expiry raises :class:`NetworkTimeoutError`.
         EOF mid-frame or before one raises :class:`NetworkError`; a
         checksum or length violation raises :class:`ProtocolError`.
+
+        A frame that arrives whole -- the common case -- costs one
+        ``recv`` system call: the header is read off the bytes that call
+        returned, and the payload sliced from them.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        header = self._read_exact(protocol.FRAME_HEADER.size, deadline)
-        length, crc = protocol.FRAME_HEADER.unpack(header)
-        if length > protocol.MAX_FRAME_BYTES:
-            self.close()
-            raise ProtocolError("peer announced %d-byte frame" % length)
-        payload = self._read_exact(length, deadline)
+        buffer = self._buffer
+        started = None
+        while True:
+            if len(buffer) >= _HEADER_SIZE:
+                length, crc = _HEADER.unpack_from(buffer)
+                if length > protocol.MAX_FRAME_BYTES:
+                    self.close()
+                    raise ProtocolError("peer announced %d-byte frame" % length)
+                end = _HEADER_SIZE + length
+                if len(buffer) >= end:
+                    break
+            if timeout is None:
+                wait = None
+            elif started is None:
+                started, wait = time.monotonic(), timeout
+            else:
+                wait = started + timeout - time.monotonic()
+            self._buffer = buffer  # kept should the wait run out mid-frame
+            buffer += self._receive(wait)
+        self._buffer = buffer[end:]
         try:
-            return protocol.decode_payload(payload, crc)
+            return protocol.decode_payload(buffer[_HEADER_SIZE:end], crc)
         except ProtocolError:
             # A frame that failed its checksum poisons the stream — the
             # next bytes may be mid-frame garbage — so tear it down.
             self.close()
             raise
 
-    def _read_exact(self, count, deadline):
-        while len(self._buffer) < count:
-            if self.closed:
-                raise NetworkError("transport is closed")
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise NetworkTimeoutError(
-                        "no complete frame within the receive deadline"
-                    )
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
+    def _receive(self, wait):
+        """One ``recv`` of whatever has arrived, waiting at most *wait*
+        seconds (None: for ever)."""
+        if self.closed:
+            raise NetworkError("transport is closed")
+        if wait != self._wait:
+            if wait is not None and wait <= 0:
                 raise NetworkTimeoutError(
                     "no complete frame within the receive deadline"
                 )
-            except OSError as exc:
-                self.close()
-                raise NetworkError("receive failed: %s" % exc)
-            if not chunk:
-                self.close()
-                raise NetworkError("connection closed by peer")
-            self._buffer += chunk
-        data = self._buffer[:count]
-        self._buffer = self._buffer[count:]
-        return data
+            self._wait_at_most(wait)
+        try:
+            chunk = self._sock.recv(65536)
+        except BlockingIOError:
+            # The kernel's receive timeout ran out (see _wait_at_most).
+            raise NetworkTimeoutError(
+                "no complete frame within the receive deadline"
+            )
+        except OSError as exc:
+            self.close()
+            raise NetworkError("receive failed: %s" % exc)
+        if not chunk:
+            self.close()
+            raise NetworkError("connection closed by peer")
+        return chunk
+
+    def _wait_at_most(self, wait):
+        """Bound the socket's blocking calls by *wait* seconds, rounded
+        up to the millisecond, or lift the bound (None).
+
+        The socket stays in blocking mode and the bound is the kernel's
+        ``SO_RCVTIMEO`` / ``SO_SNDTIMEO``: a Python-level timeout would
+        put a ``poll`` before every ``recv`` and ``send``.  The options
+        are written only when the bound changes, which for a caller that
+        keeps asking for the same wait is once.
+        """
+        self._wait = wait
+        millis = None if wait is None else max(1, math.ceil(wait * 1000))
+        if millis == self._wait_ms:
+            return
+        seconds, millis_left = divmod(millis or 0, 1000)
+        timeval = _TIMEVAL.pack(seconds, millis_left * 1000)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+        except OSError as exc:
+            self.close()
+            raise NetworkError("cannot set the socket timeout: %s" % exc)
+        self._wait_ms = millis
 
     # -- teardown --------------------------------------------------------------
 
@@ -168,7 +215,6 @@ class FaultyTransport(Transport):
                 raise NetworkError(
                     "cannot connect to %s:%s: %s" % (address[0], address[1], exc)
                 )
-            sock.settimeout(None)
             return cls(sock, plan)
         return factory
 

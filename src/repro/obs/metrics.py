@@ -11,16 +11,17 @@ into the running total on read -- or inline once the pending queue
 reaches a bound, so an instrument nobody reads stays O(1) in memory.
 The fold drains with ``popleft`` under the instrument's mutex, so no
 concurrent increment is ever lost: counts stay exact, which the
-concurrency and stress suites rely on.  Gauges keep a plain mutex --
-``set`` is last-write-wins, so reordering through a queue would change
-semantics, and no gauge sits on a per-statement hot path.
+concurrency and stress suites rely on.  A gauge is last-write-wins, so
+reordering through a queue would change its semantics: ``set`` is one
+attribute store, and ``inc`` / ``dec``, which read first, hold the
+gauge's mutex (a gauge is either set or moved, never both).
 
-For a (counter, histogram) pair updated together -- one statement, one
-latency -- a :class:`Tally` combines both writes into a single queue
-append, and its drain folds in bulk straight into the instruments'
-totals (two lock acquisitions per batch).  The per-statement hot path
-in ``repro.quel.executor`` uses one for ``quel.statements`` /
-``quel.statement_seconds``.
+For instruments updated together -- one statement's counts and its
+latency, one request's frames -- a :class:`Tally` gives each writing
+thread a cell of plain slots it adds into with no call, lock or queue
+write per count; reads sum the cells.  ``repro.quel.executor`` counts
+each statement's ``quel.*`` and ``text.*`` counts and its latency
+through one, and the network server each request's ``net.*`` counts.
 
 Histograms use *fixed* bucket boundaries chosen at creation -- the
 Prometheus model -- so concurrent observers and exporters never see a
@@ -32,6 +33,7 @@ returns plain data (ints/floats/dicts) safe to serialize or diff.
 """
 
 import threading
+import weakref
 from bisect import bisect_left
 from collections import deque
 
@@ -54,7 +56,9 @@ class Counter:
         self.name = name
         self._value = 0
         self._pending = deque()
-        self._sources = ()  # Tally queues that feed this instrument
+        # What else feeds it: each has ``total(counter)`` -- a Tally, or
+        # an owner counting in a plain int under a lock it already holds.
+        self._sources = ()
         self._mutex = threading.Lock()
 
     def inc(self, amount=1):
@@ -77,11 +81,12 @@ class Counter:
 
     @property
     def value(self):
-        for source in self._sources:
-            source.drain()
         if self._pending:
             self._fold()
-        return self._value
+        value = self._value
+        for source in self._sources:
+            value += source.total(self)
+        return value
 
     def __repr__(self):
         return "Counter(%r=%d)" % (self.name, self.value)
@@ -98,8 +103,8 @@ class Gauge:
         self._mutex = threading.Lock()
 
     def set(self, value):
-        with self._mutex:
-            self._value = value
+        # One attribute store is atomic; inc and dec read first.
+        self._value = value
 
     def inc(self, amount=1):
         with self._mutex:
@@ -125,7 +130,7 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "buckets", "_counts", "_sum", "_count", "_pending",
+        "name", "buckets", "_counts", "_sum", "_pending",
         "_sources", "_mutex",
     )
 
@@ -139,9 +144,8 @@ class Histogram:
         self.buckets = boundaries
         self._counts = [0] * (len(boundaries) + 1)
         self._sum = 0.0
-        self._count = 0
         self._pending = deque()
-        self._sources = ()  # Tally queues that feed this instrument
+        self._sources = ()  # the Tallies that feed this instrument
         self._mutex = threading.Lock()
 
     def observe(self, value):
@@ -161,44 +165,44 @@ class Histogram:
                 # the upper-inclusive bucket; past-the-end is overflow.
                 counts[bisect_left(buckets, value)] += 1
                 self._sum += value
-                self._count += 1
 
-    @property
-    def count(self):
-        for source in self._sources:
-            source.drain()
-        if self._pending:
-            self._fold()
-        return self._count
-
-    @property
-    def sum(self):
-        for source in self._sources:
-            source.drain()
-        if self._pending:
-            self._fold()
-        return self._sum
-
-    @property
-    def mean(self):
-        count = self.count
-        return self._sum / count if count else 0.0
-
-    def snapshot(self):
-        for source in self._sources:
-            source.drain()
+    def _totals(self):
+        """``(bucket counts, sum)``: this histogram's own observations
+        and every Tally's."""
         if self._pending:
             self._fold()
         with self._mutex:
-            return {
-                "count": self._count,
-                "sum": self._sum,
-                "buckets": {
-                    ("le_%g" % b): c
-                    for b, c in zip(self.buckets, self._counts)
-                },
-                "overflow": self._counts[-1],
-            }
+            counts, total = list(self._counts), self._sum
+        for source in self._sources:
+            fed, fed_sum = source.total(self)
+            counts = [a + b for a, b in zip(counts, fed)]
+            total += fed_sum
+        return counts, total
+
+    @property
+    def count(self):
+        return sum(self._totals()[0])
+
+    @property
+    def sum(self):
+        return self._totals()[1]
+
+    @property
+    def mean(self):
+        counts, total = self._totals()
+        count = sum(counts)
+        return total / count if count else 0.0
+
+    def snapshot(self):
+        counts, total = self._totals()
+        return {
+            "count": sum(counts),
+            "sum": total,
+            "buckets": {
+                ("le_%g" % b): c for b, c in zip(self.buckets, counts)
+            },
+            "overflow": counts[-1],
+        }
 
     def quantile(self, q):
         """Approximate *q*-quantile (0..1) from the bucket boundaries.
@@ -208,17 +212,17 @@ class Histogram:
         0.0 when empty.  Boundary precision is all a fixed-bucket
         histogram can promise; it is what the bench report's p99 wants.
         """
-        count = self.count  # drains sources and folds pending
+        counts, _ = self._totals()
+        count = sum(counts)
         if not count:
             return 0.0
         rank = q * count
-        with self._mutex:
-            seen = 0
-            for boundary, bucket_count in zip(self.buckets, self._counts):
-                seen += bucket_count
-                if seen >= rank:
-                    return boundary
-            return self.buckets[-1]
+        seen = 0
+        for boundary, bucket_count in zip(self.buckets, counts):
+            seen += bucket_count
+            if seen >= rank:
+                return boundary
+        return self.buckets[-1]
 
     def __repr__(self):
         return "Histogram(%r: n=%d, mean=%.6f)" % (
@@ -226,64 +230,104 @@ class Histogram:
         )
 
 
-class Tally:
-    """One lock-free write feeding a Counter and a Histogram together.
+class _Cells(threading.local):
+    cell = None  # the thread's cell, until it has one
 
-    The per-statement hot path pays a *single* deque append for the
-    (count, latency) pair instead of one write per instrument.  Reads
-    of either backing instrument drain the shared queue first (each
-    popleft moves one observation into both instruments' own lock-free
-    write paths), so totals stay exact and the counter always equals
-    the histogram's count for values routed through the tally.
+
+class Tally:
+    """Instruments written together, each thread into a cell of its own.
+
+    A hot path that writes several instruments at once -- a statement's
+    counts and latency, a request frame's counts -- takes its thread's
+    cell (:meth:`cell`): a list with a slot per counter and, per
+    histogram, a slot per bucket and one for the sum.  It adds into the
+    cell with plain list stores: no lock, no queue, no call per count.
+    Only its thread writes a cell, so no add is ever lost.  A read of
+    a backing instrument sums the cells under the tally's mutex, after
+    folding each cell whose thread has ended into the tally's totals
+    and dropping it: the cells are as many as the writing threads that
+    still run, and counts stay exact.
     """
 
-    __slots__ = ("counter", "histogram", "_pending")
+    __slots__ = ("instruments", "_at", "_width", "_folded", "_cells",
+                 "_local", "_mutex")
 
-    def __init__(self, counter, histogram):
-        self.counter = counter
-        self.histogram = histogram
-        self._pending = deque()
-        counter._sources += (self,)
-        histogram._sources += (self,)
+    def __init__(self, instruments):
+        self.instruments = tuple(instruments)
+        self._at = {}  # instrument -> its first slot
+        width = 0
+        for instrument in self.instruments:
+            self._at[instrument] = width
+            width += (
+                1 if isinstance(instrument, Counter)
+                else len(instrument.buckets) + 2
+            )
+        self._width = width
+        self._folded = self._zeros()  # the ended threads' cells
+        self._cells = []  # (weak reference to the thread, its cell)
+        self._local = _Cells()
+        self._mutex = threading.Lock()
+        for instrument in self.instruments:
+            instrument._sources += (self,)
 
-    def observe(self, value):
-        pending = self._pending
-        pending.append(value)
-        if len(pending) >= _PENDING_BOUND:
-            self.drain()
+    def _zeros(self):
+        cell = [0] * self._width
+        for instrument, at in self._at.items():
+            if isinstance(instrument, Histogram):
+                cell[at + len(instrument.buckets) + 1] = 0.0
+        return cell
 
-    def drain(self):
-        pending = self._pending
-        drained = []
-        # Bounded drain: popleft never loses a concurrent append, and
-        # appends landing mid-drain wait for the next drain.  Nothing
-        # serializes drainers, so another one may empty the queue under
-        # this one: each value still goes to exactly one of them.
-        for _ in range(len(pending)):
-            try:
-                drained.append(pending.popleft())
-            except IndexError:
-                break
-        if not drained:
-            return
-        # Fold in bulk straight into the instruments' totals: two lock
-        # acquisitions per batch instead of two queue writes per value.
-        counter = self.counter
-        with counter._mutex:
-            counter._value += len(drained)
-        histogram = self.histogram
-        with histogram._mutex:
-            counts = histogram._counts
-            buckets = histogram.buckets
+    def cell(self):
+        """The calling thread's cell, a plain list (whose item stores
+        the interpreter specializes), made the first time it asks."""
+        cell = self._local.cell
+        if cell is None:
+            cell = self._local.cell = self._zeros()
+            thread = weakref.ref(threading.current_thread())
+            with self._mutex:
+                self._fold_ended()
+                self._cells.append((thread, cell))
+        return cell
+
+    def slot(self, instrument):
+        """Where *instrument*'s slots start in a cell: a counter's one;
+        a histogram's bucket counts (the value's is ``bisect_left`` of
+        its buckets past the start), then its sum."""
+        return self._at[instrument]
+
+    def _fold_ended(self):
+        """Fold the cells of threads that have ended; under the mutex."""
+        folded, live = self._folded, []
+        for entry in self._cells:
+            thread = entry[0]()
+            if thread is not None and thread.is_alive():
+                live.append(entry)
+                continue
+            for slot, count in enumerate(entry[1]):
+                folded[slot] += count
+        self._cells = live
+
+    def total(self, instrument):
+        """What the cells hold for *instrument*: a counter's count, or a
+        histogram's ``(bucket counts, sum)``."""
+        at = self._at[instrument]
+        with self._mutex:
+            self._fold_ended()
+            cells = [self._folded] + [cell for _, cell in self._cells]
+            if isinstance(instrument, Counter):
+                return sum(cell[at] for cell in cells)
+            end = at + len(instrument.buckets) + 1
+            counts = [0] * (end - at)
             total = 0.0
-            for value in drained:
-                counts[bisect_left(buckets, value)] += 1
-                total += value
-            histogram._sum += total
-            histogram._count += len(drained)
+            for cell in cells:
+                counts = [a + b for a, b in zip(counts, cell[at:end])]
+                total += cell[end]
+            return counts, total
 
     def __repr__(self):
-        return "Tally(%r, %r)" % (self.counter.name, self.histogram.name)
+        return "Tally(%s)" % ", ".join(
+            repr(instrument.name) for instrument in self.instruments
+        )
 
 
 class MetricsRegistry:
@@ -322,21 +366,18 @@ class MetricsRegistry:
     def histogram(self, name, buckets=DEFAULT_BUCKETS):
         return self._get(name, Histogram, lambda: Histogram(name, buckets))
 
-    def tally(self, counter_name, histogram_name):
-        """A write-combining :class:`Tally` over the named pair.
-
-        ``tally.observe(seconds)`` counts one event on *counter_name*
-        and records its latency on *histogram_name* with a single
-        queue write; asking again for the same pair returns the same
-        object.
-        """
-        counter = self.counter(counter_name)
-        histogram = self.histogram(histogram_name)
-        key = (counter_name, histogram_name)
+    def tally(self, counters=(), histograms=()):
+        """A write-combining :class:`Tally` over the named *counters*
+        and then *histograms*, their slots in that order in a cell.
+        Asking again for the same names returns the same object."""
+        instruments = [self.counter(name) for name in counters] + [
+            self.histogram(name) for name in histograms
+        ]
+        key = (tuple(counters), tuple(histograms))
         with self._mutex:
             existing = self._tallies.get(key)
             if existing is None:
-                existing = self._tallies[key] = Tally(counter, histogram)
+                existing = self._tallies[key] = Tally(instruments)
             return existing
 
     def names(self):

@@ -22,7 +22,9 @@ regex pass: a bounded text memo maps it onto the same entry.
 
 Counters surface through the shared MetricsRegistry:
 ``quel.cache.statement_{hits,misses}`` count shape look-ups,
-``quel.cache.{hits,misses,invalidations}`` plan look-ups, and the
+``quel.cache.{hits,misses,invalidations}`` plan look-ups -- the
+executor counts both with the rest of a statement's counts
+(:class:`repro.quel.sources.Accounting`) -- and the
 ``quel.cache.shapes`` gauge is the number of entries held.
 """
 
@@ -76,11 +78,6 @@ class ShapeCache:
         # source text -> (Shape, literals): exact repeats.
         self._texts = OrderedDict()
         self._lock = threading.Lock()
-        self.statement_hits = metrics.counter("quel.cache.statement_hits")
-        self.statement_misses = metrics.counter("quel.cache.statement_misses")
-        self.hits = metrics.counter("quel.cache.hits")
-        self.misses = metrics.counter("quel.cache.misses")
-        self.invalidations = metrics.counter("quel.cache.invalidations")
         self._size = metrics.gauge("quel.cache.shapes")
 
     def __len__(self):
@@ -93,7 +90,6 @@ class ShapeCache:
             found = self._texts.get(source)
             if found is not None:
                 self._texts.move_to_end(source)
-                self.statement_hits.inc()
                 return found
         shape, literals = lift(source)
         with self._lock:
@@ -104,11 +100,9 @@ class ShapeCache:
                 shape = (shape, tuple([literals[slot] for slot in found]))
                 found = shapes.get(shape)
             if found is None:
-                self.statement_misses.inc()
                 return None, literals
             shapes.move_to_end(shape)
             self._remember(source, found, literals)
-            self.statement_hits.inc()
             return found, literals
 
     def store(self, source, literals, statements, bound):

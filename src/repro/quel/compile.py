@@ -143,14 +143,16 @@ class CompiledStatement:
     __slots__ = (
         "statement", "kind", "used", "conjuncts", "restrictions",
         "restriction_conjuncts", "text_restrictions", "pushdown_options",
-        "targets", "aggregates", "sort_fn", "sort_target", "assignments",
-        "project", "accesses", "pushdowns", "early_exit", "_levels",
+        "targets", "aggregates", "sort_fn", "sort_at", "assignments",
+        "columns", "project", "accesses", "pushdowns", "early_exit",
+        "constants", "_levels",
     )
 
     def __init__(self, statement, kind, used, conjuncts, restrictions,
                  restriction_conjuncts, pushdown_options, targets=None,
                  aggregates=None, sort_fn=None, assignments=None,
-                 text_restrictions=None, sort_target=None, project=None):
+                 text_restrictions=None, sort_at=None, columns=None,
+                 project=None):
         self.statement = statement
         self.kind = kind
         self.used = used
@@ -168,23 +170,28 @@ class CompiledStatement:
         self.targets = targets
         self.aggregates = aggregates
         self.sort_fn = sort_fn
-        # The name of the plain target whose expression *is* the sort
+        # The column of the plain target whose expression *is* the sort
         # key (None: there is none): the tail reads the key off the
-        # record instead of evaluating it a second time per row.
-        self.sort_target = sort_target
+        # row's values instead of evaluating it a second time per row.
+        self.sort_at = sort_at
         self.assignments = assignments
-        # A retrieve's targets as one ``fn(rt, bindings) -> record``.
+        # A retrieve's plain targets: the column names, and one
+        # ``fn(rt, bindings) -> values`` (see Compiler.projection).
+        self.columns = columns
         self.project = project
         self.accesses = self.pushdowns = self.early_exit = None
+        # The conjuncts no variable reaches: checked once a run.
+        self.constants = tuple(c for c in conjuncts if not c.variables)
         self._levels = {}
 
     def checks(self, order, skip):
         """Per join level of *order*, the truth closures of the
         conjuncts it completes, but those in *skip* (the ones the
-        sources answer): a level runs a conjunct once it binds the last
-        of its variables.  Memoized: the answer is a function of its
-        arguments, which a plan's runs share."""
-        key = (tuple(order), frozenset(skip))
+        sources answer, a tuple or a frozenset): a level runs a
+        conjunct once it binds the last of its variables.  Memoized:
+        the answer is a function of its arguments, which a plan's runs
+        share."""
+        key = (*order, skip)
         levels = self._levels.get(key)
         if levels is None:
             levels = []
@@ -227,6 +234,51 @@ def _apply_binary(op, left, right):
             raise QueryError("modulo by zero")
         return left % right
     raise QueryError("unknown operator %r" % op)
+
+
+def plan_parts(statement):
+    """The (used variables, qualification) a statement would join over."""
+    variables_in = planner.variables_in
+    used = variables_in(statement.where)
+    if isinstance(statement, ast.RetrieveStatement):
+        for target in statement.targets:
+            used |= variables_in(target)
+        used |= variables_in(statement.sort_by)
+    elif isinstance(statement, ast.DeleteStatement):
+        used.add(statement.variable)
+    else:
+        if isinstance(statement, ast.ReplaceStatement):
+            used.add(statement.variable)
+        for _, expression in statement.assignments:
+            used |= variables_in(expression)
+    return sorted(used), statement.where
+
+
+def resolve_ordering(schema, clause_name, instances, parent=None):
+    """Find the ordering for before/after/under given the operands."""
+    if clause_name is not None:
+        return schema.ordering(clause_name)
+    candidates = []
+    for ordering in schema.orderings.values():
+        if any(
+            instance.type.name not in ordering.child_types
+            for instance in instances
+        ):
+            continue
+        if parent is not None and ordering.parent_type != parent.type.name:
+            continue
+        candidates.append(ordering)
+    if len(candidates) == 1:
+        return candidates[0]
+    if not candidates:
+        raise QueryError(
+            "no ordering admits operand types %s"
+            % ", ".join(sorted({i.type.name for i in instances}))
+        )
+    raise QueryError(
+        "ambiguous ordering; specify 'in <order_name>' (candidates: %s)"
+        % ", ".join(sorted(o.name for o in candidates))
+    )
 
 
 class Compiler:
@@ -442,41 +494,67 @@ class Compiler:
             if order_name is not None:
                 ordering = rt.schema.ordering(order_name)
             else:
-                ordering = rt._resolve_ordering(None, [instance])
+                ordering = resolve_ordering(rt.schema, None, [instance])
             return ordering.position_of(instance)
 
         return ordinal_fn
 
     def projection(self, targets, fns):
         """A retrieve's plain *targets*, ``[(name, AST node), ...]``
-        compiled to *fns*, as one ``fn(rt, bindings) -> record``.
+        compiled to *fns*, as ``(columns, fn(rt, bindings) -> values)``:
+        the result's column names, and the tuple of one row's values in
+        their order -- the one shape a row is made in.  A name given
+        twice is one column, at its first place, holding its last
+        target's value (what a dict built target by target would hold).
         Attributes of one variable are one ``itemgetter`` over its row's
         values tuple (a row made before its table widened reads the
         later slots as null); any other target list runs *fns* in turn."""
-        names = [name for name, _ in targets]
+        last = {}
+        for at, (name, node) in enumerate(targets):
+            last[name] = at
+        columns = list(last)
+        kept = list(last.values())
+        nodes = [targets[at][1] for at in kept]
         variables = {
-            node.variable for _, node in targets
-            if isinstance(node, ast.AttributeRef)
+            node.variable for node in nodes if isinstance(node, ast.AttributeRef)
         }
         positions = []
         if len(variables) == 1 and all(
-            isinstance(node, ast.AttributeRef) for _, node in targets
+            isinstance(node, ast.AttributeRef) for node in nodes
         ):
             (variable,) = variables
             declared = self.session._range_for(variable)
             try:
-                positions = [
-                    declared.position(node.attribute) for _, node in targets
-                ]
+                positions = [declared.position(node.attribute) for node in nodes]
             except UnknownAttributeError:
                 positions = []
         if not positions:
-            return lambda rt, bindings: dict(
-                zip(names, [fn(rt, bindings) for fn in fns])
+            if len(kept) == len(fns):
+                return columns, lambda rt, bindings: tuple(
+                    [fn(rt, bindings) for fn in fns]
+                )
+            # Every target is evaluated, in order, as a dict built
+            # target by target would be; a shadowed one's value is
+            # dropped.
+            keep = itemgetter(*kept) if len(kept) > 1 else (
+                lambda values, at=kept[0]: (values[at],)
+            )
+            return columns, lambda rt, bindings: keep(
+                [fn(rt, bindings) for fn in fns]
             )
         width = max(positions) + 1
         pick = itemgetter(*positions)
-        single = len(positions) == 1
+        if len(positions) == 1:
+            at = positions[0]
+
+            def project(rt, bindings):
+                row = bindings.get(variable)
+                if row is None:
+                    raise QueryError("unbound range variable %r" % variable)
+                values = row.values
+                return (values[at] if at < len(values) else None,)
+
+            return columns, project
 
         def project(rt, bindings):
             row = bindings.get(variable)
@@ -485,9 +563,9 @@ class Compiler:
             values = row.values
             if len(values) < width:
                 values += (None,) * (width - len(values))
-            return dict(zip(names, (pick(values),) if single else pick(values)))
+            return pick(values)
 
-        return project
+        return columns, project
 
     # -- entity operands ---------------------------------------------------------
 
@@ -601,7 +679,7 @@ class Compiler:
                 right = right_fn(rt, bindings)
                 if right is None:
                     return False
-                ordering = rt._resolve_ordering(order_name, [left, right])
+                ordering = resolve_ordering(rt.schema, order_name, [left, right])
                 if is_before:
                     return ordering.before(left, right)
                 return ordering.after(left, right)
@@ -619,8 +697,8 @@ class Compiler:
                 parent = parent_fn(rt, bindings)
                 if parent is None:
                     return False
-                ordering = rt._resolve_ordering(
-                    order_name, [child], parent=parent
+                ordering = resolve_ordering(
+                    rt.schema, order_name, [child], parent=parent
                 )
                 return ordering.under(child, parent)
 
@@ -847,7 +925,7 @@ def compile_statement(statement, session, bound):
     its node holds."""
     ranked = _similarity_sort_key(getattr(statement, "sort_by", None))
     compiler = Compiler(session, bound, ranked)
-    used, where = session._plan_parts(statement)
+    used, where = plan_parts(statement)
     conjunct_nodes = planner.split_conjuncts(where)
     conjuncts = []
     restrictions = {}
@@ -874,7 +952,8 @@ def compile_statement(statement, session, bound):
         pushdown_options.extend(compiler.pushdown_options(index, node))
 
     kind = type(statement).__name__
-    targets = aggregates = sort_fn = sort_target = assignments = project = None
+    targets = aggregates = sort_fn = sort_at = assignments = None
+    columns = project = None
     if isinstance(statement, ast.RetrieveStatement):
         targets = []
         plain = []
@@ -898,15 +977,17 @@ def compile_statement(statement, session, bound):
             else:
                 targets.append((target.name, compiler.expression(expression)))
                 plain.append((target.name, expression))
-        project = compiler.projection(plain, [fn for _, fn in targets])
+        columns, project = compiler.projection(
+            plain, [fn for _, fn in targets]
+        )
         if statement.sort_by is not None:
             sort_fn = compiler.expression(statement.sort_by)
-            # A later target of the same name overwrites an earlier one
-            # in the record, so only the last of a name can stand in.
-            last = {t.name: t.expression for t in statement.targets}
-            sort_target = next(
+            # A column holds the last plain target of its name, so only
+            # that one can stand in for the sort key.
+            last = dict(plain)
+            sort_at = next(
                 (
-                    name for name, _ in targets
+                    at for at, name in enumerate(columns)
                     if _same_expression(last[name], statement.sort_by, bound)
                 ),
                 None,
@@ -923,8 +1004,8 @@ def compile_statement(statement, session, bound):
         statement, kind, list(used), conjuncts, restrictions,
         restriction_conjuncts, pushdown_options, targets=targets,
         aggregates=aggregates, sort_fn=sort_fn, assignments=assignments,
-        text_restrictions=text_restrictions, sort_target=sort_target,
-        project=project,
+        text_restrictions=text_restrictions, sort_at=sort_at,
+        columns=columns, project=project,
     )
     compiled.accesses = {
         variable: sources.IndexAccess(

@@ -22,20 +22,27 @@ Execution is also bounded: a thread-local :class:`ExecutionLimits`
 :meth:`QuelSession.set_limits`) threads a deadline and row budget into
 the join loop, which raises ``QueryTimeoutError`` /
 ``ResourceLimitError`` instead of looping unboundedly.
+
+A statement counts in plain slots (:class:`~repro.quel.sources.Accounting`);
+a retrieve makes its rows once, as :class:`Rows` (a reply frame's form).
 """
 
+import collections
 import threading
 import time
+from bisect import bisect_left
 
 from repro.errors import QueryError, QueryTimeoutError, ResourceLimitError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, span, tracing_active
 from repro.quel import ast
 from repro.quel.cache import CachedStatement, shape_cache_for
-from repro.quel.compile import bound_slots, compile_statement
+from repro.quel.compile import bound_slots, compile_statement, plan_parts
 from repro.quel.functions import FunctionRegistry
 from repro.quel.parser import parse_quel
 from repro.quel import planner, sources
+from repro.quel.sources import (INVALIDATIONS, PLAN_HITS, PLAN_MISSES,
+    RETURNED, STATEMENT_HITS, STATEMENT_MISSES, STATEMENTS)
 from repro.storage.values import value_sort_key
 
 
@@ -74,6 +81,21 @@ class ExecutionLimits:
             self.check_deadline()
 
 
+#: A retrieve's answer as its projection made it: the column names once
+#: and a tuple of values a row.
+Rows = collections.namedtuple("Rows", "columns values")
+
+
+def _plan_rows(rows):
+    """``explain``'s result dicts as the :class:`Rows` a retrieve makes."""
+    return Rows(["plan"], [(row["plan"],) for row in rows])
+
+
+class _ThreadState(threading.local):
+    """A thread's limits, literal vector and Accounting (class defaults)."""
+    limits = literals = accounting = None
+
+
 class QuelSession:
     """Stateful QUEL session over one schema.
 
@@ -89,22 +111,17 @@ class QuelSession:
         self.schema = schema
         self.ranges = {}
         self.functions = FunctionRegistry()
-        self._last_plan = None
+        self._last_plan = None  # (order, sources, snapshot) until _plan
         # Per thread, because one session serves many: the execution
         # limits, and the executing statement's literal vector.
-        self._local = threading.local()
-        # Statement-level metrics ("quel.*") land in the database's
-        # registry; increments are per statement, never per row.
+        self._local = _ThreadState()
+        # "quel.*" / "text.*" land in the database's registry (Accounting).
         metrics = getattr(schema.database, "metrics", None)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._rows_returned = self.metrics.counter("quel.rows_returned")
-        # One queue write per statement covers both the counter and
-        # the latency histogram (they drain it on read).
-        self._statement_tally = self.metrics.tally(
-            "quel.statements", "quel.statement_seconds"
-        )
-        # What the candidate sources count, and this thread's limits.
-        self.accounting = sources.Accounting(self.metrics, self._local)
+        self._tally = sources.statement_tally(self.metrics)
+        seconds = self.metrics.histogram("quel.statement_seconds")
+        at = self._tally.slot(seconds)  # its buckets' counts, then its sum
+        self._seconds = (at, seconds.buckets, at + len(seconds.buckets) + 1)
         self._shapes = shape_cache_for(schema.database, self.metrics)
         self._last_shape = None
         self._last_cache_info = None
@@ -129,14 +146,23 @@ class QuelSession:
         QueryPlan` (see :attr:`last_plan_object`); the text is built
         lazily here so queries never pay for string formatting.
         """
-        if self._last_plan is None:
-            return None
-        return self._last_plan.render()
+        plan = self._plan()
+        return None if plan is None else plan.render()
 
     @property
     def last_plan_object(self):
         """The most recent statement's QueryPlan (or None)."""
-        return self._last_plan
+        return self._plan()
+
+    def _plan(self):
+        """The last plan, made a QueryPlan the first time it is read."""
+        last = self._last_plan
+        if type(last) is tuple:
+            order, chosen, snapshot = last
+            last = self._last_plan = planner.build_plan(order, chosen)
+            if snapshot is not None:
+                last.snapshot = (snapshot, sum(s.stale for s in chosen.values()))
+        return last
 
     # -- execution limits --------------------------------------------------------
 
@@ -149,63 +175,76 @@ class QuelSession:
 
     @property
     def limits(self):
-        return getattr(self._local, "limits", None)
+        return self._local.limits
 
     # -- public API ------------------------------------------------------------
 
-    def execute(self, source):
+    def execute(self, source, tuples=False):
         """Execute a QUEL program; returns the last statement's result.
 
-        Retrieves return a list of result dicts; mutations return the
-        affected-instance count; range statements return None.  A
-        source is parsed at most once per shape: a repeat, or the same
+        Retrieves return a list of result dicts (with *tuples*, the
+        :class:`Rows` they are made from); mutations return the
+        affected-instance count; range statements return None.  A source
+        is parsed at most once per shape: a repeat, or the same
         statement with other literals, finds the parse in the shape
         cache and runs it with its own literal vector.
         """
-        shape, literals = self._shapes.lookup(source)
-        if shape is None:
-            with span("quel.parse"):
-                statements = parse_quel(source)
-            bound = frozenset(bound_slots(statements))
-            shape = self._shapes.store(
-                source, literals,
-                [
-                    CachedStatement(statement, self._used_by(statement), bound)
-                    for statement in statements
-                ],
-                bound,
-            )
-        self._last_shape = shape.text
         local = self._local
+        accounting = local.accounting
+        if accounting is None:
+            accounting = local.accounting = sources.Accounting(self._tally.cell())
+        outer_limits = accounting.limits
+        accounting.limits = local.limits
         # Restored, not cleared: a registered function may run a
         # statement of its own in the middle of this one.
-        outer = getattr(local, "literals", None)
-        local.literals = literals
+        outer = local.literals
         try:
+            shape, literals = self._shapes.lookup(source)
+            if shape is None:
+                accounting.counts[STATEMENT_MISSES] += 1
+                with span("quel.parse"):
+                    statements = parse_quel(source)
+                bound = frozenset(bound_slots(statements))
+                shape = self._shapes.store(
+                    source, literals,
+                    [
+                        CachedStatement(statement, self._used_by(statement), bound)
+                        for statement in statements
+                    ],
+                    bound,
+                )
+            else:
+                accounting.counts[STATEMENT_HITS] += 1
+            self._last_shape = shape.text
+            local.literals = literals
             result = None
             for cached in shape.statements:
-                result = self._execute(cached.statement, cached)
-            return result
+                result = self._execute(cached.statement, cached, accounting)
         finally:
             local.literals = outer
+            accounting.limits = outer_limits
+        if isinstance(result, Rows) and not tuples:
+            columns = result.columns
+            return [dict(zip(columns, values)) for values in result.values]
+        return result
 
-    def _execute(self, statement, cached):
+    def _execute(self, statement, cached, accounting):
         self._last_cache_info = None
+        # The tracer check is hoisted, once a statement, so the no-sink
+        # path skips the span calls (and their kwargs dicts) entirely --
+        # that is how the 3% overhead budget holds for cached statements.
+        tracing = accounting.tracing = tracing_active()
         if isinstance(statement, ast.RangeStatement):
             return self._declare_range(statement)
         if isinstance(statement, ast.ExplainStatement):
-            return self._explain(statement, cached)
-        # The tracer check is hoisted so the no-sink path skips the
-        # span calls (and their kwargs dicts) entirely -- that is how
-        # the 3% overhead budget holds for cached compiled statements.
+            return self._explain(statement, cached, accounting)
         statement_span = (
             span("quel.statement", kind=type(statement).__name__)
-            if tracing_active()
-            else NOOP_SPAN
+            if tracing else NOOP_SPAN
         )
         started = time.monotonic()
         try:
-            return self._dispatch(statement, cached)
+            return self._dispatch(statement, cached, accounting)
         except (QueryTimeoutError, ResourceLimitError) as exc:
             self._record_partial_progress(exc)
             statement_span.record("error", type(exc).__name__)
@@ -213,15 +252,21 @@ class QuelSession:
         finally:
             if statement_span is not NOOP_SPAN:
                 statement_span.finish()
-            self._statement_tally.observe(time.monotonic() - started)
+            seconds = time.monotonic() - started
+            counts, (at, buckets, total) = accounting.counts, self._seconds
+            counts[STATEMENTS] += 1
+            counts[at + bisect_left(buckets, seconds)] += 1
+            counts[total] += seconds
 
-    def _dispatch(self, statement, cached):
-        compiled = self._compiled_for(statement, cached)
+    def _dispatch(self, statement, cached, accounting):
+        compiled = self._compiled_for(statement, cached, accounting)
         if isinstance(statement, ast.RetrieveStatement):
-            return self._with_statement_locks(self._retrieve, compiled)
+            return self._with_statement_locks(
+                self._retrieve, compiled, accounting
+            )
         if isinstance(statement, ast.AppendStatement):
             return self._with_statement_locks(
-                self._append, compiled,
+                self._append, compiled, accounting,
                 write_target=lambda: self.schema.entity_type(
                     statement.entity_type
                 ).table.name,
@@ -233,7 +278,7 @@ class QuelSession:
             else self._delete
         )
         return self._with_statement_locks(
-            method, compiled,
+            method, compiled, accounting,
             write_target=lambda: self._range_for(statement.variable).table.name,
         )
 
@@ -246,9 +291,9 @@ class QuelSession:
             statement = statement.statement  # the parser nests none
         if isinstance(statement, ast.RangeStatement):
             return None
-        return self._plan_parts(statement)[0]
+        return plan_parts(statement)[0]
 
-    def _compiled_for(self, statement, cached):
+    def _compiled_for(self, statement, cached, accounting):
         """The compiled form of *statement*.
 
         *cached* is its entry in the shape cache, whose plans are keyed
@@ -277,11 +322,11 @@ class QuelSession:
         found = cached.plans.get(key)
         if found is not None:
             if found[0] == epoch:
-                shapes.hits.inc()
+                accounting.counts[PLAN_HITS] += 1
                 self._last_cache_info = "hit"
                 return found[1]
-            shapes.invalidations.inc()
-        shapes.misses.inc()
+            accounting.counts[INVALIDATIONS] += 1
+        accounting.counts[PLAN_MISSES] += 1
         self._last_cache_info = "miss"
         compiled = compile_statement(statement, self, cached.bound)
         shapes.store_plan(cached, key, epoch, compiled)
@@ -305,38 +350,22 @@ class QuelSession:
 
     # -- explain / explain analyze ---------------------------------------------
 
-    def _explain(self, statement, cached):
+    def _explain(self, statement, cached, accounting):
         inner = statement.statement  # the parser nests no explain
         if isinstance(inner, ast.RangeStatement):
             self._declare_range(inner)
-            return [{"plan": "range declaration (no plan)"}]
+            return _plan_rows([{"plan": "range declaration (no plan)"}])
         if statement.analyze:
-            return self._explain_analyze(inner, cached)
+            return self._explain_analyze(inner, cached, accounting)
         # Plans without evaluating anything, not even the constant
         # conjuncts.
         self._with_statement_locks(
-            self._prepare_compiled, self._compiled_for(inner, cached)
+            self._prepare_compiled,
+            self._compiled_for(inner, cached, accounting), accounting,
         )
-        return self._last_plan.rows()
+        return _plan_rows(self._plan().rows())
 
-    def _plan_parts(self, statement):
-        """The (used variables, qualification) a statement would join over."""
-        variables_in = planner.variables_in
-        used = variables_in(statement.where)
-        if isinstance(statement, ast.RetrieveStatement):
-            for target in statement.targets:
-                used |= variables_in(target)
-            used |= variables_in(statement.sort_by)
-        elif isinstance(statement, ast.DeleteStatement):
-            used.add(statement.variable)
-        else:
-            if isinstance(statement, ast.ReplaceStatement):
-                used.add(statement.variable)
-            for _, expression in statement.assignments:
-                used |= variables_in(expression)
-        return sorted(used), statement.where
-
-    def _explain_analyze(self, inner, cached):
+    def _explain_analyze(self, inner, cached, accounting):
         """Execute *inner* fully, then report plan + actual counts/time.
 
         Candidate-row visits are counted by a temporary
@@ -345,33 +374,34 @@ class QuelSession:
         always-on per-row counter.
         """
         previous = self.limits
-        self._local.limits = ExecutionLimits(
+        limits = accounting.limits = self._local.limits = ExecutionLimits(
             deadline=previous.deadline if previous is not None else None,
             row_budget=previous.row_budget if previous is not None else None,
         )
         started = time.monotonic()
         try:
-            result = self._dispatch(inner, cached)
+            result = self._dispatch(inner, cached, accounting)
             elapsed = time.monotonic() - started
-            visits, fetched = self.limits.visits, self.limits.fetched
         finally:
-            self._local.limits = previous
-        plan = self._last_plan
+            accounting.limits = self._local.limits = previous
+        plan = self._plan()
         rows = plan.rows() if plan is not None else [{"plan": "(no plan)"}]
         if plan is not None and plan.snapshot is not None:
             rows.append(
                 {"plan": "snapshot %d: +%d stale rowids" % plan.snapshot}
             )
-        count = len(result) if isinstance(result, list) else result
+        count = len(result.values) if isinstance(result, Rows) else result
         rows.append({"plan": "rows: %s" % count})
-        rows.append({"plan": "rows visited: %d" % visits})
-        rows.append({"plan": "rows fetched: %d" % fetched})
+        rows.append({"plan": "rows visited: %d" % limits.visits})
+        rows.append({"plan": "rows fetched: %d" % limits.fetched})
         rows.append({"plan": "conjuncts decided: %d" % len(getattr(plan, "decided", ()))})
         rows.append({"plan": "time: %.3f ms" % (elapsed * 1000.0)})
-        return rows
+        return _plan_rows(rows)
 
-    def _with_statement_locks(self, method, compiled, write_target=None):
-        """Run *method(compiled)* under statement-scoped lock ownership.
+    def _with_statement_locks(self, method, compiled, accounting,
+                              write_target=None):
+        """Run *method(compiled, accounting)* under statement-scoped lock
+        ownership.
 
         Pre-acquires the exclusive lock on a mutation's target table;
         range-variable tables are share-locked as the binding generator
@@ -388,6 +418,7 @@ class QuelSession:
         """
         database = self.schema.database
         transactions = database.transactions
+        limits = accounting.limits
         pinned = transactions.current_snapshot() is not None
         if write_target is None and (
             pinned
@@ -399,20 +430,18 @@ class QuelSession:
             if not pinned:
                 transactions.pin_snapshot()
             try:
-                limits = getattr(self._local, "limits", None)
                 if limits is not None:
                     limits.check_deadline()
-                return method(compiled)
+                return method(compiled, accounting)
             finally:
                 if not pinned:
                     transactions.unpin_snapshot()
         with transactions.statement():
-            limits = self.limits
             if limits is not None:
                 limits.check_deadline()
             if write_target is not None:
                 database.write_table(write_target())
-            return method(compiled)
+            return method(compiled, accounting)
 
     def register_function(self, name, function, aggregate=False):
         if aggregate:
@@ -452,42 +481,16 @@ class QuelSession:
         self.ranges[variable] = target
         return target
 
-    def _resolve_ordering(self, clause_name, instances, parent=None):
-        """Find the ordering for before/after/under given the operands."""
-        if clause_name is not None:
-            return self.schema.ordering(clause_name)
-        candidates = []
-        for ordering in self.schema.orderings.values():
-            if any(
-                instance.type.name not in ordering.child_types
-                for instance in instances
-            ):
-                continue
-            if parent is not None and ordering.parent_type != parent.type.name:
-                continue
-            candidates.append(ordering)
-        if len(candidates) == 1:
-            return candidates[0]
-        if not candidates:
-            raise QueryError(
-                "no ordering admits operand types %s"
-                % ", ".join(sorted({i.type.name for i in instances}))
-            )
-        raise QueryError(
-            "ambiguous ordering; specify 'in <order_name>' (candidates: %s)"
-            % ", ".join(sorted(o.name for o in candidates))
-        )
-
     # -- planning and the join ----------------------------------------------------------------
 
-    def _prepare_compiled(self, compiled):
+    def _prepare_compiled(self, compiled, accounting):
         """Lock every used variable's table, let
         :func:`repro.quel.sources.choose` pick the sources and the
-        binding order, and publish the plan: returns ``(order, {variable:
-        source}, the conjuncts they answer)``.  Only index structures are
-        read; ``explain`` stops here.
+        binding order, and leave the plan to be read: returns ``(order,
+        {variable: source}, the conjuncts they answer)``.  Only index
+        structures are read; ``explain`` stops here.
         """
-        plan_span = span("quel.plan") if tracing_active() else NOOP_SPAN
+        plan_span = span("quel.plan") if accounting.tracing else NOOP_SPAN
         try:
             database = self.schema.database
             snapshot = database.transactions.current_snapshot()
@@ -498,13 +501,14 @@ class QuelSession:
                 # locks, keep the read consistent.)
                 for variable in compiled.used:
                     database.read_table(self._range_for(variable).table.name)
-            order, chosen = sources.choose(compiled, self, snapshot is not None)
-            self._last_plan = plan = planner.build_plan(order, chosen)
-            if snapshot is not None:
-                plan.snapshot = (
-                    snapshot, sum(source.stale for source in chosen.values())
-                )
+            order, chosen = sources.choose(
+                compiled, self, snapshot is not None, accounting
+            )
+            self._last_plan = (order, chosen, snapshot)
+            decided = chosen[order[0]].answers if len(order) == 1 else (
+                frozenset(i for v in order for i in chosen[v].answers))
             if plan_span is not NOOP_SPAN:
+                plan = self._plan()
                 steps = plan.steps
                 plan_span.record("label", plan.label)
                 plan_span.record("candidates", sum(s.candidates for s in steps))
@@ -514,7 +518,7 @@ class QuelSession:
         finally:
             if plan_span is not NOOP_SPAN:
                 plan_span.finish()
-        return order, chosen, plan.decided
+        return order, chosen, decided
 
     def _join(self, order, chosen, levels, first, selector, limits):
         """The one join loop: bind each variable of *order* to its
@@ -558,17 +562,18 @@ class QuelSession:
         bindings = {}
         return join(0, bindings, chosen[order[0]].pull(bindings, first, selector))
 
-    def _compiled_bindings(self, compiled, first=None, selector=None):
+    def _compiled_bindings(self, compiled, accounting, first=None,
+                           selector=None):
         """The binding dicts a compiled statement's tail consumes, one
         dict rebound in place (see :meth:`_join`).  The tail says where
         it will stop: *first*, an unsorted ``limit N``'s early-exit
         bound; *selector*, a sorted one's bounded selection.  The
         deadline was checked as the statement took its locks."""
-        limits = getattr(self._local, "limits", None)
-        order, chosen, skip = self._prepare_compiled(compiled)
-        for conjunct in compiled.conjuncts:
+        limits = accounting.limits
+        order, chosen, skip = self._prepare_compiled(compiled, accounting)
+        for conjunct in compiled.constants:
             # A false constant conjunct gates the whole statement out.
-            if not conjunct.variables and not conjunct.truth(self, {}):
+            if not conjunct.truth(self, {}):
                 return iter(())
         if not order:
             return iter(({},))
@@ -577,7 +582,7 @@ class QuelSession:
         source = self._join(
             order, chosen, compiled.checks(order, skip), first, selector, limits
         )
-        if not tracing_active():
+        if not accounting.tracing:
             return source
         return self._scanned(source, len(order), limits)
 
@@ -600,12 +605,14 @@ class QuelSession:
 
     # -- statements -------------------------------------------------------------------
 
-    def _retrieve(self, compiled):
+    def _retrieve(self, compiled, accounting):
+        """The statement's :class:`Rows`: the compiled projection's tuples,
+        sorted, made unique, limited or aggregated as it says."""
         statement = compiled.statement
-        plain = compiled.targets
         aggregates = compiled.aggregates
-        sort_fn = compiled.sort_fn
         limit = statement.limit
+        sort_at = compiled.sort_at
+        sort_fn = None if sort_at is not None else compiled.sort_fn
 
         # Bounded execution under `limit`: an unsorted retrieve stops
         # consuming bindings as soon as enough rows (distinct ones,
@@ -625,46 +632,41 @@ class QuelSession:
             elif not statement.unique:
                 selector = sources.BoundedSort(limit, statement.descending)
 
-        sort_target = compiled.sort_target
         project = compiled.project
         rows = []
-        for bindings in self._compiled_bindings(compiled, first, selector):
-            record = project(self, bindings)
+        for bindings in self._compiled_bindings(
+            compiled, accounting, first, selector
+        ):
+            values = project(self, bindings)
             sort_key = None
-            if sort_target is not None:
-                # Also a target: evaluated once a row, above.
-                sort_key = record[sort_target]
-            elif sort_fn is not None:
+            if sort_fn is not None:
                 sort_key = sort_fn(self, bindings)
+            elif sort_at is not None:
+                sort_key = values[sort_at]  # a target: evaluated above
             if selector is not None:
-                selector.offer(record, sort_key)
-                continue
-            aggregate_inputs = {}
-            for aggregate in aggregates:
-                aggregate_inputs[aggregate.name] = aggregate.arg_fn(
-                    self, bindings
-                )
-            rows.append((record, sort_key, aggregate_inputs))
-            if unique_seen is None:
-                if first is not None and len(rows) >= first:
-                    break
-            else:
-                key = _record_key(record)
-                if key is None or key not in unique_seen:
-                    if key is not None:
-                        unique_seen.add(key)
-                    unique_count += 1
-                    if unique_count >= limit:
+                selector.offer(values, sort_key)
+            elif aggregates:
+                rows.append((values, [a.arg_fn(self, bindings) for a in aggregates]))
+            elif sort_fn is None and sort_at is None:
+                rows.append(values)
+                if unique_seen is None:
+                    if first is not None and len(rows) >= first:
                         break
+                else:
+                    key = _row_key(values)
+                    if key is None or key not in unique_seen:
+                        if key is not None:
+                            unique_seen.add(key)
+                        unique_count += 1
+                        if unique_count >= limit:
+                            break
+            else:
+                rows.append((values, sort_key))
 
+        columns = compiled.columns
         if aggregates:
-            out = self._aggregate_rows(rows, bool(plain), aggregates)
-            if limit is not None:
-                out = out[:limit]
-            self._rows_returned.inc(len(out))
-            return out
-
-        if selector is not None:
+            columns, out = self._aggregate_rows(rows, compiled)
+        elif selector is not None:
             out = selector.records
         else:
             if statement.sort_by is not None:
@@ -672,47 +674,47 @@ class QuelSession:
                     key=lambda item: value_sort_key(item[1]),
                     reverse=statement.descending,
                 )
-            out = [record for record, _, _ in rows]
-            if statement.unique:
-                out = _dedupe(out)
-            if limit is not None:
-                out = out[:limit]
-        self._rows_returned.inc(len(out))
-        return out
+                rows = [values for values, _ in rows]
+            out = _dedupe(rows) if statement.unique else rows
+        if limit is not None:
+            out = out[:limit]
+        accounting.counts[RETURNED] += len(out)
+        return Rows(columns, out)
 
-    def _aggregate_rows(self, rows, has_plain, aggregates):
-        """Aggregate semantics: no plain targets => one global row;
-        otherwise group by the plain-target values."""
+    def _aggregate_rows(self, rows, compiled):
+        """Aggregate semantics over ``(values, aggregate inputs)`` rows,
+        as ``(columns, rows)``: no plain targets => one global row;
+        otherwise group by the plain-target values.  An aggregate's
+        column follows the plain ones, or takes a plain one's name's."""
+        columns = list(compiled.columns)
+        places = []
+        for aggregate in compiled.aggregates:
+            if aggregate.name not in columns:
+                columns.append(aggregate.name)
+            places.append(columns.index(aggregate.name))
+        functions = [
+            self.functions.aggregate(a.function_name) for a in compiled.aggregates
+        ]
         groups = {}
-        order = []
-        for record, _, aggregate_inputs in rows:
-            key = tuple(sorted(record.items(), key=lambda kv: kv[0]))
-            if key not in groups:
-                groups[key] = (record, {name: [] for name in aggregate_inputs})
-                order.append(key)
-            for name, value in aggregate_inputs.items():
-                groups[key][1][name].append(value)
-        if not has_plain and not rows:
-            # Aggregates over an empty result still produce one row.
-            record = {}
-            for aggregate in aggregates:
-                function = self.functions.aggregate(aggregate.function_name)
-                record[aggregate.name] = function([])
-            return [record]
+        if not compiled.columns and not rows:
+            groups[()] = [[] for _ in functions]  # still one row
+        for values, arguments in rows:
+            for inputs, argument in zip(
+                groups.setdefault(values, [[] for _ in functions]), arguments
+            ):
+                inputs.append(argument)
         out = []
-        for key in order:
-            record, inputs = groups[key]
-            result = dict(record)
-            for aggregate in aggregates:
-                function = self.functions.aggregate(aggregate.function_name)
-                result[aggregate.name] = function(inputs.get(aggregate.name, []))
-            out.append(result)
-        return out
+        for values, inputs in groups.items():
+            row = list(values) + [None] * (len(columns) - len(values))
+            for place, function, collected in zip(places, functions, inputs):
+                row[place] = function(collected)
+            out.append(tuple(row))
+        return columns, out
 
-    def _append(self, compiled):
+    def _append(self, compiled, accounting):
         entity_type = self.schema.entity_type(compiled.statement.entity_type)
         count = 0
-        for bindings in self._compiled_bindings(compiled):
+        for bindings in self._compiled_bindings(compiled, accounting):
             values = {
                 name: fn(self, bindings) for name, fn in compiled.assignments
             }
@@ -720,13 +722,13 @@ class QuelSession:
             count += 1
         return count
 
-    def _matches(self, compiled):
+    def _matches(self, compiled, accounting):
         """Distinct instances of the statement's target variable that
         satisfy its qualification, each with its first full binding."""
         variable = compiled.statement.variable
         declared = self._range_for(variable)
         seen = {}
-        for bindings in self._compiled_bindings(compiled):
+        for bindings in self._compiled_bindings(compiled, accounting):
             if declared.kind != "entity":
                 raise QueryError("%r is not an entity range variable" % variable)
             instance = declared.wrap(bindings[variable])
@@ -734,8 +736,8 @@ class QuelSession:
                 seen[instance.surrogate] = (instance, dict(bindings))
         return list(seen.values())
 
-    def _replace(self, compiled):
-        matches = self._matches(compiled)
+    def _replace(self, compiled, accounting):
+        matches = self._matches(compiled, accounting)
         for instance, bindings in matches:
             updates = {
                 name: fn(self, bindings) for name, fn in compiled.assignments
@@ -743,8 +745,8 @@ class QuelSession:
             instance.set(**updates)
         return len(matches)
 
-    def _delete(self, compiled):
-        matches = self._matches(compiled)
+    def _delete(self, compiled, accounting):
+        matches = self._matches(compiled, accounting)
         for instance, _ in matches:
             # Leave orderings as a child and every relationship first, so
             # the delete is legal unless the instance still has children.
@@ -756,28 +758,27 @@ class QuelSession:
         return len(matches)
 
 
-def _record_key(record):
-    """Hashable identity of a result record, or None (unhashable values
-    never dedupe -- they are always distinct)."""
-    key = tuple(sorted(record.items(), key=lambda kv: kv[0]))
+def _row_key(values):
+    """A result row as its own hashable identity, or None (unhashable
+    values never dedupe -- they are always distinct)."""
     try:
-        hash(key)
+        hash(values)
     except TypeError:
         return None
-    return key
+    return values
 
 
-def _dedupe(records):
+def _dedupe(rows):
     seen = set()
     out = []
-    for record in records:
-        key = _record_key(record)
+    for values in rows:
+        key = _row_key(values)
         if key is None:
-            out.append(record)
+            out.append(values)
             continue
         if key not in seen:
             seen.add(key)
-            out.append(record)
+            out.append(values)
     return out
 
 

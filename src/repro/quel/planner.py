@@ -128,8 +128,8 @@ class QueryPlan:
     source each variable binds through.
 
     ``steps``, the ordered :class:`PlanStep` list, is built when first
-    read -- the executor makes a QueryPlan per statement, but only
-    ``explain``, ``last_plan`` and a tracing span read the steps;
+    read -- the executor makes a QueryPlan only when ``explain``,
+    ``last_plan`` or a tracing span reads it, and only they read steps;
     ``render()`` produces the ``last_plan`` text (memoized); ``rows()``
     the result-set shape ``explain`` returns; ``label`` the compact
     access-path summary the planner test sweep asserts on.  ``explain

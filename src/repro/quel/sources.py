@@ -117,26 +117,40 @@ def _cut(items, first):
         start += size
 
 
-class Accounting:
-    """What the sources count, each counter at its one site, per
-    statement or per chunk and never per row.  Limits installed on
-    *local*, the session's thread-local, take ``rows fetched`` too:
-    ``explain analyze`` reads it there."""
+#: The counters a statement's counts land in, a slot each in a cell of
+#: :func:`statement_tally`; the ``quel.statement_seconds`` slots follow.
+STATEMENT_COUNTERS = (
+    "quel.statements", "quel.rows_returned", "quel.rows_fetched",
+    "text.searches", "text.candidates", "quel.snapshot_index_reads",
+    "quel.cache.statement_hits", "quel.cache.statement_misses",
+    "quel.cache.hits", "quel.cache.misses", "quel.cache.invalidations")
+(STATEMENTS, RETURNED, FETCHED, TEXT_SEARCHES, TEXT_CANDIDATES,
+ INDEX_READS, STATEMENT_HITS, STATEMENT_MISSES, PLAN_HITS, PLAN_MISSES,
+ INVALIDATIONS) = range(11)
 
-    def __init__(self, metrics, local=None):
-        self.local = local
-        counter = metrics.counter
-        self.rows_fetched = counter("quel.rows_fetched")
-        # Statements a trigram index pruned, and to how many rows.
-        self.text_searches = counter("text.searches")
-        self.text_candidates = counter("text.candidates")
-        # Pinned reads: variables answered from an index.
-        self.snapshot_index_reads = counter("quel.snapshot_index_reads")
+
+def statement_tally(metrics):
+    """The Tally whose cells hold statements' counts, in *metrics*."""
+    return metrics.tally(STATEMENT_COUNTERS, ("quel.statement_seconds",))
+
+
+class Accounting:
+    """A thread's statement counts: *counts*, its statement-tally cell,
+    a slot each (``counts[PLAN_HITS] += 1``) added once a statement or
+    chunk, never a row; the statement's *limits* take rows fetched too
+    (``explain analyze``); *tracing*: a sink was attached as it began."""
+
+    __slots__ = ("counts", "limits", "tracing")
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.limits = None
+        self.tracing = False
 
     def fetched(self, asked):
         """A source asked its table for *asked* rows."""
-        self.rows_fetched.inc(asked)
-        limits = getattr(self.local, "limits", None)
+        self.counts[FETCHED] += asked
+        limits = self.limits
         if limits is not None:
             limits.fetched += asked
 
@@ -144,27 +158,28 @@ class Accounting:
         """A trigram index pruned a variable to *candidates* rows (the
         stream learns its own a chunk at a time: *new* False)."""
         if new:
-            self.text_searches.inc()
-        self.text_candidates.inc(candidates)
+            self.counts[TEXT_SEARCHES] += 1
+        self.counts[TEXT_CANDIDATES] += candidates
 
     def planned(self, sources, pinned):
         """The plan-time counts of one statement's chosen *sources*."""
-        index_reads = 0
         for source in sources:
             if source.text_candidates is not None:
                 self.text_search(source.text_candidates)
             if pinned and source.access.startswith("index"):
-                index_reads += 1
-        if index_reads:
-            self.snapshot_index_reads.inc(index_reads)
+                self.counts[INDEX_READS] += 1
 
     def pull(self, chunks, fetch):
         """The shared pull: ``fetch(chunk)``'s rows, a chunk of *chunks*
         at a time, none before the join asks: ``explain`` fetches
         nothing and a tail that stops early never pays for the chunks
         behind the one it stopped in."""
+        counts = self.counts
+
         def counted(chunk):
-            self.fetched(len(chunk))
+            counts[FETCHED] += len(chunk)
+            if self.limits is not None:
+                self.limits.fetched += len(chunk)
             return fetch(chunk)
 
         return chain.from_iterable(map(counted, chunks))  # a hop a chunk
@@ -304,7 +319,7 @@ class IndexAccess:
             for attribute, value in restrictions if not has_column(attribute)
         )
         self.text_restrictions = text_restrictions
-        self.answers = answers
+        self.answers = tuple(answers)
 
     def probe(self, values):
         """The rowids the indexes hold for the restrictions, *values*
@@ -383,7 +398,7 @@ class IndexSource(_Source):
         self.count = len(rowids)
         self.stale = len(stale) if pinned else 0
         if decided and not self.stale:
-            self.answers = [*self.answers, *decided]
+            self.answers = (*self.answers, *decided)
         if not isinstance(rowids, list):
             rowids = sorted(rowids)
         if stale:
@@ -657,18 +672,18 @@ class OrderRange(_Source):
 # -- who picks -----------------------------------------------------------------------------
 
 
-def _early_source(compiled, rt):
+def _early_source(compiled, rt, accounting):
     """The source the plan's ``early_exit`` names, or None when its
     plan-time probe finds it cannot serve (see its ``plan``)."""
     kind, variable, *sort_key = compiled.early_exit
     declared = rt._range_for(variable)
     gates = compiled.text_restrictions[variable]
     if kind == "stream":
-        return TextStream.plan(declared, gates, rt.accounting)
-    return TextTopK.plan(declared, gates, variable, *sort_key, rt.accounting)
+        return TextStream.plan(declared, gates, accounting)
+    return TextTopK.plan(declared, gates, variable, *sort_key, accounting)
 
 
-def choose(compiled, rt, pinned):
+def choose(compiled, rt, pinned, accounting):
     """Pick the source of every variable *compiled* uses and the order
     the join binds them in: ``(order, {variable: source})``.  *rt* is
     the executing session, whose ranges the plan's match and whose
@@ -683,13 +698,17 @@ def choose(compiled, rt, pinned):
       candidates (``CompiledStatement.early_exit``);
     * everything else answers from the restrictions an index can answer
       (:class:`IndexSource`), smallest candidate set first.
+
+    *accounting* is the statement's: the sources count into it.
     """
     used = compiled.used
-    accounting = rt.accounting
     accesses = compiled.accesses
     sources = {}
     driven = dict(compiled.pushdowns)
-    early = _early_source(compiled, rt) if compiled.early_exit else None
+    early = (
+        _early_source(compiled, rt, accounting) if compiled.early_exit
+        else None
+    )
     if early is not None:
         sources[used[0]] = early
         order = list(used)

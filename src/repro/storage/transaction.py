@@ -104,6 +104,8 @@ class _ThreadState(threading.local):
     inside, ten times the cost of finding the attribute."""
 
     snapshot = None
+    snapshot_depth = 0
+    deadline = None
     txn = None
     # The open statement's lock owner and journal (statement()).
     statement_owner = None
@@ -132,6 +134,7 @@ class TransactionManager:
         self._visible_lsn = 0
         self._snapshot_mutex = threading.Lock()
         self._active_snapshots = {}
+        self._pins = 0  # the registry's counts summed
         self._snapshots_gauge = metrics.gauge("mvcc.snapshots_active")
 
     @property
@@ -160,38 +163,42 @@ class TransactionManager:
         registration and reclaim the very version this reader needs
         (see :meth:`prune_horizon`, whose argument rests on it).
         """
-        depth = getattr(self._local, "snapshot_depth", 0)
+        local = self._local
+        depth = local.snapshot_depth
         if depth:
-            self._local.snapshot_depth = depth + 1
-            return self._local.snapshot
+            local.snapshot_depth = depth + 1
+            return local.snapshot
         with self._snapshot_mutex:
             snapshot = self.snapshot_lsn() if lsn is None else lsn
             self._active_snapshots[snapshot] = (
                 self._active_snapshots.get(snapshot, 0) + 1
             )
-            self._snapshots_gauge.set(sum(self._active_snapshots.values()))
-        self._local.snapshot = snapshot
-        self._local.snapshot_depth = 1
+            self._pins += 1
+            self._snapshots_gauge.set(self._pins)
+        local.snapshot = snapshot
+        local.snapshot_depth = 1
         return snapshot
 
     def unpin_snapshot(self):
         """Release this thread's snapshot pin (innermost first)."""
-        depth = getattr(self._local, "snapshot_depth", 0)
+        local = self._local
+        depth = local.snapshot_depth
         if not depth:
             raise TransactionError("no snapshot is pinned on this thread")
         if depth > 1:
-            self._local.snapshot_depth = depth - 1
+            local.snapshot_depth = depth - 1
             return
-        snapshot = self._local.snapshot
-        self._local.snapshot = None
-        self._local.snapshot_depth = 0
+        snapshot = local.snapshot
+        local.snapshot = None
+        local.snapshot_depth = 0
         with self._snapshot_mutex:
             count = self._active_snapshots.get(snapshot, 0) - 1
             if count > 0:
                 self._active_snapshots[snapshot] = count
             else:
                 self._active_snapshots.pop(snapshot, None)
-            self._snapshots_gauge.set(sum(self._active_snapshots.values()))
+            self._pins -= 1
+            self._snapshots_gauge.set(self._pins)
 
     def assert_no_snapshot(self):
         """Refuse mutations on a thread reading through a snapshot."""
@@ -245,7 +252,7 @@ class TransactionManager:
         self._local.deadline = None
 
     def current_deadline(self):
-        return getattr(self._local, "deadline", None)
+        return self._local.deadline
 
     # -- statements outside a transaction -----------------------------------------
 

@@ -465,7 +465,12 @@ class TrigramIndex:
         if not grams:
             return None
         postings = list(map(self._posting, grams))
-        return [] if None in postings else sorted(postings, key=len)
+        # An identity test a posting: ``None in postings`` would call
+        # each posting's Set ``__eq__`` with None.
+        for posting in postings:
+            if posting is None:
+                return []
+        return sorted(postings, key=len)
 
     def _matching(self, query, after):
         """The one intersection: ``(chunk index, mask)`` of the rowids

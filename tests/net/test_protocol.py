@@ -51,9 +51,13 @@ class TestFraming:
 
 
 def result_frame(rows):
-    """The ``RESULT`` frame a server sends for *rows*."""
+    """The ``RESULT`` frame a server sends for *rows*, dicts that share
+    their keys (what a retrieve answers a local caller)."""
     body = {"seq": 4, "duplicate": False}
-    body.update(protocol.encode_rows(rows))
+    body.update(protocol.encode_rows(
+        list(rows[0]) if rows else [],
+        [tuple(row.values()) for row in rows],
+    ))
     body["commit_lsn"] = 9
     return protocol.pack(protocol.RESULT, body)
 

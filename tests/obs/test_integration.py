@@ -10,6 +10,7 @@ import pytest
 from repro.core.schema import Schema
 from repro.mdm.manager import MusicDataManager
 from repro.obs.trace import Tracer, install_tracer, open_span_count, uninstall_tracer
+from repro.quel import sources
 from repro.quel.compile import compile_statement
 from repro.quel.executor import QuelSession
 from repro.quel.parser import parse_quel
@@ -103,7 +104,8 @@ class TestQuelSpans:
         # Internal generator use: grab one binding and walk away.
         (statement,) = parse_quel("retrieve (n.n)")
         generator = session._compiled_bindings(
-            compile_statement(statement, session, frozenset())
+            compile_statement(statement, session, frozenset()),
+            sources.Accounting(sources.statement_tally(session.metrics).cell()),
         )
         next(generator)
         generator.close()

@@ -1,7 +1,7 @@
 """Unit tests for the metrics registry and its instruments."""
 
 import threading
-from collections import deque
+from bisect import bisect_left
 
 import pytest
 
@@ -72,36 +72,54 @@ class TestHistogram:
 class TestTally:
     def test_one_write_feeds_both_instruments(self):
         registry = MetricsRegistry()
-        tally = registry.tally("stmt", "stmt_seconds")
-        tally.observe(0.002)
-        tally.observe(0.004)
-        assert registry.counter("stmt").value == 2
+        tally = registry.tally(["stmt"], ["stmt_seconds"])
         histogram = registry.histogram("stmt_seconds")
+        cell, at = tally.cell(), tally.slot(histogram)
+        for seconds in (0.002, 0.004):
+            cell[0] += 1
+            cell[at + bisect_left(histogram.buckets, seconds)] += 1
+            cell[at + len(histogram.buckets) + 1] += seconds
+        assert registry.counter("stmt").value == 2
         assert histogram.count == 2
         assert histogram.sum == pytest.approx(0.006)
         assert histogram.snapshot()["buckets"]["le_0.0025"] == 1
+        assert histogram.quantile(1.0) == 0.005
+
+    def test_one_cell_feeds_every_instrument(self):
+        registry = MetricsRegistry()
+        tally = registry.tally(["a", "b", "c"])
+        cell = tally.cell()
+        assert cell is tally.cell()  # one a thread
+        cell[0] += 1
+        cell[1] += 7
+        assert registry.snapshot()["a"] == 1
+        assert registry.value("b") == 7
+        assert registry.value("c") == 0
 
     def test_same_pair_same_object(self):
         registry = MetricsRegistry()
-        assert registry.tally("a", "b") is registry.tally("a", "b")
+        assert registry.tally(["a"], ["b"]) is registry.tally(["a"], ["b"])
 
     def test_mixes_with_direct_writes(self):
         registry = MetricsRegistry()
-        tally = registry.tally("stmt", "stmt_seconds")
+        tally = registry.tally(["stmt"], ["stmt_seconds"])
         registry.counter("stmt").inc(3)
-        tally.observe(0.001)
+        tally.cell()[0] += 1
         registry.histogram("stmt_seconds").observe(0.5)
         assert registry.counter("stmt").value == 4
-        assert registry.histogram("stmt_seconds").count == 2
+        assert registry.histogram("stmt_seconds").count == 1
 
     def test_exact_under_concurrency(self):
         registry = MetricsRegistry()
-        tally = registry.tally("stmt", "stmt_seconds")
+        tally = registry.tally(["stmt"])
         per_thread = 5000
+        seen = []
 
         def hammer():
+            cell = tally.cell()
             for _ in range(per_thread):
-                tally.observe(0.001)
+                cell[0] += 1
+            seen.append(registry.counter("stmt").value)  # a live read
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -109,24 +127,34 @@ class TestTally:
         for thread in threads:
             thread.join()
         assert registry.counter("stmt").value == 4 * per_thread
-        assert registry.histogram("stmt_seconds").count == 4 * per_thread
-
+        assert all(per_thread <= value <= 4 * per_thread for value in seen)
+        assert tally._cells == []  # every ended thread's cell folded
 
     def test_a_racing_drain_may_take_values_from_under_this_one(self):
-        """Two threads crossing the pending bound together both drain;
-        the loser used to die of ``IndexError: pop from an empty
-        deque`` inside whatever statement it was finishing."""
-        class OneStolen(deque):
-            # As if another drainer popped one after the length read.
-            def __len__(self):
-                return super().__len__() + 1
-
+        """Readers racing to fold the cells of ended threads each fold a
+        cell once: the totals neither lose nor double a count."""
         registry = MetricsRegistry()
-        tally = registry.tally("stmt", "stmt_seconds")
-        tally._pending = OneStolen([0.001, 0.002])
-        tally.drain()
-        assert registry.counter("stmt").value == 2
-        assert registry.histogram("stmt_seconds").count == 2
+        tally = registry.tally(["stmt"])
+        counter = registry.counter("stmt")
+        for round_ in range(20):
+            writers = [
+                threading.Thread(target=lambda: tally.cell().__setitem__(0, 1))
+                for _ in range(8)
+            ]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join()
+            reads = []
+            readers = [
+                threading.Thread(target=lambda: reads.append(counter.value))
+                for _ in range(4)
+            ]
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join()
+            assert reads == [8 * (round_ + 1)] * 4
 
 
 class TestRegistry:

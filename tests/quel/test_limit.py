@@ -204,7 +204,9 @@ def _chunk_cases():
     """name -> ``build(catalog)``, which returns ``(database, pulled)``:
     ``pulled(first)`` plans the source afresh and returns what one pull
     of it yields, as rowids (top-k: as the tail's selected records)."""
-    accounting = sources.Accounting(MetricsRegistry())
+    accounting = sources.Accounting(
+        sources.statement_tally(MetricsRegistry()).cell()
+    )
     gates = [("title", "matches", "no. 7", None, 0)]  # conjunct 0
     ranked = "prelude no. 7"
 

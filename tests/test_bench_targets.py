@@ -70,6 +70,59 @@ def test_execute_reaches_parse_and_compile_through_executor_globals(
     assert calls == {"parse_quel": 1, "compile_statement": 1}
 
 
+#: What a remote read and a remote write pass through, by bench/trace.py's
+#: (module, owner) of each: the codec both ways, the service's run and
+#: the executor.  Only a read carries rows.
+REMOTE_PATH = [
+    ("repro.net.protocol", None, "pack"),
+    ("repro.net.protocol", None, "encode_frame"),
+    ("repro.net.protocol", None, "unpack_json"),
+    ("repro.net.protocol", None, "decode_payload"),
+    ("repro.mdm.service", "MdmSession", "run"),
+    ("repro.quel.executor", "QuelSession", "execute"),
+]
+ROWS_PATH = [
+    ("repro.net.protocol", None, "encode_rows"),
+    ("repro.net.protocol", None, "decode_rows"),
+]
+
+
+@pytest.mark.parametrize("kind", ["read", "write"])
+def test_a_remote_call_reaches_the_codec_service_and_executor_globals(
+    targets, monkeypatch, kind
+):
+    """``net.encode_us``, ``net.decode_us``, ``mdm.run_self_us`` and
+    ``quel.execute_us`` are the time inside these callables, each
+    replaced where bench/trace.py replaces it; a layer that called its
+    own copy would answer the same and a traced run would read 0."""
+    wrapped = {(m, o, a) for m, o, a, _ in targets}
+    calls = collections.Counter()
+    for module_name, owner_name, name in REMOTE_PATH + ROWS_PATH:
+        assert (module_name, owner_name, name) in wrapped
+        module = importlib.import_module(module_name)
+        owner = module if owner_name is None else getattr(module, owner_name)
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    with MusicDataManager() as mdm, MdmServer(mdm) as server:
+        with MdmClient(server.address) as client:
+            client.execute("range of n is NOTE")
+            calls.clear()
+            if kind == "read":
+                assert client.retrieve("retrieve (n.degree)") == []
+            else:
+                assert client.execute("append to NOTE (degree = 1)") == 1
+    expected = REMOTE_PATH + (ROWS_PATH if kind == "read" else [])
+    assert {name for _, _, name in expected} <= set(calls), dict(calls)
+    if kind == "write":
+        assert not {name for _, _, name in ROWS_PATH} & set(calls)
+
+
 def test_an_order_range_retrieve_reaches_a_wrapped_ordering_read(
     targets, monkeypatch
 ):

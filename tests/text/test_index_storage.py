@@ -127,6 +127,18 @@ class TestTrigramIndexUnit:
                     rowid for rowid in everything if rowid > after
                 ], (query, after)
 
+    def test_a_gram_with_no_posting_matches_nothing(self):
+        """One gram of the query that no row holds empties the answer,
+        wherever it falls among grams that do have postings."""
+        index = TrigramIndex(MetricsRegistry())
+        for rowid in range(1, 41):
+            index.insert("prelude no %d" % rowid, rowid)
+        for query in ("preludex", "xprelude", "prelxude", "zzz"):
+            assert index._query_postings(query) == []
+            assert index.candidates_matching(query) == set()
+            assert list(index.iter_matching(query)) == []
+            assert index.estimate_matching(query) == 0
+
     def test_sub_trigram_query_declines_to_prune(self):
         index = TrigramIndex(MetricsRegistry())
         index.insert("prelude", 1)
