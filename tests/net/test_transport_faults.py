@@ -115,6 +115,27 @@ class TestFaultyTransport:
             sender.close()
             receiver.close()
 
+    def test_a_frame_cut_short_by_the_timeout_completes_on_the_next_recv(self):
+        """The bytes that arrived before the wait ran out are kept, so a
+        reader that waits again (the replica's feed does) gets the
+        frame whole, and the frames after it."""
+        sender, receiver = pair()
+        try:
+            frames = [protocol.pack(protocol.RESULT, {"seq": seq, "x": "y" * 40})
+                      for seq in (1, 2)]
+            for cut in (3, 20):  # inside the header, inside the payload
+                stream = b"".join(frames)
+                sender._sendall(stream[:cut])
+                with pytest.raises(NetworkTimeoutError):
+                    receiver.recv(timeout=0.05)
+                sender._sendall(stream[cut:])
+                for seq in (1, 2):
+                    kind, body = receiver.recv(timeout=2.0)
+                    assert protocol.unpack_json(kind, body)["seq"] == seq
+        finally:
+            sender.close()
+            receiver.close()
+
     def test_corrupt_frame_poisons_the_stream(self):
         a, b = socket.socketpair()
         sender, receiver = Transport(a), Transport(b)
