@@ -3,8 +3,8 @@
 With no trace sink attached, the executor's hot path hoists one
 ``tracing_active()`` check per span site and skips the span (and its
 attribute records) entirely; a statement's counts are kept in plain
-slots and posted once, one lock-free deque append folded on read.  This benchmark measures the exact
-per-statement instrumentation sequence of a warm compiled statement --
+slots of the thread's cell, summed on read.  This benchmark measures
+the exact per-statement instrumentation sequence of a warm compiled statement --
 shape-cache hit (no parse), plan hit -- in isolation and
 compares it to the latency of the *cheapest* instrumented statement
 (indexed equality retrieve, now compiled and cached: the worst case
@@ -106,7 +106,7 @@ def _instrumentation_cycle(metrics):
             plan_span.record("index_hits", 1)
         if plan_span is not NOOP_SPAN:
             plan_span.finish()
-        grants._granted += 1  # under the grant's own condition
+        grants._granted[0] += 1  # under the grant's own condition
         scan_span = (
             span("quel.scan", variables=1) if accounting.tracing else NOOP_SPAN
         )

@@ -302,13 +302,15 @@ class MdmSession:
             else NOOP_SPAN
         )
         quel.set_limits(deadline=deadline, row_budget=budget)
-        snapshot = transactions.pin_snapshot()
         try:
-            if run_span is not NOOP_SPAN:
-                run_span.record("snapshot_lsn", snapshot)
-            result = fn(self.mdm)
+            snapshot = transactions.pin_snapshot()
+            try:
+                if run_span is not NOOP_SPAN:
+                    run_span.record("snapshot_lsn", snapshot)
+                result = fn(self.mdm)
+            finally:
+                transactions.unpin_snapshot()
         finally:
-            transactions.unpin_snapshot()
             quel.clear_limits()
             if run_span is not NOOP_SPAN:
                 run_span.finish()

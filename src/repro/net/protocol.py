@@ -160,21 +160,33 @@ def decode_value(value):
     return value
 
 
-#: The body codec: the C encoder and scanner, built once and called
-#: directly (``JSONEncoder.encode`` builds a C encoder per call, and
-#: ``JSONDecoder.decode`` wraps the scan in two whitespace matches; a
-#: body has no whitespace around it).  A body is a tree built for one
-#: frame, never circular, so the encoder keeps no record of the
-#: containers it is inside (``markers`` None: one dict insert and
-#: delete a row array, a third of a 50-row encode).  Strings are
-#: written ASCII-escaped.  ``decode_value`` is the scanner's
+def _body_encoder(c_make_encoder=json.encoder.c_make_encoder):
+    """The body encoder, ``(obj, 0) -> chunks``: CPython's C encoder,
+    built once and called directly (``JSONEncoder.encode`` builds one
+    per call).  A body is a tree built for one frame, never circular,
+    so the encoder keeps no record of the containers it is inside
+    (``markers`` None: one dict insert and delete a row array, a third
+    of a 50-row encode).  Strings are written ASCII-escaped.  Without
+    the C accelerator it is the pure-Python encoder, which writes the
+    same bytes."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(
+            separators=(",", ":"), check_circular=False,
+            default=_encode_unknown,
+        ).iterencode
+    return c_make_encoder(
+        None, _encode_unknown, json.encoder.encode_basestring_ascii, None,
+        ":", ",", False, False, True,
+    )
+
+
+#: The body codec.  The scanner is called directly too
+#: (``JSONDecoder.decode`` wraps the scan in two whitespace matches; a
+#: body has no whitespace around it).  ``decode_value`` is its
 #: ``object_hook``: it meets each JSON object, and a ``RESULT``'s rows
 #: are arrays, so it runs once for the body and once for each
 #: tunnelled value, never once a row.
-_ENCODE = json.encoder.c_make_encoder(
-    None, _encode_unknown, json.encoder.encode_basestring_ascii, None,
-    ":", ",", False, False, True,
-)
+_ENCODE = _body_encoder()
 _SCAN = json.JSONDecoder(object_hook=decode_value).scan_once
 
 

@@ -4,24 +4,24 @@ Replaces the ad-hoc ``statistics()`` dict plumbing: every layer that
 wants a counter asks its registry once (``registry.counter("wal.appends")``)
 and increments the returned object directly, with no name lookups.
 
-Counter increments and histogram observations are *lock-free on the
-write path*: each lands in a ``collections.deque`` (whose ``append``
-and ``popleft`` are single C calls, atomic under the GIL) and is folded
-into the running total on read -- or inline once the pending queue
-reaches a bound, so an instrument nobody reads stays O(1) in memory.
-The fold drains with ``popleft`` under the instrument's mutex, so no
-concurrent increment is ever lost: counts stay exact, which the
-concurrency and stress suites rely on.  A gauge is last-write-wins, so
-reordering through a queue would change its semantics: ``set`` is one
-attribute store, and ``inc`` / ``dec``, which read first, hold the
-gauge's mutex (a gauge is either set or moved, never both).
+Counts have one mechanism, the :class:`Tally`: each writing thread adds
+into a cell of its own, a plain list with a slot per count, with no
+lock or queue; a read sums the cells.  Only its thread writes a cell,
+so no add is ever lost: counts stay exact, which the concurrency and
+stress suites rely on.  Each counter and histogram writes through a
+tally of its own (``inc`` / ``observe`` add into the calling thread's
+cell).  Instruments updated together -- one statement's counts and its
+latency, one request's frames -- share a tally whose cell a hot path
+takes once and adds into with no call per count: ``repro.quel.executor``
+counts each statement's ``quel.*`` and ``text.*`` counts and its
+latency through one, and the network server each request's ``net.*``
+counts.  A writer that already serializes its adds under a lock of its
+own (the lock manager's grants) owns a cell instead of a thread.
 
-For instruments updated together -- one statement's counts and its
-latency, one request's frames -- a :class:`Tally` gives each writing
-thread a cell of plain slots it adds into with no call, lock or queue
-write per count; reads sum the cells.  ``repro.quel.executor`` counts
-each statement's ``quel.*`` and ``text.*`` counts and its latency
-through one, and the network server each request's ``net.*`` counts.
+A gauge is last-write-wins, so summing cells would change its
+semantics: ``set`` is one attribute store, and ``inc`` / ``dec``, which
+read first, hold the gauge's mutex (a gauge is either set or moved,
+never both).
 
 Histograms use *fixed* bucket boundaries chosen at creation -- the
 Prometheus model -- so concurrent observers and exporters never see a
@@ -35,10 +35,6 @@ returns plain data (ints/floats/dicts) safe to serialize or diff.
 import threading
 import weakref
 from bisect import bisect_left
-from collections import deque
-
-#: Pending writes tolerated before a writer folds inline.
-_PENDING_BOUND = 2048
 
 #: Default latency boundaries, in seconds (upper-inclusive edges).
 DEFAULT_BUCKETS = (
@@ -48,45 +44,23 @@ DEFAULT_BUCKETS = (
 
 
 class Counter:
-    """A monotonically increasing count (lock-free increments)."""
+    """A monotonically increasing count (each thread adds into a cell)."""
 
-    __slots__ = ("name", "_value", "_pending", "_sources", "_mutex")
+    __slots__ = ("name", "_sources", "_cells")
 
     def __init__(self, name):
         self.name = name
-        self._value = 0
-        self._pending = deque()
-        # What else feeds it: each has ``total(counter)`` -- a Tally, or
-        # an owner counting in a plain int under a lock it already holds.
-        self._sources = ()
-        self._mutex = threading.Lock()
+        self._sources = ()  # the Tallies whose cells hold its counts
+        self._cells = Tally([self]).cells
 
     def inc(self, amount=1):
         if amount < 0:
             raise ValueError("counter %r cannot decrease" % self.name)
-        pending = self._pending
-        pending.append(amount)
-        if len(pending) >= _PENDING_BOUND:
-            self._fold()
-
-    def _fold(self):
-        with self._mutex:
-            pending = self._pending
-            value = self._value
-            # Bounded drain: popleft never loses a concurrent append,
-            # and appends landing mid-drain wait for the next fold.
-            for _ in range(len(pending)):
-                value += pending.popleft()
-            self._value = value
+        self._cells.cell[0] += amount
 
     @property
     def value(self):
-        if self._pending:
-            self._fold()
-        value = self._value
-        for source in self._sources:
-            value += source.total(self)
-        return value
+        return sum(source.total(self) for source in self._sources)
 
     def __repr__(self):
         return "Counter(%r=%d)" % (self.name, self.value)
@@ -129,10 +103,7 @@ class Histogram:
     overflow bucket counts the rest.  ``sum``/``count`` give the mean.
     """
 
-    __slots__ = (
-        "name", "buckets", "_counts", "_sum", "_pending",
-        "_sources", "_mutex",
-    )
+    __slots__ = ("name", "buckets", "_sources", "_cells")
 
     def __init__(self, name, buckets=DEFAULT_BUCKETS):
         boundaries = tuple(buckets)
@@ -142,37 +113,20 @@ class Histogram:
             raise ValueError("histogram %r buckets must increase" % name)
         self.name = name
         self.buckets = boundaries
-        self._counts = [0] * (len(boundaries) + 1)
-        self._sum = 0.0
-        self._pending = deque()
-        self._sources = ()  # the Tallies that feed this instrument
-        self._mutex = threading.Lock()
+        self._sources = ()  # the Tallies whose cells hold its observations
+        self._cells = Tally([self]).cells
 
     def observe(self, value):
-        pending = self._pending
-        pending.append(value)
-        if len(pending) >= _PENDING_BOUND:
-            self._fold()
-
-    def _fold(self):
-        with self._mutex:
-            pending = self._pending
-            buckets = self.buckets
-            counts = self._counts
-            for _ in range(len(pending)):
-                value = pending.popleft()
-                # bisect_left finds the first boundary >= value, i.e.
-                # the upper-inclusive bucket; past-the-end is overflow.
-                counts[bisect_left(buckets, value)] += 1
-                self._sum += value
+        cell = self._cells.cell
+        # bisect_left finds the first boundary >= value, i.e. the
+        # upper-inclusive bucket; past-the-end is overflow.  The sum is
+        # the cell's last slot.
+        cell[bisect_left(self.buckets, value)] += 1
+        cell[-1] += value
 
     def _totals(self):
-        """``(bucket counts, sum)``: this histogram's own observations
-        and every Tally's."""
-        if self._pending:
-            self._fold()
-        with self._mutex:
-            counts, total = list(self._counts), self._sum
+        """``(bucket counts, sum)`` over every Tally that feeds it."""
+        counts, total = [0] * (len(self.buckets) + 1), 0.0
         for source in self._sources:
             fed, fed_sum = source.total(self)
             counts = [a + b for a, b in zip(counts, fed)]
@@ -231,26 +185,30 @@ class Histogram:
 
 
 class _Cells(threading.local):
-    cell = None  # the thread's cell, until it has one
+    """``cell``: a tally's cell for the calling thread, made and
+    registered the first time the thread reads it."""
+
+    def __init__(self, tally):
+        self.cell = tally._register(threading.current_thread())
 
 
 class Tally:
     """Instruments written together, each thread into a cell of its own.
 
-    A hot path that writes several instruments at once -- a statement's
-    counts and latency, a request frame's counts -- takes its thread's
-    cell (:meth:`cell`): a list with a slot per counter and, per
-    histogram, a slot per bucket and one for the sum.  It adds into the
-    cell with plain list stores: no lock, no queue, no call per count.
-    Only its thread writes a cell, so no add is ever lost.  A read of
-    a backing instrument sums the cells under the tally's mutex, after
-    folding each cell whose thread has ended into the tally's totals
-    and dropping it: the cells are as many as the writing threads that
-    still run, and counts stay exact.
+    A thread's cell (:meth:`cell`) is a list with a slot per counter
+    and, per histogram, a slot per bucket and one for the sum.  Its
+    thread adds into it with plain list stores: no lock, no queue, no
+    call per count.  Only its thread writes a cell, so no add is ever
+    lost.  An owner that serializes its adds under a lock of its own
+    may hold a cell instead (:meth:`owned_cell`).  A read of a backing
+    instrument sums the cells under the tally's mutex, after folding
+    each cell whose thread has ended (or whose owner is gone) into the
+    tally's totals and dropping it: the cells are as many as the
+    writers still running, and counts stay exact.
     """
 
-    __slots__ = ("instruments", "_at", "_width", "_folded", "_cells",
-                 "_local", "_mutex")
+    __slots__ = ("instruments", "cells", "_at", "_width", "_folded",
+                 "_entries", "_mutex")
 
     def __init__(self, instruments):
         self.instruments = tuple(instruments)
@@ -263,10 +221,10 @@ class Tally:
                 else len(instrument.buckets) + 2
             )
         self._width = width
-        self._folded = self._zeros()  # the ended threads' cells
-        self._cells = []  # (weak reference to the thread, its cell)
-        self._local = _Cells()
         self._mutex = threading.Lock()
+        self._folded = self._zeros()  # the ended writers' cells
+        self._entries = []  # (weak reference to the writer, its cell)
+        self.cells = _Cells(self)  # ``cells.cell``: the thread's cell
         for instrument in self.instruments:
             instrument._sources += (self,)
 
@@ -280,13 +238,18 @@ class Tally:
     def cell(self):
         """The calling thread's cell, a plain list (whose item stores
         the interpreter specializes), made the first time it asks."""
-        cell = self._local.cell
-        if cell is None:
-            cell = self._local.cell = self._zeros()
-            thread = weakref.ref(threading.current_thread())
-            with self._mutex:
-                self._fold_ended()
-                self._cells.append((thread, cell))
+        return self.cells.cell
+
+    def owned_cell(self, owner):
+        """A cell for *owner*, which adds into it only under a lock of
+        its own; folded into the totals once *owner* is gone."""
+        return self._register(owner)
+
+    def _register(self, writer):
+        cell = self._zeros()
+        with self._mutex:
+            self._fold_ended()
+            self._entries.append((weakref.ref(writer), cell))
         return cell
 
     def slot(self, instrument):
@@ -296,16 +259,19 @@ class Tally:
         return self._at[instrument]
 
     def _fold_ended(self):
-        """Fold the cells of threads that have ended; under the mutex."""
+        """Fold the cells of ended threads and gone owners; under the
+        mutex."""
         folded, live = self._folded, []
-        for entry in self._cells:
-            thread = entry[0]()
-            if thread is not None and thread.is_alive():
+        for entry in self._entries:
+            writer = entry[0]()
+            if writer is not None and (
+                not isinstance(writer, threading.Thread) or writer.is_alive()
+            ):
                 live.append(entry)
                 continue
             for slot, count in enumerate(entry[1]):
                 folded[slot] += count
-        self._cells = live
+        self._entries = live
 
     def total(self, instrument):
         """What the cells hold for *instrument*: a counter's count, or a
@@ -313,7 +279,7 @@ class Tally:
         at = self._at[instrument]
         with self._mutex:
             self._fold_ended()
-            cells = [self._folded] + [cell for _, cell in self._cells]
+            cells = [self._folded] + [cell for _, cell in self._entries]
             if isinstance(instrument, Counter):
                 return sum(cell[at] for cell in cells)
             end = at + len(instrument.buckets) + 1

@@ -281,6 +281,14 @@ def resolve_ordering(schema, clause_name, instances, parent=None):
     )
 
 
+def _getter(positions):
+    """``values -> tuple`` of the *values* at *positions*."""
+    if len(positions) == 1:
+        (at,) = positions
+        return lambda values: (values[at],)
+    return itemgetter(*positions) if positions else (lambda values: ())
+
+
 class Compiler:
     """Compiles one statement against a session's compile-time context
     (range-variable bindings, function registry, known orderings).
@@ -529,32 +537,15 @@ class Compiler:
             except UnknownAttributeError:
                 positions = []
         if not positions:
-            if len(kept) == len(fns):
-                return columns, lambda rt, bindings: tuple(
-                    [fn(rt, bindings) for fn in fns]
-                )
             # Every target is evaluated, in order, as a dict built
             # target by target would be; a shadowed one's value is
             # dropped.
-            keep = itemgetter(*kept) if len(kept) > 1 else (
-                lambda values, at=kept[0]: (values[at],)
-            )
+            keep = _getter(kept)
             return columns, lambda rt, bindings: keep(
                 [fn(rt, bindings) for fn in fns]
             )
         width = max(positions) + 1
-        pick = itemgetter(*positions)
-        if len(positions) == 1:
-            at = positions[0]
-
-            def project(rt, bindings):
-                row = bindings.get(variable)
-                if row is None:
-                    raise QueryError("unbound range variable %r" % variable)
-                values = row.values
-                return (values[at] if at < len(values) else None,)
-
-            return columns, project
+        pick = _getter(positions)
 
         def project(rt, bindings):
             row = bindings.get(variable)

@@ -40,12 +40,11 @@ class LockManager:
         # Counters live in the metrics registry (``lock.*``), so the
         # shell's \metrics and stats() read the same numbers.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Grants are counted under the condition the grant already holds,
-        # in a plain int the counter reads (``total``): every locked
-        # statement takes one.
-        self._granted = 0
+        # Grants are added under the condition the grant already holds,
+        # into a cell of the counter's that this manager owns: every
+        # locked statement takes one.
         self._grants = self.metrics.counter("lock.grants")
-        self._grants._sources += (self,)
+        self._granted = self.metrics.tally(["lock.grants"]).owned_cell(self)
         self._waits = self.metrics.counter("lock.waits")
         self._deadlock_aborts = self.metrics.counter("lock.deadlock_aborts")
         self._timeouts = self.metrics.counter("lock.timeouts")
@@ -59,10 +58,6 @@ class LockManager:
             "deadlock_aborts": self._deadlock_aborts.value,
             "timeouts": self._timeouts.value,
         }
-
-    def total(self, counter):
-        """The grants counted here, for the ``lock.grants`` *counter*."""
-        return self._granted
 
     def locks_held(self, txn_id):
         """Resources currently locked by *txn_id* (mode map)."""
@@ -104,7 +99,7 @@ class LockManager:
                         conflict = bool(others)
                     if not conflict:
                         holders[txn_id] = mode
-                        self._granted += 1
+                        self._granted[0] += 1
                         return
                     # Wait-die: lower txn_id = older = may wait; younger dies.
                     if any(other < txn_id for other in others):

@@ -139,6 +139,24 @@ class TestSessionBasics:
         assert mdm.database.transactions.current() is None
         assert mdm.statistics()["commits"] == 0
 
+    def test_a_failed_pin_leaves_no_limits_on_the_thread(self, monkeypatch):
+        mdm = bare_mdm()
+        session = mdm.connect("reader", seed=0, default_timeout=5.0)
+        transactions = mdm.database.transactions
+
+        def refuse():
+            raise RuntimeError("no snapshot")
+
+        monkeypatch.setattr(transactions, "pin_snapshot", refuse)
+        with pytest.raises(RuntimeError):
+            session.run(lambda m: None, read_only=True, row_budget=3)
+        assert session.quel.limits is None
+        monkeypatch.undo()
+        assert session.run(lambda m: session.quel.limits.row_budget,
+                           read_only=True, row_budget=3) == 3
+        assert session.quel.limits is None
+        assert transactions.current_snapshot() is None
+
     def test_connect_passes_options_to_the_session(self):
         session = bare_mdm().connect("tuned", max_attempts=2, default_timeout=1.5)
         assert isinstance(session, MdmSession)

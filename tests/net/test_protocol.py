@@ -135,6 +135,23 @@ class TestValues:
         assert result_frame(rows).hex() == golden
         assert rows_of(bytes.fromhex(golden)) == rows
 
+    def test_the_pure_python_encoder_writes_the_same_bytes(self):
+        """Without CPython's C json accelerator the body encoder falls
+        back to the pure-Python one, byte for byte."""
+        body = {
+            "seq": 3, "kind": "rows", "columns": ["d", "b", "s", "f"],
+            "value": [
+                (Fraction(3, 8), b"\x00\xff", "caf\u00e9 \"x\"", 0.5),
+                (None, b"", "", float("inf")),
+            ],
+        }
+        fallback = protocol._body_encoder(None)
+        assert "".join(fallback(body, 0)) == "".join(
+            protocol._ENCODE(body, 0)
+        )
+        with pytest.raises(TypeError):
+            "".join(fallback({"x": object()}, 0))
+
     def test_a_value_with_no_wire_form_is_refused_not_mangled(self):
         with pytest.raises(TypeError):
             result_frame([{"x": object()}])

@@ -103,15 +103,27 @@ class TestTally:
     def test_mixes_with_direct_writes(self):
         registry = MetricsRegistry()
         tally = registry.tally(["stmt"], ["stmt_seconds"])
+        histogram = registry.histogram("stmt_seconds")
+        cell, at = tally.cell(), tally.slot(histogram)
         registry.counter("stmt").inc(3)
-        tally.cell()[0] += 1
-        registry.histogram("stmt_seconds").observe(0.5)
+        cell[0] += 1
+        cell[at + bisect_left(histogram.buckets, 0.001)] += 1
+        cell[at + len(histogram.buckets) + 1] += 0.001
+        histogram.observe(0.5)
         assert registry.counter("stmt").value == 4
-        assert registry.histogram("stmt_seconds").count == 1
+        assert histogram.count == 2
+        assert histogram.sum == pytest.approx(0.501)
+        assert histogram.snapshot()["buckets"]["le_0.001"] == 1
+        assert histogram.snapshot()["buckets"]["le_0.5"] == 1
 
     def test_exact_under_concurrency(self):
         registry = MetricsRegistry()
-        tally = registry.tally(["stmt"])
+        tally = registry.tally(["stmt"], ["stmt_seconds"])
+        counter = registry.counter("stmt")
+        histogram = registry.histogram("stmt_seconds")
+        at = tally.slot(histogram)
+        bucket = at + bisect_left(histogram.buckets, 0.001)
+        total = at + len(histogram.buckets) + 1
         per_thread = 5000
         seen = []
 
@@ -119,16 +131,43 @@ class TestTally:
             cell = tally.cell()
             for _ in range(per_thread):
                 cell[0] += 1
-            seen.append(registry.counter("stmt").value)  # a live read
+                cell[bucket] += 1
+                cell[total] += 0.001
+                counter.inc()  # the counter's own cell
+                histogram.observe(0.002)
+            seen.append(counter.value)  # a live read
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert registry.counter("stmt").value == 4 * per_thread
-        assert all(per_thread <= value <= 4 * per_thread for value in seen)
-        assert tally._cells == []  # every ended thread's cell folded
+        assert counter.value == 2 * 4 * per_thread
+        assert histogram.count == 2 * 4 * per_thread
+        assert histogram.sum == pytest.approx(4 * per_thread * 0.003)
+        buckets = histogram.snapshot()["buckets"]
+        assert buckets["le_0.001"] == buckets["le_0.0025"] == 4 * per_thread
+        assert all(
+            2 * per_thread <= value <= 2 * 4 * per_thread for value in seen
+        )
+        # Every ended thread's cell is folded: only this thread's is left.
+        assert [writer() for writer, _ in tally._entries] == [
+            threading.current_thread()
+        ]
+
+    def test_an_owned_cell_counts_until_its_owner_is_gone(self):
+        class Owner:
+            pass
+
+        registry = MetricsRegistry()
+        tally = registry.tally(["grants"])
+        owner = Owner()
+        tally.owned_cell(owner)[0] += 5
+        registry.counter("grants").inc(2)
+        assert registry.value("grants") == 7
+        del owner  # its cell is folded into the totals, not lost
+        assert registry.value("grants") == 7
+        assert len(tally._entries) == 1  # this thread's cell alone
 
     def test_a_racing_drain_may_take_values_from_under_this_one(self):
         """Readers racing to fold the cells of ended threads each fold a
