@@ -59,8 +59,10 @@ class Token:
 # -- the lexical rules, stated once ------------------------------------------
 
 #: Either quote; a backslash takes the next character with it, newlines
-#: included; no closing quote, no match.
-_STRING = r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\''
+#: included; no closing quote, no match.  Unrolled (a run of plain
+#: characters, then escape-and-run pairs) so a scan takes a character
+#: class at a time, not one alternation a character.
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"|\'[^\'\\]*(?:\\.[^\'\\]*)*\''
 #: ASCII digits only: ``\d`` and ``str.isdigit`` also accept characters
 #: (``²``, ``٣``) that ``int()`` refuses or the grammar never meant.
 _NUMBER = r"[0-9]+(?:\.[0-9]+)?"

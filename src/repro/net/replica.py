@@ -17,7 +17,8 @@ visible LSN advances once it is in; a reader pinned mid-apply keeps
 seeing the previous consistent state.  As on open, a table exists once
 its storage catalog row is installed, and the schema is loaded from the
 meta rows: at the seed's end and after each commit that changed the
-catalog.
+catalog.  The seed's ledger and the request runs of the commits after
+it rebuild the exactly-once ledger as the primary's open would.
 
 The replica serves readers through the loop the primary uses
 (:class:`repro.net.server.WireServer`: listener, handshake, idle
@@ -65,9 +66,11 @@ class _ReplicaState:
 
     def __init__(self, seed):
         self.database = Database(None)
-        self.seed_lsn, tables = self.database.read_image(lambda: io.BytesIO(seed))
+        self.seed_lsn, ledger, tables = self.database.read_image(
+            lambda: io.BytesIO(seed)
+        )
         with collector_paused():
-            self.database.install_image(tables)
+            self.database.install_image(ledger, tables)
             self.database.build_deferred_indexes()
         self.schema = None
         self.redo = wal_module.RedoApplier(

@@ -31,13 +31,15 @@ tuple a row), and the frame's ``net.*`` counts are slots of the
 connection thread's cell (:class:`repro.obs.metrics.Tally`).
 
 Exactly-once writes survive a server crash between WAL flush and ack:
-each write request carries a per-client sequence number, and the server
-records ``(client, seq, result)`` in the ``_net_requests`` table *inside
-the same transaction* as the statement's effects.  A retry of an already
--committed seq finds the dedup row and returns duplicate-success without
-re-running the statement; the ``WELCOME`` handshake reports the last
-committed seq per client so a reconnecting client can resolve its
-in-flight write the same way.
+each write request carries a per-client sequence number, and the
+statement's commit frame carries ``(client, seq, result)``, which the
+commit sets in the database's ledger (``Database.ledger``; recovery, a
+checkpoint image and a replica keep it).  A write of a seq the ledger
+already holds answers duplicate-success without re-running the
+statement.  A per-client guard runs one write of a client at a time, so
+a seq re-sent on another connection waits until the first is durable or
+undone; ``WELCOME`` reports the client's last durable seq, so a
+reconnecting client can resolve its in-flight write the same way.
 
 Replica connections (``REPL_HELLO``) are handed to the
 :class:`~repro.net.replication.ReplicationHub`, which seeds and then
@@ -52,9 +54,11 @@ from repro.errors import (
     NetworkError,
     NetworkTimeoutError,
     OverloadError,
+    ParseError,
     ProtocolError,
     QueryError,
     ReplicaLagError,
+    RetryExhaustedError,
     ShutdownError,
 )
 from repro.lang.lexer import leading_keywords
@@ -63,10 +67,6 @@ from repro.net import protocol
 from repro.net.replication import ReplicationHub
 from repro.net.transport import Transport
 from repro.quel.executor import QuelSession, Rows
-from repro.storage.values import Domain
-
-#: Durable per-client write-dedup ledger; one row per client.
-DEDUP_TABLE = "_net_requests"
 
 #: Refusals a client may transparently retry (transient server states).
 _RETRYABLE = (
@@ -323,17 +323,13 @@ class MdmServer(WireServer):
         #: Test hook: called as ``on_pre_ack(client_id, seq)`` after a
         #: write commits durably but before its RESULT frame is sent.
         #: Raising here drops the connection un-acked — the crash window
-        #: the dedup ledger exists for.
+        #: the ledger exists for.
         self.on_pre_ack = None
         self._m_shed = registry.counter("net.shed")
         self._m_duplicates = registry.counter("net.duplicate_acks")
         self.replication = ReplicationHub(mdm)
-        self._dedup = mdm.database.create_or_bind_table(
-            DEDUP_TABLE,
-            [("client", Domain.STRING), ("seq", Domain.INTEGER),
-             ("result", Domain.INTEGER)],
-        )
-        self._dedup.create_index("client")
+        # client id -> the guard its writes run under, one at a time.
+        self._guards = {}
 
     def stop(self, drain_timeout=2.0):
         """Stop serving: drain in-flight requests, then tear down."""
@@ -354,7 +350,8 @@ class MdmServer(WireServer):
         shell = MdmShell(self.mdm, server=self, session=quel)
         # What MusicDataManager.close and stop() drain before teardown.
         tracker = self.mdm.remote.track("request from %r" % client_id)
-        return client_id, session, shell, tracker
+        guard = self._guards.setdefault(client_id, threading.Lock())
+        return client_id, session, shell, tracker, guard
 
     # -- the service-layer dispatch ----------------------------------------------
 
@@ -362,16 +359,12 @@ class MdmServer(WireServer):
         return connection[3]
 
     def _handle(self, connection, kind, message, seq):
-        client_id, session, shell, _tracker = connection
         if kind == protocol.REQUEST:
             if message.get("read_only"):
-                return self._read(session, message, seq)
-            return {
-                "seq": seq,
-                **self._handle_write(client_id, session, message, seq),
-            }
+                return self._read(connection[1], message, seq)
+            return self._write(connection, message, seq)
         if kind == protocol.META:
-            output = shell.handle_line(message.get("command", ""))
+            output = connection[2].handle_line(message.get("command", ""))
             return {"seq": seq, "duplicate": False, "kind": "text",
                     "value": output, "commit_lsn": None}
         raise ProtocolError(
@@ -396,32 +389,65 @@ class MdmServer(WireServer):
         reply["commit_lsn"] = self._durable_lsn()
         return reply
 
-    def _handle_write(self, client_id, session, message, seq):
+    def _write(self, connection, message, seq):
+        """A write request's reply, the statement run at most once per
+        seq: under the client's guard, one transaction looks the seq up
+        in the ledger and either answers what the ledger holds or runs
+        the statement and commits its result with it."""
+        client_id, session, _shell, _tracker, guard = connection
         source = message.get("source", "")
         timeout_s = message.get("timeout_s")
-        row_budget = message.get("row_budget")
-        verb = leading_keywords(source, 1)
-        if verb == ("retrieve",):
-            # A write answers a count, so a retrieve sent as one would
-            # commit a ledger row and lose its rows.
-            raise QueryError(
-                "retrieve is a read: send it as a read-only request "
-                "(MdmClient.retrieve), not as a write"
+        reply = {"seq": seq, "duplicate": False, "kind": "count",
+                 "value": 0, "commit_lsn": None}
+        ledger = self.mdm.database.ledger
+        quel = session.quel
+
+        def answer(m):
+            entry = ledger.get(client_id)
+            if seq is not None and entry is not None and entry[0] >= seq:
+                reply["duplicate"] = True
+                reply["value"] = entry[1]
+                return
+            result = quel.execute(source, tuples=True)
+            if isinstance(result, Rows):
+                # A write answers a count: committed, its rows would be
+                # lost.
+                raise QueryError(
+                    "retrieve is a read: send it as a read-only request "
+                    "(MdmClient.retrieve), not as a write"
+                )
+            count = reply["value"] = result if isinstance(result, int) else 0
+            if seq is not None:
+                m.database.transactions.current().request = (
+                    client_id, seq, count
+                )
+
+        wait = session.default_timeout if timeout_s is None else timeout_s
+        if not guard.acquire(timeout=-1 if wait is None else max(wait, 0)):
+            raise RetryExhaustedError(
+                "a write of client %r is still committing on another "
+                "connection" % client_id
             )
-        if verb == ("define",):
-            # A define is its own commit and cannot run inside the dedup
-            # transaction; it needs no ledger row either, because a
-            # define re-sent after a dropped ack binds to the stored one
-            # and answers "ok" again.
+        try:
+            session.run(
+                answer, timeout=timeout_s, row_budget=message.get("row_budget")
+            )
+        except OverloadError:
+            self._m_shed.inc()
+            raise
+        except ParseError:
+            if leading_keywords(source, 1) != ("define",):
+                raise
+            # Not QUEL but DDL: a define is its own commit and needs no
+            # ledger entry, because one re-sent after a dropped ack
+            # binds to the stored definition and answers "ok" again.
             self.mdm.execute(source)
-            return {"duplicate": False, "kind": "text", "value": "ok",
-                    "commit_lsn": self._durable_lsn()}
-        outcome = self._run_deduped_write(
-            session, client_id, seq, source, timeout_s, row_budget
-        )
-        if outcome["duplicate"]:
+            reply["kind"], reply["value"] = "text", "ok"
+        finally:
+            guard.release()
+        if reply["duplicate"]:
             self._m_duplicates.inc()
-        elif self.on_pre_ack is not None:
+        elif self.on_pre_ack is not None and reply["kind"] == "count":
             try:
                 self.on_pre_ack(client_id, seq)
             except Exception as error:
@@ -430,49 +456,13 @@ class MdmServer(WireServer):
                 raise NetworkError(
                     "connection dropped by pre-ack hook"
                 ) from error
-        return dict(outcome, kind="count", commit_lsn=self._durable_lsn())
-
-    def _run_deduped_write(self, session, client_id, seq, source,
-                           timeout_s, row_budget):
-        """Run one write exactly-once under the per-client seq ledger."""
-        outcome = {}
-
-        def txn(m):
-            ledger = m.database.write_table(DEDUP_TABLE)
-            prior = ledger.select_eq("client", client_id)
-            row = prior[0] if prior else None
-            if seq is not None and row is not None and row["seq"] >= seq:
-                outcome["duplicate"] = True
-                outcome["value"] = row["result"]
-                return
-            result = session.quel.execute(source)
-            count = result if isinstance(result, int) else 0
-            if seq is not None:
-                if row is not None:
-                    ledger.update(row.rowid, {"seq": seq, "result": count})
-                else:
-                    ledger.insert(
-                        {"client": client_id, "seq": seq, "result": count}
-                    )
-            outcome["duplicate"] = False
-            outcome["value"] = count
-
-        try:
-            session.run(txn, timeout=timeout_s, row_budget=row_budget)
-        except OverloadError:
-            self._m_shed.inc()
-            raise
-        return outcome
+        reply["commit_lsn"] = self._durable_lsn()
+        return reply
 
     def _last_committed_seq(self, client_id):
-        """The client's highest committed seq (0 = none), snapshot-read."""
-        transactions = self.mdm.database.transactions
-        transactions.pin_snapshot()
-        try:
-            rows = self._dedup.select_eq("client", client_id)
-            return rows[0]["seq"] if rows else 0
-        finally:
-            transactions.unpin_snapshot()
+        """The client's highest durable seq (0 = none)."""
+        entry = self.mdm.database.transactions.durable_entry(client_id)
+        return 0 if entry is None else entry[0]
 
     def _durable_lsn(self):
         """The durable horizon to hand clients for read-your-writes."""

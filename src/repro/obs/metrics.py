@@ -21,7 +21,8 @@ own (the lock manager's grants) owns a cell instead of a thread.
 A gauge is last-write-wins, so summing cells would change its
 semantics: ``set`` is one attribute store, and ``inc`` / ``dec``, which
 read first, hold the gauge's mutex (a gauge is either set or moved,
-never both).
+never both).  A :class:`Ratio` is a gauge no one writes: it divides two
+counters when it is read.
 
 Histograms use *fixed* bucket boundaries chosen at creation -- the
 Prometheus model -- so concurrent observers and exporters never see a
@@ -94,6 +95,27 @@ class Gauge:
 
     def __repr__(self):
         return "Gauge(%r=%r)" % (self.name, self._value)
+
+
+class Ratio(Gauge):
+    """A gauge that reads one counter's value over another's (0 while
+    the second reads 0), computed when read: the counters' writers pay
+    nothing for it."""
+
+    __slots__ = ("_numerator", "_denominator")
+
+    def __init__(self, name, numerator, denominator):
+        super().__init__(name)
+        self._numerator = numerator
+        self._denominator = denominator
+
+    @property
+    def value(self):
+        denominator = self._denominator.value
+        return self._numerator.value / denominator if denominator else 0
+
+    def __repr__(self):
+        return "Ratio(%r=%r)" % (self.name, self.value)
 
 
 class Histogram:
@@ -331,6 +353,13 @@ class MetricsRegistry:
 
     def histogram(self, name, buckets=DEFAULT_BUCKETS):
         return self._get(name, Histogram, lambda: Histogram(name, buckets))
+
+    def ratio(self, name, numerator, denominator):
+        """A :class:`Ratio` gauge of the counters *numerator* over
+        *denominator*."""
+        return self._get(
+            name, Ratio, lambda: Ratio(name, numerator, denominator)
+        )
 
     def tally(self, counters=(), histograms=()):
         """A write-combining :class:`Tally` over the named *counters*

@@ -460,14 +460,14 @@ class QuelSession:
         return None
 
     def _declare_range(self, statement):
-        target = self._range_over(statement.entity_type)
-        if target is None:
-            raise QueryError(
-                "range over unknown type %r" % statement.entity_type
-            )
+        name = statement.entity_type
+        target = self.ranges.get(statement.variables[0])  # kept if re-declared
+        if target is None or target.type_name != name:
+            target = self._range_over(name)
+            if target is None:
+                raise QueryError("range over unknown type %r" % name)
         for variable in statement.variables:
             self.ranges[variable] = target
-        return None
 
     def _range_for(self, variable):
         declared = self.ranges.get(variable)

@@ -11,14 +11,15 @@ schema change is a change to catalog rows in one ordinary transaction
 or installed by image load, redo or a replica -- reshapes the table
 objects at once: a table exists exactly while its row does.
 
-Crash-safety protocol: a checkpoint streams every table into one
-checksummed file (``repro.storage.image``) through write-to-temp +
-fsync + ``os.replace`` to ``image.mdm`` + a directory fsync, and that
-rename is its single commit point; only then are the log segments it
-holds deleted.  A crash anywhere in a checkpoint leaves the old image
-and a replayable log, or the new image and a log whose records it holds,
-which redo skips; never a mix.  The image names the LSN it holds, and
-every open hands that LSN to the log as its base: its one durable copy.
+Crash-safety protocol: a checkpoint streams every table, and the
+exactly-once ledger, into one checksummed file (``repro.storage.image``)
+through write-to-temp + fsync + ``os.replace`` to ``image.mdm`` + a
+directory fsync, and that rename is its single commit point; only then
+are the log segments it holds deleted.  A crash anywhere in a checkpoint
+leaves the old image and a replayable log, or the new image and a log
+whose records it holds, which redo skips; never a mix.  The image names
+the LSN it holds, and every open hands that LSN to the log as its base:
+its one durable copy.
 
 So is the posting stream (``repro.text.stream``): the text indexes as
 bytes, published where they provably equal a rebuild from committed
@@ -126,6 +127,11 @@ class Database:
         self.path = path
         self._opener = opener if opener is not None else open
         self._tables = {}
+        #: The exactly-once ledger: client id -> ``(seq, result)`` of
+        #: the last remote request of that client a commit answered
+        #: (``repro.storage.transaction``).  Recovery and a replica's
+        #: apply rebuild it from the image and the commit frames.
+        self.ledger = {}
         self._log = None
         self._degraded_reason = None
         # Bumped on any change to the queryable shape of the database --
@@ -152,7 +158,7 @@ class Database:
         if path is not None:
             os.makedirs(path, exist_ok=True)
             started = time.perf_counter()
-            image_lsn, image_tables = self._read_image()
+            image_lsn, image_ledger, image_tables = self._read_image()
             self._log = wal_module.WriteAheadLog(
                 os.path.join(path, _LOG_FILE), base_lsn=image_lsn,
                 opener=self._opener, metrics=self.metrics,
@@ -166,7 +172,7 @@ class Database:
             _Catalog,
         )
         if path is not None:
-            self._recover(started, image_tables)
+            self._recover(started, image_ledger, image_tables)
 
     # -- table management ----------------------------------------------------
 
@@ -468,12 +474,13 @@ class Database:
     @contextlib.contextmanager
     def image(self, lsn=None):
         """Pin this thread's snapshot at *lsn* (default now) between
-        schema changes and yield ``(lsn, pieces)``: the image of every
-        table at that LSN (:func:`repro.storage.image.pack`), the
-        catalog first, produced as *pieces* is iterated on this thread.
-        A checkpoint writes it to disk, a replica's seed onto the wire."""
+        schema changes and yield ``(lsn, pieces)``: the image of the
+        ledger and every table at that LSN
+        (:func:`repro.storage.image.pack`), the catalog first, produced
+        as *pieces* is iterated on this thread.  A checkpoint writes it
+        to disk, a replica's seed onto the wire."""
         with self._ddl_mutex:
-            lsn = self.transactions.pin_snapshot(lsn)
+            lsn, ledger = self.transactions.pin_with_ledger(lsn)
             tables = [
                 (name, table, table.schema)
                 for name, table in sorted(
@@ -481,7 +488,7 @@ class Database:
                 )
             ]
         try:
-            yield lsn, checkpoint_image.pack(lsn, tables)
+            yield lsn, checkpoint_image.pack(lsn, ledger, tables)
         finally:
             self.transactions.unpin_snapshot()
 
@@ -610,18 +617,18 @@ class Database:
         return loaded, refused
 
     def _read_image(self):
-        """``(lsn, tables)`` of the checkpoint image (:meth:`read_image`),
-        ``(0, ())`` if there is none."""
+        """``(lsn, ledger, tables)`` of the checkpoint image
+        (:meth:`read_image`), ``(0, {}, ())`` if there is none."""
         path = os.path.join(self.path, _IMAGE_FILE)
         if not os.path.exists(path):
-            return 0, ()
+            return 0, {}, ()
         try:
             return self.read_image(lambda: self._opener(path, "rb"))
         except RecoveryError as exc:
             raise RecoveryError("%s: %s" % (path, exc))
 
     def read_image(self, open_image):
-        """``(lsn, tables)`` of the image ``open_image()`` opens, for
+        """``(lsn, ledger, tables)`` of the image ``open_image()`` opens, for
         :meth:`install_image` (:func:`repro.storage.image.unpack`): an
         open's file or a replica's seed.  One that is not a whole image
         raises :class:`RecoveryError` here, before any row is installed;
@@ -635,11 +642,13 @@ class Database:
             )
         return self.table(name).schema
 
-    def install_image(self, tables):
-        """Defer index upkeep and install *tables* (:meth:`read_image`'s)
-        as committed at LSN 0: each row its rowid's one version, no chain.
-        The catalog's rows come first and make the tables the rest fill;
+    def install_image(self, ledger, tables):
+        """Defer index upkeep and install *ledger* and *tables*
+        (:meth:`read_image`'s), the rows as committed at LSN 0: each row
+        its rowid's one version, no chain.  The catalog's rows come
+        first and make the tables the rest fill;
         :meth:`build_deferred_indexes` ends the load."""
+        self.ledger.update(ledger)
         self.defer_index_upkeep()
         for name, rows in tables:
             self.table(name).install_committed(0, rows)
@@ -676,12 +685,12 @@ class Database:
         )
         return sum(map(len, loaded.values())), rebuilt, load_s, refused
 
-    def _recover(self, started, image_tables):
+    def _recover(self, started, image_ledger, image_tables):
         """Recover, then say what the open that began at *started* cost:
         the ``db.recovery.*`` gauges and one log line, read around the
         phases so no row pays for them."""
         redo_records, build_s, (loaded, rebuilt, load_s, refused) = (
-            self._recover_inner(image_tables)
+            self._recover_inner(image_ledger, image_tables)
         )
         # Tables start at version 0 and every install bumps it once.
         rows_installed = sum(table.version for table in self._tables.values())
@@ -704,8 +713,9 @@ class Database:
             "".join("; " + why for why in refused),
         )
 
-    def _recover_inner(self, image_tables):
-        """Install *image_tables* (:meth:`_read_image`), redo the log,
+    def _recover_inner(self, image_ledger, image_tables):
+        """Install the image's ledger and tables (:meth:`_read_image`),
+        redo the log,
         build the indexes; returns (log records read, seconds the index
         build took, what :meth:`build_deferred_indexes` said of it).
 
@@ -714,7 +724,7 @@ class Database:
         index is built once at the end, so a RecoveryError on the way
         leaves nothing built."""
         with collector_paused():
-            self.install_image(image_tables)
+            self.install_image(image_ledger, image_tables)
             # REDO the log over the checkpoint image.
             redo_records = wal_module.replay(self._log, self, self._log.base_lsn)
             build_started = time.perf_counter()

@@ -42,6 +42,17 @@ snapshot that should include a commit whose stamps it cannot yet see.
 Pinned snapshots are registered so checkpoint pruning
 (:meth:`prune_horizon`) never reclaims a version an active reader still
 needs.
+
+The exactly-once ledger
+-----------------------
+A transaction may answer one remote request (:attr:`Transaction.request`,
+``(client, seq, result)``).  Its commit frame carries it, and the same
+hold of the log's append mutex that stamps the versions sets the
+client's entry in ``Database.ledger``; a commit that fails puts the
+entry back.  So the ledger holds what the log holds, at every LSN a
+snapshot or an image can be taken at (:meth:`pin_with_ledger`).  Only
+one request of a client may be committing at a time: the network
+server's per-client guard sees to that.
 """
 
 import contextlib
@@ -70,6 +81,9 @@ class Transaction:
         self.state = TransactionState.ACTIVE
         self._manager = manager
         self.changes = []  # (action, table_name, new_row, old_row)
+        #: The remote request ``(client, seq, result)`` this transaction
+        #: answers, committed with it (module docstring), or None.
+        self.request = None
 
     def record(self, changes):
         if self.state is not TransactionState.ACTIVE:
@@ -136,6 +150,9 @@ class TransactionManager:
         self._active_snapshots = {}
         self._pins = 0  # the registry's counts summed
         self._snapshots_gauge = metrics.gauge("mvcc.snapshots_active")
+        # Ledger entries set by a commit not yet durable: client ->
+        # (commit LSN, the entry it replaced or None).
+        self._answering = {}
 
     @property
     def lock_manager(self):
@@ -208,6 +225,31 @@ class TransactionManager:
                 "this thread holds a read-only snapshot (LSN %d); "
                 "mutations are not allowed until it is unpinned" % snapshot
             )
+
+    def pin_with_ledger(self, lsn=None):
+        """Pin this thread's snapshot, as :meth:`pin_snapshot` does, and
+        return ``(lsn, ledger)``: the pinned LSN and a copy of the
+        exactly-once ledger as of it.  Both are read in one hold of the
+        mutex commits stamp under, so no commit lands between them."""
+        mutex = self._stamp_mutex if self._log is None else self._log._mutex
+        with mutex:
+            lsn = self.pin_snapshot(lsn)
+            ledger = dict(self._database.ledger)
+            for client, (at, prior) in list(self._answering.items()):
+                if at > lsn:
+                    _set_entry(ledger, client, prior)
+        return lsn, ledger
+
+    def durable_entry(self, client):
+        """*client*'s ledger entry ``(seq, result)`` as of the durable
+        LSN, or None.  Read without a lock: the ledger, then the pending
+        commits, then the LSN, so an entry not yet durable is never
+        returned (the one it replaced is)."""
+        entry = self._database.ledger.get(client)
+        pending = self._answering.get(client)
+        if pending is not None and pending[0] > self.snapshot_lsn():
+            entry = pending[1]
+        return entry
 
     def prune_horizon(self):
         """The LSN below which no active or future snapshot can look.
@@ -299,14 +341,17 @@ class TransactionManager:
         for action, table_name, new_row, old_row in changes:
             tables(table_name).stamp_change(lsn, action, new_row, old_row)
 
-    def _stamp_local(self, changes):
-        """Stamp *changes* on an in-memory database (no WAL).
+    def _stamp_local(self, changes, request):
+        """Stamp *changes* and answer *request* on an in-memory database
+        (no WAL).
 
         The visible LSN advances only after every version is stamped, so
         a reader pinning the new LSN always sees the whole commit.
         """
         with self._stamp_mutex:
             self._stamp(changes, self._visible_lsn + 1)
+            if request is not None:
+                self._database.ledger[request[0]] = request[1:]
             self._visible_lsn += 1
 
     def journal(self, changes):
@@ -321,24 +366,26 @@ class TransactionManager:
         else:
             self._publish(changes)
 
-    def _publish(self, changes):
+    def _publish(self, changes, request=None):
         """The one commit path: make *changes*, already applied in
-        memory, durable as one ``COMMIT`` frame -- or undo them and
-        raise.
+        memory, and the *request* they answer (module docstring), if
+        any, durable as one ``COMMIT`` frame -- or undo them and raise.
 
-        The frame is appended and the versions are stamped with its LSN
-        in one hold of the log's append mutex: a group-commit leader
-        needs the same mutex to fsync, so the stamps are published
-        strictly before ``flushed_lsn`` -- hence any snapshot -- can
-        reach that LSN, and nothing durable, shipped or pinned ever ends
-        between the two.  The commit is acknowledged after its flush.
+        The frame is appended, the versions are stamped with its LSN and
+        the ledger entry is set in one hold of the log's append mutex: a
+        group-commit leader needs the same mutex to fsync, so the stamps
+        are published strictly before ``flushed_lsn`` -- hence any
+        snapshot -- can reach that LSN, and nothing durable, shipped or
+        pinned ever ends between the two.  The commit is acknowledged
+        after its flush.
 
         Any failure means the transaction did not happen: the changes
-        are unstamped and undone newest-first (no reader can have
-        pinned a snapshot covering them -- ``flushed_lsn`` never reached
-        the commit's LSN), and an ``OSError`` also degrades the
-        database to read-only.  The frame a failed flush leaves behind
-        is cut away before writes resume (``exit_degraded``).  Only a
+        are unstamped, the ledger entry is put back, and the changes are
+        undone newest-first (no reader can have pinned a snapshot
+        covering them -- ``flushed_lsn`` never reached the commit's
+        LSN), and an ``OSError`` also degrades the database to
+        read-only.  The frame a failed flush leaves behind is cut away
+        before writes resume (``exit_degraded``).  Only a
         ``SimulatedCrash`` leaves memory as it is: the process is
         modelled as dead and the crash oracle inspects the state it
         died in.
@@ -346,7 +393,7 @@ class TransactionManager:
         log = self._log
         if log is None:
             # In-memory database: stamping *is* the commit point.
-            self._stamp_local(changes)
+            self._stamp_local(changes, request)
             return
         # The schemas of the tables the changes name, not of every
         # table the database holds.
@@ -355,18 +402,28 @@ class TransactionManager:
             for table in {change[1] for change in changes}
         }
         stamped = False
+        ledger = self._database.ledger
         try:
             self._database.assert_writable()
             with log._mutex:
-                lsn = log.append_batch(changes, schemas)
+                lsn = log.append_batch(changes, schemas, request)
                 self._stamp(changes, lsn)
+                if request is not None:
+                    # Pending first: durable_entry reads it second.
+                    client = request[0]
+                    self._answering[client] = (lsn, ledger.get(client))
+                    ledger[client] = request[1:]
                 stamped = True
             log.commit_flush(lsn, deadline=self.current_deadline())
+            if request is not None:
+                del self._answering[client]
         except BaseException as exc:
             if isinstance(exc, SimulatedCrash):
                 raise
             if stamped:
                 self._stamp(changes, None)
+                if request is not None:
+                    _set_entry(ledger, client, self._answering.pop(client)[1])
             for change in reversed(changes):
                 self._undo_change(*change)
             if isinstance(exc, OSError):
@@ -426,10 +483,11 @@ class TransactionManager:
             raise TransactionError("cannot commit a %s transaction" % txn.state.value)
         state = TransactionState.ABORTED
         try:
-            # An empty write set has nothing to make durable: the commit
-            # is the lock release, on a healthy or a degraded database.
-            if txn.changes:
-                self._publish(txn.changes)
+            # An empty write set answering no request has nothing to
+            # make durable: the commit is the lock release, on a
+            # healthy or a degraded database.
+            if txn.changes or txn.request is not None:
+                self._publish(txn.changes, txn.request)
             state = TransactionState.COMMITTED
         finally:
             self._finish(txn, state)
@@ -444,3 +502,11 @@ class TransactionManager:
                 self._undo_change(*change)
         finally:
             self._finish(txn, TransactionState.ABORTED)
+
+
+def _set_entry(ledger, client, entry):
+    """Make *client*'s entry in *ledger* *entry*; None removes it."""
+    if entry is None:
+        ledger.pop(client, None)
+    else:
+        ledger[client] = entry

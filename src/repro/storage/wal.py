@@ -17,15 +17,20 @@ their LSNs stayed on disk (``_scan``).  The payload, little-endian::
     run     := <op:B> <name:H> <size:I> name body
     body    := a row run (_INSTALL_RUN: repro.storage.row)
              | <rowid:q>*                     (_REMOVE_RUN)
+             | <seq:q> <result:q>             (_REQUEST_RUN)
 
 A ``COMMIT`` is one whole commit -- a transaction's, a statement's or a
 bulk batch's, from ``TransactionManager._publish`` -- its changes in
-order, consecutive ones of one table and kind folded into a run; a
-``CHECKPOINT`` is a checkpoint's marker.  So a commit lands whole or not
-at all, and the durable prefix -- ``flushed_lsn``, every
-``stream_frames`` batch, every snapshot and seed LSN -- ends between
-commits.  A segment opens with :data:`LOG_HEADER`, magic and format
-byte: a log of any other format is refused, never misread.
+order, consecutive ones of one table and kind folded into a run.  A
+remote write's commit ends with one ``_REQUEST_RUN``, whose name is the
+client's id: the request it answers and its result, what the database's
+exactly-once ledger (``Database.ledger``) holds for that client from
+this commit on.  A ``CHECKPOINT`` is a checkpoint's marker.  So a
+commit lands whole or not at all, and the durable prefix --
+``flushed_lsn``, every ``stream_frames`` batch, every snapshot and seed
+LSN -- ends between commits.  A segment opens with :data:`LOG_HEADER`,
+magic and format byte: a log of any other format is refused, never
+misread.
 """
 
 import contextlib
@@ -50,7 +55,7 @@ COMMIT = 5
 CHECKPOINT = 7
 
 #: The log's format number, and the bytes every log file begins with.
-LOG_FORMAT = 5
+LOG_FORMAT = 6
 LOG_HEADER = b"MDM-WAL" + bytes((LOG_FORMAT,))
 
 #: Frame header: payload length, CRC32 of the payload.
@@ -58,9 +63,13 @@ _FRAME = struct.Struct("<II")
 #: Payload head: LSN, kind.  Run head: what it does, name and body sizes.
 _HEAD = struct.Struct("<QB")
 _RUN = struct.Struct("<BHI")
-# What a run does: install its rows, or delete its rowids.
+#: A request run's body: the request's seq, its result.
+_REQUEST = struct.Struct("<qq")
+# What a run does: install its rows, delete its rowids, or answer a
+# client's request.
 _INSTALL_RUN = 0
 _REMOVE_RUN = 1
+_REQUEST_RUN = 2
 
 
 def _encode_runs(changes, schemas, out):
@@ -134,12 +143,15 @@ class WriteAheadLog:
         self._fsyncs = metrics.counter("wal.fsyncs")
         self._rolls = metrics.counter("wal.rolls")
         # Group-commit accounting: fsyncs issued by commit flushes,
-        # commits acknowledged by another thread's fsync, the running
-        # amortization ratio, and how long followers waited.
+        # commits acknowledged by another thread's fsync, the
+        # amortization ratio (the first two's, computed when read), and
+        # how long followers waited.
         self._group_commits = metrics.counter("wal.group_commits")
         self._group_riders = metrics.counter("wal.group_commit_riders")
         self._commits_synced = metrics.counter("wal.commits_synced")
-        self._commits_per_fsync = metrics.gauge("wal.commits_per_fsync")
+        metrics.ratio(
+            "wal.commits_per_fsync", self._commits_synced, self._group_commits
+        )
         self._flush_waits = metrics.histogram("wal.flush_wait_seconds")
         # Serializes appends and fsyncs.  Re-entrant: a committer holds
         # it over its append and its stamps (TransactionManager._publish).
@@ -153,7 +165,9 @@ class WriteAheadLog:
         self._flush_leading = False
         # Failure memory (guarded by _mutex): the first OSError a write
         # or an fsync raised, and the byte offset the last successful
-        # fsync covered (see discard_unsynced).
+        # fsync covered (see discard_unsynced).  _end is the live
+        # segment's length, counted as frames are written: every write
+        # lands there, so no append or fsync asks the file for it.
         self._poison = None
         self.base_lsn = base_lsn
         directory, name = os.path.split(path)
@@ -174,7 +188,7 @@ class WriteAheadLog:
         # The valid prefix, kept until replay takes it: an open reads
         # each segment once.
         self._opened = entries
-        self._synced_end = valid_end
+        self._synced_end = self._end = valid_end
         max_lsn = changed = base_lsn
         for entry in entries:
             max_lsn = max(max_lsn, entry[0])
@@ -240,13 +254,19 @@ class WriteAheadLog:
             self.sync_to(lsn)
         return lsn
 
-    def append_batch(self, changes, schemas):
+    def append_batch(self, changes, schemas, request=None):
         """Append one commit: a ``COMMIT`` frame holding *changes*
         (``(action, table, new_row, old_row)`` in order; the rows of a
-        table encoded by ``schemas[table]``); returns its LSN.
+        table encoded by ``schemas[table]``) and, where given, the
+        *request* ``(client, seq, result)`` it answers; returns its LSN.
         Recovery replays the frame whole or, torn, not at all."""
         payload = bytearray(_HEAD.size)
         _encode_runs(changes, schemas, payload)
+        if request is not None:
+            client, seq, result = request
+            name = client.encode("utf-8")
+            payload += _RUN.pack(_REQUEST_RUN, len(name), _REQUEST.size)
+            payload += name + _REQUEST.pack(seq, result)
         with self._mutex:
             lsn = self._next_lsn
             self._next_lsn += 1
@@ -265,14 +285,15 @@ class WriteAheadLog:
     def _append_frame(self, payload):
         self._refuse_if_poisoned()
         frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+        size = len(frame) + len(payload)
         try:
-            self._file.seek(0, os.SEEK_END)
             self._file.write(frame + payload)
         except OSError as exc:
             self._poison = exc
             raise
+        self._end += size
         self._appends.inc()
-        self._append_bytes.inc(len(frame) + len(payload))
+        self._append_bytes.inc(size)
 
     def flush(self):
         """Make everything appended so far durable (group flush)."""
@@ -336,13 +357,12 @@ class WriteAheadLog:
         self._refuse_if_poisoned()
         target = self._next_lsn - 1
         try:
-            end = self._file.seek(0, os.SEEK_END)
             fsync_file(self._file)
         except OSError as exc:
             self._poison = exc
             raise
         self._fsyncs.inc()
-        self._synced_end = end
+        self._synced_end = self._end
         self._synced_change_lsn = self._change_lsn
         with self._flush_cond:
             if target > self._flushed_lsn:
@@ -391,7 +411,7 @@ class WriteAheadLog:
         fsync_directory(os.path.dirname(self.path) or os.curdir)
         self._fsyncs.inc()
         self._rolls.inc()
-        self._synced_end = len(LOG_HEADER)
+        self._synced_end = self._end = len(LOG_HEADER)
 
     def drop_through(self, lsn):
         """Make *lsn*, which a durable image holds, the base, and delete
@@ -419,9 +439,13 @@ class WriteAheadLog:
             if self._synced_end < len(LOG_HEADER):  # a roll failed
                 self._start_segment()
             else:
+                # A segment a roll began is not in append mode: its
+                # next write lands where the cut puts the cursor.
                 self._file.truncate(self._synced_end)
+                self._file.seek(self._synced_end)
                 fsync_file(self._file)
                 self._fsyncs.inc()
+                self._end = self._synced_end
             self._next_lsn = self._flushed_lsn + 1
             self._change_lsn = self._synced_change_lsn
             self._poison = None
@@ -429,8 +453,8 @@ class WriteAheadLog:
     def commit_flush(self, lsn, deadline=None):
         """Group-commit barrier: make the commit at *lsn* durable.
 
-        Exactly :meth:`sync_to` plus the commit-amortization
-        accounting behind ``wal.commits_per_fsync``.
+        Exactly :meth:`sync_to` plus the commit-amortization counts
+        ``wal.commits_per_fsync`` is read from.
         """
         role = self.sync_to(lsn, deadline=deadline)
         self._commits_synced.inc()
@@ -438,9 +462,6 @@ class WriteAheadLog:
             self._group_commits.inc()
         else:
             self._group_riders.inc()
-        leaders = self._group_commits.value
-        if leaders:
-            self._commits_per_fsync.set(self._commits_synced.value / leaders)
         return role
 
     # -- record streaming (WAL shipping) ----------------------------------------
@@ -608,10 +629,11 @@ class RedoApplier:
 
     Fed records in log order through :meth:`apply`.  A ``COMMIT``
     installs its runs in order, each with one
-    ``Table.install_committed`` call.  *stamp_commits* picks the LSN
-    installed versions carry: False (crash recovery) LSN 0, visible to
-    every snapshot; True (a replica serving pinned readers) the
-    commit's own.
+    ``Table.install_committed`` call, and its request run, if it has
+    one, sets its client's entry in ``Database.ledger``.
+    *stamp_commits* picks the LSN installed versions carry: False (crash
+    recovery) LSN 0, visible to every snapshot; True (a replica serving
+    pinned readers) the commit's own.
 
     ``applied_lsn`` is the newest record installed; one at or below it
     is skipped, so a re-shipped commit, or one a checkpoint image
@@ -630,8 +652,11 @@ class RedoApplier:
         if lsn <= self.applied_lsn:
             return False
         if kind == COMMIT:
-            for run in runs:
-                self._install(lsn, *run)
+            for op, name, body in runs:
+                if op == _REQUEST_RUN:
+                    self._answer(name, body)
+                else:
+                    self._install(lsn, op, name, body)
         elif kind == CHECKPOINT:
             # The primary pruned its version chains here; so does a
             # replica.  Recovery installs at LSN 0, without chains:
@@ -642,6 +667,14 @@ class RedoApplier:
             raise RecoveryError("unknown log record kind %d" % kind)
         self.applied_lsn = lsn
         return True
+
+    def _answer(self, client, body):
+        if len(body) != _REQUEST.size:
+            raise RecoveryError(
+                "malformed request run (%d bytes) for client %r"
+                % (len(body), client)
+            )
+        self._database.ledger[client] = _REQUEST.unpack(body)
 
     def _install(self, commit_lsn, op, table_name, body):
         if not self._database.has_table(table_name):

@@ -243,8 +243,8 @@ def test_a_commit_asks_only_the_tables_it_names_for_their_columns(
     append_batch = wal_module.WriteAheadLog.append_batch
     monkeypatch.setattr(
         wal_module.WriteAheadLog, "append_batch",
-        lambda log, changes, schemas: (
-            asked.extend(schemas) or append_batch(log, changes, schemas)
+        lambda log, changes, schemas, request: (
+            asked.extend(schemas) or append_batch(log, changes, schemas, request)
         ),
     )
     tables[0].insert({"v": 1})  # auto-commit, one frame

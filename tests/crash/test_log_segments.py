@@ -19,7 +19,7 @@ import pytest
 from repro.errors import RecoveryError, ReplicationError
 from repro.storage.database import Database
 from repro.storage.faults import FaultPlan, SimulatedCrash
-from repro.storage.wal import _FRAME, LOG_HEADER, WriteAheadLog
+from repro.storage.wal import _FRAME, LOG_FORMAT, LOG_HEADER, WriteAheadLog
 
 from tests.crash.oracle import table_state
 
@@ -123,7 +123,7 @@ def test_a_sealed_segment_of_another_format_is_refused(tmp_path):
     db.close()
     with open(os.path.join(path, "wal.log.%020d" % 10**6), "wb") as handle:
         handle.write(b"MDM-WAL\x04")
-    with pytest.raises(RecoveryError, match="format-5"):
+    with pytest.raises(RecoveryError, match="format-%d" % LOG_FORMAT):
         Database(path)
 
 

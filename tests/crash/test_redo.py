@@ -8,7 +8,8 @@ WAL-shipping replica feeds it shipped frames.  Two checks live here:
   durable primary with a replica attached part-way in, so its seed
   carries rows; the live tables, the tables after reopening the
   directory and the replica's tables at its applied LSN must be the
-  same rowid for rowid,
+  same rowid for rowid, with the same exactly-once ledger (remote writes
+  set it before the seed, between it and a checkpoint, and after),
   and every index registered on each -- the schema's hash and ordered-
   composite ones, the trigram ones -- must equal the crash battery's
   rebuild-from-rows oracle (the live side got there by per-row upkeep,
@@ -31,8 +32,9 @@ import pytest
 
 from repro.errors import RecoveryError
 from repro.mdm.manager import MusicDataManager
-from repro.net import MdmServer, ReplicaServer, protocol
+from repro.net import MdmClient, MdmServer, ReplicaServer, protocol
 from repro.net.replica import _ReplicaState
+from repro.storage import image as image_module
 from repro.storage import wal as wal_module
 from repro.storage.database import CATALOG, Database
 from repro.storage.row import Row, encode_row_run
@@ -56,6 +58,13 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
         workload.step()
     server = MdmServer(mdm)
     server.start()
+    writers = [MdmClient(server.address, client_id="w%d" % i) for i in range(2)]
+
+    def remote_write(step):
+        writer = writers[step % 2]
+        assert writer.execute('append to PIECE (title = "remote %d")' % step) == 1
+
+    remote_write(0)  # the seed carries it
     replica = ReplicaServer(server.address, name="diff-%d" % seed)
     replica.start()
     checkpoint = database.checkpoint
@@ -77,18 +86,26 @@ def test_recovery_equals_replica_equals_live(tmp_path, seed):
         for step in range(15, 60):
             if step == 30:
                 workload.checkpoint()
+            if step % 7 == 0:
+                remote_write(step)
             workload.step()
         assert caught_up()
         assert replica.metrics.value("repl.seeds_received") == 1
         live = table_state(database)
+        ledger = dict(database.ledger)
+        assert ledger == {"w0": (4, 1), "w1": (3, 1)}
         assert table_state(replica._state.database) == live
+        assert replica._state.database.ledger == ledger
     finally:
+        for writer in writers:
+            writer.close()
         replica.stop()
         server.stop()
         mdm.close()
     reopened = Database(path)
     try:
         assert table_state(reopened) == live
+        assert reopened.ledger == ledger
     finally:
         reopened.close()
 
@@ -200,7 +217,7 @@ def _open_misshapen(column, value):
 
 def _open_another_format(filename, content):
     """Open a directory whose *filename* holds *content*: what an
-    earlier format wrote, a bare frame log or a format-2, -3 or -4 log."""
+    earlier format wrote, a bare frame log or a format-2 to -5 log."""
     def carrier(tmp_path):
         path = str(tmp_path / "db")
         db = Database(path)
@@ -229,10 +246,15 @@ def _install_a_cut_seed(tmp_path):
     (_open_damaged_image(lambda raw: b""), RecoveryError),
     (_open_damaged_image(lambda raw: raw[:-9]), RecoveryError),
     (_open_damaged_image(_flip_a_byte), RecoveryError),
-    (_open_damaged_image(lambda raw: raw[:7] + b"\x03" + raw[8:]), RecoveryError),
+    # A format-2 image held no ledger.
+    (_open_damaged_image(
+        lambda raw: raw[:7] + b"\x02" + raw[8:],
+        match="format-%d" % image_module.FORMAT,
+    ), RecoveryError),
     # A format-1 image held its rows a tagged field at a time.
     (_open_damaged_image(
-        lambda raw: raw[:7] + b"\x01" + raw[8:], match="format-2",
+        lambda raw: raw[:7] + b"\x01" + raw[8:],
+        match="format-%d" % image_module.FORMAT,
     ), RecoveryError),
     (_open_damaged_image(lambda raw: b"MDM1" + raw[4:]), RecoveryError),
     (_open_short_batch, RecoveryError),
@@ -261,6 +283,10 @@ def _install_a_cut_seed(tmp_path):
     (_open_another_format(
         "wal.log", b"MDM-WAL\x04" + _short_batch_frame()
     ), RecoveryError),
+    # A format-5 log kept exactly-once state in a table of its own.
+    (_open_another_format(
+        "wal.log", b"MDM-WAL\x05" + _short_batch_frame()
+    ), RecoveryError),
 ], ids=[
     "empty-image", "truncated-image", "flipped-byte-image",
     "another-image-format", "format-1-image", "another-image-magic", "short-batch",
@@ -268,6 +294,7 @@ def _install_a_cut_seed(tmp_path):
     "cut-seed", "catalog-list", "catalog-string", "catalog-short-pair",
     "text-indexes-list", "text-indexes-string", "text-indexes-number",
     "earlier-log-format", "format-2-log", "format-3-log", "format-4-log",
+    "format-5-log",
 ])
 def test_short_redo_input_raises_a_typed_error(tmp_path, carrier, error):
     with pytest.raises(error):

@@ -18,8 +18,8 @@ from repro.errors import (
 )
 from repro.mdm.manager import MusicDataManager
 from repro.net import MdmClient, MdmServer, protocol
-from repro.net.server import DEDUP_TABLE
 from repro.net.transport import Transport
+from repro.quel import sources
 from tests.net.conftest import (
     ROLES, reply, serving, start_replica, wait_applied, wait_serving,
     wait_until,
@@ -140,6 +140,29 @@ class TestPreambleReplay:
         client.execute("range of x is NOTE")
         client._primary.close()
         assert client.retrieve("retrieve (x.degree)") == [{"x.degree": 1}]
+
+    def test_a_replayed_re_declaration_builds_no_new_range(
+        self, served_mdm, client, monkeypatch
+    ):
+        """A reconnect replays the declarations in order; one that
+        re-declares the range its variable holds keeps that range."""
+        built = []
+
+        class Counting(sources.EntityRange):
+            def __init__(self, entity_type):
+                built.append(entity_type.name)
+                super().__init__(entity_type)
+
+        monkeypatch.setattr(sources, "EntityRange", Counting)
+        client.execute("append to NOTE (degree = 3)")
+        client.execute("range of t is NOTE")
+        client.execute("range  of t is NOTE")  # another text, one range
+        assert list(client._preamble) == ["range of t is NOTE",
+                                          "range  of t is NOTE"]
+        del built[:]
+        client._primary.close()
+        assert client.retrieve("retrieve (t.degree)") == [{"t.degree": 3}]
+        assert built == ["NOTE"]
 
     @pytest.mark.parametrize("declaration", [
         "range  of t is NOTE",
@@ -264,30 +287,31 @@ class TestExactlyOnceDedup:
             a.close()
             b.close()
 
-    def test_ledger_row_commits_with_the_statement(self, served_mdm, client):
+    def test_the_ledger_entry_commits_with_the_statement(self, served_mdm,
+                                                          client):
         mdm, _ = served_mdm
+        log = mdm.database._log
+        flushed = log.flushed_lsn
         client.execute("append to NOTE (degree = 3)")
-        rows = mdm.database.table(DEDUP_TABLE).select_eq(
-            "client", "test-client"
-        )
-        assert len(rows) == 1
-        assert rows[0]["seq"] == 1
+        assert mdm.database.ledger["test-client"] == (1, 1)
+        assert log.flushed_lsn == flushed + 1  # one commit, one frame
+        assert not mdm.database.has_table("_net_requests")
 
     def test_a_retrieve_sent_as_a_write_is_refused_before_the_ledger(
         self, served_mdm, client
     ):
-        """Run as a write, it would commit a ledger row (an LSN and an
+        """Run as a write, it would commit a ledger entry (an LSN and an
         fsync) and answer 0, its rows lost."""
         mdm, _ = served_mdm
         client.execute("append to NOTE (degree = 3)")
-        log, ledger = mdm.database._log, mdm.database.table(DEDUP_TABLE)
+        log, ledger = mdm.database._log, mdm.database.ledger
         flushed = log.flushed_lsn
         with pytest.raises(QueryError, match="retrieve"):
             client.execute("retrieve (NOTE.degree)")
         assert log.flushed_lsn == flushed
-        assert [row["seq"] for row in ledger.select_eq("client", "test-client")] == [1]
+        assert ledger["test-client"] == (1, 1)
         assert client.execute("append to NOTE (degree = 4)") == 1
-        assert [row["seq"] for row in ledger.select_eq("client", "test-client")] == [2]
+        assert ledger["test-client"] == (2, 1)
 
     def test_exactly_once_across_server_restart(self, tmp_path):
         """Crash after commit, before ack; a NEW server must still dedup."""

@@ -35,6 +35,20 @@ class TestGauge:
         assert gauge.value == 12
 
 
+class TestRatio:
+    def test_divides_its_counters_when_read(self):
+        registry = MetricsRegistry()
+        synced, fsyncs = registry.counter("synced"), registry.counter("fsyncs")
+        ratio = registry.ratio("per_fsync", synced, fsyncs)
+        assert ratio.value == 0  # no denominator yet
+        synced.inc(6)
+        fsyncs.inc(4)
+        assert ratio.value == 1.5
+        assert registry.value("per_fsync") == 1.5
+        assert registry.snapshot()["per_fsync"] == 1.5
+        assert registry.gauge("per_fsync") is ratio
+
+
 class TestHistogram:
     def test_bucket_placement(self):
         histogram = Histogram("h", buckets=(0.001, 0.01, 0.1))

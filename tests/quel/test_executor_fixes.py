@@ -98,6 +98,22 @@ class TestCandidateGeneration:
         assert "index" not in session.last_plan
 
 
+class TestReDeclaration:
+    def test_a_range_re_declared_keeps_its_range(self, session, library):
+        """``range of`` a variable already holds builds no new range:
+        the range it holds is kept for every variable it names."""
+        session.execute("range of p is PIECE")
+        held = session.ranges["p"]
+        session.execute("range of p, q is PIECE")
+        assert session.ranges["p"] is held and session.ranges["q"] is held
+        execute_ddl("define entity OPUS (title = string)", library)
+        session.execute("range of p is OPUS")
+        assert session.ranges["p"].type_name == "OPUS"
+        assert session.ranges["q"] is held
+        with pytest.raises(QueryError, match="unknown type"):
+            session.execute("range of p is NOTHING")
+
+
 class TestRelationshipCandidates:
     @pytest.fixture
     def score(self):

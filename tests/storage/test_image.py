@@ -31,24 +31,24 @@ def _rows(count, width=8):
     ]
 
 
-def _image(lsn=9, tables=(("a", _rows(3), KV),)):
-    return b"".join(image.pack(lsn, list(tables)))
+def _image(lsn=9, tables=(("a", _rows(3), KV),), ledger=None):
+    return b"".join(image.pack(lsn, ledger or {}, list(tables)))
 
 
 def _decode(raw, schemas=None):
     """``(lsn, {name: rows})`` of *raw*, every table of schema KV
     unless *schemas* names another."""
     schemas = schemas or {}
-    lsn, tables = image.unpack(
+    lsn, _, tables = image.unpack(
         lambda: io.BytesIO(raw), lambda name: schemas.get(name, KV)
     )
     return lsn, dict(tables)
 
 
-def _seal(body):
-    """*body* after a header, with its CRC32 trailer: an image whose
-    checksum holds."""
-    body = _HEAD.pack(b"MDM-IMG", image.FORMAT, 1) + body
+def _seal(body, ledger=struct.pack("<I", 0)):
+    """*body* after a header and *ledger* (by default an empty one),
+    with its CRC32 trailer: an image whose checksum holds."""
+    body = _HEAD.pack(b"MDM-IMG", image.FORMAT, 1) + ledger + body
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -90,8 +90,22 @@ class TestRoundTrip:
 
     def test_an_image_of_no_tables(self):
         raw = _image(0, [])
-        assert len(raw) == _HEAD.size + 4
+        assert len(raw) == _HEAD.size + 4 + 4  # an empty ledger, the CRC
         assert _decode(raw) == (0, {})
+
+    def test_the_ledger_comes_back_before_any_table_is_read(self):
+        ledger = {"b": (7, 1), "a": (2 ** 40, -3), "Stück": (1, 0)}
+        raw = _image(6, [("t", _rows(2), KV)], ledger=ledger)
+        opened = []
+
+        def open_image():
+            opened.append(io.BytesIO(raw))
+            return opened[-1]
+
+        lsn, found, tables = image.unpack(open_image, lambda name: KV)
+        assert (lsn, found) == (6, ledger)
+        assert len(opened) == 1  # read with the checksum
+        assert dict(tables)["t"] == _rows(2)
 
     def test_an_empty_table_keeps_its_place(self):
         lsn, tables = _decode(_image(3, [
@@ -132,7 +146,7 @@ class TestRoundTrip:
             return KV
 
         raw = _image(5, [("_catalog", _rows(1), KV), ("b", _rows(2), KV)])
-        lsn, tables = image.unpack(lambda: io.BytesIO(raw), schema_of)
+        lsn, _, tables = image.unpack(lambda: io.BytesIO(raw), schema_of)
         assert asked == []
         assert next(tables)[0] == "_catalog" and asked == ["_catalog"]
         assert next(tables)[0] == "b" and asked == ["_catalog", "b"]
@@ -146,7 +160,7 @@ class TestLayout:
     def test_a_large_table_comes_out_in_pieces_of_piece_rows_rows(self):
         rows = _rows(2 * image.PIECE_ROWS + 7, width=100)
         # header, table, the full pieces, the last piece, CRC
-        parts = list(image.pack(1, [("t", rows, KV)]))
+        parts = list(image.pack(1, {}, [("t", rows, KV)]))
         assert len(parts) == 6
         pieces = [decode_row_run(part[_SIZE.size:], KV) for part in parts[2:-1]]
         assert [len(piece) for piece in pieces] == [
@@ -158,7 +172,7 @@ class TestLayout:
 
     def test_the_decode_pass_reads_a_piece_at_a_time(self):
         tables = [("t", _rows(3000, width=100), KV)]
-        pieces = list(image.pack(1, tables))[2:-1]
+        pieces = list(image.pack(1, {}, tables))[2:-1]
         raw = _image(1, tables)
         opened = []
 
@@ -166,11 +180,12 @@ class TestLayout:
             opened.append(_RecordingReads(raw))
             return opened[-1]
 
-        _, tables = image.unpack(open_image, lambda name: KV)
-        assert len(opened) == 1  # the checksum pass; nothing decoded yet
+        _, _, tables = image.unpack(open_image, lambda name: KV)
+        assert len(opened) == 1  # the checksum pass; no table decoded yet
         assert len(dict(tables)["t"]) == 3000
         decoded = opened[1]
-        assert sum(decoded.sizes) == len(raw) - _HEAD.size - 4
+        # Everything but the header, the (empty) ledger and the CRC.
+        assert sum(decoded.sizes) == len(raw) - _HEAD.size - 4 - 4
         assert max(decoded.sizes) == max(map(len, pieces)) - _SIZE.size
 
     def test_no_table_is_encoded_whole_before_its_first_piece(
@@ -183,7 +198,7 @@ class TestLayout:
             encode_row_run(rows, schema, out)
 
         monkeypatch.setattr(image, "encode_row_run", encode)
-        parts = image.pack(1, [("t", _rows(2 * image.PIECE_ROWS + 1), KV)])
+        parts = image.pack(1, {}, [("t", _rows(2 * image.PIECE_ROWS + 1), KV)])
         for _ in range(3):  # header, table, first piece
             next(parts)
         assert encoded == [image.PIECE_ROWS]
@@ -209,6 +224,15 @@ class TestRefusal:
     def test_a_malformed_body(self, body, defect):
         with pytest.raises(RecoveryError, match=defect):
             _decode(_seal(body))
+
+    @pytest.mark.parametrize("ledger, defect", [
+        (b"\x01\x00", "the ledger runs past the tables"),
+        (struct.pack("<I", 2) + _table("c", 0)[:3], "a ledger entry runs past"),
+        (struct.pack("<IH", 1, 2) + b"\xff\xfe" + bytes(16), "can't decode"),
+    ], ids=["count-cut", "entry-short", "client-not-utf8"])
+    def test_a_malformed_ledger(self, ledger, defect):
+        with pytest.raises(RecoveryError, match=defect):
+            _decode(_seal(b"", ledger=ledger))
 
 
 def _checkpointed(path):
@@ -271,8 +295,8 @@ class TestDatabaseImage:
             raw = b"".join(pieces)
         assert db.transactions.current_snapshot() is None
         copy = Database()
-        seed_lsn, tables = copy.read_image(lambda: io.BytesIO(raw))
-        copy.install_image(tables)
+        seed_lsn, ledger, tables = copy.read_image(lambda: io.BytesIO(raw))
+        copy.install_image(ledger, tables)
         copy.build_deferred_indexes()
         assert seed_lsn == lsn
         assert copy.table_names() == ["t"]
@@ -300,10 +324,10 @@ class TestDatabaseImage:
         """Whole by its CRC, yet refused once the install reaches it."""
         raw = _image(5, [("ghost", [], KV)])
         copy = Database()
-        lsn, tables = copy.read_image(lambda: io.BytesIO(raw))
+        lsn, ledger, tables = copy.read_image(lambda: io.BytesIO(raw))
         assert lsn == 5
         with pytest.raises(RecoveryError, match="'ghost'"):
-            copy.install_image(tables)
+            copy.install_image(ledger, tables)
         assert not copy.has_table("ghost")
 
     def test_the_rename_is_durable_before_a_segment_is_deleted(
